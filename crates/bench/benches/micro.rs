@@ -33,7 +33,15 @@ fn bench_rle_direct_vs_decode(c: &mut Criterion) {
     let plain = StoredColumn::new("c", Column::Int(IntColumn::plain_fixed(sorted_values())));
     let io = IoSession::unmetered();
     g.bench_function("predicate_on_runs", |b| {
-        b.iter(|| black_box(scan_int_where(&rle, |v| (100..=200).contains(&v), true, &io)))
+        b.iter(|| {
+            black_box(scan_int_where(
+                &rle,
+                rle.positions(),
+                |v| (100..=200).contains(&v),
+                true,
+                &io,
+            ))
+        })
     });
     g.bench_function("predicate_after_decode", |b| {
         b.iter(|| {
@@ -43,7 +51,15 @@ fn bench_rle_direct_vs_decode(c: &mut Criterion) {
         })
     });
     g.bench_function("predicate_on_plain", |b| {
-        b.iter(|| black_box(scan_int_where(&plain, |v| (100..=200).contains(&v), true, &io)))
+        b.iter(|| {
+            black_box(scan_int_where(
+                &plain,
+                plain.positions(),
+                |v| (100..=200).contains(&v),
+                true,
+                &io,
+            ))
+        })
     });
     g.finish();
 }
@@ -53,10 +69,10 @@ fn bench_block_vs_tuple(c: &mut Criterion) {
     let col = StoredColumn::new("c", Column::Int(IntColumn::plain_fixed(random_values())));
     let io = IoSession::unmetered();
     g.bench_function("block_as_array", |b| {
-        b.iter(|| black_box(scan_int_where(&col, |v| v < 3_000, true, &io)))
+        b.iter(|| black_box(scan_int_where(&col, col.positions(), |v| v < 3_000, true, &io)))
     });
     g.bench_function("tuple_get_next", |b| {
-        b.iter(|| black_box(scan_int_where(&col, |v| v < 3_000, false, &io)))
+        b.iter(|| black_box(scan_int_where(&col, col.positions(), |v| v < 3_000, false, &io)))
     });
     g.finish();
 }
@@ -96,8 +112,10 @@ fn bench_poslist_intersect(c: &mut Criterion) {
     let n = N as u32;
     let range_a = PosList::Range { start: 100_000, end: 700_000, universe: n };
     let range_b = PosList::Range { start: 300_000, end: 900_000, universe: n };
-    let bm_a = PosList::Bitmap(RidBitmap::from_rids(n, (0..n).filter(|p| p % 3 == 0)));
-    let bm_b = PosList::Bitmap(RidBitmap::from_rids(n, (0..n).filter(|p| p % 5 == 0)));
+    let bm_a =
+        PosList::Bitmap { base: 0, bits: RidBitmap::from_rids(n, (0..n).filter(|p| p % 3 == 0)) };
+    let bm_b =
+        PosList::Bitmap { base: 0, bits: RidBitmap::from_rids(n, (0..n).filter(|p| p % 5 == 0)) };
     let ex_a = PosList::Explicit { positions: (0..n).step_by(101).collect(), universe: n };
     let ex_b = PosList::Explicit { positions: (0..n).step_by(103).collect(), universe: n };
     g.bench_function("range_range", |b| b.iter(|| black_box(range_a.intersect(&range_b))));

@@ -15,27 +15,25 @@
 //! ```
 
 use cvr_bench::{paper, Harness, HarnessArgs, Measurement};
-use cvr_core::invisible::InvisibleOptions;
 use cvr_core::morsel::Parallelism;
-use cvr_core::{ColumnEngine, EngineConfig};
+use cvr_core::{ColumnEngine, EngineConfig, ExecOptions};
 
 fn main() {
     let args = HarnessArgs::parse();
     let harness = Harness::new(args.clone());
     eprintln!("# building column engine (sf {}) ...", args.sf);
     let engine = ColumnEngine::new(harness.tables.clone());
-    let cfg = EngineConfig::FULL;
 
-    let with = InvisibleOptions { between_rewriting: true };
-    let without = InvisibleOptions { between_rewriting: false };
-
-    let a: Vec<Measurement> =
-        harness.measure_series(|q, io| engine.execute_ablation(q, cfg, with, io));
-    let b: Vec<Measurement> =
-        harness.measure_series(|q, io| engine.execute_ablation(q, cfg, without, io));
-    let lm = EngineConfig::parse("tiCL");
-    let c: Vec<Measurement> =
-        harness.measure_series(|q, io| engine.execute_with(q, lm, Parallelism::serial(), io));
+    // One worker throughout, like the paper's single-threaded C-Store.
+    let series = |cfg: EngineConfig, between_rewriting: bool| -> Vec<Measurement> {
+        let opts =
+            ExecOptions { par: Parallelism::serial(), between_rewriting, ..ExecOptions::default() };
+        harness
+            .measure_series(|q, io| engine.run(q, cfg, &opts, io).expect("unbounded lifecycle").0)
+    };
+    let a = series(EngineConfig::FULL, true);
+    let b = series(EngineConfig::FULL, false);
+    let c = series(EngineConfig::parse("tiCL"), true);
 
     println!("\nAblation: between-predicate rewriting inside the invisible join (sf {})", args.sf);
     println!("=======================================================================\n");

@@ -12,12 +12,39 @@
 //! used before the kernel layer; "word" is the SWAR mask kernel feeding a
 //! position vector through the bulk path.
 
-use cvr_bench::kernel_bench::{codes, slice_word_positions, word_positions};
-use cvr_core::kernels::{scalar, CmpOp};
+use cvr_core::kernels::{self, scalar, CmpOp};
 use cvr_storage::packed::PackedInts;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
+
+/// Deterministic pseudo-random codes in `[0, max]`.
+fn codes(n: u32, max: u64) -> Vec<u64> {
+    (0..n as u64).map(|i| i.wrapping_mul(2_654_435_761) % (max + 1)).collect()
+}
+
+/// Run the packed compare kernel over all of `p` and collect the emitted
+/// masks into positions.
+fn word_positions(p: &PackedInts, op: CmpOp) -> Vec<u32> {
+    let mut out = Vec::new();
+    kernels::packed_cmp_masks(p, 0, p.len(), op, |base, m| push_mask(&mut out, base, m));
+    out
+}
+
+/// Run the plain-slice compare kernel and collect positions.
+fn slice_word_positions(values: &[i64], lo: i64, hi: i64) -> Vec<u32> {
+    let mut out = Vec::new();
+    kernels::slice_cmp_masks(values, 0, lo, hi, |base, m| push_mask(&mut out, base, m));
+    out
+}
+
+/// Append the set bits of one selection mask as positions.
+fn push_mask(out: &mut Vec<u32>, base: u32, mut mask: u64) {
+    while mask != 0 {
+        out.push(base + mask.trailing_zeros());
+        mask &= mask - 1;
+    }
+}
 
 struct Args {
     n: u32,

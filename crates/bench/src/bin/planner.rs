@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use cvr_bench::{build_planner, Harness, HarnessArgs, Measurement};
-use cvr_core::ColumnEngine;
+use cvr_core::{ColumnEngine, ExecOptions};
 use cvr_data::queries::{all_queries, SsbQuery};
 use cvr_data::result::QueryOutput;
 use cvr_data::workload::WorkloadConfig;
@@ -145,12 +145,17 @@ fn main() {
             .expect("grid is never empty")
             .clone();
 
-        // The planner's own cell, measured through execute_planned (its
-        // predicate order applied).
+        // The planner's own cell, measured with its predicate order
+        // applied.
+        let planned = |cfg, io: &IoSession| {
+            let opts =
+                ExecOptions { par, fact_order: Some(&plan.fact_order), ..ExecOptions::default() };
+            engine.run(q, cfg, &opts, io).expect("unbounded lifecycle").0
+        };
         let picked_m = match plan.choice {
-            PhysicalChoice::Column(cfg) => measure_cold(&args, harness.disk(), |io| {
-                engine.execute_planned(q, cfg, &plan.fact_order, par, io)
-            }),
+            PhysicalChoice::Column(cfg) => {
+                measure_cold(&args, harness.disk(), |io| planned(cfg, io))
+            }
             PhysicalChoice::Row(design) => {
                 let db = &row_dbs[&design];
                 measure_cold(&args, harness.disk(), |io| {
@@ -165,10 +170,9 @@ fn main() {
         let hand_q = q.with_fact_order(&plan.fact_order);
         let (planned_io, hand_io) = (IoSession::unmetered(), IoSession::unmetered());
         let (planned_out, hand_out) = match plan.choice {
-            PhysicalChoice::Column(cfg) => (
-                engine.execute_planned(q, cfg, &plan.fact_order, par, &planned_io),
-                engine.execute_with(&hand_q, cfg, par, &hand_io),
-            ),
+            PhysicalChoice::Column(cfg) => {
+                (planned(cfg, &planned_io), engine.execute_with(&hand_q, cfg, par, &hand_io))
+            }
             PhysicalChoice::Row(design) => {
                 let db = &row_dbs[&design];
                 (

@@ -63,7 +63,6 @@
 
 #![warn(missing_docs)]
 
-pub mod kernel_bench;
 pub mod paper;
 
 use cvr_core::morsel::Parallelism;

@@ -55,8 +55,8 @@ impl Grouper {
 
     /// Fold another grouper's partial aggregates into this one. Integer sums
     /// commute, and [`Grouper::finish`] sorts rows, so merging per-morsel
-    /// groupers in morsel order yields outputs byte-identical to a serial
-    /// execution.
+    /// groupers in morsel order yields byte-identical outputs on every
+    /// morsel grid.
     pub fn merge(&mut self, other: Grouper) {
         if self.map.is_empty() {
             self.map = other.map;

@@ -61,6 +61,15 @@ pub enum QueryError {
         /// What failed to validate.
         detail: String,
     },
+    /// The encoded answer exceeds the wire's frame limit; not retryable —
+    /// the same statement encodes to the same size. The statement executed;
+    /// only shipping the result was refused.
+    ResultTooLarge {
+        /// Bytes the answer encodes to.
+        bytes: usize,
+        /// The frame limit in force.
+        limit: usize,
+    },
 }
 
 impl QueryError {
@@ -76,6 +85,8 @@ impl QueryError {
     pub const CODE_IO: u16 = 104;
     /// Wire code for [`QueryError::Corrupt`].
     pub const CODE_CORRUPT: u16 = 105;
+    /// Wire code for [`QueryError::ResultTooLarge`].
+    pub const CODE_RESULT_TOO_LARGE: u16 = 106;
 
     /// The stable wire code carried in an ERROR frame.
     pub fn code(&self) -> u16 {
@@ -86,6 +97,7 @@ impl QueryError {
             QueryError::Shed { .. } => Self::CODE_SHED,
             QueryError::Io { .. } => Self::CODE_IO,
             QueryError::Corrupt { .. } => Self::CODE_CORRUPT,
+            QueryError::ResultTooLarge { .. } => Self::CODE_RESULT_TOO_LARGE,
         }
     }
 
@@ -113,6 +125,9 @@ impl fmt::Display for QueryError {
             QueryError::Shed { reason } => write!(f, "query shed: {reason}"),
             QueryError::Io { detail } => write!(f, "I/O error: {detail}"),
             QueryError::Corrupt { detail } => write!(f, "corrupt store: {detail}"),
+            QueryError::ResultTooLarge { bytes, limit } => {
+                write!(f, "result of {bytes} bytes exceeds the {limit}-byte frame limit")
+            }
         }
     }
 }
@@ -390,6 +405,9 @@ mod tests {
         assert_eq!(QueryError::Shed { reason: "q".into() }.code(), 103);
         assert_eq!(QueryError::Io { detail: "x".into() }.code(), 104);
         assert_eq!(QueryError::Corrupt { detail: "c".into() }.code(), 105);
+        let too_large = QueryError::ResultTooLarge { bytes: 9, limit: 8 };
+        assert_eq!(too_large.code(), 106);
+        assert!(!too_large.retryable() && !QueryError::retryable_code(106));
         assert!(QueryError::Shed { reason: "q".into() }.retryable());
         assert!(QueryError::retryable_code(104));
         assert!(!QueryError::retryable_code(100));

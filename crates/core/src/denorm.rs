@@ -225,7 +225,8 @@ impl DenormDb {
         for p in &q.fact_predicates {
             ctx.check()?;
             let mut span = ctx.span("scan", p.column, io);
-            let pl = scan_pred(self.store.column(p.column), &p.pred, cfg.block_iteration, io);
+            let col = self.store.column(p.column);
+            let pl = scan_pred(col, col.positions(), &p.pred, cfg.block_iteration, io);
             span.rows(pl.count() as u64);
             and_with(pl, &mut pos);
         }
@@ -243,6 +244,7 @@ impl DenormDb {
                         if matches[lo as usize..=hi as usize].iter().all(|&m| m) {
                             scan_int_where(
                                 col,
+                                col.positions(),
                                 move |v| v >= lo && v <= hi,
                                 cfg.block_iteration,
                                 io,
@@ -250,6 +252,7 @@ impl DenormDb {
                         } else {
                             scan_int_where(
                                 col,
+                                col.positions(),
                                 move |v| matches[v as usize],
                                 cfg.block_iteration,
                                 io,
@@ -258,12 +261,12 @@ impl DenormDb {
                     }
                 }
             } else {
-                scan_pred(col, &p.pred, cfg.block_iteration, io)
+                scan_pred(col, col.positions(), &p.pred, cfg.block_iteration, io)
             };
             span.rows(pl.count() as u64);
             and_with(pl, &mut pos);
         }
-        let pos = pos.unwrap_or_else(|| PosList::all(n));
+        let pos = pos.unwrap_or_else(|| PosList::all(0..n));
         let mut agg_span = ctx.span("extract-aggregate", "", io);
         // The gathers below materialize one value per passing row per group
         // column and measure; charge them up front, before allocating.

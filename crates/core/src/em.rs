@@ -13,8 +13,9 @@
 use crate::agg::{AggPartial, CodeDecoder, CodeGrouper, GroupLayout, Grouper};
 use crate::config::EngineConfig;
 use crate::ctx::{QueryCtx, QueryError};
+use crate::engine::ExecOptions;
 use crate::extract::decode_all;
-use crate::morsel::{try_run_morsels, Parallelism};
+use crate::morsel::try_run_morsels;
 use crate::projection::CStoreDb;
 use cvr_data::queries::SsbQuery;
 use cvr_data::result::QueryOutput;
@@ -62,10 +63,10 @@ fn build_dim_table(db: &CStoreDb, q: &SsbQuery, dim: Dim, io: &IoSession) -> Dim
     DimTable { map, group_rows, restricted: !preds.is_empty() }
 }
 
-/// The shared prelude of both execution paths: every needed fact column
-/// fully decoded (tuple construction forces decompression) plus the
-/// row-style dimension join tables and the index maps the pipeline needs.
-/// All of the plan's I/O is charged here.
+/// The coordinator's prelude: every needed fact column fully decoded (tuple
+/// construction forces decompression) plus the row-style dimension join
+/// tables and the index maps the pipeline needs. All of the plan's I/O is
+/// charged here.
 struct RowPlan<'q> {
     decoded: Vec<Vec<Value>>,
     pred_idx: Vec<(usize, &'q cvr_data::queries::Pred)>,
@@ -153,9 +154,8 @@ impl RowPlan<'_> {
 }
 
 /// The row pipeline over fact rows `[start, end)`: construct a tuple per
-/// row, then filter/join/aggregate into a partial [`AggPartial`]. Pure CPU —
-/// serial execution runs it once over `[0, n)`, parallel execution once per
-/// morsel. In tuple-at-a-time mode every value access goes through a boxed
+/// row, then filter/join/aggregate into a partial [`AggPartial`]. Pure CPU,
+/// run once per morsel. In tuple-at-a-time mode every value access goes through a boxed
 /// per-column iterator (the `getNext` interface); in block mode tuples are
 /// stitched by direct indexing.
 fn run_rows(
@@ -194,63 +194,30 @@ fn run_rows(
     partial
 }
 
-/// Execute `q` with early materialization (infallible test shorthand).
-#[cfg(test)]
-fn execute(db: &CStoreDb, q: &SsbQuery, cfg: EngineConfig, io: &IoSession) -> QueryOutput {
-    try_execute(db, q, cfg, io, &QueryCtx::unbounded()).unwrap_or_else(|e| std::panic::panic_any(e))
-}
-
-/// Execute `q` with early materialization: honours `ctx` in the
-/// column-decoding prelude.
-pub(crate) fn try_execute(
-    db: &CStoreDb,
-    q: &SsbQuery,
-    cfg: EngineConfig,
-    io: &IoSession,
-    ctx: &QueryCtx,
-) -> Result<QueryOutput, QueryError> {
-    let plan = {
-        let mut span = ctx.span("materialize", "fact columns up front", io);
-        span.rows(db.fact_rows() as u64);
-        build_plan(db, q, io, ctx)?
-    };
-    ctx.check()?;
-    let mut span = ctx.span("pipeline", "row-style over early-stitched tuples", io);
-    let partial = run_rows(&plan, q, cfg, 0..db.fact_rows());
-    let out = plan.finish(partial, q);
-    span.rows(out.len() as u64);
-    drop(span);
-    Ok(out)
-}
-
-/// Execute `q` with early materialization across `par.threads` morsel
-/// workers.
+/// Execute `q` with early materialization.
 ///
-/// All I/O happens in the shared serial prelude ([`build_plan`]) — tuple
+/// All I/O happens in the coordinator's prelude ([`build_plan`]) — tuple
 /// construction decompresses every needed column in full, and the dimension
-/// join tables are built row-style on the coordinator — so the charges on
-/// `io` are identical to [`try_execute`] by construction. The row pipeline
-/// ([`run_rows`]) is pure CPU and fans out over morsels of the
-/// constructed-tuple space; partial aggregates merge in morsel order. `ctx`
-/// is honoured in the serial prelude and at every morsel boundary.
-pub(crate) fn try_execute_par(
+/// join tables are built row-style — so the charges on `io` do not depend
+/// on the morsel grid at all. The row pipeline ([`run_rows`]) is pure CPU
+/// and fans out over morsels of the constructed-tuple space; partial
+/// aggregates merge in morsel order. `opts.ctx` is honoured in the prelude
+/// and at every morsel boundary.
+pub(crate) fn execute(
     db: &CStoreDb,
     q: &SsbQuery,
     cfg: EngineConfig,
-    par: Parallelism,
+    opts: &ExecOptions<'_>,
     io: &IoSession,
-    ctx: &QueryCtx,
 ) -> Result<QueryOutput, QueryError> {
-    if par.is_serial() {
-        return try_execute(db, q, cfg, io, ctx);
-    }
+    let ctx = &opts.ctx;
     let plan = {
         let mut span = ctx.span("materialize", "fact columns up front", io);
         span.rows(db.fact_rows() as u64);
         build_plan(db, q, io, ctx)?
     };
     let mut span = ctx.span("pipeline", "row-style over early-stitched tuples", io);
-    let partials = try_run_morsels(db.fact_rows() as u32, par, ctx, |_, range| {
+    let partials = try_run_morsels(db.fact_rows() as u32, opts.par, ctx, |_, range| {
         Ok(run_rows(&plan, q, cfg, range.start as usize..range.end as usize))
     })?;
     let mut merged = plan.new_partial();
@@ -259,7 +226,6 @@ pub(crate) fn try_execute_par(
     }
     let out = plan.finish(merged, q);
     span.rows(out.len() as u64);
-    drop(span);
     Ok(out)
 }
 
@@ -330,6 +296,10 @@ mod tests {
     use cvr_data::reference;
     use std::sync::Arc;
 
+    fn run(db: &CStoreDb, q: &SsbQuery, cfg: EngineConfig, io: &IoSession) -> QueryOutput {
+        execute(db, q, cfg, &ExecOptions::default(), io).expect("unbounded lifecycle")
+    }
+
     #[test]
     fn matches_reference_on_all_queries() {
         let db = CStoreDb::build(Arc::new(SsbConfig { sf: 0.002, seed: 37 }.generate()), false);
@@ -337,7 +307,7 @@ mod tests {
         let cfg = EngineConfig::parse("Ticl");
         for q in all_queries() {
             let expected = reference::evaluate(&db.tables, &q);
-            assert_eq!(execute(&db, &q, cfg, &io), expected, "EM disagrees on {}", q.id);
+            assert_eq!(run(&db, &q, cfg, &io), expected, "EM disagrees on {}", q.id);
         }
     }
 
@@ -349,8 +319,8 @@ mod tests {
         let io = IoSession::unmetered();
         for q in all_queries() {
             assert_eq!(
-                execute(&comp, &q, EngineConfig::parse("tICl"), &io),
-                execute(&plain, &q, EngineConfig::parse("Ticl"), &io),
+                run(&comp, &q, EngineConfig::parse("tICl"), &io),
+                run(&plain, &q, EngineConfig::parse("Ticl"), &io),
                 "{}",
                 q.id
             );
@@ -363,8 +333,8 @@ mod tests {
         let io = IoSession::unmetered();
         for q in all_queries() {
             assert_eq!(
-                execute(&db, &q, EngineConfig::parse("ticl"), &io),
-                execute(&db, &q, EngineConfig::parse("Ticl"), &io),
+                run(&db, &q, EngineConfig::parse("ticl"), &io),
+                run(&db, &q, EngineConfig::parse("Ticl"), &io),
                 "{}",
                 q.id
             );

@@ -2,6 +2,7 @@
 
 use crate::config::EngineConfig;
 use crate::ctx::{catch_injected, QueryCtx, QueryError};
+use crate::invisible::FilterCapture;
 use crate::morsel::Parallelism;
 use crate::projection::CStoreDb;
 use crate::{em, invisible, lmjoin};
@@ -11,12 +12,69 @@ use cvr_data::result::QueryOutput;
 use cvr_storage::io::IoSession;
 use std::sync::Arc;
 
+/// What an execution does with the invisible join's filter phases (phases
+/// 1+2). The other plan shapes have no reusable filter and ignore it.
+#[derive(Debug, Clone, Copy, Default)]
+pub enum FilterReuse<'a> {
+    /// Run the filter; keep nothing.
+    #[default]
+    None,
+    /// Run the filter and hand back a [`FilterCapture`] of it. Charges on
+    /// the session are byte-identical to an uncaptured execution.
+    Capture,
+    /// Replay the filter from a capture taken under the *same* query
+    /// filter, config, fact order and store contents, and run only phase 3
+    /// live. A capture taken on a different morsel grid is ignored: the
+    /// execution runs cold, never fails.
+    Warm(&'a FilterCapture),
+}
+
+/// How one execution runs: everything a caller can vary besides the query
+/// and its [`EngineConfig`]. None of it changes a byte of the output or of
+/// the I/O accounting.
+#[derive(Debug, Clone)]
+pub struct ExecOptions<'a> {
+    /// Worker threads and morsel size. Default: [`Parallelism::from_env`].
+    pub par: Parallelism,
+    /// A planner-chosen fact-predicate evaluation order (see
+    /// `SsbQuery::with_fact_order`); `None` keeps the query's own. Executing
+    /// with an order is exactly executing the permuted query.
+    pub fact_order: Option<&'a [usize]>,
+    /// The query's lifecycle: plan shapes check it at phase and morsel
+    /// boundaries and abort with a typed [`QueryError`] on cancellation,
+    /// deadline expiry or a blown memory budget; its tracer, when attached,
+    /// receives the span tree. Default: [`QueryCtx::unbounded`].
+    pub ctx: QueryCtx,
+    /// Attempt between-predicate rewriting in the invisible join (default).
+    /// False isolates the optimization for the Section 6.3.2 ablation; see
+    /// [`crate::invisible::phase1_key_pred`].
+    pub between_rewriting: bool,
+    /// Filter reuse for the invisible join.
+    pub reuse: FilterReuse<'a>,
+}
+
+impl Default for ExecOptions<'_> {
+    fn default() -> Self {
+        ExecOptions {
+            par: Parallelism::from_env(),
+            fact_order: None,
+            ctx: QueryCtx::unbounded(),
+            between_rewriting: true,
+            reuse: FilterReuse::None,
+        }
+    }
+}
+
 /// A built column engine holding both compression variants of the storage,
 /// dispatching each query to the plan shape its [`EngineConfig`] selects:
 ///
 /// * `L` + `I` → the [`invisible`] join;
 /// * `L` + `i` → the classic [`lmjoin`] (late-materialized hash join);
 /// * `l` → [`em`] (tuples constructed at the scan, row-style execution).
+///
+/// Each shape has exactly one body, a morsel pipeline; the thread count
+/// sizes the worker pool and never selects code, so results and I/O
+/// accounting are byte-identical at every thread count.
 pub struct ColumnEngine {
     compressed: CStoreDb,
     plain: CStoreDb,
@@ -40,19 +98,39 @@ impl ColumnEngine {
         }
     }
 
-    /// Execute `q` under `config` at the process-default parallelism: the
-    /// `CVR_THREADS` environment variable when set, otherwise the machine's
-    /// available parallelism (see [`Parallelism::from_env`]). Results and
-    /// I/O accounting are byte-identical at every thread count.
+    /// Execute `q` under `config` as `opts` says. Returns the output and,
+    /// under [`FilterReuse::Capture`] on an invisible-join configuration,
+    /// the filter capture. Lifecycle aborts and injected storage faults
+    /// ([`QueryError::Io`]) surface as typed errors.
+    pub fn run(
+        &self,
+        q: &SsbQuery,
+        config: EngineConfig,
+        opts: &ExecOptions<'_>,
+        io: &IoSession,
+    ) -> Result<(QueryOutput, Option<FilterCapture>), QueryError> {
+        let db = self.db(config);
+        let permuted = opts.fact_order.map(|order| q.with_fact_order(order));
+        let q = permuted.as_ref().unwrap_or(q);
+        catch_injected(|| {
+            if !config.late_materialization {
+                em::execute(db, q, config, opts, io).map(|out| (out, None))
+            } else if config.invisible_join {
+                invisible::execute(db, q, config, opts, io)
+            } else {
+                lmjoin::execute(db, q, config, opts, io).map(|out| (out, None))
+            }
+        })?
+    }
+
+    /// [`ColumnEngine::run`] at the process-default parallelism (see
+    /// [`Parallelism::from_env`]) with every other option at its default,
+    /// panicking with the [`QueryError`] on an (injected) failure.
     pub fn execute(&self, q: &SsbQuery, config: EngineConfig, io: &IoSession) -> QueryOutput {
         self.execute_with(q, config, Parallelism::from_env(), io)
     }
 
-    /// Execute `q` under `config` with an explicit [`Parallelism`].
-    ///
-    /// `par.threads == 1` takes the serial code path; larger values run the
-    /// morsel-driven parallel pipeline of the selected plan shape, merging
-    /// partial aggregates and per-morsel I/O logs in morsel order.
+    /// [`ColumnEngine::execute`] with an explicit [`Parallelism`].
     pub fn execute_with(
         &self,
         q: &SsbQuery,
@@ -60,171 +138,10 @@ impl ColumnEngine {
         par: Parallelism,
         io: &IoSession,
     ) -> QueryOutput {
-        self.try_execute_with(q, config, par, io, &QueryCtx::unbounded())
-            .unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`ColumnEngine::execute_with`]: the selected plan shape
-    /// checks `ctx` at phase and morsel boundaries and aborts with a typed
-    /// [`QueryError`] on cancellation, deadline expiry, or a blown memory
-    /// budget. Injected storage faults surface as [`QueryError::Io`].
-    pub fn try_execute_with(
-        &self,
-        q: &SsbQuery,
-        config: EngineConfig,
-        par: Parallelism,
-        io: &IoSession,
-        ctx: &QueryCtx,
-    ) -> Result<QueryOutput, QueryError> {
-        let db = self.db(config);
-        catch_injected(|| {
-            if par.is_serial() {
-                if !config.late_materialization {
-                    em::try_execute(db, q, config, io, ctx)
-                } else if config.invisible_join {
-                    invisible::try_execute(db, q, config, io, ctx)
-                } else {
-                    lmjoin::try_execute(db, q, config, io, ctx)
-                }
-            } else if !config.late_materialization {
-                em::try_execute_par(db, q, config, par, io, ctx)
-            } else if config.invisible_join {
-                invisible::try_execute_par(db, q, config, par, io, ctx)
-            } else {
-                lmjoin::try_execute_par(db, q, config, par, io, ctx)
-            }
-        })?
-    }
-
-    /// Execute `q` with the invisible join under explicit ablation
-    /// [`crate::invisible::InvisibleOptions`] (serial path).
-    ///
-    /// The per-shape `execute*` free functions are crate-private; this is
-    /// the one sanctioned way to reach the invisible join's phase-level
-    /// switches from outside the crate. With default options it is
-    /// equivalent to [`ColumnEngine::execute_with`] at
-    /// [`Parallelism::serial`] under an invisible-join configuration.
-    pub fn execute_ablation(
-        &self,
-        q: &SsbQuery,
-        config: EngineConfig,
-        opts: crate::invisible::InvisibleOptions,
-        io: &IoSession,
-    ) -> QueryOutput {
-        invisible::execute_opts(self.db(config), q, config, opts, io)
-    }
-
-    /// Execute a *planner-chosen* plan: `config` plus an explicit fact-
-    /// predicate evaluation order (see `SsbQuery::with_fact_order`).
-    ///
-    /// This is deliberately just "permute, then [`ColumnEngine::execute_with`]":
-    /// a planned execution is byte-identical — outputs *and* I/O accounting —
-    /// to handing the engine the same configuration and predicate order
-    /// directly, which is what the differential harness pins.
-    pub fn execute_planned(
-        &self,
-        q: &SsbQuery,
-        config: EngineConfig,
-        fact_order: &[usize],
-        par: Parallelism,
-        io: &IoSession,
-    ) -> QueryOutput {
-        self.execute_with(&q.with_fact_order(fact_order), config, par, io)
-    }
-
-    /// Fallible [`ColumnEngine::execute_planned`].
-    pub fn try_execute_planned(
-        &self,
-        q: &SsbQuery,
-        config: EngineConfig,
-        fact_order: &[usize],
-        par: Parallelism,
-        io: &IoSession,
-        ctx: &QueryCtx,
-    ) -> Result<QueryOutput, QueryError> {
-        self.try_execute_with(&q.with_fact_order(fact_order), config, par, io, ctx)
-    }
-
-    /// [`ColumnEngine::execute_planned`], additionally capturing the filter
-    /// phases for later warm reuse when the plan shape supports it (the
-    /// invisible join under late materialization). Charges on `io` are
-    /// byte-identical to an uncaptured execution.
-    pub fn execute_planned_capture(
-        &self,
-        q: &SsbQuery,
-        config: EngineConfig,
-        fact_order: &[usize],
-        par: Parallelism,
-        io: &IoSession,
-    ) -> (QueryOutput, Option<crate::invisible::FilterCapture>) {
-        self.try_execute_planned_capture(q, config, fact_order, par, io, &QueryCtx::unbounded())
-            .unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`ColumnEngine::execute_planned_capture`].
-    pub fn try_execute_planned_capture(
-        &self,
-        q: &SsbQuery,
-        config: EngineConfig,
-        fact_order: &[usize],
-        par: Parallelism,
-        io: &IoSession,
-        ctx: &QueryCtx,
-    ) -> Result<(QueryOutput, Option<crate::invisible::FilterCapture>), QueryError> {
-        if config.late_materialization && config.invisible_join {
-            let q = q.with_fact_order(fact_order);
-            let (out, cap) = catch_injected(|| {
-                invisible::try_execute_capture(self.db(config), &q, config, par, io, ctx)
-            })??;
-            Ok((out, Some(cap)))
-        } else {
-            Ok((self.try_execute_planned(q, config, fact_order, par, io, ctx)?, None))
+        match self.run(q, config, &ExecOptions { par, ..ExecOptions::default() }, io) {
+            Ok((out, _)) => out,
+            Err(e) => std::panic::panic_any(e),
         }
-    }
-
-    /// Re-execute a plan from a [`crate::invisible::FilterCapture`] taken by
-    /// [`ColumnEngine::execute_planned_capture`] under the *same* query
-    /// filter, config, fact order, and store contents: the filter charges
-    /// replay and only phase 3 runs live. Returns `None` (caller runs cold)
-    /// when the plan shape or capture shape does not match.
-    pub fn execute_planned_warm(
-        &self,
-        q: &SsbQuery,
-        config: EngineConfig,
-        fact_order: &[usize],
-        par: Parallelism,
-        io: &IoSession,
-        capture: &crate::invisible::FilterCapture,
-    ) -> Option<QueryOutput> {
-        self.try_execute_planned_warm(
-            q,
-            config,
-            fact_order,
-            par,
-            io,
-            capture,
-            &QueryCtx::unbounded(),
-        )
-        .unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`ColumnEngine::execute_planned_warm`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_execute_planned_warm(
-        &self,
-        q: &SsbQuery,
-        config: EngineConfig,
-        fact_order: &[usize],
-        par: Parallelism,
-        io: &IoSession,
-        capture: &crate::invisible::FilterCapture,
-        ctx: &QueryCtx,
-    ) -> Result<Option<QueryOutput>, QueryError> {
-        if !(config.late_materialization && config.invisible_join) {
-            return Ok(None);
-        }
-        let q = q.with_fact_order(fact_order);
-        catch_injected(|| invisible::try_execute_warm(self.db(config), &q, par, io, capture, ctx))?
     }
 }
 
@@ -255,7 +172,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_execution_is_byte_identical_to_serial() {
+    fn thread_counts_are_byte_identical() {
         let tables = Arc::new(SsbConfig { sf: 0.0015, seed: 53 }.generate());
         let engine = ColumnEngine::new(tables);
         // Small morsels so even this tiny scale factor fans out.
@@ -265,7 +182,7 @@ mod tests {
                 [EngineConfig::FULL, EngineConfig::parse("tiCL"), EngineConfig::parse("tICl")]
             {
                 let serial_io = IoSession::unmetered();
-                let expected = engine.execute_with(&q, cfg, Parallelism::serial(), &serial_io);
+                let expected = engine.execute_with(&q, cfg, par(1), &serial_io);
                 for threads in [2, 4] {
                     let io = IoSession::unmetered();
                     let got = engine.execute_with(&q, cfg, par(threads), &io);

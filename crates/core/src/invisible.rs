@@ -18,22 +18,28 @@
 //!    the FK value *be* the dimension row position ("a fast array
 //!    look-up"); DATE's non-dense `yyyymmdd` keys take the hash-join
 //!    fallback the paper describes.
+//!
+//! Phase 1 runs once on the coordinator (dimension tables are small);
+//! phases 2 and 3 run per morsel of the fact position space, fused into one
+//! fan-out ([`crate::morsel::run_fused`]).
 
-use crate::agg::{AggStrategy, GroupData};
+use crate::agg::{AggPartial, AggStrategy, GroupData};
 use crate::config::EngineConfig;
 use crate::ctx::{QueryCtx, QueryError};
+use crate::engine::{ExecOptions, FilterReuse};
 use crate::extract::gather_ints;
-use crate::morsel::{grid, intersect_ascending, try_run_morsels, Parallelism};
+use crate::morsel::{grid, run_fused, OpActual, Operator};
 use crate::poslist::PosList;
 use crate::projection::CStoreDb;
-use crate::scan::{scan_int, scan_int_range, scan_pred, scan_pred_range, IntScanPred};
+use crate::scan::{scan_int, scan_pred, IntScanPred};
 use cvr_data::queries::SsbQuery;
 use cvr_data::result::QueryOutput;
 use cvr_data::schema::Dim;
 use cvr_index::hashidx::{IntHashMap, IntHashSet};
-use cvr_storage::io::{IoLog, IoSession, IoStats};
+use cvr_storage::io::{IoLog, IoSession};
 use std::collections::HashMap;
-use std::time::Duration;
+use std::ops::Range;
+use std::time::Instant;
 
 /// The rewritten join predicate applied to a fact FK column in phase 2.
 pub enum FactKeyPred {
@@ -67,43 +73,20 @@ impl FactKeyPred {
     }
 }
 
-/// Tuning knobs for the invisible join, beyond the Figure 7 configuration:
-/// used by the ablation study that isolates between-predicate rewriting
-/// ("this performance difference is largely due to the between-predicate
-/// rewriting optimization", Section 6.3.2).
-#[derive(Debug, Clone, Copy)]
-pub struct InvisibleOptions {
-    /// Attempt between-predicate rewriting (default). When false, phase 1
-    /// always builds a key hash set — the "another way of thinking about a
-    /// column-oriented semijoin" baseline of Section 5.4.2.
-    pub between_rewriting: bool,
-}
-
-impl Default for InvisibleOptions {
-    fn default() -> Self {
-        InvisibleOptions { between_rewriting: true }
-    }
-}
-
 /// Phase 1 for one dimension: evaluate its predicates and rewrite to a fact
 /// key predicate. Returns `None` when the dimension has no predicates.
+///
+/// `between_rewriting` is the ablation switch of Section 6.3.2 ("this
+/// performance difference is largely due to the between-predicate rewriting
+/// optimization"): when false, phase 1 always builds a key hash set — the
+/// "another way of thinking about a column-oriented semijoin" baseline of
+/// Section 5.4.2.
 pub fn phase1_key_pred(
     db: &CStoreDb,
     q: &SsbQuery,
     dim: Dim,
     cfg: EngineConfig,
-    io: &IoSession,
-) -> Option<FactKeyPred> {
-    phase1_key_pred_opts(db, q, dim, cfg, InvisibleOptions::default(), io)
-}
-
-/// [`phase1_key_pred`] with explicit [`InvisibleOptions`].
-pub fn phase1_key_pred_opts(
-    db: &CStoreDb,
-    q: &SsbQuery,
-    dim: Dim,
-    cfg: EngineConfig,
-    opts: InvisibleOptions,
+    between_rewriting: bool,
     io: &IoSession,
 ) -> Option<FactKeyPred> {
     let preds = q.dim_predicates_on(dim);
@@ -114,7 +97,7 @@ pub fn phase1_key_pred_opts(
     let mut dpos: Option<PosList> = None;
     for p in &preds {
         let col = store.store.column(p.column);
-        let pl = scan_pred(col, &p.pred, cfg.block_iteration, io);
+        let pl = scan_pred(col, col.positions(), &p.pred, cfg.block_iteration, io);
         dpos = Some(match dpos {
             None => pl,
             Some(acc) => acc.intersect(&pl),
@@ -124,7 +107,7 @@ pub fn phase1_key_pred_opts(
     // Between-predicate rewriting: the *runtime* contiguity check the paper
     // describes ("the code that evaluates predicates against the dimension
     // table is capable of detecting whether the result set is contiguous").
-    let key_pred = if opts.between_rewriting && !dpos.is_empty() && dpos.is_contiguous() {
+    let key_pred = if between_rewriting && !dpos.is_empty() && dpos.is_contiguous() {
         if store.dense_keys {
             // Keys are positions.
             FactKeyPred::Between(dpos.first().unwrap() as i64, dpos.last().unwrap() as i64)
@@ -154,188 +137,148 @@ pub fn phase1_key_pred_opts(
     Some(key_pred)
 }
 
-/// Phase 2: apply one key predicate to its fact FK column.
+/// Phase 2: apply one key predicate to positions `window` of its fact FK
+/// column.
 pub fn phase2_probe(
     db: &CStoreDb,
     dim: Dim,
     key_pred: &FactKeyPred,
     cfg: EngineConfig,
+    window: Range<u32>,
     io: &IoSession,
 ) -> PosList {
     let col = db.fact.column(dim.fact_fk_column());
-    key_pred.with_scan_pred(|pred| scan_int(col, pred, cfg.block_iteration, io))
+    key_pred.with_scan_pred(|pred| scan_int(col, window, pred, cfg.block_iteration, io))
 }
 
 /// A reusable record of the *filter* half (phases 1+2) of one invisible-join
 /// execution: the exact I/O charges those phases made, in order, plus the
-/// surviving fact positions. [`execute_warm`] replays the charges and skips
+/// surviving fact positions. A warm execution replays the charges and skips
 /// straight to phase 3, producing output and accounting byte-identical to a
 /// cold run at a fraction of the work. A capture is only valid for the same
-/// store contents, query filter, engine config, fact order, and — for
-/// parallel executions — the same morsel grid; callers key their caches
-/// accordingly and [`execute_warm`] re-checks the grid shape.
+/// store contents, query filter, engine config and fact order — callers key
+/// their caches accordingly — and for the same morsel grid, which a warm
+/// execution re-checks itself.
 #[derive(Debug, Clone)]
 pub struct FilterCapture {
-    /// Coordinator-side step logs in charge order: serial captures hold
-    /// phase 1 and phase 2 alternating per restricted dimension, then the
-    /// fact-predicate scans; parallel captures hold phase 1 only.
-    coordinator_logs: Vec<IoLog>,
-    /// Per-morsel phase-2 logs (parallel captures only), replayed op-major
-    /// exactly like a cold run.
-    morsel_logs: Vec<IoLog>,
-    /// The surviving fact positions.
-    positions: CapturedPositions,
-}
-
-/// How the surviving positions were recorded — mirrors the execution shape.
-#[derive(Debug, Clone)]
-enum CapturedPositions {
-    /// One global position list (serial execution).
-    Serial(PosList),
-    /// Ascending absolute-position fragments, one per morsel (parallel
-    /// execution); reusable only on an identical morsel grid.
-    Morsels(Vec<Vec<u32>>),
+    /// The `(morsel size, morsel count)` grid the capture was taken on.
+    grid: (u32, usize),
+    /// Phase-1 charges: log `k` belongs to the `k`-th restricted dimension
+    /// and is replayed immediately before that dimension's probe.
+    phase1: Vec<IoLog>,
+    /// Per-morsel phase-2 charges, replayed op-major exactly like a cold
+    /// run.
+    phase2: Vec<IoLog>,
+    /// Per-morsel surviving positions.
+    positions: Vec<PosList>,
 }
 
 impl FilterCapture {
     /// Fact rows surviving the filter.
     pub fn survivors(&self) -> u64 {
-        match &self.positions {
-            CapturedPositions::Serial(p) => p.count() as u64,
-            CapturedPositions::Morsels(f) => f.iter().map(|v| v.len() as u64).sum(),
-        }
+        self.positions.iter().map(|pos| pos.count() as u64).sum()
     }
 
     /// Approximate heap footprint, for cache budget accounting.
     pub fn approx_bytes(&self) -> usize {
-        let logs = self.coordinator_logs.iter().chain(self.morsel_logs.iter());
-        let log_bytes: usize = logs.map(|l| l.entries().len() * 12 + l.num_ops() * 8 + 64).sum();
-        let pos_bytes = match &self.positions {
-            CapturedPositions::Serial(p) => p.count() as usize * 4 + 32,
-            CapturedPositions::Morsels(f) => f.iter().map(|v| v.len() * 4 + 32).sum(),
-        };
-        log_bytes + pos_bytes + std::mem::size_of::<FilterCapture>()
+        let logs = self.phase1.iter().chain(&self.phase2);
+        logs.map(|l| l.entries().len() * 12 + l.num_ops() * 8 + 64).sum::<usize>()
+            + self.positions.iter().map(PosList::approx_bytes).sum::<usize>()
+            + std::mem::size_of::<FilterCapture>()
     }
-}
-
-/// Run one charging step. When `capture` is live the step runs against a
-/// fresh recording session whose log is immediately replayed onto `io`
-/// (charge-identical to running live — replay re-issues the same
-/// `read_page` calls in the same order) and then retained for later warm
-/// replays.
-fn charge_step<R>(
-    io: &IoSession,
-    capture: &mut Option<&mut Vec<IoLog>>,
-    f: impl FnOnce(&IoSession) -> R,
-) -> R {
-    match capture {
-        None => f(io),
-        Some(logs) => {
-            let rio = IoSession::recording(io.pool().clone());
-            let out = f(&rio);
-            let log = rio.take_log();
-            io.replay(&log);
-            logs.push(log);
-            out
-        }
-    }
-}
-
-/// Phases 1+2 of the serial plan: per restricted dimension, rewrite its
-/// predicates to a fact key predicate and probe the FK column, intersecting
-/// position lists; then apply the fact measure predicates (flight 1) like
-/// any other column predicate. Each charging step is optionally captured.
-fn filter_serial(
-    db: &CStoreDb,
-    q: &SsbQuery,
-    cfg: EngineConfig,
-    opts: InvisibleOptions,
-    io: &IoSession,
-    capture: &mut Option<&mut Vec<IoLog>>,
-    ctx: &QueryCtx,
-) -> Result<PosList, QueryError> {
-    let n = db.fact_rows() as u32;
-    let mut pos: Option<PosList> = None;
-    for dim in q.restricted_dims() {
-        ctx.check()?;
-        let mut span = ctx.span("probe", dim.fact_fk_column(), io);
-        let key_pred = charge_step(io, capture, |s| {
-            phase1_key_pred_opts(db, q, dim, cfg, opts, s).expect("restricted dim has predicates")
-        });
-        let pl = charge_step(io, capture, |s| phase2_probe(db, dim, &key_pred, cfg, s));
-        span.rows(pl.count() as u64);
-        pos = Some(match pos {
-            None => pl,
-            Some(acc) => acc.intersect(&pl),
-        });
-    }
-    for p in &q.fact_predicates {
-        ctx.check()?;
-        let mut span = ctx.span("scan", p.column, io);
-        let col = db.fact.column(p.column);
-        let pl = charge_step(io, capture, |s| scan_pred(col, &p.pred, cfg.block_iteration, s));
-        span.rows(pl.count() as u64);
-        pos = Some(match pos {
-            None => pl,
-            Some(acc) => acc.intersect(&pl),
-        });
-    }
-    let pos = pos.unwrap_or_else(|| PosList::all(n));
-    // Account the surviving position list — the filter's materialized
-    // intermediate (upper bound for range/bitmap representations).
-    ctx.charge(pos.count() as usize * 4)?;
-    Ok(pos)
 }
 
 /// Key → position join tables for non-dense grouped dimensions (DATE),
-/// charged on `io`. The serial plan builds these lazily inside phase 3;
-/// parallel and warm executions build them up front so morsels share them
-/// read-only.
+/// built up front so morsels share them read-only. Each table's charge is
+/// recorded into `charges`, paired with the op it belongs before (phase 3
+/// starts at op `first_op`): the extraction that follows the dimension's FK
+/// gather, which is where a whole-column plan builds the table. Never
+/// captured: they depend on the group-by, not the filter, and are rebuilt
+/// (with identical charges) on warm executions.
 fn build_join_maps(
     db: &CStoreDb,
     q: &SsbQuery,
+    first_op: usize,
     io: &IoSession,
     ctx: &QueryCtx,
+    charges: &mut Vec<(usize, IoLog)>,
 ) -> Result<HashMap<Dim, IntHashMap>, QueryError> {
-    let mut group_dims: Vec<Dim> = Vec::new();
-    for g in &q.group_by {
-        if !group_dims.contains(&g.dim) {
-            group_dims.push(g.dim);
-        }
-    }
     let mut join_maps: HashMap<Dim, IntHashMap> = HashMap::new();
-    for &dim in &group_dims {
-        if !db.dim(dim).dense_keys {
-            ctx.check()?;
-            let keycol = db.dim(dim).store.column(dim.key_column());
-            keycol.charge_scan(io);
-            let keys = keycol.column.as_int().decode();
-            ctx.charge(keys.len() * 12)?; // decoded keys + hash-table entries
-            join_maps.insert(
-                dim,
-                IntHashMap::from_pairs(keys.iter().enumerate().map(|(p, &k)| (k, p as u32))),
-            );
+    let mut seen: Vec<Dim> = Vec::new();
+    // Phase 3 charges one FK gather per dimension, one extraction per column.
+    let mut op = first_op;
+    for g in &q.group_by {
+        let dim = g.dim;
+        if !seen.contains(&dim) {
+            seen.push(dim);
+            op += 1;
+            if !db.dim(dim).dense_keys {
+                ctx.check()?;
+                let keycol = db.dim(dim).store.column(dim.key_column());
+                let ((), log) = io.record(|rio| keycol.charge_scan(rio));
+                charges.push((op, log));
+                let keys = keycol.column.as_int().decode();
+                ctx.charge(keys.len() * 12)?; // decoded keys + hash-table entries
+                join_maps.insert(
+                    dim,
+                    IntHashMap::from_pairs(keys.iter().enumerate().map(|(p, &k)| (k, p as u32))),
+                );
+            }
         }
+        op += 1;
     }
     Ok(join_maps)
 }
 
+/// Phase 2 over one morsel: every key predicate, then the fact measure
+/// predicates (flight 1) like any other column predicate, intersected into
+/// the morsel's surviving positions. One [`IoLog`] op and one `actuals`
+/// slot per predicate.
+fn filter_morsel(
+    db: &CStoreDb,
+    q: &SsbQuery,
+    cfg: EngineConfig,
+    key_preds: &[(Dim, FactKeyPred)],
+    window: Range<u32>,
+    io: &IoSession,
+    actuals: &mut [OpActual],
+) -> PosList {
+    let mut pos: Option<PosList> = None;
+    let mut slots = actuals.iter_mut();
+    let mut intersect = |frag: PosList, started: Instant| {
+        let rows = frag.count() as u64;
+        pos = Some(match pos.take() {
+            None => frag,
+            Some(acc) => acc.intersect(&frag),
+        });
+        *slots.next().expect("one slot per predicate") = OpActual { rows, busy: started.elapsed() };
+    };
+    for (dim, key_pred) in key_preds {
+        let started = Instant::now();
+        intersect(phase2_probe(db, *dim, key_pred, cfg, window.clone(), io), started);
+    }
+    for p in &q.fact_predicates {
+        let started = Instant::now();
+        let col = db.fact.column(p.column);
+        intersect(scan_pred(col, window.clone(), &p.pred, cfg.block_iteration, io), started);
+    }
+    pos.unwrap_or_else(|| PosList::all(window))
+}
+
 /// Phase 3 over one position list: minimal out-of-order extraction of group
-/// and measure values at the surviving positions, partially aggregated on
-/// group ids. With `join_maps: Some(..)` (parallel / warm executions) the
-/// prebuilt key→position tables are shared; with `None` (serial) the DATE
-/// join table is built here, charging the key column — exactly the lazy
-/// behavior the serial plan always had.
+/// and measure values at the surviving positions, aggregated on group ids
+/// into `partial`.
+#[allow(clippy::too_many_arguments)]
 fn phase3_partial(
     db: &CStoreDb,
     q: &SsbQuery,
     strat: &AggStrategy,
-    join_maps: Option<&HashMap<Dim, IntHashMap>>,
+    join_maps: &HashMap<Dim, IntHashMap>,
     pos: &PosList,
     io: &IoSession,
     ctx: &QueryCtx,
-) -> Result<crate::agg::AggPartial, QueryError> {
-    ctx.check()?;
+    partial: &mut AggPartial,
+) -> Result<(), QueryError> {
     // Account the gathered group/measure arrays this phase materializes.
     let width = q.group_by.len() + q.aggregate.fact_columns().len();
     ctx.charge((pos.count() as usize).saturating_mul(8 * width.max(1)))?;
@@ -349,17 +292,9 @@ fn phase3_partial(
             if db.dim(dim).dense_keys {
                 // Reassigned keys: FK value == dimension row position.
                 fks.into_iter().map(|k| k as u32).collect()
-            } else if let Some(maps) = join_maps {
-                let map = &maps[&dim];
-                fks.into_iter().map(|k| map.get(k).expect("fact FK must join DATE")).collect()
             } else {
-                // DATE: non-dense keys — perform the join via a key→position
-                // hash table built from the dimension key column.
-                let keycol = db.dim(dim).store.column(dim.key_column());
-                keycol.charge_scan(io);
-                let keys = keycol.column.as_int().decode();
-                let map =
-                    IntHashMap::from_pairs(keys.iter().enumerate().map(|(p, &k)| (k, p as u32)));
+                // DATE: non-dense keys — join via the key→position table.
+                let map = &join_maps[&dim];
                 fks.into_iter().map(|k| map.get(k).expect("fact FK must join DATE")).collect()
             }
         });
@@ -373,417 +308,147 @@ fn phase3_partial(
         .iter()
         .map(|c| gather_ints(db.fact.column(c), pos, io))
         .collect();
-    let mut partial = strat.new_partial();
     partial.add_rows(q, &group_cols, &measure_cols, pos.count() as usize);
-    Ok(partial)
+    Ok(())
 }
 
-/// Execute `q` with the invisible join (infallible test shorthand).
-#[cfg(test)]
+/// Execute `q` with the invisible join, returning the output and — under
+/// [`FilterReuse::Capture`] — the filter capture for later warm reuse.
+///
+/// Phase 1 (dimension predicate → key predicate) stays on the coordinator:
+/// dimension tables are small. Phases 2 and 3 run as one pipelined fan-out:
+/// each morsel probes every foreign-key predicate over its slice of the fact
+/// position space, applies the fact predicates, extracts group and measure
+/// values at its surviving positions, and partially aggregates. Every morsel
+/// runs the same structural op sequence, so replaying the logs op-major —
+/// each dimension's phase-1 charges spliced in front of its probe — charges
+/// phase 2 column by column and then phase 3 column by column, whatever the
+/// grid.
+///
+/// Under [`FilterReuse::Warm`] with a capture taken on the same morsel grid
+/// the filter charges replay from the capture (same charges, same order)
+/// and each morsel starts phase 3 from its captured positions; on any other
+/// grid the capture is ignored and the execution runs cold.
 pub(crate) fn execute(
     db: &CStoreDb,
     q: &SsbQuery,
     cfg: EngineConfig,
+    opts: &ExecOptions<'_>,
     io: &IoSession,
-) -> QueryOutput {
-    execute_opts(db, q, cfg, InvisibleOptions::default(), io)
-}
-
-/// Execute `q` with explicit [`InvisibleOptions`].
-pub(crate) fn execute_opts(
-    db: &CStoreDb,
-    q: &SsbQuery,
-    cfg: EngineConfig,
-    opts: InvisibleOptions,
-    io: &IoSession,
-) -> QueryOutput {
-    try_execute_opts(db, q, cfg, opts, io, &QueryCtx::unbounded())
-        .unwrap_or_else(|e| std::panic::panic_any(e))
-}
-
-/// Execute `q` with the invisible join (default options), honouring `ctx`.
-pub(crate) fn try_execute(
-    db: &CStoreDb,
-    q: &SsbQuery,
-    cfg: EngineConfig,
-    io: &IoSession,
-    ctx: &QueryCtx,
-) -> Result<QueryOutput, QueryError> {
-    try_execute_opts(db, q, cfg, InvisibleOptions::default(), io, ctx)
-}
-
-/// Fallible, lifecycle-aware form of [`execute_opts`]: checks `ctx` between
-/// filter steps and phases, charging materialized intermediates against its
-/// memory budget.
-pub(crate) fn try_execute_opts(
-    db: &CStoreDb,
-    q: &SsbQuery,
-    cfg: EngineConfig,
-    opts: InvisibleOptions,
-    io: &IoSession,
-    ctx: &QueryCtx,
-) -> Result<QueryOutput, QueryError> {
-    // Phases 1+2 per restricted dimension, then fact predicates.
-    let pos = filter_serial(db, q, cfg, opts, io, &mut None, ctx)?;
-    // Phase 3: dimension attribute extraction at the final position list —
-    // as codes when every group column has a code space (see
-    // [`AggStrategy`]), so no strings are materialized per row.
-    let strat = AggStrategy::for_query(db, q);
-    let mut span = ctx.span("extract-aggregate", "", io);
-    let partial = phase3_partial(db, q, &strat, None, &pos, io, ctx)?;
-    let out = strat.finish(partial, q);
-    span.rows(out.len() as u64);
-    Ok(out)
-}
-
-/// Parallel invisible join with an unbounded lifecycle (test shorthand).
-#[cfg(test)]
-pub(crate) fn execute_par(
-    db: &CStoreDb,
-    q: &SsbQuery,
-    cfg: EngineConfig,
-    par: Parallelism,
-    io: &IoSession,
-) -> QueryOutput {
-    try_execute_par(db, q, cfg, par, io, &QueryCtx::unbounded())
-        .unwrap_or_else(|e| std::panic::panic_any(e))
-}
-
-/// Execute `q` with the invisible join across `par.threads` morsel workers.
-///
-/// Phase 1 (dimension predicate → key predicate) stays on the coordinator —
-/// dimension tables are small and its charges must precede the fact probes,
-/// exactly as in [`try_execute`]. Phases 2 and 3 run as one pipelined fan-out:
-/// each morsel probes every foreign-key predicate over its slice of the fact
-/// position space, applies the fact predicates, extracts group and measure
-/// values at its surviving positions, and partially aggregates. The
-/// coordinator replays per-morsel I/O logs and merges partial aggregates in
-/// morsel order, making both the result and the accounting byte-identical
-/// to the serial path. Workers poll `ctx` at morsel boundaries and the
-/// whole fan-out aborts on the first failure.
-pub(crate) fn try_execute_par(
-    db: &CStoreDb,
-    q: &SsbQuery,
-    cfg: EngineConfig,
-    par: Parallelism,
-    io: &IoSession,
-    ctx: &QueryCtx,
-) -> Result<QueryOutput, QueryError> {
-    if par.is_serial() {
-        return try_execute(db, q, cfg, io, ctx);
-    }
-    Ok(execute_par_impl(db, q, cfg, par, io, false, ctx)?.0)
-}
-
-/// The parallel plan, optionally capturing its filter phases. Each morsel
-/// charges phase 2 and phase 3 into *separate* recording sessions; because
-/// every morsel of one query runs the same structural op sequence, replaying
-/// the phase-2 logs op-major and then the phase-3 logs op-major reconstructs
-/// exactly the charge order of a single combined interleave — and lets a
-/// warm execution replay the filter logs alone.
-fn execute_par_impl(
-    db: &CStoreDb,
-    q: &SsbQuery,
-    cfg: EngineConfig,
-    par: Parallelism,
-    io: &IoSession,
-    capturing: bool,
-    ctx: &QueryCtx,
 ) -> Result<(QueryOutput, Option<FilterCapture>), QueryError> {
+    let ctx = &opts.ctx;
     let n = db.fact_rows() as u32;
-
-    // Phase 1 (serial): dimension predicates rewritten to fact key
-    // predicates, charged on the main session like the serial plan.
-    let mut coordinator_logs: Vec<IoLog> = Vec::new();
-    let key_preds: Vec<(Dim, FactKeyPred)> = {
-        let mut cap = if capturing { Some(&mut coordinator_logs) } else { None };
-        let mut preds = Vec::new();
-        for dim in q.restricted_dims() {
-            ctx.check()?;
-            let kp = charge_step(io, &mut cap, |s| {
-                phase1_key_pred(db, q, dim, cfg, s).expect("restricted dim has predicates")
-            });
-            preds.push((dim, kp));
-        }
-        preds
+    let shape = grid(n, opts.par);
+    let warm = match opts.reuse {
+        FilterReuse::Warm(capture) if capture.grid == shape => Some(capture),
+        _ => None,
     };
 
-    // Non-dense grouped dimensions (DATE) need a key → position join table;
-    // the serial plan builds it once per dimension inside phase 3. Build it
-    // up front so every morsel can share it read-only. Never captured: it
-    // depends on the group-by, not the filter, and is rebuilt live (with
-    // identical charges) on warm executions.
-    let join_maps = build_join_maps(db, q, io, ctx)?;
+    let mut phase1: Vec<IoLog> = Vec::new();
+    let mut key_preds: Vec<(Dim, FactKeyPred)> = Vec::new();
+    match warm {
+        Some(capture) => {
+            let mut span = ctx.span("filter-replay", "cached filter charges", io);
+            let before: Vec<(usize, &IoLog)> = capture.phase1.iter().enumerate().collect();
+            io.replay_interleaved(&capture.phase2, &before);
+            span.rows(capture.survivors());
+        }
+        None => {
+            for dim in q.restricted_dims() {
+                ctx.check()?;
+                let (key_pred, log) = io.record(|rio| {
+                    phase1_key_pred(db, q, dim, cfg, opts.between_rewriting, rio)
+                        .expect("restricted dim has predicates")
+                });
+                key_preds.push((dim, key_pred));
+                phase1.push(log);
+            }
+        }
+    }
 
     // The aggregation strategy is derived from column-header metadata only
     // (no charges) and shared read-only, so every morsel extracts codes in
     // the same global code spaces.
     let strat = AggStrategy::for_query(db, q);
-
-    // Per-operator output tallies for tracing: one slot per key predicate
-    // then per fact predicate. Each morsel's fragment count for an operator
-    // sums (over morsels) to exactly the serial plan's per-operator output
-    // cardinality, so EXPLAIN ANALYZE reports identical actuals at any
-    // thread count. Allocated only when a tracer is attached.
-    let tallies: Option<Vec<std::sync::atomic::AtomicU64>> = ctx.traced().then(|| {
-        (0..key_preds.len() + q.fact_predicates.len())
-            .map(|_| std::sync::atomic::AtomicU64::new(0))
-            .collect()
-    });
-    let tally = |slot: usize, rows: usize| {
-        if let Some(t) = &tallies {
-            t[slot].fetch_add(rows as u64, std::sync::atomic::Ordering::Relaxed);
-        }
+    // Traced operators, in the order every morsel charges them; each morsel's
+    // fragment count for an operator sums (over morsels) to its whole-column
+    // output cardinality, so EXPLAIN ANALYZE reports identical actuals at any
+    // thread count. A warm execution runs no filter operators.
+    let key_ops = key_preds.iter().map(|(dim, _)| ("probe", dim.fact_fk_column()));
+    let fact_ops = q.fact_predicates.iter().map(|p| ("scan", p.column));
+    let operators: Vec<Operator> = match warm {
+        Some(_) => Vec::new(),
+        None => key_ops
+            .chain(fact_ops)
+            .map(|(op, detail)| Operator { op, detail, log_ops: 1 })
+            .collect(),
     };
+    let mut join_charges = Vec::new();
+    let join_maps = build_join_maps(db, q, operators.len(), io, ctx, &mut join_charges)?;
+    let splices: Vec<(usize, &IoLog)> =
+        phase1.iter().enumerate().chain(join_charges.iter().map(|(op, log)| (*op, log))).collect();
+    let capturing = matches!(opts.reuse, FilterReuse::Capture);
 
-    // The fan-out fuses phases 2 and 3, so per-operator wall/I/O cannot be
-    // separated; the span carries the combined measurement plus the
-    // per-worker breakdown, and the per-operator row tallies become leaf
-    // records under it once the morsels have merged.
-    let mut span = ctx.span("extract-aggregate", "", io);
-
-    let pool = io.pool().clone();
-    let results = try_run_morsels(n, par, ctx, |_, range| {
-        // Phase 2 over this morsel: every key predicate and fact predicate,
-        // intersected into the morsel's surviving positions.
-        let rio2 = IoSession::recording(pool.clone());
-        let mut pos: Option<Vec<u32>> = None;
-        for (slot, (dim, key_pred)) in key_preds.iter().enumerate() {
-            let col = db.fact.column(dim.fact_fk_column());
-            let frag = key_pred.with_scan_pred(|pred| {
-                scan_int_range(col, range.start, range.end, pred, cfg.block_iteration, &rio2)
-            });
-            tally(slot, frag.len());
-            pos = Some(match pos {
-                None => frag,
-                Some(acc) => intersect_ascending(&acc, &frag),
-            });
-        }
-        for (slot, p) in q.fact_predicates.iter().enumerate() {
-            let col = db.fact.column(p.column);
-            let frag =
-                scan_pred_range(col, range.start, range.end, &p.pred, cfg.block_iteration, &rio2);
-            tally(key_preds.len() + slot, frag.len());
-            pos = Some(match pos {
-                None => frag,
-                Some(acc) => intersect_ascending(&acc, &frag),
-            });
-        }
-        let pos_vec = pos.unwrap_or_else(|| range.collect());
-        ctx.charge(pos_vec.len() * 4)?; // this morsel's surviving positions
-        let frag = capturing.then(|| pos_vec.clone());
-        let pos = PosList::explicit(pos_vec, n);
-
-        // Phase 3 over this morsel: minimal out-of-order extraction at the
-        // surviving positions, then partial aggregation on group ids.
-        let rio3 = IoSession::recording(pool.clone());
-        let partial = phase3_partial(db, q, &strat, Some(&join_maps), &pos, &rio3, ctx)?;
-        Ok((rio2.take_log(), rio3.take_log(), frag, partial))
-    })?;
-
-    // Deterministic merge: partial aggregates fold in morsel order, and the
-    // per-morsel I/O logs replay op-major — phase 2 then phase 3 —
-    // reconstructing the serial plan's charge order (see
-    // `IoSession::replay_interleaved`).
-    let mut merged = strat.new_partial();
-    let mut logs2 = Vec::with_capacity(results.len());
-    let mut logs3 = Vec::with_capacity(results.len());
-    let mut frags = Vec::new();
-    for (l2, l3, frag, partial) in results {
-        logs2.push(l2);
-        logs3.push(l3);
-        if let Some(f) = frag {
-            frags.push(f);
-        }
-        merged.merge(partial);
-    }
-    io.replay_interleaved(&logs2);
-    io.replay_interleaved(&logs3);
-    let out = strat.finish(merged, q);
-    span.rows(out.len() as u64);
-    drop(span);
-    if let (Some(tracer), Some(tallies)) = (ctx.tracer(), &tallies) {
-        use std::sync::atomic::Ordering;
-        let mut slot = 0;
-        for (dim, _) in &key_preds {
-            let rows = tallies[slot].load(Ordering::Relaxed);
-            tracer.leaf(
-                "probe",
-                dim.fact_fk_column(),
-                Some(rows),
-                Duration::ZERO,
-                IoStats::default(),
-            );
-            slot += 1;
-        }
-        for p in &q.fact_predicates {
-            let rows = tallies[slot].load(Ordering::Relaxed);
-            tracer.leaf("scan", p.column, Some(rows), Duration::ZERO, IoStats::default());
-            slot += 1;
-        }
-    }
-    let capture = capturing.then_some(FilterCapture {
-        coordinator_logs,
-        morsel_logs: logs2,
-        positions: CapturedPositions::Morsels(frags),
+    let (out, logs, kept) =
+        run_fused(n, opts.par, ctx, io, &strat, q, &operators, &splices, |m| {
+            let filtered;
+            let pos = match warm {
+                Some(capture) => &capture.positions[m.index],
+                None => {
+                    filtered = filter_morsel(db, q, cfg, &key_preds, m.range, m.io, m.actuals);
+                    &filtered
+                }
+            };
+            ctx.charge(pos.count() as usize * 4)?; // this morsel's surviving positions
+            phase3_partial(db, q, &strat, &join_maps, pos, m.io, ctx, m.partial)?;
+            Ok(capturing.then(|| pos.clone()))
+        })?;
+    let capture = capturing.then(|| FilterCapture {
+        grid: shape,
+        phase1,
+        phase2: logs.iter().map(|log| log.prefix(operators.len())).collect(),
+        positions: kept.into_iter().flatten().collect(),
     });
     Ok((out, capture))
-}
-
-/// Cold capture with an unbounded lifecycle (test shorthand).
-#[cfg(test)]
-pub(crate) fn execute_capture(
-    db: &CStoreDb,
-    q: &SsbQuery,
-    cfg: EngineConfig,
-    par: Parallelism,
-    io: &IoSession,
-) -> (QueryOutput, FilterCapture) {
-    try_execute_capture(db, q, cfg, par, io, &QueryCtx::unbounded())
-        .unwrap_or_else(|e| std::panic::panic_any(e))
-}
-
-/// Execute `q` cold (default options) and capture its filter phases for
-/// later [`try_execute_warm`] reuse. Charges on `io` are byte-identical to
-/// [`try_execute_par`] / [`try_execute`] at the same `par`.
-pub(crate) fn try_execute_capture(
-    db: &CStoreDb,
-    q: &SsbQuery,
-    cfg: EngineConfig,
-    par: Parallelism,
-    io: &IoSession,
-    ctx: &QueryCtx,
-) -> Result<(QueryOutput, FilterCapture), QueryError> {
-    if par.is_serial() {
-        let mut logs: Vec<IoLog> = Vec::new();
-        let pos =
-            filter_serial(db, q, cfg, InvisibleOptions::default(), io, &mut Some(&mut logs), ctx)?;
-        let strat = AggStrategy::for_query(db, q);
-        let mut span = ctx.span("extract-aggregate", "", io);
-        let partial = phase3_partial(db, q, &strat, None, &pos, io, ctx)?;
-        let out = strat.finish(partial, q);
-        span.rows(out.len() as u64);
-        drop(span);
-        let capture = FilterCapture {
-            coordinator_logs: logs,
-            morsel_logs: Vec::new(),
-            positions: CapturedPositions::Serial(pos),
-        };
-        Ok((out, capture))
-    } else {
-        let (out, capture) = execute_par_impl(db, q, cfg, par, io, true, ctx)?;
-        Ok((out, capture.expect("parallel capture requested")))
-    }
-}
-
-/// Warm re-execution with an unbounded lifecycle (test shorthand).
-#[cfg(test)]
-pub(crate) fn execute_warm(
-    db: &CStoreDb,
-    q: &SsbQuery,
-    par: Parallelism,
-    io: &IoSession,
-    capture: &FilterCapture,
-) -> Option<QueryOutput> {
-    try_execute_warm(db, q, par, io, capture, &QueryCtx::unbounded())
-        .unwrap_or_else(|e| std::panic::panic_any(e))
-}
-
-/// Execute `q` warm: replay the captured filter charges, then run phase 3
-/// live over the captured positions. Output and accounting are
-/// byte-identical to a cold execution at the same `par`. The outer `Err`
-/// is a lifecycle abort; the inner `None` is a capture-shape mismatch
-/// (serial capture vs parallel run or vice versa, or a different morsel
-/// grid) — the caller falls back to a cold execution.
-pub(crate) fn try_execute_warm(
-    db: &CStoreDb,
-    q: &SsbQuery,
-    par: Parallelism,
-    io: &IoSession,
-    capture: &FilterCapture,
-    ctx: &QueryCtx,
-) -> Result<Option<QueryOutput>, QueryError> {
-    let n = db.fact_rows() as u32;
-    if par.is_serial() {
-        let CapturedPositions::Serial(pos) = &capture.positions else {
-            return Ok(None);
-        };
-        {
-            let mut replay = ctx.span("filter-replay", "cached filter charges", io);
-            for log in &capture.coordinator_logs {
-                io.replay(log);
-            }
-            replay.rows(pos.count() as u64);
-        }
-        let strat = AggStrategy::for_query(db, q);
-        let mut span = ctx.span("extract-aggregate", "", io);
-        let partial = phase3_partial(db, q, &strat, None, pos, io, ctx)?;
-        let out = strat.finish(partial, q);
-        span.rows(out.len() as u64);
-        drop(span);
-        Ok(Some(out))
-    } else {
-        let CapturedPositions::Morsels(frags) = &capture.positions else {
-            return Ok(None);
-        };
-        let (_, count) = grid(n, par);
-        if frags.len() != count {
-            return Ok(None);
-        }
-        // Replay phases 1 and 2 from the capture; rebuild the join tables
-        // live between them, exactly where the cold plan charges them.
-        let mut replay = ctx.span("filter-replay", "cached filter charges", io);
-        for log in &capture.coordinator_logs {
-            io.replay(log);
-        }
-        let join_maps = build_join_maps(db, q, io, ctx)?;
-        io.replay_interleaved(&capture.morsel_logs);
-        replay.rows(frags.iter().map(Vec::len).sum::<usize>() as u64);
-        drop(replay);
-        // Phase 3 live, over the same morsel grid and the captured
-        // surviving positions.
-        let strat = AggStrategy::for_query(db, q);
-        let mut span = ctx.span("extract-aggregate", "", io);
-        let pool = io.pool().clone();
-        let results = try_run_morsels(n, par, ctx, |i, _range| {
-            let rio = IoSession::recording(pool.clone());
-            let pos = PosList::explicit(frags[i].clone(), n);
-            let partial = phase3_partial(db, q, &strat, Some(&join_maps), &pos, &rio, ctx)?;
-            Ok((rio.take_log(), partial))
-        })?;
-        let mut merged = strat.new_partial();
-        let mut logs = Vec::with_capacity(results.len());
-        for (log, partial) in results {
-            logs.push(log);
-            merged.merge(partial);
-        }
-        io.replay_interleaved(&logs);
-        let out = strat.finish(merged, q);
-        span.rows(out.len() as u64);
-        drop(span);
-        Ok(Some(out))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::morsel::Parallelism;
     use cvr_data::gen::SsbConfig;
     use cvr_data::queries::{all_queries, query};
     use cvr_data::reference;
+    use cvr_storage::io::{BufferPool, IoStats};
     use std::sync::Arc;
 
     fn db() -> CStoreDb {
         CStoreDb::build(Arc::new(SsbConfig { sf: 0.002, seed: 17 }.generate()), true)
     }
 
+    /// Small morsels so even this tiny scale factor fans out.
+    fn at(threads: usize) -> ExecOptions<'static> {
+        ExecOptions { par: Parallelism { threads, morsel_rows: 512 }, ..ExecOptions::default() }
+    }
+
+    /// Output, capture and charges of one execution on a fresh pool.
+    fn run(
+        db: &CStoreDb,
+        q: &SsbQuery,
+        cfg: EngineConfig,
+        opts: &ExecOptions<'_>,
+    ) -> (QueryOutput, Option<FilterCapture>, IoStats) {
+        let io = IoSession::new(BufferPool::unbounded());
+        let (out, capture) = execute(db, q, cfg, opts, &io).expect("unbounded lifecycle");
+        (out, capture, io.stats())
+    }
+
     #[test]
     fn matches_reference_on_all_queries() {
         let db = db();
-        let io = IoSession::unmetered();
         for q in all_queries() {
             let expected = reference::evaluate(&db.tables, &q);
-            let got = execute(&db, &q, EngineConfig::FULL, &io);
+            let (got, _, _) = run(&db, &q, EngineConfig::FULL, &ExecOptions::default());
             assert_eq!(got, expected, "invisible join disagrees on {}", q.id);
         }
     }
@@ -793,7 +458,7 @@ mod tests {
         let db = db();
         let io = IoSession::unmetered();
         // Q3.1: c_region = 'ASIA' — hierarchy-sorted customer ⇒ contiguous.
-        let kp = phase1_key_pred(&db, &query(3, 1), Dim::Customer, EngineConfig::FULL, &io)
+        let kp = phase1_key_pred(&db, &query(3, 1), Dim::Customer, EngineConfig::FULL, true, &io)
             .expect("customer restricted");
         assert_eq!(kp.kind(), "between");
     }
@@ -803,7 +468,7 @@ mod tests {
         let db = db();
         let io = IoSession::unmetered();
         // Q3.3: c_city IN ('UNITED KI1','UNITED KI5') — two disjoint ranges.
-        let kp = phase1_key_pred(&db, &query(3, 3), Dim::Customer, EngineConfig::FULL, &io)
+        let kp = phase1_key_pred(&db, &query(3, 3), Dim::Customer, EngineConfig::FULL, true, &io)
             .expect("customer restricted");
         // With a large enough dimension both cities exist and are disjoint;
         // at tiny scales one may be absent (still correct either way).
@@ -814,7 +479,7 @@ mod tests {
     fn date_year_rewrites_to_datekey_between() {
         let db = db();
         let io = IoSession::unmetered();
-        let kp = phase1_key_pred(&db, &query(1, 1), Dim::Date, EngineConfig::FULL, &io)
+        let kp = phase1_key_pred(&db, &query(1, 1), Dim::Date, EngineConfig::FULL, true, &io)
             .expect("date restricted");
         match kp {
             FactKeyPred::Between(lo, hi) => {
@@ -831,7 +496,7 @@ mod tests {
         let io = IoSession::unmetered();
         // Q4.1: p_mfgr IN ('MFGR#1','MFGR#2') — adjacent under mfgr-sorted
         // parts, so the runtime detector still finds a contiguous range.
-        let kp = phase1_key_pred(&db, &query(4, 1), Dim::Part, EngineConfig::FULL, &io)
+        let kp = phase1_key_pred(&db, &query(4, 1), Dim::Part, EngineConfig::FULL, true, &io)
             .expect("part restricted");
         assert_eq!(kp.kind(), "between");
     }
@@ -839,12 +504,11 @@ mod tests {
     #[test]
     fn block_and_tuple_modes_agree() {
         let db = db();
-        let io = IoSession::unmetered();
         let tuple_cfg = EngineConfig::parse("TICL");
         for q in all_queries() {
             assert_eq!(
-                execute(&db, &q, EngineConfig::FULL, &io),
-                execute(&db, &q, tuple_cfg, &io),
+                run(&db, &q, EngineConfig::FULL, &at(2)).0,
+                run(&db, &q, tuple_cfg, &at(2)).0,
                 "{}",
                 q.id
             );
@@ -853,49 +517,76 @@ mod tests {
 
     #[test]
     fn warm_executions_are_byte_identical_to_cold() {
-        use cvr_storage::io::BufferPool;
         let db = db();
-        for par in [Parallelism::serial(), Parallelism { threads: 4, morsel_rows: 512 }] {
+        for threads in [1, 2, 4] {
             for q in all_queries() {
-                let cold_io = IoSession::new(BufferPool::unbounded());
-                let cold = if par.is_serial() {
-                    execute(&db, &q, EngineConfig::FULL, &cold_io)
-                } else {
-                    execute_par(&db, &q, EngineConfig::FULL, par, &cold_io)
-                };
-                let cap_io = IoSession::new(BufferPool::unbounded());
-                let (captured, capture) =
-                    execute_capture(&db, &q, EngineConfig::FULL, par, &cap_io);
+                let (cold, none, cold_io) = run(&db, &q, EngineConfig::FULL, &at(threads));
+                assert!(none.is_none(), "nothing is captured unless asked");
+                let capturing = ExecOptions { reuse: FilterReuse::Capture, ..at(threads) };
+                let (captured, capture, cap_io) = run(&db, &q, EngineConfig::FULL, &capturing);
+                let capture = capture.expect("the invisible join captures on request");
                 assert_eq!(captured, cold, "capture changed the answer on {}", q.id);
-                assert_eq!(cap_io.stats(), cold_io.stats(), "capture charges on {}", q.id);
-                let warm_io = IoSession::new(BufferPool::unbounded());
-                let warm =
-                    execute_warm(&db, &q, par, &warm_io, &capture).expect("matching capture shape");
-                assert_eq!(warm, cold, "warm answer on {}", q.id);
-                assert_eq!(warm_io.stats(), cold_io.stats(), "warm charges on {}", q.id);
+                assert_eq!(cap_io, cold_io, "capture charges on {}", q.id);
+                let warm = ExecOptions { reuse: FilterReuse::Warm(&capture), ..at(threads) };
+                let (warmed, _, warm_io) = run(&db, &q, EngineConfig::FULL, &warm);
+                assert_eq!(warmed, cold, "warm answer on {} at {threads} threads", q.id);
+                assert_eq!(warm_io, cold_io, "warm charges on {} at {threads} threads", q.id);
                 assert!(capture.approx_bytes() > 0);
             }
         }
     }
 
     #[test]
-    fn warm_rejects_mismatched_shapes() {
+    fn a_capture_from_another_grid_falls_back_cold() {
         let db = db();
-        let io = IoSession::unmetered();
         let q = query(3, 1);
-        let par = Parallelism { threads: 4, morsel_rows: 512 };
-        let (_, serial_cap) =
-            execute_capture(&db, &q, EngineConfig::FULL, Parallelism::serial(), &io);
-        let (_, par_cap) = execute_capture(&db, &q, EngineConfig::FULL, par, &io);
-        assert!(execute_warm(&db, &q, par, &io, &serial_cap).is_none());
-        assert!(execute_warm(&db, &q, Parallelism::serial(), &io, &par_cap).is_none());
-        // A different grid (different morsel size) is rejected too.
+        let capturing = ExecOptions { reuse: FilterReuse::Capture, ..at(4) };
+        let (_, capture, _) = run(&db, &q, EngineConfig::FULL, &capturing);
+        let capture = capture.expect("captured");
+        // Same grid: the filter replays. Another morsel size, or the default
+        // grid at one thread: the capture is ignored and the run is cold —
+        // in every case byte-identical to a plain execution on that grid.
         let other = Parallelism { threads: 4, morsel_rows: 1024 };
-        if crate::morsel::grid(db.fact_rows() as u32, other).1
-            != crate::morsel::grid(db.fact_rows() as u32, par).1
-        {
-            assert!(execute_warm(&db, &q, other, &io, &par_cap).is_none());
+        for (par, replays) in [(at(4).par, true), (other, false), (Parallelism::serial(), false)] {
+            let (cold, _, cold_io) =
+                run(&db, &q, EngineConfig::FULL, &ExecOptions { par, ..ExecOptions::default() });
+            let ctx = QueryCtx::unbounded();
+            ctx.attach_tracer(crate::trace::Tracer::new());
+            let offered =
+                ExecOptions { par, ctx: ctx.clone(), reuse: FilterReuse::Warm(&capture), ..at(1) };
+            let (out, recaptured, io) = run(&db, &q, EngineConfig::FULL, &offered);
+            assert_eq!((out, io), (cold, cold_io), "offered run at {par:?}");
+            assert!(recaptured.is_none());
+            let spans = ctx.tracer().unwrap().take_root().expect("traced");
+            let ops: Vec<&str> = spans.flatten().iter().map(|s| s.op.as_str()).collect();
+            assert_eq!(ops.contains(&"filter-replay"), replays, "{par:?}: {ops:?}");
+            assert_eq!(ops.contains(&"probe"), !replays, "{par:?}: {ops:?}");
         }
+    }
+
+    #[test]
+    fn traced_operators_carry_rows_time_and_io_at_every_thread_count() {
+        // One tree shape at any thread count: the fused span, then one leaf
+        // per filter operator whose rows and I/O do not depend on the grid.
+        let db = db();
+        let q = query(3, 1);
+        let mut seen = Vec::new();
+        for threads in [1, 4] {
+            let ctx = QueryCtx::unbounded();
+            ctx.attach_tracer(crate::trace::Tracer::new());
+            run(&db, &q, EngineConfig::FULL, &ExecOptions { ctx: ctx.clone(), ..at(threads) });
+            let root = ctx.tracer().unwrap().take_root().expect("traced");
+            let spans = root.flatten();
+            let ops: Vec<&str> = spans.iter().map(|s| s.op.as_str()).collect();
+            assert_eq!(ops, ["query", "extract-aggregate", "probe", "probe", "probe"]);
+            assert!(!spans[1].workers.is_empty() && spans[1].morsels > 1, "{:?}", spans[1]);
+            for leaf in &spans[2..] {
+                assert!(leaf.wall > std::time::Duration::ZERO, "{leaf:?}");
+                assert!(leaf.io.pages_read > 0, "{leaf:?}");
+            }
+            seen.push(spans[2..].iter().map(|s| (s.rows_out, s.io)).collect::<Vec<_>>());
+        }
+        assert_eq!(seen[0], seen[1], "per-operator actuals must not depend on threads");
     }
 
     #[test]
@@ -903,31 +594,12 @@ mod tests {
         let tables = Arc::new(SsbConfig { sf: 0.002, seed: 17 }.generate());
         let comp = CStoreDb::build(tables.clone(), true);
         let plain = CStoreDb::build(tables, false);
-        let io = IoSession::unmetered();
         let cfg_c = EngineConfig::parse("tICL");
         let cfg_p = EngineConfig::parse("tIcL");
         for q in all_queries() {
-            assert_eq!(execute(&comp, &q, cfg_c, &io), execute(&plain, &q, cfg_p, &io), "{}", q.id);
-        }
-    }
-}
-
-#[cfg(test)]
-mod ablation_tests {
-    use super::*;
-    use cvr_data::gen::SsbConfig;
-    use cvr_data::queries::{all_queries, query};
-    use std::sync::Arc;
-
-    #[test]
-    fn disabling_rewriting_preserves_results() {
-        let db = CStoreDb::build(Arc::new(SsbConfig { sf: 0.002, seed: 61 }.generate()), true);
-        let io = IoSession::unmetered();
-        let no_rewrite = InvisibleOptions { between_rewriting: false };
-        for q in all_queries() {
             assert_eq!(
-                execute(&db, &q, EngineConfig::FULL, &io),
-                execute_opts(&db, &q, EngineConfig::FULL, no_rewrite, &io),
+                run(&comp, &q, cfg_c, &at(2)).0,
+                run(&plain, &q, cfg_p, &at(2)).0,
                 "{}",
                 q.id
             );
@@ -935,15 +607,26 @@ mod ablation_tests {
     }
 
     #[test]
+    fn disabling_rewriting_preserves_results_at_every_thread_count() {
+        let db = CStoreDb::build(Arc::new(SsbConfig { sf: 0.002, seed: 61 }.generate()), true);
+        for q in all_queries() {
+            let (with, _, _) = run(&db, &q, EngineConfig::FULL, &at(1));
+            let no_rewrite = |threads| ExecOptions { between_rewriting: false, ..at(threads) };
+            let (one, _, one_io) = run(&db, &q, EngineConfig::FULL, &no_rewrite(1));
+            let (four, _, four_io) = run(&db, &q, EngineConfig::FULL, &no_rewrite(4));
+            assert_eq!(with, one, "{}", q.id);
+            assert_eq!((one, one_io), (four, four_io), "{}: threads 1 vs 4", q.id);
+        }
+    }
+
+    #[test]
     fn disabling_rewriting_forces_hash_sets() {
         let db = CStoreDb::build(Arc::new(SsbConfig { sf: 0.002, seed: 61 }.generate()), true);
         let io = IoSession::unmetered();
-        let no_rewrite = InvisibleOptions { between_rewriting: false };
         let q = query(3, 1); // region predicates: rewritable when enabled
-        let with = phase1_key_pred(&db, &q, Dim::Customer, EngineConfig::FULL, &io).unwrap();
+        let with = phase1_key_pred(&db, &q, Dim::Customer, EngineConfig::FULL, true, &io).unwrap();
         let without =
-            phase1_key_pred_opts(&db, &q, Dim::Customer, EngineConfig::FULL, no_rewrite, &io)
-                .unwrap();
+            phase1_key_pred(&db, &q, Dim::Customer, EngineConfig::FULL, false, &io).unwrap();
         assert_eq!(with.kind(), "between");
         assert_eq!(without.kind(), "hash-set");
     }

@@ -21,11 +21,14 @@
 //! * [`denorm`] — pre-joined fact tables at three compression levels
 //!   (Figure 8);
 //! * [`config`] / [`engine`] — the four Figure 7 knobs (`tICL` … `Ticl`) and
-//!   the dispatching facade;
-//! * [`morsel`] — morsel-driven parallel execution: the fact position space
-//!   is split into morsels claimed by scoped worker threads, with partial
-//!   aggregates and per-morsel I/O logs merged deterministically in morsel
-//!   order ([`Parallelism`] / `CVR_THREADS` select the thread count);
+//!   the dispatching facade: one [`ColumnEngine::run`] taking
+//!   [`ExecOptions`];
+//! * [`morsel`] — morsel-driven execution, the only way a query runs: the
+//!   fact position space is split into morsels claimed by worker threads,
+//!   with partial aggregates and per-morsel I/O logs merged
+//!   deterministically in morsel order ([`Parallelism`] / `CVR_THREADS` set
+//!   the worker count, which never selects code — one worker runs the same
+//!   pipeline inline);
 //! * [`sched`] — the process-wide query scheduler: admission control plus
 //!   fair worker-lease sharing across concurrent morsel fan-outs
 //!   (`CVR_SCHED_WORKERS` / `CVR_SCHED_QUERIES`), with queue-depth and
@@ -75,7 +78,7 @@ pub mod trace;
 pub use config::EngineConfig;
 pub use ctx::{QueryCtx, QueryError};
 pub use denorm::{DenormDb, DenormVariant};
-pub use engine::ColumnEngine;
+pub use engine::{ColumnEngine, ExecOptions, FilterReuse};
 pub use invisible::FilterCapture;
 pub use morsel::Parallelism;
 pub use poslist::PosList;

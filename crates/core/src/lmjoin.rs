@@ -20,18 +20,22 @@
 
 use crate::agg::{AggStrategy, GroupData};
 use crate::config::EngineConfig;
-use crate::ctx::{QueryCtx, QueryError};
+use crate::ctx::QueryError;
+use crate::engine::ExecOptions;
 use crate::extract::gather_ints;
-use crate::morsel::{intersect_ascending, try_run_morsels, Parallelism};
+use crate::morsel::{run_fused, Morsel, OpActual, Operator};
 use crate::poslist::PosList;
 use crate::projection::CStoreDb;
-use crate::scan::{scan_pred, scan_pred_range};
+use crate::scan::scan_pred;
 use cvr_data::queries::SsbQuery;
 use cvr_data::result::QueryOutput;
 use cvr_data::schema::Dim;
 use cvr_index::hashidx::IntHashMap;
 use cvr_storage::encode::IntColumn;
-use cvr_storage::io::IoSession;
+use cvr_storage::io::{IoLog, IoSession};
+use std::collections::hash_map::{Entry, HashMap};
+use std::ops::Range;
+use std::time::Instant;
 
 /// Restricted dimensions ordered by predicate selectivity (most selective
 /// first) — the "pipeline joins in order of predicate selectivity" heuristic.
@@ -64,11 +68,12 @@ fn dim_hash(
     let store = db.dim(dim);
     let preds = q.dim_predicates_on(dim);
     let dpos = if preds.is_empty() {
-        PosList::all(store.sorted.num_rows() as u32)
+        PosList::all(0..store.sorted.num_rows() as u32)
     } else {
         let mut acc: Option<PosList> = None;
         for p in &preds {
-            let pl = scan_pred(store.store.column(p.column), &p.pred, cfg.block_iteration, io);
+            let col = store.store.column(p.column);
+            let pl = scan_pred(col, col.positions(), &p.pred, cfg.block_iteration, io);
             acc = Some(match acc {
                 None => pl,
                 Some(a) => a.intersect(&pl),
@@ -80,17 +85,23 @@ fn dim_hash(
     IntHashMap::from_pairs(keys.into_iter().zip(dpos.iter()))
 }
 
-/// The shared probe loop of [`probe_full_scan`] and [`probe_range`]: fact
-/// positions `[start, end)` of `col` probed against `map`, per encoding ×
-/// iteration interface. Hash probes are inherently per-value, but RLE still
-/// probes once per run and packed columns unpack one word at a time.
-fn probe_span(
-    col: &IntColumn,
-    start: u32,
-    end: u32,
+/// Probe fact positions `window` of `dim`'s FK column against `map`, per
+/// encoding × iteration interface: returns the matched fact positions and
+/// the corresponding dimension positions. Hash probes are inherently
+/// per-value, but RLE still probes once per run and packed columns unpack
+/// one word at a time.
+fn probe_window(
+    db: &CStoreDb,
+    dim: Dim,
     map: &IntHashMap,
-    block: bool,
+    cfg: EngineConfig,
+    window: Range<u32>,
+    io: &IoSession,
 ) -> (Vec<u32>, Vec<u32>) {
+    let (start, end, block) = (window.start, window.end, cfg.block_iteration);
+    let stored = db.fact.column(dim.fact_fk_column());
+    stored.charge_scan_range(start, end, io);
+    let col = stored.column.as_int();
     let mut fact_pos = Vec::new();
     let mut dim_pos = Vec::new();
     if start >= end {
@@ -160,311 +171,135 @@ fn probe_span(
     (fact_pos, dim_pos)
 }
 
-/// Morsel-range counterpart of [`probe_full_scan`]: probe fact positions
-/// `[start, end)` of the FK column against `map`.
-fn probe_range(
-    db: &CStoreDb,
-    dim: Dim,
-    map: &IntHashMap,
-    cfg: EngineConfig,
-    start: u32,
-    end: u32,
-    io: &IoSession,
-) -> (Vec<u32>, Vec<u32>) {
-    let col = db.fact.column(dim.fact_fk_column());
-    col.charge_scan_range(start, end, io);
-    probe_span(col.column.as_int(), start, end, map, cfg.block_iteration)
-}
-
-/// Probe an entire fact FK column against `map`: returns matched fact
-/// positions and the corresponding dimension positions.
-fn probe_full_scan(
-    db: &CStoreDb,
-    dim: Dim,
-    map: &IntHashMap,
-    cfg: EngineConfig,
-    io: &IoSession,
-) -> (Vec<u32>, Vec<u32>) {
-    let col = db.fact.column(dim.fact_fk_column());
-    col.charge_scan(io);
-    let n = col.column.len() as u32;
-    probe_span(col.column.as_int(), 0, n, map, cfg.block_iteration)
-}
-
-/// Late-materialized join with an unbounded lifecycle (test shorthand).
-#[cfg(test)]
-fn execute(db: &CStoreDb, q: &SsbQuery, cfg: EngineConfig, io: &IoSession) -> QueryOutput {
-    try_execute(db, q, cfg, io, &QueryCtx::unbounded()).unwrap_or_else(|e| std::panic::panic_any(e))
-}
-
-/// Execute `q` with late-materialized hash joins (invisible join disabled):
-/// polls `ctx` between column operations and joins, charging materialized
-/// intermediates.
-pub(crate) fn try_execute(
-    db: &CStoreDb,
-    q: &SsbQuery,
-    cfg: EngineConfig,
-    io: &IoSession,
-    ctx: &QueryCtx,
-) -> Result<QueryOutput, QueryError> {
-    let strat = AggStrategy::for_query(db, q);
-
-    // Fact-column predicates first (flight 1): ordinary column scans.
-    let mut pos: Option<Vec<u32>> = None;
-    for p in &q.fact_predicates {
-        ctx.check()?;
-        let mut span = ctx.span("scan", p.column, io);
-        let pl = scan_pred(db.fact.column(p.column), &p.pred, cfg.block_iteration, io);
-        pos = Some(match pos {
-            None => pl.to_vec(),
-            Some(acc) => {
-                let e = PosList::from_ascending(acc, pl.universe());
-                e.intersect(&pl).to_vec()
-            }
-        });
-        // The LM plan's scan nodes report the running surviving count.
-        span.rows(pos.as_ref().map_or(0, Vec::len) as u64);
-    }
-
-    // Aligned group arrays (codes or values), filled as each dimension
-    // joins.
-    let mut group_vals: Vec<Option<GroupData>> = Vec::new();
-    group_vals.resize_with(q.group_by.len(), || None);
-
-    // Restricted dimensions, most selective first.
-    for dim in restricted_in_order(db, q) {
-        ctx.check()?;
-        let mut span = ctx.span("hash-join", dim.fact_fk_column(), io);
-        let map = dim_hash(db, q, dim, cfg, io);
-        let (new_pos, dim_positions) = match pos {
-            None => probe_full_scan(db, dim, &map, cfg, io),
-            Some(current) => {
-                let fk_col = db.fact.column(dim.fact_fk_column());
-                let pl = PosList::from_ascending(current.clone(), db.fact_rows() as u32);
-                let fks = gather_ints(fk_col, &pl, io);
-                let mut keep = Vec::with_capacity(current.len());
-                let mut new_pos = Vec::new();
-                let mut dim_positions = Vec::new();
-                for (i, fk) in fks.into_iter().enumerate() {
-                    match map.get(fk) {
-                        Some(d) => {
-                            keep.push(true);
-                            new_pos.push(current[i]);
-                            dim_positions.push(d);
-                        }
-                        None => keep.push(false),
-                    }
-                }
-                // Compact previously-extracted arrays to stay aligned.
-                for slot in group_vals.iter_mut().flatten() {
-                    slot.retain_marked(&keep);
-                }
-                (new_pos, dim_positions)
-            }
-        };
-        // Eager out-of-order extraction of this dimension's group columns.
-        for (gi, g) in q.group_by.iter().enumerate() {
-            if g.dim == dim {
-                let col = db.dim(dim).store.column(g.column);
-                group_vals[gi] = Some(strat.extract_group_at(gi, col, &dim_positions, io));
-            }
-        }
-        span.rows(new_pos.len() as u64);
-        pos = Some(new_pos);
-    }
-
-    let pos = pos.unwrap_or_else(|| (0..db.fact_rows() as u32).collect());
-    // Account the surviving positions plus the aligned per-row arrays the
-    // eager extraction keeps live.
-    ctx.charge(pos.len().saturating_mul(8 * (q.group_by.len() + 1)))?;
-    let pl = PosList::from_ascending(pos.clone(), db.fact_rows() as u32);
-
-    let mut span = ctx.span("extract-aggregate", "", io);
-
-    // Group-only dimensions (no predicates): join via full-key hash.
-    for dim in q.touched_dims() {
-        ctx.check()?;
-        let missing: Vec<usize> = q
-            .group_by
-            .iter()
-            .enumerate()
-            .filter(|(gi, g)| g.dim == dim && group_vals[*gi].is_none())
-            .map(|(gi, _)| gi)
-            .collect();
-        if missing.is_empty() {
-            continue;
-        }
-        let map = dim_hash(db, q, dim, cfg, io);
-        let fks = gather_ints(db.fact.column(dim.fact_fk_column()), &pl, io);
-        let dim_positions: Vec<u32> =
-            fks.into_iter().map(|k| map.get(k).expect("FK joins dimension")).collect();
-        for gi in missing {
-            let col = db.dim(dim).store.column(q.group_by[gi].column);
-            group_vals[gi] = Some(strat.extract_group_at(gi, col, &dim_positions, io));
-        }
-    }
-
-    // Measures + aggregation on group ids.
-    let measure_cols: Vec<Vec<i64>> = q
-        .aggregate
-        .fact_columns()
-        .iter()
-        .map(|c| gather_ints(db.fact.column(c), &pl, io))
-        .collect();
-    let group_cols: Vec<GroupData> =
-        group_vals.into_iter().map(|v| v.expect("all group columns extracted")).collect();
-    let mut partial = strat.new_partial();
-    partial.add_rows(q, &group_cols, &measure_cols, pos.len());
-    let out = strat.finish(partial, q);
-    span.rows(out.len() as u64);
-    drop(span);
-    Ok(out)
-}
-
-/// Execute `q` with late-materialized hash joins across `par.threads`
-/// morsel workers.
+/// Execute `q` with late-materialized hash joins (invisible join disabled).
 ///
 /// The dimension hash tables are built once on the coordinator (they are
-/// small, and their charges land on the main session exactly as in
-/// [`try_execute`]); each morsel then pipelines its slice of the fact
-/// position space through the same join order — fact predicates, restricted
-/// dimensions by selectivity with eager out-of-order extraction, group-only
-/// dimensions, measures, partial aggregation. Per-morsel I/O logs replay
-/// and partial aggregates merge in morsel order.
-pub(crate) fn try_execute_par(
+/// small); each morsel then pipelines its slice of the fact position space
+/// through the join order — fact predicates, restricted dimensions by
+/// selectivity with eager out-of-order extraction, group-only dimensions,
+/// measures, partial aggregation. Per-morsel I/O logs replay op-major, each
+/// hash table's charges spliced in front of the join that probes it, and
+/// partial aggregates merge in morsel order ([`run_fused`]); `opts.ctx` is
+/// polled between hash-table builds and at every morsel boundary.
+pub(crate) fn execute(
     db: &CStoreDb,
     q: &SsbQuery,
     cfg: EngineConfig,
-    par: Parallelism,
+    opts: &ExecOptions<'_>,
     io: &IoSession,
-    ctx: &QueryCtx,
 ) -> Result<QueryOutput, QueryError> {
-    if par.is_serial() {
-        return try_execute(db, q, cfg, io, ctx);
-    }
+    let ctx = &opts.ctx;
     let n = db.fact_rows() as u32;
+    let group_cols_of = |dim: Dim| q.group_by.iter().enumerate().filter(move |(_, g)| g.dim == dim);
 
-    // Join order and dimension hash tables, built serially up front. The
-    // serial plan builds each table lazily between fact-column operations;
-    // per-file page sequences are identical either way.
+    // Join order and dimension hash tables: restricted dimensions first,
+    // then the dimensions that only contribute group columns. Every join
+    // charges one probe (or gather) op plus one extraction per group column
+    // of its dimension, after the fact predicates' one scan op each.
     let order = restricted_in_order(db, q);
-    let mut maps: std::collections::HashMap<Dim, IntHashMap> = std::collections::HashMap::new();
-    for &dim in &order {
-        ctx.check()?;
-        maps.insert(dim, dim_hash(db, q, dim, cfg, io));
-    }
-    for dim in q.touched_dims() {
-        let grouped = q.group_by.iter().any(|g| g.dim == dim);
-        if grouped && !maps.contains_key(&dim) {
+    let grouped = q.touched_dims().into_iter().filter(|d| q.group_by.iter().any(|g| g.dim == *d));
+    let mut maps: HashMap<Dim, IntHashMap> = HashMap::new();
+    let mut builds: Vec<(usize, IoLog)> = Vec::new();
+    let mut op = q.fact_predicates.len();
+    for dim in order.iter().copied().chain(grouped) {
+        if let Entry::Vacant(slot) = maps.entry(dim) {
             ctx.check()?;
-            maps.insert(dim, dim_hash(db, q, dim, cfg, io));
+            let (map, log) = io.record(|rio| dim_hash(db, q, dim, cfg, rio));
+            slot.insert(map);
+            builds.push((op, log));
+            op += 1 + group_cols_of(dim).count();
         }
     }
+    let splices: Vec<(usize, &IoLog)> = builds.iter().map(|(op, log)| (*op, log)).collect();
 
     // Shared read-only aggregation strategy: metadata only, no charges.
     let strat = AggStrategy::for_query(db, q);
 
-    // Per-operator running-count tallies for tracing (one slot per fact
-    // predicate, then per joined dimension); morsel-local counts sum to the
-    // serial plan's per-operator actuals. Allocated only when traced.
-    let tallies: Option<Vec<std::sync::atomic::AtomicU64>> = ctx.traced().then(|| {
-        (0..q.fact_predicates.len() + order.len())
-            .map(|_| std::sync::atomic::AtomicU64::new(0))
-            .collect()
-    });
-    let tally = |slot: usize, rows: usize| {
-        if let Some(t) = &tallies {
-            t[slot].fetch_add(rows as u64, std::sync::atomic::Ordering::Relaxed);
-        }
-    };
+    // Traced operators in per-morsel charge order: a scan charges one op, a
+    // join its probe plus one extraction per group column of its dimension.
+    // Scan nodes report the running surviving count.
+    let scans = q.fact_predicates.iter().map(|p| ("scan", p.column, 1));
+    let joins = order
+        .iter()
+        .map(|&dim| ("hash-join", dim.fact_fk_column(), 1 + group_cols_of(dim).count()));
+    let operators: Vec<Operator> =
+        scans.chain(joins).map(|(op, detail, log_ops)| Operator { op, detail, log_ops }).collect();
 
-    // The fused fan-out's combined wall/I/O/worker breakdown lands on this
-    // span; per-operator row tallies become leaf records after the merge.
-    let mut span = ctx.span("extract-aggregate", "", io);
+    let task = |m: Morsel<'_>| {
+        let (range, rio) = (m.range, m.io);
+        let mut slots = m.actuals.iter_mut();
+        let mut done = |rows: u32, started: Instant| {
+            *slots.next().expect("one slot per operator") =
+                OpActual { rows: rows as u64, busy: started.elapsed() };
+        };
 
-    let pool = io.pool().clone();
-    let results = try_run_morsels(n, par, ctx, |_, range| {
-        let rio = IoSession::recording(pool.clone());
-
-        // Fact-column predicates over this morsel.
-        let mut pos: Option<Vec<u32>> = None;
-        for (slot, p) in q.fact_predicates.iter().enumerate() {
+        // Fact-column predicates (flight 1): ordinary column scans.
+        let mut pos: Option<PosList> = None;
+        for p in &q.fact_predicates {
+            let started = Instant::now();
             let col = db.fact.column(p.column);
-            let frag =
-                scan_pred_range(col, range.start, range.end, &p.pred, cfg.block_iteration, &rio);
-            pos = Some(match pos {
+            let frag = scan_pred(col, range.clone(), &p.pred, cfg.block_iteration, rio);
+            let acc = match pos {
                 None => frag,
-                Some(acc) => intersect_ascending(&acc, &frag),
-            });
-            tally(slot, pos.as_ref().map_or(0, Vec::len));
+                Some(acc) => acc.intersect(&frag),
+            };
+            done(acc.count(), started);
+            pos = Some(acc);
         }
 
         // Restricted dimensions, most selective first, with eager
-        // out-of-order extraction — the morsel-local copy of the serial
-        // pipeline.
+        // out-of-order extraction of each dimension's group columns.
         let mut group_vals: Vec<Option<GroupData>> = Vec::new();
         group_vals.resize_with(q.group_by.len(), || None);
-        for (join_slot, dim) in order.iter().enumerate() {
-            let map = &maps[dim];
-            let (new_pos, dim_positions) = match pos {
-                None => probe_range(db, *dim, map, cfg, range.start, range.end, &rio),
+        for &dim in &order {
+            let started = Instant::now();
+            let map = &maps[&dim];
+            let (new_pos, dim_positions) = match &pos {
+                None => probe_window(db, dim, map, cfg, range.clone(), rio),
                 Some(current) => {
-                    let fk_col = db.fact.column(dim.fact_fk_column());
-                    let pl = PosList::explicit(current.clone(), n);
-                    let fks = gather_ints(fk_col, &pl, &rio);
-                    let mut keep = Vec::with_capacity(current.len());
+                    let fks = gather_ints(db.fact.column(dim.fact_fk_column()), current, rio);
+                    let mut keep = Vec::with_capacity(fks.len());
                     let mut new_pos = Vec::new();
                     let mut dim_positions = Vec::new();
-                    for (i, fk) in fks.into_iter().enumerate() {
-                        match map.get(fk) {
-                            Some(d) => {
-                                keep.push(true);
-                                new_pos.push(current[i]);
-                                dim_positions.push(d);
-                            }
-                            None => keep.push(false),
+                    for (p, fk) in current.iter().zip(fks) {
+                        let hit = map.get(fk);
+                        keep.push(hit.is_some());
+                        if let Some(d) = hit {
+                            new_pos.push(p);
+                            dim_positions.push(d);
                         }
                     }
+                    // Compact previously-extracted arrays to stay aligned.
                     for slot in group_vals.iter_mut().flatten() {
                         slot.retain_marked(&keep);
                     }
                     (new_pos, dim_positions)
                 }
             };
-            for (gi, g) in q.group_by.iter().enumerate() {
-                if g.dim == *dim {
-                    let col = db.dim(*dim).store.column(g.column);
-                    group_vals[gi] = Some(strat.extract_group_at(gi, col, &dim_positions, &rio));
-                }
+            for (gi, g) in group_cols_of(dim) {
+                let col = db.dim(dim).store.column(g.column);
+                group_vals[gi] = Some(strat.extract_group_at(gi, col, &dim_positions, rio));
             }
-            tally(q.fact_predicates.len() + join_slot, new_pos.len());
-            pos = Some(new_pos);
+            done(new_pos.len() as u32, started);
+            pos = Some(PosList::explicit(new_pos, range.len() as u32));
         }
 
-        let pos = pos.unwrap_or_else(|| range.clone().collect());
+        let pos = pos.unwrap_or_else(|| PosList::all(range));
+        let count = pos.count() as usize;
         // This morsel's share of the positions + aligned extracted arrays.
-        ctx.charge(pos.len().saturating_mul(8 * (q.group_by.len() + 1)))?;
-        let pl = PosList::explicit(pos.clone(), n);
+        ctx.charge(count.saturating_mul(8 * (q.group_by.len() + 1)))?;
 
-        // Group-only dimensions (no predicates).
+        // Group-only dimensions (no predicates): join via full-key hash.
         for dim in q.touched_dims() {
-            let missing: Vec<usize> = q
-                .group_by
-                .iter()
-                .enumerate()
-                .filter(|(gi, g)| g.dim == dim && group_vals[*gi].is_none())
-                .map(|(gi, _)| gi)
-                .collect();
-            if missing.is_empty() {
+            if !group_cols_of(dim).any(|(gi, _)| group_vals[gi].is_none()) {
                 continue;
             }
-            let map = &maps[&dim];
-            let fks = gather_ints(db.fact.column(dim.fact_fk_column()), &pl, &rio);
+            let fks = gather_ints(db.fact.column(dim.fact_fk_column()), &pos, rio);
             let dim_positions: Vec<u32> =
-                fks.into_iter().map(|k| map.get(k).expect("FK joins dimension")).collect();
-            for gi in missing {
-                let col = db.dim(dim).store.column(q.group_by[gi].column);
-                group_vals[gi] = Some(strat.extract_group_at(gi, col, &dim_positions, &rio));
+                fks.into_iter().map(|k| maps[&dim].get(k).expect("FK joins dimension")).collect();
+            for (gi, g) in group_cols_of(dim) {
+                let col = db.dim(dim).store.column(g.column);
+                group_vals[gi] = Some(strat.extract_group_at(gi, col, &dim_positions, rio));
             }
         }
 
@@ -473,46 +308,14 @@ pub(crate) fn try_execute_par(
             .aggregate
             .fact_columns()
             .iter()
-            .map(|c| gather_ints(db.fact.column(c), &pl, &rio))
+            .map(|c| gather_ints(db.fact.column(c), &pos, rio))
             .collect();
         let group_cols: Vec<GroupData> =
             group_vals.into_iter().map(|v| v.expect("all group columns extracted")).collect();
-        let mut partial = strat.new_partial();
-        partial.add_rows(q, &group_cols, &measure_cols, pos.len());
-        Ok((rio.take_log(), partial))
-    })?;
-
-    // Partial aggregates fold in morsel order; I/O logs replay op-major,
-    // reconstructing the serial plan's charge order (see
-    // `IoSession::replay_interleaved`).
-    let mut merged = strat.new_partial();
-    let mut logs = Vec::with_capacity(results.len());
-    for (log, partial) in results {
-        logs.push(log);
-        merged.merge(partial);
-    }
-    io.replay_interleaved(&logs);
-    let out = strat.finish(merged, q);
-    span.rows(out.len() as u64);
-    drop(span);
-    if let (Some(tracer), Some(tallies)) = (ctx.tracer(), &tallies) {
-        use std::sync::atomic::Ordering;
-        use std::time::Duration;
-        let zero = cvr_storage::io::IoStats::default();
-        for (slot, p) in q.fact_predicates.iter().enumerate() {
-            tracer.leaf(
-                "scan",
-                p.column,
-                Some(tallies[slot].load(Ordering::Relaxed)),
-                Duration::ZERO,
-                zero,
-            );
-        }
-        for (join_slot, dim) in order.iter().enumerate() {
-            let rows = tallies[q.fact_predicates.len() + join_slot].load(Ordering::Relaxed);
-            tracer.leaf("hash-join", dim.fact_fk_column(), Some(rows), Duration::ZERO, zero);
-        }
-    }
+        m.partial.add_rows(q, &group_cols, &measure_cols, count);
+        Ok(())
+    };
+    let (out, _, _) = run_fused(n, opts.par, ctx, io, &strat, q, &operators, &splices, task)?;
     Ok(out)
 }
 
@@ -524,6 +327,10 @@ mod tests {
     use cvr_data::reference;
     use std::sync::Arc;
 
+    fn run(db: &CStoreDb, q: &SsbQuery, cfg: EngineConfig, io: &IoSession) -> QueryOutput {
+        execute(db, q, cfg, &ExecOptions::default(), io).expect("unbounded lifecycle")
+    }
+
     #[test]
     fn matches_reference_on_all_queries() {
         let db = CStoreDb::build(Arc::new(SsbConfig { sf: 0.002, seed: 23 }.generate()), true);
@@ -531,7 +338,7 @@ mod tests {
         let cfg = EngineConfig::parse("tiCL");
         for q in all_queries() {
             let expected = reference::evaluate(&db.tables, &q);
-            assert_eq!(execute(&db, &q, cfg, &io), expected, "LM join disagrees on {}", q.id);
+            assert_eq!(run(&db, &q, cfg, &io), expected, "LM join disagrees on {}", q.id);
         }
     }
 
@@ -540,8 +347,11 @@ mod tests {
         let db = CStoreDb::build(Arc::new(SsbConfig { sf: 0.003, seed: 29 }.generate()), true);
         let io = IoSession::unmetered();
         for q in all_queries() {
-            let lm = execute(&db, &q, EngineConfig::parse("tiCL"), &io);
-            let ij = crate::invisible::execute(&db, &q, EngineConfig::parse("tICL"), &io);
+            let lm = run(&db, &q, EngineConfig::parse("tiCL"), &io);
+            let opts = ExecOptions::default();
+            let (ij, _) =
+                crate::invisible::execute(&db, &q, EngineConfig::parse("tICL"), &opts, &io)
+                    .unwrap();
             assert_eq!(lm, ij, "{}", q.id);
         }
     }
@@ -552,8 +362,8 @@ mod tests {
         let io = IoSession::unmetered();
         for q in all_queries() {
             assert_eq!(
-                execute(&db, &q, EngineConfig::parse("ticL"), &io),
-                execute(&db, &q, EngineConfig::parse("TicL"), &io),
+                run(&db, &q, EngineConfig::parse("ticL"), &io),
+                run(&db, &q, EngineConfig::parse("TicL"), &io),
                 "{}",
                 q.id
             );

@@ -1,27 +1,35 @@
-//! Morsel-driven parallel execution infrastructure.
+//! Morsel-driven execution: the one way the column engine runs a query.
 //!
 //! The LINEORDER position space is split into fixed-size **morsels**
-//! (contiguous position ranges, after Leis et al.'s morsel-driven model). A
-//! pool of scoped worker threads claims morsels from a shared atomic counter
-//! (self-balancing: fast workers steal the remaining morsels), runs the
-//! whole per-morsel pipeline — predicate scans, join probes, positional
-//! extraction, partial aggregation — and hands its results back tagged with
-//! the morsel index. The coordinator merges everything **in morsel order**,
-//! which is what makes parallel execution deterministic:
+//! (contiguous position ranges, after Leis et al.'s morsel-driven model).
+//! Workers claim morsels from a shared atomic counter (self-balancing: fast
+//! workers steal the remaining morsels), run the whole per-morsel pipeline —
+//! predicate scans, join probes, positional extraction, partial aggregation
+//! — and hand their results back tagged with the morsel index. The
+//! coordinator merges everything **in morsel order**, which is what makes
+//! execution deterministic:
 //!
 //! * partial aggregates merge in a fixed order (and are order-insensitive
 //!   sums anyway), so [`cvr_data::result::QueryOutput`]s are byte-identical
-//!   to a serial run;
+//!   at every thread count;
 //! * per-morsel [`cvr_storage::io::IoLog`]s replay against the shared
 //!   [`cvr_storage::io::BufferPool`] in morsel order, so the merged
-//!   [`cvr_storage::io::IoStats`] equal the serial run's bytes, pages and
-//!   seeks regardless of which worker ran which morsel when.
+//!   [`cvr_storage::io::IoStats`] are the same bytes, pages and seeks
+//!   regardless of which worker ran which morsel when.
 //!
-//! Thread count comes from [`Parallelism`]: the `--threads` harness flag,
-//! the `CVR_THREADS` environment variable, or (default) the machine's
-//! available parallelism.
+//! The thread count never selects code: one worker runs the same morsels
+//! inline on the calling thread ([`try_run_morsels`] spawns only when it is
+//! granted more than one). It comes from [`Parallelism`]: the `--threads`
+//! harness flag, the `CVR_THREADS` environment variable, or (default) the
+//! machine's available parallelism. [`run_fused`] is the shared driver of
+//! the late-materialized plan shapes: fan-out, merge, I/O replay and
+//! per-operator tracing in one place.
 
+use crate::agg::{AggPartial, AggStrategy};
 use crate::ctx::{QueryCtx, QueryError};
+use cvr_data::queries::SsbQuery;
+use cvr_data::result::QueryOutput;
+use cvr_storage::io::{IoLog, IoSession, IoStats};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -29,11 +37,11 @@ use std::time::Duration;
 
 /// Default morsel size in fact-table positions. Large enough that per-morsel
 /// bookkeeping is noise, small enough that a 4-thread run of even a small
-/// scale factor gets balanced work; [`run_morsels`] shrinks it further when
-/// the input is small.
+/// scale factor gets balanced work; [`grid`] shrinks it further when the
+/// input is small.
 pub const DEFAULT_MORSEL_ROWS: u32 = 16_384;
 
-/// Smallest morsel [`run_morsels`] will auto-shrink to.
+/// Smallest morsel [`grid`] will auto-shrink to.
 const MIN_MORSEL_ROWS: u32 = 256;
 
 /// Default hard ceiling on morsel size in rows (1 Mi positions). Bounds the
@@ -59,19 +67,20 @@ pub fn morsel_max() -> u32 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
     /// Worker threads (including the coordinator, which also claims
-    /// morsels). `1` selects the serial execution path.
+    /// morsels). `1` runs every morsel inline on the calling thread — the
+    /// same pipeline, no spawn.
     pub threads: usize,
     /// Morsel size in positions (upper bound; shrunk for small inputs).
     pub morsel_rows: u32,
 }
 
 impl Parallelism {
-    /// Strictly serial execution.
+    /// One worker: every morsel runs inline on the calling thread.
     pub fn serial() -> Parallelism {
-        Parallelism { threads: 1, morsel_rows: DEFAULT_MORSEL_ROWS }
+        Parallelism::with_threads(1)
     }
 
-    /// Parallel execution with `threads` workers (0 is clamped to 1).
+    /// Execution with `threads` workers (0 is clamped to 1).
     pub fn with_threads(threads: usize) -> Parallelism {
         Parallelism { threads: threads.max(1), morsel_rows: DEFAULT_MORSEL_ROWS }
     }
@@ -97,36 +106,11 @@ impl Parallelism {
         });
         Parallelism { threads: threads.max(1), morsel_rows }
     }
-
-    /// True when this configuration takes the serial path.
-    pub fn is_serial(&self) -> bool {
-        self.threads <= 1
-    }
 }
 
 impl Default for Parallelism {
     fn default() -> Self {
         Parallelism::from_env()
-    }
-}
-
-/// Run `task` over every morsel of `[0, n)` on up to `par.threads` workers;
-/// returns the per-morsel results **in morsel order**.
-///
-/// `task(index, range)` must be safe to call concurrently (it receives
-/// disjoint ranges). Workers claim morsels from a shared counter, so the
-/// assignment of morsels to threads is scheduling-dependent — which is why
-/// callers must only rely on the returned order, never on worker identity.
-pub fn run_morsels<T: Send>(
-    n: u32,
-    par: Parallelism,
-    task: impl Fn(usize, Range<u32>) -> T + Sync,
-) -> Vec<T> {
-    match try_run_morsels(n, par, &QueryCtx::unbounded(), |i, r| Ok(task(i, r))) {
-        Ok(out) => out,
-        // Unreachable under an unbounded ctx unless a fault was injected;
-        // transport the typed error up to the nearest containment boundary.
-        Err(e) => std::panic::panic_any(e),
     }
 }
 
@@ -137,7 +121,13 @@ enum Abort {
     Panic(Box<dyn std::any::Any + Send>),
 }
 
-/// The fallible, cancellable form of [`run_morsels`].
+/// Run `task` over every morsel of `[0, n)` on up to `par.threads` workers;
+/// returns the per-morsel results **in morsel order**.
+///
+/// `task(index, range)` must be safe to call concurrently (it receives
+/// disjoint ranges). Workers claim morsels from a shared counter, so the
+/// assignment of morsels to threads is scheduling-dependent — which is why
+/// callers must only rely on the returned order, never on worker identity.
 ///
 /// Between morsels every worker polls `ctx` ([`QueryCtx::check`]) and a
 /// shared abort flag, so cancellation/deadline/budget failures — and any
@@ -208,73 +198,65 @@ pub fn try_run_morsels<T: Send>(
         }
     };
 
-    let mut tagged: Vec<(usize, T)> = Vec::with_capacity(count);
-    if workers <= 1 {
-        for i in 0..count {
+    // Spawned workers must see the coordinator's fault state: the query's
+    // deterministic fault stream follows the query, not the thread.
+    let faults = cvr_storage::fault::handle();
+    let next = AtomicUsize::new(0);
+    let work = |out: &mut Vec<(usize, T)>| -> Duration {
+        let started = thread_cpu_time();
+        loop {
+            if stop.load(Ordering::Relaxed) {
+                break;
+            }
             if let Err(e) = ctx.check() {
                 fail(Abort::Error(e));
                 break;
             }
-            if run_one(&mut tagged, i).is_err() {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
                 break;
             }
-        }
-    } else {
-        // Spawned workers must see the coordinator's fault state: the query's
-        // deterministic fault stream follows the query, not the thread.
-        let faults = cvr_storage::fault::handle();
-        let next = AtomicUsize::new(0);
-        let work = |out: &mut Vec<(usize, T)>| -> Duration {
-            let started = thread_cpu_time();
-            loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                if let Err(e) = ctx.check() {
-                    fail(Abort::Error(e));
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                if run_one(out, i).is_err() {
-                    break;
-                }
-                // Rotate the run queue between morsels: when the machine has
-                // fewer cores than workers (CI containers), the first
-                // scheduled worker would otherwise drain the whole queue
-                // inside one timeslice, serializing the "parallel"
-                // execution. On idle multicore hardware this yield is a
-                // no-op costing ~1µs per multi-hundred-µs morsel.
+            if run_one(out, i).is_err() {
+                break;
+            }
+            // Rotate the run queue between morsels: when the machine has
+            // fewer cores than workers (CI containers), the first scheduled
+            // worker would otherwise drain the whole queue inside one
+            // timeslice, serializing the "parallel" execution. On idle
+            // multicore hardware this yield is a no-op costing ~1µs per
+            // multi-hundred-µs morsel; a lone worker has nobody to yield to.
+            if workers > 1 {
                 std::thread::yield_now();
             }
-            thread_cpu_time().saturating_sub(started)
-        };
+        }
+        thread_cpu_time().saturating_sub(started)
+    };
 
-        // Per-worker busy CPU time, coordinator first — the one measurement
-        // all three observation sinks (profiler, tracer, metrics) share.
-        let mut busys: Vec<Duration> = Vec::with_capacity(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (1..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let _faults = cvr_storage::fault::adopt_opt(faults.clone());
-                        let mut out = Vec::new();
-                        let busy = work(&mut out);
-                        (out, busy)
-                    })
+    // The coordinator claims morsels too, so one granted worker means no
+    // spawn at all: the same loop runs inline. Per-worker busy CPU time,
+    // coordinator first, is the one measurement all three observation sinks
+    // (profiler, tracer, metrics) share.
+    let mut tagged: Vec<(usize, T)> = Vec::with_capacity(count);
+    let mut busys: Vec<Duration> = Vec::with_capacity(workers);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (1..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let _faults = cvr_storage::fault::adopt_opt(faults.clone());
+                    let mut out = Vec::new();
+                    let busy = work(&mut out);
+                    (out, busy)
                 })
-                .collect();
-            busys.push(work(&mut tagged));
-            for h in handles {
-                let (out, busy) = h.join().expect("morsel worker panicked");
-                tagged.extend(out);
-                busys.push(busy);
-            }
-        });
-        observe_fanout(ctx, &busys, next.into_inner().min(count) as u64);
-    }
+            })
+            .collect();
+        busys.push(work(&mut tagged));
+        for h in handles {
+            let (out, busy) = h.join().expect("morsel worker panicked");
+            tagged.extend(out);
+            busys.push(busy);
+        }
+    });
+    observe_fanout(ctx, &busys, next.into_inner().min(count) as u64);
 
     match failure.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
         Some(Abort::Panic(payload)) => std::panic::resume_unwind(payload),
@@ -295,7 +277,7 @@ fn observe_fanout(ctx: &QueryCtx, busys: &[Duration], morsels: u64) {
     if let Some(tracer) = ctx.tracer() {
         tracer.on_fanout(busys, morsels);
     }
-    cvr_obs::counter("cvr_morsel_fanouts_total", "Parallel morsel fan-outs executed").inc();
+    cvr_obs::counter("cvr_morsel_fanouts_total", "Morsel fan-outs executed").inc();
     let worker_busy =
         cvr_obs::latency("cvr_morsel_worker_busy_us", "Per-worker busy CPU time per fan-out");
     for busy in busys {
@@ -303,7 +285,7 @@ fn observe_fanout(ctx: &QueryCtx, busys: &[Duration], morsels: u64) {
     }
 }
 
-/// The morsel grid [`run_morsels`] tiles `[0, n)` with under `par`:
+/// The morsel grid [`try_run_morsels`] tiles `[0, n)` with under `par`:
 /// `(morsel_size, morsel_count)`. Deterministic in `(n, par)` — which is
 /// what lets a cached filter intermediate recorded at one execution be
 /// re-split identically on a later one.
@@ -328,24 +310,94 @@ pub fn grid(n: u32, par: Parallelism) -> (u32, usize) {
     (morsel, count)
 }
 
-/// Intersect two ascending position vectors (the per-morsel analogue of
-/// [`crate::poslist::PosList::intersect`], kept on plain vectors because
-/// morsel fragments are small and short-lived).
-pub fn intersect_ascending(xs: &[u32], ys: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(xs.len().min(ys.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < xs.len() && j < ys.len() {
-        match xs[i].cmp(&ys[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(xs[i]);
-                i += 1;
-                j += 1;
-            }
+/// One traced operator at the front of a fused pipeline's per-morsel op
+/// sequence: its span name and how many [`IoLog`] ops it charges per morsel.
+pub(crate) struct Operator {
+    pub op: &'static str,
+    pub detail: &'static str,
+    pub log_ops: usize,
+}
+
+/// What one operator did in one morsel (summed over morsels for the trace).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct OpActual {
+    pub rows: u64,
+    pub busy: Duration,
+}
+
+/// What a fused pipeline's task works with for one morsel.
+pub(crate) struct Morsel<'a> {
+    pub index: usize,
+    pub range: Range<u32>,
+    /// The morsel's recording session: every charge lands in its log.
+    pub io: &'a IoSession,
+    /// One slot per traced operator.
+    pub actuals: &'a mut [OpActual],
+    /// The morsel's own accumulator.
+    pub partial: &'a mut AggPartial,
+}
+
+/// The shared driver of the late-materialized plan shapes. Every morsel
+/// runs `task` against its own recording session and accumulator; partial
+/// aggregates merge and the I/O logs replay op-major, both in morsel order,
+/// on `io`. `splices` are the coordinator's recorded charges (hash tables,
+/// key predicates), each replayed immediately before the per-morsel op
+/// index it is paired with — see [`IoSession::replay_interleaved`] — so the
+/// charge order is the one a single whole-column execution of the plan has.
+/// The fan-out fuses its operators, so their wall time cannot be separated:
+/// one `extract-aggregate` span carries the combined measurement plus the
+/// per-worker breakdown, followed by one leaf per entry of `operators`
+/// carrying the rows, busy time and I/O summed over its morsels — the same
+/// tree at every thread count. Returns the output with the per-morsel logs
+/// and `task`'s extras, both in morsel order.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_fused<X: Send>(
+    n: u32,
+    par: Parallelism,
+    ctx: &QueryCtx,
+    io: &IoSession,
+    strat: &AggStrategy,
+    q: &SsbQuery,
+    operators: &[Operator],
+    splices: &[(usize, &IoLog)],
+    task: impl Fn(Morsel<'_>) -> Result<X, QueryError> + Sync,
+) -> Result<(QueryOutput, Vec<IoLog>, Vec<X>), QueryError> {
+    let mut span = ctx.span("extract-aggregate", "", io);
+    let pool = io.pool().clone();
+    let results = try_run_morsels(n, par, ctx, |index, range| {
+        let rio = IoSession::recording(pool.clone());
+        let mut actuals = vec![OpActual::default(); operators.len()];
+        let mut partial = strat.new_partial();
+        let morsel =
+            Morsel { index, range, io: &rio, actuals: &mut actuals, partial: &mut partial };
+        let extra = task(morsel)?;
+        Ok((rio.take_log(), actuals, partial, extra))
+    })?;
+    let mut merged = strat.new_partial();
+    let mut totals = vec![OpActual::default(); operators.len()];
+    let mut logs = Vec::with_capacity(results.len());
+    let mut extras = Vec::with_capacity(results.len());
+    for (log, actuals, partial, extra) in results {
+        logs.push(log);
+        extras.push(extra);
+        merged.merge(partial);
+        for (total, actual) in totals.iter_mut().zip(actuals) {
+            total.rows += actual.rows;
+            total.busy += actual.busy;
         }
     }
-    out
+    let mut deltas = io.replay_interleaved(&logs, splices).into_iter();
+    let out = strat.finish(merged, q);
+    span.rows(out.len() as u64);
+    drop(span);
+    if let Some(tracer) = ctx.tracer() {
+        for (operator, total) in operators.iter().zip(totals) {
+            let mut charged = IoStats::default();
+            deltas.by_ref().take(operator.log_ops).for_each(|d| charged.add(&d));
+            tracer.leaf(operator.op, operator.detail, Some(total.rows), total.busy, charged);
+        }
+    }
+    Ok((out, logs, extras))
 }
 
 /// CPU time consumed by the calling thread (Linux; wall-clock elsewhere).
@@ -389,7 +441,7 @@ pub mod profile {
     /// Per-worker busy times collected between [`start`] and [`finish`].
     #[derive(Debug, Default)]
     pub struct ProfileReport {
-        /// One group per [`super::run_morsels`] fan-out; each entry is one
+        /// One group per [`super::try_run_morsels`] fan-out; each entry is one
         /// worker's CPU time inside that fan-out (coordinator included).
         pub groups: Vec<Vec<Duration>>,
         /// The coordinator thread's share of the fan-out work — already
@@ -447,6 +499,14 @@ pub mod profile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run_morsels<T: Send>(
+        n: u32,
+        par: Parallelism,
+        task: impl Fn(usize, Range<u32>) -> T + Sync,
+    ) -> Vec<T> {
+        try_run_morsels(n, par, &QueryCtx::unbounded(), |i, r| Ok(task(i, r))).unwrap()
+    }
 
     #[test]
     fn morsels_tile_and_return_in_order() {
@@ -575,19 +635,9 @@ mod tests {
     }
 
     #[test]
-    fn intersect_ascending_matches_set_semantics() {
-        let xs: Vec<u32> = (0..300).filter(|p| p % 3 == 0).collect();
-        let ys: Vec<u32> = (0..300).filter(|p| p % 5 == 0).collect();
-        let expected: Vec<u32> = (0..300).filter(|p| p % 15 == 0).collect();
-        assert_eq!(intersect_ascending(&xs, &ys), expected);
-        assert_eq!(intersect_ascending(&[], &ys), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn serial_knob_parses_env_shapes() {
-        assert!(Parallelism::serial().is_serial());
+    fn thread_knob_clamps_to_one_worker() {
         assert_eq!(Parallelism::with_threads(0).threads, 1);
-        assert!(!Parallelism::with_threads(8).is_serial());
+        assert_eq!(Parallelism::serial(), Parallelism::with_threads(1));
     }
 
     #[test]

@@ -7,10 +7,17 @@
 //! range ∩ range stays a range (the common case under between-predicate
 //! rewriting on the sorted fact column), bitmaps AND word-wise, and mixed
 //! forms degrade gracefully.
+//!
+//! A list lives in a **window** of a column: the whole column for dimension
+//! scans, one morsel for the fact pipeline. Positions are always absolute;
+//! `universe` is the window's length, which sizes bitmaps (a morsel's
+//! bitmap covers the morsel, never the column) and is the density yardstick
+//! for choosing between explicit and bitmap form.
 
 use cvr_index::bitmap::RidBitmap;
+use std::ops::Range;
 
-/// A set of ascending positions within a column of `universe` values.
+/// A set of ascending positions within a window of `universe` values.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PosList {
     /// Contiguous positions `[start, end)`.
@@ -19,16 +26,21 @@ pub enum PosList {
         start: u32,
         /// One past the last position.
         end: u32,
-        /// Universe size (column length).
+        /// Window length.
         universe: u32,
     },
-    /// One bit per position.
-    Bitmap(RidBitmap),
+    /// One bit per window position: bit `i` selects position `base + i`.
+    Bitmap {
+        /// First position of the window.
+        base: u32,
+        /// The window's bits; `bits.len()` is the window length.
+        bits: RidBitmap,
+    },
     /// Explicit ascending positions.
     Explicit {
         /// The positions, strictly ascending.
         positions: Vec<u32>,
-        /// Universe size (column length).
+        /// Window length.
         universe: u32,
     },
 }
@@ -43,46 +55,34 @@ impl PosList {
         PosList::Explicit { positions: Vec::new(), universe }
     }
 
-    /// Every position in `universe`.
-    pub fn all(universe: u32) -> PosList {
-        PosList::Range { start: 0, end: universe, universe }
+    /// Every position of `window`.
+    pub fn all(window: Range<u32>) -> PosList {
+        PosList::Range { start: window.start, end: window.end, universe: window.len() as u32 }
     }
 
-    /// Wrap ascending positions without changing representation — the cheap
-    /// constructor for short-lived morsel fragments, where the compact-form
-    /// analysis of [`PosList::from_ascending`] would cost more than it saves.
+    /// Wrap ascending positions without changing representation.
     pub fn explicit(positions: Vec<u32>, universe: u32) -> PosList {
         debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
         PosList::Explicit { positions, universe }
     }
 
-    /// Build from ascending positions, choosing a compact representation.
+    /// Build from ascending positions: a range when they are contiguous,
+    /// explicit otherwise.
     pub fn from_ascending(positions: Vec<u32>, universe: u32) -> PosList {
         debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
-        if !positions.is_empty()
-            && positions.len() as u32 == positions[positions.len() - 1] - positions[0] + 1
-        {
-            return PosList::Range {
-                start: positions[0],
-                end: positions[positions.len() - 1] + 1,
-                universe,
-            };
-        }
-        if positions.len() as u32 > universe / EXPLICIT_LIMIT_DIVISOR {
-            let mut bm = RidBitmap::new(universe);
-            for p in positions {
-                bm.set(p);
+        match (positions.first(), positions.last()) {
+            (Some(&first), Some(&last)) if positions.len() as u32 == last - first + 1 => {
+                PosList::Range { start: first, end: last + 1, universe }
             }
-            return PosList::Bitmap(bm);
+            _ => PosList::Explicit { positions, universe },
         }
-        PosList::Explicit { positions, universe }
     }
 
-    /// Universe size.
+    /// Window length.
     pub fn universe(&self) -> u32 {
         match self {
             PosList::Range { universe, .. } => *universe,
-            PosList::Bitmap(b) => b.len(),
+            PosList::Bitmap { bits, .. } => bits.len(),
             PosList::Explicit { universe, .. } => *universe,
         }
     }
@@ -91,7 +91,7 @@ impl PosList {
     pub fn count(&self) -> u32 {
         match self {
             PosList::Range { start, end, .. } => end - start,
-            PosList::Bitmap(b) => b.count(),
+            PosList::Bitmap { bits, .. } => bits.count(),
             PosList::Explicit { positions, .. } => positions.len() as u32,
         }
     }
@@ -121,7 +121,7 @@ impl PosList {
     pub fn first(&self) -> Option<u32> {
         match self {
             PosList::Range { start, end, .. } => (start < end).then_some(*start),
-            PosList::Bitmap(b) => b.iter().next(),
+            PosList::Bitmap { .. } => self.iter().next(),
             PosList::Explicit { positions, .. } => positions.first().copied(),
         }
     }
@@ -130,13 +130,7 @@ impl PosList {
     pub fn last(&self) -> Option<u32> {
         match self {
             PosList::Range { start, end, .. } => (start < end).then_some(end - 1),
-            PosList::Bitmap(b) => {
-                let mut last = None;
-                for p in b.iter() {
-                    last = Some(p);
-                }
-                last
-            }
+            PosList::Bitmap { .. } => self.iter().last(),
             PosList::Explicit { positions, .. } => positions.last().copied(),
         }
     }
@@ -145,7 +139,7 @@ impl PosList {
     pub fn iter(&self) -> Box<dyn Iterator<Item = u32> + '_> {
         match self {
             PosList::Range { start, end, .. } => Box::new(*start..*end),
-            PosList::Bitmap(b) => Box::new(b.iter()),
+            PosList::Bitmap { base, bits } => Box::new(bits.iter().map(move |p| base + p)),
             PosList::Explicit { positions, .. } => Box::new(positions.iter().copied()),
         }
     }
@@ -155,7 +149,18 @@ impl PosList {
         self.iter().collect()
     }
 
-    /// Intersect two lists (same universe), preserving cheap representations.
+    /// Approximate heap footprint, for cache budget accounting.
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<PosList>()
+            + match self {
+                PosList::Range { .. } => 0,
+                PosList::Bitmap { bits, .. } => bits.bytes() as usize,
+                PosList::Explicit { positions, .. } => positions.len() * 4,
+            }
+    }
+
+    /// Intersect two lists over the same window, preserving cheap
+    /// representations.
     pub fn intersect(&self, other: &PosList) -> PosList {
         assert_eq!(self.universe(), other.universe(), "position universe mismatch");
         use PosList::*;
@@ -165,23 +170,23 @@ impl PosList {
                 let end = (*b).min(*d);
                 Range { start, end: end.max(start), universe: *universe }
             }
-            (Bitmap(x), Bitmap(y)) => {
+            (Bitmap { base, bits: x }, Bitmap { base: other_base, bits: y }) => {
+                assert_eq!(base, other_base, "position window mismatch");
                 let mut out = x.clone();
                 out.and_with(y);
-                Bitmap(out)
+                Bitmap { base: *base, bits: out }
             }
-            (Range { start, end, universe }, Bitmap(b))
-            | (Bitmap(b), Range { start, end, universe }) => {
+            (Range { start, end, universe }, Bitmap { base, bits })
+            | (Bitmap { base, bits }, Range { start, end, universe }) => {
                 // Word-parallel: AND the bitmap's words against the range
-                // mask instead of iterating set bits. Representation choice
-                // matches `from_ascending`: range if contiguous, bitmap if
-                // dense, explicit otherwise.
-                let (start, end) = (*start, *end);
+                // mask instead of iterating set bits; range if the result
+                // is contiguous, bitmap if dense, explicit otherwise.
                 if start >= end {
                     return PosList::empty(*universe);
                 }
+                let (start, end) = (*start - base, *end - base);
                 let (fw, lw) = ((start / 64) as usize, ((end - 1) / 64) as usize);
-                let mut masked: Vec<u64> = b.words()[fw..=lw].to_vec();
+                let mut masked: Vec<u64> = bits.words()[fw..=lw].to_vec();
                 masked[0] &= u64::MAX << (start % 64);
                 let tail_keep = (end - 1) % 64;
                 if tail_keep < 63 {
@@ -193,24 +198,24 @@ impl PosList {
                     return PosList::empty(*universe);
                 }
                 let (fi, fword) = masked.iter().enumerate().find(|(_, &w)| w != 0).unwrap();
-                let first = (fw + fi) as u32 * 64 + fword.trailing_zeros();
+                let first = base + (fw + fi) as u32 * 64 + fword.trailing_zeros();
                 let (li, lword) = masked.iter().enumerate().rfind(|(_, &w)| w != 0).unwrap();
-                let last = (fw + li) as u32 * 64 + 63 - lword.leading_zeros();
+                let last = base + (fw + li) as u32 * 64 + 63 - lword.leading_zeros();
                 if last - first + 1 == count {
                     return PosList::Range { start: first, end: last + 1, universe: *universe };
                 }
                 if count > *universe / EXPLICIT_LIMIT_DIVISOR {
-                    let mut bm = RidBitmap::new(*universe);
-                    bm.extend_from_words(fw, &masked);
-                    return PosList::Bitmap(bm);
+                    let mut out = RidBitmap::new(*universe);
+                    out.extend_from_words(fw, &masked);
+                    return PosList::Bitmap { base: *base, bits: out };
                 }
                 // Sparse: read the positions straight out of the masked
-                // window — no full-universe bitmap needed.
+                // window — no full-window bitmap needed.
                 let mut positions = Vec::with_capacity(count as usize);
                 for (i, &w) in masked.iter().enumerate() {
                     let mut m = w;
                     while m != 0 {
-                        positions.push((fw + i) as u32 * 64 + m.trailing_zeros());
+                        positions.push(base + (fw + i) as u32 * 64 + m.trailing_zeros());
                         m &= m - 1;
                     }
                 }
@@ -226,9 +231,10 @@ impl PosList {
                     .collect();
                 PosList::from_ascending(out, *universe)
             }
-            (Explicit { positions, universe }, Bitmap(b))
-            | (Bitmap(b), Explicit { positions, universe }) => {
-                let out: Vec<u32> = positions.iter().copied().filter(|&p| b.get(p)).collect();
+            (Explicit { positions, universe }, Bitmap { base, bits })
+            | (Bitmap { base, bits }, Explicit { positions, universe }) => {
+                let out: Vec<u32> =
+                    positions.iter().copied().filter(|&p| bits.get(p - base)).collect();
                 PosList::from_ascending(out, *universe)
             }
             (Explicit { positions: xs, universe }, Explicit { positions: ys, .. }) => {
@@ -259,6 +265,11 @@ mod tests {
         PosList::Explicit { positions: p.to_vec(), universe: n }
     }
 
+    /// Bitmap over the window `[base, base + n)` selecting absolute `p`.
+    fn bitmap(base: u32, n: u32, p: &[u32]) -> PosList {
+        PosList::Bitmap { base, bits: RidBitmap::from_rids(n, p.iter().map(|p| p - base)) }
+    }
+
     #[test]
     fn basics() {
         let r = PosList::Range { start: 5, end: 10, universe: 100 };
@@ -268,7 +279,7 @@ mod tests {
         assert!(r.is_contiguous());
         assert_eq!(r.to_vec(), vec![5, 6, 7, 8, 9]);
         assert!(PosList::empty(10).is_empty());
-        assert_eq!(PosList::all(10).count(), 10);
+        assert_eq!(PosList::all(0..10).count(), 10);
     }
 
     #[test]
@@ -278,12 +289,6 @@ mod tests {
             PosList::Range { start: 3, end: 7, .. }
         ));
         assert!(matches!(PosList::from_ascending(vec![3, 5], 100), PosList::Explicit { .. }));
-    }
-
-    #[test]
-    fn from_ascending_prefers_bitmap_for_dense() {
-        let dense: Vec<u32> = (0..50).map(|i| i * 2).collect(); // 50 of 128
-        assert!(matches!(PosList::from_ascending(dense, 128), PosList::Bitmap(_)));
     }
 
     #[test]
@@ -305,12 +310,12 @@ mod tests {
         let expected: Vec<u32> = (0..universe).filter(|p| p % 15 == 0).collect();
         let reprs_x = [
             PosList::from_ascending(xs.clone(), universe),
-            PosList::Bitmap(cvr_index::bitmap::RidBitmap::from_rids(universe, xs.clone())),
+            bitmap(0, universe, &xs),
             explicit(&xs, universe),
         ];
         let reprs_y = [
             PosList::from_ascending(ys.clone(), universe),
-            PosList::Bitmap(cvr_index::bitmap::RidBitmap::from_rids(universe, ys.clone())),
+            bitmap(0, universe, &ys),
             explicit(&ys, universe),
         ];
         for x in &reprs_x {
@@ -323,9 +328,40 @@ mod tests {
     #[test]
     fn range_bitmap_intersection() {
         let r = PosList::Range { start: 10, end: 20, universe: 64 };
-        let bm = PosList::Bitmap(cvr_index::bitmap::RidBitmap::from_rids(64, [5u32, 10, 15, 25]));
+        let bm = bitmap(0, 64, &[5, 10, 15, 25]);
         assert_eq!(r.intersect(&bm).to_vec(), vec![10, 15]);
         assert_eq!(bm.intersect(&r).to_vec(), vec![10, 15]);
+    }
+
+    #[test]
+    fn morsel_windows_intersect_like_whole_columns() {
+        // The same sets, once over [0, 256) and once shifted into the morsel
+        // window [1024, 1280): every representation pair must agree, and a
+        // morsel's bitmap is sized by the morsel, not by the column.
+        let (base, n) = (1024u32, 256u32);
+        let xs: Vec<u32> = (base..base + n).filter(|p| p % 3 == 0).collect();
+        let ys: Vec<u32> = (base..base + n).filter(|p| p % 5 == 0).collect();
+        let expected: Vec<u32> = (base..base + n).filter(|p| p % 15 == 0).collect();
+        let window = PosList::all(base..base + n);
+        assert_eq!(window.universe(), n);
+        for x in [bitmap(base, n, &xs), explicit(&xs, n)] {
+            assert_eq!(x.to_vec(), xs);
+            assert!(x.approx_bytes() < 4 * n as usize + 64, "sized by the window");
+            for y in [bitmap(base, n, &ys), explicit(&ys, n)] {
+                assert_eq!(x.intersect(&y).to_vec(), expected);
+            }
+            assert_eq!(x.intersect(&window).to_vec(), xs);
+            let tail = PosList::Range { start: base + 100, end: base + n, universe: n };
+            let want: Vec<u32> = xs.iter().copied().filter(|&p| p >= base + 100).collect();
+            assert_eq!(x.intersect(&tail).to_vec(), want);
+            assert_eq!(tail.intersect(&x).to_vec(), want);
+        }
+        let dense: Vec<u32> = (base..base + n).filter(|p| p % 2 == 0).collect();
+        let half = PosList::Range { start: base + 64, end: base + 192, universe: n };
+        let got = bitmap(base, n, &dense).intersect(&half);
+        assert!(matches!(got, PosList::Bitmap { base: 1024, .. }), "dense stays a window bitmap");
+        assert_eq!(got.count(), 64);
+        assert_eq!((got.first(), got.last()), (Some(base + 64), Some(base + 190)));
     }
 
     #[test]
@@ -333,13 +369,13 @@ mod tests {
         assert!(explicit(&[4, 5, 6], 100).is_contiguous());
         assert!(!explicit(&[4, 6], 100).is_contiguous());
         assert!(explicit(&[], 100).is_contiguous());
-        let bm = PosList::Bitmap(cvr_index::bitmap::RidBitmap::from_rids(64, [7u32, 8, 9]));
+        let bm = bitmap(0, 64, &[7, 8, 9]);
         assert!(bm.is_contiguous());
     }
 
     #[test]
     #[should_panic(expected = "universe mismatch")]
     fn universe_mismatch_panics() {
-        PosList::all(10).intersect(&PosList::all(20));
+        PosList::all(0..10).intersect(&PosList::all(0..20));
     }
 }

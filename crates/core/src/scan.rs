@@ -23,10 +23,11 @@
 //!   run structure — and kernel results land as whole 64-bit mask words
 //!   ([`PosAccumulator::push_mask`]), never through a per-bit path.
 //!
-//! Every (encoding × interface) combination funnels through one pair of
-//! drivers — [`scan_int_into`] and [`scan_str_into`] — parameterized by a
-//! [`PosSink`], so whole-column scans (into a [`PosAccumulator`]) and
-//! morsel-range scans (into a plain `Vec<u32>`) share the same loops.
+//! Every scan covers a **window** of its column — the whole column for a
+//! dimension predicate, one morsel for the fact pipeline — and every
+//! (encoding × interface) combination funnels through one pair of drivers,
+//! [`scan_int_into`] and [`scan_str_into`], emitting into a
+//! [`PosAccumulator`] sized by that window.
 
 use crate::kernels::{self, CmpOp};
 use crate::poslist::{PosList, EXPLICIT_LIMIT_DIVISOR};
@@ -36,12 +37,15 @@ use cvr_index::bitmap::RidBitmap;
 use cvr_storage::column::StoredColumn;
 use cvr_storage::encode::{Column, IntColumn, StrColumn};
 use cvr_storage::io::IoSession;
+use std::ops::Range;
 
-/// Accumulates ascending positions, upgrading from an explicit list to a
-/// bitmap when the result grows dense. Accepts single positions, whole
-/// ranges, and 64-value selection masks; the bulk paths touch `O(words)`
-/// state, not `O(positions)`.
+/// Accumulates ascending positions of one window, upgrading from an
+/// explicit list to a bitmap when the result grows dense. Accepts single
+/// positions, whole ranges, and 64-value selection masks; the bulk paths
+/// touch `O(words)` state, not `O(positions)`. Pushes are absolute
+/// positions; the bitmap covers the window only.
 pub struct PosAccumulator {
+    base: u32,
     universe: u32,
     limit: usize,
     explicit: Vec<u32>,
@@ -53,9 +57,11 @@ pub struct PosAccumulator {
 }
 
 impl PosAccumulator {
-    /// Accumulator over a column of `universe` positions.
-    pub fn new(universe: u32) -> PosAccumulator {
+    /// Accumulator over the positions of `window`.
+    pub fn new(window: Range<u32>) -> PosAccumulator {
+        let universe = window.len() as u32;
         PosAccumulator {
+            base: window.start,
             universe,
             limit: (universe / EXPLICIT_LIMIT_DIVISOR).max(64) as usize,
             explicit: Vec::new(),
@@ -69,7 +75,7 @@ impl PosAccumulator {
     fn upgrade_to_bitmap(&mut self) {
         let mut bm = RidBitmap::new(self.universe);
         for &p in &self.explicit {
-            bm.set(p);
+            bm.set(p - self.base);
         }
         self.explicit.clear();
         self.bitmap = Some(bm);
@@ -85,7 +91,7 @@ impl PosAccumulator {
         }
         self.next_expected = Some(pos + 1);
         if let Some(bm) = &mut self.bitmap {
-            bm.set(pos);
+            bm.set(pos - self.base);
             return;
         }
         self.explicit.push(pos);
@@ -112,14 +118,15 @@ impl PosAccumulator {
             self.upgrade_to_bitmap();
         }
         match &mut self.bitmap {
-            Some(bm) => bm.set_range(start, end),
+            Some(bm) => bm.set_range(start - self.base, end - self.base),
             None => self.explicit.extend(start..end),
         }
     }
 
     /// Append a 64-value selection mask: bit `j` selects position
     /// `base + j`. Masks must arrive in ascending position order (like the
-    /// kernels emit them); dense results are ORed into the bitmap word-wise.
+    /// kernels emit them) and may be all-zero; dense results are ORed into
+    /// the bitmap word-wise.
     pub fn push_mask(&mut self, base: u32, mask: u64) {
         if mask == 0 {
             return;
@@ -142,7 +149,7 @@ impl PosAccumulator {
             self.upgrade_to_bitmap();
         }
         match &mut self.bitmap {
-            Some(bm) => bm.or_mask_at(base, mask),
+            Some(bm) => bm.or_mask_at(base - self.base, mask),
             None => {
                 let mut m = mask;
                 while m != 0 {
@@ -162,53 +169,8 @@ impl PosAccumulator {
             return PosList::empty(self.universe);
         }
         match self.bitmap {
-            Some(bm) => PosList::Bitmap(bm),
+            Some(bits) => PosList::Bitmap { base: self.base, bits },
             None => PosList::Explicit { positions: self.explicit, universe: self.universe },
-        }
-    }
-}
-
-/// Destination of a scan: either a [`PosAccumulator`] (whole-column scans)
-/// or a plain ascending `Vec<u32>` (morsel fragments). Implementations must
-/// tolerate all-zero masks.
-pub trait PosSink {
-    /// Append one position (ascending).
-    fn push(&mut self, pos: u32);
-    /// Append the contiguous positions `[start, end)`.
-    fn push_range(&mut self, start: u32, end: u32);
-    /// Append a 64-value selection mask anchored at `base`.
-    fn push_mask(&mut self, base: u32, mask: u64);
-}
-
-impl PosSink for PosAccumulator {
-    #[inline]
-    fn push(&mut self, pos: u32) {
-        PosAccumulator::push(self, pos)
-    }
-
-    fn push_range(&mut self, start: u32, end: u32) {
-        PosAccumulator::push_range(self, start, end)
-    }
-
-    fn push_mask(&mut self, base: u32, mask: u64) {
-        PosAccumulator::push_mask(self, base, mask)
-    }
-}
-
-impl PosSink for Vec<u32> {
-    #[inline]
-    fn push(&mut self, pos: u32) {
-        Vec::push(self, pos)
-    }
-
-    fn push_range(&mut self, start: u32, end: u32) {
-        self.extend(start..end)
-    }
-
-    fn push_mask(&mut self, base: u32, mut mask: u64) {
-        while mask != 0 {
-            Vec::push(self, base + mask.trailing_zeros());
-            mask &= mask - 1;
         }
     }
 }
@@ -304,7 +266,7 @@ pub fn scan_int_into(
     end: u32,
     pred: &IntScanPred<'_>,
     block: bool,
-    sink: &mut impl PosSink,
+    sink: &mut PosAccumulator,
 ) {
     if end.saturating_sub(start) > SCAN_POLL_ROWS && crate::ctx::scan_watch_active() {
         let mut s = start;
@@ -325,7 +287,7 @@ fn scan_int_chunk(
     end: u32,
     pred: &IntScanPred<'_>,
     block: bool,
-    sink: &mut impl PosSink,
+    sink: &mut PosAccumulator,
 ) {
     if start >= end {
         return;
@@ -460,7 +422,7 @@ pub fn scan_str_into(
     end: u32,
     pred: &Pred,
     block: bool,
-    sink: &mut impl PosSink,
+    sink: &mut PosAccumulator,
 ) {
     if end.saturating_sub(start) > SCAN_POLL_ROWS && crate::ctx::scan_watch_active() {
         let mut s = start;
@@ -481,7 +443,7 @@ fn scan_str_chunk(
     end: u32,
     pred: &Pred,
     block: bool,
-    sink: &mut impl PosSink,
+    sink: &mut PosAccumulator,
 ) {
     if start >= end {
         return;
@@ -550,139 +512,71 @@ fn scan_str_chunk(
     }
 }
 
-/// Scan `col` under an [`IntScanPred`] — the kernel-aware entry point the
-/// join pipelines use (between-rewritten join predicates arrive as
-/// [`IntScanPred::Range`] and hit the SWAR path).
+/// Scan positions `window` of `col` under an [`IntScanPred`] — the
+/// kernel-aware entry point the join pipelines use (between-rewritten join
+/// predicates arrive as [`IntScanPred::Range`] and hit the SWAR path).
+/// Charges the window's slice of the column's pages
+/// ([`StoredColumn::charge_scan_range`], which for the whole column is the
+/// full sequential scan).
 pub fn scan_int(
     col: &StoredColumn,
+    window: Range<u32>,
     pred: &IntScanPred<'_>,
     block: bool,
     io: &IoSession,
 ) -> PosList {
-    col.charge_scan(io);
-    let int = col.column.as_int();
-    let n = int.len() as u32;
-    let mut acc = PosAccumulator::new(n);
-    scan_int_into(int, 0, n, pred, block, &mut acc);
+    col.charge_scan_range(window.start, window.end, io);
+    let mut acc = PosAccumulator::new(window.clone());
+    scan_int_into(col.column.as_int(), window.start, window.end, pred, block, &mut acc);
     acc.finish()
 }
 
-/// Morsel-range counterpart of [`scan_int`]: positions `[start, end)` only,
-/// charging the proportional slice of the column's pages
-/// (`charge_scan_range`) and returning ascending positions as a plain
-/// vector — morsel fragments are small, short-lived, and merged in morsel
-/// order by the parallel executors.
-pub fn scan_int_range(
-    col: &StoredColumn,
-    start: u32,
-    end: u32,
-    pred: &IntScanPred<'_>,
-    block: bool,
-    io: &IoSession,
-) -> Vec<u32> {
-    col.charge_scan_range(start, end, io);
-    let mut out = Vec::new();
-    scan_int_into(
-        col.column.as_int(),
-        start,
-        end.min(col.column.len() as u32),
-        pred,
-        block,
-        &mut out,
-    );
-    out
-}
-
-/// Scan `col` for positions where `test(value)` holds — integer columns
-/// under an opaque predicate. (`block` selects the kernel or `get_next`
-/// interface; structured predicates should use [`scan_int`] so the SWAR
-/// kernels apply.)
+/// [`scan_int`] under an opaque per-value test. (Structured predicates
+/// should use [`scan_int`] so the SWAR kernels apply.)
 pub fn scan_int_where(
     col: &StoredColumn,
+    window: Range<u32>,
     test: impl Fn(i64) -> bool,
     block: bool,
     io: &IoSession,
 ) -> PosList {
-    scan_int(col, &IntScanPred::Test(&test), block, io)
+    scan_int(col, window, &IntScanPred::Test(&test), block, io)
 }
 
-/// Morsel-range counterpart of [`scan_int_where`].
-pub fn scan_int_where_range(
-    col: &StoredColumn,
-    start: u32,
-    end: u32,
-    test: impl Fn(i64) -> bool,
-    block: bool,
-    io: &IoSession,
-) -> Vec<u32> {
-    scan_int_range(col, start, end, &IntScanPred::Test(&test), block, io)
-}
-
-/// Scan a string column under `pred`.
+/// Scan positions `window` of a string column under `pred`.
 ///
 /// Dictionary columns evaluate `pred` once per distinct value, then scan
 /// the packed integer codes — through a single range kernel when the
 /// matching codes are contiguous.
-pub fn scan_str_pred(col: &StoredColumn, pred: &Pred, block: bool, io: &IoSession) -> PosList {
-    col.charge_scan(io);
-    let s = col.column.as_str();
-    let n = s.len() as u32;
-    let mut acc = PosAccumulator::new(n);
-    scan_str_into(s, 0, n, pred, block, &mut acc);
+pub fn scan_str_pred(
+    col: &StoredColumn,
+    window: Range<u32>,
+    pred: &Pred,
+    block: bool,
+    io: &IoSession,
+) -> PosList {
+    col.charge_scan_range(window.start, window.end, io);
+    let mut acc = PosAccumulator::new(window.clone());
+    scan_str_into(col.column.as_str(), window.start, window.end, pred, block, &mut acc);
     acc.finish()
 }
 
-/// Morsel-range counterpart of [`scan_str_pred`].
-pub fn scan_str_pred_range(
+/// Scan positions `window` of any column under a logical [`Pred`],
+/// compiling integer predicates to their interval form (SWAR-eligible)
+/// when possible.
+pub fn scan_pred(
     col: &StoredColumn,
-    start: u32,
-    end: u32,
+    window: Range<u32>,
     pred: &Pred,
     block: bool,
     io: &IoSession,
-) -> Vec<u32> {
-    col.charge_scan_range(start, end, io);
-    let mut out = Vec::new();
-    scan_str_into(
-        col.column.as_str(),
-        start,
-        end.min(col.column.len() as u32),
-        pred,
-        block,
-        &mut out,
-    );
-    out
-}
-
-/// Scan any column under a logical [`Pred`], compiling integer predicates
-/// to their interval form (SWAR-eligible) when possible.
-pub fn scan_pred(col: &StoredColumn, pred: &Pred, block: bool, io: &IoSession) -> PosList {
+) -> PosList {
     match &col.column {
         Column::Int(_) => match IntScanPred::range_of(pred) {
-            Some((lo, hi)) => scan_int(col, &IntScanPred::Range { lo, hi }, block, io),
-            None => scan_int_where(col, |v| pred.matches_int(v), block, io),
+            Some((lo, hi)) => scan_int(col, window, &IntScanPred::Range { lo, hi }, block, io),
+            None => scan_int_where(col, window, |v| pred.matches_int(v), block, io),
         },
-        Column::Str(_) => scan_str_pred(col, pred, block, io),
-    }
-}
-
-/// Morsel-range counterpart of [`scan_pred`].
-pub fn scan_pred_range(
-    col: &StoredColumn,
-    start: u32,
-    end: u32,
-    pred: &Pred,
-    block: bool,
-    io: &IoSession,
-) -> Vec<u32> {
-    match &col.column {
-        Column::Int(_) => match IntScanPred::range_of(pred) {
-            Some((lo, hi)) => {
-                scan_int_range(col, start, end, &IntScanPred::Range { lo, hi }, block, io)
-            }
-            None => scan_int_where_range(col, start, end, |v| pred.matches_int(v), block, io),
-        },
-        Column::Str(_) => scan_str_pred_range(col, start, end, pred, block, io),
+        Column::Str(_) => scan_str_pred(col, window, pred, block, io),
     }
 }
 
@@ -717,8 +611,8 @@ mod tests {
         let expected = reference(&values, |v| (10..=20).contains(&v));
         let col = int_col(values, false);
         let io = IoSession::unmetered();
-        let a = scan_int_where(&col, |v| (10..=20).contains(&v), true, &io);
-        let b = scan_int_where(&col, |v| (10..=20).contains(&v), false, &io);
+        let a = scan_int_where(&col, col.positions(), |v| (10..=20).contains(&v), true, &io);
+        let b = scan_int_where(&col, col.positions(), |v| (10..=20).contains(&v), false, &io);
         assert_eq!(a.to_vec(), expected);
         assert_eq!(b.to_vec(), expected);
     }
@@ -733,9 +627,17 @@ mod tests {
         let range = IntScanPred::Range { lo: 10, hi: 20 };
         let test = |v: i64| (10..=20).contains(&v);
         for block in [true, false] {
-            let want = scan_int_where(&plain, test, block, &io).to_vec();
-            assert_eq!(scan_int(&packed, &range, block, &io).to_vec(), want, "range b={block}");
-            assert_eq!(scan_int_where(&packed, test, block, &io).to_vec(), want, "test b={block}");
+            let want = scan_int_where(&plain, plain.positions(), test, block, &io).to_vec();
+            assert_eq!(
+                scan_int(&packed, packed.positions(), &range, block, &io).to_vec(),
+                want,
+                "range b={block}"
+            );
+            assert_eq!(
+                scan_int_where(&packed, packed.positions(), test, block, &io).to_vec(),
+                want,
+                "test b={block}"
+            );
         }
     }
 
@@ -749,7 +651,7 @@ mod tests {
         let col = int_col(values.clone(), true);
         assert!(col.column.as_int().is_rle());
         let io = IoSession::unmetered();
-        let pl = scan_int_where(&col, |v| (10..=19).contains(&v), true, &io);
+        let pl = scan_int_where(&col, col.positions(), |v| (10..=19).contains(&v), true, &io);
         assert!(matches!(pl, PosList::Range { .. }), "sorted match must be a range");
         assert_eq!(pl.to_vec(), reference(&values, |v| (10..=19).contains(&v)));
     }
@@ -763,8 +665,8 @@ mod tests {
         let io = IoSession::unmetered();
         let rle = int_col(values.clone(), true);
         let plain = int_col(values.clone(), false);
-        let a = scan_int_where(&rle, |v| v == 3, true, &io);
-        let b = scan_int_where(&plain, |v| v == 3, true, &io);
+        let a = scan_int_where(&rle, rle.positions(), |v| v == 3, true, &io);
+        let b = scan_int_where(&plain, plain.positions(), |v| v == 3, true, &io);
         assert_eq!(a.to_vec(), b.to_vec());
     }
 
@@ -776,8 +678,8 @@ mod tests {
         let d = str_col(values.clone(), true);
         let p = str_col(values.clone(), false);
         for block in [true, false] {
-            let a = scan_str_pred(&d, &pred, block, &io);
-            let b = scan_str_pred(&p, &pred, block, &io);
+            let a = scan_str_pred(&d, d.positions(), &pred, block, &io);
+            let b = scan_str_pred(&p, p.positions(), &pred, block, &io);
             assert_eq!(a.to_vec(), b.to_vec());
             let expected = (0..5000).filter(|i| matches!(i % 7, 2 | 5)).count() as u32;
             assert_eq!(a.count(), expected);
@@ -798,8 +700,8 @@ mod tests {
         for pred in [contiguous, disjoint] {
             for block in [true, false] {
                 assert_eq!(
-                    scan_str_pred(&d, &pred, block, &io).to_vec(),
-                    scan_str_pred(&p, &pred, block, &io).to_vec(),
+                    scan_str_pred(&d, d.positions(), &pred, block, &io).to_vec(),
+                    scan_str_pred(&p, p.positions(), &pred, block, &io).to_vec(),
                     "{pred:?} block={block}"
                 );
             }
@@ -811,8 +713,8 @@ mod tests {
         let values: Vec<i64> = (0..10_000).map(|i| i % 2).collect();
         let col = int_col(values, false);
         let io = IoSession::unmetered();
-        let pl = scan_int_where(&col, |v| v == 0, true, &io);
-        assert!(matches!(pl, PosList::Bitmap(_)));
+        let pl = scan_int_where(&col, col.positions(), |v| v == 0, true, &io);
+        assert!(matches!(pl, PosList::Bitmap { .. }));
         assert_eq!(pl.count(), 5_000);
     }
 
@@ -821,7 +723,7 @@ mod tests {
         let values: Vec<i64> = (0..10_000).collect();
         let col = int_col(values, false);
         let io = IoSession::unmetered();
-        let pl = scan_int_where(&col, |v| v % 1000 == 17, true, &io);
+        let pl = scan_int_where(&col, col.positions(), |v| v % 1000 == 17, true, &io);
         assert!(matches!(pl, PosList::Explicit { .. }));
         assert_eq!(pl.count(), 10);
     }
@@ -830,7 +732,7 @@ mod tests {
     fn full_match_is_range() {
         let col = int_col((0..100).collect(), false);
         let io = IoSession::unmetered();
-        let pl = scan_int_where(&col, |_| true, true, &io);
+        let pl = scan_int_where(&col, col.positions(), |_| true, true, &io);
         assert!(matches!(pl, PosList::Range { start: 0, end: 100, .. }));
     }
 
@@ -838,7 +740,7 @@ mod tests {
     fn scan_charges_column_io() {
         let col = int_col((0..200_000).collect(), false);
         let io = IoSession::unmetered();
-        scan_int_where(&col, |_| false, true, &io);
+        scan_int_where(&col, col.positions(), |_| false, true, &io);
         assert_eq!(io.stats().bytes_read, col.bytes());
     }
 
@@ -856,40 +758,36 @@ mod tests {
         let bounds = [0u32, 1, 999, 1_000, 4_097, 9_999, n];
         let io = IoSession::unmetered();
         let pred = Pred::InSet(vec![Value::str("R2"), Value::str("R5")]);
+        let in_3_40 = |v: i64| (3..=40).contains(&v);
         for block in [true, false] {
             for col in [
                 int_col(ints.clone(), false),
                 int_col(runs.clone(), true),
                 packed_col(ints.clone()),
             ] {
-                let full = scan_int_where(&col, |v| (3..=40).contains(&v), block, &io).to_vec();
+                let full = scan_int_where(&col, col.positions(), in_3_40, block, &io).to_vec();
                 let mut tiled = Vec::new();
                 for w in bounds.windows(2) {
-                    tiled.extend(scan_int_where_range(
-                        &col,
-                        w[0],
-                        w[1],
-                        |v| (3..=40).contains(&v),
-                        block,
-                        &io,
-                    ));
+                    let part = scan_int_where(&col, w[0]..w[1], in_3_40, block, &io);
+                    assert_eq!(part.universe(), w[1] - w[0], "sized by its window");
+                    tiled.extend(part.iter());
                 }
                 assert_eq!(tiled, full);
                 // The interval form must tile identically through the SWAR
                 // kernels.
                 let range = IntScanPred::Range { lo: 3, hi: 40 };
-                let full = scan_int(&col, &range, block, &io).to_vec();
+                let full = scan_int(&col, col.positions(), &range, block, &io).to_vec();
                 let mut tiled = Vec::new();
                 for w in bounds.windows(2) {
-                    tiled.extend(scan_int_range(&col, w[0], w[1], &range, block, &io));
+                    tiled.extend(scan_int(&col, w[0]..w[1], &range, block, &io).iter());
                 }
                 assert_eq!(tiled, full);
             }
             for col in [str_col(strs.clone(), true), str_col(strs.clone(), false)] {
-                let full = scan_str_pred(&col, &pred, block, &io).to_vec();
+                let full = scan_str_pred(&col, col.positions(), &pred, block, &io).to_vec();
                 let mut tiled = Vec::new();
                 for w in bounds.windows(2) {
-                    tiled.extend(scan_pred_range(&col, w[0], w[1], &pred, block, &io));
+                    tiled.extend(scan_pred(&col, w[0]..w[1], &pred, block, &io).iter());
                 }
                 assert_eq!(tiled, full);
             }
@@ -907,18 +805,21 @@ mod tests {
         let ctx = QueryCtx::unbounded();
         for block in [true, false] {
             for col in [int_col(ints.clone(), false), packed_col(ints.clone())] {
-                let bare = scan_int_where(&col, |v| (10..=20).contains(&v), block, &io).to_vec();
+                let bare =
+                    scan_int_where(&col, col.positions(), |v| (10..=20).contains(&v), block, &io)
+                        .to_vec();
                 let watched = {
                     let _w = watch_scans(&ctx);
-                    scan_int_where(&col, |v| (10..=20).contains(&v), block, &io).to_vec()
+                    scan_int_where(&col, col.positions(), |v| (10..=20).contains(&v), block, &io)
+                        .to_vec()
                 };
                 assert_eq!(watched, bare, "chunked int scan must be output-identical");
             }
             for col in [str_col(strs.clone(), true), str_col(strs.clone(), false)] {
-                let bare = scan_str_pred(&col, &pred, block, &io).to_vec();
+                let bare = scan_str_pred(&col, col.positions(), &pred, block, &io).to_vec();
                 let watched = {
                     let _w = watch_scans(&ctx);
-                    scan_str_pred(&col, &pred, block, &io).to_vec()
+                    scan_str_pred(&col, col.positions(), &pred, block, &io).to_vec()
                 };
                 assert_eq!(watched, bare, "chunked str scan must be output-identical");
             }
@@ -928,7 +829,7 @@ mod tests {
         ctx.cancel();
         let col = int_col(ints, false);
         let _w = watch_scans(&ctx);
-        let got = catch_injected(|| scan_int_where(&col, |v| v == 0, true, &io));
+        let got = catch_injected(|| scan_int_where(&col, col.positions(), |v| v == 0, true, &io));
         assert_eq!(got.err(), Some(QueryError::Cancelled));
     }
 
@@ -936,7 +837,7 @@ mod tests {
     fn empty_range_scans_nothing() {
         let col = int_col((0..100).collect(), false);
         let io = IoSession::unmetered();
-        assert!(scan_int_where_range(&col, 40, 40, |_| true, true, &io).is_empty());
+        assert!(scan_int_where(&col, 40..40, |_| true, true, &io).is_empty());
     }
 
     #[test]
@@ -966,14 +867,14 @@ mod tests {
 
     #[test]
     fn accumulator_contiguity() {
-        let mut acc = PosAccumulator::new(100);
+        let mut acc = PosAccumulator::new(0..100);
         acc.push_range(5, 10);
         assert!(matches!(acc.finish(), PosList::Range { start: 5, end: 10, .. }));
-        let mut acc = PosAccumulator::new(100);
+        let mut acc = PosAccumulator::new(0..100);
         acc.push(5);
         acc.push(7);
         assert!(matches!(acc.finish(), PosList::Explicit { .. }));
-        let acc = PosAccumulator::new(100);
+        let acc = PosAccumulator::new(0..100);
         assert!(acc.finish().is_empty());
     }
 
@@ -991,8 +892,8 @@ mod tests {
             vec![(0, 1 << 63), (64, 0b10)],      // gap across masks
         ];
         for masks in cases {
-            let mut bulk = PosAccumulator::new(256);
-            let mut bits = PosAccumulator::new(256);
+            let mut bulk = PosAccumulator::new(0..256);
+            let mut bits = PosAccumulator::new(0..256);
             for &(base, mask) in &masks {
                 bulk.push_mask(base, mask);
                 for j in 0..64u32 {
@@ -1006,8 +907,8 @@ mod tests {
             assert_eq!(a.is_contiguous(), b.is_contiguous(), "contiguity for {masks:?}");
         }
         // Ranges big enough to upgrade to a bitmap mid-stream.
-        let mut bulk = PosAccumulator::new(1000);
-        let mut bits = PosAccumulator::new(1000);
+        let mut bulk = PosAccumulator::new(0..1000);
+        let mut bits = PosAccumulator::new(0..1000);
         for (s, e) in [(0u32, 400u32), (500, 900)] {
             bulk.push_range(s, e);
             for p in s..e {
@@ -1016,6 +917,6 @@ mod tests {
         }
         let (a, b) = (bulk.finish(), bits.finish());
         assert_eq!(a.to_vec(), b.to_vec());
-        assert!(matches!(a, PosList::Bitmap(_)));
+        assert!(matches!(a, PosList::Bitmap { .. }));
     }
 }

@@ -3,8 +3,9 @@
 //!
 //! A [`Tracer`] is attached to a [`QueryCtx`](crate::QueryCtx) before
 //! execution; engines then open [`Span`]s around their phases (and record
-//! one-shot [`Tracer::leaf`] entries for work measured after the fact, e.g.
-//! per-operator row tallies of a fused morsel fan-out). Each closed span
+//! one-shot [`Tracer::leaf`] entries for work measured after the fact: the
+//! operators of a fused morsel fan-out, whose rows, busy time and I/O are
+//! summed over morsels once the fan-out has merged). Each closed span
 //! captures the operator name, wall time, output rows, bytes materialized,
 //! the [`IoStats`] **delta** over the span, and — for parallel fan-outs —
 //! the per-worker busy breakdown the morsel pool reports.
@@ -207,7 +208,10 @@ impl Tracer {
 
     /// Record a one-shot span measured by the caller (used when actuals are
     /// only known after a fused fan-out finishes, so a guard cannot wrap
-    /// the work).
+    /// the work). For an operator of a fused fan-out, `wall` is its busy
+    /// time summed over morsels — across workers it can exceed the fused
+    /// span's wall — and `io` is the share of the fused span's I/O that
+    /// the operator's ops charged in the op-major replay.
     pub fn leaf(&self, op: &str, detail: &str, rows: Option<u64>, wall: Duration, io: IoStats) {
         let mut inner = self.lock();
         let span = SpanRecord {

@@ -25,7 +25,7 @@ fn build(set: &BTreeSet<u32>, repr: u8) -> PosList {
     let positions: Vec<u32> = set.iter().copied().collect();
     match repr {
         0 => PosList::from_ascending(positions, UNIVERSE),
-        1 => PosList::Bitmap(RidBitmap::from_rids(UNIVERSE, positions)),
+        1 => PosList::Bitmap { base: 0, bits: RidBitmap::from_rids(UNIVERSE, positions) },
         _ => PosList::Explicit { positions, universe: UNIVERSE },
     }
 }
@@ -76,7 +76,7 @@ proptest! {
         let plain = StoredColumn::new("c", Column::Int(IntColumn::plain_fixed(values.clone())));
         for col in [&rle, &plain] {
             for block in [true, false] {
-                let got = scan_int_where(col, |v| (lo..=hi).contains(&v), block, &io);
+                let got = scan_int_where(col, col.positions(), |v| (lo..=hi).contains(&v), block, &io);
                 prop_assert_eq!(got.to_vec(), expected.clone());
             }
         }
@@ -99,11 +99,11 @@ proptest! {
             .collect();
         for col in [&dict, &plain] {
             for block in [true, false] {
-                prop_assert_eq!(scan_str_pred(col, &pred, block, &io).to_vec(), expected.clone());
+                prop_assert_eq!(scan_str_pred(col, col.positions(), &pred, block, &io).to_vec(), expected.clone());
             }
         }
         // And through the generic entry point.
-        prop_assert_eq!(scan_pred(&dict, &pred, true, &io).to_vec(), expected);
+        prop_assert_eq!(scan_pred(&dict, dict.positions(), &pred, true, &io).to_vec(), expected);
     }
 
     #[test]

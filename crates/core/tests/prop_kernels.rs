@@ -7,7 +7,7 @@
 
 use cvr_core::kernels::{self, scalar, CmpOp};
 use cvr_core::scan::{
-    scan_int, scan_int_range, scan_int_where, scan_pred, scan_str_pred, IntScanPred, PosAccumulator,
+    scan_int, scan_int_where, scan_pred, scan_str_pred, IntScanPred, PosAccumulator,
 };
 use cvr_data::queries::Pred;
 use cvr_data::value::Value;
@@ -122,20 +122,20 @@ proptest! {
         let hi = lo + span;
         let range = IntScanPred::Range { lo, hi };
         prop_assert_eq!(
-            scan_int(&packed, &range, block, &io).to_vec(),
-            scan_int(&plain, &range, block, &io).to_vec()
+            scan_int(&packed, packed.positions(), &range, block, &io).to_vec(),
+            scan_int(&plain, plain.positions(), &range, block, &io).to_vec()
         );
         let test = |v: i64| v % 5 == 0;
         prop_assert_eq!(
-            scan_int_where(&packed, test, block, &io).to_vec(),
-            scan_int_where(&plain, test, block, &io).to_vec()
+            scan_int_where(&packed, packed.positions(), test, block, &io).to_vec(),
+            scan_int_where(&plain, plain.positions(), test, block, &io).to_vec()
         );
         // Morsel fragments tile to the full scan.
         let n = values.len() as u32;
         let cut = n / 3;
-        let mut tiled = scan_int_range(&packed, 0, cut, &range, block, &io);
-        tiled.extend(scan_int_range(&packed, cut, n, &range, block, &io));
-        prop_assert_eq!(tiled, scan_int(&packed, &range, block, &io).to_vec());
+        let mut tiled = scan_int(&packed, 0..cut, &range, block, &io).to_vec();
+        tiled.extend(scan_int(&packed, cut..n, &range, block, &io).iter());
+        prop_assert_eq!(tiled, scan_int(&packed, packed.positions(), &range, block, &io).to_vec());
     }
 
     #[test]
@@ -163,8 +163,8 @@ proptest! {
         let io = IoSession::unmetered();
         for block in [true, false] {
             prop_assert_eq!(
-                scan_str_pred(&dict, &pred, block, &io).to_vec(),
-                scan_str_pred(&plain, &pred, block, &io).to_vec()
+                scan_str_pred(&dict, dict.positions(), &pred, block, &io).to_vec(),
+                scan_str_pred(&plain, plain.positions(), &pred, block, &io).to_vec()
             );
         }
     }
@@ -197,8 +197,8 @@ proptest! {
             let io = IoSession::unmetered();
             for block in [true, false] {
                 prop_assert_eq!(
-                    scan_pred(&col, &pred, block, &io).to_vec(),
-                    scan_int_where(&col, |v| pred.matches_int(v), block, &io).to_vec(),
+                    scan_pred(&col, col.positions(), &pred, block, &io).to_vec(),
+                    scan_int_where(&col, col.positions(), |v| pred.matches_int(v), block, &io).to_vec(),
                     "compress={} block={}", compress, block
                 );
             }
@@ -215,8 +215,8 @@ proptest! {
         // push; the finished PosLists must be identical in content AND
         // contiguity verdict, at universes straddling word boundaries.
         let universe = [383u32, 384, 449][universe_sel];
-        let mut bulk = PosAccumulator::new(universe);
-        let mut bits = PosAccumulator::new(universe);
+        let mut bulk = PosAccumulator::new(0..universe);
+        let mut bits = PosAccumulator::new(0..universe);
         for (k, &mask) in masks.iter().enumerate() {
             let base = offset + k as u32 * 64;
             if base + 64 > universe {
@@ -243,8 +243,8 @@ proptest! {
         let mut sorted: Vec<(u32, u32)> =
             ranges.iter().map(|&(s, l)| (s, (s + l).min(500))).collect();
         sorted.sort_unstable();
-        let mut bulk = PosAccumulator::new(500);
-        let mut bits = PosAccumulator::new(500);
+        let mut bulk = PosAccumulator::new(0..500);
+        let mut bits = PosAccumulator::new(0..500);
         let mut cursor = 0u32;
         for (s, e) in sorted {
             let s = s.max(cursor);

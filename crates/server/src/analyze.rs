@@ -4,8 +4,8 @@
 //! The planner's [`Explain`] tree and the tracer's
 //! [`SpanRecord`](cvr_core::SpanRecord) tree share an operator vocabulary
 //! (`"probe"`, `"scan"`, `"hash-join"`, `"extract-aggregate"`, ...), but
-//! not a shape: parallel executions report some operators as post-hoc leaf
-//! records, warm executions replace the filter phases with one
+//! not a shape: fused morsel pipelines report their operators as post-hoc
+//! leaf records, warm executions replace the filter phases with one
 //! `filter-replay` span, and row plans trace only the plan root. So the
 //! zip is an *assignment*, not a tree walk:
 //!

@@ -37,7 +37,9 @@
 //!   length + `QueryOutput::to_bytes`, shipped verbatim — the bytes the
 //!   differential harness compares are the bytes on the wire.
 //! * `ERROR`: `u16` [`ParseError::code`]-compatible code, `u32` length +
-//!   UTF-8 message.
+//!   UTF-8 message. Also what the server sends in place of any response
+//!   whose encoding exceeds [`max_frame_bytes`] (code 106): the reader
+//!   would reject that frame and the connection would die.
 //! * `EXPLAIN`: two `u32`-length-prefixed UTF-8 strings — the rendered
 //!   tree and the stable-field JSON (`Plan::to_json`; for
 //!   `EXPLAIN ANALYZE`, the same fields plus per-node `"actual"` objects
@@ -219,9 +221,22 @@ pub fn response_for(answer: &QueryResponse) -> Response {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Write one frame: `u32` LE length + payload.
+/// The `u32` LE length prefix of a `len`-byte payload; `InvalidInput` when
+/// the length does not fit the prefix (a cast would silently truncate it
+/// and desynchronise the stream).
+pub fn frame_header(len: usize) -> std::io::Result<[u8; 4]> {
+    u32::try_from(len).map(u32::to_le_bytes).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("frame of {len} bytes does not fit the u32 length prefix"),
+        )
+    })
+}
+
+/// Write one frame: `u32` LE length + payload. Nothing is written when the
+/// payload does not fit the length prefix.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(&frame_header(payload.len())?)?;
     w.write_all(payload)?;
     w.flush()
 }
@@ -815,6 +830,16 @@ mod tests {
     fn oversized_frames_are_rejected() {
         let wire = (u32::MAX).to_le_bytes();
         assert!(read_frame(&mut wire.as_slice()).is_err());
+    }
+
+    #[test]
+    fn lengths_beyond_the_prefix_are_an_error_not_a_truncation() {
+        assert_eq!(frame_header(5).unwrap(), 5u32.to_le_bytes());
+        assert_eq!(frame_header(u32::MAX as usize).unwrap(), u32::MAX.to_le_bytes());
+        // 4 GiB + 5 used to go out as a 5-byte frame followed by 4 GiB of
+        // what the peer would read as further frames.
+        let err = frame_header((1usize << 32) + 5).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 
     impl ResultSet {

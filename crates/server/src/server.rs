@@ -24,7 +24,8 @@
 //! still running.
 
 use crate::protocol::{
-    read_frame, response_for, write_frame, Request, Response, StatsReport, FLAG_TRACE,
+    frame_header, max_frame_bytes, read_frame, response_for, write_frame, Request, Response,
+    StatsReport, FLAG_TRACE,
 };
 use crate::session::Session;
 use cvr_core::{QueryCtx, QueryError, Tracer};
@@ -439,11 +440,7 @@ fn serve_connection(session: &Session, registry: &Arc<CancelRegistry>, mut strea
             ),
         };
         if let Response::Error { code, .. } = &response {
-            cvr_obs::counter(
-                &format!("cvr_server_errors_total{{code=\"{code}\"}}"),
-                "Error responses by stable code",
-            )
-            .inc();
+            count_error(*code);
         }
         if send_response(session, &mut stream, &response).is_err() {
             return;
@@ -495,10 +492,10 @@ fn answer_statement(
 /// the connection thread holds no ambient fault scope of its own.
 fn send_response(session: &Session, stream: &mut TcpStream, response: &Response) -> io::Result<()> {
     let _faults = fault::adopt_opt(session.faults());
-    let payload = response.encode();
+    let payload = encode_within(response, max_frame_bytes());
     if fault::take_frame_truncation() {
         let mut wire = Vec::with_capacity(4 + payload.len());
-        wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        wire.extend_from_slice(&frame_header(payload.len())?);
         wire.extend_from_slice(&payload);
         wire.truncate((4 + payload.len()) / 2);
         let _ = stream.write_all(&wire);
@@ -507,6 +504,30 @@ fn send_response(session: &Session, stream: &mut TcpStream, response: &Response)
         return Err(io::Error::new(io::ErrorKind::ConnectionAborted, "injected frame truncation"));
     }
     write_frame(stream, &payload)
+}
+
+/// The wire payload for `response`: its encoding, unless that exceeds
+/// `limit`. The peer's `read_frame` rejects a frame above its limit and the
+/// connection dies, so an oversized answer is replaced by a typed,
+/// non-retryable `ERROR` ([`QueryError::ResultTooLarge`]) that tells the
+/// client why on a still-usable connection.
+fn encode_within(response: &Response, limit: usize) -> Vec<u8> {
+    let payload = response.encode();
+    if payload.len() <= limit {
+        return payload;
+    }
+    let e = QueryError::ResultTooLarge { bytes: payload.len(), limit };
+    count_error(e.code());
+    Response::Error { code: e.code(), message: e.to_string() }.encode()
+}
+
+/// Count one `ERROR` response in the process metrics, by stable code.
+fn count_error(code: u16) {
+    cvr_obs::counter(
+        &format!("cvr_server_errors_total{{code=\"{code}\"}}"),
+        "Error responses by stable code",
+    )
+    .inc();
 }
 
 /// Answer one statement, containing panics: a panic inside `Session::query`
@@ -544,5 +565,29 @@ fn answer_query(session: &Session, sql: &str, ctx: &QueryCtx) -> Response {
                 .unwrap_or_else(|| "opaque panic payload".to_string());
             Response::Error { code: ERROR_CODE_PANIC, message: format!("query panicked: {msg}") }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The 29 MB `c_city × s_city` answer PR 11 met, in miniature: the limit
+    /// is passed in, so this does not depend on `CVR_MAX_FRAME`.
+    #[test]
+    fn oversized_answers_become_a_typed_error_frame() {
+        let big = Response::Explain { text: "x".repeat(4096), json: String::new() };
+        let encoded = big.encode();
+        assert_eq!(encode_within(&big, encoded.len()), encoded, "at the limit: shipped as is");
+
+        let limit = encoded.len() - 1;
+        let payload = encode_within(&big, limit);
+        assert!(payload.len() <= limit, "the replacement itself must fit");
+        let Ok(Response::Error { code, message }) = Response::decode(&payload) else {
+            panic!("an oversized answer must be replaced by an ERROR frame")
+        };
+        assert_eq!(code, QueryError::CODE_RESULT_TOO_LARGE);
+        assert!(!QueryError::retryable_code(code), "the same statement is as large next time");
+        assert!(message.contains(&encoded.len().to_string()) && message.contains("limit"));
     }
 }

@@ -20,7 +20,7 @@ use crate::parser::{self, ParseError, Statement};
 use cvr_core::ctx::catch_injected;
 use cvr_core::morsel::Parallelism;
 use cvr_core::sched::{self, Scheduler};
-use cvr_core::{ColumnEngine, QueryCtx, QueryError, SpanRecord, Tracer};
+use cvr_core::{ColumnEngine, ExecOptions, FilterReuse, QueryCtx, QueryError, SpanRecord, Tracer};
 use cvr_data::gen::SsbTables;
 use cvr_data::queries::{QueryId, SsbQuery};
 use cvr_data::result::QueryOutput;
@@ -661,7 +661,10 @@ impl Session {
     /// Column-engine execution with filter-intermediate reuse: a cached
     /// [`cvr_core::FilterCapture`] for this filter + plan replays the
     /// filter phases' charges and runs only phase 3; a miss executes cold
-    /// while capturing the filter for the next query that shares it.
+    /// while capturing the filter for the next query that shares it. (A
+    /// capture from another morsel grid cannot happen with a fixed
+    /// per-session parallelism, but the engine's contract is "fall back
+    /// cold, never fail".)
     #[allow(clippy::too_many_arguments)]
     fn run_column(
         &self,
@@ -673,30 +676,19 @@ impl Session {
         io: &IoSession,
         ctx: &QueryCtx,
     ) -> Result<QueryOutput, QueryError> {
-        let engine = &store.engine;
+        let opts = ExecOptions {
+            par: self.par,
+            fact_order: Some(&plan.fact_order),
+            ctx: ctx.clone(),
+            ..ExecOptions::default()
+        };
         let Some(cache) = &self.cache else {
-            return engine.try_execute_planned(q, cfg, &plan.fact_order, self.par, io, ctx);
+            return Ok(store.engine.run(q, cfg, &opts, io)?.0);
         };
         let fkey = key::filter_key(q, label, &plan.fact_order, store.version);
-        if let Some(capture) = cache.get_filter(&fkey) {
-            if let Some(out) = engine.try_execute_planned_warm(
-                q,
-                cfg,
-                &plan.fact_order,
-                self.par,
-                io,
-                &capture,
-                ctx,
-            )? {
-                return Ok(out);
-            }
-            // Shape mismatch (cannot happen with a fixed per-session
-            // parallelism, but the contract is "fall back cold, never
-            // fail"): `execute_planned_warm` bails before charging.
-            return engine.try_execute_planned(q, cfg, &plan.fact_order, self.par, io, ctx);
-        }
-        let (out, capture) =
-            engine.try_execute_planned_capture(q, cfg, &plan.fact_order, self.par, io, ctx)?;
+        let cached = cache.get_filter(&fkey);
+        let reuse = cached.as_deref().map_or(FilterReuse::Capture, FilterReuse::Warm);
+        let (out, capture) = store.engine.run(q, cfg, &ExecOptions { reuse, ..opts }, io)?;
         if let Some(capture) = capture {
             cache.put_filter(fkey, Arc::new(capture));
         }

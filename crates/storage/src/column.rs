@@ -68,6 +68,11 @@ impl StoredColumn {
         self.file
     }
 
+    /// Every position of the column: the window a whole-column scan covers.
+    pub fn positions(&self) -> std::ops::Range<u32> {
+        0..self.column.len() as u32
+    }
+
     /// Charge a full sequential scan of this column.
     pub fn charge_scan(&self, io: &IoSession) {
         io.begin_op();

@@ -15,12 +15,12 @@
 //! independent stream on the modeled striped array, so interleaving reads of
 //! two files costs two positioning seeks, not one per alternation.
 //!
-//! For morsel-driven parallel execution (see `cvr-core::morsel`) a session
-//! can also run in **recording** mode ([`IoSession::recording`]): page
-//! touches are appended to an [`IoLog`] instead of hitting the pool, and the
-//! coordinator later [`IoSession::replay`]s the per-morsel logs in morsel
-//! order — making the merged accounting deterministic and byte-identical to
-//! a serial execution regardless of thread scheduling.
+//! For morsel-driven execution (see `cvr-core::morsel`) a session can also
+//! run in **recording** mode ([`IoSession::recording`]): page touches are
+//! appended to an [`IoLog`] instead of hitting the pool, and the coordinator
+//! later [`IoSession::replay`]s the per-morsel logs in morsel order — making
+//! the merged accounting deterministic: the same at every thread count,
+//! regardless of thread scheduling.
 
 use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
@@ -212,13 +212,12 @@ impl BufferPool {
 /// bytes)` pairs exactly as they would have been charged, segmented into
 /// **ops** (one op per `charge_*` call on a stored column).
 ///
-/// The segmentation is what lets [`IoSession::replay_interleaved`] put the
-/// merged parallel accounting back into *serial plan order*: every morsel of
-/// one query runs the same structural op sequence, so replaying op `k` of
-/// every morsel (in morsel order) before op `k + 1` of any morsel
-/// reconstructs the order a serial execution charges — column by column —
+/// The segmentation is what lets [`IoSession::replay_interleaved`] merge the
+/// per-morsel accounting in *plan order*: every morsel of one query runs the
+/// same structural op sequence, so replaying op `k` of every morsel (in
+/// morsel order) before op `k + 1` of any morsel charges column by column
 /// instead of interleaving files morsel by morsel, which would thrash a
-/// bounded buffer pool that serial execution would not.
+/// bounded buffer pool.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IoLog {
     entries: Vec<(PageId, u64)>,
@@ -245,6 +244,16 @@ impl IoLog {
                 let end = self.ops.get(k + 1).copied().unwrap_or(self.entries.len());
                 &self.entries[start..end]
             }
+        }
+    }
+
+    /// A copy of the first `ops` ops — how a fused pipeline's filter charges
+    /// are cut out of a morsel's log for later warm replays.
+    pub fn prefix(&self, ops: usize) -> IoLog {
+        let end = self.ops.get(ops).copied().unwrap_or(self.entries.len());
+        IoLog {
+            entries: self.entries[..end].to_vec(),
+            ops: self.ops[..ops.min(self.ops.len())].to_vec(),
         }
     }
 }
@@ -327,21 +336,45 @@ impl IoSession {
         }
     }
 
+    /// Run `f` against a recording session over this session's pool and hand
+    /// back what it would have charged. Nothing is charged here until the
+    /// log is replayed — which is how a coordinator's charges wait for their
+    /// place in [`IoSession::replay_interleaved`].
+    pub fn record<R>(&self, f: impl FnOnce(&IoSession) -> R) -> (R, IoLog) {
+        let rec = IoSession::recording(self.pool.clone());
+        let out = f(&rec);
+        (out, rec.take_log())
+    }
+
     /// Replay per-morsel logs **op-major**: op `k` of every log (in the
-    /// given morsel order), then op `k + 1`. Because every morsel of a query
-    /// executes the same structural op sequence, this reconstructs the
-    /// serial plan's charge order — all fragments of one column scan arrive
-    /// together, not interleaved with other columns — so the merged stats
-    /// match a serial run even on a small, evicting buffer pool.
-    pub fn replay_interleaved(&self, logs: &[IoLog]) {
-        let max_ops = logs.iter().map(IoLog::num_ops).max().unwrap_or(0);
-        for k in 0..max_ops {
+    /// given morsel order), then op `k + 1`. Every morsel of a query
+    /// executes the same structural op sequence, so all fragments of one
+    /// column operation arrive together, column by column — the order a
+    /// single whole-column execution charges — instead of interleaving files
+    /// morsel by morsel, and the merged stats do not depend on the morsel
+    /// grid or on which worker ran which morsel.
+    ///
+    /// `splices` are the coordinator's own charges, `(k, log)` meaning "all
+    /// of `log` immediately before op `k`": a dimension's hash table is
+    /// charged right before the first fragment of the probe that uses it,
+    /// where a whole-column plan builds it, not ahead of the entire fan-out.
+    /// Returns the stats delta each op index charged (its splices included),
+    /// for per-operator attribution.
+    pub fn replay_interleaved(&self, logs: &[IoLog], splices: &[(usize, &IoLog)]) -> Vec<IoStats> {
+        let morsel_ops = logs.iter().map(IoLog::num_ops).max().unwrap_or(0);
+        let ops = splices.iter().map(|(k, _)| k + 1).max().unwrap_or(0).max(morsel_ops);
+        let mut deltas = Vec::with_capacity(ops);
+        for k in 0..ops {
+            let before = self.stats.get();
+            splices.iter().filter(|(at, _)| *at == k).for_each(|(_, log)| self.replay(log));
             for log in logs {
                 for &(page, bytes) in log.op(k) {
                     self.read_page(page, bytes);
                 }
             }
+            deltas.push(self.stats.get().delta(&before));
         }
+        deltas
     }
 
     /// Touch `page` whose on-disk size is `bytes` (≤ [`PAGE_SIZE`]; the last
@@ -565,11 +598,38 @@ mod tests {
             assert_eq!(log.op(0).len(), 3);
             logs.push(log);
         }
-        main.replay_interleaved(&logs);
+        let deltas = main.replay_interleaved(&logs, &[]);
         // Each file was read as one sequential stream: one seek per file.
         let stats = main.stats();
         assert_eq!(stats.pages_read, 12);
         assert_eq!(stats.seeks, 2);
+        assert_eq!(deltas.iter().map(|d| d.pages_read).collect::<Vec<_>>(), [6, 6]);
+    }
+
+    #[test]
+    fn spliced_charges_land_immediately_before_their_op() {
+        // One morsel: op A streams file 1, op B touches a page of file 3 that
+        // the coordinator read too (a dimension column). Spliced before op B
+        // the coordinator's read is still resident when B comes round;
+        // charged ahead of the fan-out, op A's stream evicts it first.
+        let small = || IoSession::new(BufferPool::new(2 * PAGE_SIZE));
+        let rec = IoSession::recording(BufferPool::unbounded());
+        rec.begin_op();
+        (0..4).for_each(|p| rec.read_page(page(1, p), PAGE_SIZE));
+        rec.begin_op();
+        rec.read_page(page(3, 0), PAGE_SIZE);
+        let logs = [rec.take_log()];
+
+        let spliced = small();
+        let (_, coord) = spliced.record(|rec| rec.read_page(page(3, 0), PAGE_SIZE));
+        assert_eq!(spliced.stats().pages_read, 0, "recording charges nothing");
+        let deltas = spliced.replay_interleaved(&logs, &[(1, &coord)]);
+        assert_eq!(deltas.iter().map(|d| d.pages_read).collect::<Vec<_>>(), [4, 1]);
+
+        let ahead = small();
+        ahead.replay(&coord);
+        ahead.replay_interleaved(&logs, &[]);
+        assert_eq!(ahead.stats().pages_read, 6);
     }
 
     #[test]

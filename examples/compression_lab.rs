@@ -52,10 +52,10 @@ fn main() {
     let pred = |v: i64| (19930101..=19931231).contains(&v);
 
     let t = Instant::now();
-    let a = scan_int_where(rle_col, pred, true, &io);
+    let a = scan_int_where(rle_col, rle_col.positions(), pred, true, &io);
     let rle_time = t.elapsed();
     let t = Instant::now();
-    let b = scan_int_where(plain_col, pred, true, &io);
+    let b = scan_int_where(plain_col, plain_col.positions(), pred, true, &io);
     let plain_time = t.elapsed();
     assert_eq!(a.to_vec(), b.to_vec());
     println!(
@@ -73,10 +73,10 @@ fn main() {
     if packed_col.column.as_int().is_packed() {
         let range = IntScanPred::Range { lo: 1, hi: 25 };
         let t = Instant::now();
-        let a = scan_int(packed_col, &range, true, &io);
+        let a = scan_int(packed_col, packed_col.positions(), &range, true, &io);
         let packed_time = t.elapsed();
         let t = Instant::now();
-        let b = scan_int(plain_q, &range, true, &io);
+        let b = scan_int(plain_q, plain_q.positions(), &range, true, &io);
         let plain_time = t.elapsed();
         assert_eq!(a.count(), b.count());
         println!(

@@ -187,7 +187,7 @@ fn main() {
     println!("== Phase 1 (Figure 2): dimension predicates → fact key predicates ==\n");
     let mut preds = Vec::new();
     for dim in [Dim::Customer, Dim::Supplier, Dim::Date] {
-        let kp = phase1_key_pred(db, &q, dim, cfg, &io).expect("restricted");
+        let kp = phase1_key_pred(db, &q, dim, cfg, true, &io).expect("restricted");
         println!("  {:<9} predicate rewritten to: fk {}", dim.table_name(), describe(&kp));
         preds.push((dim, kp));
     }
@@ -200,7 +200,7 @@ fn main() {
     println!("== Phase 2 (Figure 3): probe fact FK columns, intersect positions ==\n");
     let mut pos: Option<cvr::core::PosList> = None;
     for (dim, kp) in &preds {
-        let pl = phase2_probe(db, *dim, kp, cfg, &io);
+        let pl = phase2_probe(db, *dim, kp, cfg, 0..db.fact_rows() as u32, &io);
         println!("  {:<12} matching fact positions: {:?}", dim.fact_fk_column(), pl.to_vec());
         pos = Some(match pos {
             None => pl,

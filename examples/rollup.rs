@@ -54,7 +54,7 @@ fn main() {
 
     for (pred_col, pred_val, group_col, title) in levels {
         let q = profit_query(pred_col, pred_val, group_col);
-        let kp = phase1_key_pred(db, &q, Dim::Supplier, cfg, &io).expect("restricted");
+        let kp = phase1_key_pred(db, &q, Dim::Supplier, cfg, true, &io).expect("restricted");
         let rewrite = match &kp {
             FactKeyPred::Between(lo, hi) => format!("lo_suppkey BETWEEN {lo} AND {hi}"),
             FactKeyPred::KeySet(s) => format!("hash set of {} keys", s.len()),

@@ -1,11 +1,14 @@
-//! The differential harness locking down morsel-driven parallel execution.
+//! The differential harness locking down the column engine's one pipeline.
 //!
 //! Every cell of (query × plan shape × encoding × row design × seed × scale
 //! factor × thread count) must agree with `cvr_data::reference` — and the
-//! parallel cells must agree with the serial ones *byte for byte*, including
-//! the merged I/O accounting. This is the contract that lets the `scaling`
-//! binary make speed claims: a parallel execution is only faster, never
-//! different.
+//! cells of one plan must agree with each other at every thread count *byte
+//! for byte*, including the merged I/O accounting. This is the contract
+//! that lets the `scaling` binary make speed claims: more threads are only
+//! faster, never different. There is no serial twin to compare against: the
+//! independent oracles are the reference evaluator, the five row designs
+//! (equivalent rewrites of the same queries) and the pinned absolute
+//! numbers of [`iostats_match_the_pinned_fixture`].
 //!
 //! Structure:
 //! * [`column_plan_shapes_match_reference`] — the three plan shapes
@@ -14,15 +17,19 @@
 //!   and two scale factors;
 //! * [`row_designs_match_reference`] — the five row-store physical designs
 //!   over the same datasets;
-//! * [`thread_counts_are_byte_identical`] — thread counts {1, 2, 4, 8}
-//!   produce identical [`QueryOutput`]s and the merged parallel
-//!   [`cvr::storage::io::IoStats`] equal the serial run's bytes, pages and
-//!   seeks for every plan shape;
-//! * [`parallel_engine_matches_reference_directly`] — the parallel path vs
-//!   the reference evaluator, not just vs the serial engine.
+//! * [`thread_counts_are_byte_identical`] — thread counts {1, 2, 4, 8} on a
+//!   fine morsel grid produce the [`QueryOutput`]s and
+//!   [`cvr::storage::io::IoStats`] (bytes, pages, seeks) of one thread on
+//!   the default grid, for every plan shape and for the invisible join's
+//!   options (hash-only joins, filter capture and warm replay);
+//! * [`iostats_match_the_pinned_fixture`] — absolute bytes/pages/seeks per
+//!   (query × plan shape × pool), dumped from the pre-refactor serial
+//!   executor, at threads 1 and 4;
+//! * [`parallel_engine_matches_reference_directly`] — four workers vs the
+//!   reference evaluator, not just vs one worker.
 
 use cvr::core::morsel::Parallelism;
-use cvr::core::{ColumnEngine, EngineConfig};
+use cvr::core::{ColumnEngine, EngineConfig, ExecOptions, FilterReuse};
 use cvr::data::gen::{SsbConfig, SsbTables};
 use cvr::data::queries::{all_queries, SsbQuery};
 use cvr::data::reference;
@@ -30,7 +37,7 @@ use cvr::data::result::QueryOutput;
 use cvr::data::workload::WorkloadConfig;
 use cvr::plan::{Catalog, PhysicalChoice, Planner};
 use cvr::row::designs::{RowDb, RowDesign};
-use cvr::storage::io::IoSession;
+use cvr::storage::io::{BufferPool, IoSession, IoStats};
 use std::sync::Arc;
 
 /// Two seeds × two scale factors: small enough to stay fast, different
@@ -96,66 +103,157 @@ fn row_designs_match_reference() {
     }
 }
 
+/// The three counters the byte-identity contract covers (`pool_hits` is a
+/// diagnostic that legitimately varies with the morsel grid: boundary pages
+/// shared by two morsels are touched twice).
+fn charged(io: &IoSession) -> (u64, u64, u64) {
+    let IoStats { bytes_read, pages_read, seeks, .. } = io.stats();
+    (bytes_read, pages_read, seeks)
+}
+
 #[test]
 fn thread_counts_are_byte_identical() {
     // One mid-sized dataset; small morsels so even it fans out widely.
     let tables = Arc::new(SsbConfig { sf: 0.002, seed: 2026 }.generate());
     let engine = ColumnEngine::new(tables);
     let par = |threads| Parallelism { threads, morsel_rows: 384 };
+    let run = |q: &SsbQuery, cfg, opts: &ExecOptions<'_>| {
+        let io = IoSession::unmetered();
+        let (out, capture) = engine.run(q, cfg, opts, &io).expect("unbounded lifecycle");
+        (out, charged(&io), capture)
+    };
     for code in PLAN_SHAPES {
         let cfg = EngineConfig::parse(code);
         for q in all_queries() {
-            let serial_io = IoSession::unmetered();
-            let serial = engine.execute_with(&q, cfg, Parallelism::serial(), &serial_io);
-            let serial_stats = serial_io.stats();
+            let one_io = IoSession::unmetered();
+            let one = engine.execute_with(&q, cfg, Parallelism::serial(), &one_io);
             for threads in [1, 2, 4, 8] {
                 let io = IoSession::unmetered();
                 let out = engine.execute_with(&q, cfg, par(threads), &io);
-                assert_eq!(out, serial, "{code} {} at {threads} threads", q.id);
-                let stats = io.stats();
+                assert_eq!(out, one, "{code} {} at {threads} threads", q.id);
                 assert_eq!(
-                    (stats.bytes_read, stats.pages_read, stats.seeks),
-                    (serial_stats.bytes_read, serial_stats.pages_read, serial_stats.seeks),
-                    "{code} {} at {threads} threads: merged IoStats must equal serial",
+                    charged(&io),
+                    charged(&one_io),
+                    "{code} {} at {threads} threads: merged IoStats must equal one thread's",
                     q.id
                 );
+            }
+            if !(cfg.late_materialization && cfg.invisible_join) {
+                continue;
+            }
+            // The invisible join's options, at every thread count: hash-only
+            // joins answer like rewritten ones and charge the same at 1 and 4
+            // threads; a captured filter replays warm to the cold bytes.
+            let hash_only =
+                |threads| ExecOptions { between_rewriting: false, ..with_par(par(threads)) };
+            let (out1, io1, _) = run(&q, cfg, &hash_only(1));
+            let (out4, io4, _) = run(&q, cfg, &hash_only(4));
+            assert_eq!(out1, one, "{code} {} without between-rewriting", q.id);
+            assert_eq!((out1, io1), (out4, io4), "{code} {} hash-only, threads 1 vs 4", q.id);
+            for threads in [1, 2, 4] {
+                let capturing =
+                    ExecOptions { reuse: FilterReuse::Capture, ..with_par(par(threads)) };
+                let (cold, cold_io, capture) = run(&q, cfg, &capturing);
+                let capture = capture.expect("invisible joins capture on request");
+                assert_eq!((&cold, cold_io), (&one, charged(&one_io)), "{code} {} capture", q.id);
+                let warm = ExecOptions { reuse: FilterReuse::Warm(&capture), ..capturing.clone() };
+                let (out, io, _) = run(&q, cfg, &warm);
+                assert_eq!((out, io), (cold, cold_io), "{code} {} warm at {threads}", q.id);
+                // Offered to another grid, the capture is ignored: cold, and
+                // still the same bytes.
+                let other = ExecOptions { par: par(threads + 1), ..warm };
+                let (out, io, _) = run(&q, cfg, &other);
+                assert_eq!((&out, io), (&one, charged(&one_io)), "{code} {} other grid", q.id);
             }
         }
     }
 }
 
+fn with_par(par: Parallelism) -> ExecOptions<'static> {
+    ExecOptions { par, ..ExecOptions::default() }
+}
+
+#[test]
+fn iostats_match_the_pinned_fixture() {
+    // `tests/fixtures/iostats_serial.txt` was dumped at the last commit that
+    // still had a serial executor (7dbb9a0), from that executor
+    // (`Parallelism::serial()`), for the 13 paper queries × the 6 plan shapes
+    // × {unmetered pool, 1 MiB bounded pool} at sf 0.02, seed 6 — a scale at
+    // which the 1 MiB pool evicts (11 bounded cells re-read pages the
+    // unmetered ones do not), so the bounded cells pin the *order* of the
+    // charges too: charging a dimension's hash table ahead of the whole
+    // fan-out instead of in front of its probe moves 6 of them. With the
+    // serial twin gone, "threads 1 vs N" only proves the pipeline agrees with
+    // itself; this proves the absolute numbers did not drift.
+    let tables = Arc::new(SsbConfig { sf: 0.02, seed: 6 }.generate());
+    let engine = ColumnEngine::new(tables);
+    let fixture = include_str!("fixtures/iostats_serial.txt");
+    let (mut cells, mut evicting, mut unmetered) = (0, 0, (0, 0, 0));
+    for line in fixture.lines().filter(|l| !l.starts_with('#')) {
+        let f: Vec<&str> = line.split_whitespace().collect();
+        let [id, code, pool, bytes, pages, seeks] = f[..] else { panic!("bad line: {line}") };
+        let q = all_queries().into_iter().find(|q| q.id.to_string() == id).expect("paper query");
+        let want: (u64, u64, u64) =
+            (bytes.parse().unwrap(), pages.parse().unwrap(), seeks.parse().unwrap());
+        // Each unmetered line is followed by the same cell over the pool.
+        match pool {
+            "unmetered" => unmetered = want,
+            _ => evicting += (want != unmetered) as usize,
+        }
+        for threads in [1, 4] {
+            let io = match pool {
+                "unmetered" => IoSession::unmetered(),
+                "1MiB" => IoSession::new(BufferPool::new(1 << 20)),
+                other => panic!("unknown pool {other}"),
+            };
+            engine.execute_with(
+                &q,
+                EngineConfig::parse(code),
+                Parallelism::with_threads(threads),
+                &io,
+            );
+            assert_eq!(charged(&io), want, "{id} {code} {pool} at {threads} threads");
+        }
+        cells += 1;
+    }
+    assert_eq!(cells, 13 * PLAN_SHAPES.len() * 2);
+    assert_eq!(evicting, 11, "the bounded cells must not merely repeat the unmetered ones");
+}
+
 #[test]
 fn bounded_pool_io_matches_serial() {
-    // The figure binaries run over a small, evicting buffer pool. Parallel
-    // execution must charge the modeled disk in serial plan order there too
-    // — op-major log replay, not morsel-major — or the pool thrashes in a
-    // way a serial plan would not and the reproduced numbers become
-    // machine-dependent. Everything here is deterministic, so exact
-    // equality is the right assertion.
-    use cvr::storage::io::BufferPool;
+    // The figure binaries run over a small buffer pool. Execution must
+    // charge the modeled disk op-major — column by column, not morsel by
+    // morsel — at every thread count and on every grid, or the reproduced
+    // numbers become machine-dependent. Everything here is deterministic,
+    // so exact equality is the right assertion.
     let tables = Arc::new(SsbConfig { sf: 0.004, seed: 6 }.generate());
     let engine = ColumnEngine::new(tables);
-    let pool_bytes = 1u64 << 20; // 32 pages: scans always spill
+    let pool_bytes = 4 * (32u64 << 10); // 4 pages: re-read pages have been evicted
+    let mut spilled = 0;
     for code in PLAN_SHAPES {
         let cfg = EngineConfig::parse(code);
         for q in all_queries() {
-            let serial_io = IoSession::new(BufferPool::new(pool_bytes));
-            let serial = engine.execute_with(&q, cfg, Parallelism::serial(), &serial_io);
+            let one_io = IoSession::new(BufferPool::new(pool_bytes));
+            let one = engine.execute_with(&q, cfg, Parallelism::serial(), &one_io);
+            let unmetered = IoSession::unmetered();
+            engine.execute_with(&q, cfg, Parallelism::serial(), &unmetered);
+            spilled += (charged(&one_io) != charged(&unmetered)) as usize;
             for threads in [2, 4] {
                 let io = IoSession::new(BufferPool::new(pool_bytes));
                 let par = Parallelism { threads, morsel_rows: 1024 };
                 let out = engine.execute_with(&q, cfg, par, &io);
-                assert_eq!(out, serial, "{code} {} at {threads} threads", q.id);
-                let (a, b) = (serial_io.stats(), io.stats());
+                assert_eq!(out, one, "{code} {} at {threads} threads", q.id);
                 assert_eq!(
-                    (a.bytes_read, a.pages_read, a.seeks),
-                    (b.bytes_read, b.pages_read, b.seeks),
-                    "{code} {} at {threads} threads: bounded-pool IoStats must equal serial",
+                    charged(&io),
+                    charged(&one_io),
+                    "{code} {} at {threads} threads: bounded-pool IoStats must equal one thread's",
                     q.id
                 );
             }
         }
     }
+    assert!(spilled >= 30, "only {spilled} cells evicted: the pool no longer bounds anything");
 }
 
 #[test]
@@ -266,8 +364,7 @@ fn code_level_aggregation_is_engaged_and_byte_identical() {
 
 #[test]
 fn planner_picked_plans_are_byte_identical_to_hand_picked() {
-    // The cost-based planner's `execute_planned` entry points must be
-    // *transparent*: whatever configuration and fact-predicate order the
+    // The cost-based planner's fact-order option must be *transparent*: whatever configuration and fact-predicate order the
     // planner picks, executing through the planner produces byte-identical
     // outputs AND byte-identical I/O accounting to handing the engines the
     // same configuration with the same (hand-permuted) query directly —
@@ -287,16 +384,14 @@ fn planner_picked_plans_are_byte_identical_to_hand_picked() {
         let hand_q = q.with_fact_order(&plan.fact_order);
         let (planned_io, hand_io) = (IoSession::unmetered(), IoSession::unmetered());
         let (planned, hand) = match plan.choice {
-            PhysicalChoice::Column(cfg) => (
-                engine.execute_planned(
-                    q,
-                    cfg,
-                    &plan.fact_order,
-                    Parallelism::from_env(),
-                    &planned_io,
-                ),
-                engine.execute_with(&hand_q, cfg, Parallelism::from_env(), &hand_io),
-            ),
+            PhysicalChoice::Column(cfg) => {
+                let opts =
+                    ExecOptions { fact_order: Some(&plan.fact_order), ..ExecOptions::default() };
+                (
+                    engine.run(q, cfg, &opts, &planned_io).expect("unbounded lifecycle").0,
+                    engine.execute_with(&hand_q, cfg, Parallelism::from_env(), &hand_io),
+                )
+            }
             PhysicalChoice::Row(design) => {
                 let db =
                     row_dbs.entry(design).or_insert_with(|| RowDb::build(tables.clone(), design));
@@ -409,8 +504,6 @@ fn cache_grid_is_byte_identical_to_serial_cold() {
     // may change latency, never a byte.
     use cvr::server::session::QueryResponse;
     use cvr::server::{parser, Session};
-    use cvr::storage::io::IoStats;
-
     let tables = Arc::new(SsbConfig { sf: 0.0015, seed: 99 }.generate());
     let mut queries: Vec<SsbQuery> = all_queries();
     queries.extend(WorkloadConfig { seed: 9, count: 8 }.generate());
@@ -479,7 +572,6 @@ fn eviction_under_a_tiny_budget_stays_correct() {
     // Squeeze the cache hard enough that entries are evicted (or refused)
     // constantly; every answer must still match the uncached reference.
     use cvr::server::Session;
-    use cvr::storage::io::IoStats;
 
     let tables = Arc::new(SsbConfig { sf: 0.0015, seed: 99 }.generate());
     let queries: Vec<SsbQuery> = all_queries();

@@ -18,8 +18,8 @@ fn between_rewriting_applies_at_least_once_per_query() {
     for q in all_queries() {
         let mut rewrites = 0;
         for dim in q.restricted_dims() {
-            let kp =
-                phase1_key_pred(&db, &q, dim, EngineConfig::FULL, &io).expect("restricted dim");
+            let kp = phase1_key_pred(&db, &q, dim, EngineConfig::FULL, true, &io)
+                .expect("restricted dim");
             if kp.kind() == "between" {
                 rewrites += 1;
             }
@@ -58,18 +58,20 @@ fn date_hierarchy_predicates_stay_contiguous() {
     let db = CStoreDb::build(Arc::new(SsbConfig { sf: 0.005, seed: 3 }.generate()), true);
     let io = IoSession::unmetered();
     let date = &db.dim(Dim::Date).store;
-    for (col, pred) in [
+    for (name, pred) in [
         ("d_year", Pred::Eq(Value::Int(1995))),
         ("d_year", Pred::Between(Value::Int(1993), Value::Int(1996))),
         ("d_yearmonthnum", Pred::Eq(Value::Int(199407))),
         ("d_yearmonth", Pred::Eq(Value::str("Dec1997"))),
     ] {
-        let pl = scan_pred(date.column(col), &pred, true, &io);
-        assert!(pl.is_contiguous(), "{col} predicate must select a contiguous range");
+        let col = date.column(name);
+        let pl = scan_pred(col, col.positions(), &pred, true, &io);
+        assert!(pl.is_contiguous(), "{name} predicate must select a contiguous range");
         assert!(!pl.is_empty());
     }
     // A predicate on a non-sorted date attribute is NOT contiguous.
-    let pl = scan_pred(date.column("d_weeknuminyear"), &Pred::Eq(Value::Int(6)), true, &io);
+    let week = date.column("d_weeknuminyear");
+    let pl = scan_pred(week, week.positions(), &Pred::Eq(Value::Int(6)), true, &io);
     assert!(!pl.is_contiguous(), "week-of-year repeats every year");
 }
 

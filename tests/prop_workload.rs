@@ -5,8 +5,7 @@
 //! builds several physical designs), but they exercise the full pipeline —
 //! generation → storage → plans → execution — under randomized data.
 
-use cvr::core::morsel::Parallelism;
-use cvr::core::{ColumnEngine, EngineConfig};
+use cvr::core::{ColumnEngine, EngineConfig, ExecOptions};
 use cvr::data::gen::SsbConfig;
 use cvr::data::queries::all_queries;
 use cvr::data::reference;
@@ -77,11 +76,11 @@ proptest! {
         for q in (WorkloadConfig { seed, count: 12 }).generate() {
             let expected = reference::evaluate(&tables, &q);
             let plan = planner.plan(&q);
+            let opts = ExecOptions { fact_order: Some(&plan.fact_order), ..ExecOptions::default() };
+            let planned = |cfg| engine.run(&q, cfg, &opts, &io).expect("unbounded lifecycle").0;
             // The planner's overall pick.
             let got = match plan.choice {
-                PhysicalChoice::Column(cfg) => engine.execute_planned(
-                    &q, cfg, &plan.fact_order, Parallelism::from_env(), &io,
-                ),
+                PhysicalChoice::Column(cfg) => planned(cfg),
                 PhysicalChoice::Row(design) => row_dbs
                     .entry(design)
                     .or_insert_with(|| RowDb::build(tables.clone(), design))
@@ -98,7 +97,7 @@ proptest! {
                 })
                 .expect("column candidates always exist");
             prop_assert_eq!(
-                engine.execute_planned(&q, col_cfg, &plan.fact_order, Parallelism::from_env(), &io),
+                planned(col_cfg),
                 expected.clone(),
                 "column {} seed {}", q.id, seed
             );
