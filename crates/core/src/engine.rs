@@ -10,7 +10,7 @@ use cvr_data::gen::SsbTables;
 use cvr_data::queries::SsbQuery;
 use cvr_data::result::QueryOutput;
 use cvr_storage::io::IoSession;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// What an execution does with the invisible join's filter phases (phases
 /// 1+2). The other plan shapes have no reusable filter and ignore it.
@@ -65,7 +65,7 @@ impl Default for ExecOptions<'_> {
     }
 }
 
-/// A built column engine holding both compression variants of the storage,
+/// A built column engine over both compression variants of the storage,
 /// dispatching each query to the plan shape its [`EngineConfig`] selects:
 ///
 /// * `L` + `I` → the [`invisible`] join;
@@ -75,27 +75,52 @@ impl Default for ExecOptions<'_> {
 /// Each shape has exactly one body, a morsel pipeline; the thread count
 /// sizes the worker pool and never selects code, so results and I/O
 /// accounting are byte-identical at every thread count.
+///
+/// The compressed store is built with the engine. The uncompressed one —
+/// the Figure 7 `c` configurations — is built by the first execution that
+/// asks for it: serving traffic and the planner's statistics never do.
 pub struct ColumnEngine {
     compressed: CStoreDb,
-    plain: CStoreDb,
+    plain: OnceLock<CStoreDb>,
+    /// What the stores are built with (not what queries run at: that is
+    /// [`ExecOptions::par`]).
+    par: Parallelism,
 }
 
 impl ColumnEngine {
-    /// Build both storage variants over `tables`.
+    /// Build the engine over `tables` at the process-default parallelism
+    /// ([`Parallelism::from_env`]).
     pub fn new(tables: Arc<SsbTables>) -> ColumnEngine {
+        ColumnEngine::with_parallelism(tables, Parallelism::from_env())
+    }
+
+    /// Build the engine over `tables`, its stores on up to `par.threads`
+    /// workers.
+    pub fn with_parallelism(tables: Arc<SsbTables>, par: Parallelism) -> ColumnEngine {
+        plain_built_gauge().set(0);
         ColumnEngine {
-            compressed: CStoreDb::build(tables.clone(), true),
-            plain: CStoreDb::build(tables, false),
+            compressed: CStoreDb::build_with(tables, true, par),
+            plain: OnceLock::new(),
+            par,
         }
     }
 
-    /// The storage serving `config`.
+    /// The storage serving `config`, building the uncompressed store on its
+    /// first use (concurrent first users wait for the one build).
     pub fn db(&self, config: EngineConfig) -> &CStoreDb {
         if config.compression {
-            &self.compressed
-        } else {
-            &self.plain
+            return &self.compressed;
         }
+        self.plain.get_or_init(|| {
+            let db = CStoreDb::build_with(self.compressed.tables.clone(), false, self.par);
+            plain_built_gauge().set(1);
+            db
+        })
+    }
+
+    /// Whether the uncompressed store has been built yet.
+    pub fn plain_built(&self) -> bool {
+        self.plain.get().is_some()
     }
 
     /// Execute `q` under `config` as `opts` says. Returns the output and,
@@ -143,6 +168,15 @@ impl ColumnEngine {
             Err(e) => std::panic::panic_any(e),
         }
     }
+}
+
+/// `cvr_store_plain_built`: 1 once the newest engine's uncompressed store
+/// exists.
+fn plain_built_gauge() -> Arc<cvr_obs::Gauge> {
+    cvr_obs::gauge(
+        "cvr_store_plain_built",
+        "Whether the uncompressed column store has been built (0/1)",
+    )
 }
 
 #[cfg(test)]

@@ -90,14 +90,8 @@ impl Parallelism {
     /// when set (the chaos harnesses use it to force oversized morsels),
     /// otherwise [`DEFAULT_MORSEL_ROWS`]. Cached after the first call.
     pub fn from_env() -> Parallelism {
-        static THREADS: OnceLock<usize> = OnceLock::new();
         static MORSEL_ROWS: OnceLock<u32> = OnceLock::new();
-        let threads = *THREADS.get_or_init(|| {
-            match std::env::var("CVR_THREADS").ok().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => n,
-                _ => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            }
-        });
+        let threads = cvr_storage::par::default_threads();
         let morsel_rows = *MORSEL_ROWS.get_or_init(|| {
             match std::env::var("CVR_MORSEL_ROWS").ok().and_then(|v| v.parse::<u32>().ok()) {
                 Some(n) if n >= 1 => n.min(1 << 26),

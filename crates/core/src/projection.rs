@@ -22,10 +22,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::morsel::Parallelism;
 use cvr_data::gen::SsbTables;
 use cvr_data::schema::Dim;
 use cvr_data::table::{ColumnData, TableData};
 use cvr_storage::column::{ColumnStore, EncodingChoice};
+use cvr_storage::encode::{Column, IntColumn, StrColumn};
+use cvr_storage::par::{Jobs, Slot};
 
 /// Sort hierarchy per dimension (leading columns of the projection).
 pub fn dim_sort_columns(dim: Dim) -> &'static [&'static str] {
@@ -53,21 +56,26 @@ pub struct DimStore {
 /// The C-Store database: fact + dimension projections at one compression
 /// setting.
 pub struct CStoreDb {
-    /// Original logical tables (planning statistics only).
+    /// The logical tables this store was built from. Nothing here executes
+    /// against them: `cvr-plan`'s catalog reads them for value histograms,
+    /// and tests evaluate the reference answer over them. The `Arc` is the
+    /// one the serving tier's store also holds (row-design builds and
+    /// `SNAPSHOT` read it there), so a store pins no second copy.
     pub tables: Arc<SsbTables>,
     /// Whether RLE/dictionary encodings were applied.
     pub compression: bool,
     /// The fact projection, sorted by [`FACT_SORT`], FKs remapped.
     pub fact: ColumnStore,
-    /// Sorted logical fact data (kept for early-materialization stitching
-    /// oracles in tests; columns are shared with `fact`'s source).
-    pub fact_rows: usize,
     dims: HashMap<Dim, DimStore>,
 }
 
-/// Sort permutation of `table` by `columns` (lexicographic, ascending).
+/// Sort permutation of `table` by `columns` (lexicographic, ascending; ties
+/// keep source order).
 pub fn sort_permutation(table: &TableData, columns: &[&str]) -> Vec<u32> {
     let cols: Vec<&ColumnData> = columns.iter().map(|c| table.column(c)).collect();
+    if let Some(perm) = packed_sort_permutation(&cols, table.num_rows()) {
+        return perm;
+    }
     let mut perm: Vec<u32> = (0..table.num_rows() as u32).collect();
     perm.sort_by(|&a, &b| {
         for c in &cols {
@@ -84,50 +92,178 @@ pub fn sort_permutation(table: &TableData, columns: &[&str]) -> Vec<u32> {
     perm
 }
 
+/// [`sort_permutation`] over integer columns whose value ranges, with the
+/// row number below them, fit one `u64` (the fact order: 16 + 6 + 4 bits of
+/// date, quantity and discount): sort the packed words, not the rows — no
+/// comparator, no scattered reads.
+fn packed_sort_permutation(cols: &[&ColumnData], n: usize) -> Option<Vec<u32>> {
+    let bits_of = |span: u64| 64 - span.leading_zeros();
+    let row_bits = bits_of(n as u64);
+    let mut used = row_bits;
+    let mut fields: Vec<(&[i64], i64, u32)> = Vec::with_capacity(cols.len());
+    for col in cols {
+        let ColumnData::Int(values) = col else { return None };
+        let (min, max) = (*values.iter().min()?, *values.iter().max()?);
+        let bits = bits_of(max.checked_sub(min)? as u64);
+        used += bits;
+        fields.push((values, min, bits));
+    }
+    if used > 64 {
+        return None;
+    }
+    let pack = |row: usize| {
+        let key = fields.iter().fold(0u64, |k, (v, min, bits)| k << bits | (v[row] - min) as u64);
+        key << row_bits | row as u64
+    };
+    let mut keys: Vec<u64> = (0..n).map(pack).collect();
+    keys.sort_unstable();
+    let row_mask = (1u64 << row_bits) - 1;
+    Some(keys.into_iter().map(|k| (k & row_mask) as u32).collect())
+}
+
+/// A dense dimension's key reassignment, old key → new key (= sorted row
+/// position), as an array indexed by `old - base`: the fact table's foreign
+/// keys go through it once per row.
+struct KeyRemap {
+    base: i64,
+    new_keys: Vec<i64>,
+}
+
+impl KeyRemap {
+    /// `old_keys[p]` is the original key of the row now at position `p`.
+    fn new(old_keys: &[i64]) -> KeyRemap {
+        let base = old_keys.iter().copied().min().unwrap_or(0);
+        let span = old_keys.iter().copied().max().map_or(0, |max| (max - base) as usize + 1);
+        let mut new_keys = vec![-1; span];
+        for (pos, &old) in old_keys.iter().enumerate() {
+            new_keys[(old - base) as usize] = pos as i64;
+        }
+        KeyRemap { base, new_keys }
+    }
+
+    fn get(&self, old: i64) -> i64 {
+        let new = self.new_keys[(old - self.base) as usize];
+        assert!(new >= 0, "foreign key {old} has no dimension row");
+        new
+    }
+}
+
+/// Hierarchy-sort one dimension and, when its keys are dense, rewrite them
+/// to `0..n`, returning the rewrite for the fact side.
+fn sort_dimension(src: &TableData, d: Dim) -> (TableData, Option<KeyRemap>) {
+    let mut sorted = src.permuted(&sort_permutation(src, dim_sort_columns(d)));
+    if !d.dense_keys() {
+        return (sorted, None);
+    }
+    let key_idx = sorted.schema.col(d.key_column());
+    let dense = ColumnData::Int((0..sorted.num_rows() as i64).collect());
+    let old_keys = std::mem::replace(&mut sorted.columns[key_idx], dense);
+    (sorted, Some(KeyRemap::new(old_keys.ints())))
+}
+
+/// Encode the column whose row `j` is `data[perm[j]]` (integers through
+/// `remap`, when given), with its uncompressed size. Integers are gathered
+/// into the one buffer the encoder then owns; strings are dictionary-coded
+/// where they lie and permuted as codes.
+fn encode_gathered(
+    data: &ColumnData,
+    perm: &[u32],
+    remap: Option<&KeyRemap>,
+    compress: bool,
+) -> (Column, u64) {
+    match data {
+        ColumnData::Int(src) => {
+            let values: Vec<i64> = match remap {
+                Some(remap) => perm.iter().map(|&p| remap.get(src[p as usize])).collect(),
+                None => perm.iter().map(|&p| src[p as usize]).collect(),
+            };
+            let plain = IntColumn::plain_fixed_bytes(&values);
+            (Column::Int(IntColumn::encode(values, compress)), plain)
+        }
+        ColumnData::Str(src) => {
+            let rows = perm.iter().map(|&p| p as usize);
+            (Column::Str(StrColumn::encode_rows(src, rows, compress)), StrColumn::plain_bytes(src))
+        }
+    }
+}
+
 impl CStoreDb {
-    /// Build projections over `tables` at the given compression setting.
+    /// Build projections over `tables` at the given compression setting, at
+    /// the process-default parallelism ([`Parallelism::from_env`]).
     pub fn build(tables: Arc<SsbTables>, compression: bool) -> CStoreDb {
+        CStoreDb::build_with(tables, compression, Parallelism::from_env())
+    }
+
+    /// Build projections over `tables` on up to `par.threads` workers.
+    ///
+    /// No table is copied to be sorted: the orders are computed first, then
+    /// every column is gathered through its table's order straight into its
+    /// encoder, one column per job. Jobs only encode; storage identities
+    /// ([`cvr_storage::io::FileId`]s) are handed out afterwards, in schema
+    /// order, so the store is the same bytes and ids at every thread count.
+    pub fn build_with(tables: Arc<SsbTables>, compression: bool, par: Parallelism) -> CStoreDb {
         let choice = if compression { EncodingChoice::Auto } else { EncodingChoice::Plain };
+        let fact_src = &tables.lineorder;
 
-        // --- Dimensions: sort, then reassign keys densely. ---
-        let mut dims = HashMap::new();
-        let mut key_remaps: HashMap<Dim, HashMap<i64, i64>> = HashMap::new();
-        for d in Dim::ALL {
-            let src = tables.dim(d);
-            let perm = sort_permutation(src, dim_sort_columns(d));
-            let mut sorted = src.permuted(&perm);
-            let dense = d.dense_keys();
-            if dense {
-                let key_idx = sorted.schema.col(d.key_column());
-                let old_keys = match &sorted.columns[key_idx] {
-                    ColumnData::Int(v) => v.clone(),
-                    ColumnData::Str(_) => unreachable!("dimension keys are ints"),
-                };
-                let remap: HashMap<i64, i64> =
-                    old_keys.iter().enumerate().map(|(p, &k)| (k, p as i64)).collect();
-                sorted.columns[key_idx] = ColumnData::Int((0..sorted.num_rows() as i64).collect());
-                key_remaps.insert(d, remap);
-            }
-            let store = ColumnStore::from_table(&sorted, choice);
-            dims.insert(d, DimStore { store, sorted, dense_keys: dense });
-        }
+        // Orders. The fact order reads the three sort columns of the source
+        // — none of them a reassigned key — so it runs beside the
+        // dimension sorts.
+        let mut jobs = Jobs::new();
+        let fact_perm = jobs.add(|| sort_permutation(fact_src, &FACT_SORT));
+        let sorted_dims: Vec<_> = Dim::ALL
+            .iter()
+            .map(|&d| {
+                let src = tables.dim(d);
+                jobs.add(move || sort_dimension(src, d))
+            })
+            .collect();
+        jobs.run(par.threads);
+        let fact_perm = fact_perm.take();
+        let sorted_dims: Vec<(TableData, Option<KeyRemap>)> =
+            sorted_dims.into_iter().map(Slot::take).collect();
 
-        // --- Fact: remap FKs, then sort by (orderdate, quantity, discount). ---
-        let mut fact_logical = tables.lineorder.clone();
-        for d in [Dim::Customer, Dim::Supplier, Dim::Part] {
-            let remap = &key_remaps[&d];
-            let idx = fact_logical.schema.col(d.fact_fk_column());
-            if let ColumnData::Int(v) = &mut fact_logical.columns[idx] {
-                for k in v.iter_mut() {
-                    *k = remap[k];
-                }
-            }
-        }
-        let perm = sort_permutation(&fact_logical, &FACT_SORT);
-        let fact_sorted = fact_logical.permuted(&perm);
-        let fact = ColumnStore::from_table(&fact_sorted, choice);
+        // Encoding: one job per fact column (foreign keys through their
+        // dimension's reassignment), one per dimension table.
+        let remap_of = |column: &str| {
+            let mut dims = Dim::ALL.iter().zip(&sorted_dims);
+            dims.find(|(d, _)| d.fact_fk_column() == column).and_then(|(_, (_, r))| r.as_ref())
+        };
+        let mut jobs = Jobs::new();
+        let fact_columns: Vec<_> = fact_src
+            .schema
+            .columns
+            .iter()
+            .zip(&fact_src.columns)
+            .map(|(def, data)| {
+                let (perm, remap) = (&fact_perm, remap_of(def.name));
+                (def.name, jobs.add(move || encode_gathered(data, perm, remap, compression)))
+            })
+            .collect();
+        let dim_columns: Vec<_> = sorted_dims
+            .iter()
+            .map(|(sorted, _)| jobs.add(move || ColumnStore::encode_columns(sorted, choice)))
+            .collect();
+        jobs.run(par.threads);
 
-        CStoreDb { tables, compression, fact, fact_rows: fact_sorted.num_rows(), dims }
+        // Storage identities, in the order a serial build hands them out:
+        // the dimensions, then the fact columns.
+        let dim_columns: Vec<_> = dim_columns.into_iter().map(Slot::take).collect();
+        let dims = Dim::ALL.into_iter().zip(sorted_dims).zip(dim_columns);
+        let dims = dims
+            .map(|((d, (sorted, _)), columns)| {
+                let store =
+                    ColumnStore::from_encoded(sorted.schema.name, sorted.num_rows(), columns);
+                (d, DimStore { store, sorted, dense_keys: d.dense_keys() })
+            })
+            .collect();
+        let fact_columns = fact_columns.into_iter().map(|(name, encoded)| {
+            let (column, plain_bytes) = encoded.take();
+            (name, column, plain_bytes)
+        });
+        let fact =
+            ColumnStore::from_encoded(fact_src.schema.name, fact_src.num_rows(), fact_columns);
+
+        CStoreDb { tables, compression, fact, dims }
     }
 
     /// Dimension storage.
@@ -137,7 +273,7 @@ impl CStoreDb {
 
     /// Number of fact rows.
     pub fn fact_rows(&self) -> usize {
-        self.fact_rows
+        self.fact.num_rows()
     }
 
     /// Total encoded bytes of the fact projection.
@@ -232,6 +368,32 @@ mod tests {
                 assert!(qty[i - 1] <= qty[i]);
             }
         }
+    }
+
+    #[test]
+    fn packed_sort_is_the_comparator_sort() {
+        let tables = SsbConfig { sf: 0.001, seed: 5 }.generate();
+        let fact = &tables.lineorder;
+        let by_rows = |columns: &[&str]| {
+            let cols: Vec<&[i64]> = columns.iter().map(|c| fact.column(c).ints()).collect();
+            let mut perm: Vec<u32> = (0..fact.num_rows() as u32).collect();
+            perm.sort_by_key(|&r| (cols.iter().map(|c| c[r as usize]).collect::<Vec<_>>(), r));
+            perm
+        };
+        for columns in [&FACT_SORT[..], &["lo_discount"], &["lo_revenue", "lo_orderdate"]] {
+            let cols: Vec<&ColumnData> = columns.iter().map(|c| fact.column(c)).collect();
+            let packed = packed_sort_permutation(&cols, fact.num_rows());
+            assert_eq!(packed, Some(by_rows(columns)), "{columns:?}");
+            assert_eq!(sort_permutation(fact, columns), by_rows(columns));
+        }
+        // Strings, and ranges too wide to pack beside a row number, take the
+        // comparator.
+        let cust: Vec<&ColumnData> = vec![tables.customer.column("c_region")];
+        assert_eq!(packed_sort_permutation(&cust, tables.customer.num_rows()), None);
+        let wide = ColumnData::Int(vec![i64::MIN, 0, i64::MAX]);
+        assert_eq!(packed_sort_permutation(&[&wide], 3), None);
+        let wide = ColumnData::Int(vec![1 << 62, 0, 5]);
+        assert_eq!(packed_sort_permutation(&[&wide], 3), None);
     }
 
     #[test]

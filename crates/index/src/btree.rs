@@ -20,7 +20,71 @@ use cvr_data::value::Value;
 use cvr_storage::io::{FileId, IoSession, PageId, PAGE_SIZE};
 
 /// A (possibly composite) index key: lexicographically ordered values.
-pub type Key = Vec<Value>;
+///
+/// A single-part key — every fact-column index — holds its [`Value`]
+/// inline, so an integer key owns no heap memory and a leaf entry is a
+/// plain 32-byte move; only composite keys box their parts. Either way a
+/// key reads as the slice of its parts (`key[0]`, `key.iter()`), which is
+/// also how keys compare.
+#[derive(Debug, Clone)]
+pub struct Key(Parts);
+
+#[derive(Debug, Clone)]
+enum Parts {
+    One(Value),
+    Many(Box<[Value]>),
+}
+
+impl Key {
+    /// A single-part key.
+    pub fn new(part: Value) -> Key {
+        Key(Parts::One(part))
+    }
+}
+
+impl From<Vec<Value>> for Key {
+    fn from(mut parts: Vec<Value>) -> Key {
+        if parts.len() == 1 {
+            Key::new(parts.pop().expect("one part"))
+        } else {
+            Key(Parts::Many(parts.into()))
+        }
+    }
+}
+
+impl std::ops::Deref for Key {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        match &self.0 {
+            Parts::One(part) => std::slice::from_ref(part),
+            Parts::Many(parts) => parts,
+        }
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Key) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Key) -> std::cmp::Ordering {
+        match (&self.0, &other.0) {
+            (Parts::One(a), Parts::One(b)) => a.cmp(b),
+            _ => (**self).cmp(&**other),
+        }
+    }
+}
 
 /// Encoded size of a key on a page: 4 bytes per int, len+1 per string.
 pub fn key_bytes(key: &Key) -> usize {
@@ -86,43 +150,52 @@ impl BPlusTree {
     }
 
     /// Bottom-up bulk load from entries (sorted internally).
-    pub fn bulk_load(mut entries: Vec<(Key, Rid)>) -> BPlusTree {
-        Self::bulk_load_with_order(&mut entries, DEFAULT_ORDER)
+    pub fn bulk_load(entries: Vec<(Key, Rid)>) -> BPlusTree {
+        Self::bulk_load_with_order(entries, DEFAULT_ORDER)
     }
 
-    /// Bulk load with explicit order.
-    pub fn bulk_load_with_order(entries: &mut [(Key, Rid)], order: usize) -> BPlusTree {
+    /// Bulk load with explicit order. Entries are sorted in place and moved
+    /// into their leaves: the load allocates per node, never per entry.
+    pub fn bulk_load_with_order(mut entries: Vec<(Key, Rid)>, order: usize) -> BPlusTree {
         assert!(order >= 4);
-        entries.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        // (key, rid) is a total order up to identical entries, so the
+        // unstable sort is deterministic — and needs no merge buffer.
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
         let len = entries.len();
+        // Fill leaves and internal nodes ~2/3 (typical steady-state
+        // occupancy).
+        let per_node = (order * 2 / 3).max(2);
         let mut nodes = Vec::new();
-        if entries.is_empty() {
+        let mut level: Vec<(Key, usize)> = Vec::new(); // (first key, node)
+        let mut entries = entries.into_iter().peekable();
+        while entries.peek().is_some() {
+            let leaf: Vec<(Key, Rid)> = entries.by_ref().take(per_node).collect();
+            let id = nodes.len();
+            if let Some(Node::Leaf { next, .. }) = nodes.last_mut() {
+                *next = Some(id);
+            }
+            level.push((leaf[0].0.clone(), id));
+            nodes.push(Node::Leaf { entries: leaf, next: None });
+        }
+        if nodes.is_empty() {
             nodes.push(Node::Leaf { entries: Vec::new(), next: None });
             return BPlusTree { nodes, root: 0, order, len, file: FileId::fresh() };
         }
-        // Fill leaves ~2/3 (typical steady-state occupancy).
-        let per_leaf = (order * 2 / 3).max(2);
-        let mut level: Vec<(Key, usize)> = Vec::new(); // (first key, node)
-        for chunk in entries.chunks(per_leaf) {
-            let id = nodes.len();
-            if id > 0 {
-                if let Node::Leaf { next, .. } = &mut nodes[id - 1] {
-                    *next = Some(id);
-                }
-            }
-            nodes.push(Node::Leaf { entries: chunk.to_vec(), next: None });
-            level.push((chunk[0].0.clone(), id));
-        }
         // Build internal levels.
-        let per_node = (order * 2 / 3).max(2);
         while level.len() > 1 {
             let mut next_level = Vec::new();
-            for group in level.chunks(per_node) {
+            let mut below = level.into_iter().peekable();
+            while below.peek().is_some() {
                 let id = nodes.len();
-                let keys = group[1..].iter().map(|(k, _)| k.clone()).collect();
-                let children = group.iter().map(|&(_, c)| c).collect();
+                let mut group = below.by_ref().take(per_node);
+                let (first, leftmost) = group.next().expect("peeked");
+                let (mut keys, mut children) = (Vec::new(), vec![leftmost]);
+                for (key, child) in group {
+                    keys.push(key);
+                    children.push(child);
+                }
                 nodes.push(Node::Internal { keys, children });
-                next_level.push((group[0].0.clone(), id));
+                next_level.push((first, id));
             }
             level = next_level;
         }
@@ -394,12 +467,12 @@ impl<'a> Iterator for FullScan<'a> {
 
 /// Convenience: single-int key.
 pub fn ikey(v: i64) -> Key {
-    vec![Value::Int(v)]
+    Key::new(Value::Int(v))
 }
 
 /// Convenience: single-string key.
 pub fn skey(v: &str) -> Key {
-    vec![Value::str(v)]
+    Key::new(Value::str(v))
 }
 
 #[cfg(test)]
@@ -434,7 +507,7 @@ mod tests {
         for (k, r) in entries.clone() {
             inserted.insert(k, r);
         }
-        let bulk = BPlusTree::bulk_load_with_order(&mut entries.clone(), 16);
+        let bulk = BPlusTree::bulk_load_with_order(entries.clone(), 16);
         let io = IoSession::unmetered();
         let a: Vec<_> = inserted.full_scan(&io).map(|(k, r)| (k.clone(), r)).collect();
         let b: Vec<_> = bulk.full_scan(&io).map(|(k, r)| (k.clone(), r)).collect();
@@ -456,8 +529,8 @@ mod tests {
 
     #[test]
     fn range_scan_inclusive() {
-        let mut entries: Vec<(Key, Rid)> = (0..100).map(|i| (ikey(i), i as Rid)).collect();
-        let t = BPlusTree::bulk_load_with_order(&mut entries, 8);
+        let entries: Vec<(Key, Rid)> = (0..100).map(|i| (ikey(i), i as Rid)).collect();
+        let t = BPlusTree::bulk_load_with_order(entries, 8);
         let io = IoSession::unmetered();
         let got = t.range_scan(Some(&ikey(10)), Some(&ikey(20)), &io);
         assert_eq!(got.len(), 11);
@@ -476,9 +549,9 @@ mod tests {
         let mut entries = Vec::new();
         for pk in 0..400i64 {
             let r = regions[(pk % 4) as usize];
-            entries.push((vec![Value::str(r), Value::Int(pk)], pk as Rid));
+            entries.push((vec![Value::str(r), Value::Int(pk)].into(), pk as Rid));
         }
-        let t = BPlusTree::bulk_load_with_order(&mut entries, 16);
+        let t = BPlusTree::bulk_load_with_order(entries, 16);
         let io = IoSession::unmetered();
         // Prefix bound: every (ASIA, *) entry.
         let asia = t.range_scan(Some(&skey("ASIA")), Some(&skey("ASIA")), &io);
@@ -493,8 +566,8 @@ mod tests {
 
     #[test]
     fn full_scan_charges_leaf_pages_sequentially() {
-        let mut entries = int_entries(5000);
-        let t = BPlusTree::bulk_load_with_order(&mut entries, 64);
+        let entries = int_entries(5000);
+        let t = BPlusTree::bulk_load_with_order(entries, 64);
         let io = IoSession::unmetered();
         let n = t.full_scan(&io).count();
         assert_eq!(n, 5000);
@@ -505,8 +578,8 @@ mod tests {
 
     #[test]
     fn point_lookup_charges_height_pages() {
-        let mut entries = int_entries(10_000);
-        let t = BPlusTree::bulk_load_with_order(&mut entries, 32);
+        let entries = int_entries(10_000);
+        let t = BPlusTree::bulk_load_with_order(entries, 32);
         let io = IoSession::unmetered();
         t.lookup(&ikey(1234), &io);
         let stats = io.stats();
@@ -526,10 +599,22 @@ mod tests {
     }
 
     #[test]
+    fn an_entry_is_a_small_plain_move() {
+        // Inline single part: 32 bytes per leaf entry, none of it on the heap
+        // for an integer key (the tree-of-`Vec<Value>` it replaces spent 66).
+        assert!(std::mem::size_of::<(Key, Rid)>() <= 32, "{}", std::mem::size_of::<(Key, Rid)>());
+        // A key compares as its parts, whichever way it was built.
+        assert_eq!(ikey(7), Key::from(vec![Value::Int(7)]));
+        assert!(Key::from(vec![Value::str("a"), Value::Int(9)]) < skey("b"));
+        assert!(skey("a") < Key::from(vec![Value::str("a"), Value::Int(0)]));
+        assert_eq!(ikey(7).to_vec(), vec![Value::Int(7)]);
+    }
+
+    #[test]
     fn key_bytes_accounting() {
         assert_eq!(key_bytes(&ikey(5)), 4);
         assert_eq!(key_bytes(&skey("ASIA")), 5);
-        assert_eq!(key_bytes(&vec![Value::str("ASIA"), Value::Int(1)]), 9);
+        assert_eq!(key_bytes(&vec![Value::str("ASIA"), Value::Int(1)].into()), 9);
     }
 
     #[test]

@@ -59,29 +59,54 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
+    /// Bulk load ≡ incremental insert, for each key shape the designs use:
+    /// single int (fact-column indexes), single string, and composite
+    /// `(value, pk)` (dimension indexes) — same entries in key order, same
+    /// lookups, and a key reads back as the parts it was made from.
     #[test]
     fn btree_bulk_load_equals_inserts(
-        entries in prop::collection::vec((0i64..300, 0u32..10_000), 0..300),
+        entries in prop::collection::vec((0i64..300, "[a-e]{0,2}", 0u32..10_000), 0..300),
         order in 4usize..48,
+        shape in 0u8..3,
+        probe in (0i64..300, "[a-e]{0,2}"),
     ) {
+        let parts_of = |k: i64, s: &str| -> Vec<Value> {
+            match shape {
+                0 => vec![Value::Int(k)],
+                1 => vec![Value::str(s)],
+                _ => vec![Value::str(s), Value::Int(k)],
+            }
+        };
+        let keyed: Vec<(Key, u32)> =
+            entries.iter().map(|(k, s, r)| (Key::from(parts_of(*k, s)), *r)).collect();
         let mut inserted = BPlusTree::with_order(order);
-        for (k, rid) in entries.clone() {
-            inserted.insert(ikey(k), rid);
+        for (k, rid) in keyed.clone() {
+            inserted.insert(k, rid);
         }
-        let bulk = BPlusTree::bulk_load_with_order(
-            &mut entries.iter().map(|&(k, r)| (ikey(k), r)).collect::<Vec<(Key, u32)>>(),
-            order,
-        );
+        let bulk = BPlusTree::bulk_load_with_order(keyed.clone(), order);
+        prop_assert_eq!(bulk.len(), inserted.len());
         let io = IoSession::unmetered();
         // Same multiset of entries (rid order within duplicate keys is
-        // unspecified for the insert path).
-        let mut a: Vec<(i64, u32)> =
-            inserted.full_scan(&io).map(|(k, r)| (k[0].as_int(), r)).collect();
-        let mut b: Vec<(i64, u32)> =
-            bulk.full_scan(&io).map(|(k, r)| (k[0].as_int(), r)).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
+        // unspecified for the insert path), both key-sorted.
+        let scan = |t: &BPlusTree| -> Vec<(Vec<Value>, u32)> {
+            t.full_scan(&io).map(|(k, r)| (k.to_vec(), r)).collect()
+        };
+        let (mut a, mut b) = (scan(&inserted), scan(&bulk));
+        prop_assert!(a.windows(2).all(|w| w[0].0 <= w[1].0));
+        prop_assert!(b.windows(2).all(|w| w[0] <= w[1]), "bulk load orders rids within a key");
+        a.sort();
+        b.sort();
+        let mut want: Vec<(Vec<Value>, u32)> =
+            entries.iter().map(|(k, s, r)| (parts_of(*k, s), *r)).collect();
+        want.sort();
+        prop_assert_eq!(&a, &want);
+        prop_assert_eq!(&b, &want);
+        // Point lookups agree, as multisets.
+        let probe = Key::from(parts_of(probe.0, &probe.1));
+        let (mut x, mut y) = (inserted.lookup(&probe, &io), bulk.lookup(&probe, &io));
+        x.sort_unstable();
+        y.sort_unstable();
+        prop_assert_eq!(x, y);
     }
 
     #[test]
@@ -91,10 +116,10 @@ proptest! {
     ) {
         let mut tree = BPlusTree::with_order(8);
         for (i, (s, k)) in entries.iter().enumerate() {
-            tree.insert(vec![Value::str(s.as_str()), Value::Int(*k)], i as u32);
+            tree.insert(vec![Value::str(s.as_str()), Value::Int(*k)].into(), i as u32);
         }
         let io = IoSession::unmetered();
-        let bound: Key = vec![Value::str(probe.as_str())];
+        let bound = Key::new(Value::str(probe.as_str()));
         let got = tree.range_scan(Some(&bound), Some(&bound), &io);
         let want = entries.iter().filter(|(s, _)| *s == probe).count();
         prop_assert_eq!(got.len(), want);

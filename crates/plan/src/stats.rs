@@ -148,7 +148,8 @@ pub struct ColumnStats {
     /// Exact `(value, count)` table, sorted by value (low-NDV string
     /// columns).
     pub str_freqs: Option<Vec<(Box<str>, u64)>>,
-    /// Actual encoded bytes of the uncompressed storage variant.
+    /// Encoded bytes of the uncompressed storage variant, as recorded by
+    /// the compressed build (`ColumnStore::plain_bytes`).
     pub plain_bytes: u64,
     /// Actual encoded bytes of the compressed storage variant.
     pub compressed_bytes: u64,
@@ -161,12 +162,7 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
-    fn build(
-        name: &str,
-        data: &ColumnData,
-        comp: &StoredColumn,
-        plain: &StoredColumn,
-    ) -> ColumnStats {
+    fn build(name: &str, data: &ColumnData, comp: &StoredColumn, plain_bytes: u64) -> ColumnStats {
         let rows = data.len() as u64;
         let (min, max, histogram, ndv, str_freqs) = match data {
             ColumnData::Int(v) => {
@@ -219,7 +215,7 @@ impl ColumnStats {
             max,
             histogram,
             str_freqs,
-            plain_bytes: plain.bytes(),
+            plain_bytes,
             compressed_bytes: comp.bytes(),
             encoding,
             rle_runs,
@@ -286,11 +282,7 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    fn build(
-        data: &TableData,
-        comp: &cvr_storage::ColumnStore,
-        plain: &cvr_storage::ColumnStore,
-    ) -> TableStats {
+    fn build(data: &TableData, comp: &cvr_storage::ColumnStore) -> TableStats {
         let cols = data
             .schema
             .columns
@@ -303,7 +295,7 @@ impl TableStats {
                         def.name,
                         col,
                         comp.column(def.name),
-                        plain.column(def.name),
+                        comp.plain_bytes(def.name),
                     ),
                 )
             })
@@ -377,19 +369,17 @@ pub struct Catalog {
 }
 
 impl Catalog {
-    /// Build the catalog from a [`ColumnEngine`] (which already holds both
-    /// storage variants over the generated tables).
+    /// Build the catalog from a [`ColumnEngine`]'s compressed store, which
+    /// also recorded every column's uncompressed size when it was encoded:
+    /// planning never makes the engine build its uncompressed store.
     pub fn build(engine: &ColumnEngine) -> Catalog {
         let comp: &CStoreDb = engine.db(EngineConfig::FULL);
-        let plain: &CStoreDb = engine.db(EngineConfig::parse("tIcl"));
         let tables = &comp.tables;
 
-        let fact = TableStats::build(&tables.lineorder, &comp.fact, &plain.fact);
+        let fact = TableStats::build(&tables.lineorder, &comp.fact);
         let dims: HashMap<Dim, TableStats> = Dim::ALL
             .iter()
-            .map(|&d| {
-                (d, TableStats::build(tables.dim(d), &comp.dim(d).store, &plain.dim(d).store))
-            })
+            .map(|&d| (d, TableStats::build(tables.dim(d), &comp.dim(d).store)))
             .collect();
 
         // Row-design sizes from sampled record lengths. Heap pages carry

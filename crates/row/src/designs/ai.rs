@@ -25,6 +25,7 @@ use cvr_data::result::QueryOutput;
 use cvr_data::schema::Dim;
 use cvr_index::btree::{BPlusTree, Key};
 use cvr_storage::io::IoSession;
+use cvr_storage::par::{default_threads, Jobs};
 
 /// Which columns to index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,24 +62,40 @@ impl AiDb {
             }
             AiColumns::QueryNeeded => needed_columns(),
         };
-        let mut fact_idx = HashMap::new();
-        for col in fact_cols {
-            let data = tables.lineorder.column(col);
-            let entries: Vec<(Key, u32)> =
-                (0..data.len()).map(|rid| (vec![data.value(rid)], rid as u32)).collect();
-            fact_idx.insert(col, BPlusTree::bulk_load(entries));
+        // One independent index per column: build them as a job list over
+        // the process-default worker count, the fact indexes (the large
+        // ones) first.
+        let mut jobs = Jobs::new();
+        let fact_idx: Vec<_> = fact_cols
+            .into_iter()
+            .map(|col| {
+                let data = tables.lineorder.column(col);
+                let entries = (0..data.len()).map(|r| (Key::new(data.value(r)), r as u32));
+                (col, jobs.add(move || BPlusTree::bulk_load(entries.collect())))
+            })
+            .collect();
+        let dim_idx: Vec<_> = dim_cols
+            .into_iter()
+            .map(|(dim, col)| {
+                let table = tables.dim(dim);
+                let (keys, data) = (table.column(dim.key_column()), table.column(col));
+                let entries =
+                    (0..data.len()).map(|r| (vec![data.value(r), keys.value(r)].into(), r as u32));
+                ((dim, col), jobs.add(move || BPlusTree::bulk_load(entries.collect())))
+            })
+            .collect();
+        jobs.run(default_threads());
+        AiDb {
+            fact_idx: fact_idx.into_iter().map(|(col, tree)| (col, tree.take())).collect(),
+            dim_idx: dim_idx.into_iter().map(|(key, tree)| (key, tree.take())).collect(),
+            tables,
         }
-        let mut dim_idx = HashMap::new();
-        for (dim, col) in dim_cols {
-            let table = tables.dim(dim);
-            let keys = table.column(dim.key_column());
-            let data = table.column(col);
-            let entries: Vec<(Key, u32)> = (0..data.len())
-                .map(|rid| (vec![data.value(rid), keys.value(rid)], rid as u32))
-                .collect();
-            dim_idx.insert((dim, col), BPlusTree::bulk_load(entries));
-        }
-        AiDb { tables, fact_idx, dim_idx }
+    }
+
+    /// Every index of the design with the column it covers.
+    pub fn indexes(&self) -> impl Iterator<Item = (&'static str, &BPlusTree)> {
+        let dims = self.dim_idx.iter().map(|(&(_, col), tree)| (col, tree));
+        self.fact_idx.iter().map(|(&col, tree)| (col, tree)).chain(dims)
     }
 
     /// Total index bytes (one page per node).

@@ -22,11 +22,11 @@ use cvr_data::gen::SsbTables;
 use cvr_data::queries::SsbQuery;
 use cvr_data::result::QueryOutput;
 use cvr_data::schema::Dim;
-use cvr_data::value::Value;
 use cvr_index::bitmap::RidBitmap;
-use cvr_index::btree::BPlusTree;
+use cvr_index::btree::{ikey, BPlusTree};
 use cvr_storage::heap::{HeapFile, PartitionedHeap};
 use cvr_storage::io::IoSession;
+use cvr_storage::par::{default_threads, Jobs, Slot};
 
 /// Build options for [`TraditionalDb`].
 #[derive(Debug, Clone, Copy)]
@@ -65,30 +65,51 @@ pub struct TraditionalDb {
 }
 
 impl TraditionalDb {
-    /// Build the design over `tables`.
+    /// Build the design over `tables`. The heaps and the fact indexes do
+    /// not depend on each other, so they are built as one list of jobs over
+    /// the process-default worker count, largest first.
     pub fn build(tables: Arc<SsbTables>, opts: TraditionalOptions) -> TraditionalDb {
-        let years = int_col(&tables.lineorder, "lo_orderdate")
-            .iter()
-            .map(|d| d / 10_000)
-            .collect::<Vec<i64>>();
-        let fact_partitioned =
-            opts.partitioned.then(|| PartitionedHeap::build(&tables.lineorder, |i| years[i]));
+        let fact = &tables.lineorder;
+        let mut jobs = Jobs::new();
+        let fact_partitioned = opts.partitioned.then(|| {
+            jobs.add(|| {
+                let dates = int_col(fact, "lo_orderdate");
+                PartitionedHeap::build(fact, |i| dates[i] / 10_000)
+            })
+        });
         let fact_whole =
-            (!opts.partitioned || opts.bitmap_indexes).then(|| HeapFile::build(&tables.lineorder));
-        let dims = Dim::ALL.iter().map(|&d| (d, HeapFile::build(tables.dim(d)))).collect();
-        let mut fact_indexes = HashMap::new();
-        if opts.bitmap_indexes {
-            for col in BITMAP_COLUMNS {
-                let values = int_col(&tables.lineorder, col);
-                let entries: Vec<(cvr_index::btree::Key, u32)> = values
-                    .iter()
-                    .enumerate()
-                    .map(|(rid, &v)| (vec![Value::Int(v)], rid as u32))
-                    .collect();
-                fact_indexes.insert(col, BPlusTree::bulk_load(entries));
-            }
+            (!opts.partitioned || opts.bitmap_indexes).then(|| jobs.add(|| HeapFile::build(fact)));
+        let index_columns: &[&'static str] =
+            if opts.bitmap_indexes { &BITMAP_COLUMNS } else { &[] };
+        let fact_indexes: Vec<_> = index_columns
+            .iter()
+            .map(|&col| {
+                let entries = int_col(fact, col).iter().zip(0..).map(|(&v, rid)| (ikey(v), rid));
+                (col, jobs.add(move || BPlusTree::bulk_load(entries.collect())))
+            })
+            .collect();
+        let dims: Vec<_> = Dim::ALL
+            .iter()
+            .map(|&d| {
+                let table = tables.dim(d);
+                (d, jobs.add(move || HeapFile::build(table)))
+            })
+            .collect();
+        jobs.run(default_threads());
+
+        TraditionalDb {
+            fact_partitioned: fact_partitioned.map(Slot::take),
+            fact_whole: fact_whole.map(Slot::take),
+            dims: dims.into_iter().map(|(d, heap)| (d, heap.take())).collect(),
+            fact_indexes: fact_indexes.into_iter().map(|(col, tree)| (col, tree.take())).collect(),
+            opts,
+            tables,
         }
-        TraditionalDb { tables, fact_partitioned, fact_whole, dims, fact_indexes, opts }
+    }
+
+    /// The `T(B)` B+Tree over fact column `column`, when built.
+    pub fn fact_index(&self, column: &str) -> Option<&BPlusTree> {
+        self.fact_indexes.get(column)
     }
 
     /// Total fact bytes on disk (for the Section 6.2 size table).
@@ -213,14 +234,14 @@ impl TraditionalDb {
             };
             let mut dim_bitmap = RidBitmap::new(n);
             if contiguous {
-                let lo = vec![Value::Int(*keys.first().unwrap())];
-                let hi = vec![Value::Int(*keys.last().unwrap())];
+                let lo = ikey(*keys.first().unwrap());
+                let hi = ikey(*keys.last().unwrap());
                 for (_, rid) in tree.range_scan(Some(&lo), Some(&hi), io) {
                     dim_bitmap.set(rid);
                 }
             } else {
                 for k in &keys {
-                    for rid in tree.lookup(&vec![Value::Int(*k)], io) {
+                    for rid in tree.lookup(&ikey(*k), io) {
                         dim_bitmap.set(rid);
                     }
                 }

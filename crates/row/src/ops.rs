@@ -560,9 +560,7 @@ impl RowOp for IndexFullScanOp<'_> {
 
     fn next(&mut self) -> Option<Tuple> {
         let (key, rid) = self.iter.next()?;
-        let mut t: Tuple = key.clone();
-        t.push(Value::Int(rid as i64));
-        Some(t)
+        Some(index_tuple(key, rid))
     }
 }
 
@@ -584,37 +582,33 @@ impl IndexRangeScanOp {
         let mut cols: Vec<String> = key_cols.iter().map(|c| c.to_string()).collect();
         cols.push(rid_col.to_string());
         let entries = range_scan_pred(tree, pred, io);
-        let rows = entries
-            .into_iter()
-            .map(|(key, rid)| {
-                let mut t: Tuple = key;
-                t.push(Value::Int(rid as i64));
-                t
-            })
-            .collect::<Vec<_>>();
+        let rows: Vec<Tuple> = entries.iter().map(|(key, rid)| index_tuple(key, *rid)).collect();
         IndexRangeScanOp { rows: rows.into_iter(), schema: OpSchema::new(cols) }
     }
 }
 
+/// The tuple an index scan emits for one leaf entry: the key parts, then
+/// the rid.
+fn index_tuple(key: &Key, rid: u32) -> Tuple {
+    let mut t = Tuple::with_capacity(key.len() + 1);
+    t.extend_from_slice(key);
+    t.push(Value::Int(rid as i64));
+    t
+}
+
 /// Evaluate `pred` through index range scans (one per `InSet` member).
 pub fn range_scan_pred(tree: &BPlusTree, pred: &Pred, io: &IoSession) -> Vec<(Key, u32)> {
+    let bound = |v: &Value| Key::new(v.clone());
+    let eq = |v: &Value| tree.range_scan(Some(&bound(v)), Some(&bound(v)), io);
     match pred {
-        Pred::Eq(v) => tree.range_scan(Some(&vec![v.clone()]), Some(&vec![v.clone()]), io),
-        Pred::Between(lo, hi) => {
-            tree.range_scan(Some(&vec![lo.clone()]), Some(&vec![hi.clone()]), io)
-        }
+        Pred::Eq(v) => eq(v),
+        Pred::Between(lo, hi) => tree.range_scan(Some(&bound(lo)), Some(&bound(hi)), io),
         Pred::Lt(v) => {
-            let mut entries = tree.range_scan(None, Some(&vec![v.clone()]), io);
+            let mut entries = tree.range_scan(None, Some(&bound(v)), io);
             entries.retain(|(k, _)| k[0] < *v);
             entries
         }
-        Pred::InSet(vs) => {
-            let mut out = Vec::new();
-            for v in vs {
-                out.extend(tree.range_scan(Some(&vec![v.clone()]), Some(&vec![v.clone()]), io));
-            }
-            out
-        }
+        Pred::InSet(vs) => vs.iter().flat_map(eq).collect(),
     }
 }
 

@@ -32,7 +32,7 @@ use cvr_storage::io::{pages_for, BufferPool, IoSession, IoStats};
 use cvr_storage::persist::{self, PersistError};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
 /// A failure answering a query.
@@ -126,11 +126,11 @@ pub enum QueryResponse {
 }
 
 /// The versioned store a session serves: tables, the column engine built
-/// over them, and the planner's statistics — pinned together behind one
-/// `Arc` so a reload swaps all three atomically. Queries clone the `Arc`
-/// at entry and run against that snapshot to completion, so a mid-query
-/// swap never mixes generations (the segment-swap seam a future write
-/// path plugs into).
+/// over them, the planner's statistics and the row designs built from them
+/// — pinned together behind one `Arc` so a reload swaps all of it
+/// atomically. Queries clone the `Arc` at entry and run against that
+/// snapshot to completion, so a mid-query swap never mixes generations (the
+/// segment-swap seam a future write path plugs into).
 struct StoreState {
     engine: ColumnEngine,
     planner: Planner,
@@ -139,13 +139,33 @@ struct StoreState {
     /// in-memory generated store, the manifest generation once a snapshot
     /// is loaded. Any swap changes it, invalidating all cached entries.
     version: u64,
+    /// Row-engine physical designs over `tables`, one slot per
+    /// [`RowDesign::EXTENDED`] entry, each built by the first statement
+    /// whose plan picks it. They belong to the store: a statement can only
+    /// ever reach designs built from the tables it pinned, and a reload
+    /// drops them with everything else.
+    row_dbs: [OnceLock<Arc<RowDb>>; RowDesign::EXTENDED.len()],
 }
 
 impl StoreState {
-    fn build(tables: Arc<SsbTables>, version: u64) -> StoreState {
-        let engine = ColumnEngine::new(tables.clone());
+    fn build(tables: Arc<SsbTables>, version: u64, par: Parallelism) -> StoreState {
+        let engine = ColumnEngine::with_parallelism(tables.clone(), par);
         let planner = Planner::new(Catalog::build(&engine));
-        StoreState { engine, planner, tables, version }
+        StoreState { engine, planner, tables, version, row_dbs: Default::default() }
+    }
+
+    /// The built `design`, building it on first use.
+    fn row_db(&self, design: RowDesign) -> Arc<RowDb> {
+        self.row_db_with(design, || RowDb::build(self.tables.clone(), design))
+    }
+
+    /// [`StoreState::row_db`] with the build spelled out. Only statements
+    /// that need *this* design wait for its build — every other slot stays
+    /// open — and a build that panics leaves the slot empty, so the next
+    /// statement builds again rather than inheriting a poisoned lock.
+    fn row_db_with(&self, design: RowDesign, build: impl FnOnce() -> RowDb) -> Arc<RowDb> {
+        let slot = RowDesign::EXTENDED.iter().position(|&d| d == design).expect("known design");
+        self.row_dbs[slot].get_or_init(|| Arc::new(build())).clone()
     }
 }
 
@@ -176,9 +196,6 @@ pub struct Session {
     /// [`Session::set_data_dir`]); `None` disables SNAPSHOT/RELOAD.
     data_dir: Mutex<Option<PathBuf>>,
     par: Parallelism,
-    /// Row-engine physical designs, built lazily the first time a plan
-    /// picks one and cached for the session's lifetime.
-    row_dbs: Mutex<HashMap<RowDesign, Arc<RowDb>>>,
     /// The shared scheduler every query passes through: admission first,
     /// then fair worker leases inside the morsel fan-outs.
     sched: Arc<Scheduler>,
@@ -235,7 +252,7 @@ impl Session {
         // start.
         let data_dir = std::env::var_os("CVR_DATA_DIR").map(PathBuf::from);
         let store = match &data_dir {
-            None => StoreState::build(tables, 0),
+            None => StoreState::build(tables, 0, par),
             Some(dir) => match persist::load_latest(dir) {
                 Ok((loaded, report)) => {
                     if report.fallbacks > 0 {
@@ -246,15 +263,15 @@ impl Session {
                             report.generation
                         ));
                     }
-                    StoreState::build(Arc::new(loaded), report.generation)
+                    StoreState::build(Arc::new(loaded), report.generation, par)
                 }
-                Err(PersistError::NoSnapshot) => StoreState::build(tables, 0),
+                Err(PersistError::NoSnapshot) => StoreState::build(tables, 0, par),
                 Err(e) => {
                     cvr_obs::warn(&format!(
                         "data dir {}: {e}; serving generated tables",
                         dir.display()
                     ));
-                    StoreState::build(tables, 0)
+                    StoreState::build(tables, 0, par)
                 }
             },
         };
@@ -266,7 +283,6 @@ impl Session {
             store: RwLock::new(Arc::new(store)),
             data_dir: Mutex::new(data_dir),
             par,
-            row_dbs: Mutex::new(HashMap::new()),
             sched,
             cache: (cache_bytes > 0).then(|| QueryCache::new(cache_bytes)),
             plans: Mutex::new(HashMap::new()),
@@ -327,7 +343,7 @@ impl Session {
     /// directory and swap it in as the served store. The store version
     /// becomes the loaded generation, so every result-cache entry and
     /// memoized plan keyed against the old store is unreachable; row
-    /// designs are rebuilt lazily from the new tables.
+    /// designs live in the store, so the new one starts with none built.
     pub fn reload(&self) -> Result<SnapshotInfo, QueryError> {
         let Some(dir) = self.data_dir() else {
             return Err(QueryError::Io { detail: "no data directory configured".to_string() });
@@ -342,11 +358,8 @@ impl Session {
                 report.generation
             ));
         }
-        let next = Arc::new(StoreState::build(Arc::new(tables), report.generation));
+        let next = Arc::new(StoreState::build(Arc::new(tables), report.generation, self.par));
         *self.store.write().unwrap_or_else(PoisonError::into_inner) = next;
-        // Row designs embed the old tables; drop them so the next row-plan
-        // query rebuilds from the loaded generation.
-        self.row_dbs.lock().unwrap_or_else(PoisonError::into_inner).clear();
         Ok(SnapshotInfo {
             generation: report.generation,
             store_version: report.generation,
@@ -634,9 +647,7 @@ impl Session {
                 ctx.check()?;
                 // The row engines have no morsel boundaries to poll, but
                 // injected storage faults still surface as typed errors.
-                catch_injected(|| {
-                    self.row_db(&store, design).execute_planned(q, &plan.fact_order, &io)
-                })?
+                catch_injected(|| store.row_db(design).execute_planned(q, &plan.fact_order, &io))?
             }
         };
         root_span.rows(output.rows.len() as u64);
@@ -694,16 +705,6 @@ impl Session {
         }
         Ok(out)
     }
-
-    fn row_db(&self, store: &StoreState, design: RowDesign) -> Arc<RowDb> {
-        // Recover from poison: the map holds only fully-built databases
-        // (no invariant spans a panic), so a panic elsewhere while holding
-        // the lock must not take down every later row-plan query.
-        let mut dbs = self.row_dbs.lock().unwrap_or_else(PoisonError::into_inner);
-        dbs.entry(design)
-            .or_insert_with(|| Arc::new(RowDb::build(store.tables.clone(), design)))
-            .clone()
-    }
 }
 
 /// Map a storage persistence failure onto the query error taxonomy:
@@ -756,26 +757,103 @@ mod tests {
     use super::*;
     use cvr_data::gen::SsbConfig;
 
-    /// Regression: one panicking query poisoning `row_dbs` used to
-    /// permanently fail every later row-plan query on every connection.
+    /// Regression: a panic under the old `row_dbs` mutex poisoned it for
+    /// every later row-plan statement on every connection. A design's slot
+    /// has no lock to poison: a panicking build leaves it empty and the
+    /// next statement builds.
     #[test]
-    fn row_db_recovers_from_a_poisoned_mutex() {
+    fn a_panicking_row_design_build_leaves_the_slot_empty_and_the_next_statement_rebuilds() {
         let session = Session::new(Arc::new(SsbConfig::with_scale(0.0005).generate()));
-        // Poison the mutex: a thread panics while holding the lock.
-        let poisoner = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _guard = session.row_dbs.lock().unwrap();
-                panic!("poison row_dbs");
-            })
-            .join()
-        });
-        assert!(poisoner.is_err(), "the poisoning thread must panic");
-        assert!(session.row_dbs.lock().is_err(), "mutex must actually be poisoned");
-        // Both the build path (first use) and the cached path still work.
         let store = session.store();
-        let a = session.row_db(&store, RowDesign::Traditional);
-        let b = session.row_db(&store, RowDesign::Traditional);
-        assert!(Arc::ptr_eq(&a, &b), "the design is built once and cached");
+        let design = RowDesign::Traditional;
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.row_db_with(design, || panic!("row design build failed"))
+        }));
+        assert!(failed.is_err(), "the build's panic reaches the statement that ran it");
+        assert!(store.row_dbs.iter().all(|slot| slot.get().is_none()), "nothing half-built");
+        // Both the build path (first use) and the built path work.
+        let a = store.row_db(design);
+        let b = store.row_db(design);
+        assert!(Arc::ptr_eq(&a, &b), "the design is built once and kept");
+        let q = cvr_data::queries::query(1, 1);
+        let expected = cvr_data::reference::evaluate(&store.tables, &q);
+        assert_eq!(a.execute(&q, &IoSession::unmetered()), expected);
+    }
+
+    /// Regression: designs used to be built while holding the one `row_dbs`
+    /// mutex, so a slow build (`T(B)`: seconds) stalled row-plan statements
+    /// whose own design had been built long before.
+    #[test]
+    fn a_built_design_answers_while_another_designs_build_is_blocked() {
+        use std::sync::mpsc;
+        let tables = Arc::new(SsbConfig::with_scale(0.0005).generate());
+        let session = Session::with_cache_budget(tables.clone(), Parallelism::serial(), 0);
+        let store = session.store();
+        // A statement planned to a row design other than the one whose build
+        // will block; when the planner picks none at this scale, drive a
+        // design directly (the call `run_inner` makes).
+        let blocked_design = RowDesign::TraditionalBitmap;
+        let row_planned = cvr_data::queries::all_queries().into_iter().find_map(|q| match session
+            .explain(&q)
+            .choice
+        {
+            PhysicalChoice::Row(d) if d != blocked_design => Some((q, d)),
+            _ => None,
+        });
+        let statement = row_planned.is_some();
+        let (q, built_design) =
+            row_planned.unwrap_or((cvr_data::queries::query(2, 1), RowDesign::MaterializedViews));
+        store.row_db(built_design);
+
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (store, tables, session, q) = (&store, &tables, &session, &q);
+        std::thread::scope(|s| {
+            let blocked = s.spawn(move || {
+                store.row_db_with(blocked_design, || {
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    RowDb::build(tables.clone(), blocked_design)
+                })
+            });
+            entered_rx.recv().unwrap(); // the T(B) build now holds its slot
+            let (done_tx, done_rx) = mpsc::channel();
+            s.spawn(move || {
+                let out = if statement {
+                    session.run(q).output
+                } else {
+                    store.row_db(built_design).execute(q, &IoSession::unmetered())
+                };
+                done_tx.send(out).unwrap();
+            });
+            let answered = done_rx.recv_timeout(std::time::Duration::from_secs(60));
+            release_tx.send(()).unwrap();
+            let out = answered.expect("a built design must not wait for another's build");
+            assert_eq!(out, cvr_data::reference::evaluate(tables, q));
+            assert_eq!(blocked.join().unwrap().design(), blocked_design);
+        });
+    }
+
+    /// A reload's store starts with no design built, and a statement that
+    /// pinned the old store keeps — and can still build — the old store's.
+    #[test]
+    fn row_designs_are_dropped_with_the_store_they_were_built_from() {
+        let dir = std::env::temp_dir().join(format!("cvr-rowdbs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let session = Session::new(Arc::new(SsbConfig::with_scale(0.0005).generate()));
+        session.set_data_dir(Some(dir.clone()));
+        let old = session.store();
+        let old_db = old.row_db(RowDesign::Traditional);
+        session.snapshot().unwrap();
+        session.reload().unwrap();
+        let new = session.store();
+        assert!(new.row_dbs.iter().all(|slot| slot.get().is_none()));
+        // The in-flight statement on the old store builds from the old
+        // tables, into the old store only.
+        old.row_db(RowDesign::MaterializedViews);
+        assert!(new.row_dbs.iter().all(|slot| slot.get().is_none()));
+        assert!(!Arc::ptr_eq(&old_db, &new.row_db(RowDesign::Traditional)));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// `EXPLAIN` output carries the cache's view without disturbing it.

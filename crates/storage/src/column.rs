@@ -238,22 +238,47 @@ pub struct ColumnStore {
     /// Table name.
     pub table: String,
     columns: Vec<StoredColumn>,
+    /// Per column, the bytes it occupies in an uncompressed store of the
+    /// same rows (see [`ColumnStore::plain_bytes`]).
+    plain_bytes: Vec<u64>,
     rows: usize,
 }
 
 impl ColumnStore {
     /// Encode every column of `data` with `choice`.
     pub fn from_table(data: &TableData, choice: EncodingChoice) -> ColumnStore {
-        let columns = data
-            .schema
-            .columns
-            .iter()
-            .zip(&data.columns)
-            .map(|(def, col)| {
-                StoredColumn::new(def.name, Column::encode(col, choice == EncodingChoice::Auto))
-            })
-            .collect();
-        ColumnStore { table: data.schema.name.to_string(), columns, rows: data.num_rows() }
+        let columns = ColumnStore::encode_columns(data, choice);
+        ColumnStore::from_encoded(data.schema.name, data.num_rows(), columns)
+    }
+
+    /// The encoding half of [`ColumnStore::from_table`]: every column of
+    /// `data` as `(name, encoded, uncompressed bytes)`, no storage identity
+    /// yet — safe to run on any thread.
+    pub fn encode_columns(
+        data: &TableData,
+        choice: EncodingChoice,
+    ) -> Vec<(&'static str, Column, u64)> {
+        let compress = choice == EncodingChoice::Auto;
+        let columns = data.schema.columns.iter().zip(&data.columns);
+        columns
+            .map(|(def, col)| (def.name, Column::encode(col, compress), Column::plain_bytes(col)))
+            .collect()
+    }
+
+    /// Assemble a store of `rows` rows from columns encoded elsewhere, each
+    /// with its uncompressed size. [`FileId`]s are allocated here, in
+    /// iteration order, whatever order (or thread) the columns were encoded
+    /// in.
+    pub fn from_encoded(
+        table: &str,
+        rows: usize,
+        columns: impl IntoIterator<Item = (&'static str, Column, u64)>,
+    ) -> ColumnStore {
+        let (columns, plain_bytes) = columns
+            .into_iter()
+            .map(|(name, column, plain)| (StoredColumn::new(name, column), plain))
+            .unzip();
+        ColumnStore { table: table.to_string(), columns, plain_bytes, rows }
     }
 
     /// Number of rows.
@@ -277,6 +302,17 @@ impl ColumnStore {
     /// Total on-disk bytes across all columns.
     pub fn bytes(&self) -> u64 {
         self.columns.iter().map(StoredColumn::bytes).sum()
+    }
+
+    /// [`StoredColumn::bytes`] of column `name` in an
+    /// [`EncodingChoice::Plain`] store of the same rows, recorded when this
+    /// store was encoded (by [`Column::plain_bytes`], the plain encoder's own
+    /// sizing) — so a compressed store answers for the uncompressed one
+    /// without it being built.
+    pub fn plain_bytes(&self, name: &str) -> u64 {
+        let idx = self.columns.iter().position(|c| c.name == name);
+        self.plain_bytes
+            [idx.unwrap_or_else(|| panic!("column store {} has no column {name}", self.table))]
     }
 }
 
@@ -319,6 +355,18 @@ mod tests {
         let cs = ColumnStore::from_table(&table(), EncodingChoice::Plain);
         assert!(!cs.column("sorted").column.as_int().is_rle());
         assert!(!cs.column("lowcard").column.as_str().is_dict());
+    }
+
+    #[test]
+    fn recorded_plain_bytes_are_the_plain_stores() {
+        let t = table();
+        let plain = ColumnStore::from_table(&t, EncodingChoice::Plain);
+        for choice in [EncodingChoice::Auto, EncodingChoice::Plain] {
+            let cs = ColumnStore::from_table(&t, choice);
+            for c in plain.columns() {
+                assert_eq!(cs.plain_bytes(&c.name), c.bytes(), "{}", c.name);
+            }
+        }
     }
 
     #[test]

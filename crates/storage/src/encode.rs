@@ -29,6 +29,7 @@
 
 use crate::packed::{max_code_for, PackedInts, MAX_VALUE_BITS};
 use cvr_data::table::ColumnData;
+use std::collections::HashMap;
 
 /// A maximal run of equal values in an RLE column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,8 +87,24 @@ impl IntColumn {
     /// byte-width minimization is itself a compression technique, so the
     /// Figure 7 `c` configurations must not get it for free.
     pub fn plain_fixed(values: Vec<i64>) -> IntColumn {
-        let width = if byte_width(&values) <= 4 { 4 } else { 8 };
+        let width = fixed_width(&values);
         IntColumn::Plain { values, width }
+    }
+
+    /// [`IntColumn::encoded_bytes`] of [`IntColumn::plain_fixed`] over
+    /// `values`, from the same width function, without building the column.
+    pub fn plain_fixed_bytes(values: &[i64]) -> u64 {
+        values.len() as u64 * fixed_width(values) as u64
+    }
+
+    /// [`IntColumn::auto`] when `compress`, [`IntColumn::plain_fixed`]
+    /// otherwise.
+    pub fn encode(values: Vec<i64>, compress: bool) -> IntColumn {
+        if compress {
+            IntColumn::auto(values)
+        } else {
+            IntColumn::plain_fixed(values)
+        }
     }
 
     /// Encode `values` with RLE.
@@ -109,17 +126,8 @@ impl IntColumn {
     /// `None` for empty columns and for ranges needing more than
     /// [`MAX_VALUE_BITS`] delta bits.
     pub fn packed(values: &[i64]) -> Option<IntColumn> {
-        let (&first, rest) = values.split_first()?;
-        let (mut min, mut max) = (first, first);
-        for &v in rest {
-            min = min.min(v);
-            max = max.max(v);
-        }
-        let delta = max as i128 - min as i128;
-        if delta > max_code_for(MAX_VALUE_BITS) as i128 {
-            return None;
-        }
-        let bits = bits_for(delta as u64 + 1);
+        let (min, max) = min_max(values)?;
+        let bits = packed_bits(min, max)?;
         let packed =
             PackedInts::pack(bits, values.iter().map(|&v| (v as i128 - min as i128) as u64));
         Some(IntColumn::Packed { reference: min, packed })
@@ -128,20 +136,30 @@ impl IntColumn {
     /// Pick the smallest encoding: RLE when run structure pays for the run
     /// overhead, frame-of-reference bit-packing when the packed word image
     /// beats byte-minimized plain, plain otherwise.
+    ///
+    /// All three candidates are sized from the run count, minimum and
+    /// maximum of `values`, and only the winner is built.
     pub fn auto(values: Vec<i64>) -> IntColumn {
-        let rle = IntColumn::rle(&values);
-        let packed = IntColumn::packed(&values);
-        let plain = IntColumn::plain(values);
-        let mut best = plain;
-        if let Some(p) = packed {
-            if p.encoded_bytes() < best.encoded_bytes() {
-                best = p;
+        let Some((min, max)) = min_max(&values) else {
+            return IntColumn::plain(values);
+        };
+        let n = values.len();
+        let runs = 1 + values.windows(2).filter(|w| w[0] != w[1]).count() as u64;
+        let mut best = n as u64 * width_for(min, max) as u64;
+        let mut pack = false;
+        if let Some(bits) = packed_bits(min, max) {
+            let bytes = PackedInts::bytes_for(bits, n);
+            if bytes < best {
+                (best, pack) = (bytes, true);
             }
         }
-        if rle.encoded_bytes() < best.encoded_bytes() {
-            best = rle;
+        if runs * RLE_RUN_BYTES < best {
+            IntColumn::rle(&values)
+        } else if pack {
+            IntColumn::packed(&values).expect("sized above")
+        } else {
+            IntColumn::plain(values)
         }
-        best
     }
 
     /// Number of logical values.
@@ -242,10 +260,7 @@ impl IntColumn {
             IntColumn::Packed { reference, packed } => {
                 return Some((*reference, packed.max_code() + 1));
             }
-            IntColumn::Plain { values, .. } => {
-                let (&first, rest) = values.split_first()?;
-                rest.iter().fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)))
-            }
+            IntColumn::Plain { values, .. } => min_max(values)?,
             IntColumn::Rle { runs, .. } => {
                 let (first, rest) = runs.split_first()?;
                 rest.iter().fold((first.value, first.value), |(lo, hi), r| {
@@ -280,14 +295,27 @@ fn run_index(runs: &[Run], pos: u32) -> usize {
 
 /// Minimal byte width (1/2/4/8) holding every value. Negative values force 8.
 pub fn byte_width(values: &[i64]) -> u8 {
-    let mut max = 0i64;
-    for &v in values {
-        if v < 0 {
-            return 8;
-        }
-        max = max.max(v);
-    }
-    if max < 1 << 8 {
+    let (min, max) = min_max(values).unwrap_or((0, 0));
+    width_for(min, max)
+}
+
+/// Fixed machine width of an uncompressed column: 4 bytes, 8 when a value
+/// does not fit `u32`.
+fn fixed_width(values: &[i64]) -> u8 {
+    byte_width(values).max(4)
+}
+
+/// Smallest and largest of `values`; `None` when empty.
+fn min_max(values: &[i64]) -> Option<(i64, i64)> {
+    let (&first, rest) = values.split_first()?;
+    Some(rest.iter().fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v))))
+}
+
+/// [`byte_width`] of a column whose values span `[min, max]`.
+fn width_for(min: i64, max: i64) -> u8 {
+    if min < 0 {
+        8
+    } else if max < 1 << 8 {
         1
     } else if max < 1 << 16 {
         2
@@ -296,6 +324,13 @@ pub fn byte_width(values: &[i64]) -> u8 {
     } else {
         8
     }
+}
+
+/// Delta bits of a frame-of-reference packing over `[min, max]`; `None`
+/// when the range needs more than [`MAX_VALUE_BITS`].
+fn packed_bits(min: i64, max: i64) -> Option<u8> {
+    let delta = max as i128 - min as i128;
+    (delta <= max_code_for(MAX_VALUE_BITS) as i128).then(|| bits_for(delta as u64 + 1))
 }
 
 /// An encoded string column.
@@ -324,33 +359,58 @@ pub enum StrColumn {
 impl StrColumn {
     /// Encode without compression.
     pub fn plain(values: Vec<String>) -> StrColumn {
-        let bytes = values.iter().map(|s| 1 + s.len() as u64).sum();
+        let bytes = StrColumn::plain_bytes(&values);
         StrColumn::Plain { values: values.into_iter().map(Into::into).collect(), bytes }
+    }
+
+    /// [`StrColumn::encoded_bytes`] of [`StrColumn::plain`] over `values`:
+    /// a 1-byte length prefix plus the payload per value.
+    pub fn plain_bytes(values: &[String]) -> u64 {
+        values.iter().map(|s| 1 + s.len() as u64).sum()
     }
 
     /// Dictionary-encode (always succeeds; callers choose when it pays off).
     pub fn dict(values: &[String]) -> StrColumn {
-        let mut dict: Vec<Box<str>> = values.iter().map(|s| s.clone().into()).collect();
-        dict.sort_unstable();
-        dict.dedup();
+        let (dict, codes) = dict_codes(values);
         let code_bits = bits_for(dict.len() as u64);
         assert!(code_bits <= MAX_VALUE_BITS, "dictionary too large to bit-pack");
-        let codes = PackedInts::pack(
-            code_bits,
-            values.iter().map(|s| dict.binary_search_by(|d| (**d).cmp(s)).unwrap() as u64),
-        );
-        StrColumn::Dict { dict, codes }
+        StrColumn::Dict {
+            dict,
+            codes: PackedInts::pack(code_bits, codes.iter().map(|&c| c as u64)),
+        }
     }
 
     /// Pick dictionary encoding when it shrinks the column, otherwise plain.
     pub fn auto(values: Vec<String>) -> StrColumn {
-        let dict = StrColumn::dict(&values);
-        let plain = StrColumn::plain(values);
-        if dict.encoded_bytes() < plain.encoded_bytes() {
-            dict
-        } else {
-            plain
+        StrColumn::encode_rows(&values, 0..values.len(), true)
+    }
+
+    /// Encode the column whose row `j` is `values[rows[j]]`, where `rows`
+    /// visits every row of `values` once (a permutation): dictionary when
+    /// `compress` and it shrinks the column, plain otherwise.
+    ///
+    /// The dictionary is built over `values` as they lie and only the
+    /// integer codes are permuted, so sorting a table never copies a string
+    /// into a dictionary column; both encodings' sizes are known before
+    /// either is built.
+    pub fn encode_rows(
+        values: &[String],
+        rows: impl ExactSizeIterator<Item = usize>,
+        compress: bool,
+    ) -> StrColumn {
+        debug_assert_eq!(rows.len(), values.len());
+        let bytes = StrColumn::plain_bytes(values);
+        if compress {
+            let (dict, codes) = dict_codes(values);
+            let code_bits = bits_for(dict.len() as u64);
+            if code_bits <= MAX_VALUE_BITS
+                && dict_bytes(&dict) + PackedInts::bytes_for(code_bits, values.len()) < bytes
+            {
+                let codes = PackedInts::pack(code_bits, rows.map(|r| codes[r] as u64));
+                return StrColumn::Dict { dict, codes };
+            }
         }
+        StrColumn::Plain { values: rows.map(|r| values[r].as_str().into()).collect(), bytes }
     }
 
     /// Number of logical values.
@@ -371,10 +431,7 @@ impl StrColumn {
     pub fn encoded_bytes(&self) -> u64 {
         match self {
             StrColumn::Plain { bytes, .. } => *bytes,
-            StrColumn::Dict { dict, codes } => {
-                let dict_bytes: u64 = dict.iter().map(|s| 1 + s.len() as u64).sum();
-                dict_bytes + codes.bytes()
-            }
+            StrColumn::Dict { dict, codes } => dict_bytes(dict) + codes.bytes(),
         }
     }
 
@@ -429,6 +486,37 @@ impl StrColumn {
     }
 }
 
+/// On-disk bytes of a dictionary: a 1-byte length prefix plus the payload per
+/// entry.
+fn dict_bytes(dict: &[Box<str>]) -> u64 {
+    dict.iter().map(|s| 1 + s.len() as u64).sum()
+}
+
+/// The sorted distinct values of `values` and, per row, its value's index
+/// among them.
+fn dict_codes(values: &[String]) -> (Vec<Box<str>>, Vec<u32>) {
+    // Number the distinct values in first-seen order, then rank them.
+    let mut ids: HashMap<&str, u32> = HashMap::new();
+    let mut distinct: Vec<&str> = Vec::new();
+    let mut codes: Vec<u32> = Vec::with_capacity(values.len());
+    for s in values {
+        codes.push(*ids.entry(s).or_insert_with(|| {
+            distinct.push(s);
+            distinct.len() as u32 - 1
+        }));
+    }
+    let mut sorted: Vec<u32> = (0..distinct.len() as u32).collect();
+    sorted.sort_unstable_by_key(|&id| distinct[id as usize]);
+    let mut rank = vec![0u32; distinct.len()];
+    for (r, &id) in sorted.iter().enumerate() {
+        rank[id as usize] = r as u32;
+    }
+    for c in &mut codes {
+        *c = rank[*c as usize];
+    }
+    (sorted.iter().map(|&id| distinct[id as usize].into()).collect(), codes)
+}
+
 /// Bits needed to distinguish `n` codes (at least 1).
 pub fn bits_for(n: u64) -> u8 {
     let mut bits = 1u8;
@@ -453,16 +541,19 @@ impl Column {
     /// configurations).
     pub fn encode(data: &ColumnData, compress: bool) -> Column {
         match data {
-            ColumnData::Int(v) => Column::Int(if compress {
-                IntColumn::auto(v.clone())
-            } else {
-                IntColumn::plain_fixed(v.clone())
-            }),
-            ColumnData::Str(v) => Column::Str(if compress {
-                StrColumn::auto(v.clone())
-            } else {
-                StrColumn::plain(v.clone())
-            }),
+            ColumnData::Int(v) => Column::Int(IntColumn::encode(v.clone(), compress)),
+            ColumnData::Str(v) => Column::Str(StrColumn::encode_rows(v, 0..v.len(), compress)),
+        }
+    }
+
+    /// [`Column::encoded_bytes`] of `Column::encode(data, false)`, computed
+    /// by the functions that encoder sizes itself with — what lets a
+    /// compressed store record each column's uncompressed footprint without
+    /// an uncompressed store existing.
+    pub fn plain_bytes(data: &ColumnData) -> u64 {
+        match data {
+            ColumnData::Int(v) => IntColumn::plain_fixed_bytes(v),
+            ColumnData::Str(v) => StrColumn::plain_bytes(v),
         }
     }
 

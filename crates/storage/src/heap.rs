@@ -31,13 +31,21 @@ pub struct HeapFile {
 impl HeapFile {
     /// Build a heap file holding every row of `table`.
     pub fn build(table: &TableData) -> HeapFile {
+        HeapFile::from_rows(table, 0..table.num_rows())
+    }
+
+    /// Build a heap file holding rows `rows` of `table`, in that order,
+    /// encoded straight from the table (a partition is never copied out
+    /// first).
+    pub fn from_rows(table: &TableData, rows: impl ExactSizeIterator<Item = usize>) -> HeapFile {
         let types: Vec<DataType> = table.schema.columns.iter().map(|c| c.dtype).collect();
+        let num_rows = rows.len();
         let mut data = Vec::new();
-        let mut records = Vec::with_capacity(table.num_rows());
+        let mut records = Vec::with_capacity(num_rows);
         let mut row_buf = Vec::with_capacity(128);
         let mut page_used: u64 = 0;
         let mut page_no: u32 = 0;
-        for i in 0..table.num_rows() {
+        for i in rows {
             row_buf.clear();
             encode_row(&table.row(i), &mut row_buf);
             let len = row_buf.len() as u64;
@@ -52,7 +60,7 @@ impl HeapFile {
             data.extend_from_slice(&row_buf);
             page_used += len;
         }
-        HeapFile { file: FileId::fresh(), data, records, types, rows: table.num_rows() }
+        HeapFile { file: FileId::fresh(), data, records, types, rows: num_rows }
     }
 
     /// Number of rows stored.
@@ -201,10 +209,7 @@ impl PartitionedHeap {
         }
         let partitions = groups
             .into_iter()
-            .map(|(k, rows)| {
-                let sub = sub_table(table, &rows);
-                (k, HeapFile::build(&sub))
-            })
+            .map(|(k, rows)| (k, HeapFile::from_rows(table, rows.iter().map(|&r| r as usize))))
             .collect();
         PartitionedHeap { partitions }
     }
@@ -227,13 +232,6 @@ impl PartitionedHeap {
     /// Total bytes across partitions.
     pub fn bytes(&self) -> u64 {
         self.partitions.iter().map(|(_, h)| h.bytes()).sum()
-    }
-}
-
-fn sub_table(table: &TableData, rows: &[u32]) -> TableData {
-    TableData {
-        schema: table.schema.clone(),
-        columns: table.columns.iter().map(|c| c.gather(rows)).collect(),
     }
 }
 

@@ -24,6 +24,7 @@
 //!   chaos and crash harnesses. Armed per handle ([`fault::FaultState`],
 //!   adopted thread-locally for a statement) or process-globally
 //!   (`CVR_FAULT`). Off by default, one atomic load.
+//! * [`par`] — the bounded job fan-out both engines build their stores with.
 //! * [`persist`] — durable snapshots: per-segment files with CRC64
 //!   checksums, committed by an atomic manifest rename; recovery walks
 //!   generations newest-first and falls back past damaged ones.
@@ -39,6 +40,7 @@ pub mod fault;
 pub mod heap;
 pub mod io;
 pub mod packed;
+pub mod par;
 pub mod persist;
 pub mod rowcodec;
 

@@ -46,7 +46,8 @@ impl PackedInts {
         let lane_bits = value_bits as u32 + 1;
         let lanes = 64 / lane_bits;
         let max = max_code_for(value_bits);
-        let mut words = Vec::new();
+        let codes = codes.into_iter();
+        let mut words = Vec::with_capacity(codes.size_hint().0.div_ceil(lanes as usize));
         let mut word = 0u64;
         let mut lane = 0u32;
         let mut len = 0u32;
@@ -149,6 +150,13 @@ impl PackedInts {
     /// Size of the packed image in bytes — the honest on-disk footprint.
     pub fn bytes(&self) -> u64 {
         self.words.len() as u64 * 8
+    }
+
+    /// [`PackedInts::bytes`] of `len` codes packed at `value_bits`, without
+    /// packing them: how an encoder sizes a candidate before building it.
+    pub fn bytes_for(value_bits: u8, len: usize) -> u64 {
+        let lanes = 64 / (value_bits as usize + 1);
+        len.div_ceil(lanes) as u64 * 8
     }
 
     /// Code at position `i`.
@@ -264,6 +272,17 @@ mod tests {
                 let codes: Vec<u64> =
                     (0..n).map(|i| (i as u64).wrapping_mul(2_654_435_761) % (max + 1)).collect();
                 round_trip(w, &codes);
+            }
+        }
+    }
+
+    #[test]
+    fn bytes_for_predicts_the_packed_image() {
+        for bits in [1u8, 3, 7, 15, 20, 31] {
+            for len in [0usize, 1, 2, 63, 64, 65, 1000] {
+                let packed =
+                    PackedInts::pack(bits, (0..len as u64).map(|i| i & max_code_for(bits)));
+                assert_eq!(PackedInts::bytes_for(bits, len), packed.bytes(), "{bits} bits, {len}");
             }
         }
     }

@@ -1,8 +1,9 @@
 //! Property tests for the column encodings and the row codec: round-trips,
 //! size accounting, and direct-operation equivalence for arbitrary data.
 
+use cvr_data::table::ColumnData;
 use cvr_data::value::{DataType, Value};
-use cvr_storage::encode::{byte_width, IntColumn, StrColumn, RLE_RUN_BYTES};
+use cvr_storage::encode::{byte_width, Column, IntColumn, StrColumn, RLE_RUN_BYTES};
 use cvr_storage::packed::PackedInts;
 use cvr_storage::rowcodec::{encode_row, encoded_size, record_len, RecordView};
 use proptest::prelude::*;
@@ -183,6 +184,85 @@ proptest! {
             let _ = dict;
             if i > 8 { break; } // quadratic check capped
         }
+    }
+
+    /// `auto` sizes its three candidates arithmetically and builds only the
+    /// winner; the choice and the payload must be those of building all
+    /// three and keeping the smallest (plain < packed < RLE on ties).
+    #[test]
+    fn int_auto_equals_build_all_and_pick(
+        clustered in clustered_ints(),
+        spread in prop::collection::vec(-40i64..3_000_000, 0..200),
+        wild in prop::collection::vec(any::<i64>(), 0..20),
+        kind in 0u8..3,
+    ) {
+        let values = vec![clustered, spread, wild].swap_remove(kind as usize);
+        let mut want = IntColumn::plain(values.clone());
+        if let Some(p) = IntColumn::packed(&values) {
+            if p.encoded_bytes() < want.encoded_bytes() {
+                want = p;
+            }
+        }
+        let rle = IntColumn::rle(&values);
+        if rle.encoded_bytes() < want.encoded_bytes() {
+            want = rle;
+        }
+        prop_assert_eq!(IntColumn::auto(values), want);
+    }
+
+    /// The dictionary is the sorted distinct values, whatever structure
+    /// built it.
+    #[test]
+    fn dict_is_the_sorted_distinct_values(values in small_strings()) {
+        let col = StrColumn::dict(&values);
+        let (dict, codes) = col.dict_parts();
+        let mut want: Vec<&str> = values.iter().map(String::as_str).collect();
+        want.sort_unstable();
+        want.dedup();
+        prop_assert_eq!(dict.iter().map(|d| &**d).collect::<Vec<_>>(), want);
+        prop_assert_eq!(codes.len() as usize, values.len());
+    }
+
+    /// Encoding through a permutation equals gathering first and encoding
+    /// the copy, for both settings; the recorded plain size is the plain
+    /// encoder's.
+    #[test]
+    fn encode_rows_equals_gather_then_encode(
+        high_ndv in small_strings(),
+        low_ndv in prop::collection::vec("[ab]{0,2}", 0..200),
+        seed in any::<u64>(),
+    ) {
+        let values = if seed % 2 == 0 { high_ndv } else { low_ndv };
+        let n = values.len();
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut state = seed | 1;
+        for k in (1..n).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            perm.swap(k, (state % (k as u64 + 1)) as usize);
+        }
+        let gathered: Vec<String> = perm.iter().map(|&p| values[p].clone()).collect();
+        for compress in [true, false] {
+            let got = StrColumn::encode_rows(&values, perm.iter().copied(), compress);
+            let want = if compress {
+                let (dict, plain) = (StrColumn::dict(&gathered), StrColumn::plain(gathered.clone()));
+                if dict.encoded_bytes() < plain.encoded_bytes() { dict } else { plain }
+            } else {
+                StrColumn::plain(gathered.clone())
+            };
+            prop_assert_eq!(got, want);
+        }
+        prop_assert_eq!(
+            Column::plain_bytes(&ColumnData::Str(values.clone())),
+            StrColumn::plain(gathered).encoded_bytes()
+        );
+    }
+
+    #[test]
+    fn plain_bytes_is_the_uncompressed_encoders_size(values in prop::collection::vec(-5i64..(1 << 33), 0..50)) {
+        let data = ColumnData::Int(values);
+        prop_assert_eq!(Column::plain_bytes(&data), Column::encode(&data, false).encoded_bytes());
     }
 
     #[test]
