@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use cvr_core::poslist::PosList;
-use cvr_core::scan::scan_int_where;
+use cvr_core::scan::{refine, ScanPred};
 use cvr_data::gen::rng::SplitMix64;
 use cvr_index::bitmap::RidBitmap;
 use cvr_index::btree::{ikey, BPlusTree};
@@ -27,21 +27,24 @@ fn random_values() -> Vec<i64> {
     (0..N).map(|_| rng.int_range(0, 30_000)).collect()
 }
 
+/// The plain whole-column scan under a per-value test.
+fn scan_where(
+    col: &StoredColumn,
+    test: impl Fn(i64) -> bool,
+    block: bool,
+    io: &IoSession,
+) -> PosList {
+    let all = PosList::all(col.positions());
+    refine(col, col.positions(), &all, &ScanPred::Test(&test), block, io)
+}
+
 fn bench_rle_direct_vs_decode(c: &mut Criterion) {
     let mut g = c.benchmark_group("rle_direct_ops");
     let rle = StoredColumn::new("c", Column::Int(IntColumn::rle(&sorted_values())));
     let plain = StoredColumn::new("c", Column::Int(IntColumn::plain_fixed(sorted_values())));
     let io = IoSession::unmetered();
     g.bench_function("predicate_on_runs", |b| {
-        b.iter(|| {
-            black_box(scan_int_where(
-                &rle,
-                rle.positions(),
-                |v| (100..=200).contains(&v),
-                true,
-                &io,
-            ))
-        })
+        b.iter(|| black_box(scan_where(&rle, |v| (100..=200).contains(&v), true, &io)))
     });
     g.bench_function("predicate_after_decode", |b| {
         b.iter(|| {
@@ -51,15 +54,7 @@ fn bench_rle_direct_vs_decode(c: &mut Criterion) {
         })
     });
     g.bench_function("predicate_on_plain", |b| {
-        b.iter(|| {
-            black_box(scan_int_where(
-                &plain,
-                plain.positions(),
-                |v| (100..=200).contains(&v),
-                true,
-                &io,
-            ))
-        })
+        b.iter(|| black_box(scan_where(&plain, |v| (100..=200).contains(&v), true, &io)))
     });
     g.finish();
 }
@@ -69,10 +64,10 @@ fn bench_block_vs_tuple(c: &mut Criterion) {
     let col = StoredColumn::new("c", Column::Int(IntColumn::plain_fixed(random_values())));
     let io = IoSession::unmetered();
     g.bench_function("block_as_array", |b| {
-        b.iter(|| black_box(scan_int_where(&col, col.positions(), |v| v < 3_000, true, &io)))
+        b.iter(|| black_box(scan_where(&col, |v| v < 3_000, true, &io)))
     });
     g.bench_function("tuple_get_next", |b| {
-        b.iter(|| black_box(scan_int_where(&col, col.positions(), |v| v < 3_000, false, &io)))
+        b.iter(|| black_box(scan_where(&col, |v| v < 3_000, false, &io)))
     });
     g.finish();
 }

@@ -11,8 +11,35 @@
 //! tests one value at a time — the block-iteration loop the scan layer
 //! used before the kernel layer; "word" is the SWAR mask kernel feeding a
 //! position vector through the bulk path.
+//!
+//! Two further families measure the scan layer itself
+//! ([`cvr_core::scan::refine`]) over morsel-sized windows, the way the fact
+//! pipeline calls it:
+//!
+//! * `refine` rows — a range predicate over a packed column whose
+//!   candidates have already been thinned to 1/5/20/50 %: the whole-window
+//!   kernel followed by an intersection (what a scan-then-intersect pipeline
+//!   pays) against candidate-driven refinement, plus the two unit costs the
+//!   per-word choice inside `refine` is derived from — the bare window
+//!   kernel (`kernel_ns_per_value`) and one candidate tested on its own
+//!   (`get_ns_per_candidate`, explicit candidates). Widths 6, 10 and 17 are
+//!   the three kernel regimes: narrow lanes (shift-loop verdict gather),
+//!   5 and 3 lanes per word (multiply gather).
+//! * `membership` rows — a join-key membership scan over a packed FK column,
+//!   open-addressing hash set against the dense-key bit vector: per value
+//!   over whole windows, and per candidate over explicit candidates.
+//!
+//! `CpuRates::from_kernel_bench_json` reads `get_ns_per_candidate` and
+//! `bits_ns_per_value` for the planner's two candidate-era rates.
 
 use cvr_core::kernels::{self, scalar, CmpOp};
+use cvr_core::poslist::PosList;
+use cvr_core::scan::{refine, ScanPred};
+use cvr_index::bitmap::{KeyBits, RidBitmap};
+use cvr_index::hashidx::IntHashSet;
+use cvr_storage::column::StoredColumn;
+use cvr_storage::encode::{Column, IntColumn};
+use cvr_storage::io::IoSession;
 use cvr_storage::packed::PackedInts;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -178,6 +205,150 @@ fn measure_plain(n: u32, runs: usize, out: &mut Vec<Cell>) {
     }
 }
 
+/// Morsel-sized windows tiling `[0, n)`, like the fact pipeline's grid.
+fn windows(n: u32) -> Vec<std::ops::Range<u32>> {
+    let morsel = cvr_core::morsel::DEFAULT_MORSEL_ROWS;
+    (0..n.div_ceil(morsel)).map(|i| i * morsel..((i + 1) * morsel).min(n)).collect()
+}
+
+/// One candidate-refinement cell: a range predicate keeping ~half of a
+/// packed column, over candidates at `candidate_density`.
+struct RefineCell {
+    encoding: String,
+    candidate_density: f64,
+    /// The whole-window kernel alone (every position a candidate).
+    kernel_ns_per_value: f64,
+    /// Whole-window kernel, then intersect with the candidates.
+    window_ns_per_value: f64,
+    /// Candidate-driven refinement of the same bitmap candidates.
+    refine_ns_per_value: f64,
+    /// One candidate tested on its own (explicit candidates), per candidate.
+    get_ns_per_candidate: f64,
+}
+
+fn measure_refine(n: u32, runs: usize, bits: u8, out: &mut Vec<RefineCell>) {
+    let max = (1u64 << bits) - 1;
+    let values: Vec<i64> = codes(n, max).into_iter().map(|c| c as i64).collect();
+    let col = StoredColumn::new("c", Column::Int(IntColumn::packed(&values).expect("packs")));
+    let pred = ScanPred::Range { lo: 0, hi: (max / 2) as i64 };
+    let io = IoSession::unmetered();
+    let windows = windows(n);
+    let kernel_ns_per_value = time_per_value(n, runs, || {
+        let scanned = windows.iter().map(|w| {
+            refine(&col, w.clone(), &PosList::all(w.clone()), &pred, true, &io).count() as usize
+        });
+        scanned.sum()
+    });
+    for percent in [1u64, 5, 20, 50] {
+        // Pseudo-random candidates at the stated density, per window, in
+        // both sparse representations.
+        let keep = |p: u32| {
+            (p as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32 < percent * (1 << 32) / 100
+        };
+        let mut total = 0usize;
+        let (bitmaps, explicit): (Vec<PosList>, Vec<PosList>) = windows
+            .iter()
+            .map(|w| {
+                let positions: Vec<u32> = w.clone().filter(|&p| keep(p)).collect();
+                total += positions.len();
+                let rids = positions.iter().map(|p| p - w.start);
+                (
+                    PosList::Bitmap {
+                        base: w.start,
+                        bits: RidBitmap::from_rids(w.len() as u32, rids),
+                    },
+                    PosList::Explicit { positions, universe: w.len() as u32 },
+                )
+            })
+            .unzip();
+        let through = |candidates: &[PosList]| -> usize {
+            let refined = windows.iter().zip(candidates);
+            refined
+                .map(|(w, c)| refine(&col, w.clone(), c, &pred, true, &io).count() as usize)
+                .sum()
+        };
+        let scan_then_intersect = || -> usize {
+            let scanned = windows.iter().zip(&bitmaps).map(|(w, c)| {
+                let full = refine(&col, w.clone(), &PosList::all(w.clone()), &pred, true, &io);
+                c.intersect(&full).count() as usize
+            });
+            scanned.sum()
+        };
+        let survivors = scan_then_intersect();
+        assert_eq!(through(&bitmaps), survivors, "refine/intersect divergence");
+        assert_eq!(through(&explicit), survivors, "refine/intersect divergence");
+        out.push(RefineCell {
+            encoding: format!("packed_w{bits}"),
+            candidate_density: total as f64 / n as f64,
+            kernel_ns_per_value,
+            window_ns_per_value: time_per_value(n, runs, scan_then_intersect),
+            refine_ns_per_value: time_per_value(n, runs, || through(black_box(&bitmaps))),
+            get_ns_per_candidate: time_per_value(total as u32, runs, || {
+                through(black_box(&explicit))
+            }),
+        });
+    }
+}
+
+/// One membership cell: every value of a packed FK column probed against a
+/// key set holding `key_fraction` of a dense key domain.
+struct MembershipCell {
+    encoding: String,
+    key_fraction: f64,
+    hash_ns_per_value: f64,
+    bits_ns_per_value: f64,
+    /// Over explicit candidates (every other position), per candidate.
+    hash_ns_per_candidate: f64,
+    bits_ns_per_candidate: f64,
+}
+
+fn measure_membership(n: u32, runs: usize, out: &mut Vec<MembershipCell>) {
+    // A CUSTOMER-sized dense key domain (sf 0.2: 6 000 keys, 13 bits).
+    let (bits, domain) = (13u8, 6_000u64);
+    let values: Vec<i64> = codes(n, domain - 1).into_iter().map(|c| c as i64).collect();
+    let col = StoredColumn::new("fk", Column::Int(IntColumn::packed(&values).expect("packs")));
+    let io = IoSession::unmetered();
+    let windows = windows(n);
+    let halves: Vec<PosList> = windows
+        .iter()
+        .map(|w| PosList::Explicit {
+            positions: w.clone().step_by(2).collect(),
+            universe: w.len() as u32,
+        })
+        .collect();
+    let everything: Vec<PosList> = windows.iter().map(|w| PosList::all(w.clone())).collect();
+    for every in [100i64, 5] {
+        let keys: Vec<i64> = (0..domain as i64).filter(|k| k % every == 0).collect();
+        let set = IntHashSet::from_keys(keys.iter().copied());
+        let dense = KeyBits::from_keys(domain as u32, keys.iter().copied());
+        let in_set = |v: i64| set.contains(v);
+        let (hash, bits_pred) = (ScanPred::Test(&in_set), ScanPred::Keys(&dense));
+        let probe = |candidates: &[PosList], pred: &ScanPred<'_>| -> usize {
+            let refined = windows.iter().zip(candidates);
+            refined.map(|(w, c)| refine(&col, w.clone(), c, pred, true, &io).count() as usize).sum()
+        };
+        for candidates in [&everything, &halves] {
+            assert_eq!(
+                probe(candidates, &bits_pred),
+                probe(candidates, &hash),
+                "bits/hash divergence"
+            );
+        }
+        out.push(MembershipCell {
+            encoding: format!("packed_w{bits}"),
+            key_fraction: keys.len() as f64 / domain as f64,
+            hash_ns_per_value: time_per_value(n, runs, || probe(black_box(&everything), &hash)),
+            bits_ns_per_value: time_per_value(n, runs, || {
+                probe(black_box(&everything), &bits_pred)
+            }),
+            hash_ns_per_candidate: time_per_value(n / 2, runs, || probe(black_box(&halves), &hash)),
+            bits_ns_per_candidate: time_per_value(n / 2, runs, || {
+                probe(black_box(&halves), &bits_pred)
+            }),
+        });
+    }
+}
+
 fn main() {
     let args = parse_args();
     let mut cells = Vec::new();
@@ -186,6 +357,11 @@ fn main() {
     measure_packed(args.n, args.runs, 17, &mut cells);
     measure_dict(args.n, args.runs, &mut cells);
     measure_plain(args.n, args.runs, &mut cells);
+    let (mut refines, mut memberships) = (Vec::new(), Vec::new());
+    for bits in [6, 10, 17] {
+        measure_refine(args.n, args.runs, bits, &mut refines);
+    }
+    measure_membership(args.n, args.runs, &mut memberships);
 
     println!("\nScan kernels: scalar block iteration vs word-parallel ({} values)\n", args.n);
     println!(
@@ -196,7 +372,7 @@ fn main() {
     let _ = writeln!(json, "  \"n\": {},", args.n);
     let _ = writeln!(json, "  \"runs\": {},", args.runs);
     json.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
+    for c in &cells {
         println!(
             "{:<12} {:<12} {:>12.4} {:>12.3} {:>12.3} {:>8.2}x",
             c.kernel,
@@ -217,7 +393,81 @@ fn main() {
             c.word_ns_per_value,
             c.speedup()
         );
-        json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
+        json.push_str(",\n");
+    }
+
+    println!(
+        "\nCandidate refinement over {}-row windows (range predicate, packed)\n",
+        windows(args.n)[0].len()
+    );
+    println!(
+        "{:<12} {:>10} {:>12} {:>16} {:>14} {:>16}",
+        "encoding",
+        "candidates",
+        "kernel ns/v",
+        "scan+intersect",
+        "refine ns/v",
+        "get ns/candidate"
+    );
+    for c in &refines {
+        println!(
+            "{:<12} {:>10.4} {:>12.3} {:>16.3} {:>14.3} {:>16.3}",
+            c.encoding,
+            c.candidate_density,
+            c.kernel_ns_per_value,
+            c.window_ns_per_value,
+            c.refine_ns_per_value,
+            c.get_ns_per_candidate
+        );
+        let _ = writeln!(
+            json,
+            "    {{\"kernel\": \"refine\", \"encoding\": \"{}\", \"candidate_density\": {:.6}, \
+             \"kernel_ns_per_value\": {:.4}, \"window_ns_per_value\": {:.4}, \
+             \"refine_ns_per_value\": {:.4}, \"get_ns_per_candidate\": {:.4}}},",
+            c.encoding,
+            c.candidate_density,
+            c.kernel_ns_per_value,
+            c.window_ns_per_value,
+            c.refine_ns_per_value,
+            c.get_ns_per_candidate
+        );
+    }
+
+    println!("\nJoin-key membership scan: hash set vs dense-key bit vector\n");
+    println!(
+        "{:<12} {:>8} {:>10} {:>10} {:>8} {:>16} {:>16}",
+        "encoding",
+        "keys",
+        "hash ns/v",
+        "bits ns/v",
+        "speedup",
+        "hash ns/candidate",
+        "bits ns/candidate"
+    );
+    for (i, c) in memberships.iter().enumerate() {
+        println!(
+            "{:<12} {:>8.4} {:>10.3} {:>10.3} {:>7.2}x {:>16.3} {:>16.3}",
+            c.encoding,
+            c.key_fraction,
+            c.hash_ns_per_value,
+            c.bits_ns_per_value,
+            c.hash_ns_per_value / c.bits_ns_per_value.max(1e-12),
+            c.hash_ns_per_candidate,
+            c.bits_ns_per_candidate
+        );
+        let _ = write!(
+            json,
+            "    {{\"kernel\": \"membership\", \"encoding\": \"{}\", \"key_fraction\": {:.6}, \
+             \"hash_ns_per_value\": {:.4}, \"bits_ns_per_value\": {:.4}, \
+             \"hash_ns_per_candidate\": {:.4}, \"bits_ns_per_candidate\": {:.4}}}",
+            c.encoding,
+            c.key_fraction,
+            c.hash_ns_per_value,
+            c.bits_ns_per_value,
+            c.hash_ns_per_candidate,
+            c.bits_ns_per_candidate
+        );
+        json.push_str(if i + 1 < memberships.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ]\n}\n");
     std::fs::write(&args.out, &json).expect("write BENCH_kernels.json");

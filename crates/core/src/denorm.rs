@@ -24,7 +24,7 @@ use crate::ctx::{QueryCtx, QueryError};
 use crate::extract::{gather_codes, gather_ints, gather_values, CodeSpace};
 use crate::poslist::PosList;
 use crate::projection::{sort_permutation, FACT_SORT};
-use crate::scan::{scan_int_where, scan_pred};
+use crate::scan::{refine, ScanPred};
 use cvr_data::gen::SsbTables;
 use cvr_data::queries::{all_queries, Pred, SsbQuery};
 use cvr_data::result::QueryOutput;
@@ -213,60 +213,43 @@ impl DenormDb {
         ctx: &QueryCtx,
     ) -> Result<QueryOutput, QueryError> {
         let n = self.rows as u32;
-        let mut pos: Option<PosList> = None;
-        let and_with = |pl: PosList, pos: &mut Option<PosList>| {
-            *pos = Some(match pos.take() {
-                None => pl,
-                Some(acc) => acc.intersect(&pl),
-            });
-        };
+        let block = cfg.block_iteration;
+        // Every predicate refines the positions the previous ones left.
+        let mut pos = PosList::all(0..n);
 
         // Fact predicates.
         for p in &q.fact_predicates {
             ctx.check()?;
             let mut span = ctx.span("scan", p.column, io);
             let col = self.store.column(p.column);
-            let pl = scan_pred(col, col.positions(), &p.pred, cfg.block_iteration, io);
-            span.rows(pl.count() as u64);
-            and_with(pl, &mut pos);
+            pos = refine(col, 0..n, &pos, &ScanPred::Logical(&p.pred), block, io);
+            span.rows(pos.count() as u64);
         }
         // Dimension predicates, now direct column predicates.
         for p in &q.dim_predicates {
             ctx.check()?;
             let mut span = ctx.span("scan", p.column, io);
             let col = self.store.column(p.column);
-            let pl = if self.variant == DenormVariant::IntCompression
+            pos = if self.variant == DenormVariant::IntCompression
                 && self.dicts.contains_key(p.column)
             {
                 match self.code_pred(p.column, &p.pred) {
                     None => PosList::empty(n),
                     Some((lo, hi, matches)) => {
-                        if matches[lo as usize..=hi as usize].iter().all(|&m| m) {
-                            scan_int_where(
-                                col,
-                                col.positions(),
-                                move |v| v >= lo && v <= hi,
-                                cfg.block_iteration,
-                                io,
-                            )
+                        let listed = |v: i64| matches[v as usize];
+                        let pred = if matches[lo as usize..=hi as usize].iter().all(|&m| m) {
+                            ScanPred::Range { lo, hi }
                         } else {
-                            scan_int_where(
-                                col,
-                                col.positions(),
-                                move |v| matches[v as usize],
-                                cfg.block_iteration,
-                                io,
-                            )
-                        }
+                            ScanPred::Test(&listed)
+                        };
+                        refine(col, 0..n, &pos, &pred, block, io)
                     }
                 }
             } else {
-                scan_pred(col, col.positions(), &p.pred, cfg.block_iteration, io)
+                refine(col, 0..n, &pos, &ScanPred::Logical(&p.pred), block, io)
             };
-            span.rows(pl.count() as u64);
-            and_with(pl, &mut pos);
+            span.rows(pos.count() as u64);
         }
-        let pos = pos.unwrap_or_else(|| PosList::all(0..n));
         let mut agg_span = ctx.span("extract-aggregate", "", io);
         // The gathers below materialize one value per passing row per group
         // column and measure; charge them up front, before allocating.

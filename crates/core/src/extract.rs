@@ -44,11 +44,18 @@ impl<'a> RunCursor<'a> {
 }
 
 /// Gather integer values at the (ascending) positions of `pos`.
+pub fn gather_ints(col: &StoredColumn, pos: &PosList, io: &IoSession) -> Vec<i64> {
+    col.charge_gather(pos.iter(), io);
+    ints_at(col, pos)
+}
+
+/// The integer values at the (ascending) positions of `pos`, uncharged: for
+/// an operator that has already charged its read of those pages (a join
+/// reading back the keys its own membership scan matched).
 ///
 /// RLE columns are walked run-by-run with a cursor (positions are ascending,
 /// so this is O(positions + runs) without decompressing).
-pub fn gather_ints(col: &StoredColumn, pos: &PosList, io: &IoSession) -> Vec<i64> {
-    col.charge_gather(pos.iter(), io);
+pub(crate) fn ints_at(col: &StoredColumn, pos: &PosList) -> Vec<i64> {
     let int = col.column.as_int();
     let mut out = Vec::with_capacity(pos.count() as usize);
     match int {

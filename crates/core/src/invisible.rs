@@ -7,12 +7,18 @@
 //!    run over its (sorted, compressed) columns, producing a position list.
 //!    If the matching positions are contiguous, *between-predicate
 //!    rewriting* (Section 5.4.2) turns the join into a `lo <= fk <= hi`
-//!    range test; otherwise the matching keys go into a hash set — "in
-//!    which case a hash join is simulated".
+//!    range test; otherwise the matching keys become a membership set — "in
+//!    which case a hash join is simulated": one bit per dimension row where
+//!    keys are dense (the key *is* the row position, so membership is an
+//!    array look-up), a hash set for DATE's `yyyymmdd` keys.
 //! 2. **Fact foreign-key probes.** Each key predicate is applied to its FK
 //!    column like any other column predicate (RLE-direct where the column
-//!    is sorted), and the per-dimension position lists are intersected into
-//!    the final fact position list `P`.
+//!    is sorted). The paper intersects per-predicate position lists; here
+//!    each predicate instead *refines* the positions its predecessors left
+//!    ([`crate::scan::refine`]) — the same final list `P`, but a probe only
+//!    looks where candidates remain, and a morsel with none left runs no
+//!    further kernel. Every predicate still charges its morsel's slice of
+//!    the column: the modeled disk reads sequentially, the CPU skips.
 //! 3. **Minimal out-of-order extraction.** Only now, with all predicates
 //!    applied, are dimension attributes fetched: dense reassigned keys make
 //!    the FK value *be* the dimension row position ("a fast array
@@ -31,10 +37,11 @@ use crate::extract::gather_ints;
 use crate::morsel::{grid, run_fused, OpActual, Operator};
 use crate::poslist::PosList;
 use crate::projection::CStoreDb;
-use crate::scan::{scan_int, scan_pred, IntScanPred};
+use crate::scan::{refine, ScanPred};
 use cvr_data::queries::SsbQuery;
 use cvr_data::result::QueryOutput;
 use cvr_data::schema::Dim;
+use cvr_index::bitmap::KeyBits;
 use cvr_index::hashidx::{IntHashMap, IntHashSet};
 use cvr_storage::io::{IoLog, IoSession};
 use std::collections::HashMap;
@@ -45,7 +52,10 @@ use std::time::Instant;
 pub enum FactKeyPred {
     /// `lo <= fk <= hi` — the between-predicate rewriting fast path.
     Between(i64, i64),
-    /// Hash-set membership — the general fallback.
+    /// Membership among the matching keys of a dense-keyed dimension: one
+    /// bit per dimension row.
+    KeyBits(KeyBits),
+    /// Hash-set membership — the fallback for non-dense keys (DATE).
     KeySet(IntHashSet),
 }
 
@@ -54,23 +64,47 @@ impl FactKeyPred {
     pub fn kind(&self) -> &'static str {
         match self {
             FactKeyPred::Between(..) => "between",
+            FactKeyPred::KeyBits(..) => "key-bits",
             FactKeyPred::KeySet(..) => "hash-set",
         }
     }
 
     /// Run `f` with the scan-layer form of this key predicate:
     /// between-rewritten joins become interval predicates
-    /// (SWAR-kernel-eligible on packed FK columns); hash sets stay opaque
-    /// per-value tests.
-    fn with_scan_pred<R>(&self, f: impl FnOnce(&IntScanPred<'_>) -> R) -> R {
+    /// (SWAR-kernel-eligible on packed FK columns), dense key sets one bit
+    /// test per value; hash sets stay opaque per-value tests.
+    fn with_scan_pred<R>(&self, f: impl FnOnce(&ScanPred<'_>) -> R) -> R {
         match self {
-            FactKeyPred::Between(lo, hi) => f(&IntScanPred::Range { lo: *lo, hi: *hi }),
+            FactKeyPred::Between(lo, hi) => f(&ScanPred::Range { lo: *lo, hi: *hi }),
+            FactKeyPred::KeyBits(keys) => f(&ScanPred::Keys(keys)),
             FactKeyPred::KeySet(set) => {
                 let test = |v: i64| set.contains(v);
-                f(&IntScanPred::Test(&test))
+                f(&ScanPred::Test(&test))
             }
         }
     }
+}
+
+/// The positions of `dim`'s rows satisfying every predicate `q` puts on it
+/// (all rows when it puts none): each predicate scans its whole — small —
+/// dimension column, and the per-predicate lists are intersected.
+pub(crate) fn dim_positions(
+    db: &CStoreDb,
+    q: &SsbQuery,
+    dim: Dim,
+    cfg: EngineConfig,
+    io: &IoSession,
+) -> PosList {
+    let store = &db.dim(dim).store;
+    let rows = 0..db.dim(dim).sorted.num_rows() as u32;
+    let mut dpos = PosList::all(rows.clone());
+    for p in q.dim_predicates_on(dim) {
+        let pred = ScanPred::Logical(&p.pred);
+        let all = PosList::all(rows.clone());
+        let pl = refine(store.column(p.column), rows.clone(), &all, &pred, cfg.block_iteration, io);
+        dpos = dpos.intersect(&pl);
+    }
+    dpos
 }
 
 /// Phase 1 for one dimension: evaluate its predicates and rewrite to a fact
@@ -78,9 +112,9 @@ impl FactKeyPred {
 ///
 /// `between_rewriting` is the ablation switch of Section 6.3.2 ("this
 /// performance difference is largely due to the between-predicate rewriting
-/// optimization"): when false, phase 1 always builds a key hash set — the
-/// "another way of thinking about a column-oriented semijoin" baseline of
-/// Section 5.4.2.
+/// optimization"): when false, phase 1 always builds a key membership set —
+/// the "another way of thinking about a column-oriented semijoin" baseline
+/// of Section 5.4.2.
 pub fn phase1_key_pred(
     db: &CStoreDb,
     q: &SsbQuery,
@@ -89,21 +123,11 @@ pub fn phase1_key_pred(
     between_rewriting: bool,
     io: &IoSession,
 ) -> Option<FactKeyPred> {
-    let preds = q.dim_predicates_on(dim);
-    if preds.is_empty() {
+    if q.dim_predicates_on(dim).is_empty() {
         return None;
     }
     let store = db.dim(dim);
-    let mut dpos: Option<PosList> = None;
-    for p in &preds {
-        let col = store.store.column(p.column);
-        let pl = scan_pred(col, col.positions(), &p.pred, cfg.block_iteration, io);
-        dpos = Some(match dpos {
-            None => pl,
-            Some(acc) => acc.intersect(&pl),
-        });
-    }
-    let dpos = dpos.expect("at least one predicate");
+    let dpos = dim_positions(db, q, dim, cfg, io);
     // Between-predicate rewriting: the *runtime* contiguity check the paper
     // describes ("the code that evaluates predicates against the dimension
     // table is capable of detecting whether the result set is contiguous").
@@ -127,28 +151,34 @@ pub fn phase1_key_pred(
             FactKeyPred::Between(vals[0], *vals.last().unwrap())
         }
     } else {
-        // General case: collect matching keys into a hash set ("the hash
-        // table should easily fit in memory since dimension tables are
-        // typically small and the table contains only keys").
+        // General case: collect the matching keys ("the hash table should
+        // easily fit in memory since dimension tables are typically small
+        // and the table contains only keys") — as a bit per dimension row
+        // where the reassigned keys are the row positions.
         let keycol = store.store.column(dim.key_column());
         let keys = gather_ints(keycol, &dpos, io);
-        FactKeyPred::KeySet(IntHashSet::from_keys(keys))
+        if store.dense_keys {
+            FactKeyPred::KeyBits(KeyBits::from_keys(dpos.universe(), keys))
+        } else {
+            FactKeyPred::KeySet(IntHashSet::from_keys(keys))
+        }
     };
     Some(key_pred)
 }
 
-/// Phase 2: apply one key predicate to positions `window` of its fact FK
-/// column.
+/// Phase 2: refine `candidates` — the positions of `window` still alive —
+/// by one key predicate over its fact FK column.
 pub fn phase2_probe(
     db: &CStoreDb,
     dim: Dim,
     key_pred: &FactKeyPred,
     cfg: EngineConfig,
     window: Range<u32>,
+    candidates: &PosList,
     io: &IoSession,
 ) -> PosList {
     let col = db.fact.column(dim.fact_fk_column());
-    key_pred.with_scan_pred(|pred| scan_int(col, window, pred, cfg.block_iteration, io))
+    key_pred.with_scan_pred(|pred| refine(col, window, candidates, pred, cfg.block_iteration, io))
 }
 
 /// A reusable record of the *filter* half (phases 1+2) of one invisible-join
@@ -231,9 +261,9 @@ fn build_join_maps(
 }
 
 /// Phase 2 over one morsel: every key predicate, then the fact measure
-/// predicates (flight 1) like any other column predicate, intersected into
-/// the morsel's surviving positions. One [`IoLog`] op and one `actuals`
-/// slot per predicate.
+/// predicates (flight 1) like any other column predicate, each refining the
+/// positions its predecessors left. One [`IoLog`] op and one `actuals` slot
+/// per predicate; a slot's rows are the survivors *after* its predicate.
 fn filter_morsel(
     db: &CStoreDb,
     q: &SsbQuery,
@@ -243,26 +273,25 @@ fn filter_morsel(
     io: &IoSession,
     actuals: &mut [OpActual],
 ) -> PosList {
-    let mut pos: Option<PosList> = None;
+    let mut pos = PosList::all(window.clone());
     let mut slots = actuals.iter_mut();
-    let mut intersect = |frag: PosList, started: Instant| {
-        let rows = frag.count() as u64;
-        pos = Some(match pos.take() {
-            None => frag,
-            Some(acc) => acc.intersect(&frag),
-        });
-        *slots.next().expect("one slot per predicate") = OpActual { rows, busy: started.elapsed() };
+    let mut done = |pos: &PosList, started: Instant| {
+        *slots.next().expect("one slot per predicate") =
+            OpActual { rows: pos.count() as u64, busy: started.elapsed() };
     };
     for (dim, key_pred) in key_preds {
         let started = Instant::now();
-        intersect(phase2_probe(db, *dim, key_pred, cfg, window.clone(), io), started);
+        pos = phase2_probe(db, *dim, key_pred, cfg, window.clone(), &pos, io);
+        done(&pos, started);
     }
     for p in &q.fact_predicates {
         let started = Instant::now();
         let col = db.fact.column(p.column);
-        intersect(scan_pred(col, window.clone(), &p.pred, cfg.block_iteration, io), started);
+        let pred = ScanPred::Logical(&p.pred);
+        pos = refine(col, window.clone(), &pos, &pred, cfg.block_iteration, io);
+        done(&pos, started);
     }
-    pos.unwrap_or_else(|| PosList::all(window))
+    pos
 }
 
 /// Phase 3 over one position list: minimal out-of-order extraction of group
@@ -371,9 +400,9 @@ pub(crate) fn execute(
     // the same global code spaces.
     let strat = AggStrategy::for_query(db, q);
     // Traced operators, in the order every morsel charges them; each morsel's
-    // fragment count for an operator sums (over morsels) to its whole-column
-    // output cardinality, so EXPLAIN ANALYZE reports identical actuals at any
-    // thread count. A warm execution runs no filter operators.
+    // survivor count after an operator sums (over morsels) to the whole
+    // column's running survivors, so EXPLAIN ANALYZE reports identical
+    // actuals at any thread count. A warm execution runs no filter operators.
     let key_ops = key_preds.iter().map(|(dim, _)| ("probe", dim.fact_fk_column()));
     let fact_ops = q.fact_predicates.iter().map(|p| ("scan", p.column));
     let operators: Vec<Operator> = match warm {
@@ -464,7 +493,7 @@ mod tests {
     }
 
     #[test]
-    fn city_in_set_falls_back_to_hash() {
+    fn city_in_set_falls_back_to_key_bits() {
         let db = db();
         let io = IoSession::unmetered();
         // Q3.3: c_city IN ('UNITED KI1','UNITED KI5') — two disjoint ranges.
@@ -472,7 +501,7 @@ mod tests {
             .expect("customer restricted");
         // With a large enough dimension both cities exist and are disjoint;
         // at tiny scales one may be absent (still correct either way).
-        assert!(kp.kind() == "hash-set" || kp.kind() == "between");
+        assert!(kp.kind() == "key-bits" || kp.kind() == "between");
     }
 
     #[test]
@@ -486,7 +515,7 @@ mod tests {
                 assert_eq!(lo, 19930101);
                 assert_eq!(hi, 19931231);
             }
-            FactKeyPred::KeySet(_) => panic!("year predicate must rewrite to between"),
+            _ => panic!("year predicate must rewrite to between"),
         }
     }
 
@@ -568,13 +597,16 @@ mod tests {
     fn traced_operators_carry_rows_time_and_io_at_every_thread_count() {
         // One tree shape at any thread count: the fused span, then one leaf
         // per filter operator whose rows and I/O do not depend on the grid.
+        // A leaf's rows are the running survivors — what is left *after* its
+        // predicate — so they only fall, and the last leaf's are the filter's.
         let db = db();
         let q = query(3, 1);
         let mut seen = Vec::new();
         for threads in [1, 4] {
             let ctx = QueryCtx::unbounded();
             ctx.attach_tracer(crate::trace::Tracer::new());
-            run(&db, &q, EngineConfig::FULL, &ExecOptions { ctx: ctx.clone(), ..at(threads) });
+            let opts = ExecOptions { ctx: ctx.clone(), reuse: FilterReuse::Capture, ..at(threads) };
+            let (_, capture, _) = run(&db, &q, EngineConfig::FULL, &opts);
             let root = ctx.tracer().unwrap().take_root().expect("traced");
             let spans = root.flatten();
             let ops: Vec<&str> = spans.iter().map(|s| s.op.as_str()).collect();
@@ -584,6 +616,10 @@ mod tests {
                 assert!(leaf.wall > std::time::Duration::ZERO, "{leaf:?}");
                 assert!(leaf.io.pages_read > 0, "{leaf:?}");
             }
+            let rows: Vec<u64> = spans[2..].iter().map(|s| s.rows_out.expect("rows")).collect();
+            assert!(rows.windows(2).all(|w| w[0] >= w[1]), "survivors only fall: {rows:?}");
+            assert!(rows[0] < db.fact_rows() as u64, "the first probe already restricts");
+            assert_eq!(rows.last().copied(), Some(capture.expect("captured").survivors()));
             seen.push(spans[2..].iter().map(|s| (s.rows_out, s.io)).collect::<Vec<_>>());
         }
         assert_eq!(seen[0], seen[1], "per-operator actuals must not depend on threads");
@@ -620,14 +656,18 @@ mod tests {
     }
 
     #[test]
-    fn disabling_rewriting_forces_hash_sets() {
+    fn disabling_rewriting_forces_key_sets() {
         let db = CStoreDb::build(Arc::new(SsbConfig { sf: 0.002, seed: 61 }.generate()), true);
         let io = IoSession::unmetered();
-        let q = query(3, 1); // region predicates: rewritable when enabled
-        let with = phase1_key_pred(&db, &q, Dim::Customer, EngineConfig::FULL, true, &io).unwrap();
-        let without =
-            phase1_key_pred(&db, &q, Dim::Customer, EngineConfig::FULL, false, &io).unwrap();
-        assert_eq!(with.kind(), "between");
-        assert_eq!(without.kind(), "hash-set");
+        // Region and year predicates: rewritable when enabled. Without, one
+        // membership representation per key kind: bits over CUSTOMER's dense
+        // keys, a hash set over DATE's yyyymmdd keys.
+        let q = query(3, 1);
+        for (dim, fallback) in [(Dim::Customer, "key-bits"), (Dim::Date, "hash-set")] {
+            let kind = |rewrite| {
+                phase1_key_pred(&db, &q, dim, EngineConfig::FULL, rewrite, &io).unwrap().kind()
+            };
+            assert_eq!((kind(true), kind(false)), ("between", fallback), "{dim:?}");
+        }
     }
 }

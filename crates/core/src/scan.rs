@@ -5,7 +5,7 @@
 //! * **Block iteration vs tuple iteration** (Section 5.3): every scan has
 //!   two code paths — a block path (word-parallel kernels over native
 //!   slices and packed words, see [`crate::kernels`]) and `get_next` (one
-//!   virtual call per value through a boxed iterator). The paper notes it
+//!   opaque virtual call per value examined). The paper notes it
 //!   "only noticed a significant difference in the performance of selection
 //!   operations" when switching interfaces, which is why the dual path
 //!   lives here, in selection. The tuple path is deliberately left
@@ -23,20 +23,25 @@
 //!   run structure — and kernel results land as whole 64-bit mask words
 //!   ([`PosAccumulator::push_mask`]), never through a per-bit path.
 //!
-//! Every scan covers a **window** of its column — the whole column for a
-//! dimension predicate, one morsel for the fact pipeline — and every
-//! (encoding × interface) combination funnels through one pair of drivers,
-//! [`scan_int_into`] and [`scan_str_into`], emitting into a
-//! [`PosAccumulator`] sized by that window.
+//! Every predicate is applied by one function, [`refine`], over a **window**
+//! of its column — the whole column for a dimension predicate, one morsel
+//! for the fact pipeline — and a list of **candidates**: the positions of
+//! that window earlier predicates left alive. Late materialization
+//! (Section 5.2) exists so that work shrinks with the surviving positions,
+//! so the kernels are driven by the candidates, not by the window; a plain
+//! window scan is the case where every position is still a candidate. Every
+//! (encoding × interface × candidate representation) combination emits into
+//! a [`PosAccumulator`] sized by the window.
 
 use crate::kernels::{self, CmpOp};
 use crate::poslist::{PosList, EXPLICIT_LIMIT_DIVISOR};
 use cvr_data::queries::Pred;
 use cvr_data::value::Value;
-use cvr_index::bitmap::RidBitmap;
+use cvr_index::bitmap::{KeyBits, RidBitmap};
 use cvr_storage::column::StoredColumn;
 use cvr_storage::encode::{Column, IntColumn, StrColumn};
 use cvr_storage::io::IoSession;
+use cvr_storage::packed::PackedInts;
 use std::ops::Range;
 
 /// Accumulates ascending positions of one window, upgrading from an
@@ -160,6 +165,40 @@ impl PosAccumulator {
         }
     }
 
+    /// Append the positions of `candidates` inside `[start, end)`, each
+    /// representation through its bulk path: a clamped range, masked bitmap
+    /// words, a slice of the explicit list.
+    fn push_within(&mut self, candidates: &PosList, start: u32, end: u32) {
+        match candidates {
+            PosList::Range { start: s, end: e, .. } => self.push_range(start.max(*s), end.min(*e)),
+            PosList::Bitmap { base, bits } => {
+                let lo = start.max(*base) - base;
+                let hi = end.min(base + bits.len()).saturating_sub(*base);
+                if lo >= hi {
+                    return;
+                }
+                let (first, last) = ((lo / 64) as usize, ((hi - 1) / 64) as usize);
+                for (i, &word) in bits.words()[first..=last].iter().enumerate() {
+                    let mut mask = word;
+                    if i == 0 {
+                        mask &= u64::MAX << (lo % 64);
+                    }
+                    if first + i == last {
+                        mask &= u64::MAX >> (63 - (hi - 1) % 64);
+                    }
+                    self.push_mask(base + (first + i) as u32 * 64, mask);
+                }
+            }
+            PosList::Explicit { positions, .. } => {
+                let lo = positions.partition_point(|&p| p < start);
+                let hi = positions.partition_point(|&p| p < end);
+                for &p in &positions[lo..hi] {
+                    self.push(p);
+                }
+            }
+        }
+    }
+
     /// Finish into the cheapest faithful representation.
     pub fn finish(self) -> PosList {
         if self.contiguous {
@@ -175,29 +214,39 @@ impl PosAccumulator {
     }
 }
 
-/// An integer predicate as the scan layer sees it: either a contiguous
-/// interval (SWAR-eligible — equality, comparisons, between, and rewritten
-/// join predicates all land here) or an opaque test (hash-set membership,
-/// non-contiguous IN-lists).
-pub enum IntScanPred<'a> {
-    /// `lo <= v <= hi`, inclusive. `lo > hi` matches nothing.
+/// A predicate as the scan layer sees it.
+pub enum ScanPred<'a> {
+    /// `lo <= v <= hi` over an integer column, inclusive; `lo > hi` matches
+    /// nothing. SWAR-eligible — equality, comparisons, between, and
+    /// between-rewritten join predicates all land here.
     Range {
         /// Inclusive lower bound.
         lo: i64,
         /// Inclusive upper bound.
         hi: i64,
     },
-    /// Arbitrary per-value test.
+    /// Membership of an integer (foreign-key) column's values in a dense key
+    /// set: one bit test per value.
+    Keys(&'a KeyBits),
+    /// Arbitrary per-value test over an integer column (hash-set membership,
+    /// non-contiguous IN-lists).
     Test(&'a (dyn Fn(i64) -> bool + 'a)),
+    /// A logical predicate over a column of either type. Integer predicates
+    /// compile to [`ScanPred::Range`] when [`ScanPred::range_of`] finds an
+    /// interval; string predicates are evaluated once per dictionary entry
+    /// and scanned as code predicates.
+    Logical(&'a Pred),
 }
 
-impl IntScanPred<'_> {
-    /// Evaluate against one value (the tuple-at-a-time and RLE-run path).
+impl ScanPred<'_> {
+    /// Evaluate against one integer value (the RLE-run path).
     #[inline]
-    pub fn matches(&self, v: i64) -> bool {
+    fn matches(&self, v: i64) -> bool {
         match self {
-            IntScanPred::Range { lo, hi } => v >= *lo && v <= *hi,
-            IntScanPred::Test(f) => f(v),
+            ScanPred::Range { lo, hi } => v >= *lo && v <= *hi,
+            ScanPred::Keys(keys) => keys.contains(v),
+            ScanPred::Test(f) => f(v),
+            ScanPred::Logical(pred) => pred.matches_int(v),
         }
     }
 
@@ -244,139 +293,283 @@ fn code_bounds(reference: i64, max_code: u64, lo: i64, hi: i64) -> Option<(u64, 
     Some((lo as u64, (hi as u128).min(max_code as u128) as u64))
 }
 
-/// Rows scanned between cancellation polls when a
+/// Rows walked between cancellation polls when a
 /// [scan watch](crate::ctx::watch_scans) is active. A multiple of 64 so
 /// chunk boundaries stay mask-word friendly; small enough that even a
 /// tuple-at-a-time scan of one chunk completes in well under a millisecond.
 pub const SCAN_POLL_ROWS: u32 = 1 << 16;
 
-/// The unified integer scan driver: every encoding × interface combination
-/// for positions `[start, end)` of `col`, emitting into `sink`. Block mode
-/// routes through the word-parallel kernels; tuple mode keeps the paper's
-/// one-virtual-call-per-value `get_next` loop.
-///
-/// When the executing thread has adopted a scan watch, oversized ranges are
-/// walked in [`SCAN_POLL_ROWS`] chunks with a cancellation poll between
-/// them — chunked and unchunked scans emit identical positions (range
-/// tiling is exactly the morsel decomposition already tested), so this only
-/// bounds abort latency, never changes results.
-pub fn scan_int_into(
-    col: &IntColumn,
-    start: u32,
-    end: u32,
-    pred: &IntScanPred<'_>,
-    block: bool,
-    sink: &mut PosAccumulator,
-) {
-    if end.saturating_sub(start) > SCAN_POLL_ROWS && crate::ctx::scan_watch_active() {
-        let mut s = start;
-        while s < end {
-            crate::ctx::poll_scan_watch();
-            let e = s.saturating_add(SCAN_POLL_ROWS).min(end);
-            scan_int_chunk(col, s, e, pred, block, sink);
-            s = e;
-        }
-        return;
+/// Walk `window` in one piece — or, when the executing thread has adopted a
+/// scan watch and the window is oversized, in [`SCAN_POLL_ROWS`] pieces with
+/// a cancellation poll before each. Pieces tile the window (exactly the
+/// morsel decomposition already tested), so chunking only bounds abort
+/// latency, never changes results.
+fn for_each_chunk(window: &Range<u32>, mut f: impl FnMut(u32, u32)) {
+    if window.len() as u32 <= SCAN_POLL_ROWS || !crate::ctx::scan_watch_active() {
+        return f(window.start, window.end);
     }
-    scan_int_chunk(col, start, end, pred, block, sink);
+    let mut s = window.start;
+    while s < window.end {
+        crate::ctx::poll_scan_watch();
+        let e = s.saturating_add(SCAN_POLL_ROWS).min(window.end);
+        f(s, e);
+        s = e;
+    }
 }
 
-fn scan_int_chunk(
+/// Measured unit costs behind the per-word choice between a word kernel and
+/// per-candidate tests, in tenths of a nanosecond. From the `refine` rows of
+/// `BENCH_kernels.json` (`kernels` binary, 16 Ki-row windows, a range
+/// predicate keeping half the values — no all-match or all-miss words for the
+/// kernel to shortcut):
+///
+/// * one candidate fetched with `PackedInts::get` and tested costs 3.2–4.0 ns
+///   (`get_ns_per_candidate` at 20–50 % candidates; sparser candidates add
+///   cache misses, which only favours skipping);
+/// * the SWAR kernel costs 0.78 ns per value at 5 lanes per word and 1.29 at
+///   3 (`kernel_ns_per_value`, widths 10 and 17): one packed word through
+///   compare, multiply-gather and mask banking is ~3.9 ns whatever its lane
+///   count;
+/// * at lanes narrower than 8 bits the verdict bits are gathered by a shift
+///   loop instead of a multiply, and the kernel costs 1.29 ns per value
+///   however many lanes share the word (width 6).
+const CANDIDATE_COST: u32 = 35;
+const SWAR_WORD_COST: u32 = 40;
+const NARROW_LANE_COST: u32 = 13;
+
+/// Candidates in one 64-position word from which the SWAR kernel over
+/// `packed` beats testing them one by one: the word spans `64 / lanes`
+/// packed words. 14 of 64 at 5 lanes per word, 24 at 3, 37 at 2; 24 for
+/// every narrow-lane width.
+fn swar_kernel_from(packed: &PackedInts) -> u32 {
+    let kernel = if packed.lane_bits() >= 8 {
+        64 / packed.lanes_per_word() as u32 * SWAR_WORD_COST
+    } else {
+        64 * NARROW_LANE_COST
+    };
+    kernel.div_ceil(CANDIDATE_COST)
+}
+
+/// Candidates in one 64-position word from which a *per-value* word kernel
+/// (opaque tests over unpacked lanes, branchless slice masks) beats testing
+/// the candidates one by one. From the `membership` rows: the bit-vector
+/// kernel pays 2.1 ns for each of the 64 values against 3.1–3.3 ns per
+/// candidate — break-even at 40–43 candidates; a hash set 3.6–5.4 ns against
+/// 4.8–4.9 ns — 48 or more. 40 is the bit vector's, and takes the kernel a
+/// little early for hash sets, never late.
+const VALUE_KERNEL_FROM: u32 = 40;
+
+/// Never take the word kernel: more candidates than a word holds.
+const NO_KERNEL: u32 = 65;
+
+/// Apply one (column, predicate) pair to the candidates of `window`,
+/// emitting the survivors into `sink`. `masks(s, e, emit)` is the pair's
+/// word kernel over positions `[s, e)` (bases ascend from `s` in steps of
+/// 64), `test(p)` its verdict on the single position `p`, and `kernel_from`
+/// the number of candidates in a 64-position word from which the kernel is
+/// the cheaper of the two:
+///
+/// * `Range` candidates narrow the kernel's window;
+/// * `Bitmap` candidates skip empty words, test the candidates of sparse
+///   words one by one, and run the kernel over stretches of dense words,
+///   ANDing its masks with the candidate words;
+/// * `Explicit` candidates are tested one by one.
+///
+/// Tuple-at-a-time mode (`!block`) never takes a kernel and pays one opaque
+/// virtual call per value it examines (`black_box` keeps the call from being
+/// devirtualized, so its cost is real, like C-Store's `getNext` interface).
+fn apply<M, T>(
+    window: &Range<u32>,
+    candidates: &PosList,
+    block: bool,
+    kernel_from: u32,
+    masks: M,
+    test: T,
+    sink: &mut PosAccumulator,
+) where
+    M: Fn(u32, u32, &mut dyn FnMut(u32, u64)),
+    T: Fn(u32) -> bool,
+{
+    if block {
+        return drive(window, candidates, kernel_from, masks, test, sink);
+    }
+    let get_next: &dyn Fn(u32) -> bool = &test;
+    let get_next = std::hint::black_box(get_next);
+    drive(window, candidates, NO_KERNEL, masks, get_next, sink)
+}
+
+fn drive<M, T>(
+    window: &Range<u32>,
+    candidates: &PosList,
+    kernel_from: u32,
+    masks: M,
+    test: T,
+    sink: &mut PosAccumulator,
+) where
+    M: Fn(u32, u32, &mut dyn FnMut(u32, u64)),
+    T: Fn(u32) -> bool,
+{
+    for_each_chunk(window, |s, e| match candidates {
+        PosList::Range { start, end, .. } => {
+            let (s, e) = (s.max(*start), e.min(*end));
+            if s >= e {
+                // No candidate in this piece.
+            } else if kernel_from <= 64 {
+                masks(s, e, &mut |b, m| sink.push_mask(b, m));
+            } else {
+                for p in s..e {
+                    if test(p) {
+                        sink.push(p);
+                    }
+                }
+            }
+        }
+        PosList::Bitmap { base, bits } => {
+            // Pieces start a whole number of mask words into the window.
+            let words = bits.words();
+            let (mut i, hi) = (((s - base) / 64) as usize, (e - base).div_ceil(64) as usize);
+            while i < hi {
+                let word = words[i];
+                if word == 0 {
+                    i += 1;
+                } else if word.count_ones() < kernel_from {
+                    let at = base + i as u32 * 64;
+                    let (mut rest, mut kept) = (word, 0u64);
+                    while rest != 0 {
+                        let j = rest.trailing_zeros();
+                        kept |= (test(at + j) as u64) << j;
+                        rest &= rest - 1;
+                    }
+                    sink.push_mask(at, kept);
+                    i += 1;
+                } else {
+                    let from = i;
+                    while i < hi && words[i].count_ones() >= kernel_from {
+                        i += 1;
+                    }
+                    masks(base + from as u32 * 64, (base + i as u32 * 64).min(e), &mut |b, m| {
+                        sink.push_mask(b, m & words[((b - base) / 64) as usize])
+                    });
+                }
+            }
+        }
+        PosList::Explicit { positions, .. } => {
+            let lo = positions.partition_point(|&p| p < s);
+            let hi = positions.partition_point(|&p| p < e);
+            for &p in &positions[lo..hi] {
+                if test(p) {
+                    sink.push(p);
+                }
+            }
+        }
+    });
+}
+
+/// The integer arms of [`refine`]: every encoding under every predicate.
+fn refine_int(
     col: &IntColumn,
-    start: u32,
-    end: u32,
-    pred: &IntScanPred<'_>,
+    window: &Range<u32>,
+    candidates: &PosList,
+    pred: &ScanPred<'_>,
     block: bool,
     sink: &mut PosAccumulator,
 ) {
-    if start >= end {
-        return;
+    match (col, pred) {
+        (_, ScanPred::Logical(p)) => {
+            let by_value = |v: i64| p.matches_int(v);
+            let compiled = match ScanPred::range_of(p) {
+                Some((lo, hi)) => ScanPred::Range { lo, hi },
+                None => ScanPred::Test(&by_value),
+            };
+            refine_int(col, window, candidates, &compiled, block, sink)
+        }
+        (IntColumn::Rle { runs, .. }, _) => {
+            // Run kernel: walk the runs under the candidates, one predicate
+            // test per run, the candidates of a matching run pushed in
+            // O(words) — direct operation on compressed data regardless of
+            // the iteration interface (there is no per-value interface to
+            // strip without decompressing, which is what the `c`
+            // configurations do by storing plain).
+            for_each_chunk(window, |s, e| {
+                let mut idx = if s == 0 { 0 } else { col.run_containing(s) };
+                while idx < runs.len() && runs[idx].start < e {
+                    let r = &runs[idx];
+                    if pred.matches(r.value) {
+                        sink.push_within(candidates, r.start.max(s), (r.start + r.len).min(e));
+                    }
+                    idx += 1;
+                }
+            });
+        }
+        (IntColumn::Plain { values, .. }, ScanPred::Range { lo, hi }) => {
+            let (lo, hi) = (*lo, *hi);
+            apply(
+                window,
+                candidates,
+                block,
+                VALUE_KERNEL_FROM,
+                |s, e, emit| {
+                    kernels::slice_cmp_masks(&values[s as usize..e as usize], s, lo, hi, emit)
+                },
+                |p| (lo..=hi).contains(&values[p as usize]),
+                sink,
+            );
+        }
+        (IntColumn::Packed { reference, packed }, ScanPred::Range { lo, hi }) => {
+            // SWAR compare on the packed image, 64 bits at a time, without
+            // unpacking a single value.
+            let Some((lo, hi)) = code_bounds(*reference, packed.max_code(), *lo, *hi) else {
+                return;
+            };
+            apply(
+                window,
+                candidates,
+                block,
+                swar_kernel_from(packed),
+                |s, e, emit| kernels::packed_cmp_masks(packed, s, e, CmpOp::Range(lo, hi), emit),
+                |p| (lo..=hi).contains(&packed.get(p)),
+                sink,
+            );
+        }
+        (_, ScanPred::Keys(keys)) => {
+            refine_int_test(col, window, candidates, |v| keys.contains(v), block, sink)
+        }
+        (_, ScanPred::Test(f)) => refine_int_test(col, window, candidates, f, block, sink),
     }
+}
+
+/// Plain and packed integers under a per-value test.
+fn refine_int_test(
+    col: &IntColumn,
+    window: &Range<u32>,
+    candidates: &PosList,
+    test: impl Fn(i64) -> bool,
+    block: bool,
+    sink: &mut PosAccumulator,
+) {
     match col {
-        IntColumn::Rle { runs, .. } => {
-            // Run kernel: one predicate test per run, one O(words) range
-            // push per match — direct operation on compressed data
-            // regardless of the iteration interface (there is no per-value
-            // interface to strip without decompressing, which is what the
-            // `c` configurations do by storing plain).
-            let mut idx = if start == 0 { 0 } else { col.run_containing(start) };
-            while idx < runs.len() && runs[idx].start < end {
-                let r = &runs[idx];
-                if pred.matches(r.value) {
-                    sink.push_range(r.start.max(start), (r.start + r.len).min(end));
-                }
-                idx += 1;
-            }
-        }
-        IntColumn::Plain { values, .. } => {
-            let slice = &values[start as usize..end as usize];
-            if block {
-                match pred {
-                    IntScanPred::Range { lo, hi } => {
-                        kernels::slice_cmp_masks(slice, start, *lo, *hi, |b, m| {
-                            sink.push_mask(b, m)
-                        });
-                    }
-                    IntScanPred::Test(f) => {
-                        kernels::slice_test_masks(slice, start, f, |b, m| sink.push_mask(b, m));
-                    }
-                }
-            } else {
-                // Tuple-at-a-time: one opaque virtual call per value
-                // (black_box prevents devirtualization, so the call cost is
-                // real, like C-Store's getNext interface).
-                let mut src: Box<dyn Iterator<Item = i64>> = Box::new(slice.iter().copied());
-                let mut i = start;
-                while let Some(v) = std::hint::black_box(&mut src).next() {
-                    if pred.matches(v) {
-                        sink.push(i);
-                    }
-                    i += 1;
-                }
-            }
-        }
+        IntColumn::Plain { values, .. } => apply(
+            window,
+            candidates,
+            block,
+            VALUE_KERNEL_FROM,
+            |s, e, emit| kernels::slice_test_masks(&values[s as usize..e as usize], s, &test, emit),
+            |p| test(values[p as usize]),
+            sink,
+        ),
         IntColumn::Packed { reference, packed } => {
-            if block {
-                match pred {
-                    IntScanPred::Range { lo, hi } => {
-                        // SWAR compare on the packed image, 64 bits at a
-                        // time, without unpacking a single value.
-                        if let Some((lo_c, hi_c)) =
-                            code_bounds(*reference, packed.max_code(), *lo, *hi)
-                        {
-                            kernels::packed_cmp_masks(
-                                packed,
-                                start,
-                                end,
-                                CmpOp::Range(lo_c, hi_c),
-                                |b, m| sink.push_mask(b, m),
-                            );
-                        }
-                    }
-                    IntScanPred::Test(f) => {
-                        let r = *reference;
-                        kernels::packed_test_masks(
-                            packed,
-                            start,
-                            end,
-                            |c| f(r + c as i64),
-                            |b, m| sink.push_mask(b, m),
-                        );
-                    }
-                }
-            } else {
-                let r = *reference;
-                let mut src: Box<dyn Iterator<Item = u64>> =
-                    Box::new(packed.iter_range(start, end));
-                let mut i = start;
-                while let Some(c) = std::hint::black_box(&mut src).next() {
-                    if pred.matches(r + c as i64) {
-                        sink.push(i);
-                    }
-                    i += 1;
-                }
-            }
+            let r = *reference;
+            apply(
+                window,
+                candidates,
+                block,
+                VALUE_KERNEL_FROM,
+                |s, e, emit| kernels::packed_test_masks(packed, s, e, |c| test(r + c as i64), emit),
+                |p| test(r + packed.get(p) as i64),
+                sink,
+            )
         }
+        IntColumn::Rle { .. } => unreachable!("runs are walked by refine_int"),
     }
 }
 
@@ -410,174 +603,95 @@ impl CodePred {
     }
 }
 
-/// The unified string scan driver, mirroring [`scan_int_into`]: dictionary
-/// columns scan their packed codes through the integer kernels; plain
-/// string columns evaluate the predicate per value — the cost difference
-/// Figure 8 exposes ("a predicate on the integer foreign key can be
-/// performed faster than a predicate on a string attribute"). Chunks under
-/// an active scan watch exactly like [`scan_int_into`].
-pub fn scan_str_into(
+/// The string arms of [`refine`]: dictionary columns scan their packed codes
+/// through the integer kernels; plain string columns evaluate the predicate
+/// per value — the cost difference Figure 8 exposes ("a predicate on the
+/// integer foreign key can be performed faster than a predicate on a string
+/// attribute").
+fn refine_str(
     col: &StrColumn,
-    start: u32,
-    end: u32,
+    window: &Range<u32>,
+    candidates: &PosList,
     pred: &Pred,
     block: bool,
     sink: &mut PosAccumulator,
 ) {
-    if end.saturating_sub(start) > SCAN_POLL_ROWS && crate::ctx::scan_watch_active() {
-        let mut s = start;
-        while s < end {
-            crate::ctx::poll_scan_watch();
-            let e = s.saturating_add(SCAN_POLL_ROWS).min(end);
-            scan_str_chunk(col, s, e, pred, block, sink);
-            s = e;
-        }
-        return;
-    }
-    scan_str_chunk(col, start, end, pred, block, sink);
-}
-
-fn scan_str_chunk(
-    col: &StrColumn,
-    start: u32,
-    end: u32,
-    pred: &Pred,
-    block: bool,
-    sink: &mut PosAccumulator,
-) {
-    if start >= end {
-        return;
-    }
     match col {
         StrColumn::Dict { dict, codes } => match CodePred::compile(dict, pred) {
             CodePred::Empty => {}
-            CodePred::Range(lo, hi) => {
-                if block {
-                    kernels::packed_cmp_masks(codes, start, end, CmpOp::Range(lo, hi), |b, m| {
-                        sink.push_mask(b, m)
-                    });
-                } else {
-                    let mut src: Box<dyn Iterator<Item = u64>> =
-                        Box::new(codes.iter_range(start, end));
-                    let mut i = start;
-                    while let Some(c) = std::hint::black_box(&mut src).next() {
-                        if c >= lo && c <= hi {
-                            sink.push(i);
-                        }
-                        i += 1;
-                    }
-                }
-            }
-            CodePred::Table(matches) => {
-                if block {
-                    kernels::packed_test_masks(
-                        codes,
-                        start,
-                        end,
-                        |c| matches[c as usize],
-                        |b, m| sink.push_mask(b, m),
-                    );
-                } else {
-                    let mut src: Box<dyn Iterator<Item = u64>> =
-                        Box::new(codes.iter_range(start, end));
-                    let mut i = start;
-                    while let Some(c) = std::hint::black_box(&mut src).next() {
-                        if matches[c as usize] {
-                            sink.push(i);
-                        }
-                        i += 1;
-                    }
-                }
-            }
+            CodePred::Range(lo, hi) => apply(
+                window,
+                candidates,
+                block,
+                swar_kernel_from(codes),
+                |s, e, emit| kernels::packed_cmp_masks(codes, s, e, CmpOp::Range(lo, hi), emit),
+                |p| (lo..=hi).contains(&codes.get(p)),
+                sink,
+            ),
+            CodePred::Table(matches) => apply(
+                window,
+                candidates,
+                block,
+                VALUE_KERNEL_FROM,
+                |s, e, emit| kernels::packed_test_masks(codes, s, e, |c| matches[c as usize], emit),
+                |p| matches[codes.get(p) as usize],
+                sink,
+            ),
         },
-        StrColumn::Plain { values, .. } => {
-            let slice = &values[start as usize..end as usize];
-            if block {
-                for (off, v) in slice.iter().enumerate() {
-                    if pred.matches_str(v) {
-                        sink.push(start + off as u32);
-                    }
-                }
-            } else {
-                let mut src: Box<dyn Iterator<Item = &Box<str>>> = Box::new(slice.iter());
-                let mut i = start;
-                while let Some(v) = std::hint::black_box(&mut src).next() {
-                    if pred.matches_str(v) {
-                        sink.push(i);
-                    }
-                    i += 1;
-                }
-            }
-        }
+        // No word kernel over variable-length values: every candidate is
+        // compared as a string.
+        StrColumn::Plain { values, .. } => apply(
+            window,
+            candidates,
+            block,
+            NO_KERNEL,
+            |_, _, _| unreachable!("plain strings have no word kernel"),
+            |p| pred.matches_str(&values[p as usize]),
+            sink,
+        ),
     }
 }
 
-/// Scan positions `window` of `col` under an [`IntScanPred`] — the
-/// kernel-aware entry point the join pipelines use (between-rewritten join
-/// predicates arrive as [`IntScanPred::Range`] and hit the SWAR path).
-/// Charges the window's slice of the column's pages
-/// ([`StoredColumn::charge_scan_range`], which for the whole column is the
-/// full sequential scan).
-pub fn scan_int(
-    col: &StoredColumn,
-    window: Range<u32>,
-    pred: &IntScanPred<'_>,
-    block: bool,
-    io: &IoSession,
-) -> PosList {
-    col.charge_scan_range(window.start, window.end, io);
-    let mut acc = PosAccumulator::new(window.clone());
-    scan_int_into(col.column.as_int(), window.start, window.end, pred, block, &mut acc);
-    acc.finish()
-}
-
-/// [`scan_int`] under an opaque per-value test. (Structured predicates
-/// should use [`scan_int`] so the SWAR kernels apply.)
-pub fn scan_int_where(
-    col: &StoredColumn,
-    window: Range<u32>,
-    test: impl Fn(i64) -> bool,
-    block: bool,
-    io: &IoSession,
-) -> PosList {
-    scan_int(col, window, &IntScanPred::Test(&test), block, io)
-}
-
-/// Scan positions `window` of a string column under `pred`.
+/// Refine `candidates` — positions of `window` that are still live — by
+/// `pred` over `col`: the one way a predicate is applied to a column.
+/// Returns the candidates whose value satisfies the predicate, in the
+/// cheapest faithful representation; `PosList::all(window)` as candidates is
+/// the plain window scan.
 ///
-/// Dictionary columns evaluate `pred` once per distinct value, then scan
-/// the packed integer codes — through a single range kernel when the
-/// matching codes are contiguous.
-pub fn scan_str_pred(
+/// Work follows the candidates, not the window: contiguous candidates narrow
+/// the kernel's range, bitmap candidates skip every empty 64-position word
+/// and choose per word between the word kernel and per-candidate tests,
+/// explicit candidates are tested one by one, RLE columns walk only the runs
+/// under the candidates, and no candidates means no kernel at all. The
+/// *charge* does not follow them: every call opens one I/O op and charges
+/// the window's slice of the column's pages
+/// ([`StoredColumn::charge_scan_range`], which for the whole column is the
+/// full sequential scan) — the modeled disk reads the column sequentially
+/// whatever the CPU then skips.
+///
+/// `window` must be the window `candidates` was built over.
+pub fn refine(
     col: &StoredColumn,
     window: Range<u32>,
-    pred: &Pred,
+    candidates: &PosList,
+    pred: &ScanPred<'_>,
     block: bool,
     io: &IoSession,
 ) -> PosList {
+    assert_eq!(candidates.universe(), window.len() as u32, "candidates of another window");
     col.charge_scan_range(window.start, window.end, io);
     let mut acc = PosAccumulator::new(window.clone());
-    scan_str_into(col.column.as_str(), window.start, window.end, pred, block, &mut acc);
-    acc.finish()
-}
-
-/// Scan positions `window` of any column under a logical [`Pred`],
-/// compiling integer predicates to their interval form (SWAR-eligible)
-/// when possible.
-pub fn scan_pred(
-    col: &StoredColumn,
-    window: Range<u32>,
-    pred: &Pred,
-    block: bool,
-    io: &IoSession,
-) -> PosList {
-    match &col.column {
-        Column::Int(_) => match IntScanPred::range_of(pred) {
-            Some((lo, hi)) => scan_int(col, window, &IntScanPred::Range { lo, hi }, block, io),
-            None => scan_int_where(col, window, |v| pred.matches_int(v), block, io),
-        },
-        Column::Str(_) => scan_str_pred(col, window, pred, block, io),
+    if candidates.is_empty() {
+        return acc.finish();
     }
+    match (&col.column, pred) {
+        (Column::Int(int), _) => refine_int(int, &window, candidates, pred, block, &mut acc),
+        (Column::Str(s), ScanPred::Logical(p)) => {
+            refine_str(s, &window, candidates, p, block, &mut acc)
+        }
+        (Column::Str(_), _) => panic!("integer predicate over string column {}", col.name),
+    }
+    acc.finish()
 }
 
 #[cfg(test)]
@@ -599,6 +713,37 @@ mod tests {
     fn str_col(values: Vec<String>, compress: bool) -> StoredColumn {
         let c = if compress { StrColumn::dict(&values) } else { StrColumn::plain(values) };
         StoredColumn::new("c", Column::Str(c))
+    }
+
+    /// The plain window scan: every position is a candidate.
+    fn scan(
+        col: &StoredColumn,
+        window: Range<u32>,
+        pred: &ScanPred<'_>,
+        block: bool,
+        io: &IoSession,
+    ) -> PosList {
+        refine(col, window.clone(), &PosList::all(window), pred, block, io)
+    }
+
+    fn scan_int_where(
+        col: &StoredColumn,
+        window: Range<u32>,
+        test: impl Fn(i64) -> bool,
+        block: bool,
+        io: &IoSession,
+    ) -> PosList {
+        scan(col, window, &ScanPred::Test(&test), block, io)
+    }
+
+    fn scan_pred(
+        col: &StoredColumn,
+        window: Range<u32>,
+        pred: &Pred,
+        block: bool,
+        io: &IoSession,
+    ) -> PosList {
+        scan(col, window, &ScanPred::Logical(pred), block, io)
     }
 
     fn reference(values: &[i64], test: impl Fn(i64) -> bool) -> Vec<u32> {
@@ -624,12 +769,12 @@ mod tests {
         assert!(packed.column.as_int().is_packed());
         let plain = int_col(values, false);
         let io = IoSession::unmetered();
-        let range = IntScanPred::Range { lo: 10, hi: 20 };
+        let range = ScanPred::Range { lo: 10, hi: 20 };
         let test = |v: i64| (10..=20).contains(&v);
         for block in [true, false] {
             let want = scan_int_where(&plain, plain.positions(), test, block, &io).to_vec();
             assert_eq!(
-                scan_int(&packed, packed.positions(), &range, block, &io).to_vec(),
+                scan(&packed, packed.positions(), &range, block, &io).to_vec(),
                 want,
                 "range b={block}"
             );
@@ -678,8 +823,8 @@ mod tests {
         let d = str_col(values.clone(), true);
         let p = str_col(values.clone(), false);
         for block in [true, false] {
-            let a = scan_str_pred(&d, d.positions(), &pred, block, &io);
-            let b = scan_str_pred(&p, p.positions(), &pred, block, &io);
+            let a = scan_pred(&d, d.positions(), &pred, block, &io);
+            let b = scan_pred(&p, p.positions(), &pred, block, &io);
             assert_eq!(a.to_vec(), b.to_vec());
             let expected = (0..5000).filter(|i| matches!(i % 7, 2 | 5)).count() as u32;
             assert_eq!(a.count(), expected);
@@ -700,8 +845,8 @@ mod tests {
         for pred in [contiguous, disjoint] {
             for block in [true, false] {
                 assert_eq!(
-                    scan_str_pred(&d, d.positions(), &pred, block, &io).to_vec(),
-                    scan_str_pred(&p, p.positions(), &pred, block, &io).to_vec(),
+                    scan_pred(&d, d.positions(), &pred, block, &io).to_vec(),
+                    scan_pred(&p, p.positions(), &pred, block, &io).to_vec(),
                     "{pred:?} block={block}"
                 );
             }
@@ -775,16 +920,16 @@ mod tests {
                 assert_eq!(tiled, full);
                 // The interval form must tile identically through the SWAR
                 // kernels.
-                let range = IntScanPred::Range { lo: 3, hi: 40 };
-                let full = scan_int(&col, col.positions(), &range, block, &io).to_vec();
+                let range = ScanPred::Range { lo: 3, hi: 40 };
+                let full = scan(&col, col.positions(), &range, block, &io).to_vec();
                 let mut tiled = Vec::new();
                 for w in bounds.windows(2) {
-                    tiled.extend(scan_int(&col, w[0]..w[1], &range, block, &io).iter());
+                    tiled.extend(scan(&col, w[0]..w[1], &range, block, &io).iter());
                 }
                 assert_eq!(tiled, full);
             }
             for col in [str_col(strs.clone(), true), str_col(strs.clone(), false)] {
-                let full = scan_str_pred(&col, col.positions(), &pred, block, &io).to_vec();
+                let full = scan_pred(&col, col.positions(), &pred, block, &io).to_vec();
                 let mut tiled = Vec::new();
                 for w in bounds.windows(2) {
                     tiled.extend(scan_pred(&col, w[0]..w[1], &pred, block, &io).iter());
@@ -816,10 +961,10 @@ mod tests {
                 assert_eq!(watched, bare, "chunked int scan must be output-identical");
             }
             for col in [str_col(strs.clone(), true), str_col(strs.clone(), false)] {
-                let bare = scan_str_pred(&col, col.positions(), &pred, block, &io).to_vec();
+                let bare = scan_pred(&col, col.positions(), &pred, block, &io).to_vec();
                 let watched = {
                     let _w = watch_scans(&ctx);
-                    scan_str_pred(&col, col.positions(), &pred, block, &io).to_vec()
+                    scan_pred(&col, col.positions(), &pred, block, &io).to_vec()
                 };
                 assert_eq!(watched, bare, "chunked str scan must be output-identical");
             }
@@ -842,27 +987,27 @@ mod tests {
 
     #[test]
     fn range_of_compiles_preds_without_overflow() {
-        assert_eq!(IntScanPred::range_of(&Pred::Eq(Value::Int(7))), Some((7, 7)));
+        assert_eq!(ScanPred::range_of(&Pred::Eq(Value::Int(7))), Some((7, 7)));
         assert_eq!(
-            IntScanPred::range_of(&Pred::Lt(Value::Int(i64::MIN))),
+            ScanPred::range_of(&Pred::Lt(Value::Int(i64::MIN))),
             Some((1, 0)),
             "v < i64::MIN is the empty interval"
         );
         assert_eq!(
-            IntScanPred::range_of(&Pred::InSet(vec![Value::Int(4), Value::Int(3), Value::Int(5)])),
+            ScanPred::range_of(&Pred::InSet(vec![Value::Int(4), Value::Int(3), Value::Int(5)])),
             Some((3, 5))
         );
         assert_eq!(
-            IntScanPred::range_of(&Pred::InSet(vec![Value::Int(3), Value::Int(5)])),
+            ScanPred::range_of(&Pred::InSet(vec![Value::Int(3), Value::Int(5)])),
             None,
             "disjoint sets take the opaque path"
         );
         // Wide-spread members: hi - lo overflows i64; must not panic.
         assert_eq!(
-            IntScanPred::range_of(&Pred::InSet(vec![Value::Int(i64::MIN), Value::Int(i64::MAX)])),
+            ScanPred::range_of(&Pred::InSet(vec![Value::Int(i64::MIN), Value::Int(i64::MAX)])),
             None
         );
-        assert_eq!(IntScanPred::range_of(&Pred::Eq(Value::str("x"))), None);
+        assert_eq!(ScanPred::range_of(&Pred::Eq(Value::str("x"))), None);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use cvr_core::extract::{extract_at, gather_ints};
 use cvr_core::poslist::PosList;
-use cvr_core::scan::{scan_int_where, scan_pred, scan_str_pred};
+use cvr_core::scan::{refine, ScanPred};
 use cvr_data::queries::Pred;
 use cvr_data::value::Value;
 use cvr_index::bitmap::RidBitmap;
@@ -28,6 +28,11 @@ fn build(set: &BTreeSet<u32>, repr: u8) -> PosList {
         1 => PosList::Bitmap { base: 0, bits: RidBitmap::from_rids(UNIVERSE, positions) },
         _ => PosList::Explicit { positions, universe: UNIVERSE },
     }
+}
+
+/// The plain whole-column scan: every position is a candidate.
+fn scan(col: &StoredColumn, pred: &ScanPred<'_>, block: bool, io: &IoSession) -> PosList {
+    refine(col, col.positions(), &PosList::all(col.positions()), pred, block, io)
 }
 
 fn clustered_ints() -> impl Strategy<Value = Vec<i64>> {
@@ -76,7 +81,8 @@ proptest! {
         let plain = StoredColumn::new("c", Column::Int(IntColumn::plain_fixed(values.clone())));
         for col in [&rle, &plain] {
             for block in [true, false] {
-                let got = scan_int_where(col, col.positions(), |v| (lo..=hi).contains(&v), block, &io);
+                let in_range = |v: i64| (lo..=hi).contains(&v);
+                let got = scan(col, &ScanPred::Test(&in_range), block, &io);
                 prop_assert_eq!(got.to_vec(), expected.clone());
             }
         }
@@ -99,11 +105,9 @@ proptest! {
             .collect();
         for col in [&dict, &plain] {
             for block in [true, false] {
-                prop_assert_eq!(scan_str_pred(col, col.positions(), &pred, block, &io).to_vec(), expected.clone());
+                prop_assert_eq!(scan(col, &ScanPred::Logical(&pred), block, &io).to_vec(), expected.clone());
             }
         }
-        // And through the generic entry point.
-        prop_assert_eq!(scan_pred(&dict, dict.positions(), &pred, true, &io).to_vec(), expected);
     }
 
     #[test]

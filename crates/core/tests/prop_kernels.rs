@@ -1,21 +1,54 @@
 //! Property tests for the word-parallel scan kernels: every kernel must be
 //! position-for-position equivalent to its scalar loop — across random
 //! value widths, predicates, selectivities, and universes that straddle the
-//! 64-value mask-word boundary (63/64/65) — and the bulk accumulator paths
+//! 64-value mask-word boundary (63/64/65) — the bulk accumulator paths
 //! must finish to the same representation-level verdicts as per-position
-//! pushes.
+//! pushes, refining any candidate list must equal intersecting it with the
+//! window scan (positions *and* recorded I/O), and the dense-key bit vector
+//! must answer like the hash tables it replaces.
 
 use cvr_core::kernels::{self, scalar, CmpOp};
-use cvr_core::scan::{
-    scan_int, scan_int_where, scan_pred, scan_str_pred, IntScanPred, PosAccumulator,
-};
+use cvr_core::poslist::PosList;
+use cvr_core::scan::{refine, PosAccumulator, ScanPred};
 use cvr_data::queries::Pred;
 use cvr_data::value::Value;
+use cvr_index::bitmap::{KeyBits, RidBitmap};
+use cvr_index::hashidx::{IntHashMap, IntHashSet};
 use cvr_storage::column::StoredColumn;
 use cvr_storage::encode::{Column, IntColumn, StrColumn};
-use cvr_storage::io::IoSession;
+use cvr_storage::io::{BufferPool, IoLog, IoSession};
 use cvr_storage::packed::PackedInts;
 use proptest::prelude::*;
+use std::ops::Range;
+
+/// The plain window scan: every position of `window` is a candidate.
+fn scan(
+    col: &StoredColumn,
+    window: Range<u32>,
+    pred: &ScanPred<'_>,
+    block: bool,
+    io: &IoSession,
+) -> PosList {
+    refine(col, window.clone(), &PosList::all(window), pred, block, io)
+}
+
+/// [`refine`] on a fresh recording session: the survivors and the I/O log.
+fn recorded(
+    col: &StoredColumn,
+    window: &Range<u32>,
+    candidates: &PosList,
+    pred: &ScanPred<'_>,
+    block: bool,
+) -> (PosList, IoLog) {
+    let io = IoSession::recording(BufferPool::unbounded());
+    let out = refine(col, window.clone(), candidates, pred, block, &io);
+    (out, io.take_log())
+}
+
+/// A cheap deterministic hash of `(seed, i)`.
+fn mix(seed: u64, i: u32) -> u64 {
+    (seed ^ i as u64).wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 29
+}
 
 /// Lengths that straddle mask-word and packed-word boundaries.
 fn boundary_len() -> impl Strategy<Value = usize> {
@@ -120,22 +153,23 @@ proptest! {
         let plain = StoredColumn::new("q", Column::Int(IntColumn::plain(values.clone())));
         let io = IoSession::unmetered();
         let hi = lo + span;
-        let range = IntScanPred::Range { lo, hi };
+        let range = ScanPred::Range { lo, hi };
         prop_assert_eq!(
-            scan_int(&packed, packed.positions(), &range, block, &io).to_vec(),
-            scan_int(&plain, plain.positions(), &range, block, &io).to_vec()
+            scan(&packed, packed.positions(), &range, block, &io).to_vec(),
+            scan(&plain, plain.positions(), &range, block, &io).to_vec()
         );
-        let test = |v: i64| v % 5 == 0;
+        let fifth = |v: i64| v % 5 == 0;
+        let test = ScanPred::Test(&fifth);
         prop_assert_eq!(
-            scan_int_where(&packed, packed.positions(), test, block, &io).to_vec(),
-            scan_int_where(&plain, plain.positions(), test, block, &io).to_vec()
+            scan(&packed, packed.positions(), &test, block, &io).to_vec(),
+            scan(&plain, plain.positions(), &test, block, &io).to_vec()
         );
         // Morsel fragments tile to the full scan.
         let n = values.len() as u32;
         let cut = n / 3;
-        let mut tiled = scan_int(&packed, 0..cut, &range, block, &io).to_vec();
-        tiled.extend(scan_int(&packed, cut..n, &range, block, &io).iter());
-        prop_assert_eq!(tiled, scan_int(&packed, packed.positions(), &range, block, &io).to_vec());
+        let mut tiled = scan(&packed, 0..cut, &range, block, &io).to_vec();
+        tiled.extend(scan(&packed, cut..n, &range, block, &io).iter());
+        prop_assert_eq!(tiled, scan(&packed, packed.positions(), &range, block, &io).to_vec());
     }
 
     #[test]
@@ -162,9 +196,10 @@ proptest! {
         let plain = StoredColumn::new("s", Column::Str(StrColumn::plain(values)));
         let io = IoSession::unmetered();
         for block in [true, false] {
+            let pred = ScanPred::Logical(&pred);
             prop_assert_eq!(
-                scan_str_pred(&dict, dict.positions(), &pred, block, &io).to_vec(),
-                scan_str_pred(&plain, plain.positions(), &pred, block, &io).to_vec()
+                scan(&dict, dict.positions(), &pred, block, &io).to_vec(),
+                scan(&plain, plain.positions(), &pred, block, &io).to_vec()
             );
         }
     }
@@ -177,8 +212,8 @@ proptest! {
         b in -350i64..350,
         c in -350i64..350,
     ) {
-        // scan_pred (which compiles Eq/Between/Lt/InSet to intervals when
-        // possible) must agree with the uncompiled matches_int closure.
+        // A logical predicate (which compiles Eq/Between/Lt/InSet to intervals
+        // when possible) must agree with the uncompiled matches_int closure.
         let pred = match pred_kind {
             0 => Pred::Eq(Value::Int(a)),
             1 => Pred::Between(Value::Int(a.min(b)), Value::Int(a.max(b))),
@@ -196,9 +231,10 @@ proptest! {
             );
             let io = IoSession::unmetered();
             for block in [true, false] {
+                let by_value = |v: i64| pred.matches_int(v);
                 prop_assert_eq!(
-                    scan_pred(&col, col.positions(), &pred, block, &io).to_vec(),
-                    scan_int_where(&col, col.positions(), |v| pred.matches_int(v), block, &io).to_vec(),
+                    scan(&col, col.positions(), &ScanPred::Logical(&pred), block, &io).to_vec(),
+                    scan(&col, col.positions(), &ScanPred::Test(&by_value), block, &io).to_vec(),
                     "compress={} block={}", compress, block
                 );
             }
@@ -260,5 +296,114 @@ proptest! {
         let (a, b) = (bulk.finish(), bits.finish());
         prop_assert_eq!(a.to_vec(), b.to_vec());
         prop_assert_eq!(a.is_contiguous(), b.is_contiguous());
+    }
+    #[test]
+    fn refine_equals_candidates_intersected_with_the_window_scan(
+        len_sel in 0usize..4,
+        start in 0u32..130,
+        seed in any::<u64>(),
+        density_sel in 0usize..5,
+        lo in 0i64..45,
+        span in 0i64..20,
+    ) {
+        // A window of 63/64/65/1000 positions at an unaligned start inside a
+        // longer column; clustered values so the RLE column has real runs.
+        let len = [63u32, 64, 65, 1000][len_sel];
+        let window = start..start + len;
+        let n = start + len + 37;
+        let values: Vec<i64> = (0..n).map(|i| (mix(seed, i / 5) % 50) as i64).collect();
+        let strs: Vec<String> = values.iter().map(|v| format!("V{v:02}")).collect();
+        let hi = lo + span;
+
+        // Candidates: a pseudo-random subset at 0/1/5/20/50 % in both sparse
+        // representations, a contiguous sub-range, everything, nothing.
+        let percent = [0u64, 1, 5, 20, 50][density_sel];
+        let keep: Vec<u32> =
+            window.clone().filter(|&p| mix(!seed, p) % 100 < percent).collect();
+        let candidates = [
+            PosList::Explicit { positions: keep.clone(), universe: len },
+            PosList::Bitmap {
+                base: start,
+                bits: RidBitmap::from_rids(len, keep.iter().map(|p| p - start)),
+            },
+            PosList::Range { start: start + len / 4, end: start + len - len / 3, universe: len },
+            PosList::all(window.clone()),
+            PosList::empty(len),
+        ];
+
+        let keys = KeyBits::from_keys(50, (0..50).filter(|k| k % 3 == 0));
+        let seventh = |v: i64| v % 7 == 1;
+        let listed = Pred::InSet(vec![Value::Int(lo), Value::Int(lo + 2), Value::Int(hi)]);
+        let name = |v: i64| Value::str(format!("V{v:02}").as_str());
+        let between = Pred::Between(name(lo), name(hi));
+        let either = Pred::InSet(vec![name(lo), name(hi)]);
+        // (predicate, its scalar model over the integer behind each value)
+        type Model<'a> = Box<dyn Fn(i64) -> bool + 'a>;
+        let int_preds: Vec<(ScanPred<'_>, Model<'_>)> = vec![
+            (ScanPred::Range { lo, hi }, Box::new(|v| (lo..=hi).contains(&v))),
+            (ScanPred::Keys(&keys), Box::new(|v| v % 3 == 0)),
+            (ScanPred::Test(&seventh), Box::new(|v| v % 7 == 1)),
+            (ScanPred::Logical(&listed), Box::new(|v| v == lo || v == lo + 2 || v == hi)),
+        ];
+        let str_preds: Vec<(ScanPred<'_>, Model<'_>)> = vec![
+            (ScanPred::Logical(&between), Box::new(|v| (lo..=hi).contains(&v))),
+            (ScanPred::Logical(&either), Box::new(|v| v == lo || v == hi)),
+        ];
+        let int_cols = [
+            StoredColumn::new("plain", Column::Int(IntColumn::plain(values.clone()))),
+            StoredColumn::new("rle", Column::Int(IntColumn::rle(&values))),
+            StoredColumn::new("packed", Column::Int(IntColumn::packed(&values).expect("packs"))),
+        ];
+        let str_cols = [
+            StoredColumn::new("dict", Column::Str(StrColumn::dict(&strs))),
+            StoredColumn::new("strs", Column::Str(StrColumn::plain(strs.clone()))),
+        ];
+
+        let cells = int_cols.iter().map(|c| (c, &int_preds)).chain(str_cols.iter().map(|c| (c, &str_preds)));
+        for (col, preds) in cells {
+            for (pred, model) in preds {
+                let matching: Vec<u32> =
+                    window.clone().filter(|&p| model(values[p as usize])).collect();
+                for block in [true, false] {
+                    let (full, full_log) =
+                        recorded(col, &window, &PosList::all(window.clone()), pred, block);
+                    prop_assert_eq!(full.to_vec(), matching.clone(), "{} scan block={}", &col.name, block);
+                    for cand in &candidates {
+                        let (got, log) = recorded(col, &window, cand, pred, block);
+                        prop_assert_eq!(
+                            got.to_vec(),
+                            cand.intersect(&full).to_vec(),
+                            "{} block={} candidates={:?}", &col.name, block, cand
+                        );
+                        prop_assert_eq!(got.universe(), len);
+                        prop_assert_eq!(&log, &full_log, "{}: the charge must not follow the candidates", &col.name);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn key_bits_agree_with_the_hash_tables(
+        domain in 1u32..300,
+        picks in prop::collection::vec(any::<u32>(), 0..400),
+        shape in 0u8..4,
+    ) {
+        // Empty, full, only the first and last key, and random key sets.
+        let keys: Vec<i64> = match shape {
+            0 => Vec::new(),
+            1 => (0..domain as i64).collect(),
+            2 => vec![0, domain as i64 - 1],
+            _ => picks.iter().map(|p| (p % domain) as i64).collect(),
+        };
+        let bits = KeyBits::from_keys(domain, keys.iter().copied());
+        let set = IntHashSet::from_keys(keys.iter().copied());
+        // Dense keys are row positions: the join table maps a key to itself.
+        let map = IntHashMap::from_pairs(keys.iter().map(|&k| (k, k as u32)));
+        prop_assert_eq!(bits.len(), set.len());
+        for k in -3..domain as i64 + 3 {
+            prop_assert_eq!(bits.contains(k), set.contains(k), "key {}", k);
+            prop_assert_eq!(bits.contains(k).then_some(k as u32), map.get(k), "key {}", k);
+        }
     }
 }

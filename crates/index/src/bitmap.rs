@@ -1,13 +1,15 @@
-//! Record-id bitmaps and per-value bitmap indexes.
+//! Record-id bitmaps, per-value bitmap indexes and dense-key bit vectors.
 //!
-//! Used in two places in the study:
+//! Used in three places in the study:
 //!
 //! * the row engine's **"traditional (bitmap)"** configuration (Figure 6,
 //!   `T(B)`), where plans are biased toward bitmap-index access paths, and
 //!   per-predicate rid bitmaps are merged with bitwise AND;
 //! * position-list representations in the column engine (Section 5.2
 //!   describes "a bit string where a 1 in the ith bit indicates that the ith
-//!   value passed the predicate"); `cvr-core` reuses [`RidBitmap`] for that.
+//!   value passed the predicate"); `cvr-core` reuses [`RidBitmap`] for that;
+//! * join probes over reassigned (dense) dimension keys, where membership is
+//!   one bit per dimension row ([`KeyBits`]).
 
 use cvr_storage::io::{pages_for, FileId, IoSession, PageId, PAGE_SIZE};
 
@@ -177,6 +179,49 @@ impl RidBitmap {
     }
 }
 
+/// Key membership over a dense key domain `0..domain`: one bit per key.
+///
+/// Section 5.4.1 reassigns dimension keys so that a key *is* its row's
+/// position, which turns the join probe into "a fast array look-up": a
+/// foreign key is a member iff its bit is set, and the dimension position it
+/// joins to is the key itself. The probe structure for every dimension whose
+/// keys are dense; non-dense keys (DATE's `yyyymmdd`) stay on
+/// [`crate::hashidx`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyBits {
+    bits: RidBitmap,
+}
+
+impl KeyBits {
+    /// The set of `keys` over the domain `0..domain`. Panics on a key
+    /// outside the domain — a dense dimension has none.
+    pub fn from_keys(domain: u32, keys: impl IntoIterator<Item = i64>) -> KeyBits {
+        let mut bits = RidBitmap::new(domain);
+        for k in keys {
+            assert!((k as u64) < domain as u64, "key {k} outside the dense domain 0..{domain}");
+            bits.set(k as u32);
+        }
+        KeyBits { bits }
+    }
+
+    /// Membership probe — the dense-key join hot path. Keys outside the
+    /// domain (negative included) are simply absent.
+    #[inline]
+    pub fn contains(&self, key: i64) -> bool {
+        (key as u64) < self.bits.len as u64 && self.bits.get(key as u32)
+    }
+
+    /// Number of member keys.
+    pub fn len(&self) -> usize {
+        self.bits.count() as usize
+    }
+
+    /// True when no key is a member.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 struct BitIter {
     word: u64,
     base: u32,
@@ -332,6 +377,23 @@ mod tests {
     fn mismatched_universes_panic() {
         let mut a = RidBitmap::new(10);
         a.and_with(&RidBitmap::new(20));
+    }
+
+    #[test]
+    fn key_bits_membership() {
+        let keys = KeyBits::from_keys(130, [0i64, 64, 129]);
+        assert_eq!(keys.len(), 3);
+        for k in -2i64..140 {
+            assert_eq!(keys.contains(k), matches!(k, 0 | 64 | 129), "key {k}");
+        }
+        assert!(!keys.contains(i64::MIN) && !keys.contains(i64::MAX));
+        assert!(KeyBits::from_keys(0, []).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the dense domain")]
+    fn key_bits_reject_keys_outside_the_domain() {
+        KeyBits::from_keys(10, [10i64]);
     }
 
     #[test]

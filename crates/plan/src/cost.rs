@@ -34,11 +34,25 @@ pub struct CpuRates {
     pub rle_run: f64,
     /// One value through the tuple-at-a-time `get_next` interface.
     pub tuple_value: f64,
-    /// One hash-set/map probe (invisible-join fallback, lmjoin probe).
+    /// One hash-set/map probe (the join probes on non-dense keys, the row
+    /// engine's joins) or insertion on the build side.
     pub hash_probe: f64,
-    /// One value through a full-scan membership probe (decode + lookup) —
-    /// the lmjoin's first probe and the invisible join's hash fallback.
+    /// One value through a full-window *hash* membership scan (unpack +
+    /// open-addressing lookup) — a join on non-dense keys (DATE) whose
+    /// matching keys are not contiguous.
     pub probe_scan_value: f64,
+    /// One value through a full-window *dense-key* membership scan (unpack +
+    /// one bit test): the invisible join's fallback and the late join's
+    /// first probe over reassigned keys, where the key is the dimension
+    /// position. Recalibratable from `BENCH_kernels.json`
+    /// (`bits_ns_per_value`).
+    pub key_bits_value: f64,
+    /// One candidate position tested on its own (positional fetch +
+    /// compare) — what a predicate pays per surviving position once earlier
+    /// predicates have thinned the morsel below the word kernel's
+    /// break-even. Recalibratable from `BENCH_kernels.json`
+    /// (`get_ns_per_candidate`).
+    pub candidate_value: f64,
     /// One positionally gathered value (late materialization).
     pub gather_value: f64,
     /// One tuple through a row-engine operator (scan parse / filter step).
@@ -83,8 +97,13 @@ impl Default for CpuRates {
             scalar_value: 1.0e-9,
             rle_run: 4.0e-9,
             tuple_value: 1.2e-8,
-            hash_probe: 1.5e-9, // IntHashMap/Set are array-backed over dense keys
+            // Open-addressing tables, one multiply-shift hash per probe; the
+            // rate is the pipelined in-loop cost, not a cold lookup's.
+            hash_probe: 1.5e-9,
             probe_scan_value: 5.0e-9,
+            // The dense-key path really is array-backed: one bit per key.
+            key_bits_value: 2.1e-9,
+            candidate_value: 3.5e-9,
             gather_value: 3.0e-9,
             row_tuple: 1.5e-7,
             row_join_probe: 1.2e-7,
@@ -101,9 +120,11 @@ impl Default for CpuRates {
 impl CpuRates {
     /// Recalibrate the kernel-layer rates from a `BENCH_kernels.json`
     /// emitted by `cvr-bench --bin kernels` on this machine. Only the
-    /// fields that file measures move (`swar_word`, `scalar_value`); the
-    /// rest keep their defaults. Returns `None` when the string does not
-    /// look like a kernels report.
+    /// fields that file measures move (`swar_word`, `scalar_value`, and —
+    /// when the report has `refine` and `membership` rows —
+    /// `candidate_value` and `key_bits_value`); the rest keep their
+    /// defaults. Returns `None` when the string does not look like a
+    /// kernels report.
     pub fn from_kernel_bench_json(json: &str) -> Option<CpuRates> {
         if !json.contains("\"bench\": \"kernels\"") {
             return None;
@@ -112,6 +133,8 @@ impl CpuRates {
         // kernels binary emits one result object per line with known keys.
         let mut scalar = Vec::new();
         let mut word = Vec::new();
+        let mut candidate = Vec::new();
+        let mut key_bits = Vec::new();
         for line in json.lines() {
             let grab = |key: &str| -> Option<f64> {
                 let at = line.find(key)? + key.len();
@@ -121,6 +144,12 @@ impl CpuRates {
             };
             if let Some(v) = grab("\"scalar_ns_per_value\":") {
                 scalar.push(v);
+            }
+            if let Some(v) = grab("\"get_ns_per_candidate\":") {
+                candidate.push(v);
+            }
+            if let Some(v) = grab("\"bits_ns_per_value\":") {
+                key_bits.push(v);
             }
             // Plain columns have no word-parallel lane trick; only packed
             // encodings measure the SWAR path meaningfully.
@@ -134,14 +163,19 @@ impl CpuRates {
             return None;
         }
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+        let d = CpuRates::default();
+        let measured =
+            |v: &[f64], default: f64| if v.is_empty() { default } else { mean(v) * 1e-9 };
         Some(CpuRates {
+            candidate_value: measured(&candidate, d.candidate_value),
+            key_bits_value: measured(&key_bits, d.key_bits_value),
             scalar_value: mean(&scalar) * 1e-9,
             // word_ns_per_value is per *value*; a word carries ~8 lanes at
             // the benchmark's mid widths, and the engine wraps the raw
             // kernel in mask banking + position accumulation (~3× the bare
             // compare in the serial engine measurements).
             swar_word: mean(&word) * 1e-9 * 8.0 * 3.0,
-            ..CpuRates::default()
+            ..d
         })
     }
 
@@ -219,6 +253,8 @@ impl CpuRates {
             tuple_value: tuple.max(1e-10),
             hash_probe: d.hash_probe * scale,
             probe_scan_value: d.probe_scan_value * scale,
+            key_bits_value: d.key_bits_value * scale,
+            candidate_value: d.candidate_value * scale,
             gather_value: d.gather_value * scale,
             row_tuple: d.row_tuple * scale,
             row_join_probe: d.row_join_probe * scale,
@@ -404,12 +440,22 @@ mod tests {
   "n": 1024,
   "results": [
     {"kernel": "int_range", "encoding": "packed_b6", "selectivity": 0.01, "scalar_ns_per_value": 2.0, "word_ns_per_value": 0.25, "speedup": 8.0},
-    {"kernel": "dict_pred", "encoding": "plain_i64", "selectivity": 0.01, "scalar_ns_per_value": 1.0, "word_ns_per_value": 0.9, "speedup": 1.1}
+    {"kernel": "dict_pred", "encoding": "plain_i64", "selectivity": 0.01, "scalar_ns_per_value": 1.0, "word_ns_per_value": 0.9, "speedup": 1.1},
+    {"kernel": "refine", "encoding": "packed_w6", "candidate_density": 0.05, "kernel_ns_per_value": 1.2, "window_ns_per_value": 1.3, "refine_ns_per_value": 0.3, "get_ns_per_candidate": 3.0},
+    {"kernel": "refine", "encoding": "packed_w17", "candidate_density": 0.2, "kernel_ns_per_value": 1.3, "window_ns_per_value": 1.3, "refine_ns_per_value": 0.8, "get_ns_per_candidate": 4.0},
+    {"kernel": "membership", "encoding": "packed_w13", "key_fraction": 0.01, "hash_ns_per_value": 5.0, "bits_ns_per_value": 2.0, "hash_ns_per_candidate": 4.5, "bits_ns_per_candidate": 3.2}
   ]
 }"#;
         let rates = CpuRates::from_kernel_bench_json(json).expect("parses");
         assert!((rates.scalar_value - 1.5e-9).abs() < 1e-12);
         assert!((rates.swar_word - 0.25e-9 * 8.0 * 3.0).abs() < 1e-12);
+        assert!((rates.candidate_value - 3.5e-9).abs() < 1e-12);
+        assert!((rates.key_bits_value - 2.0e-9).abs() < 1e-12);
+        // A report from before the refine/membership rows keeps the defaults.
+        let old = json.lines().filter(|l| !l.contains("_per_candidate")).collect::<Vec<_>>();
+        let rates = CpuRates::from_kernel_bench_json(&old.join("\n")).expect("parses");
+        assert_eq!(rates.candidate_value, CpuRates::default().candidate_value);
+        assert_eq!(rates.key_bits_value, CpuRates::default().key_bits_value);
         assert!(CpuRates::from_kernel_bench_json("{}").is_none());
     }
 

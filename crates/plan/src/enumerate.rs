@@ -361,49 +361,60 @@ impl Planner {
     // ---------------------------------------------------------------------
 
     /// Sequential scan of one stored column, CPU priced by its encoding
-    /// (word-parallel kernels over packed words, run-at-a-time over RLE).
+    /// (word-parallel kernels over packed words, run-at-a-time over RLE):
+    /// every position is a candidate.
     fn scan_col(
         &self,
         stats: &ColumnStats,
         compressed: bool,
         ws: &mut WorkingSet,
     ) -> CostBreakdown {
-        let r = &self.params.rates;
-        ws.touch(&stats.name, stats.bytes(compressed));
-        let mut c = seq_scan(stats.bytes(compressed));
-        c.cpu_seconds += if compressed {
-            match stats.encoding {
-                EncodingKind::Rle => stats.rle_runs.unwrap_or(stats.rows) as f64 * r.rle_run,
-                EncodingKind::Packed | EncodingKind::Dict => {
-                    let lanes = stats.packed_lanes.unwrap_or(8).max(1) as f64;
-                    (stats.rows as f64 / lanes) * r.swar_word
-                }
-                EncodingKind::Plain => stats.rows as f64 * r.scalar_value,
-            }
-        } else {
-            stats.rows as f64 * r.scalar_value
-        };
-        c
+        self.refine_col(stats, compressed, ValueTest::Interval, stats.rows as f64, ws)
     }
 
-    /// Scan of a fact FK column probed by a hash key set (the invisible
-    /// join's fallback, and the late join's first full probe): the kernel
-    /// rate is replaced by a per-value probe — except over RLE, where the
-    /// engines probe run-at-a-time.
-    fn scan_col_hash_probe(
+    /// One predicate applied to a stored column with `candidates` positions
+    /// still alive (`cvr_core::scan::refine`). The column is read — and
+    /// charged — in full whatever the candidates; the CPU pays the cheaper
+    /// of the window kernel and one test per candidate, which is the choice
+    /// the executor makes word by word.
+    fn refine_col(
         &self,
         stats: &ColumnStats,
         compressed: bool,
+        test: ValueTest,
+        candidates: f64,
         ws: &mut WorkingSet,
     ) -> CostBreakdown {
         let r = &self.params.rates;
         ws.touch(&stats.name, stats.bytes(compressed));
         let mut c = seq_scan(stats.bytes(compressed));
-        c.cpu_seconds += if compressed && stats.encoding == EncodingKind::Rle {
-            stats.rle_runs.unwrap_or(stats.rows) as f64 * (r.rle_run + r.hash_probe)
+        let rows = stats.rows as f64;
+        let window = if compressed && stats.encoding == EncodingKind::Rle {
+            // Run-at-a-time whatever the test: one verdict per run.
+            let per_run = match test {
+                ValueTest::Interval => r.rle_run,
+                ValueTest::KeyBits | ValueTest::HashSet => r.rle_run + r.hash_probe,
+            };
+            stats.rle_runs.unwrap_or(stats.rows) as f64 * per_run
         } else {
-            stats.rows as f64 * r.probe_scan_value
+            match test {
+                ValueTest::Interval
+                    if compressed
+                        && matches!(stats.encoding, EncodingKind::Packed | EncodingKind::Dict) =>
+                {
+                    let lanes = stats.packed_lanes.unwrap_or(8).max(1) as f64;
+                    (rows / lanes) * r.swar_word
+                }
+                ValueTest::Interval => rows * r.scalar_value,
+                ValueTest::KeyBits => rows * r.key_bits_value,
+                ValueTest::HashSet => rows * r.probe_scan_value,
+            }
         };
+        let per_candidate = match test {
+            ValueTest::Interval | ValueTest::KeyBits => r.candidate_value,
+            ValueTest::HashSet => r.candidate_value + r.hash_probe,
+        };
+        c.cpu_seconds += window.min(candidates * per_candidate);
         c
     }
 
@@ -569,16 +580,18 @@ impl Planner {
         let mut c = CostBreakdown::default();
         match shape {
             PlanShape::Invisible => {
+                // Each predicate refines the positions its predecessors
+                // left: rows are running survivors, and a probe costs the
+                // cheaper of its window kernel and a test per candidate.
+                let mut running = n as f64;
                 for d in q.restricted_dims() {
                     let (dc, contiguous) = self.dim_phase1(q, d, compressed, false, &mut ws);
                     c.add(dc);
                     let fk = self.catalog.fact.column(d.fact_fk_column());
-                    let probe = if contiguous {
-                        self.scan_col(fk, compressed, &mut ws)
-                    } else {
-                        self.scan_col_hash_probe(fk, compressed, &mut ws)
-                    };
+                    let test = ValueTest::of_join(d, contiguous);
+                    let probe = self.refine_col(fk, compressed, test, running, &mut ws);
                     let d_sel = self.catalog.dim_selectivity(q, d);
+                    running *= d_sel;
                     explain.push(
                         Explain::node(
                             "probe",
@@ -587,11 +600,11 @@ impl Planner {
                                 d.fact_fk_column(),
                                 if compressed { fk.encoding.label() } else { "plain" },
                                 fk.bytes(compressed) as f64 / (1024.0 * 1024.0),
-                                if contiguous { "between-rewrite" } else { "hash-set" },
+                                test.label(),
                                 d_sel,
                             ),
                         )
-                        .rows((n as f64 * d_sel).ceil() as u64)
+                        .rows(running.ceil() as u64)
                         .cost(probe.seconds(&self.params)),
                     );
                     c.add(probe);
@@ -600,10 +613,12 @@ impl Planner {
                     let p = &q.fact_predicates[i];
                     let col = self.catalog.fact.column(p.column);
                     let sel = self.catalog.fact_pred_selectivity(p);
-                    let sc = self.scan_col(col, compressed, &mut ws);
+                    let sc =
+                        self.refine_col(col, compressed, ValueTest::Interval, running, &mut ws);
+                    running *= sel;
                     explain.push(
                         Explain::node("scan", format!("{} sel {sel:.2e}", p.column))
-                            .rows((n as f64 * sel).ceil() as u64)
+                            .rows(running.ceil() as u64)
                             .cost(sc.seconds(&self.params)),
                     );
                     c.add(sc);
@@ -619,7 +634,9 @@ impl Planner {
                 let mut poslist_positions = 0.0;
                 for &i in order {
                     let p = &q.fact_predicates[i];
-                    let sc = self.scan_col(self.catalog.fact.column(p.column), compressed, &mut ws);
+                    let col = self.catalog.fact.column(p.column);
+                    let sc =
+                        self.refine_col(col, compressed, ValueTest::Interval, running, &mut ws);
                     running *= self.catalog.fact_pred_selectivity(p);
                     poslist_positions += running;
                     explain.push(
@@ -650,7 +667,13 @@ impl Planner {
                     c.cpu_seconds += k_d * r.hash_probe; // build side
                     let fk = self.catalog.fact.column(d.fact_fk_column());
                     if first {
-                        c.add(self.scan_col_hash_probe(fk, compressed, &mut ws));
+                        // A membership scan of the whole FK column (never
+                        // rewritten to an interval), then the matched keys
+                        // read back as dimension positions.
+                        let test = ValueTest::of_join(d, false);
+                        c.add(self.refine_col(fk, compressed, test, running, &mut ws));
+                        c.cpu_seconds +=
+                            running * self.catalog.dim_selectivity(q, d) * r.gather_value;
                         first = false;
                     } else {
                         c.add(self.gather_col(
@@ -1033,6 +1056,41 @@ fn design_name(d: RowDesign) -> &'static str {
         RowDesign::VerticalPartitioning => "vertical partitioning",
         RowDesign::IndexOnly => "index-only",
         RowDesign::SuperVp => "super-tuple VP",
+    }
+}
+
+/// How a predicate tests the values of a fact column — what prices its
+/// window kernel and its per-candidate test.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ValueTest {
+    /// An interval compare: fact predicates and between-rewritten joins.
+    Interval,
+    /// Membership in a dense-key bit vector (one bit per dimension row).
+    KeyBits,
+    /// Membership in a hash set (non-dense keys: DATE).
+    HashSet,
+}
+
+impl ValueTest {
+    /// The test a join on `d` applies to its FK column: an interval when the
+    /// matching keys are expected contiguous (between-predicate rewriting),
+    /// else membership — in bits where keys are dense, in a hash set where
+    /// they are not.
+    fn of_join(d: Dim, contiguous: bool) -> ValueTest {
+        match (contiguous, d.dense_keys()) {
+            (true, _) => ValueTest::Interval,
+            (false, true) => ValueTest::KeyBits,
+            (false, false) => ValueTest::HashSet,
+        }
+    }
+
+    /// The explain tag of a join probe under this test.
+    fn label(self) -> &'static str {
+        match self {
+            ValueTest::Interval => "between-rewrite",
+            ValueTest::KeyBits => "key-bits",
+            ValueTest::HashSet => "hash-set",
+        }
     }
 }
 

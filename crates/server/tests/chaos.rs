@@ -6,7 +6,8 @@
 //! oversized frames — surfaces as a *typed* error on a still-usable
 //! connection, and once the fault clears the very same query produces
 //! bytes identical to the pre-fault reference. Nothing leaks: scheduler
-//! gauges return to zero and aborted queries never populate the cache.
+//! gauges return to zero ([`scheduler_drains`]) and aborted queries never
+//! populate the cache.
 //!
 //! Fault configuration is **per-session** ([`Session::set_faults`]): each
 //! test arms its own session's handle, so the tests here run concurrently
@@ -14,7 +15,7 @@
 //! see each other's — which is itself the isolation property under test.
 
 use cvr_core::morsel::Parallelism;
-use cvr_core::{QueryCtx, QueryError};
+use cvr_core::{QueryCtx, QueryError, SchedStats};
 use cvr_data::gen::{SsbConfig, SsbTables};
 use cvr_data::queries::{all_queries, query, SsbQuery};
 use cvr_plan::PhysicalChoice;
@@ -22,7 +23,7 @@ use cvr_server::protocol::{read_frame, Response};
 use cvr_server::{parser, serve, Client, ClientConfig, ClientError, Session};
 use std::io::Write;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tables(scale: f64) -> Arc<SsbTables> {
     Arc::new(SsbConfig::with_scale(scale).generate())
@@ -32,6 +33,28 @@ fn tables(scale: f64) -> Arc<SsbTables> {
 /// cancellation test needs, since a cache hit never reaches a morsel.
 fn cold_session(tables: Arc<SsbTables>, par: Parallelism) -> Arc<Session> {
     Arc::new(Session::with_cache_budget(tables, par, 0))
+}
+
+/// Wait for an instant at which the scheduler gauges read zero.
+///
+/// Every session shares `Scheduler::process_default()` and the sibling tests
+/// of this binary run queries concurrently, so a single reading of the
+/// process-wide `active` gauge counts *their* permits too. What a test owns
+/// is that its own queries gave theirs back — and `run_ctx` and the wire
+/// reply both return only after the permit is dropped — so the gauge must
+/// read zero whenever the siblings are between statements, which a sibling
+/// is every few milliseconds. A permit or queue ticket this test leaked
+/// would keep it above zero for good.
+fn scheduler_drains(mut stats: impl FnMut() -> SchedStats) {
+    let patience = Instant::now() + Duration::from_secs(30);
+    loop {
+        let now = stats();
+        if now.active == 0 && now.queue_depth == 0 {
+            return;
+        }
+        assert!(Instant::now() < patience, "a permit or queue ticket never came back: {now:?}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// The first paper query the planner sends to the column engine: the
@@ -154,9 +177,8 @@ fn cancel_mid_run_leaves_the_scheduler_and_cache_clean() {
     });
     assert_eq!(outcome, Err(QueryError::Cancelled));
 
-    let stats = session.scheduler().stats();
-    assert_eq!(stats.active, 0, "the aborted query must release its permit: {stats:?}");
-    assert_eq!(stats.queue_depth, 0, "nothing may be left queued: {stats:?}");
+    // The aborted query must release its permit and leave nothing queued.
+    scheduler_drains(|| session.scheduler().stats());
 
     session.set_faults(None).expect("disarm");
     let rerun = session.run_ctx(&q, &QueryCtx::unbounded()).expect("clean rerun");
@@ -194,9 +216,7 @@ fn deadlines_and_memory_budgets_abort_with_typed_errors() {
     }
 
     // Neither abort may leave scheduler state behind.
-    let stats = session.scheduler().stats();
-    assert_eq!(stats.active, 0, "{stats:?}");
-    assert_eq!(stats.queue_depth, 0, "{stats:?}");
+    scheduler_drains(|| session.scheduler().stats());
 }
 
 /// Out-of-band CANCEL from a second connection aborts a stalled query on
@@ -264,7 +284,7 @@ fn stats_frames_report_scheduler_and_cache_counters() {
     assert!(matches!(client.query(&sql).expect("cold"), Response::Result(_)));
     let report = client.stats().expect("stats frame");
     assert!(report.sched.admitted > admitted_before, "{:?}", report.sched);
-    assert_eq!(report.sched.active, 0, "{:?}", report.sched);
+    scheduler_drains(|| client.stats().expect("stats frame").sched);
     let cache = report.cache.expect("cache enabled for this session");
     assert!(cache.result_misses >= 1, "{cache:?}");
     // The registry rides along: process-wide counters, sorted by name.

@@ -6,8 +6,9 @@
 //! early-materialized, denormalized) under serial and 4-way morsel
 //! execution, a traced run is byte-identical — output bytes *and*
 //! [`IoStats`] — to an untraced run; `EXPLAIN ANALYZE` reports actual row
-//! counts that equal what plain execution returns; and the wire `TRACE`
-//! frame carries the same spans without changing the `RESULT` frame.
+//! counts that equal what plain execution returns, and pairs every filter
+//! operator's estimated with its actual *running* survivors; and the wire
+//! `TRACE` frame carries the same spans without changing the `RESULT` frame.
 
 use cvr_core::morsel::Parallelism;
 use cvr_core::QueryCtx;
@@ -103,6 +104,97 @@ fn explain_analyze_actuals_match_plain_execution() {
             );
             assert!(json.contains("\"trace\": {"), "{}: raw span tree attached", q.id);
         }
+    }
+}
+
+/// A join on scattered cities cannot be rewritten to a between-predicate:
+/// the planner must still send it to the invisible join (its probes are bit
+/// tests over dense keys and only look where candidates remain), and
+/// `EXPLAIN ANALYZE` must pair each probe's estimate with the rows actually
+/// left *after* it — checked here against a count made straight from the
+/// tables.
+#[test]
+fn explain_analyze_pairs_each_probe_with_its_running_rows() {
+    use cvr_data::gen::{city_name, NATIONS};
+    use cvr_data::queries::{query, Pred};
+    use cvr_data::schema::Dim;
+    use cvr_data::value::Value;
+    use std::collections::HashMap;
+
+    let tables = Arc::new(SsbConfig::with_scale(0.01).generate());
+    // Q3.3 over 45 cities a side — every other nation, every other city
+    // suffix, so no two are neighbours in the sorted hierarchy — by year.
+    let cities: Vec<String> = NATIONS
+        .iter()
+        .flat_map(|region| region.iter().step_by(2))
+        .flat_map(|nation| (0..3).map(move |i| city_name(nation, 2 * i)))
+        .collect();
+    let listed = Pred::InSet(cities.iter().map(|c| Value::str(c.as_str())).collect());
+    let mut q = query(3, 3);
+    for p in q.dim_predicates.iter_mut().filter(|p| p.dim != Dim::Date) {
+        p.pred = listed.clone();
+    }
+    q.group_by.retain(|g| g.dim == Dim::Date);
+
+    // Running survivors, counted row by row in probe order.
+    let attr = |dim: Dim, column: &str| -> HashMap<i64, Value> {
+        let t = tables.dim(dim);
+        (0..t.num_rows())
+            .map(|i| (t.value(i, dim.key_column()).as_int(), t.value(i, column)))
+            .collect()
+    };
+    let fact = &tables.lineorder;
+    let mut alive: Vec<usize> = (0..fact.num_rows()).collect();
+    let mut running = Vec::new();
+    for dim in q.restricted_dims() {
+        for p in q.dim_predicates_on(dim) {
+            let values = attr(dim, p.column);
+            alive.retain(|&i| {
+                p.pred.matches(&values[&fact.value(i, dim.fact_fk_column()).as_int()])
+            });
+        }
+        running.push(alive.len() as u64);
+    }
+    assert!(running[0] > running[1] && running[1] > running[2] && running[2] > 0, "{running:?}");
+
+    for par in [Parallelism::serial(), Parallelism { threads: 4, morsel_rows: 1024 }] {
+        let session = Session::with_cache_budget(tables.clone(), par, 0);
+        let sql = format!("EXPLAIN ANALYZE {}", parser::render_sql(&q));
+        let QueryResponse::Explain { text, json } = session.query(&sql).expect("analyze") else {
+            panic!("EXPLAIN ANALYZE must return an explain payload")
+        };
+        assert!(json.contains("\"plan\": \"tICL\""), "must plan to the invisible join:\n{text}");
+        // Each probe node: its detail, estimate and actual, in tree order.
+        let number_after = |from: &str, key: &str| -> u64 {
+            let rest = &from[from.find(key).expect(key) + key.len()..];
+            rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap()].parse().expect(key)
+        };
+        // (The raw span tree after "candidates" has probe nodes of its own.)
+        let tree = &json[..json.find("\"candidates\"").expect("ranking follows the tree")];
+        let probes: Vec<(&str, u64, u64)> = tree
+            .match_indices("{\"op\": \"probe\"")
+            .map(|(at, _)| {
+                let node = &tree[at..];
+                let est = number_after(node, "\"est_rows\": ");
+                (node, est, number_after(node, "\"actual\": {\"rows\": "))
+            })
+            .collect();
+        assert_eq!(probes.len(), 3, "{text}");
+        for ((node, est, actual), (fk, want)) in
+            probes.iter().zip(["lo_custkey", "lo_suppkey", "lo_orderdate"].iter().zip(&running))
+        {
+            assert!(node.contains(&format!("\"detail\": \"{fk}")), "probe order: {text}");
+            assert_eq!(
+                actual, want,
+                "{fk}: actual running rows at {} threads\n{text}",
+                par.threads
+            );
+            assert!(
+                est.max(want) <= &(2 * est.min(want) + 16),
+                "{fk}: estimated {est} running rows against {want} actual\n{text}"
+            );
+        }
+        assert!(probes[0].0.contains("key-bits") && probes[1].0.contains("key-bits"), "{text}");
     }
 }
 

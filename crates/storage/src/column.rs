@@ -30,6 +30,10 @@ pub struct StoredColumn {
     /// value sweep for plain/RLE integers runs at most once per column, not
     /// once per query.
     code_bounds: std::sync::OnceLock<Option<(i64, u64)>>,
+    /// Lazily computed size of a dictionary column's dictionary prefix (see
+    /// [`StoredColumn::dict_bytes`]): every scan and gather charge needs it,
+    /// once per morsel, and summing a thousand entries each time is not free.
+    dict_bytes: std::sync::OnceLock<u64>,
 }
 
 impl StoredColumn {
@@ -40,7 +44,14 @@ impl StoredColumn {
             column,
             file: FileId::fresh(),
             code_bounds: std::sync::OnceLock::new(),
+            dict_bytes: std::sync::OnceLock::new(),
         }
+    }
+
+    /// Bytes the dictionary occupies at the front of a dictionary column's
+    /// file (a length byte plus the text of each entry), computed once.
+    fn dict_bytes(&self, dict: &[Box<str>]) -> u64 {
+        *self.dict_bytes.get_or_init(|| dict.iter().map(|s| 1 + s.len() as u64).sum())
     }
 
     /// Cached [`IntColumn::code_bounds`] of an integer column (`None` for
@@ -128,7 +139,7 @@ impl StoredColumn {
             // never reaches a page the morsel's scan missed. Every fragment
             // charges the dictionary; repeated pages dedup to pool hits.
             Column::Str(StrColumn::Dict { dict, codes }) => {
-                let dict_bytes: u64 = dict.iter().map(|s| 1 + s.len() as u64).sum();
+                let dict_bytes = self.dict_bytes(dict);
                 let k = codes.lanes_per_word() as u64;
                 let hi = dict_bytes + ((end - 1) as u64 / k + 1) * 8;
                 if start == 0 {
@@ -201,7 +212,7 @@ impl StoredColumn {
                 }
             }
             Column::Str(StrColumn::Dict { dict, codes }) => {
-                let dict_bytes: u64 = dict.iter().map(|s| 1 + s.len() as u64).sum();
+                let dict_bytes = self.dict_bytes(dict);
                 // Dictionary read once, at the front of the file.
                 let dict_pages = pages_for(dict_bytes);
                 for p in 0..dict_pages {

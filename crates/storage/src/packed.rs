@@ -164,9 +164,12 @@ impl PackedInts {
     pub fn get(&self, i: u32) -> u64 {
         debug_assert!(i < self.len);
         let lane_bits = self.value_bits as u32 + 1;
-        let lanes = 64 / lane_bits;
-        let word = self.words[(i / lanes) as usize];
-        (word >> ((i % lanes) * lane_bits)) & max_code_for(self.value_bits)
+        let (lanes, reciprocal) = LANE_DIVISION[self.value_bits as usize];
+        // `i / lanes` without a divide instruction — the positional fetch is
+        // the unit cost of every candidate test and gather.
+        let word = ((i as u128 * reciprocal as u128) >> RECIPROCAL_SHIFT) as u32;
+        let lane = i - word * lanes;
+        (self.words[word as usize] >> (lane * lane_bits)) & max_code_for(self.value_bits)
     }
 
     /// Visit the codes of positions `[start, end)` in order, unpacking one
@@ -215,6 +218,26 @@ impl PackedInts {
         out
     }
 }
+
+/// `2^RECIPROCAL_SHIFT` scales the lane-count reciprocals of
+/// [`LANE_DIVISION`]: 32 bits of numerator plus 5 ≥ log₂ of the largest lane
+/// count (32), which makes the rounded-up reciprocal exact for every `u32`
+/// (Granlund & Montgomery, *Division by Invariant Integers using
+/// Multiplication*, Theorem 4.2).
+const RECIPROCAL_SHIFT: u32 = 37;
+
+/// Per code width: the lanes per word and `⌈2^37 / lanes⌉`, so that
+/// `i / lanes == (i · reciprocal) >> 37` for every `u32` position `i`.
+const LANE_DIVISION: [(u32, u64); MAX_VALUE_BITS as usize + 1] = {
+    let mut table = [(0, 0); MAX_VALUE_BITS as usize + 1];
+    let mut value_bits = 1;
+    while value_bits <= MAX_VALUE_BITS as usize {
+        let lanes = 64 / (value_bits as u64 + 1);
+        table[value_bits] = (lanes as u32, (1u64 << RECIPROCAL_SHIFT).div_ceil(lanes));
+        value_bits += 1;
+    }
+    table
+};
 
 /// Largest code representable in `value_bits` bits.
 #[inline]
@@ -272,6 +295,25 @@ mod tests {
                 let codes: Vec<u64> =
                     (0..n).map(|i| (i as u64).wrapping_mul(2_654_435_761) % (max + 1)).collect();
                 round_trip(w, &codes);
+            }
+        }
+    }
+
+    #[test]
+    fn reciprocal_division_is_exact_for_every_lane_count() {
+        for (value_bits, &(lanes, reciprocal)) in LANE_DIVISION.iter().enumerate().skip(1) {
+            assert_eq!(lanes, 64 / (value_bits as u32 + 1));
+            // Multiples of the divisor and their neighbours are where a
+            // rounded reciprocal goes wrong first; the top of the range is
+            // where the error term is largest.
+            let edges = (0..2_000u32).chain((0..2_000).map(|k| u32::MAX - k));
+            let multiples = (1..40_000u32).flat_map(|k| {
+                let m = (k as u64 * 107_371 * lanes as u64).min(u32::MAX as u64) as u32;
+                [m.wrapping_sub(1), m, m.wrapping_add(1)]
+            });
+            for i in edges.chain(multiples) {
+                let got = ((i as u128 * reciprocal as u128) >> RECIPROCAL_SHIFT) as u32;
+                assert_eq!(got, i / lanes, "{i} / {lanes}");
             }
         }
     }

@@ -6,8 +6,9 @@
 //! cargo run --release --example compression_lab
 //! ```
 
-use cvr::core::scan::{scan_int, scan_int_where, IntScanPred};
+use cvr::core::scan::{refine, ScanPred};
 use cvr::core::CStoreDb;
+use cvr::core::PosList;
 use cvr::data::gen::SsbConfig;
 use cvr::storage::encode::{Column, IntColumn};
 use cvr::storage::io::IoSession;
@@ -49,13 +50,15 @@ fn main() {
     let io = IoSession::unmetered();
     let rle_col = compressed.fact.column("lo_orderdate");
     let plain_col = plain.fact.column("lo_orderdate");
-    let pred = |v: i64| (19930101..=19931231).contains(&v);
+    let in_1993 = |v: i64| (19930101..=19931231).contains(&v);
+    let pred = ScanPred::Test(&in_1993);
+    let all = PosList::all(rle_col.positions());
 
     let t = Instant::now();
-    let a = scan_int_where(rle_col, rle_col.positions(), pred, true, &io);
+    let a = refine(rle_col, rle_col.positions(), &all, &pred, true, &io);
     let rle_time = t.elapsed();
     let t = Instant::now();
-    let b = scan_int_where(plain_col, plain_col.positions(), pred, true, &io);
+    let b = refine(plain_col, plain_col.positions(), &all, &pred, true, &io);
     let plain_time = t.elapsed();
     assert_eq!(a.to_vec(), b.to_vec());
     println!(
@@ -71,12 +74,12 @@ fn main() {
     let packed_col = compressed.fact.column("lo_quantity");
     let plain_q = plain.fact.column("lo_quantity");
     if packed_col.column.as_int().is_packed() {
-        let range = IntScanPred::Range { lo: 1, hi: 25 };
+        let range = ScanPred::Range { lo: 1, hi: 25 };
         let t = Instant::now();
-        let a = scan_int(packed_col, packed_col.positions(), &range, true, &io);
+        let a = refine(packed_col, packed_col.positions(), &all, &range, true, &io);
         let packed_time = t.elapsed();
         let t = Instant::now();
-        let b = scan_int(plain_q, plain_q.positions(), &range, true, &io);
+        let b = refine(plain_q, plain_q.positions(), &all, &range, true, &io);
         let plain_time = t.elapsed();
         assert_eq!(a.count(), b.count());
         println!(

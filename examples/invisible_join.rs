@@ -172,6 +172,7 @@ fn query31() -> SsbQuery {
 fn describe(kp: &FactKeyPred) -> String {
     match kp {
         FactKeyPred::Between(lo, hi) => format!("BETWEEN {lo} AND {hi}"),
+        FactKeyPred::KeyBits(s) => format!("bit vector of {} keys", s.len()),
         FactKeyPred::KeySet(s) => format!("hash set of {} keys", s.len()),
     }
 }
@@ -198,9 +199,13 @@ fn main() {
     );
 
     println!("== Phase 2 (Figure 3): probe fact FK columns, intersect positions ==\n");
+    // Figure 3 shows each probe's own matches and intersects them; the engine
+    // instead hands each probe the positions the previous ones left.
+    let window = 0..db.fact_rows() as u32;
+    let every_row = cvr::core::PosList::all(window.clone());
     let mut pos: Option<cvr::core::PosList> = None;
     for (dim, kp) in &preds {
-        let pl = phase2_probe(db, *dim, kp, cfg, 0..db.fact_rows() as u32, &io);
+        let pl = phase2_probe(db, *dim, kp, cfg, window.clone(), &every_row, &io);
         println!("  {:<12} matching fact positions: {:?}", dim.fact_fk_column(), pl.to_vec());
         pos = Some(match pos {
             None => pl,

@@ -25,6 +25,10 @@
 //! * [`iostats_match_the_pinned_fixture`] — absolute bytes/pages/seeks per
 //!   (query × plan shape × pool), dumped from the pre-refactor serial
 //!   executor, at threads 1 and 4;
+//! * [`a_predicate_that_empties_most_morsels_changes_nothing_but_the_work`]
+//!   — a one-month date range leaves most morsels without candidates: the
+//!   kernels they skip must not show in the outputs or the I/O accounting,
+//!   whichever position the emptying predicate is evaluated in;
 //! * [`parallel_engine_matches_reference_directly`] — four workers vs the
 //!   reference evaluator, not just vs one worker.
 
@@ -218,6 +222,83 @@ fn iostats_match_the_pinned_fixture() {
     }
     assert_eq!(cells, 13 * PLAN_SHAPES.len() * 2);
     assert_eq!(evicting, 11, "the bounded cells must not merely repeat the unmetered ones");
+}
+
+#[test]
+fn a_predicate_that_empties_most_morsels_changes_nothing_but_the_work() {
+    // One month of the date-sorted fact table: after the DATE probe only a
+    // morsel or two of the ~32-morsel grid still has candidates, and every
+    // later predicate of the others runs no kernel at all. A skipped kernel
+    // must still charge its scan (the modeled disk reads the column, the CPU
+    // skips words), so outputs *and* IoStats must equal those of the same
+    // statement with the date predicate moved last — where every morsel runs
+    // every earlier kernel in full — at every thread count, for both
+    // late-materialized shapes, compressed and not.
+    use cvr::data::queries::{AggExpr, DimPredicate, FactPredicate, GroupColumn, Pred, QueryId};
+    use cvr::data::schema::Dim;
+    use cvr::data::value::Value;
+
+    let tables = Arc::new(SsbConfig { sf: 0.002, seed: 2026 }.generate());
+    let engine = ColumnEngine::new(tables.clone());
+    let month = DimPredicate {
+        dim: Dim::Date,
+        column: "d_yearmonthnum",
+        pred: Pred::Eq(Value::Int(199_401)),
+    };
+    // Disjoint hierarchy values: key bits over the dense dimension keys.
+    let any_of = |names: &[&str]| Pred::InSet(names.iter().map(|n| Value::str(*n)).collect());
+    let customers = DimPredicate {
+        dim: Dim::Customer,
+        column: "c_region",
+        pred: any_of(&["AFRICA", "ASIA", "EUROPE"]),
+    };
+    let parts = DimPredicate {
+        dim: Dim::Part,
+        column: "p_mfgr",
+        pred: any_of(&["MFGR#1", "MFGR#3", "MFGR#5"]),
+    };
+    let date_first = SsbQuery {
+        id: QueryId::new(9, 1),
+        dim_predicates: vec![month.clone(), customers.clone(), parts.clone()],
+        fact_predicates: vec![FactPredicate {
+            column: "lo_quantity",
+            pred: Pred::Lt(Value::Int(40)),
+        }],
+        group_by: vec![GroupColumn { dim: Dim::Customer, column: "c_nation" }],
+        aggregate: AggExpr::SumRevenue,
+        paper_selectivity: 0.0,
+    };
+    let date_last =
+        SsbQuery { dim_predicates: vec![customers, parts, month], ..date_first.clone() };
+    let expected = reference::evaluate(&tables, &date_first);
+    assert!(!expected.rows.is_empty(), "the month must select something");
+
+    let par = |threads| Parallelism { threads, morsel_rows: 384 };
+    for code in ["tICL", "tIcL", "tiCL", "ticL"] {
+        let cfg = EngineConfig::parse(code);
+        let last_io = IoSession::unmetered();
+        let last = engine.execute_with(&date_last, cfg, par(1), &last_io);
+        assert_eq!(last, expected, "{code}: date predicate last");
+        for threads in [1, 2, 4] {
+            let io = IoSession::unmetered();
+            let first = engine.execute_with(&date_first, cfg, par(threads), &io);
+            assert_eq!(first, expected, "{code}: date predicate first at {threads} threads");
+            assert_eq!(
+                charged(&io),
+                charged(&last_io),
+                "{code} at {threads} threads: skipped kernels must still charge their scans"
+            );
+        }
+    }
+    // And the morsels really were emptied: the filter's survivors sit in a
+    // small corner of the grid.
+    let capturing = ExecOptions { reuse: FilterReuse::Capture, ..with_par(par(1)) };
+    let (_, capture) = engine
+        .run(&date_first, EngineConfig::FULL, &capturing, &IoSession::unmetered())
+        .expect("unbounded lifecycle");
+    let survivors = capture.expect("invisible joins capture on request").survivors();
+    let rows = tables.lineorder.num_rows() as u64;
+    assert!(survivors > 0 && survivors * 50 < rows, "{survivors} of {rows} rows survive");
 }
 
 #[test]

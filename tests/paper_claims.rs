@@ -51,7 +51,8 @@ fn orderdate_rle_runs_equal_distinct_dates() {
 /// is sorted by datekey.
 #[test]
 fn date_hierarchy_predicates_stay_contiguous() {
-    use cvr::core::scan::scan_pred;
+    use cvr::core::scan::{refine, ScanPred};
+    use cvr::core::PosList;
     use cvr::data::queries::Pred;
     use cvr::data::schema::Dim;
     use cvr::data::value::Value;
@@ -65,13 +66,15 @@ fn date_hierarchy_predicates_stay_contiguous() {
         ("d_yearmonth", Pred::Eq(Value::str("Dec1997"))),
     ] {
         let col = date.column(name);
-        let pl = scan_pred(col, col.positions(), &pred, true, &io);
+        let all = PosList::all(col.positions());
+        let pl = refine(col, col.positions(), &all, &ScanPred::Logical(&pred), true, &io);
         assert!(pl.is_contiguous(), "{name} predicate must select a contiguous range");
         assert!(!pl.is_empty());
     }
     // A predicate on a non-sorted date attribute is NOT contiguous.
     let week = date.column("d_weeknuminyear");
-    let pl = scan_pred(week, week.positions(), &Pred::Eq(Value::Int(6)), true, &io);
+    let (all, sixth) = (PosList::all(week.positions()), Pred::Eq(Value::Int(6)));
+    let pl = refine(week, week.positions(), &all, &ScanPred::Logical(&sixth), true, &io);
     assert!(!pl.is_contiguous(), "week-of-year repeats every year");
 }
 
