@@ -28,8 +28,7 @@ fn main() {
     let series = |cfg: EngineConfig, between_rewriting: bool| -> Vec<Measurement> {
         let opts =
             ExecOptions { par: Parallelism::serial(), between_rewriting, ..ExecOptions::default() };
-        harness
-            .measure_series(|q, io| engine.run(q, cfg, &opts, io).expect("unbounded lifecycle").0)
+        harness.measure_series(|q, io| engine.run(q, cfg, &opts, io).expect("unbounded lifecycle"))
     };
     let a = series(EngineConfig::FULL, true);
     let b = series(EngineConfig::FULL, false);

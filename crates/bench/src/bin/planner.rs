@@ -150,7 +150,7 @@ fn main() {
         let planned = |cfg, io: &IoSession| {
             let opts =
                 ExecOptions { par, fact_order: Some(&plan.fact_order), ..ExecOptions::default() };
-            engine.run(q, cfg, &opts, io).expect("unbounded lifecycle").0
+            engine.run(q, cfg, &opts, io).expect("unbounded lifecycle")
         };
         let picked_m = match plan.choice {
             PhysicalChoice::Column(cfg) => {

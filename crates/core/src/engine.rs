@@ -2,7 +2,6 @@
 
 use crate::config::EngineConfig;
 use crate::ctx::{catch_injected, QueryCtx, QueryError};
-use crate::invisible::FilterCapture;
 use crate::morsel::Parallelism;
 use crate::projection::CStoreDb;
 use crate::{em, invisible, lmjoin};
@@ -11,23 +10,6 @@ use cvr_data::queries::SsbQuery;
 use cvr_data::result::QueryOutput;
 use cvr_storage::io::IoSession;
 use std::sync::{Arc, OnceLock};
-
-/// What an execution does with the invisible join's filter phases (phases
-/// 1+2). The other plan shapes have no reusable filter and ignore it.
-#[derive(Debug, Clone, Copy, Default)]
-pub enum FilterReuse<'a> {
-    /// Run the filter; keep nothing.
-    #[default]
-    None,
-    /// Run the filter and hand back a [`FilterCapture`] of it. Charges on
-    /// the session are byte-identical to an uncaptured execution.
-    Capture,
-    /// Replay the filter from a capture taken under the *same* query
-    /// filter, config, fact order and store contents, and run only phase 3
-    /// live. A capture taken on a different morsel grid is ignored: the
-    /// execution runs cold, never fails.
-    Warm(&'a FilterCapture),
-}
 
 /// How one execution runs: everything a caller can vary besides the query
 /// and its [`EngineConfig`]. None of it changes a byte of the output or of
@@ -49,8 +31,6 @@ pub struct ExecOptions<'a> {
     /// False isolates the optimization for the Section 6.3.2 ablation; see
     /// [`crate::invisible::phase1_key_pred`].
     pub between_rewriting: bool,
-    /// Filter reuse for the invisible join.
-    pub reuse: FilterReuse<'a>,
 }
 
 impl Default for ExecOptions<'_> {
@@ -60,7 +40,6 @@ impl Default for ExecOptions<'_> {
             fact_order: None,
             ctx: QueryCtx::unbounded(),
             between_rewriting: true,
-            reuse: FilterReuse::None,
         }
     }
 }
@@ -123,27 +102,25 @@ impl ColumnEngine {
         self.plain.get().is_some()
     }
 
-    /// Execute `q` under `config` as `opts` says. Returns the output and,
-    /// under [`FilterReuse::Capture`] on an invisible-join configuration,
-    /// the filter capture. Lifecycle aborts and injected storage faults
-    /// ([`QueryError::Io`]) surface as typed errors.
+    /// Execute `q` under `config` as `opts` says. Lifecycle aborts and
+    /// injected storage faults ([`QueryError::Io`]) surface as typed errors.
     pub fn run(
         &self,
         q: &SsbQuery,
         config: EngineConfig,
         opts: &ExecOptions<'_>,
         io: &IoSession,
-    ) -> Result<(QueryOutput, Option<FilterCapture>), QueryError> {
+    ) -> Result<QueryOutput, QueryError> {
         let db = self.db(config);
         let permuted = opts.fact_order.map(|order| q.with_fact_order(order));
         let q = permuted.as_ref().unwrap_or(q);
         catch_injected(|| {
             if !config.late_materialization {
-                em::execute(db, q, config, opts, io).map(|out| (out, None))
+                em::execute(db, q, config, opts, io)
             } else if config.invisible_join {
                 invisible::execute(db, q, config, opts, io)
             } else {
-                lmjoin::execute(db, q, config, opts, io).map(|out| (out, None))
+                lmjoin::execute(db, q, config, opts, io)
             }
         })?
     }
@@ -163,10 +140,8 @@ impl ColumnEngine {
         par: Parallelism,
         io: &IoSession,
     ) -> QueryOutput {
-        match self.run(q, config, &ExecOptions { par, ..ExecOptions::default() }, io) {
-            Ok((out, _)) => out,
-            Err(e) => std::panic::panic_any(e),
-        }
+        self.run(q, config, &ExecOptions { par, ..ExecOptions::default() }, io)
+            .unwrap_or_else(|e| std::panic::panic_any(e))
     }
 }
 

@@ -32,9 +32,9 @@
 use crate::agg::{AggPartial, AggStrategy, GroupData};
 use crate::config::EngineConfig;
 use crate::ctx::{QueryCtx, QueryError};
-use crate::engine::{ExecOptions, FilterReuse};
+use crate::engine::ExecOptions;
 use crate::extract::gather_ints;
-use crate::morsel::{grid, run_fused, OpActual, Operator};
+use crate::morsel::{run_fused, OpActual, Operator};
 use crate::poslist::PosList;
 use crate::projection::CStoreDb;
 use crate::scan::{refine, ScanPred};
@@ -181,50 +181,11 @@ pub fn phase2_probe(
     key_pred.with_scan_pred(|pred| refine(col, window, candidates, pred, cfg.block_iteration, io))
 }
 
-/// A reusable record of the *filter* half (phases 1+2) of one invisible-join
-/// execution: the exact I/O charges those phases made, in order, plus the
-/// surviving fact positions. A warm execution replays the charges and skips
-/// straight to phase 3, producing output and accounting byte-identical to a
-/// cold run at a fraction of the work. A capture is only valid for the same
-/// store contents, query filter, engine config and fact order — callers key
-/// their caches accordingly — and for the same morsel grid, which a warm
-/// execution re-checks itself.
-#[derive(Debug, Clone)]
-pub struct FilterCapture {
-    /// The `(morsel size, morsel count)` grid the capture was taken on.
-    grid: (u32, usize),
-    /// Phase-1 charges: log `k` belongs to the `k`-th restricted dimension
-    /// and is replayed immediately before that dimension's probe.
-    phase1: Vec<IoLog>,
-    /// Per-morsel phase-2 charges, replayed op-major exactly like a cold
-    /// run.
-    phase2: Vec<IoLog>,
-    /// Per-morsel surviving positions.
-    positions: Vec<PosList>,
-}
-
-impl FilterCapture {
-    /// Fact rows surviving the filter.
-    pub fn survivors(&self) -> u64 {
-        self.positions.iter().map(|pos| pos.count() as u64).sum()
-    }
-
-    /// Approximate heap footprint, for cache budget accounting.
-    pub fn approx_bytes(&self) -> usize {
-        let logs = self.phase1.iter().chain(&self.phase2);
-        logs.map(|l| l.entries().len() * 12 + l.num_ops() * 8 + 64).sum::<usize>()
-            + self.positions.iter().map(PosList::approx_bytes).sum::<usize>()
-            + std::mem::size_of::<FilterCapture>()
-    }
-}
-
 /// Key → position join tables for non-dense grouped dimensions (DATE),
 /// built up front so morsels share them read-only. Each table's charge is
 /// recorded into `charges`, paired with the op it belongs before (phase 3
 /// starts at op `first_op`): the extraction that follows the dimension's FK
-/// gather, which is where a whole-column plan builds the table. Never
-/// captured: they depend on the group-by, not the filter, and are rebuilt
-/// (with identical charges) on warm executions.
+/// gather, which is where a whole-column plan builds the table.
 fn build_join_maps(
     db: &CStoreDb,
     q: &SsbQuery,
@@ -341,8 +302,7 @@ fn phase3_partial(
     Ok(())
 }
 
-/// Execute `q` with the invisible join, returning the output and — under
-/// [`FilterReuse::Capture`] — the filter capture for later warm reuse.
+/// Execute `q` with the invisible join.
 ///
 /// Phase 1 (dimension predicate → key predicate) stays on the coordinator:
 /// dimension tables are small. Phases 2 and 3 run as one pipelined fan-out:
@@ -353,46 +313,24 @@ fn phase3_partial(
 /// each dimension's phase-1 charges spliced in front of its probe — charges
 /// phase 2 column by column and then phase 3 column by column, whatever the
 /// grid.
-///
-/// Under [`FilterReuse::Warm`] with a capture taken on the same morsel grid
-/// the filter charges replay from the capture (same charges, same order)
-/// and each morsel starts phase 3 from its captured positions; on any other
-/// grid the capture is ignored and the execution runs cold.
 pub(crate) fn execute(
     db: &CStoreDb,
     q: &SsbQuery,
     cfg: EngineConfig,
     opts: &ExecOptions<'_>,
     io: &IoSession,
-) -> Result<(QueryOutput, Option<FilterCapture>), QueryError> {
+) -> Result<QueryOutput, QueryError> {
     let ctx = &opts.ctx;
-    let n = db.fact_rows() as u32;
-    let shape = grid(n, opts.par);
-    let warm = match opts.reuse {
-        FilterReuse::Warm(capture) if capture.grid == shape => Some(capture),
-        _ => None,
-    };
-
     let mut phase1: Vec<IoLog> = Vec::new();
     let mut key_preds: Vec<(Dim, FactKeyPred)> = Vec::new();
-    match warm {
-        Some(capture) => {
-            let mut span = ctx.span("filter-replay", "cached filter charges", io);
-            let before: Vec<(usize, &IoLog)> = capture.phase1.iter().enumerate().collect();
-            io.replay_interleaved(&capture.phase2, &before);
-            span.rows(capture.survivors());
-        }
-        None => {
-            for dim in q.restricted_dims() {
-                ctx.check()?;
-                let (key_pred, log) = io.record(|rio| {
-                    phase1_key_pred(db, q, dim, cfg, opts.between_rewriting, rio)
-                        .expect("restricted dim has predicates")
-                });
-                key_preds.push((dim, key_pred));
-                phase1.push(log);
-            }
-        }
+    for dim in q.restricted_dims() {
+        ctx.check()?;
+        let (key_pred, log) = io.record(|rio| {
+            phase1_key_pred(db, q, dim, cfg, opts.between_rewriting, rio)
+                .expect("restricted dim has predicates")
+        });
+        key_preds.push((dim, key_pred));
+        phase1.push(log);
     }
 
     // The aggregation strategy is derived from column-header metadata only
@@ -402,43 +340,22 @@ pub(crate) fn execute(
     // Traced operators, in the order every morsel charges them; each morsel's
     // survivor count after an operator sums (over morsels) to the whole
     // column's running survivors, so EXPLAIN ANALYZE reports identical
-    // actuals at any thread count. A warm execution runs no filter operators.
+    // actuals at any thread count.
     let key_ops = key_preds.iter().map(|(dim, _)| ("probe", dim.fact_fk_column()));
     let fact_ops = q.fact_predicates.iter().map(|p| ("scan", p.column));
-    let operators: Vec<Operator> = match warm {
-        Some(_) => Vec::new(),
-        None => key_ops
-            .chain(fact_ops)
-            .map(|(op, detail)| Operator { op, detail, log_ops: 1 })
-            .collect(),
-    };
+    let operators: Vec<Operator> =
+        key_ops.chain(fact_ops).map(|(op, detail)| Operator { op, detail, log_ops: 1 }).collect();
     let mut join_charges = Vec::new();
     let join_maps = build_join_maps(db, q, operators.len(), io, ctx, &mut join_charges)?;
     let splices: Vec<(usize, &IoLog)> =
         phase1.iter().enumerate().chain(join_charges.iter().map(|(op, log)| (*op, log))).collect();
-    let capturing = matches!(opts.reuse, FilterReuse::Capture);
 
-    let (out, logs, kept) =
-        run_fused(n, opts.par, ctx, io, &strat, q, &operators, &splices, |m| {
-            let filtered;
-            let pos = match warm {
-                Some(capture) => &capture.positions[m.index],
-                None => {
-                    filtered = filter_morsel(db, q, cfg, &key_preds, m.range, m.io, m.actuals);
-                    &filtered
-                }
-            };
-            ctx.charge(pos.count() as usize * 4)?; // this morsel's surviving positions
-            phase3_partial(db, q, &strat, &join_maps, pos, m.io, ctx, m.partial)?;
-            Ok(capturing.then(|| pos.clone()))
-        })?;
-    let capture = capturing.then(|| FilterCapture {
-        grid: shape,
-        phase1,
-        phase2: logs.iter().map(|log| log.prefix(operators.len())).collect(),
-        positions: kept.into_iter().flatten().collect(),
-    });
-    Ok((out, capture))
+    let n = db.fact_rows() as u32;
+    run_fused(n, opts.par, ctx, io, &strat, q, &operators, &splices, |m| {
+        let pos = filter_morsel(db, q, cfg, &key_preds, m.range, m.io, m.actuals);
+        ctx.charge(pos.count() as usize * 4)?; // this morsel's surviving positions
+        phase3_partial(db, q, &strat, &join_maps, &pos, m.io, ctx, m.partial)
+    })
 }
 
 #[cfg(test)]
@@ -460,16 +377,16 @@ mod tests {
         ExecOptions { par: Parallelism { threads, morsel_rows: 512 }, ..ExecOptions::default() }
     }
 
-    /// Output, capture and charges of one execution on a fresh pool.
+    /// Output and charges of one execution on a fresh pool.
     fn run(
         db: &CStoreDb,
         q: &SsbQuery,
         cfg: EngineConfig,
         opts: &ExecOptions<'_>,
-    ) -> (QueryOutput, Option<FilterCapture>, IoStats) {
+    ) -> (QueryOutput, IoStats) {
         let io = IoSession::new(BufferPool::unbounded());
-        let (out, capture) = execute(db, q, cfg, opts, &io).expect("unbounded lifecycle");
-        (out, capture, io.stats())
+        let out = execute(db, q, cfg, opts, &io).expect("unbounded lifecycle");
+        (out, io.stats())
     }
 
     #[test]
@@ -477,7 +394,7 @@ mod tests {
         let db = db();
         for q in all_queries() {
             let expected = reference::evaluate(&db.tables, &q);
-            let (got, _, _) = run(&db, &q, EngineConfig::FULL, &ExecOptions::default());
+            let (got, _) = run(&db, &q, EngineConfig::FULL, &ExecOptions::default());
             assert_eq!(got, expected, "invisible join disagrees on {}", q.id);
         }
     }
@@ -545,55 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_executions_are_byte_identical_to_cold() {
-        let db = db();
-        for threads in [1, 2, 4] {
-            for q in all_queries() {
-                let (cold, none, cold_io) = run(&db, &q, EngineConfig::FULL, &at(threads));
-                assert!(none.is_none(), "nothing is captured unless asked");
-                let capturing = ExecOptions { reuse: FilterReuse::Capture, ..at(threads) };
-                let (captured, capture, cap_io) = run(&db, &q, EngineConfig::FULL, &capturing);
-                let capture = capture.expect("the invisible join captures on request");
-                assert_eq!(captured, cold, "capture changed the answer on {}", q.id);
-                assert_eq!(cap_io, cold_io, "capture charges on {}", q.id);
-                let warm = ExecOptions { reuse: FilterReuse::Warm(&capture), ..at(threads) };
-                let (warmed, _, warm_io) = run(&db, &q, EngineConfig::FULL, &warm);
-                assert_eq!(warmed, cold, "warm answer on {} at {threads} threads", q.id);
-                assert_eq!(warm_io, cold_io, "warm charges on {} at {threads} threads", q.id);
-                assert!(capture.approx_bytes() > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn a_capture_from_another_grid_falls_back_cold() {
-        let db = db();
-        let q = query(3, 1);
-        let capturing = ExecOptions { reuse: FilterReuse::Capture, ..at(4) };
-        let (_, capture, _) = run(&db, &q, EngineConfig::FULL, &capturing);
-        let capture = capture.expect("captured");
-        // Same grid: the filter replays. Another morsel size, or the default
-        // grid at one thread: the capture is ignored and the run is cold —
-        // in every case byte-identical to a plain execution on that grid.
-        let other = Parallelism { threads: 4, morsel_rows: 1024 };
-        for (par, replays) in [(at(4).par, true), (other, false), (Parallelism::serial(), false)] {
-            let (cold, _, cold_io) =
-                run(&db, &q, EngineConfig::FULL, &ExecOptions { par, ..ExecOptions::default() });
-            let ctx = QueryCtx::unbounded();
-            ctx.attach_tracer(crate::trace::Tracer::new());
-            let offered =
-                ExecOptions { par, ctx: ctx.clone(), reuse: FilterReuse::Warm(&capture), ..at(1) };
-            let (out, recaptured, io) = run(&db, &q, EngineConfig::FULL, &offered);
-            assert_eq!((out, io), (cold, cold_io), "offered run at {par:?}");
-            assert!(recaptured.is_none());
-            let spans = ctx.tracer().unwrap().take_root().expect("traced");
-            let ops: Vec<&str> = spans.flatten().iter().map(|s| s.op.as_str()).collect();
-            assert_eq!(ops.contains(&"filter-replay"), replays, "{par:?}: {ops:?}");
-            assert_eq!(ops.contains(&"probe"), !replays, "{par:?}: {ops:?}");
-        }
-    }
-
-    #[test]
     fn traced_operators_carry_rows_time_and_io_at_every_thread_count() {
         // One tree shape at any thread count: the fused span, then one leaf
         // per filter operator whose rows and I/O do not depend on the grid.
@@ -601,12 +469,13 @@ mod tests {
         // predicate — so they only fall, and the last leaf's are the filter's.
         let db = db();
         let q = query(3, 1);
+        let passing = reference::measured_selectivity(&db.tables, &q) * db.fact_rows() as f64;
         let mut seen = Vec::new();
         for threads in [1, 4] {
             let ctx = QueryCtx::unbounded();
             ctx.attach_tracer(crate::trace::Tracer::new());
-            let opts = ExecOptions { ctx: ctx.clone(), reuse: FilterReuse::Capture, ..at(threads) };
-            let (_, capture, _) = run(&db, &q, EngineConfig::FULL, &opts);
+            let opts = ExecOptions { ctx: ctx.clone(), ..at(threads) };
+            run(&db, &q, EngineConfig::FULL, &opts);
             let root = ctx.tracer().unwrap().take_root().expect("traced");
             let spans = root.flatten();
             let ops: Vec<&str> = spans.iter().map(|s| s.op.as_str()).collect();
@@ -619,7 +488,7 @@ mod tests {
             let rows: Vec<u64> = spans[2..].iter().map(|s| s.rows_out.expect("rows")).collect();
             assert!(rows.windows(2).all(|w| w[0] >= w[1]), "survivors only fall: {rows:?}");
             assert!(rows[0] < db.fact_rows() as u64, "the first probe already restricts");
-            assert_eq!(rows.last().copied(), Some(capture.expect("captured").survivors()));
+            assert_eq!(rows.last().copied(), Some(passing.round() as u64));
             seen.push(spans[2..].iter().map(|s| (s.rows_out, s.io)).collect::<Vec<_>>());
         }
         assert_eq!(seen[0], seen[1], "per-operator actuals must not depend on threads");
@@ -646,10 +515,10 @@ mod tests {
     fn disabling_rewriting_preserves_results_at_every_thread_count() {
         let db = CStoreDb::build(Arc::new(SsbConfig { sf: 0.002, seed: 61 }.generate()), true);
         for q in all_queries() {
-            let (with, _, _) = run(&db, &q, EngineConfig::FULL, &at(1));
+            let (with, _) = run(&db, &q, EngineConfig::FULL, &at(1));
             let no_rewrite = |threads| ExecOptions { between_rewriting: false, ..at(threads) };
-            let (one, _, one_io) = run(&db, &q, EngineConfig::FULL, &no_rewrite(1));
-            let (four, _, four_io) = run(&db, &q, EngineConfig::FULL, &no_rewrite(4));
+            let (one, one_io) = run(&db, &q, EngineConfig::FULL, &no_rewrite(1));
+            let (four, four_io) = run(&db, &q, EngineConfig::FULL, &no_rewrite(4));
             assert_eq!(with, one, "{}", q.id);
             assert_eq!((one, one_io), (four, four_io), "{}: threads 1 vs 4", q.id);
         }

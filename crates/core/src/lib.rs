@@ -78,8 +78,7 @@ pub mod trace;
 pub use config::EngineConfig;
 pub use ctx::{QueryCtx, QueryError};
 pub use denorm::{DenormDb, DenormVariant};
-pub use engine::{ColumnEngine, ExecOptions, FilterReuse};
-pub use invisible::FilterCapture;
+pub use engine::{ColumnEngine, ExecOptions};
 pub use morsel::Parallelism;
 pub use poslist::PosList;
 pub use projection::CStoreDb;

@@ -261,8 +261,7 @@ pub(crate) fn execute(
         m.partial.add_rows(q, &group_cols, &measure_cols, count);
         Ok(())
     };
-    let (out, _, _) = run_fused(n, opts.par, ctx, io, &strat, q, &operators, &splices, task)?;
-    Ok(out)
+    run_fused(n, opts.par, ctx, io, &strat, q, &operators, &splices, task)
 }
 
 #[cfg(test)]
@@ -295,9 +294,8 @@ mod tests {
         for q in all_queries() {
             let lm = run(&db, &q, EngineConfig::parse("tiCL"), &io);
             let opts = ExecOptions::default();
-            let (ij, _) =
-                crate::invisible::execute(&db, &q, EngineConfig::parse("tICL"), &opts, &io)
-                    .unwrap();
+            let ij = crate::invisible::execute(&db, &q, EngineConfig::parse("tICL"), &opts, &io)
+                .unwrap();
             assert_eq!(lm, ij, "{}", q.id);
         }
     }

@@ -44,24 +44,11 @@ pub const DEFAULT_MORSEL_ROWS: u32 = 16_384;
 /// Smallest morsel [`grid`] will auto-shrink to.
 const MIN_MORSEL_ROWS: u32 = 256;
 
-/// Default hard ceiling on morsel size in rows (1 Mi positions). Bounds the
-/// worst case work between morsel-boundary cancellation polls; the scan
-/// drivers add intra-morsel polls every [`crate::scan::SCAN_POLL_ROWS`]
-/// rows on top.
+/// Hard ceiling on morsel size in rows (1 Mi positions, a whole number of
+/// mask words). Bounds the worst case work between morsel-boundary
+/// cancellation polls; the scan drivers add intra-morsel polls every
+/// [`crate::scan::SCAN_POLL_ROWS`] rows on top.
 pub const DEFAULT_MORSEL_MAX: u32 = 1 << 20;
-
-/// The process-wide morsel ceiling: `CVR_MORSEL_MAX` (clamped to
-/// `[64, 1<<26]`, rounded up to a whole mask word) or
-/// [`DEFAULT_MORSEL_MAX`]. Cached after the first call.
-pub fn morsel_max() -> u32 {
-    static MAX: OnceLock<u32> = OnceLock::new();
-    *MAX.get_or_init(|| {
-        match std::env::var("CVR_MORSEL_MAX").ok().and_then(|v| v.parse::<u32>().ok()) {
-            Some(n) if n >= 1 => n.clamp(64, 1 << 26).div_ceil(64) * 64,
-            _ => DEFAULT_MORSEL_MAX,
-        }
-    })
-}
 
 /// Degree of parallelism for one query execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,19 +73,9 @@ impl Parallelism {
     }
 
     /// The process default: `CVR_THREADS` when set (and ≥ 1), otherwise the
-    /// machine's available parallelism; morsel size from `CVR_MORSEL_ROWS`
-    /// when set (the chaos harnesses use it to force oversized morsels),
-    /// otherwise [`DEFAULT_MORSEL_ROWS`]. Cached after the first call.
+    /// machine's available parallelism, at [`DEFAULT_MORSEL_ROWS`].
     pub fn from_env() -> Parallelism {
-        static MORSEL_ROWS: OnceLock<u32> = OnceLock::new();
-        let threads = cvr_storage::par::default_threads();
-        let morsel_rows = *MORSEL_ROWS.get_or_init(|| {
-            match std::env::var("CVR_MORSEL_ROWS").ok().and_then(|v| v.parse::<u32>().ok()) {
-                Some(n) if n >= 1 => n.min(1 << 26),
-                _ => DEFAULT_MORSEL_ROWS,
-            }
-        });
-        Parallelism { threads: threads.max(1), morsel_rows }
+        Parallelism::with_threads(cvr_storage::par::default_threads())
     }
 }
 
@@ -280,9 +257,7 @@ fn observe_fanout(ctx: &QueryCtx, busys: &[Duration], morsels: u64) {
 }
 
 /// The morsel grid [`try_run_morsels`] tiles `[0, n)` with under `par`:
-/// `(morsel_size, morsel_count)`. Deterministic in `(n, par)` — which is
-/// what lets a cached filter intermediate recorded at one execution be
-/// re-split identically on a later one.
+/// `(morsel_size, morsel_count)`, deterministic in `(n, par)`.
 ///
 /// Aim for a few morsels per worker so claiming self-balances, without
 /// dropping below the minimum useful size. Morsel boundaries align to
@@ -290,16 +265,16 @@ fn observe_fanout(ctx: &QueryCtx, busys: &[Duration], morsels: u64) {
 /// never straddle a morsel edge.
 pub fn grid(n: u32, par: Parallelism) -> (u32, usize) {
     let aim = n.div_ceil((par.threads * 4).max(1) as u32).max(MIN_MORSEL_ROWS);
-    // An explicitly enlarged morsel size (CVR_MORSEL_ROWS, or a struct
-    // literal above the default — how the chaos harness forces giant
-    // morsels) is honored as requested; the default auto-shrinks to `aim`
-    // for balance. Both are bounded by the process-wide `morsel_max` cap.
+    // An explicitly enlarged morsel size (a struct literal above the
+    // default — how the chaos harness forces giant morsels) is honored as
+    // requested; the default auto-shrinks to `aim` for balance. Both are
+    // bounded by `DEFAULT_MORSEL_MAX`.
     let want = if par.morsel_rows > DEFAULT_MORSEL_ROWS {
         par.morsel_rows
     } else {
         par.morsel_rows.min(aim)
     };
-    let morsel = want.clamp(1, morsel_max()).div_ceil(64) * 64;
+    let morsel = want.clamp(1, DEFAULT_MORSEL_MAX).div_ceil(64) * 64;
     let count = (n.div_ceil(morsel) as usize).max(1);
     (morsel, count)
 }
@@ -321,7 +296,6 @@ pub(crate) struct OpActual {
 
 /// What a fused pipeline's task works with for one morsel.
 pub(crate) struct Morsel<'a> {
-    pub index: usize,
     pub range: Range<u32>,
     /// The morsel's recording session: every charge lands in its log.
     pub io: &'a IoSession,
@@ -342,10 +316,9 @@ pub(crate) struct Morsel<'a> {
 /// one `extract-aggregate` span carries the combined measurement plus the
 /// per-worker breakdown, followed by one leaf per entry of `operators`
 /// carrying the rows, busy time and I/O summed over its morsels — the same
-/// tree at every thread count. Returns the output with the per-morsel logs
-/// and `task`'s extras, both in morsel order.
+/// tree at every thread count.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_fused<X: Send>(
+pub(crate) fn run_fused(
     n: u32,
     par: Parallelism,
     ctx: &QueryCtx,
@@ -354,26 +327,22 @@ pub(crate) fn run_fused<X: Send>(
     q: &SsbQuery,
     operators: &[Operator],
     splices: &[(usize, &IoLog)],
-    task: impl Fn(Morsel<'_>) -> Result<X, QueryError> + Sync,
-) -> Result<(QueryOutput, Vec<IoLog>, Vec<X>), QueryError> {
+    task: impl Fn(Morsel<'_>) -> Result<(), QueryError> + Sync,
+) -> Result<QueryOutput, QueryError> {
     let mut span = ctx.span("extract-aggregate", "", io);
     let pool = io.pool().clone();
-    let results = try_run_morsels(n, par, ctx, |index, range| {
+    let results = try_run_morsels(n, par, ctx, |_, range| {
         let rio = IoSession::recording(pool.clone());
         let mut actuals = vec![OpActual::default(); operators.len()];
         let mut partial = strat.new_partial();
-        let morsel =
-            Morsel { index, range, io: &rio, actuals: &mut actuals, partial: &mut partial };
-        let extra = task(morsel)?;
-        Ok((rio.take_log(), actuals, partial, extra))
+        task(Morsel { range, io: &rio, actuals: &mut actuals, partial: &mut partial })?;
+        Ok((rio.take_log(), actuals, partial))
     })?;
     let mut merged = strat.new_partial();
     let mut totals = vec![OpActual::default(); operators.len()];
     let mut logs = Vec::with_capacity(results.len());
-    let mut extras = Vec::with_capacity(results.len());
-    for (log, actuals, partial, extra) in results {
+    for (log, actuals, partial) in results {
         logs.push(log);
-        extras.push(extra);
         merged.merge(partial);
         for (total, actual) in totals.iter_mut().zip(actuals) {
             total.rows += actual.rows;
@@ -391,7 +360,7 @@ pub(crate) fn run_fused<X: Send>(
             tracer.leaf(operator.op, operator.detail, Some(total.rows), total.busy, charged);
         }
     }
-    Ok((out, logs, extras))
+    Ok(out)
 }
 
 /// CPU time consumed by the calling thread (Linux; wall-clock elsewhere).
@@ -606,9 +575,9 @@ mod tests {
         let (m, count) = grid(1_000_000, Parallelism { threads: 4, morsel_rows: big });
         assert_eq!(m, big.div_ceil(64) * 64);
         assert_eq!(count, 2);
-        // ... but never beyond the process-wide ceiling.
+        // ... but never beyond the ceiling.
         let (m, _) = grid(100_000_000, Parallelism { threads: 1, morsel_rows: u32::MAX });
-        assert!(m <= morsel_max());
+        assert!(m <= DEFAULT_MORSEL_MAX);
         assert_eq!(m % 64, 0);
     }
 

@@ -149,16 +149,6 @@ impl PosList {
         self.iter().collect()
     }
 
-    /// Approximate heap footprint, for cache budget accounting.
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<PosList>()
-            + match self {
-                PosList::Range { .. } => 0,
-                PosList::Bitmap { bits, .. } => bits.bytes() as usize,
-                PosList::Explicit { positions, .. } => positions.len() * 4,
-            }
-    }
-
     /// Intersect two lists over the same window, preserving cheap
     /// representations.
     pub fn intersect(&self, other: &PosList) -> PosList {
@@ -346,7 +336,6 @@ mod tests {
         assert_eq!(window.universe(), n);
         for x in [bitmap(base, n, &xs), explicit(&xs, n)] {
             assert_eq!(x.to_vec(), xs);
-            assert!(x.approx_bytes() < 4 * n as usize + 64, "sized by the window");
             for y in [bitmap(base, n, &ys), explicit(&ys, n)] {
                 assert_eq!(x.intersect(&y).to_vec(), expected);
             }

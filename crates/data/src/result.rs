@@ -45,6 +45,22 @@ impl QueryOutput {
         self.rows.iter().map(|(_, v)| v).sum()
     }
 
+    /// Heap bytes an exactly-sized copy of this output owns — what `clone`
+    /// allocates — by arithmetic: the row array, each row's key array, each
+    /// string's bytes. What a byte-budgeted cache charges for holding one: a
+    /// row is 32 B plus 24 B per key value plus its strings, two to four
+    /// times the [`QueryOutput::to_bytes`] encoding.
+    pub fn heap_bytes(&self) -> usize {
+        let value_bytes = |v: &Value| match v {
+            Value::Int(_) => 0,
+            Value::Str(s) => s.len(),
+        };
+        let row_bytes = |(key, _): &ResultRow| {
+            key.len() * size_of::<Value>() + key.iter().map(value_bytes).sum::<usize>()
+        };
+        self.rows.len() * size_of::<ResultRow>() + self.rows.iter().map(row_bytes).sum::<usize>()
+    }
+
     /// Serialize to the stable binary format (see [`QueryOutput::from_bytes`]).
     ///
     /// This is the one wire representation of a query result: the server

@@ -5,9 +5,8 @@
 //! [`SpanRecord`](cvr_core::SpanRecord) tree share an operator vocabulary
 //! (`"probe"`, `"scan"`, `"hash-join"`, `"extract-aggregate"`, ...), but
 //! not a shape: fused morsel pipelines report their operators as post-hoc
-//! leaf records, warm executions replace the filter phases with one
-//! `filter-replay` span, and row plans trace only the plan root. So the
-//! zip is an *assignment*, not a tree walk:
+//! leaf records, and row plans trace only the plan root. So the zip is an
+//! *assignment*, not a tree walk:
 //!
 //! 1. both trees flatten pre-order;
 //! 2. each explain node takes the first unclaimed span with the same `op`
@@ -16,8 +15,8 @@
 //! 3. still-unmatched nodes take any unclaimed span with the same `op`
 //!    (details diverge cosmetically for `materialize`/`pipeline`);
 //! 4. nodes left without a span render `actual: -`; spans left without a
-//!    node (cache replays, the synthetic `"query"` root) are listed
-//!    separately so no measurement is silently dropped.
+//!    node (the synthetic `"query"` root) are listed separately so no
+//!    measurement is silently dropped.
 //!
 //! The text form mirrors [`Plan::render`]; the JSON mirrors
 //! [`Plan::to_json`] field-for-field, adding an `"actual"` object (or

@@ -9,9 +9,9 @@
 //!   planner on exactly the same footing as hand-built descriptors.
 //! * [`session`] — [`Session`], the unified API: one object owning
 //!   statistics, planning, and both engines, answering `query(&str)`.
-//! * [`cache`] — the bounded result/filter-intermediate cache behind
-//!   `Session`; hits are byte-identical to cold executions (outputs *and*
-//!   `IoStats`) and marked by the wire protocol's `cached` flag.
+//! * [`cache`] — the byte-budgeted result cache behind `Session`; hits are
+//!   byte-identical to cold executions (outputs *and* `IoStats`) and marked
+//!   by the wire protocol's `cached` flag.
 //! * [`protocol`] — a length-prefixed binary wire format with typed
 //!   result sets, structured errors, `EXPLAIN` payloads, out-of-band
 //!   cancellation, a `STATS` introspection frame (scheduler, cache, and

@@ -40,6 +40,7 @@ use cvr_data::queries::{
 };
 use cvr_data::schema::{star_schema, Dim, StarSchema};
 use cvr_data::value::{DataType, Value};
+use std::sync::OnceLock;
 
 /// Flight number assigned to ad-hoc SQL queries that match no paper query
 /// (paper queries are flights 1..=4; the generated workload uses 9).
@@ -787,16 +788,16 @@ fn lower(
 /// hand-built descriptors (including row-MV applicability, which is gated
 /// on paper flights).
 fn canonicalize(q: SsbQuery) -> SsbQuery {
-    for p in all_queries() {
-        if q.aggregate == p.aggregate
+    // Built once: every parse compares against the table, only a match is
+    // cloned.
+    static PAPER: OnceLock<Vec<SsbQuery>> = OnceLock::new();
+    let same = |p: &&SsbQuery| {
+        q.aggregate == p.aggregate
             && q.group_by == p.group_by
             && multiset_eq(&q.dim_predicates, &p.dim_predicates)
             && multiset_eq(&q.fact_predicates, &p.fact_predicates)
-        {
-            return p;
-        }
-    }
-    q
+    };
+    PAPER.get_or_init(all_queries).iter().find(same).cloned().unwrap_or(q)
 }
 
 /// Order-insensitive equality (predicates commute in a conjunction).

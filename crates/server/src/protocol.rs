@@ -26,8 +26,9 @@
 //!   query holding that token was found and signalled).
 //! * `STATS`: tag only; answered with a `STATS` response carrying the
 //!   scheduler counters, the result-cache counters when the session keeps
-//!   one, and the process metrics registry's samples (see
-//!   [`StatsReport`]).
+//!   one (eight `u64` slots in [`CacheStats`] field order; the third and
+//!   fourth are reserved and always 0), and the process metrics registry's
+//!   samples (see [`StatsReport`]).
 //! * `RESULT`: query id (`u8` flight, `u8` number), plan label
 //!   (`u16` length + UTF-8), a `cached` flag (`u8`, 1 when served from the
 //!   session's result cache — the only byte a cache hit may change),

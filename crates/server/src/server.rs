@@ -142,22 +142,31 @@ fn default_limits() -> (Option<Duration>, Option<usize>) {
 fn conn_timeouts() -> (Option<Duration>, Option<Duration>) {
     static TIMEOUTS: OnceLock<(Option<Duration>, Option<Duration>)> = OnceLock::new();
     *TIMEOUTS.get_or_init(|| {
-        let parse = |var: &str, default_ms: u64| match std::env::var(var) {
-            Ok(v) => v.trim().parse::<u64>().ok().filter(|&ms| ms > 0).map(Duration::from_millis),
-            Err(_) => Some(Duration::from_millis(default_ms)),
+        let from_env = |var: &str, default_ms: u64| {
+            socket_timeout_from(var, std::env::var(var).ok().as_deref(), default_ms)
         };
-        (parse("CVR_CONN_READ_TIMEOUT_MS", 30_000), parse("CVR_CONN_WRITE_TIMEOUT_MS", 10_000))
+        (
+            from_env("CVR_CONN_READ_TIMEOUT_MS", 30_000),
+            from_env("CVR_CONN_WRITE_TIMEOUT_MS", 10_000),
+        )
     })
 }
 
-/// `CVR_TRACE=1` attaches a tracer to *every* statement (read once). The
-/// spans are recorded and dropped unless the request also asked for a
-/// `TRACE` frame — forcing tracing exercises its cost (the overhead gate
-/// in CI) without desynchronizing clients that expect one frame per
-/// request.
-fn trace_all() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var("CVR_TRACE").is_ok_and(|v| v.trim() == "1"))
+/// One socket timeout from its variable's `value`: unset keeps the default,
+/// `0` disables the timeout, a number of milliseconds sets it. Anything else
+/// is a typo, not a request to wait forever: it keeps the default and warns.
+fn socket_timeout_from(var: &str, value: Option<&str>, default_ms: u64) -> Option<Duration> {
+    let ms = match value.map(|text| (text, text.trim().parse::<u64>())) {
+        None => default_ms,
+        Some((_, Ok(ms))) => ms,
+        Some((text, Err(_))) => {
+            cvr_obs::warn(&format!(
+                "{var}={text:?} is not a number of milliseconds; keeping the {default_ms} ms default"
+            ));
+            default_ms
+        }
+    };
+    (ms > 0).then(|| Duration::from_millis(ms))
 }
 
 /// The [`QueryCtx`] for one statement: the request's deadline when it
@@ -454,10 +463,10 @@ fn serve_connection(session: &Session, registry: &Arc<CancelRegistry>, mut strea
 }
 
 /// Execute one statement: build its [`QueryCtx`], attach a tracer when the
-/// request (or `CVR_TRACE=1`) asked for one, register for cancellation,
-/// run, and — iff the request set [`FLAG_TRACE`] — produce the `TRACE`
-/// frame that follows the response (empty when nothing was recorded, so
-/// the client always reads exactly two frames).
+/// request set [`FLAG_TRACE`], register for cancellation, run, and — for
+/// such a request — produce the `TRACE` frame that follows the response
+/// (empty when nothing was recorded, so the client always reads exactly two
+/// frames).
 fn answer_statement(
     session: &Session,
     registry: &Arc<CancelRegistry>,
@@ -466,19 +475,14 @@ fn answer_statement(
     deadline_ms: u32,
     flags: u8,
 ) -> (Response, Option<Response>) {
-    let want_frame = flags & FLAG_TRACE != 0;
     let ctx = ctx_for(deadline_ms);
-    let tracer = (want_frame || trace_all()).then(Tracer::new);
+    let tracer = (flags & FLAG_TRACE != 0).then(Tracer::new);
     if let Some(t) = &tracer {
         ctx.attach_tracer(t.clone());
     }
     let _reg = registry.register(token, ctx.clone());
     let response = answer_query(session, sql, &ctx);
-    // Always drain the tracer (a forced-trace run must not leak spans into
-    // the next statement's ctx — each ctx is fresh, but the Arc is cheap
-    // to drain regardless); ship it only when asked.
-    let root = tracer.as_ref().and_then(|t| t.take_root());
-    let trace = want_frame.then(|| match root {
+    let trace = tracer.map(|t| match t.take_root() {
         Some(r) => Response::Trace { text: r.render(0), json: r.to_json() },
         None => Response::Trace { text: String::new(), json: String::new() },
     });
@@ -589,5 +593,20 @@ mod tests {
         assert_eq!(code, QueryError::CODE_RESULT_TOO_LARGE);
         assert!(!QueryError::retryable_code(code), "the same statement is as large next time");
         assert!(message.contains(&encoded.len().to_string()) && message.contains("limit"));
+    }
+
+    /// Regression: `CVR_CONN_READ_TIMEOUT_MS=30s` used to parse to `None`,
+    /// i.e. *no* timeout, the one outcome nobody asking for 30 s wants. The
+    /// value is passed in, so this does not touch the process environment.
+    #[test]
+    fn a_malformed_socket_timeout_keeps_the_default() {
+        let read = |value| socket_timeout_from("CVR_CONN_READ_TIMEOUT_MS", value, 30_000);
+        let default = Some(Duration::from_secs(30));
+        assert_eq!(read(None), default, "unset");
+        assert_eq!(read(Some("0")), None, "0 disables");
+        assert_eq!(read(Some(" 1500 ")), Some(Duration::from_millis(1500)), "a number");
+        for garbage in ["30s", "", "-1", "1e3", "none"] {
+            assert_eq!(read(Some(garbage)), default, "{garbage:?}");
+        }
     }
 }

@@ -20,7 +20,7 @@ use crate::parser::{self, ParseError, Statement};
 use cvr_core::ctx::catch_injected;
 use cvr_core::morsel::Parallelism;
 use cvr_core::sched::{self, Scheduler};
-use cvr_core::{ColumnEngine, ExecOptions, FilterReuse, QueryCtx, QueryError, SpanRecord, Tracer};
+use cvr_core::{ColumnEngine, ExecOptions, QueryCtx, QueryError, SpanRecord, Tracer};
 use cvr_data::gen::SsbTables;
 use cvr_data::queries::{QueryId, SsbQuery};
 use cvr_data::result::QueryOutput;
@@ -199,14 +199,13 @@ pub struct Session {
     /// The shared scheduler every query passes through: admission first,
     /// then fair worker leases inside the morsel fan-outs.
     sched: Arc<Scheduler>,
-    /// Result/intermediate cache; `None` when disabled
-    /// (`CVR_CACHE_BYTES=0`).
+    /// Result cache; `None` when disabled (`CVR_CACHE_BYTES=0`).
     cache: Option<QueryCache>,
-    /// Memoized plans keyed by [`key::plan_key`]. Planning is pure — the
-    /// catalog is fixed for a session's lifetime — so a repeated
-    /// descriptor reuses the enumerated plan instead of re-costing the
-    /// whole candidate grid; on the cache-hit path this is most of the
-    /// remaining work.
+    /// Memoized plans keyed by [`key::statement_key`], like the result
+    /// cache. Planning is a pure function of (descriptor, store version),
+    /// so a repeated descriptor reuses the enumerated plan instead of
+    /// re-costing the whole candidate grid; on the cache-hit path this is
+    /// most of the remaining work.
     plans: Mutex<HashMap<String, Arc<Plan>>>,
     /// Test-only fault injection: `query` panics when the SQL contains
     /// this needle (see `inject_panic_on`).
@@ -368,13 +367,12 @@ impl Session {
         })
     }
 
-    /// Plan `q`, memoized per descriptor. Plans are a few KB each; the
-    /// memo is cleared wholesale past a generous entry cap rather than
-    /// tracked byte-by-byte.
-    fn plan_cached(&self, store: &StoreState, q: &SsbQuery) -> Arc<Plan> {
+    /// Plan `q`, memoized under `skey` — its [`key::statement_key`] against
+    /// `store`. Plans are a few KB each; the memo is cleared wholesale past a
+    /// generous entry cap rather than tracked byte-by-byte.
+    fn plan_cached(&self, store: &StoreState, q: &SsbQuery, skey: &str) -> Arc<Plan> {
         const MAX_MEMOIZED_PLANS: usize = 4096;
-        let pkey = key::plan_key(q, store.version);
-        if let Some(plan) = self.plans.lock().unwrap_or_else(PoisonError::into_inner).get(&pkey) {
+        if let Some(plan) = self.plans.lock().unwrap_or_else(PoisonError::into_inner).get(skey) {
             return plan.clone();
         }
         // Plan outside the lock — enumeration is pure, so two threads
@@ -384,7 +382,7 @@ impl Session {
         if plans.len() >= MAX_MEMOIZED_PLANS {
             plans.clear();
         }
-        plans.insert(pkey, plan.clone());
+        plans.insert(skey.to_string(), plan.clone());
         plan
     }
 
@@ -469,8 +467,9 @@ impl Session {
             Statement::Select(q) => Ok(QueryResponse::Rows(self.run_ctx(&q, ctx)?)),
             Statement::Explain(q) => {
                 let store = self.store();
-                let plan = self.plan_cached(&store, &q);
-                let (text, json) = self.render_explain(&store, &q, &plan);
+                let skey = key::statement_key(&q, store.version);
+                let plan = self.plan_cached(&store, &q, &skey);
+                let (text, json) = self.render_explain(&plan, &skey);
                 Ok(QueryResponse::Explain { text, json })
             }
             Statement::ExplainAnalyze(q) => {
@@ -483,9 +482,9 @@ impl Session {
     }
 
     /// `EXPLAIN` rendering: the plan tree plus the cache's view of this
-    /// query — whether a result or filter intermediate is resident right
-    /// now (a pure peek; counters and LRU order are untouched).
-    fn render_explain(&self, store: &StoreState, q: &SsbQuery, plan: &Plan) -> (String, String) {
+    /// statement — whether its result is resident right now (a pure peek;
+    /// counters and LRU order are untouched).
+    fn render_explain(&self, plan: &Plan, skey: &str) -> (String, String) {
         let mut text = plan.render();
         let mut json = plan.to_json();
         match &self.cache {
@@ -494,27 +493,17 @@ impl Session {
                 inject_json_field(&mut json, r#""cache": {"enabled": false}"#);
             }
             Some(cache) => {
-                let label = plan.choice.label();
-                let rkey = key::descriptor_key(q, &label, &plan.fact_order, store.version);
-                let fkey = key::filter_key(q, &label, &plan.fact_order, store.version);
-                let (result, filter) = cache.peek(&rkey, &fkey);
+                let result = if cache.peek(skey) { "hit" } else { "miss" };
                 let s = cache.stats();
-                let hit = |b: bool| if b { "hit" } else { "miss" };
                 text.push_str(&format!(
-                    "\ncache: result={} filter={} ({} / {} bytes)",
-                    hit(result),
-                    hit(filter),
-                    s.bytes,
-                    s.budget
+                    "\ncache: result={result} ({} / {} bytes)",
+                    s.bytes, s.budget
                 ));
                 inject_json_field(
                     &mut json,
                     &format!(
-                        r#""cache": {{"enabled": true, "result": "{}", "filter": "{}", "bytes": {}, "budget": {}}}"#,
-                        hit(result),
-                        hit(filter),
-                        s.bytes,
-                        s.budget
+                        r#""cache": {{"enabled": true, "result": "{result}", "bytes": {}, "budget": {}}}"#,
+                        s.bytes, s.budget
                     ),
                 );
             }
@@ -525,7 +514,8 @@ impl Session {
     /// Plan `q` without executing it — the `EXPLAIN` path, also entered
     /// with a descriptor.
     pub fn explain(&self, q: &SsbQuery) -> Plan {
-        (*self.plan_cached(&self.store(), q)).clone()
+        let store = self.store();
+        (*self.plan_cached(&store, q, &key::statement_key(q, store.version))).clone()
     }
 
     /// `EXPLAIN ANALYZE`: execute `q` under a tracer, then zip the
@@ -543,7 +533,7 @@ impl Session {
     ) -> Result<(String, String), QueryError> {
         ctx.attach_tracer(Tracer::new());
         let tracer = ctx.tracer().expect("tracer attached above").clone();
-        let plan = self.plan_cached(&self.store(), q);
+        let plan = self.explain(q);
         self.run_inner(q, ctx, true, false)?;
         let root = tracer.take_root();
         Ok(crate::analyze::render(&plan, root.as_ref()))
@@ -598,21 +588,18 @@ impl Session {
         // Pin the store for the whole statement: a concurrent reload swaps
         // the session's slot but never this execution's view.
         let store = self.store();
-        let plan = self.plan_cached(&store, q);
-        let label = plan.choice.label();
+        // The statement's one key: the plan memo's and the result cache's.
+        let skey = key::statement_key(q, store.version);
+        let plan = self.plan_cached(&store, q, &skey);
         ctx.check()?;
 
         // Result-cache lookup happens before admission: a hit costs no
         // execution, so it should not wait behind executing queries.
         // `EXPLAIN ANALYZE` skips the read (a hit leaves nothing to
         // measure) but still writes, below.
-        let result_key = self
-            .cache
-            .as_ref()
-            .map(|_| key::descriptor_key(q, &label, &plan.fact_order, store.version));
         if read_result_cache {
-            if let (Some(cache), Some(rkey)) = (&self.cache, &result_key) {
-                if let Some(mut hit) = cache.get_result(rkey) {
+            if let Some(cache) = &self.cache {
+                if let Some(mut hit) = cache.get_result(&skey) {
                     hit.cached = true;
                     if let Some(tracer) = ctx.tracer() {
                         tracer.leaf(
@@ -635,13 +622,20 @@ impl Session {
         // deadline) or abandon its ticket while queued (cancelled).
         let _permit = if sheddable { self.sched.try_admit(ctx)? } else { self.sched.admit() };
         let io = IoSession::new(BufferPool::unbounded());
+        let label = plan.choice.label();
         // Root span: the plan root's explain op (`column-plan` /
         // `row-plan`), so EXPLAIN ANALYZE zips the root by name. A no-op
         // when no tracer is attached.
         let mut root_span = ctx.span(plan.explain.op, &label, &io);
         let output = match plan.choice {
             PhysicalChoice::Column(cfg) => {
-                self.run_column(&store, q, cfg, &plan, &label, &io, ctx)?
+                let opts = ExecOptions {
+                    par: self.par,
+                    fact_order: Some(&plan.fact_order),
+                    ctx: ctx.clone(),
+                    between_rewriting: true,
+                };
+                store.engine.run(q, cfg, &opts, &io)?
             }
             PhysicalChoice::Row(design) => {
                 ctx.check()?;
@@ -662,48 +656,11 @@ impl Session {
             io: io.stats(),
             cached: false,
         };
-        if let (Some(cache), Some(rkey)) = (&self.cache, result_key) {
-            cache.put_result(rkey, &response);
+        if let Some(cache) = &self.cache {
+            cache.put_result(skey, &response);
         }
         observe_query(started);
         Ok(response)
-    }
-
-    /// Column-engine execution with filter-intermediate reuse: a cached
-    /// [`cvr_core::FilterCapture`] for this filter + plan replays the
-    /// filter phases' charges and runs only phase 3; a miss executes cold
-    /// while capturing the filter for the next query that shares it. (A
-    /// capture from another morsel grid cannot happen with a fixed
-    /// per-session parallelism, but the engine's contract is "fall back
-    /// cold, never fail".)
-    #[allow(clippy::too_many_arguments)]
-    fn run_column(
-        &self,
-        store: &StoreState,
-        q: &SsbQuery,
-        cfg: cvr_core::EngineConfig,
-        plan: &Plan,
-        label: &str,
-        io: &IoSession,
-        ctx: &QueryCtx,
-    ) -> Result<QueryOutput, QueryError> {
-        let opts = ExecOptions {
-            par: self.par,
-            fact_order: Some(&plan.fact_order),
-            ctx: ctx.clone(),
-            ..ExecOptions::default()
-        };
-        let Some(cache) = &self.cache else {
-            return Ok(store.engine.run(q, cfg, &opts, io)?.0);
-        };
-        let fkey = key::filter_key(q, label, &plan.fact_order, store.version);
-        let cached = cache.get_filter(&fkey);
-        let reuse = cached.as_deref().map_or(FilterReuse::Capture, FilterReuse::Warm);
-        let (out, capture) = store.engine.run(q, cfg, &ExecOptions { reuse, ..opts }, io)?;
-        if let Some(capture) = capture {
-            cache.put_filter(fkey, Arc::new(capture));
-        }
-        Ok(out)
     }
 }
 
@@ -861,39 +818,30 @@ mod tests {
     fn explain_surfaces_cache_state() {
         let tables = Arc::new(SsbConfig::with_scale(0.002).generate());
         let session = Session::with_cache_budget(tables, Parallelism::serial(), 16 << 20);
-        // Prefer a query the planner answers with the invisible join, so
-        // the filter tier participates; any query shows the result tier.
-        let queries = cvr_data::queries::all_queries();
-        let invisible_plan = |q: &SsbQuery| {
-            matches!(session.explain(q).choice,
-                PhysicalChoice::Column(cfg) if cfg.late_materialization && cfg.invisible_join)
+        let sql = crate::parser::render_sql(&cvr_data::queries::query(3, 1));
+        let explain = || match session.query(&format!("EXPLAIN {sql}")).unwrap() {
+            QueryResponse::Explain { text, json } => (text, json),
+            other => panic!("expected EXPLAIN, got {other:?}"),
         };
-        let q = queries.iter().find(|q| invisible_plan(q)).unwrap_or(&queries[0]);
-        let captures = invisible_plan(q);
-        let sql = crate::parser::render_sql(q);
 
-        let QueryResponse::Explain { text, json } =
-            session.query(&format!("EXPLAIN {sql}")).unwrap()
-        else {
-            panic!("expected EXPLAIN")
-        };
-        assert!(text.contains("cache: result=miss filter=miss"), "{text}");
-        assert!(json.contains(r#""cache": {"enabled": true, "result": "miss""#), "{json}");
+        let (text, json) = explain();
+        assert!(text.ends_with("\ncache: result=miss (0 / 16777216 bytes)"), "{text}");
+        let field =
+            r#""cache": {"enabled": true, "result": "miss", "bytes": 0, "budget": 16777216}"#;
+        assert!(json.contains(field), "{json}");
 
         session.query(&sql).unwrap(); // cold execution populates the cache
-        let QueryResponse::Explain { text, .. } = session.query(&format!("EXPLAIN {sql}")).unwrap()
-        else {
-            panic!("expected EXPLAIN")
-        };
-        assert!(text.contains("cache: result=hit"), "{text}");
-        if captures {
-            assert!(text.contains("filter=hit"), "{text}");
-        }
+        let held = session.cache_stats().unwrap().bytes;
+        let (text, json) = explain();
+        assert!(
+            text.ends_with(&format!("\ncache: result=hit ({held} / 16777216 bytes)")),
+            "{text}"
+        );
+        assert!(json.contains(r#""result": "hit""#) && !json.contains("filter"), "{json}");
 
         // EXPLAIN peeks must not have counted as result-cache traffic.
         let stats = session.cache_stats().unwrap();
-        assert_eq!(stats.result_hits, 0);
-        assert_eq!(stats.result_misses, 1);
+        assert_eq!((stats.result_hits, stats.result_misses, stats.inserted), (0, 1, 1));
     }
 
     /// A disabled cache (budget 0) reports `cache: off` and still answers.

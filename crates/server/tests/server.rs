@@ -119,6 +119,19 @@ fn repeated_statements_hit_the_result_cache() {
 
     let stats = session.cache_stats().expect("cache enabled");
     assert!(stats.result_hits >= 1, "{stats:?}");
+
+    // The STATS frame carries the same eight counters in the layout deployed
+    // clients read; the deleted filter tier's two slots stay, always 0.
+    let report = client.stats().expect("stats frame");
+    assert_eq!(report.cache, Some(stats));
+    assert_eq!((stats.filter_hits, stats.filter_misses), (0, 0), "reserved: {stats:?}");
+    let frame = Response::Stats(report).encode();
+    let cache_at = 1 + 8 * 8 + 1; // tag, eight scheduler counters, the cache flag
+    let slot = |k: usize| u64::from_le_bytes(frame[cache_at + 8 * k..][..8].try_into().unwrap());
+    let wire: [u64; 8] = std::array::from_fn(slot);
+    assert_eq!(wire[..2], [stats.result_hits, stats.result_misses]);
+    assert_eq!(wire[2..4], [0, 0], "reserved slots");
+    assert_eq!(wire[4..], [stats.inserted, stats.evicted, stats.bytes as u64, stats.budget as u64]);
     client.close().expect("close");
     server.shutdown();
 }

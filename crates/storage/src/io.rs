@@ -246,16 +246,6 @@ impl IoLog {
             }
         }
     }
-
-    /// A copy of the first `ops` ops — how a fused pipeline's filter charges
-    /// are cut out of a morsel's log for later warm replays.
-    pub fn prefix(&self, ops: usize) -> IoLog {
-        let end = self.ops.get(ops).copied().unwrap_or(self.entries.len());
-        IoLog {
-            entries: self.entries[..end].to_vec(),
-            ops: self.ops[..ops.min(self.ops.len())].to_vec(),
-        }
-    }
 }
 
 /// Per-query I/O accounting handle.

@@ -20,8 +20,8 @@
 //! * [`thread_counts_are_byte_identical`] — thread counts {1, 2, 4, 8} on a
 //!   fine morsel grid produce the [`QueryOutput`]s and
 //!   [`cvr::storage::io::IoStats`] (bytes, pages, seeks) of one thread on
-//!   the default grid, for every plan shape and for the invisible join's
-//!   options (hash-only joins, filter capture and warm replay);
+//!   the default grid, for every plan shape and for the invisible join
+//!   without between-predicate rewriting (hash-only joins);
 //! * [`iostats_match_the_pinned_fixture`] — absolute bytes/pages/seeks per
 //!   (query × plan shape × pool), dumped from the pre-refactor serial
 //!   executor, at threads 1 and 4;
@@ -33,7 +33,7 @@
 //!   reference evaluator, not just vs one worker.
 
 use cvr::core::morsel::Parallelism;
-use cvr::core::{ColumnEngine, EngineConfig, ExecOptions, FilterReuse};
+use cvr::core::{ColumnEngine, EngineConfig, ExecOptions, QueryCtx, Tracer};
 use cvr::data::gen::{SsbConfig, SsbTables};
 use cvr::data::queries::{all_queries, SsbQuery};
 use cvr::data::reference;
@@ -123,8 +123,8 @@ fn thread_counts_are_byte_identical() {
     let par = |threads| Parallelism { threads, morsel_rows: 384 };
     let run = |q: &SsbQuery, cfg, opts: &ExecOptions<'_>| {
         let io = IoSession::unmetered();
-        let (out, capture) = engine.run(q, cfg, opts, &io).expect("unbounded lifecycle");
-        (out, charged(&io), capture)
+        let out = engine.run(q, cfg, opts, &io).expect("unbounded lifecycle");
+        (out, charged(&io))
     };
     for code in PLAN_SHAPES {
         let cfg = EngineConfig::parse(code);
@@ -145,30 +145,14 @@ fn thread_counts_are_byte_identical() {
             if !(cfg.late_materialization && cfg.invisible_join) {
                 continue;
             }
-            // The invisible join's options, at every thread count: hash-only
-            // joins answer like rewritten ones and charge the same at 1 and 4
-            // threads; a captured filter replays warm to the cold bytes.
+            // The invisible join's one option: hash-only joins answer like
+            // rewritten ones and charge the same at 1 and 4 threads.
             let hash_only =
                 |threads| ExecOptions { between_rewriting: false, ..with_par(par(threads)) };
-            let (out1, io1, _) = run(&q, cfg, &hash_only(1));
-            let (out4, io4, _) = run(&q, cfg, &hash_only(4));
+            let (out1, io1) = run(&q, cfg, &hash_only(1));
+            let (out4, io4) = run(&q, cfg, &hash_only(4));
             assert_eq!(out1, one, "{code} {} without between-rewriting", q.id);
             assert_eq!((out1, io1), (out4, io4), "{code} {} hash-only, threads 1 vs 4", q.id);
-            for threads in [1, 2, 4] {
-                let capturing =
-                    ExecOptions { reuse: FilterReuse::Capture, ..with_par(par(threads)) };
-                let (cold, cold_io, capture) = run(&q, cfg, &capturing);
-                let capture = capture.expect("invisible joins capture on request");
-                assert_eq!((&cold, cold_io), (&one, charged(&one_io)), "{code} {} capture", q.id);
-                let warm = ExecOptions { reuse: FilterReuse::Warm(&capture), ..capturing.clone() };
-                let (out, io, _) = run(&q, cfg, &warm);
-                assert_eq!((out, io), (cold, cold_io), "{code} {} warm at {threads}", q.id);
-                // Offered to another grid, the capture is ignored: cold, and
-                // still the same bytes.
-                let other = ExecOptions { par: par(threads + 1), ..warm };
-                let (out, io, _) = run(&q, cfg, &other);
-                assert_eq!((&out, io), (&one, charged(&one_io)), "{code} {} other grid", q.id);
-            }
         }
     }
 }
@@ -290,13 +274,19 @@ fn a_predicate_that_empties_most_morsels_changes_nothing_but_the_work() {
             );
         }
     }
-    // And the morsels really were emptied: the filter's survivors sit in a
-    // small corner of the grid.
-    let capturing = ExecOptions { reuse: FilterReuse::Capture, ..with_par(par(1)) };
-    let (_, capture) = engine
-        .run(&date_first, EngineConfig::FULL, &capturing, &IoSession::unmetered())
+    // And the morsels really were emptied: the filter's survivors — what the
+    // traced last filter operator has left — sit in a small corner of the
+    // grid.
+    let ctx = QueryCtx::unbounded();
+    ctx.attach_tracer(Tracer::new());
+    let traced = ExecOptions { ctx: ctx.clone(), ..with_par(par(1)) };
+    engine
+        .run(&date_first, EngineConfig::FULL, &traced, &IoSession::unmetered())
         .expect("unbounded lifecycle");
-    let survivors = capture.expect("invisible joins capture on request").survivors();
+    let root = ctx.tracer().expect("attached above").take_root().expect("traced");
+    let spans = root.flatten();
+    let last_filter = spans.iter().rfind(|s| s.op == "probe" || s.op == "scan");
+    let survivors = last_filter.and_then(|s| s.rows_out).expect("a traced filter operator");
     let rows = tables.lineorder.num_rows() as u64;
     assert!(survivors > 0 && survivors * 50 < rows, "{survivors} of {rows} rows survive");
 }
@@ -469,7 +459,7 @@ fn planner_picked_plans_are_byte_identical_to_hand_picked() {
                 let opts =
                     ExecOptions { fact_order: Some(&plan.fact_order), ..ExecOptions::default() };
                 (
-                    engine.run(q, cfg, &opts, &planned_io).expect("unbounded lifecycle").0,
+                    engine.run(q, cfg, &opts, &planned_io).expect("unbounded lifecycle"),
                     engine.execute_with(&hand_q, cfg, Parallelism::from_env(), &hand_io),
                 )
             }
@@ -579,73 +569,100 @@ fn concurrent_sessions_are_byte_identical_to_serial() {
 #[test]
 fn cache_grid_is_byte_identical_to_serial_cold() {
     // The cache-correctness grid: repeated and interleaved queries over
-    // {cold, warm, concurrent×8} must all be byte-identical — output bytes
-    // AND IoStats — to a serial cold reference taken from a cache-disabled
-    // session. A result-cache hit and a filter-intermediate warm execution
-    // may change latency, never a byte.
-    use cvr::server::session::QueryResponse;
+    // {cold, hit, concurrent×8} must all be identical — the whole
+    // `RowsResponse`, output bytes AND IoStats, `cached` aside — to a serial
+    // cold reference taken from a cache-disabled session, at threads 1 and 4
+    // and in either submission order. A result-cache hit may change latency,
+    // never a byte.
+    use cvr::data::queries::{AggExpr, GroupColumn, QueryId};
+    use cvr::data::schema::Dim;
+    use cvr::server::session::{QueryResponse, RowsResponse};
     use cvr::server::{parser, Session};
     let tables = Arc::new(SsbConfig { sf: 0.0015, seed: 99 }.generate());
     let mut queries: Vec<SsbQuery> = all_queries();
     queries.extend(WorkloadConfig { seed: 9, count: 8 }.generate());
-
-    // Serial cold reference: cache disabled, so every run executes.
-    let cold = Session::with_cache_budget(tables.clone(), Parallelism::from_env(), 0);
-    let reference: Vec<(Vec<u8>, IoStats)> = queries
+    // Statements that share a WHERE and differ in group-by (even inputs) or
+    // aggregate (odd ones): each is its own cold execution whichever of the
+    // pair ran first — nothing of a filter outlives its statement.
+    let siblings: Vec<SsbQuery> = queries
         .iter()
-        .map(|q| {
-            let r = cold.run(q);
-            assert!(!r.cached);
-            (r.output.to_bytes(), r.io)
+        .enumerate()
+        .map(|(i, q)| {
+            let mut sibling = SsbQuery { id: QueryId::new(8, i as u8), ..q.clone() };
+            if i % 2 == 1 {
+                sibling.aggregate = match q.aggregate {
+                    AggExpr::SumRevenue => AggExpr::SumRevenueMinusSupplyCost,
+                    _ => AggExpr::SumRevenue,
+                };
+            } else if sibling.group_by.pop().is_none() {
+                sibling.group_by.push(GroupColumn { dim: Dim::Date, column: "d_year" });
+            }
+            sibling
         })
         .collect();
+    queries.extend(siblings);
+    let uncached = |r: RowsResponse| RowsResponse { cached: false, ..r };
 
-    // Cold then warm, interleaved (q0 q1 ... q0 q1 ...): the first round
-    // executes and populates the cache, the second round must hit it.
-    let session =
-        Arc::new(Session::with_cache_budget(tables.clone(), Parallelism::from_env(), 64 << 20));
-    for round in 0..2 {
-        for (q, (ref_bytes, ref_io)) in queries.iter().zip(&reference) {
-            let r = session.run(q);
-            assert_eq!(r.output.to_bytes(), *ref_bytes, "round {round}: {} bytes", q.id);
-            assert_eq!(r.io, *ref_io, "round {round}: {} IoStats", q.id);
-            assert_eq!(r.cached, round == 1, "round {round}: {} cached flag", q.id);
-        }
-    }
+    for threads in [1, 4] {
+        let par = Parallelism::with_threads(threads);
+        // Serial cold reference: cache disabled, so every run executes.
+        let cold = Session::with_cache_budget(tables.clone(), par, 0);
+        let reference: Vec<RowsResponse> = queries.iter().map(|q| cold.run(q)).collect();
+        assert!(reference.iter().all(|r| !r.cached));
 
-    // Concurrent×8 over the warmed session, staggered so streams interleave
-    // different statements — hits under contention are still identical.
-    let workers: Vec<_> = (0..8)
-        .map(|w| {
-            let session = session.clone();
-            let queries = queries.clone();
-            std::thread::spawn(move || {
-                queries
-                    .iter()
-                    .cycle()
-                    .skip(w * 3)
-                    .take(queries.len())
-                    .map(|q| {
-                        let sql = parser::render_sql(q);
-                        match session.query(&sql).expect("parse") {
-                            QueryResponse::Rows(r) => (q.id, r.output.to_bytes(), r.io),
-                            _ => unreachable!(),
-                        }
+        for reversed in [false, true] {
+            // Cold then hit, interleaved (q0 q1 ... q0 q1 ...): the first
+            // round executes and populates the cache, the second must hit it.
+            let mut order: Vec<(&SsbQuery, &RowsResponse)> =
+                queries.iter().zip(&reference).collect();
+            if reversed {
+                order.reverse();
+            }
+            let session = Arc::new(Session::with_cache_budget(tables.clone(), par, 64 << 20));
+            for round in 0..2 {
+                for (q, expected) in &order {
+                    let r = session.run(q);
+                    let at = format!("{threads} threads, reversed={reversed}, round {round}");
+                    assert_eq!(r.cached, round == 1, "{at}: {} cached flag", q.id);
+                    assert_eq!(&uncached(r), *expected, "{at}: {}", q.id);
+                }
+            }
+
+            // Concurrent×8 over the warmed session, staggered so streams
+            // interleave different statements — hits under contention are
+            // still identical.
+            let workers: Vec<_> = (0..8)
+                .map(|w| {
+                    let session = session.clone();
+                    let queries = queries.clone();
+                    std::thread::spawn(move || {
+                        queries
+                            .iter()
+                            .cycle()
+                            .skip(w * 3)
+                            .take(queries.len())
+                            .map(|q| {
+                                let sql = parser::render_sql(q);
+                                match session.query(&sql).expect("parse") {
+                                    QueryResponse::Rows(r) => (q.id, r.output.to_bytes(), r.io),
+                                    _ => unreachable!(),
+                                }
+                            })
+                            .collect::<Vec<_>>()
                     })
-                    .collect::<Vec<_>>()
-            })
-        })
-        .collect();
-    for (w, worker) in workers.into_iter().enumerate() {
-        for (id, bytes, io) in worker.join().expect("stream") {
-            let idx = queries.iter().position(|q| q.id == id).unwrap();
-            let (ref_bytes, ref_io) = &reference[idx];
-            assert_eq!(&bytes, ref_bytes, "stream {w}: {id} output diverged on cache grid");
-            assert_eq!(&io, ref_io, "stream {w}: {id} IoStats diverged on cache grid");
+                })
+                .collect();
+            for (w, worker) in workers.into_iter().enumerate() {
+                for (id, bytes, io) in worker.join().expect("stream") {
+                    let expected = &reference[queries.iter().position(|q| q.id == id).unwrap()];
+                    assert_eq!(bytes, expected.output.to_bytes(), "stream {w}: {id} output");
+                    assert_eq!(io, expected.io, "stream {w}: {id} IoStats");
+                }
+            }
+            let stats = session.cache_stats().expect("cache enabled");
+            assert!(stats.result_hits > 0, "the grid must actually exercise hits: {stats:?}");
         }
     }
-    let stats = session.cache_stats().expect("cache enabled");
-    assert!(stats.result_hits > 0, "the grid must actually exercise hits: {stats:?}");
 }
 
 #[test]

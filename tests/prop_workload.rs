@@ -77,7 +77,7 @@ proptest! {
             let expected = reference::evaluate(&tables, &q);
             let plan = planner.plan(&q);
             let opts = ExecOptions { fact_order: Some(&plan.fact_order), ..ExecOptions::default() };
-            let planned = |cfg| engine.run(&q, cfg, &opts, &io).expect("unbounded lifecycle").0;
+            let planned = |cfg| engine.run(&q, cfg, &opts, &io).expect("unbounded lifecycle");
             // The planner's overall pick.
             let got = match plan.choice {
                 PhysicalChoice::Column(cfg) => planned(cfg),
