@@ -16,23 +16,32 @@
 //! ([`cvr_core::scan::refine`]) over morsel-sized windows, the way the fact
 //! pipeline calls it:
 //!
-//! * `refine` rows — a range predicate over a packed column whose
-//!   candidates have already been thinned to 1/5/20/50 %: the whole-window
-//!   kernel followed by an intersection (what a scan-then-intersect pipeline
-//!   pays) against candidate-driven refinement, plus the two unit costs the
-//!   per-word choice inside `refine` is derived from — the bare window
-//!   kernel (`kernel_ns_per_value`) and one candidate tested on its own
-//!   (`get_ns_per_candidate`, explicit candidates). Widths 6, 10 and 17 are
-//!   the three kernel regimes: narrow lanes (shift-loop verdict gather),
-//!   5 and 3 lanes per word (multiply gather).
-//! * `membership` rows — a join-key membership scan over a packed FK column,
-//!   open-addressing hash set against the dense-key bit vector: per value
-//!   over whole windows, and per candidate over explicit candidates.
+//! * `refine` rows — a range predicate keeping half the values of a column
+//!   whose candidates have already been thinned to 1/5/20/50 % (and not at
+//!   all: 100 %): the whole-window kernel followed by an intersection (what
+//!   a scan-then-intersect pipeline pays) against candidate-driven
+//!   refinement, plus the two unit costs the per-word choice inside `refine`
+//!   is derived from — the bare window kernel (`kernel_ns_per_value`) and
+//!   one candidate tested on its own (`get_ns_per_candidate`, explicit
+//!   candidates). Packed widths 6, 10 and 17 are the three SWAR regimes:
+//!   narrow lanes (shift-loop verdict gather), 5 and 3 lanes per word
+//!   (multiply gather). The plain rows are the byte-aligned layout at each
+//!   width; `plain_u16` holds the very values of `packed_w10`, so the two
+//!   rows are the layouts ROADMAP item 3a chooses between, side by side.
+//! * `membership` rows — a join-key membership scan over an FK column,
+//!   packed and plain at each width: open-addressing hash set against the
+//!   dense-key flag table, per value over whole windows and per candidate
+//!   over explicit candidates.
 //!
-//! `CpuRates::from_kernel_bench_json` reads `get_ns_per_candidate` and
-//! `bits_ns_per_value` for the planner's two candidate-era rates.
+//! `CpuRates::from_kernel_bench_json` reads the plain `int_range` rows,
+//! `get_ns_per_candidate` and `bits_ns_per_value` for the planner's
+//! plain-column and candidate rates.
+//!
+//! The run fails when a word kernel is slower than its scalar reference on
+//! the most selective cell of any encoding — the cell where the kernel, not
+//! the writing of matched positions, is what is timed ([`SLOWER`]).
 
-use cvr_core::kernels::{self, scalar, CmpOp};
+use cvr_core::kernels::{scalar, CmpOp, Lane, PackedCmp, RangeTest};
 use cvr_core::poslist::PosList;
 use cvr_core::scan::{refine, ScanPred};
 use cvr_index::bitmap::{KeyBits, RidBitmap};
@@ -45,6 +54,13 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
+/// The speedup under which a word kernel counts as slower than its scalar
+/// reference. Two loops of equal speed read 0.9–1.1x of each other from run
+/// to run on a shared machine (`plain_i64`, where both wait for the same
+/// 8 bytes a value, is such a pair); the serial-mask kernel this gate was
+/// added against read 0.63–0.74x.
+const SLOWER: f64 = 0.85;
+
 /// Deterministic pseudo-random codes in `[0, max]`.
 fn codes(n: u32, max: u64) -> Vec<u64> {
     (0..n as u64).map(|i| i.wrapping_mul(2_654_435_761) % (max + 1)).collect()
@@ -54,14 +70,18 @@ fn codes(n: u32, max: u64) -> Vec<u64> {
 /// masks into positions.
 fn word_positions(p: &PackedInts, op: CmpOp) -> Vec<u32> {
     let mut out = Vec::new();
-    kernels::packed_cmp_masks(p, 0, p.len(), op, |base, m| push_mask(&mut out, base, m));
+    if let Some(cmp) = PackedCmp::new(p, op) {
+        cmp.masks(0, p.len(), |base, m| push_mask(&mut out, base, m));
+    }
     out
 }
 
-/// Run the plain-slice compare kernel and collect positions.
-fn slice_word_positions(values: &[i64], lo: i64, hi: i64) -> Vec<u32> {
+/// Run the plain range kernel over a typed slice and collect positions.
+fn plain_word_positions<T: Lane>(values: &[T], lo: i64, hi: i64) -> Vec<u32> {
     let mut out = Vec::new();
-    kernels::slice_cmp_masks(values, 0, lo, hi, |base, m| push_mask(&mut out, base, m));
+    if let Some(range) = RangeTest::<T>::clamped(lo, hi) {
+        range.masks(values, 0, |base, m| push_mask(&mut out, base, m));
+    }
     out
 }
 
@@ -131,6 +151,22 @@ fn time_per_value(n: u32, runs: usize, mut f: impl FnMut() -> usize) -> f64 {
     best * 1e9 / n as f64
 }
 
+/// [`time_per_value`] of two loops whose ratio is reported, alternated run
+/// by run so that a slow spell of a shared machine lands on both.
+fn time_pair(
+    n: u32,
+    runs: usize,
+    mut scalar: impl FnMut() -> usize,
+    mut word: impl FnMut() -> usize,
+) -> (f64, f64) {
+    let mut best = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..runs.max(1) {
+        best.0 = best.0.min(time_per_value(n, 1, &mut scalar));
+        best.1 = best.1.min(time_per_value(n, 1, &mut word));
+    }
+    best
+}
+
 /// Packed int column cells: the `lo <= v <= hi` join/measure predicates.
 fn measure_packed(n: u32, runs: usize, bits: u8, out: &mut Vec<Cell>) {
     let p = PackedInts::pack(bits, codes(n, (1u64 << bits) - 1));
@@ -141,11 +177,12 @@ fn measure_packed(n: u32, runs: usize, bits: u8, out: &mut Vec<Cell>) {
         let expect = scalar::packed_cmp_positions(&p, 0, p.len(), op);
         assert_eq!(word_positions(&p, op), expect, "kernel/scalar divergence");
         let selectivity = expect.len() as f64 / n as f64;
-        let scalar_ns = time_per_value(n, runs, || {
-            scalar::packed_cmp_positions(black_box(&p), 0, p.len(), black_box(op)).len()
-        });
-        let word_ns =
-            time_per_value(n, runs, || word_positions(black_box(&p), black_box(op)).len());
+        let (scalar_ns, word_ns) = time_pair(
+            n,
+            runs,
+            || scalar::packed_cmp_positions(black_box(&p), 0, p.len(), black_box(op)).len(),
+            || word_positions(black_box(&p), black_box(op)).len(),
+        );
         out.push(Cell {
             kernel: "int_range",
             encoding: format!("packed_w{bits}"),
@@ -167,11 +204,15 @@ fn measure_dict(n: u32, runs: usize, out: &mut Vec<Cell>) {
         let expect = scalar::packed_test_positions(&p, 0, p.len(), |c| matches[c as usize]);
         assert_eq!(word_positions(&p, op), expect, "dict kernel/scalar divergence");
         let selectivity = expect.len() as f64 / n as f64;
-        let scalar_ns = time_per_value(n, runs, || {
-            scalar::packed_test_positions(black_box(&p), 0, p.len(), |c| matches[c as usize]).len()
-        });
-        let word_ns =
-            time_per_value(n, runs, || word_positions(black_box(&p), black_box(op)).len());
+        let (scalar_ns, word_ns) = time_pair(
+            n,
+            runs,
+            || {
+                let listed = |c| matches[c as usize];
+                scalar::packed_test_positions(black_box(&p), 0, p.len(), listed).len()
+            },
+            || word_positions(black_box(&p), black_box(op)).len(),
+        );
         out.push(Cell {
             kernel: "dict_pred",
             encoding: "dict_card25".to_string(),
@@ -182,27 +223,56 @@ fn measure_dict(n: u32, runs: usize, out: &mut Vec<Cell>) {
     }
 }
 
-/// Plain `i64` slice cells: branchless mask construction vs push-per-match.
-fn measure_plain(n: u32, runs: usize, out: &mut Vec<Cell>) {
-    let values: Vec<i64> = (0..n as i64).map(|i| i.wrapping_mul(2_654_435_761) % 30_000).collect();
-    for hi in [300i64, 15_000] {
-        let expect = scalar::slice_cmp_positions(&values, 0, 0, hi);
-        assert_eq!(slice_word_positions(&values, 0, hi), expect, "slice kernel/scalar divergence");
+/// Plain cells at one width: the byte-verdict range kernel at the values'
+/// own type vs widen-compare-push per value, over values spread on
+/// `[0, max]`.
+fn measure_plain<T: Lane>(n: u32, runs: usize, encoding: &str, max: u64, out: &mut Vec<Cell>) {
+    let values: Vec<T> =
+        codes(n, max).into_iter().map(|c| T::narrow(c as i64).expect("fits")).collect();
+    for frac in [0.01f64, 0.5] {
+        let hi = (max as f64 * frac) as i64;
+        let in_range = |v: T| (0..=hi).contains(&v.widen());
+        let expect = scalar::plain_positions(&values, 0, in_range);
+        assert_eq!(plain_word_positions(&values, 0, hi), expect, "plain kernel/scalar divergence");
         let selectivity = expect.len() as f64 / n as f64;
-        let scalar_ns = time_per_value(n, runs, || {
-            scalar::slice_cmp_positions(black_box(&values), 0, 0, black_box(hi)).len()
-        });
-        let word_ns = time_per_value(n, runs, || {
-            slice_word_positions(black_box(&values), 0, black_box(hi)).len()
-        });
+        let (scalar_ns, word_ns) = time_pair(
+            n,
+            runs,
+            || {
+                let hi = black_box(hi);
+                let in_range = |v: T| (0..=hi).contains(&v.widen());
+                scalar::plain_positions(black_box(&values), 0, in_range).len()
+            },
+            || plain_word_positions(black_box(&values), 0, black_box(hi)).len(),
+        );
         out.push(Cell {
             kernel: "int_range",
-            encoding: "plain_i64".to_string(),
+            encoding: encoding.to_string(),
             selectivity,
             scalar_ns_per_value: scalar_ns,
             word_ns_per_value: word_ns,
         });
     }
+}
+
+/// A plain column of `values`, which must come out at `width` bytes.
+fn plain_col(values: Vec<i64>, width: u8) -> StoredColumn {
+    let col = IntColumn::plain(values);
+    assert!(matches!(&col, IntColumn::Plain(p) if p.width() == width), "not at width {width}");
+    StoredColumn::new("plain", Column::Int(col))
+}
+
+/// Spread values over `[0, max]`, with one value that pins a plain column
+/// of them to `width` bytes (width 8 needs a negative one).
+fn values_at_width(n: u32, max: u64, width: u8) -> Vec<i64> {
+    let mut values: Vec<i64> = codes(n, max).into_iter().map(|c| c as i64).collect();
+    values[0] = match width {
+        1 => u8::MAX as i64,
+        2 => u16::MAX as i64,
+        4 => u32::MAX as i64,
+        _ => -1,
+    };
+    values
 }
 
 /// Morsel-sized windows tiling `[0, n)`, like the fact pipeline's grid.
@@ -212,7 +282,7 @@ fn windows(n: u32) -> Vec<std::ops::Range<u32>> {
 }
 
 /// One candidate-refinement cell: a range predicate keeping ~half of a
-/// packed column, over candidates at `candidate_density`.
+/// column, over candidates at `candidate_density`.
 struct RefineCell {
     encoding: String,
     candidate_density: f64,
@@ -226,20 +296,32 @@ struct RefineCell {
     get_ns_per_candidate: f64,
 }
 
-fn measure_refine(n: u32, runs: usize, bits: u8, out: &mut Vec<RefineCell>) {
-    let max = (1u64 << bits) - 1;
-    let values: Vec<i64> = codes(n, max).into_iter().map(|c| c as i64).collect();
-    let col = StoredColumn::new("c", Column::Int(IntColumn::packed(&values).expect("packs")));
-    let pred = ScanPred::Range { lo: 0, hi: (max / 2) as i64 };
+/// A packed column of values spread over `bits` bits.
+fn packed_col(n: u32, bits: u8) -> StoredColumn {
+    let values: Vec<i64> = codes(n, (1u64 << bits) - 1).into_iter().map(|c| c as i64).collect();
+    StoredColumn::new("c", Column::Int(IntColumn::packed(&values).expect("packs")))
+}
+
+/// Refinement cells of `col` under `0 <= v <= hi`, which must keep about
+/// half of its values.
+fn measure_refine(
+    col: &StoredColumn,
+    encoding: &str,
+    hi: i64,
+    runs: usize,
+    out: &mut Vec<RefineCell>,
+) {
+    let n = col.column.len() as u32;
+    let pred = ScanPred::Range { lo: 0, hi };
     let io = IoSession::unmetered();
     let windows = windows(n);
     let kernel_ns_per_value = time_per_value(n, runs, || {
         let scanned = windows.iter().map(|w| {
-            refine(&col, w.clone(), &PosList::all(w.clone()), &pred, true, &io).count() as usize
+            refine(col, w.clone(), &PosList::all(w.clone()), &pred, true, &io).count() as usize
         });
         scanned.sum()
     });
-    for percent in [1u64, 5, 20, 50] {
+    for percent in [1u64, 5, 20, 50, 100] {
         // Pseudo-random candidates at the stated density, per window, in
         // both sparse representations.
         let keep = |p: u32| {
@@ -263,13 +345,11 @@ fn measure_refine(n: u32, runs: usize, bits: u8, out: &mut Vec<RefineCell>) {
             .unzip();
         let through = |candidates: &[PosList]| -> usize {
             let refined = windows.iter().zip(candidates);
-            refined
-                .map(|(w, c)| refine(&col, w.clone(), c, &pred, true, &io).count() as usize)
-                .sum()
+            refined.map(|(w, c)| refine(col, w.clone(), c, &pred, true, &io).count() as usize).sum()
         };
         let scan_then_intersect = || -> usize {
             let scanned = windows.iter().zip(&bitmaps).map(|(w, c)| {
-                let full = refine(&col, w.clone(), &PosList::all(w.clone()), &pred, true, &io);
+                let full = refine(col, w.clone(), &PosList::all(w.clone()), &pred, true, &io);
                 c.intersect(&full).count() as usize
             });
             scanned.sum()
@@ -278,7 +358,7 @@ fn measure_refine(n: u32, runs: usize, bits: u8, out: &mut Vec<RefineCell>) {
         assert_eq!(through(&bitmaps), survivors, "refine/intersect divergence");
         assert_eq!(through(&explicit), survivors, "refine/intersect divergence");
         out.push(RefineCell {
-            encoding: format!("packed_w{bits}"),
+            encoding: encoding.to_string(),
             candidate_density: total as f64 / n as f64,
             kernel_ns_per_value,
             window_ns_per_value: time_per_value(n, runs, scan_then_intersect),
@@ -290,8 +370,8 @@ fn measure_refine(n: u32, runs: usize, bits: u8, out: &mut Vec<RefineCell>) {
     }
 }
 
-/// One membership cell: every value of a packed FK column probed against a
-/// key set holding `key_fraction` of a dense key domain.
+/// One membership cell: every value of an FK column probed against a key set
+/// holding `key_fraction` of a dense key domain.
 struct MembershipCell {
     encoding: String,
     key_fraction: f64,
@@ -302,11 +382,16 @@ struct MembershipCell {
     bits_ns_per_candidate: f64,
 }
 
-fn measure_membership(n: u32, runs: usize, out: &mut Vec<MembershipCell>) {
-    // A CUSTOMER-sized dense key domain (sf 0.2: 6 000 keys, 13 bits).
-    let (bits, domain) = (13u8, 6_000u64);
-    let values: Vec<i64> = codes(n, domain - 1).into_iter().map(|c| c as i64).collect();
-    let col = StoredColumn::new("fk", Column::Int(IntColumn::packed(&values).expect("packs")));
+/// Membership cells of `col`, whose values are foreign keys into the dense
+/// domain `0..domain`.
+fn measure_membership(
+    col: &StoredColumn,
+    encoding: &str,
+    domain: u64,
+    runs: usize,
+    out: &mut Vec<MembershipCell>,
+) {
+    let n = col.column.len() as u32;
     let io = IoSession::unmetered();
     let windows = windows(n);
     let halves: Vec<PosList> = windows
@@ -325,7 +410,7 @@ fn measure_membership(n: u32, runs: usize, out: &mut Vec<MembershipCell>) {
         let (hash, bits_pred) = (ScanPred::Test(&in_set), ScanPred::Keys(&dense));
         let probe = |candidates: &[PosList], pred: &ScanPred<'_>| -> usize {
             let refined = windows.iter().zip(candidates);
-            refined.map(|(w, c)| refine(&col, w.clone(), c, pred, true, &io).count() as usize).sum()
+            refined.map(|(w, c)| refine(col, w.clone(), c, pred, true, &io).count() as usize).sum()
         };
         for candidates in [&everything, &halves] {
             assert_eq!(
@@ -335,7 +420,7 @@ fn measure_membership(n: u32, runs: usize, out: &mut Vec<MembershipCell>) {
             );
         }
         out.push(MembershipCell {
-            encoding: format!("packed_w{bits}"),
+            encoding: encoding.to_string(),
             key_fraction: keys.len() as f64 / domain as f64,
             hash_ns_per_value: time_per_value(n, runs, || probe(black_box(&everything), &hash)),
             bits_ns_per_value: time_per_value(n, runs, || {
@@ -356,12 +441,34 @@ fn main() {
     measure_packed(args.n, args.runs, 6, &mut cells);
     measure_packed(args.n, args.runs, 17, &mut cells);
     measure_dict(args.n, args.runs, &mut cells);
-    measure_plain(args.n, args.runs, &mut cells);
+    measure_plain::<u8>(args.n, args.runs, "plain_u8", 250, &mut cells);
+    measure_plain::<u16>(args.n, args.runs, "plain_u16", 30_000, &mut cells);
+    measure_plain::<u32>(args.n, args.runs, "plain_u32", 3_000_000, &mut cells);
+    measure_plain::<i64>(args.n, args.runs, "plain_i64", 30_000, &mut cells);
     let (mut refines, mut memberships) = (Vec::new(), Vec::new());
-    for bits in [6, 10, 17] {
-        measure_refine(args.n, args.runs, bits, &mut refines);
+    for bits in [6u8, 10, 17] {
+        let hi = (1i64 << bits) / 2 - 1;
+        let col = packed_col(args.n, bits);
+        measure_refine(&col, &format!("packed_w{bits}"), hi, args.runs, &mut refines);
     }
-    measure_membership(args.n, args.runs, &mut memberships);
+    // The values of `packed_w10` (1023 pins the width), byte-aligned; then
+    // the other widths over the same spread.
+    let plain_widths = [("plain_u16", 2u8), ("plain_u8", 1), ("plain_u32", 4), ("plain_i64", 8)];
+    for (encoding, width) in plain_widths {
+        let max = if width == 1 { 255 } else { 1023 };
+        let col = plain_col(values_at_width(args.n, max, width), width);
+        measure_refine(&col, encoding, max as i64 / 2, args.runs, &mut refines);
+    }
+    // A CUSTOMER-sized dense key domain (sf 0.2: 6 000 keys, 13 bits; 200 at
+    // one byte), packed and byte-aligned.
+    let fks: Vec<i64> = codes(args.n, 5_999).into_iter().map(|c| c as i64).collect();
+    let packed_fk = StoredColumn::new("fk", Column::Int(IntColumn::packed(&fks).expect("packs")));
+    measure_membership(&packed_fk, "packed_w13", 6_000, args.runs, &mut memberships);
+    for (encoding, width) in plain_widths {
+        let domain = if width == 1 { 200 } else { 6_000 };
+        let col = plain_col(values_at_width(args.n, domain - 1, width), width);
+        measure_membership(&col, encoding, domain, args.runs, &mut memberships);
+    }
 
     println!("\nScan kernels: scalar block iteration vs word-parallel ({} values)\n", args.n);
     println!(
@@ -397,7 +504,7 @@ fn main() {
     }
 
     println!(
-        "\nCandidate refinement over {}-row windows (range predicate, packed)\n",
+        "\nCandidate refinement over {}-row windows (range predicate keeping half)\n",
         windows(args.n)[0].len()
     );
     println!(
@@ -433,7 +540,7 @@ fn main() {
         );
     }
 
-    println!("\nJoin-key membership scan: hash set vs dense-key bit vector\n");
+    println!("\nJoin-key membership scan: hash set vs dense-key flag table\n");
     println!(
         "{:<12} {:>8} {:>10} {:>10} {:>8} {:>16} {:>16}",
         "encoding",
@@ -479,13 +586,30 @@ fn main() {
     let gate = |kernel: &str| {
         cells
             .iter()
-            .filter(|c| c.kernel == kernel && c.encoding != "plain_i64")
+            .filter(|c| c.kernel == kernel)
             .map(|c| c.speedup())
             .fold(f64::NEG_INFINITY, f64::max)
     };
     let (int_best, dict_best) = (gate("int_range"), gate("dict_pred"));
-    println!("\nbest packed int-range speedup: {int_best:.2}x; best dict speedup: {dict_best:.2}x");
+    println!("\nbest int-range speedup: {int_best:.2}x; best dict speedup: {dict_best:.2}x");
     if int_best < 2.0 || dict_best < 2.0 {
         eprintln!("WARNING: word-parallel speedup below the 2x target on this machine");
+    }
+    // No encoding may keep a word kernel its scalar reference beats: judged
+    // on each encoding's most selective cell, where few positions are written
+    // and the kernel is what is timed.
+    let mut slower = Vec::new();
+    for c in &cells {
+        let most_selective = cells
+            .iter()
+            .filter(|o| o.kernel == c.kernel && o.encoding == c.encoding)
+            .all(|o| o.selectivity >= c.selectivity);
+        if most_selective && c.speedup() < SLOWER {
+            slower.push(format!("{} {} at {:.2}x", c.kernel, c.encoding, c.speedup()));
+        }
+    }
+    if !slower.is_empty() {
+        eprintln!("FAIL: word kernel slower than its scalar reference: {}", slower.join(", "));
+        std::process::exit(1);
     }
 }

@@ -11,8 +11,9 @@ use crate::agg::CodeDecoder;
 use crate::poslist::PosList;
 use cvr_data::value::Value;
 use cvr_storage::column::StoredColumn;
-use cvr_storage::encode::{Column, IntColumn, Run, StrColumn};
+use cvr_storage::encode::{Column, IntColumn, PlainValue, Run, StrColumn};
 use cvr_storage::io::IoSession;
+use cvr_storage::with_plain_values;
 
 /// A memoized cursor over an RLE run directory for arbitrary-order
 /// position lookups. Fact-ordered dimension probes hit the same run in
@@ -59,11 +60,11 @@ pub(crate) fn ints_at(col: &StoredColumn, pos: &PosList) -> Vec<i64> {
     let int = col.column.as_int();
     let mut out = Vec::with_capacity(pos.count() as usize);
     match int {
-        IntColumn::Plain { values, .. } => {
+        IntColumn::Plain(plain) => with_plain_values!(plain, |values| {
             for p in pos.iter() {
-                out.push(values[p as usize]);
+                out.push(values[p as usize].widen());
             }
-        }
+        }),
         IntColumn::Rle { runs, .. } => {
             let mut run = 0usize;
             for p in pos.iter() {
@@ -112,11 +113,11 @@ pub fn extract_at(col: &StoredColumn, positions: &[u32], io: &IoSession) -> Vec<
     let mut out = Vec::with_capacity(positions.len());
     match &col.column {
         Column::Int(int) => match int {
-            IntColumn::Plain { values, .. } => {
+            IntColumn::Plain(plain) => with_plain_values!(plain, |values| {
                 for &p in positions {
-                    out.push(Value::Int(values[p as usize]));
+                    out.push(Value::Int(values[p as usize].widen()));
                 }
-            }
+            }),
             IntColumn::Rle { runs, .. } => {
                 // An empty run directory with non-empty positions panics
                 // inside the cursor, at the fault site, like the binary
@@ -221,11 +222,11 @@ pub fn extract_codes_at(
     let mut out = Vec::with_capacity(positions.len());
     match (&col.column, space) {
         (Column::Int(int), CodeSpace::Int { reference, .. }) => match int {
-            IntColumn::Plain { values, .. } => {
+            IntColumn::Plain(plain) => with_plain_values!(plain, |values| {
                 for &p in positions {
-                    out.push((values[p as usize] - reference) as u32);
+                    out.push((values[p as usize].widen() - reference) as u32);
                 }
-            }
+            }),
             IntColumn::Rle { runs, .. } => {
                 let mut cursor = RunCursor::new(runs);
                 for &p in positions {
@@ -263,11 +264,11 @@ pub fn gather_codes(
     let mut out = Vec::with_capacity(pos.count() as usize);
     match (&col.column, space) {
         (Column::Int(int), CodeSpace::Int { reference, .. }) => match int {
-            IntColumn::Plain { values, .. } => {
+            IntColumn::Plain(plain) => with_plain_values!(plain, |values| {
                 for p in pos.iter() {
-                    out.push((values[p as usize] - reference) as u32);
+                    out.push((values[p as usize].widen() - reference) as u32);
                 }
-            }
+            }),
             IntColumn::Rle { runs, .. } => {
                 let mut run = 0usize;
                 for p in pos.iter() {

@@ -8,7 +8,7 @@
 //!    If the matching positions are contiguous, *between-predicate
 //!    rewriting* (Section 5.4.2) turns the join into a `lo <= fk <= hi`
 //!    range test; otherwise the matching keys become a membership set — "in
-//!    which case a hash join is simulated": one bit per dimension row where
+//!    which case a hash join is simulated": one flag per dimension row where
 //!    keys are dense (the key *is* the row position, so membership is an
 //!    array look-up), a hash set for DATE's `yyyymmdd` keys.
 //! 2. **Fact foreign-key probes.** Each key predicate is applied to its FK

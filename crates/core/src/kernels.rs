@@ -23,11 +23,16 @@
 //!
 //! Three kernel families cover the encodings:
 //!
-//! * **packed kernels** ([`packed_cmp_masks`], [`packed_test_masks`]) —
-//!   SWAR compare (or per-lane unpack + test for opaque predicates) over
-//!   the packed word image;
-//! * **slice kernels** ([`slice_cmp_masks`], [`slice_test_masks`]) —
-//!   branchless mask construction over plain `i64` slices;
+//! * **packed kernels** ([`PackedCmp`], [`packed_test_masks`]) — SWAR
+//!   compare (or per-lane unpack + test for opaque predicates) over the
+//!   packed word image;
+//! * **the plain kernels** ([`RangeTest::masks`], [`plain_masks`]) — generic
+//!   loops over a plain column's typed slice (`u8`/`u16`/`u32`/`i64`), 64
+//!   values a mask: a range test is one wrapped subtraction and one unsigned
+//!   compare at the column's own width, whose 64 verdicts land as 64 bytes
+//!   the compiler computes in vector registers and eight multiplies pack; a
+//!   table look-up or an opaque test gathers its verdict bits in registers,
+//!   eight short chains a mask;
 //! * **run kernels** — RLE needs no mask construction at all: one predicate
 //!   test per run and an `O(words)` range push, which lives in
 //!   `crate::scan` next to the run clamping logic.
@@ -36,6 +41,7 @@
 //! implementations; property tests assert kernel/scalar equivalence and the
 //! `kernels` bench measures the gap.
 
+use cvr_storage::encode::PlainValue;
 use cvr_storage::packed::PackedInts;
 
 /// An integer comparison a SWAR kernel can evaluate, in *code space*
@@ -255,52 +261,88 @@ fn emit_all_ones(start: u32, end: u32, mut emit: impl FnMut(u32, u64)) {
     }
 }
 
-/// Evaluate `op` over positions `[start, end)` of `p` with SWAR compares,
-/// emitting dense selection masks: `emit(base, mask)` where bit `j` of
-/// `mask` selects position `base + j`. Bases ascend in steps of 64 from
-/// `start`; all-zero masks may be emitted or skipped — sinks must treat
-/// them as no-ops either way.
-pub fn packed_cmp_masks(
-    p: &PackedInts,
-    start: u32,
-    end: u32,
-    op: CmpOp,
-    emit: impl FnMut(u32, u64),
-) {
-    let end = end.min(p.len());
-    if start >= end {
-        return;
+/// Which SWAR comparison a [`PackedCmp`] runs, with its broadcast constants.
+#[derive(Debug, Clone, Copy)]
+enum LaneTest {
+    /// Every code matches.
+    All,
+    /// `code == c`.
+    Eq(u64),
+    /// `code <= c`; holds `broadcast(c) | H`.
+    Le(u64),
+    /// `code >= c`.
+    Ge(u64),
+    /// `lo <= code <= hi`; holds `broadcast(lo)` and `broadcast(hi) | H`.
+    Range(u64, u64),
+}
+
+/// A [`CmpOp`] compiled against one packed array: lane geometry, delimiter
+/// mask, broadcast bounds and verdict compressor are derived once, so a scan
+/// that runs the kernel over many short stretches of a window (the dense
+/// words of bitmap candidates) pays them once per window, not per stretch.
+#[derive(Debug, Clone, Copy)]
+pub struct PackedCmp<'a> {
+    p: &'a PackedInts,
+    lanes: u32,
+    h: u64,
+    cx: LaneCompressor,
+    test: LaneTest,
+}
+
+impl<'a> PackedCmp<'a> {
+    /// Compile `op` over `p`; `None` when no code of `p` can match.
+    pub fn new(p: &'a PackedInts, op: CmpOp) -> Option<PackedCmp<'a>> {
+        let max = p.max_code();
+        let (lo, hi) = op.bounds(max)?;
+        let lane_bits = p.lane_bits() as u32;
+        let lanes = p.lanes_per_word() as u32;
+        let h = lane_msb_mask(lane_bits, lanes);
+        let b = |code| broadcast(code, lane_bits, lanes);
+        let test = if lo == 0 && hi == max {
+            LaneTest::All
+        } else if lo == hi {
+            LaneTest::Eq(b(lo))
+        } else if lo == 0 {
+            LaneTest::Le(b(hi) | h)
+        } else if hi == max {
+            LaneTest::Ge(b(lo))
+        } else {
+            LaneTest::Range(b(lo), b(hi) | h)
+        };
+        Some(PackedCmp { p, lanes, h, cx: LaneCompressor::new(lane_bits, lanes), test })
     }
-    let Some((lo, hi)) = op.bounds(p.max_code()) else {
-        return;
-    };
-    let lane_bits = p.lane_bits() as u32;
-    let lanes = p.lanes_per_word() as u32;
-    let h = lane_msb_mask(lane_bits, lanes);
-    let cx = LaneCompressor::new(lane_bits, lanes);
-    let max = p.max_code();
-    if lo == 0 && hi == max {
-        emit_all_ones(start, end, emit);
-    } else if lo == hi {
-        let c = broadcast(lo, lane_bits, lanes);
-        run_masks(p.words(), lanes, start, end, |x| cx.compress(swar_eq(x, c, h)), emit);
-    } else if lo == 0 {
-        let c_or_h = broadcast(hi, lane_bits, lanes) | h;
-        run_masks(p.words(), lanes, start, end, |x| cx.compress(swar_le(x, c_or_h, h)), emit);
-    } else if hi == max {
-        let c = broadcast(lo, lane_bits, lanes);
-        run_masks(p.words(), lanes, start, end, |x| cx.compress(swar_ge(x, c, h)), emit);
-    } else {
-        let lo_b = broadcast(lo, lane_bits, lanes);
-        let hi_or_h = broadcast(hi, lane_bits, lanes) | h;
-        run_masks(
-            p.words(),
-            lanes,
-            start,
-            end,
-            |x| cx.compress(swar_ge(x, lo_b, h) & swar_le(x, hi_or_h, h)),
-            emit,
-        );
+
+    /// Evaluate over positions `[start, end)`, emitting dense selection
+    /// masks: `emit(base, mask)` where bit `j` of `mask` selects position
+    /// `base + j`. Bases ascend in steps of 64 from `start`; all-zero masks
+    /// may be emitted or skipped — sinks must treat them as no-ops either
+    /// way.
+    pub fn masks(&self, start: u32, end: u32, emit: impl FnMut(u32, u64)) {
+        let end = end.min(self.p.len());
+        if start >= end {
+            return;
+        }
+        let (words, lanes, h, cx) = (self.p.words(), self.lanes, self.h, self.cx);
+        match self.test {
+            LaneTest::All => emit_all_ones(start, end, emit),
+            LaneTest::Eq(c) => {
+                run_masks(words, lanes, start, end, |x| cx.compress(swar_eq(x, c, h)), emit)
+            }
+            LaneTest::Le(c_or_h) => {
+                run_masks(words, lanes, start, end, |x| cx.compress(swar_le(x, c_or_h, h)), emit)
+            }
+            LaneTest::Ge(c) => {
+                run_masks(words, lanes, start, end, |x| cx.compress(swar_ge(x, c, h)), emit)
+            }
+            LaneTest::Range(lo, hi_or_h) => run_masks(
+                words,
+                lanes,
+                start,
+                end,
+                |x| cx.compress(swar_ge(x, lo, h) & swar_le(x, hi_or_h, h)),
+                emit,
+            ),
+        }
     }
 }
 
@@ -341,44 +383,145 @@ pub fn packed_test_masks(
     );
 }
 
-/// Branchless range masks over a plain `i64` slice: bit `j` of the mask for
-/// base `b` selects `values[(b - base) + j]`, i.e. position `b + j` when
-/// `base` is the slice's first position. Bounds are inclusive.
-pub fn slice_cmp_masks(
-    values: &[i64],
-    base: u32,
-    lo: i64,
-    hi: i64,
-    mut emit: impl FnMut(u32, u64),
-) {
-    let mut off = 0u32;
-    for chunk in values.chunks(64) {
-        let mut m = 0u64;
-        for (j, &v) in chunk.iter().enumerate() {
-            m |= (((v >= lo) & (v <= hi)) as u64) << j;
+/// `lo <= v <= hi` over a plain column held at type `T`, compiled to one
+/// wrapped subtraction and one unsigned compare at `T`'s own width — the
+/// form that vectorizes.
+#[derive(Debug, Clone, Copy)]
+pub struct RangeTest<T> {
+    lo: T,
+    /// `hi - lo`, as the unsigned distance.
+    span: T,
+}
+
+/// A plain value type the range kernel can compare at its own width.
+pub trait Lane: PlainValue {
+    /// Whether the baseline target compares lanes of this type in vector
+    /// registers: x86-64's SSE2 does for 8, 16 and 32 bits, and has no
+    /// 64-bit compare.
+    const VECTOR_COMPARE: bool;
+    /// `hi - lo` for `lo <= hi`, wrapped: the distance as an unsigned number.
+    fn distance(lo: Self, hi: Self) -> Self;
+    /// Whether `self - lo`, wrapped and read as unsigned, is at most `span`.
+    fn within(self, lo: Self, span: Self) -> bool;
+}
+
+macro_rules! lane {
+    ($($t:ty as $u:ty),*) => {$(
+        impl Lane for $t {
+            const VECTOR_COMPARE: bool = <$t>::BITS < 64;
+            #[inline]
+            fn distance(lo: $t, hi: $t) -> $t {
+                hi.wrapping_sub(lo)
+            }
+            #[inline]
+            fn within(self, lo: $t, span: $t) -> bool {
+                self.wrapping_sub(lo) as $u <= span as $u
+            }
         }
-        emit(base + off, m);
-        off += chunk.len() as u32;
+    )*};
+}
+lane!(u8 as u8, u16 as u16, u32 as u32, i64 as u64);
+
+impl<T: Lane> RangeTest<T> {
+    /// The test for the inclusive `[lo, hi]`, the bounds clamped to `T`'s
+    /// domain before they are narrowed to it; `None` when no value of `T`
+    /// can match (`lo > hi`, or the interval lies outside the domain).
+    pub fn clamped(lo: i64, hi: i64) -> Option<RangeTest<T>> {
+        let (lo, hi) = (lo.max(T::MIN.widen()), hi.min(T::MAX.widen()));
+        if lo > hi {
+            return None;
+        }
+        let (lo, hi) = (T::narrow(lo)?, T::narrow(hi)?);
+        Some(RangeTest { lo, span: T::distance(lo, hi) })
+    }
+
+    /// The verdict on one value.
+    #[inline]
+    pub fn matches(&self, v: T) -> bool {
+        v.within(self.lo, self.span)
+    }
+
+    /// [`plain_masks`] of this test. Where lanes compare in vector registers
+    /// the 64 verdicts of a block are produced as 64 bytes — a loop the
+    /// compiler turns into packed subtract-and-compare, 0.16 ns a value at
+    /// two bytes against 0.60 through [`plain_masks`] — and packed into the
+    /// mask with eight multiplies. Where they do not, the bytes would be
+    /// stored one at a time and reloaded eight at a time, which stalls on
+    /// every reload (1.15 ns a value at eight bytes against 0.60).
+    pub fn masks(&self, values: &[T], base: u32, emit: impl FnMut(u32, u64)) {
+        if !T::VECTOR_COMPARE {
+            return plain_masks(values, base, |v| self.matches(v), emit);
+        }
+        let mask_of = |block: &[T]| {
+            let mut verdicts = [0u8; 64];
+            for (byte, &v) in verdicts.iter_mut().zip(block) {
+                *byte = self.matches(v) as u8;
+            }
+            pack_verdicts(&verdicts)
+        };
+        block_masks(values, base, mask_of, emit)
     }
 }
 
-/// Mask construction over a plain `i64` slice for an opaque predicate:
-/// still evaluates per value, but lands results 64 at a time.
-pub fn slice_test_masks(
-    values: &[i64],
+/// Pack 64 verdict bytes (each 0 or 1) into a mask, bit `j` from byte `j`:
+/// eight bytes at a time, one multiply moves byte `k`'s low bit to bit
+/// `56 + k` (the products `2^(8k) · 2^(56 - 7k')` are pairwise distinct, so
+/// nothing carries).
+#[inline]
+fn pack_verdicts(bytes: &[u8; 64]) -> u64 {
+    let mut mask = 0u64;
+    for (i, eight) in bytes.chunks_exact(8).enumerate() {
+        let x = u64::from_le_bytes(eight.try_into().expect("chunks of eight"));
+        mask |= (x.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i);
+    }
+    mask
+}
+
+/// Walk `values` in blocks of 64, emitting `mask_of(block)` under ascending
+/// bases from `base`. The last block may be short; its mask's high bits
+/// must come out zero.
+#[inline]
+fn block_masks<T>(
+    values: &[T],
     base: u32,
-    test: impl Fn(i64) -> bool,
+    mask_of: impl Fn(&[T]) -> u64,
     mut emit: impl FnMut(u32, u64),
 ) {
-    let mut off = 0u32;
-    for chunk in values.chunks(64) {
-        let mut m = 0u64;
-        for (j, &v) in chunk.iter().enumerate() {
-            m |= (test(v) as u64) << j;
-        }
-        emit(base + off, m);
-        off += chunk.len() as u32;
+    let mut at = base;
+    let mut blocks = values.chunks_exact(64);
+    for block in &mut blocks {
+        emit(at, mask_of(block));
+        at += 64;
     }
+    if !blocks.remainder().is_empty() {
+        emit(at, mask_of(blocks.remainder()));
+    }
+}
+
+/// Masks of `verdict` over a plain column's typed slice: bit `j` of the mask
+/// emitted for base `b` is the verdict on `values[(b - base) + j]`, i.e. on
+/// position `b + j` when `base` is the slice's first position. The verdicts
+/// of a 64-value block are gathered in registers as eight independent bytes
+/// of eight bits, so a value waits for at most seven predecessors' bits —
+/// table look-ups and opaque tests overlap.
+pub fn plain_masks<T: Copy>(
+    values: &[T],
+    base: u32,
+    verdict: impl Fn(T) -> bool,
+    emit: impl FnMut(u32, u64),
+) {
+    let mask_of = |block: &[T]| {
+        let mut mask = 0u64;
+        for (i, eight) in block.chunks(8).enumerate() {
+            let mut byte = 0u64;
+            for (k, &v) in eight.iter().enumerate() {
+                byte |= (verdict(v) as u64) << k;
+            }
+            mask |= byte << (8 * i);
+        }
+        mask
+    };
+    block_masks(values, base, mask_of, emit)
 }
 
 /// One-value-at-a-time reference implementations of every kernel — the
@@ -388,7 +531,7 @@ pub mod scalar {
     use super::CmpOp;
     use cvr_storage::packed::PackedInts;
 
-    /// Scalar counterpart of [`super::packed_cmp_masks`]: unpack each code,
+    /// Scalar counterpart of [`super::PackedCmp`]: unpack each code,
     /// compare, push matching positions.
     pub fn packed_cmp_positions(p: &PackedInts, start: u32, end: u32, op: CmpOp) -> Vec<u32> {
         let mut out = Vec::new();
@@ -421,11 +564,15 @@ pub mod scalar {
         out
     }
 
-    /// Scalar counterpart of [`super::slice_cmp_masks`].
-    pub fn slice_cmp_positions(values: &[i64], base: u32, lo: i64, hi: i64) -> Vec<u32> {
+    /// Scalar counterpart of [`super::plain_masks`].
+    pub fn plain_positions<T: Copy>(
+        values: &[T],
+        base: u32,
+        verdict: impl Fn(T) -> bool,
+    ) -> Vec<u32> {
         let mut out = Vec::new();
         for (j, &v) in values.iter().enumerate() {
-            if v >= lo && v <= hi {
+            if verdict(v) {
                 out.push(base + j as u32);
             }
         }
@@ -503,7 +650,11 @@ mod tests {
                 ];
                 for op in ops {
                     for (s, e) in [(0u32, n), (1, n - 1), (63, 65.min(n)), (n, n)] {
-                        let got = positions(|emit| packed_cmp_masks(&p, s, e, op, emit));
+                        let got = positions(|emit| {
+                            if let Some(cmp) = PackedCmp::new(&p, op) {
+                                cmp.masks(s, e, emit)
+                            }
+                        });
                         let want = scalar::packed_cmp_positions(&p, s, e, op);
                         assert_eq!(got, want, "w={w} n={n} op={op:?} range=[{s},{e})");
                     }
@@ -522,18 +673,46 @@ mod tests {
     }
 
     #[test]
-    fn slice_kernels_match_scalar() {
+    fn plain_kernel_matches_scalar() {
         let values: Vec<i64> = (0..200).map(|i| (i * 37) % 100 - 50).collect();
-        let got = positions(|emit| slice_cmp_masks(&values, 10, -20, 20, emit));
-        assert_eq!(got, scalar::slice_cmp_positions(&values, 10, -20, 20));
-        let got = positions(|emit| slice_test_masks(&values, 0, |v| v == 13, emit));
-        assert_eq!(got, scalar::slice_cmp_positions(&values, 0, 13, 13));
+        let range = RangeTest::<i64>::clamped(-20, 20).expect("non-empty");
+        let got = positions(|emit| range.masks(&values, 10, emit));
+        assert_eq!(got, scalar::plain_positions(&values, 10, |v| (-20..=20).contains(&v)));
+        let got = positions(|emit| plain_masks(&values, 0, |v| v == 13, emit));
+        assert_eq!(got, scalar::plain_positions(&values, 0, |v| v == 13));
+    }
+
+    #[test]
+    fn range_bounds_clamp_to_the_width_before_narrowing() {
+        // 300 would narrow to 44 and -1 to 255: clamping first keeps them out.
+        let all = RangeTest::<u8>::clamped(-1, 300).expect("covers the domain");
+        assert!([0u8, 44, 255].iter().all(|&v| all.matches(v)));
+        let top = RangeTest::<u8>::clamped(200, i64::MAX).expect("200..=255");
+        assert!(top.matches(200) && top.matches(255) && !top.matches(199) && !top.matches(0));
+        assert!(RangeTest::<u8>::clamped(256, 300).is_none());
+        assert!(RangeTest::<u16>::clamped(i64::MIN, -1).is_none());
+        assert!(RangeTest::<u32>::clamped(5, 4).is_none());
+        let wide = RangeTest::<i64>::clamped(i64::MIN, i64::MAX).expect("everything");
+        assert!(wide.matches(i64::MIN) && wide.matches(-1) && wide.matches(i64::MAX));
+        let neg = RangeTest::<i64>::clamped(-5, 5).expect("non-empty");
+        assert!(neg.matches(-5) && neg.matches(5) && !neg.matches(6) && !neg.matches(i64::MIN));
+    }
+
+    #[test]
+    fn verdict_bytes_pack_to_their_bit() {
+        for j in 0..64 {
+            let mut bytes = [0u8; 64];
+            bytes[j] = 1;
+            assert_eq!(pack_verdicts(&bytes), 1 << j);
+        }
+        assert_eq!(pack_verdicts(&[1; 64]), u64::MAX);
     }
 
     #[test]
     fn full_range_takes_the_all_ones_path() {
         let p = pack(3, &[0, 1, 2, 3, 4, 5, 6, 7]);
-        let got = positions(|emit| packed_cmp_masks(&p, 0, 8, CmpOp::Range(0, 7), emit));
+        let cmp = PackedCmp::new(&p, CmpOp::Range(0, 7)).expect("matches");
+        let got = positions(|emit| cmp.masks(0, 8, emit));
         assert_eq!(got, (0..8).collect::<Vec<u32>>());
     }
 

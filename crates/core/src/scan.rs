@@ -33,15 +33,16 @@
 //! (encoding × interface × candidate representation) combination emits into
 //! a [`PosAccumulator`] sized by the window.
 
-use crate::kernels::{self, CmpOp};
+use crate::kernels::{self, CmpOp, PackedCmp};
 use crate::poslist::{PosList, EXPLICIT_LIMIT_DIVISOR};
 use cvr_data::queries::Pred;
 use cvr_data::value::Value;
 use cvr_index::bitmap::{KeyBits, RidBitmap};
 use cvr_storage::column::StoredColumn;
-use cvr_storage::encode::{Column, IntColumn, StrColumn};
+use cvr_storage::encode::{Column, IntColumn, PlainValue, StrColumn};
 use cvr_storage::io::IoSession;
 use cvr_storage::packed::PackedInts;
+use cvr_storage::with_plain_values;
 use std::ops::Range;
 
 /// Accumulates ascending positions of one window, upgrading from an
@@ -323,15 +324,15 @@ fn for_each_chunk(window: &Range<u32>, mut f: impl FnMut(u32, u32)) {
 /// predicate keeping half the values — no all-match or all-miss words for the
 /// kernel to shortcut):
 ///
-/// * one candidate fetched with `PackedInts::get` and tested costs 3.2–4.0 ns
+/// * one candidate fetched with `PackedInts::get` and tested costs 3.0–4.1 ns
 ///   (`get_ns_per_candidate` at 20–50 % candidates; sparser candidates add
 ///   cache misses, which only favours skipping);
-/// * the SWAR kernel costs 0.78 ns per value at 5 lanes per word and 1.29 at
+/// * the SWAR kernel costs 0.74 ns per value at 5 lanes per word and 1.29 at
 ///   3 (`kernel_ns_per_value`, widths 10 and 17): one packed word through
-///   compare, multiply-gather and mask banking is ~3.9 ns whatever its lane
+///   compare, multiply-gather and mask banking is ~3.8 ns whatever its lane
 ///   count;
 /// * at lanes narrower than 8 bits the verdict bits are gathered by a shift
-///   loop instead of a multiply, and the kernel costs 1.29 ns per value
+///   loop instead of a multiply, and the kernel costs 1.31 ns per value
 ///   however many lanes share the word (width 6).
 const CANDIDATE_COST: u32 = 35;
 const SWAR_WORD_COST: u32 = 40;
@@ -351,13 +352,40 @@ fn swar_kernel_from(packed: &PackedInts) -> u32 {
 }
 
 /// Candidates in one 64-position word from which a *per-value* word kernel
-/// (opaque tests over unpacked lanes, branchless slice masks) beats testing
-/// the candidates one by one. From the `membership` rows: the bit-vector
-/// kernel pays 2.1 ns for each of the 64 values against 3.1–3.3 ns per
-/// candidate — break-even at 40–43 candidates; a hash set 3.6–5.4 ns against
-/// 4.8–4.9 ns — 48 or more. 40 is the bit vector's, and takes the kernel a
-/// little early for hash sets, never late.
+/// over packed lanes (unpack, then an opaque test) beats testing the
+/// candidates one by one. From the `membership` rows (`packed_w13`): the
+/// key-flag kernel pays 2.0–2.5 ns for each of the 64 values against
+/// 2.8–3.7 ns per candidate — break-even at 40–45 candidates; a hash set
+/// 3.9–5.5 ns against 4.7–5.3 ns — 48 or more. 40 is the flag table's, and
+/// takes the kernel a little early for hash sets, never late.
 const VALUE_KERNEL_FROM: u32 = 40;
+
+/// Candidates in one 64-position word from which the range kernel over a
+/// plain column of `width` bytes beats testing them one by one. A candidate
+/// is one slice index and a compare, 2.1–2.5 ns with its share of the word's
+/// bookkeeping whatever the width (`get_ns_per_candidate` of the `plain_*`
+/// `refine` rows at 20–50 % candidates); the kernel runs at the speed the
+/// values stream in — 0.28, 0.32, 0.50 and 0.66 ns a value at 1, 2, 4 and 8
+/// bytes (`kernel_ns_per_value`; 18 to 42 ns a word). The ratios say 8, 9,
+/// 14 and 19; sweeping bitmap candidates from 2 % to 100 % under
+/// kernel-always and kernel-never puts the crossovers a little lower at the
+/// narrow widths (9 % of the positions at one and two bytes, 20 % at four),
+/// where the per-candidate path's fixed cost per word weighs most.
+fn plain_range_from(width: u8) -> u32 {
+    match width {
+        1 | 2 => 6,
+        4 => 13,
+        _ => 20,
+    }
+}
+
+/// The same under a per-value test (key-flag look-up, opaque closure): the
+/// kernel is a dependent load per value, 0.62–0.85 ns at every width
+/// (`bits_ns_per_value` of the `plain_*` `membership` rows; 47 ns a word)
+/// against 1.5–1.9 ns per candidate, and the sweep crosses at 40 % of the
+/// positions. The flag table's number: a costlier test moves both sides
+/// alike.
+const PLAIN_TEST_FROM: u32 = 26;
 
 /// Never take the word kernel: more candidates than a word holds.
 const NO_KERNEL: u32 = 65;
@@ -501,19 +529,23 @@ fn refine_int(
                 }
             });
         }
-        (IntColumn::Plain { values, .. }, ScanPred::Range { lo, hi }) => {
-            let (lo, hi) = (*lo, *hi);
-            apply(
-                window,
-                candidates,
-                block,
-                VALUE_KERNEL_FROM,
-                |s, e, emit| {
-                    kernels::slice_cmp_masks(&values[s as usize..e as usize], s, lo, hi, emit)
-                },
-                |p| (lo..=hi).contains(&values[p as usize]),
-                sink,
-            );
+        (IntColumn::Plain(plain), ScanPred::Range { lo, hi }) => {
+            // The byte-aligned array at its own width: the bounds narrow to
+            // the values, not the values to the bounds.
+            with_plain_values!(plain, |values| {
+                let Some(range) = kernels::RangeTest::clamped(*lo, *hi) else {
+                    return;
+                };
+                apply(
+                    window,
+                    candidates,
+                    block,
+                    plain_range_from(plain.width()),
+                    |s, e, emit| range.masks(&values[s as usize..e as usize], s, emit),
+                    |p| range.matches(values[p as usize]),
+                    sink,
+                )
+            });
         }
         (IntColumn::Packed { reference, packed }, ScanPred::Range { lo, hi }) => {
             // SWAR compare on the packed image, 64 bits at a time, without
@@ -521,12 +553,15 @@ fn refine_int(
             let Some((lo, hi)) = code_bounds(*reference, packed.max_code(), *lo, *hi) else {
                 return;
             };
+            let Some(cmp) = PackedCmp::new(packed, CmpOp::Range(lo, hi)) else {
+                return;
+            };
             apply(
                 window,
                 candidates,
                 block,
                 swar_kernel_from(packed),
-                |s, e, emit| kernels::packed_cmp_masks(packed, s, e, CmpOp::Range(lo, hi), emit),
+                |s, e, emit| cmp.masks(s, e, emit),
                 |p| (lo..=hi).contains(&packed.get(p)),
                 sink,
             );
@@ -548,15 +583,18 @@ fn refine_int_test(
     sink: &mut PosAccumulator,
 ) {
     match col {
-        IntColumn::Plain { values, .. } => apply(
+        IntColumn::Plain(plain) => with_plain_values!(plain, |values| apply(
             window,
             candidates,
             block,
-            VALUE_KERNEL_FROM,
-            |s, e, emit| kernels::slice_test_masks(&values[s as usize..e as usize], s, &test, emit),
-            |p| test(values[p as usize]),
+            PLAIN_TEST_FROM,
+            |s, e, emit| {
+                let values = &values[s as usize..e as usize];
+                kernels::plain_masks(values, s, |v| test(v.widen()), emit)
+            },
+            |p| test(values[p as usize].widen()),
             sink,
-        ),
+        )),
         IntColumn::Packed { reference, packed } => {
             let r = *reference;
             apply(
@@ -619,15 +657,20 @@ fn refine_str(
     match col {
         StrColumn::Dict { dict, codes } => match CodePred::compile(dict, pred) {
             CodePred::Empty => {}
-            CodePred::Range(lo, hi) => apply(
-                window,
-                candidates,
-                block,
-                swar_kernel_from(codes),
-                |s, e, emit| kernels::packed_cmp_masks(codes, s, e, CmpOp::Range(lo, hi), emit),
-                |p| (lo..=hi).contains(&codes.get(p)),
-                sink,
-            ),
+            CodePred::Range(lo, hi) => {
+                let Some(cmp) = PackedCmp::new(codes, CmpOp::Range(lo, hi)) else {
+                    return;
+                };
+                apply(
+                    window,
+                    candidates,
+                    block,
+                    swar_kernel_from(codes),
+                    |s, e, emit| cmp.masks(s, e, emit),
+                    |p| (lo..=hi).contains(&codes.get(p)),
+                    sink,
+                )
+            }
             CodePred::Table(matches) => apply(
                 window,
                 candidates,

@@ -4,8 +4,9 @@
 //! 64-value mask-word boundary (63/64/65) — the bulk accumulator paths
 //! must finish to the same representation-level verdicts as per-position
 //! pushes, refining any candidate list must equal intersecting it with the
-//! window scan (positions *and* recorded I/O), and the dense-key bit vector
-//! must answer like the hash tables it replaces.
+//! window scan (positions *and* recorded I/O) — over plain columns of every
+//! byte width, under bounds and key domains that do not fit the width — and
+//! the dense-key flag table must answer like the hash tables it replaces.
 
 use cvr_core::kernels::{self, scalar, CmpOp};
 use cvr_core::poslist::PosList;
@@ -15,7 +16,7 @@ use cvr_data::value::Value;
 use cvr_index::bitmap::{KeyBits, RidBitmap};
 use cvr_index::hashidx::{IntHashMap, IntHashSet};
 use cvr_storage::column::StoredColumn;
-use cvr_storage::encode::{Column, IntColumn, StrColumn};
+use cvr_storage::encode::{Column, IntColumn, PlainInts, StrColumn};
 use cvr_storage::io::{BufferPool, IoLog, IoSession};
 use cvr_storage::packed::PackedInts;
 use proptest::prelude::*;
@@ -88,12 +89,14 @@ proptest! {
         };
         let (start, end) = (seed as u32 % len as u32, len as u32);
         let mut got = Vec::new();
-        kernels::packed_cmp_masks(&p, start, end, op, |base, mut m| {
-            while m != 0 {
-                got.push(base + m.trailing_zeros());
-                m &= m - 1;
-            }
-        });
+        if let Some(cmp) = kernels::PackedCmp::new(&p, op) {
+            cmp.masks(start, end, |base, mut m| {
+                while m != 0 {
+                    got.push(base + m.trailing_zeros());
+                    m &= m - 1;
+                }
+            });
+        }
         prop_assert_eq!(got, scalar::packed_cmp_positions(&p, start, end, op));
     }
 
@@ -118,20 +121,37 @@ proptest! {
     }
 
     #[test]
-    fn slice_cmp_kernel_matches_scalar(
-        values in prop::collection::vec(-1000i64..1000, 1..200),
-        lo in -1100i64..1100,
-        span in 0i64..500,
+    fn plain_kernel_matches_scalar_at_every_width(
+        raw in prop::collection::vec(any::<u64>(), 1..200),
+        lo in -1100i64..70_000,
+        span in -5i64..70_000,
     ) {
+        // The same values at each width that holds them, under bounds that
+        // may be negative, inverted, or past the width's largest value.
         let hi = lo + span;
-        let mut got = Vec::new();
-        kernels::slice_cmp_masks(&values, 7, lo, hi, |base, mut m| {
-            while m != 0 {
-                got.push(base + m.trailing_zeros());
-                m &= m - 1;
+        let wanted = |v: i64| (lo..=hi).contains(&v);
+        fn check<T: kernels::Lane>(
+            values: Vec<T>,
+            lo: i64,
+            hi: i64,
+            wanted: impl Fn(i64) -> bool,
+        ) -> Result<(), TestCaseError> {
+            let mut got = Vec::new();
+            if let Some(range) = kernels::RangeTest::<T>::clamped(lo, hi) {
+                range.masks(&values, 7, |base, mut m| {
+                    while m != 0 {
+                        got.push(base + m.trailing_zeros());
+                        m &= m - 1;
+                    }
+                });
             }
-        });
-        prop_assert_eq!(got, scalar::slice_cmp_positions(&values, 7, lo, hi));
+            prop_assert_eq!(got, scalar::plain_positions(&values, 7, |v| wanted(v.widen())));
+            Ok(())
+        }
+        check(raw.iter().map(|&r| r as u8).collect(), lo, hi, wanted)?;
+        check(raw.iter().map(|&r| r as u16).collect(), lo, hi, wanted)?;
+        check(raw.iter().map(|&r| (r % 70_000) as u32).collect(), lo, hi, wanted)?;
+        check(raw.iter().map(|&r| (r % 70_000) as i64 - 1_000).collect(), lo, hi, wanted)?;
     }
 
     #[test]
@@ -378,6 +398,103 @@ proptest! {
                         prop_assert_eq!(got.universe(), len);
                         prop_assert_eq!(&log, &full_log, "{}: the charge must not follow the candidates", &col.name);
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plain_refine_matches_the_scalar_model_at_every_width(
+        width_sel in 0usize..4,
+        len_sel in 0usize..6,
+        start in 0u32..130,
+        seed in any::<u64>(),
+        density_sel in 0usize..4,
+        bound_sel in (0usize..9, 0usize..9),
+        domain_sel in 0usize..4,
+    ) {
+        // A window at an unaligned start, with a tail shorter than a mask
+        // word for most lengths, inside a longer column whose values sit at
+        // both ends of the width's domain (and, at width 8, of `i64`).
+        let width = [1u8, 2, 4, 8][width_sel];
+        let top = [u8::MAX as i64, u16::MAX as i64, u32::MAX as i64, i64::MAX][width_sel];
+        let bottom = if width == 8 { i64::MIN } else { 0 };
+        let len = [1u32, 63, 64, 65, 130, 1000][len_sel];
+        let window = start..start + len;
+        let n = start + len + 37;
+        let values: Vec<i64> = (0..n)
+            .map(|i| {
+                let r = mix(seed, i / 3);
+                let near = (r >> 3) as i64 % 40;
+                match r % 3 {
+                    _ if i == 0 => top, // pins the byte width
+                    0 => top - near,
+                    1 => bottom + near,
+                    _ => 100 + near,
+                }
+            })
+            .collect();
+        let col = StoredColumn::new("plain", Column::Int(IntColumn::plain(values.clone())));
+        match col.column.as_int() {
+            IntColumn::Plain(plain) => prop_assert_eq!(plain.width(), width),
+            other => prop_assert!(false, "not plain: {:?}", other),
+        }
+        let held_narrow = matches!(
+            col.column.as_int(),
+            IntColumn::Plain(PlainInts::U8(_) | PlainInts::U16(_) | PlainInts::U32(_))
+        );
+        prop_assert_eq!(held_narrow, width < 8, "values live at their width");
+
+        // Bounds inside, at the edges of, and outside the width's domain —
+        // in either order, so `lo > hi` occurs.
+        let bounds = [
+            i64::MIN, -1, 0, 110, bottom.saturating_add(20), top - 20, top,
+            top.saturating_add(1), i64::MAX,
+        ];
+        let (lo, hi) = (bounds[bound_sel.0], bounds[bound_sel.1]);
+        // Key domains smaller and larger than the value range.
+        let domain = [10u32, 130, 300, 70_000][domain_sel];
+        let keys = KeyBits::from_keys(domain, (0..domain as i64).filter(|k| k % 3 != 1));
+        let seventh = |v: i64| v % 7 == 1;
+        let listed = Pred::InSet(vec![Value::Int(lo), Value::Int(top - 3), Value::Int(hi)]);
+        let between = Pred::Between(Value::Int(lo), Value::Int(hi));
+        let below = Pred::Lt(Value::Int(lo));
+        type Model<'a> = Box<dyn Fn(i64) -> bool + 'a>;
+        let preds: Vec<(ScanPred<'_>, Model<'_>)> = vec![
+            (ScanPred::Range { lo, hi }, Box::new(|v| (lo..=hi).contains(&v))),
+            (ScanPred::Keys(&keys), Box::new(|v| (0..domain as i64).contains(&v) && v % 3 != 1)),
+            (ScanPred::Test(&seventh), Box::new(|v| v % 7 == 1)),
+            (ScanPred::Logical(&listed), Box::new(|v| v == lo || v == top - 3 || v == hi)),
+            (ScanPred::Logical(&between), Box::new(|v| (lo..=hi).contains(&v))),
+            (ScanPred::Logical(&below), Box::new(|v| v < lo)),
+        ];
+
+        let percent = [3u64, 20, 60, 95][density_sel];
+        let keep: Vec<u32> =
+            window.clone().filter(|&p| mix(!seed, p) % 100 < percent).collect();
+        let candidates = [
+            PosList::Explicit { positions: keep.clone(), universe: len },
+            PosList::Bitmap {
+                base: start,
+                bits: RidBitmap::from_rids(len, keep.iter().map(|p| p - start)),
+            },
+            PosList::Range { start: start + len / 4, end: start + len - len / 3, universe: len },
+            PosList::all(window.clone()),
+        ];
+        let io = IoSession::unmetered();
+        for (pred, model) in &preds {
+            for cand in &candidates {
+                let want: Vec<u32> =
+                    cand.iter().filter(|&p| model(values[p as usize])).collect();
+                for block in [true, false] {
+                    let got = refine(&col, window.clone(), cand, pred, block, &io);
+                    prop_assert_eq!(
+                        got.to_vec(),
+                        want.clone(),
+                        "width {} bounds [{}, {}] domain {} block={} candidates={:?}",
+                        width, lo, hi, domain, block, cand
+                    );
+                    prop_assert_eq!(got.universe(), len);
                 }
             }
         }

@@ -28,7 +28,10 @@ use cvr_storage::io::{DiskModel, PAGE_SIZE};
 pub struct CpuRates {
     /// One 64-lane SWAR word: compare + mask bank.
     pub swar_word: f64,
-    /// One value through the branchless scalar slice kernel.
+    /// One value of a plain (byte-aligned) column through the block range
+    /// kernel; also one scalar compare in a row-style pipeline.
+    /// Recalibratable from `BENCH_kernels.json` (`kernel_ns_per_value` of
+    /// the `plain_*` `refine` rows).
     pub scalar_value: f64,
     /// One RLE run through the run-at-a-time scan.
     pub rle_run: f64,
@@ -41,12 +44,15 @@ pub struct CpuRates {
     /// open-addressing lookup) — a join on non-dense keys (DATE) whose
     /// matching keys are not contiguous.
     pub probe_scan_value: f64,
-    /// One value through a full-window *dense-key* membership scan (unpack +
-    /// one bit test): the invisible join's fallback and the late join's
-    /// first probe over reassigned keys, where the key is the dimension
-    /// position. Recalibratable from `BENCH_kernels.json`
-    /// (`bits_ns_per_value`).
+    /// One value of a *packed* column through a full-window dense-key
+    /// membership scan (unpack + one flag look-up): the invisible join's
+    /// fallback and the late join's first probe over reassigned keys, where
+    /// the key is the dimension position. Recalibratable from
+    /// `BENCH_kernels.json` (`bits_ns_per_value` of the `packed_*` rows).
     pub key_bits_value: f64,
+    /// The same over a *plain* column: the look-up alone, nothing to unpack
+    /// (`bits_ns_per_value` of the `plain_*` rows).
+    pub plain_key_value: f64,
     /// One candidate position tested on its own (positional fetch +
     /// compare) — what a predicate pays per surviving position once earlier
     /// predicates have thinned the morsel below the word kernel's
@@ -94,15 +100,20 @@ impl Default for CpuRates {
             // accumulation for SWAR words, run lookups for RLE — not just
             // the arithmetic.
             swar_word: 6.0e-9,
-            scalar_value: 1.0e-9,
+            // In situ over 16 Ki-row windows (`kernels` binary): 0.32 ns a
+            // value at two bytes, 0.50 at four — the widths SSB's plain fact
+            // columns have.
+            scalar_value: 0.4e-9,
             rle_run: 4.0e-9,
             tuple_value: 1.2e-8,
             // Open-addressing tables, one multiply-shift hash per probe; the
             // rate is the pipelined in-loop cost, not a cold lookup's.
             hash_probe: 1.5e-9,
             probe_scan_value: 5.0e-9,
-            // The dense-key path really is array-backed: one bit per key.
+            // The dense-key path really is array-backed: one flag per key,
+            // behind a lane unpack (2.0–2.5 ns) or a plain load (0.62–0.85).
             key_bits_value: 2.1e-9,
+            plain_key_value: 0.75e-9,
             candidate_value: 3.5e-9,
             gather_value: 3.0e-9,
             row_tuple: 1.5e-7,
@@ -120,21 +131,22 @@ impl Default for CpuRates {
 impl CpuRates {
     /// Recalibrate the kernel-layer rates from a `BENCH_kernels.json`
     /// emitted by `cvr-bench --bin kernels` on this machine. Only the
-    /// fields that file measures move (`swar_word`, `scalar_value`, and —
-    /// when the report has `refine` and `membership` rows —
-    /// `candidate_value` and `key_bits_value`); the rest keep their
-    /// defaults. Returns `None` when the string does not look like a
-    /// kernels report.
+    /// fields that file measures move (`swar_word`, and — when the report
+    /// has `refine` and `membership` rows — `scalar_value`,
+    /// `candidate_value`, `key_bits_value` and `plain_key_value`); the rest
+    /// keep their defaults. Returns `None` when the string does not look
+    /// like a kernels report.
     pub fn from_kernel_bench_json(json: &str) -> Option<CpuRates> {
         if !json.contains("\"bench\": \"kernels\"") {
             return None;
         }
         // Minimal field scraper (the workspace vendors no JSON parser): the
         // kernels binary emits one result object per line with known keys.
-        let mut scalar = Vec::new();
         let mut word = Vec::new();
+        let mut plain = Vec::new();
         let mut candidate = Vec::new();
         let mut key_bits = Vec::new();
+        let mut plain_key = Vec::new();
         for line in json.lines() {
             let grab = |key: &str| -> Option<f64> {
                 let at = line.find(key)? + key.len();
@@ -142,24 +154,19 @@ impl CpuRates {
                 let end = rest.find([',', '}'])?;
                 rest[..end].trim().parse().ok()
             };
-            if let Some(v) = grab("\"scalar_ns_per_value\":") {
-                scalar.push(v);
-            }
-            if let Some(v) = grab("\"get_ns_per_candidate\":") {
-                candidate.push(v);
-            }
-            if let Some(v) = grab("\"bits_ns_per_value\":") {
-                key_bits.push(v);
-            }
-            // Plain columns have no word-parallel lane trick; only packed
-            // encodings measure the SWAR path meaningfully.
-            if !line.contains("plain_i64") {
-                if let Some(v) = grab("\"word_ns_per_value\":") {
-                    word.push(v);
-                }
+            // Each rate from the rows of the layout it prices: the SWAR
+            // word, `PackedInts::get` and the unpacking probe from packed
+            // rows, the block kernel and the bare look-up from plain ones.
+            if line.contains("\"encoding\": \"plain_") {
+                plain.extend(grab("\"kernel_ns_per_value\":"));
+                plain_key.extend(grab("\"bits_ns_per_value\":"));
+            } else {
+                word.extend(grab("\"word_ns_per_value\":"));
+                candidate.extend(grab("\"get_ns_per_candidate\":"));
+                key_bits.extend(grab("\"bits_ns_per_value\":"));
             }
         }
-        if scalar.is_empty() || word.is_empty() {
+        if word.is_empty() {
             return None;
         }
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
@@ -169,7 +176,8 @@ impl CpuRates {
         Some(CpuRates {
             candidate_value: measured(&candidate, d.candidate_value),
             key_bits_value: measured(&key_bits, d.key_bits_value),
-            scalar_value: mean(&scalar) * 1e-9,
+            plain_key_value: measured(&plain_key, d.plain_key_value),
+            scalar_value: measured(&plain, d.scalar_value),
             // word_ns_per_value is per *value*; a word carries ~8 lanes at
             // the benchmark's mid widths, and the engine wraps the raw
             // kernel in mask banking + position accumulation (~3× the bare
@@ -254,6 +262,7 @@ impl CpuRates {
             hash_probe: d.hash_probe * scale,
             probe_scan_value: d.probe_scan_value * scale,
             key_bits_value: d.key_bits_value * scale,
+            plain_key_value: d.plain_key_value * scale,
             candidate_value: d.candidate_value * scale,
             gather_value: d.gather_value * scale,
             row_tuple: d.row_tuple * scale,
@@ -440,22 +449,32 @@ mod tests {
   "n": 1024,
   "results": [
     {"kernel": "int_range", "encoding": "packed_b6", "selectivity": 0.01, "scalar_ns_per_value": 2.0, "word_ns_per_value": 0.25, "speedup": 8.0},
-    {"kernel": "dict_pred", "encoding": "plain_i64", "selectivity": 0.01, "scalar_ns_per_value": 1.0, "word_ns_per_value": 0.9, "speedup": 1.1},
+    {"kernel": "int_range", "encoding": "plain_u16", "selectivity": 0.01, "scalar_ns_per_value": 1.0, "word_ns_per_value": 0.1, "speedup": 10.0},
     {"kernel": "refine", "encoding": "packed_w6", "candidate_density": 0.05, "kernel_ns_per_value": 1.2, "window_ns_per_value": 1.3, "refine_ns_per_value": 0.3, "get_ns_per_candidate": 3.0},
     {"kernel": "refine", "encoding": "packed_w17", "candidate_density": 0.2, "kernel_ns_per_value": 1.3, "window_ns_per_value": 1.3, "refine_ns_per_value": 0.8, "get_ns_per_candidate": 4.0},
-    {"kernel": "membership", "encoding": "packed_w13", "key_fraction": 0.01, "hash_ns_per_value": 5.0, "bits_ns_per_value": 2.0, "hash_ns_per_candidate": 4.5, "bits_ns_per_candidate": 3.2}
+    {"kernel": "refine", "encoding": "plain_u16", "candidate_density": 0.2, "kernel_ns_per_value": 0.3, "window_ns_per_value": 0.3, "refine_ns_per_value": 0.4, "get_ns_per_candidate": 2.0},
+    {"kernel": "refine", "encoding": "plain_u32", "candidate_density": 0.2, "kernel_ns_per_value": 0.5, "window_ns_per_value": 0.5, "refine_ns_per_value": 0.6, "get_ns_per_candidate": 2.0},
+    {"kernel": "membership", "encoding": "packed_w13", "key_fraction": 0.01, "hash_ns_per_value": 5.0, "bits_ns_per_value": 2.0, "hash_ns_per_candidate": 4.5, "bits_ns_per_candidate": 3.2},
+    {"kernel": "membership", "encoding": "plain_u16", "key_fraction": 0.01, "hash_ns_per_value": 4.0, "bits_ns_per_value": 0.8, "hash_ns_per_candidate": 3.5, "bits_ns_per_candidate": 1.7}
   ]
 }"#;
         let rates = CpuRates::from_kernel_bench_json(json).expect("parses");
-        assert!((rates.scalar_value - 1.5e-9).abs() < 1e-12);
+        // Packed rows price the packed rates, plain rows the plain ones.
         assert!((rates.swar_word - 0.25e-9 * 8.0 * 3.0).abs() < 1e-12);
         assert!((rates.candidate_value - 3.5e-9).abs() < 1e-12);
         assert!((rates.key_bits_value - 2.0e-9).abs() < 1e-12);
+        assert!((rates.scalar_value - 0.4e-9).abs() < 1e-12);
+        assert!((rates.plain_key_value - 0.8e-9).abs() < 1e-12);
         // A report from before the refine/membership rows keeps the defaults.
         let old = json.lines().filter(|l| !l.contains("_per_candidate")).collect::<Vec<_>>();
         let rates = CpuRates::from_kernel_bench_json(&old.join("\n")).expect("parses");
-        assert_eq!(rates.candidate_value, CpuRates::default().candidate_value);
-        assert_eq!(rates.key_bits_value, CpuRates::default().key_bits_value);
+        let d = CpuRates::default();
+        assert_eq!(rates.candidate_value, d.candidate_value);
+        assert_eq!(rates.key_bits_value, d.key_bits_value);
+        assert_eq!(
+            (rates.scalar_value, rates.plain_key_value),
+            (d.scalar_value, d.plain_key_value)
+        );
         assert!(CpuRates::from_kernel_bench_json("{}").is_none());
     }
 

@@ -406,7 +406,10 @@ impl Planner {
                     (rows / lanes) * r.swar_word
                 }
                 ValueTest::Interval => rows * r.scalar_value,
-                ValueTest::KeyBits => rows * r.key_bits_value,
+                ValueTest::KeyBits if compressed && stats.encoding == EncodingKind::Packed => {
+                    rows * r.key_bits_value
+                }
+                ValueTest::KeyBits => rows * r.plain_key_value,
                 ValueTest::HashSet => rows * r.probe_scan_value,
             }
         };
@@ -1065,7 +1068,7 @@ fn design_name(d: RowDesign) -> &'static str {
 enum ValueTest {
     /// An interval compare: fact predicates and between-rewritten joins.
     Interval,
-    /// Membership in a dense-key bit vector (one bit per dimension row).
+    /// Membership in a dense-key flag table (one flag per dimension row).
     KeyBits,
     /// Membership in a hash set (non-dense keys: DATE).
     HashSet,

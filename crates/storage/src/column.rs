@@ -193,8 +193,8 @@ impl StoredColumn {
             }
         };
         match &self.column {
-            Column::Int(IntColumn::Plain { width, .. }) => {
-                let w = *width as u64;
+            Column::Int(IntColumn::Plain(values)) => {
+                let w = values.width() as u64;
                 for p in positions {
                     touch(p as u64 * w);
                 }

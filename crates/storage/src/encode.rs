@@ -15,17 +15,19 @@
 //!    SF 10 is the paper's "just 240 MB"), 12-byte RLE runs, bit-packed
 //!    dictionary codes.
 //!
-//! Two representation regimes coexist:
+//! Both fixed-width representations are held in memory as the image the
+//! I/O model charges, so `encoded_bytes` is the size of what a scan reads:
 //!
-//! * **Plain** columns favor hot-loop simplicity (native `i64` vectors);
-//!   their disk image exists only as a byte count (DESIGN.md §4).
-//! * **Truly bit-packed** columns — [`IntColumn::Packed`]
-//!   (frame-of-reference deltas in lane-aligned [`PackedInts`] words, chosen
-//!   by [`IntColumn::auto`] whenever the packed image beats byte-minimized
-//!   plain) and [`StrColumn::Dict`] codes — store the *actual packed word
-//!   image*, and `encoded_bytes` is derived from it rather than from a
-//!   formula. These are the columns the word-parallel scan kernels in
-//!   `cvr-core::kernels` evaluate 64 values per step.
+//! * **Plain** columns are byte-aligned arrays at their charged width
+//!   ([`PlainInts`]: `u8`/`u16`/`u32`, `i64` at width 8) — the array a block
+//!   iterator hands the CPU (Section 5.3), which `cvr-core::kernels`
+//!   compares as byte verdicts the compiler vectorizes, and a positional
+//!   lookup reads with one index.
+//! * **Bit-packed** columns — [`IntColumn::Packed`] (frame-of-reference
+//!   deltas in lane-aligned [`PackedInts`] words, chosen by
+//!   [`IntColumn::auto`] whenever the packed image beats byte-minimized
+//!   plain) and [`StrColumn::Dict`] codes — are the packed word image the
+//!   SWAR kernels compare 64 bits at a time without unpacking.
 
 use crate::packed::{max_code_for, PackedInts, MAX_VALUE_BITS};
 use cvr_data::table::ColumnData;
@@ -45,16 +47,127 @@ pub struct Run {
 /// On-disk bytes per RLE run: 8-byte value + 4-byte length.
 pub const RLE_RUN_BYTES: u64 = 12;
 
+/// A value type a plain column is held at: `u8`/`u16`/`u32` for widths 1, 2
+/// and 4 (non-negative by construction), `i64` for width 8.
+pub trait PlainValue: Copy + PartialOrd {
+    /// Smallest value of the type.
+    const MIN: Self;
+    /// Largest value of the type.
+    const MAX: Self;
+    /// The logical value.
+    fn widen(self) -> i64;
+    /// `v` at this width; `None` when it does not fit.
+    fn narrow(v: i64) -> Option<Self>;
+}
+
+macro_rules! plain_value {
+    ($($t:ty),*) => {$(
+        impl PlainValue for $t {
+            const MIN: $t = <$t>::MIN;
+            const MAX: $t = <$t>::MAX;
+            #[inline]
+            fn widen(self) -> i64 {
+                self as i64
+            }
+            #[inline]
+            fn narrow(v: i64) -> Option<$t> {
+                <$t>::try_from(v).ok()
+            }
+        }
+    )*};
+}
+plain_value!(u8, u16, u32, i64);
+
+/// The values of a plain column, held at the byte width the column is
+/// charged and persisted under: in-memory bytes are
+/// [`IntColumn::encoded_bytes`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum PlainInts {
+    /// Width 1.
+    U8(Vec<u8>),
+    /// Width 2.
+    U16(Vec<u16>),
+    /// Width 4.
+    U32(Vec<u32>),
+    /// Width 8 (the only width that holds negative values).
+    I64(Vec<i64>),
+}
+
+/// Evaluate `$body` with `$values` bound to the typed `Vec` of a
+/// [`PlainInts`]: one monomorphic copy of the body per width, the dispatch
+/// hoisted out of whatever loop the body runs.
+#[macro_export]
+macro_rules! with_plain_values {
+    ($plain:expr, |$values:ident| $body:expr) => {
+        match $plain {
+            $crate::encode::PlainInts::U8($values) => $body,
+            $crate::encode::PlainInts::U16($values) => $body,
+            $crate::encode::PlainInts::U32($values) => $body,
+            $crate::encode::PlainInts::I64($values) => $body,
+        }
+    };
+}
+
+impl PlainInts {
+    /// `values` at `width` bytes each (1, 2, 4 or 8). Panics when a value
+    /// does not fit: callers size `width` from the values.
+    pub fn new(values: Vec<i64>, width: u8) -> PlainInts {
+        fn narrowed<T: PlainValue>(values: &[i64]) -> Vec<T> {
+            let fit = |&v| T::narrow(v).unwrap_or_else(|| panic!("{v} exceeds the plain width"));
+            values.iter().map(fit).collect()
+        }
+        match width {
+            1 => PlainInts::U8(narrowed(&values)),
+            2 => PlainInts::U16(narrowed(&values)),
+            4 => PlainInts::U32(narrowed(&values)),
+            8 => PlainInts::I64(values),
+            _ => panic!("invalid plain width {width}"),
+        }
+    }
+
+    /// Bytes per value: 1, 2, 4 or 8.
+    pub fn width(&self) -> u8 {
+        match self {
+            PlainInts::U8(_) => 1,
+            PlainInts::U16(_) => 2,
+            PlainInts::U32(_) => 4,
+            PlainInts::I64(_) => 8,
+        }
+    }
+
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        with_plain_values!(self, |v| v.len())
+    }
+
+    /// True when there are no values.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Value at `pos`. Loops that read many values should hoist the width
+    /// dispatch with [`with_plain_values!`](crate::with_plain_values).
+    #[inline]
+    pub fn get(&self, pos: u32) -> i64 {
+        with_plain_values!(self, |v| v[pos as usize].widen())
+    }
+
+    /// Every value, widened.
+    pub fn decode(&self) -> Vec<i64> {
+        with_plain_values!(self, |v| v.iter().map(|x| x.widen()).collect())
+    }
+
+    /// Smallest and largest value; `None` when empty.
+    fn min_max(&self) -> Option<(i64, i64)> {
+        with_plain_values!(self, |v| min_max(v).map(|(lo, hi)| (lo.widen(), hi.widen())))
+    }
+}
+
 /// An encoded integer column.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IntColumn {
-    /// Uncompressed values; `width` is the minimized on-disk byte width.
-    Plain {
-        /// The values (in-memory always native i64).
-        values: Vec<i64>,
-        /// On-disk bytes per value: 1, 2, 4, or 8.
-        width: u8,
-    },
+    /// Uncompressed values at a fixed byte width.
+    Plain(PlainInts),
     /// Run-length encoded values.
     Rle {
         /// Maximal runs in position order.
@@ -79,7 +192,7 @@ impl IntColumn {
     /// columns).
     pub fn plain(values: Vec<i64>) -> IntColumn {
         let width = byte_width(&values);
-        IntColumn::Plain { values, width }
+        IntColumn::Plain(PlainInts::new(values, width))
     }
 
     /// Encode `values` at fixed machine width: 4 bytes (8 when values
@@ -88,7 +201,7 @@ impl IntColumn {
     /// Figure 7 `c` configurations must not get it for free.
     pub fn plain_fixed(values: Vec<i64>) -> IntColumn {
         let width = fixed_width(&values);
-        IntColumn::Plain { values, width }
+        IntColumn::Plain(PlainInts::new(values, width))
     }
 
     /// [`IntColumn::encoded_bytes`] of [`IntColumn::plain_fixed`] over
@@ -165,7 +278,7 @@ impl IntColumn {
     /// Number of logical values.
     pub fn len(&self) -> usize {
         match self {
-            IntColumn::Plain { values, .. } => values.len(),
+            IntColumn::Plain(values) => values.len(),
             IntColumn::Rle { num_values, .. } => *num_values as usize,
             IntColumn::Packed { packed, .. } => packed.len() as usize,
         }
@@ -180,7 +293,7 @@ impl IntColumn {
     /// size of the actual packed word image, not a formula.
     pub fn encoded_bytes(&self) -> u64 {
         match self {
-            IntColumn::Plain { values, width } => values.len() as u64 * *width as u64,
+            IntColumn::Plain(values) => values.len() as u64 * values.width() as u64,
             IntColumn::Rle { runs, .. } => runs.len() as u64 * RLE_RUN_BYTES,
             IntColumn::Packed { packed, .. } => packed.bytes(),
         }
@@ -189,7 +302,7 @@ impl IntColumn {
     /// Value at `pos` (slow path: RLE does a binary search).
     pub fn value_at(&self, pos: u32) -> i64 {
         match self {
-            IntColumn::Plain { values, .. } => values[pos as usize],
+            IntColumn::Plain(values) => values.get(pos),
             IntColumn::Rle { runs, .. } => {
                 let idx = run_index(runs, pos);
                 runs[idx].value
@@ -214,19 +327,11 @@ impl IntColumn {
         }
     }
 
-    /// Plain values (panics on RLE/packed) — the block-iteration interface.
-    pub fn plain_values(&self) -> &[i64] {
-        match self {
-            IntColumn::Plain { values, .. } => values,
-            _ => panic!("plain_values() on non-plain column"),
-        }
-    }
-
     /// Decode to a fresh vector (the "remove compression" path: what a
     /// late-materializing plan must do before stitching tuples).
     pub fn decode(&self) -> Vec<i64> {
         match self {
-            IntColumn::Plain { values, .. } => values.clone(),
+            IntColumn::Plain(values) => values.decode(),
             IntColumn::Rle { runs, num_values } => {
                 let mut out = Vec::with_capacity(*num_values as usize);
                 for r in runs {
@@ -260,7 +365,7 @@ impl IntColumn {
             IntColumn::Packed { reference, packed } => {
                 return Some((*reference, packed.max_code() + 1));
             }
-            IntColumn::Plain { values, .. } => min_max(values)?,
+            IntColumn::Plain(values) => values.min_max()?,
             IntColumn::Rle { runs, .. } => {
                 let (first, rest) = runs.split_first()?;
                 rest.iter().fold((first.value, first.value), |(lo, hi), r| {
@@ -306,9 +411,11 @@ fn fixed_width(values: &[i64]) -> u8 {
 }
 
 /// Smallest and largest of `values`; `None` when empty.
-fn min_max(values: &[i64]) -> Option<(i64, i64)> {
+fn min_max<T: PlainValue>(values: &[T]) -> Option<(T, T)> {
     let (&first, rest) = values.split_first()?;
-    Some(rest.iter().fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v))))
+    Some(rest.iter().fold((first, first), |(lo, hi), &v| {
+        (if v < lo { v } else { lo }, if v > hi { v } else { hi })
+    }))
 }
 
 /// [`byte_width`] of a column whose values span `[min, max]`.

@@ -14,10 +14,10 @@
 //! delimiter position (see `cvr-core::kernels`). The price is one bit per
 //! value plus per-word padding — and that price is charged honestly:
 //! [`PackedInts::bytes`] is the size of the actual word image, which is what
-//! the I/O model reads. Unlike the plain encodings (whose in-memory form is
-//! a native `i64` vector and whose disk image exists only as a byte count),
-//! the packed image here is both the in-memory and the on-disk
-//! representation.
+//! the I/O model reads. Like a plain column's byte-aligned array
+//! (`encode::PlainInts`), the packed image is held in memory at the size it
+//! is charged; unlike it, one value costs a shift and a mask to read, which
+//! is why plain wins a size tie.
 //!
 //! Unused tail lanes of the last word are guaranteed zero, so kernels may
 //! evaluate whole words and mask the result.

@@ -36,9 +36,10 @@ use std::sync::OnceLock;
 
 use cvr_data::{star_schema, ColumnData, SsbConfig, SsbTables, TableData, TableSchema};
 
-use crate::encode::{Column, IntColumn, Run, StrColumn};
+use crate::encode::{Column, IntColumn, PlainInts, PlainValue, Run, StrColumn};
 use crate::fault;
 use crate::packed::PackedInts;
+use crate::with_plain_values;
 
 /// Segment file magic (8 bytes, includes format family).
 pub const SEGMENT_MAGIC: &[u8; 8] = b"CVRSEG1\0";
@@ -240,12 +241,12 @@ impl SegmentPayload {
 
 fn encode_int_payload(out: &mut Vec<u8>, ic: &IntColumn) {
     match ic {
-        IntColumn::Plain { values, width } => {
-            out.push(*width);
+        IntColumn::Plain(values) => {
+            out.push(values.width());
             put_u32(out, values.len() as u32);
-            for &v in values {
-                put_i64(out, v);
-            }
+            with_plain_values!(values, |vs| for v in vs {
+                put_i64(out, v.widen());
+            });
         }
         IntColumn::Rle { runs, num_values } => {
             put_u32(out, *num_values);
@@ -282,25 +283,33 @@ fn decode_packed(r: &mut Reader<'_>) -> Result<PackedInts, PersistError> {
     PackedInts::from_raw_parts(words, len, value_bits).map_err(corrupt)
 }
 
+/// `n` plain values, each stored as 8 bytes, narrowed to `T` as they are
+/// read; a value that does not fit `T` is corruption.
+fn decode_plain<T: PlainValue>(r: &mut Reader<'_>, n: usize) -> Result<Vec<T>, PersistError> {
+    let mut values = Vec::with_capacity(n);
+    for _ in 0..n {
+        let v = r.i64()?;
+        values
+            .push(T::narrow(v).ok_or_else(|| corrupt("plain value exceeds recorded byte width"))?);
+    }
+    Ok(values)
+}
+
 fn decode_int_payload(enc: u8, r: &mut Reader<'_>) -> Result<IntColumn, PersistError> {
     match enc {
         0 => {
             let width = r.u8()?;
-            if !matches!(width, 1 | 2 | 4 | 8) {
-                return Err(corrupt(format!("invalid plain width {width}")));
-            }
             let n = r.u32()? as usize;
             if n > r.buf.len() / 8 + 1 {
                 return Err(corrupt("plain value count exceeds payload"));
             }
-            let mut values = Vec::with_capacity(n);
-            for _ in 0..n {
-                values.push(r.i64()?);
-            }
-            if crate::encode::byte_width(&values) > width {
-                return Err(corrupt("plain values exceed recorded byte width"));
-            }
-            Ok(IntColumn::Plain { values, width })
+            Ok(IntColumn::Plain(match width {
+                1 => PlainInts::U8(decode_plain(r, n)?),
+                2 => PlainInts::U16(decode_plain(r, n)?),
+                4 => PlainInts::U32(decode_plain(r, n)?),
+                8 => PlainInts::I64(decode_plain(r, n)?),
+                _ => return Err(corrupt(format!("invalid plain width {width}"))),
+            }))
         }
         1 => {
             let num_values = r.u32()?;
@@ -986,6 +995,34 @@ mod tests {
                 match decode_segment(&bad) {
                     Err(PersistError::Corrupt { .. }) => {}
                     other => panic!("bit flip at {pos} not detected: {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_plain_value_past_its_recorded_width_is_corrupt() {
+        // Widths 1, 2 and 4, each with its middle value replaced by the first
+        // value past the width and by a negative one, under a valid checksum.
+        let columns = [
+            IntColumn::plain(vec![1, 200, 3]),
+            IntColumn::plain(vec![1, 60_000, 3]),
+            IntColumn::plain_fixed(vec![1, 2, 3]),
+        ];
+        for (column, past) in columns.into_iter().zip([1i64 << 8, 1 << 16, 1 << 32]) {
+            let image = encode_segment(&SegmentPayload::Int(column));
+            for wide in [past, -1] {
+                // Payload: width byte, count, then 8 bytes a value.
+                let at = SEGMENT_HEADER_BYTES + 1 + 4 + 8;
+                let mut bad = image[..image.len() - CRC_BYTES].to_vec();
+                bad[at..at + 8].copy_from_slice(&wide.to_le_bytes());
+                let crc = crc64(&bad);
+                put_u64(&mut bad, crc);
+                match decode_segment(&bad) {
+                    Err(PersistError::Corrupt { detail }) => {
+                        assert!(detail.contains("exceeds recorded byte width"), "{detail}")
+                    }
+                    other => panic!("{wide} at width {past:#x} decoded: {other:?}"),
                 }
             }
         }

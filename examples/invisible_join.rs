@@ -172,7 +172,7 @@ fn query31() -> SsbQuery {
 fn describe(kp: &FactKeyPred) -> String {
     match kp {
         FactKeyPred::Between(lo, hi) => format!("BETWEEN {lo} AND {hi}"),
-        FactKeyPred::KeyBits(s) => format!("bit vector of {} keys", s.len()),
+        FactKeyPred::KeyBits(s) => format!("flag table of {} keys", s.len()),
         FactKeyPred::KeySet(s) => format!("hash set of {} keys", s.len()),
     }
 }

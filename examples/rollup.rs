@@ -57,7 +57,7 @@ fn main() {
         let kp = phase1_key_pred(db, &q, Dim::Supplier, cfg, true, &io).expect("restricted");
         let rewrite = match &kp {
             FactKeyPred::Between(lo, hi) => format!("lo_suppkey BETWEEN {lo} AND {hi}"),
-            FactKeyPred::KeyBits(s) => format!("bit vector of {} keys", s.len()),
+            FactKeyPred::KeyBits(s) => format!("flag table of {} keys", s.len()),
             FactKeyPred::KeySet(s) => format!("hash set of {} keys", s.len()),
         };
         println!("{title}\n  predicate {pred_col} = {pred_val:?} rewrote to: {rewrite}");
