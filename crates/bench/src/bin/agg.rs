@@ -13,13 +13,17 @@
 //!
 //! Two cell families:
 //!
-//! * **Query cells** — phase-3-shaped inputs from the real sf-scaled store:
-//!   sampled fact positions, FK-derived dimension positions, then each tail
-//!   timed end to end (value: `extract_at` + key-clone grouper; code:
-//!   `extract_codes_at` + id composition). Q2.1/Q3.1 run at three sampled
+//! * **Query cells** — phase 3 as the engine runs it, over inputs from the
+//!   real sf-scaled store: sampled fact positions and the FK-derived
+//!   dimension positions, then the plan shapes' extract→aggregate kernel
+//!   (`AggWorker`: every group column extracted at its positions, the
+//!   measures gathered, each row's term added to its group) timed end to
+//!   end under both strategies — value: `extract_at` + a key clone per row
+//!   into the reference grouper; code: codes composed into group ids by
+//!   stride + one accumulation loop. Q2.1/Q3.1 run at three sampled
 //!   selectivities; every other grouped paper query at one.
 //! * **Synthetic cells** — pure accumulation across group-count regimes
-//!   (single group, direct two/three-column radix, hash fallback).
+//!   (single group, direct two/three-column ids, hash fallback).
 //!
 //! Before timing, every paper query plus `--queries` generated ones execute
 //! through the full engine twice — code-level and `CVR_AGG=value` — and
@@ -28,8 +32,8 @@
 //! when the best flight-2/3 query-cell speedup falls below `--min-speedup`
 //! (default 3).
 
-use cvr_core::agg::{CodeGrouper, GroupLayout, Grouper};
-use cvr_core::extract::{extract_at, extract_codes_at, gather_ints, CodeSpace};
+use cvr_core::agg::{AggStrategy, CodeGrouper, GroupLayout, Grouper};
+use cvr_core::extract::gather_ints;
 use cvr_core::morsel::Parallelism;
 use cvr_core::poslist::PosList;
 use cvr_core::{CStoreDb, ColumnEngine, DenormDb, DenormVariant, EngineConfig};
@@ -184,19 +188,19 @@ fn verify_byte_identity(engine: &ColumnEngine, queries: &[SsbQuery]) -> usize {
     ok
 }
 
-/// Phase-3-shaped inputs for one grouped query at one sampling stride:
-/// sampled fact positions, FK-derived dimension positions per group column,
-/// and the per-row aggregate terms (shared by both tails).
+/// Phase-3 inputs for one grouped query at one sampling stride: sampled
+/// fact positions and, per group column, the dimension positions their
+/// foreign keys join to.
 struct QueryInputs {
+    positions: Vec<u32>,
     /// Per group column: arbitrary-order dimension positions.
     dim_positions: Vec<Vec<u32>>,
-    terms: Vec<i64>,
 }
 
 fn query_inputs(db: &CStoreDb, q: &SsbQuery, stride: usize, io: &IoSession) -> QueryInputs {
     let n = db.fact_rows() as u32;
     let positions: Vec<u32> = (0..n).step_by(stride.max(1)).collect();
-    let pos = PosList::explicit(positions, n);
+    let pos = PosList::explicit(positions.clone(), n);
     let mut fk_cache: std::collections::HashMap<Dim, Vec<u32>> = std::collections::HashMap::new();
     let mut dim_positions = Vec::with_capacity(q.group_by.len());
     for g in &q.group_by {
@@ -214,26 +218,12 @@ fn query_inputs(db: &CStoreDb, q: &SsbQuery, stride: usize, io: &IoSession) -> Q
         });
         dim_positions.push(cached.clone());
     }
-    let measures: Vec<Vec<i64>> = q
-        .aggregate
-        .fact_columns()
-        .iter()
-        .map(|c| gather_ints(db.fact.column(c), &pos, io))
-        .collect();
-    let rows = pos.count() as usize;
-    let mut inputs = vec![0i64; measures.len()];
-    let terms: Vec<i64> = (0..rows)
-        .map(|i| {
-            for (j, m) in measures.iter().enumerate() {
-                inputs[j] = m[i];
-            }
-            q.aggregate.term(&inputs)
-        })
-        .collect();
-    QueryInputs { dim_positions, terms }
+    QueryInputs { positions, dim_positions }
 }
 
-/// Time both aggregation tails for one grouped query at one stride.
+/// Time both aggregation tails for one grouped query at one stride: the
+/// engine's phase-3 kernel under the code-level strategy and under the
+/// `Value`-keyed reference.
 fn measure_query(
     db: &CStoreDb,
     q: &SsbQuery,
@@ -241,50 +231,26 @@ fn measure_query(
     runs: usize,
     io: &IoSession,
 ) -> Option<Cell> {
-    if q.group_by.is_empty() {
+    let strat = AggStrategy::for_query(db, q);
+    if q.group_by.is_empty() || !strat.is_code_level() {
         return None;
     }
-    let cols: Vec<_> = q.group_by.iter().map(|g| db.dim(g.dim).store.column(g.column)).collect();
-    let spaces: Vec<CodeSpace> = cols.iter().map(|c| CodeSpace::of(c)).collect::<Option<_>>()?;
-    let layout = GroupLayout::try_new(
-        spaces.iter().zip(&cols).map(|(s, c)| (s.domain(), s.decoder(c))).collect(),
-    )?;
     let inp = query_inputs(db, q, stride, io);
-    let rows = inp.terms.len();
-
-    // The pre-refactor tail: materialize Values per group column, then
-    // clone a key vector per row into the Value-keyed grouper.
-    let value_ns = time_per_row(rows, runs, || {
-        let group_cols: Vec<Vec<Value>> = cols
-            .iter()
-            .zip(&inp.dim_positions)
-            .map(|(col, dp)| extract_at(col, black_box(dp), io))
-            .collect();
-        let mut g = Grouper::new();
-        for (i, &term) in inp.terms.iter().enumerate() {
-            let key: Vec<Value> = group_cols.iter().map(|gc| gc[i].clone()).collect();
-            g.add(key, term);
+    let rows = inp.positions.len();
+    let tail = |strat: &AggStrategy| {
+        let mut agg = strat.worker();
+        agg.begin(rows);
+        for (gi, g) in q.group_by.iter().enumerate() {
+            let col = db.dim(g.dim).store.column(g.column);
+            agg.extract(gi, col, black_box(&inp.dim_positions[gi]), io);
         }
-        g.len()
-    });
-    // The code-level tail: extract codes, compose ids, accumulate.
+        agg.aggregate(q, &db.fact, black_box(&inp.positions), io);
+        agg.into_partial().len()
+    };
+    let value_ns = time_per_row(rows, runs, || tail(&AggStrategy::Value));
     let mut groups = 0usize;
     let code_ns = time_per_row(rows, runs, || {
-        let code_cols: Vec<Vec<u32>> = spaces
-            .iter()
-            .zip(&cols)
-            .zip(&inp.dim_positions)
-            .map(|((space, col), dp)| extract_codes_at(space, col, black_box(dp), io))
-            .collect();
-        let mut g = CodeGrouper::for_layout(&layout);
-        for (i, &term) in inp.terms.iter().enumerate() {
-            let mut id = 0u64;
-            for (c, codes) in code_cols.iter().enumerate() {
-                id = id * g.radix(c) + codes[i] as u64;
-            }
-            g.add(id, term);
-        }
-        groups = g.len();
+        groups = tail(&strat);
         groups
     });
     Some(Cell {
@@ -297,7 +263,7 @@ fn measure_query(
 }
 
 /// Synthetic accumulation cells across group-count regimes: NDV 1, the
-/// direct radix composites, and the `u64`-hash fallback.
+/// direct multi-column ids, and the `u64`-hash fallback.
 fn measure_synthetic(n: u32, runs: usize, out: &mut Vec<Cell>) {
     use cvr_core::agg::CodeDecoder;
     let regimes: &[(&str, &[u64])] = &[
@@ -341,15 +307,16 @@ fn measure_synthetic(n: u32, runs: usize, out: &mut Vec<Cell>) {
             g.len()
         });
         let mut groups = 0usize;
+        // The kernel's tail: ids composed column at a time by stride, then
+        // one accumulation loop.
         let code_ns = time_per_row(rows, runs, || {
-            let mut g = CodeGrouper::for_layout(&layout);
-            for (i, &term) in terms.iter().enumerate() {
-                let mut id = 0u64;
-                for (c, codes) in code_cols.iter().enumerate() {
-                    id = id * g.radix(c) + codes[i] as u64;
-                }
-                g.add(id, term);
+            let mut ids = vec![0u64; rows];
+            for (c, codes) in code_cols.iter().enumerate() {
+                let stride = layout.stride(c);
+                ids.iter_mut().zip(codes).for_each(|(id, &code)| *id += code as u64 * stride);
             }
+            let mut g = CodeGrouper::for_layout(&layout);
+            g.add_all(&ids, &terms);
             groups = g.len();
             groups
         });

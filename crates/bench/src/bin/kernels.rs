@@ -20,14 +20,21 @@
 //!   whose candidates have already been thinned to 1/5/20/50 % (and not at
 //!   all: 100 %): the whole-window kernel followed by an intersection (what
 //!   a scan-then-intersect pipeline pays) against candidate-driven
-//!   refinement, plus the two unit costs the per-word choice inside `refine`
-//!   is derived from — the bare window kernel (`kernel_ns_per_value`) and
+//!   refinement, plus the two unit costs the kernel-or-candidates choice
+//!   inside `refine` is derived from — the bare window kernel (`kernel_ns_per_value`) and
 //!   one candidate tested on its own (`get_ns_per_candidate`, explicit
 //!   candidates). Packed widths 6, 10 and 17 are the three SWAR regimes:
 //!   narrow lanes (shift-loop verdict gather), 5 and 3 lanes per word
 //!   (multiply gather). The plain rows are the byte-aligned layout at each
 //!   width; `plain_u16` holds the very values of `packed_w10`, so the two
 //!   rows are the layouts ROADMAP item 3a chooses between, side by side.
+//!   Those candidates are *spread* (a golden-ratio hash of the position:
+//!   every 64-position word holds the density, give or take one). A second
+//!   family is drawn the way a join probe's survivors are — each position
+//!   *independently*, 5/10/20/40 %, so word counts scatter around the
+//!   density — over random foreign-key values (width 9 is `lo_suppkey` at sf
+//!   0.2) under a range keeping one region in five: the second probe of
+//!   Q3.1 and Q4.x, where `refine`'s kernel-or-candidates choice is made.
 //! * `membership` rows — a join-key membership scan over an FK column,
 //!   packed and plain at each width: open-addressing hash set against the
 //!   dense-key flag table, per value over whole windows and per candidate
@@ -61,9 +68,25 @@ use std::time::Instant;
 /// added against read 0.63–0.74x.
 const SLOWER: f64 = 0.85;
 
-/// Deterministic pseudo-random codes in `[0, max]`.
+/// Deterministic pseudo-random codes in `[0, max]`: an arithmetic
+/// progression modulo `max + 1`, evenly spread.
 fn codes(n: u32, max: u64) -> Vec<u64> {
     (0..n as u64).map(|i| i.wrapping_mul(2_654_435_761) % (max + 1)).collect()
+}
+
+/// SplitMix64's finalizer: a 64-bit hash whose bits look independent.
+fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Codes in `[0, max]` drawn independently per position, like the foreign
+/// keys of an unsorted fact column: unlike [`codes`], no stretch of them
+/// repeats a pattern a branch predictor could learn.
+fn random_codes(n: u32, max: u64) -> Vec<u64> {
+    (0..n as u64).map(|i| mix(i ^ 0x5EED) % (max + 1)).collect()
 }
 
 /// Run the packed compare kernel over all of `p` and collect the emitted
@@ -281,10 +304,41 @@ fn windows(n: u32) -> Vec<std::ops::Range<u32>> {
     (0..n.div_ceil(morsel)).map(|i| i * morsel..((i + 1) * morsel).min(n)).collect()
 }
 
+/// How a refinement cell's candidates are drawn.
+#[derive(Debug, Clone, Copy)]
+enum Draw {
+    /// By a golden-ratio hash of the position: evenly spaced, every
+    /// 64-position word within a candidate or two of the density.
+    Spread,
+    /// Each position on its own coin (a mixed 64-bit hash of it): per-word
+    /// counts scatter binomially around the density, like the survivors of
+    /// a join probe over an unsorted foreign key.
+    Independent,
+}
+
+impl Draw {
+    fn label(self) -> &'static str {
+        match self {
+            Draw::Spread => "spread",
+            Draw::Independent => "independent",
+        }
+    }
+
+    /// Whether position `p` is a candidate at `percent` density.
+    fn keep(self, p: u32, percent: u64) -> bool {
+        let hash = match self {
+            Draw::Spread => (p as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            Draw::Independent => mix(p as u64),
+        };
+        hash >> 32 < percent * (1 << 32) / 100
+    }
+}
+
 /// One candidate-refinement cell: a range predicate keeping ~half of a
 /// column, over candidates at `candidate_density`.
 struct RefineCell {
     encoding: String,
+    candidates: Draw,
     candidate_density: f64,
     /// The whole-window kernel alone (every position a candidate).
     kernel_ns_per_value: f64,
@@ -296,23 +350,24 @@ struct RefineCell {
     get_ns_per_candidate: f64,
 }
 
-/// A packed column of values spread over `bits` bits.
-fn packed_col(n: u32, bits: u8) -> StoredColumn {
-    let values: Vec<i64> = codes(n, (1u64 << bits) - 1).into_iter().map(|c| c as i64).collect();
+/// A packed column of `codes`.
+fn packed_col(codes: Vec<u64>) -> StoredColumn {
+    let values: Vec<i64> = codes.into_iter().map(|c| c as i64).collect();
     StoredColumn::new("c", Column::Int(IntColumn::packed(&values).expect("packs")))
 }
 
-/// Refinement cells of `col` under `0 <= v <= hi`, which must keep about
-/// half of its values.
+/// Refinement cells of `col` under `lo <= v <= hi`, over candidates drawn
+/// by `draw` at each of `percents`.
 fn measure_refine(
     col: &StoredColumn,
     encoding: &str,
-    hi: i64,
+    (lo, hi): (i64, i64),
+    (draw, percents): (Draw, &[u64]),
     runs: usize,
     out: &mut Vec<RefineCell>,
 ) {
     let n = col.column.len() as u32;
-    let pred = ScanPred::Range { lo: 0, hi };
+    let pred = ScanPred::Range { lo, hi };
     let io = IoSession::unmetered();
     let windows = windows(n);
     let kernel_ns_per_value = time_per_value(n, runs, || {
@@ -321,12 +376,10 @@ fn measure_refine(
         });
         scanned.sum()
     });
-    for percent in [1u64, 5, 20, 50, 100] {
+    for &percent in percents {
         // Pseudo-random candidates at the stated density, per window, in
         // both sparse representations.
-        let keep = |p: u32| {
-            (p as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32 < percent * (1 << 32) / 100
-        };
+        let keep = |p: u32| draw.keep(p, percent);
         let mut total = 0usize;
         let (bitmaps, explicit): (Vec<PosList>, Vec<PosList>) = windows
             .iter()
@@ -359,6 +412,7 @@ fn measure_refine(
         assert_eq!(through(&explicit), survivors, "refine/intersect divergence");
         out.push(RefineCell {
             encoding: encoding.to_string(),
+            candidates: draw,
             candidate_density: total as f64 / n as f64,
             kernel_ns_per_value,
             window_ns_per_value: time_per_value(n, runs, scan_then_intersect),
@@ -446,10 +500,11 @@ fn main() {
     measure_plain::<u32>(args.n, args.runs, "plain_u32", 3_000_000, &mut cells);
     measure_plain::<i64>(args.n, args.runs, "plain_i64", 30_000, &mut cells);
     let (mut refines, mut memberships) = (Vec::new(), Vec::new());
+    let spread = (Draw::Spread, &[1u64, 5, 20, 50, 100][..]);
     for bits in [6u8, 10, 17] {
         let hi = (1i64 << bits) / 2 - 1;
-        let col = packed_col(args.n, bits);
-        measure_refine(&col, &format!("packed_w{bits}"), hi, args.runs, &mut refines);
+        let col = packed_col(codes(args.n, (1u64 << bits) - 1));
+        measure_refine(&col, &format!("packed_w{bits}"), (0, hi), spread, args.runs, &mut refines);
     }
     // The values of `packed_w10` (1023 pins the width), byte-aligned; then
     // the other widths over the same spread.
@@ -457,8 +512,34 @@ fn main() {
     for (encoding, width) in plain_widths {
         let max = if width == 1 { 255 } else { 1023 };
         let col = plain_col(values_at_width(args.n, max, width), width);
-        measure_refine(&col, encoding, max as i64 / 2, args.runs, &mut refines);
+        measure_refine(&col, encoding, (0, max as i64 / 2), spread, args.runs, &mut refines);
     }
+    // A second probe as the invisible join runs it: a foreign key's values
+    // (random per position, so no verdict pattern repeats) under a range
+    // keeping one region in five, over the first probe's survivors as
+    // candidates — independent per position, 5 to 40 % of the window, around
+    // the break-even of the kernel-or-candidates choice. Width 9 is
+    // `lo_suppkey` at sf 0.2 (6 lanes a word).
+    let independent = (Draw::Independent, &[5u64, 10, 20, 40][..]);
+    for bits in [6u8, 9, 10, 17] {
+        let domain = 1i64 << bits;
+        let mut fk = random_codes(args.n, domain as u64 - 1);
+        fk[0] = domain as u64 - 1; // pins the width
+        let col = packed_col(fk);
+        let region = (2 * domain / 5, 3 * domain / 5 - 1);
+        measure_refine(
+            &col,
+            &format!("packed_w{bits}"),
+            region,
+            independent,
+            args.runs,
+            &mut refines,
+        );
+    }
+    let mut fk = random_codes(args.n, 1023);
+    fk[0] = u16::MAX as u64;
+    let col = plain_col(fk.into_iter().map(|v| v as i64).collect(), 2);
+    measure_refine(&col, "plain_u16", (409, 613), independent, args.runs, &mut refines);
     // A CUSTOMER-sized dense key domain (sf 0.2: 6 000 keys, 13 bits; 200 at
     // one byte), packed and byte-aligned.
     let fks: Vec<i64> = codes(args.n, 5_999).into_iter().map(|c| c as i64).collect();
@@ -508,8 +589,9 @@ fn main() {
         windows(args.n)[0].len()
     );
     println!(
-        "{:<12} {:>10} {:>12} {:>16} {:>14} {:>16}",
+        "{:<12} {:<12} {:>10} {:>12} {:>16} {:>14} {:>16}",
         "encoding",
+        "drawn",
         "candidates",
         "kernel ns/v",
         "scan+intersect",
@@ -518,8 +600,9 @@ fn main() {
     );
     for c in &refines {
         println!(
-            "{:<12} {:>10.4} {:>12.3} {:>16.3} {:>14.3} {:>16.3}",
+            "{:<12} {:<12} {:>10.4} {:>12.3} {:>16.3} {:>14.3} {:>16.3}",
             c.encoding,
+            c.candidates.label(),
             c.candidate_density,
             c.kernel_ns_per_value,
             c.window_ns_per_value,
@@ -528,10 +611,12 @@ fn main() {
         );
         let _ = writeln!(
             json,
-            "    {{\"kernel\": \"refine\", \"encoding\": \"{}\", \"candidate_density\": {:.6}, \
-             \"kernel_ns_per_value\": {:.4}, \"window_ns_per_value\": {:.4}, \
-             \"refine_ns_per_value\": {:.4}, \"get_ns_per_candidate\": {:.4}}},",
+            "    {{\"kernel\": \"refine\", \"encoding\": \"{}\", \"candidates\": \"{}\", \
+             \"candidate_density\": {:.6}, \"kernel_ns_per_value\": {:.4}, \
+             \"window_ns_per_value\": {:.4}, \"refine_ns_per_value\": {:.4}, \
+             \"get_ns_per_candidate\": {:.4}}},",
             c.encoding,
+            c.candidates.label(),
             c.candidate_density,
             c.kernel_ns_per_value,
             c.window_ns_per_value,

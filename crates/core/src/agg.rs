@@ -11,27 +11,38 @@
 //! * [`CodeGrouper`] over a [`GroupLayout`] — the code-level aggregator the
 //!   engines actually run: group columns are extracted as dense `u32`
 //!   *codes* (dictionary codes, frame-of-reference deltas, or interned
-//!   locals), composed into one `u64` group id by radix-multiplying the
-//!   per-column domain sizes, and accumulated with zero per-row
-//!   allocations — a direct-index `Vec<i64>` when the composed domain is
-//!   small (it always is for the 13 SSB queries), a `u64`-keyed hash map
-//!   otherwise. `finish` decodes each group id back to a `Value` row
-//!   exactly **once per group**, which is the paper's late-materialization
-//!   argument carried all the way to the operator tail: strings are touched
-//!   `O(groups)` times, not `O(rows)`.
+//!   locals), composed into one `u64` group id — `Σ code_c × stride_c`, the
+//!   stride of a column being the product of the domains after it — and
+//!   accumulated with zero per-row allocations: a direct-index `Vec<i64>`
+//!   when the composed domain is small (it always is for the 13 SSB
+//!   queries), a `u64`-keyed hash map otherwise. `finish` decodes each group
+//!   id back to a `Value` row exactly **once per group**, which is the
+//!   paper's late-materialization argument carried all the way to the
+//!   operator tail: strings are touched `O(groups)` times, not `O(rows)`.
 //!
 //! [`AggStrategy`] picks between them per query: code-level whenever every
 //! group column exposes a code space (all compressed SSB configurations),
 //! the `Value`-keyed reference otherwise (plain string columns have no
 //! global code assignment, and inventing one per morsel would make codes
-//! inconsistent across workers).
+//! inconsistent across workers). Either way a plan shape drives one
+//! [`AggWorker`] per worker — the extract→aggregate kernel of phase 3.
+//!
+//! **Partials merge in any order.** A worker's partial covers whichever
+//! morsels the scheduler let it claim, so which rows land in which partial,
+//! and the order partials merge in, vary from run to run. The merged answer
+//! does not: every partial is a set of per-group integer sums over rows no
+//! other partial saw, sums are `i64` wrapping additions (associative and
+//! commutative, so no merge order can overflow where another does not), the
+//! direct accumulator's seen-bitmap merges as a union, the hash and
+//! `Value`-keyed partials are maps merged key by key, and `finish` sorts its
+//! rows. `tests/prop_agg.rs` merges random partials in every order.
 
-use crate::extract::{extract_at, extract_codes_at, CodeSpace};
+use crate::extract::{add_codes_at, extract_at, gather_ints_into, CodeSpace};
 use crate::projection::CStoreDb;
 use cvr_data::queries::SsbQuery;
 use cvr_data::result::QueryOutput;
 use cvr_data::value::Value;
-use cvr_storage::column::StoredColumn;
+use cvr_storage::column::{ColumnStore, StoredColumn};
 use cvr_storage::io::IoSession;
 use std::collections::HashMap;
 
@@ -47,23 +58,23 @@ impl Grouper {
         Grouper { map: HashMap::new() }
     }
 
-    /// Add `term` to the group `key`.
+    /// Add `term` to the group `key` (wrapping, like every sum here: see the
+    /// module docs).
     #[inline]
     pub fn add(&mut self, key: Vec<Value>, term: i64) {
-        *self.map.entry(key).or_insert(0) += term;
+        let sum = self.map.entry(key).or_insert(0);
+        *sum = sum.wrapping_add(term);
     }
 
-    /// Fold another grouper's partial aggregates into this one. Integer sums
-    /// commute, and [`Grouper::finish`] sorts rows, so merging per-morsel
-    /// groupers in morsel order yields byte-identical outputs on every
-    /// morsel grid.
+    /// Fold another grouper's partial aggregates into this one. Partials
+    /// over disjoint rows merge to the same groups and sums in any order.
     pub fn merge(&mut self, other: Grouper) {
         if self.map.is_empty() {
             self.map = other.map;
             return;
         }
         for (key, term) in other.map {
-            *self.map.entry(key).or_insert(0) += term;
+            self.add(key, term);
         }
     }
 
@@ -98,49 +109,59 @@ pub const DIRECT_GROUPS_LIMIT: u64 = 1 << 16;
 
 /// Decodes one group column's codes back to [`Value`]s at finish time.
 #[derive(Debug, Clone)]
-pub enum CodeDecoder {
+pub enum CodeDecoder<'d> {
     /// `code → Value::Int(reference + code)` (frame-of-reference integers).
     IntOffset(i64),
-    /// `code → values[code]` (dictionary strings, interned locals, or
-    /// filtered dimension rows).
+    /// `code → Value::Str(dict[code])`: a dictionary column's own entries,
+    /// borrowed — a string is copied once per *group* that uses it, never
+    /// per row, and nothing per query.
+    Dict(&'d [Box<str>]),
+    /// `code → values[code]` (interned locals or filtered dimension rows).
     Values(Vec<Value>),
 }
 
-impl CodeDecoder {
+impl CodeDecoder<'_> {
     /// Decode one code.
-    fn decode(&self, code: u32) -> Value {
+    pub(crate) fn decode(&self, code: u32) -> Value {
         match self {
             CodeDecoder::IntOffset(reference) => Value::Int(reference + code as i64),
+            CodeDecoder::Dict(dict) => Value::Str(dict[code as usize].clone()),
             CodeDecoder::Values(values) => values[code as usize].clone(),
         }
     }
 }
 
-/// The shape of a composed group id: per-column domain sizes (the radix
-/// multipliers) plus the per-column decoders applied once per group at
-/// finish. Built once per query execution and shared read-only by every
-/// morsel, so codes and ids are globally consistent.
+/// The shape of a composed group id: per-column domain sizes, the stride
+/// each column's code is multiplied by, and the per-column decoders applied
+/// once per group at finish. Built once per query execution and shared
+/// read-only by every worker, so codes and ids are globally consistent.
 #[derive(Debug)]
-pub struct GroupLayout {
+pub struct GroupLayout<'d> {
     domains: Vec<u64>,
-    decoders: Vec<CodeDecoder>,
+    /// `strides[c]` = the product of `domains[c + 1..]`: a group id is
+    /// `Σ code_c × strides[c]`, the mixed-radix number whose digits are the
+    /// codes, whatever order the columns are added in.
+    strides: Vec<u64>,
+    decoders: Vec<CodeDecoder<'d>>,
     total: u64,
 }
 
-impl GroupLayout {
+impl<'d> GroupLayout<'d> {
     /// Compose a layout from `(domain, decoder)` pairs, one per group
     /// column. Returns `None` when any domain is zero or the radix product
     /// overflows `u64` — callers fall back to the [`Grouper`] reference.
-    pub fn try_new(cols: Vec<(u64, CodeDecoder)>) -> Option<GroupLayout> {
+    pub fn try_new(cols: Vec<(u64, CodeDecoder<'d>)>) -> Option<GroupLayout<'d>> {
+        let mut strides = vec![0u64; cols.len()];
         let mut total = 1u64;
-        for (domain, _) in &cols {
+        for (c, (domain, _)) in cols.iter().enumerate().rev() {
             if *domain == 0 {
                 return None;
             }
+            strides[c] = total;
             total = total.checked_mul(*domain)?;
         }
         let (domains, decoders) = cols.into_iter().unzip();
-        Some(GroupLayout { domains, decoders, total })
+        Some(GroupLayout { domains, strides, decoders, total })
     }
 
     /// Number of group columns.
@@ -153,6 +174,11 @@ impl GroupLayout {
         self.total
     }
 
+    /// What column `c`'s code is multiplied by in a group id.
+    pub fn stride(&self, c: usize) -> u64 {
+        self.strides[c]
+    }
+
     /// True when ids fit the direct-index accumulator.
     pub fn is_direct(&self) -> bool {
         self.total <= DIRECT_GROUPS_LIMIT
@@ -160,14 +186,10 @@ impl GroupLayout {
 
     /// Decompose `id` and decode each column's code — called once per
     /// *group*, never per row.
-    fn decode(&self, mut id: u64) -> Vec<Value> {
-        let mut key = vec![Value::Int(0); self.domains.len()];
-        for c in (0..self.domains.len()).rev() {
-            let code = (id % self.domains[c]) as u32;
-            id /= self.domains[c];
-            key[c] = self.decoders[c].decode(code);
-        }
-        key
+    fn decode(&self, id: u64) -> Vec<Value> {
+        let digits = self.strides.iter().zip(&self.domains);
+        let codes = digits.map(|(stride, domain)| (id / stride % domain) as u32);
+        codes.zip(&self.decoders).map(|(code, decoder)| decoder.decode(code)).collect()
     }
 }
 
@@ -175,9 +197,9 @@ impl GroupLayout {
 /// zero per-row allocations.
 #[derive(Debug)]
 pub struct CodeGrouper {
-    /// Per-column domains, copied from the layout so row loops can compose
-    /// ids without holding the layout.
-    radix: Vec<u64>,
+    /// The layout's group-id universe, so partials of different layouts
+    /// refuse to merge.
+    total: u64,
     repr: Repr,
 }
 
@@ -192,37 +214,44 @@ enum Repr {
 
 impl CodeGrouper {
     /// An empty accumulator shaped for `layout`.
-    pub fn for_layout(layout: &GroupLayout) -> CodeGrouper {
+    pub fn for_layout(layout: &GroupLayout<'_>) -> CodeGrouper {
         let repr = if layout.is_direct() {
             let n = layout.total as usize;
             Repr::Direct { sums: vec![0; n], seen: vec![0; n.div_ceil(64)], groups: 0 }
         } else {
             Repr::Hash(HashMap::new())
         };
-        CodeGrouper { radix: layout.domains.clone(), repr }
-    }
-
-    /// Domain of group column `c` (the radix multiplier row loops use).
-    #[inline]
-    pub fn radix(&self, c: usize) -> u64 {
-        self.radix[c]
+        CodeGrouper { total: layout.total, repr }
     }
 
     /// Add `term` to the group `id`.
     #[inline]
     pub fn add(&mut self, id: u64, term: i64) {
+        self.add_all(&[id], &[term]);
+    }
+
+    /// Add `terms[i]` to the group `ids[i]` for every row: the one
+    /// accumulation loop, its representation chosen once per call.
+    #[inline]
+    pub fn add_all(&mut self, ids: &[u64], terms: &[i64]) {
+        debug_assert_eq!(ids.len(), terms.len());
         match &mut self.repr {
             Repr::Direct { sums, seen, groups } => {
-                let i = id as usize;
-                let bit = 1u64 << (i & 63);
-                let word = &mut seen[i >> 6];
-                if *word & bit == 0 {
+                for (&id, &term) in ids.iter().zip(terms) {
+                    let i = id as usize;
+                    let bit = 1u64 << (i & 63);
+                    let word = &mut seen[i >> 6];
+                    *groups += (*word & bit == 0) as u32;
                     *word |= bit;
-                    *groups += 1;
+                    sums[i] = sums[i].wrapping_add(term);
                 }
-                sums[i] += term;
             }
-            Repr::Hash(map) => *map.entry(id).or_insert(0) += term,
+            Repr::Hash(map) => {
+                for (&id, &term) in ids.iter().zip(terms) {
+                    let sum = map.entry(id).or_insert(0);
+                    *sum = sum.wrapping_add(term);
+                }
+            }
         }
     }
 
@@ -239,26 +268,23 @@ impl CodeGrouper {
         self.len() == 0
     }
 
-    /// Fold another partial into this one (morsel merge). Both sides must
-    /// come from the same [`GroupLayout`].
+    /// Fold another partial into this one, in any order (module docs). Both
+    /// sides must come from the same [`GroupLayout`].
     pub fn merge(&mut self, other: CodeGrouper) {
-        assert_eq!(self.radix, other.radix, "merging partials of different layouts");
+        assert_eq!(self.total, other.total, "merging partials of different layouts");
         match (&mut self.repr, other.repr) {
             (
                 Repr::Direct { sums, seen, groups },
                 Repr::Direct { sums: osums, seen: oseen, .. },
             ) => {
                 for (w, &ow) in oseen.iter().enumerate() {
+                    *groups += (ow & !seen[w]).count_ones();
+                    seen[w] |= ow;
                     let mut m = ow;
                     while m != 0 {
                         let i = (w << 6) | m.trailing_zeros() as usize;
                         m &= m - 1;
-                        let bit = 1u64 << (i & 63);
-                        if seen[i >> 6] & bit == 0 {
-                            seen[i >> 6] |= bit;
-                            *groups += 1;
-                        }
-                        sums[i] += osums[i];
+                        sums[i] = sums[i].wrapping_add(osums[i]);
                     }
                 }
             }
@@ -267,7 +293,8 @@ impl CodeGrouper {
                     *map = omap;
                 } else {
                     for (id, term) in omap {
-                        *map.entry(id).or_insert(0) += term;
+                        let sum = map.entry(id).or_insert(0);
+                        *sum = sum.wrapping_add(term);
                     }
                 }
             }
@@ -277,7 +304,7 @@ impl CodeGrouper {
 
     /// Decode every group id exactly once and normalize — byte-identical to
     /// the [`Grouper`] reference over the same rows.
-    pub fn finish(self, layout: &GroupLayout, q: &SsbQuery) -> QueryOutput {
+    pub fn finish(self, layout: &GroupLayout<'_>, q: &SsbQuery) -> QueryOutput {
         let rows: Vec<(Vec<Value>, i64)> = match self.repr {
             Repr::Direct { sums, seen, .. } => {
                 let mut rows = Vec::new();
@@ -303,50 +330,6 @@ impl CodeGrouper {
 // ---------------------------------------------------------------------------
 // Plan-shape integration
 // ---------------------------------------------------------------------------
-
-/// One extracted group column: `u32` codes in code-level mode, materialized
-/// [`Value`]s in the reference mode.
-#[derive(Debug)]
-pub enum GroupData {
-    /// Codes in the column's global code space.
-    Codes(Vec<u32>),
-    /// Materialized values (reference mode).
-    Values(Vec<Value>),
-}
-
-impl GroupData {
-    fn codes(&self) -> &[u32] {
-        match self {
-            GroupData::Codes(c) => c,
-            GroupData::Values(_) => panic!("expected codes, found values"),
-        }
-    }
-
-    fn values(&self) -> &[Value] {
-        match self {
-            GroupData::Values(v) => v,
-            GroupData::Codes(_) => panic!("expected values, found codes"),
-        }
-    }
-
-    /// Keep only the entries whose `keep` flag is set (the late join's
-    /// compaction as later predicates discard fact rows).
-    pub fn retain_marked(&mut self, keep: &[bool]) {
-        let mut j = 0;
-        match self {
-            GroupData::Codes(c) => c.retain(|_| {
-                let k = keep[j];
-                j += 1;
-                k
-            }),
-            GroupData::Values(v) => v.retain(|_| {
-                let k = keep[j];
-                j += 1;
-                k
-            }),
-        }
-    }
-}
 
 /// Intern one column of values into a local dictionary: per-row codes in
 /// first-occurrence order plus the distinct values (one clone per
@@ -378,11 +361,11 @@ pub fn value_keyed_forced() -> bool {
 /// variant: code-level whenever every group column exposes a global code
 /// space, the [`Grouper`] reference otherwise.
 #[derive(Debug)]
-pub enum AggStrategy {
+pub enum AggStrategy<'d> {
     /// Code-level: extraction yields codes, accumulation composes ids.
     Code {
         /// Id composition + finish-time decoders.
-        layout: GroupLayout,
+        layout: GroupLayout<'d>,
         /// Per group column (aligned with `q.group_by`): how positions map
         /// to codes.
         spaces: Vec<CodeSpace>,
@@ -391,10 +374,11 @@ pub enum AggStrategy {
     Value,
 }
 
-impl AggStrategy {
+impl<'d> AggStrategy<'d> {
     /// Build the strategy for `q` over `db`'s dimension columns. Pure
-    /// column-header metadata — charges no modeled I/O.
-    pub fn for_query(db: &CStoreDb, q: &SsbQuery) -> AggStrategy {
+    /// column-header metadata — charges no modeled I/O, copies no
+    /// dictionary.
+    pub fn for_query(db: &'d CStoreDb, q: &SsbQuery) -> AggStrategy<'d> {
         if value_keyed_forced() {
             return AggStrategy::Value;
         }
@@ -421,24 +405,6 @@ impl AggStrategy {
         matches!(self, AggStrategy::Code { .. })
     }
 
-    /// Extract group column `gi` at *arbitrary-order* positions (the
-    /// dimension-lookup pattern). Charges the same positional gather as
-    /// [`extract_at`] in either mode.
-    pub fn extract_group_at(
-        &self,
-        gi: usize,
-        col: &StoredColumn,
-        positions: &[u32],
-        io: &IoSession,
-    ) -> GroupData {
-        match self {
-            AggStrategy::Code { spaces, .. } => {
-                GroupData::Codes(extract_codes_at(&spaces[gi], col, positions, io))
-            }
-            AggStrategy::Value => GroupData::Values(extract_at(col, positions, io)),
-        }
-    }
-
     /// An empty partial shaped for this strategy.
     pub fn new_partial(&self) -> AggPartial {
         match self {
@@ -447,9 +413,30 @@ impl AggStrategy {
         }
     }
 
-    /// Finish a (merged) partial into the normalized output.
-    pub fn finish(&self, partial: AggPartial, q: &SsbQuery) -> QueryOutput {
-        match (self, partial) {
+    /// One worker's aggregation state: an empty partial and empty buffers.
+    pub fn worker(&self) -> AggWorker<'_> {
+        AggWorker {
+            strat: self,
+            partial: self.new_partial(),
+            ids: Vec::new(),
+            values: Vec::new(),
+            terms: Vec::new(),
+            measure: Vec::new(),
+        }
+    }
+
+    /// Merge the partials — in any order, see the module docs — and finish
+    /// into the normalized output.
+    pub fn finish(
+        &self,
+        partials: impl IntoIterator<Item = AggPartial>,
+        q: &SsbQuery,
+    ) -> QueryOutput {
+        let merged = partials.into_iter().reduce(|mut merged, partial| {
+            merged.merge(partial);
+            merged
+        });
+        match (self, merged.unwrap_or_else(|| self.new_partial())) {
             (AggStrategy::Code { layout, .. }, AggPartial::Code(g)) => g.finish(layout, q),
             (AggStrategy::Value, AggPartial::Value(g)) => g.finish(q),
             _ => panic!("partial does not match strategy"),
@@ -457,8 +444,8 @@ impl AggStrategy {
     }
 }
 
-/// A partial aggregate under one [`AggStrategy`] — what each morsel
-/// produces and the coordinator merges in morsel order.
+/// A partial aggregate under one [`AggStrategy`] — what each worker
+/// accumulates and the coordinator merges.
 #[derive(Debug)]
 pub enum AggPartial {
     /// Code-level partial.
@@ -468,42 +455,6 @@ pub enum AggPartial {
 }
 
 impl AggPartial {
-    /// Accumulate `count` aligned rows: `group` carries one entry per group
-    /// column, `measures` one array per aggregate input. The code arm is
-    /// the engine's hot aggregation loop — no allocations, no clones.
-    pub fn add_rows(
-        &mut self,
-        q: &SsbQuery,
-        group: &[GroupData],
-        measures: &[Vec<i64>],
-        count: usize,
-    ) {
-        let mut inputs = vec![0i64; measures.len()];
-        match self {
-            AggPartial::Code(g) => {
-                for i in 0..count {
-                    for (j, m) in measures.iter().enumerate() {
-                        inputs[j] = m[i];
-                    }
-                    let mut id = 0u64;
-                    for (c, gd) in group.iter().enumerate() {
-                        id = id * g.radix(c) + gd.codes()[i] as u64;
-                    }
-                    g.add(id, q.aggregate.term(&inputs));
-                }
-            }
-            AggPartial::Value(g) => {
-                for i in 0..count {
-                    for (j, m) in measures.iter().enumerate() {
-                        inputs[j] = m[i];
-                    }
-                    let key: Vec<Value> = group.iter().map(|gd| gd.values()[i].clone()).collect();
-                    g.add(key, q.aggregate.term(&inputs));
-                }
-            }
-        }
-    }
-
     /// Number of groups so far.
     pub fn len(&self) -> usize {
         match self {
@@ -517,7 +468,7 @@ impl AggPartial {
         self.len() == 0
     }
 
-    /// Fold another partial into this one (morsel merge).
+    /// Fold another partial into this one, in any order (module docs).
     pub fn merge(&mut self, other: AggPartial) {
         match (self, other) {
             (AggPartial::Code(a), AggPartial::Code(b)) => a.merge(b),
@@ -527,13 +478,131 @@ impl AggPartial {
     }
 }
 
+/// One worker's extract→aggregate kernel — phase 3 of every
+/// late-materialized plan shape: its partial aggregate plus buffers that
+/// live as long as the worker, so at code level a morsel allocates nothing.
+///
+/// Per morsel, over the survivors' positions (a plain `&[u32]`):
+/// [`AggWorker::begin`]; one [`AggWorker::extract`] per group column, in
+/// any order, at the positions of that column's table (fact positions, or
+/// the dimension positions the foreign keys join to);
+/// [`AggWorker::retain`] whenever a later join drops survivors; then
+/// [`AggWorker::aggregate`]. At code level an extraction adds
+/// `code × stride` into each survivor's group id — so the order columns
+/// arrive in does not matter — and aggregation is one loop over ids and
+/// terms. The `Value`-keyed reference materializes each column and clones a
+/// key per row.
+#[derive(Debug)]
+pub struct AggWorker<'s> {
+    strat: &'s AggStrategy<'s>,
+    partial: AggPartial,
+    /// Code level, per survivor: its group id so far.
+    ids: Vec<u64>,
+    /// Reference, per group column: its values at the survivors, once
+    /// extracted.
+    values: Vec<Option<Vec<Value>>>,
+    /// Per survivor: the aggregate term.
+    terms: Vec<i64>,
+    /// Per survivor: a second measure column's value.
+    measure: Vec<i64>,
+}
+
+impl AggWorker<'_> {
+    /// Start a morsel of `survivors` rows, no group column extracted yet.
+    pub fn begin(&mut self, survivors: usize) {
+        match self.strat {
+            AggStrategy::Code { .. } => {
+                self.ids.clear();
+                self.ids.resize(survivors, 0);
+            }
+            AggStrategy::Value => self.values.iter_mut().for_each(|v| *v = None),
+        }
+    }
+
+    /// Extract group column `gi` (of `q.group_by`) from `col` at
+    /// `positions`, one per survivor, charging the positional gather in
+    /// their order.
+    pub fn extract(&mut self, gi: usize, col: &StoredColumn, positions: &[u32], io: &IoSession) {
+        match self.strat {
+            AggStrategy::Code { layout, spaces } => {
+                add_codes_at(&spaces[gi], col, positions, layout.stride(gi), io, &mut self.ids)
+            }
+            AggStrategy::Value => {
+                if self.values.len() <= gi {
+                    self.values.resize(gi + 1, None);
+                }
+                self.values[gi] = Some(extract_at(col, positions, io));
+            }
+        }
+    }
+
+    /// Keep only the survivors whose `keep` flag is set (the late join's
+    /// compaction as later predicates discard fact rows).
+    pub fn retain(&mut self, keep: &[bool]) {
+        retain_marked(&mut self.ids, keep);
+        for values in self.values.iter_mut().flatten() {
+            retain_marked(values, keep);
+        }
+    }
+
+    /// Gather the aggregate's measure columns from `fact` at the survivors'
+    /// `positions` (ascending; charged), and add each survivor's term to its
+    /// group. Every group column must have been extracted.
+    pub fn aggregate(
+        &mut self,
+        q: &SsbQuery,
+        fact: &ColumnStore,
+        positions: &[u32],
+        io: &IoSession,
+    ) {
+        let agg = q.aggregate;
+        let terms = &mut self.terms;
+        match agg.fact_columns() {
+            [first] => {
+                gather_ints_into(fact.column(first), positions, io, terms);
+                terms.iter_mut().for_each(|t| *t = agg.term(&[*t]));
+            }
+            [first, second] => {
+                gather_ints_into(fact.column(first), positions, io, terms);
+                gather_ints_into(fact.column(second), positions, io, &mut self.measure);
+                let rows = terms.iter_mut().zip(&self.measure);
+                rows.for_each(|(t, &m)| *t = agg.term(&[*t, m]));
+            }
+            _ => unreachable!("an aggregate reads one or two fact columns"),
+        }
+        match &mut self.partial {
+            AggPartial::Code(g) => g.add_all(&self.ids, terms),
+            AggPartial::Value(g) => {
+                let extracted = |gi| self.values.get(gi).and_then(Option::as_deref);
+                let columns: Vec<&[Value]> = (0..q.group_by.len())
+                    .map(|gi| extracted(gi).expect("every group column extracted"))
+                    .collect();
+                for (i, &term) in terms.iter().enumerate() {
+                    g.add(columns.iter().map(|c| c[i].clone()).collect(), term);
+                }
+            }
+        }
+    }
+
+    /// The worker's partial, for the coordinator's merge.
+    pub fn into_partial(self) -> AggPartial {
+        self.partial
+    }
+}
+
+/// Keep the entries of `items` whose `keep` flag is set, in order.
+fn retain_marked<T>(items: &mut Vec<T>, keep: &[bool]) {
+    let mut flags = keep.iter();
+    items.retain(|_| *flags.next().expect("one flag per entry"));
+}
+
 /// Aggregate column-major inputs: `group_cols` are aligned value arrays (one
 /// per group-by column), `terms` the per-row aggregate terms.
 ///
 /// Routed through the code-level aggregator: each column is interned into a
-/// local dictionary (one clone per *distinct* value, not per row), rows
-/// compose ids, and groups decode once at finish. The former per-row
-/// `clone()` path survives only as the overflow fallback.
+/// local dictionary (one clone per *distinct* value, not per row), ids
+/// compose column by column, and groups decode once at finish. The former
+/// per-row `clone()` path survives only as the overflow fallback.
 pub fn aggregate_columns(q: &SsbQuery, group_cols: &[Vec<Value>], terms: &[i64]) -> QueryOutput {
     if value_keyed_forced() {
         return aggregate_columns_value_keyed(q, group_cols, terms);
@@ -547,14 +616,13 @@ pub fn aggregate_columns(q: &SsbQuery, group_cols: &[Vec<Value>], terms: &[i64])
     }
     match GroupLayout::try_new(cols) {
         Some(layout) => {
-            let mut g = CodeGrouper::for_layout(&layout);
-            for (i, &term) in terms.iter().enumerate() {
-                let mut id = 0u64;
-                for (c, codes) in code_arrays.iter().enumerate() {
-                    id = id * g.radix(c) + codes[i] as u64;
-                }
-                g.add(id, term);
+            let mut ids = vec![0u64; terms.len()];
+            for (c, codes) in code_arrays.iter().enumerate() {
+                let stride = layout.stride(c);
+                ids.iter_mut().zip(codes).for_each(|(id, &code)| *id += code as u64 * stride);
             }
+            let mut g = CodeGrouper::for_layout(&layout);
+            g.add_all(&ids, terms);
             g.finish(&layout, q)
         }
         // Interned domains overflowed u64 composition: the reference
@@ -661,9 +729,26 @@ mod tests {
         assert_eq!(aggregate_columns(&q, &groups, &terms), reference.finish(&q));
     }
 
-    fn int_layout(domains: &[u64]) -> GroupLayout {
+    /// The group id of one row's codes, one per column.
+    fn compose<const N: usize>(layout: &GroupLayout<'_>, codes: [u64; N]) -> u64 {
+        codes.iter().enumerate().map(|(c, code)| code * layout.stride(c)).sum()
+    }
+
+    fn int_layout(domains: &[u64]) -> GroupLayout<'static> {
         GroupLayout::try_new(domains.iter().map(|&d| (d, CodeDecoder::IntOffset(0))).collect())
             .expect("layout composes")
+    }
+
+    #[test]
+    fn strides_compose_the_mixed_radix_id_and_decode_inverts_it() {
+        let layout = int_layout(&[7, 1000, 3]);
+        assert_eq!((layout.stride(0), layout.stride(1), layout.stride(2)), (3000, 3, 1));
+        for codes in [[0u64, 0, 0], [6, 999, 2], [3, 17, 1]] {
+            let id = compose(&layout, codes);
+            assert_eq!(id, (codes[0] * 1000 + codes[1]) * 3 + codes[2], "radix order");
+            let decoded: Vec<Value> = codes.iter().map(|&c| Value::Int(c as i64)).collect();
+            assert_eq!(layout.decode(id), decoded);
+        }
     }
 
     #[test]
@@ -680,8 +765,8 @@ mod tests {
         let mut a = CodeGrouper::for_layout(&direct);
         let mut b = CodeGrouper::for_layout(&hash);
         for (c0, c1, term) in [(3u64, 4u64, 5i64), (3, 4, -5), (0, 0, 7), (9, 9, 1)] {
-            a.add(c0 * 10 + c1, term);
-            b.add(c0 * 10 + c1, term);
+            a.add(compose(&direct, [c0, c1]), term);
+            b.add(compose(&hash, [c0, c1]), term);
         }
         // Note the (3, 4) group sums to zero and must still surface.
         assert_eq!(a.len(), 3);
@@ -744,14 +829,13 @@ mod tests {
     }
 
     #[test]
-    fn retain_marked_compacts_both_variants() {
+    fn retain_marked_keeps_flagged_entries_in_order() {
         let keep = [true, false, true, false];
-        let mut codes = GroupData::Codes(vec![1, 2, 3, 4]);
-        codes.retain_marked(&keep);
-        assert_eq!(codes.codes(), &[1, 3]);
-        let mut values =
-            GroupData::Values(vec![Value::Int(1), Value::Int(2), Value::Int(3), Value::Int(4)]);
-        values.retain_marked(&keep);
-        assert_eq!(values.values(), &[Value::Int(1), Value::Int(3)]);
+        let mut codes = vec![1u64, 2, 3, 4];
+        retain_marked(&mut codes, &keep);
+        assert_eq!(codes, [1, 3]);
+        let mut values = vec![Value::Int(1), Value::Int(2), Value::Int(3), Value::Int(4)];
+        retain_marked(&mut values, &keep);
+        assert_eq!(values, [Value::Int(1), Value::Int(3)]);
     }
 }

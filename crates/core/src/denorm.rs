@@ -18,10 +18,10 @@
 //! denormalization to win, and the baseline invisible join mostly still
 //! beats it.
 
-use crate::agg::{aggregate_columns, AggPartial, CodeDecoder, CodeGrouper, GroupData, GroupLayout};
+use crate::agg::{aggregate_columns, AggStrategy, CodeDecoder, GroupLayout};
 use crate::config::EngineConfig;
 use crate::ctx::{QueryCtx, QueryError};
-use crate::extract::{gather_codes, gather_ints, gather_values, CodeSpace};
+use crate::extract::{gather_ints, gather_values, CodeSpace};
 use crate::poslist::PosList;
 use crate::projection::{sort_permutation, FACT_SORT};
 use crate::scan::{refine, ScanPred};
@@ -274,11 +274,8 @@ impl DenormDb {
                             let CodeSpace::Int { reference, domain } = space else {
                                 unreachable!("dict-translated columns are integers")
                             };
-                            CodeDecoder::Values(
-                                (reference..reference + domain as i64)
-                                    .map(|c| Value::Str(dict[c as usize].clone()))
-                                    .collect(),
-                            )
+                            let first = reference as usize;
+                            CodeDecoder::Dict(&dict[first..first + domain as usize])
                         }
                         None => space.decoder(col),
                     };
@@ -296,25 +293,16 @@ impl DenormDb {
         });
         match layout {
             Some((layout, spaces)) => {
-                let group: Vec<GroupData> = spaces
-                    .iter()
-                    .zip(&q.group_by)
-                    .map(|(space, g)| {
-                        GroupData::Codes(gather_codes(space, self.store.column(g.column), &pos, io))
-                    })
-                    .collect();
-                let measures: Vec<Vec<i64>> = q
-                    .aggregate
-                    .fact_columns()
-                    .iter()
-                    .map(|c| gather_ints(self.store.column(c), &pos, io))
-                    .collect();
-                let mut partial = AggPartial::Code(CodeGrouper::for_layout(&layout));
-                partial.add_rows(q, &group, &measures, pos.count() as usize);
-                let out = match partial {
-                    AggPartial::Code(g) => g.finish(&layout, q),
-                    AggPartial::Value(_) => unreachable!("partial built as code-level"),
-                };
+                // The plan shapes' phase-3 kernel, at fact positions.
+                let strat = AggStrategy::Code { layout, spaces };
+                let positions = pos.to_vec();
+                let mut agg = strat.worker();
+                agg.begin(positions.len());
+                for (gi, g) in q.group_by.iter().enumerate() {
+                    agg.extract(gi, self.store.column(g.column), &positions, io);
+                }
+                agg.aggregate(q, &self.store, &positions, io);
+                let out = strat.finish([agg.into_partial()], q);
                 agg_span.rows(out.len() as u64);
                 Ok(out)
             }

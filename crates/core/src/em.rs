@@ -10,7 +10,7 @@
 //! row engine. "Once all of these optimizations are removed, the
 //! column-store acts like a row-store."
 
-use crate::agg::{AggPartial, CodeDecoder, CodeGrouper, GroupLayout, Grouper};
+use crate::agg::{AggPartial, AggStrategy, CodeDecoder, GroupLayout};
 use crate::config::EngineConfig;
 use crate::ctx::{QueryCtx, QueryError};
 use crate::engine::ExecOptions;
@@ -74,13 +74,15 @@ struct RowPlan<'q> {
     agg_idx: Vec<usize>,
     group_dim_order: Vec<Dim>,
     dims: HashMap<Dim, DimTable>,
-    /// Code-level aggregation layout: each group column's values over the
-    /// filtered dimension rows are interned into a local dictionary
+    /// Code-level aggregation: each group column's values over the filtered
+    /// dimension rows are interned into a local dictionary
     /// (`group_row_codes[gi][dim_row]` is the code), so even the row-style
     /// pipeline aggregates on composed integer ids and decodes each group
-    /// once at finish. `None` only when the composed domain overflows
-    /// `u64`.
-    layout: Option<GroupLayout>,
+    /// once at finish. Its `spaces` stay empty — the pipeline codes group
+    /// columns through `group_row_codes`, not through the storage layout.
+    /// The `Value`-keyed reference under `CVR_AGG=value` or when the composed
+    /// domain overflows `u64`.
+    strat: AggStrategy<'static>,
     /// Per group column: filtered-dimension-row → code (aligned with the
     /// layout's decoders).
     group_row_codes: Vec<Vec<u32>>,
@@ -123,7 +125,12 @@ fn build_plan<'q>(
         cols.push((values.len().max(1) as u64, CodeDecoder::Values(values)));
         group_row_codes.push(codes);
     }
-    let layout = if crate::agg::value_keyed_forced() { None } else { GroupLayout::try_new(cols) };
+    let strat = match GroupLayout::try_new(cols) {
+        Some(layout) if !crate::agg::value_keyed_forced() => {
+            AggStrategy::Code { layout, spaces: Vec::new() }
+        }
+        _ => AggStrategy::Value,
+    };
     Ok(RowPlan {
         decoded,
         pred_idx: q.fact_predicates.iter().map(|p| (col_of[p.column], &p.pred)).collect(),
@@ -131,40 +138,23 @@ fn build_plan<'q>(
         agg_idx: q.aggregate.fact_columns().iter().map(|c| col_of[c]).collect(),
         group_dim_order: q.group_by.iter().map(|g| g.dim).collect(),
         dims,
-        layout,
+        strat,
         group_row_codes,
     })
 }
 
-impl RowPlan<'_> {
-    fn new_partial(&self) -> AggPartial {
-        match &self.layout {
-            Some(layout) => AggPartial::Code(CodeGrouper::for_layout(layout)),
-            None => AggPartial::Value(Grouper::new()),
-        }
-    }
-
-    fn finish(&self, partial: AggPartial, q: &SsbQuery) -> QueryOutput {
-        match (partial, &self.layout) {
-            (AggPartial::Code(g), Some(layout)) => g.finish(layout, q),
-            (AggPartial::Value(g), None) => g.finish(q),
-            _ => unreachable!("partial matches the plan's layout"),
-        }
-    }
-}
-
 /// The row pipeline over fact rows `[start, end)`: construct a tuple per
-/// row, then filter/join/aggregate into a partial [`AggPartial`]. Pure CPU,
-/// run once per morsel. In tuple-at-a-time mode every value access goes through a boxed
-/// per-column iterator (the `getNext` interface); in block mode tuples are
-/// stitched by direct indexing.
+/// row, then filter/join/aggregate into the worker's `partial`. Pure CPU,
+/// run once per morsel. In tuple-at-a-time mode every value access goes
+/// through a boxed per-column iterator (the `getNext` interface); in block
+/// mode tuples are stitched by direct indexing.
 fn run_rows(
     plan: &RowPlan<'_>,
     q: &SsbQuery,
     cfg: EngineConfig,
     range: Range<usize>,
-) -> AggPartial {
-    let mut partial = plan.new_partial();
+    partial: &mut AggPartial,
+) {
     let mut inputs = vec![0i64; plan.agg_idx.len()];
     if cfg.block_iteration {
         'rows: for i in range {
@@ -172,7 +162,7 @@ fn run_rows(
             if !process_tuple(&tuple, &plan.pred_idx, &plan.fk_idx, &plan.dims) {
                 continue 'rows;
             }
-            accumulate(&tuple, q, plan, &mut inputs, &mut partial);
+            accumulate(&tuple, q, plan, &mut inputs, partial);
         }
     } else {
         let mut sources: Vec<Box<dyn Iterator<Item = &Value>>> = plan
@@ -188,10 +178,9 @@ fn run_rows(
             if !process_tuple(&tuple, &plan.pred_idx, &plan.fk_idx, &plan.dims) {
                 continue 'rows2;
             }
-            accumulate(&tuple, q, plan, &mut inputs, &mut partial);
+            accumulate(&tuple, q, plan, &mut inputs, partial);
         }
     }
-    partial
 }
 
 /// Execute `q` with early materialization.
@@ -200,9 +189,9 @@ fn run_rows(
 /// construction decompresses every needed column in full, and the dimension
 /// join tables are built row-style — so the charges on `io` do not depend
 /// on the morsel grid at all. The row pipeline ([`run_rows`]) is pure CPU
-/// and fans out over morsels of the constructed-tuple space; partial
-/// aggregates merge in morsel order. `opts.ctx` is honoured in the prelude
-/// and at every morsel boundary.
+/// and fans out over morsels of the constructed-tuple space, each worker
+/// accumulating into one partial aggregate that the coordinator merges.
+/// `opts.ctx` is honoured in the prelude and at every morsel boundary.
 pub(crate) fn execute(
     db: &CStoreDb,
     q: &SsbQuery,
@@ -217,14 +206,12 @@ pub(crate) fn execute(
         build_plan(db, q, io, ctx)?
     };
     let mut span = ctx.span("pipeline", "row-style over early-stitched tuples", io);
-    let partials = try_run_morsels(db.fact_rows() as u32, opts.par, ctx, |_, range| {
-        Ok(run_rows(&plan, q, cfg, range.start as usize..range.end as usize))
+    let init = || plan.strat.new_partial();
+    let (_, partials) = try_run_morsels(db.fact_rows() as u32, opts.par, ctx, init, |p, _, r| {
+        run_rows(&plan, q, cfg, r.start as usize..r.end as usize, p);
+        Ok(())
     })?;
-    let mut merged = plan.new_partial();
-    for partial in partials {
-        merged.merge(partial);
-    }
-    let out = plan.finish(merged, q);
+    let out = plan.strat.finish(partials, q);
     span.rows(out.len() as u64);
     Ok(out)
 }
@@ -264,11 +251,14 @@ fn accumulate(
         AggPartial::Code(g) => {
             // Group columns code through the interned per-dimension-row
             // tables; no value clones, no per-row key vector.
+            let AggStrategy::Code { layout, .. } = &plan.strat else {
+                unreachable!("code partials come from a code strategy")
+            };
             let mut id = 0u64;
             for (gi, &dim) in plan.group_dim_order.iter().enumerate() {
                 let (_, fk_col) = plan.fk_idx.iter().find(|(d, _)| *d == dim).expect("dim touched");
                 let row = plan.dims[&dim].map.get(tuple[*fk_col].as_int()).expect("join checked");
-                id = id * g.radix(gi) + plan.group_row_codes[gi][row as usize] as u64;
+                id += plan.group_row_codes[gi][row as usize] as u64 * layout.stride(gi);
             }
             g.add(id, q.aggregate.term(inputs));
         }

@@ -11,76 +11,50 @@ use crate::agg::CodeDecoder;
 use crate::poslist::PosList;
 use cvr_data::value::Value;
 use cvr_storage::column::StoredColumn;
-use cvr_storage::encode::{Column, IntColumn, PlainValue, Run, StrColumn};
+use cvr_storage::encode::{Column, IntColumn, PlainValue, RunCursor, StrColumn};
 use cvr_storage::io::IoSession;
 use cvr_storage::with_plain_values;
 
-/// A memoized cursor over an RLE run directory for arbitrary-order
-/// position lookups. Fact-ordered dimension probes hit the same run in
-/// bursts (fact rows sharing a foreign key cluster), so remembering the
-/// last-hit run and checking it (and its successor) before binary-searching
-/// turns the common case into O(1).
-struct RunCursor<'a> {
-    runs: &'a [Run],
-    last: usize,
-}
-
-impl<'a> RunCursor<'a> {
-    fn new(runs: &'a [Run]) -> RunCursor<'a> {
-        RunCursor { runs, last: 0 }
-    }
-
-    #[inline]
-    fn value_at(&mut self, col: &IntColumn, p: u32) -> i64 {
-        let r = &self.runs[self.last];
-        if p < r.start || p >= r.start + r.len {
-            let next = self.last + 1;
-            self.last = match self.runs.get(next) {
-                Some(n) if p >= n.start && p < n.start + n.len => next,
-                _ => col.run_containing(p),
-            };
-        }
-        self.runs[self.last].value
-    }
-}
-
 /// Gather integer values at the (ascending) positions of `pos`.
 pub fn gather_ints(col: &StoredColumn, pos: &PosList, io: &IoSession) -> Vec<i64> {
-    col.charge_gather(pos.iter(), io);
-    ints_at(col, pos)
+    let mut out = Vec::new();
+    gather_ints_into(col, &pos.to_vec(), io, &mut out);
+    out
 }
 
-/// The integer values at the (ascending) positions of `pos`, uncharged: for
-/// an operator that has already charged its read of those pages (a join
-/// reading back the keys its own membership scan matched).
-///
-/// RLE columns are walked run-by-run with a cursor (positions are ascending,
-/// so this is O(positions + runs) without decompressing).
-pub(crate) fn ints_at(col: &StoredColumn, pos: &PosList) -> Vec<i64> {
-    let int = col.column.as_int();
-    let mut out = Vec::with_capacity(pos.count() as usize);
-    match int {
+/// Gather integer values at `positions` into `out` (cleared first),
+/// charging the positional gather in their order.
+pub fn gather_ints_into(col: &StoredColumn, positions: &[u32], io: &IoSession, out: &mut Vec<i64>) {
+    col.charge_gather(positions.iter().copied(), io);
+    map_ints_at(col, positions, out, |v| v);
+}
+
+/// `f` of the integer value at each of `positions`, into `out` (cleared
+/// first), uncharged: for an operator that charges its read of those pages
+/// itself, or has already (a join reading back the keys its own membership
+/// scan matched). One loop per encoding, any position order: RLE columns
+/// walk their runs with a [`RunCursor`], so ascending positions cost O(1)
+/// each without decompressing.
+pub(crate) fn map_ints_at<T>(
+    col: &StoredColumn,
+    positions: &[u32],
+    out: &mut Vec<T>,
+    mut f: impl FnMut(i64) -> T,
+) {
+    out.clear();
+    out.reserve(positions.len());
+    match col.column.as_int() {
         IntColumn::Plain(plain) => with_plain_values!(plain, |values| {
-            for p in pos.iter() {
-                out.push(values[p as usize].widen());
-            }
+            out.extend(positions.iter().map(|&p| f(values[p as usize].widen())))
         }),
         IntColumn::Rle { runs, .. } => {
-            let mut run = 0usize;
-            for p in pos.iter() {
-                while runs[run].start + runs[run].len <= p {
-                    run += 1;
-                }
-                out.push(runs[run].value);
-            }
+            let mut cursor = RunCursor::new(runs);
+            out.extend(positions.iter().map(|&p| f(cursor.value_at(p))));
         }
         IntColumn::Packed { reference, packed } => {
-            for p in pos.iter() {
-                out.push(reference + packed.get(p) as i64);
-            }
+            out.extend(positions.iter().map(|&p| f(reference + packed.get(p) as i64)))
         }
     }
-    out
 }
 
 /// Gather string values (as [`Value`]s) at ascending positions.
@@ -124,7 +98,7 @@ pub fn extract_at(col: &StoredColumn, positions: &[u32], io: &IoSession) -> Vec<
                 // search it replaced.
                 let mut cursor = RunCursor::new(runs);
                 for &p in positions {
-                    out.push(Value::Int(cursor.value_at(int, p)));
+                    out.push(Value::Int(cursor.value_at(p)));
                 }
             }
             IntColumn::Packed { reference, packed } => {
@@ -196,102 +170,65 @@ impl CodeSpace {
         }
     }
 
-    /// The finish-time decoder for this space over `col`. Dictionary
-    /// entries are cloned once per *distinct value* here — never per row.
-    pub fn decoder(&self, col: &StoredColumn) -> CodeDecoder {
+    /// The finish-time decoder for this space over `col`: a dictionary
+    /// column decodes through its own dictionary, borrowed.
+    pub fn decoder<'d>(&self, col: &'d StoredColumn) -> CodeDecoder<'d> {
         match self {
             CodeSpace::Int { reference, .. } => CodeDecoder::IntOffset(*reference),
-            CodeSpace::Dict { .. } => {
-                let (dict, _) = col.column.as_str().dict_parts();
-                CodeDecoder::Values(dict.iter().map(|s| Value::Str(s.clone())).collect())
-            }
+            CodeSpace::Dict { .. } => CodeDecoder::Dict(col.column.as_str().dict_parts().0),
         }
     }
 }
 
-/// Extract codes at *arbitrary-order* positions — the code-level
+/// Compose one group column into group ids: `ids[i] += code × stride` for
+/// the code at `positions[i]`, in any position order — the code-level
 /// counterpart of [`extract_at`], charging the identical positional gather.
+/// No code is materialized; codes are read straight from the storage layout
+/// (a dictionary's packed codes, an integer's frame-of-reference delta).
 /// `space` must be [`CodeSpace::of`] this column.
-pub fn extract_codes_at(
+pub fn add_codes_at(
     space: &CodeSpace,
     col: &StoredColumn,
     positions: &[u32],
+    stride: u64,
     io: &IoSession,
-) -> Vec<u32> {
+    ids: &mut [u64],
+) {
+    assert_eq!(ids.len(), positions.len(), "one group id per position");
     col.charge_gather(positions.iter().copied(), io);
-    let mut out = Vec::with_capacity(positions.len());
+    #[inline]
+    fn compose_with(
+        ids: &mut [u64],
+        positions: &[u32],
+        stride: u64,
+        mut code: impl FnMut(u32) -> u64,
+    ) {
+        for (id, &p) in ids.iter_mut().zip(positions) {
+            *id += code(p) * stride;
+        }
+    }
     match (&col.column, space) {
         (Column::Int(int), CodeSpace::Int { reference, .. }) => match int {
             IntColumn::Plain(plain) => with_plain_values!(plain, |values| {
-                for &p in positions {
-                    out.push((values[p as usize].widen() - reference) as u32);
-                }
+                compose_with(ids, positions, stride, |p| {
+                    (values[p as usize].widen() - reference) as u64
+                })
             }),
             IntColumn::Rle { runs, .. } => {
                 let mut cursor = RunCursor::new(runs);
-                for &p in positions {
-                    out.push((cursor.value_at(int, p) - reference) as u32);
-                }
+                compose_with(ids, positions, stride, |p| (cursor.value_at(p) - reference) as u64)
             }
             // `code_bounds` reference for packed columns is the frame of
             // reference itself, so the stored delta *is* the code.
             IntColumn::Packed { packed, .. } => {
-                for &p in positions {
-                    out.push(packed.get(p) as u32);
-                }
+                compose_with(ids, positions, stride, |p| packed.get(p))
             }
         },
-        (Column::Str(s @ StrColumn::Dict { .. }), CodeSpace::Dict { .. }) => {
-            for &p in positions {
-                out.push(s.code_at(p));
-            }
+        (Column::Str(StrColumn::Dict { codes, .. }), CodeSpace::Dict { .. }) => {
+            compose_with(ids, positions, stride, |p| codes.get(p))
         }
         _ => panic!("code space does not match column encoding"),
     }
-    out
-}
-
-/// Gather codes at the *ascending* positions of `pos` — the code-level
-/// counterpart of [`gather_values`], charging the identical gather. RLE
-/// columns are walked run-by-run with a cursor, like [`gather_ints`].
-pub fn gather_codes(
-    space: &CodeSpace,
-    col: &StoredColumn,
-    pos: &PosList,
-    io: &IoSession,
-) -> Vec<u32> {
-    col.charge_gather(pos.iter(), io);
-    let mut out = Vec::with_capacity(pos.count() as usize);
-    match (&col.column, space) {
-        (Column::Int(int), CodeSpace::Int { reference, .. }) => match int {
-            IntColumn::Plain(plain) => with_plain_values!(plain, |values| {
-                for p in pos.iter() {
-                    out.push((values[p as usize].widen() - reference) as u32);
-                }
-            }),
-            IntColumn::Rle { runs, .. } => {
-                let mut run = 0usize;
-                for p in pos.iter() {
-                    while runs[run].start + runs[run].len <= p {
-                        run += 1;
-                    }
-                    out.push((runs[run].value - reference) as u32);
-                }
-            }
-            IntColumn::Packed { packed, .. } => {
-                for p in pos.iter() {
-                    out.push(packed.get(p) as u32);
-                }
-            }
-        },
-        (Column::Str(s @ StrColumn::Dict { .. }), CodeSpace::Dict { .. }) => {
-            for p in pos.iter() {
-                out.push(s.code_at(p));
-            }
-        }
-        _ => panic!("code space does not match column encoding"),
-    }
-    out
 }
 
 /// Decode an entire column to owned [`Value`]s (early materialization /
@@ -386,7 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn codes_decode_back_to_extracted_values() {
+    fn composed_codes_decode_back_to_extracted_values() {
         let vals: Vec<String> = (0..100).map(|i| format!("v{}", i % 9)).collect();
         let cols = [
             rle_col(),
@@ -397,22 +334,29 @@ mod tests {
                 ),
             ),
             StoredColumn::new("s", Column::Str(StrColumn::dict(&vals))),
+            StoredColumn::new(
+                "u",
+                Column::Int(IntColumn::plain((0..140).map(|i| 300 + i % 11).collect())),
+            ),
         ];
         let io = IoSession::unmetered();
         let positions = [99u32, 0, 63, 64, 65, 7, 99];
         for col in &cols {
             let space = CodeSpace::of(col).expect("code space");
             let decoder = space.decoder(col);
-            let codes = extract_codes_at(&space, col, &positions, &io);
+            // Onto ids that already hold another column's digit: the code
+            // lands at its stride and leaves the lower digit alone.
+            let stride = space.domain() + 3;
+            let mut ids = vec![2u64; positions.len()];
+            add_codes_at(&space, col, &positions, stride, &io, &mut ids);
             let want = extract_at(col, &positions, &io);
-            let got: Vec<Value> = codes
+            let got: Vec<Value> = ids
                 .iter()
-                .map(|&c| {
-                    assert!((c as u64) < space.domain());
-                    match &decoder {
-                        crate::agg::CodeDecoder::IntOffset(r) => Value::Int(r + c as i64),
-                        crate::agg::CodeDecoder::Values(v) => v[c as usize].clone(),
-                    }
+                .map(|&id| {
+                    assert_eq!(id % stride, 2);
+                    let c = id / stride;
+                    assert!(c < space.domain());
+                    decoder.decode(c as u32)
                 })
                 .collect();
             assert_eq!(got, want, "{}", col.name);
@@ -420,22 +364,35 @@ mod tests {
     }
 
     #[test]
-    fn gather_codes_matches_extract_codes_and_charges_identically() {
-        let col = rle_col();
-        let space = CodeSpace::of(&col).unwrap();
+    fn code_composition_charges_what_the_value_gathers_charge() {
+        let vals: Vec<String> = (0..140).map(|i| format!("v{}", i % 9)).collect();
+        let dict = StoredColumn::new("s", Column::Str(StrColumn::dict(&vals)));
         let positions = vec![0u32, 6, 7, 69, 139];
         let pos = PosList::Explicit { positions: positions.clone(), universe: 140 };
-        let a = IoSession::unmetered();
-        let gathered = gather_codes(&space, &col, &pos, &a);
-        let b = IoSession::unmetered();
-        let extracted = extract_codes_at(&space, &col, &positions, &b);
-        assert_eq!(gathered, extracted);
-        assert_eq!(a.stats().bytes_read, b.stats().bytes_read);
-        // And the charge equals the Value-materializing gather's.
-        let c = IoSession::unmetered();
-        gather_ints(&col, &pos, &c);
-        assert_eq!(a.stats().bytes_read, c.stats().bytes_read);
-        assert_eq!(a.stats().pages_read, c.stats().pages_read);
+        for col in [&rle_col(), &dict] {
+            let space = CodeSpace::of(col).unwrap();
+            let a = IoSession::unmetered();
+            add_codes_at(&space, col, &positions, 1, &a, &mut vec![0; positions.len()]);
+            let b = IoSession::unmetered();
+            extract_at(col, &positions, &b);
+            let c = IoSession::unmetered();
+            gather_values(col, &pos, &c);
+            assert_eq!(a.stats(), b.stats(), "{}", col.name);
+            assert_eq!(a.stats(), c.stats(), "{}", col.name);
+        }
+    }
+
+    #[test]
+    fn gathers_into_reused_buffers_match_fresh_ones() {
+        let col = rle_col();
+        let io = IoSession::unmetered();
+        let mut out = vec![-1i64; 500];
+        for positions in [vec![0u32, 6, 7, 69, 139], vec![], vec![70, 3, 139]] {
+            gather_ints_into(&col, &positions, &io, &mut out);
+            let want: Vec<i64> =
+                positions.iter().map(|&p| col.column.as_int().value_at(p)).collect();
+            assert_eq!(out, want);
+        }
     }
 
     #[test]

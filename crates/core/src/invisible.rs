@@ -29,12 +29,12 @@
 //! phases 2 and 3 run per morsel of the fact position space, fused into one
 //! fan-out ([`crate::morsel::run_fused`]).
 
-use crate::agg::{AggPartial, AggStrategy, GroupData};
+use crate::agg::{AggStrategy, AggWorker};
 use crate::config::EngineConfig;
 use crate::ctx::{QueryCtx, QueryError};
 use crate::engine::ExecOptions;
-use crate::extract::gather_ints;
-use crate::morsel::{run_fused, OpActual, Operator};
+use crate::extract::{gather_ints, map_ints_at};
+use crate::morsel::{load_survivors, run_fused, OpActual, Operator, Scratch};
 use crate::poslist::PosList;
 use crate::projection::CStoreDb;
 use crate::scan::{refine, ScanPred};
@@ -237,8 +237,7 @@ fn filter_morsel(
     let mut pos = PosList::all(window.clone());
     let mut slots = actuals.iter_mut();
     let mut done = |pos: &PosList, started: Instant| {
-        *slots.next().expect("one slot per predicate") =
-            OpActual { rows: pos.count() as u64, busy: started.elapsed() };
+        slots.next().expect("one slot per predicate").record(pos.count(), started)
     };
     for (dim, key_pred) in key_preds {
         let started = Instant::now();
@@ -255,50 +254,63 @@ fn filter_morsel(
     pos
 }
 
-/// Phase 3 over one position list: minimal out-of-order extraction of group
-/// and measure values at the surviving positions, aggregated on group ids
-/// into `partial`.
+/// Phase 3 over one morsel's survivors `pos`: minimal out-of-order
+/// extraction of group and measure values, aggregated into the worker's
+/// partial by its [`AggWorker`] kernel.
+///
+/// The survivors are materialized once, as a slice every gather reads. Each
+/// grouped dimension's foreign keys are gathered once and turned into
+/// dimension positions — the key itself where keys are dense, a look-up in
+/// `join_maps` (DATE) memoized on the last key, so the orderdate-sorted fact
+/// pays one hash probe per run of equal dates, not one per row — and each
+/// of the dimension's group columns is extracted at those positions. I/O
+/// ops, in order: per group column, the foreign-key gather of its dimension
+/// when that dimension is first seen, then the column's own gather; then
+/// the measures.
 #[allow(clippy::too_many_arguments)]
-fn phase3_partial(
+fn phase3(
     db: &CStoreDb,
     q: &SsbQuery,
-    strat: &AggStrategy,
     join_maps: &HashMap<Dim, IntHashMap>,
     pos: &PosList,
     io: &IoSession,
     ctx: &QueryCtx,
-    partial: &mut AggPartial,
+    agg: &mut AggWorker<'_>,
+    scratch: &mut Scratch,
 ) -> Result<(), QueryError> {
     // Account the gathered group/measure arrays this phase materializes.
     let width = q.group_by.len() + q.aggregate.fact_columns().len();
     ctx.charge((pos.count() as usize).saturating_mul(8 * width.max(1)))?;
-    let mut group_cols: Vec<GroupData> = Vec::with_capacity(q.group_by.len());
-    let mut fk_cache: HashMap<Dim, Vec<u32>> = HashMap::new();
+    let Scratch { positions, dims, .. } = scratch;
+    load_survivors(pos, positions, agg);
+    dims.resize_with(q.group_by.len(), Vec::new);
     for (gi, g) in q.group_by.iter().enumerate() {
-        let dim = g.dim;
-        fk_cache.entry(dim).or_insert_with(|| {
-            let fk_col = db.fact.column(dim.fact_fk_column());
-            let fks = gather_ints(fk_col, pos, io);
-            if db.dim(dim).dense_keys {
+        // A dimension's group columns share the join of its first one.
+        let first = q.group_by.iter().position(|h| h.dim == g.dim).expect("g is one");
+        if first == gi {
+            let fk_col = db.fact.column(g.dim.fact_fk_column());
+            fk_col.charge_gather(positions.iter().copied(), io);
+            match join_maps.get(&g.dim) {
                 // Reassigned keys: FK value == dimension row position.
-                fks.into_iter().map(|k| k as u32).collect()
-            } else {
+                None => map_ints_at(fk_col, positions, &mut dims[gi], |k| k as u32),
                 // DATE: non-dense keys — join via the key→position table.
-                let map = &join_maps[&dim];
-                fks.into_iter().map(|k| map.get(k).expect("fact FK must join DATE")).collect()
+                Some(map) => {
+                    let mut last: Option<(i64, u32)> = None;
+                    map_ints_at(fk_col, positions, &mut dims[gi], |k| match last {
+                        Some((key, at)) if key == k => at,
+                        _ => {
+                            let at = map.get(k).expect("fact FK must join DATE");
+                            last = Some((k, at));
+                            at
+                        }
+                    })
+                }
             }
-        });
-        let dim_positions = &fk_cache[&dim];
-        let col = db.dim(dim).store.column(g.column);
-        group_cols.push(strat.extract_group_at(gi, col, dim_positions, io));
+        }
+        let col = db.dim(g.dim).store.column(g.column);
+        agg.extract(gi, col, &dims[first], io);
     }
-    let measure_cols: Vec<Vec<i64>> = q
-        .aggregate
-        .fact_columns()
-        .iter()
-        .map(|c| gather_ints(db.fact.column(c), pos, io))
-        .collect();
-    partial.add_rows(q, &group_cols, &measure_cols, pos.count() as usize);
+    agg.aggregate(q, &db.fact, positions, io);
     Ok(())
 }
 
@@ -354,7 +366,7 @@ pub(crate) fn execute(
     run_fused(n, opts.par, ctx, io, &strat, q, &operators, &splices, |m| {
         let pos = filter_morsel(db, q, cfg, &key_preds, m.range, m.io, m.actuals);
         ctx.charge(pos.count() as usize * 4)?; // this morsel's surviving positions
-        phase3_partial(db, q, &strat, &join_maps, &pos, m.io, ctx, m.partial)
+        phase3(db, q, &join_maps, &pos, m.io, ctx, m.agg, m.scratch)
     })
 }
 

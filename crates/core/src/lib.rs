@@ -25,8 +25,9 @@
 //!   [`ExecOptions`];
 //! * [`morsel`] — morsel-driven execution, the only way a query runs: the
 //!   fact position space is split into morsels claimed by worker threads,
-//!   with partial aggregates and per-morsel I/O logs merged
-//!   deterministically in morsel order ([`Parallelism`] / `CVR_THREADS` set
+//!   each worker's partial aggregate merged on the coordinator (an
+//!   order-independent merge) and the per-morsel I/O logs replayed in morsel
+//!   order ([`Parallelism`] / `CVR_THREADS` set
 //!   the worker count, which never selects code — one worker runs the same
 //!   pipeline inline);
 //! * [`sched`] — the process-wide query scheduler: admission control plus

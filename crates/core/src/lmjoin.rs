@@ -22,13 +22,13 @@
 //!   so far"), and the extraction order is whatever the join produced,
 //!   "which can have significant cost".
 
-use crate::agg::{AggStrategy, GroupData};
+use crate::agg::AggStrategy;
 use crate::config::EngineConfig;
 use crate::ctx::QueryError;
 use crate::engine::ExecOptions;
-use crate::extract::{gather_ints, ints_at};
+use crate::extract::{gather_ints, gather_ints_into, map_ints_at};
 use crate::invisible::dim_positions;
-use crate::morsel::{run_fused, Morsel, OpActual, Operator};
+use crate::morsel::{load_survivors, run_fused, Morsel, Operator, Scratch};
 use crate::poslist::PosList;
 use crate::projection::CStoreDb;
 use crate::scan::{refine, ScanPred};
@@ -105,9 +105,9 @@ fn dim_keys(db: &CStoreDb, q: &SsbQuery, dim: Dim, cfg: EngineConfig, io: &IoSes
 /// ([`crate::scan::refine`]), the first join is a membership scan of its FK
 /// column, later joins gather their FKs at the surviving positions.
 /// Per-morsel I/O logs replay op-major, each join table's charges spliced in
-/// front of the join that probes it, and partial aggregates merge in morsel
-/// order ([`run_fused`]); `opts.ctx` is polled between table builds and at
-/// every morsel boundary.
+/// front of the join that probes it, and each worker's partial aggregate
+/// merges on the coordinator ([`run_fused`]); `opts.ctx` is polled between
+/// table builds and at every morsel boundary.
 pub(crate) fn execute(
     db: &CStoreDb,
     q: &SsbQuery,
@@ -170,12 +170,14 @@ pub(crate) fn execute(
     let operators: Vec<Operator> =
         scans.chain(joins).map(|(op, detail, log_ops)| Operator { op, detail, log_ops }).collect();
 
-    let task = |m: Morsel<'_>| {
-        let (range, rio) = (m.range, m.io);
-        let mut slots = m.actuals.iter_mut();
+    let task = |m: Morsel<'_, '_>| {
+        let Morsel { range, io: rio, actuals, agg, scratch } = m;
+        let Scratch { positions, dims, keys: fks, keep } = scratch;
+        dims.resize_with(1, Vec::new);
+        let joined_at = &mut dims[0];
+        let mut slots = actuals.iter_mut();
         let mut done = |rows: u32, started: Instant| {
-            *slots.next().expect("one slot per operator") =
-                OpActual { rows: rows as u64, busy: started.elapsed() };
+            slots.next().expect("one slot per operator").record(rows, started)
         };
 
         // Fact-column predicates (flight 1): ordinary column predicates.
@@ -187,78 +189,73 @@ pub(crate) fn execute(
             done(pos.count(), started);
         }
         // Until something has restricted the morsel, a join reads its FK
-        // column as a scan; afterwards as a gather at the survivors.
+        // column as a scan; afterwards as a gather at the survivors, which
+        // from then on are the materialized `positions`.
         let mut restricted = !q.fact_predicates.is_empty();
+        if restricted {
+            load_survivors(&pos, positions, agg);
+        }
 
         // Restricted dimensions, most selective first, with eager
         // out-of-order extraction of each dimension's group columns.
-        let mut group_vals: Vec<Option<GroupData>> = Vec::new();
-        group_vals.resize_with(q.group_by.len(), || None);
         for &dim in &order {
             let started = Instant::now();
             let keys = &tables[&dim];
             let fk_col = db.fact.column(dim.fact_fk_column());
-            let dim_positions: Vec<u32> = if restricted {
-                let fks = gather_ints(fk_col, &pos, rio);
-                let mut keep = Vec::with_capacity(fks.len());
-                let mut new_pos = Vec::new();
-                let mut dim_positions = Vec::new();
-                for (p, fk) in pos.iter().zip(fks) {
+            if restricted {
+                gather_ints_into(fk_col, positions, rio, fks);
+                keep.clear();
+                joined_at.clear();
+                let mut kept = 0;
+                for (i, &fk) in fks.iter().enumerate() {
                     let hit = keys.get(fk);
                     keep.push(hit.is_some());
                     if let Some(d) = hit {
-                        new_pos.push(p);
-                        dim_positions.push(d);
+                        positions[kept] = positions[i];
+                        joined_at.push(d);
+                        kept += 1;
                     }
                 }
-                // Compact previously-extracted arrays to stay aligned.
-                for slot in group_vals.iter_mut().flatten() {
-                    slot.retain_marked(&keep);
-                }
-                pos = PosList::explicit(new_pos, range.len() as u32);
-                dim_positions
+                // Compact the survivors and their keys so far to stay aligned.
+                positions.truncate(kept);
+                agg.retain(keep);
             } else {
                 pos = keys
                     .with_scan_pred(|pred| refine(fk_col, range.clone(), &pos, pred, block, rio));
+                load_survivors(&pos, positions, agg);
                 let joined = |k| keys.get(k).expect("a matched FK joins its dimension");
-                ints_at(fk_col, &pos).into_iter().map(joined).collect()
-            };
+                map_ints_at(fk_col, positions, joined_at, joined);
+            }
             restricted = true;
             for (gi, g) in group_cols_of(dim) {
-                let col = db.dim(dim).store.column(g.column);
-                group_vals[gi] = Some(strat.extract_group_at(gi, col, &dim_positions, rio));
+                agg.extract(gi, db.dim(dim).store.column(g.column), joined_at, rio);
             }
-            done(pos.count(), started);
+            done(positions.len() as u32, started);
+        }
+        if !restricted {
+            load_survivors(&pos, positions, agg);
         }
 
-        let count = pos.count() as usize;
         // This morsel's share of the positions + aligned extracted arrays.
-        ctx.charge(count.saturating_mul(8 * (q.group_by.len() + 1)))?;
+        ctx.charge(positions.len().saturating_mul(8 * (q.group_by.len() + 1)))?;
 
         // Group-only dimensions (no predicates): join via the full table.
         for dim in q.touched_dims() {
-            if !group_cols_of(dim).any(|(gi, _)| group_vals[gi].is_none()) {
+            if order.contains(&dim) || group_cols_of(dim).next().is_none() {
                 continue;
             }
-            let fks = gather_ints(db.fact.column(dim.fact_fk_column()), &pos, rio);
-            let joined = |k| tables[&dim].get(k).expect("FK joins dimension");
-            let dim_positions: Vec<u32> = fks.into_iter().map(joined).collect();
+            let (table, fk_col) = (&tables[&dim], db.fact.column(dim.fact_fk_column()));
+            fk_col.charge_gather(positions.iter().copied(), rio);
+            map_ints_at(fk_col, positions, joined_at, |k| {
+                table.get(k).expect("FK joins dimension")
+            });
             for (gi, g) in group_cols_of(dim) {
-                let col = db.dim(dim).store.column(g.column);
-                group_vals[gi] = Some(strat.extract_group_at(gi, col, &dim_positions, rio));
+                agg.extract(gi, db.dim(dim).store.column(g.column), joined_at, rio);
             }
         }
 
         // Measures + partial aggregation on group ids.
-        let measure_cols: Vec<Vec<i64>> = q
-            .aggregate
-            .fact_columns()
-            .iter()
-            .map(|c| gather_ints(db.fact.column(c), &pos, rio))
-            .collect();
-        let group_cols: Vec<GroupData> =
-            group_vals.into_iter().map(|v| v.expect("all group columns extracted")).collect();
-        m.partial.add_rows(q, &group_cols, &measure_cols, count);
+        agg.aggregate(q, &db.fact, positions, rio);
         Ok(())
     };
     run_fused(n, opts.par, ctx, io, &strat, q, &operators, &splices, task)

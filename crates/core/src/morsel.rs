@@ -3,16 +3,22 @@
 //! The LINEORDER position space is split into fixed-size **morsels**
 //! (contiguous position ranges, after Leis et al.'s morsel-driven model).
 //! Workers claim morsels from a shared atomic counter (self-balancing: fast
-//! workers steal the remaining morsels), run the whole per-morsel pipeline —
-//! predicate scans, join probes, positional extraction, partial aggregation
-//! — and hand their results back tagged with the morsel index. The
-//! coordinator merges everything **in morsel order**, which is what makes
-//! execution deterministic:
+//! workers steal the remaining morsels) and run the whole per-morsel
+//! pipeline — predicate scans, join probes, positional extraction, partial
+//! aggregation. Two kinds of result come back, merged two ways, and both
+//! make execution deterministic:
 //!
-//! * partial aggregates merge in a fixed order (and are order-insensitive
-//!   sums anyway), so [`cvr_data::result::QueryOutput`]s are byte-identical
-//!   at every thread count;
-//! * per-morsel [`cvr_storage::io::IoLog`]s replay against the shared
+//! * **per worker**: each worker keeps one state for all the morsels it
+//!   claims — one partial aggregate, one set of buffers — created on its
+//!   first morsel and merged on the coordinator. Which morsels a worker saw
+//!   depends on scheduling; the merge does not, because partials are
+//!   integer sums over disjoint rows whose merge is associative and
+//!   commutative and whose `finish` sorts (see [`crate::agg`]). So
+//!   [`cvr_data::result::QueryOutput`]s are byte-identical at every thread
+//!   count, with one partial to allocate and merge per worker, not per
+//!   morsel;
+//! * **per morsel, in morsel order**: each morsel's
+//!   [`cvr_storage::io::IoLog`] replays against the shared
 //!   [`cvr_storage::io::BufferPool`] in morsel order, so the merged
 //!   [`cvr_storage::io::IoStats`] are the same bytes, pages and seeks
 //!   regardless of which worker ran which morsel when.
@@ -25,15 +31,16 @@
 //! the late-materialized plan shapes: fan-out, merge, I/O replay and
 //! per-operator tracing in one place.
 
-use crate::agg::{AggPartial, AggStrategy};
+use crate::agg::{AggStrategy, AggWorker};
 use crate::ctx::{QueryCtx, QueryError};
+use crate::poslist::PosList;
 use cvr_data::queries::SsbQuery;
 use cvr_data::result::QueryOutput;
 use cvr_storage::io::{IoLog, IoSession, IoStats};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Default morsel size in fact-table positions. Large enough that per-morsel
 /// bookkeeping is noise, small enough that a 4-thread run of even a small
@@ -93,12 +100,19 @@ enum Abort {
 }
 
 /// Run `task` over every morsel of `[0, n)` on up to `par.threads` workers;
-/// returns the per-morsel results **in morsel order**.
+/// returns the per-morsel results **in morsel order**, and the state of
+/// every worker that ran a morsel (the coordinator's first).
 ///
-/// `task(index, range)` must be safe to call concurrently (it receives
-/// disjoint ranges). Workers claim morsels from a shared counter, so the
-/// assignment of morsels to threads is scheduling-dependent — which is why
-/// callers must only rely on the returned order, never on worker identity.
+/// Each worker makes its state with `init` when it claims its first morsel
+/// and hands it to `task` for every morsel it runs: buffers and partial
+/// results that live as long as the worker, not the morsel. `task(state,
+/// index, range)` must be safe to call concurrently (it receives disjoint
+/// ranges). Workers claim morsels from a shared counter, so *which* morsels
+/// share a state is scheduling-dependent: callers may rely on the order of
+/// the per-morsel results, and may merge states only by an operation whose
+/// answer does not depend on the grouping or the order — the partial
+/// aggregates of [`crate::agg`] are integer sums over disjoint rows, so
+/// they do not (see its module docs).
 ///
 /// Between morsels every worker polls `ctx` ([`QueryCtx::check`]) and a
 /// shared abort flag, so cancellation/deadline/budget failures — and any
@@ -107,13 +121,15 @@ enum Abort {
 /// [`cvr_storage::fault::InjectedFault`] payload becomes
 /// [`QueryError::Io`], anything else is re-raised on the coordinator after
 /// all workers have parked (so a crashing worker can never leak a detached
-/// thread or deadlock the scope join).
-pub fn try_run_morsels<T: Send>(
+/// thread or deadlock the scope join). A fan-out that aborts returns no
+/// state: a task may have stopped half-way through updating it.
+pub fn try_run_morsels<S: Send, T: Send>(
     n: u32,
     par: Parallelism,
     ctx: &QueryCtx,
-    task: impl Fn(usize, Range<u32>) -> Result<T, QueryError> + Sync,
-) -> Result<Vec<T>, QueryError> {
+    init: impl Fn() -> S + Sync,
+    task: impl Fn(&mut S, usize, Range<u32>) -> Result<T, QueryError> + Sync,
+) -> Result<(Vec<T>, Vec<S>), QueryError> {
     let (morsel, count) = grid(n, par);
     let range_of = |i: usize| {
         let start = i as u32 * morsel;
@@ -123,8 +139,9 @@ pub fn try_run_morsels<T: Send>(
     // Ask the shared scheduler (when one is installed — the server installs
     // the process default) for a fair share of the machine's workers. The
     // lease is held for the duration of the fan-out. Worker count never
-    // affects results or accounting — morsel-order merging guarantees
-    // byte-identity at any count — so throttling here is always safe.
+    // affects results or accounting — morsel-order results and
+    // order-independent state merges guarantee byte-identity at any count —
+    // so throttling here is always safe.
     let lease = crate::sched::lease(par.threads.min(count));
     let workers = lease.granted().min(count);
 
@@ -141,15 +158,15 @@ pub fn try_run_morsels<T: Send>(
     // query context is adopted as this thread's scan watch for the duration
     // of the morsel, so oversized scans poll cancellation *inside* the
     // morsel too (a QueryError panic payload transports the abort here).
-    let run_one = |out: &mut Vec<(usize, T)>, i: usize| -> Result<(), ()> {
+    let run_one = |worker: &mut Worker<S, T>, i: usize| -> Result<(), ()> {
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cvr_storage::fault::before_morsel();
             let _watch = crate::ctx::watch_scans(ctx);
-            task(i, range_of(i))
+            task(worker.state.get_or_insert_with(&init), i, range_of(i))
         }));
         match attempt {
             Ok(Ok(t)) => {
-                out.push((i, t));
+                worker.results.push((i, t));
                 Ok(())
             }
             Ok(Err(e)) => {
@@ -173,8 +190,9 @@ pub fn try_run_morsels<T: Send>(
     // deterministic fault stream follows the query, not the thread.
     let faults = cvr_storage::fault::handle();
     let next = AtomicUsize::new(0);
-    let work = |out: &mut Vec<(usize, T)>| -> Duration {
+    let work = || -> Worker<S, T> {
         let started = thread_cpu_time();
+        let mut worker = Worker { results: Vec::new(), state: None, busy: Duration::ZERO };
         loop {
             if stop.load(Ordering::Relaxed) {
                 break;
@@ -187,7 +205,7 @@ pub fn try_run_morsels<T: Send>(
             if i >= count {
                 break;
             }
-            if run_one(out, i).is_err() {
+            if run_one(&mut worker, i).is_err() {
                 break;
             }
             // Rotate the run queue between morsels: when the machine has
@@ -200,7 +218,8 @@ pub fn try_run_morsels<T: Send>(
                 std::thread::yield_now();
             }
         }
-        thread_cpu_time().saturating_sub(started)
+        worker.busy = thread_cpu_time().saturating_sub(started);
+        worker
     };
 
     // The coordinator claims morsels too, so one granted worker means no
@@ -208,23 +227,23 @@ pub fn try_run_morsels<T: Send>(
     // coordinator first, is the one measurement all three observation sinks
     // (profiler, tracer, metrics) share.
     let mut tagged: Vec<(usize, T)> = Vec::with_capacity(count);
+    let mut states: Vec<S> = Vec::with_capacity(workers);
     let mut busys: Vec<Duration> = Vec::with_capacity(workers);
     std::thread::scope(|s| {
         let handles: Vec<_> = (1..workers)
             .map(|_| {
                 s.spawn(|| {
                     let _faults = cvr_storage::fault::adopt_opt(faults.clone());
-                    let mut out = Vec::new();
-                    let busy = work(&mut out);
-                    (out, busy)
+                    work()
                 })
             })
             .collect();
-        busys.push(work(&mut tagged));
-        for h in handles {
-            let (out, busy) = h.join().expect("morsel worker panicked");
-            tagged.extend(out);
-            busys.push(busy);
+        let coordinator = work();
+        let spawned = handles.into_iter().map(|h| h.join().expect("morsel worker panicked"));
+        for worker in std::iter::once(coordinator).chain(spawned) {
+            tagged.extend(worker.results);
+            states.extend(worker.state);
+            busys.push(worker.busy);
         }
     });
     observe_fanout(ctx, &busys, next.into_inner().min(count) as u64);
@@ -234,9 +253,19 @@ pub fn try_run_morsels<T: Send>(
         Some(Abort::Error(e)) => Err(e),
         None => {
             tagged.sort_unstable_by_key(|(i, _)| *i);
-            Ok(tagged.into_iter().map(|(_, t)| t).collect())
+            Ok((tagged.into_iter().map(|(_, t)| t).collect(), states))
         }
     }
+}
+
+/// What one worker of [`try_run_morsels`] hands back to the coordinator.
+struct Worker<S, T> {
+    /// Its morsels' results, tagged with the morsel index.
+    results: Vec<(usize, T)>,
+    /// Its state, once it has claimed a morsel.
+    state: Option<S>,
+    /// Its busy CPU time inside the fan-out.
+    busy: Duration,
 }
 
 /// Publish one fan-out's shared measurement — per-worker busy CPU times
@@ -287,33 +316,80 @@ pub(crate) struct Operator {
     pub log_ops: usize,
 }
 
-/// What one operator did in one morsel (summed over morsels for the trace).
+/// What one operator did, summed over the morsels of one worker and then
+/// over the workers (integer sums: the grouping does not matter).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct OpActual {
     pub rows: u64,
     pub busy: Duration,
 }
 
+impl OpActual {
+    /// Count one morsel's run of the operator: `rows` survivors after it,
+    /// busy since `started`.
+    pub fn record(&mut self, rows: u32, started: Instant) {
+        self.rows += rows as u64;
+        self.busy += started.elapsed();
+    }
+}
+
+/// Reusable per-worker buffers of a fused plan shape, beside its
+/// [`AggWorker`]: after a worker's first morsel of a given size, no morsel
+/// allocates.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// The morsel's surviving fact positions, ascending — the one
+    /// materialization of the survivors that every gather reads.
+    pub positions: Vec<u32>,
+    /// Per joined dimension: the dimension position each survivor's foreign
+    /// key joins to.
+    pub dims: Vec<Vec<u32>>,
+    /// Foreign keys gathered at `positions`.
+    pub keys: Vec<i64>,
+    /// Per position: whether a join kept it.
+    pub keep: Vec<bool>,
+}
+
+/// Materialize a morsel's survivors `pos` into `positions` — once, for every
+/// gather after it to read — and start `agg` on that many rows.
+pub(crate) fn load_survivors(pos: &PosList, positions: &mut Vec<u32>, agg: &mut AggWorker<'_>) {
+    positions.clear();
+    positions.reserve(pos.count() as usize);
+    pos.iter().for_each(|p| positions.push(p));
+    agg.begin(positions.len());
+}
+
 /// What a fused pipeline's task works with for one morsel.
-pub(crate) struct Morsel<'a> {
+pub(crate) struct Morsel<'a, 's> {
     pub range: Range<u32>,
     /// The morsel's recording session: every charge lands in its log.
     pub io: &'a IoSession,
-    /// One slot per traced operator.
+    /// One slot per traced operator: the worker's running totals.
     pub actuals: &'a mut [OpActual],
-    /// The morsel's own accumulator.
-    pub partial: &'a mut AggPartial,
+    /// The worker's extract→aggregate kernel and partial aggregate.
+    pub agg: &'a mut AggWorker<'s>,
+    /// The worker's buffers.
+    pub scratch: &'a mut Scratch,
+}
+
+/// One worker's state in [`run_fused`].
+struct FusedWorker<'s> {
+    actuals: Vec<OpActual>,
+    agg: AggWorker<'s>,
+    scratch: Scratch,
 }
 
 /// The shared driver of the late-materialized plan shapes. Every morsel
-/// runs `task` against its own recording session and accumulator; partial
-/// aggregates merge and the I/O logs replay op-major, both in morsel order,
-/// on `io`. `splices` are the coordinator's recorded charges (hash tables,
-/// key predicates), each replayed immediately before the per-morsel op
-/// index it is paired with — see [`IoSession::replay_interleaved`] — so the
-/// charge order is the one a single whole-column execution of the plan has.
-/// The fan-out fuses its operators, so their wall time cannot be separated:
-/// one `extract-aggregate` span carries the combined measurement plus the
+/// runs `task` against its own recording session and its worker's
+/// accumulator and buffers; the I/O logs replay op-major in morsel order on
+/// `io`, and the workers' partial aggregates merge on the coordinator (in
+/// any order: [`crate::agg`]). `splices` are the coordinator's recorded
+/// charges (hash tables, key predicates), each replayed immediately before
+/// the per-morsel op index it is paired with — see
+/// [`IoSession::replay_interleaved`] — so the charge order is the one a
+/// single whole-column execution of the plan has. The fan-out fuses its
+/// operators, so their wall time cannot be separated: one
+/// `extract-aggregate` span carries the combined measurement plus the
 /// per-worker breakdown, followed by one leaf per entry of `operators`
 /// carrying the rows, busy time and I/O summed over its morsels — the same
 /// tree at every thread count.
@@ -327,30 +403,32 @@ pub(crate) fn run_fused(
     q: &SsbQuery,
     operators: &[Operator],
     splices: &[(usize, &IoLog)],
-    task: impl Fn(Morsel<'_>) -> Result<(), QueryError> + Sync,
+    task: impl Fn(Morsel<'_, '_>) -> Result<(), QueryError> + Sync,
 ) -> Result<QueryOutput, QueryError> {
     let mut span = ctx.span("extract-aggregate", "", io);
     let pool = io.pool().clone();
-    let results = try_run_morsels(n, par, ctx, |_, range| {
+    let init = || FusedWorker {
+        actuals: vec![OpActual::default(); operators.len()],
+        agg: strat.worker(),
+        scratch: Scratch::default(),
+    };
+    let (logs, workers) = try_run_morsels(n, par, ctx, init, |w, _, range| {
         let rio = IoSession::recording(pool.clone());
-        let mut actuals = vec![OpActual::default(); operators.len()];
-        let mut partial = strat.new_partial();
-        task(Morsel { range, io: &rio, actuals: &mut actuals, partial: &mut partial })?;
-        Ok((rio.take_log(), actuals, partial))
+        let FusedWorker { actuals, agg, scratch } = w;
+        task(Morsel { range, io: &rio, actuals, agg, scratch })?;
+        Ok(rio.take_log())
     })?;
-    let mut merged = strat.new_partial();
     let mut totals = vec![OpActual::default(); operators.len()];
-    let mut logs = Vec::with_capacity(results.len());
-    for (log, actuals, partial) in results {
-        logs.push(log);
-        merged.merge(partial);
-        for (total, actual) in totals.iter_mut().zip(actuals) {
+    let mut partials = Vec::with_capacity(workers.len());
+    for worker in workers {
+        for (total, actual) in totals.iter_mut().zip(worker.actuals) {
             total.rows += actual.rows;
             total.busy += actual.busy;
         }
+        partials.push(worker.agg.into_partial());
     }
     let mut deltas = io.replay_interleaved(&logs, splices).into_iter();
-    let out = strat.finish(merged, q);
+    let out = strat.finish(partials, q);
     span.rows(out.len() as u64);
     drop(span);
     if let Some(tracer) = ctx.tracer() {
@@ -468,7 +546,8 @@ mod tests {
         par: Parallelism,
         task: impl Fn(usize, Range<u32>) -> T + Sync,
     ) -> Vec<T> {
-        try_run_morsels(n, par, &QueryCtx::unbounded(), |i, r| Ok(task(i, r))).unwrap()
+        let ctx = QueryCtx::unbounded();
+        try_run_morsels(n, par, &ctx, || (), |_, i, r| Ok(task(i, r))).unwrap().0
     }
 
     #[test]
@@ -504,16 +583,68 @@ mod tests {
     }
 
     #[test]
+    fn each_worker_keeps_one_state_across_its_morsels() {
+        for threads in [1, 2, 4] {
+            let par = Parallelism { threads, morsel_rows: 64 };
+            let (count, made) = (grid(10_000, par).1, AtomicUsize::new(0));
+            let init = || {
+                made.fetch_add(1, Ordering::Relaxed);
+                Vec::new()
+            };
+            let (ranges, states) = try_run_morsels(10_000, par, &QueryCtx::unbounded(), init, {
+                |seen: &mut Vec<usize>, i, r| {
+                    seen.push(i);
+                    Ok(r)
+                }
+            })
+            .unwrap();
+            // One state per worker that ran a morsel, made once, and
+            // together they saw every morsel exactly once.
+            assert_eq!(ranges.len(), count);
+            assert!(!states.is_empty() && states.len() <= threads, "threads={threads}");
+            assert_eq!(made.into_inner(), states.len());
+            let mut seen: Vec<usize> = states.into_iter().flatten().collect();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..count).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn an_aborted_fanout_returns_no_state() {
+        let par = Parallelism { threads: 2, morsel_rows: 64 };
+        let got = try_run_morsels(
+            10_000,
+            par,
+            &QueryCtx::unbounded(),
+            || 0u32,
+            |n, i, _| {
+                *n += 1;
+                if i == 3 {
+                    return Err(QueryError::Cancelled);
+                }
+                Ok(())
+            },
+        );
+        assert_eq!(got.map(|(_, states)| states.len()), Err(QueryError::Cancelled));
+    }
+
+    #[test]
     fn cancellation_stops_the_fanout_at_a_morsel_boundary() {
         for threads in [1, 4] {
             let par = Parallelism { threads, morsel_rows: 64 };
             let ctx = QueryCtx::unbounded();
             let ran = AtomicUsize::new(0);
-            let got = try_run_morsels(100_000, par, &ctx, |_, r| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                ctx.cancel(); // first morsel cancels everyone
-                Ok(r.len())
-            });
+            let got = try_run_morsels(
+                100_000,
+                par,
+                &ctx,
+                || (),
+                |_, _, r| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    ctx.cancel(); // first morsel cancels everyone
+                    Ok(r.len())
+                },
+            );
             assert_eq!(got, Err(QueryError::Cancelled), "threads={threads}");
             let ran = ran.load(Ordering::Relaxed);
             assert!(ran <= threads + 1, "cancelled after {ran} morsels with {threads} workers");
@@ -525,13 +656,19 @@ mod tests {
         let par = Parallelism { threads: 4, morsel_rows: 64 };
         let budget = QueryError::MemoryBudgetExceeded { used: 9, budget: 1 };
         let err = budget.clone();
-        let got = try_run_morsels(100_000, par, &QueryCtx::unbounded(), move |i, _| {
-            if i == 0 {
-                Err(err.clone())
-            } else {
-                Ok(i)
-            }
-        });
+        let got = try_run_morsels(
+            100_000,
+            par,
+            &QueryCtx::unbounded(),
+            || (),
+            move |_, i, _| {
+                if i == 0 {
+                    Err(err.clone())
+                } else {
+                    Ok(i)
+                }
+            },
+        );
         assert_eq!(got, Err(budget));
     }
 
@@ -539,12 +676,18 @@ mod tests {
     fn injected_fault_panics_become_io_errors() {
         for threads in [1, 4] {
             let par = Parallelism { threads, morsel_rows: 64 };
-            let got = try_run_morsels(10_000, par, &QueryCtx::unbounded(), |i, r| {
-                if i == 2 {
-                    std::panic::panic_any(cvr_storage::fault::InjectedFault("page 3".into()));
-                }
-                Ok(r.len())
-            });
+            let got = try_run_morsels(
+                10_000,
+                par,
+                &QueryCtx::unbounded(),
+                || (),
+                |_, i, r| {
+                    if i == 2 {
+                        std::panic::panic_any(cvr_storage::fault::InjectedFault("page 3".into()));
+                    }
+                    Ok(r.len())
+                },
+            );
             assert_eq!(got, Err(QueryError::Io { detail: "page 3".into() }), "threads={threads}");
         }
     }
@@ -553,12 +696,18 @@ mod tests {
     fn foreign_worker_panics_resume_on_the_coordinator() {
         let par = Parallelism { threads: 4, morsel_rows: 64 };
         let caught = std::panic::catch_unwind(|| {
-            let _ = try_run_morsels(10_000, par, &QueryCtx::unbounded(), |i, r| {
-                if i == 1 {
-                    panic!("genuine worker bug");
-                }
-                Ok(r.len())
-            });
+            let _ = try_run_morsels(
+                10_000,
+                par,
+                &QueryCtx::unbounded(),
+                || (),
+                |_, i, r| {
+                    if i == 1 {
+                        panic!("genuine worker bug");
+                    }
+                    Ok(r.len())
+                },
+            );
         });
         let payload = caught.expect_err("the panic must propagate");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
@@ -587,12 +736,18 @@ mod tests {
         // QueryError panic payload; the morsel boundary must type it back.
         for threads in [1, 4] {
             let par = Parallelism { threads, morsel_rows: 64 };
-            let got = try_run_morsels(10_000, par, &QueryCtx::unbounded(), |i, r| {
-                if i == 2 {
-                    std::panic::panic_any(QueryError::Cancelled);
-                }
-                Ok(r.len())
-            });
+            let got = try_run_morsels(
+                10_000,
+                par,
+                &QueryCtx::unbounded(),
+                || (),
+                |_, i, r| {
+                    if i == 2 {
+                        std::panic::panic_any(QueryError::Cancelled);
+                    }
+                    Ok(r.len())
+                },
+            );
             assert_eq!(got, Err(QueryError::Cancelled), "threads={threads}");
         }
     }

@@ -136,11 +136,13 @@ impl PosList {
     }
 
     /// Iterate selected positions in ascending order.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = u32> + '_> {
+    pub fn iter(&self) -> PosIter<'_> {
         match self {
-            PosList::Range { start, end, .. } => Box::new(*start..*end),
-            PosList::Bitmap { base, bits } => Box::new(bits.iter().map(move |p| base + p)),
-            PosList::Explicit { positions, .. } => Box::new(positions.iter().copied()),
+            PosList::Range { start, end, .. } => PosIter::Range(*start..*end),
+            PosList::Bitmap { base, bits } => {
+                PosIter::Bitmap { words: bits.words().iter(), word: 0, at: base.wrapping_sub(64) }
+            }
+            PosList::Explicit { positions, .. } => PosIter::Explicit(positions.iter()),
         }
     }
 
@@ -247,6 +249,78 @@ impl PosList {
     }
 }
 
+/// The ascending positions of a [`PosList`], one representation each — a
+/// concrete type, so a gather loop over it pays a match per position, not a
+/// virtual call.
+#[derive(Debug, Clone)]
+pub enum PosIter<'a> {
+    /// Every position of a range.
+    Range(Range<u32>),
+    /// The set bits of a window bitmap.
+    Bitmap {
+        /// Words not yet loaded.
+        words: std::slice::Iter<'a, u64>,
+        /// The unvisited bits of the current word.
+        word: u64,
+        /// Position of the current word's bit 0.
+        at: u32,
+    },
+    /// An explicit list.
+    Explicit(std::slice::Iter<'a, u32>),
+}
+
+impl Iterator for PosIter<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        match self {
+            PosIter::Range(range) => range.next(),
+            PosIter::Bitmap { words, word, at } => {
+                while *word == 0 {
+                    *word = *words.next()?;
+                    *at = at.wrapping_add(64);
+                }
+                let bit = word.trailing_zeros();
+                *word &= *word - 1;
+                Some(*at + bit)
+            }
+            PosIter::Explicit(positions) => positions.next().copied(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            PosIter::Range(range) => range.size_hint(),
+            PosIter::Bitmap { words, word, .. } => {
+                let ones = word.count_ones() as usize;
+                (ones, Some(ones + words.len() * 64))
+            }
+            PosIter::Explicit(positions) => positions.size_hint(),
+        }
+    }
+
+    /// One dispatch per traversal instead of one per position: `for_each`,
+    /// `sum`, `count` and friends run a representation's own loop.
+    fn fold<B, F: FnMut(B, u32) -> B>(self, init: B, mut f: F) -> B {
+        match self {
+            PosIter::Range(range) => range.fold(init, f),
+            PosIter::Bitmap { mut words, mut word, mut at } => {
+                let mut acc = init;
+                loop {
+                    while word != 0 {
+                        acc = f(acc, at + word.trailing_zeros());
+                        word &= word - 1;
+                    }
+                    let Some(&next) = words.next() else { return acc };
+                    (word, at) = (next, at.wrapping_add(64));
+                }
+            }
+            PosIter::Explicit(positions) => positions.copied().fold(init, f),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,6 +344,37 @@ mod tests {
         assert_eq!(r.to_vec(), vec![5, 6, 7, 8, 9]);
         assert!(PosList::empty(10).is_empty());
         assert_eq!(PosList::all(0..10).count(), 10);
+    }
+
+    #[test]
+    fn iteration_by_next_and_by_fold_agree_in_every_representation() {
+        // Windows starting at 0 and mid-column, bits in the first and last
+        // word and none in between, and iterators part-consumed before the
+        // fold takes over.
+        let (base, n) = (1024u32, 300u32);
+        let sets: [Vec<u32>; 3] = [
+            vec![base, base + 1, base + 63, base + 64, base + 299],
+            (base..base + n).filter(|p| p % 7 == 3).collect(),
+            vec![base + 200],
+        ];
+        for set in &sets {
+            for list in
+                [bitmap(base, n, set), explicit(set, n), PosList::from_ascending(set.clone(), n)]
+            {
+                let by_next: Vec<u32> = list.iter().collect();
+                assert_eq!(&by_next, set, "{list:?}");
+                for skip in 0..set.len() {
+                    let mut it = list.iter();
+                    it.by_ref().take(skip).for_each(drop);
+                    let mut by_fold = Vec::new();
+                    it.for_each(|p| by_fold.push(p));
+                    assert_eq!(by_fold, set[skip..], "{list:?} after {skip}");
+                }
+            }
+        }
+        let run = PosList::Range { start: base, end: base + 5, universe: n };
+        assert_eq!(run.iter().fold(0, |acc, p| acc + p - base), 10);
+        assert_eq!(bitmap(0, 64, &[]).iter().count(), 0);
     }
 
     #[test]

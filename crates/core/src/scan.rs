@@ -66,11 +66,17 @@ impl PosAccumulator {
     /// Accumulator over the positions of `window`.
     pub fn new(window: Range<u32>) -> PosAccumulator {
         let universe = window.len() as u32;
+        let limit = (universe / EXPLICIT_LIMIT_DIVISOR).max(64) as usize;
         PosAccumulator {
             base: window.start,
             universe,
-            limit: (universe / EXPLICIT_LIMIT_DIVISOR).max(64) as usize,
-            explicit: Vec::new(),
+            limit,
+            // Allocated once at the most it ever holds (4 KiB for a default
+            // morsel) rather than grown from four entries: no reallocation
+            // per doubling, and no run of tiny buffers — measured, those
+            // shared cache lines with the other worker's, which slowed a
+            // two-worker first probe by up to 1.8× in some processes.
+            explicit: Vec::with_capacity(limit + 1),
             bitmap: None,
             contiguous: true,
             next_expected: None,
@@ -318,40 +324,44 @@ fn for_each_chunk(window: &Range<u32>, mut f: impl FnMut(u32, u32)) {
     }
 }
 
-/// Measured unit costs behind the per-word choice between a word kernel and
-/// per-candidate tests, in tenths of a nanosecond. From the `refine` rows of
-/// `BENCH_kernels.json` (`kernels` binary, 16 Ki-row windows, a range
-/// predicate keeping half the values — no all-match or all-miss words for the
-/// kernel to shortcut):
+/// Measured unit costs behind the choice between a word kernel and
+/// per-candidate tests, in tenths of a nanosecond per 64 positions. From a
+/// second probe as the invisible join runs it — the independent-candidate
+/// `refine` rows of `BENCH_kernels.json` (`kernels` binary, 16 Ki-row
+/// windows, random foreign-key values under a range keeping one region in
+/// five, candidates drawn per position at 5–40 %):
 ///
-/// * one candidate fetched with `PackedInts::get` and tested costs 3.0–4.1 ns
-///   (`get_ns_per_candidate` at 20–50 % candidates; sparser candidates add
-///   cache misses, which only favours skipping);
-/// * the SWAR kernel costs 0.74 ns per value at 5 lanes per word and 1.29 at
-///   3 (`kernel_ns_per_value`, widths 10 and 17): one packed word through
-///   compare, multiply-gather and mask banking is ~3.8 ns whatever its lane
-///   count;
+/// * testing the candidates costs 18 ns for the 64 positions' bitmap word
+///   (walking it, banking the verdicts) plus 2.8 ns a candidate — the rows
+///   at the densities where the candidates are tested, 26–27 ns at 5 % and
+///   37–38 at 10 % at every width;
+/// * the SWAR kernel costs 0.67–0.74 ns a value at 6 lanes per word, 0.78 at
+///   5 and 1.06–1.14 at 3 (`kernel_ns_per_value`, widths 9, 10 and 17): one
+///   packed word through compare, multiply-gather and mask banking is 3.3–4.2
+///   ns whatever its lane count;
 /// * at lanes narrower than 8 bits the verdict bits are gathered by a shift
-///   loop instead of a multiply, and the kernel costs 1.31 ns per value
+///   loop instead of a multiply, and the kernel costs 1.45–1.48 ns a value
 ///   however many lanes share the word (width 6).
-const CANDIDATE_COST: u32 = 35;
-const SWAR_WORD_COST: u32 = 40;
-const NARROW_LANE_COST: u32 = 13;
+const CANDIDATE_COST: u32 = 28;
+const CANDIDATE_WORD_COST: u32 = 180;
+const SWAR_WORD_COST: u32 = 38;
+const NARROW_LANE_COST: u32 = 15;
 
-/// Candidates in one 64-position word from which the SWAR kernel over
-/// `packed` beats testing them one by one: the word spans `64 / lanes`
-/// packed words. 14 of 64 at 5 lanes per word, 24 at 3, 37 at 2; 24 for
-/// every narrow-lane width.
+/// Candidates per 64 positions from which the SWAR kernel over `packed`
+/// beats testing them one by one: 64 positions span `64 / lanes` packed
+/// words. 9 at 6 lanes per word, 11 at 5, 23 at 3, 28 for every narrow-lane
+/// width — the crossovers of the rows themselves (9.6, 11.4, 18.6 and 27
+/// where the kernel and candidate lines meet).
 fn swar_kernel_from(packed: &PackedInts) -> u32 {
     let kernel = if packed.lane_bits() >= 8 {
-        64 / packed.lanes_per_word() as u32 * SWAR_WORD_COST
+        64 * SWAR_WORD_COST / packed.lanes_per_word() as u32
     } else {
         64 * NARROW_LANE_COST
     };
-    kernel.div_ceil(CANDIDATE_COST)
+    kernel.saturating_sub(CANDIDATE_WORD_COST).div_ceil(CANDIDATE_COST)
 }
 
-/// Candidates in one 64-position word from which a *per-value* word kernel
+/// Candidates per 64 positions from which a *per-value* word kernel
 /// over packed lanes (unpack, then an opaque test) beats testing the
 /// candidates one by one. From the `membership` rows (`packed_w13`): the
 /// key-flag kernel pays 2.0–2.5 ns for each of the 64 values against
@@ -360,7 +370,7 @@ fn swar_kernel_from(packed: &PackedInts) -> u32 {
 /// takes the kernel a little early for hash sets, never late.
 const VALUE_KERNEL_FROM: u32 = 40;
 
-/// Candidates in one 64-position word from which the range kernel over a
+/// Candidates per 64 positions from which the range kernel over a
 /// plain column of `width` bytes beats testing them one by one. A candidate
 /// is one slice index and a compare, 2.1–2.5 ns with its share of the word's
 /// bookkeeping whatever the width (`get_ns_per_candidate` of the `plain_*`
@@ -394,13 +404,19 @@ const NO_KERNEL: u32 = 65;
 /// emitting the survivors into `sink`. `masks(s, e, emit)` is the pair's
 /// word kernel over positions `[s, e)` (bases ascend from `s` in steps of
 /// 64), `test(p)` its verdict on the single position `p`, and `kernel_from`
-/// the number of candidates in a 64-position word from which the kernel is
-/// the cheaper of the two:
+/// the number of candidates per 64 positions from which the kernel is the
+/// cheaper of the two:
 ///
 /// * `Range` candidates narrow the kernel's window;
-/// * `Bitmap` candidates skip empty words, test the candidates of sparse
-///   words one by one, and run the kernel over stretches of dense words,
-///   ANDing its masks with the candidate words;
+/// * `Bitmap` candidates decide **once per window**: the kernel over the
+///   whole window, its masks ANDed with the candidate words, when the window
+///   holds `kernel_from` candidates per 64 positions or more; otherwise the
+///   candidates tested one by one, empty words skipped. Deciding word by
+///   word instead flipped between the two on every other word of a 20 %
+///   bitmap (a binomial word count straddles its mean), paying the kernel's
+///   set-up on one- and two-word stretches and a mispredicted branch a word
+///   — about 1.4× the cost of either path alone on the second probe of
+///   Q3.1 and Q4.1;
 /// * `Explicit` candidates are tested one by one.
 ///
 /// Tuple-at-a-time mode (`!block`) never takes a kernel and pays one opaque
@@ -454,31 +470,22 @@ fn drive<M, T>(
         }
         PosList::Bitmap { base, bits } => {
             // Pieces start a whole number of mask words into the window.
-            let words = bits.words();
-            let (mut i, hi) = (((s - base) / 64) as usize, (e - base).div_ceil(64) as usize);
-            while i < hi {
-                let word = words[i];
-                if word == 0 {
-                    i += 1;
-                } else if word.count_ones() < kernel_from {
-                    let at = base + i as u32 * 64;
-                    let (mut rest, mut kept) = (word, 0u64);
-                    while rest != 0 {
-                        let j = rest.trailing_zeros();
-                        kept |= (test(at + j) as u64) << j;
-                        rest &= rest - 1;
-                    }
-                    sink.push_mask(at, kept);
-                    i += 1;
-                } else {
-                    let from = i;
-                    while i < hi && words[i].count_ones() >= kernel_from {
-                        i += 1;
-                    }
-                    masks(base + from as u32 * 64, (base + i as u32 * 64).min(e), &mut |b, m| {
-                        sink.push_mask(b, m & words[((b - base) / 64) as usize])
-                    });
+            let (first, words) = (((s - base) / 64) as usize, bits.words());
+            let words = &words[first..(e - base).div_ceil(64) as usize];
+            let candidates: u32 = words.iter().map(|w| w.count_ones()).sum();
+            if candidates >= kernel_from.saturating_mul(words.len() as u32) {
+                masks(s, e, &mut |b, m| sink.push_mask(b, m & words[((b - s) / 64) as usize]));
+                return;
+            }
+            for (i, &word) in words.iter().enumerate() {
+                let at = s + i as u32 * 64;
+                let (mut rest, mut kept) = (word, 0u64);
+                while rest != 0 {
+                    let j = rest.trailing_zeros();
+                    kept |= (test(at + j) as u64) << j;
+                    rest &= rest - 1;
                 }
+                sink.push_mask(at, kept);
             }
         }
         PosList::Explicit { positions, .. } => {
@@ -702,10 +709,10 @@ fn refine_str(
 /// the plain window scan.
 ///
 /// Work follows the candidates, not the window: contiguous candidates narrow
-/// the kernel's range, bitmap candidates skip every empty 64-position word
-/// and choose per word between the word kernel and per-candidate tests,
-/// explicit candidates are tested one by one, RLE columns walk only the runs
-/// under the candidates, and no candidates means no kernel at all. The
+/// the kernel's range, bitmap candidates choose once per window between the
+/// word kernel and per-candidate tests (which skip every empty 64-position
+/// word), explicit candidates are tested one by one, RLE columns walk only
+/// the runs under the candidates, and no candidates means no kernel at all. The
 /// *charge* does not follow them: every call opens one I/O op and charges
 /// the window's slice of the column's pages
 /// ([`StoredColumn::charge_scan_range`], which for the whole column is the

@@ -376,7 +376,7 @@ impl Planner {
     /// still alive (`cvr_core::scan::refine`). The column is read — and
     /// charged — in full whatever the candidates; the CPU pays the cheaper
     /// of the window kernel and one test per candidate, which is the choice
-    /// the executor makes word by word.
+    /// the executor makes window by window.
     fn refine_col(
         &self,
         stats: &ColumnStats,

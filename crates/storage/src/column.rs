@@ -13,7 +13,7 @@
 //!   materialization): only the pages covering the requested positions are
 //!   fetched, in position order.
 
-use crate::encode::{Column, IntColumn, StrColumn, RLE_RUN_BYTES};
+use crate::encode::{Column, IntColumn, RunCursor, StrColumn, RLE_RUN_BYTES};
 use crate::io::{pages_for, FileId, IoSession, PageId, PAGE_SIZE};
 use cvr_data::table::TableData;
 
@@ -172,11 +172,15 @@ impl StoredColumn {
     /// Charge a positional gather: `positions` must be ascending. Only the
     /// distinct pages containing the positions are fetched.
     ///
-    /// Page mapping per encoding:
+    /// Page mapping per encoding, each O(1) per position:
     /// * plain ints — `pos × width`;
-    /// * RLE — byte offset of the containing run (runs located by binary
-    ///   search);
-    /// * dictionary strings — code array offset (the dictionary itself is
+    /// * RLE — byte offset of the containing run (runs located by a
+    ///   [`RunCursor`]: forward from the last hit, a binary search only on a
+    ///   jump);
+    /// * packed ints — offset of the containing word
+    ///   ([`PackedInts::word_of`](crate::packed::PackedInts::word_of), a
+    ///   multiply instead of a divide);
+    /// * dictionary strings — code word offset (the dictionary itself is
     ///   charged in full once: it is small and needed to decode anything);
     /// * plain strings — approximated with the column's mean value length
     ///   (exact per-value offsets would require scanning, which positional
@@ -199,16 +203,15 @@ impl StoredColumn {
                     touch(p as u64 * w);
                 }
             }
-            Column::Int(rle @ IntColumn::Rle { .. }) => {
+            Column::Int(IntColumn::Rle { runs, .. }) => {
+                let mut cursor = RunCursor::new(runs);
                 for p in positions {
-                    let run = rle.run_containing(p) as u64;
-                    touch(run * RLE_RUN_BYTES);
+                    touch(cursor.seek(p) as u64 * RLE_RUN_BYTES);
                 }
             }
             Column::Int(IntColumn::Packed { packed, .. }) => {
-                let k = packed.lanes_per_word() as u64;
                 for p in positions {
-                    touch(p as u64 / k * 8);
+                    touch(packed.word_of(p) as u64 * 8);
                 }
             }
             Column::Str(StrColumn::Dict { dict, codes }) => {
@@ -219,9 +222,8 @@ impl StoredColumn {
                     let bytes = (dict_bytes - p as u64 * PAGE_SIZE).min(PAGE_SIZE);
                     io.read_page(PageId { file: self.file, page: p }, bytes);
                 }
-                let k = codes.lanes_per_word() as u64;
                 for p in positions {
-                    touch(dict_bytes + p as u64 / k * 8);
+                    touch(dict_bytes + codes.word_of(p) as u64 * 8);
                 }
             }
             Column::Str(StrColumn::Plain { values, bytes }) => {
@@ -426,6 +428,53 @@ mod tests {
         cs.column("lowcard").charge_gather([0u32, 99_999], &io);
         // dict page (also containing the first codes) + maybe the final code page
         assert!(io.stats().pages_read <= 2);
+    }
+
+    #[test]
+    fn gather_charges_the_pages_of_the_per_position_reference() {
+        // The cursor and the reciprocal must touch exactly the pages, in
+        // exactly the order, of a binary search and a divide per position.
+        let cs = ColumnStore::from_table(&table(), EncodingChoice::Auto);
+        let ascending: Vec<u32> = (0..100_000).step_by(37).collect();
+        let scattered: Vec<u32> =
+            (0..5_000u64).map(|i| (i * 2_654_435_761 % 100_000) as u32).collect();
+        let packed = IntColumn::packed(&(0..100_000).map(|i| i % 1000).collect::<Vec<_>>());
+        let packed = StoredColumn::new("p", Column::Int(packed.unwrap()));
+        for col in [cs.column("sorted"), cs.column("lowcard"), &packed] {
+            let reference = |p: u32| -> u64 {
+                match &col.column {
+                    Column::Int(rle @ IntColumn::Rle { .. }) => {
+                        rle.run_containing(p) as u64 * RLE_RUN_BYTES
+                    }
+                    Column::Int(IntColumn::Packed { packed, .. }) => {
+                        p as u64 / packed.lanes_per_word() as u64 * 8
+                    }
+                    Column::Str(StrColumn::Dict { dict, codes }) => {
+                        let dict_bytes: u64 = dict.iter().map(|s| 1 + s.len() as u64).sum();
+                        dict_bytes + p as u64 / codes.lanes_per_word() as u64 * 8
+                    }
+                    _ => unreachable!("three encodings under test"),
+                }
+            };
+            for positions in [&ascending, &scattered] {
+                let rec = IoSession::recording(crate::io::BufferPool::unbounded());
+                col.charge_gather(positions.iter().copied(), &rec);
+                let got: Vec<u32> = rec.take_log().entries().iter().map(|(p, _)| p.page).collect();
+                let mut want: Vec<u32> = match &col.column {
+                    Column::Str(StrColumn::Dict { .. }) => vec![0],
+                    _ => Vec::new(),
+                };
+                let mut last = u32::MAX;
+                for &p in positions.iter() {
+                    let page = (reference(p) / PAGE_SIZE) as u32;
+                    if page != last {
+                        want.push(page);
+                        last = page;
+                    }
+                }
+                assert_eq!(got, want, "{}", col.name);
+            }
+        }
     }
 
     #[test]

@@ -398,6 +398,59 @@ fn run_index(runs: &[Run], pos: u32) -> usize {
     }
 }
 
+/// A cursor over an RLE run directory for a stream of position look-ups:
+/// O(1) while the positions stay in the current run or move forward by a
+/// few runs — the ascending survivors of a morsel, the bursts of a
+/// fact-ordered dimension probe — and one binary search on a backward jump
+/// or a longer forward one. Panics, like [`IntColumn::run_containing`], on a
+/// position past the last run.
+#[derive(Debug, Clone)]
+pub struct RunCursor<'a> {
+    runs: &'a [Run],
+    at: usize,
+}
+
+impl<'a> RunCursor<'a> {
+    /// Runs walked one by one before a forward seek binary-searches.
+    const LINEAR: usize = 4;
+
+    /// A cursor at the first run of `runs`.
+    pub fn new(runs: &'a [Run]) -> RunCursor<'a> {
+        RunCursor { runs, at: 0 }
+    }
+
+    /// Index of the run containing `pos`.
+    #[inline]
+    pub fn seek(&mut self, pos: u32) -> usize {
+        let run = &self.runs[self.at];
+        if pos < run.start {
+            self.at = run_index(self.runs, pos);
+        } else if pos - run.start >= run.len {
+            self.at = self.forward(pos);
+        }
+        self.at
+    }
+
+    /// Value at `pos`.
+    #[inline]
+    pub fn value_at(&mut self, pos: u32) -> i64 {
+        let at = self.seek(pos);
+        self.runs[at].value
+    }
+
+    /// The run containing `pos`, which lies past the current one.
+    fn forward(&self, pos: u32) -> usize {
+        let ahead = &self.runs[self.at + 1..];
+        match ahead.iter().take(Self::LINEAR).position(|r| pos - r.start < r.len) {
+            Some(i) => self.at + 1 + i,
+            None => {
+                let rest = ahead.get(Self::LINEAR..).unwrap_or_default();
+                self.at + 1 + Self::LINEAR + run_index(rest, pos)
+            }
+        }
+    }
+}
+
 /// Minimal byte width (1/2/4/8) holding every value. Negative values force 8.
 pub fn byte_width(values: &[i64]) -> u8 {
     let (min, max) = min_max(values).unwrap_or((0, 0));
@@ -726,6 +779,36 @@ mod tests {
         assert_eq!(col.run_containing(0), 0);
         assert_eq!(col.run_containing(4), 1);
         assert_eq!(col.run_containing(5), 2);
+    }
+
+    #[test]
+    fn run_cursor_agrees_with_binary_search_on_every_access_pattern() {
+        // Runs of lengths 1..=9: ascending, bursty, short and long forward
+        // hops, backward jumps, and the last position.
+        let vals: Vec<i64> =
+            (0..40i64).flat_map(|v| std::iter::repeat_n(v, 1 + v as usize % 9)).collect();
+        let col = IntColumn::rle(&vals);
+        let n = vals.len() as u32;
+        let patterns: Vec<Vec<u32>> = vec![
+            (0..n).collect(),
+            (0..n).step_by(7).collect(),
+            (0..n).step_by(40).collect(),
+            vec![n - 1, 0, 5, 5, 4, n - 1, 1, 100, 99, 101, 180],
+        ];
+        for positions in patterns {
+            let mut cursor = RunCursor::new(col.runs());
+            for &p in &positions {
+                assert_eq!(cursor.seek(p), col.run_containing(p), "{p} in {positions:?}");
+                assert_eq!(cursor.value_at(p), vals[p as usize]);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn run_cursor_panics_past_the_last_run() {
+        let col = IntColumn::rle(&[1, 1, 2, 3, 4, 5, 6, 7]);
+        RunCursor::new(col.runs()).seek(8);
     }
 
     #[test]

@@ -159,15 +159,22 @@ impl PackedInts {
         len.div_ceil(lanes) as u64 * 8
     }
 
+    /// Index of the word holding position `i`: `i / lanes_per_word` without
+    /// a divide instruction — the positional fetch (and the page a gather
+    /// charges) is the unit cost of every candidate test and gather.
+    #[inline]
+    pub fn word_of(&self, i: u32) -> u32 {
+        let reciprocal = LANE_DIVISION[self.value_bits as usize].1;
+        ((i as u128 * reciprocal as u128) >> RECIPROCAL_SHIFT) as u32
+    }
+
     /// Code at position `i`.
     #[inline]
     pub fn get(&self, i: u32) -> u64 {
         debug_assert!(i < self.len);
         let lane_bits = self.value_bits as u32 + 1;
-        let (lanes, reciprocal) = LANE_DIVISION[self.value_bits as usize];
-        // `i / lanes` without a divide instruction — the positional fetch is
-        // the unit cost of every candidate test and gather.
-        let word = ((i as u128 * reciprocal as u128) >> RECIPROCAL_SHIFT) as u32;
+        let lanes = LANE_DIVISION[self.value_bits as usize].0;
+        let word = self.word_of(i);
         let lane = i - word * lanes;
         (self.words[word as usize] >> (lane * lane_bits)) & max_code_for(self.value_bits)
     }
@@ -311,9 +318,11 @@ mod tests {
                 let m = (k as u64 * 107_371 * lanes as u64).min(u32::MAX as u64) as u32;
                 [m.wrapping_sub(1), m, m.wrapping_add(1)]
             });
+            let packed = PackedInts::pack(value_bits as u8, [0u64]);
             for i in edges.chain(multiples) {
                 let got = ((i as u128 * reciprocal as u128) >> RECIPROCAL_SHIFT) as u32;
                 assert_eq!(got, i / lanes, "{i} / {lanes}");
+                assert_eq!(packed.word_of(i), i / lanes, "word_of({i}) at {lanes} lanes");
             }
         }
     }
