@@ -42,7 +42,6 @@
 //! | `planner` | cost-based planner regret vs the measured best-of-grid, paper + generated queries (emits `BENCH_planner.json`) |
 //! | `server_bench` | closed-loop TCP client harness against `cvr-server`: N connections, p50/p99 latency, QPS, concurrent-vs-serial byte-identity (emits `BENCH_server.json`) |
 //! | `chaos` | fault-injection harness: drives the server with I/O faults, worker panics, stalls, and frame truncation armed; gates availability, byte-identity, cancel latency, and zero hangs (emits `BENCH_chaos.json`) |
-//! | `crash` | durability harness: torn-write/bit-flip/fsync-failure/crash-point/`kill -9` trials against the snapshot protocol; gates 100% corruption detection, zero silently-wrong recoveries, and byte-identical post-restart answers (emits `BENCH_crash.json`) |
 //! | `all` | the full evaluation in one run |
 //!
 //! ## Threads
@@ -146,12 +145,6 @@ pub struct HarnessArgs {
     /// the run, so an external prober can scrape it (`--hold-ms`,
     /// default 0).
     pub hold_ms: u64,
-    /// Injected-corruption trials for the `crash` binary (`--trials`,
-    /// default 60; the acceptance floor is 50).
-    pub trials: usize,
-    /// Durable store directory for the `crash` binary (`--data-dir`;
-    /// default: a fresh directory under the system temp dir).
-    pub data_dir: Option<String>,
 }
 
 impl Default for HarnessArgs {
@@ -177,8 +170,6 @@ impl Default for HarnessArgs {
             trace_overhead: false,
             max_trace_overhead: 0.05,
             hold_ms: 0,
-            trials: 60,
-            data_dir: None,
         }
     }
 }
@@ -246,17 +237,13 @@ impl HarnessArgs {
                 "--hold-ms" => {
                     args.hold_ms = take(&mut i).parse().expect("--hold-ms takes milliseconds")
                 }
-                "--trials" => {
-                    args.trials = take(&mut i).parse::<usize>().expect("--trials takes an int")
-                }
-                "--data-dir" => args.data_dir = Some(take(&mut i)),
                 "--help" | "-h" => {
                     eprintln!(
                         "usage: [--sf F] [--seed N] [--runs N] [--pool-fraction F] [--cpu-scale F] [--threads N]\n\
                          \x20      [--explain] [--queries N] [--max-regret F] [--connections N] [--statements N]\n\
                          \x20      [--min-hit-rate F] [--fault SPEC] [--watchdog SECS] [--min-availability F]\n\
                          \x20      [--max-cancel-p99-ms F] [--cancels N] [--trace-overhead]\n\
-                         \x20      [--max-trace-overhead F] [--hold-ms MS] [--trials N] [--data-dir PATH]\n\
+                         \x20      [--max-trace-overhead F] [--hold-ms MS]\n\
                          defaults: --sf 0.02 --runs 3 --pool-fraction 0.08 --cpu-scale 5.0 --threads CVR_THREADS|auto\n\
                          \x20         --queries 30 --max-regret 1.5 --connections 8 --statements 64 --min-hit-rate 0.0\n\
                          \x20         --fault io:0.00001,panic:0.001,stall:0.1:2,trunc:0.02 --watchdog 120\n\

@@ -328,7 +328,6 @@ impl Session {
             return Err(QueryError::Io { detail: "no data directory configured".to_string() });
         };
         let store = self.store();
-        let _faults = fault::adopt_opt(self.faults());
         let report = persist::write_snapshot(&dir, &store.tables).map_err(persist_error)?;
         Ok(SnapshotInfo {
             generation: report.generation,
@@ -347,7 +346,6 @@ impl Session {
         let Some(dir) = self.data_dir() else {
             return Err(QueryError::Io { detail: "no data directory configured".to_string() });
         };
-        let _faults = fault::adopt_opt(self.faults());
         let (tables, report) = persist::load_latest(&dir).map_err(persist_error)?;
         if report.fallbacks > 0 {
             cvr_obs::warn(&format!(

@@ -22,8 +22,8 @@
 //! mirrored into the process metrics registry as
 //! `cvr_fault_injected_total{class="..."}`.
 //!
-//! Eight fault classes, matching the spec grammar
-//! `io:P,panic:P,stall:P:MS,trunc:P,torn:P,flip:P,fsync:P,crash:LABEL,seed:N`:
+//! Four fault classes, matching the spec grammar
+//! `io:P,panic:P,stall:P:MS,trunc:P,seed:N`:
 //!
 //! * `io` — probability per page touch that [`maybe_io_fault`] panics with
 //!   an [`InjectedFault`] payload. Engines downcast this payload at morsel
@@ -36,20 +36,11 @@
 //!   milliseconds, widening cancellation races.
 //! * `trunc` — probability per response frame that the server cuts the
 //!   frame short and drops the connection ([`take_frame_truncation`]).
-//! * `torn` — probability per durable file write that the on-disk image is
-//!   cut short at a deterministic offset ([`take_torn_write`]): a disk that
-//!   acknowledged a partial write. The write path reports success; the
-//!   *loader's* checksums must catch it.
-//! * `flip` — probability per durable file write that one bit of the image
-//!   is flipped ([`take_bit_flip`]): silent media corruption, again for the
-//!   loader's checksums to catch.
-//! * `fsync` — probability per fsync that it reports failure
-//!   ([`take_fsync_failure`]); the write path must abort *before* the
-//!   commit rename, leaving the previous generation intact.
-//! * `crash` — [`crash_point`] calls `std::process::abort()` when its label
-//!   matches the armed `crash:LABEL`, simulating `kill -9` at a precise
-//!   point in the snapshot protocol. Only meaningful in a sacrificial child
-//!   process.
+//!
+//! Durability is not a fault class: `crates/storage/tests/crash_states.rs`
+//! drives the snapshot protocol through an in-memory
+//! [`Vfs`](crate::persist::Vfs) and loads every state a crash, a lying disk
+//! or a failing fsync can leave.
 //!
 //! This lives in `cvr-storage` — the bottom of the dependency graph — so
 //! both the execution engines and the server can reach the same switch.
@@ -79,40 +70,19 @@ pub struct FaultConfig {
     pub stall_ms: u64,
     /// Probability a response frame is truncated.
     pub trunc: f64,
-    /// Probability a durable file write lands torn (cut short).
-    pub torn: f64,
-    /// Probability a durable file write lands with one bit flipped.
-    pub flip: f64,
-    /// Probability an fsync reports failure.
-    pub fsync: f64,
-    /// Crash-point label: [`crash_point`] aborts the process when called
-    /// with this label. `None` disables crash injection.
-    pub crash: Option<String>,
     /// Seed of the deterministic decision stream.
     pub seed: u64,
 }
 
 impl Default for FaultConfig {
     fn default() -> FaultConfig {
-        FaultConfig {
-            io: 0.0,
-            panic: 0.0,
-            stall: 0.0,
-            stall_ms: 10,
-            trunc: 0.0,
-            torn: 0.0,
-            flip: 0.0,
-            fsync: 0.0,
-            crash: None,
-            seed: 0x5EED,
-        }
+        FaultConfig { io: 0.0, panic: 0.0, stall: 0.0, stall_ms: 10, trunc: 0.0, seed: 0x5EED }
     }
 }
 
 impl FaultConfig {
     /// Parse a `CVR_FAULT` spec: comma-separated `io:P`, `panic:P`,
-    /// `stall:P:MS`, `trunc:P`, `torn:P`, `flip:P`, `fsync:P`,
-    /// `crash:LABEL`, `seed:N`. Empty string parses to all-off.
+    /// `stall:P:MS`, `trunc:P`, `seed:N`. Empty string parses to all-off.
     pub fn parse(spec: &str) -> Result<FaultConfig, String> {
         let mut cfg = FaultConfig::default();
         for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
@@ -128,13 +98,6 @@ impl FaultConfig {
                 ["io", p] => cfg.io = prob(p)?,
                 ["panic", p] => cfg.panic = prob(p)?,
                 ["trunc", p] => cfg.trunc = prob(p)?,
-                ["torn", p] => cfg.torn = prob(p)?,
-                ["flip", p] => cfg.flip = prob(p)?,
-                ["fsync", p] => cfg.fsync = prob(p)?,
-                ["crash", label, ..] if !label.is_empty() => {
-                    // Labels may themselves contain colons; keep the rest.
-                    cfg.crash = Some(part["crash:".len()..].to_string());
-                }
                 ["stall", p] => cfg.stall = prob(p)?,
                 ["stall", p, ms] => {
                     cfg.stall = prob(p)?;
@@ -151,18 +114,11 @@ impl FaultConfig {
     }
 
     fn is_off(&self) -> bool {
-        self.io <= 0.0
-            && self.panic <= 0.0
-            && self.stall <= 0.0
-            && self.trunc <= 0.0
-            && self.torn <= 0.0
-            && self.flip <= 0.0
-            && self.fsync <= 0.0
-            && self.crash.is_none()
+        self.io <= 0.0 && self.panic <= 0.0 && self.stall <= 0.0 && self.trunc <= 0.0
     }
 }
 
-/// The eight injectable fault classes.
+/// The four injectable fault classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultClass {
     /// Page-touch I/O failure.
@@ -173,14 +129,6 @@ pub enum FaultClass {
     Stall,
     /// Response-frame truncation.
     Trunc,
-    /// Torn durable-file write (image cut short, write reported ok).
-    Torn,
-    /// Single-bit corruption of a durable file image.
-    Flip,
-    /// fsync failure.
-    Fsync,
-    /// Crash-point abort (simulated `kill -9`).
-    Crash,
 }
 
 impl FaultClass {
@@ -190,10 +138,6 @@ impl FaultClass {
             FaultClass::Panic => 1,
             FaultClass::Stall => 2,
             FaultClass::Trunc => 3,
-            FaultClass::Torn => 4,
-            FaultClass::Flip => 5,
-            FaultClass::Fsync => 6,
-            FaultClass::Crash => 7,
         }
     }
 
@@ -203,24 +147,12 @@ impl FaultClass {
             FaultClass::Panic => "cvr_fault_injected_total{class=\"panic\"}",
             FaultClass::Stall => "cvr_fault_injected_total{class=\"stall\"}",
             FaultClass::Trunc => "cvr_fault_injected_total{class=\"trunc\"}",
-            FaultClass::Torn => "cvr_fault_injected_total{class=\"torn\"}",
-            FaultClass::Flip => "cvr_fault_injected_total{class=\"flip\"}",
-            FaultClass::Fsync => "cvr_fault_injected_total{class=\"fsync\"}",
-            FaultClass::Crash => "cvr_fault_injected_total{class=\"crash\"}",
         }
     }
 }
 
-const CLASSES: [FaultClass; 8] = [
-    FaultClass::Io,
-    FaultClass::Panic,
-    FaultClass::Stall,
-    FaultClass::Trunc,
-    FaultClass::Torn,
-    FaultClass::Flip,
-    FaultClass::Fsync,
-    FaultClass::Crash,
-];
+const CLASSES: [FaultClass; 4] =
+    [FaultClass::Io, FaultClass::Panic, FaultClass::Stall, FaultClass::Trunc];
 
 /// An armed fault configuration with its own deterministic decision stream
 /// and per-class injection tallies. Cheap to clone (`Arc`); share one handle
@@ -230,7 +162,7 @@ const CLASSES: [FaultClass; 8] = [
 pub struct FaultState {
     cfg: FaultConfig,
     counter: AtomicU64,
-    injected: [AtomicU64; 8],
+    injected: [AtomicU64; 4],
 }
 
 impl FaultState {
@@ -239,7 +171,7 @@ impl FaultState {
         Arc::new(FaultState {
             cfg,
             counter: AtomicU64::new(0),
-            injected: [const { AtomicU64::new(0) }; 8],
+            injected: [const { AtomicU64::new(0) }; 4],
         })
     }
 
@@ -272,13 +204,6 @@ impl FaultState {
         let n = self.counter.fetch_add(1, Ordering::Relaxed);
         let h = splitmix64(seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         ((h >> 11) as f64 / (1u64 << 53) as f64) < p
-    }
-
-    /// Draw the next raw 64-bit value from the decision stream (used to
-    /// pick deterministic torn-write offsets and bit-flip positions).
-    fn draw(&self, seed: u64) -> u64 {
-        let n = self.counter.fetch_add(1, Ordering::Relaxed);
-        splitmix64(seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
     fn record(&self, class: FaultClass) {
@@ -396,61 +321,6 @@ pub fn before_morsel() {
     }
 }
 
-/// Hook at the durable write path, before a file image of `len` bytes is
-/// written: `Some(offset)` means the image should be truncated to `offset`
-/// bytes while the write still *reports success* — a disk that acked a
-/// partial write. The offset is deterministic under the decision stream.
-pub fn take_torn_write(len: usize) -> Option<usize> {
-    let st = handle()?;
-    if len == 0 || !st.roll(st.cfg.seed.rotate_left(5), st.cfg.torn) {
-        return None;
-    }
-    st.record(FaultClass::Torn);
-    Some((st.draw(st.cfg.seed.rotate_left(5)) % len as u64) as usize)
-}
-
-/// Hook at the durable write path: `Some((byte, bit))` means that bit of
-/// the written image should be flipped — silent media corruption the
-/// loader's checksums must detect.
-pub fn take_bit_flip(len: usize) -> Option<(usize, u8)> {
-    let st = handle()?;
-    if len == 0 || !st.roll(st.cfg.seed.rotate_left(11), st.cfg.flip) {
-        return None;
-    }
-    st.record(FaultClass::Flip);
-    let d = st.draw(st.cfg.seed.rotate_left(11));
-    Some(((d % len as u64) as usize, ((d >> 32) % 8) as u8))
-}
-
-/// Hook at every durable-path fsync: true means the fsync should report
-/// failure, aborting the snapshot before its commit rename.
-pub fn take_fsync_failure() -> bool {
-    match handle() {
-        Some(st) => {
-            let hit = st.roll(st.cfg.seed.rotate_left(23), st.cfg.fsync);
-            if hit {
-                st.record(FaultClass::Fsync);
-            }
-            hit
-        }
-        None => false,
-    }
-}
-
-/// Crash-point hook: aborts the process (no unwinding, no destructors —
-/// the closest in-process stand-in for `kill -9`) when the armed config's
-/// `crash:LABEL` matches `label`. Call sites name the precise point in the
-/// snapshot protocol they sit at (e.g. `"persist:pre-manifest-rename"`).
-pub fn crash_point(label: &str) {
-    if let Some(st) = handle() {
-        if st.cfg.crash.as_deref() == Some(label) {
-            st.record(FaultClass::Crash);
-            eprintln!("injected fault: crash point {label:?} — aborting");
-            std::process::abort();
-        }
-    }
-}
-
 /// Hook before a response frame is written: true means the server should
 /// truncate the frame and drop the connection.
 pub fn take_frame_truncation() -> bool {
@@ -480,33 +350,11 @@ mod tests {
         assert!(FaultConfig::parse("io:2.0").is_err());
         assert!(FaultConfig::parse("blorp:0.1").is_err());
         assert!(FaultConfig::parse("stall:0.1:abc").is_err());
-        // Durability clauses.
-        let cfg = FaultConfig::parse("torn:0.5,flip:0.25,fsync:0.125,crash:persist:seg").unwrap();
-        assert_eq!(cfg.torn, 0.5);
-        assert_eq!(cfg.flip, 0.25);
-        assert_eq!(cfg.fsync, 0.125);
-        assert_eq!(cfg.crash.as_deref(), Some("persist:seg"), "label keeps its colons");
-        assert!(!cfg.is_off());
-        assert!(!FaultConfig::parse("crash:x").unwrap().is_off());
-        assert!(FaultConfig::parse("torn:nope").is_err());
-    }
-
-    #[test]
-    fn durability_hooks_fire_and_stay_in_bounds() {
-        let st = FaultState::from_spec("torn:1.0,flip:1.0,fsync:1.0,seed:11").unwrap();
-        let _scope = adopt(st.clone());
-        let off = take_torn_write(100).expect("torn:1.0 always fires");
-        assert!(off < 100);
-        let (byte, bit) = take_bit_flip(100).expect("flip:1.0 always fires");
-        assert!(byte < 100 && bit < 8);
-        assert!(take_fsync_failure());
-        assert!(take_torn_write(0).is_none(), "empty images cannot tear");
-        assert_eq!(st.injected(FaultClass::Torn), 1);
-        assert_eq!(st.injected(FaultClass::Flip), 1);
-        assert_eq!(st.injected(FaultClass::Fsync), 1);
-        // An unmatched crash label is a no-op (the matching case aborts the
-        // process, exercised by the crash harness's child processes).
-        crash_point("not-armed");
+        // The durability clauses are gone: a stale spec must not parse to
+        // a run that injects nothing.
+        for removed in ["torn:0.5", "flip:0.5", "fsync:0.5", "crash:x"] {
+            assert!(FaultConfig::parse(removed).is_err(), "{removed}");
+        }
     }
 
     #[test]

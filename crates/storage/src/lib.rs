@@ -18,16 +18,17 @@
 //! * [`packed`] — lane-aligned bit-packed integer arrays ([`packed::PackedInts`]),
 //!   the real word image behind the packed encodings and the input format of
 //!   `cvr-core`'s word-parallel scan kernels.
-//! * [`fault`] — deterministic fault injection: injected page-read
-//!   failures, morsel panics/stalls, frame truncation, and durability
-//!   faults (torn writes, bit flips, fsync failures, crash points) for the
-//!   chaos and crash harnesses. Armed per handle ([`fault::FaultState`],
-//!   adopted thread-locally for a statement) or process-globally
-//!   (`CVR_FAULT`). Off by default, one atomic load.
+//! * [`fault`] — deterministic fault injection for the chaos harness:
+//!   injected page-read failures, morsel panics/stalls and frame
+//!   truncation. Armed per handle ([`fault::FaultState`], adopted
+//!   thread-locally for a statement) or process-globally (`CVR_FAULT`).
+//!   Off by default, one atomic load.
 //! * [`par`] — the bounded job fan-out both engines build their stores with.
 //! * [`persist`] — durable snapshots: per-segment files with CRC64
 //!   checksums, committed by an atomic manifest rename; recovery walks
-//!   generations newest-first and falls back past damaged ones.
+//!   generations newest-first and falls back past damaged ones. Every
+//!   filesystem call goes through [`persist::Vfs`], so a test can replay a
+//!   snapshot over an in-memory disk and load every post-crash state.
 //!
 //! The crate is engine-agnostic: `cvr-row` and `cvr-core` build their
 //! physical designs out of these parts.

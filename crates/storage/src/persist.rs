@@ -10,17 +10,19 @@
 //!   and bit flips are detected before a single value is decoded.
 //! * **Manifest** — `MANIFEST-<generation>` lists every segment with its
 //!   file name, geometry, and a *pinned copy* of its CRC; the manifest
-//!   carries its own trailing CRC. A snapshot is visible iff its manifest
-//!   rename completed, so the rename is the commit point (write temp →
-//!   fsync file → rename → fsync dir).
+//!   carries its own trailing CRC. Each file is written as `{name}.tmp`,
+//!   fsynced and renamed over `name`; once the manifest is renamed, one
+//!   directory fsync makes every rename durable. A snapshot is visible iff
+//!   its manifest rename completed, so that rename is the commit point.
 //! * **Recovery** — [`load_latest`] walks generations newest-first and
 //!   returns the first one that validates end-to-end; a damaged newest
 //!   generation falls back to its predecessor (counted in
 //!   [`LoadReport::fallbacks`]) instead of ever decoding corrupt bytes.
 //!
-//! The write path threads through the [`fault`](crate::fault) layer: torn
-//! writes, bit flips, fsync failures, and `crash:<label>` abort points are
-//! all injectable, which is what the `crash` bench harness exercises.
+//! Every filesystem call goes through one [`Vfs`]. The entry points without
+//! a `Vfs` argument run over [`StdFs`]; `crates/storage/tests/crash_states.rs`
+//! runs the `_with` forms over an in-memory recorder and loads every state a
+//! crash, a lying disk or a failing fsync can leave.
 //!
 //! This is deliberately a *snapshot* store, not a log: generations are
 //! immutable once committed, which is exactly the segment-swap seam a
@@ -29,17 +31,19 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 use std::sync::OnceLock;
 
 use cvr_data::{star_schema, ColumnData, SsbConfig, SsbTables, TableData, TableSchema};
 
 use crate::encode::{Column, IntColumn, PlainInts, PlainValue, Run, StrColumn};
-use crate::fault;
 use crate::packed::PackedInts;
 use crate::with_plain_values;
+
+mod vfs;
+
+pub use vfs::{StdFs, Vfs};
 
 /// Segment file magic (8 bytes, includes format family).
 pub const SEGMENT_MAGIC: &[u8; 8] = b"CVRSEG1\0";
@@ -57,7 +61,7 @@ const CRC_BYTES: usize = 8;
 /// Errors from the persistence layer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PersistError {
-    /// Underlying filesystem failure (including injected fsync failures).
+    /// Underlying filesystem failure, fsync failures included.
     Io(String),
     /// On-disk bytes failed validation — checksum mismatch, bad magic,
     /// impossible geometry, or values that violate a codec invariant.
@@ -82,8 +86,8 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-impl From<std::io::Error> for PersistError {
-    fn from(e: std::io::Error) -> Self {
+impl From<io::Error> for PersistError {
+    fn from(e: io::Error) -> Self {
         PersistError::Io(e.to_string())
     }
 }
@@ -161,20 +165,26 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], PersistError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
     fn u8(&mut self) -> Result<u8, PersistError> {
         Ok(self.take(1)?[0])
     }
     fn u16(&mut self) -> Result<u16, PersistError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.array()?))
     }
     fn u32(&mut self) -> Result<u32, PersistError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
     fn u64(&mut self) -> Result<u64, PersistError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
     fn i64(&mut self) -> Result<i64, PersistError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(i64::from_le_bytes(self.array()?))
     }
 
     fn utf8(&mut self, n: usize) -> Result<&'a str, PersistError> {
@@ -441,8 +451,7 @@ pub fn decode_segment(image: &[u8]) -> Result<SegmentPayload, PersistError> {
         return Err(corrupt("segment shorter than header"));
     }
     let (body, crc_bytes) = image.split_at(image.len() - CRC_BYTES);
-    let stored = u64::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc64(body) != stored {
+    if crc64(body) != Reader::new(crc_bytes).u64()? {
         return Err(corrupt("segment checksum mismatch"));
     }
     let mut r = Reader::new(body);
@@ -484,8 +493,13 @@ pub fn decode_segment(image: &[u8]) -> Result<SegmentPayload, PersistError> {
     Ok(payload)
 }
 
+/// The CRC64 an image ends with.
 fn trailing_crc(image: &[u8]) -> u64 {
-    u64::from_le_bytes(image[image.len() - CRC_BYTES..].try_into().unwrap())
+    // Invariant: `image` was built by `encode_segment` or accepted by
+    // `decode_segment`, so it is longer than `CRC_BYTES`.
+    let mut crc = [0u8; CRC_BYTES];
+    crc.copy_from_slice(&image[image.len() - CRC_BYTES..]);
+    u64::from_le_bytes(crc)
 }
 
 // ---------------------------------------------------------------------------
@@ -563,8 +577,7 @@ fn decode_manifest(image: &[u8]) -> Result<Manifest, PersistError> {
         return Err(corrupt("manifest shorter than header"));
     }
     let (body, crc_bytes) = image.split_at(image.len() - CRC_BYTES);
-    let stored = u64::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc64(body) != stored {
+    if crc64(body) != Reader::new(crc_bytes).u64()? {
         return Err(corrupt("manifest checksum mismatch"));
     }
     let mut r = Reader::new(body);
@@ -606,45 +619,21 @@ fn decode_manifest(image: &[u8]) -> Result<Manifest, PersistError> {
 }
 
 // ---------------------------------------------------------------------------
-// Atomic file writes, with durability faults threaded through.
+// Atomic file writes.
 // ---------------------------------------------------------------------------
 
-fn fsync_dir(dir: &Path) -> Result<(), PersistError> {
-    // Directory fsync makes the rename itself durable on Linux.
-    fs::File::open(dir)?.sync_all()?;
-    Ok(())
-}
-
-/// Write `bytes` to `dir/name` via the temp → fsync → rename protocol.
-///
-/// Injected faults model a lying disk: torn writes and bit flips damage the
-/// bytes *and still report success* (detection is the loader's job), while
-/// an injected fsync failure surfaces as [`PersistError::Io`] before the
-/// rename, leaving the previous state intact.
-fn write_file_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), PersistError> {
+/// Write `bytes` to `dir/name` as `{name}.tmp` → fsync → rename. The rename
+/// is durable only after the caller's directory fsync.
+fn write_file_atomic(
+    fs: &dyn Vfs,
+    dir: &Path,
+    name: &str,
+    bytes: &[u8],
+) -> Result<(), PersistError> {
     let tmp = dir.join(format!("{name}.tmp"));
-    let fin = dir.join(name);
-    let mut image = std::borrow::Cow::Borrowed(bytes);
-    if let Some(cut) = fault::take_torn_write(bytes.len()) {
-        image = std::borrow::Cow::Borrowed(&bytes[..cut]);
-    }
-    if let Some((off, bit)) = fault::take_bit_flip(bytes.len()) {
-        if !image.is_empty() {
-            let off = off.min(image.len() - 1);
-            image.to_mut()[off] ^= 1 << bit;
-        }
-    }
-    let mut f = fs::File::create(&tmp)?;
-    f.write_all(&image)?;
-    if fault::take_fsync_failure() {
-        drop(f);
-        let _ = fs::remove_file(&tmp);
-        return Err(PersistError::Io("injected fsync failure".into()));
-    }
-    f.sync_all()?;
-    drop(f);
-    fault::crash_point("persist:pre-rename");
-    fs::rename(&tmp, &fin)?;
+    fs.write(&tmp, bytes)?;
+    fs.sync_file(&tmp)?;
+    fs.rename(&tmp, &dir.join(name))?;
     Ok(())
 }
 
@@ -671,15 +660,28 @@ fn snapshot_tables(t: &SsbTables) -> [&TableData; 5] {
 /// commit them with an atomic manifest rename. The new generation is
 /// `latest + 1`; concurrent readers of older generations are unaffected
 /// (generations are immutable once committed).
+///
+/// `Ok` means the generation is durable. A failure before the manifest
+/// rename leaves it invisible. A failure of the final directory fsync
+/// returns `Err` while the generation may already be visible, and may or
+/// may not survive a crash: recovering either it or its predecessor is
+/// then correct.
 pub fn write_snapshot(dir: &Path, tables: &SsbTables) -> Result<SnapshotReport, PersistError> {
-    fs::create_dir_all(dir)?;
-    let generation = generations(dir)?.last().copied().unwrap_or(0) + 1;
+    write_snapshot_with(&StdFs, dir, tables)
+}
+
+/// [`write_snapshot`] over `fs`.
+pub fn write_snapshot_with(
+    fs: &dyn Vfs,
+    dir: &Path,
+    tables: &SsbTables,
+) -> Result<SnapshotReport, PersistError> {
+    fs.create_dir_all(dir)?;
+    let generation = generations(fs, dir)?.last().copied().unwrap_or(0) + 1;
     let parts = snapshot_tables(tables);
     let nsegs: usize = parts.iter().map(|t| t.schema.arity()).sum();
-    let mid = (nsegs / 2).max(1);
     let mut entries = Vec::with_capacity(nsegs);
     let mut total_bytes = 0u64;
-    let mut written = 0usize;
     for table in parts {
         for (def, data) in table.schema.columns.iter().zip(&table.columns) {
             let name = format!("{}.{}", table.schema.name, def.name);
@@ -689,7 +691,7 @@ pub fn write_snapshot(dir: &Path, tables: &SsbTables) -> Result<SnapshotReport, 
             };
             let image = encode_segment(&payload);
             let file = segment_file_name(&name, generation);
-            write_file_atomic(dir, &file, &image)?;
+            write_file_atomic(fs, dir, &file, &image)?;
             entries.push(ManifestEntry {
                 name,
                 file,
@@ -700,20 +702,13 @@ pub fn write_snapshot(dir: &Path, tables: &SsbTables) -> Result<SnapshotReport, 
                 crc: trailing_crc(&image),
             });
             total_bytes += image.len() as u64;
-            written += 1;
-            if written == mid {
-                fault::crash_point("persist:mid-segments");
-            }
         }
     }
-    fault::crash_point("persist:pre-manifest");
     let manifest = Manifest { generation, sf: tables.config.sf, seed: tables.config.seed, entries };
     let image = encode_manifest(&manifest);
     total_bytes += image.len() as u64;
-    write_file_atomic(dir, &manifest_name(generation), &image)?;
-    fault::crash_point("persist:pre-dirsync");
-    fsync_dir(dir)?;
-    fault::crash_point("persist:post-commit");
+    write_file_atomic(fs, dir, &manifest_name(generation), &image)?;
+    fs.sync_dir(dir)?;
     Ok(SnapshotReport { generation, segments: nsegs, bytes: total_bytes })
 }
 
@@ -734,35 +729,30 @@ pub struct LoadReport {
     pub fallbacks: u32,
 }
 
+/// The names in `dir`; a missing directory has none.
+fn list_or_empty(fs: &dyn Vfs, dir: &Path) -> Result<Vec<String>, PersistError> {
+    match fs.list(dir) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+        listed => Ok(listed?),
+    }
+}
+
 /// All committed generations in `dir`, ascending. A missing directory is
 /// simply "no generations", not an error.
-pub fn generations(dir: &Path) -> Result<Vec<u64>, PersistError> {
-    let rd = match fs::read_dir(dir) {
-        Ok(rd) => rd,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e.into()),
-    };
-    let mut gens = Vec::new();
-    for entry in rd {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(rest) = name.strip_prefix("MANIFEST-") {
-            if let Ok(g) = rest.parse::<u64>() {
-                gens.push(g);
-            }
-        }
-    }
+pub fn generations(fs: &dyn Vfs, dir: &Path) -> Result<Vec<u64>, PersistError> {
+    let mut gens: Vec<u64> = list_or_empty(fs, dir)?
+        .iter()
+        .filter_map(|name| name.strip_prefix("MANIFEST-")?.parse().ok())
+        .collect();
     gens.sort_unstable();
     gens.dedup();
     Ok(gens)
 }
 
-fn read_manifest(dir: &Path, gen: u64) -> Result<Manifest, PersistError> {
-    let path = dir.join(manifest_name(gen));
-    let bytes = match fs::read(&path) {
+fn read_manifest(fs: &dyn Vfs, dir: &Path, gen: u64) -> Result<Manifest, PersistError> {
+    let bytes = match fs.read(&dir.join(manifest_name(gen))) {
         Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(PersistError::NoSnapshot),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(PersistError::NoSnapshot),
         Err(e) => return Err(e.into()),
     };
     let m = decode_manifest(&bytes)?;
@@ -801,14 +791,18 @@ fn build_table(
     Ok(TableData::new(schema.clone(), columns))
 }
 
-fn load_generation_inner(dir: &Path, gen: u64) -> Result<(SsbTables, usize, u64), PersistError> {
-    let m = read_manifest(dir, gen)?;
+fn load_generation_inner(
+    fs: &dyn Vfs,
+    dir: &Path,
+    gen: u64,
+) -> Result<(SsbTables, usize, u64), PersistError> {
+    let m = read_manifest(fs, dir, gen)?;
     let mut cols: HashMap<String, ColumnData> = HashMap::with_capacity(m.entries.len());
     let mut bytes = 0u64;
     for e in &m.entries {
-        let image = match fs::read(dir.join(&e.file)) {
+        let image = match fs.read(&dir.join(&e.file)) {
             Ok(b) => b,
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => {
+            Err(err) if err.kind() == io::ErrorKind::NotFound => {
                 return Err(corrupt(format!("segment file {} missing", e.file)));
             }
             Err(err) => return Err(err.into()),
@@ -866,8 +860,8 @@ fn load_generation_inner(dir: &Path, gen: u64) -> Result<(SsbTables, usize, u64)
 
 /// Load exactly generation `gen`, validating every checksum and codec
 /// invariant. Fails typed on any damage — no fallback.
-pub fn load_generation(dir: &Path, gen: u64) -> Result<SsbTables, PersistError> {
-    load_generation_inner(dir, gen).map(|(t, _, _)| t)
+pub fn load_generation(fs: &dyn Vfs, dir: &Path, gen: u64) -> Result<SsbTables, PersistError> {
+    load_generation_inner(fs, dir, gen).map(|(t, _, _)| t)
 }
 
 /// Load the newest generation that validates end-to-end, falling back to
@@ -875,43 +869,40 @@ pub fn load_generation(dir: &Path, gen: u64) -> Result<SsbTables, PersistError> 
 /// [`PersistError::NoSnapshot`] when no manifest exists at all, or the last
 /// validation error when every generation is damaged.
 pub fn load_latest(dir: &Path) -> Result<(SsbTables, LoadReport), PersistError> {
-    let gens = generations(dir)?;
-    if gens.is_empty() {
-        return Err(PersistError::NoSnapshot);
-    }
+    load_latest_with(&StdFs, dir)
+}
+
+/// [`load_latest`] over `fs`.
+pub fn load_latest_with(fs: &dyn Vfs, dir: &Path) -> Result<(SsbTables, LoadReport), PersistError> {
     let mut fallbacks = 0u32;
-    let mut last_err = None;
-    for &g in gens.iter().rev() {
-        match load_generation_inner(dir, g) {
+    let mut last_err = PersistError::NoSnapshot;
+    for &g in generations(fs, dir)?.iter().rev() {
+        match load_generation_inner(fs, dir, g) {
             Ok((tables, segments, bytes)) => {
                 return Ok((tables, LoadReport { generation: g, segments, bytes, fallbacks }));
             }
             Err(e) => {
                 fallbacks += 1;
-                last_err = Some(e);
+                last_err = e;
             }
         }
     }
-    Err(last_err.expect("at least one generation was tried"))
+    Err(last_err)
 }
 
 /// Delete all but the newest `keep` generations (manifest + segment files),
 /// plus any stale `.tmp` files left behind by a crash mid-write. Returns
 /// the number of files removed.
 pub fn prune(dir: &Path, keep: usize) -> Result<usize, PersistError> {
-    let gens = generations(dir)?;
+    prune_with(&StdFs, dir, keep)
+}
+
+/// [`prune`] over `fs`.
+pub fn prune_with(fs: &dyn Vfs, dir: &Path, keep: usize) -> Result<usize, PersistError> {
+    let gens = generations(fs, dir)?;
     let cutoff = if gens.len() > keep { gens[gens.len() - keep] } else { u64::MIN };
-    let rd = match fs::read_dir(dir) {
-        Ok(rd) => rd,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(e.into()),
-    };
     let mut removed = 0usize;
-    let mut doomed: Vec<PathBuf> = Vec::new();
-    for entry in rd {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
+    for name in list_or_empty(fs, dir)? {
         let dead = if name.ends_with(".tmp") {
             true
         } else if let Some(rest) = name.strip_prefix("MANIFEST-") {
@@ -925,12 +916,9 @@ pub fn prune(dir: &Path, keep: usize) -> Result<usize, PersistError> {
             false
         };
         if dead {
-            doomed.push(entry.path());
+            fs.remove(&dir.join(&name))?;
+            removed += 1;
         }
-    }
-    for path in doomed {
-        fs::remove_file(&path)?;
-        removed += 1;
     }
     Ok(removed)
 }
@@ -939,6 +927,8 @@ pub fn prune(dir: &Path, keep: usize) -> Result<usize, PersistError> {
 mod tests {
     use super::*;
     use crate::encode::Column;
+    use std::fs;
+    use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cvr-persist-{tag}-{}", std::process::id()));
@@ -1060,40 +1050,13 @@ mod tests {
             let r = write_snapshot(&dir, &tables).unwrap();
             assert_eq!(r.generation, want);
         }
-        assert_eq!(generations(&dir).unwrap(), vec![1, 2, 3]);
+        assert_eq!(generations(&StdFs, &dir).unwrap(), vec![1, 2, 3]);
         let removed = prune(&dir, 2).unwrap();
         assert!(removed > 0);
-        assert_eq!(generations(&dir).unwrap(), vec![2, 3]);
+        assert_eq!(generations(&StdFs, &dir).unwrap(), vec![2, 3]);
         // Pruned generation is gone; survivors still load.
-        assert!(matches!(load_generation(&dir, 1), Err(PersistError::NoSnapshot)));
-        assert!(load_generation(&dir, 3).is_ok());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn damaged_newest_generation_falls_back_to_predecessor() {
-        let dir = temp_dir("fallback");
-        let tables = SsbConfig { sf: 0.0002, seed: 9 }.generate();
-        write_snapshot(&dir, &tables).unwrap();
-        write_snapshot(&dir, &tables).unwrap();
-        // Flip one byte in a generation-2 segment file.
-        let victim = dir.join(segment_file_name("lineorder.lo_orderkey", 2));
-        let mut bytes = fs::read(&victim).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        fs::write(&victim, &bytes).unwrap();
-        assert!(matches!(load_generation(&dir, 2), Err(PersistError::Corrupt { .. })));
-        let (loaded, report) = load_latest(&dir).unwrap();
-        assert_eq!(report.generation, 1);
-        assert_eq!(report.fallbacks, 1);
-        assert_eq!(loaded.lineorder.columns, tables.lineorder.columns);
-        // Damaging generation 1 as well leaves nothing valid: typed error.
-        let victim1 = dir.join(manifest_name(1));
-        let mut m1 = fs::read(&victim1).unwrap();
-        let last = m1.len() - 1;
-        m1[last] ^= 0xFF;
-        fs::write(&victim1, &m1).unwrap();
-        assert!(matches!(load_latest(&dir), Err(PersistError::Corrupt { .. })));
+        assert!(matches!(load_generation(&StdFs, &dir, 1), Err(PersistError::NoSnapshot)));
+        assert!(load_generation(&StdFs, &dir, 3).is_ok());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1103,45 +1066,7 @@ mod tests {
         assert!(matches!(load_latest(&dir), Err(PersistError::NoSnapshot)));
         let missing = dir.join("does-not-exist");
         assert!(matches!(load_latest(&missing), Err(PersistError::NoSnapshot)));
-        assert_eq!(generations(&missing).unwrap(), Vec::<u64>::new());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn injected_torn_write_commits_but_is_detected_on_load() {
-        let dir = temp_dir("torn");
-        let tables = SsbConfig { sf: 0.0002, seed: 11 }.generate();
-        write_snapshot(&dir, &tables).unwrap();
-        {
-            // Torn probability 1.0: the very first segment file is truncated
-            // at a pseudo-random offset, yet the snapshot "succeeds" — the
-            // disk lied. The loader must catch it and fall back.
-            let _scope = fault::adopt(fault::FaultState::from_spec("torn:1.0,seed:5").unwrap());
-            write_snapshot(&dir, &tables).unwrap();
-        }
-        let (_, report) = load_latest(&dir).unwrap();
-        assert_eq!(report.generation, 1);
-        assert!(report.fallbacks >= 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn injected_fsync_failure_aborts_before_commit() {
-        let dir = temp_dir("fsync");
-        let tables = SsbConfig { sf: 0.0002, seed: 13 }.generate();
-        write_snapshot(&dir, &tables).unwrap();
-        {
-            let _scope = fault::adopt(fault::FaultState::from_spec("fsync:1.0,seed:5").unwrap());
-            match write_snapshot(&dir, &tables) {
-                Err(PersistError::Io(detail)) => assert!(detail.contains("fsync")),
-                other => panic!("expected injected fsync failure, got {other:?}"),
-            }
-        }
-        // The failed attempt never became visible.
-        assert_eq!(generations(&dir).unwrap(), vec![1]);
-        let (_, report) = load_latest(&dir).unwrap();
-        assert_eq!(report.generation, 1);
-        assert_eq!(report.fallbacks, 0);
+        assert_eq!(generations(&StdFs, &missing).unwrap(), Vec::<u64>::new());
         let _ = fs::remove_dir_all(&dir);
     }
 }
