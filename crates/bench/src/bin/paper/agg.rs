@@ -1,14 +1,13 @@
-//! Aggregation-tail benchmark: the code-level aggregator (group-id
-//! composition over dictionary/FoR codes, direct or `u64`-hash
-//! accumulation, decode-once-per-group finish) vs the Value-keyed reference
-//! grouper (per-row key vector allocation + clones + `Vec<Value>` hashing),
-//! printed as a table and emitted as `BENCH_agg.json` — the file
+//! `paper agg`: the code-level aggregator (group-id composition over
+//! dictionary/FoR codes, direct or `u64`-hash accumulation,
+//! decode-once-per-group finish) vs the Value-keyed reference grouper
+//! (per-row key vector allocation + clones + `Vec<Value>` hashing), printed
+//! as a table and written to [`OUT`] — the file
 //! `cvr_plan::CpuRates::from_agg_bench_json` recalibrates the planner's
 //! aggregation cost term from.
 //!
 //! ```text
-//! cargo run --release -p cvr-bench --bin agg -- \
-//!     [--sf F] [--runs R] [--queries N] [--n N] [--min-speedup X] [--out PATH]
+//! cargo run --release -p cvr-bench --bin paper -- agg [--sf F] [--runs R] [--n N] [--min-speedup X]
 //! ```
 //!
 //! Two cell families:
@@ -25,78 +24,27 @@
 //! * **Synthetic cells** — pure accumulation across group-count regimes
 //!   (single group, direct two/three-column ids, hash fallback).
 //!
-//! Before timing, every paper query plus `--queries` generated ones execute
-//! through the full engine twice — code-level and `CVR_AGG=value` — and
-//! must be byte-identical (outputs *and* IoStats) to each other and to the
-//! reference evaluator. The binary exits non-zero when identity fails or
-//! when the best flight-2/3 query-cell speedup falls below `--min-speedup`
-//! (default 3).
+//! The two tails answer byte-identically — outputs and IoStats, through the
+//! engine's own kernel — which `crates/core/tests/prop_agg.rs` checks for
+//! every grouped paper query. This subcommand fails when the best
+//! flight-2/3 query-cell speedup falls below `--min-speedup` (default 3).
 
+use crate::Db;
 use cvr_core::agg::{AggStrategy, CodeGrouper, GroupLayout, Grouper};
 use cvr_core::extract::gather_ints;
-use cvr_core::morsel::Parallelism;
 use cvr_core::poslist::PosList;
-use cvr_core::{CStoreDb, ColumnEngine, DenormDb, DenormVariant, EngineConfig};
-use cvr_data::gen::SsbConfig;
+use cvr_core::{CStoreDb, EngineConfig};
 use cvr_data::queries::{all_queries, SsbQuery};
-use cvr_data::reference;
 use cvr_data::schema::Dim;
 use cvr_data::value::Value;
-use cvr_data::workload::WorkloadConfig;
 use cvr_index::hashidx::IntHashMap;
 use cvr_storage::io::IoSession;
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
-struct Args {
-    sf: f64,
-    runs: usize,
-    queries: usize,
-    n: u32,
-    min_speedup: f64,
-    out: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        sf: 0.02,
-        runs: 5,
-        queries: 30,
-        n: 1 << 18,
-        min_speedup: 3.0,
-        out: "BENCH_agg.json".to_string(),
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i).unwrap_or_else(|| panic!("missing value for {}", argv[*i - 1])).clone()
-        };
-        match argv[i].as_str() {
-            "--sf" => args.sf = take(&mut i).parse().expect("--sf takes a float"),
-            "--runs" => args.runs = take(&mut i).parse().expect("--runs takes an int"),
-            "--queries" => args.queries = take(&mut i).parse().expect("--queries takes an int"),
-            "--n" => args.n = take(&mut i).parse().expect("--n takes an int"),
-            "--min-speedup" => {
-                args.min_speedup = take(&mut i).parse().expect("--min-speedup takes a float")
-            }
-            "--out" => args.out = take(&mut i),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: agg [--sf F] [--runs R] [--queries N] [--n N] \
-                     [--min-speedup X] [--out PATH]"
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown flag {other}; try --help"),
-        }
-        i += 1;
-    }
-    args
-}
+/// The report `CpuRates::from_agg_bench_json` reads back.
+const OUT: &str = "BENCH_agg.json";
 
 /// One measured cell: both tails over the same rows.
 struct Cell {
@@ -124,68 +72,6 @@ fn time_per_row(rows: usize, runs: usize, mut f: impl FnMut() -> usize) -> f64 {
         best = best.min(dt);
     }
     best * 1e9 / rows.max(1) as f64
-}
-
-/// Run `f` under the `CVR_AGG=value` ablation, restoring the (cleared)
-/// default afterwards. The binary clears any preset `CVR_AGG` at startup,
-/// so outside this window the engine always takes the code-level path.
-fn with_value_ablation<R>(f: impl FnOnce() -> R) -> R {
-    std::env::set_var("CVR_AGG", "value");
-    let r = f();
-    std::env::remove_var("CVR_AGG");
-    r
-}
-
-/// Byte-identity gate: every query through the full engine — and the paper
-/// queries additionally through all three denormalized variants —
-/// code-level vs the `CVR_AGG=value` ablation vs the reference evaluator.
-fn verify_byte_identity(engine: &ColumnEngine, queries: &[SsbQuery]) -> usize {
-    let tables = engine.db(EngineConfig::FULL).tables.clone();
-    let mut ok = 0usize;
-    for q in queries {
-        let expected = reference::evaluate(&tables, q);
-        let code_io = IoSession::unmetered();
-        let code = engine.execute_with(q, EngineConfig::FULL, Parallelism::serial(), &code_io);
-        let value_io = IoSession::unmetered();
-        let value = with_value_ablation(|| {
-            engine.execute_with(q, EngineConfig::FULL, Parallelism::serial(), &value_io)
-        });
-        assert_eq!(code, expected, "{}: code-level output diverges from reference", q.id);
-        assert_eq!(code, value, "{}: code-level vs Value-keyed outputs differ", q.id);
-        let (a, b) = (code_io.stats(), value_io.stats());
-        assert_eq!(
-            (a.bytes_read, a.pages_read, a.seeks),
-            (b.bytes_read, b.pages_read, b.seeks),
-            "{}: aggregation strategy must not move a single I/O charge",
-            q.id
-        );
-        ok += 1;
-    }
-    // Denormalized tables only inline the columns the paper workload
-    // touches, so only the paper queries run here.
-    for variant in
-        [DenormVariant::NoCompression, DenormVariant::IntCompression, DenormVariant::MaxCompression]
-    {
-        let db = DenormDb::build(tables.clone(), variant);
-        for q in all_queries() {
-            let expected = reference::evaluate(&tables, &q);
-            let code_io = IoSession::unmetered();
-            let code = db.execute(&q, EngineConfig::FULL, &code_io);
-            let value_io = IoSession::unmetered();
-            let value = with_value_ablation(|| db.execute(&q, EngineConfig::FULL, &value_io));
-            assert_eq!(code, expected, "{} {}: diverges from reference", variant.label(), q.id);
-            assert_eq!(code, value, "{} {}: code vs Value-keyed differ", variant.label(), q.id);
-            let (a, b) = (code_io.stats(), value_io.stats());
-            assert_eq!(
-                (a.bytes_read, a.pages_read, a.seeks),
-                (b.bytes_read, b.pages_read, b.seeks),
-                "{} {}: ablation moved an I/O charge",
-                variant.label(),
-                q.id
-            );
-        }
-    }
-    ok
 }
 
 /// Phase-3 inputs for one grouped query at one sampling stride: sampled
@@ -330,33 +216,17 @@ fn measure_synthetic(n: u32, runs: usize, out: &mut Vec<Cell>) {
     }
 }
 
-fn main() {
-    let args = parse_args();
-    // This binary drives the CVR_AGG ablation itself; a preset value would
-    // make the "code-level" runs silently value-keyed and the identity
-    // gate vacuous.
-    if std::env::var_os("CVR_AGG").is_some() {
-        eprintln!("# clearing preset CVR_AGG: the agg bench toggles the ablation itself");
-        std::env::remove_var("CVR_AGG");
-    }
-    let tables = Arc::new(SsbConfig { sf: args.sf, seed: 7 }.generate());
+/// Time every cell, write [`OUT`], and gate.
+pub fn run(db: &Db) -> Result<(), String> {
+    let args = &db.args;
+    let store = db.engine().db(EngineConfig::FULL);
     eprintln!(
-        "# agg bench over sf {} ({} fact rows), best of {} runs",
+        "# agg over sf {} ({} fact rows), best of {} runs",
         args.sf,
-        tables.lineorder.num_rows(),
+        store.fact_rows(),
         args.runs
     );
-    let engine = ColumnEngine::new(tables.clone());
-    let db = engine.db(EngineConfig::FULL);
     let io = IoSession::unmetered();
-
-    // Byte-identity first: the speedup claim is only worth making if the
-    // two tails are interchangeable.
-    let mut queries = all_queries();
-    queries.extend(WorkloadConfig { seed: 2026, count: args.queries }.generate());
-    let verified = verify_byte_identity(&engine, &queries);
-    eprintln!("# {verified} queries byte-identical (outputs + IoStats) across both tails");
-
     let mut cells = Vec::new();
     for q in all_queries() {
         if q.group_by.is_empty() {
@@ -368,14 +238,14 @@ fn main() {
             &[8]
         };
         for &stride in strides {
-            if let Some(cell) = measure_query(db, &q, stride, args.runs, &io) {
+            if let Some(cell) = measure_query(store, &q, stride, args.runs, &io) {
                 cells.push(cell);
             } else {
                 eprintln!("# skipping {}: a group column has no code space at this sf", q.id);
             }
         }
     }
-    measure_synthetic(args.n, args.runs, &mut cells);
+    measure_synthetic(args.n.unwrap_or(1 << 18), args.runs, &mut cells);
 
     println!("\nAggregation: Value-keyed grouper vs code-level group ids\n");
     println!(
@@ -385,7 +255,6 @@ fn main() {
     let mut json = String::from("{\n  \"bench\": \"agg\",\n");
     let _ = writeln!(json, "  \"sf\": {},", args.sf);
     let _ = writeln!(json, "  \"runs\": {},", args.runs);
-    let _ = writeln!(json, "  \"byte_identical_queries\": {verified},");
     json.push_str("  \"results\": [\n");
     for (i, c) in cells.iter().enumerate() {
         println!(
@@ -418,12 +287,13 @@ fn main() {
     json.push_str("  ],\n");
     let _ = writeln!(json, "  \"flight23_best_speedup\": {flight23_best:.3}");
     json.push_str("}\n");
-    std::fs::write(&args.out, &json).expect("write BENCH_agg.json");
-    eprintln!("\n# wrote {}", args.out);
+    std::fs::write(OUT, &json).map_err(|e| format!("writing {OUT}: {e}"))?;
+    eprintln!("\n# wrote {OUT}");
 
     println!("\nbest flight-2/3 speedup: {flight23_best:.2}x (gate: >= {:.1}x)", args.min_speedup);
-    if !flight23_best.is_finite() || flight23_best < args.min_speedup {
-        eprintln!("FAIL: code-level aggregation below the {:.1}x gate", args.min_speedup);
-        std::process::exit(1);
+    if flight23_best.is_finite() && flight23_best >= args.min_speedup {
+        Ok(())
+    } else {
+        Err(format!("code-level aggregation below the {:.1}x gate", args.min_speedup))
     }
 }

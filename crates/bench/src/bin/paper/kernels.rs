@@ -1,9 +1,9 @@
-//! Scan-kernel benchmark: scalar block iteration vs word-parallel kernels
-//! per encoding × selectivity, printed as a table and emitted as
-//! `BENCH_kernels.json` — the start of the kernel-layer perf trajectory.
+//! `paper kernels`: scalar block iteration vs word-parallel kernels per
+//! encoding × selectivity, printed as a table and written to
+//! [`OUT`] in the working directory.
 //!
 //! ```text
-//! cargo run --release -p cvr-bench --bin kernels -- [--n N] [--runs R] [--out PATH]
+//! cargo run --release -p cvr-bench --bin paper -- kernels [--n N] [--runs R]
 //! ```
 //!
 //! Every cell is verified first (scalar and word paths must select the
@@ -48,6 +48,7 @@
 //! the most selective cell of any encoding — the cell where the kernel, not
 //! the writing of matched positions, is what is timed ([`SLOWER`]).
 
+use cvr_bench::HarnessArgs;
 use cvr_core::kernels::{scalar, CmpOp, Lane, PackedCmp, RangeTest};
 use cvr_core::poslist::PosList;
 use cvr_core::scan::{refine, ScanPred};
@@ -67,6 +68,9 @@ use std::time::Instant;
 /// 8 bytes a value, is such a pair); the serial-mask kernel this gate was
 /// added against read 0.63–0.74x.
 const SLOWER: f64 = 0.85;
+
+/// The report `CpuRates::from_kernel_bench_json` reads back.
+const OUT: &str = "BENCH_kernels.json";
 
 /// Deterministic pseudo-random codes in `[0, max]`: an arithmetic
 /// progression modulo `max + 1`, evenly spread.
@@ -114,36 +118,6 @@ fn push_mask(out: &mut Vec<u32>, base: u32, mut mask: u64) {
         out.push(base + mask.trailing_zeros());
         mask &= mask - 1;
     }
-}
-
-struct Args {
-    n: u32,
-    runs: usize,
-    out: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args { n: 1 << 20, runs: 5, out: "BENCH_kernels.json".to_string() };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i).unwrap_or_else(|| panic!("missing value for {}", argv[*i - 1])).clone()
-        };
-        match argv[i].as_str() {
-            "--n" => args.n = take(&mut i).parse().expect("--n takes an int"),
-            "--runs" => args.runs = take(&mut i).parse().expect("--runs takes an int"),
-            "--out" => args.out = take(&mut i),
-            "--help" | "-h" => {
-                eprintln!("usage: kernels [--n N] [--runs R] [--out PATH]");
-                std::process::exit(0);
-            }
-            other => panic!("unknown flag {other}; try --help"),
-        }
-        i += 1;
-    }
-    args
 }
 
 /// One measured cell of the (kernel × encoding × selectivity) matrix.
@@ -488,31 +462,32 @@ fn measure_membership(
     }
 }
 
-fn main() {
-    let args = parse_args();
+/// Measure every cell, write [`OUT`], and gate.
+pub fn run(args: &HarnessArgs) -> Result<(), String> {
+    let (n, runs) = (args.n.unwrap_or(1 << 20), args.runs);
     let mut cells = Vec::new();
-    eprintln!("# measuring kernels over n = {} values, best of {} runs", args.n, args.runs);
-    measure_packed(args.n, args.runs, 6, &mut cells);
-    measure_packed(args.n, args.runs, 17, &mut cells);
-    measure_dict(args.n, args.runs, &mut cells);
-    measure_plain::<u8>(args.n, args.runs, "plain_u8", 250, &mut cells);
-    measure_plain::<u16>(args.n, args.runs, "plain_u16", 30_000, &mut cells);
-    measure_plain::<u32>(args.n, args.runs, "plain_u32", 3_000_000, &mut cells);
-    measure_plain::<i64>(args.n, args.runs, "plain_i64", 30_000, &mut cells);
+    eprintln!("# measuring kernels over n = {} values, best of {} runs", n, runs);
+    measure_packed(n, runs, 6, &mut cells);
+    measure_packed(n, runs, 17, &mut cells);
+    measure_dict(n, runs, &mut cells);
+    measure_plain::<u8>(n, runs, "plain_u8", 250, &mut cells);
+    measure_plain::<u16>(n, runs, "plain_u16", 30_000, &mut cells);
+    measure_plain::<u32>(n, runs, "plain_u32", 3_000_000, &mut cells);
+    measure_plain::<i64>(n, runs, "plain_i64", 30_000, &mut cells);
     let (mut refines, mut memberships) = (Vec::new(), Vec::new());
     let spread = (Draw::Spread, &[1u64, 5, 20, 50, 100][..]);
     for bits in [6u8, 10, 17] {
         let hi = (1i64 << bits) / 2 - 1;
-        let col = packed_col(codes(args.n, (1u64 << bits) - 1));
-        measure_refine(&col, &format!("packed_w{bits}"), (0, hi), spread, args.runs, &mut refines);
+        let col = packed_col(codes(n, (1u64 << bits) - 1));
+        measure_refine(&col, &format!("packed_w{bits}"), (0, hi), spread, runs, &mut refines);
     }
     // The values of `packed_w10` (1023 pins the width), byte-aligned; then
     // the other widths over the same spread.
     let plain_widths = [("plain_u16", 2u8), ("plain_u8", 1), ("plain_u32", 4), ("plain_i64", 8)];
     for (encoding, width) in plain_widths {
         let max = if width == 1 { 255 } else { 1023 };
-        let col = plain_col(values_at_width(args.n, max, width), width);
-        measure_refine(&col, encoding, (0, max as i64 / 2), spread, args.runs, &mut refines);
+        let col = plain_col(values_at_width(n, max, width), width);
+        measure_refine(&col, encoding, (0, max as i64 / 2), spread, runs, &mut refines);
     }
     // A second probe as the invisible join runs it: a foreign key's values
     // (random per position, so no verdict pattern repeats) under a range
@@ -523,42 +498,35 @@ fn main() {
     let independent = (Draw::Independent, &[5u64, 10, 20, 40][..]);
     for bits in [6u8, 9, 10, 17] {
         let domain = 1i64 << bits;
-        let mut fk = random_codes(args.n, domain as u64 - 1);
+        let mut fk = random_codes(n, domain as u64 - 1);
         fk[0] = domain as u64 - 1; // pins the width
         let col = packed_col(fk);
         let region = (2 * domain / 5, 3 * domain / 5 - 1);
-        measure_refine(
-            &col,
-            &format!("packed_w{bits}"),
-            region,
-            independent,
-            args.runs,
-            &mut refines,
-        );
+        measure_refine(&col, &format!("packed_w{bits}"), region, independent, runs, &mut refines);
     }
-    let mut fk = random_codes(args.n, 1023);
+    let mut fk = random_codes(n, 1023);
     fk[0] = u16::MAX as u64;
     let col = plain_col(fk.into_iter().map(|v| v as i64).collect(), 2);
-    measure_refine(&col, "plain_u16", (409, 613), independent, args.runs, &mut refines);
+    measure_refine(&col, "plain_u16", (409, 613), independent, runs, &mut refines);
     // A CUSTOMER-sized dense key domain (sf 0.2: 6 000 keys, 13 bits; 200 at
     // one byte), packed and byte-aligned.
-    let fks: Vec<i64> = codes(args.n, 5_999).into_iter().map(|c| c as i64).collect();
+    let fks: Vec<i64> = codes(n, 5_999).into_iter().map(|c| c as i64).collect();
     let packed_fk = StoredColumn::new("fk", Column::Int(IntColumn::packed(&fks).expect("packs")));
-    measure_membership(&packed_fk, "packed_w13", 6_000, args.runs, &mut memberships);
+    measure_membership(&packed_fk, "packed_w13", 6_000, runs, &mut memberships);
     for (encoding, width) in plain_widths {
         let domain = if width == 1 { 200 } else { 6_000 };
-        let col = plain_col(values_at_width(args.n, domain - 1, width), width);
-        measure_membership(&col, encoding, domain, args.runs, &mut memberships);
+        let col = plain_col(values_at_width(n, domain - 1, width), width);
+        measure_membership(&col, encoding, domain, runs, &mut memberships);
     }
 
-    println!("\nScan kernels: scalar block iteration vs word-parallel ({} values)\n", args.n);
+    println!("\nScan kernels: scalar block iteration vs word-parallel ({} values)\n", n);
     println!(
         "{:<12} {:<12} {:>12} {:>12} {:>12} {:>9}",
         "kernel", "encoding", "selectivity", "scalar ns/v", "word ns/v", "speedup"
     );
     let mut json = String::from("{\n  \"bench\": \"kernels\",\n");
-    let _ = writeln!(json, "  \"n\": {},", args.n);
-    let _ = writeln!(json, "  \"runs\": {},", args.runs);
+    let _ = writeln!(json, "  \"n\": {},", n);
+    let _ = writeln!(json, "  \"runs\": {},", runs);
     json.push_str("  \"results\": [\n");
     for c in &cells {
         println!(
@@ -586,7 +554,7 @@ fn main() {
 
     println!(
         "\nCandidate refinement over {}-row windows (range predicate keeping half)\n",
-        windows(args.n)[0].len()
+        windows(n)[0].len()
     );
     println!(
         "{:<12} {:<12} {:>10} {:>12} {:>16} {:>14} {:>16}",
@@ -662,8 +630,8 @@ fn main() {
         json.push_str(if i + 1 < memberships.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ]\n}\n");
-    std::fs::write(&args.out, &json).expect("write BENCH_kernels.json");
-    eprintln!("\n# wrote {}", args.out);
+    std::fs::write(OUT, &json).map_err(|e| format!("writing {OUT}: {e}"))?;
+    eprintln!("\n# wrote {OUT}");
 
     // The perf trajectory this bench exists to defend: word-parallel must
     // decisively beat scalar block iteration on the low-selectivity int
@@ -693,8 +661,9 @@ fn main() {
             slower.push(format!("{} {} at {:.2}x", c.kernel, c.encoding, c.speedup()));
         }
     }
-    if !slower.is_empty() {
-        eprintln!("FAIL: word kernel slower than its scalar reference: {}", slower.join(", "));
-        std::process::exit(1);
+    if slower.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("word kernel slower than its scalar reference: {}", slower.join(", ")))
     }
 }

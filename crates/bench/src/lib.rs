@@ -1,12 +1,17 @@
 //! # cvr-bench — the experiment harness
 //!
-//! Regenerates every table and figure of the paper's evaluation section.
-//! Each binary builds the physical designs it needs over a generated SSBM
-//! database, runs the thirteen queries (one warm-up, `runs` measured
-//! executions), and prints the paper's published numbers alongside the
-//! measured ones.
+//! Regenerates every table and figure of the paper's evaluation section
+//! through one binary, `paper`. Each reproduction subcommand builds the
+//! physical designs it needs over a generated SSBM database, runs the
+//! thirteen queries (one warm-up, `runs` measured executions), and prints
+//! the paper's published numbers alongside the measured ones. Subcommands
+//! given together run in order over one generated database:
 //!
-//! ## Cost model
+//! ```text
+//! cargo run --release -p cvr-bench --bin paper -- selectivity figure5 figure7 --sf 0.02
+//! ```
+//!
+//! ## Cost model: the modeled-2006-disk reproduction
 //!
 //! Each measured execution reports:
 //! * **cpu** — wall-clock of the query execution (all in-memory compute);
@@ -24,41 +29,41 @@
 //! factor, different decade of hardware); the *ratios between systems* are
 //! the reproduction target.
 //!
-//! ## Binaries
+//! ## Subcommands
 //!
-//! | Binary | Regenerates |
+//! | Subcommand | Regenerates |
 //! |---|---|
 //! | `figure5` | Fig. 5 — RS / RS (MV) / CS / CS (Row-MV) |
 //! | `figure6` | Fig. 6 — T / T(B) / MV / VP / AI |
 //! | `figure7` | Fig. 7 — tICL … Ticl optimization removal |
 //! | `figure8` | Fig. 8 — Base vs denormalized (No C / Int C / Max C) |
 //! | `selectivity` | §3's per-query LINEORDER selectivities |
-//! | `storage_sizes` | §6.2's storage-size arithmetic |
+//! | `storage-sizes` | §6.2's storage-size arithmetic |
 //! | `partitioning` | §6.1's partitioning factor-of-two claim |
 //! | `ablation` | §6.3.2's between-predicate-rewriting attribution, isolated |
-//! | `super_tuples` | §7's row-store prescription (Halverson et al.), implemented |
-//! | `scaling` | morsel-driven parallelism: threads-vs-speedup over the 13 queries |
-//! | `kernels` | scan kernels: scalar vs word-parallel per encoding × selectivity (emits `BENCH_kernels.json`) |
-//! | `planner` | cost-based planner regret vs the measured best-of-grid, paper + generated queries (emits `BENCH_planner.json`) |
-//! | `server_bench` | closed-loop TCP client harness against `cvr-server`: N connections, p50/p99 latency, QPS, concurrent-vs-serial byte-identity (emits `BENCH_server.json`) |
-//! | `chaos` | fault-injection harness: drives the server with I/O faults, worker panics, stalls, and frame truncation armed; gates availability, byte-identity, cancel latency, and zero hangs (emits `BENCH_chaos.json`) |
-//! | `all` | the full evaluation in one run |
+//! | `super-tuples` | §7's row-store prescription (Halverson et al.), implemented |
+//!
+//! Three more are calibrations and a gate, not reproductions:
+//!
+//! | Subcommand | Measures | Fails when |
+//! |---|---|---|
+//! | `kernels` | scan kernels, scalar vs word-parallel per encoding × selectivity; writes `BENCH_kernels.json` | a word kernel is slower than its scalar reference |
+//! | `agg` | the aggregation tail, `Value`-keyed vs code-level; writes `BENCH_agg.json` | the best flight-2/3 speedup is below `--min-speedup` |
+//! | `planner` | the cost-based planner's regret against the measured best of its grid | a paper query's regret exceeds `--max-regret` |
+//!
+//! [`build_planner`] reads the two JSON files back as the planner's CPU rates.
 //!
 //! ## Threads
 //!
 //! The column engine executes queries with morsel-driven parallelism
-//! (`cvr_core::morsel`). Every binary accepts `--threads N`; unset, the
+//! (`cvr_core::morsel`). `--threads N` sets the worker count; unset, the
 //! `CVR_THREADS` environment variable and then the machine's available
 //! parallelism decide. The knob governs `ColumnEngine` executions only —
 //! the row-store designs reproduce the paper's single-threaded System X and
 //! always run serial — and `--threads 1` reproduces the paper's
 //! single-threaded column-store measurements. Results and I/O accounting
-//! are byte-identical at any thread count — only CPU time changes. The `scaling` binary sweeps thread
-//! counts {1, 2, 4, 8} over the 13-query flight set and prints a
-//! threads-vs-speedup table; because CI containers often pin a single core,
-//! it reports **critical-path CPU time** (serial coordinator time plus the
-//! busiest worker's CPU time per fan-out) next to wall-clock, and verifies
-//! outputs and I/O stats against the `--threads 1` run.
+//! are byte-identical at any thread count — only CPU time changes
+//! (`tests/differential.rs::thread_counts_are_byte_identical`).
 
 #![warn(missing_docs)]
 
@@ -72,9 +77,65 @@ use cvr_storage::io::{BufferPool, DiskModel, IoSession, IoStats};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Command-line options shared by the harness binaries.
+/// The `paper` binary's subcommands that make up the modeled-2006-disk
+/// reproduction.
+pub const REPRODUCTION: [&str; 9] = [
+    "figure5",
+    "figure6",
+    "figure7",
+    "figure8",
+    "selectivity",
+    "storage-sizes",
+    "partitioning",
+    "ablation",
+    "super-tuples",
+];
+
+/// Its other subcommands: the calibrations and the planner's regret gate.
+const CALIBRATIONS: [&str; 3] = ["kernels", "agg", "planner"];
+
+/// The `paper` binary's usage text.
+pub const USAGE: &str = "\
+usage: paper <subcommand>... [options]
+
+Subcommands run in the order given, over one generated database.
+
+The modeled-2006-disk reproduction (measured cpu x --cpu-scale + a simulated
+200 MB/s, 4 ms-seek disk; compare ratios between systems, not seconds):
+  figure5 figure6 figure7 figure8   the paper's Figures 5-8
+  selectivity                       Section 3's LINEORDER selectivities
+  storage-sizes                     Section 6.2's storage sizes, scaled to SF 10
+  partitioning                      Section 6.1's partitioning ablation
+  ablation                          Section 6.3.2's between-predicate rewriting
+  super-tuples                      Section 7's super-tuple VP design
+
+Calibrations and the planner's gate:
+  kernels   scan kernels, scalar vs word-parallel; writes BENCH_kernels.json;
+            fails when a word kernel is slower than its scalar reference
+  agg       aggregation tail, Value-keyed vs code-level; writes BENCH_agg.json;
+            fails below --min-speedup on flights 2-3
+  planner   planner regret vs the measured best of its grid, paper + generated
+            queries; fails above --max-regret on a paper query
+
+options:
+  --sf F             scale factor (default 0.02)
+  --seed N           generator seed
+  --runs N           measured runs per cell, best kept (default 3)
+  --pool-fraction F  buffer pool / raw fact bytes (default 0.08)
+  --cpu-scale F      modeled cpu multiplier (default 5.0)
+  --threads N        column-engine workers (default CVR_THREADS, else all cores)
+  --explain          print the planner's plan for each paper query
+  --queries N        generated queries `planner` adds (default 30)
+  --max-regret F     `planner` gate (default 1.5)
+  --n N              values per `kernels` cell (default 1048576) or rows per
+                     synthetic `agg` cell (default 262144)
+  --min-speedup F    `agg` gate (default 3.0)";
+
+/// Command-line options shared by the `paper` binary's subcommands.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
+    /// The subcommands to run, in order (each one [`USAGE`] lists).
+    pub commands: Vec<String>,
     /// SSBM scale factor (default 0.02 ⇒ 120 k fact rows).
     pub sf: f64,
     /// Generator seed.
@@ -89,67 +150,30 @@ pub struct HarnessArgs {
     /// faster per byte than the paper's 2.8 GHz Pentium D).
     pub cpu_scale: f64,
     /// Worker threads for the column engine's morsel-driven execution
-    /// (default: `CVR_THREADS`, else available parallelism). The `scaling`
-    /// binary sweeps thread counts from {1, 2, 4, 8} up to
-    /// `max(threads, 4)` — it never sweeps below 4, so the scaling table
-    /// stays meaningful even where the default resolves to 1.
+    /// (default: `CVR_THREADS`, else available parallelism).
     pub threads: usize,
     /// Print the cost-based planner's chosen plan and estimate breakdown
     /// per query alongside the measured numbers (`--explain`).
     pub explain: bool,
-    /// Number of generated ad-hoc queries the `planner` binary adds to the
-    /// 13 paper queries (`--queries`, default 30).
+    /// Number of generated ad-hoc queries `planner` adds to the 13 paper
+    /// queries (`--queries`, default 30).
     pub queries: usize,
-    /// Regret gate for the `planner` binary: fail when the planner's
-    /// measured cost exceeds this multiple of the best-of-grid measured
-    /// cost on any paper query (`--max-regret`, default 1.5).
+    /// Regret gate for `planner`: fail when the planner's measured cost
+    /// exceeds this multiple of the best-of-grid measured cost on any paper
+    /// query (`--max-regret`, default 1.5).
     pub max_regret: f64,
-    /// Concurrent client connections for the `server_bench` binary
-    /// (`--connections`, default 8).
-    pub connections: usize,
-    /// SQL statements each `server_bench` connection issues
-    /// (`--statements`, default 64).
-    pub statements: usize,
-    /// Cache hit-rate gate for the `server_bench` binary: fail when the
-    /// concurrent repeated-workload run's result-cache hit-rate falls below
-    /// this fraction (`--min-hit-rate`, default 0.0 ⇒ no gate).
-    pub min_hit_rate: f64,
-    /// Fault spec the `chaos` binary arms during its workload phase
-    /// (`--fault`, [`cvr_storage::fault::FaultConfig::parse`] grammar).
-    pub fault: String,
-    /// Watchdog for the `chaos` binary: the process exits 2 when the run
-    /// has not finished after this many seconds (`--watchdog`) — a hang is
-    /// a gate failure, not a stuck CI job.
-    pub watchdog: u64,
-    /// Availability gate for the `chaos` binary: fail when fewer than this
-    /// fraction of statements eventually produce a byte-identical answer
-    /// (`--min-availability`, default 0.99).
-    pub min_availability: f64,
-    /// Cancel-latency gate for the `chaos` binary: fail when the p99 of
-    /// cancel-to-ERROR latency exceeds this many milliseconds
-    /// (`--max-cancel-p99-ms`, default 50; gated only when ≥ 10 probes
-    /// produce a sample).
-    pub max_cancel_p99_ms: f64,
-    /// Cancel probes the `chaos` binary fires (`--cancels`, default 24).
-    pub cancels: usize,
-    /// `server_bench --trace-overhead`: measure per-statement latency with
-    /// tracing off vs on over a cache-disabled session, write
-    /// `BENCH_obs.json`, and gate the p50 overhead.
-    pub trace_overhead: bool,
-    /// Overhead gate for `--trace-overhead`: fail when traced p50 exceeds
-    /// untraced p50 by more than this fraction (`--max-trace-overhead`,
-    /// default 0.05).
-    pub max_trace_overhead: f64,
-    /// Keep the `server_bench` server (and its metrics endpoint, when
-    /// `CVR_METRICS_ADDR` bound one) alive this many milliseconds after
-    /// the run, so an external prober can scrape it (`--hold-ms`,
-    /// default 0).
-    pub hold_ms: u64,
+    /// Values per `kernels` cell (default 1 Mi) or rows per synthetic `agg`
+    /// cell (default 256 Ki) (`--n`).
+    pub n: Option<u32>,
+    /// Gate for `agg`: fail when the best flight-2/3 code-level speedup is
+    /// below this (`--min-speedup`, default 3).
+    pub min_speedup: f64,
 }
 
 impl Default for HarnessArgs {
     fn default() -> Self {
         HarnessArgs {
+            commands: Vec::new(),
             sf: 0.02,
             seed: 0x55B0_2008,
             runs: 3,
@@ -159,27 +183,23 @@ impl Default for HarnessArgs {
             explain: false,
             queries: 30,
             max_regret: 1.5,
-            connections: 8,
-            statements: 64,
-            min_hit_rate: 0.0,
-            fault: "io:0.00001,panic:0.001,stall:0.1:2,trunc:0.02".to_string(),
-            watchdog: 120,
-            min_availability: 0.99,
-            max_cancel_p99_ms: 50.0,
-            cancels: 24,
-            trace_overhead: false,
-            max_trace_overhead: 0.05,
-            hold_ms: 0,
+            n: None,
+            min_speedup: 3.0,
         }
     }
 }
 
 impl HarnessArgs {
-    /// Parse `--sf`, `--seed`, `--runs`, `--pool-fraction` from the process
-    /// arguments (tiny hand-rolled parser; unknown flags abort with usage).
+    /// Parse the process arguments (see [`HarnessArgs::parse_from`]).
     pub fn parse() -> HarnessArgs {
+        HarnessArgs::parse_from(std::env::args().skip(1).collect())
+    }
+
+    /// Parse subcommands and flags, in any order: every word that is not a
+    /// flag or a flag's value is a subcommand. A tiny hand-rolled parser;
+    /// an unknown flag or subcommand aborts, `--help` prints [`USAGE`].
+    fn parse_from(argv: Vec<String>) -> HarnessArgs {
         let mut args = HarnessArgs::default();
-        let argv: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
         while i < argv.len() {
             let take = |i: &mut usize| -> String {
@@ -205,54 +225,19 @@ impl HarnessArgs {
                 "--max-regret" => {
                     args.max_regret = take(&mut i).parse().expect("--max-regret takes a float")
                 }
-                "--connections" => {
-                    args.connections =
-                        take(&mut i).parse::<usize>().expect("--connections takes an int").max(1)
-                }
-                "--statements" => {
-                    args.statements =
-                        take(&mut i).parse::<usize>().expect("--statements takes an int").max(1)
-                }
-                "--min-hit-rate" => {
-                    args.min_hit_rate = take(&mut i).parse().expect("--min-hit-rate takes a float")
-                }
-                "--fault" => args.fault = take(&mut i),
-                "--watchdog" => {
-                    args.watchdog = take(&mut i).parse().expect("--watchdog takes seconds")
-                }
-                "--min-availability" => {
-                    args.min_availability =
-                        take(&mut i).parse().expect("--min-availability takes a float")
-                }
-                "--max-cancel-p99-ms" => {
-                    args.max_cancel_p99_ms =
-                        take(&mut i).parse().expect("--max-cancel-p99-ms takes a float")
-                }
-                "--cancels" => args.cancels = take(&mut i).parse().expect("--cancels takes an int"),
-                "--trace-overhead" => args.trace_overhead = true,
-                "--max-trace-overhead" => {
-                    args.max_trace_overhead =
-                        take(&mut i).parse().expect("--max-trace-overhead takes a float")
-                }
-                "--hold-ms" => {
-                    args.hold_ms = take(&mut i).parse().expect("--hold-ms takes milliseconds")
+                "--n" => args.n = Some(take(&mut i).parse().expect("--n takes an int")),
+                "--min-speedup" => {
+                    args.min_speedup = take(&mut i).parse().expect("--min-speedup takes a float")
                 }
                 "--help" | "-h" => {
-                    eprintln!(
-                        "usage: [--sf F] [--seed N] [--runs N] [--pool-fraction F] [--cpu-scale F] [--threads N]\n\
-                         \x20      [--explain] [--queries N] [--max-regret F] [--connections N] [--statements N]\n\
-                         \x20      [--min-hit-rate F] [--fault SPEC] [--watchdog SECS] [--min-availability F]\n\
-                         \x20      [--max-cancel-p99-ms F] [--cancels N] [--trace-overhead]\n\
-                         \x20      [--max-trace-overhead F] [--hold-ms MS]\n\
-                         defaults: --sf 0.02 --runs 3 --pool-fraction 0.08 --cpu-scale 5.0 --threads CVR_THREADS|auto\n\
-                         \x20         --queries 30 --max-regret 1.5 --connections 8 --statements 64 --min-hit-rate 0.0\n\
-                         \x20         --fault io:0.00001,panic:0.001,stall:0.1:2,trunc:0.02 --watchdog 120\n\
-                         \x20         --min-availability 0.99 --max-cancel-p99-ms 50 --cancels 24\n\
-                         \x20         --max-trace-overhead 0.05 --hold-ms 0"
-                    );
+                    println!("{USAGE}");
                     std::process::exit(0);
                 }
-                other => panic!("unknown flag {other}; try --help"),
+                flag if flag.starts_with('-') => panic!("unknown flag {flag}; try --help"),
+                command if REPRODUCTION.contains(&command) || CALIBRATIONS.contains(&command) => {
+                    args.commands.push(command.into())
+                }
+                other => panic!("unknown subcommand {other}; try --help"),
             }
             i += 1;
         }
@@ -354,7 +339,7 @@ impl Harness {
 /// I/O exactly the way this harness weighs measurements (`--cpu-scale`),
 /// and recalibrating the kernel CPU rates from a `BENCH_kernels.json` and
 /// the aggregation-tail rates from a `BENCH_agg.json` in the working
-/// directory when they exist (the `kernels`/`agg` binaries' output on
+/// directory when they exist (the `kernels`/`agg` subcommands' output on
 /// *this* machine beats the built-in defaults).
 pub fn build_planner(args: &HarnessArgs, engine: &cvr_core::ColumnEngine) -> cvr_plan::Planner {
     let mut rates = std::fs::read_to_string("BENCH_kernels.json")
@@ -370,7 +355,7 @@ pub fn build_planner(args: &HarnessArgs, engine: &cvr_core::ColumnEngine) -> cvr
         rates.agg_row = agg.agg_row;
         rates.agg_code_row = agg.agg_code_row;
     }
-    // Plan for *cold* (first-touch) I/O: the planner binary measures every
+    // Plan for *cold* (first-touch) I/O: the `planner` subcommand measures every
     // cell against a fresh pool precisely so that costs are reproducible,
     // and near the capacity cliff of a small warm pool the measured cost is
     // decided by CLOCK eviction history — bimodal and unmodelable. (Set
@@ -384,22 +369,14 @@ pub fn build_planner(args: &HarnessArgs, engine: &cvr_core::ColumnEngine) -> cvr
     cvr_plan::Planner::with_params(cvr_plan::Catalog::build(engine), params)
 }
 
-/// Print the planner's explain output for every query in `queries` (the
-/// figure binaries call this under `--explain`).
-pub fn print_explains(planner: &cvr_plan::Planner, queries: &[SsbQuery]) {
-    println!("\nPlanner explain (estimated costs; see BENCH_planner.json for measured regret)");
-    println!("----------------------------------------------------------------------------");
-    for q in queries {
-        print!("{}", planner.plan(q).render());
-    }
-}
-
-/// The one-line `--explain` hook every figure binary calls after building
-/// (or being handed) a column engine: under `--explain`, build the planner
-/// and print each paper query's chosen plan and cost breakdown.
-pub fn maybe_explain(args: &HarnessArgs, engine: &cvr_core::ColumnEngine) {
-    if args.explain {
-        print_explains(&build_planner(args, engine), &all_queries());
+/// Print the planner's chosen plan and cost breakdown for every paper query
+/// (what `--explain` adds to the reproduction subcommands).
+pub fn print_explains(args: &HarnessArgs, engine: &cvr_core::ColumnEngine) {
+    let planner = build_planner(args, engine);
+    println!("\nPlanner explain (estimated costs; `paper planner` measures regret)");
+    println!("------------------------------------------------------------------");
+    for q in all_queries() {
+        print!("{}", planner.plan(&q).render());
     }
 }
 
@@ -417,7 +394,8 @@ pub fn render_figure(
     let _ = writeln!(out, "{}", "=".repeat(title.len()));
     let _ = writeln!(
         out,
-        "modeled seconds at SF {sf} (scaled cpu + simulated 200 MB/s disk); paper ran SF 10\n"
+        "modeled-2006-disk reproduction: modeled seconds at SF {sf} (scaled cpu + simulated \
+         200 MB/s disk); paper ran SF 10\n"
     );
     let _ = write!(out, "{:<22}", "system");
     for q in paper::QUERY_LABELS {
@@ -462,16 +440,6 @@ pub fn render_figure(
     out
 }
 
-/// Format an [`IoStats`] snippet for verbose output.
-pub fn fmt_io(io: &IoStats) -> String {
-    format!(
-        "{:.1} MB / {} pages / {} seeks",
-        io.bytes_read as f64 / (1024.0 * 1024.0),
-        io.pages_read,
-        io.seeks
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,5 +469,19 @@ mod tests {
         }
         assert!(s.contains("MV (ours)"));
         assert!(s.contains("MV (paper)"));
+    }
+
+    #[test]
+    fn subcommands_and_flags_parse_in_any_order() {
+        let argv = "figure5 --sf 0.001 ablation --runs 1 kernels --n 4096";
+        let args = HarnessArgs::parse_from(argv.split(' ').map(String::from).collect());
+        assert_eq!(args.commands, ["figure5", "ablation", "kernels"]);
+        assert_eq!((args.sf, args.runs, args.n), (0.001, 1, Some(4096)));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown subcommand all")]
+    fn unknown_subcommands_are_refused() {
+        HarnessArgs::parse_from(vec!["all".into()]);
     }
 }

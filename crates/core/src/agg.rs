@@ -349,14 +349,6 @@ pub fn intern_values<'a>(col: impl IntoIterator<Item = &'a Value>) -> (Vec<u32>,
     (codes, values)
 }
 
-/// True when the `CVR_AGG=value` ablation forces the Value-keyed reference
-/// aggregator everywhere — the knob the `agg` benchmark uses to run the
-/// pre-refactor aggregation tail against the code-level one (outputs and
-/// I/O accounting must stay byte-identical; only CPU time moves).
-pub fn value_keyed_forced() -> bool {
-    std::env::var_os("CVR_AGG").is_some_and(|v| v == "value")
-}
-
 /// The aggregation strategy for one query execution over one storage
 /// variant: code-level whenever every group column exposes a global code
 /// space, the [`Grouper`] reference otherwise.
@@ -379,9 +371,6 @@ impl<'d> AggStrategy<'d> {
     /// column-header metadata — charges no modeled I/O, copies no
     /// dictionary.
     pub fn for_query(db: &'d CStoreDb, q: &SsbQuery) -> AggStrategy<'d> {
-        if value_keyed_forced() {
-            return AggStrategy::Value;
-        }
         let mut cols = Vec::with_capacity(q.group_by.len());
         let mut spaces = Vec::with_capacity(q.group_by.len());
         for g in &q.group_by {
@@ -604,9 +593,6 @@ fn retain_marked<T>(items: &mut Vec<T>, keep: &[bool]) {
 /// compose column by column, and groups decode once at finish. The former
 /// per-row `clone()` path survives only as the overflow fallback.
 pub fn aggregate_columns(q: &SsbQuery, group_cols: &[Vec<Value>], terms: &[i64]) -> QueryOutput {
-    if value_keyed_forced() {
-        return aggregate_columns_value_keyed(q, group_cols, terms);
-    }
     let mut cols = Vec::with_capacity(group_cols.len());
     let mut code_arrays: Vec<Vec<u32>> = Vec::with_capacity(group_cols.len());
     for col in group_cols {
@@ -631,8 +617,7 @@ pub fn aggregate_columns(q: &SsbQuery, group_cols: &[Vec<Value>], terms: &[i64])
     }
 }
 
-/// The pre-refactor per-row clone path, kept as the reference tail (and the
-/// `CVR_AGG=value` ablation target).
+/// The pre-refactor per-row clone path, kept as the overflow fallback.
 fn aggregate_columns_value_keyed(
     q: &SsbQuery,
     group_cols: &[Vec<Value>],

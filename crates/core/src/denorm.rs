@@ -261,29 +261,27 @@ impl DenormDb {
         // through the denormalization dictionaries once per group at
         // finish); plain inlined strings (PJ, No C) fall back to the
         // interned-dictionary path inside [`aggregate_columns`].
-        let mut code_plan: Option<Vec<(CodeSpace, CodeDecoder)>> =
-            (!crate::agg::value_keyed_forced()).then(Vec::new);
-        for g in &q.group_by {
-            let col = self.store.column(g.column);
-            match (CodeSpace::of(col), code_plan.as_mut()) {
-                (Some(space), Some(plan)) => {
-                    let decoder = match self.dicts.get(g.column) {
-                        // "PJ, Int C": the column stores dictionary codes as
-                        // plain integers; codes decode through the dict.
-                        Some(dict) => {
-                            let CodeSpace::Int { reference, domain } = space else {
-                                unreachable!("dict-translated columns are integers")
-                            };
-                            let first = reference as usize;
-                            CodeDecoder::Dict(&dict[first..first + domain as usize])
-                        }
-                        None => space.decoder(col),
-                    };
-                    plan.push((space, decoder));
-                }
-                _ => code_plan = None,
-            }
-        }
+        let code_plan: Option<Vec<(CodeSpace, CodeDecoder)>> = q
+            .group_by
+            .iter()
+            .map(|g| {
+                let col = self.store.column(g.column);
+                let space = CodeSpace::of(col)?;
+                let decoder = match self.dicts.get(g.column) {
+                    // "PJ, Int C": the column stores dictionary codes as
+                    // plain integers; codes decode through the dict.
+                    Some(dict) => {
+                        let CodeSpace::Int { reference, domain } = space else {
+                            unreachable!("dict-translated columns are integers")
+                        };
+                        let first = reference as usize;
+                        CodeDecoder::Dict(&dict[first..first + domain as usize])
+                    }
+                    None => space.decoder(col),
+                };
+                Some((space, decoder))
+            })
+            .collect();
         // Compose the layout *before* charging any gathers, so an overflow
         // fallback never double-reads the group columns.
         let layout = code_plan.and_then(|plan| {
@@ -314,7 +312,7 @@ impl DenormDb {
                         let vals = gather_values(self.store.column(g.column), &pos, io);
                         // "PJ, Int C" group columns hold dictionary codes;
                         // translate back to strings here too, so the
-                        // CVR_AGG=value ablation stays byte-identical.
+                        // Value-keyed fallback stays byte-identical.
                         if self.variant == DenormVariant::IntCompression {
                             if let Some(dict) = self.dicts.get(g.column) {
                                 return vals

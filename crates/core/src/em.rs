@@ -80,8 +80,7 @@ struct RowPlan<'q> {
     /// pipeline aggregates on composed integer ids and decodes each group
     /// once at finish. Its `spaces` stay empty — the pipeline codes group
     /// columns through `group_row_codes`, not through the storage layout.
-    /// The `Value`-keyed reference under `CVR_AGG=value` or when the composed
-    /// domain overflows `u64`.
+    /// The `Value`-keyed reference when the composed domain overflows `u64`.
     strat: AggStrategy<'static>,
     /// Per group column: filtered-dimension-row → code (aligned with the
     /// layout's decoders).
@@ -126,10 +125,8 @@ fn build_plan<'q>(
         group_row_codes.push(codes);
     }
     let strat = match GroupLayout::try_new(cols) {
-        Some(layout) if !crate::agg::value_keyed_forced() => {
-            AggStrategy::Code { layout, spaces: Vec::new() }
-        }
-        _ => AggStrategy::Value,
+        Some(layout) => AggStrategy::Code { layout, spaces: Vec::new() },
+        None => AggStrategy::Value,
     };
     Ok(RowPlan {
         decoded,

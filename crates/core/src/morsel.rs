@@ -224,8 +224,8 @@ pub fn try_run_morsels<S: Send, T: Send>(
 
     // The coordinator claims morsels too, so one granted worker means no
     // spawn at all: the same loop runs inline. Per-worker busy CPU time,
-    // coordinator first, is the one measurement all three observation sinks
-    // (profiler, tracer, metrics) share.
+    // coordinator first, is the one measurement both observation sinks
+    // (tracer, metrics) share.
     let mut tagged: Vec<(usize, T)> = Vec::with_capacity(count);
     let mut states: Vec<S> = Vec::with_capacity(workers);
     let mut busys: Vec<Duration> = Vec::with_capacity(workers);
@@ -269,11 +269,10 @@ struct Worker<S, T> {
 }
 
 /// Publish one fan-out's shared measurement — per-worker busy CPU times
-/// (`busys[0]` is the coordinator) and the number of morsels run — to every
-/// observation sink: the opt-in [`profile`] collector, the query's tracer
-/// (when attached), and the process metrics registry.
+/// (`busys[0]` is the coordinator) and the number of morsels run — to both
+/// observation sinks: the query's tracer (when attached) and the process
+/// metrics registry.
 fn observe_fanout(ctx: &QueryCtx, busys: &[Duration], morsels: u64) {
-    profile::record_fanout(busys);
     if let Some(tracer) = ctx.tracer() {
         tracer.on_fanout(busys, morsels);
     }
@@ -295,7 +294,7 @@ fn observe_fanout(ctx: &QueryCtx, busys: &[Duration], morsels: u64) {
 pub fn grid(n: u32, par: Parallelism) -> (u32, usize) {
     let aim = n.div_ceil((par.threads * 4).max(1) as u32).max(MIN_MORSEL_ROWS);
     // An explicitly enlarged morsel size (a struct literal above the
-    // default — how the chaos harness forces giant morsels) is honored as
+    // default — how a caller forces giant morsels) is honored as
     // requested; the default auto-shrinks to `aim` for balance. Both are
     // bounded by `DEFAULT_MORSEL_MAX`.
     let want = if par.morsel_rows > DEFAULT_MORSEL_ROWS {
@@ -443,10 +442,10 @@ pub(crate) fn run_fused(
 
 /// CPU time consumed by the calling thread (Linux; wall-clock elsewhere).
 ///
-/// Used to measure the parallel **critical path** (span): on machines with
-/// fewer cores than workers — CI containers, laptops under load — wall-clock
-/// cannot show scaling, but `max` over per-worker CPU time can.
-pub fn thread_cpu_time() -> Duration {
+/// Measures each fan-out worker's busy time: on machines with fewer cores
+/// than workers — CI containers, laptops under load — wall-clock cannot show
+/// how the work split, but per-worker CPU time can.
+fn thread_cpu_time() -> Duration {
     #[cfg(target_os = "linux")]
     {
         #[repr(C)]
@@ -468,73 +467,6 @@ pub fn thread_cpu_time() -> Duration {
     // Fallback: wall-clock since an arbitrary process-wide epoch.
     static EPOCH: OnceLock<std::time::Instant> = OnceLock::new();
     EPOCH.get_or_init(std::time::Instant::now).elapsed()
-}
-
-/// Opt-in per-worker busy-time profiling, used by the `scaling` binary to
-/// report critical-path CPU time. Disabled (and free) by default.
-pub mod profile {
-    use super::*;
-
-    static ENABLED: AtomicUsize = AtomicUsize::new(0);
-    static BUSY: Mutex<Vec<Vec<Duration>>> = Mutex::new(Vec::new());
-    static COORD_BUSY_NS: AtomicUsize = AtomicUsize::new(0);
-
-    /// Per-worker busy times collected between [`start`] and [`finish`].
-    #[derive(Debug, Default)]
-    pub struct ProfileReport {
-        /// One group per [`super::try_run_morsels`] fan-out; each entry is one
-        /// worker's CPU time inside that fan-out (coordinator included).
-        pub groups: Vec<Vec<Duration>>,
-        /// The coordinator thread's share of the fan-out work — already
-        /// part of the coordinator's thread-CPU clock, unlike the other
-        /// workers' time.
-        pub coordinator_busy: Duration,
-    }
-
-    impl ProfileReport {
-        /// Critical-path CPU time given the coordinator's total thread-CPU
-        /// time for the measured region: the serial portion plus the
-        /// busiest worker of each fan-out.
-        pub fn critical_path(&self, coordinator_cpu: Duration) -> Duration {
-            let span: Duration =
-                self.groups.iter().map(|g| g.iter().max().copied().unwrap_or_default()).sum();
-            coordinator_cpu.saturating_sub(self.coordinator_busy) + span
-        }
-
-        /// Total CPU spent inside fan-outs across all workers.
-        pub fn total_work(&self) -> Duration {
-            self.groups.iter().flatten().sum()
-        }
-    }
-
-    /// Enable collection and clear any previous samples.
-    pub fn start() {
-        BUSY.lock().unwrap().clear();
-        COORD_BUSY_NS.store(0, Ordering::Relaxed);
-        ENABLED.store(1, Ordering::Relaxed);
-    }
-
-    /// Record one fan-out's per-worker busy times (`busys[0]` is the
-    /// coordinator) as a sample group. The single entry point from
-    /// [`super::try_run_morsels`] — the same measurement also feeds the
-    /// tracer and the metrics registry, so no sink keeps its own clock.
-    pub(super) fn record_fanout(busys: &[Duration]) {
-        if ENABLED.load(Ordering::Relaxed) == 1 {
-            BUSY.lock().unwrap().push(busys.to_vec());
-            if let Some(coord) = busys.first() {
-                COORD_BUSY_NS.fetch_add(coord.as_nanos() as usize, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Stop collection and return the per-worker busy times.
-    pub fn finish() -> ProfileReport {
-        ENABLED.store(0, Ordering::Relaxed);
-        ProfileReport {
-            groups: std::mem::take(&mut BUSY.lock().unwrap()),
-            coordinator_busy: Duration::from_nanos(COORD_BUSY_NS.swap(0, Ordering::Relaxed) as u64),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -327,7 +327,7 @@ fn for_each_chunk(window: &Range<u32>, mut f: impl FnMut(u32, u32)) {
 /// Measured unit costs behind the choice between a word kernel and
 /// per-candidate tests, in tenths of a nanosecond per 64 positions. From a
 /// second probe as the invisible join runs it — the independent-candidate
-/// `refine` rows of `BENCH_kernels.json` (`kernels` binary, 16 Ki-row
+/// `refine` rows of `BENCH_kernels.json` (`paper kernels`, 16 Ki-row
 /// windows, random foreign-key values under a range keeping one region in
 /// five, candidates drawn per position at 5–40 %):
 ///

@@ -15,8 +15,8 @@
 //! perform — SWAR word compares, scalar block kernels, RLE run walks,
 //! tuple-at-a-time `get_next` calls, hash probes, per-tuple row-engine
 //! pipeline steps — with per-unit rates that can be recalibrated from
-//! `BENCH_kernels.json` (the scan-kernel measurement the `kernels` binary
-//! emits) or from a quick in-process micro-measurement.
+//! `BENCH_kernels.json` (the scan-kernel measurement `paper kernels`
+//! writes) or from a quick in-process micro-measurement.
 
 use cvr_storage::io::{DiskModel, PAGE_SIZE};
 
@@ -94,13 +94,13 @@ impl Default for CpuRates {
     fn default() -> Self {
         CpuRates {
             // Effective rates, calibrated against serial warm-pool
-            // measurements of the repo's own engines at sf 0.02 (see the
-            // `planner` binary's CVR_PLANNER_DEBUG output): they fold in
+            // measurements of the repo's own engines at sf 0.02 (the
+            // per-candidate costs `paper planner` measures): they fold in
             // the surrounding machinery — mask banking and position
             // accumulation for SWAR words, run lookups for RLE — not just
             // the arithmetic.
             swar_word: 6.0e-9,
-            // In situ over 16 Ki-row windows (`kernels` binary): 0.32 ns a
+            // In situ over 16 Ki-row windows (`paper kernels`): 0.32 ns a
             // value at two bytes, 0.50 at four — the widths SSB's plain fact
             // columns have.
             scalar_value: 0.4e-9,
@@ -130,7 +130,7 @@ impl Default for CpuRates {
 
 impl CpuRates {
     /// Recalibrate the kernel-layer rates from a `BENCH_kernels.json`
-    /// emitted by `cvr-bench --bin kernels` on this machine. Only the
+    /// written by `paper kernels` on this machine. Only the
     /// fields that file measures move (`swar_word`, and — when the report
     /// has `refine` and `membership` rows — `scalar_value`,
     /// `candidate_value`, `key_bits_value` and `plain_key_value`); the rest
@@ -141,7 +141,7 @@ impl CpuRates {
             return None;
         }
         // Minimal field scraper (the workspace vendors no JSON parser): the
-        // kernels binary emits one result object per line with known keys.
+        // kernels report has one result object per line with known keys.
         let mut word = Vec::new();
         let mut plain = Vec::new();
         let mut candidate = Vec::new();
@@ -188,7 +188,7 @@ impl CpuRates {
     }
 
     /// Recalibrate the aggregation-tail rates from a `BENCH_agg.json`
-    /// emitted by `cvr-bench --bin agg` on this machine: `agg_row` from the
+    /// written by `paper agg` on this machine: `agg_row` from the
     /// measured Value-keyed grouper, `agg_code_row` from the code-level
     /// aggregator, each averaged across the report's cells. Returns `None`
     /// when the string does not look like an agg report.

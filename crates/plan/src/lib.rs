@@ -35,10 +35,10 @@
 //! println!("{}", plan.render());
 //! ```
 //!
-//! The `cvr-bench` `planner` binary closes the loop: it measures planner
+//! `paper planner` (`cvr-bench`) closes the loop: it measures planner
 //! *regret* — the planner's pick vs. the measured best over the whole
 //! grid — across the 13 paper queries and a seeded ad-hoc workload
-//! (`cvr_data::workload`), and emits `BENCH_planner.json`.
+//! (`cvr_data::workload`), and fails above `--max-regret`.
 
 #![warn(missing_docs)]
 

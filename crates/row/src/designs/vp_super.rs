@@ -17,8 +17,8 @@
 //!
 //! The result isolates *storage overhead* from *executor architecture*:
 //! super-tuple VP reads ~4 bytes/value like a column store, but still pays
-//! row-store execution. Run `cargo run -p cvr-bench --bin super_tuples`
-//! to see how far that closes the gap (and what remains).
+//! row-store execution. Run `cargo run -p cvr-bench --bin paper --
+//! super-tuples` to see how far that closes the gap (and what remains).
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -1,8 +1,8 @@
 //! A minimal blocking client for the wire protocol, plus a retrying
 //! wrapper with capped exponential backoff.
 //!
-//! Used by the differential tests and the `cvr-bench` closed-loop harness;
-//! also the reference implementation for anyone speaking the protocol.
+//! Used by the server tests and `benchmark/`'s load generator; also the
+//! reference implementation for anyone speaking the protocol.
 //! [`Client`] is one connection with socket timeouts; [`RetryClient`]
 //! layers reconnection and retry on top, retrying exactly the failures the
 //! server marks retryable (load shedding, transient I/O) plus transport
@@ -240,17 +240,17 @@ impl RetryClient {
     }
 
     fn conn(&mut self) -> Result<&mut Client, ClientError> {
-        if self.conn.is_none() {
-            let client = Client::connect_with(self.addr, &self.cfg).map_err(|e| {
+        let client = match self.conn.take() {
+            Some(client) => client,
+            None => Client::connect_with(self.addr, &self.cfg).map_err(|e| {
                 if e.kind() == io::ErrorKind::TimedOut {
                     ClientError::Timeout { op: "connect" }
                 } else {
                     ClientError::Io(e)
                 }
-            })?;
-            self.conn = Some(client);
-        }
-        Ok(self.conn.as_mut().expect("just connected"))
+            })?,
+        };
+        Ok(self.conn.insert(client))
     }
 
     /// [`Client::query`] with reconnection and retry.

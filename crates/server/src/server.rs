@@ -7,8 +7,8 @@
 //! and determinism (each query gets its own `IoSession`, so answers don't
 //! depend on interleaving). *Processing a Trillion Cells per Mouse Click*
 //! credits exactly this serve-many-users shape — not a smarter scheduler —
-//! for interactive analytics; the closed-loop harness in `cvr-bench`
-//! measures it.
+//! for interactive analytics; `benchmark/`'s `adhoc_stream` and
+//! `dashboard_hot` workloads measure it.
 //!
 //! ## Lifecycle hardening
 //!

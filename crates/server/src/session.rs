@@ -164,6 +164,7 @@ impl StoreState {
     /// open — and a build that panics leaves the slot empty, so the next
     /// statement builds again rather than inheriting a poisoned lock.
     fn row_db_with(&self, design: RowDesign, build: impl FnOnce() -> RowDb) -> Arc<RowDb> {
+        // Invariant: `RowDesign::EXTENDED` lists every design.
         let slot = RowDesign::EXTENDED.iter().position(|&d| d == design).expect("known design");
         self.row_dbs[slot].get_or_init(|| Arc::new(build())).clone()
     }
@@ -530,6 +531,7 @@ impl Session {
         ctx: &QueryCtx,
     ) -> Result<(String, String), QueryError> {
         ctx.attach_tracer(Tracer::new());
+        // Invariant: a context holds a tracer once one has been attached.
         let tracer = ctx.tracer().expect("tracer attached above").clone();
         let plan = self.explain(q);
         self.run_inner(q, ctx, true, false)?;
@@ -546,6 +548,7 @@ impl Session {
         ctx: &QueryCtx,
     ) -> Result<(RowsResponse, Option<SpanRecord>), QueryError> {
         ctx.attach_tracer(Tracer::new());
+        // Invariant: a context holds a tracer once one has been attached.
         let tracer = ctx.tracer().expect("tracer attached above").clone();
         let response = self.run_inner(q, ctx, true, true)?;
         Ok((response, tracer.take_root()))

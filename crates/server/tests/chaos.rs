@@ -18,9 +18,11 @@ use cvr_core::morsel::Parallelism;
 use cvr_core::{QueryCtx, QueryError, SchedStats};
 use cvr_data::gen::{SsbConfig, SsbTables};
 use cvr_data::queries::{all_queries, query, SsbQuery};
+use cvr_data::workload::WorkloadConfig;
 use cvr_plan::PhysicalChoice;
 use cvr_server::protocol::{read_frame, Response};
-use cvr_server::{parser, serve, Client, ClientConfig, ClientError, Session};
+use cvr_server::{parser, serve, Client, ClientConfig, ClientError, RetryClient, Session};
+use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -354,4 +356,121 @@ fn client_read_timeout_surfaces_as_typed_timeout() {
     );
     assert!(matches!(ClientError::from(err), ClientError::Timeout { op: "read" }));
     hold.join().expect("hold thread");
+}
+
+/// The availability soak, every fault class at once. Under the mixed spec —
+/// rare page-read faults and worker panics, frequent morsel stalls, response
+/// frames cut mid-write — three retrying connections drive a cold server
+/// through the paper queries and generated ones, and every statement
+/// eventually answers byte-identically to its fault-free serial reference.
+/// Then, under certain stalls, cancel probes come back as `ERROR 100` and
+/// 1 ms deadline probes as `ERROR 101`; disarmed, every statement answers
+/// as before; and the scheduler drains.
+#[test]
+fn armed_fault_mix_keeps_every_statement_answerable() {
+    const SPEC: &str = "io:0.00001,panic:0.001,stall:0.1:2,trunc:0.02";
+    const CONNECTIONS: usize = 3;
+    const STATEMENTS: usize = 60;
+    // Attempts per statement on top of `RetryClient`'s own retries, which
+    // by design never cover a contained worker panic (code 99).
+    const ATTEMPTS: usize = 8;
+    let session = cold_session(tables(0.001), Parallelism { threads: 2, morsel_rows: 1024 });
+    let server = serve(session.clone(), "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+
+    let mut queries = all_queries();
+    queries.extend(WorkloadConfig { seed: 0xC4A0, count: 12 }.generate());
+    let mut seen = HashSet::new();
+    let sqls: Vec<String> =
+        queries.iter().map(parser::render_sql).filter(|sql| seen.insert(sql.clone())).collect();
+    let mut serial = Client::connect(addr).expect("connect");
+    let reference: HashMap<&str, Vec<u8>> = sqls
+        .iter()
+        .map(|sql| {
+            let response = serial.query(sql).expect("reference");
+            assert!(matches!(response, Response::Result(_)), "`{sql}`: {response:?}");
+            (sql.as_str(), response.normalized().encode())
+        })
+        .collect();
+
+    session.set_faults(Some(SPEC)).expect("valid spec");
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..CONNECTIONS)
+            .map(|w| {
+                let (sqls, reference) = (&sqls, &reference);
+                s.spawn(move || {
+                    let mut client = RetryClient::new(addr, ClientConfig::default());
+                    for i in 0..STATEMENTS {
+                        let sql = &sqls[(w + i) % sqls.len()];
+                        let answer = (0..ATTEMPTS).find_map(|_| match client.query(sql) {
+                            Ok(Response::Error { code, message }) => {
+                                let injected = code == cvr_server::server::ERROR_CODE_PANIC
+                                    && message.contains("injected");
+                                assert!(
+                                    injected || QueryError::retryable_code(code),
+                                    "`{sql}`: {code} {message}"
+                                );
+                                None
+                            }
+                            Ok(response) => Some(response.normalized().encode()),
+                            // A transport failure past the client's budget.
+                            Err(_) => None,
+                        });
+                        let answer = answer.unwrap_or_else(|| panic!("`{sql}` never answered"));
+                        assert_eq!(answer, reference[sql.as_str()], "`{sql}` under faults");
+                    }
+                })
+            })
+            .collect();
+        workers.into_iter().for_each(|w| w.join().expect("worker thread"));
+    });
+
+    // Every morsel stalls 10 ms: a cancel lands mid-run, a 1 ms deadline
+    // expires. A probe shed at admission (103, when sibling tests fill the
+    // scheduler) is retried, as its code says it may be.
+    session.set_faults(Some("stall:1.0:10")).expect("valid spec");
+    let sql = parser::render_sql(&column_plan_query(&session));
+    let mut canceller = Client::connect(addr).expect("connect canceller");
+    for token in 0xCA1..0xCA5u64 {
+        let response = std::thread::scope(|s| {
+            let sql = &sql;
+            let runner = s.spawn(move || {
+                RetryClient::new(addr, ClientConfig::default()).query_opts(sql, token, 0)
+            });
+            let mut found = false;
+            for _ in 0..5000 {
+                found = canceller.cancel(token).expect("cancel round-trip");
+                if found || runner.is_finished() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert!(found, "probe {token:#x} must be in flight when its cancel arrives");
+            runner.join().expect("runner thread").expect("probe answers")
+        });
+        match response {
+            Response::Error { code, .. } if code == QueryError::CODE_CANCELLED => {}
+            other => panic!("cancel probe {token:#x}: {other:?}"),
+        }
+    }
+    for probe in 0..4 {
+        let response =
+            (0..20).map(|_| canceller.query_opts(&sql, 0, 1).expect("deadline probe")).find(
+                |r| !matches!(r, Response::Error { code, .. } if QueryError::retryable_code(*code)),
+            );
+        match response {
+            Some(Response::Error { code, .. }) if code == QueryError::CODE_DEADLINE => {}
+            other => panic!("deadline probe {probe}: {other:?}"),
+        }
+    }
+    canceller.close().expect("close");
+
+    session.set_faults(None).expect("disarm");
+    for sql in &sqls {
+        let response = serial.query(sql).expect("recovery");
+        assert_eq!(response.normalized().encode(), reference[sql.as_str()], "`{sql}` recovered");
+    }
+    serial.close().expect("close");
+    scheduler_drains(|| session.scheduler().stats());
+    server.shutdown();
 }

@@ -9,12 +9,14 @@
 //! counts that equal what plain execution returns, and pairs every filter
 //! operator's estimated with its actual *running* survivors; and the wire
 //! `TRACE` frame carries the same spans without changing the `RESULT` frame.
+//! The Prometheus endpoint is driven over a raw socket.
 
 use cvr_core::morsel::Parallelism;
 use cvr_core::QueryCtx;
 use cvr_data::gen::{SsbConfig, SsbTables};
 use cvr_data::queries::all_queries;
 use cvr_server::protocol::Response;
+use cvr_server::server::serve_with_metrics;
 use cvr_server::session::QueryResponse;
 use cvr_server::{parser, serve, Client, Session};
 use std::sync::Arc;
@@ -251,5 +253,35 @@ fn wire_trace_frames_ride_along_without_changing_results() {
     assert!(matches!(err, Response::Error { .. }));
     assert!(trace.is_none(), "no spans recorded for a statement that never executed");
     client.close().expect("close");
+    server.shutdown();
+}
+
+/// The Prometheus endpoint over a raw socket: after one statement, `GET
+/// /metrics` answers `200` with the query counter and the latency
+/// histogram in text exposition, and any other path answers `404`.
+#[test]
+fn metrics_endpoint_serves_prometheus_text_and_404s_elsewhere() {
+    use std::io::{Read, Write};
+    let session = Arc::new(cold_session(Parallelism::serial()));
+    let server = serve_with_metrics(session, "127.0.0.1:0", Some("127.0.0.1:0")).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let sql = parser::render_sql(&all_queries()[0]);
+    assert!(matches!(client.query(&sql).expect("statement"), Response::Result(_)));
+    client.close().expect("close");
+
+    let metrics = server.metrics_addr().expect("a metrics endpoint was asked for");
+    let get = |path: &str| {
+        let mut stream = std::net::TcpStream::connect(metrics).expect("connect to /metrics");
+        write!(stream, "GET {path} HTTP/1.0\r\n\r\n").expect("request");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("response");
+        response
+    };
+    let scrape = get("/metrics");
+    assert!(scrape.starts_with("HTTP/1.0 200"), "{scrape}");
+    assert!(scrape.lines().any(|l| l.starts_with("cvr_queries_total ")), "{scrape}");
+    assert!(scrape.lines().any(|l| l == "# TYPE cvr_query_latency_us histogram"), "{scrape}");
+    let other = get("/other");
+    assert!(other.starts_with("HTTP/1.0 404"), "{other}");
     server.shutdown();
 }
