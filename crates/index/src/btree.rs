@@ -1,13 +1,16 @@
-//! A from-scratch B+Tree keyed by (possibly composite) [`Value`] keys.
+//! A from-scratch B+Tree, generic over its key: a (possibly composite)
+//! [`Value`] [`Key`], or a plain `i64` for an index over one integer column.
 //!
-//! This is the index behind the paper's two index-heavy row-store designs:
+//! This is the index behind the paper's index-heavy row-store designs:
 //!
 //! * **"index-only" (AI)** — an unclustered B+Tree on *every* column, with
 //!   plans that read `(value, record-id)` pairs straight out of the leaves
 //!   and never touch the heap (Section 4, "Index-only plans");
 //! * composite-key indexes on dimension tables, "storing the primary key of
 //!   each dimension table as a secondary sort attribute" so a predicate scan
-//!   also yields the join keys.
+//!   also yields the join keys;
+//! * the bitmap-biased traditional design's (`T(B)`) fact-column indexes,
+//!   keyed by `i64`: 12 bytes an entry in memory.
 //!
 //! The tree supports incremental [`BPlusTree::insert`] (with node splits) and
 //! fast bottom-up [`BPlusTree::bulk_load`]; both produce identical lookup
@@ -21,9 +24,9 @@ use cvr_storage::io::{FileId, IoSession, PageId, PAGE_SIZE};
 
 /// A (possibly composite) index key: lexicographically ordered values.
 ///
-/// A single-part key — every fact-column index — holds its [`Value`]
-/// inline, so an integer key owns no heap memory and a leaf entry is a
-/// plain 32-byte move; only composite keys box their parts. Either way a
+/// A single-part key holds its [`Value`] inline, so an integer key owns no
+/// heap memory and a leaf entry is 28 bytes (24 for the key, 4 for the
+/// rid); only composite keys box their parts. Either way a
 /// key reads as the slice of its parts (`key[0]`, `key.iter()`), which is
 /// also how keys compare.
 #[derive(Debug, Clone)]
@@ -99,15 +102,58 @@ pub fn key_bytes(key: &Key) -> usize {
 /// Record-id payload stored in leaves.
 pub type Rid = u32;
 
+/// What a [`BPlusTree`] can be keyed by: a totally ordered value that a
+/// predicate constant can bound.
+///
+/// [`Key`] is the general (possibly composite) key; `i64` is the key of an
+/// index over one integer column, 8 bytes inline where a [`Key`] takes 24.
+pub trait IndexKey: Ord + Clone {
+    /// Compare against a (possibly shorter) `bound`. Only composite keys
+    /// have a shorter bound, so the default is the total order.
+    fn prefix_cmp(&self, bound: &Self) -> std::cmp::Ordering {
+        self.cmp(bound)
+    }
+
+    /// The single-part key a predicate constant denotes.
+    fn from_value(v: &Value) -> Self;
+}
+
+impl IndexKey for Key {
+    /// Prefix-wise: `[x]` is equal to every `[x, *]`.
+    fn prefix_cmp(&self, bound: &Key) -> std::cmp::Ordering {
+        for (k, b) in self.iter().zip(bound.iter()) {
+            match k.cmp(b) {
+                std::cmp::Ordering::Equal => continue,
+                other => return other,
+            }
+        }
+        std::cmp::Ordering::Equal
+    }
+
+    fn from_value(v: &Value) -> Key {
+        Key::new(v.clone())
+    }
+}
+
+impl IndexKey for i64 {
+    fn from_value(v: &Value) -> i64 {
+        v.as_int()
+    }
+}
+
+/// A node; leaves hold their entries as two parallel arrays, so an entry
+/// costs exactly `size_of::<K>() + 4` bytes.
 #[derive(Debug, Clone)]
-enum Node {
+enum Node<K> {
     Internal {
         /// `keys[i]` separates `children[i]` (keys < it) from `children[i+1]`.
-        keys: Vec<Key>,
+        keys: Vec<K>,
         children: Vec<usize>,
     },
     Leaf {
-        entries: Vec<(Key, Rid)>,
+        /// Sorted by `(key, rid)`; `rids[i]` belongs to `keys[i]`.
+        keys: Vec<K>,
+        rids: Vec<Rid>,
         next: Option<usize>,
     },
 }
@@ -116,9 +162,13 @@ enum Node {
 /// allowed (a multiset); scans return entries in key order, with the order
 /// of record-ids *within* one key unspecified — consumers (rid joins, rid
 /// bitmaps) are order-insensitive.
+///
+/// The key type changes what an entry costs in memory, never the node
+/// boundaries: [`BPlusTree::pages`], [`BPlusTree::height`] and every page
+/// charge depend only on the order and the entries' sort order.
 #[derive(Debug)]
-pub struct BPlusTree {
-    nodes: Vec<Node>,
+pub struct BPlusTree<K = Key> {
+    nodes: Vec<Node<K>>,
     root: usize,
     /// Max entries per leaf / children per internal node.
     order: usize,
@@ -130,18 +180,18 @@ pub struct BPlusTree {
 /// key+rid) fills most of a 32 KB page.
 pub const DEFAULT_ORDER: usize = 2048;
 
-impl BPlusTree {
+impl<K: IndexKey> BPlusTree<K> {
     /// Empty tree with the default order.
-    pub fn new() -> BPlusTree {
+    pub fn new() -> BPlusTree<K> {
         BPlusTree::with_order(DEFAULT_ORDER)
     }
 
     /// Empty tree with explicit `order` (≥ 4; small orders are useful in
     /// tests to force deep trees).
-    pub fn with_order(order: usize) -> BPlusTree {
+    pub fn with_order(order: usize) -> BPlusTree<K> {
         assert!(order >= 4, "order must be at least 4");
         BPlusTree {
-            nodes: vec![Node::Leaf { entries: Vec::new(), next: None }],
+            nodes: vec![Node::Leaf { keys: Vec::new(), rids: Vec::new(), next: None }],
             root: 0,
             order,
             len: 0,
@@ -150,13 +200,14 @@ impl BPlusTree {
     }
 
     /// Bottom-up bulk load from entries (sorted internally).
-    pub fn bulk_load(entries: Vec<(Key, Rid)>) -> BPlusTree {
+    pub fn bulk_load(entries: Vec<(K, Rid)>) -> BPlusTree<K> {
         Self::bulk_load_with_order(entries, DEFAULT_ORDER)
     }
 
     /// Bulk load with explicit order. Entries are sorted in place and moved
-    /// into their leaves: the load allocates per node, never per entry.
-    pub fn bulk_load_with_order(mut entries: Vec<(Key, Rid)>, order: usize) -> BPlusTree {
+    /// into their leaves: the load allocates per node, never per entry, and
+    /// each leaf's arrays are allocated at their final length.
+    pub fn bulk_load_with_order(mut entries: Vec<(K, Rid)>, order: usize) -> BPlusTree<K> {
         assert!(order >= 4);
         // (key, rid) is a total order up to identical entries, so the
         // unstable sort is deterministic — and needs no merge buffer.
@@ -165,20 +216,25 @@ impl BPlusTree {
         // Fill leaves and internal nodes ~2/3 (typical steady-state
         // occupancy).
         let per_node = (order * 2 / 3).max(2);
-        let mut nodes = Vec::new();
-        let mut level: Vec<(Key, usize)> = Vec::new(); // (first key, node)
-        let mut entries = entries.into_iter().peekable();
-        while entries.peek().is_some() {
-            let leaf: Vec<(Key, Rid)> = entries.by_ref().take(per_node).collect();
+        let mut nodes = Vec::with_capacity(len.div_ceil(per_node) + 1);
+        let mut level: Vec<(K, usize)> = Vec::new(); // (first key, node)
+        let mut entries = entries.into_iter();
+        while entries.len() > 0 {
+            let size = entries.len().min(per_node);
+            let (mut keys, mut rids) = (Vec::with_capacity(size), Vec::with_capacity(size));
+            for (key, rid) in entries.by_ref().take(size) {
+                keys.push(key);
+                rids.push(rid);
+            }
             let id = nodes.len();
             if let Some(Node::Leaf { next, .. }) = nodes.last_mut() {
                 *next = Some(id);
             }
-            level.push((leaf[0].0.clone(), id));
-            nodes.push(Node::Leaf { entries: leaf, next: None });
+            level.push((keys[0].clone(), id));
+            nodes.push(Node::Leaf { keys, rids, next: None });
         }
         if nodes.is_empty() {
-            nodes.push(Node::Leaf { entries: Vec::new(), next: None });
+            nodes.push(Node::Leaf { keys: Vec::new(), rids: Vec::new(), next: None });
             return BPlusTree { nodes, root: 0, order, len, file: FileId::fresh() };
         }
         // Build internal levels.
@@ -240,7 +296,7 @@ impl BPlusTree {
     }
 
     /// Insert an entry, splitting nodes as needed.
-    pub fn insert(&mut self, key: Key, rid: Rid) {
+    pub fn insert(&mut self, key: K, rid: Rid) {
         if let Some((sep, right)) = self.insert_rec(self.root, key, rid) {
             let new_root = self.nodes.len();
             let old_root = self.root;
@@ -251,18 +307,23 @@ impl BPlusTree {
     }
 
     /// Recursive insert; returns `(separator, new_right_node)` on split.
-    fn insert_rec(&mut self, node: usize, key: Key, rid: Rid) -> Option<(Key, usize)> {
-        enum Step {
+    fn insert_rec(&mut self, node: usize, key: K, rid: Rid) -> Option<(K, usize)> {
+        enum Step<K> {
             Done,
             SplitLeaf,
-            Child(usize, Key, Rid),
+            Child(usize, K, Rid),
         }
         let order = self.order;
         let step = match &mut self.nodes[node] {
-            Node::Leaf { entries, .. } => {
-                let pos = entries.partition_point(|(k, r)| (k, *r) <= (&key, rid));
-                entries.insert(pos, (key, rid));
-                if entries.len() > order {
+            Node::Leaf { keys, rids, .. } => {
+                // After every (k, r) <= (key, rid): past the smaller keys,
+                // then past the equal key's smaller-or-equal rids.
+                let (lo, hi) =
+                    (keys.partition_point(|k| k < &key), keys.partition_point(|k| k <= &key));
+                let pos = lo + rids[lo..hi].partition_point(|&r| r <= rid);
+                keys.insert(pos, key);
+                rids.insert(pos, rid);
+                if keys.len() > order {
                     Step::SplitLeaf
                 } else {
                     Step::Done
@@ -277,17 +338,17 @@ impl BPlusTree {
             Step::Done => None,
             Step::SplitLeaf => {
                 let right_id = self.nodes.len();
-                let (sep, right_entries, old_next) = {
-                    let Node::Leaf { entries, next } = &mut self.nodes[node] else {
+                let right = {
+                    let Node::Leaf { keys, rids, next } = &mut self.nodes[node] else {
                         unreachable!()
                     };
-                    let mid = entries.len() / 2;
-                    let right_entries = entries.split_off(mid);
-                    let sep = right_entries[0].0.clone();
-                    let old_next = next.replace(right_id);
-                    (sep, right_entries, old_next)
+                    let mid = keys.len() / 2;
+                    let (keys, rids) = (keys.split_off(mid), rids.split_off(mid));
+                    Node::Leaf { keys, rids, next: next.replace(right_id) }
                 };
-                self.nodes.push(Node::Leaf { entries: right_entries, next: old_next });
+                let Node::Leaf { keys, .. } = &right else { unreachable!() };
+                let sep = keys[0].clone();
+                self.nodes.push(right);
                 Some((sep, right_id))
             }
             Step::Child(child, key, rid) => {
@@ -324,7 +385,7 @@ impl BPlusTree {
     /// Descends by *strict* comparison so that with duplicate keys (or a
     /// prefix bound over composite keys) we land at — or one leaf left of —
     /// the first matching entry; the leaf chain covers the rest.
-    fn descend(&self, key: &Key) -> (usize, Vec<usize>) {
+    fn descend(&self, key: &K) -> (usize, Vec<usize>) {
         let mut path = Vec::new();
         let mut n = self.root;
         loop {
@@ -333,7 +394,7 @@ impl BPlusTree {
                 Node::Leaf { .. } => return (n, path),
                 Node::Internal { keys, children } => {
                     let idx =
-                        keys.partition_point(|k| prefix_cmp(k, key) == std::cmp::Ordering::Less);
+                        keys.partition_point(|k| k.prefix_cmp(key) == std::cmp::Ordering::Less);
                     n = children[idx];
                 }
             }
@@ -342,7 +403,7 @@ impl BPlusTree {
 
     /// All rids with key exactly `key`. Charges the descent path and the
     /// visited leaves to `io`.
-    pub fn lookup(&self, key: &Key, io: &IoSession) -> Vec<Rid> {
+    pub fn lookup(&self, key: &K, io: &IoSession) -> Vec<Rid> {
         self.range_scan(Some(key), Some(key), io).into_iter().map(|(_, r)| r).collect()
     }
 
@@ -351,12 +412,7 @@ impl BPlusTree {
     ///
     /// Composite-key note: a bound with fewer values than stored keys acts as
     /// a prefix bound, e.g. `lo = [x]` matches every `[x, *]` from its start.
-    pub fn range_scan(
-        &self,
-        lo: Option<&Key>,
-        hi: Option<&Key>,
-        io: &IoSession,
-    ) -> Vec<(Key, Rid)> {
+    pub fn range_scan(&self, lo: Option<&K>, hi: Option<&K>, io: &IoSession) -> Vec<(K, Rid)> {
         let (mut leaf, path) = match lo {
             Some(k) => self.descend(k),
             None => {
@@ -376,15 +432,15 @@ impl BPlusTree {
         }
         let mut out = Vec::new();
         loop {
-            let Node::Leaf { entries, next } = &self.nodes[leaf] else { unreachable!() };
-            for (k, rid) in entries {
+            let Node::Leaf { keys, rids, next } = &self.nodes[leaf] else { unreachable!() };
+            for (k, rid) in keys.iter().zip(rids) {
                 if let Some(lo) = lo {
-                    if prefix_cmp(k, lo) == std::cmp::Ordering::Less {
+                    if k.prefix_cmp(lo) == std::cmp::Ordering::Less {
                         continue;
                     }
                 }
                 if let Some(hi) = hi {
-                    if prefix_cmp(k, hi) == std::cmp::Ordering::Greater {
+                    if k.prefix_cmp(hi) == std::cmp::Ordering::Greater {
                         return out;
                     }
                 }
@@ -404,7 +460,7 @@ impl BPlusTree {
     /// (the "full index scan" access path of AI plans). The callback
     /// receives `(key, rid)` one entry at a time — index scans in row-stores
     /// are tuple-at-a-time too.
-    pub fn full_scan<'a>(&'a self, io: &'a IoSession) -> impl Iterator<Item = (&'a Key, Rid)> + 'a {
+    pub fn full_scan<'a>(&'a self, io: &'a IoSession) -> impl Iterator<Item = (&'a K, Rid)> + 'a {
         // Find the leftmost leaf.
         let mut n = self.root;
         loop {
@@ -421,43 +477,33 @@ impl BPlusTree {
     }
 }
 
-impl Default for BPlusTree {
+impl<K: IndexKey> Default for BPlusTree<K> {
     fn default() -> Self {
         BPlusTree::new()
     }
 }
 
-/// Compare `key` against a (possibly shorter) `bound` prefix-wise.
-fn prefix_cmp(key: &Key, bound: &Key) -> std::cmp::Ordering {
-    for (k, b) in key.iter().zip(bound.iter()) {
-        match k.cmp(b) {
-            std::cmp::Ordering::Equal => continue,
-            other => return other,
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-struct FullScan<'a> {
-    tree: &'a BPlusTree,
+struct FullScan<'a, K> {
+    tree: &'a BPlusTree<K>,
     leaf: Option<usize>,
     idx: usize,
     io: &'a IoSession,
 }
 
-impl<'a> Iterator for FullScan<'a> {
-    type Item = (&'a Key, Rid);
+impl<'a, K: IndexKey> Iterator for FullScan<'a, K> {
+    type Item = (&'a K, Rid);
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
             let leaf = self.leaf?;
-            let Node::Leaf { entries, next } = &self.tree.nodes[leaf] else { unreachable!() };
+            let Node::Leaf { keys, rids, next } = &self.tree.nodes[leaf] else { unreachable!() };
             if self.idx == 0 {
                 self.tree.charge_node(leaf, self.io);
             }
-            if let Some((k, rid)) = entries.get(self.idx) {
+            if let Some(k) = keys.get(self.idx) {
+                let rid = rids[self.idx];
                 self.idx += 1;
-                return Some((k, *rid));
+                return Some((k, rid));
             }
             self.leaf = *next;
             self.idx = 0;
@@ -594,20 +640,57 @@ mod tests {
         assert!(t.is_empty());
         assert!(t.lookup(&ikey(1), &io).is_empty());
         assert_eq!(t.full_scan(&io).count(), 0);
-        let bulk = BPlusTree::bulk_load(Vec::new());
+        let bulk = BPlusTree::<i64>::bulk_load(Vec::new());
         assert!(bulk.is_empty());
+        assert_eq!(bulk.full_scan(&io).count(), 0);
     }
 
     #[test]
-    fn an_entry_is_a_small_plain_move() {
-        // Inline single part: 32 bytes per leaf entry, none of it on the heap
-        // for an integer key (the tree-of-`Vec<Value>` it replaces spent 66).
-        assert!(std::mem::size_of::<(Key, Rid)>() <= 32, "{}", std::mem::size_of::<(Key, Rid)>());
+    fn a_key_is_inline_and_compares_as_its_parts() {
+        // Inline single part: none of it on the heap for an integer key.
+        assert_eq!(std::mem::size_of::<Key>(), 24);
         // A key compares as its parts, whichever way it was built.
         assert_eq!(ikey(7), Key::from(vec![Value::Int(7)]));
         assert!(Key::from(vec![Value::str("a"), Value::Int(9)]) < skey("b"));
         assert!(skey("a") < Key::from(vec![Value::str("a"), Value::Int(0)]));
         assert_eq!(ikey(7).to_vec(), vec![Value::Int(7)]);
+    }
+
+    #[test]
+    fn integer_keys_shape_and_charge_like_value_keys() {
+        // Same entries, two key types: same nodes, same answers, same pages.
+        let ints: Vec<(i64, Rid)> = (0..5000).map(|i| (((i * 131) % 700) as i64, i)).collect();
+        let values: Vec<(Key, Rid)> = ints.iter().map(|&(k, r)| (ikey(k), r)).collect();
+        let (a, b) = (
+            BPlusTree::bulk_load_with_order(ints.clone(), 32),
+            BPlusTree::bulk_load_with_order(values, 32),
+        );
+        assert_eq!((a.pages(), a.height(), a.len()), (b.pages(), b.height(), b.len()));
+        for (lo, hi) in [(0, 699), (17, 17), (100, 340), (699, 900), (-5, 3)] {
+            let (io_a, io_b) = (IoSession::unmetered(), IoSession::unmetered());
+            let got: Vec<(i64, Rid)> = a.range_scan(Some(&lo), Some(&hi), &io_a);
+            let want: Vec<(i64, Rid)> = b
+                .range_scan(Some(&ikey(lo)), Some(&ikey(hi)), &io_b)
+                .into_iter()
+                .map(|(k, r)| (k[0].as_int(), r))
+                .collect();
+            assert_eq!(got, want, "[{lo}, {hi}]");
+            assert_eq!(io_a.stats(), io_b.stats(), "[{lo}, {hi}]");
+        }
+        // Inserting builds the same multiset as the bulk load.
+        let mut inserted = BPlusTree::with_order(4);
+        for &(k, r) in &ints {
+            inserted.insert(k, r);
+        }
+        let io = IoSession::unmetered();
+        let scan = |t: &BPlusTree<i64>| -> Vec<(i64, Rid)> {
+            t.full_scan(&io).map(|(k, r)| (*k, r)).collect()
+        };
+        let mut sorted = ints;
+        sorted.sort_unstable();
+        assert_eq!(scan(&inserted), sorted);
+        assert_eq!(scan(&a), sorted);
+        assert_eq!(i64::from_value(&Value::Int(9)), 9);
     }
 
     #[test]

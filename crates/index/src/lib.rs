@@ -2,9 +2,10 @@
 //!
 //! The access methods both engines build on:
 //!
-//! * [`btree`] — an unclustered B+Tree with composite [`cvr_data::Value`]
-//!   keys; the backbone of the row store's "index-only" (AI) physical design
-//!   and the clustered position indexes of the vertical-partitioning design.
+//! * [`btree`] — an unclustered B+Tree, keyed by composite
+//!   [`cvr_data::Value`] keys or by plain integers; the backbone of the row
+//!   store's "index-only" (AI) physical design and of the bitmap-biased
+//!   traditional design's fact-column indexes.
 //! * [`bitmap`] — rid bitmaps and per-value bitmap indexes, used by the
 //!   "traditional (bitmap)" configuration and reused by the column engine as
 //!   one of its position-list representations; and the one-bit-per-key
@@ -28,5 +29,5 @@ pub mod hashidx;
 
 pub use bitmap::{BitmapIndex, KeyBits, RidBitmap};
 pub use bloom::BloomFilter;
-pub use btree::{ikey, skey, BPlusTree, Key, Rid};
+pub use btree::{ikey, skey, BPlusTree, IndexKey, Key, Rid};
 pub use hashidx::{IntHashMap, IntHashSet};

@@ -30,7 +30,7 @@ use cvr_data::schema::Dim;
 use cvr_data::table::{ColumnData, TableData};
 use cvr_data::value::Value;
 use cvr_storage::encode::{Column, IntColumn, StrColumn};
-use cvr_storage::rowcodec::encoded_size;
+use cvr_storage::rowcodec::columns_row_size;
 use cvr_storage::StoredColumn;
 
 /// Histogram bucket count.
@@ -317,7 +317,7 @@ impl TableStats {
 
 /// Approximate on-disk sizes of the row-engine physical designs, derived
 /// from sampled `rowcodec` record lengths (the same codec the heaps use).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RowSizes {
     /// Full 17-column LINEORDER heap bytes (traditional design).
     pub fact_heap_bytes: u64,
@@ -329,29 +329,21 @@ pub struct RowSizes {
     pub fact_row_bytes: f64,
 }
 
-/// Mean `rowcodec` record bytes over a deterministic row sample.
+/// Mean `rowcodec` record bytes of `columns` (every column when `None`)
+/// over a deterministic row sample, sized straight from the column slices.
 fn mean_record_bytes(data: &TableData, columns: Option<&[&'static str]>) -> f64 {
     let n = data.num_rows();
     if n == 0 {
         return 0.0;
     }
-    let projected;
-    let data = match columns {
-        Some(cols) => {
-            projected = data.project(cols);
-            &projected
-        }
-        None => data,
+    let selected: Vec<&ColumnData> = match columns {
+        Some(names) => names.iter().map(|name| data.column(name)).collect(),
+        None => data.columns.iter().collect(),
     };
     let stride = (n / 4096).max(1);
-    let mut total = 0usize;
-    let mut count = 0usize;
-    let mut i = 0;
-    while i < n {
-        total += encoded_size(&data.row(i));
-        count += 1;
-        i += stride;
-    }
+    let sample = (0..n).step_by(stride);
+    let count = sample.len();
+    let total: usize = sample.map(|i| columns_row_size(&selected, i)).sum();
     total as f64 / count as f64
 }
 
@@ -524,6 +516,53 @@ mod tests {
             let tables = Arc::new(SsbConfig { sf: 0.05, seed: 7 }.generate());
             Catalog::build(&ColumnEngine::new(tables))
         })
+    }
+
+    #[test]
+    fn row_sizes_match_the_materialized_row_formula() {
+        use cvr_storage::rowcodec::encoded_size;
+        // The formula the sizes replaced: project the columns out as a
+        // table, then materialize each sampled row.
+        fn materialized_mean(data: &TableData, columns: Option<&[&'static str]>) -> f64 {
+            let n = data.num_rows();
+            let projected;
+            let data = match columns {
+                Some(cols) => {
+                    projected = data.project(cols);
+                    &projected
+                }
+                None => data,
+            };
+            let stride = (n / 4096).max(1);
+            let (mut total, mut count, mut i) = (0usize, 0usize, 0);
+            while i < n {
+                total += encoded_size(&data.row(i));
+                count += 1;
+                i += stride;
+            }
+            total as f64 / count as f64
+        }
+        let tables = Arc::new(SsbConfig { sf: 0.01, seed: 3 }.generate());
+        let got = Catalog::build(&ColumnEngine::new(tables.clone())).row_sizes;
+        let fact = &tables.lineorder;
+        let rows = fact.num_rows() as f64;
+        let fact_row_bytes = materialized_mean(fact, None);
+        let want = RowSizes {
+            fact_heap_bytes: (fact_row_bytes * rows) as u64,
+            dim_heap_bytes: Dim::ALL
+                .iter()
+                .map(|&d| {
+                    let t = tables.dim(d);
+                    (d, (materialized_mean(t, None) * t.num_rows() as f64) as u64)
+                })
+                .collect(),
+            mv_view_bytes: std::array::from_fn(|f| {
+                let columns = crate::enumerate::mv_view_columns(f as u8 + 1);
+                (materialized_mean(fact, Some(columns)) * rows) as u64
+            }),
+            fact_row_bytes,
+        };
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The five row-store physical designs of Section 4 / Figure 6.
 //!
-//! | Code  | Design                     | Type            |
-//! |-------|----------------------------|-----------------|
-//! | T     | traditional                | [`TraditionalDb`] (`execute`) |
-//! | T(B)  | traditional, bitmap-biased | [`TraditionalDb`] (`execute_bitmap`) |
-//! | MV    | materialized views         | [`MvDb`] |
-//! | VP    | vertical partitioning      | [`VpDb`] |
-//! | AI    | index-only ("all indexes") | [`AiDb`] |
+//! | Code  | Design                     | Type            | Holds |
+//! |-------|----------------------------|-----------------|-------|
+//! | T     | traditional                | [`TraditionalDb`] (`execute`) | year-partitioned fact heap, dimension heaps |
+//! | T(B)  | traditional, bitmap-biased | [`TraditionalDb`] (`execute_bitmap`) | whole fact heap, six `i64`-keyed fact B+Trees, dimension heaps |
+//! | MV    | materialized views         | [`MvDb`] | one year-partitioned view per flight, each built by its flight's first statement; dimension heaps |
+//! | VP    | vertical partitioning      | [`VpDb`] | a `(position, value)` heap per column |
+//! | AI    | index-only ("all indexes") | [`AiDb`] | a [`Key`](cvr_index::btree::Key)-keyed B+Tree per needed column |
 //!
 //! [`RowDesign`] + [`RowDb`] give the benchmark harness a uniform way to
 //! build and run any of them.
@@ -109,9 +109,10 @@ impl RowDb {
                 tables,
                 TraditionalOptions { partitioned: true, bitmap_indexes: false, use_bloom: true },
             )),
+            // The bitmap plan reads only the whole heap its rids address.
             RowDesign::TraditionalBitmap => RowDb::TraditionalBitmap(TraditionalDb::build(
                 tables,
-                TraditionalOptions { partitioned: true, bitmap_indexes: true, use_bloom: true },
+                TraditionalOptions { partitioned: false, bitmap_indexes: true, use_bloom: true },
             )),
             RowDesign::MaterializedViews => RowDb::Mv(MvDb::build(tables)),
             RowDesign::VerticalPartitioning => RowDb::Vp(VpDb::build(tables)),

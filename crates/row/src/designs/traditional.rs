@@ -2,11 +2,12 @@
 //!
 //! One heap file per logical table; LINEORDER optionally partitioned
 //! horizontally by `orderdate` year (the configuration the paper's DBA used
-//! for the base case). The bitmap-biased variant additionally builds
-//! B+Trees over the fact table's predicate-able columns and forces plans
-//! through bitmap-index access paths — Section 6.2 reports this usually
-//! hurts, and the mechanism (index-leaf reads plus random heap fetches
-//! versus one sequential scan) is reproduced here.
+//! for the base case). The bitmap-biased variant instead builds the whole
+//! LINEORDER heap plus integer-keyed B+Trees over the fact table's
+//! predicate-able columns, and forces plans through bitmap-index access
+//! paths — Section 6.2 reports this usually hurts, and the mechanism
+//! (index-leaf reads plus random heap fetches versus one sequential scan) is
+//! reproduced here.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -22,8 +23,9 @@ use cvr_data::gen::SsbTables;
 use cvr_data::queries::SsbQuery;
 use cvr_data::result::QueryOutput;
 use cvr_data::schema::Dim;
+use cvr_data::table::ColumnData;
 use cvr_index::bitmap::RidBitmap;
-use cvr_index::btree::{ikey, BPlusTree};
+use cvr_index::btree::BPlusTree;
 use cvr_storage::heap::{HeapFile, PartitionedHeap};
 use cvr_storage::io::IoSession;
 use cvr_storage::par::{default_threads, Jobs, Slot};
@@ -32,6 +34,7 @@ use cvr_storage::par::{default_threads, Jobs, Slot};
 #[derive(Debug, Clone, Copy)]
 pub struct TraditionalOptions {
     /// Partition LINEORDER by `orderdate` year (the paper's base case).
+    /// Only [`TraditionalDb::execute`] reads the partitions.
     pub partitioned: bool,
     /// Build fact-column B+Trees enabling the bitmap-biased plans (`T(B)`).
     pub bitmap_indexes: bool,
@@ -54,13 +57,17 @@ pub const BITMAP_COLUMNS: [&str; 6] =
 /// The traditional design: heap per table (+ optional extras).
 pub struct TraditionalDb {
     tables: Arc<SsbTables>,
-    /// LINEORDER partitioned by year; `None` when built unpartitioned.
+    /// LINEORDER partitioned by year, read by the `T` plan
+    /// ([`TraditionalDb::execute`]); `None` when built unpartitioned, which
+    /// is how `RowDb` builds `T(B)`.
     fact_partitioned: Option<PartitionedHeap>,
-    /// Whole LINEORDER heap; present when unpartitioned or bitmap-biased
-    /// (bitmap rids address the unpartitioned heap).
+    /// Whole LINEORDER heap; present when unpartitioned or bitmap-biased.
+    /// Bitmap rids address it: it is the only fact heap the `T(B)` plan
+    /// ([`TraditionalDb::execute_bitmap`]) reads.
     fact_whole: Option<HeapFile>,
     dims: HashMap<Dim, HeapFile>,
-    fact_indexes: HashMap<&'static str, BPlusTree>,
+    /// `T(B)`'s B+Trees over [`BITMAP_COLUMNS`], keyed by the integer value.
+    fact_indexes: HashMap<&'static str, BPlusTree<i64>>,
     opts: TraditionalOptions,
 }
 
@@ -74,7 +81,8 @@ impl TraditionalDb {
         let fact_partitioned = opts.partitioned.then(|| {
             jobs.add(|| {
                 let dates = int_col(fact, "lo_orderdate");
-                PartitionedHeap::build(fact, |i| dates[i] / 10_000)
+                let columns: Vec<&ColumnData> = fact.columns.iter().collect();
+                PartitionedHeap::build(&columns, |i| dates[i] / 10_000)
             })
         });
         let fact_whole =
@@ -84,7 +92,7 @@ impl TraditionalDb {
         let fact_indexes: Vec<_> = index_columns
             .iter()
             .map(|&col| {
-                let entries = int_col(fact, col).iter().zip(0..).map(|(&v, rid)| (ikey(v), rid));
+                let entries = int_col(fact, col).iter().copied().zip(0..);
                 (col, jobs.add(move || BPlusTree::bulk_load(entries.collect())))
             })
             .collect();
@@ -108,7 +116,7 @@ impl TraditionalDb {
     }
 
     /// The `T(B)` B+Tree over fact column `column`, when built.
-    pub fn fact_index(&self, column: &str) -> Option<&BPlusTree> {
+    pub fn fact_index(&self, column: &str) -> Option<&BPlusTree<i64>> {
         self.fact_indexes.get(column)
     }
 
@@ -234,14 +242,13 @@ impl TraditionalDb {
             };
             let mut dim_bitmap = RidBitmap::new(n);
             if contiguous {
-                let lo = ikey(*keys.first().unwrap());
-                let hi = ikey(*keys.last().unwrap());
+                let (lo, hi) = (keys[0], keys[keys.len() - 1]);
                 for (_, rid) in tree.range_scan(Some(&lo), Some(&hi), io) {
                     dim_bitmap.set(rid);
                 }
             } else {
                 for k in &keys {
-                    for rid in tree.lookup(&ikey(*k), io) {
+                    for rid in tree.lookup(k, io) {
                         dim_bitmap.set(rid);
                     }
                 }

@@ -21,9 +21,8 @@ use crate::ops::{BoxedOp, HashJoin, Project, SeqScan};
 use cvr_data::gen::SsbTables;
 use cvr_data::queries::SsbQuery;
 use cvr_data::result::QueryOutput;
-use cvr_data::schema::{ColumnDef, Dim, TableSchema};
-use cvr_data::table::{ColumnData, TableData};
-use cvr_data::value::DataType;
+use cvr_data::schema::Dim;
+use cvr_data::table::ColumnData;
 use cvr_storage::heap::HeapFile;
 use cvr_storage::io::IoSession;
 
@@ -38,17 +37,9 @@ pub struct VpDb {
 }
 
 /// Build a two-column `(pos, value)` table for one source column.
-fn column_table(name: &'static str, data: &ColumnData) -> HeapFile {
-    let n = data.len();
-    let schema = TableSchema {
-        name: "vp",
-        columns: vec![
-            ColumnDef { name: "pos", dtype: DataType::Int },
-            ColumnDef { name, dtype: data.dtype() },
-        ],
-    };
-    let pos = ColumnData::Int((0..n as i64).collect());
-    HeapFile::build(&TableData::new(schema, vec![pos, data.clone()]))
+fn column_table(data: &ColumnData) -> HeapFile {
+    let pos = ColumnData::Int((0..data.len() as i64).collect());
+    HeapFile::from_rows(&[&pos, data], 0..data.len())
 }
 
 impl VpDb {
@@ -56,13 +47,13 @@ impl VpDb {
     pub fn build(tables: Arc<SsbTables>) -> VpDb {
         let mut fact_cols = HashMap::new();
         for def in &tables.schema.lineorder.columns {
-            fact_cols.insert(def.name, column_table(def.name, tables.lineorder.column(def.name)));
+            fact_cols.insert(def.name, column_table(tables.lineorder.column(def.name)));
         }
         let mut dim_cols = HashMap::new();
         for &d in &Dim::ALL {
             let table = tables.dim(d);
             for def in &tables.schema.dim(d).columns {
-                dim_cols.insert((d, def.name), column_table(def.name, table.column(def.name)));
+                dim_cols.insert((d, def.name), column_table(table.column(def.name)));
             }
         }
         VpDb { tables, fact_cols, dim_cols }

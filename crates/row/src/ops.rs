@@ -13,7 +13,7 @@ use crate::tuple::{OpSchema, Tuple};
 use cvr_data::queries::Pred;
 use cvr_data::value::Value;
 use cvr_index::bloom::BloomFilter;
-use cvr_index::btree::{BPlusTree, Key};
+use cvr_index::btree::{BPlusTree, IndexKey, Key};
 use cvr_index::hashidx::IntHashMap;
 use cvr_storage::heap::HeapFile;
 use cvr_storage::io::IoSession;
@@ -597,15 +597,21 @@ fn index_tuple(key: &Key, rid: u32) -> Tuple {
 }
 
 /// Evaluate `pred` through index range scans (one per `InSet` member).
-pub fn range_scan_pred(tree: &BPlusTree, pred: &Pred, io: &IoSession) -> Vec<(Key, u32)> {
-    let bound = |v: &Value| Key::new(v.clone());
-    let eq = |v: &Value| tree.range_scan(Some(&bound(v)), Some(&bound(v)), io);
+pub fn range_scan_pred<K: IndexKey>(
+    tree: &BPlusTree<K>,
+    pred: &Pred,
+    io: &IoSession,
+) -> Vec<(K, u32)> {
+    let eq = |v: &Value| tree.range_scan(Some(&K::from_value(v)), Some(&K::from_value(v)), io);
     match pred {
         Pred::Eq(v) => eq(v),
-        Pred::Between(lo, hi) => tree.range_scan(Some(&bound(lo)), Some(&bound(hi)), io),
+        Pred::Between(lo, hi) => {
+            tree.range_scan(Some(&K::from_value(lo)), Some(&K::from_value(hi)), io)
+        }
         Pred::Lt(v) => {
-            let mut entries = tree.range_scan(None, Some(&bound(v)), io);
-            entries.retain(|(k, _)| k[0] < *v);
+            let bound = K::from_value(v);
+            let mut entries = tree.range_scan(None, Some(&bound), io);
+            entries.retain(|(k, _)| k.prefix_cmp(&bound) == std::cmp::Ordering::Less);
             entries
         }
         Pred::InSet(vs) => vs.iter().flat_map(eq).collect(),

@@ -178,6 +178,48 @@ fn index_scans_yield_keys_and_rids() {
 }
 
 #[test]
+fn integer_bounds_scan_like_value_bounds_for_every_pred_shape() {
+    // Duplicated keys across several leaves, like a fact column; the bounds
+    // include values below, between and above the stored ones.
+    let values: Vec<i64> = (0..3000).map(|i| (i * 37) % 61 * 2).collect();
+    let ints = BPlusTree::bulk_load_with_order(values.iter().copied().zip(0..).collect(), 16);
+    let keyed = BPlusTree::bulk_load_with_order(
+        values.iter().zip(0..).map(|(&v, rid)| (ikey(v), rid)).collect(),
+        16,
+    );
+    let int = |v: i64| Value::Int(v);
+    let preds = [
+        Pred::Eq(int(40)),
+        Pred::Eq(int(41)),
+        Pred::Eq(int(500)),
+        Pred::Between(int(10), int(30)),
+        Pred::Between(int(-4), int(0)),
+        Pred::Between(int(31), int(31)),
+        Pred::Lt(int(25)),
+        Pred::Lt(int(0)),
+        Pred::Lt(int(1000)),
+        Pred::InSet(vec![int(2), int(3), int(120), int(999)]),
+        Pred::InSet(vec![]),
+    ];
+    for pred in &preds {
+        let (io_int, io_key) = (IoSession::unmetered(), IoSession::unmetered());
+        let got: Vec<(i64, u32)> = range_scan_pred(&ints, pred, &io_int);
+        let want: Vec<(i64, u32)> = range_scan_pred(&keyed, pred, &io_key)
+            .into_iter()
+            .map(|(k, rid)| (k[0].as_int(), rid))
+            .collect();
+        assert_eq!(got, want, "{pred:?}");
+        assert_eq!(io_int.stats(), io_key.stats(), "{pred:?}");
+        let mut brute: Vec<(i64, u32)> =
+            values.iter().copied().zip(0..).filter(|&(v, _)| pred.matches_int(v)).collect();
+        brute.sort_unstable();
+        let mut sorted = got;
+        sorted.sort_unstable();
+        assert_eq!(sorted, brute, "{pred:?}");
+    }
+}
+
+#[test]
 fn bitmap_fetch_projects_requested_rids() {
     let table = TableData::new(
         TableSchema { name: "t", columns: vec![ColumnDef { name: "a", dtype: DataType::Int }] },

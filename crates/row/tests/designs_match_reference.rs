@@ -4,6 +4,8 @@
 use cvr_data::gen::SsbConfig;
 use cvr_data::queries::all_queries;
 use cvr_data::reference;
+use cvr_data::workload::WorkloadConfig;
+use cvr_row::designs::traditional::BITMAP_COLUMNS;
 use cvr_row::designs::{RowDb, RowDesign};
 use cvr_storage::io::{BufferPool, IoSession, PAGE_SIZE};
 use std::sync::Arc;
@@ -27,6 +29,21 @@ fn traditional_matches_reference() {
 #[test]
 fn traditional_bitmap_matches_reference() {
     check_design(RowDesign::TraditionalBitmap);
+    // The planner also sends T(B) generated statements, among them empty and
+    // near-empty selections, with measure predicates on indexed and
+    // unindexed fact columns.
+    let tables = Arc::new(SsbConfig { sf: 0.002, seed: 31 }.generate());
+    let db = RowDb::build(tables.clone(), RowDesign::TraditionalBitmap);
+    let io = IoSession::unmetered();
+    let (mut empty, mut indexed) = (0, 0);
+    for q in WorkloadConfig::with_count(100).generate() {
+        let expected = reference::evaluate(&tables, &q);
+        assert_eq!(db.execute(&q, &io), expected, "T(B) disagrees on generated {}", q.id);
+        empty += usize::from(expected.rows.is_empty());
+        indexed +=
+            usize::from(q.fact_predicates.iter().any(|p| BITMAP_COLUMNS.contains(&p.column)));
+    }
+    assert!(empty > 0 && indexed > 0, "{empty} empty results, {indexed} indexed predicates");
 }
 
 #[test]

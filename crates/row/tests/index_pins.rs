@@ -6,7 +6,7 @@
 
 use cvr_data::gen::{SsbConfig, SsbTables};
 use cvr_data::queries::all_queries;
-use cvr_index::btree::BPlusTree;
+use cvr_index::btree::{BPlusTree, IndexKey};
 use cvr_row::designs::traditional::BITMAP_COLUMNS;
 use cvr_row::designs::{AiColumns, AiDb, RowDb, RowDesign, TraditionalDb, TraditionalOptions};
 use cvr_storage::io::{IoSession, PAGE_SIZE};
@@ -17,7 +17,7 @@ fn tables() -> Arc<SsbTables> {
 }
 
 /// `(pages, height, entries, leaves)`; `bytes()` is one page per node.
-fn shape(tree: &BPlusTree) -> (u32, usize, usize, u64) {
+fn shape<K: IndexKey>(tree: &BPlusTree<K>) -> (u32, usize, usize, u64) {
     assert_eq!(tree.bytes(), tree.pages() as u64 * PAGE_SIZE);
     let io = IoSession::unmetered();
     let entries = tree.full_scan(&io).count();

@@ -11,8 +11,8 @@
 //! "factor of two" partitioning advantage comes from.
 
 use crate::io::{pages_for, FileId, IoSession, PageId, PAGE_SIZE};
-use crate::rowcodec::{encode_row, record_len, RecordView};
-use cvr_data::table::TableData;
+use crate::rowcodec::{columns_row_size, encode_columns_row, record_len, RecordView};
+use cvr_data::table::{ColumnData, TableData};
 use cvr_data::value::DataType;
 
 /// A heap file: encoded tuples packed into pages.
@@ -21,51 +21,49 @@ pub struct HeapFile {
     file: FileId,
     /// Concatenated page images; page `p` is `data[p*PAGE_SIZE..]`.
     data: Vec<u8>,
-    /// Byte ranges of records, in insertion order: (offset, page).
-    records: Vec<(u64, u32)>,
+    /// Byte offset of each record, in insertion order. Records never span
+    /// pages, so a record's page is `offset / PAGE_SIZE`.
+    records: Vec<u64>,
     /// Column types (needed to decode records).
     types: Vec<DataType>,
-    rows: usize,
 }
 
 impl HeapFile {
     /// Build a heap file holding every row of `table`.
     pub fn build(table: &TableData) -> HeapFile {
-        HeapFile::from_rows(table, 0..table.num_rows())
+        let columns: Vec<&ColumnData> = table.columns.iter().collect();
+        HeapFile::from_rows(&columns, 0..table.num_rows())
     }
 
-    /// Build a heap file holding rows `rows` of `table`, in that order,
-    /// encoded straight from the table (a partition is never copied out
-    /// first).
-    pub fn from_rows(table: &TableData, rows: impl ExactSizeIterator<Item = usize>) -> HeapFile {
-        let types: Vec<DataType> = table.schema.columns.iter().map(|c| c.dtype).collect();
-        let num_rows = rows.len();
+    /// Build a heap file holding rows `rows` of `columns` (one field per
+    /// column, in order), encoded straight from the column slices: neither
+    /// a partition nor a projection is copied out first, and no row is
+    /// materialized.
+    pub fn from_rows(
+        columns: &[&ColumnData],
+        rows: impl ExactSizeIterator<Item = usize>,
+    ) -> HeapFile {
+        let types: Vec<DataType> = columns.iter().map(|c| c.dtype()).collect();
         let mut data = Vec::new();
-        let mut records = Vec::with_capacity(num_rows);
-        let mut row_buf = Vec::with_capacity(128);
-        let mut page_used: u64 = 0;
-        let mut page_no: u32 = 0;
+        let mut records = Vec::with_capacity(rows.len());
+        let mut page_end = PAGE_SIZE as usize;
         for i in rows {
-            row_buf.clear();
-            encode_row(&table.row(i), &mut row_buf);
-            let len = row_buf.len() as u64;
-            assert!(len <= PAGE_SIZE, "record larger than a page");
-            if page_used + len > PAGE_SIZE {
+            let len = columns_row_size(columns, i);
+            assert!(len as u64 <= PAGE_SIZE, "record larger than a page");
+            if data.len() + len > page_end {
                 // Pad out the page: slack is real I/O in a slotted layout.
-                data.resize(((page_no as u64 + 1) * PAGE_SIZE) as usize, 0);
-                page_no += 1;
-                page_used = 0;
+                data.resize(page_end, 0);
+                page_end += PAGE_SIZE as usize;
             }
-            records.push((data.len() as u64, page_no));
-            data.extend_from_slice(&row_buf);
-            page_used += len;
+            records.push(data.len() as u64);
+            encode_columns_row(columns, i, &mut data);
         }
-        HeapFile { file: FileId::fresh(), data, records, types, rows: num_rows }
+        HeapFile { file: FileId::fresh(), data, records, types }
     }
 
     /// Number of rows stored.
     pub fn num_rows(&self) -> usize {
-        self.rows
+        self.records.len()
     }
 
     /// Total bytes (including page slack).
@@ -95,22 +93,26 @@ impl HeapFile {
     /// the record-id used by unclustered indexes.
     pub fn scan<'a>(&'a self, io: &'a IoSession) -> impl Iterator<Item = (u32, RecordView<'a>)> {
         let mut last_page = u32::MAX;
-        self.records.iter().enumerate().map(move |(rid, &(off, page))| {
+        self.records.iter().enumerate().map(move |(rid, &off)| {
+            let page = page_of(off);
             if page != last_page {
                 io.read_page(PageId { file: self.file, page }, self.page_bytes(page));
                 last_page = page;
             }
-            let buf = &self.data[off as usize..];
-            let len = record_len(buf);
-            (rid as u32, RecordView::new(&buf[..len]))
+            (rid as u32, self.record_at(off))
         })
     }
 
     /// Fetch a single record by rid (an index lookup path): charges the
     /// containing page.
     pub fn fetch<'a>(&'a self, rid: u32, io: &IoSession) -> RecordView<'a> {
-        let (off, page) = self.records[rid as usize];
+        let off = self.records[rid as usize];
+        let page = page_of(off);
         io.read_page(PageId { file: self.file, page }, self.page_bytes(page));
+        self.record_at(off)
+    }
+
+    fn record_at(&self, off: u64) -> RecordView<'_> {
         let buf = &self.data[off as usize..];
         RecordView::new(&buf[..record_len(buf)])
     }
@@ -119,77 +121,11 @@ impl HeapFile {
         let start = page as u64 * PAGE_SIZE;
         (self.bytes() - start).min(PAGE_SIZE)
     }
+}
 
-    /// Serialize this heap to a self-contained byte image (the payload of a
-    /// raw persisted segment): column types, the page data, and the record
-    /// directory. [`HeapFile::from_image`] reverses it.
-    pub fn to_image(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.data.len() + self.records.len() * 12 + 32);
-        out.extend_from_slice(&(self.types.len() as u32).to_le_bytes());
-        for t in &self.types {
-            out.push(match t {
-                DataType::Int => 0u8,
-                DataType::Str => 1u8,
-            });
-        }
-        out.extend_from_slice(&(self.rows as u64).to_le_bytes());
-        out.extend_from_slice(&(self.data.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.data);
-        out.extend_from_slice(&(self.records.len() as u32).to_le_bytes());
-        for &(off, page) in &self.records {
-            out.extend_from_slice(&off.to_le_bytes());
-            out.extend_from_slice(&page.to_le_bytes());
-        }
-        out
-    }
-
-    /// Rebuild a heap from a [`HeapFile::to_image`] byte image, validating
-    /// the structural invariants scans rely on (record offsets in bounds
-    /// and consistent with their page numbers). The rebuilt heap gets a
-    /// fresh [`FileId`] — buffer-pool identity is per-process, not durable.
-    pub fn from_image(image: &[u8]) -> Result<HeapFile, String> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], String> {
-            let s = image.get(*pos..*pos + n).ok_or("heap image truncated")?;
-            *pos += n;
-            Ok(s)
-        };
-        let ncols = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        if ncols > 1024 {
-            return Err(format!("heap image claims {ncols} columns"));
-        }
-        let mut types = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            types.push(match take(&mut pos, 1)?[0] {
-                0 => DataType::Int,
-                1 => DataType::Str,
-                t => return Err(format!("heap image has unknown column type tag {t}")),
-            });
-        }
-        let rows = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
-        let data_len = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
-        let data = take(&mut pos, data_len)?.to_vec();
-        let nrecords = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        if nrecords != rows {
-            return Err(format!("heap image has {nrecords} records for {rows} rows"));
-        }
-        let mut records = Vec::with_capacity(nrecords);
-        for _ in 0..nrecords {
-            let off = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-            let page = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-            // Records are written into their containing page, so the page
-            // number is derivable from the offset; a mismatch (or an
-            // offset without room for a record header) is corruption.
-            if off + 8 > data.len() as u64 || off / PAGE_SIZE != page as u64 {
-                return Err(format!("heap record at offset {off} page {page} is out of bounds"));
-            }
-            records.push((off, page));
-        }
-        if pos != image.len() {
-            return Err(format!("heap image has {} trailing bytes", image.len() - pos));
-        }
-        Ok(HeapFile { file: FileId::fresh(), data, records, types, rows })
-    }
+/// The page holding the record at byte offset `off`.
+fn page_of(off: u64) -> u32 {
+    (off / PAGE_SIZE) as u32
 }
 
 /// A heap horizontally partitioned by an integer key (orderdate year).
@@ -200,16 +136,18 @@ pub struct PartitionedHeap {
 }
 
 impl PartitionedHeap {
-    /// Partition `table` by `key_of(row_index)`.
-    pub fn build(table: &TableData, key_of: impl Fn(usize) -> i64) -> PartitionedHeap {
+    /// Partition the rows of `columns` (one field per column, in order) by
+    /// `key_of(row_index)`.
+    pub fn build(columns: &[&ColumnData], key_of: impl Fn(usize) -> i64) -> PartitionedHeap {
         use std::collections::BTreeMap;
+        let rows = columns.first().map_or(0, |c| c.len());
         let mut groups: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
-        for i in 0..table.num_rows() {
+        for i in 0..rows {
             groups.entry(key_of(i)).or_default().push(i as u32);
         }
         let partitions = groups
             .into_iter()
-            .map(|(k, rows)| (k, HeapFile::from_rows(table, rows.iter().map(|&r| r as usize))))
+            .map(|(k, rows)| (k, HeapFile::from_rows(columns, rows.iter().map(|&r| r as usize))))
             .collect();
         PartitionedHeap { partitions }
     }
@@ -305,7 +243,8 @@ mod tests {
         let t = table(1_000);
         // Partition by k % 4.
         let keys = t.column("k").ints().to_vec();
-        let part = PartitionedHeap::build(&t, |i| keys[i] % 4);
+        let columns: Vec<&ColumnData> = t.columns.iter().collect();
+        let part = PartitionedHeap::build(&columns, |i| keys[i] % 4);
         assert_eq!(part.partitions.len(), 4);
         assert_eq!(part.num_rows(), 1_000);
         let selected = part.select(|k| k == 2);
@@ -324,28 +263,6 @@ mod tests {
         // Each record: 8 header + 4 int + 1+len string.
         let min_payload: u64 = (0..100).map(|i| 13 + format!("val{i}").len() as u64).sum();
         assert!(heap.bytes() >= min_payload);
-    }
-
-    #[test]
-    fn image_round_trip_preserves_scans() {
-        let t = table(5_000);
-        let heap = HeapFile::build(&t);
-        let rebuilt = HeapFile::from_image(&heap.to_image()).expect("round trip");
-        assert_eq!(rebuilt.num_rows(), heap.num_rows());
-        assert_eq!(rebuilt.bytes(), heap.bytes());
-        assert_eq!(rebuilt.types(), heap.types());
-        let (io_a, io_b) = (IoSession::unmetered(), IoSession::unmetered());
-        let a: Vec<i64> = heap.scan(&io_a).map(|(_, r)| r.int_field(heap.types(), 0)).collect();
-        let b: Vec<i64> =
-            rebuilt.scan(&io_b).map(|(_, r)| r.int_field(rebuilt.types(), 0)).collect();
-        assert_eq!(a, b);
-        assert_eq!(io_a.stats(), io_b.stats(), "page charges survive the round trip");
-        // Truncations and garbage are structural errors, never panics.
-        let image = heap.to_image();
-        for cut in [0, 1, 3, 16, image.len() / 2, image.len() - 1] {
-            assert!(HeapFile::from_image(&image[..cut]).is_err(), "truncated at {cut}");
-        }
-        assert!(HeapFile::from_image(&[0xFF; 64]).is_err());
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! the "1-2 function calls to extract needed data from a tuple" overhead the
 //! paper attributes to row-store executors (Section 5.3).
 
+use cvr_data::table::ColumnData;
 use cvr_data::value::{DataType, Value};
 
 /// Bytes of per-tuple header overhead charged by the row format.
@@ -25,27 +26,68 @@ pub const INT_FIELD_BYTES: usize = 4;
 /// domains: integers must fit in `u32`, strings must be shorter than 256
 /// bytes.
 pub fn encode_row(values: &[Value], out: &mut Vec<u8>) {
-    // Header: record length placeholder (u32) + attribute count (u16) + 2
-    // flag bytes. Real systems store MVCC/visibility data here; we only need
-    // the space cost to be honest.
-    let start = out.len();
-    out.extend_from_slice(&[0u8; TUPLE_HEADER_BYTES]);
+    let start = begin_record(out);
     for v in values {
         match v {
-            Value::Int(i) => {
-                let u = u32::try_from(*i).unwrap_or_else(|_| panic!("int {i} out of u32 range"));
-                out.extend_from_slice(&u.to_le_bytes());
-            }
-            Value::Str(s) => {
-                assert!(s.len() < 256, "string too long for varchar codec");
-                out.push(s.len() as u8);
-                out.extend_from_slice(s.as_bytes());
-            }
+            Value::Int(i) => push_int(*i, out),
+            Value::Str(s) => push_str(s, out),
         }
     }
+    finish_record(out, start, values.len());
+}
+
+/// Serialize row `row` of `columns` (one field per column, in order) into
+/// `out`: the bytes [`encode_row`] writes for that row, read straight from
+/// the column slices — no row is materialized.
+pub fn encode_columns_row(columns: &[&ColumnData], row: usize, out: &mut Vec<u8>) {
+    let start = begin_record(out);
+    for column in columns {
+        match column {
+            ColumnData::Int(v) => push_int(v[row], out),
+            ColumnData::Str(v) => push_str(&v[row], out),
+        }
+    }
+    finish_record(out, start, columns.len());
+}
+
+/// Encoded size of row `row` of `columns`: the length of the record
+/// [`encode_columns_row`] writes, computed without writing it.
+pub fn columns_row_size(columns: &[&ColumnData], row: usize) -> usize {
+    TUPLE_HEADER_BYTES
+        + columns
+            .iter()
+            .map(|column| match column {
+                ColumnData::Int(_) => INT_FIELD_BYTES,
+                ColumnData::Str(v) => 1 + v[row].len(),
+            })
+            .sum::<usize>()
+}
+
+/// Reserve the header: record length placeholder (u32) + attribute count
+/// (u16) + 2 flag bytes. Real systems store MVCC/visibility data here; we
+/// only need the space cost to be honest. Returns the record's start.
+fn begin_record(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; TUPLE_HEADER_BYTES]);
+    start
+}
+
+fn push_int(i: i64, out: &mut Vec<u8>) {
+    let u = u32::try_from(i).unwrap_or_else(|_| panic!("int {i} out of u32 range"));
+    out.extend_from_slice(&u.to_le_bytes());
+}
+
+fn push_str(s: &str, out: &mut Vec<u8>) {
+    assert!(s.len() < 256, "string too long for varchar codec");
+    out.push(s.len() as u8);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Fill in the header of the record begun at `start`.
+fn finish_record(out: &mut [u8], start: usize, arity: usize) {
     let len = (out.len() - start) as u32;
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-    out[start + 4..start + 6].copy_from_slice(&(values.len() as u16).to_le_bytes());
+    out[start + 4..start + 6].copy_from_slice(&(arity as u16).to_le_bytes());
 }
 
 /// Total encoded length of the record starting at `buf[0]` (from its header).
@@ -232,6 +274,29 @@ mod tests {
         encode_row(&row, &mut buf);
         assert_eq!(record_len(&buf), buf.len());
         assert_eq!(encoded_size(&row), buf.len());
+    }
+
+    #[test]
+    fn column_records_are_the_row_records() {
+        let columns = [
+            ColumnData::Int(vec![42, 0, u32::MAX as i64]),
+            ColumnData::Str(vec!["ASIA".into(), String::new(), "x".repeat(255)]),
+            ColumnData::Int(vec![19970101, 7, 1]),
+        ];
+        let refs: Vec<&ColumnData> = columns.iter().collect();
+        for row in 0..3 {
+            let values: Vec<Value> = columns.iter().map(|c| c.value(row)).collect();
+            let (mut want, mut got) = (Vec::new(), vec![9u8]);
+            encode_row(&values, &mut want);
+            encode_columns_row(&refs, row, &mut got);
+            assert_eq!(got[1..], want[..], "row {row}");
+            assert_eq!(columns_row_size(&refs, row), encoded_size(&values));
+            // A subset of the columns, in another order.
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            encode_row(&[values[2].clone(), values[1].clone()], &mut want);
+            encode_columns_row(&[refs[2], refs[1]], row, &mut got);
+            assert_eq!(got, want);
+        }
     }
 
     #[test]
