@@ -97,6 +97,12 @@ impl ColumnEngine {
         })
     }
 
+    /// What the stores were built with, for builds over them that belong
+    /// to the same set-up (the planner's catalog).
+    pub fn parallelism(&self) -> Parallelism {
+        self.par
+    }
+
     /// Whether the uncompressed store has been built yet.
     pub fn plain_built(&self) -> bool {
         self.plain.get().is_some()

@@ -323,21 +323,27 @@ impl CostParams {
     }
 }
 
-/// The union working set of a plan: per-column bytes touched, each column
+/// The union working set of a plan: per-file bytes touched, each file
 /// counted once at the *largest* touch (a full scan subsumes any gather).
+/// A file is a `(kind, name)` pair: `("", column)` for a stored column,
+/// `("heap", table)`, `("idx", column)` or `("vp", column)` for a row
+/// design's. A plan touches a few dozen files at most, so they sit in a
+/// list.
 #[derive(Debug, Clone, Default)]
-pub struct WorkingSet(std::collections::HashMap<String, u64>);
+pub struct WorkingSet<'a>(Vec<((&'static str, &'a str), u64)>);
 
-impl WorkingSet {
-    /// Record `bytes` touched of column `key` (max-merged per column).
-    pub fn touch(&mut self, key: &str, bytes: u64) {
-        let slot = self.0.entry(key.to_string()).or_insert(0);
-        *slot = (*slot).max(bytes);
+impl<'a> WorkingSet<'a> {
+    /// Record `bytes` touched of `file` (max-merged per file).
+    pub fn touch(&mut self, file: (&'static str, &'a str), bytes: u64) {
+        match self.0.iter_mut().find(|(f, _)| *f == file) {
+            Some((_, slot)) => *slot = (*slot).max(bytes),
+            None => self.0.push((file, bytes)),
+        }
     }
 
     /// Total distinct bytes.
     pub fn total(&self) -> u64 {
-        self.0.values().sum()
+        self.0.iter().map(|(_, bytes)| bytes).sum()
     }
 }
 

@@ -261,11 +261,7 @@ impl Planner {
     /// The fact-predicate evaluation order the statistics recommend: most
     /// selective first (ties keep declaration order).
     pub fn fact_order(&self, q: &SsbQuery) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..q.fact_predicates.len()).collect();
-        let sels: Vec<f64> =
-            q.fact_predicates.iter().map(|p| self.catalog.fact_pred_selectivity(p)).collect();
-        order.sort_by(|&a, &b| sels[a].partial_cmp(&sels[b]).unwrap().then(a.cmp(&b)));
-        order
+        Estimates::new(&self.catalog, q).fact_order()
     }
 
     /// Row designs applicable to `q`.
@@ -299,11 +295,16 @@ impl Planner {
 
     /// Every applicable candidate, costed, cheapest first.
     pub fn candidates(&self, q: &SsbQuery) -> Vec<Candidate> {
-        let order = self.fact_order(q);
+        self.candidates_with(q, &Estimates::new(&self.catalog, q))
+    }
+
+    /// [`Planner::candidates`] over the statement's estimates.
+    fn candidates_with(&self, q: &SsbQuery, e: &Estimates) -> Vec<Candidate> {
+        let order = e.fact_order();
         let mut out = Vec::new();
         for shape in [PlanShape::Invisible, PlanShape::LateJoin, PlanShape::Early] {
             for compressed in [true, false] {
-                let (est, mut explain, ws) = self.cost_column(q, shape, compressed, &order);
+                let (est, mut explain, ws) = self.cost_column(q, e, shape, compressed, &order);
                 // Distinct bytes, not summed charges: a page is read from
                 // the modeled disk once per run however many phases touch
                 // it.
@@ -321,7 +322,7 @@ impl Planner {
             }
         }
         for design in self.applicable_row_designs(q) {
-            let (est, mut explain, ws) = self.cost_row(q, design, &order);
+            let (est, mut explain, ws) = self.cost_row(q, e, design, &order);
             let est = CostBreakdown { io_bytes: ws.total(), ..est };
             let est = self.params.pool_adjust(est, ws.total());
             let seconds = est.seconds(&self.params);
@@ -334,13 +335,16 @@ impl Planner {
                 explain,
             });
         }
-        out.sort_by(|a, b| a.seconds.partial_cmp(&b.seconds).unwrap());
+        // `total_cmp` is `partial_cmp` on the non-negative finite estimates
+        // the model produces, and ranks a NaN last instead of panicking.
+        out.sort_by(|a, b| a.seconds.total_cmp(&b.seconds));
         out
     }
 
     /// Pick the cheapest candidate for `q`.
     pub fn plan(&self, q: &SsbQuery) -> Plan {
-        let candidates = self.candidates(q);
+        let e = Estimates::new(&self.catalog, q);
+        let candidates = self.candidates_with(q, &e);
         let ranking: Vec<(String, f64)> =
             candidates.iter().map(|c| (c.choice.label(), c.seconds)).collect();
         let best = candidates.into_iter().next().expect("search space is never empty");
@@ -350,7 +354,7 @@ impl Planner {
             fact_order: best.fact_order,
             est: best.est,
             seconds: best.seconds,
-            est_selectivity: self.estimate_selectivity(q),
+            est_selectivity: e.total,
             explain: best.explain,
             ranking,
         }
@@ -363,11 +367,11 @@ impl Planner {
     /// Sequential scan of one stored column, CPU priced by its encoding
     /// (word-parallel kernels over packed words, run-at-a-time over RLE):
     /// every position is a candidate.
-    fn scan_col(
+    fn scan_col<'a>(
         &self,
-        stats: &ColumnStats,
+        stats: &'a ColumnStats,
         compressed: bool,
-        ws: &mut WorkingSet,
+        ws: &mut WorkingSet<'a>,
     ) -> CostBreakdown {
         self.refine_col(stats, compressed, ValueTest::Interval, stats.rows as f64, ws)
     }
@@ -377,16 +381,16 @@ impl Planner {
     /// charged — in full whatever the candidates; the CPU pays the cheaper
     /// of the window kernel and one test per candidate, which is the choice
     /// the executor makes window by window.
-    fn refine_col(
+    fn refine_col<'a>(
         &self,
-        stats: &ColumnStats,
+        stats: &'a ColumnStats,
         compressed: bool,
         test: ValueTest,
         candidates: f64,
-        ws: &mut WorkingSet,
+        ws: &mut WorkingSet<'a>,
     ) -> CostBreakdown {
         let r = &self.params.rates;
-        ws.touch(&stats.name, stats.bytes(compressed));
+        ws.touch(("", &stats.name), stats.bytes(compressed));
         let mut c = seq_scan(stats.bytes(compressed));
         let rows = stats.rows as f64;
         let window = if compressed && stats.encoding == EncodingKind::Rle {
@@ -427,53 +431,43 @@ impl Planner {
     /// `lo_orderdate`, so a date-restricted query's surviving positions
     /// cluster inside the qualifying date range instead of scattering over
     /// the whole file (pass 1.0 when unrestricted).
-    fn gather_col(
+    fn gather_col<'a>(
         &self,
-        stats: &ColumnStats,
+        stats: &'a ColumnStats,
         compressed: bool,
         k: u64,
         rows: u64,
         span: f64,
-        ws: &mut WorkingSet,
+        ws: &mut WorkingSet<'a>,
     ) -> CostBreakdown {
         let bytes = ((stats.bytes(compressed) as f64) * span.clamp(0.0, 1.0)).ceil() as u64;
         let g = gather(k, ((rows as f64) * span).ceil() as u64, bytes, &self.params.rates);
-        ws.touch(&stats.name, g.io_bytes.min(stats.bytes(compressed)));
+        ws.touch(("", &stats.name), g.io_bytes.min(stats.bytes(compressed)));
         g
-    }
-
-    /// The fraction of the (orderdate-sorted) fact files a query's
-    /// surviving positions can span.
-    fn fact_span(&self, q: &SsbQuery) -> f64 {
-        self.catalog.dim_selectivity(q, Dim::Date).clamp(0.0, 1.0)
     }
 
     /// Phase-1 work for one restricted dimension: predicate scans over the
     /// (small) dimension columns, plus key collection when the match set is
     /// not expected to be contiguous.
-    fn dim_phase1(
-        &self,
+    fn dim_phase1<'a>(
+        &'a self,
         q: &SsbQuery,
+        e: &Estimates,
         d: Dim,
         compressed: bool,
         build_keys: bool,
-        ws: &mut WorkingSet,
+        ws: &mut WorkingSet<'a>,
     ) -> (CostBreakdown, bool) {
         let r = &self.params.rates;
         let stats = self.catalog.dim(d);
         let mut c = CostBreakdown::default();
-        for p in q.dim_predicates_on(d) {
+        for p in q.dim_predicates.iter().filter(|p| p.dim == d) {
             c.add(self.scan_col(stats.column(p.column), compressed, ws));
         }
-        let contiguous = self.catalog.likely_contiguous(q, d);
+        let contiguous = e.contiguous(d);
         if build_keys || !contiguous {
-            let k = (self.catalog.dim_selectivity(q, d) * stats.rows as f64).ceil() as u64;
-            let key = stats.column(match d {
-                Dim::Customer => "c_custkey",
-                Dim::Supplier => "s_suppkey",
-                Dim::Part => "p_partkey",
-                Dim::Date => "d_datekey",
-            });
+            let k = (e.dim(d) * stats.rows as f64).ceil() as u64;
+            let key = stats.column(d.key_column());
             let rows = stats.rows;
             c.add(self.gather_col(key, compressed, k, rows, 1.0, ws));
             c.cpu_seconds += k as f64 * r.hash_probe; // build the key set
@@ -484,17 +478,18 @@ impl Planner {
     /// Group/measure extraction shared by the two late-materialized shapes:
     /// gather FKs and measures at the `k` surviving positions, extract the
     /// group attributes, aggregate.
-    fn phase3(
-        &self,
+    fn phase3<'a>(
+        &'a self,
         q: &SsbQuery,
+        e: &Estimates,
         k: u64,
         compressed: bool,
-        ws: &mut WorkingSet,
+        ws: &mut WorkingSet<'a>,
         explain: &mut Explain,
     ) -> CostBreakdown {
         let r = &self.params.rates;
         let n = self.catalog.fact_rows();
-        let span = self.fact_span(q);
+        let span = e.span;
         let mut c = CostBreakdown::default();
         let mut seen: Vec<Dim> = Vec::new();
         for g in &q.group_by {
@@ -561,14 +556,15 @@ impl Planner {
     fn cost_column(
         &self,
         q: &SsbQuery,
+        e: &Estimates,
         shape: PlanShape,
         compressed: bool,
         order: &[usize],
-    ) -> (CostBreakdown, Explain, WorkingSet) {
+    ) -> (CostBreakdown, Explain, WorkingSet<'_>) {
         let mut ws = WorkingSet::default();
         let r = self.params.rates;
         let n = self.catalog.fact_rows();
-        let sel_total = self.catalog.selectivity(q);
+        let sel_total = e.total;
         let k_final = ((n as f64 * sel_total).ceil() as u64).min(n);
         let mut explain = Explain::node(
             "column-plan",
@@ -588,12 +584,12 @@ impl Planner {
                 // cheaper of its window kernel and a test per candidate.
                 let mut running = n as f64;
                 for d in q.restricted_dims() {
-                    let (dc, contiguous) = self.dim_phase1(q, d, compressed, false, &mut ws);
+                    let (dc, contiguous) = self.dim_phase1(q, e, d, compressed, false, &mut ws);
                     c.add(dc);
                     let fk = self.catalog.fact.column(d.fact_fk_column());
                     let test = ValueTest::of_join(d, contiguous);
                     let probe = self.refine_col(fk, compressed, test, running, &mut ws);
-                    let d_sel = self.catalog.dim_selectivity(q, d);
+                    let d_sel = e.dim(d);
                     running *= d_sel;
                     explain.push(
                         Explain::node(
@@ -615,7 +611,7 @@ impl Planner {
                 for &i in order {
                     let p = &q.fact_predicates[i];
                     let col = self.catalog.fact.column(p.column);
-                    let sel = self.catalog.fact_pred_selectivity(p);
+                    let sel = e.fact[i];
                     let sc =
                         self.refine_col(col, compressed, ValueTest::Interval, running, &mut ws);
                     running *= sel;
@@ -626,7 +622,7 @@ impl Planner {
                     );
                     c.add(sc);
                 }
-                let p3 = self.phase3(q, k_final, compressed, &mut ws, &mut explain);
+                let p3 = self.phase3(q, e, k_final, compressed, &mut ws, &mut explain);
                 c.add(p3);
             }
             PlanShape::LateJoin => {
@@ -640,7 +636,7 @@ impl Planner {
                     let col = self.catalog.fact.column(p.column);
                     let sc =
                         self.refine_col(col, compressed, ValueTest::Interval, running, &mut ws);
-                    running *= self.catalog.fact_pred_selectivity(p);
+                    running *= e.fact[i];
                     poslist_positions += running;
                     explain.push(
                         Explain::node("scan", p.column)
@@ -652,21 +648,16 @@ impl Planner {
                 // Restricted dims, most selective first (the engine's own
                 // order).
                 let mut dims = q.restricted_dims();
-                dims.sort_by(|&a, &b| {
-                    self.catalog
-                        .dim_selectivity(q, a)
-                        .partial_cmp(&self.catalog.dim_selectivity(q, b))
-                        .unwrap()
-                });
+                dims.sort_by(|&a, &b| e.dim(a).total_cmp(&e.dim(b)));
                 let mut first = q.fact_predicates.is_empty();
-                let span = self.fact_span(q);
+                let span = e.span;
                 for d in dims {
                     // The late join always materializes the matching keys
                     // to build its hash table, contiguous or not.
-                    let (dc, _) = self.dim_phase1(q, d, compressed, true, &mut ws);
+                    let (dc, _) = self.dim_phase1(q, e, d, compressed, true, &mut ws);
                     c.add(dc);
                     let dstats = self.catalog.dim(d);
-                    let k_d = (self.catalog.dim_selectivity(q, d) * dstats.rows as f64).ceil();
+                    let k_d = (e.dim(d) * dstats.rows as f64).ceil();
                     c.cpu_seconds += k_d * r.hash_probe; // build side
                     let fk = self.catalog.fact.column(d.fact_fk_column());
                     if first {
@@ -675,8 +666,7 @@ impl Planner {
                         // read back as dimension positions.
                         let test = ValueTest::of_join(d, false);
                         c.add(self.refine_col(fk, compressed, test, running, &mut ws));
-                        c.cpu_seconds +=
-                            running * self.catalog.dim_selectivity(q, d) * r.gather_value;
+                        c.cpu_seconds += running * e.dim(d) * r.gather_value;
                         first = false;
                     } else {
                         c.add(self.gather_col(
@@ -689,21 +679,21 @@ impl Planner {
                         ));
                         c.cpu_seconds += running * r.hash_probe;
                     }
-                    running *= self.catalog.dim_selectivity(q, d);
+                    running *= e.dim(d);
                     poslist_positions += running;
                     explain.push(
                         Explain::node("hash-join", d.fact_fk_column()).rows(running.ceil() as u64),
                     );
                 }
                 c.cpu_seconds += poslist_positions * r.poslist_touch;
-                let p3 = self.phase3(q, k_final, compressed, &mut ws, &mut explain);
+                let p3 = self.phase3(q, e, k_final, compressed, &mut ws, &mut explain);
                 c.add(p3);
             }
             PlanShape::Early => {
                 let cols = q.fact_columns();
                 for col in &cols {
                     let stats = self.catalog.fact.column(col);
-                    ws.touch(&stats.name, stats.bytes(compressed));
+                    ws.touch(("", &stats.name), stats.bytes(compressed));
                     let mut s = seq_scan(stats.bytes(compressed));
                     s.cpu_seconds += n as f64 * r.gather_value; // decode_all
                     c.add(s);
@@ -715,21 +705,13 @@ impl Planner {
                 );
                 for d in q.touched_dims() {
                     let dstats = self.catalog.dim(d);
-                    let mut dim_cols: Vec<&str> = vec![match d {
-                        Dim::Customer => "c_custkey",
-                        Dim::Supplier => "s_suppkey",
-                        Dim::Part => "p_partkey",
-                        Dim::Date => "d_datekey",
-                    }];
-                    for p in q.dim_predicates_on(d) {
-                        dim_cols.push(p.column);
-                    }
-                    for g in q.group_by.iter().filter(|g| g.dim == d) {
-                        dim_cols.push(g.column);
-                    }
+                    let dim_cols = std::iter::once(d.key_column())
+                        .chain(q.dim_predicates.iter().filter(|p| p.dim == d).map(|p| p.column))
+                        .chain(q.group_by.iter().filter(|g| g.dim == d).map(|g| g.column));
                     for col in dim_cols {
-                        ws.touch(&dstats.column(col).name, dstats.column(col).bytes(compressed));
-                        let mut s = seq_scan(dstats.column(col).bytes(compressed));
+                        let stats = dstats.column(col);
+                        ws.touch(("", &stats.name), stats.bytes(compressed));
+                        let mut s = seq_scan(stats.bytes(compressed));
                         s.cpu_seconds += dstats.rows as f64 * r.gather_value;
                         c.add(s);
                     }
@@ -760,17 +742,17 @@ impl Planner {
     fn cost_row(
         &self,
         q: &SsbQuery,
+        e: &Estimates,
         design: RowDesign,
         order: &[usize],
-    ) -> (CostBreakdown, Explain, WorkingSet) {
+    ) -> (CostBreakdown, Explain, WorkingSet<'_>) {
         let mut ws = WorkingSet::default();
         let r = self.params.rates;
         let n = self.catalog.fact_rows();
         let sizes = &self.catalog.row_sizes;
-        let sel_total = self.catalog.selectivity(q);
+        let sel_total = e.total;
         let k_final = ((n as f64 * sel_total).ceil() as u64).min(n);
-        let fact_sel: f64 =
-            q.fact_predicates.iter().map(|p| self.catalog.fact_pred_selectivity(p)).product();
+        let fact_sel = e.fact_product;
         let mut explain =
             Explain::node("row-plan", format!("{} ({})", design.label(), design_name(design)))
                 .rows(k_final);
@@ -780,16 +762,11 @@ impl Planner {
         // selectivity order, then aggregation.
         let join_tail = |c: &mut CostBreakdown,
                          explain: &mut Explain,
-                         ws: &mut WorkingSet,
+                         ws: &mut WorkingSet<'_>,
                          start_rows: f64,
                          skip: &[Dim]| {
             let mut dims = q.touched_dims();
-            dims.sort_by(|&a, &b| {
-                self.catalog
-                    .dim_selectivity(q, a)
-                    .partial_cmp(&self.catalog.dim_selectivity(q, b))
-                    .unwrap()
-            });
+            dims.sort_by(|&a, &b| e.dim(a).total_cmp(&e.dim(b)));
             let mut running = start_rows;
             for d in dims {
                 // A dim already applied through a bitmap and
@@ -799,11 +776,11 @@ impl Planner {
                     continue;
                 }
                 let dstats = self.catalog.dim(d);
-                ws.touch(&format!("heap:{}", d.table_name()), sizes.dim_heap_bytes[&d]);
+                ws.touch(("heap", d.table_name()), sizes.dim_heap_bytes[&d]);
                 c.add(seq_scan(sizes.dim_heap_bytes[&d]));
                 c.cpu_seconds += dstats.rows as f64 * r.row_tuple;
                 c.cpu_seconds += running * r.row_join_probe;
-                running *= self.catalog.dim_selectivity(q, d);
+                running *= e.dim(d);
                 explain
                     .push(Explain::node("hash-join", d.table_name()).rows(running.ceil() as u64));
             }
@@ -812,7 +789,7 @@ impl Planner {
 
         match design {
             RowDesign::Traditional | RowDesign::MaterializedViews => {
-                let yf = self.catalog.year_fraction(q);
+                let yf = e.year_fraction;
                 // Per-tuple parse cost scales with tuple arity: a narrow
                 // per-flight view row decodes a handful of fields, not 17.
                 let (heap, width) = if design == RowDesign::Traditional {
@@ -822,7 +799,7 @@ impl Planner {
                     (sizes.mv_view_bytes[(q.id.flight - 1) as usize], (cols / 17.0).max(0.2))
                 };
                 let bytes = (heap as f64 * yf) as u64;
-                ws.touch("heap:fact", bytes);
+                ws.touch(("heap", "fact"), bytes);
                 c.add(seq_scan(bytes));
                 // Extra partitions beyond the first (seq_scan charged one).
                 c.seeks += ((7.0 * yf).ceil() as u64).saturating_sub(1);
@@ -850,10 +827,10 @@ impl Planner {
                 // bitmap and filters tuples only after the fetch.
                 let mut indexed_fact_sel = 1.0;
                 let mut post_sel = 1.0;
-                let date_sel = self.catalog.dim_selectivity(q, Dim::Date);
+                let date_sel = e.dim(Dim::Date);
                 for &i in order {
                     let p = &q.fact_predicates[i];
-                    let psel = self.catalog.fact_pred_selectivity(p);
+                    let psel = e.fact[i];
                     if !cvr_row::designs::traditional::BITMAP_COLUMNS.contains(&p.column) {
                         post_sel *= psel;
                         continue;
@@ -861,7 +838,7 @@ impl Planner {
                     indexed_fact_sel *= psel;
                     let entries = n as f64 * psel;
                     let bytes = index_scan_bytes(entries);
-                    ws.touch(&format!("idx:{}", p.column), bytes);
+                    ws.touch(("idx", p.column), bytes);
                     c.add(seq_scan(bytes));
                     c.cpu_seconds += entries * r.index_leaf_entry;
                     explain.push(
@@ -876,7 +853,7 @@ impl Planner {
                 if date_sel < 1.0 {
                     let entries = n as f64 * date_sel;
                     let bytes = index_scan_bytes(entries);
-                    ws.touch("idx:lo_orderdate", bytes);
+                    ws.touch(("idx", "lo_orderdate"), bytes);
                     c.add(seq_scan(bytes));
                     c.cpu_seconds += entries * r.index_leaf_entry;
                     explain.push(
@@ -911,7 +888,7 @@ impl Planner {
                     if d == Dim::Date {
                         continue;
                     }
-                    let dsel = self.catalog.dim_selectivity(q, d);
+                    let dsel = e.dim(d);
                     if dsel >= 1.0 {
                         continue;
                     }
@@ -932,7 +909,7 @@ impl Planner {
                     let entries = n as f64 * dsel;
                     let index_bytes = index_scan_bytes(n as f64);
                     let probe = gather(keys.ceil() as u64, n, index_bytes, &r);
-                    ws.touch(&format!("idx:{}", d.fact_fk_column()), probe.io_bytes);
+                    ws.touch(("idx", d.fact_fk_column()), probe.io_bytes);
                     c.add(probe);
                     c.cpu_seconds += entries * r.index_leaf_entry;
                     explain.push(
@@ -963,7 +940,7 @@ impl Planner {
                 let run = (lines_per_order * line_sel).max(1.0);
                 let seeds = ((k as f64 / run).ceil() as u64).min(k);
                 let heap_fetch = gather(seeds, n, sizes.fact_heap_bytes, &r);
-                ws.touch("heap:fact", heap_fetch.io_bytes.min(sizes.fact_heap_bytes));
+                ws.touch(("heap", "fact"), heap_fetch.io_bytes.min(sizes.fact_heap_bytes));
                 let fetch_secs = heap_fetch.seconds(&self.params);
                 c.add(heap_fetch);
                 // Every surviving tuple is still parsed.
@@ -997,7 +974,7 @@ impl Planner {
                             stats.plain_bytes as f64 / stats.rows.max(1) as f64
                         }
                     };
-                    ws.touch(&format!("vp:{col}"), (n as f64 * per_value) as u64);
+                    ws.touch(("vp", col), (n as f64 * per_value) as u64);
                     c.add(seq_scan((n as f64 * per_value) as u64));
                     c.cpu_seconds += n as f64 * r.tuple_value;
                     joins += 1;
@@ -1019,18 +996,15 @@ impl Planner {
             RowDesign::IndexOnly => {
                 let cols = q.fact_columns();
                 for col in &cols {
-                    let stats = self.catalog.fact.column(col);
                     let pred_sel = q
                         .fact_predicates
                         .iter()
-                        .find(|p| p.column == *col)
-                        .map(|p| self.catalog.fact_pred_selectivity(p))
-                        .unwrap_or(1.0);
+                        .position(|p| p.column == *col)
+                        .map_or(1.0, |i| e.fact[i]);
                     let entries = n as f64 * pred_sel;
-                    ws.touch(&format!("idx:{col}"), (entries * 20.0) as u64);
+                    ws.touch(("idx", col), (entries * 20.0) as u64);
                     c.add(seq_scan((entries * 20.0) as u64));
                     c.cpu_seconds += entries * r.index_entry;
-                    let _ = stats;
                 }
                 // The System X pathology: rid joins before any dimension
                 // filtering, so every join moves ~n tuples.
@@ -1048,6 +1022,64 @@ impl Planner {
             }
         }
         (c, explain, ws)
+    }
+}
+
+/// What the cost model reads from the catalog about one statement, estimated
+/// once at the top of [`Planner::candidates`]: every candidate prices the
+/// same selectivities, so none derives them again. Each field is the value
+/// of the catalog call named beside it, computed by that call (or by the
+/// same products in the same order), so no estimate moves a bit.
+struct Estimates {
+    /// [`Catalog::dim_selectivity`] of each dimension, by `Dim as usize`.
+    dims: [f64; 4],
+    /// [`Catalog::fact_pred_selectivity`] of each fact predicate, in
+    /// declaration order.
+    fact: Vec<f64>,
+    /// The product of `fact` in declaration order.
+    fact_product: f64,
+    /// [`Catalog::selectivity`].
+    total: f64,
+    /// The fraction of the orderdate-sorted fact files the surviving
+    /// positions can span: the DATE selectivity, clamped.
+    span: f64,
+    /// [`Catalog::year_fraction`].
+    year_fraction: f64,
+    /// [`Catalog::likely_contiguous`] of each dimension, by `Dim as usize`.
+    contiguous: [bool; 4],
+}
+
+impl Estimates {
+    fn new(catalog: &Catalog, q: &SsbQuery) -> Estimates {
+        let dims = Dim::ALL.map(|d| catalog.dim_selectivity(q, d));
+        let fact: Vec<f64> =
+            q.fact_predicates.iter().map(|p| catalog.fact_pred_selectivity(p)).collect();
+        let fact_product: f64 = fact.iter().product();
+        let date = dims[Dim::Date as usize];
+        Estimates {
+            dims,
+            total: dims.iter().product::<f64>() * fact_product,
+            fact,
+            fact_product,
+            span: date.clamp(0.0, 1.0),
+            year_fraction: catalog.year_fraction_at(date),
+            contiguous: Dim::ALL.map(|d| catalog.likely_contiguous(q, d)),
+        }
+    }
+
+    fn dim(&self, d: Dim) -> f64 {
+        self.dims[d as usize]
+    }
+
+    fn contiguous(&self, d: Dim) -> bool {
+        self.contiguous[d as usize]
+    }
+
+    /// Fact predicates most selective first (ties keep declaration order).
+    fn fact_order(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.fact.len()).collect();
+        order.sort_by(|&a, &b| self.fact[a].total_cmp(&self.fact[b]).then(a.cmp(&b)));
+        order
     }
 }
 

@@ -30,6 +30,7 @@ use cvr_data::schema::Dim;
 use cvr_data::table::{ColumnData, TableData};
 use cvr_data::value::Value;
 use cvr_storage::encode::{Column, IntColumn, StrColumn};
+use cvr_storage::par::{Jobs, Slot};
 use cvr_storage::rowcodec::columns_row_size;
 use cvr_storage::StoredColumn;
 
@@ -42,7 +43,7 @@ const NDV_SAMPLE: usize = 262_144;
 const STR_FREQ_MAX_NDV: usize = 4_096;
 
 /// Equi-depth histogram over an integer column.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Bucket boundaries, ascending; `bounds[k]..=bounds[k+1]` holds an
     /// equal share of the sampled values.
@@ -131,7 +132,7 @@ impl EncodingKind {
 }
 
 /// Statistics for one column of one table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     /// Column name.
     pub name: String,
@@ -239,25 +240,13 @@ impl ColumnStats {
         }
         if let Some(freqs) = &self.str_freqs {
             // Exact arithmetic over the frequency table.
-            let matched: u64 = freqs
-                .iter()
-                .filter(|(v, _)| pred.matches(&Value::Str(v.clone())))
-                .map(|(_, c)| c)
-                .sum();
+            let matched: u64 =
+                freqs.iter().filter(|(v, _)| pred.matches_str(v)).map(|(_, c)| c).sum();
             return matched as f64 / self.rows as f64;
         }
         match pred {
-            Pred::Eq(v) => match (v, self.min, self.max) {
-                (Value::Int(x), Some(lo), Some(hi)) if *x >= lo && *x <= hi => {
-                    1.0 / self.ndv as f64
-                }
-                (Value::Int(_), _, _) => 0.0,
-                // String column without a frequency table: uniform over NDV.
-                (Value::Str(_), _, _) => 1.0 / self.ndv as f64,
-            },
-            Pred::InSet(vs) => {
-                vs.iter().map(|v| self.estimate(&Pred::Eq(v.clone()))).sum::<f64>().min(1.0)
-            }
+            Pred::Eq(v) => self.estimate_eq(v),
+            Pred::InSet(vs) => vs.iter().map(|v| self.estimate_eq(v)).sum::<f64>().min(1.0),
             Pred::Between(lo, hi) => match (lo, hi, &self.histogram) {
                 (Value::Int(a), Value::Int(b), Some(h)) => h.fraction_range(*a, *b),
                 // No histogram (string Between without freqs): guess a third.
@@ -267,6 +256,17 @@ impl ColumnStats {
                 (Value::Int(x), Some(h)) => h.fraction_le(*x - 1),
                 _ => 1.0 / 3.0,
             },
+        }
+    }
+
+    /// [`ColumnStats::estimate`] of `col = v` on a column without a
+    /// frequency table.
+    fn estimate_eq(&self, v: &Value) -> f64 {
+        match (v, self.min, self.max) {
+            (Value::Int(x), Some(lo), Some(hi)) if *x >= lo && *x <= hi => 1.0 / self.ndv as f64,
+            (Value::Int(_), _, _) => 0.0,
+            // String column without a frequency table: uniform over NDV.
+            (Value::Str(_), _, _) => 1.0 / self.ndv as f64,
         }
     }
 }
@@ -281,26 +281,44 @@ pub struct TableStats {
     cols: HashMap<String, ColumnStats>,
 }
 
+/// A [`TableStats`] whose columns are jobs on a build list.
+struct PendingTable<'a> {
+    data: &'a TableData,
+    cols: Vec<(&'static str, Slot<ColumnStats>)>,
+}
+
+impl PendingTable<'_> {
+    fn finish(self) -> TableStats {
+        let cols = self.cols.into_iter().map(|(name, s)| (name.to_string(), s.take())).collect();
+        TableStats {
+            name: self.data.schema.name.to_string(),
+            rows: self.data.num_rows() as u64,
+            cols,
+        }
+    }
+}
+
 impl TableStats {
-    fn build(data: &TableData, comp: &cvr_storage::ColumnStore) -> TableStats {
+    /// Add one job per column of `data` to `jobs`.
+    fn add_jobs<'a>(
+        jobs: &mut Jobs<'a>,
+        data: &'a TableData,
+        comp: &'a cvr_storage::ColumnStore,
+    ) -> PendingTable<'a> {
         let cols = data
             .schema
             .columns
             .iter()
             .zip(&data.columns)
             .map(|(def, col)| {
-                (
-                    def.name.to_string(),
-                    ColumnStats::build(
-                        def.name,
-                        col,
-                        comp.column(def.name),
-                        comp.plain_bytes(def.name),
-                    ),
-                )
+                let name = def.name;
+                let stats = jobs.add(move || {
+                    ColumnStats::build(name, col, comp.column(name), comp.plain_bytes(name))
+                });
+                (name, stats)
             })
             .collect();
-        TableStats { name: data.schema.name.to_string(), rows: data.num_rows() as u64, cols }
+        PendingTable { data, cols }
     }
 
     /// Stats for `column`, panicking on unknown names (queries are checked
@@ -364,15 +382,27 @@ impl Catalog {
     /// Build the catalog from a [`ColumnEngine`]'s compressed store, which
     /// also recorded every column's uncompressed size when it was encoded:
     /// planning never makes the engine build its uncompressed store.
+    ///
+    /// Each column's statistics are one job of a [`Jobs`] list, run on the
+    /// engine's build workers: every job reads only its own column, so the
+    /// catalog is the same at any worker count.
     pub fn build(engine: &ColumnEngine) -> Catalog {
         let comp: &CStoreDb = engine.db(EngineConfig::FULL);
         let tables = &comp.tables;
 
-        let fact = TableStats::build(&tables.lineorder, &comp.fact);
-        let dims: HashMap<Dim, TableStats> = Dim::ALL
+        // Longest first: the fact columns, then the dimensions by size.
+        let mut jobs = Jobs::new();
+        let fact = TableStats::add_jobs(&mut jobs, &tables.lineorder, &comp.fact);
+        let mut by_size = Dim::ALL;
+        by_size.sort_by_key(|&d| std::cmp::Reverse(tables.dim(d).num_rows()));
+        let dims: Vec<(Dim, PendingTable)> = by_size
             .iter()
-            .map(|&d| (d, TableStats::build(tables.dim(d), &comp.dim(d).store)))
+            .map(|&d| (d, TableStats::add_jobs(&mut jobs, tables.dim(d), &comp.dim(d).store)))
             .collect();
+        jobs.run(engine.parallelism().threads);
+        let fact = fact.finish();
+        let dims: HashMap<Dim, TableStats> =
+            dims.into_iter().map(|(d, pending)| (d, pending.finish())).collect();
 
         // Row-design sizes from sampled record lengths. Heap pages carry
         // slack (records never span pages); 32 KB pages over ~40-90 B rows
@@ -419,6 +449,11 @@ impl Catalog {
         &self.dims[&d]
     }
 
+    /// Fraction of DATE rows per calendar year, ascending by year.
+    pub fn year_fractions(&self) -> &[(i64, f64)] {
+        &self.year_fractions
+    }
+
     /// Number of fact rows.
     pub fn fact_rows(&self) -> u64 {
         self.fact.rows
@@ -428,9 +463,11 @@ impl Catalog {
     /// predicates on it (independence across predicates; 1.0 when
     /// unrestricted).
     pub fn dim_selectivity(&self, q: &SsbQuery, d: Dim) -> f64 {
-        q.dim_predicates_on(d)
+        let stats = self.dim(d);
+        q.dim_predicates
             .iter()
-            .map(|p| self.dim(d).column(p.column).estimate(&p.pred))
+            .filter(|p| p.dim == d)
+            .map(|p| stats.column(p.column).estimate(&p.pred))
             .product()
     }
 
@@ -468,7 +505,12 @@ impl Catalog {
     /// whole years (a partition is scanned entirely if any of its days
     /// qualify).
     pub fn year_fraction(&self, q: &SsbQuery) -> f64 {
-        let sel = self.dim_selectivity(q, Dim::Date);
+        self.year_fraction_at(self.dim_selectivity(q, Dim::Date))
+    }
+
+    /// [`Catalog::year_fraction`] of a statement whose DATE selectivity is
+    /// `sel`.
+    pub(crate) fn year_fraction_at(&self, sel: f64) -> f64 {
         if sel >= 1.0 {
             return 1.0;
         }
@@ -483,8 +525,9 @@ impl Catalog {
     /// Between predicates on the dimension's sort-hierarchy columns produce
     /// contiguous position runs under hierarchy sorting.
     pub fn likely_contiguous(&self, q: &SsbQuery, d: Dim) -> bool {
-        let preds = q.dim_predicates_on(d);
-        if preds.is_empty() {
+        let preds = || q.dim_predicates.iter().filter(|p| p.dim == d);
+        let count = preds().count();
+        if count == 0 {
             return false;
         }
         let hierarchy = dim_sort_columns(d);
@@ -492,14 +535,14 @@ impl Catalog {
         // contiguous datekey ranges because the calendar ascends with the
         // key.
         let date_contig = ["d_year", "d_yearmonthnum", "d_yearmonth", "d_datekey"];
-        preds.iter().all(|p| {
+        preds().all(|p| {
             let on_hierarchy = if d == Dim::Date {
                 date_contig.contains(&p.column)
             } else {
                 hierarchy.contains(&p.column)
             };
             on_hierarchy && matches!(p.pred, Pred::Eq(_) | Pred::Between(..))
-        }) && (preds.len() == 1 || d == Dim::Date)
+        }) && (count == 1 || d == Dim::Date)
     }
 }
 

@@ -9,8 +9,9 @@
 //! Memory is bounded by a byte budget that counts what an entry keeps
 //! resident — the response's heap footprint, its key and its map slot, by
 //! arithmetic ([`entry_bytes`]) — not its encoded size. Eviction is LRU by a
-//! monotonic touch stamp, and an entry larger than the whole budget is simply
-//! not admitted. Entries are shared (`Arc`): the lock covers a map probe and
+//! monotonic touch stamp, kept ordered beside the map so each victim costs
+//! O(log n), and an entry larger than the whole budget is simply not
+//! admitted. Entries are shared (`Arc`): the lock covers a map probe and
 //! a reference count — rows are copied in, copied out and freed outside it.
 //! All counters are monotonic and readable without the entry lock
 //! ([`QueryCache::stats`]).
@@ -20,7 +21,7 @@
 //! reference, outputs and `IoStats` alike.
 
 use crate::session::{ColumnMeta, RowsResponse};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -53,10 +54,15 @@ struct Entry {
     stamp: u64,
 }
 
-/// The entry map with its footprint and clock, under one lock.
+/// The entry map with its eviction order, footprint and clock, under one
+/// lock.
 #[derive(Default)]
 struct Inner {
-    results: HashMap<String, Entry>,
+    results: HashMap<Arc<str>, Entry>,
+    /// Every resident key by its entry's stamp, oldest first. Stamps are
+    /// unique, so this is exactly the order a scan for the minimum stamp
+    /// would evict in.
+    by_stamp: BTreeMap<u64, Arc<str>>,
     bytes: usize,
     tick: u64,
 }
@@ -67,21 +73,45 @@ impl Inner {
         self.tick
     }
 
-    /// Detach least-recently-touched entries until the footprint fits
-    /// `budget`. The caller drops them once the lock is released: freeing a
-    /// large answer walks every row, like copying one.
-    fn evict_to(&mut self, budget: usize) -> Vec<Entry> {
+    /// The entry under `key`, its stamp refreshed.
+    fn touch(&mut self, key: &str) -> Option<Arc<RowsResponse>> {
+        let stamp = self.next_stamp();
+        let entry = self.results.get_mut(key)?;
+        let key = self.by_stamp.remove(&entry.stamp).expect("every entry is indexed");
+        self.by_stamp.insert(stamp, key);
+        entry.stamp = stamp;
+        Some(entry.value.clone())
+    }
+
+    /// Store `value` under `key`, then evict down to `budget`. Returns the
+    /// entry it replaced and the evicted ones, oldest first, for the caller
+    /// to drop once the lock is released: freeing a large answer walks every
+    /// row, like copying one.
+    fn insert(
+        &mut self,
+        key: Arc<str>,
+        value: Arc<RowsResponse>,
+        bytes: usize,
+        budget: usize,
+    ) -> (Option<Entry>, Vec<(Arc<str>, Entry)>) {
+        let stamp = self.next_stamp();
+        let replaced = self.detach(&key);
+        self.bytes += bytes;
+        self.by_stamp.insert(stamp, key.clone());
+        self.results.insert(key, Entry { value, bytes, stamp });
         let mut evicted = Vec::new();
         while self.bytes > budget {
-            let Some(oldest) = self.results.iter().min_by_key(|(_, e)| e.stamp) else { break };
-            let key = oldest.0.clone();
-            evicted.extend(self.detach(&key));
+            let Some((_, key)) = self.by_stamp.pop_first() else { break };
+            let entry = self.results.remove(&key).expect("every indexed key is resident");
+            self.bytes -= entry.bytes;
+            evicted.push((key, entry));
         }
-        evicted
+        (replaced, evicted)
     }
 
     fn detach(&mut self, key: &str) -> Option<Entry> {
         let entry = self.results.remove(key)?;
+        self.by_stamp.remove(&entry.stamp);
         self.bytes -= entry.bytes;
         Some(entry)
     }
@@ -120,14 +150,7 @@ impl QueryCache {
     /// entry's LRU stamp. The returned response has `cached == false` — the
     /// caller flips it for the wire.
     pub fn get_result(&self, key: &str) -> Option<RowsResponse> {
-        let shared = {
-            let mut inner = self.lock();
-            let stamp = inner.next_stamp();
-            inner.results.get_mut(key).map(|e| {
-                e.stamp = stamp;
-                e.value.clone()
-            })
-        };
+        let shared = self.lock().touch(key);
         match &shared {
             Some(_) => {
                 self.result_hits.fetch_add(1, Ordering::Relaxed);
@@ -150,14 +173,8 @@ impl QueryCache {
             return; // would evict the entire cache and still not fit
         }
         let value = Arc::new(RowsResponse { cached: false, ..value.clone() });
-        let (_replaced, evicted) = {
-            let mut inner = self.lock();
-            let stamp = inner.next_stamp();
-            let replaced = inner.detach(&key);
-            inner.bytes += bytes;
-            inner.results.insert(key, Entry { value, bytes, stamp });
-            (replaced, inner.evict_to(self.budget))
-        };
+        let key: Arc<str> = key.into();
+        let (_replaced, evicted) = self.lock().insert(key, value, bytes, self.budget);
         self.inserted.fetch_add(1, Ordering::Relaxed);
         cvr_obs::counter("cvr_cache_inserted_total", "Cache entries inserted").inc();
         if !evicted.is_empty() {
@@ -191,13 +208,15 @@ impl QueryCache {
 /// What holding a copy of `r` under `key` keeps resident: the shared
 /// response block (two reference counts in front of it) and the heap behind
 /// its strings, column list and rows, plus the map's slot (key, entry,
-/// control byte) and the key's own bytes.
+/// control byte), the stamp index's slot, and the shared key's bytes (two
+/// reference counts in front of them).
 fn entry_bytes(key: &str, r: &RowsResponse) -> usize {
     let columns = r.columns.len() * size_of::<ColumnMeta>()
         + r.columns.iter().map(|c| c.name.len()).sum::<usize>();
     let response = 2 * size_of::<usize>() + size_of::<RowsResponse>();
-    let slot = size_of::<(String, Entry)>() + 1;
-    response + r.plan.len() + columns + r.output.heap_bytes() + slot + key.len()
+    let slot = size_of::<(Arc<str>, Entry)>() + 1 + size_of::<(u64, Arc<str>)>();
+    let key = 2 * size_of::<usize>() + key.len();
+    response + r.plan.len() + columns + r.output.heap_bytes() + slot + key
 }
 
 #[cfg(test)]
@@ -239,5 +258,66 @@ mod tests {
         cache.put_result("e".to_string(), &response(100));
         assert_eq!((cache.stats().bytes, cache.stats().inserted), (3 * one, 5));
         assert!(!cache.peek("e"));
+    }
+
+    #[test]
+    fn the_stamp_index_evicts_what_a_min_stamp_scan_would() {
+        use cvr_data::gen::rng::SplitMix64;
+        // The reference: every resident key with its size and stamp, and a
+        // victim found by scanning for the smallest stamp.
+        #[derive(Default)]
+        struct Scan {
+            entries: HashMap<String, (usize, u64)>,
+            bytes: usize,
+            tick: u64,
+        }
+        impl Scan {
+            fn get(&mut self, key: &str) -> bool {
+                self.tick += 1;
+                let tick = self.tick;
+                self.entries.get_mut(key).map(|e| e.1 = tick).is_some()
+            }
+            fn put(&mut self, key: &str, bytes: usize, budget: usize) -> Vec<String> {
+                self.tick += 1;
+                if let Some((old, _)) = self.entries.insert(key.to_string(), (bytes, self.tick)) {
+                    self.bytes -= old;
+                }
+                self.bytes += bytes;
+                let mut evicted = Vec::new();
+                while self.bytes > budget {
+                    let (key, _) = self.entries.iter().min_by_key(|(_, e)| e.1).expect("over");
+                    let key = key.clone();
+                    self.bytes -= self.entries.remove(&key).expect("resident").0;
+                    evicted.push(key);
+                }
+                evicted
+            }
+        }
+
+        let budget = 40_000;
+        let value = Arc::new(response(1));
+        let (mut inner, mut scan) = (Inner::default(), Scan::default());
+        let mut rng = SplitMix64::new(0xCAC4E);
+        let (mut gets, mut hits, mut evictions) = (0, 0, 0);
+        for _ in 0..20_000 {
+            let key = format!("k{}", rng.index(300));
+            if rng.index(3) == 0 {
+                let bytes = 500 + rng.index(3_000);
+                let (_, evicted) = inner.insert(key.as_str().into(), value.clone(), bytes, budget);
+                let evicted: Vec<String> = evicted.iter().map(|(k, _)| k.to_string()).collect();
+                assert_eq!(evicted, scan.put(&key, bytes, budget), "putting {key}");
+                evictions += evicted.len();
+            } else {
+                let hit = inner.touch(&key).is_some();
+                assert_eq!(hit, scan.get(&key), "getting {key}");
+                (gets, hits) = (gets + 1, hits + usize::from(hit));
+            }
+            assert_eq!((inner.bytes, inner.results.len()), (scan.bytes, scan.entries.len()));
+            assert_eq!(inner.by_stamp.len(), inner.results.len());
+        }
+        // The sequence exercised both paths: hits refresh stamps, and the
+        // budget holds ~16 of the 300 keys, so puts evict.
+        assert!(hits > gets / 50 && hits < gets, "{hits} hits of {gets} gets");
+        assert!(evictions > 1_000, "{evictions} evictions");
     }
 }
