@@ -335,9 +335,7 @@ impl Planner {
                 explain,
             });
         }
-        // `total_cmp` is `partial_cmp` on the non-negative finite estimates
-        // the model produces, and ranks a NaN last instead of panicking.
-        out.sort_by(|a, b| a.seconds.total_cmp(&b.seconds));
+        out.sort_by(|a, b| ascending(a.seconds, b.seconds));
         out
     }
 
@@ -648,7 +646,7 @@ impl Planner {
                 // Restricted dims, most selective first (the engine's own
                 // order).
                 let mut dims = q.restricted_dims();
-                dims.sort_by(|&a, &b| e.dim(a).total_cmp(&e.dim(b)));
+                dims.sort_by(|&a, &b| ascending(e.dim(a), e.dim(b)));
                 let mut first = q.fact_predicates.is_empty();
                 let span = e.span;
                 for d in dims {
@@ -766,7 +764,7 @@ impl Planner {
                          start_rows: f64,
                          skip: &[Dim]| {
             let mut dims = q.touched_dims();
-            dims.sort_by(|&a, &b| e.dim(a).total_cmp(&e.dim(b)));
+            dims.sort_by(|&a, &b| ascending(e.dim(a), e.dim(b)));
             let mut running = start_rows;
             for d in dims {
                 // A dim already applied through a bitmap and
@@ -1078,9 +1076,17 @@ impl Estimates {
     /// Fact predicates most selective first (ties keep declaration order).
     fn fact_order(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.fact.len()).collect();
-        order.sort_by(|&a, &b| self.fact[a].total_cmp(&self.fact[b]).then(a.cmp(&b)));
+        order.sort_by(|&a, &b| ascending(self.fact[a], self.fact[b]).then(a.cmp(&b)));
         order
     }
+}
+
+/// The planner's order on estimates: `partial_cmp` on the non-negative
+/// finite values the model produces, and a NaN after every number instead of
+/// a panic on a serving thread. `total_cmp` alone would put a NaN with its
+/// sign bit set (what x86 arithmetic produces) first.
+fn ascending(a: f64, b: f64) -> std::cmp::Ordering {
+    a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(&b))
 }
 
 fn design_name(d: RowDesign) -> &'static str {
@@ -1207,6 +1213,14 @@ mod tests {
                 assert!(cfg.late_materialization, "{}: picked {}", q.id, cfg.code());
             }
         }
+    }
+
+    #[test]
+    fn a_nan_estimate_ranks_last_whatever_its_sign() {
+        let mut v = [2.0, -f64::NAN, 0.0, 1.0, f64::NAN, 0.5];
+        v.sort_by(|a, b| ascending(*a, *b));
+        assert_eq!(v[..4], [0.0, 0.5, 1.0, 2.0]);
+        assert!(v[4..].iter().all(|x| x.is_nan()));
     }
 
     #[test]
