@@ -281,31 +281,15 @@ pub struct TableStats {
     cols: HashMap<String, ColumnStats>,
 }
 
-/// A [`TableStats`] whose columns are jobs on a build list.
-struct PendingTable<'a> {
-    data: &'a TableData,
-    cols: Vec<(&'static str, Slot<ColumnStats>)>,
-}
-
-impl PendingTable<'_> {
-    fn finish(self) -> TableStats {
-        let cols = self.cols.into_iter().map(|(name, s)| (name.to_string(), s.take())).collect();
-        TableStats {
-            name: self.data.schema.name.to_string(),
-            rows: self.data.num_rows() as u64,
-            cols,
-        }
-    }
-}
-
 impl TableStats {
-    /// Add one job per column of `data` to `jobs`.
+    /// Add one job per column of `data` to `jobs`; the returned closure
+    /// assembles the table once the list has run.
     fn add_jobs<'a>(
         jobs: &mut Jobs<'a>,
         data: &'a TableData,
         comp: &'a cvr_storage::ColumnStore,
-    ) -> PendingTable<'a> {
-        let cols = data
+    ) -> impl FnOnce() -> TableStats + 'a {
+        let cols: Vec<(&str, Slot<ColumnStats>)> = data
             .schema
             .columns
             .iter()
@@ -318,7 +302,11 @@ impl TableStats {
                 (name, stats)
             })
             .collect();
-        PendingTable { data, cols }
+        move || TableStats {
+            name: data.schema.name.to_string(),
+            rows: data.num_rows() as u64,
+            cols: cols.into_iter().map(|(name, stats)| (name.to_string(), stats.take())).collect(),
+        }
     }
 
     /// Stats for `column`, panicking on unknown names (queries are checked
@@ -395,14 +383,14 @@ impl Catalog {
         let fact = TableStats::add_jobs(&mut jobs, &tables.lineorder, &comp.fact);
         let mut by_size = Dim::ALL;
         by_size.sort_by_key(|&d| std::cmp::Reverse(tables.dim(d).num_rows()));
-        let dims: Vec<(Dim, PendingTable)> = by_size
+        let dims: Vec<_> = by_size
             .iter()
             .map(|&d| (d, TableStats::add_jobs(&mut jobs, tables.dim(d), &comp.dim(d).store)))
             .collect();
         jobs.run(engine.parallelism().threads);
-        let fact = fact.finish();
+        let fact = fact();
         let dims: HashMap<Dim, TableStats> =
-            dims.into_iter().map(|(d, pending)| (d, pending.finish())).collect();
+            dims.into_iter().map(|(d, finish)| (d, finish())).collect();
 
         // Row-design sizes from sampled record lengths. Heap pages carry
         // slack (records never span pages); 32 KB pages over ~40-90 B rows

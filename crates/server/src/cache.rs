@@ -141,8 +141,9 @@ impl QueryCache {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // The map is valid at every point (no invariant spans a panic), so
-        // a poisoned lock is recoverable.
+        // The map and its stamp index agree at every point a panic can stop
+        // an update (between them nothing panics short of the `expect`s that
+        // check that agreement), so a poisoned lock is recoverable.
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
