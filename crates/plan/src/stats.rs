@@ -9,7 +9,9 @@
 //!   large scale factors);
 //! * a complete value-frequency table for low-NDV string columns (the SSB
 //!   dimension hierarchies all qualify), giving *exact* per-predicate
-//!   fractions where the paper's queries live;
+//!   fractions where the paper's queries live. A column the compressed
+//!   store dictionary-encodes gets it by counting its codes: a dictionary
+//!   is an exact frequency table;
 //! * the **actual encoded bytes** of both storage variants, taken from the
 //!   built `cvr-storage` columns (`StoredColumn::bytes`), plus the encoding
 //!   shape the compressed variant chose (RLE run count, packed lanes per
@@ -30,9 +32,10 @@ use cvr_data::schema::Dim;
 use cvr_data::table::{ColumnData, TableData};
 use cvr_data::value::Value;
 use cvr_storage::encode::{Column, IntColumn, StrColumn};
+use cvr_storage::hash::FxHashMap;
 use cvr_storage::par::{Jobs, Slot};
 use cvr_storage::rowcodec::columns_row_size;
-use cvr_storage::StoredColumn;
+use cvr_storage::{PackedInts, StoredColumn};
 
 /// Histogram bucket count.
 const HIST_BUCKETS: usize = 64;
@@ -173,26 +176,23 @@ impl ColumnStats {
                     hi = hi.max(x);
                 }
                 let stride = (v.len() / NDV_SAMPLE).max(1);
-                let distinct: std::collections::HashSet<i64> =
-                    v.iter().step_by(stride).copied().collect();
+                let mut distinct: Vec<i64> = v.iter().step_by(stride).copied().collect();
+                distinct.sort_unstable();
+                distinct.dedup();
                 let ndv = distinct.len() as u64;
                 let (min, max) = if v.is_empty() { (None, None) } else { (Some(lo), Some(hi)) };
                 (min, max, Histogram::build(v), ndv.max(1), None)
             }
             ColumnData::Str(v) => {
-                let mut freqs: HashMap<&str, u64> = HashMap::new();
-                for s in v.iter() {
-                    *freqs.entry(s.as_str()).or_default() += 1;
-                }
-                let ndv = freqs.len() as u64;
-                let table = if freqs.len() <= STR_FREQ_MAX_NDV {
-                    let mut t: Vec<(Box<str>, u64)> =
-                        freqs.into_iter().map(|(s, c)| (Box::from(s), c)).collect();
-                    t.sort();
-                    Some(t)
-                } else {
-                    None
+                let freqs = match &comp.column {
+                    Column::Str(StrColumn::Dict { dict, codes }) => {
+                        debug_assert_eq!(codes.len() as usize, v.len(), "{name}");
+                        dict_freqs(dict, codes)
+                    }
+                    _ => plain_freqs(v),
                 };
+                let ndv = freqs.len() as u64;
+                let table = (freqs.len() <= STR_FREQ_MAX_NDV).then_some(freqs);
                 (None, None, None, ndv.max(1), table)
             }
         };
@@ -271,6 +271,26 @@ impl ColumnStats {
     }
 }
 
+/// The `(value, count)` table of a dictionary column: its codes counted
+/// against the sorted dictionary, so the table comes out sorted by value.
+fn dict_freqs(dict: &[Box<str>], codes: &PackedInts) -> Vec<(Box<str>, u64)> {
+    let mut counts = vec![0u64; dict.len()];
+    codes.for_each_in(0, codes.len(), |c| counts[c as usize] += 1);
+    dict.iter().zip(counts).filter(|&(_, c)| c > 0).map(|(s, c)| (s.clone(), c)).collect()
+}
+
+/// The `(value, count)` table of a plain string column, sorted by value.
+fn plain_freqs(values: &[String]) -> Vec<(Box<str>, u64)> {
+    let mut freqs: FxHashMap<&str, u64> = FxHashMap::default();
+    for s in values {
+        *freqs.entry(s.as_str()).or_default() += 1;
+    }
+    let mut table: Vec<(Box<str>, u64)> =
+        freqs.into_iter().map(|(s, c)| (Box::from(s), c)).collect();
+    table.sort_unstable();
+    table
+}
+
 /// Statistics for one table.
 #[derive(Debug, Clone)]
 pub struct TableStats {
@@ -278,7 +298,7 @@ pub struct TableStats {
     pub name: String,
     /// Row count.
     pub rows: u64,
-    cols: HashMap<String, ColumnStats>,
+    cols: FxHashMap<String, ColumnStats>,
 }
 
 impl TableStats {
@@ -358,7 +378,7 @@ pub struct Catalog {
     /// LINEORDER statistics (value stats from the logical table, encoded
     /// bytes from the sorted fact projection).
     pub fact: TableStats,
-    dims: HashMap<Dim, TableStats>,
+    dims: FxHashMap<Dim, TableStats>,
     /// Row-design size estimates.
     pub row_sizes: RowSizes,
     /// Fraction of DATE rows per calendar year, for partition pruning
@@ -389,7 +409,7 @@ impl Catalog {
             .collect();
         jobs.run(engine.parallelism().threads);
         let fact = fact();
-        let dims: HashMap<Dim, TableStats> =
+        let dims: FxHashMap<Dim, TableStats> =
             dims.into_iter().map(|(d, finish)| (d, finish())).collect();
 
         // Row-design sizes from sampled record lengths. Heap pages carry
@@ -415,7 +435,7 @@ impl Catalog {
 
         // Per-year DATE fractions for partition pruning estimates.
         let years = tables.date.column("d_year").ints();
-        let mut counts: HashMap<i64, u64> = HashMap::new();
+        let mut counts: FxHashMap<i64, u64> = FxHashMap::default();
         for &y in years {
             *counts.entry(y).or_default() += 1;
         }

@@ -357,7 +357,11 @@ impl Session {
             ));
         }
         let next = Arc::new(StoreState::build(Arc::new(tables), report.generation, self.par));
-        *self.store.write().unwrap_or_else(PoisonError::into_inner) = next;
+        // Swap under the lock; free the old store only once it is released.
+        let mut guard = self.store.write().unwrap_or_else(PoisonError::into_inner);
+        let old = std::mem::replace(&mut *guard, next);
+        drop(guard);
+        drop(old);
         Ok(SnapshotInfo {
             generation: report.generation,
             store_version: report.generation,

@@ -29,9 +29,9 @@
 //!   plain) and [`StrColumn::Dict`] codes — are the packed word image the
 //!   SWAR kernels compare 64 bits at a time without unpacking.
 
+use crate::hash::FxHashMap;
 use crate::packed::{max_code_for, PackedInts, MAX_VALUE_BITS};
 use cvr_data::table::ColumnData;
-use std::collections::HashMap;
 
 /// A maximal run of equal values in an RLE column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -656,7 +656,7 @@ fn dict_bytes(dict: &[Box<str>]) -> u64 {
 /// among them.
 fn dict_codes(values: &[String]) -> (Vec<Box<str>>, Vec<u32>) {
     // Number the distinct values in first-seen order, then rank them.
-    let mut ids: HashMap<&str, u32> = HashMap::new();
+    let mut ids: FxHashMap<&str, u32> = FxHashMap::default();
     let mut distinct: Vec<&str> = Vec::new();
     let mut codes: Vec<u32> = Vec::with_capacity(values.len());
     for s in values {

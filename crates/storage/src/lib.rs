@@ -24,6 +24,8 @@
 //!   thread-locally for a statement) or process-globally (`CVR_FAULT`).
 //!   Off by default, one atomic load.
 //! * [`par`] — the bounded job fan-out both engines build their stores with.
+//! * [`hash`] — the word-at-a-time hasher behind dictionary coding and the
+//!   planner's catalog counts.
 //! * [`persist`] — durable snapshots: per-segment files with CRC64
 //!   checksums, committed by an atomic manifest rename; recovery walks
 //!   generations newest-first and falls back past damaged ones. Every
@@ -38,6 +40,7 @@
 pub mod column;
 pub mod encode;
 pub mod fault;
+pub mod hash;
 pub mod heap;
 pub mod io;
 pub mod packed;

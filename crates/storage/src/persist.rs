@@ -33,12 +33,12 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
-use std::sync::OnceLock;
 
 use cvr_data::{star_schema, ColumnData, SsbConfig, SsbTables, TableData, TableSchema};
 
 use crate::encode::{Column, IntColumn, PlainInts, PlainValue, Run, StrColumn};
 use crate::packed::PackedInts;
+use crate::par::{self, Jobs, Slot};
 use crate::with_plain_values;
 
 mod vfs;
@@ -102,29 +102,58 @@ fn corrupt(detail: impl Into<String>) -> PersistError {
 
 const CRC64_POLY: u64 = 0xC96C_5795_D787_0F42;
 
-fn crc64_table() -> &'static [u64; 256] {
-    static TABLE: OnceLock<[u64; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u64; 256];
-        let mut i = 0u64;
+/// Slice-by-8 tables: `CRC64_TABLES[0]` is the one-byte table, and
+/// `CRC64_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
+/// one step folds a whole 8-byte word.
+static CRC64_TABLES: [[u64; 256]; 8] = crc64_tables();
+
+const fn crc64_tables() -> [[u64; 256]; 8] {
+    let mut tables = [[0u64; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u64;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 { (crc >> 1) ^ CRC64_POLY } else { crc >> 1 };
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
         while i < 256 {
-            let mut crc = i;
-            for _ in 0..8 {
-                crc = if crc & 1 == 1 { (crc >> 1) ^ CRC64_POLY } else { crc >> 1 };
-            }
-            table[i as usize] = crc;
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
-    })
+        k += 1;
+    }
+    tables
 }
 
-/// CRC64/XZ (reflected ECMA-182) over `bytes`.
+/// CRC64/XZ (reflected ECMA-182) over `bytes`, one little-endian word a
+/// step; the byte loop only finishes the tail.
 pub fn crc64(bytes: &[u8]) -> u64 {
-    let table = crc64_table();
+    let t = &CRC64_TABLES;
     let mut crc = !0u64;
-    for &b in bytes {
-        crc = table[((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(word);
+        let x = crc ^ u64::from_le_bytes(w);
+        crc = t[7][(x & 0xFF) as usize]
+            ^ t[6][((x >> 8) & 0xFF) as usize]
+            ^ t[5][((x >> 16) & 0xFF) as usize]
+            ^ t[4][((x >> 24) & 0xFF) as usize]
+            ^ t[3][((x >> 32) & 0xFF) as usize]
+            ^ t[2][((x >> 40) & 0xFF) as usize]
+            ^ t[1][((x >> 48) & 0xFF) as usize]
+            ^ t[0][(x >> 56) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -791,48 +820,87 @@ fn build_table(
     Ok(TableData::new(schema.clone(), columns))
 }
 
+/// Read one manifest entry's image on the caller's thread.
+fn read_segment(fs: &dyn Vfs, dir: &Path, e: &ManifestEntry) -> Result<Vec<u8>, PersistError> {
+    match fs.read(&dir.join(&e.file)) {
+        Ok(b) => Ok(b),
+        Err(err) if err.kind() == io::ErrorKind::NotFound => {
+            Err(corrupt(format!("segment file {} missing", e.file)))
+        }
+        Err(err) => Err(err.into()),
+    }
+}
+
+/// Verify one segment image against its manifest entry and decode it to the
+/// logical column. The image is dropped on return.
+fn decode_entry(e: &ManifestEntry, image: Vec<u8>) -> Result<ColumnData, PersistError> {
+    if image.len() as u64 != e.bytes {
+        return Err(corrupt(format!("segment {} size does not match manifest", e.name)));
+    }
+    let payload = decode_segment(&image)?;
+    if trailing_crc(&image) != e.crc {
+        return Err(corrupt(format!("segment {} checksum differs from manifest pin", e.name)));
+    }
+    drop(image);
+    if payload.kind() != e.kind || payload.enc() != e.enc || payload.rows() != e.rows {
+        return Err(corrupt(format!("segment {} geometry differs from manifest", e.name)));
+    }
+    match payload {
+        SegmentPayload::Int(ic) => Ok(ColumnData::Int(ic.decode())),
+        SegmentPayload::Str(sc) => {
+            Ok(ColumnData::Str(sc.decode().into_iter().map(String::from).collect()))
+        }
+        SegmentPayload::Raw(_) => {
+            Err(corrupt(format!("unexpected raw segment {} in table snapshot", e.name)))
+        }
+    }
+}
+
+/// Load generation `gen`, decoding its segments on `threads` workers.
+///
+/// The manifest is worked through in batches of `threads` entries: the
+/// caller's thread reads a batch's images in manifest order (every [`Vfs`]
+/// call stays on it), then one [`Jobs`] job per image verifies and decodes
+/// it. At most one batch of images is held at a time. The error reported is
+/// the serial walk's: the first failing entry in manifest order, where a
+/// read failure comes after every earlier entry's decode.
 fn load_generation_inner(
     fs: &dyn Vfs,
     dir: &Path,
     gen: u64,
+    threads: usize,
 ) -> Result<(SsbTables, usize, u64), PersistError> {
     let m = read_manifest(fs, dir, gen)?;
     let mut cols: HashMap<String, ColumnData> = HashMap::with_capacity(m.entries.len());
     let mut bytes = 0u64;
-    for e in &m.entries {
-        let image = match fs.read(&dir.join(&e.file)) {
-            Ok(b) => b,
-            Err(err) if err.kind() == io::ErrorKind::NotFound => {
-                return Err(corrupt(format!("segment file {} missing", e.file)));
+    for batch in m.entries.chunks(threads.max(1)) {
+        let mut images = Vec::with_capacity(batch.len());
+        let mut read_failure = None;
+        for e in batch {
+            match read_segment(fs, dir, e) {
+                Ok(image) => images.push(image),
+                Err(err) => {
+                    read_failure = Some(err);
+                    break;
+                }
             }
-            Err(err) => return Err(err.into()),
-        };
-        if image.len() as u64 != e.bytes {
-            return Err(corrupt(format!("segment {} size does not match manifest", e.name)));
         }
-        let payload = decode_segment(&image)?;
-        if trailing_crc(&image) != e.crc {
-            return Err(corrupt(format!("segment {} checksum differs from manifest pin", e.name)));
-        }
-        if payload.kind() != e.kind || payload.enc() != e.enc || payload.rows() != e.rows {
-            return Err(corrupt(format!("segment {} geometry differs from manifest", e.name)));
-        }
-        let data = match payload {
-            SegmentPayload::Int(ic) => ColumnData::Int(ic.decode()),
-            SegmentPayload::Str(sc) => {
-                ColumnData::Str(sc.decode().into_iter().map(String::from).collect())
+        let mut jobs = Jobs::new();
+        let decoded: Vec<(&ManifestEntry, u64, Slot<_>)> = batch
+            .iter()
+            .zip(images)
+            .map(|(e, image)| (e, image.len() as u64, jobs.add(move || decode_entry(e, image))))
+            .collect();
+        jobs.run(threads);
+        for (e, len, data) in decoded {
+            if cols.insert(e.name.clone(), data.take()?).is_some() {
+                return Err(corrupt(format!("duplicate segment {}", e.name)));
             }
-            SegmentPayload::Raw(_) => {
-                return Err(corrupt(format!(
-                    "unexpected raw segment {} in table snapshot",
-                    e.name
-                )));
-            }
-        };
-        if cols.insert(e.name.clone(), data).is_some() {
-            return Err(corrupt(format!("duplicate segment {}", e.name)));
+            bytes += len;
         }
-        bytes += image.len() as u64;
+        if let Some(err) = read_failure {
+            return Err(err);
+        }
     }
     let schema = star_schema();
     let lineorder = build_table(&schema.lineorder, &mut cols)?;
@@ -861,7 +929,7 @@ fn load_generation_inner(
 /// Load exactly generation `gen`, validating every checksum and codec
 /// invariant. Fails typed on any damage — no fallback.
 pub fn load_generation(fs: &dyn Vfs, dir: &Path, gen: u64) -> Result<SsbTables, PersistError> {
-    load_generation_inner(fs, dir, gen).map(|(t, _, _)| t)
+    load_generation_inner(fs, dir, gen, par::default_threads()).map(|(t, _, _)| t)
 }
 
 /// Load the newest generation that validates end-to-end, falling back to
@@ -877,7 +945,7 @@ pub fn load_latest_with(fs: &dyn Vfs, dir: &Path) -> Result<(SsbTables, LoadRepo
     let mut fallbacks = 0u32;
     let mut last_err = PersistError::NoSnapshot;
     for &g in generations(fs, dir)?.iter().rev() {
-        match load_generation_inner(fs, dir, g) {
+        match load_generation_inner(fs, dir, g, par::default_threads()) {
             Ok((tables, segments, bytes)) => {
                 return Ok((tables, LoadReport { generation: g, segments, bytes, fallbacks }));
             }
@@ -927,8 +995,126 @@ pub fn prune_with(fs: &dyn Vfs, dir: &Path, keep: usize) -> Result<usize, Persis
 mod tests {
     use super::*;
     use crate::encode::Column;
+    use std::cell::RefCell;
     use std::fs;
     use std::path::PathBuf;
+
+    /// The one-byte table loop `crc64` replaced: the reference it must equal.
+    fn crc64_bytewise(bytes: &[u8]) -> u64 {
+        let mut crc = !0u64;
+        for &b in bytes {
+            crc = CRC64_TABLES[0][((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
+    #[test]
+    fn word_crc_equals_the_byte_loop_at_every_length_and_alignment() {
+        assert_eq!(crc64(b"123456789"), 0x995D_C9BB_DF19_39FA, "the CRC-64/XZ check value");
+        let mut x = 0x5EED_u64;
+        let buf: Vec<u8> = (0..80)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=72 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(crc64(bytes), crc64_bytewise(bytes), "start {start} len {len}");
+            }
+        }
+    }
+
+    /// A one-directory in-memory [`Vfs`] that logs every read.
+    #[derive(Default)]
+    struct MemFs {
+        files: RefCell<HashMap<PathBuf, Vec<u8>>>,
+        reads: RefCell<Vec<PathBuf>>,
+    }
+
+    impl Vfs for MemFs {
+        fn create_dir_all(&self, _dir: &Path) -> io::Result<()> {
+            Ok(())
+        }
+        fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            self.files.borrow_mut().insert(path.to_path_buf(), bytes.to_vec());
+            Ok(())
+        }
+        fn sync_file(&self, _path: &Path) -> io::Result<()> {
+            Ok(())
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            let mut files = self.files.borrow_mut();
+            let bytes = files.remove(from).ok_or(io::ErrorKind::NotFound)?;
+            files.insert(to.to_path_buf(), bytes);
+            Ok(())
+        }
+        fn sync_dir(&self, _dir: &Path) -> io::Result<()> {
+            Ok(())
+        }
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            self.reads.borrow_mut().push(path.to_path_buf());
+            self.files.borrow().get(path).cloned().ok_or_else(|| io::ErrorKind::NotFound.into())
+        }
+        fn list(&self, _dir: &Path) -> io::Result<Vec<String>> {
+            let files = self.files.borrow();
+            Ok(files.keys().filter_map(|p| Some(p.file_name()?.to_str()?.to_string())).collect())
+        }
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            self.files
+                .borrow_mut()
+                .remove(path)
+                .map(drop)
+                .ok_or_else(|| io::ErrorKind::NotFound.into())
+        }
+    }
+
+    #[test]
+    fn a_damaged_generation_reports_the_serial_walks_error_at_any_thread_count() {
+        let dir = Path::new("/snapshot");
+        let fs = MemFs::default();
+        let tables = SsbConfig { sf: 0.0002, seed: 7 }.generate();
+        write_snapshot_with(&fs, dir, &tables).unwrap();
+        let entries = read_manifest(&fs, dir, 1).unwrap().entries;
+        // Entry 3: one payload bit flipped under a recomputed, self-consistent
+        // CRC, so only the manifest's pin can tell. Entry 7: the file is gone.
+        let path = dir.join(&entries[3].file);
+        let image = fs.files.borrow()[&path].clone();
+        let flipped = (SEGMENT_HEADER_BYTES..image.len() - CRC_BYTES)
+            .map(|at| {
+                let mut bad = image[..image.len() - CRC_BYTES].to_vec();
+                bad[at] ^= 1;
+                let crc = crc64(&bad);
+                put_u64(&mut bad, crc);
+                bad
+            })
+            .find(|bad| decode_segment(bad).is_ok())
+            .expect("some payload bit flip still decodes");
+        fs.files.borrow_mut().insert(path, flipped);
+        fs.remove(&dir.join(&entries[7].file)).unwrap();
+
+        let want = format!("segment {} checksum differs from manifest pin", entries[3].name);
+        let mut read_logs = Vec::new();
+        // At 8 threads one batch reads entries 0..=7, fails to read 7 and
+        // still reports 3, which it decoded first.
+        for threads in [1, 4, 8] {
+            fs.reads.borrow_mut().clear();
+            match load_generation_inner(&fs, dir, 1, threads) {
+                Err(PersistError::Corrupt { detail }) => assert_eq!(detail, want, "{threads}"),
+                other => panic!("{threads} threads: {:?}", other.map(|(_, n, b)| (n, b))),
+            }
+            read_logs.push(fs.reads.take());
+        }
+        let reads_through = |last: usize| {
+            let mut reads = vec![dir.join(manifest_name(1))];
+            reads.extend(entries[..=last].iter().map(|e| dir.join(&e.file)));
+            reads
+        };
+        assert_eq!(read_logs, [reads_through(3), reads_through(3), reads_through(7)]);
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cvr-persist-{tag}-{}", std::process::id()));
