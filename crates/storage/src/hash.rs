@@ -34,15 +34,22 @@ impl Hasher for FxHasher {
             w.copy_from_slice(word);
             self.add(u64::from_le_bytes(w));
         }
+        // A tail is read as overlapping loads, never copied at its own
+        // length: 4..=7 bytes as their first and last four, 1..=3 as their
+        // first, middle and last byte. The length takes the top bits, so
+        // trailing zero bytes still count.
         let tail = words.remainder();
-        if !tail.is_empty() {
-            // The free top byte holds the tail's length, so trailing zero
-            // bytes still count.
-            let mut w = [0u8; 8];
-            w[..tail.len()].copy_from_slice(tail);
-            w[7] = tail.len() as u8;
-            self.add(u64::from_le_bytes(w));
-        }
+        let n = tail.len();
+        let word = match n {
+            0 => return,
+            1..=3 => tail[0] as u64 | (tail[n / 2] as u64) << 8 | (tail[n - 1] as u64) << 16,
+            _ => {
+                let (head, end) = (&tail[..4], &tail[n - 4..]);
+                u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as u64
+                    | (u32::from_le_bytes([end[0], end[1], end[2], end[3]]) as u64) << 32
+            }
+        };
+        self.add(word ^ (n as u64) << 61);
     }
 
     #[inline]
@@ -87,7 +94,21 @@ mod tests {
 
     #[test]
     fn strings_differing_in_any_byte_or_length_hash_apart() {
-        let words = ["", "a", "ab", "ab\0", "abcdefgh", "abcdefgh\0", "abcdefghi", "MAIL", "RAIL"];
+        let words = [
+            "",
+            "a",
+            "aaa",
+            "ab",
+            "ab\0",
+            "abcd",
+            "abcdbcd",
+            "abcdefgh",
+            "abcdefgh\0",
+            "abcdefghi",
+            "MAIL",
+            "RAIL",
+            "REG AIR",
+        ];
         let mut hashes: Vec<u64> = words.iter().map(hash).collect();
         hashes.sort_unstable();
         hashes.dedup();

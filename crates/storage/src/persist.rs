@@ -832,7 +832,7 @@ fn read_segment(fs: &dyn Vfs, dir: &Path, e: &ManifestEntry) -> Result<Vec<u8>, 
 }
 
 /// Verify one segment image against its manifest entry and decode it to the
-/// logical column. The image is dropped on return.
+/// logical column. The image is freed as soon as it is verified.
 fn decode_entry(e: &ManifestEntry, image: Vec<u8>) -> Result<ColumnData, PersistError> {
     if image.len() as u64 != e.bytes {
         return Err(corrupt(format!("segment {} size does not match manifest", e.name)));
