@@ -127,7 +127,8 @@ impl DenormDb {
                     ColumnData::Int(fks.iter().map(|k| v[key_to_row[k]]).collect())
                 }
                 ColumnData::Str(v) => {
-                    ColumnData::Str(fks.iter().map(|k| v[key_to_row[k]].clone()).collect())
+                    let rows: Vec<u32> = fks.iter().map(|k| key_to_row[k] as u32).collect();
+                    ColumnData::Str(v.gather(&rows))
                 }
             };
             defs.push(ColumnDef { name: col, dtype });
@@ -160,8 +161,7 @@ impl DenormDb {
                             cols2.push(ColumnData::Int(v.clone()));
                         }
                         ColumnData::Str(v) => {
-                            let mut dict: Vec<Box<str>> =
-                                v.iter().map(|s| s.clone().into()).collect();
+                            let mut dict: Vec<Box<str>> = v.iter().map(Box::from).collect();
                             dict.sort_unstable();
                             dict.dedup();
                             let codes: Vec<i64> = v

@@ -301,7 +301,7 @@ mod tests {
         let db = db(true);
         let cust = &db.dim(Dim::Customer).sorted;
         let regions = cust.column("c_region").strs();
-        assert!(regions.windows(2).all(|w| w[0] <= w[1]), "regions must be sorted");
+        assert!(regions.iter().is_sorted(), "regions must be sorted");
         // Within a region, nations sorted.
         let nations = cust.column("c_nation").strs();
         for i in 1..cust.num_rows() {
@@ -346,12 +346,13 @@ mod tests {
         let orig_fk = tables.lineorder.column("lo_custkey").ints();
         let orig_city = tables.customer.column("c_city").strs();
         let mut expected: Vec<String> = (0..tables.lineorder.num_rows())
-            .map(|i| orig_city[(orig_fk[i] - 1) as usize].clone())
+            .map(|i| orig_city[(orig_fk[i] - 1) as usize].to_string())
             .collect();
         // Projection join: sorted fact fk == position into sorted customer.
         let new_fk = db.fact.column("lo_custkey").column.as_int().decode();
         let new_city = db.dim(Dim::Customer).sorted.column("c_city").strs();
-        let mut got: Vec<String> = new_fk.iter().map(|&k| new_city[k as usize].clone()).collect();
+        let mut got: Vec<String> =
+            new_fk.iter().map(|&k| new_city[k as usize].to_string()).collect();
         expected.sort();
         got.sort();
         assert_eq!(expected, got);
@@ -411,7 +412,8 @@ mod tests {
         let db = db(true);
         let cust = &db.dim(Dim::Customer).sorted;
         let regions = cust.column("c_region").strs();
-        let matching: Vec<usize> = (0..cust.num_rows()).filter(|&i| regions[i] == "ASIA").collect();
+        let matching: Vec<usize> =
+            (0..cust.num_rows()).filter(|&i| &regions[i] == "ASIA").collect();
         if matching.len() > 1 {
             assert_eq!(matching[matching.len() - 1] - matching[0] + 1, matching.len());
         }

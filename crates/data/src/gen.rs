@@ -21,7 +21,7 @@
 
 use crate::date::{all_dates, month_name, weekday_name, CalDate};
 use crate::schema::{star_schema, StarSchema};
-use crate::table::{ColumnData, TableData};
+use crate::table::{ColumnData, Strs, TableData};
 
 /// Minimal deterministic PRNG (SplitMix64). Public so tests and benches can
 /// derive reproducible synthetic columns from the same stream family.
@@ -238,53 +238,51 @@ pub fn city_name(nation: &str, suffix: i64) -> String {
     while base.len() < 9 {
         base.push(' ');
     }
+    // Callers draw `suffix` from `0..=9`, a decimal digit.
     base.push(char::from_digit(suffix as u32, 10).unwrap());
     base
 }
 
-fn phone(rng: &mut SplitMix64) -> String {
-    format!(
+fn push_phone(out: &mut Strs, rng: &mut SplitMix64) {
+    out.push_fmt(format_args!(
         "{:02}-{:03}-{:03}-{:04}",
         rng.int_range(10, 34),
         rng.int_range(100, 999),
         rng.int_range(100, 999),
         rng.int_range(1000, 9999)
-    )
+    ));
 }
 
-fn address(rng: &mut SplitMix64) -> String {
+/// Append a random address, built in the reused `buf`.
+fn push_address(out: &mut Strs, buf: &mut String, rng: &mut SplitMix64) {
     // dbgen emits v-strings; a short random alphanumeric suffices (the
     // workload never touches addresses).
     let len = rng.int_range(10, 20) as usize;
-    let mut s = String::with_capacity(len);
+    buf.clear();
     for _ in 0..len {
         let c = b'a' + (rng.next_u64() % 26) as u8;
-        s.push(c as char);
+        buf.push(c as char);
     }
-    s
+    out.push(buf);
 }
 
 fn gen_customer(n: usize, seed: u64) -> TableData {
     let mut rng = SplitMix64::new(seed ^ 0xC057);
     let mut key = Vec::with_capacity(n);
-    let mut name = Vec::with_capacity(n);
-    let mut addr = Vec::with_capacity(n);
-    let mut city = Vec::with_capacity(n);
-    let mut nation = Vec::with_capacity(n);
-    let mut region = Vec::with_capacity(n);
-    let mut ph = Vec::with_capacity(n);
-    let mut seg = Vec::with_capacity(n);
+    let [mut name, mut addr, mut city, mut nation, mut region, mut ph, mut seg] =
+        std::array::from_fn(|_| Strs::with_capacity(n, 0));
+    let mut buf = String::new();
     for i in 0..n {
         let r = rng.index(5);
         let nat = *rng.pick(&NATIONS[r]);
         key.push(i as i64 + 1);
-        name.push(format!("Customer#{:09}", i + 1));
-        addr.push(address(&mut rng));
-        city.push(city_name(nat, rng.int_range(0, 9)));
-        nation.push(nat.to_string());
-        region.push(REGIONS[r].to_string());
-        ph.push(phone(&mut rng));
-        seg.push(rng.pick(&MKT_SEGMENTS).to_string());
+        name.push_fmt(format_args!("Customer#{:09}", i + 1));
+        push_address(&mut addr, &mut buf, &mut rng);
+        city.push(&city_name(nat, rng.int_range(0, 9)));
+        nation.push(nat);
+        region.push(REGIONS[r]);
+        push_phone(&mut ph, &mut rng);
+        seg.push(rng.pick::<&str>(&MKT_SEGMENTS));
     }
     TableData::new(
         star_schema().customer,
@@ -304,22 +302,19 @@ fn gen_customer(n: usize, seed: u64) -> TableData {
 fn gen_supplier(n: usize, seed: u64) -> TableData {
     let mut rng = SplitMix64::new(seed ^ 0x5A11);
     let mut key = Vec::with_capacity(n);
-    let mut name = Vec::with_capacity(n);
-    let mut addr = Vec::with_capacity(n);
-    let mut city = Vec::with_capacity(n);
-    let mut nation = Vec::with_capacity(n);
-    let mut region = Vec::with_capacity(n);
-    let mut ph = Vec::with_capacity(n);
+    let [mut name, mut addr, mut city, mut nation, mut region, mut ph] =
+        std::array::from_fn(|_| Strs::with_capacity(n, 0));
+    let mut buf = String::new();
     for i in 0..n {
         let r = rng.index(5);
         let nat = *rng.pick(&NATIONS[r]);
         key.push(i as i64 + 1);
-        name.push(format!("Supplier#{:09}", i + 1));
-        addr.push(address(&mut rng));
-        city.push(city_name(nat, rng.int_range(0, 9)));
-        nation.push(nat.to_string());
-        region.push(REGIONS[r].to_string());
-        ph.push(phone(&mut rng));
+        name.push_fmt(format_args!("Supplier#{:09}", i + 1));
+        push_address(&mut addr, &mut buf, &mut rng);
+        city.push(&city_name(nat, rng.int_range(0, 9)));
+        nation.push(nat);
+        region.push(REGIONS[r]);
+        push_phone(&mut ph, &mut rng);
     }
     TableData::new(
         star_schema().supplier,
@@ -338,27 +333,31 @@ fn gen_supplier(n: usize, seed: u64) -> TableData {
 fn gen_part(n: usize, seed: u64) -> TableData {
     let mut rng = SplitMix64::new(seed ^ 0x9A47);
     let mut key = Vec::with_capacity(n);
-    let mut name = Vec::with_capacity(n);
-    let mut mfgr = Vec::with_capacity(n);
-    let mut category = Vec::with_capacity(n);
-    let mut brand1 = Vec::with_capacity(n);
-    let mut color = Vec::with_capacity(n);
-    let mut ptype = Vec::with_capacity(n);
     let mut size = Vec::with_capacity(n);
-    let mut container = Vec::with_capacity(n);
+    let [mut name, mut mfgr, mut category, mut brand1, mut color, mut ptype, mut container] =
+        std::array::from_fn(|_| Strs::with_capacity(n, 0));
     for i in 0..n {
         let m = rng.int_range(1, 5);
         let c = rng.int_range(1, 5);
         let b = rng.int_range(1, 40);
         key.push(i as i64 + 1);
-        name.push(format!("{} {}", rng.pick(&COLORS), rng.pick(&COLORS)));
-        mfgr.push(format!("MFGR#{m}"));
-        category.push(format!("MFGR#{m}{c}"));
-        brand1.push(format!("MFGR#{m}{c}{b:02}"));
-        color.push(rng.pick(&COLORS).to_string());
-        ptype.push(format!("{} {} {}", rng.pick(&TYPE_S1), rng.pick(&TYPE_S2), rng.pick(&TYPE_S3)));
+        name.push_fmt(format_args!("{} {}", rng.pick(&COLORS), rng.pick(&COLORS)));
+        mfgr.push_fmt(format_args!("MFGR#{m}"));
+        category.push_fmt(format_args!("MFGR#{m}{c}"));
+        brand1.push_fmt(format_args!("MFGR#{m}{c}{b:02}"));
+        color.push(rng.pick::<&str>(&COLORS));
+        ptype.push_fmt(format_args!(
+            "{} {} {}",
+            rng.pick(&TYPE_S1),
+            rng.pick(&TYPE_S2),
+            rng.pick(&TYPE_S3)
+        ));
         size.push(rng.int_range(1, 50));
-        container.push(format!("{} {}", rng.pick(&CONTAINER_SIZES), rng.pick(&CONTAINER_KINDS)));
+        container.push_fmt(format_args!(
+            "{} {}",
+            rng.pick(&CONTAINER_SIZES),
+            rng.pick(&CONTAINER_KINDS)
+        ));
     }
     TableData::new(
         star_schema().part,
@@ -380,46 +379,40 @@ fn gen_date() -> TableData {
     let dates = all_dates();
     let n = dates.len();
     let mut datekey = Vec::with_capacity(n);
-    let mut datestr = Vec::with_capacity(n);
-    let mut dayofweek = Vec::with_capacity(n);
-    let mut month = Vec::with_capacity(n);
     let mut year = Vec::with_capacity(n);
     let mut yearmonthnum = Vec::with_capacity(n);
-    let mut yearmonth = Vec::with_capacity(n);
     let mut daynuminweek = Vec::with_capacity(n);
     let mut daynuminmonth = Vec::with_capacity(n);
     let mut daynuminyear = Vec::with_capacity(n);
     let mut monthnuminyear = Vec::with_capacity(n);
     let mut weeknuminyear = Vec::with_capacity(n);
-    let mut sellingseason = Vec::with_capacity(n);
     let mut lastdayinweekfl = Vec::with_capacity(n);
     let mut lastdayinmonthfl = Vec::with_capacity(n);
     let mut holidayfl = Vec::with_capacity(n);
     let mut weekdayfl = Vec::with_capacity(n);
+    let [mut datestr, mut dayofweek, mut month, mut yearmonth, mut sellingseason] =
+        std::array::from_fn(|_| Strs::with_capacity(n, 0));
     for d in &dates {
         let dow = d.day_of_week();
         datekey.push(d.datekey());
-        datestr.push(format!("{} {}, {}", month_name(d.month), d.day, d.year));
-        dayofweek.push(weekday_name(dow).to_string());
-        month.push(month_name(d.month).to_string());
+        datestr.push_fmt(format_args!("{} {}, {}", month_name(d.month), d.day, d.year));
+        dayofweek.push(weekday_name(dow));
+        month.push(month_name(d.month));
         year.push(d.year);
         yearmonthnum.push(d.year * 100 + d.month);
-        yearmonth.push(format!("{}{}", month_name(d.month), d.year));
+        yearmonth.push_fmt(format_args!("{}{}", month_name(d.month), d.year));
         daynuminweek.push(dow);
         daynuminmonth.push(d.day);
         daynuminyear.push(d.day_of_year());
         monthnuminyear.push(d.month);
         weeknuminyear.push(d.week_of_year());
-        sellingseason.push(
-            match d.month {
-                12 | 1 => "Christmas",
-                2..=4 => "Spring",
-                5..=7 => "Summer",
-                8..=10 => "Fall",
-                _ => "Winter",
-            }
-            .to_string(),
-        );
+        sellingseason.push(match d.month {
+            12 | 1 => "Christmas",
+            2..=4 => "Spring",
+            5..=7 => "Summer",
+            8..=10 => "Fall",
+            _ => "Winter",
+        });
         lastdayinweekfl.push(i64::from(dow == 7));
         lastdayinmonthfl.push(i64::from(d.day == crate::date::days_in_month(d.year, d.month)));
         holidayfl.push(i64::from((d.month == 12 && d.day == 25) || (d.month == 1 && d.day == 1)));
@@ -464,7 +457,7 @@ fn gen_lineorder(
     let mut partkey = Vec::with_capacity(n);
     let mut suppkey = Vec::with_capacity(n);
     let mut orderdate = Vec::with_capacity(n);
-    let mut ordpriority = Vec::with_capacity(n);
+    let mut ordpriority = Strs::with_capacity(n, 0);
     let mut shippriority = Vec::with_capacity(n);
     let mut quantity = Vec::with_capacity(n);
     let mut extendedprice = Vec::with_capacity(n);
@@ -474,7 +467,7 @@ fn gen_lineorder(
     let mut supplycost = Vec::with_capacity(n);
     let mut tax = Vec::with_capacity(n);
     let mut commitdate = Vec::with_capacity(n);
-    let mut shipmode = Vec::with_capacity(n);
+    let mut shipmode = Strs::with_capacity(n, 0);
 
     let mut ok: i64 = 0;
     while orderkey.len() < n {
@@ -500,7 +493,7 @@ fn gen_lineorder(
             partkey.push(pk);
             suppkey.push(rng.int_range(1, n_supp as i64));
             orderdate.push(o_date.datekey());
-            ordpriority.push(o_prio.to_string());
+            ordpriority.push(o_prio);
             shippriority.push(0);
             quantity.push(qty);
             extendedprice.push(eprice);
@@ -510,13 +503,15 @@ fn gen_lineorder(
             supplycost.push(unit_price * 6 / 10);
             tax.push(rng.int_range(0, 8));
             commitdate.push(o_date.plus_days_clamped(rng.int_range(30, 90)).datekey());
-            shipmode.push(rng.pick(&SHIP_MODES).to_string());
+            shipmode.push(rng.pick::<&str>(&SHIP_MODES));
             total += eprice;
         }
         for slot in &mut ordtotalprice[start..] {
             *slot = total;
         }
     }
+    ordpriority.shrink_to_fit();
+    shipmode.shrink_to_fit();
 
     TableData::new(
         star_schema().lineorder,
@@ -629,7 +624,7 @@ mod tests {
             assert!((0..=8).contains(&x));
         }
         for r in t.customer.column("c_region").strs() {
-            assert!(REGIONS.contains(&r.as_str()));
+            assert!(REGIONS.contains(&r));
         }
     }
 
@@ -662,8 +657,8 @@ mod tests {
         let cat = t.part.column("p_category").strs();
         let brand = t.part.column("p_brand1").strs();
         for i in 0..t.part.num_rows() {
-            assert!(cat[i].starts_with(&mfgr[i][..]), "{} !< {}", mfgr[i], cat[i]);
-            assert!(brand[i].starts_with(&cat[i][..]), "{} !< {}", cat[i], brand[i]);
+            assert!(cat[i].starts_with(&mfgr[i]), "{} !< {}", &mfgr[i], &cat[i]);
+            assert!(brand[i].starts_with(&cat[i]), "{} !< {}", &cat[i], &brand[i]);
             assert_eq!(brand[i].len(), "MFGR#1101".len());
         }
     }

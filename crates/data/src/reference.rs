@@ -42,6 +42,7 @@ pub fn evaluate(tables: &SsbTables, q: &SsbQuery) -> QueryOutput {
         let mut dim_rows: HashMap<Dim, usize> = HashMap::new();
         for d in q.touched_dims() {
             let fk = fk_cols[&d].value(i).as_int();
+            // The generator draws every foreign key from its dimension's keys.
             let row = *key_maps[&d].get(&fk).expect("dangling foreign key");
             dim_rows.insert(d, row);
         }

@@ -29,7 +29,7 @@ use cvr_core::projection::dim_sort_columns;
 use cvr_core::{CStoreDb, ColumnEngine, EngineConfig};
 use cvr_data::queries::{FactPredicate, Pred, SsbQuery};
 use cvr_data::schema::Dim;
-use cvr_data::table::{ColumnData, TableData};
+use cvr_data::table::{ColumnData, Strs, TableData};
 use cvr_data::value::Value;
 use cvr_storage::encode::{Column, IntColumn, StrColumn};
 use cvr_storage::hash::FxHashMap;
@@ -175,11 +175,7 @@ impl ColumnStats {
                     lo = lo.min(x);
                     hi = hi.max(x);
                 }
-                let stride = (v.len() / NDV_SAMPLE).max(1);
-                let mut distinct: Vec<i64> = v.iter().step_by(stride).copied().collect();
-                distinct.sort_unstable();
-                distinct.dedup();
-                let ndv = distinct.len() as u64;
+                let ndv = sample_ndv(v, lo, hi);
                 let (min, max) = if v.is_empty() { (None, None) } else { (Some(lo), Some(hi)) };
                 (min, max, Histogram::build(v), ndv.max(1), None)
             }
@@ -280,15 +276,53 @@ fn dict_freqs(dict: &[Box<str>], codes: &PackedInts) -> Vec<(Box<str>, u64)> {
 }
 
 /// The `(value, count)` table of a plain string column, sorted by value.
-fn plain_freqs(values: &[String]) -> Vec<(Box<str>, u64)> {
+fn plain_freqs(values: &Strs) -> Vec<(Box<str>, u64)> {
     let mut freqs: FxHashMap<&str, u64> = FxHashMap::default();
     for s in values {
-        *freqs.entry(s.as_str()).or_default() += 1;
+        *freqs.entry(s).or_default() += 1;
     }
     let mut table: Vec<(Box<str>, u64)> =
         freqs.into_iter().map(|(s, c)| (Box::from(s), c)).collect();
     table.sort_unstable();
     table
+}
+
+/// Distinct values among every `stride`-th value of `values` (the NDV
+/// sample; at most [`NDV_SAMPLE`] strides), all of which lie in `[lo, hi]`.
+///
+/// A bitset over the span counts them when it is below 64 × the sample
+/// length (then it is smaller than the sample itself); sort + dedup
+/// otherwise. Both count the same.
+fn sample_ndv(values: &[i64], lo: i64, hi: i64) -> u64 {
+    if values.is_empty() {
+        return 0;
+    }
+    let stride = (values.len() / NDV_SAMPLE).max(1);
+    let sample = values.iter().step_by(stride).copied();
+    let span = hi.abs_diff(lo).saturating_add(1);
+    if span < 64 * values.len().div_ceil(stride) as u64 {
+        ndv_bitset(sample, lo, span)
+    } else {
+        ndv_sorted(sample)
+    }
+}
+
+/// Distinct values of `sample`, all in `lo..lo + span`, by a bitset.
+fn ndv_bitset(sample: impl Iterator<Item = i64>, lo: i64, span: u64) -> u64 {
+    let mut words = vec![0u64; span.div_ceil(64) as usize];
+    for x in sample {
+        let d = x.abs_diff(lo);
+        words[(d / 64) as usize] |= 1 << (d % 64);
+    }
+    words.iter().map(|w| u64::from(w.count_ones())).sum()
+}
+
+/// Distinct values of `sample`, by sort + dedup.
+fn ndv_sorted(sample: impl Iterator<Item = i64>) -> u64 {
+    let mut distinct: Vec<i64> = sample.collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    distinct.len() as u64
 }
 
 /// Statistics for one table.
@@ -567,6 +601,39 @@ mod tests {
             let tables = Arc::new(SsbConfig { sf: 0.05, seed: 7 }.generate());
             Catalog::build(&ColumnEngine::new(tables))
         })
+    }
+
+    #[test]
+    fn bitset_and_sorted_ndv_agree_on_seeded_columns() {
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 11) as i64
+        };
+        // (length, lowest value, span): narrow and wide spans, negative
+        // values, and columns long enough that the sample strides past rows.
+        let shapes: [(usize, i64, i64); 7] = [
+            (1, 5, 1),
+            (1_000, 0, 50),
+            (5_000, -1_000, 3_000),
+            (20_000, i64::MIN / 2, 1 << 20),
+            (3_000, -7, 10_000_000),
+            (2 * NDV_SAMPLE + 17, 19_920_101, 2_557),
+            (3 * NDV_SAMPLE + 5, -500_000, 1_000_000),
+        ];
+        for (n, base, span) in shapes {
+            let values: Vec<i64> = (0..n).map(|_| base + next().rem_euclid(span)).collect();
+            let (lo, hi) = (*values.iter().min().unwrap(), *values.iter().max().unwrap());
+            let stride = (n / NDV_SAMPLE).max(1);
+            let sample = || values.iter().step_by(stride).copied();
+            let sorted = ndv_sorted(sample());
+            let width = hi.abs_diff(lo) + 1;
+            assert_eq!(ndv_bitset(sample(), lo, width), sorted, "n {n}, span {span}");
+            assert_eq!(sample_ndv(&values, lo, hi), sorted, "n {n}, span {span}");
+            // A bitset over a wider range than the sample's counts the same.
+            assert_eq!(ndv_bitset(sample(), lo - 3, width + 70), sorted, "n {n}, span {span}");
+        }
+        assert_eq!(sample_ndv(&[], i64::MAX, i64::MIN), 0);
     }
 
     #[test]

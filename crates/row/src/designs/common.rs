@@ -180,7 +180,7 @@ mod tests {
         let pkeys = t.part.column("p_partkey").ints();
         for k in keys {
             let row = pkeys.iter().position(|&p| p == k).unwrap();
-            assert_eq!(cats[row], "MFGR#12");
+            assert_eq!(&cats[row], "MFGR#12");
         }
     }
 

@@ -33,7 +33,7 @@ use cvr_data::schema::Dim;
 use cvr_data::table::ColumnData;
 use cvr_data::value::Value;
 use cvr_storage::column::StoredColumn;
-use cvr_storage::encode::{Column, IntColumn, StrColumn};
+use cvr_storage::encode::Column;
 use cvr_storage::io::IoSession;
 
 /// Key for a dimension column table.
@@ -48,11 +48,7 @@ impl SuperColumn {
     fn build(name: &'static str, data: &ColumnData) -> SuperColumn {
         // Fixed-width plain packing: 4-byte ints / length-prefixed strings —
         // one page header per 32 KB, no per-tuple headers, no positions.
-        let column = match data {
-            ColumnData::Int(v) => Column::Int(IntColumn::plain_fixed(v.clone())),
-            ColumnData::Str(v) => Column::Str(StrColumn::plain(v.clone())),
-        };
-        SuperColumn { store: StoredColumn::new(name, column) }
+        SuperColumn { store: StoredColumn::new(name, Column::encode(data, false)) }
     }
 
     /// Bytes on disk.

@@ -31,7 +31,7 @@
 
 use crate::hash::FxHashMap;
 use crate::packed::{max_code_for, PackedInts, MAX_VALUE_BITS};
-use cvr_data::table::ColumnData;
+use cvr_data::table::{ColumnData, Strs};
 
 /// A maximal run of equal values in an RLE column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -519,19 +519,19 @@ pub enum StrColumn {
 impl StrColumn {
     /// Encode without compression.
     pub fn plain(values: Vec<String>) -> StrColumn {
-        let bytes = StrColumn::plain_bytes(&values);
+        let bytes = values.iter().map(|s| 1 + s.len() as u64).sum();
         StrColumn::Plain { values: values.into_iter().map(Into::into).collect(), bytes }
     }
 
     /// [`StrColumn::encoded_bytes`] of [`StrColumn::plain`] over `values`:
     /// a 1-byte length prefix plus the payload per value.
-    pub fn plain_bytes(values: &[String]) -> u64 {
-        values.iter().map(|s| 1 + s.len() as u64).sum()
+    pub fn plain_bytes(values: &Strs) -> u64 {
+        (values.len() + values.text_len()) as u64
     }
 
     /// Dictionary-encode (always succeeds; callers choose when it pays off).
     pub fn dict(values: &[String]) -> StrColumn {
-        let (dict, codes) = dict_codes(values);
+        let (dict, codes) = dict_codes(values.iter().map(String::as_str));
         let code_bits = bits_for(dict.len() as u64);
         assert!(code_bits <= MAX_VALUE_BITS, "dictionary too large to bit-pack");
         StrColumn::Dict {
@@ -542,6 +542,7 @@ impl StrColumn {
 
     /// Pick dictionary encoding when it shrinks the column, otherwise plain.
     pub fn auto(values: Vec<String>) -> StrColumn {
+        let values = Strs::from(values);
         StrColumn::encode_rows(&values, 0..values.len(), true)
     }
 
@@ -554,14 +555,14 @@ impl StrColumn {
     /// into a dictionary column; both encodings' sizes are known before
     /// either is built.
     pub fn encode_rows(
-        values: &[String],
+        values: &Strs,
         rows: impl ExactSizeIterator<Item = usize>,
         compress: bool,
     ) -> StrColumn {
         debug_assert_eq!(rows.len(), values.len());
         let bytes = StrColumn::plain_bytes(values);
         if compress {
-            let (dict, codes) = dict_codes(values);
+            let (dict, codes) = dict_codes(values.iter());
             let code_bits = bits_for(dict.len() as u64);
             if code_bits <= MAX_VALUE_BITS
                 && dict_bytes(&dict) + PackedInts::bytes_for(code_bits, values.len()) < bytes
@@ -570,7 +571,7 @@ impl StrColumn {
                 return StrColumn::Dict { dict, codes };
             }
         }
-        StrColumn::Plain { values: rows.map(|r| values[r].as_str().into()).collect(), bytes }
+        StrColumn::Plain { values: rows.map(|r| values[r].into()).collect(), bytes }
     }
 
     /// Number of logical values.
@@ -654,7 +655,7 @@ fn dict_bytes(dict: &[Box<str>]) -> u64 {
 
 /// The sorted distinct values of `values` and, per row, its value's index
 /// among them.
-fn dict_codes(values: &[String]) -> (Vec<Box<str>>, Vec<u32>) {
+fn dict_codes<'a>(values: impl ExactSizeIterator<Item = &'a str>) -> (Vec<Box<str>>, Vec<u32>) {
     // Number the distinct values in first-seen order, then rank them.
     let mut ids: FxHashMap<&str, u32> = FxHashMap::default();
     let mut distinct: Vec<&str> = Vec::new();

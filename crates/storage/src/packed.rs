@@ -253,6 +253,7 @@ pub fn max_code_for(value_bits: u8) -> u64 {
 }
 
 /// Iterator over a range of packed codes.
+#[derive(Clone)]
 pub struct PackedIter<'a> {
     packed: &'a PackedInts,
     pos: u32,

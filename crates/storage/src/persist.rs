@@ -34,6 +34,7 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
+use cvr_data::table::Strs;
 use cvr_data::{star_schema, ColumnData, SsbConfig, SsbTables, TableData, TableSchema};
 
 use crate::encode::{Column, IntColumn, PlainInts, PlainValue, Run, StrColumn};
@@ -847,13 +848,40 @@ fn decode_entry(e: &ManifestEntry, image: Vec<u8>) -> Result<ColumnData, Persist
     }
     match payload {
         SegmentPayload::Int(ic) => Ok(ColumnData::Int(ic.decode())),
-        SegmentPayload::Str(sc) => {
-            Ok(ColumnData::Str(sc.decode().into_iter().map(String::from).collect()))
-        }
+        SegmentPayload::Str(sc) => match decode_strs(&sc, Strs::MAX_TEXT) {
+            Some(strs) => Ok(ColumnData::Str(strs)),
+            None => Err(corrupt(format!("segment {} decodes to more than 4 GiB of text", e.name))),
+        },
         SegmentPayload::Raw(_) => {
             Err(corrupt(format!("unexpected raw segment {} in table snapshot", e.name)))
         }
     }
+}
+
+/// The logical column of a string segment, built straight from its
+/// dictionary or plain values; `None` when its text would exceed `max_text`
+/// bytes (a [`Strs`] holds at most [`Strs::MAX_TEXT`]).
+fn decode_strs(sc: &StrColumn, max_text: usize) -> Option<Strs> {
+    match sc {
+        StrColumn::Plain { values, .. } => collect_strs(values.iter().map(|s| &**s), max_text),
+        StrColumn::Dict { dict, codes } => {
+            collect_strs(codes.iter().map(|c| &*dict[c as usize]), max_text)
+        }
+    }
+}
+
+/// `values` as one [`Strs`] whose text is sized in one allocation; `None`
+/// when the text exceeds `max_text` bytes.
+fn collect_strs<'a>(
+    values: impl ExactSizeIterator<Item = &'a str> + Clone,
+    max_text: usize,
+) -> Option<Strs> {
+    let text = values
+        .clone()
+        .try_fold(0usize, |t, s| t.checked_add(s.len()).filter(|&t| t <= max_text))?;
+    let mut out = Strs::with_capacity(values.len(), text);
+    values.for_each(|s| out.push(s));
+    Some(out)
 }
 
 /// Load generation `gen`, decoding its segments on `threads` workers.
@@ -1174,6 +1202,18 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_string_segment_decodes_to_its_values_within_the_text_bound() {
+        let values: Vec<String> = (0..120).map(|i| format!("value-{:03}", i % 40)).collect();
+        let text: usize = values.iter().map(String::len).sum();
+        for sc in [StrColumn::plain(values.clone()), StrColumn::dict(&values)] {
+            assert_eq!(decode_strs(&sc, Strs::MAX_TEXT), Some(Strs::from(values.clone())));
+            assert_eq!(decode_strs(&sc, text), Some(Strs::from(values.clone())));
+            assert_eq!(decode_strs(&sc, text - 1), None, "one byte past the bound");
+        }
+        assert_eq!(decode_strs(&StrColumn::plain(Vec::new()), 0), Some(Strs::new()));
     }
 
     #[test]

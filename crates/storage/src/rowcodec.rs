@@ -280,7 +280,7 @@ mod tests {
     fn column_records_are_the_row_records() {
         let columns = [
             ColumnData::Int(vec![42, 0, u32::MAX as i64]),
-            ColumnData::Str(vec!["ASIA".into(), String::new(), "x".repeat(255)]),
+            ColumnData::Str(vec!["ASIA".into(), String::new(), "x".repeat(255)].into()),
             ColumnData::Int(vec![19970101, 7, 1]),
         ];
         let refs: Vec<&ColumnData> = columns.iter().collect();

@@ -1,7 +1,7 @@
 //! Property tests for the column encodings and the row codec: round-trips,
 //! size accounting, and direct-operation equivalence for arbitrary data.
 
-use cvr_data::table::ColumnData;
+use cvr_data::table::{ColumnData, Strs};
 use cvr_data::value::{DataType, Value};
 use cvr_storage::encode::{byte_width, Column, IntColumn, StrColumn, RLE_RUN_BYTES};
 use cvr_storage::packed::PackedInts;
@@ -243,8 +243,9 @@ proptest! {
             perm.swap(k, (state % (k as u64 + 1)) as usize);
         }
         let gathered: Vec<String> = perm.iter().map(|&p| values[p].clone()).collect();
+        let strs = Strs::from(values.clone());
         for compress in [true, false] {
-            let got = StrColumn::encode_rows(&values, perm.iter().copied(), compress);
+            let got = StrColumn::encode_rows(&strs, perm.iter().copied(), compress);
             let want = if compress {
                 let (dict, plain) = (StrColumn::dict(&gathered), StrColumn::plain(gathered.clone()));
                 if dict.encoded_bytes() < plain.encoded_bytes() { dict } else { plain }
@@ -254,7 +255,7 @@ proptest! {
             prop_assert_eq!(got, want);
         }
         prop_assert_eq!(
-            Column::plain_bytes(&ColumnData::Str(values.clone())),
+            Column::plain_bytes(&ColumnData::Str(strs)),
             StrColumn::plain(gathered).encoded_bytes()
         );
     }

@@ -31,13 +31,13 @@ fn figure2_tables() -> SsbTables {
         schema.customer.clone(),
         vec![
             ColumnData::Int(vec![1, 2, 3]),
-            ColumnData::Str(vec!["Customer#1".into(), "Customer#2".into(), "Customer#3".into()]),
-            ColumnData::Str(vec!["addr".into(); 3]),
-            ColumnData::Str(vec!["CHINA    0".into(), "FRANCE   0".into(), "INDIA    0".into()]),
-            ColumnData::Str(vec!["CHINA".into(), "FRANCE".into(), "INDIA".into()]),
-            ColumnData::Str(vec!["ASIA".into(), "EUROPE".into(), "ASIA".into()]),
-            ColumnData::Str(vec!["11-111".into(); 3]),
-            ColumnData::Str(vec!["BUILDING".into(); 3]),
+            ColumnData::Str(vec!["Customer#1", "Customer#2", "Customer#3"].into()),
+            ColumnData::Str(vec!["addr"; 3].into()),
+            ColumnData::Str(vec!["CHINA    0", "FRANCE   0", "INDIA    0"].into()),
+            ColumnData::Str(vec!["CHINA", "FRANCE", "INDIA"].into()),
+            ColumnData::Str(vec!["ASIA", "EUROPE", "ASIA"].into()),
+            ColumnData::Str(vec!["11-111"; 3].into()),
+            ColumnData::Str(vec!["BUILDING"; 3].into()),
         ],
     );
     // Suppliers: 1=Russia/Asia, 2=Spain/Europe (Figure 2). (The paper's
@@ -46,12 +46,12 @@ fn figure2_tables() -> SsbTables {
         schema.supplier.clone(),
         vec![
             ColumnData::Int(vec![1, 2]),
-            ColumnData::Str(vec!["Supplier#1".into(), "Supplier#2".into()]),
-            ColumnData::Str(vec!["addr".into(); 2]),
-            ColumnData::Str(vec!["RUSSIA   0".into(), "SPAIN    0".into()]),
-            ColumnData::Str(vec!["RUSSIA".into(), "SPAIN".into()]),
-            ColumnData::Str(vec!["ASIA".into(), "EUROPE".into()]),
-            ColumnData::Str(vec!["22-222".into(); 2]),
+            ColumnData::Str(vec!["Supplier#1", "Supplier#2"].into()),
+            ColumnData::Str(vec!["addr"; 2].into()),
+            ColumnData::Str(vec!["RUSSIA   0", "SPAIN    0"].into()),
+            ColumnData::Str(vec!["RUSSIA", "SPAIN"].into()),
+            ColumnData::Str(vec!["ASIA", "EUROPE"].into()),
+            ColumnData::Str(vec!["22-222"; 2].into()),
         ],
     );
     // Dates: 01011997, 01021997, 01031997 — all year 1997 (Figure 2). The
@@ -61,18 +61,18 @@ fn figure2_tables() -> SsbTables {
         schema.date.clone(),
         vec![
             ColumnData::Int(datekeys.to_vec()),
-            ColumnData::Str(vec!["Jan 1, 1997".into(), "Jan 2, 1997".into(), "Jan 3, 1997".into()]),
-            ColumnData::Str(vec!["Wednesday".into(); 3]),
-            ColumnData::Str(vec!["Jan".into(); 3]),
+            ColumnData::Str(vec!["Jan 1, 1997", "Jan 2, 1997", "Jan 3, 1997"].into()),
+            ColumnData::Str(vec!["Wednesday"; 3].into()),
+            ColumnData::Str(vec!["Jan"; 3].into()),
             ColumnData::Int(vec![1997; 3]),
             ColumnData::Int(vec![199701; 3]),
-            ColumnData::Str(vec!["Jan1997".into(); 3]),
+            ColumnData::Str(vec!["Jan1997"; 3].into()),
             ColumnData::Int(vec![1, 2, 3]),
             ColumnData::Int(vec![1, 2, 3]),
             ColumnData::Int(vec![1, 2, 3]),
             ColumnData::Int(vec![1; 3]),
             ColumnData::Int(vec![1; 3]),
-            ColumnData::Str(vec!["Christmas".into(); 3]),
+            ColumnData::Str(vec!["Christmas"; 3].into()),
             ColumnData::Int(vec![0; 3]),
             ColumnData::Int(vec![0; 3]),
             ColumnData::Int(vec![0; 3]),
@@ -96,7 +96,7 @@ fn figure2_tables() -> SsbTables {
             ColumnData::Int(vec![1; n]), // partkey (PART unused here; key 1)
             ColumnData::Int(suppkey),
             ColumnData::Int(orderdate.clone()),
-            ColumnData::Str(vec!["1-URGENT".into(); n]),
+            ColumnData::Str(vec!["1-URGENT"; n].into()),
             ColumnData::Int(vec![0; n]),
             ColumnData::Int(vec![10; n]),
             ColumnData::Int(vec![100; n]),
@@ -106,7 +106,7 @@ fn figure2_tables() -> SsbTables {
             ColumnData::Int(vec![60; n]),
             ColumnData::Int(vec![0; n]),
             ColumnData::Int(orderdate),
-            ColumnData::Str(vec!["AIR".into(); n]),
+            ColumnData::Str(vec!["AIR"; n].into()),
         ],
     );
     // A one-row PART table to keep FKs valid.
@@ -114,14 +114,14 @@ fn figure2_tables() -> SsbTables {
         schema.part.clone(),
         vec![
             ColumnData::Int(vec![1]),
-            ColumnData::Str(vec!["azure blue".into()]),
-            ColumnData::Str(vec!["MFGR#1".into()]),
-            ColumnData::Str(vec!["MFGR#11".into()]),
-            ColumnData::Str(vec!["MFGR#1101".into()]),
-            ColumnData::Str(vec!["azure".into()]),
-            ColumnData::Str(vec!["STANDARD BRUSHED BRASS".into()]),
+            ColumnData::Str(vec!["azure blue"].into()),
+            ColumnData::Str(vec!["MFGR#1"].into()),
+            ColumnData::Str(vec!["MFGR#11"].into()),
+            ColumnData::Str(vec!["MFGR#1101"].into()),
+            ColumnData::Str(vec!["azure"].into()),
+            ColumnData::Str(vec!["STANDARD BRUSHED BRASS"].into()),
             ColumnData::Int(vec![10]),
-            ColumnData::Str(vec!["SM BAG".into()]),
+            ColumnData::Str(vec!["SM BAG"].into()),
         ],
     );
 
