@@ -40,6 +40,9 @@
 //!   dense-key flag table, per value over whole windows and per candidate
 //!   over explicit candidates.
 //!
+//! The `intersect` rows time [`PosList::intersect`] for each pair of list
+//! representations. Nothing gates on them and the planner reads none.
+//!
 //! `CpuRates::from_kernel_bench_json` reads the plain `int_range` rows,
 //! `get_ns_per_candidate` and `bits_ns_per_value` for the planner's
 //! plain-column and candidate rates.
@@ -58,6 +61,7 @@ use cvr_storage::column::StoredColumn;
 use cvr_storage::encode::{Column, IntColumn};
 use cvr_storage::io::IoSession;
 use cvr_storage::packed::PackedInts;
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -462,6 +466,30 @@ fn measure_membership(
     }
 }
 
+/// [`PosList::intersect`] over all `n` positions for each representation
+/// pair, as `(case, survivors, ns per position)`. Each result is checked
+/// against a set of its first operand before it is timed.
+fn measure_intersect(n: u32, runs: usize) -> Vec<(&'static str, usize, f64)> {
+    let range = |from, to| PosList::Range { start: n / 10 * from, end: n / 10 * to, universe: n };
+    let every = |k| PosList::Bitmap { base: 0, bits: RidBitmap::from_rids(n, (0..n).step_by(k)) };
+    let stride = |k| PosList::Explicit { positions: (0..n).step_by(k).collect(), universe: n };
+    let cases = [
+        ("range_range", range(1, 7), range(3, 9)),
+        ("bitmap_bitmap", every(3), every(5)),
+        ("explicit_explicit", stride(101), stride(103)),
+        ("range_bitmap", range(1, 7), every(3)),
+    ];
+    let measure = |(case, a, b): (&'static str, PosList, PosList)| {
+        let in_a: HashSet<u32> = a.iter().collect();
+        let expected: Vec<u32> = b.iter().filter(|p| in_a.contains(p)).collect();
+        assert_eq!(a.intersect(&b).to_vec(), expected, "{case}");
+        let ns =
+            time_per_value(n, runs, || black_box(&a).intersect(black_box(&b)).count() as usize);
+        (case, expected.len(), ns)
+    };
+    cases.into_iter().map(measure).collect()
+}
+
 /// Measure every cell, write [`OUT`], and gate.
 pub fn run(args: &HarnessArgs) -> Result<(), String> {
     let (n, runs) = (args.n.unwrap_or(1 << 20), args.runs);
@@ -518,6 +546,7 @@ pub fn run(args: &HarnessArgs) -> Result<(), String> {
         let col = plain_col(values_at_width(n, domain - 1, width), width);
         measure_membership(&col, encoding, domain, runs, &mut memberships);
     }
+    let intersects = measure_intersect(n, runs);
 
     println!("\nScan kernels: scalar block iteration vs word-parallel ({} values)\n", n);
     println!(
@@ -590,6 +619,17 @@ pub fn run(args: &HarnessArgs) -> Result<(), String> {
             c.window_ns_per_value,
             c.refine_ns_per_value,
             c.get_ns_per_candidate
+        );
+    }
+
+    println!("\nPosition-list intersection over {n} positions\n");
+    println!("{:<18} {:>12} {:>14}", "case", "survivors", "ns/position");
+    for (case, survivors, ns) in &intersects {
+        println!("{case:<18} {survivors:>12} {ns:>14.4}");
+        let _ = writeln!(
+            json,
+            "    {{\"kernel\": \"intersect\", \"case\": \"{case}\", \"survivors\": {survivors}, \
+             \"ns_per_position\": {ns:.6}}},"
         );
     }
 

@@ -31,9 +31,9 @@
 //!   the worker count, which never selects code — one worker runs the same
 //!   pipeline inline);
 //! * [`sched`] — the process-wide query scheduler: admission control plus
-//!   fair worker-lease sharing across concurrent morsel fan-outs
-//!   (`CVR_SCHED_WORKERS` / `CVR_SCHED_QUERIES`), with queue-depth and
-//!   deadline-aware load shedding (`CVR_SCHED_QUEUE_MAX`);
+//!   fair worker-lease sharing across concurrent morsel fan-outs (the
+//!   process default's budget is `CVR_THREADS` workers), with queue-depth
+//!   and deadline-aware load shedding;
 //! * [`ctx`] — the query lifecycle control block ([`QueryCtx`]: cooperative
 //!   cancellation, deadlines, memory budgets) and the typed [`QueryError`]
 //!   every abort path funnels into;

@@ -6,22 +6,22 @@
 //! oversubscribed the machine N-fold. The scheduler fixes both halves:
 //!
 //! * **Admission** — [`Scheduler::admit`] bounds how many queries *execute*
-//!   at once (`CVR_SCHED_QUERIES`, default `max(4, workers)`). Excess
-//!   queries wait in FIFO ticket order; an admitted query holds its
-//!   [`QueryPermit`] until it finishes (RAII).
+//!   at once (`max(4, workers)` for the process default). Excess queries
+//!   wait in FIFO ticket order; an admitted query holds its [`QueryPermit`]
+//!   until it finishes (RAII).
 //! * **Worker leases** — each `run_morsels` fan-out asks for its desired
 //!   worker count and is granted a *fair share* of the machine-wide budget
-//!   (`CVR_SCHED_WORKERS`, default available parallelism):
+//!   (the process default's is [`cvr_storage::par::default_threads`]):
 //!   `min(requested, max(1, min(budget / active_queries, available)))`.
 //!   Leases never block and always grant at least one worker, so a fan-out
 //!   can always make progress; the degree of parallelism simply shrinks
 //!   when neighbors are running.
 //! * **Load shedding** — [`Scheduler::try_admit`] (the deadline-aware form
 //!   used by the server) rejects instead of queueing when the queue is at
-//!   `CVR_SCHED_QUEUE_MAX` or when the EWMA execution-time estimate says
-//!   the queue wait alone would blow the query's deadline; queued waiters
-//!   poll their [`QueryCtx`] and abandon their ticket on cancellation
-//!   without stalling the FIFO.
+//!   its bound ([`DEFAULT_QUEUE_MAX`] by default) or when the EWMA
+//!   execution-time estimate says the queue wait alone would blow the
+//!   query's deadline; queued waiters poll their [`QueryCtx`] and abandon
+//!   their ticket on cancellation without stalling the FIFO.
 //!
 //! Correctness is free: the morsel layer's determinism contract guarantees
 //! outputs and [`cvr_storage::io::IoStats`] are byte-identical at *every*
@@ -133,24 +133,17 @@ impl Scheduler {
         }
     }
 
-    /// The process-default scheduler: worker budget from
-    /// `CVR_SCHED_WORKERS` (default: available parallelism), query limit
-    /// from `CVR_SCHED_QUERIES` (default: `max(4, workers)`). Built once
-    /// and shared by every [`crate::engine::ColumnEngine`] consumer that
-    /// asks for it (the server's `Session` does).
+    /// The process-default scheduler: a worker budget of
+    /// [`cvr_storage::par::default_threads`] (the count that sizes every
+    /// other pool in the process) and `max(4, workers)` concurrent queries.
+    /// Built once and shared by every [`crate::engine::ColumnEngine`]
+    /// consumer that asks for it (the server's `Session` does).
     pub fn process_default() -> Arc<Scheduler> {
         static DEFAULT: OnceLock<Arc<Scheduler>> = OnceLock::new();
         DEFAULT
             .get_or_init(|| {
-                let env = |k: &str| {
-                    std::env::var(k).ok().and_then(|v| v.parse::<usize>().ok()).filter(|&n| n >= 1)
-                };
-                let workers = env("CVR_SCHED_WORKERS").unwrap_or_else(|| {
-                    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-                });
-                let queries = env("CVR_SCHED_QUERIES").unwrap_or_else(|| workers.max(4));
-                let queue = env("CVR_SCHED_QUEUE_MAX").unwrap_or(DEFAULT_QUEUE_MAX);
-                Arc::new(Scheduler::with_queue_limit(workers, queries, queue))
+                let workers = cvr_storage::par::default_threads();
+                Arc::new(Scheduler::new(workers, workers.max(4)))
             })
             .clone()
     }
@@ -163,11 +156,11 @@ impl Scheduler {
     }
 
     /// Deadline- and overload-aware admission. Sheds immediately
-    /// ([`QueryError::Shed`], retryable) when the queue is at
-    /// `CVR_SCHED_QUEUE_MAX` or when the EWMA execution-time estimate says
-    /// the queue wait alone would blow `ctx`'s deadline; while queued, the
-    /// waiter polls `ctx` and abandons its ticket (without stalling the
-    /// FIFO) on cancellation or deadline expiry.
+    /// ([`QueryError::Shed`], retryable) when the queue is at its bound or
+    /// when the EWMA execution-time estimate says the queue wait alone would
+    /// blow `ctx`'s deadline; while queued, the waiter polls `ctx` and
+    /// abandons its ticket (without stalling the FIFO) on cancellation or
+    /// deadline expiry.
     pub fn try_admit(self: &Arc<Scheduler>, ctx: &QueryCtx) -> Result<QueryPermit, QueryError> {
         self.admit_inner(ctx, true)
     }

@@ -39,7 +39,7 @@
 //!   differential harness compares are the bytes on the wire.
 //! * `ERROR`: `u16` [`ParseError::code`]-compatible code, `u32` length +
 //!   UTF-8 message. Also what the server sends in place of any response
-//!   whose encoding exceeds [`max_frame_bytes`] (code 106): the reader
+//!   whose encoding exceeds [`MAX_FRAME_BYTES`] (code 106): the reader
 //!   would reject that frame and the connection would die.
 //! * `EXPLAIN`: two `u32`-length-prefixed UTF-8 strings — the rendered
 //!   tree and the stable-field JSON (`Plan::to_json`; for
@@ -70,24 +70,10 @@ use cvr_data::result::QueryOutput;
 use cvr_data::value::DataType;
 use cvr_storage::io::IoStats;
 use std::io::{Read, Write};
-use std::sync::OnceLock;
 
-/// Default frame-size cap when `CVR_MAX_FRAME` is unset (16 MiB).
-pub const DEFAULT_MAX_FRAME_BYTES: usize = 16 << 20;
-
-/// Frames larger than this are rejected as malformed before any payload
-/// allocation. `CVR_MAX_FRAME` (bytes, read once) overrides the 16 MiB
-/// default; malformed or zero values fall back to it.
-pub fn max_frame_bytes() -> usize {
-    static LIMIT: OnceLock<usize> = OnceLock::new();
-    *LIMIT.get_or_init(|| frame_limit_from(std::env::var("CVR_MAX_FRAME").ok().as_deref()))
-}
-
-fn frame_limit_from(var: Option<&str>) -> usize {
-    var.and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_MAX_FRAME_BYTES)
-}
+/// Frames larger than this (16 MiB) are rejected as malformed before any
+/// payload allocation.
+pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
 /// `Request::QueryOpts` flag bit: ship a `TRACE` frame (the execution's
 /// span tree) after the response frame.
@@ -251,11 +237,10 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
         Err(e) => return Err(e),
     }
     let len = u32::from_le_bytes(len) as usize;
-    let limit = max_frame_bytes();
-    if len > limit {
+    if len > MAX_FRAME_BYTES {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {limit}-byte limit"),
+            format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"),
         ));
     }
     let mut payload = vec![0u8; len];
@@ -692,16 +677,6 @@ mod tests {
         ];
         for resp in responses {
             assert_eq!(Response::decode(&resp.encode()), Ok(resp));
-        }
-    }
-
-    #[test]
-    fn frame_limit_parses_and_falls_back() {
-        assert_eq!(frame_limit_from(None), DEFAULT_MAX_FRAME_BYTES);
-        assert_eq!(frame_limit_from(Some("1048576")), 1 << 20);
-        assert_eq!(frame_limit_from(Some(" 4096 ")), 4096);
-        for bad in ["", "0", "-1", "lots", "1e9"] {
-            assert_eq!(frame_limit_from(Some(bad)), DEFAULT_MAX_FRAME_BYTES, "{bad:?}");
         }
     }
 

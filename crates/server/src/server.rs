@@ -12,20 +12,18 @@
 //!
 //! ## Lifecycle hardening
 //!
-//! Every statement executes under a [`QueryCtx`] assembled from the request
-//! (`QUERY_OPTS` deadline) and process defaults (`CVR_QUERY_TIMEOUT_MS`,
-//! `CVR_MEM_BUDGET`), and is tracked in a process-wide [`CancelRegistry`]
+//! Every statement executes under a [`QueryCtx`] carrying the request's
+//! `QUERY_OPTS` deadline, and is tracked in a process-wide [`CancelRegistry`]
 //! while it runs, so a *second* connection can abort it with a `CANCEL`
 //! frame carrying the same token — the Postgres out-of-band shape. Typed
 //! [`QueryError`]s reach the wire as structured `ERROR` frames with stable
-//! codes; connection sockets carry read/write timeouts
-//! (`CVR_CONN_READ_TIMEOUT_MS` / `CVR_CONN_WRITE_TIMEOUT_MS`); and shutdown
-//! drains live connections for `CVR_DRAIN_MS` before cancelling whatever is
+//! codes; connection sockets carry read/write timeouts (30 s / 10 s); and
+//! shutdown drains live connections for 5 s before cancelling whatever is
 //! still running.
 
 use crate::protocol::{
-    frame_header, max_frame_bytes, read_frame, response_for, write_frame, Request, Response,
-    StatsReport, FLAG_TRACE,
+    frame_header, read_frame, response_for, write_frame, Request, Response, StatsReport,
+    FLAG_TRACE, MAX_FRAME_BYTES,
 };
 use crate::session::Session;
 use cvr_core::{QueryCtx, QueryError, Tracer};
@@ -35,7 +33,7 @@ use std::io;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -114,72 +112,21 @@ impl Drop for Registration {
     }
 }
 
-/// Millisecond env knob: `None` when unset, unparsable, or `0`.
-fn env_ms(var: &str) -> Option<Duration> {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .map(Duration::from_millis)
-}
+/// How long a connection may sit idle before its socket read times out.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Process-default query limits: deadline from `CVR_QUERY_TIMEOUT_MS`,
-/// memory budget from `CVR_MEM_BUDGET` (bytes). Unset or `0` disables.
-fn default_limits() -> (Option<Duration>, Option<usize>) {
-    static LIMITS: OnceLock<(Option<Duration>, Option<usize>)> = OnceLock::new();
-    *LIMITS.get_or_init(|| {
-        let budget = std::env::var("CVR_MEM_BUDGET")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&b| b > 0);
-        (env_ms("CVR_QUERY_TIMEOUT_MS"), budget)
-    })
-}
+/// How long one response write may block on a slow reader.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Connection socket timeouts: read (`CVR_CONN_READ_TIMEOUT_MS`, default
-/// 30 s) and write (`CVR_CONN_WRITE_TIMEOUT_MS`, default 10 s); `0`
-/// disables either.
-fn conn_timeouts() -> (Option<Duration>, Option<Duration>) {
-    static TIMEOUTS: OnceLock<(Option<Duration>, Option<Duration>)> = OnceLock::new();
-    *TIMEOUTS.get_or_init(|| {
-        let from_env = |var: &str, default_ms: u64| {
-            socket_timeout_from(var, std::env::var(var).ok().as_deref(), default_ms)
-        };
-        (
-            from_env("CVR_CONN_READ_TIMEOUT_MS", 30_000),
-            from_env("CVR_CONN_WRITE_TIMEOUT_MS", 10_000),
-        )
-    })
-}
-
-/// One socket timeout from its variable's `value`: unset keeps the default,
-/// `0` disables the timeout, a number of milliseconds sets it. Anything else
-/// is a typo, not a request to wait forever: it keeps the default and warns.
-fn socket_timeout_from(var: &str, value: Option<&str>, default_ms: u64) -> Option<Duration> {
-    let ms = match value.map(|text| (text, text.trim().parse::<u64>())) {
-        None => default_ms,
-        Some((_, Ok(ms))) => ms,
-        Some((text, Err(_))) => {
-            cvr_obs::warn(&format!(
-                "{var}={text:?} is not a number of milliseconds; keeping the {default_ms} ms default"
-            ));
-            default_ms
-        }
-    };
-    (ms > 0).then(|| Duration::from_millis(ms))
-}
+/// How long [`Server::shutdown`] waits for live connections to finish
+/// before it cancels their queries.
+const DRAIN: Duration = Duration::from_secs(5);
 
 /// The [`QueryCtx`] for one statement: the request's deadline when it
-/// carries one, the process default otherwise; the memory budget is always
-/// the process default.
+/// carries one, no memory budget.
 fn ctx_for(deadline_ms: u32) -> QueryCtx {
-    let (default_deadline, budget) = default_limits();
-    let deadline = if deadline_ms > 0 {
-        Some(Duration::from_millis(deadline_ms as u64))
-    } else {
-        default_deadline
-    };
-    QueryCtx::with_limits(deadline, budget)
+    let deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms as u64));
+    QueryCtx::with_limits(deadline, None)
 }
 
 /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and serve
@@ -221,9 +168,8 @@ pub fn serve_with_metrics(
             // reply sits in Nagle's buffer until the client's delayed ACK
             // (~40 ms per statement on loopback).
             let _ = stream.set_nodelay(true);
-            let (read_to, write_to) = conn_timeouts();
-            let _ = stream.set_read_timeout(read_to);
-            let _ = stream.set_write_timeout(write_to);
+            let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+            let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
             let session = session.clone();
             let registry = reg.clone();
             // Count the connection *before* the thread exists, so a stop()
@@ -350,9 +296,9 @@ impl Server {
     }
 
     /// Stop accepting connections and join the accept thread, then drain:
-    /// wait up to `CVR_DRAIN_MS` (default 5 s) for live connections to
-    /// finish on their own; past the deadline, cancel every in-flight
-    /// query and grant a short grace period for the cancellations to land.
+    /// wait up to 5 s for live connections to finish on their own;
+    /// past the deadline, cancel every in-flight query and grant a short
+    /// grace period for the cancellations to land.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -372,8 +318,7 @@ impl Server {
         if let Some(t) = self.metrics_thread.take() {
             let _ = t.join();
         }
-        let drain = env_ms("CVR_DRAIN_MS").unwrap_or(Duration::from_secs(5));
-        let deadline = Instant::now() + drain;
+        let deadline = Instant::now() + DRAIN;
         while self.live_conns.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -496,7 +441,7 @@ fn answer_statement(
 /// the connection thread holds no ambient fault scope of its own.
 fn send_response(session: &Session, stream: &mut TcpStream, response: &Response) -> io::Result<()> {
     let _faults = fault::adopt_opt(session.faults());
-    let payload = encode_within(response, max_frame_bytes());
+    let payload = encode_within(response, MAX_FRAME_BYTES);
     if fault::take_frame_truncation() {
         let mut wire = Vec::with_capacity(4 + payload.len());
         wire.extend_from_slice(&frame_header(payload.len())?);
@@ -577,7 +522,7 @@ mod tests {
     use super::*;
 
     /// The 29 MB `c_city × s_city` answer PR 11 met, in miniature: the limit
-    /// is passed in, so this does not depend on `CVR_MAX_FRAME`.
+    /// is passed in, so this needs no 16 MiB answer.
     #[test]
     fn oversized_answers_become_a_typed_error_frame() {
         let big = Response::Explain { text: "x".repeat(4096), json: String::new() };
@@ -593,20 +538,5 @@ mod tests {
         assert_eq!(code, QueryError::CODE_RESULT_TOO_LARGE);
         assert!(!QueryError::retryable_code(code), "the same statement is as large next time");
         assert!(message.contains(&encoded.len().to_string()) && message.contains("limit"));
-    }
-
-    /// Regression: `CVR_CONN_READ_TIMEOUT_MS=30s` used to parse to `None`,
-    /// i.e. *no* timeout, the one outcome nobody asking for 30 s wants. The
-    /// value is passed in, so this does not touch the process environment.
-    #[test]
-    fn a_malformed_socket_timeout_keeps_the_default() {
-        let read = |value| socket_timeout_from("CVR_CONN_READ_TIMEOUT_MS", value, 30_000);
-        let default = Some(Duration::from_secs(30));
-        assert_eq!(read(None), default, "unset");
-        assert_eq!(read(Some("0")), None, "0 disables");
-        assert_eq!(read(Some(" 1500 ")), Some(Duration::from_millis(1500)), "a number");
-        for garbage in ["30s", "", "-1", "1e3", "none"] {
-            assert_eq!(read(Some(garbage)), default, "{garbage:?}");
-        }
     }
 }

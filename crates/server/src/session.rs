@@ -200,7 +200,7 @@ pub struct Session {
     /// The shared scheduler every query passes through: admission first,
     /// then fair worker leases inside the morsel fan-outs.
     sched: Arc<Scheduler>,
-    /// Result cache; `None` when disabled (`CVR_CACHE_BYTES=0`).
+    /// Result cache; `None` when the budget is `0`.
     cache: Option<QueryCache>,
     /// Memoized plans keyed by [`key::statement_key`], like the result
     /// cache. Planning is a pure function of (descriptor, store version),
@@ -213,32 +213,24 @@ pub struct Session {
     fault: Mutex<Option<String>>,
     /// Per-session storage fault injection ([`Session::set_faults`]):
     /// adopted by every statement this session runs and by the morsel
-    /// workers it spawns, isolated from other sessions and from the
-    /// `CVR_FAULT` process default.
+    /// workers it spawns, isolated from other sessions.
     faults: Mutex<Option<Arc<FaultState>>>,
 }
 
-/// Cache budget from `CVR_CACHE_BYTES` (default 64 MiB; `0` disables).
-fn cache_budget_from_env() -> usize {
-    std::env::var("CVR_CACHE_BYTES").ok().and_then(|v| v.parse::<usize>().ok()).unwrap_or(64 << 20)
-}
+/// The result cache's byte budget for [`Session::new`].
+const CACHE_BYTES: usize = 64 << 20;
 
 impl Session {
     /// Build a session over `tables` at the process-default parallelism
-    /// ([`Parallelism::from_env`]).
+    /// ([`Parallelism::from_env`]) with a 64 MiB result cache.
     pub fn new(tables: Arc<SsbTables>) -> Session {
-        Session::with_parallelism(tables, Parallelism::from_env())
+        Session::with_cache_budget(tables, Parallelism::from_env(), CACHE_BYTES)
     }
 
     /// Build a session with an explicit [`Parallelism`] for the column
-    /// engine's morsel pool. Results and I/O accounting are byte-identical
-    /// at every thread count.
-    pub fn with_parallelism(tables: Arc<SsbTables>, par: Parallelism) -> Session {
-        Session::with_cache_budget(tables, par, cache_budget_from_env())
-    }
-
-    /// Build a session with an explicit cache byte budget (`0` disables
-    /// caching entirely — every query executes cold).
+    /// engine's morsel pool and an explicit cache byte budget (`0` disables
+    /// caching entirely — every query executes cold). Results and I/O
+    /// accounting are byte-identical at every thread count.
     pub fn with_cache_budget(
         tables: Arc<SsbTables>,
         par: Parallelism,
@@ -407,11 +399,11 @@ impl Session {
         *slot = Some(needle.to_string());
     }
 
-    /// Arm per-session storage fault injection from a `CVR_FAULT`-style
-    /// spec (`"io:0.01,stall:0.05:10,seed:42"`); `None` disarms. Every
-    /// statement this session runs adopts the state for its duration —
-    /// including its morsel workers — so concurrent sessions (and tests)
-    /// inject faults independently, without a process-global install.
+    /// Arm per-session storage fault injection from a fault spec
+    /// (`"io:0.01,stall:0.05:10,seed:42"`); `None` disarms. Every statement
+    /// this session runs adopts the state for its duration — including its
+    /// morsel workers — so concurrent sessions (and tests) inject faults
+    /// independently.
     ///
     /// Fault probabilities are **per page touch**, so they multiply with
     /// scale: a spec whose expected fault count over one full fact scan

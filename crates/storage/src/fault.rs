@@ -1,22 +1,18 @@
 //! Deterministic fault injection for the chaos harness.
 //!
-//! Faults are **off by default** and cost one thread-local peek plus one
-//! relaxed atomic load per hook when disabled. Configuration lives in a
-//! [`FaultState`] handle: an armed [`FaultConfig`] plus its *own*
-//! counter-seeded `splitmix64` decision stream, so a given `(seed, fault
-//! spec)` pair injects the *same* fault sequence on every run regardless of
-//! what other tests or sessions are doing — chaos failures reproduce, and
-//! chaos tests no longer serialize behind a process-global lock.
+//! Faults are **off by default** and cost one thread-local peek per hook
+//! when disabled. Configuration lives in a [`FaultState`] handle: an armed
+//! [`FaultConfig`] plus its *own* counter-seeded `splitmix64` decision
+//! stream, so a given `(seed, fault spec)` pair injects the *same* fault
+//! sequence on every run regardless of what other tests or sessions are
+//! doing — chaos failures reproduce, and chaos tests never serialize behind
+//! a process-global lock.
 //!
-//! Two ways to arm a state:
-//!
-//! * [`install`] / [`install_from_env`] (reading `CVR_FAULT`) set the
-//!   **process-global default** — what standalone chaos binaries use.
-//! * [`adopt`] pushes a handle onto a **thread-local override stack** for
-//!   the lifetime of the returned guard. Sessions adopt their own state
-//!   around each query (and the morsel pool re-adopts the coordinator's
-//!   handle inside every worker), so concurrent tests each see only their
-//!   own faults.
+//! A state is armed by [`adopt`], which pushes its handle onto a
+//! **thread-local stack** for the lifetime of the returned guard. Sessions
+//! adopt their own state around each query (and the morsel pool re-adopts
+//! the coordinator's handle inside every worker), so concurrent tests each
+//! see only their own faults.
 //!
 //! Every injection is tallied per-state ([`FaultState::injected`]) and
 //! mirrored into the process metrics registry as
@@ -47,8 +43,8 @@
 
 use std::cell::RefCell;
 use std::panic::panic_any;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Panic payload carried by injected I/O faults. Engines catch and downcast
@@ -81,7 +77,7 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
-    /// Parse a `CVR_FAULT` spec: comma-separated `io:P`, `panic:P`,
+    /// Parse a fault spec: comma-separated `io:P`, `panic:P`,
     /// `stall:P:MS`, `trunc:P`, `seed:N`. Empty string parses to all-off.
     pub fn parse(spec: &str) -> Result<FaultConfig, String> {
         let mut cfg = FaultConfig::default();
@@ -111,10 +107,6 @@ impl FaultConfig {
             }
         }
         Ok(cfg)
-    }
-
-    fn is_off(&self) -> bool {
-        self.io <= 0.0 && self.panic <= 0.0 && self.stall <= 0.0 && self.trunc <= 0.0
     }
 }
 
@@ -219,55 +211,22 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Fast path: a single relaxed load decides "no global faults installed".
-static GLOBAL_ENABLED: AtomicBool = AtomicBool::new(false);
-static GLOBAL: RwLock<Option<Arc<FaultState>>> = RwLock::new(None);
-
 thread_local! {
-    /// Per-thread override stack; the top handle shadows the global default.
+    /// Per-thread stack of adopted states; the top one is in force.
     static LOCAL: RefCell<Vec<Arc<FaultState>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Install (or, with `None`, clear) the process-global default fault state.
-/// Each install arms a fresh decision stream.
-pub fn install(cfg: Option<FaultConfig>) {
-    let state = cfg.filter(|c| !c.is_off()).map(FaultState::arm);
-    GLOBAL_ENABLED.store(state.is_some(), Ordering::Relaxed);
-    *GLOBAL.write().unwrap_or_else(PoisonError::into_inner) = state;
-}
-
-/// Install from the `CVR_FAULT` environment variable if set. Returns whether
-/// a non-empty config was armed. Malformed specs panic: a chaos run with a
-/// typo'd spec silently testing nothing is worse than a crash.
-pub fn install_from_env() -> bool {
-    match std::env::var("CVR_FAULT") {
-        Ok(spec) => {
-            let cfg = FaultConfig::parse(&spec).expect("CVR_FAULT");
-            install(Some(cfg));
-            active()
-        }
-        Err(_) => false,
-    }
-}
-
-/// Whether this thread currently sees an armed fault state (its own
-/// override, or the global default).
+/// Whether this thread currently sees an adopted fault state.
 pub fn active() -> bool {
-    LOCAL.with(|l| !l.borrow().is_empty()) || GLOBAL_ENABLED.load(Ordering::Relaxed)
+    LOCAL.with(|l| !l.borrow().is_empty())
 }
 
 /// The fault state this thread's hooks would use right now: the innermost
-/// adopted handle, else the global default, else `None`. The morsel pool
-/// captures this on the coordinator and re-adopts it inside each worker so
-/// a query's fault stream follows the query, not the thread.
+/// adopted handle, else `None`. The morsel pool captures this on the
+/// coordinator and re-adopts it inside each worker so a query's fault
+/// stream follows the query, not the thread.
 pub fn handle() -> Option<Arc<FaultState>> {
-    if let Some(local) = LOCAL.with(|l| l.borrow().last().cloned()) {
-        return Some(local);
-    }
-    if !GLOBAL_ENABLED.load(Ordering::Relaxed) {
-        return None;
-    }
-    GLOBAL.read().unwrap_or_else(PoisonError::into_inner).clone()
+    LOCAL.with(|l| l.borrow().last().cloned())
 }
 
 /// RAII guard for a thread-local fault override (see [`adopt`]).
@@ -346,7 +305,7 @@ mod tests {
         assert_eq!(cfg.io, 0.25);
         assert_eq!(cfg.stall_ms, 20);
         assert_eq!(cfg.seed, 7);
-        assert!(FaultConfig::parse("").unwrap().is_off());
+        assert_eq!(FaultConfig::parse("").unwrap(), FaultConfig::default());
         assert!(FaultConfig::parse("io:2.0").is_err());
         assert!(FaultConfig::parse("blorp:0.1").is_err());
         assert!(FaultConfig::parse("stall:0.1:abc").is_err());
@@ -373,11 +332,11 @@ mod tests {
     }
 
     #[test]
-    fn adopted_states_shadow_the_global_and_are_isolated_per_thread() {
-        // This thread's override never touches the global slot, so other
-        // tests running concurrently are unaffected.
+    fn adopted_states_nest_and_are_isolated_per_thread() {
+        // A thread sees only what it adopted, so other tests running
+        // concurrently are unaffected.
         let mine = FaultState::from_spec("trunc:1.0,seed:9").unwrap();
-        assert!(handle().is_none_or(|h| !Arc::ptr_eq(&h, &mine)));
+        assert!(handle().is_none() && !active());
         {
             let _scope = adopt(mine.clone());
             assert!(active());
@@ -397,7 +356,7 @@ mod tests {
             }
             assert!(Arc::ptr_eq(&handle().unwrap(), &mine));
         }
-        assert!(handle().is_none_or(|h| !Arc::ptr_eq(&h, &mine)), "guard drop pops the override");
+        assert!(handle().is_none() && !active(), "guard drop pops the override");
     }
 
     #[test]

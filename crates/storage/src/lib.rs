@@ -21,8 +21,8 @@
 //! * [`fault`] — deterministic fault injection for the chaos harness:
 //!   injected page-read failures, morsel panics/stalls and frame
 //!   truncation. Armed per handle ([`fault::FaultState`], adopted
-//!   thread-locally for a statement) or process-globally (`CVR_FAULT`).
-//!   Off by default, one atomic load.
+//!   thread-locally for a statement). Off by default, one thread-local
+//!   peek.
 //! * [`par`] — the bounded job fan-out both engines build their stores with.
 //! * [`hash`] — the word-at-a-time hasher behind dictionary coding and the
 //!   planner's catalog counts.
