@@ -358,14 +358,9 @@ pub fn build_planner(args: &HarnessArgs, engine: &cvr_core::ColumnEngine) -> cvr
     // Plan for *cold* (first-touch) I/O: the `planner` subcommand measures every
     // cell against a fresh pool precisely so that costs are reproducible,
     // and near the capacity cliff of a small warm pool the measured cost is
-    // decided by CLOCK eviction history — bimodal and unmodelable. (Set
-    // `pool_bytes` on `CostParams` to plan for a warm harness instead.)
-    let params = cvr_plan::CostParams {
-        disk: DiskModel::default(),
-        cpu_scale: args.cpu_scale,
-        rates,
-        pool_bytes: None,
-    };
+    // decided by CLOCK eviction history — bimodal and unmodelable.
+    let params =
+        cvr_plan::CostParams { disk: DiskModel::default(), cpu_scale: args.cpu_scale, rates };
     cvr_plan::Planner::with_params(cvr_plan::Catalog::build(engine), params)
 }
 

@@ -3,9 +3,12 @@
 //!
 //! A [`QueryCtx`] is a cheaply clonable handle threaded from the session
 //! (or the server's CANCEL registry) down through the scheduler and every
-//! pipeline. Workers poll it at **morsel boundaries** — [`QueryCtx::check`]
-//! is an atomic load plus, when a deadline is set, one clock read — and
-//! abort by returning a [`QueryError`] instead of partial results.
+//! pipeline. Workers poll it at **morsel boundaries**, the one place a
+//! column plan aborts — [`QueryCtx::check`] is an atomic load plus, when a
+//! deadline is set, one clock read — and abort by returning a [`QueryError`]
+//! instead of partial results. A morsel is at most
+//! [`DEFAULT_MORSEL_ROWS`](crate::morsel::DEFAULT_MORSEL_ROWS) rows, which
+//! bounds the work between two polls.
 //!
 //! Memory accounting is deliberately approximate: pipelines charge their
 //! *materialized intermediates* (position lists, decoded columns, gathered
@@ -256,78 +259,25 @@ impl QueryCtx {
     }
 }
 
-thread_local! {
-    /// Contexts adopted for *intra-scan* cancellation polling on this
-    /// thread. Morsel workers push the query's context here so the scan
-    /// drivers — which take no context parameter — can still observe
-    /// cancellation inside a single oversized morsel. A stack (not a slot)
-    /// so nested executions compose.
-    static SCAN_WATCH: std::cell::RefCell<Vec<QueryCtx>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// RAII guard for a scan-watch adoption; see [`watch_scans`].
-pub struct ScanWatch {
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl Drop for ScanWatch {
-    fn drop(&mut self) {
-        SCAN_WATCH.with(|w| {
-            w.borrow_mut().pop();
-        });
-    }
-}
-
-/// Adopt `ctx` for intra-scan polling on the current thread until the
-/// returned guard drops. While active, scan drivers chunk long ranges and
-/// call [`poll_scan_watch`] between chunks, bounding cancellation latency
-/// even when a single morsel covers millions of rows.
-pub fn watch_scans(ctx: &QueryCtx) -> ScanWatch {
-    SCAN_WATCH.with(|w| w.borrow_mut().push(ctx.clone()));
-    ScanWatch { _not_send: std::marker::PhantomData }
-}
-
-/// Whether a scan watch is active on this thread (scan drivers use this to
-/// skip chunking entirely on unwatched paths).
-pub fn scan_watch_active() -> bool {
-    SCAN_WATCH.with(|w| !w.borrow().is_empty())
-}
-
-/// Poll the innermost watched context. On cancellation or deadline expiry
-/// this panics with the [`QueryError`] as payload — the same transport the
-/// storage fault hooks use — which the morsel boundary (or
-/// [`catch_injected`]) converts back into a typed error. No-op when no
-/// watch is active.
-pub fn poll_scan_watch() {
-    let err = SCAN_WATCH.with(|w| w.borrow().last().and_then(|ctx| ctx.check().err()));
-    if let Some(err) = err {
-        std::panic::panic_any(err);
-    }
-}
-
-/// Run `f`, containing panics that are really transported [`QueryError`]s:
-/// an [`InjectedFault`](cvr_storage::fault::InjectedFault) payload (raised
-/// at the storage choke point, below any `Result` plumbing) becomes
-/// [`QueryError::Io`], and a `QueryError` payload (raised by an infallible
-/// wrapper) becomes itself. Any other panic is a real bug and resumes
+/// Run `f`, containing panics that are really transported [`QueryError`]s
+/// (see [`typed_panic`]). Any other panic is a real bug and resumes
 /// unwinding.
 pub fn catch_injected<R>(f: impl FnOnce() -> R) -> Result<R, QueryError> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(r) => Ok(r),
-        Err(payload) => Err(error_from_panic(payload)),
-    }
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .map_err(|payload| typed_panic(payload).unwrap_or_else(|p| std::panic::resume_unwind(p)))
 }
 
-/// Downcast a panic payload into the [`QueryError`] it transports, resuming
-/// the unwind if it is not one of ours.
-pub fn error_from_panic(payload: Box<dyn std::any::Any + Send>) -> QueryError {
+/// The one classifier of panic payloads: an
+/// [`InjectedFault`](cvr_storage::fault::InjectedFault) (raised at the
+/// storage choke point, below any `Result` plumbing) becomes
+/// [`QueryError::Io`], and a `QueryError` (raised by an infallible wrapper)
+/// stays itself. Anything else is a foreign panic, handed back untouched.
+pub fn typed_panic(
+    payload: Box<dyn std::any::Any + Send>,
+) -> Result<QueryError, Box<dyn std::any::Any + Send>> {
     match payload.downcast::<cvr_storage::fault::InjectedFault>() {
-        Ok(fault) => QueryError::Io { detail: fault.0 },
-        Err(payload) => match payload.downcast::<QueryError>() {
-            Ok(err) => *err,
-            Err(payload) => std::panic::resume_unwind(payload),
-        },
+        Ok(fault) => Ok(QueryError::Io { detail: fault.0 }),
+        Err(payload) => payload.downcast::<QueryError>().map(|e| *e),
     }
 }
 
@@ -383,19 +333,12 @@ mod tests {
     }
 
     #[test]
-    fn scan_watch_polls_the_adopted_context() {
-        assert!(!scan_watch_active());
-        poll_scan_watch(); // no-op without a watch
-        let ctx = QueryCtx::unbounded();
-        {
-            let _watch = watch_scans(&ctx);
-            assert!(scan_watch_active());
-            poll_scan_watch(); // healthy context: no panic
-            ctx.cancel();
-            let got = catch_injected(poll_scan_watch);
-            assert_eq!(got, Err(QueryError::Cancelled));
-        }
-        assert!(!scan_watch_active());
+    fn typed_panic_classifies_the_three_payload_kinds() {
+        let fault = Box::new(cvr_storage::fault::InjectedFault("page 7".into()));
+        assert_eq!(typed_panic(fault).ok(), Some(QueryError::Io { detail: "page 7".into() }));
+        assert_eq!(typed_panic(Box::new(QueryError::Cancelled)).ok(), Some(QueryError::Cancelled));
+        let foreign = typed_panic(Box::new("genuine bug")).expect_err("a foreign panic");
+        assert_eq!(foreign.downcast_ref::<&str>(), Some(&"genuine bug"));
     }
 
     #[test]

@@ -42,20 +42,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Default morsel size in fact-table positions. Large enough that per-morsel
-/// bookkeeping is noise, small enough that a 4-thread run of even a small
-/// scale factor gets balanced work; [`grid`] shrinks it further when the
-/// input is small.
+/// Default and largest morsel size in fact-table positions. Large enough
+/// that per-morsel bookkeeping is noise, small enough that a 4-thread run of
+/// even a small scale factor gets balanced work; [`grid`] shrinks it further
+/// when the input is small. As a hard cap it bounds the work between two
+/// morsel-boundary cancellation polls.
 pub const DEFAULT_MORSEL_ROWS: u32 = 16_384;
 
 /// Smallest morsel [`grid`] will auto-shrink to.
 const MIN_MORSEL_ROWS: u32 = 256;
-
-/// Hard ceiling on morsel size in rows (1 Mi positions, a whole number of
-/// mask words). Bounds the worst case work between morsel-boundary
-/// cancellation polls; the scan drivers add intra-morsel polls every
-/// [`crate::scan::SCAN_POLL_ROWS`] rows on top.
-pub const DEFAULT_MORSEL_MAX: u32 = 1 << 20;
 
 /// Degree of parallelism for one query execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +59,8 @@ pub struct Parallelism {
     /// morsels). `1` runs every morsel inline on the calling thread — the
     /// same pipeline, no spawn.
     pub threads: usize,
-    /// Morsel size in positions (upper bound; shrunk for small inputs).
+    /// Morsel size in positions (upper bound, itself capped at
+    /// [`DEFAULT_MORSEL_ROWS`]; shrunk for small inputs).
     pub morsel_rows: u32,
 }
 
@@ -117,12 +113,12 @@ enum Abort {
 /// Between morsels every worker polls `ctx` ([`QueryCtx::check`]) and a
 /// shared abort flag, so cancellation/deadline/budget failures — and any
 /// `Err` returned by `task` — stop the whole fan-out at the next morsel
-/// boundary. Worker panics are contained per-morsel: an
-/// [`cvr_storage::fault::InjectedFault`] payload becomes
-/// [`QueryError::Io`], anything else is re-raised on the coordinator after
-/// all workers have parked (so a crashing worker can never leak a detached
-/// thread or deadlock the scope join). A fan-out that aborts returns no
-/// state: a task may have stopped half-way through updating it.
+/// boundary. Worker panics are contained per-morsel and classified by
+/// [`crate::ctx::typed_panic`]: a typed payload aborts like an `Err`,
+/// anything else is re-raised on the coordinator after all workers have
+/// parked (so a crashing worker can never leak a detached thread or deadlock
+/// the scope join). A fan-out that aborts returns no state: a task may have
+/// stopped half-way through updating it.
 pub fn try_run_morsels<S: Send, T: Send>(
     n: u32,
     par: Parallelism,
@@ -154,14 +150,10 @@ pub fn try_run_morsels<S: Send, T: Send>(
             *slot = Some(abort);
         }
     };
-    // One morsel, panic-contained. `Err(())` means "stop claiming". The
-    // query context is adopted as this thread's scan watch for the duration
-    // of the morsel, so oversized scans poll cancellation *inside* the
-    // morsel too (a QueryError panic payload transports the abort here).
+    // One morsel, panic-contained. `Err(())` means "stop claiming".
     let run_one = |worker: &mut Worker<S, T>, i: usize| -> Result<(), ()> {
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cvr_storage::fault::before_morsel();
-            let _watch = crate::ctx::watch_scans(ctx);
             task(worker.state.get_or_insert_with(&init), i, range_of(i))
         }));
         match attempt {
@@ -174,13 +166,7 @@ pub fn try_run_morsels<S: Send, T: Send>(
                 Err(())
             }
             Err(payload) => {
-                fail(match payload.downcast::<cvr_storage::fault::InjectedFault>() {
-                    Ok(f) => Abort::Error(QueryError::Io { detail: f.0 }),
-                    Err(payload) => match payload.downcast::<QueryError>() {
-                        Ok(e) => Abort::Error(*e),
-                        Err(payload) => Abort::Panic(payload),
-                    },
-                });
+                fail(crate::ctx::typed_panic(payload).map_or_else(Abort::Panic, Abort::Error));
                 Err(())
             }
         }
@@ -288,21 +274,14 @@ fn observe_fanout(ctx: &QueryCtx, busys: &[Duration], morsels: u64) {
 /// `(morsel_size, morsel_count)`, deterministic in `(n, par)`.
 ///
 /// Aim for a few morsels per worker so claiming self-balances, without
-/// dropping below the minimum useful size. Morsel boundaries align to
-/// whole 64-position mask words so the scan kernels' selection masks
-/// never straddle a morsel edge.
+/// dropping below the minimum useful size or rising above
+/// [`DEFAULT_MORSEL_ROWS`]. Morsel boundaries align to whole 64-position
+/// mask words so the scan kernels' selection masks never straddle a morsel
+/// edge.
 pub fn grid(n: u32, par: Parallelism) -> (u32, usize) {
     let aim = n.div_ceil((par.threads * 4).max(1) as u32).max(MIN_MORSEL_ROWS);
-    // An explicitly enlarged morsel size (a struct literal above the
-    // default — how a caller forces giant morsels) is honored as
-    // requested; the default auto-shrinks to `aim` for balance. Both are
-    // bounded by `DEFAULT_MORSEL_MAX`.
-    let want = if par.morsel_rows > DEFAULT_MORSEL_ROWS {
-        par.morsel_rows
-    } else {
-        par.morsel_rows.min(aim)
-    };
-    let morsel = want.clamp(1, DEFAULT_MORSEL_MAX).div_ceil(64) * 64;
+    let want = par.morsel_rows.min(DEFAULT_MORSEL_ROWS).min(aim);
+    let morsel = want.max(1).div_ceil(64) * 64;
     let count = (n.div_ceil(morsel) as usize).max(1);
     (morsel, count)
 }
@@ -647,25 +626,40 @@ mod tests {
     }
 
     #[test]
-    fn grid_honors_forced_giant_morsels_up_to_the_cap() {
-        // Default-sized configs still auto-shrink for balance.
-        let (m, _) = grid(1_000_000, Parallelism { threads: 4, morsel_rows: DEFAULT_MORSEL_ROWS });
-        assert!(m <= DEFAULT_MORSEL_ROWS);
-        // An explicitly enlarged morsel size is honored (mask-word aligned).
-        let big = 500_000u32;
-        let (m, count) = grid(1_000_000, Parallelism { threads: 4, morsel_rows: big });
-        assert_eq!(m, big.div_ceil(64) * 64);
-        assert_eq!(count, 2);
-        // ... but never beyond the ceiling.
-        let (m, _) = grid(100_000_000, Parallelism { threads: 1, morsel_rows: u32::MAX });
-        assert!(m <= DEFAULT_MORSEL_MAX);
-        assert_eq!(m % 64, 0);
+    fn grid_caps_morsels_and_tiles_the_input() {
+        // The balance formula without the cap: up to the cap, the grid is it.
+        let uncapped = |n: u32, par: Parallelism| {
+            let aim = n.div_ceil((par.threads * 4) as u32).max(MIN_MORSEL_ROWS);
+            let want = par.morsel_rows.min(aim);
+            let morsel = want.max(1).div_ceil(64) * 64;
+            (morsel, (n.div_ceil(morsel) as usize).max(1))
+        };
+        let sizes = [1, 64, 384, DEFAULT_MORSEL_ROWS, DEFAULT_MORSEL_ROWS + 1, 500_000, u32::MAX];
+        for morsel_rows in sizes {
+            for n in [0, 1, 10_000, 1_200_000, 100_000_000] {
+                for threads in [1, 2, 4] {
+                    let par = Parallelism { threads, morsel_rows };
+                    let (m, count) = grid(n, par);
+                    let at = format!("morsel_rows={morsel_rows} n={n} threads={threads}");
+                    assert!(m <= DEFAULT_MORSEL_ROWS, "{at}: morsel of {m} rows");
+                    assert_eq!(m % 64, 0, "{at}");
+                    // The morsels tile [0, n): the last one starts below n
+                    // (or is the lone empty morsel) and ends at or past it.
+                    assert!(count as u64 * m as u64 >= n as u64, "{at}");
+                    assert!(((count - 1) as u64 * m as u64) < (n as u64).max(1), "{at}");
+                    if morsel_rows <= DEFAULT_MORSEL_ROWS {
+                        assert_eq!((m, count), uncapped(n, par), "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn queryerror_panic_payloads_become_typed_aborts() {
-        // The scan drivers transport intra-morsel cancellation as a
-        // QueryError panic payload; the morsel boundary must type it back.
+        // Engine code under an infallible wrapper re-raises a typed abort
+        // as a QueryError panic payload; the morsel boundary must type it
+        // back.
         for threads in [1, 4] {
             let par = Parallelism { threads, morsel_rows: 64 };
             let got = try_run_morsels(

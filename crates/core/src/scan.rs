@@ -300,30 +300,6 @@ fn code_bounds(reference: i64, max_code: u64, lo: i64, hi: i64) -> Option<(u64, 
     Some((lo as u64, (hi as u128).min(max_code as u128) as u64))
 }
 
-/// Rows walked between cancellation polls when a
-/// [scan watch](crate::ctx::watch_scans) is active. A multiple of 64 so
-/// chunk boundaries stay mask-word friendly; small enough that even a
-/// tuple-at-a-time scan of one chunk completes in well under a millisecond.
-pub const SCAN_POLL_ROWS: u32 = 1 << 16;
-
-/// Walk `window` in one piece — or, when the executing thread has adopted a
-/// scan watch and the window is oversized, in [`SCAN_POLL_ROWS`] pieces with
-/// a cancellation poll before each. Pieces tile the window (exactly the
-/// morsel decomposition already tested), so chunking only bounds abort
-/// latency, never changes results.
-fn for_each_chunk(window: &Range<u32>, mut f: impl FnMut(u32, u32)) {
-    if window.len() as u32 <= SCAN_POLL_ROWS || !crate::ctx::scan_watch_active() {
-        return f(window.start, window.end);
-    }
-    let mut s = window.start;
-    while s < window.end {
-        crate::ctx::poll_scan_watch();
-        let e = s.saturating_add(SCAN_POLL_ROWS).min(window.end);
-        f(s, e);
-        s = e;
-    }
-}
-
 /// Measured unit costs behind the choice between a word kernel and
 /// per-candidate tests, in tenths of a nanosecond per 64 positions. From a
 /// second probe as the invisible join runs it — the independent-candidate
@@ -453,11 +429,12 @@ fn drive<M, T>(
     M: Fn(u32, u32, &mut dyn FnMut(u32, u64)),
     T: Fn(u32) -> bool,
 {
-    for_each_chunk(window, |s, e| match candidates {
+    let (s, e) = (window.start, window.end);
+    match candidates {
         PosList::Range { start, end, .. } => {
             let (s, e) = (s.max(*start), e.min(*end));
             if s >= e {
-                // No candidate in this piece.
+                // No candidate in the window.
             } else if kernel_from <= 64 {
                 masks(s, e, &mut |b, m| sink.push_mask(b, m));
             } else {
@@ -469,7 +446,8 @@ fn drive<M, T>(
             }
         }
         PosList::Bitmap { base, bits } => {
-            // Pieces start a whole number of mask words into the window.
+            // The window starts a whole number of mask words into the
+            // candidates' bitmap.
             let (first, words) = (((s - base) / 64) as usize, bits.words());
             let words = &words[first..(e - base).div_ceil(64) as usize];
             let candidates: u32 = words.iter().map(|w| w.count_ones()).sum();
@@ -497,7 +475,7 @@ fn drive<M, T>(
                 }
             }
         }
-    });
+    }
 }
 
 /// The integer arms of [`refine`]: every encoding under every predicate.
@@ -525,16 +503,15 @@ fn refine_int(
             // the iteration interface (there is no per-value interface to
             // strip without decompressing, which is what the `c`
             // configurations do by storing plain).
-            for_each_chunk(window, |s, e| {
-                let mut idx = if s == 0 { 0 } else { col.run_containing(s) };
-                while idx < runs.len() && runs[idx].start < e {
-                    let r = &runs[idx];
-                    if pred.matches(r.value) {
-                        sink.push_within(candidates, r.start.max(s), (r.start + r.len).min(e));
-                    }
-                    idx += 1;
+            let (s, e) = (window.start, window.end);
+            let mut idx = if s == 0 { 0 } else { col.run_containing(s) };
+            while idx < runs.len() && runs[idx].start < e {
+                let r = &runs[idx];
+                if pred.matches(r.value) {
+                    sink.push_within(candidates, r.start.max(s), (r.start + r.len).min(e));
                 }
-            });
+                idx += 1;
+            }
         }
         (IntColumn::Plain(plain), ScanPred::Range { lo, hi }) => {
             // The byte-aligned array at its own width: the bounds narrow to
@@ -987,45 +964,6 @@ mod tests {
                 assert_eq!(tiled, full);
             }
         }
-    }
-
-    #[test]
-    fn watched_scans_chunk_identically_and_observe_cancellation() {
-        use crate::ctx::{catch_injected, watch_scans, QueryCtx, QueryError};
-        let n = (SCAN_POLL_ROWS * 3 + 1234) as usize;
-        let ints: Vec<i64> = (0..n as i64).map(|i| (i * 37) % 100).collect();
-        let strs: Vec<String> = (0..n).map(|i| format!("R{}", i % 7)).collect();
-        let io = IoSession::unmetered();
-        let pred = Pred::InSet(vec![Value::str("R2"), Value::str("R5")]);
-        let ctx = QueryCtx::unbounded();
-        for block in [true, false] {
-            for col in [int_col(ints.clone(), false), packed_col(ints.clone())] {
-                let bare =
-                    scan_int_where(&col, col.positions(), |v| (10..=20).contains(&v), block, &io)
-                        .to_vec();
-                let watched = {
-                    let _w = watch_scans(&ctx);
-                    scan_int_where(&col, col.positions(), |v| (10..=20).contains(&v), block, &io)
-                        .to_vec()
-                };
-                assert_eq!(watched, bare, "chunked int scan must be output-identical");
-            }
-            for col in [str_col(strs.clone(), true), str_col(strs.clone(), false)] {
-                let bare = scan_pred(&col, col.positions(), &pred, block, &io).to_vec();
-                let watched = {
-                    let _w = watch_scans(&ctx);
-                    scan_pred(&col, col.positions(), &pred, block, &io).to_vec()
-                };
-                assert_eq!(watched, bare, "chunked str scan must be output-identical");
-            }
-        }
-        // A cancelled context aborts the oversized scan at a chunk boundary,
-        // transported as a QueryError panic payload.
-        ctx.cancel();
-        let col = int_col(ints, false);
-        let _w = watch_scans(&ctx);
-        let got = catch_injected(|| scan_int_where(&col, col.positions(), |v| v == 0, true, &io));
-        assert_eq!(got.err(), Some(QueryError::Cancelled));
     }
 
     #[test]

@@ -137,8 +137,10 @@ impl SpanRecord {
     }
 }
 
-/// Write `s` as a JSON string literal (same escaping as the explain tree).
-fn write_json_string(out: &mut String, s: &str) {
+/// Write `s` as a JSON string literal (quotes, backslashes and control
+/// characters escaped): the one escaper of every JSON document the engine,
+/// the planner and the server write.
+pub fn write_json_string(out: &mut String, s: &str) {
     use std::fmt::Write as _;
     out.push('"');
     for ch in s.chars() {
@@ -326,6 +328,13 @@ impl Drop for Span<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_escapes_strings() {
+        let mut s = String::new();
+        write_json_string(&mut s, "a\"b\\c\nd\u{1}");
+        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
+    }
 
     #[test]
     fn spans_nest_and_leaves_attach_to_the_open_span() {

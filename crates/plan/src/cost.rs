@@ -222,59 +222,6 @@ impl CpuRates {
             ..CpuRates::default()
         })
     }
-
-    /// Quick in-process calibration of the two rates that vary most across
-    /// machines: the scalar block kernel and the tuple-at-a-time interface.
-    /// Deterministic work, wall-clock measured; everything else scales from
-    /// the measured scalar rate by the default ratios.
-    pub fn calibrated() -> CpuRates {
-        let n = 1 << 16;
-        let values: Vec<i64> = (0..n as i64).map(|i| (i * 37) % 97).collect();
-
-        let t0 = std::time::Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..8 {
-            for &v in &values {
-                acc += u64::from((10..=60).contains(&v));
-            }
-        }
-        std::hint::black_box(acc);
-        let scalar = t0.elapsed().as_secs_f64() / (8.0 * n as f64);
-
-        let t1 = std::time::Instant::now();
-        let mut it: Box<dyn Iterator<Item = &i64>> = Box::new(values.iter());
-        let mut acc2 = 0i64;
-        for _ in 0..n {
-            if let Some(v) = std::hint::black_box(&mut it).next() {
-                acc2 += *v;
-            }
-        }
-        std::hint::black_box(acc2);
-        let tuple = (t1.elapsed().as_secs_f64() / n as f64).max(scalar);
-
-        let d = CpuRates::default();
-        let scale = (scalar / d.scalar_value).max(0.1);
-        CpuRates {
-            swar_word: d.swar_word * scale,
-            scalar_value: scalar.max(1e-11),
-            rle_run: d.rle_run * scale,
-            tuple_value: tuple.max(1e-10),
-            hash_probe: d.hash_probe * scale,
-            probe_scan_value: d.probe_scan_value * scale,
-            key_bits_value: d.key_bits_value * scale,
-            plain_key_value: d.plain_key_value * scale,
-            candidate_value: d.candidate_value * scale,
-            gather_value: d.gather_value * scale,
-            row_tuple: d.row_tuple * scale,
-            row_join_probe: d.row_join_probe * scale,
-            agg_row: d.agg_row * scale,
-            agg_code_row: d.agg_code_row * scale,
-            value_clone: d.value_clone * scale,
-            index_entry: d.index_entry * scale,
-            index_leaf_entry: d.index_leaf_entry * scale,
-            poslist_touch: d.poslist_touch * scale,
-        }
-    }
 }
 
 /// Everything needed to turn a [`CostBreakdown`] into seconds, mirroring
@@ -287,39 +234,11 @@ pub struct CostParams {
     pub cpu_scale: f64,
     /// Per-operation CPU rates.
     pub rates: CpuRates,
-    /// Buffer-pool capacity in bytes, when planning for a *warm* harness
-    /// (the benchmark warms the pool before measuring). A plan whose
-    /// entire working set fits re-reads only pool hits, which are free;
-    /// one that exceeds capacity thrashes the CLOCK pool on sequential
-    /// scans and pays full cold cost. `None` plans for a cold run.
-    pub pool_bytes: Option<u64>,
 }
 
 impl Default for CostParams {
     fn default() -> Self {
-        CostParams {
-            disk: DiskModel::default(),
-            cpu_scale: 5.0,
-            rates: CpuRates::default(),
-            pool_bytes: None,
-        }
-    }
-}
-
-impl CostParams {
-    /// Apply the warm-pool model to a finished plan estimate: a plan whose
-    /// *union working set* (each page counted once, however many phases
-    /// touch it) fits the pool costs no I/O on measured (post-warm-up)
-    /// runs; anything larger pays in full (repeated sequential scans evict
-    /// everything before it is re-read). The summed `io_bytes` cannot be
-    /// used for the fit test — a plan that scans a column in phase 2 and
-    /// gathers from it again in phase 3 charges it twice but caches it
-    /// once.
-    pub fn pool_adjust(&self, c: CostBreakdown, working_set: u64) -> CostBreakdown {
-        match self.pool_bytes {
-            Some(pool) if working_set <= pool => CostBreakdown::cpu(c.cpu_seconds),
-            _ => c,
-        }
+        CostParams { disk: DiskModel::default(), cpu_scale: 5.0, rates: CpuRates::default() }
     }
 }
 
@@ -482,15 +401,6 @@ mod tests {
             (d.scalar_value, d.plain_key_value)
         );
         assert!(CpuRates::from_kernel_bench_json("{}").is_none());
-    }
-
-    #[test]
-    fn calibration_produces_positive_ordered_rates() {
-        let r = CpuRates::calibrated();
-        assert!(r.scalar_value > 0.0);
-        assert!(r.tuple_value >= r.scalar_value);
-        assert!(r.row_tuple > r.scalar_value);
-        assert!(r.agg_code_row < r.agg_row, "code-level tail must model cheaper");
     }
 
     #[test]

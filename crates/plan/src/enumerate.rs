@@ -17,13 +17,14 @@
 //! [`Catalog`]; the winner is returned as a [`Plan`] together with an
 //! [`Explain`] tree that prints the estimate the way `EXPLAIN` would.
 
+use cvr_core::trace::write_json_string;
 use cvr_core::EngineConfig;
 use cvr_data::queries::{QueryId, SsbQuery};
 use cvr_data::schema::Dim;
 use cvr_row::designs::RowDesign;
 
 use crate::cost::{gather, seq_scan, CostBreakdown, CostParams, WorkingSet};
-use crate::explain::{write_json_string, Explain};
+use crate::explain::Explain;
 use crate::stats::{Catalog, ColumnStats, EncodingKind};
 
 /// Entries per B+Tree leaf page in the row engine's indexes: bulk loads
@@ -309,7 +310,6 @@ impl Planner {
                 // the modeled disk once per run however many phases touch
                 // it.
                 let est = CostBreakdown { io_bytes: ws.total(), ..est };
-                let est = self.params.pool_adjust(est, ws.total());
                 let seconds = est.seconds(&self.params);
                 explain.est_cost_seconds = Some(seconds);
                 out.push(Candidate {
@@ -324,7 +324,6 @@ impl Planner {
         for design in self.applicable_row_designs(q) {
             let (est, mut explain, ws) = self.cost_row(q, e, design, &order);
             let est = CostBreakdown { io_bytes: ws.total(), ..est };
-            let est = self.params.pool_adjust(est, ws.total());
             let seconds = est.seconds(&self.params);
             explain.est_cost_seconds = Some(seconds);
             out.push(Candidate {

@@ -11,6 +11,7 @@
 //! The JSON encoder is hand-rolled (the build environment has no serde):
 //! field names are part of the wire contract and pinned by tests.
 
+use cvr_core::trace::write_json_string;
 use std::fmt::Write as _;
 
 /// One node of an explain tree: a stable operator name, a human detail
@@ -114,26 +115,6 @@ impl Explain {
     }
 }
 
-/// Write `s` as a JSON string literal (quotes, backslashes and control
-/// characters escaped).
-pub fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,12 +146,5 @@ mod tests {
         }
         assert!(j.contains("\"est_rows\": 1200"), "{j}");
         assert!(j.contains("\"est_cost_seconds\": null"), "{j}");
-    }
-
-    #[test]
-    fn json_escapes_strings() {
-        let mut s = String::new();
-        write_json_string(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 }

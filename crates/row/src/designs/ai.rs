@@ -27,15 +27,6 @@ use cvr_index::btree::{BPlusTree, Key};
 use cvr_storage::io::IoSession;
 use cvr_storage::par::{default_threads, Jobs};
 
-/// Which columns to index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AiColumns {
-    /// Only columns some benchmark query touches (fast builds).
-    QueryNeeded,
-    /// Every column of every table (the letter of the design).
-    All,
-}
-
 /// The index-only design.
 pub struct AiDb {
     tables: Arc<SsbTables>,
@@ -46,22 +37,9 @@ pub struct AiDb {
 }
 
 impl AiDb {
-    /// Build indexes per `cols` policy.
-    pub fn build(tables: Arc<SsbTables>, cols: AiColumns) -> AiDb {
-        let (fact_cols, dim_cols) = match cols {
-            AiColumns::All => {
-                let f: Vec<&'static str> =
-                    tables.schema.lineorder.columns.iter().map(|c| c.name).collect();
-                let mut d: Vec<(Dim, &'static str)> = Vec::new();
-                for &dim in &Dim::ALL {
-                    for c in &tables.schema.dim(dim).columns {
-                        d.push((dim, c.name));
-                    }
-                }
-                (f, d)
-            }
-            AiColumns::QueryNeeded => needed_columns(),
-        };
+    /// Build an index over every column some benchmark query touches.
+    pub fn build(tables: Arc<SsbTables>) -> AiDb {
+        let (fact_cols, dim_cols) = needed_columns();
         // One independent index per column: build them as a job list over
         // the process-default worker count, the fact indexes (the large
         // ones) first.

@@ -18,7 +18,7 @@ pub mod traditional;
 pub mod vp;
 pub mod vp_super;
 
-pub use ai::{AiColumns, AiDb};
+pub use ai::AiDb;
 pub use mv::MvDb;
 pub use traditional::{TraditionalDb, TraditionalOptions};
 pub use vp::VpDb;
@@ -116,7 +116,7 @@ impl RowDb {
             )),
             RowDesign::MaterializedViews => RowDb::Mv(MvDb::build(tables)),
             RowDesign::VerticalPartitioning => RowDb::Vp(VpDb::build(tables)),
-            RowDesign::IndexOnly => RowDb::Ai(AiDb::build(tables, AiColumns::QueryNeeded)),
+            RowDesign::IndexOnly => RowDb::Ai(AiDb::build(tables)),
             RowDesign::SuperVp => RowDb::SuperVp(SuperVpDb::build(tables)),
         }
     }

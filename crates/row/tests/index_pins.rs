@@ -8,7 +8,7 @@ use cvr_data::gen::{SsbConfig, SsbTables};
 use cvr_data::queries::all_queries;
 use cvr_index::btree::{BPlusTree, IndexKey};
 use cvr_row::designs::traditional::BITMAP_COLUMNS;
-use cvr_row::designs::{AiColumns, AiDb, RowDb, RowDesign, TraditionalDb, TraditionalOptions};
+use cvr_row::designs::{AiDb, RowDb, RowDesign, TraditionalDb, TraditionalOptions};
 use cvr_storage::io::{IoSession, PAGE_SIZE};
 use std::sync::Arc;
 
@@ -44,7 +44,7 @@ fn bitmap_index_shapes_match_the_parent() {
 
 #[test]
 fn index_only_shapes_match_the_parent() {
-    let db = AiDb::build(tables(), AiColumns::QueryNeeded);
+    let db = AiDb::build(tables());
     let mut got: Vec<_> = db.indexes().map(|(col, tree)| (col, shape(tree))).collect();
     got.sort_unstable();
     let small = |entries| (1, 1, entries, 1);

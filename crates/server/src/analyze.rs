@@ -22,6 +22,7 @@
 //! [`Plan::to_json`] field-for-field, adding an `"actual"` object (or
 //! `null`) per tree node and a top-level `"trace"` with the raw span tree.
 
+use cvr_core::trace::write_json_string;
 use cvr_core::SpanRecord;
 use cvr_plan::{Explain, Plan};
 use std::fmt::Write as _;
@@ -166,7 +167,7 @@ fn render_node(
 fn render_json(plan: &Plan, root: Option<&SpanRecord>, assigned: &[Option<&SpanRecord>]) -> String {
     let mut out = String::new();
     let _ = write!(out, "{{\"query\": \"{}\", \"plan\": ", plan.query_id);
-    json_string(&mut out, &plan.choice.label());
+    write_json_string(&mut out, &plan.choice.label());
     let _ = write!(
         out,
         ", \"fact_order\": {:?}, \"est_seconds\": {:.6}, \"est_cpu_seconds\": {:.6}, \
@@ -186,7 +187,7 @@ fn render_json(plan: &Plan, root: Option<&SpanRecord>, assigned: &[Option<&SpanR
             out.push_str(", ");
         }
         out.push_str("{\"plan\": ");
-        json_string(&mut out, label);
+        write_json_string(&mut out, label);
         let _ = write!(out, ", \"est_seconds\": {secs:.6}}}");
     }
     out.push_str("], \"trace\": ");
@@ -200,9 +201,9 @@ fn render_json(plan: &Plan, root: Option<&SpanRecord>, assigned: &[Option<&SpanR
 
 fn node_json(node: &Explain, at: &mut usize, assigned: &[Option<&SpanRecord>], out: &mut String) {
     out.push_str("{\"op\": ");
-    json_string(out, node.op);
+    write_json_string(out, node.op);
     out.push_str(", \"detail\": ");
-    json_string(out, &node.detail);
+    write_json_string(out, &node.detail);
     match node.est_rows {
         Some(r) => {
             let _ = write!(out, ", \"est_rows\": {r}");
@@ -247,25 +248,6 @@ fn node_json(node: &Explain, at: &mut usize, assigned: &[Option<&SpanRecord>], o
         node_json(c, at, assigned, out);
     }
     out.push_str("]}");
-}
-
-/// JSON string literal (same escaping as the explain tree's encoder).
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -26,6 +26,7 @@ use crate::protocol::{
     FLAG_TRACE, MAX_FRAME_BYTES,
 };
 use crate::session::Session;
+use cvr_core::ctx::typed_panic;
 use cvr_core::{QueryCtx, QueryError, Tracer};
 use cvr_storage::fault;
 use std::collections::HashMap;
@@ -483,30 +484,17 @@ fn count_error(code: u16) {
 /// must surface as a structured `ERROR` frame on a still-usable connection,
 /// not unwind the connection thread and drop the socket into an opaque EOF.
 /// `Session` holds no lock-free invariants across a panic (its mutexes
-/// recover from poisoning), so resuming after the unwind is sound. Typed
-/// lifecycle aborts and injected I/O faults carried in the panic payload
-/// keep their stable codes; only genuinely unexpected payloads fall back to
-/// [`ERROR_CODE_PANIC`].
+/// recover from poisoning), so resuming after the unwind is sound. Payloads
+/// that [`typed_panic`] types keep their stable codes; only genuinely
+/// unexpected payloads fall back to [`ERROR_CODE_PANIC`].
 fn answer_query(session: &Session, sql: &str, ctx: &QueryCtx) -> Response {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.query_ctx(sql, ctx))) {
+    let answer =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.query_ctx(sql, ctx)));
+    match answer.map_err(typed_panic) {
         Ok(Ok(answer)) => response_for(&answer),
         Ok(Err(e)) => Response::Error { code: e.code(), message: e.to_string() },
-        Err(panic) => {
-            // Engine code entered through an infallible wrapper re-raises
-            // lifecycle errors via panic_any; keep their codes stable.
-            let panic = match panic.downcast::<QueryError>() {
-                Ok(e) => {
-                    return Response::Error { code: e.code(), message: e.to_string() };
-                }
-                Err(p) => p,
-            };
-            let panic = match panic.downcast::<fault::InjectedFault>() {
-                Ok(f) => {
-                    let e = QueryError::Io { detail: f.0.clone() };
-                    return Response::Error { code: e.code(), message: e.to_string() };
-                }
-                Err(p) => p,
-            };
+        Err(Ok(e)) => Response::Error { code: e.code(), message: e.to_string() },
+        Err(Err(panic)) => {
             let msg = panic
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())

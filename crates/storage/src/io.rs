@@ -22,11 +22,10 @@
 //! the merged accounting deterministic: the same at every thread count,
 //! regardless of thread scheduling.
 
-use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Size of one disk page: 32 KB, the System X configuration in Section 6.2.
@@ -165,7 +164,7 @@ impl BufferPool {
 
     /// Record an access to `page`; returns `true` on a pool hit.
     pub fn access(&self, page: PageId) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(&slot) = inner.map.get(&page) {
             inner.frames[slot].1 = true;
             return true;
@@ -196,7 +195,7 @@ impl BufferPool {
 
     /// Drop every resident page (a "cold cache" reset between experiments).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.map.clear();
         inner.frames.clear();
         inner.hand = 0;
@@ -204,7 +203,7 @@ impl BufferPool {
 
     /// Number of currently resident pages.
     pub fn resident_pages(&self) -> usize {
-        self.inner.lock().frames.len()
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).frames.len()
     }
 }
 

@@ -4,8 +4,7 @@
 //! regenerates SSB from scratch. This module gives the store a crash-safe
 //! persistence substrate:
 //!
-//! * **Segment files** — one file per encoded column (or raw heap/index
-//!   image), laid out as `magic | format | kind | enc | rows | payload_len |
+//! * **Segment files** — one file per encoded column, laid out as `magic | format | kind | enc | rows | payload_len |
 //!   payload | crc64`. The CRC covers every byte before it, so torn writes
 //!   and bit flips are detected before a single value is decoded.
 //! * **Manifest** — `MANIFEST-<generation>` lists every segment with its
@@ -241,9 +240,6 @@ pub enum SegmentPayload {
     Int(IntColumn),
     /// An encoded string column (plain / dictionary).
     Str(StrColumn),
-    /// An opaque byte image (heap file or index snapshot); the persist
-    /// layer checksums it but does not interpret it.
-    Raw(Vec<u8>),
 }
 
 impl SegmentPayload {
@@ -252,7 +248,6 @@ impl SegmentPayload {
         match self {
             SegmentPayload::Int(_) => 0,
             SegmentPayload::Str(_) => 1,
-            SegmentPayload::Raw(_) => 2,
         }
     }
 
@@ -264,17 +259,14 @@ impl SegmentPayload {
             SegmentPayload::Int(IntColumn::Packed { .. }) => 2,
             SegmentPayload::Str(StrColumn::Plain { .. }) => 0,
             SegmentPayload::Str(StrColumn::Dict { .. }) => 1,
-            SegmentPayload::Raw(_) => 0,
         }
     }
 
-    /// Logical row count recorded in the header (byte length for raw
-    /// images).
+    /// Logical row count recorded in the header.
     pub fn rows(&self) -> u64 {
         match self {
             SegmentPayload::Int(ic) => ic.len() as u64,
             SegmentPayload::Str(sc) => sc.len() as u64,
-            SegmentPayload::Raw(b) => b.len() as u64,
         }
     }
 }
@@ -458,7 +450,6 @@ pub fn encode_segment(payload: &SegmentPayload) -> Vec<u8> {
     match payload {
         SegmentPayload::Int(ic) => encode_int_payload(&mut body, ic),
         SegmentPayload::Str(sc) => encode_str_payload(&mut body, sc),
-        SegmentPayload::Raw(bytes) => body.extend_from_slice(bytes),
     }
     let mut out = Vec::with_capacity(SEGMENT_HEADER_BYTES + body.len() + CRC_BYTES);
     out.extend_from_slice(SEGMENT_MAGIC);
@@ -508,12 +499,6 @@ pub fn decode_segment(image: &[u8]) -> Result<SegmentPayload, PersistError> {
     let payload = match kind {
         0 => SegmentPayload::Int(decode_int_payload(enc, &mut pr)?),
         1 => SegmentPayload::Str(decode_str_payload(enc, &mut pr)?),
-        2 => {
-            if enc != 0 {
-                return Err(corrupt(format!("unknown raw encoding tag {enc}")));
-            }
-            SegmentPayload::Raw(pr.take(payload_len)?.to_vec())
-        }
         other => return Err(corrupt(format!("unknown segment kind {other}"))),
     };
     pr.done()?;
@@ -852,9 +837,6 @@ fn decode_entry(e: &ManifestEntry, image: Vec<u8>) -> Result<ColumnData, Persist
             Some(strs) => Ok(ColumnData::Str(strs)),
             None => Err(corrupt(format!("segment {} decodes to more than 4 GiB of text", e.name))),
         },
-        SegmentPayload::Raw(_) => {
-            Err(corrupt(format!("unexpected raw segment {} in table snapshot", e.name)))
-        }
     }
 }
 
@@ -1162,8 +1144,6 @@ mod tests {
             SegmentPayload::Int(IntColumn::packed(&packed_src).expect("packable")),
             SegmentPayload::Str(StrColumn::plain(strs.clone())),
             SegmentPayload::Str(StrColumn::dict(&strs)),
-            SegmentPayload::Raw(vec![0xAB; 777]),
-            SegmentPayload::Raw(Vec::new()),
         ]
     }
 
@@ -1201,6 +1181,18 @@ mod tests {
                     other => panic!("bit flip at {pos} not detected: {other:?}"),
                 }
             }
+        }
+        // A kind tag this code never writes, under a valid checksum.
+        let mut bad = encode_segment(&sample_payloads()[0]);
+        bad.truncate(bad.len() - CRC_BYTES);
+        bad[12] = 2;
+        let crc = crc64(&bad);
+        put_u64(&mut bad, crc);
+        match decode_segment(&bad) {
+            Err(PersistError::Corrupt { detail }) => {
+                assert!(detail.contains("unknown segment kind 2"))
+            }
+            other => panic!("a kind-2 segment decoded: {other:?}"),
         }
     }
 

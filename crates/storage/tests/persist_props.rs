@@ -83,7 +83,7 @@ fn str_values(rng: &mut Rng, shape: u64) -> Vec<String> {
 
 /// One payload per round, cycling through every codec the store writes.
 fn payload(rng: &mut Rng, round: u64) -> SegmentPayload {
-    match round % 8 {
+    match round % 7 {
         0 => SegmentPayload::Int(IntColumn::plain(int_values(rng, round))),
         1 => SegmentPayload::Int(IntColumn::plain_fixed(int_values(rng, round))),
         2 => SegmentPayload::Int(IntColumn::rle(&int_values(rng, 0))),
@@ -96,11 +96,7 @@ fn payload(rng: &mut Rng, round: u64) -> SegmentPayload {
         }
         4 => SegmentPayload::Int(IntColumn::auto(int_values(rng, round))),
         5 => SegmentPayload::Str(StrColumn::plain(str_values(rng, round))),
-        6 => SegmentPayload::Str(StrColumn::dict(&str_values(rng, 0))),
-        _ => {
-            let n = rng.below(2000) as usize;
-            SegmentPayload::Raw((0..n).map(|_| rng.next() as u8).collect())
-        }
+        _ => SegmentPayload::Str(StrColumn::dict(&str_values(rng, 0))),
     }
 }
 
