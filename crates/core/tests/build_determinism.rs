@@ -11,7 +11,7 @@ use cvr_core::projection::CStoreDb;
 use cvr_data::gen::{SsbConfig, SsbTables};
 use cvr_data::schema::Dim;
 use cvr_storage::encode::Column;
-use cvr_storage::persist::{crc64, encode_segment, SegmentPayload};
+use cvr_storage::persist::{crc64, encode_segment};
 use cvr_storage::{ColumnStore, FileId};
 use std::sync::Arc;
 
@@ -21,17 +21,10 @@ fn stores(db: &CStoreDb) -> Vec<&ColumnStore> {
     Dim::ALL.iter().map(|&d| &db.dim(d).store).chain([&db.fact]).collect()
 }
 
-fn segment_image(column: &Column) -> Vec<u8> {
-    encode_segment(&match column.clone() {
-        Column::Int(ic) => SegmentPayload::Int(ic),
-        Column::Str(sc) => SegmentPayload::Str(sc),
-    })
-}
-
 /// Every column's persisted image, concatenated in storage order.
 fn images(db: &CStoreDb) -> Vec<u8> {
     let columns = stores(db).into_iter().flat_map(ColumnStore::columns);
-    columns.flat_map(|c| segment_image(&c.column)).collect()
+    columns.flat_map(|c| encode_segment(&c.column)).collect()
 }
 
 fn file_ids(db: &CStoreDb) -> Vec<FileId> {
@@ -110,7 +103,7 @@ fn snapshot_segments_are_the_parents_byte_for_byte() {
         let parts = [&t.lineorder, &t.customer, &t.supplier, &t.part, &t.date];
         let columns = parts.iter().flat_map(|table| &table.columns);
         let image: Vec<u8> =
-            columns.flat_map(|data| segment_image(&Column::encode(data, true))).collect();
+            columns.flat_map(|data| encode_segment(&Column::encode(data, true))).collect();
         assert_eq!((crc64(&image), image.len()), (crc, len), "sf {sf} seed {seed}");
     }
 }

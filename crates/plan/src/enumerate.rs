@@ -21,7 +21,7 @@ use cvr_core::trace::write_json_string;
 use cvr_core::EngineConfig;
 use cvr_data::queries::{QueryId, SsbQuery};
 use cvr_data::schema::Dim;
-use cvr_row::designs::RowDesign;
+use cvr_row::designs::{ai, mv, RowDesign};
 
 use crate::cost::{gather, seq_scan, CostBreakdown, CostParams, WorkingSet};
 use crate::explain::Explain;
@@ -180,58 +180,6 @@ pub struct Planner {
     params: CostParams,
 }
 
-/// The columns the paper's 13 queries touch (what `AiDb::QueryNeeded`
-/// indexes), computed once — the paper set is constant.
-type PaperNeeded = (Vec<&'static str>, Vec<(Dim, &'static str)>);
-
-fn paper_needed() -> &'static PaperNeeded {
-    static NEEDED: std::sync::OnceLock<PaperNeeded> = std::sync::OnceLock::new();
-    NEEDED.get_or_init(|| {
-        let mut fact: Vec<&'static str> = Vec::new();
-        let mut dims: Vec<(Dim, &'static str)> = Vec::new();
-        for q in cvr_data::queries::all_queries() {
-            for c in q.fact_columns() {
-                if !fact.contains(&c) {
-                    fact.push(c);
-                }
-            }
-            for p in &q.dim_predicates {
-                if !dims.contains(&(p.dim, p.column)) {
-                    dims.push((p.dim, p.column));
-                }
-            }
-            for g in &q.group_by {
-                if !dims.contains(&(g.dim, g.column)) {
-                    dims.push((g.dim, g.column));
-                }
-            }
-        }
-        (fact, dims)
-    })
-}
-
-/// Union of fact columns the paper queries of `flight` (1..=4) need — the
-/// MV design's view definition. One shared definition serves both the
-/// applicability gate and the catalog's view-size estimate
-/// (`Catalog::build`), so they cannot drift apart.
-pub(crate) fn mv_view_columns(flight: u8) -> &'static [&'static str] {
-    static VIEWS: std::sync::OnceLock<[Vec<&'static str>; 4]> = std::sync::OnceLock::new();
-    &VIEWS.get_or_init(|| {
-        std::array::from_fn(|i| {
-            let flight = (i + 1) as u8;
-            let mut columns: Vec<&'static str> = Vec::new();
-            for q in cvr_data::queries::all_queries().iter().filter(|q| q.id.flight == flight) {
-                for c in q.fact_columns() {
-                    if !columns.contains(&c) {
-                        columns.push(c);
-                    }
-                }
-            }
-            columns
-        })
-    })[(flight - 1) as usize]
-}
-
 impl Planner {
     /// A planner over `catalog` with explicit parameters.
     pub fn with_params(catalog: Catalog, params: CostParams) -> Planner {
@@ -267,27 +215,27 @@ impl Planner {
 
     /// Row designs applicable to `q`.
     pub fn applicable_row_designs(&self, q: &SsbQuery) -> Vec<RowDesign> {
-        let (paper_fact, paper_dim) = paper_needed();
+        let (paper_fact, paper_dim) = ai::needed_columns();
         RowDesign::EXTENDED
             .into_iter()
             .filter(|d| match d {
                 // Views exist per *paper* flight and hold only the columns
-                // those queries read.
+                // those queries read (`mv::view_columns`).
                 RowDesign::MaterializedViews => {
                     (1..=4).contains(&q.id.flight) && {
-                        let view = mv_view_columns(q.id.flight);
+                        let view = mv::view_columns(q.id.flight);
                         q.fact_columns().iter().all(|c| view.contains(c))
                     }
                 }
                 // Index-only plans need every touched column indexed; the
-                // build indexes what some paper query touches.
+                // build indexes what some paper query touches
+                // (`ai::needed_columns`).
                 RowDesign::IndexOnly => {
                     q.fact_columns().iter().all(|c| paper_fact.contains(c))
                         && q.dim_predicates.iter().all(|p| paper_dim.contains(&(p.dim, p.column)))
                         && q.group_by.iter().all(|g| paper_dim.contains(&(g.dim, g.column)))
                 }
-                // The super-tuple VP planner asserts at least one
-                // restriction.
+                // The position-join plan asserts at least one restriction.
                 RowDesign::SuperVp => !q.dim_predicates.is_empty() || !q.fact_predicates.is_empty(),
                 _ => true,
             })
@@ -792,7 +740,7 @@ impl Planner {
                 let (heap, width) = if design == RowDesign::Traditional {
                     (sizes.fact_heap_bytes, 1.0)
                 } else {
-                    let cols = mv_view_columns(q.id.flight).len() as f64;
+                    let cols = mv::view_columns(q.id.flight).len() as f64;
                     (sizes.mv_view_bytes[(q.id.flight - 1) as usize], (cols / 17.0).max(0.2))
                 };
                 let bytes = (heap as f64 * yf) as u64;

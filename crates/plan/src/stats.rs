@@ -368,11 +368,6 @@ impl TableStats {
     pub fn column(&self, column: &str) -> &ColumnStats {
         self.cols.get(column).unwrap_or_else(|| panic!("no statistics for {}.{column}", self.name))
     }
-
-    /// Sum of encoded bytes over `columns` at one compression setting.
-    pub fn bytes_of(&self, columns: &[&str], compressed: bool) -> u64 {
-        columns.iter().map(|c| self.column(c).bytes(compressed)).sum()
-    }
 }
 
 /// Approximate on-disk sizes of the row-engine physical designs, derived
@@ -460,8 +455,8 @@ impl Catalog {
             .collect();
         let mut mv_view_bytes = [0u64; 4];
         for flight in 1..=4u8 {
-            // One shared view definition with the enumerator's MV gate.
-            let columns = crate::enumerate::mv_view_columns(flight);
+            // The design's own view definition, which the MV gate reads too.
+            let columns = cvr_row::designs::mv::view_columns(flight);
             let mean = mean_record_bytes(&tables.lineorder, Some(columns));
             mv_view_bytes[(flight - 1) as usize] =
                 (mean * tables.lineorder.num_rows() as f64) as u64;
@@ -675,7 +670,7 @@ mod tests {
                 })
                 .collect(),
             mv_view_bytes: std::array::from_fn(|f| {
-                let columns = crate::enumerate::mv_view_columns(f as u8 + 1);
+                let columns = cvr_row::designs::mv::view_columns(f as u8 + 1);
                 (materialized_mean(fact, Some(columns)) * rows) as u64
             }),
             fact_row_bytes,

@@ -15,12 +15,12 @@
 //! design in Figure 6.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::designs::common::{aggregate_and_finish, join_order};
-use crate::ops::{BoxedOp, HashJoin, IndexFullScanOp, IndexRangeScanOp, Project};
+use crate::ops::{BoxedOp, Filter, HashJoin, IndexFullScanOp, IndexRangeScanOp, Project};
 use cvr_data::gen::SsbTables;
-use cvr_data::queries::{all_queries, SsbQuery};
+use cvr_data::queries::{all_queries, Pred, SsbQuery};
 use cvr_data::result::QueryOutput;
 use cvr_data::schema::Dim;
 use cvr_index::btree::{BPlusTree, Key};
@@ -45,16 +45,16 @@ impl AiDb {
         // ones) first.
         let mut jobs = Jobs::new();
         let fact_idx: Vec<_> = fact_cols
-            .into_iter()
-            .map(|col| {
+            .iter()
+            .map(|&col| {
                 let data = tables.lineorder.column(col);
                 let entries = (0..data.len()).map(|r| (Key::new(data.value(r)), r as u32));
                 (col, jobs.add(move || BPlusTree::bulk_load(entries.collect())))
             })
             .collect();
         let dim_idx: Vec<_> = dim_cols
-            .into_iter()
-            .map(|(dim, col)| {
+            .iter()
+            .map(|&(dim, col)| {
                 let table = tables.dim(dim);
                 let (keys, data) = (table.column(dim.key_column()), table.column(col));
                 let entries =
@@ -92,11 +92,9 @@ impl AiDb {
         for (i, &col) in fact_columns.iter().enumerate() {
             let tree = &self.fact_idx[col];
             let rid_name = format!("rid#{i}");
-            let pred = q.fact_predicates.iter().find(|p| p.column == col);
-            let scan: BoxedOp<'_> = match pred {
-                Some(p) => Box::new(IndexRangeScanOp::new(tree, &[col], &rid_name, &p.pred, io)),
-                None => Box::new(IndexFullScanOp::new(tree, &[col], &rid_name, io)),
-            };
+            let preds: Vec<&Pred> =
+                q.fact_predicates.iter().filter(|p| p.column == col).map(|p| &p.pred).collect();
+            let scan = index_piece(tree, &[col], &rid_name, &preds, io);
             pipeline = Some(match pipeline {
                 None => scan,
                 Some(pl) => Box::new(HashJoin::new(pl, scan, "rid#0", &rid_name, false)),
@@ -149,19 +147,9 @@ impl AiDb {
             let pk_name =
                 if piece == 0 { dim.key_column().to_string() } else { format!("pk#{piece}") };
             let rid_name = format!("drid#{piece}");
-            let pred = preds.iter().find(|p| p.column == col);
-            let scan: BoxedOp<'a> = match pred {
-                Some(p) => Box::new(IndexRangeScanOp::new(
-                    tree,
-                    &[col, pk_name.as_str()],
-                    &rid_name,
-                    &p.pred,
-                    io,
-                )),
-                None => {
-                    Box::new(IndexFullScanOp::new(tree, &[col, pk_name.as_str()], &rid_name, io))
-                }
-            };
+            let on_col: Vec<&Pred> =
+                preds.iter().filter(|p| p.column == col).map(|p| &p.pred).collect();
+            let scan = index_piece(tree, &[col, pk_name.as_str()], &rid_name, &on_col, io);
             plan = Some(match plan {
                 None => {
                     first_rid = rid_name;
@@ -180,26 +168,56 @@ impl AiDb {
     }
 }
 
-/// Columns any benchmark query touches (build-time savings).
-fn needed_columns() -> (Vec<&'static str>, Vec<(Dim, &'static str)>) {
-    let mut fact: Vec<&'static str> = Vec::new();
-    let mut dims: Vec<(Dim, &'static str)> = Vec::new();
-    for q in all_queries() {
-        for c in q.fact_columns() {
-            if !fact.contains(&c) {
-                fact.push(c);
-            }
-        }
-        for p in &q.dim_predicates {
-            if !dims.contains(&(p.dim, p.column)) {
-                dims.push((p.dim, p.column));
-            }
-        }
-        for g in &q.group_by {
-            if !dims.contains(&(g.dim, g.column)) {
-                dims.push((g.dim, g.column));
-            }
-        }
+/// One index piece: `tree`'s entries as `(key_cols..., rid_col)` tuples.
+/// With predicates on the leading key part, a range scan under the first of
+/// them, and the rest applied by [`Filter`] on the piece; without, a full
+/// scan.
+fn index_piece<'a>(
+    tree: &'a BPlusTree,
+    key_cols: &[&str],
+    rid_col: &str,
+    preds: &[&Pred],
+    io: &'a IoSession,
+) -> BoxedOp<'a> {
+    let Some((first, rest)) = preds.split_first() else {
+        return Box::new(IndexFullScanOp::new(tree, key_cols, rid_col, io));
+    };
+    let mut piece: BoxedOp<'a> =
+        Box::new(IndexRangeScanOp::new(tree, key_cols, rid_col, first, io));
+    for &pred in rest {
+        piece = Box::new(Filter::new(piece, key_cols[0], pred.clone()));
     }
-    (fact, dims)
+    piece
+}
+
+/// Fact columns, then `(dimension, column)` pairs.
+pub type NeededColumns = (Vec<&'static str>, Vec<(Dim, &'static str)>);
+
+/// The columns the design indexes: every fact column and every
+/// `(dimension, column)` some paper query reads, in first-use order. The
+/// planner's AI gate reads the same definition.
+pub fn needed_columns() -> &'static NeededColumns {
+    static NEEDED: OnceLock<NeededColumns> = OnceLock::new();
+    NEEDED.get_or_init(|| {
+        let mut fact: Vec<&'static str> = Vec::new();
+        let mut dims: Vec<(Dim, &'static str)> = Vec::new();
+        for q in all_queries() {
+            for c in q.fact_columns() {
+                if !fact.contains(&c) {
+                    fact.push(c);
+                }
+            }
+            for p in &q.dim_predicates {
+                if !dims.contains(&(p.dim, p.column)) {
+                    dims.push((p.dim, p.column));
+                }
+            }
+            for g in &q.group_by {
+                if !dims.contains(&(g.dim, g.column)) {
+                    dims.push((g.dim, g.column));
+                }
+            }
+        }
+        (fact, dims)
+    })
 }

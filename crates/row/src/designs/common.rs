@@ -1,11 +1,16 @@
-//! Shared planning helpers for the row-store designs.
+//! Shared planning helpers for the row-store designs, and the star join
+//! that `T`, `T(B)` and `MV` all end in.
 
-use crate::ops::{drain, BoxedOp, HashAgg};
+use std::collections::HashMap;
+
+use crate::ops::{drain, BoxedOp, ChainOp, HashAgg, HashJoin, SeqScan};
 use cvr_data::gen::SsbTables;
-use cvr_data::queries::{Pred, SsbQuery};
+use cvr_data::queries::SsbQuery;
 use cvr_data::result::QueryOutput;
 use cvr_data::schema::Dim;
 use cvr_data::table::ColumnData;
+use cvr_storage::heap::{HeapFile, PartitionedHeap};
+use cvr_storage::io::IoSession;
 
 /// Fraction of dimension rows matching the query's predicates on `dim`
 /// (an "optimizer statistic": computed from catalog data, charging no I/O).
@@ -57,7 +62,7 @@ pub fn qualifying_years(tables: &SsbTables, q: &SsbQuery) -> Option<Vec<i64>> {
 }
 
 /// Group-by column names of `q`, in declaration order (e.g. `d_year`).
-pub fn group_col_names(q: &SsbQuery) -> Vec<&'static str> {
+fn group_col_names(q: &SsbQuery) -> Vec<&'static str> {
     q.group_by.iter().map(|g| g.column).collect()
 }
 
@@ -82,9 +87,77 @@ pub fn join_order(tables: &SsbTables, q: &SsbQuery) -> Vec<Dim> {
     dims.into_iter().map(|(d, _)| d).collect()
 }
 
+/// A sequential scan of one fact heap whose records hold `cols`, projecting
+/// the query's fact columns, with its fact predicates pushed in.
+pub fn fact_seq_scan<'a>(
+    heap: &'a HeapFile,
+    cols: &[&str],
+    q: &SsbQuery,
+    io: &'a IoSession,
+) -> BoxedOp<'a> {
+    let mut scan = SeqScan::new(heap, cols, &q.fact_columns(), io);
+    for p in &q.fact_predicates {
+        scan = scan.with_predicate(cols, p.column, p.pred.clone());
+    }
+    Box::new(scan)
+}
+
+/// The fact scan of an `orderdate`-year-partitioned heap (the `T` fact
+/// table or an `MV` view): a [`fact_seq_scan`] of each partition the query's
+/// date predicates admit, chained.
+pub fn pruned_fact_scan<'a>(
+    tables: &SsbTables,
+    parts: &'a PartitionedHeap,
+    cols: &[&str],
+    q: &SsbQuery,
+    io: &'a IoSession,
+) -> BoxedOp<'a> {
+    let heaps = match qualifying_years(tables, q) {
+        Some(years) => parts.select(move |y| years.contains(&y)),
+        None => parts.all(),
+    };
+    Box::new(ChainOp::new(heaps.into_iter().map(|h| fact_seq_scan(h, cols, q, io)).collect()))
+}
+
+/// The star join of `T`, `T(B)` and `MV`: `fact` hash-joined, in
+/// [`join_order`], against each touched dimension's heap scanned with the
+/// query's predicates on it pushed down, then aggregated. A join against a
+/// restricted dimension pre-filters its probes through a Bloom filter when
+/// `use_bloom`. Dimensions in `skip` are not joined.
+pub fn star_join<'a>(
+    tables: &SsbTables,
+    dims: &'a HashMap<Dim, HeapFile>,
+    q: &SsbQuery,
+    mut fact: BoxedOp<'a>,
+    skip: &[Dim],
+    use_bloom: bool,
+    io: &'a IoSession,
+) -> QueryOutput {
+    for dim in join_order(tables, q) {
+        if skip.contains(&dim) {
+            continue;
+        }
+        let cols: Vec<&str> = tables.schema.dim(dim).columns.iter().map(|c| c.name).collect();
+        let mut scan = SeqScan::new(&dims[&dim], &cols, &dim_needed_columns(q, dim), io);
+        let preds = q.dim_predicates_on(dim);
+        let restricted = !preds.is_empty();
+        for p in preds {
+            scan = scan.with_predicate(&cols, p.column, p.pred.clone());
+        }
+        fact = Box::new(HashJoin::new(
+            fact,
+            Box::new(scan),
+            dim.fact_fk_column(),
+            dim.key_column(),
+            use_bloom && restricted,
+        ));
+    }
+    aggregate_and_finish(q, fact)
+}
+
 /// Build the aggregate term closure for `q` against `schema` (fact measure
 /// columns must be present under their `lo_*` names).
-pub fn agg_term<'a>(
+fn agg_term<'a>(
     q: &SsbQuery,
     schema: &crate::tuple::OpSchema,
 ) -> impl Fn(&crate::tuple::Tuple) -> i64 + 'a {
@@ -105,7 +178,7 @@ pub fn aggregate_and_finish<'a>(q: &SsbQuery, child: BoxedOp<'a>) -> QueryOutput
 }
 
 /// Drain an aggregation operator (group cols ++ agg) into a [`QueryOutput`].
-pub fn finish_from_agg<'a>(q: &SsbQuery, agg: BoxedOp<'a>) -> QueryOutput {
+fn finish_from_agg<'a>(q: &SsbQuery, agg: BoxedOp<'a>) -> QueryOutput {
     let rows = drain(agg);
     if rows.is_empty() && q.group_by.is_empty() {
         // Scalar aggregate over zero rows: canonicalize as 0.
@@ -119,25 +192,6 @@ pub fn finish_from_agg<'a>(q: &SsbQuery, agg: BoxedOp<'a>) -> QueryOutput {
             })
             .collect(),
     )
-}
-
-/// True when `pred` over the sorted `domain` selects a contiguous slice of
-/// it (drives key-range vs per-key index access).
-pub fn selects_contiguous(domain: &[i64], pred: &Pred) -> bool {
-    let mut started = false;
-    let mut ended = false;
-    for &v in domain {
-        let m = pred.matches_int(v);
-        if m && ended {
-            return false;
-        }
-        if m {
-            started = true;
-        } else if started {
-            ended = true;
-        }
-    }
-    true
 }
 
 /// Extract the integer column `name` from `data` (helper for builders).
@@ -212,18 +266,6 @@ mod tests {
         let q = query(3, 1);
         assert_eq!(dim_needed_columns(&q, Dim::Customer), vec!["c_custkey", "c_nation"]);
         assert_eq!(dim_needed_columns(&q, Dim::Date), vec!["d_datekey", "d_year"]);
-    }
-
-    #[test]
-    fn selects_contiguous_detection() {
-        use cvr_data::queries::Pred;
-        use cvr_data::value::Value;
-        let domain = [1i64, 2, 3, 4, 5, 6];
-        assert!(selects_contiguous(&domain, &Pred::Between(Value::Int(2), Value::Int(4))));
-        assert!(selects_contiguous(&domain, &Pred::Eq(Value::Int(6))));
-        assert!(!selects_contiguous(&domain, &Pred::InSet(vec![Value::Int(1), Value::Int(5)])));
-        // Empty selection counts as contiguous.
-        assert!(selects_contiguous(&domain, &Pred::Eq(Value::Int(99))));
     }
 
     #[test]

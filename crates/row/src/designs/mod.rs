@@ -1,12 +1,19 @@
-//! The five row-store physical designs of Section 4 / Figure 6.
+//! The five row-store physical designs of Section 4 / Figure 6, plus `VP(S)`.
 //!
-//! | Code  | Design                     | Type            | Holds |
-//! |-------|----------------------------|-----------------|-------|
-//! | T     | traditional                | [`TraditionalDb`] (`execute`) | year-partitioned fact heap, dimension heaps |
-//! | T(B)  | traditional, bitmap-biased | [`TraditionalDb`] (`execute_bitmap`) | whole fact heap, six `i64`-keyed fact B+Trees, dimension heaps |
-//! | MV    | materialized views         | [`MvDb`] | one year-partitioned view per flight, each built by its flight's first statement; dimension heaps |
-//! | VP    | vertical partitioning      | [`VpDb`] | a `(position, value)` heap per column |
-//! | AI    | index-only ("all indexes") | [`AiDb`] | a [`Key`](cvr_index::btree::Key)-keyed B+Tree per needed column |
+//! | Code  | Design                     | Type            | Holds | Plan builder |
+//! |-------|----------------------------|-----------------|-------|--------------|
+//! | T     | traditional                | [`TraditionalDb`] (`execute`) | year-partitioned fact heap, dimension heaps | star join |
+//! | T(B)  | traditional, bitmap-biased | [`TraditionalDb`] (`execute_bitmap`) | whole fact heap, six `i64`-keyed fact B+Trees, dimension heaps | bitmap fetch, then the star join |
+//! | MV    | materialized views         | [`MvDb`] | one year-partitioned view per flight, each built by its flight's first statement; dimension heaps | star join |
+//! | VP    | vertical partitioning      | [`VpDb`] | a `(position, value)` heap per column | position join |
+//! | VP(S) | VP over super tuples       | [`SuperVpDb`] | packed values per column, positions virtual | position join |
+//! | AI    | index-only ("all indexes") | [`AiDb`] | a [`Key`](cvr_index::btree::Key)-keyed B+Tree per needed column | rid joins of index pieces |
+//!
+//! The designs differ in storage, not in plans, so each plan shape is
+//! written once: the star join in [`common::star_join`] (fed by
+//! [`common::pruned_fact_scan`] in `T` and `MV`), and the position join in
+//! [`vp::PositionJoinDb`], generic over how one column file is stored
+//! ([`vp::ColumnFile`]).
 //!
 //! [`RowDesign`] + [`RowDb`] give the benchmark harness a uniform way to
 //! build and run any of them.

@@ -7,9 +7,10 @@
 //! partitioned by `orderdate` year like the traditional design ("System X is
 //! able to partition each materialized view optimally").
 //!
-//! Plans are the traditional plans with the scan retargeted at the view, so
-//! the design's entire advantage is I/O: a flight-1 view row is ~24 bytes
-//! against ~90 for the full 17-column tuple.
+//! Plans are the traditional plans with the scan retargeted at the view:
+//! [`pruned_fact_scan`] over the view's partitions, then [`star_join`], the
+//! builders `T` runs. So the design's entire advantage is I/O: a flight-1
+//! view row is ~24 bytes against ~90 for the full 17-column tuple.
 //!
 //! A view is built by the first statement of its flight, so a workload that
 //! only runs flight 1 through this design pays for flight 1's view alone.
@@ -17,10 +18,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use crate::designs::common::{
-    aggregate_and_finish, dim_needed_columns, int_col, join_order, qualifying_years,
-};
-use crate::ops::{BoxedOp, ChainOp, HashJoin, SeqScan};
+use crate::designs::common::{int_col, pruned_fact_scan, star_join};
 use cvr_data::gen::SsbTables;
 use cvr_data::queries::{all_queries, SsbQuery};
 use cvr_data::result::QueryOutput;
@@ -31,8 +29,8 @@ use cvr_storage::io::IoSession;
 
 /// One per-flight materialized view.
 pub struct MaterializedView {
-    /// Fact columns stored in the view.
-    pub columns: Vec<&'static str>,
+    /// Fact columns stored in the view ([`view_columns`]).
+    pub columns: &'static [&'static str],
     /// The view's storage, partitioned by `orderdate` year.
     pub heap: PartitionedHeap,
 }
@@ -40,15 +38,7 @@ pub struct MaterializedView {
 impl MaterializedView {
     /// Project and partition `flight`'s view straight from the fact columns.
     fn build(tables: &SsbTables, flight: u8) -> MaterializedView {
-        // Union of the flight's queries' fact columns.
-        let mut columns: Vec<&'static str> = Vec::new();
-        for q in all_queries().iter().filter(|q| q.id.flight == flight) {
-            for c in q.fact_columns() {
-                if !columns.contains(&c) {
-                    columns.push(c);
-                }
-            }
-        }
+        let columns = view_columns(flight);
         let fact = &tables.lineorder;
         let data: Vec<&ColumnData> = columns.iter().map(|c| fact.column(c)).collect();
         let dates = int_col(fact, "lo_orderdate");
@@ -57,13 +47,32 @@ impl MaterializedView {
     }
 }
 
+/// The fact columns of `flight`'s view (1..=4): the union of the columns its
+/// paper queries read, in first-use order. The planner's MV gate and size
+/// estimate read the same definition.
+pub fn view_columns(flight: u8) -> &'static [&'static str] {
+    static VIEWS: OnceLock<[Vec<&'static str>; 4]> = OnceLock::new();
+    &VIEWS.get_or_init(|| {
+        std::array::from_fn(|i| {
+            let mut columns: Vec<&'static str> = Vec::new();
+            for q in all_queries().iter().filter(|q| q.id.flight as usize == i + 1) {
+                for c in q.fact_columns() {
+                    if !columns.contains(&c) {
+                        columns.push(c);
+                    }
+                }
+            }
+            columns
+        })
+    })[(flight - 1) as usize]
+}
+
 /// The MV design: per-flight views plus the dimension heaps.
 pub struct MvDb {
     tables: Arc<SsbTables>,
     /// Views indexed by flight number − 1, each built on first use.
     views: [OnceLock<MaterializedView>; 4],
     dims: HashMap<Dim, HeapFile>,
-    use_bloom: bool,
 }
 
 impl MvDb {
@@ -71,7 +80,7 @@ impl MvDb {
     /// [`MvDb::view`] of that flight.
     pub fn build(tables: Arc<SsbTables>) -> MvDb {
         let dims = Dim::ALL.iter().map(|&d| (d, HeapFile::build(tables.dim(d)))).collect();
-        MvDb { tables, views: Default::default(), dims, use_bloom: true }
+        MvDb { tables, views: Default::default(), dims }
     }
 
     /// The view serving `flight` (1..=4), built on first use.
@@ -89,46 +98,8 @@ impl MvDb {
     /// Execute `q` against its flight's view.
     pub fn execute(&self, q: &SsbQuery, io: &IoSession) -> QueryOutput {
         let view = self.view(q.id.flight);
-        let needed = q.fact_columns();
-        fn make<'a>(
-            heap: &'a HeapFile,
-            view_cols: &[&'static str],
-            needed: &[&'static str],
-            q: &SsbQuery,
-            io: &'a IoSession,
-        ) -> BoxedOp<'a> {
-            let mut scan = SeqScan::new(heap, view_cols, needed, io);
-            for p in &q.fact_predicates {
-                scan = scan.with_predicate(view_cols, p.column, p.pred.clone());
-            }
-            Box::new(scan)
-        }
-        let heaps = match qualifying_years(&self.tables, q) {
-            Some(years) => view.heap.select(move |y| years.contains(&y)),
-            None => view.heap.all(),
-        };
-        let mut pipeline: BoxedOp<'_> = Box::new(ChainOp::new(
-            heaps.into_iter().map(|h| make(h, &view.columns, &needed, q, io)).collect(),
-        ));
-        for dim in join_order(&self.tables, q) {
-            let restricted = !q.dim_predicates_on(dim).is_empty();
-            let heap = &self.dims[&dim];
-            let schema = self.tables.schema.dim(dim);
-            let cols: Vec<&str> = schema.columns.iter().map(|c| c.name).collect();
-            let needed_dim = dim_needed_columns(q, dim);
-            let mut scan = SeqScan::new(heap, &cols, &needed_dim, io);
-            for p in q.dim_predicates_on(dim) {
-                scan = scan.with_predicate(&cols, p.column, p.pred.clone());
-            }
-            pipeline = Box::new(HashJoin::new(
-                pipeline,
-                Box::new(scan),
-                dim.fact_fk_column(),
-                dim.key_column(),
-                self.use_bloom && restricted,
-            ));
-        }
-        aggregate_and_finish(q, pipeline)
+        let fact = pruned_fact_scan(&self.tables, &view.heap, view.columns, q, io);
+        star_join(&self.tables, &self.dims, q, fact, &[], true, io)
     }
 }
 
@@ -151,8 +122,7 @@ mod tests {
             int_col(&tables.lineorder, "lo_orderdate").iter().map(|d| d / 10_000).collect();
         let eager: u64 = (1..=4)
             .map(|f| {
-                let projected =
-                    tables.lineorder.project(&MaterializedView::build(&tables, f).columns);
+                let projected = tables.lineorder.project(view_columns(f));
                 let columns: Vec<&ColumnData> = projected.columns.iter().collect();
                 PartitionedHeap::build(&columns, |i| years[i]).bytes()
             })

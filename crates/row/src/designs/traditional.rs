@@ -8,17 +8,18 @@
 //! paths — Section 6.2 reports this usually hurts, and the mechanism
 //! (index-leaf reads plus random heap fetches versus one sequential scan) is
 //! reproduced here.
+//!
+//! Both plans end in [`star_join`](super::common::star_join), which `MV`
+//! runs too. `T` feeds it
+//! [`pruned_fact_scan`](super::common::pruned_fact_scan), as `MV` does.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::designs::common::{
-    agg_term, aggregate_and_finish, dim_matching_keys, dim_needed_columns, dim_selectivity,
-    finish_from_agg, group_col_names, int_col, join_order, qualifying_years,
+    dim_matching_keys, fact_seq_scan, int_col, pruned_fact_scan, star_join,
 };
-use crate::ops::{
-    range_scan_pred, BitmapFetch, BoxedOp, ChainOp, Filter, HashAgg, HashJoin, SeqScan,
-};
+use crate::ops::{range_scan_pred, BitmapFetch, BoxedOp, Filter};
 use cvr_data::gen::SsbTables;
 use cvr_data::queries::SsbQuery;
 use cvr_data::result::QueryOutput;
@@ -129,71 +130,23 @@ impl TraditionalDb {
             .unwrap_or(0)
     }
 
-    /// Heap of dimension `d`.
-    pub fn dim_heap(&self, d: Dim) -> &HeapFile {
-        &self.dims[&d]
+    /// Names of the fact heap's columns, in record order.
+    fn fact_cols(&self) -> Vec<&'static str> {
+        self.tables.schema.lineorder.columns.iter().map(|c| c.name).collect()
     }
 
-    /// Source tables (for planners needing catalog statistics).
-    pub fn tables(&self) -> &SsbTables {
-        &self.tables
-    }
-
-    /// Build the fact-scan operator: partition-pruned chain or whole heap,
-    /// with flight-1 predicates pushed into the scan.
-    fn fact_scan<'a>(&'a self, q: &SsbQuery, io: &'a IoSession) -> BoxedOp<'a> {
-        let fact_cols: Vec<&str> =
-            self.tables.schema.lineorder.columns.iter().map(|c| c.name).collect();
-        let needed = q.fact_columns();
-        let make = |heap: &'a HeapFile| -> BoxedOp<'a> {
-            let mut scan = SeqScan::new(heap, &fact_cols, &needed, io);
-            for p in &q.fact_predicates {
-                scan = scan.with_predicate(&fact_cols, p.column, p.pred.clone());
-            }
-            Box::new(scan)
-        };
-        match &self.fact_partitioned {
-            Some(parts) => {
-                let heaps = match qualifying_years(&self.tables, q) {
-                    Some(years) => parts.select(move |y| years.contains(&y)),
-                    None => parts.all(),
-                };
-                Box::new(ChainOp::new(heaps.into_iter().map(make).collect()))
-            }
-            None => make(self.fact_whole.as_ref().expect("unpartitioned heap")),
-        }
-    }
-
-    /// A filtered dimension-table operator: sequential scan of the dim heap
-    /// with predicates pushed down, projecting key + group columns.
-    fn dim_build<'a>(&'a self, q: &SsbQuery, dim: Dim, io: &'a IoSession) -> BoxedOp<'a> {
-        let heap = &self.dims[&dim];
-        let schema = self.tables.schema.dim(dim);
-        let cols: Vec<&str> = schema.columns.iter().map(|c| c.name).collect();
-        let needed = dim_needed_columns(q, dim);
-        let mut scan = SeqScan::new(heap, &cols, &needed, io);
-        for p in q.dim_predicates_on(dim) {
-            scan = scan.with_predicate(&cols, p.column, p.pred.clone());
-        }
-        Box::new(scan)
-    }
-
-    /// Execute `q` with the standard plan: pruned fact scan, hash joins in
-    /// selectivity order, grouped aggregation.
+    /// Execute `q` with the standard plan: partition-pruned fact scan (or
+    /// the whole heap, when built unpartitioned) with the fact predicates
+    /// pushed in, then the star join.
     pub fn execute(&self, q: &SsbQuery, io: &IoSession) -> QueryOutput {
-        let mut pipeline = self.fact_scan(q, io);
-        for dim in join_order(&self.tables, q) {
-            let build = self.dim_build(q, dim, io);
-            let restricted = !q.dim_predicates_on(dim).is_empty();
-            pipeline = Box::new(HashJoin::new(
-                pipeline,
-                build,
-                dim.fact_fk_column(),
-                dim.key_column(),
-                self.opts.use_bloom && restricted,
-            ));
-        }
-        aggregate_and_finish(q, pipeline)
+        let cols = self.fact_cols();
+        let fact = match &self.fact_partitioned {
+            Some(parts) => pruned_fact_scan(&self.tables, parts, &cols, q, io),
+            None => {
+                fact_seq_scan(self.fact_whole.as_ref().expect("unpartitioned heap"), &cols, q, io)
+            }
+        };
+        star_join(&self.tables, &self.dims, q, fact, &[], self.opts.use_bloom, io)
     }
 
     /// Execute `q` with the bitmap-biased plan (`T(B)`).
@@ -257,43 +210,23 @@ impl TraditionalDb {
             applied_dims.push(dim);
         }
 
-        // Fetch surviving tuples and finish with the standard joins.
-        let fact_cols: Vec<&str> =
-            self.tables.schema.lineorder.columns.iter().map(|c| c.name).collect();
-        let needed = q.fact_columns();
-        let mut pipeline: BoxedOp<'_> =
-            Box::new(BitmapFetch::new(heap, &fact_cols, &needed, bitmap.to_vec(), io));
+        // Fetch surviving tuples and finish with the star join.
+        let mut pipeline: BoxedOp<'_> = Box::new(BitmapFetch::new(
+            heap,
+            &self.fact_cols(),
+            &q.fact_columns(),
+            bitmap.to_vec(),
+            io,
+        ));
         for p in &q.fact_predicates {
             if !applied_fact.contains(&p.column) {
                 pipeline = Box::new(Filter::new(pipeline, p.column, p.pred.clone()));
             }
         }
-        for dim in join_order(&self.tables, q) {
-            // Dimensions already applied through bitmaps still need joining
-            // when they contribute group-by columns.
-            let contributes_groups = q.group_by.iter().any(|g| g.dim == dim);
-            let restricted = !q.dim_predicates_on(dim).is_empty();
-            if applied_dims.contains(&dim) && !contributes_groups {
-                continue;
-            }
-            let build = self.dim_build(q, dim, io);
-            pipeline = Box::new(HashJoin::new(
-                pipeline,
-                build,
-                dim.fact_fk_column(),
-                dim.key_column(),
-                self.opts.use_bloom && restricted,
-            ));
-        }
-        let groups = group_col_names(q);
-        let term = agg_term(q, pipeline.schema());
-        let agg = HashAgg::new(pipeline, &groups, term);
-        finish_from_agg(q, Box::new(agg))
-    }
-
-    /// Per-dimension restriction selectivity (exposed for plan debugging).
-    pub fn selectivity(&self, q: &SsbQuery, dim: Dim) -> f64 {
-        dim_selectivity(&self.tables, q, dim)
+        // Dimensions already applied through bitmaps still need joining
+        // when they contribute group-by columns.
+        applied_dims.retain(|&dim| !q.group_by.iter().any(|g| g.dim == dim));
+        star_join(&self.tables, &self.dims, q, pipeline, &applied_dims, self.opts.use_bloom, io)
     }
 }
 

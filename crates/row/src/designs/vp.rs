@@ -1,4 +1,4 @@
-//! The fully-vertically-partitioned design (Figure 6 `VP`).
+//! The fully-vertically-partitioned designs (Figure 6 `VP`, and `VP(S)`).
 //!
 //! Every column of every relation becomes a two-column table
 //! `(pos, value)` — the "integer position column" scheme of Section 4. The
@@ -12,6 +12,11 @@
 //! columns; the fact FK column is hash-joined against that; branch results
 //! are hash-joined on `pos`; measure columns are picked up last by further
 //! `pos` joins. System X "chose to use hash joins" throughout — so do we.
+//!
+//! That plan is written once, in [`PositionJoinDb`], over a [`ColumnFile`]:
+//! how one column is stored and opened as a `(pos, value)` scan. [`VpDb`]
+//! stores a heap of `(pos, value)` records; [`SuperVpDb`](super::SuperVpDb)
+//! stores packed values with virtual positions.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,44 +24,76 @@ use std::sync::Arc;
 use crate::designs::common::{aggregate_and_finish, dim_needed_columns, join_order};
 use crate::ops::{BoxedOp, HashJoin, Project, SeqScan};
 use cvr_data::gen::SsbTables;
-use cvr_data::queries::SsbQuery;
+use cvr_data::queries::{Pred, SsbQuery};
 use cvr_data::result::QueryOutput;
 use cvr_data::schema::Dim;
 use cvr_data::table::ColumnData;
 use cvr_storage::heap::HeapFile;
 use cvr_storage::io::IoSession;
 
+/// One stored column of a vertically partitioned design.
+pub trait ColumnFile: Sized {
+    /// Store `data`, the column named `name`.
+    fn build(name: &'static str, data: &ColumnData) -> Self;
+
+    /// Bytes on disk.
+    fn bytes(&self) -> u64;
+
+    /// Scan the file as `(pos, name)` tuples that satisfy every one of
+    /// `preds`.
+    fn scan<'a>(&'a self, name: &'static str, preds: Vec<Pred>, io: &'a IoSession) -> BoxedOp<'a>;
+}
+
+/// VP's column file: a heap of `(pos, value)` records.
+impl ColumnFile for HeapFile {
+    fn build(_: &'static str, data: &ColumnData) -> HeapFile {
+        let pos = ColumnData::Int((0..data.len() as i64).collect());
+        HeapFile::from_rows(&[&pos, data], 0..data.len())
+    }
+
+    fn bytes(&self) -> u64 {
+        HeapFile::bytes(self)
+    }
+
+    fn scan<'a>(&'a self, name: &'static str, preds: Vec<Pred>, io: &'a IoSession) -> BoxedOp<'a> {
+        let cols = ["pos", name];
+        let mut scan = SeqScan::new(self, &cols, &cols, io);
+        for pred in preds {
+            scan = scan.with_predicate(&cols, name, pred);
+        }
+        Box::new(scan)
+    }
+}
+
+/// The VP design: one `(pos, value)` heap per column.
+pub type VpDb = PositionJoinDb<HeapFile>;
+
 /// Key for a dimension column table.
 type DimCol = (Dim, &'static str);
 
-/// The VP design: one `(pos, value)` heap per column.
-pub struct VpDb {
+/// A vertically partitioned design: one [`ColumnFile`] per column of every
+/// relation, and the position-join plan over them.
+pub struct PositionJoinDb<F> {
     tables: Arc<SsbTables>,
-    fact_cols: HashMap<&'static str, HeapFile>,
-    dim_cols: HashMap<DimCol, HeapFile>,
+    fact_cols: HashMap<&'static str, F>,
+    dim_cols: HashMap<DimCol, F>,
 }
 
-/// Build a two-column `(pos, value)` table for one source column.
-fn column_table(data: &ColumnData) -> HeapFile {
-    let pos = ColumnData::Int((0..data.len() as i64).collect());
-    HeapFile::from_rows(&[&pos, data], 0..data.len())
-}
-
-impl VpDb {
+impl<F: ColumnFile> PositionJoinDb<F> {
     /// Vertically partition every table.
-    pub fn build(tables: Arc<SsbTables>) -> VpDb {
+    pub fn build(tables: Arc<SsbTables>) -> PositionJoinDb<F> {
         let mut fact_cols = HashMap::new();
         for def in &tables.schema.lineorder.columns {
-            fact_cols.insert(def.name, column_table(tables.lineorder.column(def.name)));
+            fact_cols.insert(def.name, F::build(def.name, tables.lineorder.column(def.name)));
         }
         let mut dim_cols = HashMap::new();
         for &d in &Dim::ALL {
             let table = tables.dim(d);
             for def in &tables.schema.dim(d).columns {
-                dim_cols.insert((d, def.name), column_table(table.column(def.name)));
+                dim_cols.insert((d, def.name), F::build(def.name, table.column(def.name)));
             }
         }
-        VpDb { tables, fact_cols, dim_cols }
+        PositionJoinDb { tables, fact_cols, dim_cols }
     }
 
     /// Bytes of one fact column table (Section 6.2 size accounting).
@@ -66,13 +103,12 @@ impl VpDb {
 
     /// Total bytes of all fact column tables.
     pub fn fact_bytes(&self) -> u64 {
-        self.fact_cols.values().map(HeapFile::bytes).sum()
+        self.fact_cols.values().map(F::bytes).sum()
     }
 
     /// Scan one fact column table → tuples `(pos, col)`.
     fn fact_col_scan<'a>(&'a self, column: &'static str, io: &'a IoSession) -> BoxedOp<'a> {
-        let heap = &self.fact_cols[column];
-        Box::new(SeqScan::new(heap, &["pos", column], &["pos", column], io))
+        self.fact_cols[column].scan(column, Vec::new(), io)
     }
 
     /// Filtered dimension sub-plan producing `[key, groupcols...]`.
@@ -83,36 +119,23 @@ impl VpDb {
     fn dim_plan<'a>(&'a self, q: &SsbQuery, dim: Dim, io: &'a IoSession) -> BoxedOp<'a> {
         let needed = dim_needed_columns(q, dim);
         let preds = q.dim_predicates_on(dim);
+        let file = |col: &'static str| &self.dim_cols[&(dim, col)];
         // Start from the first predicate column (filter early), else the key.
         let first: &'static str = preds.first().map(|p| p.column).unwrap_or(needed[0]);
-        let heap = &self.dim_cols[&(dim, first)];
-        let mut plan: BoxedOp<'a> = {
-            let mut scan = SeqScan::new(heap, &["pos", first], &["pos", first], io);
-            for p in &preds {
-                if p.column == first {
-                    scan = scan.with_predicate(&["pos", first], p.column, p.pred.clone());
-                }
-            }
-            Box::new(scan)
-        };
+        let on_first = preds.iter().filter(|p| p.column == first).map(|p| p.pred.clone());
+        let mut plan = file(first).scan(first, on_first.collect(), io);
         // Remaining predicate columns.
-        for p in &preds {
-            if p.column == first {
-                continue;
-            }
-            let heap = &self.dim_cols[&(dim, p.column)];
-            let scan = SeqScan::new(heap, &["pos", p.column], &["pos", p.column], io)
-                .with_predicate(&["pos", p.column], p.column, p.pred.clone());
-            plan = Box::new(HashJoin::new(plan, Box::new(scan), "pos", "pos", false));
+        for p in preds.iter().filter(|p| p.column != first) {
+            let scan = file(p.column).scan(p.column, vec![p.pred.clone()], io);
+            plan = Box::new(HashJoin::new(plan, scan, "pos", "pos", false));
         }
         // Needed output columns not yet present.
         for &col in &needed {
             if plan.schema().try_idx(col).is_some() {
                 continue;
             }
-            let heap = &self.dim_cols[&(dim, col)];
-            let scan = SeqScan::new(heap, &["pos", col], &["pos", col], io);
-            plan = Box::new(HashJoin::new(plan, Box::new(scan), "pos", "pos", false));
+            let scan = file(col).scan(col, Vec::new(), io);
+            plan = Box::new(HashJoin::new(plan, scan, "pos", "pos", false));
         }
         Box::new(Project::new(plan, &needed))
     }
@@ -145,14 +168,7 @@ impl VpDb {
         }
         // Fact measure predicates (flight 1): filtered column scans.
         for p in &q.fact_predicates {
-            let heap = &self.fact_cols[p.column];
-            let scan: BoxedOp<'_> = Box::new(
-                SeqScan::new(heap, &["pos", p.column], &["pos", p.column], io).with_predicate(
-                    &["pos", p.column],
-                    p.column,
-                    p.pred.clone(),
-                ),
-            );
+            let scan = self.fact_cols[p.column].scan(p.column, vec![p.pred.clone()], io);
             pipeline = Some(match pipeline {
                 None => scan,
                 Some(pl) => Box::new(HashJoin::new(pl, scan, "pos", "pos", false)),

@@ -410,14 +410,6 @@ impl IoSession {
         self.stats.get()
     }
 
-    /// Reset and return the accumulated stats.
-    pub fn take_stats(&self) -> IoStats {
-        let s = self.stats.get();
-        self.stats.set(IoStats::default());
-        self.last_fetch.borrow_mut().clear();
-        s
-    }
-
     /// The underlying pool.
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.pool
@@ -511,14 +503,6 @@ mod tests {
         assert!((t.as_secs_f64() - 1.0).abs() < 1e-9);
         let with_seeks = IoStats { seeks: 250, ..stats };
         assert!((m.io_time(&with_seeks).as_secs_f64() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn take_stats_resets() {
-        let s = IoSession::unmetered();
-        s.read_page(page(1, 0), 100);
-        assert_eq!(s.take_stats().pages_read, 1);
-        assert_eq!(s.stats(), IoStats::default());
     }
 
     #[test]

@@ -53,4 +53,4 @@ pub use encode::{Column, IntColumn, Run, StrColumn};
 pub use heap::{HeapFile, PartitionedHeap};
 pub use io::{BufferPool, DiskModel, FileId, IoSession, IoStats, PageId, PAGE_SIZE};
 pub use packed::PackedInts;
-pub use persist::{LoadReport, PersistError, SegmentPayload, SnapshotReport};
+pub use persist::{LoadReport, PersistError, SnapshotReport};

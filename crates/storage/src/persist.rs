@@ -233,42 +233,31 @@ impl<'a> Reader<'a> {
 // Segment payloads.
 // ---------------------------------------------------------------------------
 
-/// The logical content of one segment file.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SegmentPayload {
-    /// An encoded integer column (plain / RLE / packed).
-    Int(IntColumn),
-    /// An encoded string column (plain / dictionary).
-    Str(StrColumn),
+// A segment file holds one encoded [`Column`]; its header records the
+// column's kind, encoding and row count.
+
+/// On-disk `kind` tag.
+fn kind(column: &Column) -> u8 {
+    match column {
+        Column::Int(_) => 0,
+        Column::Str(_) => 1,
+    }
 }
 
-impl SegmentPayload {
-    /// On-disk `kind` tag.
-    pub fn kind(&self) -> u8 {
-        match self {
-            SegmentPayload::Int(_) => 0,
-            SegmentPayload::Str(_) => 1,
-        }
+/// On-disk `enc` tag (encoding within the kind).
+fn enc(column: &Column) -> u8 {
+    match column {
+        Column::Int(IntColumn::Plain { .. }) => 0,
+        Column::Int(IntColumn::Rle { .. }) => 1,
+        Column::Int(IntColumn::Packed { .. }) => 2,
+        Column::Str(StrColumn::Plain { .. }) => 0,
+        Column::Str(StrColumn::Dict { .. }) => 1,
     }
+}
 
-    /// On-disk `enc` tag (encoding within the kind).
-    pub fn enc(&self) -> u8 {
-        match self {
-            SegmentPayload::Int(IntColumn::Plain { .. }) => 0,
-            SegmentPayload::Int(IntColumn::Rle { .. }) => 1,
-            SegmentPayload::Int(IntColumn::Packed { .. }) => 2,
-            SegmentPayload::Str(StrColumn::Plain { .. }) => 0,
-            SegmentPayload::Str(StrColumn::Dict { .. }) => 1,
-        }
-    }
-
-    /// Logical row count recorded in the header.
-    pub fn rows(&self) -> u64 {
-        match self {
-            SegmentPayload::Int(ic) => ic.len() as u64,
-            SegmentPayload::Str(sc) => sc.len() as u64,
-        }
-    }
+/// Logical row count recorded in the header.
+fn rows(column: &Column) -> u64 {
+    column.len() as u64
 }
 
 fn encode_int_payload(out: &mut Vec<u8>, ic: &IntColumn) {
@@ -445,19 +434,19 @@ fn decode_str_payload(enc: u8, r: &mut Reader<'_>) -> Result<StrColumn, PersistE
 }
 
 /// Serialize a segment to its full file image (header + payload + CRC64).
-pub fn encode_segment(payload: &SegmentPayload) -> Vec<u8> {
+pub fn encode_segment(column: &Column) -> Vec<u8> {
     let mut body = Vec::new();
-    match payload {
-        SegmentPayload::Int(ic) => encode_int_payload(&mut body, ic),
-        SegmentPayload::Str(sc) => encode_str_payload(&mut body, sc),
+    match column {
+        Column::Int(ic) => encode_int_payload(&mut body, ic),
+        Column::Str(sc) => encode_str_payload(&mut body, sc),
     }
     let mut out = Vec::with_capacity(SEGMENT_HEADER_BYTES + body.len() + CRC_BYTES);
     out.extend_from_slice(SEGMENT_MAGIC);
     put_u32(&mut out, FORMAT_VERSION);
-    out.push(payload.kind());
-    out.push(payload.enc());
+    out.push(kind(column));
+    out.push(enc(column));
     put_u16(&mut out, 0); // pad
-    put_u64(&mut out, payload.rows());
+    put_u64(&mut out, rows(column));
     put_u64(&mut out, body.len() as u64);
     out.extend_from_slice(&body);
     let crc = crc64(&out);
@@ -467,7 +456,7 @@ pub fn encode_segment(payload: &SegmentPayload) -> Vec<u8> {
 
 /// Parse and fully validate a segment file image. The checksum is verified
 /// before any payload byte is interpreted; corrupt images always fail typed.
-pub fn decode_segment(image: &[u8]) -> Result<SegmentPayload, PersistError> {
+pub fn decode_segment(image: &[u8]) -> Result<Column, PersistError> {
     if image.len() < SEGMENT_HEADER_BYTES + CRC_BYTES {
         return Err(corrupt("segment shorter than header"));
     }
@@ -483,12 +472,12 @@ pub fn decode_segment(image: &[u8]) -> Result<SegmentPayload, PersistError> {
     if format != FORMAT_VERSION {
         return Err(corrupt(format!("unsupported segment format {format}")));
     }
-    let kind = r.u8()?;
-    let enc = r.u8()?;
+    let kind_tag = r.u8()?;
+    let enc_tag = r.u8()?;
     if r.u16()? != 0 {
         return Err(corrupt("non-zero header padding"));
     }
-    let rows = r.u64()?;
+    let row_count = r.u64()?;
     let payload_len = r.u64()? as usize;
     if payload_len != body.len() - SEGMENT_HEADER_BYTES {
         return Err(corrupt("payload length does not match file size"));
@@ -496,16 +485,16 @@ pub fn decode_segment(image: &[u8]) -> Result<SegmentPayload, PersistError> {
     let payload_bytes = r.take(payload_len)?;
     r.done()?;
     let mut pr = Reader::new(payload_bytes);
-    let payload = match kind {
-        0 => SegmentPayload::Int(decode_int_payload(enc, &mut pr)?),
-        1 => SegmentPayload::Str(decode_str_payload(enc, &mut pr)?),
+    let column = match kind_tag {
+        0 => Column::Int(decode_int_payload(enc_tag, &mut pr)?),
+        1 => Column::Str(decode_str_payload(enc_tag, &mut pr)?),
         other => return Err(corrupt(format!("unknown segment kind {other}"))),
     };
     pr.done()?;
-    if payload.rows() != rows {
+    if rows(&column) != row_count {
         return Err(corrupt("header row count does not match payload"));
     }
-    Ok(payload)
+    Ok(column)
 }
 
 /// The CRC64 an image ends with.
@@ -700,19 +689,16 @@ pub fn write_snapshot_with(
     for table in parts {
         for (def, data) in table.schema.columns.iter().zip(&table.columns) {
             let name = format!("{}.{}", table.schema.name, def.name);
-            let payload = match Column::encode(data, true) {
-                Column::Int(ic) => SegmentPayload::Int(ic),
-                Column::Str(sc) => SegmentPayload::Str(sc),
-            };
-            let image = encode_segment(&payload);
+            let column = Column::encode(data, true);
+            let image = encode_segment(&column);
             let file = segment_file_name(&name, generation);
             write_file_atomic(fs, dir, &file, &image)?;
             entries.push(ManifestEntry {
                 name,
                 file,
-                kind: payload.kind(),
-                enc: payload.enc(),
-                rows: payload.rows(),
+                kind: kind(&column),
+                enc: enc(&column),
+                rows: rows(&column),
                 bytes: image.len() as u64,
                 crc: trailing_crc(&image),
             });
@@ -823,17 +809,17 @@ fn decode_entry(e: &ManifestEntry, image: Vec<u8>) -> Result<ColumnData, Persist
     if image.len() as u64 != e.bytes {
         return Err(corrupt(format!("segment {} size does not match manifest", e.name)));
     }
-    let payload = decode_segment(&image)?;
+    let column = decode_segment(&image)?;
     if trailing_crc(&image) != e.crc {
         return Err(corrupt(format!("segment {} checksum differs from manifest pin", e.name)));
     }
     drop(image);
-    if payload.kind() != e.kind || payload.enc() != e.enc || payload.rows() != e.rows {
+    if kind(&column) != e.kind || enc(&column) != e.enc || rows(&column) != e.rows {
         return Err(corrupt(format!("segment {} geometry differs from manifest", e.name)));
     }
-    match payload {
-        SegmentPayload::Int(ic) => Ok(ColumnData::Int(ic.decode())),
-        SegmentPayload::Str(sc) => match decode_strs(&sc, Strs::MAX_TEXT) {
+    match column {
+        Column::Int(ic) => Ok(ColumnData::Int(ic.decode())),
+        Column::Str(sc) => match decode_strs(&sc, Strs::MAX_TEXT) {
             Some(strs) => Ok(ColumnData::Str(strs)),
             None => Err(corrupt(format!("segment {} decodes to more than 4 GiB of text", e.name))),
         },
@@ -1133,17 +1119,17 @@ mod tests {
         dir
     }
 
-    fn sample_payloads() -> Vec<SegmentPayload> {
+    fn sample_payloads() -> Vec<Column> {
         let rle_src: Vec<i64> = (0..400).map(|i| i / 50).collect();
         let packed_src: Vec<i64> = (0..300).map(|i| 1000 + (i * 7) % 90).collect();
         let strs: Vec<String> = (0..120).map(|i| format!("value-{:03}", i % 40)).collect();
         vec![
-            SegmentPayload::Int(IntColumn::plain(vec![-5, 0, 7, 1 << 40, i64::MIN, i64::MAX])),
-            SegmentPayload::Int(IntColumn::plain_fixed(vec![1, 2, 3])),
-            SegmentPayload::Int(IntColumn::rle(&rle_src)),
-            SegmentPayload::Int(IntColumn::packed(&packed_src).expect("packable")),
-            SegmentPayload::Str(StrColumn::plain(strs.clone())),
-            SegmentPayload::Str(StrColumn::dict(&strs)),
+            Column::Int(IntColumn::plain(vec![-5, 0, 7, 1 << 40, i64::MIN, i64::MAX])),
+            Column::Int(IntColumn::plain_fixed(vec![1, 2, 3])),
+            Column::Int(IntColumn::rle(&rle_src)),
+            Column::Int(IntColumn::packed(&packed_src).expect("packable")),
+            Column::Str(StrColumn::plain(strs.clone())),
+            Column::Str(StrColumn::dict(&strs)),
         ]
     }
 
@@ -1218,7 +1204,7 @@ mod tests {
             IntColumn::plain_fixed(vec![1, 2, 3]),
         ];
         for (column, past) in columns.into_iter().zip([1i64 << 8, 1 << 16, 1 << 32]) {
-            let image = encode_segment(&SegmentPayload::Int(column));
+            let image = encode_segment(&Column::Int(column));
             for wide in [past, -1] {
                 // Payload: width byte, count, then 8 bytes a value.
                 let at = SEGMENT_HEADER_BYTES + 1 + 4 + 8;

@@ -14,8 +14,8 @@
 //!    every byte offset, `decode_segment` returns a typed error. No
 //!    corrupted image ever yields a payload.
 
-use cvr_storage::encode::{IntColumn, StrColumn};
-use cvr_storage::persist::{decode_segment, encode_segment, SegmentPayload};
+use cvr_storage::encode::{Column, IntColumn, StrColumn};
+use cvr_storage::persist::{decode_segment, encode_segment};
 
 /// splitmix64: deterministic, no state beyond one u64.
 struct Rng(u64);
@@ -82,21 +82,21 @@ fn str_values(rng: &mut Rng, shape: u64) -> Vec<String> {
 }
 
 /// One payload per round, cycling through every codec the store writes.
-fn payload(rng: &mut Rng, round: u64) -> SegmentPayload {
+fn payload(rng: &mut Rng, round: u64) -> Column {
     match round % 7 {
-        0 => SegmentPayload::Int(IntColumn::plain(int_values(rng, round))),
-        1 => SegmentPayload::Int(IntColumn::plain_fixed(int_values(rng, round))),
-        2 => SegmentPayload::Int(IntColumn::rle(&int_values(rng, 0))),
+        0 => Column::Int(IntColumn::plain(int_values(rng, round))),
+        1 => Column::Int(IntColumn::plain_fixed(int_values(rng, round))),
+        2 => Column::Int(IntColumn::rle(&int_values(rng, 0))),
         3 => {
             let vals = int_values(rng, 1);
             match IntColumn::packed(&vals) {
-                Some(c) => SegmentPayload::Int(c),
-                None => SegmentPayload::Int(IntColumn::plain(vals)),
+                Some(c) => Column::Int(c),
+                None => Column::Int(IntColumn::plain(vals)),
             }
         }
-        4 => SegmentPayload::Int(IntColumn::auto(int_values(rng, round))),
-        5 => SegmentPayload::Str(StrColumn::plain(str_values(rng, round))),
-        _ => SegmentPayload::Str(StrColumn::dict(&str_values(rng, 0))),
+        4 => Column::Int(IntColumn::auto(int_values(rng, round))),
+        5 => Column::Str(StrColumn::plain(str_values(rng, round))),
+        _ => Column::Str(StrColumn::dict(&str_values(rng, 0))),
     }
 }
 
