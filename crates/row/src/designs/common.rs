@@ -89,7 +89,7 @@ pub fn join_order(tables: &SsbTables, q: &SsbQuery) -> Vec<Dim> {
 
 /// A sequential scan of one fact heap whose records hold `cols`, projecting
 /// the query's fact columns, with its fact predicates pushed in.
-pub fn fact_seq_scan<'a>(
+pub(crate) fn fact_seq_scan<'a>(
     heap: &'a HeapFile,
     cols: &[&str],
     q: &SsbQuery,
@@ -105,7 +105,7 @@ pub fn fact_seq_scan<'a>(
 /// The fact scan of an `orderdate`-year-partitioned heap (the `T` fact
 /// table or an `MV` view): a [`fact_seq_scan`] of each partition the query's
 /// date predicates admit, chained.
-pub fn pruned_fact_scan<'a>(
+pub(crate) fn pruned_fact_scan<'a>(
     tables: &SsbTables,
     parts: &'a PartitionedHeap,
     cols: &[&str],
@@ -124,7 +124,7 @@ pub fn pruned_fact_scan<'a>(
 /// query's predicates on it pushed down, then aggregated. A join against a
 /// restricted dimension pre-filters its probes through a Bloom filter when
 /// `use_bloom`. Dimensions in `skip` are not joined.
-pub fn star_join<'a>(
+pub(crate) fn star_join<'a>(
     tables: &SsbTables,
     dims: &'a HashMap<Dim, HeapFile>,
     q: &SsbQuery,

@@ -10,8 +10,8 @@
 //! | AI    | index-only ("all indexes") | [`AiDb`] | a [`Key`](cvr_index::btree::Key)-keyed B+Tree per needed column | rid joins of index pieces |
 //!
 //! The designs differ in storage, not in plans, so each plan shape is
-//! written once: the star join in [`common::star_join`] (fed by
-//! [`common::pruned_fact_scan`] in `T` and `MV`), and the position join in
+//! written once: the star join in `common::star_join` (fed by
+//! `common::pruned_fact_scan` in `T` and `MV`), and the position join in
 //! [`vp::PositionJoinDb`], generic over how one column file is stored
 //! ([`vp::ColumnFile`]).
 //!

@@ -8,9 +8,10 @@
 //! able to partition each materialized view optimally").
 //!
 //! Plans are the traditional plans with the scan retargeted at the view:
-//! [`pruned_fact_scan`] over the view's partitions, then [`star_join`], the
-//! builders `T` runs. So the design's entire advantage is I/O: a flight-1
-//! view row is ~24 bytes against ~90 for the full 17-column tuple.
+//! `common::pruned_fact_scan` over the view's partitions, then
+//! `common::star_join`, the builders `T` runs. So the design's entire
+//! advantage is I/O: a flight-1 view row is ~24 bytes against ~90 for the
+//! full 17-column tuple.
 //!
 //! A view is built by the first statement of its flight, so a workload that
 //! only runs flight 1 through this design pays for flight 1's view alone.

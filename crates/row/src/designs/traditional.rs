@@ -9,9 +9,8 @@
 //! (index-leaf reads plus random heap fetches versus one sequential scan) is
 //! reproduced here.
 //!
-//! Both plans end in [`star_join`](super::common::star_join), which `MV`
-//! runs too. `T` feeds it
-//! [`pruned_fact_scan`](super::common::pruned_fact_scan), as `MV` does.
+//! Both plans end in `common::star_join`, which `MV` runs too. `T` feeds it
+//! `common::pruned_fact_scan`, as `MV` does.
 
 use std::collections::HashMap;
 use std::sync::Arc;

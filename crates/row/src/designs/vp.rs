@@ -119,25 +119,25 @@ impl<F: ColumnFile> PositionJoinDb<F> {
     fn dim_plan<'a>(&'a self, q: &SsbQuery, dim: Dim, io: &'a IoSession) -> BoxedOp<'a> {
         let needed = dim_needed_columns(q, dim);
         let preds = q.dim_predicates_on(dim);
-        let file = |col: &'static str| &self.dim_cols[&(dim, col)];
-        // Start from the first predicate column (filter early), else the key.
-        let first: &'static str = preds.first().map(|p| p.column).unwrap_or(needed[0]);
-        let on_first = preds.iter().filter(|p| p.column == first).map(|p| p.pred.clone());
-        let mut plan = file(first).scan(first, on_first.collect(), io);
-        // Remaining predicate columns.
-        for p in preds.iter().filter(|p| p.column != first) {
-            let scan = file(p.column).scan(p.column, vec![p.pred.clone()], io);
-            plan = Box::new(HashJoin::new(plan, scan, "pos", "pos", false));
-        }
-        // Needed output columns not yet present.
-        for &col in &needed {
-            if plan.schema().try_idx(col).is_some() {
-                continue;
+        // Predicate columns first (filter early), then the needed columns
+        // they do not cover; each column is scanned once, under every
+        // predicate on it.
+        let mut columns: Vec<&'static str> = Vec::new();
+        for col in preds.iter().map(|p| p.column).chain(needed.iter().copied()) {
+            if !columns.contains(&col) {
+                columns.push(col);
             }
-            let scan = file(col).scan(col, Vec::new(), io);
-            plan = Box::new(HashJoin::new(plan, scan, "pos", "pos", false));
         }
-        Box::new(Project::new(plan, &needed))
+        let mut plan: Option<BoxedOp<'a>> = None;
+        for col in columns {
+            let on_col = preds.iter().filter(|p| p.column == col).map(|p| p.pred.clone());
+            let scan = self.dim_cols[&(dim, col)].scan(col, on_col.collect(), io);
+            plan = Some(match plan {
+                None => scan,
+                Some(pl) => Box::new(HashJoin::new(pl, scan, "pos", "pos", false)),
+            });
+        }
+        Box::new(Project::new(plan.expect("the key is needed"), &needed))
     }
 
     /// Execute `q`.
