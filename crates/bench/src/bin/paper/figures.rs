@@ -17,12 +17,12 @@ pub fn figure5(db: &Db) -> Result<(), String> {
     let rs_mv = RowDb::build(h.tables.clone(), RowDesign::MaterializedViews);
     let cs_row_mv = RowMvDb::build(h.tables.clone());
     let par = db.args.parallelism();
-    eprintln!("# figure 5 (CS: tICL, {} thread(s)) ...", par.threads);
+    eprintln!("# figure 5 (CS: tICL; CS and CS (Row-MV) on {} thread(s)) ...", par.threads);
     let ours: Vec<(String, Vec<Measurement>)> = vec![
         ("RS".into(), h.measure_series(|q, io| rs.execute(q, io))),
         ("RS (MV)".into(), h.measure_series(|q, io| rs_mv.execute(q, io))),
         ("CS".into(), h.measure_series(|q, io| cs.execute_with(q, EngineConfig::FULL, par, io))),
-        ("CS (Row-MV)".into(), h.measure_series(|q, io| cs_row_mv.execute(q, io))),
+        ("CS (Row-MV)".into(), h.measure_series(|q, io| cs_row_mv.execute_with(q, par, io))),
     ];
     let title = "Figure 5: Baseline performance of C-Store and System X";
     println!("{}", render_figure(title, &ours, &paper::figure5(), db.args.sf));

@@ -26,9 +26,9 @@ use crate::poslist::PosList;
 use crate::projection::{sort_permutation, FACT_SORT};
 use crate::scan::{refine, ScanPred};
 use cvr_data::gen::SsbTables;
-use cvr_data::queries::{all_queries, Pred, SsbQuery};
+use cvr_data::queries::{paper_columns, Pred, SsbQuery};
 use cvr_data::result::QueryOutput;
-use cvr_data::schema::{ColumnDef, Dim, TableSchema};
+use cvr_data::schema::{ColumnDef, TableSchema};
 use cvr_data::table::{ColumnData, TableData};
 use cvr_data::value::{DataType, Value};
 use cvr_storage::column::{ColumnStore, EncodingChoice};
@@ -72,25 +72,6 @@ pub struct DenormDb {
     dicts: HashMap<&'static str, Vec<Box<str>>>,
 }
 
-/// Dimension columns inlined into the denormalized table (everything the
-/// workload touches).
-fn inlined_dim_columns() -> Vec<(Dim, &'static str)> {
-    let mut cols = Vec::new();
-    for q in all_queries() {
-        for p in &q.dim_predicates {
-            if !cols.contains(&(p.dim, p.column)) {
-                cols.push((p.dim, p.column));
-            }
-        }
-        for g in &q.group_by {
-            if !cols.contains(&(g.dim, g.column)) {
-                cols.push((g.dim, g.column));
-            }
-        }
-    }
-    cols
-}
-
 impl DenormDb {
     /// Build the denormalized table for `variant`.
     pub fn build(tables: Arc<SsbTables>, variant: DenormVariant) -> DenormDb {
@@ -113,8 +94,9 @@ impl DenormDb {
             defs.push(ColumnDef { name: c, dtype: DataType::Int });
             cols.push(fact.column(c).clone());
         }
-        // Inline dimension attributes per fact row.
-        for (dim, col) in inlined_dim_columns() {
+        // Inline, per fact row, every dimension attribute the paper
+        // workload touches.
+        for &(dim, col) in &paper_columns().dims {
             let dim_table = tables.dim(dim);
             let keys = dim_table.column(dim.key_column()).ints();
             let key_to_row: HashMap<i64, usize> =
@@ -351,6 +333,7 @@ impl DenormDb {
 mod tests {
     use super::*;
     use cvr_data::gen::SsbConfig;
+    use cvr_data::queries::all_queries;
     use cvr_data::reference;
 
     fn tables() -> Arc<SsbTables> {

@@ -1,4 +1,5 @@
-//! Early materialization — late materialization removed (Figure 7 `l`).
+//! Early materialization — late materialization removed (Figure 7 `l`) —
+//! and the row-style pipeline it shares with CS (Row-MV).
 //!
 //! "In order to remove late materialization, we had to hand code query
 //! plans to construct tuples at the beginning of the query plan." This
@@ -9,6 +10,15 @@
 //! and hash-join probes against filtered dimension tables, just like the
 //! row engine. "Once all of these optimizations are removed, the
 //! column-store acts like a row-store."
+//!
+//! The pipeline takes its fact tuples from one of two sources
+//! ([`FactTuples`]): tuples stitched from decoded columns (this module's
+//! `l` configurations, by direct indexing or through `getNext`), or tuples
+//! parsed from the string rows of a CS (Row-MV) view ([`crate::row_mv`],
+//! Section 6.1). Either way each dimension join table is built by
+//! [`DimTable::from_rows`] from rows of `[key, predicate values…, group
+//! values…]`, and one morsel pipeline filters, probes and aggregates on
+//! group codes.
 
 use crate::agg::{AggPartial, AggStrategy, CodeDecoder, GroupLayout};
 use crate::config::EngineConfig;
@@ -17,7 +27,7 @@ use crate::engine::ExecOptions;
 use crate::extract::decode_all;
 use crate::morsel::try_run_morsels;
 use crate::projection::CStoreDb;
-use cvr_data::queries::SsbQuery;
+use cvr_data::queries::{Pred, SsbQuery};
 use cvr_data::result::QueryOutput;
 use cvr_data::schema::Dim;
 use cvr_data::value::Value;
@@ -26,50 +36,108 @@ use cvr_storage::io::IoSession;
 use std::collections::HashMap;
 use std::ops::Range;
 
+/// A source of the pipeline's fact tuples, each laid out in
+/// [`SsbQuery::fact_columns`] order. The pipeline is generic over it, so
+/// each source gets its own monomorphic per-tuple loop.
+pub(crate) trait FactTuples: Sync {
+    /// Number of tuples.
+    fn rows(&self) -> usize;
+
+    /// Call `f` on each tuple of `range`, in order.
+    fn for_each(&self, range: Range<usize>, f: impl FnMut(&[Value]));
+}
+
+/// Tuples stitched from fully decoded fact columns. In tuple-at-a-time mode
+/// every value access goes through a boxed per-column iterator (the
+/// `getNext` interface); in block mode tuples are stitched by direct
+/// indexing.
+struct Stitched {
+    columns: Vec<Vec<Value>>,
+    block: bool,
+}
+
+impl FactTuples for Stitched {
+    fn rows(&self) -> usize {
+        self.columns[0].len()
+    }
+
+    fn for_each(&self, range: Range<usize>, mut f: impl FnMut(&[Value])) {
+        if self.block {
+            for i in range {
+                let tuple: Vec<Value> = self.columns.iter().map(|c| c[i].clone()).collect();
+                f(&tuple);
+            }
+        } else {
+            let mut sources: Vec<Box<dyn Iterator<Item = &Value>>> = self
+                .columns
+                .iter()
+                .map(|c| Box::new(c[range.clone()].iter()) as Box<dyn Iterator<Item = &Value>>)
+                .collect();
+            for _ in range {
+                let tuple: Vec<Value> = sources
+                    .iter_mut()
+                    .map(|s| std::hint::black_box(s).next().expect("column length").clone())
+                    .collect();
+                f(&tuple);
+            }
+        }
+    }
+}
+
+/// The columns of a dimension row as [`DimTable::from_rows`] reads it: the
+/// key, one column per predicate on `dim`, one per group column of `dim`.
+pub(crate) fn dim_row_columns(q: &SsbQuery, dim: Dim) -> Vec<&'static str> {
+    let preds = q.dim_predicates_on(dim).into_iter().map(|p| p.column);
+    let groups = q.group_by.iter().filter(|g| g.dim == dim).map(|g| g.column);
+    std::iter::once(dim.key_column()).chain(preds).chain(groups).collect()
+}
+
 /// Per-dimension join table for row-mode execution: FK → group values of
 /// rows passing the dimension predicates.
-struct DimTable {
+pub(crate) struct DimTable {
     map: IntHashMap,
     group_rows: Vec<Vec<Value>>,
     restricted: bool,
 }
 
-fn build_dim_table(db: &CStoreDb, q: &SsbQuery, dim: Dim, io: &IoSession) -> DimTable {
-    let store = db.dim(dim);
-    let n = store.sorted.num_rows();
-    let preds = q.dim_predicates_on(dim);
-    let group_cols: Vec<&'static str> =
-        q.group_by.iter().filter(|g| g.dim == dim).map(|g| g.column).collect();
-
-    // Row-style dimension access: decode key, predicate and group columns,
-    // then evaluate per row.
-    let keys: Vec<Value> = decode_all(store.store.column(dim.key_column()), io);
-    let pred_cols: Vec<Vec<Value>> =
-        preds.iter().map(|p| decode_all(store.store.column(p.column), io)).collect();
-    let group_data: Vec<Vec<Value>> =
-        group_cols.iter().map(|c| decode_all(store.store.column(c), io)).collect();
-
-    let mut map = IntHashMap::with_capacity(n);
-    let mut group_rows = Vec::new();
-    'rows: for i in 0..n {
-        for (p, col) in preds.iter().zip(&pred_cols) {
-            if !p.pred.matches(&col[i]) {
-                continue 'rows;
+impl DimTable {
+    /// `dim`'s join table for `q` from its `n` rows, each laid out as
+    /// [`dim_row_columns`]: the rows that pass every predicate on `dim`,
+    /// keyed by their key, holding their group values.
+    pub(crate) fn from_rows(
+        q: &SsbQuery,
+        dim: Dim,
+        n: usize,
+        rows: impl Iterator<Item = Vec<Value>>,
+    ) -> DimTable {
+        let preds = q.dim_predicates_on(dim);
+        let mut map = IntHashMap::with_capacity(n);
+        let mut group_rows = Vec::new();
+        for row in rows {
+            if preds.iter().zip(&row[1..]).all(|(p, v)| p.pred.matches(v)) {
+                map.insert(row[0].as_int(), group_rows.len() as u32);
+                group_rows.push(row[1 + preds.len()..].to_vec());
             }
         }
-        map.insert(keys[i].as_int(), group_rows.len() as u32);
-        group_rows.push(group_data.iter().map(|g| g[i].clone()).collect());
+        DimTable { map, group_rows, restricted: !preds.is_empty() }
     }
-    DimTable { map, group_rows, restricted: !preds.is_empty() }
 }
 
-/// The coordinator's prelude: every needed fact column fully decoded (tuple
-/// construction forces decompression) plus the row-style dimension join
-/// tables and the index maps the pipeline needs. All of the plan's I/O is
-/// charged here.
-struct RowPlan<'q> {
-    decoded: Vec<Vec<Value>>,
-    pred_idx: Vec<(usize, &'q cvr_data::queries::Pred)>,
+/// Row-style dimension access: decode the key, predicate and group columns,
+/// then stitch them into rows.
+fn decoded_dim_table(db: &CStoreDb, q: &SsbQuery, dim: Dim, io: &IoSession) -> DimTable {
+    let store = db.dim(dim);
+    let columns: Vec<Vec<Value>> =
+        dim_row_columns(q, dim).iter().map(|c| decode_all(store.store.column(c), io)).collect();
+    let n = store.sorted.num_rows();
+    let rows = (0..n).map(|i| columns.iter().map(|c| c[i].clone()).collect::<Vec<_>>());
+    DimTable::from_rows(q, dim, n, rows)
+}
+
+/// The pipeline's plan: where each input sits in a fact tuple, the
+/// dimension join tables, and how the pipeline aggregates.
+pub(crate) struct RowPlan<'q> {
+    pred_idx: Vec<(usize, &'q Pred)>,
     fk_idx: Vec<(Dim, usize)>,
     agg_idx: Vec<usize>,
     group_dim_order: Vec<Dim>,
@@ -87,125 +155,63 @@ struct RowPlan<'q> {
     group_row_codes: Vec<Vec<u32>>,
 }
 
-fn build_plan<'q>(
-    db: &CStoreDb,
-    q: &'q SsbQuery,
-    io: &IoSession,
-    ctx: &QueryCtx,
-) -> Result<RowPlan<'q>, QueryError> {
-    let fact_columns = q.fact_columns();
-    // Tuple construction decompresses every needed fact column in full —
-    // this is the plan's dominant allocation, so charge it column by column
-    // and honour cancellation between columns.
-    let mut decoded: Vec<Vec<Value>> = Vec::with_capacity(fact_columns.len());
-    for c in &fact_columns {
-        ctx.check()?;
-        let col = decode_all(db.fact.column(c), io);
-        ctx.charge(col.len().saturating_mul(std::mem::size_of::<Value>()))?;
-        decoded.push(col);
+impl<'q> RowPlan<'q> {
+    /// The plan of `q` over `dims`, one join table per touched dimension.
+    pub(crate) fn new(q: &'q SsbQuery, dims: HashMap<Dim, DimTable>) -> RowPlan<'q> {
+        let col_of: HashMap<&str, usize> =
+            q.fact_columns().into_iter().enumerate().map(|(i, c)| (c, i)).collect();
+        let mut cols = Vec::with_capacity(q.group_by.len());
+        let mut group_row_codes = Vec::with_capacity(q.group_by.len());
+        for (gi, g) in q.group_by.iter().enumerate() {
+            let table = &dims[&g.dim];
+            let offset = q.group_by.iter().take(gi).filter(|g2| g2.dim == g.dim).count();
+            // Intern the column's distinct values across the filtered
+            // dimension rows: many rows share one group value (every Chinese
+            // customer is one "CHINA" group), so codes must be value-level,
+            // not row-level.
+            let (codes, values) =
+                crate::agg::intern_values(table.group_rows.iter().map(|r| &r[offset]));
+            cols.push((values.len().max(1) as u64, CodeDecoder::Values(values)));
+            group_row_codes.push(codes);
+        }
+        let strat = match GroupLayout::try_new(cols) {
+            Some(layout) => AggStrategy::Code { layout, spaces: Vec::new() },
+            None => AggStrategy::Value,
+        };
+        RowPlan {
+            pred_idx: q.fact_predicates.iter().map(|p| (col_of[p.column], &p.pred)).collect(),
+            fk_idx: q.touched_dims().into_iter().map(|d| (d, col_of[d.fact_fk_column()])).collect(),
+            agg_idx: q.aggregate.fact_columns().iter().map(|c| col_of[c]).collect(),
+            group_dim_order: q.group_by.iter().map(|g| g.dim).collect(),
+            dims,
+            strat,
+            group_row_codes,
+        }
     }
-    let col_of: HashMap<&str, usize> =
-        fact_columns.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-    let mut dims: HashMap<Dim, DimTable> = HashMap::new();
-    for d in q.touched_dims() {
-        ctx.check()?;
-        dims.insert(d, build_dim_table(db, q, d, io));
-    }
-    let mut cols = Vec::with_capacity(q.group_by.len());
-    let mut group_row_codes = Vec::with_capacity(q.group_by.len());
-    for (gi, g) in q.group_by.iter().enumerate() {
-        let table = &dims[&g.dim];
-        let offset = q.group_by.iter().take(gi).filter(|g2| g2.dim == g.dim).count();
-        // Intern the column's distinct values across the filtered dimension
-        // rows: many rows share one group value (every Chinese customer is
-        // one "CHINA" group), so codes must be value-level, not row-level.
-        let (codes, values) =
-            crate::agg::intern_values(table.group_rows.iter().map(|r| &r[offset]));
-        cols.push((values.len().max(1) as u64, CodeDecoder::Values(values)));
-        group_row_codes.push(codes);
-    }
-    let strat = match GroupLayout::try_new(cols) {
-        Some(layout) => AggStrategy::Code { layout, spaces: Vec::new() },
-        None => AggStrategy::Value,
-    };
-    Ok(RowPlan {
-        decoded,
-        pred_idx: q.fact_predicates.iter().map(|p| (col_of[p.column], &p.pred)).collect(),
-        fk_idx: q.touched_dims().into_iter().map(|d| (d, col_of[d.fact_fk_column()])).collect(),
-        agg_idx: q.aggregate.fact_columns().iter().map(|c| col_of[c]).collect(),
-        group_dim_order: q.group_by.iter().map(|g| g.dim).collect(),
-        dims,
-        strat,
-        group_row_codes,
-    })
 }
 
-/// The row pipeline over fact rows `[start, end)`: construct a tuple per
-/// row, then filter/join/aggregate into the worker's `partial`. Pure CPU,
-/// run once per morsel. In tuple-at-a-time mode every value access goes
-/// through a boxed per-column iterator (the `getNext` interface); in block
-/// mode tuples are stitched by direct indexing.
-fn run_rows(
+/// Run `q`'s pipeline over `source`. Pure CPU: all I/O happened in the
+/// caller's prelude. Fans out over morsels of the tuple space, each worker
+/// filtering, probing and aggregating into one partial that the coordinator
+/// merges; `opts.ctx` is honoured at every morsel boundary.
+pub(crate) fn run_pipeline<S: FactTuples>(
+    q: &SsbQuery,
     plan: &RowPlan<'_>,
-    q: &SsbQuery,
-    cfg: EngineConfig,
-    range: Range<usize>,
-    partial: &mut AggPartial,
-) {
-    let mut inputs = vec![0i64; plan.agg_idx.len()];
-    if cfg.block_iteration {
-        'rows: for i in range {
-            let tuple: Vec<Value> = plan.decoded.iter().map(|c| c[i].clone()).collect();
-            if !process_tuple(&tuple, &plan.pred_idx, &plan.fk_idx, &plan.dims) {
-                continue 'rows;
-            }
-            accumulate(&tuple, q, plan, &mut inputs, partial);
-        }
-    } else {
-        let mut sources: Vec<Box<dyn Iterator<Item = &Value>>> = plan
-            .decoded
-            .iter()
-            .map(|c| Box::new(c[range.clone()].iter()) as Box<dyn Iterator<Item = &Value>>)
-            .collect();
-        'rows2: for _ in range {
-            let tuple: Vec<Value> = sources
-                .iter_mut()
-                .map(|s| std::hint::black_box(s).next().expect("column length").clone())
-                .collect();
-            if !process_tuple(&tuple, &plan.pred_idx, &plan.fk_idx, &plan.dims) {
-                continue 'rows2;
-            }
-            accumulate(&tuple, q, plan, &mut inputs, partial);
-        }
-    }
-}
-
-/// Execute `q` with early materialization.
-///
-/// All I/O happens in the coordinator's prelude ([`build_plan`]) — tuple
-/// construction decompresses every needed column in full, and the dimension
-/// join tables are built row-style — so the charges on `io` do not depend
-/// on the morsel grid at all. The row pipeline ([`run_rows`]) is pure CPU
-/// and fans out over morsels of the constructed-tuple space, each worker
-/// accumulating into one partial aggregate that the coordinator merges.
-/// `opts.ctx` is honoured in the prelude and at every morsel boundary.
-pub(crate) fn execute(
-    db: &CStoreDb,
-    q: &SsbQuery,
-    cfg: EngineConfig,
+    source: &S,
     opts: &ExecOptions<'_>,
     io: &IoSession,
+    detail: &str,
 ) -> Result<QueryOutput, QueryError> {
     let ctx = &opts.ctx;
-    let plan = {
-        let mut span = ctx.span("materialize", "fact columns up front", io);
-        span.rows(db.fact_rows() as u64);
-        build_plan(db, q, io, ctx)?
-    };
-    let mut span = ctx.span("pipeline", "row-style over early-stitched tuples", io);
+    let mut span = ctx.span("pipeline", detail, io);
     let init = || plan.strat.new_partial();
-    let (_, partials) = try_run_morsels(db.fact_rows() as u32, opts.par, ctx, init, |p, _, r| {
-        run_rows(&plan, q, cfg, r.start as usize..r.end as usize, p);
+    let (_, partials) = try_run_morsels(source.rows() as u32, opts.par, ctx, init, |p, _, r| {
+        let mut inputs = vec![0i64; plan.agg_idx.len()];
+        source.for_each(r.start as usize..r.end as usize, |tuple| {
+            if process_tuple(tuple, &plan.pred_idx, &plan.fk_idx, &plan.dims) {
+                accumulate(tuple, q, plan, &mut inputs, p);
+            }
+        });
         Ok(())
     })?;
     let out = plan.strat.finish(partials, q);
@@ -213,10 +219,62 @@ pub(crate) fn execute(
     Ok(out)
 }
 
+/// The coordinator's prelude: every needed fact column fully decoded (tuple
+/// construction forces decompression) plus the row-style dimension join
+/// tables. All of the plan's I/O is charged here.
+fn build_plan<'q>(
+    db: &CStoreDb,
+    q: &'q SsbQuery,
+    cfg: EngineConfig,
+    io: &IoSession,
+    ctx: &QueryCtx,
+) -> Result<(RowPlan<'q>, Stitched), QueryError> {
+    // Tuple construction decompresses every needed fact column in full —
+    // this is the plan's dominant allocation, so charge it column by column
+    // and honour cancellation between columns.
+    let fact_columns = q.fact_columns();
+    let mut columns: Vec<Vec<Value>> = Vec::with_capacity(fact_columns.len());
+    for c in &fact_columns {
+        ctx.check()?;
+        let col = decode_all(db.fact.column(c), io);
+        ctx.charge(col.len().saturating_mul(std::mem::size_of::<Value>()))?;
+        columns.push(col);
+    }
+    let mut dims: HashMap<Dim, DimTable> = HashMap::new();
+    for d in q.touched_dims() {
+        ctx.check()?;
+        dims.insert(d, decoded_dim_table(db, q, d, io));
+    }
+    Ok((RowPlan::new(q, dims), Stitched { columns, block: cfg.block_iteration }))
+}
+
+/// Execute `q` with early materialization.
+///
+/// All I/O happens in the coordinator's prelude ([`build_plan`]) — tuple
+/// construction decompresses every needed column in full, and the dimension
+/// join tables are built row-style — so the charges on `io` do not depend
+/// on the morsel grid at all. The row pipeline ([`run_pipeline`]) then runs
+/// over the stitched tuples. `opts.ctx` is honoured in the prelude and at
+/// every morsel boundary.
+pub(crate) fn execute(
+    db: &CStoreDb,
+    q: &SsbQuery,
+    cfg: EngineConfig,
+    opts: &ExecOptions<'_>,
+    io: &IoSession,
+) -> Result<QueryOutput, QueryError> {
+    let (plan, tuples) = {
+        let mut span = opts.ctx.span("materialize", "fact columns up front", io);
+        span.rows(db.fact_rows() as u64);
+        build_plan(db, q, cfg, io, &opts.ctx)?
+    };
+    run_pipeline(q, &plan, &tuples, opts, io, "row-style over early-stitched tuples")
+}
+
 /// Predicate + join filtering for one constructed tuple.
 fn process_tuple(
     tuple: &[Value],
-    pred_idx: &[(usize, &cvr_data::queries::Pred)],
+    pred_idx: &[(usize, &Pred)],
     fk_idx: &[(Dim, usize)],
     dims: &HashMap<Dim, DimTable>,
 ) -> bool {

@@ -4,27 +4,32 @@
 //! "One might expect the C-Store storage manager to be unable to store data
 //! in rows ... However, this can be done easily by using tables that have a
 //! single column of type 'string'. The values in this column are entire
-//! tuples." Queries scan the string column, parse each tuple (the row-store
-//! attribute-extraction cost, paid in full), and run row-style operators —
-//! the same shape as the early-materialization path.
+//! tuples." This module holds that storage; queries run early
+//! materialization's pipeline ([`crate::em`]) with its second tuple source:
+//! the flight view's string rows, each tuple parsed as it is read (the
+//! row-store attribute-extraction cost, paid in full), where the `l`
+//! configurations stitch tuples from decoded columns. The dimension join
+//! tables are built from parsed dimension rows.
 //!
 //! This is the configuration that shows the *cost* of row-oriented
 //! processing inside C-Store: same bytes read as the row-store MV case,
 //! slower execution.
 
-use crate::agg::Grouper;
+use crate::em::{self, dim_row_columns, DimTable, FactTuples, RowPlan};
+use crate::engine::ExecOptions;
+use crate::morsel::Parallelism;
 use crate::projection::dim_sort_columns;
 use cvr_data::gen::SsbTables;
-use cvr_data::queries::{all_queries, SsbQuery};
+use cvr_data::queries::{flight_fact_columns, paper_columns, SsbQuery};
 use cvr_data::result::QueryOutput;
 use cvr_data::schema::Dim;
 use cvr_data::table::TableData;
 use cvr_data::value::{DataType, Value};
-use cvr_index::hashidx::IntHashMap;
 use cvr_storage::column::StoredColumn;
 use cvr_storage::encode::{Column, StrColumn};
 use cvr_storage::io::IoSession;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Field separator in serialized tuples.
@@ -76,6 +81,11 @@ impl RowMvTable {
         }
     }
 
+    /// The positions of `columns` among the serialized fields.
+    fn fields(&self, columns: &[&str]) -> Vec<usize> {
+        columns.iter().map(|c| self.columns.iter().position(|f| f == c).expect("stored")).collect()
+    }
+
     /// Scan: parse every tuple, yielding the requested fields. Charges the
     /// full string column.
     pub fn scan<'a>(
@@ -99,6 +109,27 @@ impl RowMvTable {
     }
 }
 
+/// The pipeline's tuples parsed, as they are read, from a view's string
+/// rows.
+struct Parsed<'a> {
+    view: &'a RowMvTable,
+    fields: Vec<usize>,
+}
+
+impl FactTuples for Parsed<'_> {
+    fn rows(&self) -> usize {
+        self.view.num_rows()
+    }
+
+    fn for_each(&self, range: Range<usize>, mut f: impl FnMut(&[Value])) {
+        for row in &self.view.store.column.as_str().plain_strs()[range] {
+            let tuple: Vec<Value> =
+                self.fields.iter().map(|&i| self.view.parse_field(row, i)).collect();
+            f(&tuple);
+        }
+    }
+}
+
 /// The Row-MV database: per-flight fact views + row-serialized dimensions.
 pub struct RowMvDb {
     /// Original logical tables.
@@ -108,45 +139,23 @@ pub struct RowMvDb {
 }
 
 impl RowMvDb {
-    /// Build per-flight row-MV tables mirroring the row engine's MV design.
+    /// Build per-flight row-MV tables mirroring the row engine's MV design:
+    /// each view holds its flight's [`flight_fact_columns`], each dimension
+    /// its key, its hierarchy and the [`paper_columns`] on it.
     pub fn build(tables: Arc<SsbTables>) -> RowMvDb {
-        let mut views = Vec::new();
-        for flight in 1..=4u8 {
-            let mut columns: Vec<&'static str> = Vec::new();
-            for q in all_queries().iter().filter(|q| q.id.flight == flight) {
-                for c in q.fact_columns() {
-                    if !columns.contains(&c) {
-                        columns.push(c);
-                    }
-                }
-            }
-            views.push(RowMvTable::build(&tables.lineorder, &columns));
-        }
+        let views = (1..=4)
+            .map(|f| RowMvTable::build(&tables.lineorder, flight_fact_columns(f).unwrap()))
+            .collect();
         let dims = Dim::ALL
             .iter()
             .map(|&d| {
-                // Dimensions keep every column a query might touch: key,
-                // hierarchy, plus date group columns.
-                let schema = tables.schema.dim(d);
                 let mut cols: Vec<&'static str> = vec![d.key_column()];
-                for c in dim_sort_columns(d) {
-                    if !cols.contains(c) {
+                let paper = paper_columns().dims.iter().filter(|(pd, _)| *pd == d);
+                for &c in dim_sort_columns(d).iter().chain(paper.map(|(_, c)| c)) {
+                    if !cols.contains(&c) {
                         cols.push(c);
                     }
                 }
-                for q in all_queries() {
-                    for p in q.dim_predicates_on(d) {
-                        if !cols.contains(&p.column) {
-                            cols.push(p.column);
-                        }
-                    }
-                    for g in q.group_by.iter().filter(|g| g.dim == d) {
-                        if !cols.contains(&g.column) {
-                            cols.push(g.column);
-                        }
-                    }
-                }
-                cols.retain(|c| schema.try_col(c).is_some());
                 (d, RowMvTable::build(tables.dim(d), &cols))
             })
             .collect();
@@ -163,91 +172,37 @@ impl RowMvDb {
         self.views.iter().map(RowMvTable::bytes).sum()
     }
 
-    /// Execute `q`: parse-scan the flight view, row-style filter + hash
-    /// joins + aggregation.
+    /// [`RowMvDb::execute_with`] at the process default parallelism.
     pub fn execute(&self, q: &SsbQuery, io: &IoSession) -> QueryOutput {
-        // Dimension join tables from the row-serialized dims.
-        struct JoinTable {
-            map: IntHashMap,
-            group_rows: Vec<Vec<Value>>,
-            restricted: bool,
-        }
-        let mut dim_tables: HashMap<Dim, JoinTable> = HashMap::new();
-        for dim in q.touched_dims() {
-            let table = &self.dims[&dim];
-            let preds = q.dim_predicates_on(dim);
-            let group_cols: Vec<usize> = q
-                .group_by
-                .iter()
-                .filter(|g| g.dim == dim)
-                .map(|g| table.columns.iter().position(|c| *c == g.column).expect("group col"))
-                .collect();
-            let key_idx = table.columns.iter().position(|c| *c == dim.key_column()).unwrap();
-            let pred_idx: Vec<(usize, &cvr_data::queries::Pred)> = preds
-                .iter()
-                .map(|p| (table.columns.iter().position(|c| *c == p.column).unwrap(), &p.pred))
-                .collect();
-            let mut fields: Vec<usize> = vec![key_idx];
-            fields.extend(pred_idx.iter().map(|(i, _)| *i));
-            fields.extend(group_cols.iter().copied());
-            let mut map = IntHashMap::with_capacity(table.num_rows());
-            let mut group_rows = Vec::new();
-            'rows: for parsed in table.scan(&fields, io) {
-                for (pi, (_, pred)) in pred_idx.iter().enumerate() {
-                    if !pred.matches(&parsed[1 + pi]) {
-                        continue 'rows;
-                    }
-                }
-                map.insert(parsed[0].as_int(), group_rows.len() as u32);
-                group_rows.push(parsed[1 + pred_idx.len()..].to_vec());
-            }
-            dim_tables.insert(dim, JoinTable { map, group_rows, restricted: !preds.is_empty() });
-        }
+        self.execute_with(q, Parallelism::from_env(), io)
+    }
 
-        // Fact view scan.
-        let view = self.view(q.id.flight);
-        let needed = q.fact_columns();
-        let fields: Vec<usize> = needed
-            .iter()
-            .map(|c| view.columns.iter().position(|v| v == c).expect("view column"))
+    /// Execute `q` on `par`'s workers: parse-scan each touched dimension
+    /// into its join table, charge the flight view, then run early
+    /// materialization's pipeline over the view's parsed tuples.
+    pub fn execute_with(&self, q: &SsbQuery, par: Parallelism, io: &IoSession) -> QueryOutput {
+        let dims = q
+            .touched_dims()
+            .into_iter()
+            .map(|d| {
+                let table = &self.dims[&d];
+                let fields = table.fields(&dim_row_columns(q, d));
+                (d, DimTable::from_rows(q, d, table.num_rows(), table.scan(&fields, io)))
+            })
             .collect();
-        let col_of: HashMap<&str, usize> =
-            needed.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-        let pred_idx: Vec<(usize, &cvr_data::queries::Pred)> =
-            q.fact_predicates.iter().map(|p| (col_of[p.column], &p.pred)).collect();
-        let fk_idx: Vec<(Dim, usize)> =
-            q.touched_dims().into_iter().map(|d| (d, col_of[d.fact_fk_column()])).collect();
-        let agg_idx: Vec<usize> = q.aggregate.fact_columns().iter().map(|c| col_of[c]).collect();
-
-        let mut grouper = Grouper::new();
-        let mut inputs = vec![0i64; agg_idx.len()];
-        'fact: for tuple in view.scan(&fields, io) {
-            for (idx, pred) in &pred_idx {
-                if !pred.matches(&tuple[*idx]) {
-                    continue 'fact;
-                }
-            }
-            for (dim, idx) in &fk_idx {
-                let t = &dim_tables[dim];
-                if t.restricted && t.map.get(tuple[*idx].as_int()).is_none() {
-                    continue 'fact;
-                }
-            }
-            let mut key = Vec::with_capacity(q.group_by.len());
-            for gi in 0..q.group_by.len() {
-                let dim = q.group_by[gi].dim;
-                let (_, fk_col) = fk_idx.iter().find(|(d, _)| *d == dim).unwrap();
-                let t = &dim_tables[&dim];
-                let row = t.map.get(tuple[*fk_col].as_int()).expect("join checked");
-                let offset = q.group_by.iter().take(gi).filter(|g2| g2.dim == dim).count();
-                key.push(t.group_rows[row as usize][offset].clone());
-            }
-            for (j, idx) in agg_idx.iter().enumerate() {
-                inputs[j] = tuple[*idx].as_int();
-            }
-            grouper.add(key, q.aggregate.term(&inputs));
-        }
-        grouper.finish(q)
+        let view = self.view(q.id.flight);
+        view.store.charge_scan(io);
+        let tuples = Parsed { view, fields: view.fields(&q.fact_columns()) };
+        let opts = ExecOptions { par, ..ExecOptions::default() };
+        em::run_pipeline(
+            q,
+            &RowPlan::new(q, dims),
+            &tuples,
+            &opts,
+            io,
+            "row-style over parsed view tuples",
+        )
+        .expect("an unbounded context never aborts")
     }
 }
 
@@ -255,6 +210,7 @@ impl RowMvDb {
 mod tests {
     use super::*;
     use cvr_data::gen::SsbConfig;
+    use cvr_data::queries::all_queries;
     use cvr_data::reference;
 
     fn db() -> RowMvDb {

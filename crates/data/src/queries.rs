@@ -11,6 +11,7 @@
 
 use crate::schema::Dim;
 use crate::value::Value;
+use std::sync::OnceLock;
 
 /// Identifier of a benchmark query: flight 1..=4, query 1..=4 within it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -423,6 +424,60 @@ pub fn flights() -> Vec<Vec<SsbQuery>> {
     out
 }
 
+/// The fact columns `flight`'s paper queries read, in first-use order, or
+/// `None` when `flight` is not one of the paper's four. A per-flight view
+/// (the row store's `MV`, CS (Row-MV)'s string views) holds exactly these.
+pub fn flight_fact_columns(flight: u8) -> Option<&'static [&'static str]> {
+    static FLIGHTS: OnceLock<Vec<Vec<&'static str>>> = OnceLock::new();
+    let flights = FLIGHTS.get_or_init(|| {
+        flights()
+            .iter()
+            .map(|f| {
+                let mut columns = Vec::new();
+                for q in f {
+                    push_new(&mut columns, q.fact_columns());
+                }
+                columns
+            })
+            .collect()
+    });
+    flights.get(usize::from(flight).checked_sub(1)?).map(Vec::as_slice)
+}
+
+/// Every column some paper query reads, in first-use order.
+#[derive(Debug)]
+pub struct PaperColumns {
+    /// Fact columns.
+    pub fact: Vec<&'static str>,
+    /// `(dimension, column)` pairs: per query, its predicate columns, then
+    /// its group columns.
+    pub dims: Vec<(Dim, &'static str)>,
+}
+
+/// The columns of the paper workload: what the row store's index-only
+/// design indexes and what the pre-joined tables inline.
+pub fn paper_columns() -> &'static PaperColumns {
+    static PAPER: OnceLock<PaperColumns> = OnceLock::new();
+    PAPER.get_or_init(|| {
+        let mut cols = PaperColumns { fact: Vec::new(), dims: Vec::new() };
+        for q in all_queries() {
+            push_new(&mut cols.fact, q.fact_columns());
+            push_new(&mut cols.dims, q.dim_predicates.iter().map(|p| (p.dim, p.column)));
+            push_new(&mut cols.dims, q.group_by.iter().map(|g| (g.dim, g.column)));
+        }
+        cols
+    })
+}
+
+/// Append each of `items` that `into` does not hold yet.
+fn push_new<T: PartialEq>(into: &mut Vec<T>, items: impl IntoIterator<Item = T>) {
+    for item in items {
+        if !into.contains(&item) {
+            into.push(item);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,6 +487,22 @@ mod tests {
     fn thirteen_queries_in_four_flights() {
         let f = flights();
         assert_eq!(f.iter().map(Vec::len).collect::<Vec<_>>(), vec![3, 3, 4, 3]);
+    }
+
+    #[test]
+    fn column_sets_cover_the_paper_queries() {
+        assert_eq!(flight_fact_columns(0), None);
+        assert_eq!(flight_fact_columns(5), None);
+        assert_eq!(
+            flight_fact_columns(1),
+            Some(&["lo_orderdate", "lo_discount", "lo_quantity", "lo_extendedprice"][..])
+        );
+        let paper = paper_columns();
+        for q in all_queries() {
+            let flight = flight_fact_columns(q.id.flight).unwrap();
+            assert!(q.fact_columns().iter().all(|c| flight.contains(c) && paper.fact.contains(c)));
+            assert!(q.group_by.iter().all(|g| paper.dims.contains(&(g.dim, g.column))));
+        }
     }
 
     #[test]

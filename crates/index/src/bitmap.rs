@@ -1,17 +1,15 @@
-//! Record-id bitmaps, per-value bitmap indexes and dense-key flag tables.
+//! Record-id bitmaps and dense-key flag tables.
 //!
 //! Used in three places in the study:
 //!
 //! * the row engine's **"traditional (bitmap)"** configuration (Figure 6,
-//!   `T(B)`), where plans are biased toward bitmap-index access paths, and
-//!   per-predicate rid bitmaps are merged with bitwise AND;
+//!   `T(B)`), where per-predicate rid bitmaps, filled from B+Tree range
+//!   scans, are merged with bitwise AND;
 //! * position-list representations in the column engine (Section 5.2
 //!   describes "a bit string where a 1 in the ith bit indicates that the ith
 //!   value passed the predicate"); `cvr-core` reuses [`RidBitmap`] for that;
 //! * join probes over reassigned (dense) dimension keys, where membership is
 //!   one flag per dimension row ([`KeyBits`]).
-
-use cvr_storage::io::{pages_for, FileId, IoSession, PageId, PAGE_SIZE};
 
 /// A fixed-universe bitset over record ids `0..len`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -247,65 +245,6 @@ impl Iterator for BitIter {
     }
 }
 
-/// A bitmap index: one rid bitmap per distinct value of an integer column
-/// (string columns are indexed through their dictionary codes).
-#[derive(Debug)]
-pub struct BitmapIndex {
-    /// Sorted distinct values.
-    values: Vec<i64>,
-    /// `bitmaps[i]` holds the rids where the column equals `values[i]`.
-    bitmaps: Vec<RidBitmap>,
-    file: FileId,
-    rows: u32,
-}
-
-impl BitmapIndex {
-    /// Build over an integer column.
-    pub fn build(column: &[i64]) -> BitmapIndex {
-        let mut values: Vec<i64> = column.to_vec();
-        values.sort_unstable();
-        values.dedup();
-        let rows = column.len() as u32;
-        let mut bitmaps: Vec<RidBitmap> = values.iter().map(|_| RidBitmap::new(rows)).collect();
-        for (rid, v) in column.iter().enumerate() {
-            let idx = values.binary_search(v).unwrap();
-            bitmaps[idx].set(rid as u32);
-        }
-        BitmapIndex { values, bitmaps, file: FileId::fresh(), rows }
-    }
-
-    /// Number of distinct values.
-    pub fn cardinality(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Total on-disk bytes of all bitmaps.
-    pub fn bytes(&self) -> u64 {
-        self.bitmaps.iter().map(RidBitmap::bytes).sum()
-    }
-
-    /// Rids matching `pred` over the indexed values, OR-ing the per-value
-    /// bitmaps that satisfy it. Charges the pages of each bitmap read.
-    pub fn select(&self, pred: impl Fn(i64) -> bool, io: &IoSession) -> RidBitmap {
-        let mut out = RidBitmap::new(self.rows);
-        let mut page_cursor = 0u32;
-        for (i, v) in self.values.iter().enumerate() {
-            let bm_pages = pages_for(self.bitmaps[i].bytes());
-            if pred(*v) {
-                for p in 0..bm_pages {
-                    io.read_page(
-                        PageId { file: self.file, page: page_cursor + p },
-                        PAGE_SIZE.min(self.bitmaps[i].bytes()),
-                    );
-                }
-                out.or_with(&self.bitmaps[i]);
-            }
-            page_cursor += bm_pages;
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,37 +339,5 @@ mod tests {
     #[should_panic(expected = "outside the dense domain")]
     fn key_bits_reject_keys_outside_the_domain() {
         KeyBits::from_keys(10, [10i64]);
-    }
-
-    #[test]
-    fn bitmap_index_select() {
-        // Column with values 0..4 cycling over 1000 rows.
-        let col: Vec<i64> = (0..1000).map(|i| i % 5).collect();
-        let idx = BitmapIndex::build(&col);
-        assert_eq!(idx.cardinality(), 5);
-        let io = IoSession::unmetered();
-        let sel = idx.select(|v| v == 2 || v == 4, &io);
-        assert_eq!(sel.count(), 400);
-        for rid in sel.iter() {
-            assert!(col[rid as usize] == 2 || col[rid as usize] == 4);
-        }
-        // Reading 2 of 5 bitmaps charges fewer bytes than all 5.
-        assert!(io.stats().pages_read >= 2);
-    }
-
-    #[test]
-    fn bitmap_index_empty_selection() {
-        let col: Vec<i64> = (0..100).collect();
-        let idx = BitmapIndex::build(&col);
-        let io = IoSession::unmetered();
-        assert_eq!(idx.select(|_| false, &io).count(), 0);
-        assert_eq!(io.stats().pages_read, 0);
-    }
-
-    #[test]
-    fn bitmap_bytes_scale_with_cardinality() {
-        let low: Vec<i64> = (0..10_000).map(|i| i % 2).collect();
-        let high: Vec<i64> = (0..10_000).map(|i| i % 100).collect();
-        assert!(BitmapIndex::build(&high).bytes() > BitmapIndex::build(&low).bytes());
     }
 }

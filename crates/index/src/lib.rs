@@ -6,10 +6,11 @@
 //!   [`cvr_data::Value`] keys or by plain integers; the backbone of the row
 //!   store's "index-only" (AI) physical design and of the bitmap-biased
 //!   traditional design's fact-column indexes.
-//! * [`bitmap`] — rid bitmaps and per-value bitmap indexes, used by the
-//!   "traditional (bitmap)" configuration and reused by the column engine as
-//!   one of its position-list representations; and the one-bit-per-key
-//!   membership vector the join probes use over dense (reassigned) keys.
+//! * [`bitmap`] — rid bitmaps, used by the "traditional (bitmap)"
+//!   configuration to intersect index range scans and reused by the column
+//!   engine as one of its position-list representations; and the
+//!   one-bit-per-key membership vector the join probes use over dense
+//!   (reassigned) keys.
 //! * [`bloom`] — Bloom filters for star-join pre-filtering, a System X
 //!   optimizer feature the paper mentions enabling.
 //! * [`hashidx`] — open-addressing integer hash set/map with a cheap
@@ -27,7 +28,7 @@ pub mod bloom;
 pub mod btree;
 pub mod hashidx;
 
-pub use bitmap::{BitmapIndex, KeyBits, RidBitmap};
+pub use bitmap::{KeyBits, RidBitmap};
 pub use bloom::BloomFilter;
 pub use btree::{ikey, skey, BPlusTree, IndexKey, Key, Rid};
 pub use hashidx::{IntHashMap, IntHashSet};

@@ -2,7 +2,7 @@
 //! std-library model.
 
 use cvr_data::value::Value;
-use cvr_index::bitmap::{BitmapIndex, RidBitmap};
+use cvr_index::bitmap::RidBitmap;
 use cvr_index::bloom::BloomFilter;
 use cvr_index::btree::{ikey, BPlusTree, Key};
 use cvr_index::hashidx::{IntHashMap, IntHashSet};
@@ -144,23 +144,6 @@ proptest! {
         prop_assert_eq!(and.to_vec(), want_and);
         prop_assert_eq!(or.to_vec(), want_or);
         prop_assert_eq!(a.count() as usize, xs.len());
-    }
-
-    #[test]
-    fn bitmap_index_select_matches_filter(
-        col in prop::collection::vec(0i64..20, 1..500),
-        wanted in prop::collection::btree_set(0i64..25, 0..6),
-    ) {
-        let idx = BitmapIndex::build(&col);
-        let io = IoSession::unmetered();
-        let got = idx.select(|v| wanted.contains(&v), &io).to_vec();
-        let want: Vec<u32> = col
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| wanted.contains(v))
-            .map(|(i, _)| i as u32)
-            .collect();
-        prop_assert_eq!(got, want);
     }
 
     #[test]

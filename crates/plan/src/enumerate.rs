@@ -19,9 +19,9 @@
 
 use cvr_core::trace::write_json_string;
 use cvr_core::EngineConfig;
-use cvr_data::queries::{QueryId, SsbQuery};
+use cvr_data::queries::{flight_fact_columns, QueryId, SsbQuery};
 use cvr_data::schema::Dim;
-use cvr_row::designs::{ai, mv, RowDesign};
+use cvr_row::designs::RowDesign;
 
 use crate::cost::{gather, seq_scan, CostBreakdown, CostParams, WorkingSet};
 use crate::explain::Explain;
@@ -213,33 +213,10 @@ impl Planner {
         Estimates::new(&self.catalog, q).fact_order()
     }
 
-    /// Row designs applicable to `q`.
+    /// Row designs applicable to `q`: those whose build holds what it
+    /// reads ([`RowDesign::answers`]).
     pub fn applicable_row_designs(&self, q: &SsbQuery) -> Vec<RowDesign> {
-        let (paper_fact, paper_dim) = ai::needed_columns();
-        RowDesign::EXTENDED
-            .into_iter()
-            .filter(|d| match d {
-                // Views exist per *paper* flight and hold only the columns
-                // those queries read (`mv::view_columns`).
-                RowDesign::MaterializedViews => {
-                    (1..=4).contains(&q.id.flight) && {
-                        let view = mv::view_columns(q.id.flight);
-                        q.fact_columns().iter().all(|c| view.contains(c))
-                    }
-                }
-                // Index-only plans need every touched column indexed; the
-                // build indexes what some paper query touches
-                // (`ai::needed_columns`).
-                RowDesign::IndexOnly => {
-                    q.fact_columns().iter().all(|c| paper_fact.contains(c))
-                        && q.dim_predicates.iter().all(|p| paper_dim.contains(&(p.dim, p.column)))
-                        && q.group_by.iter().all(|g| paper_dim.contains(&(g.dim, g.column)))
-                }
-                // The position-join plan asserts at least one restriction.
-                RowDesign::SuperVp => !q.dim_predicates.is_empty() || !q.fact_predicates.is_empty(),
-                _ => true,
-            })
-            .collect()
+        RowDesign::EXTENDED.into_iter().filter(|d| d.answers(q)).collect()
     }
 
     /// Every applicable candidate, costed, cheapest first.
@@ -740,8 +717,11 @@ impl Planner {
                 let (heap, width) = if design == RowDesign::Traditional {
                     (sizes.fact_heap_bytes, 1.0)
                 } else {
-                    let cols = mv::view_columns(q.id.flight).len() as f64;
-                    (sizes.mv_view_bytes[(q.id.flight - 1) as usize], (cols / 17.0).max(0.2))
+                    let view = flight_fact_columns(q.id.flight).expect("MV answers paper flights");
+                    (
+                        sizes.mv_view_bytes[(q.id.flight - 1) as usize],
+                        (view.len() as f64 / 17.0).max(0.2),
+                    )
                 };
                 let bytes = (heap as f64 * yf) as u64;
                 ws.touch(("heap", "fact"), bytes);

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 
 use cvr_core::projection::dim_sort_columns;
 use cvr_core::{CStoreDb, ColumnEngine, EngineConfig};
-use cvr_data::queries::{FactPredicate, Pred, SsbQuery};
+use cvr_data::queries::{flight_fact_columns, FactPredicate, Pred, SsbQuery};
 use cvr_data::schema::Dim;
 use cvr_data::table::{ColumnData, Strs, TableData};
 use cvr_data::value::Value;
@@ -455,8 +455,8 @@ impl Catalog {
             .collect();
         let mut mv_view_bytes = [0u64; 4];
         for flight in 1..=4u8 {
-            // The design's own view definition, which the MV gate reads too.
-            let columns = cvr_row::designs::mv::view_columns(flight);
+            // The columns each MV view holds, which its gate reads too.
+            let columns = flight_fact_columns(flight).expect("a paper flight");
             let mean = mean_record_bytes(&tables.lineorder, Some(columns));
             mv_view_bytes[(flight - 1) as usize] =
                 (mean * tables.lineorder.num_rows() as f64) as u64;
@@ -670,7 +670,7 @@ mod tests {
                 })
                 .collect(),
             mv_view_bytes: std::array::from_fn(|f| {
-                let columns = cvr_row::designs::mv::view_columns(f as u8 + 1);
+                let columns = flight_fact_columns(f as u8 + 1).unwrap();
                 (materialized_mean(fact, Some(columns)) * rows) as u64
             }),
             fact_row_bytes,

@@ -15,12 +15,12 @@
 //! design in Figure 6.
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::designs::common::{aggregate_and_finish, join_order};
 use crate::ops::{BoxedOp, Filter, HashJoin, IndexFullScanOp, IndexRangeScanOp, Project};
 use cvr_data::gen::SsbTables;
-use cvr_data::queries::{all_queries, Pred, SsbQuery};
+use cvr_data::queries::{paper_columns, Pred, SsbQuery};
 use cvr_data::result::QueryOutput;
 use cvr_data::schema::Dim;
 use cvr_index::btree::{BPlusTree, Key};
@@ -39,12 +39,13 @@ pub struct AiDb {
 impl AiDb {
     /// Build an index over every column some benchmark query touches.
     pub fn build(tables: Arc<SsbTables>) -> AiDb {
-        let (fact_cols, dim_cols) = needed_columns();
+        let columns = paper_columns();
         // One independent index per column: build them as a job list over
         // the process-default worker count, the fact indexes (the large
         // ones) first.
         let mut jobs = Jobs::new();
-        let fact_idx: Vec<_> = fact_cols
+        let fact_idx: Vec<_> = columns
+            .fact
             .iter()
             .map(|&col| {
                 let data = tables.lineorder.column(col);
@@ -52,7 +53,8 @@ impl AiDb {
                 (col, jobs.add(move || BPlusTree::bulk_load(entries.collect())))
             })
             .collect();
-        let dim_idx: Vec<_> = dim_cols
+        let dim_idx: Vec<_> = columns
+            .dims
             .iter()
             .map(|&(dim, col)| {
                 let table = tables.dim(dim);
@@ -188,36 +190,4 @@ fn index_piece<'a>(
         piece = Box::new(Filter::new(piece, key_cols[0], pred.clone()));
     }
     piece
-}
-
-/// Fact columns, then `(dimension, column)` pairs.
-pub type NeededColumns = (Vec<&'static str>, Vec<(Dim, &'static str)>);
-
-/// The columns the design indexes: every fact column and every
-/// `(dimension, column)` some paper query reads, in first-use order. The
-/// planner's AI gate reads the same definition.
-pub fn needed_columns() -> &'static NeededColumns {
-    static NEEDED: OnceLock<NeededColumns> = OnceLock::new();
-    NEEDED.get_or_init(|| {
-        let mut fact: Vec<&'static str> = Vec::new();
-        let mut dims: Vec<(Dim, &'static str)> = Vec::new();
-        for q in all_queries() {
-            for c in q.fact_columns() {
-                if !fact.contains(&c) {
-                    fact.push(c);
-                }
-            }
-            for p in &q.dim_predicates {
-                if !dims.contains(&(p.dim, p.column)) {
-                    dims.push((p.dim, p.column));
-                }
-            }
-            for g in &q.group_by {
-                if !dims.contains(&(g.dim, g.column)) {
-                    dims.push((g.dim, g.column));
-                }
-            }
-        }
-        (fact, dims)
-    })
 }

@@ -32,7 +32,7 @@ pub use vp::VpDb;
 pub use vp_super::SuperVpDb;
 
 use cvr_data::gen::SsbTables;
-use cvr_data::queries::SsbQuery;
+use cvr_data::queries::{flight_fact_columns, paper_columns, SsbQuery};
 use cvr_data::result::QueryOutput;
 use cvr_storage::io::IoSession;
 use std::sync::Arc;
@@ -89,6 +89,24 @@ impl RowDesign {
             RowDesign::SuperVp => "VP(S)",
         }
     }
+
+    /// Whether this design's build holds what `q` reads. `MV` holds a view
+    /// of each paper flight with the fact columns its queries read, and `AI`
+    /// indexes the columns some paper query reads; the other designs store
+    /// every column. The planner admits a design for `q` on this alone.
+    pub fn answers(self, q: &SsbQuery) -> bool {
+        match self {
+            RowDesign::MaterializedViews => flight_fact_columns(q.id.flight)
+                .is_some_and(|view| q.fact_columns().iter().all(|c| view.contains(c))),
+            RowDesign::IndexOnly => {
+                let paper = paper_columns();
+                q.fact_columns().iter().all(|c| paper.fact.contains(c))
+                    && q.dim_predicates.iter().all(|p| paper.dims.contains(&(p.dim, p.column)))
+                    && q.group_by.iter().all(|g| paper.dims.contains(&(g.dim, g.column)))
+            }
+            _ => true,
+        }
+    }
 }
 
 /// A built design, ready to execute queries.
@@ -140,8 +158,11 @@ impl RowDb {
         }
     }
 
-    /// Execute one benchmark query.
+    /// Execute one statement, which the design must answer
+    /// ([`RowDesign::answers`]).
     pub fn execute(&self, q: &SsbQuery, io: &IoSession) -> QueryOutput {
+        let design = self.design();
+        assert!(design.answers(q), "row design {} cannot answer {}: {q:?}", design.label(), q.id);
         match self {
             RowDb::Traditional(db) => db.execute(q, io),
             RowDb::TraditionalBitmap(db) => db.execute_bitmap(q, io),

@@ -21,7 +21,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::designs::common::{int_col, pruned_fact_scan, star_join};
 use cvr_data::gen::SsbTables;
-use cvr_data::queries::{all_queries, SsbQuery};
+use cvr_data::queries::{flight_fact_columns, SsbQuery};
 use cvr_data::result::QueryOutput;
 use cvr_data::schema::Dim;
 use cvr_data::table::ColumnData;
@@ -30,7 +30,7 @@ use cvr_storage::io::IoSession;
 
 /// One per-flight materialized view.
 pub struct MaterializedView {
-    /// Fact columns stored in the view ([`view_columns`]).
+    /// Fact columns stored in the view ([`flight_fact_columns`]).
     pub columns: &'static [&'static str],
     /// The view's storage, partitioned by `orderdate` year.
     pub heap: PartitionedHeap,
@@ -39,33 +39,13 @@ pub struct MaterializedView {
 impl MaterializedView {
     /// Project and partition `flight`'s view straight from the fact columns.
     fn build(tables: &SsbTables, flight: u8) -> MaterializedView {
-        let columns = view_columns(flight);
+        let columns = flight_fact_columns(flight).expect("views exist for the paper flights");
         let fact = &tables.lineorder;
         let data: Vec<&ColumnData> = columns.iter().map(|c| fact.column(c)).collect();
         let dates = int_col(fact, "lo_orderdate");
         let heap = PartitionedHeap::build(&data, |i| dates[i] / 10_000);
         MaterializedView { columns, heap }
     }
-}
-
-/// The fact columns of `flight`'s view (1..=4): the union of the columns its
-/// paper queries read, in first-use order. The planner's MV gate and size
-/// estimate read the same definition.
-pub fn view_columns(flight: u8) -> &'static [&'static str] {
-    static VIEWS: OnceLock<[Vec<&'static str>; 4]> = OnceLock::new();
-    &VIEWS.get_or_init(|| {
-        std::array::from_fn(|i| {
-            let mut columns: Vec<&'static str> = Vec::new();
-            for q in all_queries().iter().filter(|q| q.id.flight as usize == i + 1) {
-                for c in q.fact_columns() {
-                    if !columns.contains(&c) {
-                        columns.push(c);
-                    }
-                }
-            }
-            columns
-        })
-    })[(flight - 1) as usize]
 }
 
 /// The MV design: per-flight views plus the dimension heaps.
@@ -123,7 +103,7 @@ mod tests {
             int_col(&tables.lineorder, "lo_orderdate").iter().map(|d| d / 10_000).collect();
         let eager: u64 = (1..=4)
             .map(|f| {
-                let projected = tables.lineorder.project(view_columns(f));
+                let projected = tables.lineorder.project(flight_fact_columns(f).unwrap());
                 let columns: Vec<&ColumnData> = projected.columns.iter().collect();
                 PartitionedHeap::build(&columns, |i| years[i]).bytes()
             })

@@ -131,19 +131,20 @@ impl<F: ColumnFile> PositionJoinDb<F> {
         let mut plan: Option<BoxedOp<'a>> = None;
         for col in columns {
             let on_col = preds.iter().filter(|p| p.column == col).map(|p| p.pred.clone());
-            let scan = self.dim_cols[&(dim, col)].scan(col, on_col.collect(), io);
-            plan = Some(match plan {
-                None => scan,
-                Some(pl) => Box::new(HashJoin::new(pl, scan, "pos", "pos", false)),
-            });
+            plan =
+                Some(join_on_pos(plan, self.dim_cols[&(dim, col)].scan(col, on_col.collect(), io)));
         }
         Box::new(Project::new(plan.expect("the key is needed"), &needed))
     }
 
-    /// Execute `q`.
+    /// Execute `q`. The pipeline starts from the first fact column scan
+    /// the plan needs: a restricted dimension's branch, else a fact
+    /// predicate's scan, else (a statement that restricts nothing) the first
+    /// group-only dimension's FK or the first measure column.
     pub fn execute(&self, q: &SsbQuery, io: &IoSession) -> QueryOutput {
         // Branches: per restricted dim, FK column ⋈ filtered dimension; per
-        // fact predicate, a filtered column scan.
+        // fact predicate, a filtered column scan. Branches intersect on fact
+        // position.
         let order = join_order(&self.tables, q);
         let mut pipeline: Option<BoxedOp<'_>> = None;
         let mut joined_dims: Vec<Dim> = Vec::new();
@@ -159,45 +160,44 @@ impl<F: ColumnFile> PositionJoinDb<F> {
                 dim.key_column(),
                 false,
             ));
-            pipeline = Some(match pipeline {
-                None => branch,
-                // Intersect branches on fact position.
-                Some(p) => Box::new(HashJoin::new(p, branch, "pos", "pos", false)),
-            });
+            pipeline = Some(join_on_pos(pipeline, branch));
             joined_dims.push(dim);
         }
         // Fact measure predicates (flight 1): filtered column scans.
         for p in &q.fact_predicates {
             let scan = self.fact_cols[p.column].scan(p.column, vec![p.pred.clone()], io);
-            pipeline = Some(match pipeline {
-                None => scan,
-                Some(pl) => Box::new(HashJoin::new(pl, scan, "pos", "pos", false)),
-            });
+            pipeline = Some(join_on_pos(pipeline, scan));
         }
-        let mut pipeline = pipeline.expect("every SSBM query restricts something");
         // Group-only dimensions: FK column joined by pos, then the dim.
         for &dim in &order {
             if joined_dims.contains(&dim) {
                 continue;
             }
-            let fk_scan = self.fact_col_scan(dim.fact_fk_column(), io);
-            pipeline = Box::new(HashJoin::new(pipeline, fk_scan, "pos", "pos", false));
-            pipeline = Box::new(HashJoin::new(
-                pipeline,
+            let with_fk = join_on_pos(pipeline, self.fact_col_scan(dim.fact_fk_column(), io));
+            pipeline = Some(Box::new(HashJoin::new(
+                with_fk,
                 self.dim_plan(q, dim, io),
                 dim.fact_fk_column(),
                 dim.key_column(),
                 false,
-            ));
+            )));
         }
         // Measure columns not yet in the pipeline.
         for col in q.aggregate.fact_columns() {
-            if pipeline.schema().try_idx(col).is_some() {
+            if pipeline.as_ref().is_some_and(|p| p.schema().try_idx(col).is_some()) {
                 continue;
             }
-            let scan = self.fact_col_scan(col, io);
-            pipeline = Box::new(HashJoin::new(pipeline, scan, "pos", "pos", false));
+            pipeline = Some(join_on_pos(pipeline, self.fact_col_scan(col, io)));
         }
-        aggregate_and_finish(q, pipeline)
+        aggregate_and_finish(q, pipeline.expect("every aggregate reads a fact column"))
+    }
+}
+
+/// `next` joined to `pipeline` on fact position, or `next` alone when it
+/// is the plan's first scan.
+fn join_on_pos<'a>(pipeline: Option<BoxedOp<'a>>, next: BoxedOp<'a>) -> BoxedOp<'a> {
+    match pipeline {
+        None => next,
+        Some(pl) => Box::new(HashJoin::new(pl, next, "pos", "pos", false)),
     }
 }

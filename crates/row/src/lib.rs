@@ -3,9 +3,9 @@
 //! The "commercial row-store under a variety of different configurations"
 //! side of the study. This crate implements:
 //!
-//! * a Volcano-style **tuple-at-a-time executor** ([`ops`]) — scans, filters,
-//!   hash/merge joins (with optional Bloom pre-filtering), sorts, grouped
-//!   aggregation — all moving one heap-allocated tuple per virtual call,
+//! * a Volcano-style **tuple-at-a-time executor** ([`ops`]) — heap and
+//!   index scans, filters, hash joins (with optional Bloom pre-filtering),
+//!   grouped aggregation — all moving one heap-allocated tuple per virtual call,
 //!   which is precisely the interface cost Section 5.3 charges row-stores
 //!   for;
 //! * the **five physical designs** of Section 4 ([`designs`]): traditional

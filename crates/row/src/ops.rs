@@ -342,124 +342,6 @@ impl RowOp for HashJoin<'_> {
     }
 }
 
-// ------------------------------------------------------------- MergeJoin
-
-/// Merge join over inputs already sorted on their integer join keys.
-/// (The paper notes System X could not exploit this for tuple
-/// reconstruction; it is here for the ablation that shows what a "fast merge
-/// join of sorted data" buys.)
-pub struct MergeJoin {
-    left: std::iter::Peekable<std::vec::IntoIter<Tuple>>,
-    right: Vec<Tuple>,
-    right_pos: usize,
-    left_key: usize,
-    right_key: usize,
-    schema: OpSchema,
-    pending: Vec<Tuple>,
-}
-
-impl MergeJoin {
-    /// Join sorted `left` ⋈ sorted `right` on integer key equality.
-    pub fn new(
-        left: BoxedOp<'_>,
-        right: BoxedOp<'_>,
-        left_col: &str,
-        right_col: &str,
-    ) -> MergeJoin {
-        let left_key = left.schema().idx(left_col);
-        let right_key = right.schema().idx(right_col);
-        let schema = left.schema().concat(right.schema());
-        MergeJoin {
-            left_key,
-            right_key,
-            schema,
-            left: drain(left).into_iter().peekable(),
-            right: drain(right),
-            right_pos: 0,
-            pending: Vec::new(),
-        }
-    }
-}
-
-impl RowOp for MergeJoin {
-    fn schema(&self) -> &OpSchema {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Option<Tuple> {
-        loop {
-            if let Some(t) = self.pending.pop() {
-                return Some(t);
-            }
-            let l = self.left.next()?;
-            let lk = l[self.left_key].as_int();
-            while self.right_pos < self.right.len()
-                && self.right[self.right_pos][self.right_key].as_int() < lk
-            {
-                self.right_pos += 1;
-            }
-            let mut i = self.right_pos;
-            while i < self.right.len() && self.right[i][self.right_key].as_int() == lk {
-                let mut out = l.clone();
-                out.extend(self.right[i].iter().cloned());
-                self.pending.push(out);
-                i += 1;
-            }
-        }
-    }
-}
-
-// ------------------------------------------------------------- Sort
-
-/// Full sort on a prefix of columns (ascending).
-pub struct SortOp<'a> {
-    child: Option<BoxedOp<'a>>,
-    sorted: std::vec::IntoIter<Tuple>,
-    key_cols: Vec<usize>,
-    schema: OpSchema,
-    started: bool,
-}
-
-impl<'a> SortOp<'a> {
-    /// Sort `child` by `columns` ascending.
-    pub fn new(child: BoxedOp<'a>, columns: &[&str]) -> SortOp<'a> {
-        let key_cols = columns.iter().map(|c| child.schema().idx(c)).collect();
-        let schema = child.schema().clone();
-        SortOp {
-            child: Some(child),
-            sorted: Vec::new().into_iter(),
-            key_cols,
-            schema,
-            started: false,
-        }
-    }
-}
-
-impl RowOp for SortOp<'_> {
-    fn schema(&self) -> &OpSchema {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Option<Tuple> {
-        if !self.started {
-            self.started = true;
-            let mut rows = drain(self.child.take().expect("sort child"));
-            let keys = self.key_cols.clone();
-            rows.sort_by(|a, b| {
-                for &k in &keys {
-                    match a[k].cmp(&b[k]) {
-                        std::cmp::Ordering::Equal => continue,
-                        o => return o,
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            self.sorted = rows.into_iter();
-        }
-        self.sorted.next()
-    }
-}
-
 // ------------------------------------------------------------- HashAgg
 
 /// Grouped integer-sum aggregation; the only aggregate shape SSBM needs.
@@ -492,12 +374,6 @@ impl<'a> HashAgg<'a> {
             schema: OpSchema::new(cols),
             started: false,
         }
-    }
-
-    /// Convenience: sum of one integer column.
-    pub fn sum_of(child: BoxedOp<'a>, group_columns: &[&str], value_column: &str) -> HashAgg<'a> {
-        let idx = child.schema().idx(value_column);
-        HashAgg::new(child, group_columns, move |t| t[idx].as_int())
     }
 }
 

@@ -2,12 +2,14 @@
 //! brute-force reference evaluator, for all thirteen SSBM queries.
 
 use cvr_data::gen::SsbConfig;
-use cvr_data::queries::all_queries;
+use cvr_data::queries::{all_queries, query, FactPredicate, Pred, QueryId, SsbQuery};
 use cvr_data::reference;
+use cvr_data::value::Value;
 use cvr_data::workload::WorkloadConfig;
 use cvr_row::designs::traditional::BITMAP_COLUMNS;
 use cvr_row::designs::{RowDb, RowDesign};
 use cvr_storage::io::{BufferPool, IoSession, PAGE_SIZE};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 fn check_design(design: RowDesign) {
@@ -93,5 +95,24 @@ fn io_ordering_mv_below_traditional() {
             io_mv.stats().bytes_read,
             io_t.stats().bytes_read
         );
+    }
+}
+
+#[test]
+fn a_design_refuses_a_statement_it_cannot_answer_by_name() {
+    // MV holds views of the four paper flights only, and AI indexes only the
+    // columns some paper query reads (`lo_tax` is not one of them).
+    let tables = Arc::new(SsbConfig { sf: 0.001, seed: 31 }.generate());
+    let adhoc = SsbQuery { id: QueryId::new(0, 1), ..query(1, 1) };
+    let mut taxed = query(1, 1);
+    taxed.fact_predicates.push(FactPredicate { column: "lo_tax", pred: Pred::Lt(Value::Int(4)) });
+    for (design, q) in [(RowDesign::MaterializedViews, adhoc), (RowDesign::IndexOnly, taxed)] {
+        assert!(!design.answers(&q));
+        let db = RowDb::build(tables.clone(), design);
+        let io = IoSession::unmetered();
+        let panic = catch_unwind(AssertUnwindSafe(|| db.execute(&q, &io))).unwrap_err();
+        let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+        let want = format!("row design {} cannot answer {}: ", design.label(), q.id);
+        assert!(message.starts_with(&want), "{}: {message:?}", design.label());
     }
 }

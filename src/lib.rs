@@ -13,7 +13,7 @@
 //!   reference evaluator;
 //! * [`storage`] (`cvr-storage`) — heap files, column encodings, buffer
 //!   pool, disk model;
-//! * [`index`] (`cvr-index`) — B+Tree, bitmap index, Bloom filter, hash
+//! * [`index`] (`cvr-index`) — B+Tree, rid bitmaps, Bloom filter, hash
 //!   index;
 //! * [`row`] (`cvr-row`) — the row engine: T, T(B), MV, VP, AI designs;
 //! * [`core`] (`cvr-core`) — the column engine: invisible join, late
