@@ -12,11 +12,11 @@
 //! column-store acts like a row-store."
 //!
 //! The pipeline takes its fact tuples from one of two sources
-//! ([`FactTuples`]): tuples stitched from decoded columns (this module's
-//! `l` configurations, by direct indexing or through `getNext`), or tuples
-//! parsed from the string rows of a CS (Row-MV) view ([`crate::row_mv`],
-//! Section 6.1). Either way each dimension join table is built by
-//! [`DimTable::from_rows`] from rows of `[key, predicate values…, group
+//! (`FactTuples`): `Stitched` from decoded columns (this module's `l`
+//! configurations, by direct indexing or through `getNext`), or `Parsed`
+//! from the string rows of a CS (Row-MV) view ([`crate::row_mv`], Section
+//! 6.1). Either way each dimension join table is built by
+//! `DimTable::from_rows` from rows of `[key, predicate values…, group
 //! values…]`, and one morsel pipeline filters, probes and aggregates on
 //! group codes.
 
@@ -27,6 +27,7 @@ use crate::engine::ExecOptions;
 use crate::extract::decode_all;
 use crate::morsel::try_run_morsels;
 use crate::projection::CStoreDb;
+use crate::row_mv::RowMvTable;
 use cvr_data::queries::{Pred, SsbQuery};
 use cvr_data::result::QueryOutput;
 use cvr_data::schema::Dim;
@@ -80,6 +81,27 @@ impl FactTuples for Stitched {
                     .collect();
                 f(&tuple);
             }
+        }
+    }
+}
+
+/// Tuples parsed, as they are read, from the string rows of a CS (Row-MV)
+/// view: `fields` are the view positions of the tuple's columns.
+pub(crate) struct Parsed<'a> {
+    pub(crate) view: &'a RowMvTable,
+    pub(crate) fields: Vec<usize>,
+}
+
+impl FactTuples for Parsed<'_> {
+    fn rows(&self) -> usize {
+        self.view.num_rows()
+    }
+
+    fn for_each(&self, range: Range<usize>, mut f: impl FnMut(&[Value])) {
+        for row in &self.view.store.column.as_str().plain_strs()[range] {
+            let tuple: Vec<Value> =
+                self.fields.iter().map(|&i| self.view.parse_field(row, i)).collect();
+            f(&tuple);
         }
     }
 }

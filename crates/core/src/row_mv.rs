@@ -15,7 +15,7 @@
 //! processing inside C-Store: same bytes read as the row-store MV case,
 //! slower execution.
 
-use crate::em::{self, dim_row_columns, DimTable, FactTuples, RowPlan};
+use crate::em::{self, dim_row_columns, DimTable, Parsed, RowPlan};
 use crate::engine::ExecOptions;
 use crate::morsel::Parallelism;
 use crate::projection::dim_sort_columns;
@@ -29,7 +29,6 @@ use cvr_storage::column::StoredColumn;
 use cvr_storage::encode::{Column, StrColumn};
 use cvr_storage::io::IoSession;
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Field separator in serialized tuples.
@@ -73,7 +72,7 @@ impl RowMvTable {
     }
 
     /// Parse field `idx` out of a serialized tuple.
-    fn parse_field(&self, row: &str, idx: usize) -> Value {
+    pub(crate) fn parse_field(&self, row: &str, idx: usize) -> Value {
         let field = row.split(SEP).nth(idx).expect("field count");
         match self.types[idx] {
             DataType::Int => Value::Int(field.parse().expect("int field")),
@@ -82,7 +81,7 @@ impl RowMvTable {
     }
 
     /// The positions of `columns` among the serialized fields.
-    fn fields(&self, columns: &[&str]) -> Vec<usize> {
+    pub(crate) fn fields(&self, columns: &[&str]) -> Vec<usize> {
         columns.iter().map(|c| self.columns.iter().position(|f| f == c).expect("stored")).collect()
     }
 
@@ -106,27 +105,6 @@ impl RowMvTable {
     /// Stored bytes.
     pub fn bytes(&self) -> u64 {
         self.store.bytes()
-    }
-}
-
-/// The pipeline's tuples parsed, as they are read, from a view's string
-/// rows.
-struct Parsed<'a> {
-    view: &'a RowMvTable,
-    fields: Vec<usize>,
-}
-
-impl FactTuples for Parsed<'_> {
-    fn rows(&self) -> usize {
-        self.view.num_rows()
-    }
-
-    fn for_each(&self, range: Range<usize>, mut f: impl FnMut(&[Value])) {
-        for row in &self.view.store.column.as_str().plain_strs()[range] {
-            let tuple: Vec<Value> =
-                self.fields.iter().map(|&i| self.view.parse_field(row, i)).collect();
-            f(&tuple);
-        }
     }
 }
 
