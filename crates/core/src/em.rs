@@ -123,17 +123,16 @@ pub(crate) struct DimTable {
 }
 
 impl DimTable {
-    /// `dim`'s join table for `q` from its `n` rows, each laid out as
+    /// `dim`'s join table for `q` from its rows, each laid out as
     /// [`dim_row_columns`]: the rows that pass every predicate on `dim`,
     /// keyed by their key, holding their group values.
     pub(crate) fn from_rows(
         q: &SsbQuery,
         dim: Dim,
-        n: usize,
         rows: impl Iterator<Item = Vec<Value>>,
     ) -> DimTable {
         let preds = q.dim_predicates_on(dim);
-        let mut map = IntHashMap::with_capacity(n);
+        let mut map = IntHashMap::with_capacity(rows.size_hint().0);
         let mut group_rows = Vec::new();
         for row in rows {
             if preds.iter().zip(&row[1..]).all(|(p, v)| p.pred.matches(v)) {
@@ -151,9 +150,8 @@ fn decoded_dim_table(db: &CStoreDb, q: &SsbQuery, dim: Dim, io: &IoSession) -> D
     let store = db.dim(dim);
     let columns: Vec<Vec<Value>> =
         dim_row_columns(q, dim).iter().map(|c| decode_all(store.store.column(c), io)).collect();
-    let n = store.sorted.num_rows();
-    let rows = (0..n).map(|i| columns.iter().map(|c| c[i].clone()).collect::<Vec<_>>());
-    DimTable::from_rows(q, dim, n, rows)
+    let rows = (0..store.sorted.num_rows()).map(|i| columns.iter().map(|c| c[i].clone()).collect());
+    DimTable::from_rows(q, dim, rows)
 }
 
 /// The pipeline's plan: where each input sits in a fact tuple, the

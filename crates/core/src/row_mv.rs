@@ -165,7 +165,7 @@ impl RowMvDb {
             .map(|d| {
                 let table = &self.dims[&d];
                 let fields = table.fields(&dim_row_columns(q, d));
-                (d, DimTable::from_rows(q, d, table.num_rows(), table.scan(&fields, io)))
+                (d, DimTable::from_rows(q, d, table.scan(&fields, io)))
             })
             .collect();
         let view = self.view(q.id.flight);
