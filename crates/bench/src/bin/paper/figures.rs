@@ -16,13 +16,21 @@ pub fn figure5(db: &Db) -> Result<(), String> {
     let rs = RowDb::build(h.tables.clone(), RowDesign::Traditional);
     let rs_mv = RowDb::build(h.tables.clone(), RowDesign::MaterializedViews);
     let cs_row_mv = RowMvDb::build(h.tables.clone());
-    let par = db.args.parallelism();
-    eprintln!("# figure 5 (CS: tICL; CS and CS (Row-MV) on {} thread(s)) ...", par.threads);
+    let opts = ExecOptions { par: db.args.parallelism(), ..ExecOptions::default() };
+    eprintln!("# figure 5 (CS: tICL; CS and CS (Row-MV) on {} thread(s)) ...", opts.par.threads);
     let ours: Vec<(String, Vec<Measurement>)> = vec![
         ("RS".into(), h.measure_series(|q, io| rs.execute(q, io))),
         ("RS (MV)".into(), h.measure_series(|q, io| rs_mv.execute(q, io))),
-        ("CS".into(), h.measure_series(|q, io| cs.execute_with(q, EngineConfig::FULL, par, io))),
-        ("CS (Row-MV)".into(), h.measure_series(|q, io| cs_row_mv.execute_with(q, par, io))),
+        (
+            "CS".into(),
+            h.measure_series(|q, io| {
+                cs.run(q, EngineConfig::FULL, &opts, io).expect("unbounded lifecycle")
+            }),
+        ),
+        (
+            "CS (Row-MV)".into(),
+            h.measure_series(|q, io| cs_row_mv.run(q, &opts, io).expect("unbounded lifecycle")),
+        ),
     ];
     let title = "Figure 5: Baseline performance of C-Store and System X";
     println!("{}", render_figure(title, &ours, &paper::figure5(), db.args.sf));
@@ -61,11 +69,13 @@ pub fn figure7(db: &Db) -> Result<(), String> {
 /// Figure 8: invisible-join baseline vs denormalized (pre-joined) tables.
 pub fn figure8(db: &Db) -> Result<(), String> {
     let (h, cs) = (db.harness(), db.engine());
-    let par = db.args.parallelism();
-    eprintln!("# figure 8: Base (invisible join, {} thread(s))", par.threads);
+    let opts = ExecOptions { par: db.args.parallelism(), ..ExecOptions::default() };
+    eprintln!("# figure 8 (Base: invisible join; every series on {} thread(s))", opts.par.threads);
     let mut ours: Vec<(String, Vec<Measurement>)> = vec![(
         "Base".into(),
-        h.measure_series(|q, io| cs.execute_with(q, EngineConfig::FULL, par, io)),
+        h.measure_series(|q, io| {
+            cs.run(q, EngineConfig::FULL, &opts, io).expect("unbounded lifecycle")
+        }),
     )];
     for variant in
         [DenormVariant::NoCompression, DenormVariant::IntCompression, DenormVariant::MaxCompression]
@@ -74,7 +84,9 @@ pub fn figure8(db: &Db) -> Result<(), String> {
         let denorm = DenormDb::build(h.tables.clone(), variant);
         ours.push((
             variant.label().to_string(),
-            h.measure_series(|q, io| denorm.execute(q, EngineConfig::FULL, io)),
+            h.measure_series(|q, io| {
+                denorm.run(q, EngineConfig::FULL, &opts, io).expect("unbounded lifecycle")
+            }),
         ));
     }
     let title = "Figure 8: Denormalization study (pre-joined fact table)";

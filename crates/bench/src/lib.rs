@@ -58,12 +58,12 @@
 //! The column engine executes queries with morsel-driven parallelism
 //! (`cvr_core::morsel`). `--threads N` sets the worker count; unset, the
 //! `CVR_THREADS` environment variable and then the machine's available
-//! parallelism decide. The knob governs `ColumnEngine` and CS (Row-MV)
-//! executions only — the row-store designs reproduce the paper's
-//! single-threaded System X and always run serial — and `--threads 1`
-//! reproduces the paper's
-//! single-threaded column-store measurements. Results and I/O accounting
-//! are byte-identical at any thread count — only CPU time changes
+//! parallelism decide. The knob governs `ColumnEngine`, CS (Row-MV) and
+//! pre-joined-table (`DenormDb`) executions only — the row-store designs
+//! reproduce the paper's single-threaded System X and always run serial —
+//! and `--threads 1` reproduces the paper's single-threaded column-store
+//! measurements. Results and I/O accounting are byte-identical at any
+//! thread count — only CPU time changes
 //! (`tests/differential.rs::thread_counts_are_byte_identical`).
 
 #![warn(missing_docs)]

@@ -371,18 +371,23 @@ impl<'d> AggStrategy<'d> {
     /// column-header metadata — charges no modeled I/O, copies no
     /// dictionary.
     pub fn for_query(db: &'d CStoreDb, q: &SsbQuery) -> AggStrategy<'d> {
-        let mut cols = Vec::with_capacity(q.group_by.len());
-        let mut spaces = Vec::with_capacity(q.group_by.len());
-        for g in &q.group_by {
+        AggStrategy::of_columns(q.group_by.iter().map(|g| {
             let col = db.dim(g.dim).store.column(g.column);
-            match CodeSpace::of(col) {
-                Some(space) => {
-                    cols.push((space.domain(), space.decoder(col)));
-                    spaces.push(space);
-                }
-                None => return AggStrategy::Value,
-            }
-        }
+            CodeSpace::of(col).map(|space| (space, space.decoder(col)))
+        }))
+    }
+
+    /// The strategy over group columns given as their code space and
+    /// finish-time decoder, `None` for a column without a code space:
+    /// code-level when every column has one and the composed layout fits
+    /// `u64`, the [`Grouper`] reference otherwise.
+    pub(crate) fn of_columns(
+        cols: impl IntoIterator<Item = Option<(CodeSpace, CodeDecoder<'d>)>>,
+    ) -> AggStrategy<'d> {
+        let Some(cols) = cols.into_iter().collect::<Option<Vec<_>>>() else {
+            return AggStrategy::Value;
+        };
+        let (spaces, cols) = cols.into_iter().map(|(s, d)| (s, (s.domain(), d))).unzip();
         match GroupLayout::try_new(cols) {
             Some(layout) => AggStrategy::Code { layout, spaces },
             None => AggStrategy::Value,
@@ -585,52 +590,6 @@ fn retain_marked<T>(items: &mut Vec<T>, keep: &[bool]) {
     items.retain(|_| *flags.next().expect("one flag per entry"));
 }
 
-/// Aggregate column-major inputs: `group_cols` are aligned value arrays (one
-/// per group-by column), `terms` the per-row aggregate terms.
-///
-/// Routed through the code-level aggregator: each column is interned into a
-/// local dictionary (one clone per *distinct* value, not per row), ids
-/// compose column by column, and groups decode once at finish. The former
-/// per-row `clone()` path survives only as the overflow fallback.
-pub fn aggregate_columns(q: &SsbQuery, group_cols: &[Vec<Value>], terms: &[i64]) -> QueryOutput {
-    let mut cols = Vec::with_capacity(group_cols.len());
-    let mut code_arrays: Vec<Vec<u32>> = Vec::with_capacity(group_cols.len());
-    for col in group_cols {
-        let (codes, values) = intern_values(col);
-        cols.push((values.len().max(1) as u64, CodeDecoder::Values(values)));
-        code_arrays.push(codes);
-    }
-    match GroupLayout::try_new(cols) {
-        Some(layout) => {
-            let mut ids = vec![0u64; terms.len()];
-            for (c, codes) in code_arrays.iter().enumerate() {
-                let stride = layout.stride(c);
-                ids.iter_mut().zip(codes).for_each(|(id, &code)| *id += code as u64 * stride);
-            }
-            let mut g = CodeGrouper::for_layout(&layout);
-            g.add_all(&ids, terms);
-            g.finish(&layout, q)
-        }
-        // Interned domains overflowed u64 composition: the reference
-        // per-row clone path still answers correctly.
-        None => aggregate_columns_value_keyed(q, group_cols, terms),
-    }
-}
-
-/// The pre-refactor per-row clone path, kept as the overflow fallback.
-fn aggregate_columns_value_keyed(
-    q: &SsbQuery,
-    group_cols: &[Vec<Value>],
-    terms: &[i64],
-) -> QueryOutput {
-    let mut g = Grouper::new();
-    for (i, &term) in terms.iter().enumerate() {
-        let key: Vec<Value> = group_cols.iter().map(|c| c[i].clone()).collect();
-        g.add(key, term);
-    }
-    g.finish(q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -683,35 +642,6 @@ mod tests {
     fn grouped_empty_stays_empty() {
         let out = Grouper::new().finish(&query(2, 1));
         assert!(out.rows.is_empty());
-    }
-
-    #[test]
-    fn aggregate_columns_aligns() {
-        let groups = vec![
-            vec![Value::Int(1), Value::Int(1), Value::Int(2)],
-            vec![Value::str("x"), Value::str("y"), Value::str("x")],
-        ];
-        let terms = vec![10, 20, 30];
-        let out = aggregate_columns(&query(2, 1), &groups, &terms);
-        assert_eq!(out.rows.len(), 3);
-        assert_eq!(out.checksum(), 60);
-    }
-
-    #[test]
-    fn aggregate_columns_matches_reference_grouper() {
-        // The interned code path must be byte-identical to the per-row
-        // clone path it replaced.
-        let groups = vec![
-            vec![Value::Int(5), Value::Int(5), Value::Int(5), Value::Int(9)],
-            vec![Value::str("a"), Value::str("b"), Value::str("a"), Value::str("a")],
-        ];
-        let terms = vec![1, 2, 4, 8];
-        let mut reference = Grouper::new();
-        for (i, &t) in terms.iter().enumerate() {
-            reference.add(groups.iter().map(|c| c[i].clone()).collect(), t);
-        }
-        let q = query(2, 1);
-        assert_eq!(aggregate_columns(&q, &groups, &terms), reference.finish(&q));
     }
 
     /// The group id of one row's codes, one per column.

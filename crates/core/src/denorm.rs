@@ -16,25 +16,33 @@
 //! predicate on a denormalized column and group-by attributes are read
 //! straight from the fact table — exactly why the paper expected
 //! denormalization to win, and the baseline invisible join mostly still
-//! beats it.
+//! beats it. Execution is one task of the shared morsel driver
+//! ([`crate::morsel::run_fused`]), like the other late-materialized plan
+//! shapes: per morsel the predicates refine the window, then phase 3's
+//! extract→aggregate kernel ([`crate::agg::AggWorker`]) runs at the
+//! survivors' fact positions.
 
-use crate::agg::{aggregate_columns, AggStrategy, CodeDecoder, GroupLayout};
+use crate::agg::{AggStrategy, CodeDecoder};
 use crate::config::EngineConfig;
-use crate::ctx::{QueryCtx, QueryError};
-use crate::extract::{gather_ints, gather_values, CodeSpace};
+use crate::ctx::{catch_injected, QueryError};
+use crate::engine::ExecOptions;
+use crate::extract::CodeSpace;
+use crate::morsel::{load_survivors, run_fused, Morsel, Operator};
 use crate::poslist::PosList;
 use crate::projection::{sort_permutation, FACT_SORT};
-use crate::scan::{refine, ScanPred};
+use crate::scan::{refine, CodePred, ScanPred};
 use cvr_data::gen::SsbTables;
 use cvr_data::queries::{paper_columns, Pred, SsbQuery};
 use cvr_data::result::QueryOutput;
-use cvr_data::schema::{ColumnDef, TableSchema};
+use cvr_data::schema::{ColumnDef, Dim, TableSchema};
 use cvr_data::table::{ColumnData, TableData};
 use cvr_data::value::{DataType, Value};
 use cvr_storage::column::{ColumnStore, EncodingChoice};
+use cvr_storage::encode::{dict_codes, Column, StrColumn};
 use cvr_storage::io::IoSession;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The three denormalized variants of Figure 8.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,32 +73,39 @@ pub struct DenormDb {
     /// Which variant this is.
     pub variant: DenormVariant,
     store: ColumnStore,
-    rows: usize,
-    /// For [`DenormVariant::IntCompression`]: per-column sorted dictionaries
-    /// used to translate string predicates into code predicates and decode
-    /// group outputs.
+    /// For [`DenormVariant::IntCompression`]: per string column, the sorted
+    /// dictionary its integer codes index, which translates string
+    /// predicates into code predicates and decodes group outputs.
     dicts: HashMap<&'static str, Vec<Box<str>>>,
+}
+
+/// How one predicate narrows a morsel of the pre-joined table.
+enum Filter<'q> {
+    /// A logical predicate on the column as stored.
+    Logical(&'q Pred),
+    /// A string predicate compiled once to dictionary codes: those of a
+    /// "PJ, Int C" dictionary, stored as plain integers, or a "PJ, Max C"
+    /// dictionary column's own.
+    Codes(CodePred),
+    /// A "PJ, Int C" string predicate that no code satisfies. Its
+    /// dictionary is held beside the table, so the column is never read.
+    Nothing,
 }
 
 impl DenormDb {
     /// Build the denormalized table for `variant`.
     pub fn build(tables: Arc<SsbTables>, variant: DenormVariant) -> DenormDb {
         let fact = &tables.lineorder;
-        let n = fact.num_rows();
 
-        // Measure + fact predicate columns every query might need.
-        let fact_cols: Vec<&'static str> = vec![
-            "lo_quantity",
-            "lo_extendedprice",
-            "lo_discount",
-            "lo_revenue",
-            "lo_supplycost",
-            "lo_orderdate",
-        ];
+        // The fact columns the paper workload reads, without the foreign
+        // keys the inlined dimension columns replace but with the sort
+        // columns (the paper queries read every one of them).
+        let is_fk = |c: &str| Dim::ALL.iter().any(|d| d.fact_fk_column() == c);
+        let fact_cols = paper_columns().fact.iter().filter(|c| FACT_SORT.contains(c) || !is_fk(c));
 
         let mut defs: Vec<ColumnDef> = Vec::new();
         let mut cols: Vec<ColumnData> = Vec::new();
-        for c in &fact_cols {
+        for c in fact_cols {
             defs.push(ColumnDef { name: c, dtype: DataType::Int });
             cols.push(fact.column(c).clone());
         }
@@ -124,43 +139,32 @@ impl DenormDb {
         table = table.permuted(&perm);
 
         let mut dicts = HashMap::new();
-        let (store, rows) = match variant {
-            DenormVariant::NoCompression => {
-                (ColumnStore::from_table(&table, EncodingChoice::Plain), n)
-            }
-            DenormVariant::MaxCompression => {
-                (ColumnStore::from_table(&table, EncodingChoice::Auto), n)
-            }
+        let store = match variant {
+            DenormVariant::NoCompression => ColumnStore::from_table(&table, EncodingChoice::Plain),
+            DenormVariant::MaxCompression => ColumnStore::from_table(&table, EncodingChoice::Auto),
             DenormVariant::IntCompression => {
                 // Replace every string column with its sorted-dictionary
                 // codes stored as *plain* integers.
-                let mut defs2 = Vec::new();
-                let mut cols2 = Vec::new();
-                for (def, col) in table.schema.columns.iter().zip(&table.columns) {
-                    match col {
-                        ColumnData::Int(v) => {
-                            defs2.push(def.clone());
-                            cols2.push(ColumnData::Int(v.clone()));
-                        }
+                let columns = table.schema.columns.iter().zip(&table.columns);
+                let (defs, cols) = columns
+                    .map(|(def, col)| match col {
+                        ColumnData::Int(_) => (def.clone(), col.clone()),
                         ColumnData::Str(v) => {
-                            let mut dict: Vec<Box<str>> = v.iter().map(Box::from).collect();
-                            dict.sort_unstable();
-                            dict.dedup();
-                            let codes: Vec<i64> = v
-                                .iter()
-                                .map(|s| dict.binary_search_by(|d| (**d).cmp(s)).unwrap() as i64)
-                                .collect();
+                            let (dict, codes) = dict_codes(v.iter());
                             dicts.insert(def.name, dict);
-                            defs2.push(ColumnDef { name: def.name, dtype: DataType::Int });
-                            cols2.push(ColumnData::Int(codes));
+                            let codes = codes.into_iter().map(i64::from).collect();
+                            (
+                                ColumnDef { name: def.name, dtype: DataType::Int },
+                                ColumnData::Int(codes),
+                            )
                         }
-                    }
-                }
-                let t2 = TableData::new(TableSchema { name: "denorm", columns: defs2 }, cols2);
-                (ColumnStore::from_table(&t2, EncodingChoice::Plain), n)
+                    })
+                    .unzip();
+                let coded = TableData::new(TableSchema { name: "denorm", columns: defs }, cols);
+                ColumnStore::from_table(&coded, EncodingChoice::Plain)
             }
         };
-        DenormDb { tables, variant, store, rows, dicts }
+        DenormDb { tables, variant, store, dicts }
     }
 
     /// Total stored bytes.
@@ -168,198 +172,208 @@ impl DenormDb {
         self.store.bytes()
     }
 
-    /// Translate a string predicate into code space for `column`
-    /// (IntCompression only). Returns `None` when no code matches.
-    fn code_pred(&self, column: &'static str, pred: &Pred) -> Option<(i64, i64, Vec<bool>)> {
-        let dict = &self.dicts[column];
-        let matches: Vec<bool> = dict.iter().map(|d| pred.matches_str(d)).collect();
-        let lo = matches.iter().position(|&m| m)? as i64;
-        let hi = matches.iter().rposition(|&m| m).unwrap() as i64;
-        Some((lo, hi, matches))
-    }
-
-    /// Execute `q` join-free over the denormalized table.
-    pub fn execute(&self, q: &SsbQuery, cfg: EngineConfig, io: &IoSession) -> QueryOutput {
-        self.try_execute(q, cfg, io, &QueryCtx::unbounded())
-            .unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`DenormDb::execute`]: checks `ctx` between predicate scans
-    /// and charges the position list plus the gathered group/measure arrays
-    /// against its memory budget.
-    pub fn try_execute(
+    /// Execute `q` join-free over the pre-joined table as `opts` says: one
+    /// [`run_fused`] task in which, per morsel, every fact predicate and
+    /// then every inlined dimension predicate refines the morsel's window,
+    /// and the survivors' group columns are extracted at their fact
+    /// positions and aggregated with the measures. `opts.fact_order`
+    /// permutes the fact predicates; `opts.ctx` is polled at every morsel
+    /// boundary and charged each morsel's survivors and gathered arrays.
+    /// Lifecycle aborts and injected storage faults ([`QueryError::Io`])
+    /// surface as typed errors.
+    pub fn run(
         &self,
         q: &SsbQuery,
         cfg: EngineConfig,
+        opts: &ExecOptions<'_>,
         io: &IoSession,
-        ctx: &QueryCtx,
     ) -> Result<QueryOutput, QueryError> {
-        let n = self.rows as u32;
+        let permuted = opts.fact_order.map(|order| q.with_fact_order(order));
+        let q = permuted.as_ref().unwrap_or(q);
         let block = cfg.block_iteration;
-        // Every predicate refines the positions the previous ones left.
-        let mut pos = PosList::all(0..n);
-
-        // Fact predicates.
-        for p in &q.fact_predicates {
-            ctx.check()?;
-            let mut span = ctx.span("scan", p.column, io);
-            let col = self.store.column(p.column);
-            pos = refine(col, 0..n, &pos, &ScanPred::Logical(&p.pred), block, io);
-            span.rows(pos.count() as u64);
-        }
-        // Dimension predicates, now direct column predicates.
-        for p in &q.dim_predicates {
-            ctx.check()?;
-            let mut span = ctx.span("scan", p.column, io);
-            let col = self.store.column(p.column);
-            pos = if self.variant == DenormVariant::IntCompression
-                && self.dicts.contains_key(p.column)
-            {
-                match self.code_pred(p.column, &p.pred) {
-                    None => PosList::empty(n),
-                    Some((lo, hi, matches)) => {
-                        let listed = |v: i64| matches[v as usize];
-                        let pred = if matches[lo as usize..=hi as usize].iter().all(|&m| m) {
-                            ScanPred::Range { lo, hi }
-                        } else {
-                            ScanPred::Test(&listed)
-                        };
-                        refine(col, 0..n, &pos, &pred, block, io)
+        let fact_preds = q.fact_predicates.iter().map(|p| (p.column, &p.pred));
+        let dim_preds = q.dim_predicates.iter().map(|p| (p.column, &p.pred));
+        let filters: Vec<(&'static str, Filter)> = fact_preds
+            .chain(dim_preds)
+            .map(|(column, pred)| {
+                let filter = match (self.dicts.get(column), &self.store.column(column).column) {
+                    (Some(dict), _) => match CodePred::compile(dict, pred) {
+                        CodePred::Empty => Filter::Nothing,
+                        codes => Filter::Codes(codes),
+                    },
+                    (None, Column::Str(StrColumn::Dict { dict, .. })) => {
+                        Filter::Codes(CodePred::compile(dict, pred))
                     }
-                }
-            } else {
-                refine(col, 0..n, &pos, &ScanPred::Logical(&p.pred), block, io)
-            };
-            span.rows(pos.count() as u64);
-        }
-        let mut agg_span = ctx.span("extract-aggregate", "", io);
-        // The gathers below materialize one value per passing row per group
-        // column and measure; charge them up front, before allocating.
-        let width = (q.group_by.len() + q.aggregate.fact_columns().len()).max(1);
-        ctx.charge((pos.count() as usize).saturating_mul(8 * width))?;
-
-        // Group columns + measures straight off the fact table. Dictionary
-        // and integer-code columns aggregate at the code level (decoding
-        // through the denormalization dictionaries once per group at
-        // finish); plain inlined strings (PJ, No C) fall back to the
-        // interned-dictionary path inside [`aggregate_columns`].
-        let code_plan: Option<Vec<(CodeSpace, CodeDecoder)>> = q
-            .group_by
-            .iter()
-            .map(|g| {
-                let col = self.store.column(g.column);
-                let space = CodeSpace::of(col)?;
-                let decoder = match self.dicts.get(g.column) {
-                    // "PJ, Int C": the column stores dictionary codes as
-                    // plain integers; codes decode through the dict.
-                    Some(dict) => {
-                        let CodeSpace::Int { reference, domain } = space else {
-                            unreachable!("dict-translated columns are integers")
-                        };
-                        let first = reference as usize;
-                        CodeDecoder::Dict(&dict[first..first + domain as usize])
-                    }
-                    None => space.decoder(col),
+                    _ => Filter::Logical(pred),
                 };
-                Some((space, decoder))
+                (column, filter)
             })
             .collect();
-        // Compose the layout *before* charging any gathers, so an overflow
-        // fallback never double-reads the group columns.
-        let layout = code_plan.and_then(|plan| {
-            let (spaces, cols): (Vec<CodeSpace>, Vec<(u64, CodeDecoder)>) =
-                plan.into_iter().map(|(s, d)| (s, (s.domain(), d))).unzip();
-            GroupLayout::try_new(cols).map(|layout| (layout, spaces))
-        });
-        match layout {
-            Some((layout, spaces)) => {
-                // The plan shapes' phase-3 kernel, at fact positions.
-                let strat = AggStrategy::Code { layout, spaces };
-                let positions = pos.to_vec();
-                let mut agg = strat.worker();
-                agg.begin(positions.len());
-                for (gi, g) in q.group_by.iter().enumerate() {
-                    agg.extract(gi, self.store.column(g.column), &positions, io);
+        let operators: Vec<Operator> = filters
+            .iter()
+            .map(|(column, filter)| Operator {
+                op: "scan",
+                detail: column,
+                log_ops: usize::from(!matches!(filter, Filter::Nothing)),
+            })
+            .collect();
+
+        // Code-level wherever every group column has a code space, "PJ,
+        // Int C"'s integer codes decoding through their dictionaries; "PJ,
+        // No C"'s plain strings have none and take the `Value`-keyed tail.
+        let strat = AggStrategy::of_columns(q.group_by.iter().map(|g| {
+            let col = self.store.column(g.column);
+            let space = CodeSpace::of(col)?;
+            let decoder = match (self.dicts.get(g.column), space) {
+                (Some(dict), CodeSpace::Int { reference, domain }) => {
+                    CodeDecoder::Dict(&dict[reference as usize..][..domain as usize])
                 }
-                agg.aggregate(q, &self.store, &positions, io);
-                let out = strat.finish([agg.into_partial()], q);
-                agg_span.rows(out.len() as u64);
-                Ok(out)
+                _ => space.decoder(col),
+            };
+            Some((space, decoder))
+        }));
+        // Each morsel's survivors and the group and measure values gathered
+        // at them.
+        let width = (q.group_by.len() + q.aggregate.fact_columns().len()).max(1);
+
+        let task = |m: Morsel<'_, '_>| {
+            let Morsel { range, io: rio, actuals, agg, scratch } = m;
+            let mut pos = PosList::all(range.clone());
+            for ((column, filter), slot) in filters.iter().zip(actuals.iter_mut()) {
+                let started = Instant::now();
+                let col = self.store.column(column);
+                let scan = |pred: &ScanPred<'_>| refine(col, range.clone(), &pos, pred, block, rio);
+                pos = match filter {
+                    Filter::Logical(pred) => scan(&ScanPred::Logical(pred)),
+                    Filter::Codes(codes) => scan(&ScanPred::Codes(codes)),
+                    Filter::Nothing => PosList::empty(range.len() as u32),
+                };
+                slot.record(pos.count(), started);
             }
-            None => {
-                let group_cols: Vec<Vec<Value>> = q
-                    .group_by
-                    .iter()
-                    .map(|g| {
-                        let vals = gather_values(self.store.column(g.column), &pos, io);
-                        // "PJ, Int C" group columns hold dictionary codes;
-                        // translate back to strings here too, so the
-                        // Value-keyed fallback stays byte-identical.
-                        if self.variant == DenormVariant::IntCompression {
-                            if let Some(dict) = self.dicts.get(g.column) {
-                                return vals
-                                    .into_iter()
-                                    .map(|v| Value::Str(dict[v.as_int() as usize].clone()))
-                                    .collect();
-                            }
-                        }
-                        vals
-                    })
-                    .collect();
-                let measures: Vec<Vec<i64>> = q
-                    .aggregate
-                    .fact_columns()
-                    .iter()
-                    .map(|c| gather_ints(self.store.column(c), &pos, io))
-                    .collect();
-                let mut inputs = vec![0i64; measures.len()];
-                let terms: Vec<i64> = (0..pos.count() as usize)
-                    .map(|i| {
-                        for (j, m) in measures.iter().enumerate() {
-                            inputs[j] = m[i];
-                        }
-                        q.aggregate.term(&inputs)
-                    })
-                    .collect();
-                let out = aggregate_columns(q, &group_cols, &terms);
-                agg_span.rows(out.len() as u64);
-                Ok(out)
+            let positions = &mut scratch.positions;
+            load_survivors(&pos, positions, agg);
+            opts.ctx.charge(positions.len().saturating_mul(8 * width))?;
+            for (gi, g) in q.group_by.iter().enumerate() {
+                agg.extract(gi, self.store.column(g.column), positions, rio);
             }
+            agg.aggregate(q, &self.store, positions, rio);
+            Ok(())
+        };
+        let rows = self.tables.lineorder.num_rows() as u32;
+        let run = || run_fused(rows, opts.par, &opts.ctx, io, &strat, q, &operators, &[], task);
+        let out = catch_injected(run)??;
+        if strat.is_code_level() || self.dicts.is_empty() {
+            return Ok(out);
         }
+        // "PJ, Int C" under the `Value` tail (group domains too wide for a
+        // `u64` id) grouped on dictionary codes: decode them now.
+        let decode = |(mut key, sum): (Vec<Value>, i64)| {
+            for (v, g) in key.iter_mut().zip(&q.group_by) {
+                if let Some(dict) = self.dicts.get(g.column) {
+                    *v = Value::Str(dict[v.as_int() as usize].clone());
+                }
+            }
+            (key, sum)
+        };
+        Ok(QueryOutput::new(out.rows.into_iter().map(decode).collect()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::QueryCtx;
+    use crate::morsel::Parallelism;
     use cvr_data::gen::SsbConfig;
-    use cvr_data::queries::all_queries;
+    use cvr_data::queries::{all_queries, query};
     use cvr_data::reference;
+
+    const VARIANTS: [DenormVariant; 3] = [
+        DenormVariant::NoCompression,
+        DenormVariant::IntCompression,
+        DenormVariant::MaxCompression,
+    ];
 
     fn tables() -> Arc<SsbTables> {
         Arc::new(SsbConfig { sf: 0.002, seed: 47 }.generate())
+    }
+
+    /// Small morsels so even this tiny scale factor fans out.
+    fn at(threads: usize) -> ExecOptions<'static> {
+        ExecOptions { par: Parallelism { threads, morsel_rows: 512 }, ..ExecOptions::default() }
     }
 
     #[test]
     fn all_variants_match_reference() {
         let t = tables();
         let io = IoSession::unmetered();
-        for variant in [
-            DenormVariant::NoCompression,
-            DenormVariant::IntCompression,
-            DenormVariant::MaxCompression,
-        ] {
+        for variant in VARIANTS {
             let db = DenormDb::build(t.clone(), variant);
             for q in all_queries() {
                 let expected = reference::evaluate(&t, &q);
-                assert_eq!(
-                    db.execute(&q, EngineConfig::FULL, &io),
-                    expected,
-                    "{} disagrees on {}",
-                    variant.label(),
-                    q.id
-                );
+                let got = db.run(&q, EngineConfig::FULL, &ExecOptions::default(), &io);
+                assert_eq!(got, Ok(expected), "{} disagrees on {}", variant.label(), q.id);
             }
+        }
+    }
+
+    #[test]
+    fn traced_scans_carry_rows_and_io_at_every_thread_count() {
+        // The tree every fused plan shape emits: the fused span, then one
+        // `scan` leaf per predicate whose rows and I/O do not depend on the
+        // grid. Q3.1's three dimension predicates run on "PJ, Int C"'s
+        // integer codes.
+        let t = tables();
+        let db = DenormDb::build(t.clone(), DenormVariant::IntCompression);
+        let q = query(3, 1);
+        let passing = reference::measured_selectivity(&t, &q) * t.lineorder.num_rows() as f64;
+        let mut seen = Vec::new();
+        for threads in [1, 4] {
+            let ctx = QueryCtx::unbounded();
+            ctx.attach_tracer(crate::trace::Tracer::new());
+            let opts = ExecOptions { ctx: ctx.clone(), ..at(threads) };
+            db.run(&q, EngineConfig::FULL, &opts, &IoSession::unmetered()).expect("unbounded");
+            let root = ctx.tracer().unwrap().take_root().expect("traced");
+            let spans = root.flatten();
+            let ops: Vec<&str> = spans.iter().map(|s| s.op.as_str()).collect();
+            assert_eq!(ops, ["query", "extract-aggregate", "scan", "scan", "scan"]);
+            assert!(spans[1].morsels > 1, "{:?}", spans[1]);
+            for leaf in &spans[2..] {
+                assert!(leaf.io.pages_read > 0, "{leaf:?}");
+            }
+            let rows: Vec<u64> = spans[2..].iter().map(|s| s.rows_out.expect("rows")).collect();
+            assert!(rows.windows(2).all(|w| w[0] >= w[1]), "survivors only fall: {rows:?}");
+            assert_eq!(rows.last().copied(), Some(passing.round() as u64));
+            seen.push(spans[2..].iter().map(|s| (s.rows_out, s.io)).collect::<Vec<_>>());
+        }
+        assert_eq!(seen[0], seen[1], "per-operator actuals must not depend on threads");
+    }
+
+    #[test]
+    fn a_cancelled_context_aborts_every_variant() {
+        let t = tables();
+        for variant in VARIANTS {
+            let db = DenormDb::build(t.clone(), variant);
+            let opts = at(2);
+            opts.ctx.cancel();
+            let got = db.run(&query(2, 1), EngineConfig::FULL, &opts, &IoSession::unmetered());
+            assert_eq!(got, Err(QueryError::Cancelled), "{}", variant.label());
+        }
+    }
+
+    #[test]
+    fn int_c_decodes_its_codes_under_the_value_tail() {
+        // Sixteen copies of one group column compose a group-id domain past
+        // `u64`, so every variant aggregates `Value`-keyed; "PJ, Int C"'s
+        // nation codes must still come back as nation names.
+        let t = tables();
+        let mut q = query(3, 1);
+        q.group_by = vec![q.group_by[0]; 16];
+        let want = reference::evaluate(&t, &q);
+        for variant in VARIANTS {
+            let db = DenormDb::build(t.clone(), variant);
+            let got = db.run(&q, EngineConfig::FULL, &at(2), &IoSession::unmetered());
+            assert_eq!(got.as_ref(), Ok(&want), "{}", variant.label());
         }
     }
 

@@ -57,27 +57,6 @@ pub(crate) fn map_ints_at<T>(
     }
 }
 
-/// Gather string values (as [`Value`]s) at ascending positions.
-pub fn gather_strs(col: &StoredColumn, pos: &PosList, io: &IoSession) -> Vec<Value> {
-    col.charge_gather(pos.iter(), io);
-    match col.column.as_str() {
-        StrColumn::Plain { values, .. } => {
-            pos.iter().map(|p| Value::Str(values[p as usize].clone())).collect()
-        }
-        StrColumn::Dict { dict, codes } => {
-            pos.iter().map(|p| Value::Str(dict[codes.get(p) as usize].clone())).collect()
-        }
-    }
-}
-
-/// Gather any column at ascending positions as [`Value`]s.
-pub fn gather_values(col: &StoredColumn, pos: &PosList, io: &IoSession) -> Vec<Value> {
-    match &col.column {
-        Column::Int(_) => gather_ints(col, pos, io).into_iter().map(Value::Int).collect(),
-        Column::Str(_) => gather_strs(col, pos, io),
-    }
-}
-
 /// Extract values at *arbitrary-order* positions (dimension lookups keyed by
 /// fact order). Charges a positional gather in the given order — page
 /// re-touches resolve through the buffer pool, but the access pattern is
@@ -277,16 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_strs_dict_and_plain_agree() {
-        let values: Vec<String> = (0..100).map(|i| format!("v{}", i % 9)).collect();
-        let plain = StoredColumn::new("c", Column::Str(StrColumn::plain(values.clone())));
-        let dict = StoredColumn::new("c", Column::Str(StrColumn::dict(&values)));
-        let pos = PosList::Explicit { positions: vec![0, 8, 9, 99], universe: 100 };
-        let io = IoSession::unmetered();
-        assert_eq!(gather_strs(&plain, &pos, &io), gather_strs(&dict, &pos, &io));
-    }
-
-    #[test]
     fn extract_at_arbitrary_order() {
         let col = rle_col();
         let io = IoSession::unmetered();
@@ -368,17 +337,13 @@ mod tests {
         let vals: Vec<String> = (0..140).map(|i| format!("v{}", i % 9)).collect();
         let dict = StoredColumn::new("s", Column::Str(StrColumn::dict(&vals)));
         let positions = vec![0u32, 6, 7, 69, 139];
-        let pos = PosList::Explicit { positions: positions.clone(), universe: 140 };
         for col in [&rle_col(), &dict] {
             let space = CodeSpace::of(col).unwrap();
             let a = IoSession::unmetered();
             add_codes_at(&space, col, &positions, 1, &a, &mut vec![0; positions.len()]);
             let b = IoSession::unmetered();
             extract_at(col, &positions, &b);
-            let c = IoSession::unmetered();
-            gather_values(col, &pos, &c);
             assert_eq!(a.stats(), b.stats(), "{}", col.name);
-            assert_eq!(a.stats(), c.stats(), "{}", col.name);
         }
     }
 

@@ -15,9 +15,9 @@
 //! processing inside C-Store: same bytes read as the row-store MV case,
 //! slower execution.
 
+use crate::ctx::{catch_injected, QueryError};
 use crate::em::{self, dim_row_columns, DimTable, Parsed, RowPlan};
 use crate::engine::ExecOptions;
-use crate::morsel::Parallelism;
 use crate::projection::dim_sort_columns;
 use cvr_data::gen::SsbTables;
 use cvr_data::queries::{flight_fact_columns, paper_columns, SsbQuery};
@@ -140,9 +140,9 @@ impl RowMvDb {
         RowMvDb { tables, views, dims }
     }
 
-    /// The view serving `flight`.
-    pub fn view(&self, flight: u8) -> &RowMvTable {
-        &self.views[(flight - 1) as usize]
+    /// The view serving `flight`, when it is one of the paper's four.
+    pub fn view(&self, flight: u8) -> Option<&RowMvTable> {
+        self.views.get(usize::from(flight).checked_sub(1)?)
     }
 
     /// Total stored bytes of the fact views.
@@ -150,37 +150,50 @@ impl RowMvDb {
         self.views.iter().map(RowMvTable::bytes).sum()
     }
 
-    /// [`RowMvDb::execute_with`] at the process default parallelism.
-    pub fn execute(&self, q: &SsbQuery, io: &IoSession) -> QueryOutput {
-        self.execute_with(q, Parallelism::from_env(), io)
+    /// The view serving `q`, when it holds every fact column `q` reads and
+    /// each dimension table every column [`dim_row_columns`] reads of it.
+    fn view_for(&self, q: &SsbQuery) -> Option<&RowMvTable> {
+        let holds = |table: &RowMvTable, columns: &[&str]| {
+            columns.iter().all(|c| table.columns.contains(c))
+        };
+        let view = self.view(q.id.flight)?;
+        let dims_hold =
+            q.touched_dims().into_iter().all(|d| holds(&self.dims[&d], &dim_row_columns(q, d)));
+        (holds(view, &q.fact_columns()) && dims_hold).then_some(view)
     }
 
-    /// Execute `q` on `par`'s workers: parse-scan each touched dimension
-    /// into its join table, charge the flight view, then run early
+    /// Execute `q` as `opts` says: parse-scan each touched dimension into
+    /// its join table, charge the flight view, then run early
     /// materialization's pipeline over the view's parsed tuples.
-    pub fn execute_with(&self, q: &SsbQuery, par: Parallelism, io: &IoSession) -> QueryOutput {
-        let dims = q
-            .touched_dims()
-            .into_iter()
-            .map(|d| {
+    /// `opts.fact_order` permutes the fact predicates; `opts.ctx` is
+    /// polled between dimension scans and at every morsel boundary.
+    /// Lifecycle aborts and injected storage faults ([`QueryError::Io`])
+    /// surface as typed errors. Panics, naming the statement, when the
+    /// views and dimension tables do not hold every column `q` reads.
+    pub fn run(
+        &self,
+        q: &SsbQuery,
+        opts: &ExecOptions<'_>,
+        io: &IoSession,
+    ) -> Result<QueryOutput, QueryError> {
+        let permuted = opts.fact_order.map(|order| q.with_fact_order(order));
+        let q = permuted.as_ref().unwrap_or(q);
+        let view = self.view_for(q).unwrap_or_else(|| {
+            panic!("CS (Row-MV) cannot answer {}: {q:?}", q.id);
+        });
+        catch_injected(|| {
+            let mut dims = HashMap::new();
+            for d in q.touched_dims() {
+                opts.ctx.check()?;
                 let table = &self.dims[&d];
                 let fields = table.fields(&dim_row_columns(q, d));
-                (d, DimTable::from_rows(q, d, table.scan(&fields, io)))
-            })
-            .collect();
-        let view = self.view(q.id.flight);
-        view.store.charge_scan(io);
-        let tuples = Parsed { view, fields: view.fields(&q.fact_columns()) };
-        let opts = ExecOptions { par, ..ExecOptions::default() };
-        em::run_pipeline(
-            q,
-            &RowPlan::new(q, dims),
-            &tuples,
-            &opts,
-            io,
-            "row-style over parsed view tuples",
-        )
-        .expect("an unbounded context never aborts")
+                dims.insert(d, DimTable::from_rows(q, d, table.scan(&fields, io)));
+            }
+            view.store.charge_scan(io);
+            let tuples = Parsed { view, fields: view.fields(&q.fact_columns()) };
+            let plan = RowPlan::new(q, dims);
+            em::run_pipeline(q, &plan, &tuples, opts, io, "row-style over parsed view tuples")
+        })?
     }
 }
 
@@ -188,7 +201,7 @@ impl RowMvDb {
 mod tests {
     use super::*;
     use cvr_data::gen::SsbConfig;
-    use cvr_data::queries::all_queries;
+    use cvr_data::queries::{all_queries, query, QueryId};
     use cvr_data::reference;
 
     fn db() -> RowMvDb {
@@ -201,14 +214,15 @@ mod tests {
         let io = IoSession::unmetered();
         for q in all_queries() {
             let expected = reference::evaluate(&db.tables, &q);
-            assert_eq!(db.execute(&q, &io), expected, "Row-MV disagrees on {}", q.id);
+            let got = db.run(&q, &ExecOptions::default(), &io).expect("unbounded lifecycle");
+            assert_eq!(got, expected, "Row-MV disagrees on {}", q.id);
         }
     }
 
     #[test]
     fn rows_serialized_as_strings() {
         let db = db();
-        let view = db.view(1);
+        let view = db.view(1).expect("flight 1");
         assert!(view.num_rows() > 0);
         // The storage really is one string column.
         assert!(matches!(view.store.column, Column::Str(StrColumn::Plain { .. })));
@@ -221,9 +235,16 @@ mod tests {
     fn scan_charges_string_bytes() {
         let db = db();
         let io = IoSession::unmetered();
-        let view = db.view(1);
+        let view = db.view(1).expect("flight 1");
         let fields = [0usize];
         let _rows: Vec<_> = view.scan(&fields, &io).collect();
         assert_eq!(io.stats().bytes_read, view.bytes());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot answer")]
+    fn refuses_a_statement_outside_the_paper_flights_by_name() {
+        let q = SsbQuery { id: QueryId::new(0, 1), ..query(2, 1) };
+        let _ = db().run(&q, &ExecOptions::default(), &IoSession::unmetered());
     }
 }

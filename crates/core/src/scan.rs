@@ -243,6 +243,11 @@ pub enum ScanPred<'a> {
     /// interval; string predicates are evaluated once per dictionary entry
     /// and scanned as code predicates.
     Logical(&'a Pred),
+    /// A string predicate compiled once to a sorted dictionary's codes
+    /// ([`CodePred::compile`]), for a plan that scans it window by window:
+    /// over a dictionary column, its packed codes; over an integer column,
+    /// values that are codes of the same dictionary.
+    Codes(&'a CodePred),
 }
 
 impl ScanPred<'_> {
@@ -254,6 +259,7 @@ impl ScanPred<'_> {
             ScanPred::Keys(keys) => keys.contains(v),
             ScanPred::Test(f) => f(v),
             ScanPred::Logical(pred) => pred.matches_int(v),
+            ScanPred::Codes(codes) => codes.matches(v as u64),
         }
     }
 
@@ -496,6 +502,15 @@ fn refine_int(
             };
             refine_int(col, window, candidates, &compiled, block, sink)
         }
+        (_, ScanPred::Codes(codes)) => {
+            let listed = |v: i64| codes.matches(v as u64);
+            let compiled = match codes {
+                CodePred::Empty => return,
+                CodePred::Range(lo, hi) => ScanPred::Range { lo: *lo as i64, hi: *hi as i64 },
+                CodePred::Table(_) => ScanPred::Test(&listed),
+            };
+            refine_int(col, window, candidates, &compiled, block, sink)
+        }
         (IntColumn::Rle { runs, .. }, _) => {
             // Run kernel: walk the runs under the candidates, one predicate
             // test per run, the candidates of a matching run pushed in
@@ -596,7 +611,8 @@ fn refine_int_test(
 }
 
 /// How a string predicate maps onto dictionary code space.
-enum CodePred {
+#[derive(Debug)]
+pub enum CodePred {
     /// No dictionary entry matches.
     Empty,
     /// The matching codes form one contiguous range (hierarchy predicates
@@ -612,7 +628,7 @@ impl CodePred {
     /// order-preserving, so hierarchy predicates (`=`, `BETWEEN`, prefix
     /// ranges) produce contiguous code runs — detected here and scanned
     /// with a single range kernel instead of a per-code table lookup.
-    fn compile(dict: &[Box<str>], pred: &Pred) -> CodePred {
+    pub fn compile(dict: &[Box<str>], pred: &Pred) -> CodePred {
         let matches: Vec<bool> = dict.iter().map(|d| pred.matches_str(d)).collect();
         let Some(first) = matches.iter().position(|&b| b) else {
             return CodePred::Empty;
@@ -622,6 +638,16 @@ impl CodePred {
             return CodePred::Range(first as u64, last as u64);
         }
         CodePred::Table(matches)
+    }
+
+    /// Whether `code` is one of the matching codes.
+    #[inline]
+    pub fn matches(&self, code: u64) -> bool {
+        match self {
+            CodePred::Empty => false,
+            CodePred::Range(lo, hi) => (*lo..=*hi).contains(&code),
+            CodePred::Table(matches) => matches.get(code as usize).copied().unwrap_or(false),
+        }
     }
 }
 
@@ -634,46 +660,64 @@ fn refine_str(
     col: &StrColumn,
     window: &Range<u32>,
     candidates: &PosList,
-    pred: &Pred,
+    pred: &ScanPred<'_>,
     block: bool,
     sink: &mut PosAccumulator,
 ) {
-    match col {
-        StrColumn::Dict { dict, codes } => match CodePred::compile(dict, pred) {
-            CodePred::Empty => {}
-            CodePred::Range(lo, hi) => {
-                let Some(cmp) = PackedCmp::new(codes, CmpOp::Range(lo, hi)) else {
-                    return;
-                };
-                apply(
-                    window,
-                    candidates,
-                    block,
-                    swar_kernel_from(codes),
-                    |s, e, emit| cmp.masks(s, e, emit),
-                    |p| (lo..=hi).contains(&codes.get(p)),
-                    sink,
-                )
-            }
-            CodePred::Table(matches) => apply(
-                window,
-                candidates,
-                block,
-                VALUE_KERNEL_FROM,
-                |s, e, emit| kernels::packed_test_masks(codes, s, e, |c| matches[c as usize], emit),
-                |p| matches[codes.get(p) as usize],
-                sink,
-            ),
-        },
+    match (col, pred) {
+        (StrColumn::Dict { dict, codes }, ScanPred::Logical(p)) => {
+            refine_codes(codes, window, candidates, &CodePred::compile(dict, p), block, sink)
+        }
+        (StrColumn::Dict { codes, .. }, ScanPred::Codes(compiled)) => {
+            refine_codes(codes, window, candidates, compiled, block, sink)
+        }
         // No word kernel over variable-length values: every candidate is
         // compared as a string.
-        StrColumn::Plain { values, .. } => apply(
+        (StrColumn::Plain { values, .. }, ScanPred::Logical(pred)) => apply(
             window,
             candidates,
             block,
             NO_KERNEL,
             |_, _, _| unreachable!("plain strings have no word kernel"),
             |p| pred.matches_str(&values[p as usize]),
+            sink,
+        ),
+        _ => panic!("a code predicate over a plain string column"),
+    }
+}
+
+/// A dictionary column's packed `codes` under a compiled code predicate.
+fn refine_codes(
+    codes: &PackedInts,
+    window: &Range<u32>,
+    candidates: &PosList,
+    compiled: &CodePred,
+    block: bool,
+    sink: &mut PosAccumulator,
+) {
+    match compiled {
+        CodePred::Empty => {}
+        CodePred::Range(lo, hi) => {
+            let Some(cmp) = PackedCmp::new(codes, CmpOp::Range(*lo, *hi)) else {
+                return;
+            };
+            apply(
+                window,
+                candidates,
+                block,
+                swar_kernel_from(codes),
+                |s, e, emit| cmp.masks(s, e, emit),
+                |p| (*lo..=*hi).contains(&codes.get(p)),
+                sink,
+            )
+        }
+        CodePred::Table(matches) => apply(
+            window,
+            candidates,
+            block,
+            VALUE_KERNEL_FROM,
+            |s, e, emit| kernels::packed_test_masks(codes, s, e, |c| matches[c as usize], emit),
+            |p| matches[codes.get(p) as usize],
             sink,
         ),
     }
@@ -713,8 +757,8 @@ pub fn refine(
     }
     match (&col.column, pred) {
         (Column::Int(int), _) => refine_int(int, &window, candidates, pred, block, &mut acc),
-        (Column::Str(s), ScanPred::Logical(p)) => {
-            refine_str(s, &window, candidates, p, block, &mut acc)
+        (Column::Str(s), ScanPred::Logical(_) | ScanPred::Codes(_)) => {
+            refine_str(s, &window, candidates, pred, block, &mut acc)
         }
         (Column::Str(_), _) => panic!("integer predicate over string column {}", col.name),
     }

@@ -11,8 +11,7 @@
 //! both strategies, outputs and I/O.
 
 use cvr_core::agg::{
-    aggregate_columns, AggPartial, AggStrategy, CodeDecoder, CodeGrouper, GroupLayout, Grouper,
-    DIRECT_GROUPS_LIMIT,
+    AggPartial, AggStrategy, CodeDecoder, CodeGrouper, GroupLayout, Grouper, DIRECT_GROUPS_LIMIT,
 };
 use cvr_core::extract::gather_ints;
 use cvr_core::poslist::PosList;
@@ -227,23 +226,6 @@ proptest! {
         check_worker_merge(&domains, &rows, &deal(&rows, &sizes, &owners, workers))?;
     }
 
-    #[test]
-    fn aggregate_columns_matches_reference(
-        rows in prop::collection::vec((0u8..5, 0u8..7, -1000i64..1000), 0..120)
-    ) {
-        // Two group columns (one int-flavored, one string-flavored) through
-        // the interned-dictionary path vs the per-row clone reference.
-        let col_a: Vec<Value> = rows.iter().map(|(a, _, _)| Value::Int(*a as i64)).collect();
-        let col_b: Vec<Value> = rows.iter().map(|(_, b, _)| Value::str(format!("g{b}"))).collect();
-        let terms: Vec<i64> = rows.iter().map(|(_, _, t)| *t).collect();
-        let q = query(2, 1);
-        let mut reference = Grouper::new();
-        for (i, &term) in terms.iter().enumerate() {
-            reference.add(vec![col_a[i].clone(), col_b[i].clone()], term);
-        }
-        let got = aggregate_columns(&q, &[col_a, col_b], &terms);
-        prop_assert_eq!(got, reference.finish(&q));
-    }
 }
 
 #[test]

@@ -654,8 +654,9 @@ fn dict_bytes(dict: &[Box<str>]) -> u64 {
 }
 
 /// The sorted distinct values of `values` and, per row, its value's index
-/// among them.
-fn dict_codes<'a>(values: impl ExactSizeIterator<Item = &'a str>) -> (Vec<Box<str>>, Vec<u32>) {
+/// among them: the dictionary and codes of [`StrColumn::Dict`], for callers
+/// that store the codes some other way.
+pub fn dict_codes<'a>(values: impl ExactSizeIterator<Item = &'a str>) -> (Vec<Box<str>>, Vec<u32>) {
     // Number the distinct values in first-seen order, then rank them.
     let mut ids: FxHashMap<&str, u32> = FxHashMap::default();
     let mut distinct: Vec<&str> = Vec::new();

@@ -6,7 +6,7 @@
 //! cargo run --release --example denormalization
 //! ```
 
-use cvr::core::{ColumnEngine, DenormDb, DenormVariant, EngineConfig};
+use cvr::core::{ColumnEngine, DenormDb, DenormVariant, EngineConfig, ExecOptions};
 use cvr::data::{gen::SsbConfig, queries};
 use cvr::storage::io::{DiskModel, IoSession};
 use std::sync::Arc;
@@ -46,7 +46,7 @@ fn main() {
         let db = DenormDb::build(tables.clone(), variant);
         let io = IoSession::unmetered();
         let start = Instant::now();
-        let out = db.execute(&q, EngineConfig::FULL, &io);
+        let out = db.run(&q, EngineConfig::FULL, &ExecOptions::default(), &io).unwrap();
         let cpu = start.elapsed();
         assert_eq!(out, base_out, "denormalized variants must agree with the join");
         let stats = io.stats();

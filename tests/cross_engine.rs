@@ -5,7 +5,7 @@
 //! This is what makes the performance comparisons meaningful — the paper's
 //! systems all answer the same queries; ours provably do.
 
-use cvr::core::{ColumnEngine, DenormDb, DenormVariant, EngineConfig, RowMvDb};
+use cvr::core::{ColumnEngine, DenormDb, DenormVariant, EngineConfig, ExecOptions, RowMvDb};
 use cvr::data::gen::{SsbConfig, SsbTables};
 use cvr::data::queries::all_queries;
 use cvr::data::reference;
@@ -55,7 +55,7 @@ fn row_mv_matches_reference() {
     let db = RowMvDb::build(t.clone());
     let io = IoSession::unmetered();
     for (q, e) in all_queries().iter().zip(&exp) {
-        assert_eq!(&db.execute(q, &io), e, "Row-MV on {}", q.id);
+        assert_eq!(&db.run(q, &ExecOptions::default(), &io).unwrap(), e, "Row-MV on {}", q.id);
     }
 }
 
@@ -70,7 +70,7 @@ fn denormalized_variants_match_reference() {
         let db = DenormDb::build(t.clone(), variant);
         for (q, e) in all_queries().iter().zip(&exp) {
             assert_eq!(
-                &db.execute(q, EngineConfig::FULL, &io),
+                &db.run(q, EngineConfig::FULL, &ExecOptions::default(), &io).unwrap(),
                 e,
                 "{} on {}",
                 variant.label(),

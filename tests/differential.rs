@@ -20,8 +20,9 @@
 //! * [`thread_counts_are_byte_identical`] — thread counts {1, 2, 4, 8} on a
 //!   fine morsel grid produce the [`QueryOutput`]s and
 //!   [`cvr::storage::io::IoStats`] (bytes, pages, seeks) of one thread on
-//!   the default grid, for every plan shape and for the invisible join
-//!   without between-predicate rewriting (hash-only joins);
+//!   the default grid, for every plan shape, for the invisible join
+//!   without between-predicate rewriting (hash-only joins) and for the three
+//!   pre-joined tables of Figure 8;
 //! * [`iostats_match_the_pinned_fixture`] — absolute bytes/pages/seeks per
 //!   (query × plan shape × pool), dumped from the pre-refactor serial
 //!   executor, at threads 1 and 4;
@@ -33,7 +34,9 @@
 //!   reference evaluator, not just vs one worker.
 
 use cvr::core::morsel::Parallelism;
-use cvr::core::{ColumnEngine, EngineConfig, ExecOptions, QueryCtx, Tracer};
+use cvr::core::{
+    ColumnEngine, DenormDb, DenormVariant, EngineConfig, ExecOptions, QueryCtx, Tracer,
+};
 use cvr::data::gen::{SsbConfig, SsbTables};
 use cvr::data::queries::{all_queries, SsbQuery};
 use cvr::data::reference;
@@ -126,22 +129,28 @@ fn thread_counts_are_byte_identical() {
         let out = engine.run(q, cfg, opts, &io).expect("unbounded lifecycle");
         (out, charged(&io))
     };
-    for code in PLAN_SHAPES {
-        let cfg = EngineConfig::parse(code);
-        for q in all_queries() {
+    // One plan on `q`: its answer and charges at one thread on the default
+    // grid are those at every count on the fine grid. Returns the answer.
+    let cell =
+        |label: &str, q: &SsbQuery, plan: &dyn Fn(Parallelism, &IoSession) -> QueryOutput| {
             let one_io = IoSession::unmetered();
-            let one = engine.execute_with(&q, cfg, Parallelism::serial(), &one_io);
+            let one = plan(Parallelism::serial(), &one_io);
             for threads in [1, 2, 4, 8] {
                 let io = IoSession::unmetered();
-                let out = engine.execute_with(&q, cfg, par(threads), &io);
-                assert_eq!(out, one, "{code} {} at {threads} threads", q.id);
+                assert_eq!(plan(par(threads), &io), one, "{label} {} at {threads} threads", q.id);
                 assert_eq!(
                     charged(&io),
                     charged(&one_io),
-                    "{code} {} at {threads} threads: merged IoStats must equal one thread's",
+                    "{label} {} at {threads} threads: merged IoStats must equal one thread's",
                     q.id
                 );
             }
+            one
+        };
+    for code in PLAN_SHAPES {
+        let cfg = EngineConfig::parse(code);
+        for q in all_queries() {
+            let one = cell(code, &q, &|par, io| engine.execute_with(&q, cfg, par, io));
             if !(cfg.late_materialization && cfg.invisible_join) {
                 continue;
             }
@@ -155,6 +164,22 @@ fn thread_counts_are_byte_identical() {
             assert_eq!((out1, io1), (out4, io4), "{code} {} hash-only, threads 1 vs 4", q.id);
         }
     }
+    // The pre-joined tables of Figure 8 run on the same morsel driver.
+    for db in denormalized(&engine.db(EngineConfig::FULL).tables) {
+        for q in all_queries() {
+            cell(db.variant.label(), &q, &|par, io| {
+                db.run(&q, EngineConfig::FULL, &with_par(par), io).expect("unbounded lifecycle")
+            });
+        }
+    }
+}
+
+/// The three pre-joined tables of Figure 8 over `tables`.
+fn denormalized(tables: &Arc<SsbTables>) -> Vec<DenormDb> {
+    [DenormVariant::NoCompression, DenormVariant::IntCompression, DenormVariant::MaxCompression]
+        .into_iter()
+        .map(|variant| DenormDb::build(tables.clone(), variant))
+        .collect()
 }
 
 fn with_par(par: Parallelism) -> ExecOptions<'static> {
@@ -301,30 +326,44 @@ fn bounded_pool_io_matches_serial() {
     let tables = Arc::new(SsbConfig { sf: 0.004, seed: 6 }.generate());
     let engine = ColumnEngine::new(tables);
     let pool_bytes = 4 * (32u64 << 10); // 4 pages: re-read pages have been evicted
+                                        // One plan on `q`: its answer and bounded-pool charges at 2 and 4
+                                        // threads are one thread's. Returns whether the pool evicted.
+    let cell =
+        |label: &str, q: &SsbQuery, plan: &dyn Fn(Parallelism, &IoSession) -> QueryOutput| {
+            let one_io = IoSession::new(BufferPool::new(pool_bytes));
+            let one = plan(Parallelism::serial(), &one_io);
+            let unmetered = IoSession::unmetered();
+            plan(Parallelism::serial(), &unmetered);
+            for threads in [2, 4] {
+                let io = IoSession::new(BufferPool::new(pool_bytes));
+                let out = plan(Parallelism { threads, morsel_rows: 1024 }, &io);
+                assert_eq!(out, one, "{label} {} at {threads} threads", q.id);
+                assert_eq!(
+                    charged(&io),
+                    charged(&one_io),
+                    "{label} {} at {threads} threads: bounded-pool IoStats must equal one thread's",
+                    q.id
+                );
+            }
+            charged(&one_io) != charged(&unmetered)
+        };
     let mut spilled = 0;
     for code in PLAN_SHAPES {
         let cfg = EngineConfig::parse(code);
         for q in all_queries() {
-            let one_io = IoSession::new(BufferPool::new(pool_bytes));
-            let one = engine.execute_with(&q, cfg, Parallelism::serial(), &one_io);
-            let unmetered = IoSession::unmetered();
-            engine.execute_with(&q, cfg, Parallelism::serial(), &unmetered);
-            spilled += (charged(&one_io) != charged(&unmetered)) as usize;
-            for threads in [2, 4] {
-                let io = IoSession::new(BufferPool::new(pool_bytes));
-                let par = Parallelism { threads, morsel_rows: 1024 };
-                let out = engine.execute_with(&q, cfg, par, &io);
-                assert_eq!(out, one, "{code} {} at {threads} threads", q.id);
-                assert_eq!(
-                    charged(&io),
-                    charged(&one_io),
-                    "{code} {} at {threads} threads: bounded-pool IoStats must equal one thread's",
-                    q.id
-                );
-            }
+            spilled += cell(code, &q, &|par, io| engine.execute_with(&q, cfg, par, io)) as usize;
         }
     }
     assert!(spilled >= 30, "only {spilled} cells evicted: the pool no longer bounds anything");
+    let mut spilled = 0;
+    for db in denormalized(&engine.db(EngineConfig::FULL).tables) {
+        for q in all_queries() {
+            spilled += cell(db.variant.label(), &q, &|par, io| {
+                db.run(&q, EngineConfig::FULL, &with_par(par), io).expect("unbounded lifecycle")
+            }) as usize;
+        }
+    }
+    assert!(spilled >= 10, "only {spilled} pre-joined cells evicted: the pool bounds nothing");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! the paper's Figure 5/6 story is bytes. These tests pin the byte-level
 //! orderings that the performance results rest on.
 
-use cvr::core::{ColumnEngine, EngineConfig, RowMvDb};
+use cvr::core::{ColumnEngine, EngineConfig, ExecOptions, RowMvDb};
 use cvr::data::gen::{SsbConfig, SsbTables};
 use cvr::data::queries::{all_queries, query};
 use cvr::row::designs::{RowDb, RowDesign, TraditionalDb, TraditionalOptions, VpDb};
@@ -147,7 +147,7 @@ fn row_mv_reads_at_least_row_store_mv_bytes() {
             row_mv.execute(&q, io);
         });
         let cs = cold_bytes(|io| {
-            cs_row_mv.execute(&q, io);
+            cs_row_mv.run(&q, &ExecOptions::default(), io).unwrap();
         });
         assert!(cs * 3 > rs, "{}: Row-MV bytes implausibly small", q.id);
     }

@@ -19,7 +19,7 @@
 //! `cargo test --test row_fixture print_row_iostats -- --ignored --nocapture`
 //! (and `print_row_mv_iostats`).
 
-use cvr::core::{ColumnEngine, DenormDb, DenormVariant, EngineConfig, RowMvDb};
+use cvr::core::{ColumnEngine, DenormDb, DenormVariant, EngineConfig, ExecOptions, RowMvDb};
 use cvr::data::gen::SsbConfig;
 use cvr::data::queries::all_queries;
 use cvr::data::reference;
@@ -87,13 +87,16 @@ fn row_mv_iostats() -> String {
     .into_iter()
     .map(|v| DenormDb::build(tables.clone(), v))
     .collect();
+    let opts = ExecOptions::default();
     let mut out = String::new();
     for q in all_queries() {
         let want = reference::evaluate(&tables, &q);
-        cells(&mut out, q.id, "CS(Row-MV)", &want, |io| row_mv.execute(&q, io));
+        cells(&mut out, q.id, "CS(Row-MV)", &want, |io| row_mv.run(&q, &opts, io).unwrap());
         for db in &denorm {
             let label = db.variant.label().replace(' ', "");
-            cells(&mut out, q.id, &label, &want, |io| db.execute(&q, EngineConfig::FULL, io));
+            cells(&mut out, q.id, &label, &want, |io| {
+                db.run(&q, EngineConfig::FULL, &opts, io).unwrap()
+            });
         }
     }
     out
