@@ -395,24 +395,24 @@ pub fn render_figure(
     );
     let _ = write!(out, "{:<22}", "system");
     for q in paper::QUERY_LABELS {
-        let _ = write!(out, "{q:>9}");
+        let _ = write!(out, "{q:>10}");
     }
-    let _ = writeln!(out, "{:>9}", "AVG");
+    let _ = writeln!(out, "{:>10}", "AVG");
     for (label, series) in ours {
         let _ = write!(out, "{:<22}", format!("{label} (ours)"));
         let mut sum = 0.0;
         for m in series {
             let s = m.seconds();
             sum += s;
-            let _ = write!(out, "{s:>9.3}");
+            let _ = write!(out, "{:>10}", significant4(s));
         }
-        let _ = writeln!(out, "{:>9.3}", sum / series.len() as f64);
+        let _ = writeln!(out, "{:>10}", significant4(sum / series.len() as f64));
         if let Some(p) = paper_series.iter().find(|p| p.label == label.as_str()) {
             let _ = write!(out, "{:<22}", format!("{label} (paper)"));
             for t in p.times {
-                let _ = write!(out, "{t:>9.1}");
+                let _ = write!(out, "{t:>10.1}");
             }
-            let _ = writeln!(out, "{:>9.1}", p.avg());
+            let _ = writeln!(out, "{:>10.1}", p.avg());
         }
     }
     // Normalized comparison: each system relative to the first row.
@@ -436,9 +436,35 @@ pub fn render_figure(
     out
 }
 
+/// `x` at four significant digits, so a figure's small-scale seconds
+/// (Max C reads ~0.003 s at SF 0.02) still show a move of a few percent.
+fn significant4(x: f64) -> String {
+    let decimals = if x == 0.0 || !x.is_finite() {
+        3
+    } else {
+        (3 - x.abs().log10().floor() as i32).max(0) as usize
+    };
+    format!("{x:.decimals$}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn figure_seconds_keep_four_significant_digits() {
+        let cases = [
+            (0.0031274, "0.003127"),
+            (0.0426, "0.04260"),
+            (1.23456, "1.235"),
+            (12.5, "12.50"),
+            (4321.9, "4322"),
+            (0.0, "0.000"),
+        ];
+        for (x, want) in cases {
+            assert_eq!(significant4(x), want, "{x}");
+        }
+    }
     use cvr_data::queries::query;
     use cvr_row::designs::{RowDb, RowDesign};
 

@@ -15,48 +15,51 @@ use std::collections::HashMap;
 
 /// Evaluate `q` over `tables` by brute force.
 pub fn evaluate(tables: &SsbTables, q: &SsbQuery) -> QueryOutput {
-    // Dimension key -> row index maps.
-    let mut key_maps: HashMap<Dim, HashMap<i64, usize>> = HashMap::new();
-    for d in Dim::ALL {
-        let keys = tables.dim(d).column(d.key_column()).ints();
-        key_maps.insert(d, keys.iter().enumerate().map(|(i, &k)| (k, i)).collect());
-    }
-
     let fact = &tables.lineorder;
     let n = fact.num_rows();
     let agg_cols: Vec<&ColumnData> =
         q.aggregate.fact_columns().iter().map(|c| fact.column(c)).collect();
     let fact_pred_cols: Vec<(&ColumnData, &crate::queries::Pred)> =
         q.fact_predicates.iter().map(|p| (fact.column(p.column), &p.pred)).collect();
-    let fk_cols: HashMap<Dim, &ColumnData> =
-        Dim::ALL.iter().map(|&d| (d, fact.column(d.fact_fk_column()))).collect();
+    // Per touched dimension: its FK column and its key -> row index map.
+    let touched: Vec<(Dim, &[i64], HashMap<i64, usize>)> = q
+        .touched_dims()
+        .into_iter()
+        .map(|d| {
+            let keys = tables.dim(d).column(d.key_column()).ints();
+            let rows = keys.iter().enumerate().map(|(i, &k)| (k, i)).collect();
+            (d, fact.column(d.fact_fk_column()).ints(), rows)
+        })
+        .collect();
+    let dim_pred_cols: Vec<(Dim, &ColumnData, &crate::queries::Pred)> = q
+        .dim_predicates
+        .iter()
+        .map(|p| (p.dim, tables.dim(p.dim).column(p.column), &p.pred))
+        .collect();
+    let group_cols: Vec<(Dim, &ColumnData)> =
+        q.group_by.iter().map(|g| (g.dim, tables.dim(g.dim).column(g.column))).collect();
 
     let mut groups: HashMap<Vec<Value>, i64> = HashMap::new();
+    // Each touched dimension's row for the current fact row, by `Dim`.
+    let mut dim_rows = [0usize; Dim::ALL.len()];
     'rows: for i in 0..n {
         for (col, pred) in &fact_pred_cols {
-            if !pred.matches(&col.value(i)) {
+            if !matches(col, i, pred) {
                 continue 'rows;
             }
         }
         // Resolve dimension rows and check dimension predicates.
-        let mut dim_rows: HashMap<Dim, usize> = HashMap::new();
-        for d in q.touched_dims() {
-            let fk = fk_cols[&d].value(i).as_int();
+        for (d, fks, rows) in &touched {
             // The generator draws every foreign key from its dimension's keys.
-            let row = *key_maps[&d].get(&fk).expect("dangling foreign key");
-            dim_rows.insert(d, row);
+            dim_rows[*d as usize] = *rows.get(&fks[i]).expect("dangling foreign key");
         }
-        for p in &q.dim_predicates {
-            let row = dim_rows[&p.dim];
-            if !p.pred.matches(&tables.dim(p.dim).value(row, p.column)) {
+        for (d, col, pred) in &dim_pred_cols {
+            if !matches(col, dim_rows[*d as usize], pred) {
                 continue 'rows;
             }
         }
-        let key: Vec<Value> = q
-            .group_by
-            .iter()
-            .map(|g| tables.dim(g.dim).value(dim_rows[&g.dim], g.column))
-            .collect();
+        let key: Vec<Value> =
+            group_cols.iter().map(|(d, col)| col.value(dim_rows[*d as usize])).collect();
         let inputs: Vec<i64> = agg_cols.iter().map(|c| c.value(i).as_int()).collect();
         *groups.entry(key).or_insert(0) += q.aggregate.term(&inputs);
     }
@@ -65,6 +68,14 @@ pub fn evaluate(tables: &SsbTables, q: &SsbQuery) -> QueryOutput {
         return QueryOutput::scalar(0);
     }
     QueryOutput::new(groups.into_iter().collect())
+}
+
+/// `pred.matches(&col.value(row))`, without materializing the value.
+fn matches(col: &ColumnData, row: usize, pred: &crate::queries::Pred) -> bool {
+    match col {
+        ColumnData::Int(v) => pred.matches_int(v[row]),
+        ColumnData::Str(v) => pred.matches_str(&v[row]),
+    }
 }
 
 /// Measured LINEORDER selectivity of `q` (fraction of fact rows passing all

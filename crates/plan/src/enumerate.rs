@@ -23,6 +23,7 @@ use cvr_data::queries::{flight_fact_columns, QueryId, SsbQuery};
 use cvr_data::schema::Dim;
 use cvr_row::designs::RowDesign;
 
+use crate::advisor::{self, DesignVerdict};
 use crate::cost::{gather, seq_scan, CostBreakdown, CostParams, WorkingSet};
 use crate::explain::Explain;
 use crate::stats::{Catalog, ColumnStats, EncodingKind};
@@ -38,6 +39,27 @@ const INDEX_ENTRIES_PER_LEAF: f64 = 2048.0 * 2.0 / 3.0;
 /// ~1.6x — the executor reads node *pages*, not packed entries.
 fn index_scan_bytes(entries: f64) -> u64 {
     (((entries / INDEX_ENTRIES_PER_LEAF).ceil() + 2.0) * cvr_storage::io::PAGE_SIZE as f64) as u64
+}
+
+/// Bytes the index-only design's range scans charge per `(value, rid)`
+/// leaf entry.
+pub(crate) const INDEX_ENTRY_BYTES: f64 = 20.0;
+
+/// Bytes one value of the fact column `stats` takes in a vertically
+/// partitioned design's column file: `VP` stores a `(pos, value)` record
+/// (8-byte header, 4-byte position, then 4 bytes or a length-prefixed
+/// string), `VP(S)` the packed value alone.
+pub(crate) fn column_file_value_bytes(design: RowDesign, stats: &ColumnStats) -> f64 {
+    let value = if stats.histogram.is_some() {
+        4.0
+    } else {
+        stats.plain_bytes as f64 / stats.rows.max(1) as f64
+    };
+    match design {
+        RowDesign::VerticalPartitioning if stats.histogram.is_some() => 16.0,
+        RowDesign::VerticalPartitioning => 13.0 + value,
+        _ => value,
+    }
 }
 
 /// The physical half of a plan: which engine, in which configuration.
@@ -174,22 +196,49 @@ impl Plan {
     }
 }
 
-/// The planner: a catalog plus cost parameters.
+/// The planner: a catalog, cost parameters, and the row designs it may
+/// rank.
 pub struct Planner {
     catalog: Catalog,
     params: CostParams,
+    /// The row designs [`Planner::applicable_row_designs`] filters: all of
+    /// [`RowDesign::EXTENDED`], or the served ones of `verdicts`.
+    row_designs: Vec<RowDesign>,
+    /// [`Planner::for_serving`]'s verdicts, one per design; empty for a
+    /// planner over the full grid.
+    verdicts: Vec<DesignVerdict>,
 }
 
 impl Planner {
-    /// A planner over `catalog` with explicit parameters.
+    /// A planner over `catalog` with explicit parameters, ranking every row
+    /// design of [`RowDesign::EXTENDED`].
     pub fn with_params(catalog: Catalog, params: CostParams) -> Planner {
-        Planner { catalog, params }
+        Planner { catalog, params, row_designs: RowDesign::EXTENDED.to_vec(), verdicts: Vec::new() }
     }
 
     /// A planner over `catalog` with default parameters (paper disk model,
     /// `cpu_scale` 5, default CPU rates).
     pub fn new(catalog: Catalog) -> Planner {
         Planner::with_params(catalog, CostParams::default())
+    }
+
+    /// A serving planner over `catalog` with default parameters: it ranks
+    /// only the row designs that pay for what they hold over the reference
+    /// mix ([`advisor::verdicts`]), so a session that plans with it never
+    /// builds one that does not.
+    pub fn for_serving(catalog: Catalog) -> Planner {
+        let mut planner = Planner::new(catalog);
+        let verdicts = advisor::verdicts(&planner);
+        planner.row_designs = verdicts.iter().filter(|v| v.served).map(|v| v.design).collect();
+        planner.verdicts = verdicts;
+        planner
+    }
+
+    /// [`Planner::for_serving`]'s verdict on each design of
+    /// [`RowDesign::EXTENDED`], in that order; empty for a planner that
+    /// ranks the full grid.
+    pub fn verdicts(&self) -> &[DesignVerdict] {
+        &self.verdicts
     }
 
     /// The catalog.
@@ -213,10 +262,10 @@ impl Planner {
         Estimates::new(&self.catalog, q).fact_order()
     }
 
-    /// Row designs applicable to `q`: those whose build holds what it
-    /// reads ([`RowDesign::answers`]).
+    /// Row designs applicable to `q`: those this planner ranks whose build
+    /// holds what `q` reads ([`RowDesign::answers`]).
     pub fn applicable_row_designs(&self, q: &SsbQuery) -> Vec<RowDesign> {
-        RowDesign::EXTENDED.into_iter().filter(|d| d.answers(q)).collect()
+        self.row_designs.iter().copied().filter(|d| d.answers(q)).collect()
     }
 
     /// Every applicable candidate, costed, cheapest first.
@@ -883,22 +932,7 @@ impl Planner {
                 let cols = q.fact_columns();
                 let mut joins = 0u64;
                 for col in &cols {
-                    let stats = self.catalog.fact.column(col);
-                    let per_value = if design == RowDesign::VerticalPartitioning {
-                        // header (8) + pos (4) + value (4 or 1+len).
-                        if stats.histogram.is_some() {
-                            16.0
-                        } else {
-                            13.0 + stats.plain_bytes as f64 / stats.rows.max(1) as f64
-                        }
-                    } else {
-                        // Super tuples: just the packed values.
-                        if stats.histogram.is_some() {
-                            4.0
-                        } else {
-                            stats.plain_bytes as f64 / stats.rows.max(1) as f64
-                        }
-                    };
+                    let per_value = column_file_value_bytes(design, self.catalog.fact.column(col));
                     ws.touch(("vp", col), (n as f64 * per_value) as u64);
                     c.add(seq_scan((n as f64 * per_value) as u64));
                     c.cpu_seconds += n as f64 * r.tuple_value;
@@ -927,8 +961,8 @@ impl Planner {
                         .position(|p| p.column == *col)
                         .map_or(1.0, |i| e.fact[i]);
                     let entries = n as f64 * pred_sel;
-                    ws.touch(("idx", col), (entries * 20.0) as u64);
-                    c.add(seq_scan((entries * 20.0) as u64));
+                    ws.touch(("idx", col), (entries * INDEX_ENTRY_BYTES) as u64);
+                    c.add(seq_scan((entries * INDEX_ENTRY_BYTES) as u64));
                     c.cpu_seconds += entries * r.index_entry;
                 }
                 // The System X pathology: rid joins before any dimension

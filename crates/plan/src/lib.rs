@@ -19,7 +19,9 @@
 //! * [`enumerate`] searches the space the engines already expose — plan
 //!   shape × compression × fact-predicate order × row physical design —
 //!   and returns a [`Plan`] with an explain tree and the full candidate
-//!   ranking.
+//!   ranking;
+//! * [`advisor`] prices each row design against a reference mix by what it
+//!   holds, so [`Planner::for_serving`] ranks only the designs that pay.
 //!
 //! ```
 //! use cvr_core::ColumnEngine;
@@ -42,12 +44,14 @@
 
 #![warn(missing_docs)]
 
+pub mod advisor;
 pub mod cost;
 pub mod enumerate;
 pub mod explain;
 pub mod key;
 pub mod stats;
 
+pub use advisor::DesignVerdict;
 pub use cost::{CostBreakdown, CostParams, CpuRates};
 pub use enumerate::{Candidate, PhysicalChoice, Plan, PlanShape, Planner};
 pub use explain::Explain;

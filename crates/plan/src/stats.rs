@@ -363,6 +363,11 @@ impl TableStats {
         }
     }
 
+    /// Every column's statistics, in no particular order.
+    pub(crate) fn columns(&self) -> impl Iterator<Item = &ColumnStats> {
+        self.cols.values()
+    }
+
     /// Stats for `column`, panicking on unknown names (queries are checked
     /// against the schema before they reach the planner).
     pub fn column(&self, column: &str) -> &ColumnStats {

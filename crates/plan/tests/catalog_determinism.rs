@@ -3,14 +3,17 @@
 //! `Catalog::build` computes each column's statistics as one job of a
 //! `cvr_storage::par::Jobs` list at the engine's build parallelism. Every
 //! field of every column's statistics, the row-design sizes and the per-year
-//! DATE fractions must come out identical at 1, 2 and 4 workers.
+//! DATE fractions must come out identical at 1, 2 and 4 workers, and so must
+//! the serving planner's row-design verdicts, which read only the catalog.
 
 use cvr_core::morsel::Parallelism;
 use cvr_core::ColumnEngine;
 use cvr_data::gen::SsbConfig;
 use cvr_data::schema::Dim;
 use cvr_data::table::TableData;
-use cvr_plan::{Catalog, TableStats};
+use cvr_plan::advisor::held_bytes;
+use cvr_plan::{Catalog, Planner, TableStats};
+use cvr_row::designs::{RowDb, RowDesign};
 use std::sync::Arc;
 
 fn assert_same_columns(data: &TableData, one: &TableStats, other: &TableStats, at: &str) {
@@ -44,4 +47,44 @@ fn catalog_is_identical_at_1_2_and_4_workers() {
             assert_eq!(one.year_fractions().len(), 7, "{at}: 1992–1998");
         }
     }
+}
+
+#[test]
+fn serving_verdicts_are_identical_at_1_2_and_4_workers() {
+    let tables = Arc::new(SsbConfig { sf: 0.01, seed: 17 }.generate());
+    let verdicts = |threads| {
+        let par = Parallelism::with_threads(threads);
+        let engine = ColumnEngine::with_parallelism(tables.clone(), par);
+        Planner::for_serving(Catalog::build(&engine)).verdicts().to_vec()
+    };
+    let one = verdicts(1);
+    assert_eq!(one.len(), RowDesign::EXTENDED.len());
+    for threads in [2, 4] {
+        assert_eq!(one, verdicts(threads), "1 vs {threads} workers");
+    }
+}
+
+/// The verdict's held bytes are a lower bound on what each design holds
+/// once built, so the rule never refuses a design for bytes it does not
+/// take.
+#[test]
+fn held_bytes_bound_each_built_design_from_below() {
+    let tables = Arc::new(SsbConfig { sf: 0.01, seed: 17 }.generate());
+    let catalog = Catalog::build(&ColumnEngine::new(tables.clone()));
+    let mut over = Vec::new();
+    for design in RowDesign::EXTENDED {
+        let built = match RowDb::build(tables.clone(), design) {
+            RowDb::Traditional(db) | RowDb::TraditionalBitmap(db) => db.fact_bytes(),
+            RowDb::Mv(db) => db.bytes(),
+            RowDb::Vp(db) => db.fact_bytes(),
+            RowDb::Ai(db) => db.bytes(),
+            RowDb::SuperVp(db) => db.fact_bytes(),
+        };
+        let bound = held_bytes(&catalog, design);
+        eprintln!("{:>5}: bound {bound} B, built {built} B", design.label());
+        if bound == 0 || bound > built {
+            over.push(format!("{}: bound {bound} B, built {built} B", design.label()));
+        }
+    }
+    assert!(over.is_empty(), "{over:?}");
 }

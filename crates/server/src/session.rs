@@ -25,7 +25,7 @@ use cvr_data::gen::SsbTables;
 use cvr_data::queries::{QueryId, SsbQuery};
 use cvr_data::result::QueryOutput;
 use cvr_data::value::DataType;
-use cvr_plan::{key, Catalog, PhysicalChoice, Plan, Planner};
+use cvr_plan::{key, Catalog, DesignVerdict, PhysicalChoice, Plan, Planner};
 use cvr_row::designs::{RowDb, RowDesign};
 use cvr_storage::fault::{self, FaultState};
 use cvr_storage::io::{pages_for, BufferPool, IoSession, IoStats};
@@ -141,16 +141,19 @@ struct StoreState {
     version: u64,
     /// Row-engine physical designs over `tables`, one slot per
     /// [`RowDesign::EXTENDED`] entry, each built by the first statement
-    /// whose plan picks it. They belong to the store: a statement can only
-    /// ever reach designs built from the tables it pinned, and a reload
-    /// drops them with everything else.
+    /// whose plan picks it. The planner ranks only the designs its verdicts
+    /// serve ([`Planner::for_serving`]), so a refused design's slot stays
+    /// empty. They belong to the store: a statement can only ever reach
+    /// designs built from the tables it pinned, and a reload drops them
+    /// with everything else.
     row_dbs: [OnceLock<Arc<RowDb>>; RowDesign::EXTENDED.len()],
 }
 
 impl StoreState {
     fn build(tables: Arc<SsbTables>, version: u64, par: Parallelism) -> StoreState {
         let engine = ColumnEngine::with_parallelism(tables.clone(), par);
-        let planner = Planner::new(Catalog::build(&engine));
+        let planner = Planner::for_serving(Catalog::build(&engine));
+        publish_verdicts(planner.verdicts());
         StoreState { engine, planner, tables, version, row_dbs: Default::default() }
     }
 
@@ -334,7 +337,8 @@ impl Session {
     /// directory and swap it in as the served store. The store version
     /// becomes the loaded generation, so every result-cache entry and
     /// memoized plan keyed against the old store is unreachable; row
-    /// designs live in the store, so the new one starts with none built.
+    /// designs live in the store, so the new one starts with none built,
+    /// and its planner decides again which designs it serves.
     pub fn reload(&self) -> Result<SnapshotInfo, QueryError> {
         let Some(dir) = self.data_dir() else {
             return Err(QueryError::Io { detail: "no data directory configured".to_string() });
@@ -673,6 +677,30 @@ fn persist_error(e: PersistError) -> QueryError {
     }
 }
 
+/// Report the newest store's row-design verdicts as three gauges per design
+/// (STATS and the Prometheus endpoint both read the registry).
+fn publish_verdicts(verdicts: &[DesignVerdict]) {
+    let ppm = |share: f64| (share * 1e6).round() as u64;
+    for v in verdicts {
+        let label = v.design.label();
+        cvr_obs::gauge(
+            &format!("cvr_row_design_served{{design=\"{label}\"}}"),
+            "Whether the serving planner ranks the row design (0/1)",
+        )
+        .set(u64::from(v.served));
+        cvr_obs::gauge(
+            &format!("cvr_row_design_saved_ppm{{design=\"{label}\"}}"),
+            "Share of the reference mix's best column-plan seconds the row design saves (ppm)",
+        )
+        .set(ppm(v.saved_share));
+        cvr_obs::gauge(
+            &format!("cvr_row_design_held_ppm{{design=\"{label}\"}}"),
+            "Lower bound on the row design's bytes over the column store's compressed bytes (ppm)",
+        )
+        .set(ppm(v.held_share));
+    }
+}
+
 /// Count one successfully answered statement in the process metrics.
 fn observe_query(started: Instant) {
     cvr_obs::counter("cvr_queries_total", "Statements answered successfully").inc();
@@ -808,6 +836,34 @@ mod tests {
         assert!(new.row_dbs.iter().all(|slot| slot.get().is_none()));
         assert!(!Arc::ptr_eq(&old_db, &new.row_db(RowDesign::Traditional)));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The serving planner refuses every design that does not pay for what
+    /// it holds, so a mix of paper and generated statements builds none and
+    /// every answer is still the reference's.
+    #[test]
+    fn a_served_mix_builds_no_refused_design_and_answers_like_the_reference() {
+        let tables = Arc::new(SsbConfig::with_scale(0.01).generate());
+        let session = Session::with_cache_budget(tables.clone(), Parallelism::with_threads(2), 0);
+        let store = session.store();
+        let verdicts = store.planner.verdicts();
+        assert_eq!(verdicts.len(), RowDesign::EXTENDED.len());
+        let mix = cvr_data::queries::all_queries()
+            .into_iter()
+            .chain(cvr_data::workload::WorkloadConfig::with_count(255).generate());
+        for q in mix {
+            let response = session.run(&q);
+            assert_eq!(response.output, cvr_data::reference::evaluate(&tables, &q), "{}", q.id);
+        }
+        assert!(store.row_dbs.iter().all(|slot| slot.get().is_none()), "{verdicts:?}");
+        // STATS carries each verdict as three gauges a design.
+        let samples = cvr_obs::global().samples();
+        for v in verdicts {
+            for gauge in ["served", "saved_ppm", "held_ppm"] {
+                let name = format!("cvr_row_design_{gauge}{{design=\"{}\"}}", v.design.label());
+                assert!(samples.iter().any(|(n, _)| *n == name), "{name} missing from STATS");
+            }
+        }
     }
 
     /// `EXPLAIN` output carries the cache's view without disturbing it.

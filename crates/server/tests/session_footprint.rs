@@ -1,0 +1,76 @@
+//! Serving stays within what the session holds once it is built: the
+//! serving planner ranks only the row designs that pay for their bytes
+//! (`Planner::for_serving`), so running the paper queries and a generated
+//! mix builds no design on the way.
+//!
+//! Its own test binary: the counting allocator is process-global, and the
+//! one test here is the only one allocating while it counts (the session's
+//! morsel workers and scheduler allocate on its behalf, and count too).
+
+use cvr_core::morsel::Parallelism;
+use cvr_data::gen::SsbConfig;
+use cvr_data::queries::all_queries;
+use cvr_data::workload::WorkloadConfig;
+use cvr_server::Session;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+struct Counting;
+
+/// Bytes currently allocated.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// The most bytes allocated at once since it was last reset.
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grow(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // Both blocks may be live while the contents move.
+        grow(new_size);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+#[test]
+fn serving_a_mix_peaks_within_a_quarter_above_the_built_session() {
+    let tables = Arc::new(SsbConfig::with_scale(0.01).generate());
+    let rows = tables.lineorder.num_rows() as f64;
+    let session = Session::with_cache_budget(tables, Parallelism::with_threads(2), 0);
+    let built = LIVE.load(Ordering::Relaxed);
+    PEAK.store(built, Ordering::Relaxed);
+
+    let mix = all_queries().into_iter().chain(WorkloadConfig::with_count(255).generate());
+    for q in mix {
+        session.run(&q);
+    }
+    let peak = PEAK.load(Ordering::Relaxed);
+    let (built_row, peak_row) = (built as f64 / rows, peak as f64 / rows);
+    eprintln!(
+        "{built} bytes live after the build ({built_row:.1} a fact row), \
+         {peak} at the peak of the mix ({peak_row:.1} a fact row, {:.2}x)",
+        peak as f64 / built as f64
+    );
+    assert!(
+        peak as f64 <= 1.25 * built as f64,
+        "the mix peaked at {peak_row:.1} bytes a fact row against {built_row:.1} after the build"
+    );
+}
