@@ -450,6 +450,8 @@ fn significant4(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cvr_data::queries::query;
+    use cvr_row::designs::{RowDb, RowDesign};
 
     #[test]
     fn figure_seconds_keep_four_significant_digits() {
@@ -465,8 +467,6 @@ mod tests {
             assert_eq!(significant4(x), want, "{x}");
         }
     }
-    use cvr_data::queries::query;
-    use cvr_row::designs::{RowDb, RowDesign};
 
     #[test]
     fn harness_measures_deterministically() {

@@ -682,22 +682,23 @@ fn persist_error(e: PersistError) -> QueryError {
 fn publish_verdicts(verdicts: &[DesignVerdict]) {
     let ppm = |share: f64| (share * 1e6).round() as u64;
     for v in verdicts {
-        let label = v.design.label();
-        cvr_obs::gauge(
-            &format!("cvr_row_design_served{{design=\"{label}\"}}"),
-            "Whether the serving planner ranks the row design (0/1)",
-        )
-        .set(u64::from(v.served));
-        cvr_obs::gauge(
-            &format!("cvr_row_design_saved_ppm{{design=\"{label}\"}}"),
-            "Share of the reference mix's best column-plan seconds the row design saves (ppm)",
-        )
-        .set(ppm(v.saved_share));
-        cvr_obs::gauge(
-            &format!("cvr_row_design_held_ppm{{design=\"{label}\"}}"),
-            "Lower bound on the row design's bytes over the column store's compressed bytes (ppm)",
-        )
-        .set(ppm(v.held_share));
+        let gauges = [
+            ("served", "Whether the serving planner ranks the row design (0/1)", u64::from(v.served)),
+            (
+                "saved_ppm",
+                "Share of the reference mix's best column-plan seconds the row design saves (ppm)",
+                ppm(v.saved_share),
+            ),
+            (
+                "held_ppm",
+                "Lower bound on the row design's bytes over the column store's compressed bytes (ppm)",
+                ppm(v.held_share),
+            ),
+        ];
+        for (name, help, value) in gauges {
+            let series = format!("cvr_row_design_{name}{{design=\"{}\"}}", v.design.label());
+            cvr_obs::gauge(&series, help).set(value);
+        }
     }
 }
 
