@@ -763,29 +763,29 @@ mod tests {
         assert_eq!(a.execute(&q, &IoSession::unmetered()), expected);
     }
 
+    /// The designs `store` has built, in [`RowDesign::EXTENDED`] order.
+    fn built_designs(store: &StoreState) -> Vec<RowDesign> {
+        let slots = RowDesign::EXTENDED.into_iter().zip(&store.row_dbs);
+        slots.filter_map(|(d, slot)| slot.get().map(|_| d)).collect()
+    }
+
+    /// At sf 0.00002 (120 fact rows) the serving planner serves `T` and
+    /// `T(B)`: the fact heap is small beside the fixed-size DATE dimension.
+    const ROW_SERVED_SF: f64 = 0.00002;
+
     /// Regression: designs used to be built while holding the one `row_dbs`
     /// mutex, so a slow build (`T(B)`: seconds) stalled row-plan statements
     /// whose own design had been built long before.
     #[test]
     fn a_built_design_answers_while_another_designs_build_is_blocked() {
         use std::sync::mpsc;
-        let tables = Arc::new(SsbConfig::with_scale(0.0005).generate());
+        let tables = Arc::new(SsbConfig::with_scale(ROW_SERVED_SF).generate());
         let session = Session::with_cache_budget(tables.clone(), Parallelism::serial(), 0);
         let store = session.store();
-        // A statement planned to a row design other than the one whose build
-        // will block; when the planner picks none at this scale, drive a
-        // design directly (the call `run_inner` makes).
-        let blocked_design = RowDesign::TraditionalBitmap;
-        let row_planned = cvr_data::queries::all_queries().into_iter().find_map(|q| match session
-            .explain(&q)
-            .choice
-        {
-            PhysicalChoice::Row(d) if d != blocked_design => Some((q, d)),
-            _ => None,
-        });
-        let statement = row_planned.is_some();
-        let (q, built_design) =
-            row_planned.unwrap_or((cvr_data::queries::query(2, 1), RowDesign::MaterializedViews));
+        // Q1.1 plans to `T`; block the build of `T(B)`, which serves too.
+        let (q, built_design, blocked_design) =
+            (cvr_data::queries::query(1, 1), RowDesign::Traditional, RowDesign::TraditionalBitmap);
+        assert_eq!(session.explain(&q).choice, PhysicalChoice::Row(built_design));
         store.row_db(built_design);
 
         let (entered_tx, entered_rx) = mpsc::channel();
@@ -801,20 +801,34 @@ mod tests {
             });
             entered_rx.recv().unwrap(); // the T(B) build now holds its slot
             let (done_tx, done_rx) = mpsc::channel();
-            s.spawn(move || {
-                let out = if statement {
-                    session.run(q).output
-                } else {
-                    store.row_db(built_design).execute(q, &IoSession::unmetered())
-                };
-                done_tx.send(out).unwrap();
-            });
+            s.spawn(move || done_tx.send(session.run(q)).unwrap());
             let answered = done_rx.recv_timeout(std::time::Duration::from_secs(60));
             release_tx.send(()).unwrap();
-            let out = answered.expect("a built design must not wait for another's build");
-            assert_eq!(out, cvr_data::reference::evaluate(tables, q));
+            let response = answered.expect("a built design must not wait for another's build");
+            assert_eq!(response.plan, "row:T");
+            assert_eq!(response.output, cvr_data::reference::evaluate(tables, q));
             assert_eq!(blocked.join().unwrap().design(), blocked_design);
         });
+    }
+
+    /// A statement planned to a served design runs on the row engine
+    /// through the statement path: the first one builds the design, and an
+    /// injected I/O fault surfaces as a typed error, not a panic.
+    #[test]
+    fn a_served_row_plan_builds_its_design_and_types_injected_faults() {
+        let tables = Arc::new(SsbConfig::with_scale(ROW_SERVED_SF).generate());
+        let session = Session::with_cache_budget(tables.clone(), Parallelism::serial(), 0);
+        let q = cvr_data::queries::query(2, 1);
+        session.set_faults(Some("io:1")).unwrap();
+        match session.run_ctx(&q, &QueryCtx::unbounded()) {
+            Err(QueryError::Io { detail }) => assert!(detail.contains("injected"), "{detail}"),
+            other => panic!("expected an injected I/O error, got {other:?}"),
+        }
+        session.set_faults(None).unwrap();
+        let response = session.run(&q);
+        assert_eq!(response.plan, "row:T(B)");
+        assert_eq!(response.output, cvr_data::reference::evaluate(&tables, &q));
+        assert_eq!(built_designs(&session.store()), [RowDesign::TraditionalBitmap]);
     }
 
     /// A reload's store starts with no design built, and a statement that
@@ -840,29 +854,33 @@ mod tests {
     }
 
     /// The serving planner refuses every design that does not pay for what
-    /// it holds, so a mix of paper and generated statements builds none and
-    /// every answer is still the reference's.
+    /// it holds, so a mix of paper and generated statements builds exactly
+    /// the served designs it plans to, and every answer is still the
+    /// reference's. At sf 0.01 that is none; at sf 0.00005 it is `T(B)`.
     #[test]
     fn a_served_mix_builds_no_refused_design_and_answers_like_the_reference() {
-        let tables = Arc::new(SsbConfig::with_scale(0.01).generate());
-        let session = Session::with_cache_budget(tables.clone(), Parallelism::with_threads(2), 0);
-        let store = session.store();
-        let verdicts = store.planner.verdicts();
-        assert_eq!(verdicts.len(), RowDesign::EXTENDED.len());
-        let mix = cvr_data::queries::all_queries()
-            .into_iter()
-            .chain(cvr_data::workload::WorkloadConfig::with_count(255).generate());
-        for q in mix {
-            let response = session.run(&q);
-            assert_eq!(response.output, cvr_data::reference::evaluate(&tables, &q), "{}", q.id);
-        }
-        assert!(store.row_dbs.iter().all(|slot| slot.get().is_none()), "{verdicts:?}");
-        // STATS carries each verdict as three gauges a design.
-        let samples = cvr_obs::global().samples();
-        for v in verdicts {
-            for gauge in ["served", "saved_ppm", "held_ppm"] {
-                let name = format!("cvr_row_design_{gauge}{{design=\"{}\"}}", v.design.label());
-                assert!(samples.iter().any(|(n, _)| *n == name), "{name} missing from STATS");
+        for (sf, expected) in [(0.01, vec![]), (0.00005, vec![RowDesign::TraditionalBitmap])] {
+            let tables = Arc::new(SsbConfig::with_scale(sf).generate());
+            let session =
+                Session::with_cache_budget(tables.clone(), Parallelism::with_threads(2), 0);
+            let store = session.store();
+            let verdicts = store.planner.verdicts();
+            assert_eq!(verdicts.len(), RowDesign::EXTENDED.len());
+            let mix = cvr_data::queries::all_queries()
+                .into_iter()
+                .chain(cvr_data::workload::WorkloadConfig::with_count(255).generate());
+            for q in mix {
+                let response = session.run(&q);
+                assert_eq!(response.output, cvr_data::reference::evaluate(&tables, &q), "{}", q.id);
+            }
+            assert_eq!(built_designs(&store), expected, "sf {sf}: {verdicts:?}");
+            // STATS carries each verdict as three gauges a design.
+            let samples = cvr_obs::global().samples();
+            for v in verdicts {
+                for gauge in ["served", "saved_ppm", "held_ppm"] {
+                    let name = format!("cvr_row_design_{gauge}{{design=\"{}\"}}", v.design.label());
+                    assert!(samples.iter().any(|(n, _)| *n == name), "{name} missing from STATS");
+                }
             }
         }
     }

@@ -9,13 +9,9 @@
 use cvr::core::{ColumnEngine, DenormDb, DenormVariant, EngineConfig, ExecOptions};
 use cvr::data::{gen::SsbConfig, queries};
 use cvr::storage::io::{DiskModel, IoSession};
+use cvr_bench::paper;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Figure 8's Q3.1 seconds (SF 10) for the pre-joined variants; the
-/// invisible-join base case took 11.0 s.
-const PAPER_Q31: [(&str, f64); 3] = [("PJ, No C", 42.7), ("PJ, Int C", 11.7), ("PJ, Max C", 7.3)];
-const PAPER_Q31_BASE: f64 = 11.0;
 
 fn main() {
     let tables = Arc::new(SsbConfig::with_scale(0.01).generate());
@@ -73,9 +69,15 @@ fn main() {
     // The measured ratios next to the paper's, and whether each variant
     // lands on the same side of the invisible join.
     println!("\nmodeled seconds relative to Base (IJ): this run vs Figure 8 (Q3.1, SF 10)");
+    let figure = paper::figure8();
+    let slot = queries::all_queries().iter().position(|x| x.id == q.id).expect("a paper query");
+    let paper_s = |label: &str| {
+        let series = figure.iter().find(|s| s.label == label);
+        series.unwrap_or_else(|| panic!("Figure 8 has no {label:?} row")).times[slot]
+    };
     let mut differ = Vec::new();
-    for ((label, ours), (_, paper_s)) in ratios.iter().zip(PAPER_Q31) {
-        let paper = paper_s / PAPER_Q31_BASE;
+    for (label, ours) in &ratios {
+        let paper = paper_s(label) / paper_s("Base");
         let side = |r: f64| if r < 1.0 { "faster" } else { "slower" };
         println!("  {label:<12} ours {ours:>6.2}x   paper {paper:>5.2}x");
         if side(*ours) != side(paper) {
