@@ -35,11 +35,12 @@ use cvr_data::gen::SsbTables;
 use cvr_data::queries::{paper_columns, Pred, SsbQuery};
 use cvr_data::result::QueryOutput;
 use cvr_data::schema::{ColumnDef, Dim, TableSchema};
-use cvr_data::table::{ColumnData, TableData};
+use cvr_data::table::{ColumnData, PlainInts, TableData};
 use cvr_data::value::{DataType, Value};
 use cvr_storage::column::{ColumnStore, EncodingChoice};
-use cvr_storage::encode::{dict_codes, Column, StrColumn};
+use cvr_storage::encode::{dict_codes, Column, PlainValue, StrColumn};
 use cvr_storage::io::IoSession;
+use cvr_storage::with_plain_values;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -114,20 +115,17 @@ impl DenormDb {
         for &(dim, col) in &paper_columns().dims {
             let dim_table = tables.dim(dim);
             let keys = dim_table.column(dim.key_column()).ints();
-            let key_to_row: HashMap<i64, usize> =
-                keys.iter().enumerate().map(|(i, &k)| (k, i)).collect();
+            let key_to_row: HashMap<i64, u32> = with_plain_values!(keys, |k| k
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| (k.widen(), i as u32))
+                .collect());
             let fks = fact.column(dim.fact_fk_column()).ints();
+            let rows: Vec<u32> =
+                with_plain_values!(fks, |f| f.iter().map(|k| key_to_row[&k.widen()]).collect());
             let src = dim_table.column(col);
             let dtype = src.dtype();
-            let data = match src {
-                ColumnData::Int(v) => {
-                    ColumnData::Int(fks.iter().map(|k| v[key_to_row[k]]).collect())
-                }
-                ColumnData::Str(v) => {
-                    let rows: Vec<u32> = fks.iter().map(|k| key_to_row[k] as u32).collect();
-                    ColumnData::Str(v.gather(&rows))
-                }
-            };
+            let data = src.gather(&rows);
             defs.push(ColumnDef { name: col, dtype });
             cols.push(data);
         }
@@ -152,10 +150,9 @@ impl DenormDb {
                         ColumnData::Str(v) => {
                             let (dict, codes) = dict_codes(v.iter());
                             dicts.insert(def.name, dict);
-                            let codes = codes.into_iter().map(i64::from).collect();
                             (
                                 ColumnDef { name: def.name, dtype: DataType::Int },
-                                ColumnData::Int(codes),
+                                ColumnData::Int(PlainInts::U32(codes)),
                             )
                         }
                     })

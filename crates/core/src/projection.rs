@@ -19,16 +19,18 @@
 //! one of the seventeen columns in the fact table can be sorted (and two
 //! others secondarily sorted)".
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::morsel::Parallelism;
 use cvr_data::gen::SsbTables;
 use cvr_data::schema::Dim;
-use cvr_data::table::{ColumnData, TableData};
+use cvr_data::table::{ColumnData, PlainInts, TableData};
 use cvr_storage::column::{ColumnStore, EncodingChoice};
-use cvr_storage::encode::{Column, IntColumn, StrColumn};
+use cvr_storage::encode::{Column, IntColumn, PlainValue, StrColumn};
 use cvr_storage::par::{Jobs, Slot};
+use cvr_storage::with_plain_values;
 
 /// Sort hierarchy per dimension (leading columns of the projection).
 pub fn dim_sort_columns(dim: Dim) -> &'static [&'static str] {
@@ -76,18 +78,21 @@ pub fn sort_permutation(table: &TableData, columns: &[&str]) -> Vec<u32> {
     if let Some(perm) = packed_sort_permutation(&cols, table.num_rows()) {
         return perm;
     }
+    // One comparator a column, its width dispatched once.
+    type Cmp<'a> = Box<dyn Fn(usize, usize) -> Ordering + 'a>;
+    let cmps: Vec<Cmp> = cols
+        .iter()
+        .map(|c| match c {
+            ColumnData::Int(v) => {
+                with_plain_values!(v, |v| Box::new(|a: usize, b: usize| v[a].cmp(&v[b])) as Cmp)
+            }
+            ColumnData::Str(v) => Box::new(|a: usize, b: usize| v[a].cmp(&v[b])),
+        })
+        .collect();
     let mut perm: Vec<u32> = (0..table.num_rows() as u32).collect();
     perm.sort_by(|&a, &b| {
-        for c in &cols {
-            let ord = match c {
-                ColumnData::Int(v) => v[a as usize].cmp(&v[b as usize]),
-                ColumnData::Str(v) => v[a as usize].cmp(&v[b as usize]),
-            };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        a.cmp(&b)
+        let ord = cmps.iter().map(|cmp| cmp(a as usize, b as usize)).find(|o| o.is_ne());
+        ord.unwrap_or_else(|| a.cmp(&b))
     });
     perm
 }
@@ -100,10 +105,10 @@ fn packed_sort_permutation(cols: &[&ColumnData], n: usize) -> Option<Vec<u32>> {
     let bits_of = |span: u64| 64 - span.leading_zeros();
     let row_bits = bits_of(n as u64);
     let mut used = row_bits;
-    let mut fields: Vec<(&[i64], i64, u32)> = Vec::with_capacity(cols.len());
+    let mut fields: Vec<(&PlainInts, i64, u32)> = Vec::with_capacity(cols.len());
     for col in cols {
         let ColumnData::Int(values) = col else { return None };
-        let (min, max) = (*values.iter().min()?, *values.iter().max()?);
+        let (min, max) = values.min_max()?;
         let bits = bits_of(max.checked_sub(min)? as u64);
         used += bits;
         fields.push((values, min, bits));
@@ -111,11 +116,17 @@ fn packed_sort_permutation(cols: &[&ColumnData], n: usize) -> Option<Vec<u32>> {
     if used > 64 {
         return None;
     }
-    let pack = |row: usize| {
-        let key = fields.iter().fold(0u64, |k, (v, min, bits)| k << bits | (v[row] - min) as u64);
-        key << row_bits | row as u64
-    };
-    let mut keys: Vec<u64> = (0..n).map(pack).collect();
+    // Each row's key: its fields' offsets from their minimums, a column at
+    // a time, then the row number.
+    let mut keys = vec![0u64; n];
+    for (values, min, bits) in fields {
+        with_plain_values!(values, |v| for (k, x) in keys.iter_mut().zip(v) {
+            *k = *k << bits | (x.widen() - min) as u64;
+        });
+    }
+    for (row, k) in keys.iter_mut().enumerate() {
+        *k = *k << row_bits | row as u64;
+    }
     keys.sort_unstable();
     let row_mask = (1u64 << row_bits) - 1;
     Some(keys.into_iter().map(|k| (k & row_mask) as u32).collect())
@@ -131,13 +142,12 @@ struct KeyRemap {
 
 impl KeyRemap {
     /// `old_keys[p]` is the original key of the row now at position `p`.
-    fn new(old_keys: &[i64]) -> KeyRemap {
-        let base = old_keys.iter().copied().min().unwrap_or(0);
-        let span = old_keys.iter().copied().max().map_or(0, |max| (max - base) as usize + 1);
-        let mut new_keys = vec![-1; span];
-        for (pos, &old) in old_keys.iter().enumerate() {
-            new_keys[(old - base) as usize] = pos as i64;
-        }
+    fn new(old_keys: &PlainInts) -> KeyRemap {
+        let (base, max) = old_keys.min_max().unwrap_or((0, -1));
+        let mut new_keys = vec![-1; (max - base + 1) as usize];
+        with_plain_values!(old_keys, |v| for (pos, &old) in v.iter().enumerate() {
+            new_keys[(old.widen() - base) as usize] = pos as i64;
+        });
         KeyRemap { base, new_keys }
     }
 
@@ -145,6 +155,12 @@ impl KeyRemap {
         let new = self.new_keys[(old - self.base) as usize];
         assert!(new >= 0, "foreign key {old} has no dimension row");
         new
+    }
+
+    /// The foreign keys `fks[perm[j]]`, reassigned, at the width of `fks`.
+    fn gather<T: PlainValue>(&self, fks: &[T], perm: &[u32]) -> PlainInts {
+        let narrow = |new: i64| T::narrow(new).expect("a row position fits the key width");
+        T::ints(perm.iter().map(|&p| narrow(self.get(fks[p as usize].widen()))).collect())
     }
 }
 
@@ -163,8 +179,10 @@ fn sort_dimension(src: &TableData, d: Dim) -> (TableData, Option<KeyRemap>) {
 
 /// Encode the column whose row `j` is `data[perm[j]]` (integers through
 /// `remap`, when given), with its uncompressed size. Integers are gathered
-/// into the one buffer the encoder then owns; strings are dictionary-coded
-/// where they lie and permuted as codes.
+/// at the source column's width into the one buffer the encoder reads (a
+/// reassigned key is a row position, which fits the width of the distinct
+/// keys it replaces); strings are dictionary-coded where they lie and
+/// permuted as codes.
 fn encode_gathered(
     data: &ColumnData,
     perm: &[u32],
@@ -173,12 +191,12 @@ fn encode_gathered(
 ) -> (Column, u64) {
     match data {
         ColumnData::Int(src) => {
-            let values: Vec<i64> = match remap {
-                Some(remap) => perm.iter().map(|&p| remap.get(src[p as usize])).collect(),
-                None => perm.iter().map(|&p| src[p as usize]).collect(),
+            let values = match remap {
+                Some(remap) => with_plain_values!(src, |v| remap.gather(v, perm)),
+                None => src.gather(perm),
             };
             let plain = IntColumn::plain_fixed_bytes(&values);
-            (Column::Int(IntColumn::encode(values, compress)), plain)
+            (Column::Int(IntColumn::encode(&values, compress)), plain)
         }
         ColumnData::Str(src) => {
             let rows = perm.iter().map(|&p| p as usize);
@@ -315,7 +333,7 @@ mod tests {
     fn dense_keys_are_positions() {
         let db = db(true);
         for d in [Dim::Customer, Dim::Supplier, Dim::Part] {
-            let keys = db.dim(d).sorted.column(d.key_column()).ints();
+            let keys = db.dim(d).sorted.column(d.key_column()).ints().decode();
             for (p, &k) in keys.iter().enumerate() {
                 assert_eq!(k, p as i64, "{d:?} key must equal its position");
             }
@@ -323,7 +341,7 @@ mod tests {
         }
         // DATE keys stay yyyymmdd.
         let dk = db.dim(Dim::Date).sorted.column("d_datekey").ints();
-        assert_eq!(dk[0], 19920101);
+        assert_eq!(dk.get(0), 19920101);
         assert!(!db.dim(Dim::Date).dense_keys);
     }
 
@@ -343,7 +361,7 @@ mod tests {
         let tables = Arc::new(SsbConfig { sf: 0.001, seed: 13 }.generate());
         let db = CStoreDb::build(tables.clone(), true);
         // Original join: row i -> custkey -> city.
-        let orig_fk = tables.lineorder.column("lo_custkey").ints();
+        let orig_fk = tables.lineorder.column("lo_custkey").ints().decode();
         let orig_city = tables.customer.column("c_city").strs();
         let mut expected: Vec<String> = (0..tables.lineorder.num_rows())
             .map(|i| orig_city[(orig_fk[i] - 1) as usize].to_string())
@@ -376,7 +394,8 @@ mod tests {
         let tables = SsbConfig { sf: 0.001, seed: 5 }.generate();
         let fact = &tables.lineorder;
         let by_rows = |columns: &[&str]| {
-            let cols: Vec<&[i64]> = columns.iter().map(|c| fact.column(c).ints()).collect();
+            let cols: Vec<Vec<i64>> =
+                columns.iter().map(|c| fact.column(c).ints().decode()).collect();
             let mut perm: Vec<u32> = (0..fact.num_rows() as u32).collect();
             perm.sort_by_key(|&r| (cols.iter().map(|c| c[r as usize]).collect::<Vec<_>>(), r));
             perm
@@ -391,9 +410,9 @@ mod tests {
         // comparator.
         let cust: Vec<&ColumnData> = vec![tables.customer.column("c_region")];
         assert_eq!(packed_sort_permutation(&cust, tables.customer.num_rows()), None);
-        let wide = ColumnData::Int(vec![i64::MIN, 0, i64::MAX]);
+        let wide = ColumnData::Int(vec![i64::MIN, 0, i64::MAX].into());
         assert_eq!(packed_sort_permutation(&[&wide], 3), None);
-        let wide = ColumnData::Int(vec![1 << 62, 0, 5]);
+        let wide = ColumnData::Int(vec![1 << 62, 0, 5].into());
         assert_eq!(packed_sort_permutation(&[&wide], 3), None);
     }
 

@@ -21,7 +21,7 @@
 
 use crate::date::{all_dates, month_name, weekday_name, CalDate};
 use crate::schema::{star_schema, StarSchema};
-use crate::table::{ColumnData, Strs, TableData};
+use crate::table::{ColumnData, PlainInts, Strs, TableData};
 
 /// Minimal deterministic PRNG (SplitMix64). Public so tests and benches can
 /// derive reproducible synthetic columns from the same stream family.
@@ -268,7 +268,7 @@ fn push_address(out: &mut Strs, buf: &mut String, rng: &mut SplitMix64) {
 
 fn gen_customer(n: usize, seed: u64) -> TableData {
     let mut rng = SplitMix64::new(seed ^ 0xC057);
-    let mut key = Vec::with_capacity(n);
+    let mut key = PlainInts::with_capacity(n);
     let [mut name, mut addr, mut city, mut nation, mut region, mut ph, mut seg] =
         std::array::from_fn(|_| Strs::with_capacity(n, 0));
     let mut buf = String::new();
@@ -301,7 +301,7 @@ fn gen_customer(n: usize, seed: u64) -> TableData {
 
 fn gen_supplier(n: usize, seed: u64) -> TableData {
     let mut rng = SplitMix64::new(seed ^ 0x5A11);
-    let mut key = Vec::with_capacity(n);
+    let mut key = PlainInts::with_capacity(n);
     let [mut name, mut addr, mut city, mut nation, mut region, mut ph] =
         std::array::from_fn(|_| Strs::with_capacity(n, 0));
     let mut buf = String::new();
@@ -332,8 +332,8 @@ fn gen_supplier(n: usize, seed: u64) -> TableData {
 
 fn gen_part(n: usize, seed: u64) -> TableData {
     let mut rng = SplitMix64::new(seed ^ 0x9A47);
-    let mut key = Vec::with_capacity(n);
-    let mut size = Vec::with_capacity(n);
+    let mut key = PlainInts::with_capacity(n);
+    let mut size = PlainInts::with_capacity(n);
     let [mut name, mut mfgr, mut category, mut brand1, mut color, mut ptype, mut container] =
         std::array::from_fn(|_| Strs::with_capacity(n, 0));
     for i in 0..n {
@@ -378,18 +378,18 @@ fn gen_part(n: usize, seed: u64) -> TableData {
 fn gen_date() -> TableData {
     let dates = all_dates();
     let n = dates.len();
-    let mut datekey = Vec::with_capacity(n);
-    let mut year = Vec::with_capacity(n);
-    let mut yearmonthnum = Vec::with_capacity(n);
-    let mut daynuminweek = Vec::with_capacity(n);
-    let mut daynuminmonth = Vec::with_capacity(n);
-    let mut daynuminyear = Vec::with_capacity(n);
-    let mut monthnuminyear = Vec::with_capacity(n);
-    let mut weeknuminyear = Vec::with_capacity(n);
-    let mut lastdayinweekfl = Vec::with_capacity(n);
-    let mut lastdayinmonthfl = Vec::with_capacity(n);
-    let mut holidayfl = Vec::with_capacity(n);
-    let mut weekdayfl = Vec::with_capacity(n);
+    let mut datekey = PlainInts::with_capacity(n);
+    let mut year = PlainInts::with_capacity(n);
+    let mut yearmonthnum = PlainInts::with_capacity(n);
+    let mut daynuminweek = PlainInts::with_capacity(n);
+    let mut daynuminmonth = PlainInts::with_capacity(n);
+    let mut daynuminyear = PlainInts::with_capacity(n);
+    let mut monthnuminyear = PlainInts::with_capacity(n);
+    let mut weeknuminyear = PlainInts::with_capacity(n);
+    let mut lastdayinweekfl = PlainInts::with_capacity(n);
+    let mut lastdayinmonthfl = PlainInts::with_capacity(n);
+    let mut holidayfl = PlainInts::with_capacity(n);
+    let mut weekdayfl = PlainInts::with_capacity(n);
     let [mut datestr, mut dayofweek, mut month, mut yearmonth, mut sellingseason] =
         std::array::from_fn(|_| Strs::with_capacity(n, 0));
     for d in &dates {
@@ -451,23 +451,24 @@ fn gen_lineorder(
     dates: &[CalDate],
 ) -> TableData {
     let mut rng = SplitMix64::new(seed ^ 0x11E0);
-    let mut orderkey = Vec::with_capacity(n);
-    let mut linenumber = Vec::with_capacity(n);
-    let mut custkey = Vec::with_capacity(n);
-    let mut partkey = Vec::with_capacity(n);
-    let mut suppkey = Vec::with_capacity(n);
-    let mut orderdate = Vec::with_capacity(n);
-    let mut ordpriority = Strs::with_capacity(n, 0);
-    let mut shippriority = Vec::with_capacity(n);
-    let mut quantity = Vec::with_capacity(n);
-    let mut extendedprice = Vec::with_capacity(n);
-    let mut ordtotalprice = Vec::with_capacity(n);
-    let mut discount = Vec::with_capacity(n);
-    let mut revenue = Vec::with_capacity(n);
-    let mut supplycost = Vec::with_capacity(n);
-    let mut tax = Vec::with_capacity(n);
-    let mut commitdate = Vec::with_capacity(n);
-    let mut shipmode = Strs::with_capacity(n, 0);
+    // Each integer column starts at one byte a value and widens once per
+    // width its values reach, so no column is ever held wider than it needs.
+    let mut orderkey = PlainInts::with_capacity(n);
+    let mut linenumber = PlainInts::with_capacity(n);
+    let mut custkey = PlainInts::with_capacity(n);
+    let mut partkey = PlainInts::with_capacity(n);
+    let mut suppkey = PlainInts::with_capacity(n);
+    let mut orderdate = PlainInts::with_capacity(n);
+    let mut shippriority = PlainInts::with_capacity(n);
+    let mut quantity = PlainInts::with_capacity(n);
+    let mut extendedprice = PlainInts::with_capacity(n);
+    let mut ordtotalprice = PlainInts::with_capacity(n);
+    let mut discount = PlainInts::with_capacity(n);
+    let mut revenue = PlainInts::with_capacity(n);
+    let mut supplycost = PlainInts::with_capacity(n);
+    let mut tax = PlainInts::with_capacity(n);
+    let mut commitdate = PlainInts::with_capacity(n);
+    let [mut ordpriority, mut shipmode] = std::array::from_fn(|_| Strs::with_capacity(n, 0));
 
     let mut ok: i64 = 0;
     while orderkey.len() < n {
@@ -477,7 +478,6 @@ fn gen_lineorder(
         let o_cust = rng.int_range(1, n_cust as i64);
         let o_date = *rng.pick(dates);
         let o_prio = *rng.pick(&ORD_PRIORITIES);
-        let start = orderkey.len();
         let mut total = 0i64;
         for ln in 1..=lines {
             let pk = rng.int_range(1, n_part as i64);
@@ -497,7 +497,6 @@ fn gen_lineorder(
             shippriority.push(0);
             quantity.push(qty);
             extendedprice.push(eprice);
-            ordtotalprice.push(0); // patched after the order's lines are known
             discount.push(disc);
             revenue.push(eprice * (100 - disc) / 100);
             supplycost.push(unit_price * 6 / 10);
@@ -506,8 +505,9 @@ fn gen_lineorder(
             shipmode.push(rng.pick::<&str>(&SHIP_MODES));
             total += eprice;
         }
-        for slot in &mut ordtotalprice[start..] {
-            *slot = total;
+        // Every line of an order carries the order's total.
+        for _ in 0..lines {
+            ordtotalprice.push(total);
         }
     }
     ordpriority.shrink_to_fit();
@@ -593,20 +593,20 @@ mod tests {
     fn foreign_keys_reference_dimensions() {
         let t = tiny();
         let ncust = t.customer.num_rows() as i64;
-        for &k in t.lineorder.column("lo_custkey").ints() {
+        for k in t.lineorder.column("lo_custkey").ints().decode() {
             assert!((1..=ncust).contains(&k));
         }
         let nsupp = t.supplier.num_rows() as i64;
-        for &k in t.lineorder.column("lo_suppkey").ints() {
+        for k in t.lineorder.column("lo_suppkey").ints().decode() {
             assert!((1..=nsupp).contains(&k));
         }
         let npart = t.part.num_rows() as i64;
-        for &k in t.lineorder.column("lo_partkey").ints() {
+        for k in t.lineorder.column("lo_partkey").ints().decode() {
             assert!((1..=npart).contains(&k));
         }
         let datekeys: std::collections::HashSet<i64> =
-            t.date.column("d_datekey").ints().iter().copied().collect();
-        for &k in t.lineorder.column("lo_orderdate").ints() {
+            t.date.column("d_datekey").ints().decode().into_iter().collect();
+        for k in t.lineorder.column("lo_orderdate").ints().decode() {
             assert!(datekeys.contains(&k), "orderdate {k} not in DATE");
         }
     }
@@ -614,13 +614,13 @@ mod tests {
     #[test]
     fn value_domains() {
         let t = tiny();
-        for &q in t.lineorder.column("lo_quantity").ints() {
+        for q in t.lineorder.column("lo_quantity").ints().decode() {
             assert!((1..=50).contains(&q));
         }
-        for &d in t.lineorder.column("lo_discount").ints() {
+        for d in t.lineorder.column("lo_discount").ints().decode() {
             assert!((0..=10).contains(&d));
         }
-        for &x in t.lineorder.column("lo_tax").ints() {
+        for x in t.lineorder.column("lo_tax").ints().decode() {
             assert!((0..=8).contains(&x));
         }
         for r in t.customer.column("c_region").strs() {
@@ -631,9 +631,9 @@ mod tests {
     #[test]
     fn revenue_formula_holds() {
         let t = tiny();
-        let ep = t.lineorder.column("lo_extendedprice").ints();
-        let disc = t.lineorder.column("lo_discount").ints();
-        let rev = t.lineorder.column("lo_revenue").ints();
+        let ep = t.lineorder.column("lo_extendedprice").ints().decode();
+        let disc = t.lineorder.column("lo_discount").ints().decode();
+        let rev = t.lineorder.column("lo_revenue").ints().decode();
         for i in 0..t.lineorder.num_rows() {
             assert_eq!(rev[i], ep[i] * (100 - disc[i]) / 100);
         }
@@ -666,8 +666,8 @@ mod tests {
     #[test]
     fn commitdate_follows_orderdate() {
         let t = tiny();
-        let od = t.lineorder.column("lo_orderdate").ints();
-        let cd = t.lineorder.column("lo_commitdate").ints();
+        let od = t.lineorder.column("lo_orderdate").ints().decode();
+        let cd = t.lineorder.column("lo_commitdate").ints().decode();
         for i in 0..t.lineorder.num_rows() {
             assert!(cd[i] >= od[i], "commit {} before order {}", cd[i], od[i]);
         }
@@ -676,15 +676,28 @@ mod tests {
     #[test]
     fn ordtotalprice_is_order_sum() {
         let t = tiny();
-        let ok = t.lineorder.column("lo_orderkey").ints();
-        let ep = t.lineorder.column("lo_extendedprice").ints();
-        let tot = t.lineorder.column("lo_ordtotalprice").ints();
+        let ok = t.lineorder.column("lo_orderkey").ints().decode();
+        let ep = t.lineorder.column("lo_extendedprice").ints().decode();
+        let tot = t.lineorder.column("lo_ordtotalprice").ints().decode();
         let mut sums: std::collections::HashMap<i64, i64> = std::collections::HashMap::new();
         for i in 0..t.lineorder.num_rows() {
             *sums.entry(ok[i]).or_default() += ep[i];
         }
         for i in 0..t.lineorder.num_rows() {
             assert_eq!(tot[i], sums[&ok[i]]);
+        }
+    }
+
+    #[test]
+    fn every_integer_column_is_held_at_its_narrowest_width() {
+        let t = SsbConfig { sf: 0.01, seed: 3 }.generate();
+        for table in [&t.lineorder, &t.customer, &t.supplier, &t.part, &t.date] {
+            for (def, col) in table.schema.columns.iter().zip(&table.columns) {
+                if let ColumnData::Int(v) = col {
+                    let name = (table.schema.name, def.name);
+                    assert_eq!(v.width(), v.narrowest_width(), "{name:?}");
+                }
+            }
         }
     }
 

@@ -30,6 +30,7 @@
 
 pub mod date;
 pub mod gen;
+pub mod ints;
 pub mod queries;
 pub mod reference;
 pub mod result;

@@ -6,14 +6,17 @@
 //! segments. Keeping the interchange format column-major makes both
 //! conversions cheap and keeps the generator simple.
 //!
-//! A string column is a [`Strs`]: every value's bytes back to back in one
-//! buffer plus one end offset a value, so a column costs two allocations and
-//! 4 bytes a value beyond its text, not a `String` header and a heap chunk
-//! a value.
+//! Both column types hold each value in the bytes it needs. An integer
+//! column is a [`PlainInts`]: `u8`, `u16`, `u32` or `i64`, the narrowest
+//! width its values fit. A string column is a [`Strs`]: every value's bytes
+//! back to back in one buffer plus one end offset a value, so a column costs
+//! two allocations and 4 bytes a value beyond its text, not a `String`
+//! header and a heap chunk a value.
 
 use std::fmt;
 use std::ops::Index;
 
+pub use crate::ints::PlainInts;
 use crate::schema::TableSchema;
 use crate::value::{DataType, Row, Value};
 
@@ -186,13 +189,28 @@ impl<'a> Iterator for Iter<'a> {
 impl ExactSizeIterator for Iter<'_> {}
 
 /// Column-major data for one column.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality compares values: two integer columns holding the same values at
+/// different widths are equal.
+#[derive(Debug, Clone)]
 pub enum ColumnData {
     /// Integer column.
-    Int(Vec<i64>),
+    Int(PlainInts),
     /// String column.
     Str(Strs),
 }
+
+impl PartialEq for ColumnData {
+    fn eq(&self, other: &ColumnData) -> bool {
+        match (self, other) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => a.values_eq(b),
+            (ColumnData::Str(a), ColumnData::Str(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for ColumnData {}
 
 impl ColumnData {
     /// Number of values.
@@ -219,13 +237,13 @@ impl ColumnData {
     /// Value at `row` as a [`Value`] (slow path; for tests and stitching).
     pub fn value(&self, row: usize) -> Value {
         match self {
-            ColumnData::Int(v) => Value::Int(v[row]),
+            ColumnData::Int(v) => Value::Int(v.get(row)),
             ColumnData::Str(v) => Value::str(&v[row]),
         }
     }
 
-    /// Integer slice, panicking for string columns.
-    pub fn ints(&self) -> &[i64] {
+    /// Integer values, panicking for string columns.
+    pub fn ints(&self) -> &PlainInts {
         match self {
             ColumnData::Int(v) => v,
             ColumnData::Str(_) => panic!("expected int column"),
@@ -243,9 +261,7 @@ impl ColumnData {
     /// Gather the values at `positions` into a new column.
     pub fn gather(&self, positions: &[u32]) -> ColumnData {
         match self {
-            ColumnData::Int(v) => {
-                ColumnData::Int(positions.iter().map(|&p| v[p as usize]).collect())
-            }
+            ColumnData::Int(v) => ColumnData::Int(v.gather(positions)),
             ColumnData::Str(v) => ColumnData::Str(v.gather(positions)),
         }
     }
@@ -346,7 +362,10 @@ mod tests {
         };
         TableData::new(
             schema,
-            vec![ColumnData::Int(vec![10, 20, 30]), ColumnData::Str(vec!["x", "y", "z"].into())],
+            vec![
+                ColumnData::Int(vec![10, 20, 30].into()),
+                ColumnData::Str(vec!["x", "y", "z"].into()),
+            ],
         )
     }
 
@@ -363,7 +382,7 @@ mod tests {
     fn gather_and_permute() {
         let t = tiny();
         let g = t.column("a").gather(&[2, 0]);
-        assert_eq!(g, ColumnData::Int(vec![30, 10]));
+        assert_eq!(g, ColumnData::Int(vec![30, 10].into()));
         let p = t.permuted(&[2, 1, 0]);
         assert_eq!(p.value(0, "b"), Value::str("z"));
         assert_eq!(p.value(2, "a"), Value::Int(10));
@@ -439,7 +458,8 @@ mod tests {
         let mut state = 3;
         let n = 400;
         let values: Vec<String> = (0..n).map(|_| seeded_string(&mut state)).collect();
-        let ints: Vec<i64> = (0..n as i64).map(|i| i * 31 % 97).collect();
+        // Up to 67 200: held at `u32`.
+        let ints: Vec<i64> = (0..n as i64).map(|i| i * 31 % 97 * 700).collect();
         let schema = TableSchema {
             name: "t",
             columns: vec![
@@ -449,7 +469,7 @@ mod tests {
         };
         let t = TableData::new(
             schema,
-            vec![ColumnData::Int(ints.clone()), ColumnData::Str(values.clone().into())],
+            vec![ColumnData::Int(ints.clone().into()), ColumnData::Str(values.clone().into())],
         );
         // A seeded permutation, and a gather that repeats and skips rows.
         let mut perm: Vec<u32> = (0..n as u32).collect();
@@ -463,11 +483,13 @@ mod tests {
             let got = t.column("b").gather(positions);
             assert_eq!(got, ColumnData::Str(want.clone().into()));
             assert_eq!(got.strs().text_len(), want.iter().map(String::len).sum::<usize>());
+            let want: Vec<i64> = positions.iter().map(|&p| ints[p as usize]).collect();
+            assert_eq!(t.column("a").gather(positions), ColumnData::Int(want.into()));
         }
         let p = t.permuted(&perm);
         for (new, &old) in perm.iter().enumerate() {
             assert_eq!(&p.column("b").strs()[new], values[old as usize].as_str());
-            assert_eq!(p.column("a").ints()[new], ints[old as usize]);
+            assert_eq!(p.column("a").ints().get(new), ints[old as usize]);
         }
         assert_eq!(t.project(&["b"]).columns[0], *t.column("b"));
     }
@@ -482,7 +504,10 @@ mod tests {
                 ColumnDef { name: "b", dtype: DataType::Int },
             ],
         };
-        TableData::new(schema, vec![ColumnData::Int(vec![1]), ColumnData::Int(vec![1, 2])]);
+        TableData::new(
+            schema,
+            vec![ColumnData::Int(vec![1].into()), ColumnData::Int(vec![1, 2].into())],
+        );
     }
 
     #[test]

@@ -31,11 +31,11 @@ use cvr_data::queries::{flight_fact_columns, FactPredicate, Pred, SsbQuery};
 use cvr_data::schema::Dim;
 use cvr_data::table::{ColumnData, Strs, TableData};
 use cvr_data::value::Value;
-use cvr_storage::encode::{Column, IntColumn, StrColumn};
+use cvr_storage::encode::{Column, IntColumn, PlainValue, StrColumn};
 use cvr_storage::hash::FxHashMap;
 use cvr_storage::par::{Jobs, Slot};
 use cvr_storage::rowcodec::columns_row_size;
-use cvr_storage::{PackedInts, StoredColumn};
+use cvr_storage::{with_plain_values, PackedInts, StoredColumn};
 
 /// Histogram bucket count.
 const HIST_BUCKETS: usize = 64;
@@ -54,13 +54,13 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    fn build(values: &[i64]) -> Option<Histogram> {
+    fn build<T: PlainValue>(values: &[T]) -> Option<Histogram> {
         if values.is_empty() {
             return None;
         }
         // Deterministic stride sample, then sort.
         let stride = (values.len() / HIST_SAMPLE).max(1);
-        let mut sample: Vec<i64> = values.iter().step_by(stride).copied().collect();
+        let mut sample: Vec<i64> = values.iter().step_by(stride).map(|v| v.widen()).collect();
         sample.sort_unstable();
         let b = HIST_BUCKETS.min(sample.len());
         let mut bounds = Vec::with_capacity(b + 1);
@@ -170,14 +170,11 @@ impl ColumnStats {
         let rows = data.len() as u64;
         let (min, max, histogram, ndv, str_freqs) = match data {
             ColumnData::Int(v) => {
-                let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-                for &x in v.iter() {
-                    lo = lo.min(x);
-                    hi = hi.max(x);
-                }
-                let ndv = sample_ndv(v, lo, hi);
-                let (min, max) = if v.is_empty() { (None, None) } else { (Some(lo), Some(hi)) };
-                (min, max, Histogram::build(v), ndv.max(1), None)
+                let range = v.min_max();
+                let ndv =
+                    range.map_or(0, |(lo, hi)| with_plain_values!(v, |v| sample_ndv(v, lo, hi)));
+                let histogram = with_plain_values!(v, |v| Histogram::build(v));
+                (range.map(|r| r.0), range.map(|r| r.1), histogram, ndv.max(1), None)
             }
             ColumnData::Str(v) => {
                 let freqs = match &comp.column {
@@ -293,12 +290,12 @@ fn plain_freqs(values: &Strs) -> Vec<(Box<str>, u64)> {
 /// A bitset over the span counts them when it is below 64 × the sample
 /// length (then it is smaller than the sample itself); sort + dedup
 /// otherwise. Both count the same.
-fn sample_ndv(values: &[i64], lo: i64, hi: i64) -> u64 {
+fn sample_ndv<T: PlainValue>(values: &[T], lo: i64, hi: i64) -> u64 {
     if values.is_empty() {
         return 0;
     }
     let stride = (values.len() / NDV_SAMPLE).max(1);
-    let sample = values.iter().step_by(stride).copied();
+    let sample = values.iter().step_by(stride).map(|v| v.widen());
     let span = hi.abs_diff(lo).saturating_add(1);
     if span < 64 * values.len().div_ceil(stride) as u64 {
         ndv_bitset(sample, lo, span)
@@ -470,9 +467,9 @@ impl Catalog {
         // Per-year DATE fractions for partition pruning estimates.
         let years = tables.date.column("d_year").ints();
         let mut counts: FxHashMap<i64, u64> = FxHashMap::default();
-        for &y in years {
-            *counts.entry(y).or_default() += 1;
-        }
+        with_plain_values!(years, |ys| for y in ys {
+            *counts.entry(y.widen()).or_default() += 1;
+        });
         let total = years.len() as f64;
         let mut year_fractions: Vec<(i64, f64)> =
             counts.into_iter().map(|(y, c)| (y, c as f64 / total)).collect();
@@ -633,7 +630,7 @@ mod tests {
             // A bitset over a wider range than the sample's counts the same.
             assert_eq!(ndv_bitset(sample(), lo - 3, width + 70), sorted, "n {n}, span {span}");
         }
-        assert_eq!(sample_ndv(&[], i64::MAX, i64::MIN), 0);
+        assert_eq!(sample_ndv::<i64>(&[], i64::MAX, i64::MIN), 0);
     }
 
     #[test]

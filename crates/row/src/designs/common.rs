@@ -8,9 +8,10 @@ use cvr_data::gen::SsbTables;
 use cvr_data::queries::SsbQuery;
 use cvr_data::result::QueryOutput;
 use cvr_data::schema::Dim;
-use cvr_data::table::ColumnData;
+use cvr_storage::encode::PlainValue;
 use cvr_storage::heap::{HeapFile, PartitionedHeap};
 use cvr_storage::io::IoSession;
+use cvr_storage::with_plain_values;
 
 /// Fraction of dimension rows matching the query's predicates on `dim`
 /// (an "optimizer statistic": computed from catalog data, charging no I/O).
@@ -42,7 +43,8 @@ pub fn dim_matching_rows(tables: &SsbTables, q: &SsbQuery, dim: Dim) -> Vec<u32>
 pub fn dim_matching_keys(tables: &SsbTables, q: &SsbQuery, dim: Dim) -> Vec<i64> {
     let table = tables.dim(dim);
     let keys = table.column(dim.key_column()).ints();
-    dim_matching_rows(tables, q, dim).into_iter().map(|r| keys[r as usize]).collect()
+    let rows = dim_matching_rows(tables, q, dim);
+    with_plain_values!(keys, |k| rows.iter().map(|&r| k[r as usize].widen()).collect())
 }
 
 /// The `orderdate`-partition years a query's date predicates allow, or
@@ -54,8 +56,9 @@ pub fn qualifying_years(tables: &SsbTables, q: &SsbQuery) -> Option<Vec<i64>> {
         return None;
     }
     let years = tables.date.column("d_year").ints();
+    let rows = dim_matching_rows(tables, q, Dim::Date);
     let mut out: Vec<i64> =
-        dim_matching_rows(tables, q, Dim::Date).iter().map(|&r| years[r as usize]).collect();
+        with_plain_values!(years, |y| rows.iter().map(|&r| y[r as usize].widen()).collect());
     out.sort_unstable();
     out.dedup();
     Some(out)
@@ -194,14 +197,6 @@ fn finish_from_agg<'a>(q: &SsbQuery, agg: BoxedOp<'a>) -> QueryOutput {
     )
 }
 
-/// Extract the integer column `name` from `data` (helper for builders).
-pub fn int_col<'a>(data: &'a cvr_data::table::TableData, name: &str) -> &'a [i64] {
-    match data.column(name) {
-        ColumnData::Int(v) => v,
-        ColumnData::Str(_) => panic!("{name} is not an int column"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,7 +226,7 @@ mod tests {
         let keys = dim_matching_keys(&t, &q, Dim::Part);
         assert!(!keys.is_empty());
         let cats = t.part.column("p_category").strs();
-        let pkeys = t.part.column("p_partkey").ints();
+        let pkeys = t.part.column("p_partkey").ints().decode();
         for k in keys {
             let row = pkeys.iter().position(|&p| p == k).unwrap();
             assert_eq!(&cats[row], "MFGR#12");

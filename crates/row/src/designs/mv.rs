@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use crate::designs::common::{int_col, pruned_fact_scan, star_join};
+use crate::designs::common::{pruned_fact_scan, star_join};
 use cvr_data::gen::SsbTables;
 use cvr_data::queries::{flight_fact_columns, SsbQuery};
 use cvr_data::result::QueryOutput;
@@ -42,8 +42,8 @@ impl MaterializedView {
         let columns = flight_fact_columns(flight).expect("views exist for the paper flights");
         let fact = &tables.lineorder;
         let data: Vec<&ColumnData> = columns.iter().map(|c| fact.column(c)).collect();
-        let dates = int_col(fact, "lo_orderdate");
-        let heap = PartitionedHeap::build(&data, |i| dates[i] / 10_000);
+        let dates = fact.column("lo_orderdate").ints();
+        let heap = PartitionedHeap::build(&data, dates, |d| d / 10_000);
         MaterializedView { columns, heap }
     }
 }
@@ -99,13 +99,12 @@ mod tests {
         db.execute(&query(1, 2), &IoSession::unmetered());
         assert_eq!(built(&db), [true, false, false, false]);
         // The eager sum: each view projected out as a table, then partitioned.
-        let years: Vec<i64> =
-            int_col(&tables.lineorder, "lo_orderdate").iter().map(|d| d / 10_000).collect();
+        let dates = tables.lineorder.column("lo_orderdate").ints();
         let eager: u64 = (1..=4)
             .map(|f| {
                 let projected = tables.lineorder.project(flight_fact_columns(f).unwrap());
                 let columns: Vec<&ColumnData> = projected.columns.iter().collect();
-                PartitionedHeap::build(&columns, |i| years[i]).bytes()
+                PartitionedHeap::build(&columns, dates, |d| d / 10_000).bytes()
             })
             .sum();
         assert_eq!(db.bytes(), eager);

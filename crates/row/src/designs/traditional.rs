@@ -15,9 +15,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::designs::common::{
-    dim_matching_keys, fact_seq_scan, int_col, pruned_fact_scan, star_join,
-};
+use crate::designs::common::{dim_matching_keys, fact_seq_scan, pruned_fact_scan, star_join};
 use crate::ops::{range_scan_pred, BitmapFetch, BoxedOp, Filter};
 use cvr_data::gen::SsbTables;
 use cvr_data::queries::SsbQuery;
@@ -26,9 +24,11 @@ use cvr_data::schema::Dim;
 use cvr_data::table::ColumnData;
 use cvr_index::bitmap::RidBitmap;
 use cvr_index::btree::BPlusTree;
+use cvr_storage::encode::PlainValue;
 use cvr_storage::heap::{HeapFile, PartitionedHeap};
 use cvr_storage::io::IoSession;
 use cvr_storage::par::{default_threads, Jobs, Slot};
+use cvr_storage::with_plain_values;
 
 /// Build options for [`TraditionalDb`].
 #[derive(Debug, Clone, Copy)]
@@ -80,9 +80,9 @@ impl TraditionalDb {
         let mut jobs = Jobs::new();
         let fact_partitioned = opts.partitioned.then(|| {
             jobs.add(|| {
-                let dates = int_col(fact, "lo_orderdate");
+                let dates = fact.column("lo_orderdate").ints();
                 let columns: Vec<&ColumnData> = fact.columns.iter().collect();
-                PartitionedHeap::build(&columns, |i| dates[i] / 10_000)
+                PartitionedHeap::build(&columns, dates, |d| d / 10_000)
             })
         });
         let fact_whole =
@@ -92,8 +92,11 @@ impl TraditionalDb {
         let fact_indexes: Vec<_> = index_columns
             .iter()
             .map(|&col| {
-                let entries = int_col(fact, col).iter().copied().zip(0..);
-                (col, jobs.add(move || BPlusTree::bulk_load(entries.collect())))
+                let keys = fact.column(col).ints();
+                let entries = move || {
+                    with_plain_values!(keys, |k| k.iter().map(|v| v.widen()).zip(0..).collect())
+                };
+                (col, jobs.add(move || BPlusTree::bulk_load(entries())))
             })
             .collect();
         let dims: Vec<_> = Dim::ALL
@@ -188,9 +191,9 @@ impl TraditionalDb {
                 continue;
             }
             let contiguous = {
-                let domain = int_col(self.tables.dim(dim), dim.key_column());
+                let domain = self.tables.dim(dim).column(dim.key_column()).ints();
                 let set: std::collections::HashSet<i64> = keys.iter().copied().collect();
-                is_contiguous_in(domain, &set)
+                with_plain_values!(domain, |d| is_contiguous_in(d, &set))
             };
             let mut dim_bitmap = RidBitmap::new(n);
             if contiguous {
@@ -230,11 +233,11 @@ impl TraditionalDb {
 }
 
 /// True when `set` covers a contiguous slice of sorted `domain`.
-fn is_contiguous_in(domain: &[i64], set: &std::collections::HashSet<i64>) -> bool {
+fn is_contiguous_in<T: PlainValue>(domain: &[T], set: &std::collections::HashSet<i64>) -> bool {
     let mut started = false;
     let mut ended = false;
     for v in domain {
-        let m = set.contains(v);
+        let m = set.contains(&v.widen());
         if m && ended {
             return false;
         }

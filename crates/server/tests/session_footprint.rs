@@ -1,7 +1,7 @@
-//! Serving stays within what the session holds once it is built: the
-//! serving planner ranks only the row designs that pay for their bytes
-//! (`Planner::for_serving`), so running the paper queries and a generated
-//! mix builds no design on the way.
+//! A built session holds at most 115 bytes a fact row, and serving stays
+//! within what it holds once it is built: the serving planner ranks only the
+//! row designs that pay for their bytes (`Planner::for_serving`), so running
+//! the paper queries and a generated mix builds no design on the way.
 //!
 //! Its own test binary: the counting allocator is process-global, and the
 //! one test here is the only one allocating while it counts (the session's
@@ -69,6 +69,9 @@ fn serving_a_mix_peaks_within_a_quarter_above_the_built_session() {
          {peak} at the peak of the mix ({peak_row:.1} a fact row, {:.2}x)",
         peak as f64 / built as f64
     );
+    // A ratchet on what the built session holds: its logical tables' integers
+    // at their byte widths, its encoded store and its catalog.
+    assert!(built_row <= 115.0, "the built session holds {built_row:.1} bytes a fact row");
     assert!(
         peak as f64 <= 1.25 * built as f64,
         "the mix peaked at {peak_row:.1} bytes a fact row against {built_row:.1} after the build"

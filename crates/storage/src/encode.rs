@@ -31,6 +31,9 @@
 
 use crate::hash::FxHashMap;
 use crate::packed::{max_code_for, PackedInts, MAX_VALUE_BITS};
+use crate::with_plain_values;
+pub use cvr_data::ints::{byte_width, PlainInts, PlainValue};
+use cvr_data::ints::{min_max, width_for};
 use cvr_data::table::{ColumnData, Strs};
 
 /// A maximal run of equal values in an RLE column.
@@ -46,122 +49,6 @@ pub struct Run {
 
 /// On-disk bytes per RLE run: 8-byte value + 4-byte length.
 pub const RLE_RUN_BYTES: u64 = 12;
-
-/// A value type a plain column is held at: `u8`/`u16`/`u32` for widths 1, 2
-/// and 4 (non-negative by construction), `i64` for width 8.
-pub trait PlainValue: Copy + PartialOrd {
-    /// Smallest value of the type.
-    const MIN: Self;
-    /// Largest value of the type.
-    const MAX: Self;
-    /// The logical value.
-    fn widen(self) -> i64;
-    /// `v` at this width; `None` when it does not fit.
-    fn narrow(v: i64) -> Option<Self>;
-}
-
-macro_rules! plain_value {
-    ($($t:ty),*) => {$(
-        impl PlainValue for $t {
-            const MIN: $t = <$t>::MIN;
-            const MAX: $t = <$t>::MAX;
-            #[inline]
-            fn widen(self) -> i64 {
-                self as i64
-            }
-            #[inline]
-            fn narrow(v: i64) -> Option<$t> {
-                <$t>::try_from(v).ok()
-            }
-        }
-    )*};
-}
-plain_value!(u8, u16, u32, i64);
-
-/// The values of a plain column, held at the byte width the column is
-/// charged and persisted under: in-memory bytes are
-/// [`IntColumn::encoded_bytes`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlainInts {
-    /// Width 1.
-    U8(Vec<u8>),
-    /// Width 2.
-    U16(Vec<u16>),
-    /// Width 4.
-    U32(Vec<u32>),
-    /// Width 8 (the only width that holds negative values).
-    I64(Vec<i64>),
-}
-
-/// Evaluate `$body` with `$values` bound to the typed `Vec` of a
-/// [`PlainInts`]: one monomorphic copy of the body per width, the dispatch
-/// hoisted out of whatever loop the body runs.
-#[macro_export]
-macro_rules! with_plain_values {
-    ($plain:expr, |$values:ident| $body:expr) => {
-        match $plain {
-            $crate::encode::PlainInts::U8($values) => $body,
-            $crate::encode::PlainInts::U16($values) => $body,
-            $crate::encode::PlainInts::U32($values) => $body,
-            $crate::encode::PlainInts::I64($values) => $body,
-        }
-    };
-}
-
-impl PlainInts {
-    /// `values` at `width` bytes each (1, 2, 4 or 8). Panics when a value
-    /// does not fit: callers size `width` from the values.
-    pub fn new(values: Vec<i64>, width: u8) -> PlainInts {
-        fn narrowed<T: PlainValue>(values: &[i64]) -> Vec<T> {
-            let fit = |&v| T::narrow(v).unwrap_or_else(|| panic!("{v} exceeds the plain width"));
-            values.iter().map(fit).collect()
-        }
-        match width {
-            1 => PlainInts::U8(narrowed(&values)),
-            2 => PlainInts::U16(narrowed(&values)),
-            4 => PlainInts::U32(narrowed(&values)),
-            8 => PlainInts::I64(values),
-            _ => panic!("invalid plain width {width}"),
-        }
-    }
-
-    /// Bytes per value: 1, 2, 4 or 8.
-    pub fn width(&self) -> u8 {
-        match self {
-            PlainInts::U8(_) => 1,
-            PlainInts::U16(_) => 2,
-            PlainInts::U32(_) => 4,
-            PlainInts::I64(_) => 8,
-        }
-    }
-
-    /// Number of values.
-    pub fn len(&self) -> usize {
-        with_plain_values!(self, |v| v.len())
-    }
-
-    /// True when there are no values.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Value at `pos`. Loops that read many values should hoist the width
-    /// dispatch with [`with_plain_values!`](crate::with_plain_values).
-    #[inline]
-    pub fn get(&self, pos: u32) -> i64 {
-        with_plain_values!(self, |v| v[pos as usize].widen())
-    }
-
-    /// Every value, widened.
-    pub fn decode(&self) -> Vec<i64> {
-        with_plain_values!(self, |v| v.iter().map(|x| x.widen()).collect())
-    }
-
-    /// Smallest and largest value; `None` when empty.
-    fn min_max(&self) -> Option<(i64, i64)> {
-        with_plain_values!(self, |v| min_max(v).map(|(lo, hi)| (lo.widen(), hi.widen())))
-    }
-}
 
 /// An encoded integer column.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,8 +78,7 @@ impl IntColumn {
     /// byte-packing a compressing store applies even to "uncompressed"
     /// columns).
     pub fn plain(values: Vec<i64>) -> IntColumn {
-        let width = byte_width(&values);
-        IntColumn::Plain(PlainInts::new(values, width))
+        IntColumn::Plain(PlainInts::from(values))
     }
 
     /// Encode `values` at fixed machine width: 4 bytes (8 when values
@@ -200,28 +86,32 @@ impl IntColumn {
     /// byte-width minimization is itself a compression technique, so the
     /// Figure 7 `c` configurations must not get it for free.
     pub fn plain_fixed(values: Vec<i64>) -> IntColumn {
-        let width = fixed_width(&values);
-        IntColumn::Plain(PlainInts::new(values, width))
+        let width = fixed_width(byte_width(&values));
+        IntColumn::Plain(PlainInts::I64(values).into_width(width))
     }
 
     /// [`IntColumn::encoded_bytes`] of [`IntColumn::plain_fixed`] over
     /// `values`, from the same width function, without building the column.
-    pub fn plain_fixed_bytes(values: &[i64]) -> u64 {
-        values.len() as u64 * fixed_width(values) as u64
+    pub fn plain_fixed_bytes(values: &PlainInts) -> u64 {
+        values.len() as u64 * fixed_width(values.narrowest_width()) as u64
     }
 
     /// [`IntColumn::auto`] when `compress`, [`IntColumn::plain_fixed`]
-    /// otherwise.
-    pub fn encode(values: Vec<i64>, compress: bool) -> IntColumn {
-        if compress {
-            IntColumn::auto(values)
+    /// otherwise, read at the width `values` are held.
+    pub fn encode(values: &PlainInts, compress: bool) -> IntColumn {
+        with_plain_values!(values, |v| if compress {
+            IntColumn::auto_of(v)
         } else {
-            IntColumn::plain_fixed(values)
-        }
+            IntColumn::Plain(PlainInts::from_values(v, fixed_width(byte_width(v))))
+        })
     }
 
     /// Encode `values` with RLE.
     pub fn rle(values: &[i64]) -> IntColumn {
+        IntColumn::rle_of(values)
+    }
+
+    fn rle_of<T: PlainValue>(values: &[T]) -> IntColumn {
         let mut runs = Vec::new();
         let mut i = 0usize;
         while i < values.len() {
@@ -230,7 +120,7 @@ impl IntColumn {
             while i < values.len() && values[i] == v {
                 i += 1;
             }
-            runs.push(Run { value: v, start: start as u32, len: (i - start) as u32 });
+            runs.push(Run { value: v.widen(), start: start as u32, len: (i - start) as u32 });
         }
         IntColumn::Rle { runs, num_values: values.len() as u32 }
     }
@@ -239,10 +129,15 @@ impl IntColumn {
     /// `None` for empty columns and for ranges needing more than
     /// [`MAX_VALUE_BITS`] delta bits.
     pub fn packed(values: &[i64]) -> Option<IntColumn> {
+        IntColumn::packed_of(values)
+    }
+
+    fn packed_of<T: PlainValue>(values: &[T]) -> Option<IntColumn> {
         let (min, max) = min_max(values)?;
+        let (min, max) = (min.widen(), max.widen());
         let bits = packed_bits(min, max)?;
-        let packed =
-            PackedInts::pack(bits, values.iter().map(|&v| (v as i128 - min as i128) as u64));
+        let delta = |v: T| (v.widen() as i128 - min as i128) as u64;
+        let packed = PackedInts::pack(bits, values.iter().map(|&v| delta(v)));
         Some(IntColumn::Packed { reference: min, packed })
     }
 
@@ -253,12 +148,18 @@ impl IntColumn {
     /// All three candidates are sized from the run count, minimum and
     /// maximum of `values`, and only the winner is built.
     pub fn auto(values: Vec<i64>) -> IntColumn {
-        let Some((min, max)) = min_max(&values) else {
-            return IntColumn::plain(values);
+        IntColumn::auto_of(&values)
+    }
+
+    fn auto_of<T: PlainValue>(values: &[T]) -> IntColumn {
+        let Some((min, max)) = min_max(values) else {
+            return IntColumn::Plain(PlainInts::new());
         };
+        let (min, max) = (min.widen(), max.widen());
         let n = values.len();
         let runs = 1 + values.windows(2).filter(|w| w[0] != w[1]).count() as u64;
-        let mut best = n as u64 * width_for(min, max) as u64;
+        let width = width_for(min, max);
+        let mut best = n as u64 * width as u64;
         let mut pack = false;
         if let Some(bits) = packed_bits(min, max) {
             let bytes = PackedInts::bytes_for(bits, n);
@@ -267,11 +168,11 @@ impl IntColumn {
             }
         }
         if runs * RLE_RUN_BYTES < best {
-            IntColumn::rle(&values)
+            IntColumn::rle_of(values)
         } else if pack {
-            IntColumn::packed(&values).expect("sized above")
+            IntColumn::packed_of(values).expect("sized above")
         } else {
-            IntColumn::plain(values)
+            IntColumn::Plain(PlainInts::from_values(values, width))
         }
     }
 
@@ -302,7 +203,7 @@ impl IntColumn {
     /// Value at `pos` (slow path: RLE does a binary search).
     pub fn value_at(&self, pos: u32) -> i64 {
         match self {
-            IntColumn::Plain(values) => values.get(pos),
+            IntColumn::Plain(values) => values.get(pos as usize),
             IntColumn::Rle { runs, .. } => {
                 let idx = run_index(runs, pos);
                 runs[idx].value
@@ -348,6 +249,58 @@ impl IntColumn {
         }
     }
 
+    /// The values at the narrowest width that holds them, decoded with no
+    /// `i64` copy on the way: what a reloaded logical table holds.
+    pub fn into_plain_ints(self) -> PlainInts {
+        /// Every value, narrowed to `T`, which holds the column's range.
+        fn decoded<T: PlainValue>(column: &IntColumn) -> Vec<T> {
+            let narrow = |v: i64| T::narrow(v).expect("the width holds the column's range");
+            let mut out = Vec::with_capacity(column.len());
+            match column {
+                IntColumn::Plain(values) => {
+                    with_plain_values!(values, |v| out.extend(v.iter().map(|x| narrow(x.widen()))))
+                }
+                IntColumn::Rle { runs, .. } => {
+                    for r in runs {
+                        out.resize(out.len() + r.len as usize, narrow(r.value));
+                    }
+                }
+                IntColumn::Packed { reference, packed } => {
+                    packed.for_each_in(0, packed.len(), |c| out.push(narrow(reference + c as i64)))
+                }
+            }
+            out
+        }
+        let width = self.min_max().map_or(1, |(min, max)| width_for(min, max));
+        match (self, width) {
+            (IntColumn::Plain(values), _) => values.into_width(width),
+            (column, 1) => PlainInts::U8(decoded(&column)),
+            (column, 2) => PlainInts::U16(decoded(&column)),
+            (column, 4) => PlainInts::U32(decoded(&column)),
+            (column, _) => PlainInts::I64(decoded(&column)),
+        }
+    }
+
+    /// Smallest and largest value; `None` when empty.
+    fn min_max(&self) -> Option<(i64, i64)> {
+        match self {
+            IntColumn::Plain(values) => values.min_max(),
+            IntColumn::Rle { runs, .. } => {
+                let (first, rest) = runs.split_first()?;
+                Some(rest.iter().fold((first.value, first.value), |(lo, hi), r| {
+                    (lo.min(r.value), hi.max(r.value))
+                }))
+            }
+            IntColumn::Packed { reference, packed } => {
+                let mut range: Option<(u64, u64)> = None;
+                packed.for_each_in(0, packed.len(), |c| {
+                    range = Some(range.map_or((c, c), |(lo, hi)| (lo.min(c), hi.max(c))));
+                });
+                range.map(|(lo, hi)| (reference + lo as i64, reference + hi as i64))
+            }
+        }
+    }
+
     /// True for the RLE variant.
     pub fn is_rle(&self) -> bool {
         matches!(self, IntColumn::Rle { .. })
@@ -365,13 +318,7 @@ impl IntColumn {
             IntColumn::Packed { reference, packed } => {
                 return Some((*reference, packed.max_code() + 1));
             }
-            IntColumn::Plain(values) => values.min_max()?,
-            IntColumn::Rle { runs, .. } => {
-                let (first, rest) = runs.split_first()?;
-                rest.iter().fold((first.value, first.value), |(lo, hi), r| {
-                    (lo.min(r.value), hi.max(r.value))
-                })
-            }
+            IntColumn::Plain(_) | IntColumn::Rle { .. } => self.min_max()?,
         };
         let domain = (max as i128 - min as i128) as u128 + 1;
         (domain <= u32::MAX as u128 + 1).then_some((min, domain as u64))
@@ -451,39 +398,10 @@ impl<'a> RunCursor<'a> {
     }
 }
 
-/// Minimal byte width (1/2/4/8) holding every value. Negative values force 8.
-pub fn byte_width(values: &[i64]) -> u8 {
-    let (min, max) = min_max(values).unwrap_or((0, 0));
-    width_for(min, max)
-}
-
-/// Fixed machine width of an uncompressed column: 4 bytes, 8 when a value
-/// does not fit `u32`.
-fn fixed_width(values: &[i64]) -> u8 {
-    byte_width(values).max(4)
-}
-
-/// Smallest and largest of `values`; `None` when empty.
-fn min_max<T: PlainValue>(values: &[T]) -> Option<(T, T)> {
-    let (&first, rest) = values.split_first()?;
-    Some(rest.iter().fold((first, first), |(lo, hi), &v| {
-        (if v < lo { v } else { lo }, if v > hi { v } else { hi })
-    }))
-}
-
-/// [`byte_width`] of a column whose values span `[min, max]`.
-fn width_for(min: i64, max: i64) -> u8 {
-    if min < 0 {
-        8
-    } else if max < 1 << 8 {
-        1
-    } else if max < 1 << 16 {
-        2
-    } else if max < 1 << 32 {
-        4
-    } else {
-        8
-    }
+/// Fixed machine width of an uncompressed column whose values fit `width`
+/// bytes: 4, or 8 when a value does not fit `u32`.
+fn fixed_width(width: u8) -> u8 {
+    width.max(4)
 }
 
 /// Delta bits of a frame-of-reference packing over `[min, max]`; `None`
@@ -703,7 +621,7 @@ impl Column {
     /// configurations).
     pub fn encode(data: &ColumnData, compress: bool) -> Column {
         match data {
-            ColumnData::Int(v) => Column::Int(IntColumn::encode(v.clone(), compress)),
+            ColumnData::Int(v) => Column::Int(IntColumn::encode(v, compress)),
             ColumnData::Str(v) => Column::Str(StrColumn::encode_rows(v, 0..v.len(), compress)),
         }
     }
@@ -868,13 +786,28 @@ mod tests {
     }
 
     #[test]
-    fn byte_width_minimized() {
-        assert_eq!(byte_width(&[0, 200]), 1);
-        assert_eq!(byte_width(&[0, 60_000]), 2);
-        assert_eq!(byte_width(&[0, 20_000_000]), 4);
-        assert_eq!(byte_width(&[0, 1 << 40]), 8);
-        assert_eq!(byte_width(&[-1]), 8);
-        assert_eq!(byte_width(&[]), 1);
+    fn into_plain_ints_decodes_every_encoding_at_the_narrowest_width() {
+        let cases: [Vec<i64>; 6] = [
+            vec![],
+            vec![3, 3, 3],
+            (0..300).collect(),
+            (19_920_101..19_920_601).collect(),
+            vec![-5, 7, 1 << 40],
+            (0..1000).map(|i| i % 7 * 1000).collect(),
+        ];
+        for values in cases {
+            let want = PlainInts::from(values.clone());
+            let mut encodings = vec![
+                IntColumn::plain(values.clone()),
+                IntColumn::plain_fixed(values.clone()),
+                IntColumn::rle(&values),
+                IntColumn::auto(values.clone()),
+            ];
+            encodings.extend(IntColumn::packed(&values));
+            for column in encodings {
+                assert_eq!(column.into_plain_ints(), want, "{values:?}");
+            }
+        }
     }
 
     #[test]
@@ -940,7 +873,7 @@ mod tests {
 
     #[test]
     fn column_encode_respects_compress_flag() {
-        let data = ColumnData::Int(vec![1; 1000]);
+        let data = ColumnData::Int(vec![1; 1000].into());
         assert!(Column::encode(&data, true).as_int().is_rle());
         assert!(!Column::encode(&data, false).as_int().is_rle());
         let sdata = ColumnData::Str((0..1000).map(|i| format!("x{}", i % 3)).collect());

@@ -12,7 +12,9 @@
 
 use crate::io::{pages_for, FileId, IoSession, PageId, PAGE_SIZE};
 use crate::rowcodec::{columns_row_size, encode_columns_row, record_len, RecordView};
-use cvr_data::table::{ColumnData, TableData};
+use crate::with_plain_values;
+use cvr_data::ints::PlainValue;
+use cvr_data::table::{ColumnData, PlainInts, TableData};
 use cvr_data::value::DataType;
 
 /// A heap file: encoded tuples packed into pages.
@@ -136,15 +138,18 @@ pub struct PartitionedHeap {
 }
 
 impl PartitionedHeap {
-    /// Partition the rows of `columns` (one field per column, in order) by
-    /// `key_of(row_index)`.
-    pub fn build(columns: &[&ColumnData], key_of: impl Fn(usize) -> i64) -> PartitionedHeap {
+    /// Partition the rows of `columns` (one field per column, in order):
+    /// row `i` goes to partition `key_of(by[i])`.
+    pub fn build(
+        columns: &[&ColumnData],
+        by: &PlainInts,
+        key_of: impl Fn(i64) -> i64,
+    ) -> PartitionedHeap {
         use std::collections::BTreeMap;
-        let rows = columns.first().map_or(0, |c| c.len());
         let mut groups: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
-        for i in 0..rows {
-            groups.entry(key_of(i)).or_default().push(i as u32);
-        }
+        with_plain_values!(by, |values| for (i, v) in values.iter().enumerate() {
+            groups.entry(key_of(v.widen())).or_default().push(i as u32);
+        });
         let partitions = groups
             .into_iter()
             .map(|(k, rows)| (k, HeapFile::from_rows(columns, rows.iter().map(|&r| r as usize))))
@@ -242,9 +247,8 @@ mod tests {
     fn partitioned_heap_splits_and_filters() {
         let t = table(1_000);
         // Partition by k % 4.
-        let keys = t.column("k").ints().to_vec();
         let columns: Vec<&ColumnData> = t.columns.iter().collect();
-        let part = PartitionedHeap::build(&columns, |i| keys[i] % 4);
+        let part = PartitionedHeap::build(&columns, t.column("k").ints(), |k| k % 4);
         assert_eq!(part.partitions.len(), 4);
         assert_eq!(part.num_rows(), 1_000);
         let selected = part.select(|k| k == 2);

@@ -49,6 +49,7 @@ pub mod persist;
 pub mod rowcodec;
 
 pub use column::{ColumnStore, EncodingChoice, StoredColumn};
+pub use cvr_data::with_plain_values;
 pub use encode::{Column, IntColumn, Run, StrColumn};
 pub use heap::{HeapFile, PartitionedHeap};
 pub use io::{BufferPool, DiskModel, FileId, IoSession, IoStats, PageId, PAGE_SIZE};

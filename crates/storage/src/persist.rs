@@ -818,7 +818,7 @@ fn decode_entry(e: &ManifestEntry, image: Vec<u8>) -> Result<ColumnData, Persist
         return Err(corrupt(format!("segment {} geometry differs from manifest", e.name)));
     }
     match column {
-        Column::Int(ic) => Ok(ColumnData::Int(ic.decode())),
+        Column::Int(ic) => Ok(ColumnData::Int(ic.into_plain_ints())),
         Column::Str(sc) => match decode_strs(&sc, Strs::MAX_TEXT) {
             Some(strs) => Ok(ColumnData::Str(strs)),
             None => Err(corrupt(format!("segment {} decodes to more than 4 GiB of text", e.name))),
@@ -1238,6 +1238,12 @@ mod tests {
         for (a, b) in snapshot_tables(&loaded).iter().zip(snapshot_tables(&tables)) {
             assert_eq!(a.schema.name, b.schema.name);
             assert_eq!(a.columns, b.columns, "table {} differs after reload", b.schema.name);
+            // Each integer column comes back at the width the generator held.
+            for (x, y) in a.columns.iter().zip(&b.columns) {
+                if let (ColumnData::Int(x), ColumnData::Int(y)) = (x, y) {
+                    assert_eq!(x, y, "table {} reloads a column at another width", b.schema.name);
+                }
+            }
         }
         // Logical equality implies re-encoded physical equality too.
         let c = Column::encode(tables.lineorder.column("lo_extendedprice"), true);

@@ -43,7 +43,7 @@ pub fn encode_columns_row(columns: &[&ColumnData], row: usize, out: &mut Vec<u8>
     let start = begin_record(out);
     for column in columns {
         match column {
-            ColumnData::Int(v) => push_int(v[row], out),
+            ColumnData::Int(v) => push_int(v.get(row), out),
             ColumnData::Str(v) => push_str(&v[row], out),
         }
     }
@@ -279,9 +279,9 @@ mod tests {
     #[test]
     fn column_records_are_the_row_records() {
         let columns = [
-            ColumnData::Int(vec![42, 0, u32::MAX as i64]),
+            ColumnData::Int(vec![42, 0, u32::MAX as i64].into()),
             ColumnData::Str(vec!["ASIA".into(), String::new(), "x".repeat(255)].into()),
-            ColumnData::Int(vec![19970101, 7, 1]),
+            ColumnData::Int(vec![19970101, 7, 1].into()),
         ];
         let refs: Vec<&ColumnData> = columns.iter().collect();
         for row in 0..3 {

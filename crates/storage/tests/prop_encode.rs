@@ -262,7 +262,7 @@ proptest! {
 
     #[test]
     fn plain_bytes_is_the_uncompressed_encoders_size(values in prop::collection::vec(-5i64..(1 << 33), 0..50)) {
-        let data = ColumnData::Int(values);
+        let data = ColumnData::Int(values.into());
         prop_assert_eq!(Column::plain_bytes(&data), Column::encode(&data, false).encoded_bytes());
     }
 

@@ -30,7 +30,7 @@ fn figure2_tables() -> SsbTables {
     let customer = TableData::new(
         schema.customer.clone(),
         vec![
-            ColumnData::Int(vec![1, 2, 3]),
+            ColumnData::Int(vec![1, 2, 3].into()),
             ColumnData::Str(vec!["Customer#1", "Customer#2", "Customer#3"].into()),
             ColumnData::Str(vec!["addr"; 3].into()),
             ColumnData::Str(vec!["CHINA    0", "FRANCE   0", "INDIA    0"].into()),
@@ -45,7 +45,7 @@ fn figure2_tables() -> SsbTables {
     let supplier = TableData::new(
         schema.supplier.clone(),
         vec![
-            ColumnData::Int(vec![1, 2]),
+            ColumnData::Int(vec![1, 2].into()),
             ColumnData::Str(vec!["Supplier#1", "Supplier#2"].into()),
             ColumnData::Str(vec!["addr"; 2].into()),
             ColumnData::Str(vec!["RUSSIA   0", "SPAIN    0"].into()),
@@ -60,23 +60,23 @@ fn figure2_tables() -> SsbTables {
     let date = TableData::new(
         schema.date.clone(),
         vec![
-            ColumnData::Int(datekeys.to_vec()),
+            ColumnData::Int(datekeys.to_vec().into()),
             ColumnData::Str(vec!["Jan 1, 1997", "Jan 2, 1997", "Jan 3, 1997"].into()),
             ColumnData::Str(vec!["Wednesday"; 3].into()),
             ColumnData::Str(vec!["Jan"; 3].into()),
-            ColumnData::Int(vec![1997; 3]),
-            ColumnData::Int(vec![199701; 3]),
+            ColumnData::Int(vec![1997; 3].into()),
+            ColumnData::Int(vec![199701; 3].into()),
             ColumnData::Str(vec!["Jan1997"; 3].into()),
-            ColumnData::Int(vec![1, 2, 3]),
-            ColumnData::Int(vec![1, 2, 3]),
-            ColumnData::Int(vec![1, 2, 3]),
-            ColumnData::Int(vec![1; 3]),
-            ColumnData::Int(vec![1; 3]),
+            ColumnData::Int(vec![1, 2, 3].into()),
+            ColumnData::Int(vec![1, 2, 3].into()),
+            ColumnData::Int(vec![1, 2, 3].into()),
+            ColumnData::Int(vec![1; 3].into()),
+            ColumnData::Int(vec![1; 3].into()),
             ColumnData::Str(vec!["Christmas"; 3].into()),
-            ColumnData::Int(vec![0; 3]),
-            ColumnData::Int(vec![0; 3]),
-            ColumnData::Int(vec![0; 3]),
-            ColumnData::Int(vec![1; 3]),
+            ColumnData::Int(vec![0; 3].into()),
+            ColumnData::Int(vec![0; 3].into()),
+            ColumnData::Int(vec![0; 3].into()),
+            ColumnData::Int(vec![1; 3].into()),
         ],
     );
     // Fact table, 7 rows exactly as Figure 3 draws it:
@@ -91,21 +91,21 @@ fn figure2_tables() -> SsbTables {
         schema.lineorder.clone(),
         vec![
             ColumnData::Int((1..=7).collect()),
-            ColumnData::Int(vec![1; n]),
-            ColumnData::Int(custkey),
-            ColumnData::Int(vec![1; n]), // partkey (PART unused here; key 1)
-            ColumnData::Int(suppkey),
-            ColumnData::Int(orderdate.clone()),
+            ColumnData::Int(vec![1; n].into()),
+            ColumnData::Int(custkey.into()),
+            ColumnData::Int(vec![1; n].into()), // partkey (PART unused here; key 1)
+            ColumnData::Int(suppkey.into()),
+            ColumnData::Int(orderdate.clone().into()),
             ColumnData::Str(vec!["1-URGENT"; n].into()),
-            ColumnData::Int(vec![0; n]),
-            ColumnData::Int(vec![10; n]),
-            ColumnData::Int(vec![100; n]),
-            ColumnData::Int(vec![100; n]),
-            ColumnData::Int(vec![0; n]),
-            ColumnData::Int(revenue),
-            ColumnData::Int(vec![60; n]),
-            ColumnData::Int(vec![0; n]),
-            ColumnData::Int(orderdate),
+            ColumnData::Int(vec![0; n].into()),
+            ColumnData::Int(vec![10; n].into()),
+            ColumnData::Int(vec![100; n].into()),
+            ColumnData::Int(vec![100; n].into()),
+            ColumnData::Int(vec![0; n].into()),
+            ColumnData::Int(revenue.into()),
+            ColumnData::Int(vec![60; n].into()),
+            ColumnData::Int(vec![0; n].into()),
+            ColumnData::Int(orderdate.into()),
             ColumnData::Str(vec!["AIR"; n].into()),
         ],
     );
@@ -113,14 +113,14 @@ fn figure2_tables() -> SsbTables {
     let part = TableData::new(
         schema.part.clone(),
         vec![
-            ColumnData::Int(vec![1]),
+            ColumnData::Int(vec![1].into()),
             ColumnData::Str(vec!["azure blue"].into()),
             ColumnData::Str(vec!["MFGR#1"].into()),
             ColumnData::Str(vec!["MFGR#11"].into()),
             ColumnData::Str(vec!["MFGR#1101"].into()),
             ColumnData::Str(vec!["azure"].into()),
             ColumnData::Str(vec!["STANDARD BRUSHED BRASS"].into()),
-            ColumnData::Int(vec![10]),
+            ColumnData::Int(vec![10].into()),
             ColumnData::Str(vec!["SM BAG"].into()),
         ],
     );

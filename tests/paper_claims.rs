@@ -36,7 +36,7 @@ fn between_rewriting_applies_at_least_once_per_query() {
 fn orderdate_rle_runs_equal_distinct_dates() {
     let tables = Arc::new(SsbConfig { sf: 0.01, seed: 2008 }.generate());
     let distinct: std::collections::HashSet<i64> =
-        tables.lineorder.column("lo_orderdate").ints().iter().copied().collect();
+        tables.lineorder.column("lo_orderdate").ints().decode().into_iter().collect();
     let db = CStoreDb::build(tables.clone(), true);
     let od = db.fact.column("lo_orderdate").column.as_int();
     assert!(od.is_rle(), "sorted orderdate must be RLE under compression");
@@ -87,11 +87,11 @@ fn key_reassignment_matches_paper_description() {
     let db = CStoreDb::build(Arc::new(SsbConfig { sf: 0.005, seed: 3 }.generate()), true);
     for d in [Dim::Customer, Dim::Supplier, Dim::Part] {
         assert!(db.dim(d).dense_keys);
-        let keys = db.dim(d).sorted.column(d.key_column()).ints();
+        let keys = db.dim(d).sorted.column(d.key_column()).ints().decode();
         assert!(keys.iter().enumerate().all(|(i, &k)| k == i as i64));
     }
     assert!(!db.dim(Dim::Date).dense_keys);
-    let dk = db.dim(Dim::Date).sorted.column("d_datekey").ints();
+    let dk = db.dim(Dim::Date).sorted.column("d_datekey").ints().decode();
     assert!(dk.windows(2).all(|w| w[0] < w[1]), "datekeys sorted");
     assert_ne!(dk[1], 1, "datekeys must stay yyyymmdd, not dense");
 }
