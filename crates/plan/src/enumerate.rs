@@ -933,12 +933,7 @@ impl Planner {
                 let mut joins = 0u64;
                 for col in &cols {
                     let stats = self.catalog.fact.column(col);
-                    let mut per_value = column_file_value_bytes(design, stats);
-                    if design == RowDesign::VerticalPartitioning && stats.histogram.is_none() {
-                        // Charges a `VP` string its length byte twice
-                        // (ROADMAP, known small debts): pinned in plans.txt.
-                        per_value += 1.0;
-                    }
+                    let per_value = column_file_value_bytes(design, stats);
                     ws.touch(("vp", col), (n as f64 * per_value) as u64);
                     c.add(seq_scan((n as f64 * per_value) as u64));
                     c.cpu_seconds += n as f64 * r.tuple_value;
@@ -1144,7 +1139,7 @@ mod tests {
     use super::*;
     use cvr_core::ColumnEngine;
     use cvr_data::gen::SsbConfig;
-    use cvr_data::queries::{all_queries, query};
+    use cvr_data::queries::{all_queries, query, FactPredicate, Pred};
     use cvr_data::workload::WorkloadConfig;
     use std::sync::Arc;
 
@@ -1188,6 +1183,29 @@ mod tests {
         v.sort_by(|a, b| ascending(*a, *b));
         assert_eq!(v[..4], [0.0, 0.5, 1.0, 2.0]);
         assert!(v[4..].iter().all(|x| x.is_nan()));
+    }
+
+    #[test]
+    fn vp_charges_each_column_value_its_record_and_no_more() {
+        // A string fact column beside the integer ones: `VP` stores each
+        // value of each column in a `(pos, value)` record 12 bytes above the
+        // value `VP(S)` stores, string values' length bytes included.
+        let p = planner();
+        let mut q = query(1, 1);
+        q.fact_predicates.push(FactPredicate {
+            column: "lo_shipmode",
+            pred: Pred::Eq(cvr_data::value::Value::str("AIR")),
+        });
+        let io_of = |design| {
+            let candidates = p.candidates(&q);
+            let c = candidates.iter().find(|c| c.choice == PhysicalChoice::Row(design));
+            c.expect("VP and VP(S) answer the statement").est.io_bytes
+        };
+        let n = p.catalog().fact.rows;
+        let columns = q.fact_columns().len() as u64;
+        let record = io_of(RowDesign::VerticalPartitioning) - io_of(RowDesign::SuperVp);
+        // Each column's bytes are truncated to a whole byte on their own.
+        assert!(record.abs_diff(12 * n * columns) < columns, "{record} for {n} rows");
     }
 
     #[test]
