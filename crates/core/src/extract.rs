@@ -299,7 +299,8 @@ mod tests {
             StoredColumn::new(
                 "p",
                 Column::Int(
-                    IntColumn::packed(&(0..140).map(|i| 1992 + i % 7).collect::<Vec<_>>()).unwrap(),
+                    IntColumn::packed(&(0..140i64).map(|i| 1992 + i % 7).collect::<Vec<_>>())
+                        .unwrap(),
                 ),
             ),
             StoredColumn::new("s", Column::Str(StrColumn::dict(&vals))),

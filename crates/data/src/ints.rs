@@ -214,11 +214,6 @@ impl PlainInts {
         with_plain_values!(self, |a| with_plain_values!(other, |b| a.len() == b.len()
             && a.iter().zip(b).all(|(x, y)| x.widen() == y.widen())))
     }
-
-    /// Release spare capacity.
-    pub fn shrink_to_fit(&mut self) {
-        with_plain_values!(self, |v| v.shrink_to_fit())
-    }
 }
 
 impl From<Vec<i64>> for PlainInts {

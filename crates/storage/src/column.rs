@@ -438,7 +438,7 @@ mod tests {
         let ascending: Vec<u32> = (0..100_000).step_by(37).collect();
         let scattered: Vec<u32> =
             (0..5_000u64).map(|i| (i * 2_654_435_761 % 100_000) as u32).collect();
-        let packed = IntColumn::packed(&(0..100_000).map(|i| i % 1000).collect::<Vec<_>>());
+        let packed = IntColumn::packed(&(0..100_000i64).map(|i| i % 1000).collect::<Vec<_>>());
         let packed = StoredColumn::new("p", Column::Int(packed.unwrap()));
         for col in [cs.column("sorted"), cs.column("lowcard"), &packed] {
             let reference = |p: u32| -> u64 {

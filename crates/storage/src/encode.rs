@@ -107,11 +107,7 @@ impl IntColumn {
     }
 
     /// Encode `values` with RLE.
-    pub fn rle(values: &[i64]) -> IntColumn {
-        IntColumn::rle_of(values)
-    }
-
-    fn rle_of<T: PlainValue>(values: &[T]) -> IntColumn {
+    pub fn rle<T: PlainValue>(values: &[T]) -> IntColumn {
         let mut runs = Vec::new();
         let mut i = 0usize;
         while i < values.len() {
@@ -128,11 +124,7 @@ impl IntColumn {
     /// Frame-of-reference bit-packing, when the value range permits it:
     /// `None` for empty columns and for ranges needing more than
     /// [`MAX_VALUE_BITS`] delta bits.
-    pub fn packed(values: &[i64]) -> Option<IntColumn> {
-        IntColumn::packed_of(values)
-    }
-
-    fn packed_of<T: PlainValue>(values: &[T]) -> Option<IntColumn> {
+    pub fn packed<T: PlainValue>(values: &[T]) -> Option<IntColumn> {
         let (min, max) = min_max(values)?;
         let (min, max) = (min.widen(), max.widen());
         let bits = packed_bits(min, max)?;
@@ -168,9 +160,9 @@ impl IntColumn {
             }
         }
         if runs * RLE_RUN_BYTES < best {
-            IntColumn::rle_of(values)
+            IntColumn::rle(values)
         } else if pack {
-            IntColumn::packed_of(values).expect("sized above")
+            IntColumn::packed(values).expect("sized above")
         } else {
             IntColumn::Plain(PlainInts::from_values(values, width))
         }
@@ -727,7 +719,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn run_cursor_panics_past_the_last_run() {
-        let col = IntColumn::rle(&[1, 1, 2, 3, 4, 5, 6, 7]);
+        let col = IntColumn::rle(&[1i64, 1, 2, 3, 4, 5, 6, 7]);
         RunCursor::new(col.runs()).seek(8);
     }
 
@@ -779,10 +771,10 @@ mod tests {
 
     #[test]
     fn packed_rejects_oversized_ranges_and_empty() {
-        assert!(IntColumn::packed(&[]).is_none());
-        assert!(IntColumn::packed(&[0, 1 << 40]).is_none());
+        assert!(IntColumn::packed::<i64>(&[]).is_none());
+        assert!(IntColumn::packed(&[0i64, 1 << 40]).is_none());
         assert!(IntColumn::packed(&[i64::MIN, i64::MAX]).is_none());
-        assert!(IntColumn::packed(&[7]).is_some());
+        assert!(IntColumn::packed(&[7i64]).is_some());
     }
 
     #[test]
@@ -885,7 +877,7 @@ mod tests {
     fn code_bounds_per_encoding() {
         let vals = vec![1993i64, 1992, 1998, 1992];
         assert_eq!(IntColumn::plain(vals.clone()).code_bounds(), Some((1992, 7)));
-        let rle = IntColumn::rle(&[5, 5, 5, 9, 9, 2]);
+        let rle = IntColumn::rle(&[5i64, 5, 5, 9, 9, 2]);
         assert_eq!(rle.code_bounds(), Some((2, 8)));
         let packed = IntColumn::packed(&vals).unwrap();
         let (reference, domain) = packed.code_bounds().unwrap();
@@ -898,7 +890,7 @@ mod tests {
         }
         // Empty and over-wide ranges have no code space.
         assert_eq!(IntColumn::plain(vec![]).code_bounds(), None);
-        assert_eq!(IntColumn::rle(&[]).code_bounds(), None);
+        assert_eq!(IntColumn::rle::<i64>(&[]).code_bounds(), None);
         assert_eq!(IntColumn::plain(vec![0, 1 << 40]).code_bounds(), None);
         assert_eq!(IntColumn::plain(vec![i64::MIN, i64::MAX]).code_bounds(), None);
     }
@@ -915,7 +907,7 @@ mod tests {
 
     #[test]
     fn empty_columns() {
-        assert_eq!(IntColumn::rle(&[]).len(), 0);
+        assert_eq!(IntColumn::rle::<i64>(&[]).len(), 0);
         assert!(IntColumn::plain(vec![]).is_empty());
         assert_eq!(StrColumn::plain(vec![]).encoded_bytes(), 0);
     }
