@@ -11,7 +11,9 @@
 //! "factor of two" partitioning advantage comes from.
 
 use crate::io::{pages_for, FileId, IoSession, PageId, PAGE_SIZE};
-use crate::rowcodec::{columns_row_size, encode_columns_row, record_len, RecordView};
+use crate::rowcodec::{
+    column_fields, columns_row_size, encode_columns_row, record_len, RecordView,
+};
 use crate::with_plain_values;
 use cvr_data::ints::PlainValue;
 use cvr_data::table::{ColumnData, PlainInts, TableData};
@@ -46,6 +48,7 @@ impl HeapFile {
         rows: impl ExactSizeIterator<Item = usize>,
     ) -> HeapFile {
         let types: Vec<DataType> = columns.iter().map(|c| c.dtype()).collect();
+        let fields = column_fields(columns);
         let mut data = Vec::new();
         let mut records = Vec::with_capacity(rows.len());
         let mut page_end = PAGE_SIZE as usize;
@@ -58,7 +61,7 @@ impl HeapFile {
                 page_end += PAGE_SIZE as usize;
             }
             records.push(data.len() as u64);
-            encode_columns_row(columns, i, &mut data);
+            encode_columns_row(&fields, i, &mut data);
         }
         HeapFile { file: FileId::fresh(), data, records, types }
     }

@@ -13,6 +13,8 @@
 //! the "1-2 function calls to extract needed data from a tuple" overhead the
 //! paper attributes to row-store executors (Section 5.3).
 
+use crate::with_plain_values;
+use cvr_data::ints::PlainValue;
 use cvr_data::table::ColumnData;
 use cvr_data::value::{DataType, Value};
 
@@ -36,18 +38,32 @@ pub fn encode_row(values: &[Value], out: &mut Vec<u8>) {
     finish_record(out, start, values.len());
 }
 
-/// Serialize row `row` of `columns` (one field per column, in order) into
-/// `out`: the bytes [`encode_row`] writes for that row, read straight from
-/// the column slices — no row is materialized.
-pub fn encode_columns_row(columns: &[&ColumnData], row: usize, out: &mut Vec<u8>) {
-    let start = begin_record(out);
-    for column in columns {
+/// Writes one column's field of a row into `out`; the column's type and
+/// width are dispatched once, when [`column_fields`] builds it.
+pub type FieldWriter<'a> = Box<dyn Fn(usize, &mut Vec<u8>) + 'a>;
+
+/// One [`FieldWriter`] for each of `columns`, in order.
+pub fn column_fields<'a>(columns: &[&'a ColumnData]) -> Vec<FieldWriter<'a>> {
+    let field = |column: &'a ColumnData| -> FieldWriter<'a> {
         match column {
-            ColumnData::Int(v) => push_int(v.get(row), out),
-            ColumnData::Str(v) => push_str(&v[row], out),
+            ColumnData::Int(v) => with_plain_values!(v, |v| Box::new(|row, out: &mut Vec<u8>| {
+                push_int(v[row].widen(), out)
+            })),
+            ColumnData::Str(v) => Box::new(|row, out: &mut Vec<u8>| push_str(&v[row], out)),
         }
+    };
+    columns.iter().map(|&c| field(c)).collect()
+}
+
+/// Serialize row `row` of the columns behind `fields` (one field per
+/// column, in order) into `out`: the bytes [`encode_row`] writes for that
+/// row, read straight from the columns — no row is materialized.
+pub fn encode_columns_row(fields: &[FieldWriter<'_>], row: usize, out: &mut Vec<u8>) {
+    let start = begin_record(out);
+    for field in fields {
+        field(row, out);
     }
-    finish_record(out, start, columns.len());
+    finish_record(out, start, fields.len());
 }
 
 /// Encoded size of row `row` of `columns`: the length of the record
@@ -288,13 +304,13 @@ mod tests {
             let values: Vec<Value> = columns.iter().map(|c| c.value(row)).collect();
             let (mut want, mut got) = (Vec::new(), vec![9u8]);
             encode_row(&values, &mut want);
-            encode_columns_row(&refs, row, &mut got);
+            encode_columns_row(&column_fields(&refs), row, &mut got);
             assert_eq!(got[1..], want[..], "row {row}");
             assert_eq!(columns_row_size(&refs, row), encoded_size(&values));
             // A subset of the columns, in another order.
             let (mut want, mut got) = (Vec::new(), Vec::new());
             encode_row(&[values[2].clone(), values[1].clone()], &mut want);
-            encode_columns_row(&[refs[2], refs[1]], row, &mut got);
+            encode_columns_row(&column_fields(&[refs[2], refs[1]]), row, &mut got);
             assert_eq!(got, want);
         }
     }
