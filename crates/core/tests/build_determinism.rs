@@ -70,18 +70,23 @@ fn the_store_is_the_same_at_one_two_and_four_workers() {
 
 /// CRC64 over [`images`], and `total_bytes()`, recorded from the build at
 /// commit fb1c359 (clone LINEORDER, remap through `HashMap`s, sort,
-/// `permuted`, `ColumnStore::from_table`).
+/// `permuted`, `ColumnStore::from_table`). The CRCs are of format-2 segment
+/// images; the same columns laid out as format-1 images still give the
+/// CRCs recorded at fb1c359 (0xb2ce444553df2c5f, 0xf140e7cfefc8201c,
+/// 0x5f7afeed908b4450, 0x5444a94247147347).
 const PARENT: [(f64, u64, bool, u64, u64); 4] = [
-    (0.01, 2008, true, 0xb2ce444553df2c5f, 1723731),
-    (0.01, 2008, false, 0xf140e7cfefc8201c, 4902143),
-    (0.002, 7, true, 0x5f7afeed908b4450, 398463),
-    (0.002, 7, false, 0x5444a94247147347, 1161000),
+    (0.01, 2008, true, 0x32daf87ca8517b1e, 1723731),
+    (0.01, 2008, false, 0x17a52304872efbbf, 4902143),
+    (0.002, 7, true, 0x14261ffe7220f458, 398463),
+    (0.002, 7, false, 0x5ce78392bf02e8ff, 1161000),
 ];
 
 /// Same for the snapshot path, which encodes the logical tables' columns
-/// with `Column::encode(_, true)`: `(sf, seed, crc, image bytes)`.
+/// with `Column::encode(_, true)`: `(sf, seed, crc, image bytes)`. As
+/// format-1 images they were `(0xe1ab19f930778f26, 3075346)` and
+/// `(0xd55b0e4dd97328d3, 592241)`.
 const PARENT_SNAPSHOT: [(f64, u64, u64, usize); 2] =
-    [(0.01, 2008, 0xe1ab19f930778f26, 3075346), (0.002, 7, 0xd55b0e4dd97328d3, 592241)];
+    [(0.01, 2008, 0xbea4adc442576df4, 1796327), (0.002, 7, 0x0bf15f2ed59972ef, 399420)];
 
 fn tables(sf: f64, seed: u64) -> Arc<SsbTables> {
     Arc::new(SsbConfig { sf, seed }.generate())

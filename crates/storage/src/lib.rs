@@ -26,8 +26,9 @@
 //! * [`par`] — the bounded job fan-out both engines build their stores with.
 //! * [`hash`] — the word-at-a-time hasher behind dictionary coding and the
 //!   planner's catalog counts.
-//! * [`persist`] — durable snapshots: per-segment files with CRC64
-//!   checksums, committed by an atomic manifest rename; recovery walks
+//! * [`persist`] — durable snapshots: per-segment files, each a column's
+//!   encoded bytes under a CRC64 checksum, committed by an atomic manifest
+//!   rename; recovery walks
 //!   generations newest-first and falls back past damaged ones. Every
 //!   filesystem call goes through [`persist::Vfs`], so a test can replay a
 //!   snapshot over an in-memory disk and load every post-crash state.

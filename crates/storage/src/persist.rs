@@ -6,7 +6,23 @@
 //!
 //! * **Segment files** — one file per encoded column, laid out as `magic | format | kind | enc | rows | payload_len |
 //!   payload | crc64`. The CRC covers every byte before it, so torn writes
-//!   and bit flips are detected before a single value is decoded.
+//!   and bit flips are detected before a single value is decoded. The
+//!   payload is a fixed preamble a codec followed by exactly the column's
+//!   [`Column::encoded_bytes`], the bytes the I/O model charges a scan, so
+//!   a file is its column's charged bytes plus 40 bytes of frame and at
+//!   most 9 of preamble. Every number is little-endian:
+//!
+//!   | codec          | preamble                   | then                                     |
+//!   |----------------|----------------------------|------------------------------------------|
+//!   | plain integers | width `u8`                 | `rows` values at that width              |
+//!   | RLE            | —                          | per run: value `i64`, length `u32`       |
+//!   | packed         | reference `i64`, bits `u8` | the code words, `u64` each               |
+//!   | plain strings  | —                          | per row: length `u8`, its bytes          |
+//!   | dictionary     | entries `u32`, bits `u8`   | per entry: length `u8`, its bytes; then  |
+//!   |                |                            | the code words, `u64` each               |
+//!
+//!   The row count lives in the header only: a plain column's value count,
+//!   an RLE run's start and a packed image's code count are rebuilt from it.
 //! * **Manifest** — `MANIFEST-<generation>` lists every segment with its
 //!   file name, geometry, and a *pinned copy* of its CRC; the manifest
 //!   carries its own trailing CRC. Each file is written as `{name}.tmp`,
@@ -17,11 +33,18 @@
 //!   returns the first one that validates end-to-end; a damaged newest
 //!   generation falls back to its predecessor (counted in
 //!   [`LoadReport::fallbacks`]) instead of ever decoding corrupt bytes.
+//!   Both files carry [`FORMAT_VERSION`]; a generation written in any
+//!   other format (format 1 held every plain integer as 8 bytes) fails
+//!   typed, naming its format, and the walk falls back past it.
 //!
-//! Every filesystem call goes through one [`Vfs`]. The entry points without
-//! a `Vfs` argument run over [`StdFs`]; `crates/storage/tests/crash_states.rs`
-//! runs the `_with` forms over an in-memory recorder and loads every state a
-//! crash, a lying disk or a failing fsync can leave.
+//! A snapshot encodes its columns on one helper thread, in manifest order,
+//! while the caller writes and fsyncs the images already encoded; a load
+//! reads images on the caller and decodes them on [`par::Jobs`] workers.
+//! Either way every filesystem call is made on the caller's thread, in
+//! manifest order, through one [`Vfs`]. The entry points without a `Vfs`
+//! argument run over [`StdFs`]; `crates/storage/tests/crash_states.rs`
+//! runs the `_with` forms over an in-memory recorder and loads every state
+//! a crash, a lying disk or a failing fsync can leave.
 //!
 //! This is deliberately a *snapshot* store, not a log: generations are
 //! immutable once committed, which is exactly the segment-swap seam a
@@ -32,11 +55,13 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
+use std::sync::mpsc;
+use std::thread;
 
 use cvr_data::table::Strs;
 use cvr_data::{star_schema, ColumnData, SsbConfig, SsbTables, TableData, TableSchema};
 
-use crate::encode::{Column, IntColumn, PlainInts, PlainValue, Run, StrColumn};
+use crate::encode::{Column, IntColumn, PlainInts, Run, StrColumn, RLE_RUN_BYTES};
 use crate::packed::PackedInts;
 use crate::par::{self, Jobs, Slot};
 use crate::with_plain_values;
@@ -49,8 +74,10 @@ pub use vfs::{StdFs, Vfs};
 pub const SEGMENT_MAGIC: &[u8; 8] = b"CVRSEG1\0";
 /// Manifest file magic.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"CVRMAN1\0";
-/// On-disk format version for both segments and manifests.
-pub const FORMAT_VERSION: u32 = 1;
+/// On-disk format version for both segments and manifests. Format 1 (every
+/// plain integer as 8 bytes, RLE runs with their starts, 4-byte string
+/// lengths) is refused typed.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Fixed segment header size: magic(8) + format(4) + kind(1) + enc(1) +
 /// pad(2) + rows(8) + payload_len(8).
@@ -220,6 +247,13 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(self.take(n)?).map_err(|_| corrupt("invalid utf-8 in record"))
     }
 
+    /// Every byte not yet taken.
+    fn rest(&mut self) -> &'a [u8] {
+        let rest = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        rest
+    }
+
     fn done(&self) -> Result<(), PersistError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -234,7 +268,8 @@ impl<'a> Reader<'a> {
 // ---------------------------------------------------------------------------
 
 // A segment file holds one encoded [`Column`]; its header records the
-// column's kind, encoding and row count.
+// column's kind, encoding and row count, and its payload is laid out as the
+// module doc's table says.
 
 /// On-disk `kind` tag.
 fn kind(column: &Column) -> u8 {
@@ -260,167 +295,178 @@ fn rows(column: &Column) -> u64 {
     column.len() as u64
 }
 
-fn encode_int_payload(out: &mut Vec<u8>, ic: &IntColumn) {
-    match ic {
-        IntColumn::Plain(values) => {
-            out.push(values.width());
-            put_u32(out, values.len() as u32);
-            with_plain_values!(values, |vs| for v in vs {
-                put_i64(out, v.widen());
-            });
-        }
-        IntColumn::Rle { runs, num_values } => {
-            put_u32(out, *num_values);
-            put_u32(out, runs.len() as u32);
-            for r in runs {
-                put_i64(out, r.value);
-                put_u32(out, r.start);
-                put_u32(out, r.len);
-            }
-        }
-        IntColumn::Packed { reference, packed } => {
-            put_i64(out, *reference);
-            out.push(packed.value_bits());
-            put_u32(out, packed.len());
-            put_u32(out, packed.words().len() as u32);
-            for &w in packed.words() {
-                put_u64(out, w);
-            }
-        }
+/// Bytes a codec's payload holds before the column's `encoded_bytes()`.
+fn preamble_bytes(column: &Column) -> u64 {
+    match column {
+        Column::Int(IntColumn::Plain(_)) => 1,
+        Column::Int(IntColumn::Rle { .. }) | Column::Str(StrColumn::Plain { .. }) => 0,
+        Column::Int(IntColumn::Packed { .. }) => 8 + 1,
+        Column::Str(StrColumn::Dict { .. }) => 4 + 1,
     }
 }
 
-fn decode_packed(r: &mut Reader<'_>) -> Result<PackedInts, PersistError> {
-    let value_bits = r.u8()?;
-    let len = r.u32()?;
-    let nwords = r.u32()? as usize;
-    if nwords > r.buf.len() / 8 + 1 {
-        return Err(corrupt("packed word count exceeds payload"));
-    }
-    let mut words = Vec::with_capacity(nwords);
-    for _ in 0..nwords {
-        words.push(r.u64()?);
-    }
-    PackedInts::from_raw_parts(words, len, value_bits).map_err(corrupt)
+/// A fixed-width number a payload stores in bulk: plain values and words.
+trait Le: Copy {
+    const BYTES: usize;
+    fn put(self, out: &mut [u8]);
+    fn get(bytes: &[u8]) -> Self;
 }
 
-/// `n` plain values, each stored as 8 bytes, narrowed to `T` as they are
-/// read; a value that does not fit `T` is corruption.
-fn decode_plain<T: PlainValue>(r: &mut Reader<'_>, n: usize) -> Result<Vec<T>, PersistError> {
+macro_rules! le {
+    ($($t:ty),*) => {$(
+        impl Le for $t {
+            const BYTES: usize = std::mem::size_of::<$t>();
+            #[inline]
+            fn put(self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn get(bytes: &[u8]) -> $t {
+                let mut le = [0u8; std::mem::size_of::<$t>()];
+                le.copy_from_slice(bytes);
+                <$t>::from_le_bytes(le)
+            }
+        }
+    )*};
+}
+le!(u8, u16, u32, u64, i64);
+
+/// Append `values` little-endian, `T::BYTES` each.
+fn put_all<T: Le>(out: &mut Vec<u8>, values: &[T]) {
+    let at = out.len();
+    out.resize(at + values.len() * T::BYTES, 0);
+    for (slot, &v) in out[at..].chunks_exact_mut(T::BYTES).zip(values) {
+        v.put(slot);
+    }
+}
+
+/// Every value of `bytes`, which must be whole `T`s.
+fn get_all<T: Le>(bytes: &[u8], what: &str) -> Result<Vec<T>, PersistError> {
+    if bytes.len() % T::BYTES != 0 {
+        return Err(corrupt(format!("{what} payload is not whole {}-byte values", T::BYTES)));
+    }
+    Ok(bytes.chunks_exact(T::BYTES).map(T::get).collect())
+}
+
+/// Each string as a one-byte length and its bytes.
+fn put_strs(out: &mut Vec<u8>, values: &[Box<str>]) {
+    for v in values {
+        out.push(u8::try_from(v.len()).expect("a stored string is at most 255 bytes"));
+        out.extend_from_slice(v.as_bytes());
+    }
+}
+
+/// `n` strings, each a one-byte length and its bytes.
+fn get_strs(r: &mut Reader<'_>, n: usize, what: &str) -> Result<Vec<Box<str>>, PersistError> {
+    // Each string takes at least its length byte.
+    if n > r.buf.len() - r.pos {
+        return Err(corrupt(format!("{what} count exceeds payload")));
+    }
     let mut values = Vec::with_capacity(n);
     for _ in 0..n {
-        let v = r.i64()?;
-        values
-            .push(T::narrow(v).ok_or_else(|| corrupt("plain value exceeds recorded byte width"))?);
+        let len = r.u8()? as usize;
+        values.push(Box::<str>::from(r.utf8(len)?));
     }
     Ok(values)
 }
 
-fn decode_int_payload(enc: u8, r: &mut Reader<'_>) -> Result<IntColumn, PersistError> {
+fn encode_payload(out: &mut Vec<u8>, column: &Column) {
+    match column {
+        Column::Int(IntColumn::Plain(values)) => {
+            out.push(values.width());
+            with_plain_values!(values, |vs| put_all(out, vs));
+        }
+        Column::Int(IntColumn::Rle { runs, .. }) => {
+            for r in runs {
+                put_i64(out, r.value);
+                put_u32(out, r.len);
+            }
+        }
+        Column::Int(IntColumn::Packed { reference, packed }) => {
+            put_i64(out, *reference);
+            out.push(packed.value_bits());
+            put_all(out, packed.words());
+        }
+        Column::Str(StrColumn::Plain { values, .. }) => put_strs(out, values),
+        Column::Str(StrColumn::Dict { dict, codes }) => {
+            put_u32(out, dict.len() as u32);
+            out.push(codes.value_bits());
+            put_strs(out, dict);
+            put_all(out, codes.words());
+        }
+    }
+}
+
+fn decode_int_payload(enc: u8, rows: usize, r: &mut Reader<'_>) -> Result<IntColumn, PersistError> {
     match enc {
         0 => {
             let width = r.u8()?;
-            let n = r.u32()? as usize;
-            if n > r.buf.len() / 8 + 1 {
-                return Err(corrupt("plain value count exceeds payload"));
+            if ![1, 2, 4, 8].contains(&width) {
+                return Err(corrupt(format!("invalid plain width {width}")));
+            }
+            let bytes = r.rest();
+            if bytes.len() as u64 != rows as u64 * width as u64 {
+                return Err(corrupt(format!("plain payload is not {rows} rows x {width} bytes")));
             }
             Ok(IntColumn::Plain(match width {
-                1 => PlainInts::U8(decode_plain(r, n)?),
-                2 => PlainInts::U16(decode_plain(r, n)?),
-                4 => PlainInts::U32(decode_plain(r, n)?),
-                8 => PlainInts::I64(decode_plain(r, n)?),
-                _ => return Err(corrupt(format!("invalid plain width {width}"))),
+                1 => PlainInts::U8(bytes.to_vec()),
+                2 => PlainInts::U16(get_all(bytes, "plain")?),
+                4 => PlainInts::U32(get_all(bytes, "plain")?),
+                _ => PlainInts::I64(get_all(bytes, "plain")?),
             }))
         }
         1 => {
-            let num_values = r.u32()?;
-            let nruns = r.u32()? as usize;
-            if nruns > r.buf.len() / 16 + 1 {
-                return Err(corrupt("run count exceeds payload"));
+            const RUN: usize = RLE_RUN_BYTES as usize;
+            let bytes = r.rest();
+            if bytes.len() % RUN != 0 {
+                return Err(corrupt("RLE payload is not whole runs"));
             }
-            let mut runs = Vec::with_capacity(nruns);
-            let mut next_start = 0u64;
-            for _ in 0..nruns {
-                let value = r.i64()?;
-                let start = r.u32()?;
-                let len = r.u32()?;
+            let unsummed = || corrupt("run lengths do not sum to the row count");
+            let mut runs = Vec::with_capacity(bytes.len() / RUN);
+            let mut start = 0u32;
+            for run in bytes.chunks_exact(RUN) {
+                let (value, len) = (i64::get(&run[..8]), u32::get(&run[8..]));
                 if len == 0 {
                     return Err(corrupt("zero-length run"));
                 }
-                if start as u64 != next_start {
-                    return Err(corrupt("runs do not tile the column"));
-                }
-                next_start += len as u64;
+                let end = start.checked_add(len).filter(|&end| end as usize <= rows);
                 runs.push(Run { value, start, len });
+                start = end.ok_or_else(unsummed)?;
             }
-            if next_start != num_values as u64 {
-                return Err(corrupt("run total does not match row count"));
+            if start as usize != rows {
+                return Err(unsummed());
             }
-            Ok(IntColumn::Rle { runs, num_values })
+            Ok(IntColumn::Rle { runs, num_values: rows as u32 })
         }
         2 => {
             let reference = r.i64()?;
-            let packed = decode_packed(r)?;
+            let value_bits = r.u8()?;
+            let words = get_all(r.rest(), "packed")?;
+            let packed =
+                PackedInts::from_raw_parts(words, rows as u32, value_bits).map_err(corrupt)?;
             Ok(IntColumn::Packed { reference, packed })
         }
         other => Err(corrupt(format!("unknown int encoding tag {other}"))),
     }
 }
 
-fn encode_str_payload(out: &mut Vec<u8>, sc: &StrColumn) {
-    match sc {
-        StrColumn::Plain { values, bytes: _ } => {
-            put_u32(out, values.len() as u32);
-            for v in values {
-                put_u32(out, v.len() as u32);
-                out.extend_from_slice(v.as_bytes());
-            }
-        }
-        StrColumn::Dict { dict, codes } => {
-            put_u32(out, dict.len() as u32);
-            for v in dict {
-                put_u32(out, v.len() as u32);
-                out.extend_from_slice(v.as_bytes());
-            }
-            out.push(codes.value_bits());
-            put_u32(out, codes.len());
-            put_u32(out, codes.words().len() as u32);
-            for &w in codes.words() {
-                put_u64(out, w);
-            }
-        }
-    }
-}
-
-fn decode_strings(r: &mut Reader<'_>, what: &str) -> Result<Vec<Box<str>>, PersistError> {
-    let n = r.u32()? as usize;
-    if n > r.buf.len() + 1 {
-        return Err(corrupt(format!("{what} count exceeds payload")));
-    }
-    let mut values = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = r.u32()? as usize;
-        if len > 255 {
-            return Err(corrupt(format!("{what} entry longer than 255 bytes")));
-        }
-        values.push(Box::<str>::from(r.utf8(len)?));
-    }
-    Ok(values)
-}
-
-fn decode_str_payload(enc: u8, r: &mut Reader<'_>) -> Result<StrColumn, PersistError> {
+fn decode_str_payload(enc: u8, rows: usize, r: &mut Reader<'_>) -> Result<StrColumn, PersistError> {
     match enc {
         0 => {
-            let values = decode_strings(r, "string")?;
+            let values = get_strs(r, rows, "string")?;
             let bytes = values.iter().map(|v| 1 + v.len() as u64).sum();
             Ok(StrColumn::Plain { values, bytes })
         }
         1 => {
-            let dict = decode_strings(r, "dictionary")?;
+            let entries = r.u32()? as usize;
+            let value_bits = r.u8()?;
+            let dict = get_strs(r, entries, "dictionary")?;
             if dict.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(corrupt("dictionary is not strictly sorted"));
             }
-            let codes = decode_packed(r)?;
+            let words = get_all(r.rest(), "dictionary code")?;
+            let codes =
+                PackedInts::from_raw_parts(words, rows as u32, value_bits).map_err(corrupt)?;
             let dict_n = dict.len() as u64;
             let mut bad = false;
             codes.for_each_in(0, codes.len(), |c| bad |= c >= dict_n);
@@ -434,21 +480,25 @@ fn decode_str_payload(enc: u8, r: &mut Reader<'_>) -> Result<StrColumn, PersistE
 }
 
 /// Serialize a segment to its full file image (header + payload + CRC64).
+/// The payload is the codec's preamble and then exactly the column's
+/// [`Column::encoded_bytes`]. Panics on a string longer than 255 bytes, as
+/// the row codec does: both store a string's length in one byte.
 pub fn encode_segment(column: &Column) -> Vec<u8> {
-    let mut body = Vec::new();
-    match column {
-        Column::Int(ic) => encode_int_payload(&mut body, ic),
-        Column::Str(sc) => encode_str_payload(&mut body, sc),
-    }
-    let mut out = Vec::with_capacity(SEGMENT_HEADER_BYTES + body.len() + CRC_BYTES);
+    let payload_len = preamble_bytes(column) + column.encoded_bytes();
+    let mut out = Vec::with_capacity(SEGMENT_HEADER_BYTES + payload_len as usize + CRC_BYTES);
     out.extend_from_slice(SEGMENT_MAGIC);
     put_u32(&mut out, FORMAT_VERSION);
     out.push(kind(column));
     out.push(enc(column));
     put_u16(&mut out, 0); // pad
     put_u64(&mut out, rows(column));
-    put_u64(&mut out, body.len() as u64);
-    out.extend_from_slice(&body);
+    put_u64(&mut out, payload_len);
+    encode_payload(&mut out, column);
+    assert_eq!(
+        out.len() as u64,
+        SEGMENT_HEADER_BYTES as u64 + payload_len,
+        "a payload is its preamble and the column's encoded bytes"
+    );
     let crc = crc64(&out);
     put_u64(&mut out, crc);
     out
@@ -468,16 +518,17 @@ pub fn decode_segment(image: &[u8]) -> Result<Column, PersistError> {
     if r.take(8)? != SEGMENT_MAGIC {
         return Err(corrupt("bad segment magic"));
     }
-    let format = r.u32()?;
-    if format != FORMAT_VERSION {
-        return Err(corrupt(format!("unsupported segment format {format}")));
-    }
+    check_format("segment", r.u32()?)?;
     let kind_tag = r.u8()?;
     let enc_tag = r.u8()?;
     if r.u16()? != 0 {
         return Err(corrupt("non-zero header padding"));
     }
+    // Positions are `u32`, so no column holds more rows.
     let row_count = r.u64()?;
+    let rows = u32::try_from(row_count)
+        .map_err(|_| corrupt(format!("row count {row_count} exceeds u32")))?
+        as usize;
     let payload_len = r.u64()? as usize;
     if payload_len != body.len() - SEGMENT_HEADER_BYTES {
         return Err(corrupt("payload length does not match file size"));
@@ -486,15 +537,23 @@ pub fn decode_segment(image: &[u8]) -> Result<Column, PersistError> {
     r.done()?;
     let mut pr = Reader::new(payload_bytes);
     let column = match kind_tag {
-        0 => Column::Int(decode_int_payload(enc_tag, &mut pr)?),
-        1 => Column::Str(decode_str_payload(enc_tag, &mut pr)?),
+        0 => Column::Int(decode_int_payload(enc_tag, rows, &mut pr)?),
+        1 => Column::Str(decode_str_payload(enc_tag, rows, &mut pr)?),
         other => return Err(corrupt(format!("unknown segment kind {other}"))),
     };
     pr.done()?;
-    if rows(&column) != row_count {
-        return Err(corrupt("header row count does not match payload"));
-    }
     Ok(column)
+}
+
+/// Refuse any on-disk format but [`FORMAT_VERSION`], naming both.
+fn check_format(what: &str, format: u32) -> Result<(), PersistError> {
+    if format == FORMAT_VERSION {
+        Ok(())
+    } else {
+        Err(corrupt(format!(
+            "unsupported {what} format {format} (this build reads format {FORMAT_VERSION})"
+        )))
+    }
 }
 
 /// The CRC64 an image ends with.
@@ -588,10 +647,7 @@ fn decode_manifest(image: &[u8]) -> Result<Manifest, PersistError> {
     if r.take(8)? != MANIFEST_MAGIC {
         return Err(corrupt("bad manifest magic"));
     }
-    let format = r.u32()?;
-    if format != FORMAT_VERSION {
-        return Err(corrupt(format!("unsupported manifest format {format}")));
-    }
+    check_format("manifest", r.u32()?)?;
     let generation = r.u64()?;
     let sf = f64::from_bits(r.u64()?);
     if !sf.is_finite() || sf <= 0.0 {
@@ -680,37 +736,91 @@ pub fn write_snapshot_with(
     dir: &Path,
     tables: &SsbTables,
 ) -> Result<SnapshotReport, PersistError> {
+    write_snapshot_inner(fs, dir, tables, par::default_threads())
+}
+
+/// One encoded column: its manifest entry and its file image.
+type Segment = (ManifestEntry, Vec<u8>);
+
+/// Write a snapshot, encoding its segments on a helper thread when
+/// `threads > 1` and inline otherwise.
+///
+/// The helper runs [`Column::encode`] and [`encode_segment`] in manifest
+/// order and hands each image over a `sync_channel(1)`: while the caller
+/// writes and fsyncs one image, one more waits in the channel and the
+/// helper encodes the next. Every [`Vfs`] call stays on the caller's thread,
+/// in the order the inline writer makes them, so both write the same files
+/// through the same calls. A failed write drops the receiver, the helper's
+/// next send fails, and the scope joins it before the error returns; a
+/// panicking encoder ends the stream, and the scope re-raises its panic
+/// before a manifest is written.
+fn write_snapshot_inner(
+    fs: &dyn Vfs,
+    dir: &Path,
+    tables: &SsbTables,
+    threads: usize,
+) -> Result<SnapshotReport, PersistError> {
     fs.create_dir_all(dir)?;
     let generation = generations(fs, dir)?.last().copied().unwrap_or(0) + 1;
-    let parts = snapshot_tables(tables);
-    let nsegs: usize = parts.iter().map(|t| t.schema.arity()).sum();
-    let mut entries = Vec::with_capacity(nsegs);
-    let mut total_bytes = 0u64;
-    for table in parts {
-        for (def, data) in table.schema.columns.iter().zip(&table.columns) {
-            let name = format!("{}.{}", table.schema.name, def.name);
-            let column = Column::encode(data, true);
-            let image = encode_segment(&column);
-            let file = segment_file_name(&name, generation);
-            write_file_atomic(fs, dir, &file, &image)?;
-            entries.push(ManifestEntry {
-                name,
-                file,
-                kind: kind(&column),
-                enc: enc(&column),
-                rows: rows(&column),
-                bytes: image.len() as u64,
-                crc: trailing_crc(&image),
+    let columns: Vec<(String, &ColumnData)> = snapshot_tables(tables)
+        .into_iter()
+        .flat_map(|t| {
+            let names =
+                t.schema.columns.iter().map(|def| format!("{}.{}", t.schema.name, def.name));
+            names.zip(&t.columns)
+        })
+        .collect();
+    let nsegs = columns.len();
+    let encode = |(name, data): (String, &ColumnData)| -> Segment {
+        let column = Column::encode(data, true);
+        let image = encode_segment(&column);
+        let entry = ManifestEntry {
+            file: segment_file_name(&name, generation),
+            name,
+            kind: kind(&column),
+            enc: enc(&column),
+            rows: rows(&column),
+            bytes: image.len() as u64,
+            crc: trailing_crc(&image),
+        };
+        (entry, image)
+    };
+    let entries = if threads <= 1 {
+        write_segments(fs, dir, columns.into_iter().map(encode))
+    } else {
+        thread::scope(|s| {
+            let (tx, rx) = mpsc::sync_channel(1);
+            s.spawn(move || {
+                for segment in columns.into_iter().map(encode) {
+                    if tx.send(segment).is_err() {
+                        break;
+                    }
+                }
             });
-            total_bytes += image.len() as u64;
-        }
-    }
+            write_segments(fs, dir, rx)
+        })
+    }?;
+    let mut total_bytes: u64 = entries.iter().map(|e| e.bytes).sum();
     let manifest = Manifest { generation, sf: tables.config.sf, seed: tables.config.seed, entries };
     let image = encode_manifest(&manifest);
     total_bytes += image.len() as u64;
     write_file_atomic(fs, dir, &manifest_name(generation), &image)?;
     fs.sync_dir(dir)?;
     Ok(SnapshotReport { generation, segments: nsegs, bytes: total_bytes })
+}
+
+/// Write each segment as it arrives; the first failure stops the walk.
+fn write_segments(
+    fs: &dyn Vfs,
+    dir: &Path,
+    segments: impl IntoIterator<Item = Segment>,
+) -> Result<Vec<ManifestEntry>, PersistError> {
+    let mut entries = Vec::new();
+    for (entry, image) in segments {
+        write_file_atomic(fs, dir, &entry.file, &image)?;
+        entries.push(entry);
+    }
+    Ok(entries)
 }
 
 // ---------------------------------------------------------------------------
@@ -1024,42 +1134,71 @@ mod tests {
         }
     }
 
-    /// A one-directory in-memory [`Vfs`] that logs every read.
+    /// A one-directory in-memory [`Vfs`] that logs every call, and fails
+    /// the `fail_at`-th write or fsync (counting from 0) when one is set.
     #[derive(Default)]
     struct MemFs {
         files: RefCell<HashMap<PathBuf, Vec<u8>>>,
-        reads: RefCell<Vec<PathBuf>>,
+        calls: RefCell<Vec<(&'static str, PathBuf)>>,
+        fail_at: Option<usize>,
+    }
+
+    impl MemFs {
+        fn log(&self, call: &'static str, path: &Path) {
+            self.calls.borrow_mut().push((call, path.to_path_buf()));
+        }
+
+        /// Log a write or fsync, failing it when it is the `fail_at`-th.
+        fn durable(&self, call: &'static str, path: &Path) -> io::Result<()> {
+            let nth = self.calls.borrow().iter().filter(|(c, _)| c.starts_with("write")).count();
+            self.log(call, path);
+            match self.fail_at {
+                Some(k) if k == nth => Err(io::Error::other(format!("injected failure {k}"))),
+                _ => Ok(()),
+            }
+        }
+
+        /// The paths read, in order.
+        fn reads(&self) -> Vec<PathBuf> {
+            let calls = self.calls.borrow();
+            calls.iter().filter(|(c, _)| *c == "read").map(|(_, p)| p.clone()).collect()
+        }
     }
 
     impl Vfs for MemFs {
-        fn create_dir_all(&self, _dir: &Path) -> io::Result<()> {
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            self.log("create_dir_all", dir);
             Ok(())
         }
         fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            self.durable("write", path)?;
             self.files.borrow_mut().insert(path.to_path_buf(), bytes.to_vec());
             Ok(())
         }
-        fn sync_file(&self, _path: &Path) -> io::Result<()> {
-            Ok(())
+        fn sync_file(&self, path: &Path) -> io::Result<()> {
+            self.durable("write:sync_file", path)
         }
         fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.log("rename", to);
             let mut files = self.files.borrow_mut();
             let bytes = files.remove(from).ok_or(io::ErrorKind::NotFound)?;
             files.insert(to.to_path_buf(), bytes);
             Ok(())
         }
-        fn sync_dir(&self, _dir: &Path) -> io::Result<()> {
-            Ok(())
+        fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+            self.durable("write:sync_dir", dir)
         }
         fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-            self.reads.borrow_mut().push(path.to_path_buf());
+            self.log("read", path);
             self.files.borrow().get(path).cloned().ok_or_else(|| io::ErrorKind::NotFound.into())
         }
-        fn list(&self, _dir: &Path) -> io::Result<Vec<String>> {
+        fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+            self.log("list", dir);
             let files = self.files.borrow();
             Ok(files.keys().filter_map(|p| Some(p.file_name()?.to_str()?.to_string())).collect())
         }
         fn remove(&self, path: &Path) -> io::Result<()> {
+            self.log("remove", path);
             self.files
                 .borrow_mut()
                 .remove(path)
@@ -1097,12 +1236,12 @@ mod tests {
         // At 8 threads one batch reads entries 0..=7, fails to read 7 and
         // still reports 3, which it decoded first.
         for threads in [1, 4, 8] {
-            fs.reads.borrow_mut().clear();
+            fs.calls.borrow_mut().clear();
             match load_generation_inner(&fs, dir, 1, threads) {
                 Err(PersistError::Corrupt { detail }) => assert_eq!(detail, want, "{threads}"),
                 other => panic!("{threads} threads: {:?}", other.map(|(_, n, b)| (n, b))),
             }
-            read_logs.push(fs.reads.take());
+            read_logs.push(fs.reads());
         }
         let reads_through = |last: usize| {
             let mut reads = vec![dir.join(manifest_name(1))];
@@ -1194,41 +1333,183 @@ mod tests {
         assert_eq!(decode_strs(&StrColumn::plain(Vec::new()), 0), Some(Strs::new()));
     }
 
+    fn corrupt_detail(image: &[u8]) -> String {
+        match decode_segment(image) {
+            Err(PersistError::Corrupt { detail }) => detail,
+            other => panic!("a damaged image decoded: {other:?}"),
+        }
+    }
+
+    /// `image` with its payload replaced by `payload`, its length and CRC
+    /// recomputed.
+    fn with_payload(image: &[u8], payload: &[u8]) -> Vec<u8> {
+        let mut out = image[..SEGMENT_HEADER_BYTES].to_vec();
+        out[24..32].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(payload);
+        let crc = crc64(&out);
+        put_u64(&mut out, crc);
+        out
+    }
+
     #[test]
-    fn a_plain_value_past_its_recorded_width_is_corrupt() {
-        // Widths 1, 2 and 4, each with its middle value replaced by the first
-        // value past the width and by a negative one, under a valid checksum.
-        let columns = [
-            IntColumn::plain(vec![1, 200, 3]),
-            IntColumn::plain(vec![1, 60_000, 3]),
-            IntColumn::plain_fixed(vec![1, 2, 3]),
+    fn every_codec_writes_its_encoded_bytes_after_a_fixed_preamble() {
+        let strs: Vec<String> = (0..120).map(|i| format!("value-{:03}", i % 40)).collect();
+        let rle_src: Vec<i64> = (0..400).map(|i| i / 50).collect();
+        let packed_src: Vec<i64> = (0..300).map(|i| 1000 + (i * 7) % 90).collect();
+        let plain = |values: Vec<i64>, width: u8| {
+            let column = IntColumn::plain(values);
+            assert!(matches!(&column, IntColumn::Plain(p) if p.width() == width));
+            Column::Int(column)
+        };
+        // (codec, column, preamble bytes)
+        let cases = [
+            ("plain, width 1", plain(vec![1, 200, 3], 1), 1),
+            ("plain, width 2", plain(vec![1, 60_000, 3], 2), 1),
+            ("plain, width 4", plain(vec![1, 1 << 20, 3, 4], 4), 1),
+            ("plain, width 8", plain(vec![-5, 1 << 40, i64::MIN, i64::MAX], 8), 1),
+            ("RLE", Column::Int(IntColumn::rle(&rle_src)), 0),
+            ("packed", Column::Int(IntColumn::packed(&packed_src).expect("packable")), 8 + 1),
+            ("plain strings", Column::Str(StrColumn::plain(strs.clone())), 0),
+            ("dictionary", Column::Str(StrColumn::dict(&strs)), 4 + 1),
         ];
-        for (column, past) in columns.into_iter().zip([1i64 << 8, 1 << 16, 1 << 32]) {
-            let image = encode_segment(&Column::Int(column));
-            for wide in [past, -1] {
-                // Payload: width byte, count, then 8 bytes a value.
-                let at = SEGMENT_HEADER_BYTES + 1 + 4 + 8;
-                let mut bad = image[..image.len() - CRC_BYTES].to_vec();
-                bad[at..at + 8].copy_from_slice(&wide.to_le_bytes());
-                let crc = crc64(&bad);
-                put_u64(&mut bad, crc);
-                match decode_segment(&bad) {
-                    Err(PersistError::Corrupt { detail }) => {
-                        assert!(detail.contains("exceeds recorded byte width"), "{detail}")
-                    }
-                    other => panic!("{wide} at width {past:#x} decoded: {other:?}"),
-                }
+        for (codec, column, preamble) in cases {
+            let image = encode_segment(&column);
+            let want = SEGMENT_HEADER_BYTES as u64 + preamble + column.encoded_bytes() + 8;
+            assert_eq!(image.len() as u64, want, "{codec}");
+            assert_eq!(decode_segment(&image).expect("decodes"), column, "{codec}");
+        }
+    }
+
+    #[test]
+    fn format_2_damage_under_a_valid_checksum_fails_typed() {
+        let plain = encode_segment(&Column::Int(IntColumn::plain(vec![1, 60_000, 3])));
+        let values = &plain[SEGMENT_HEADER_BYTES + 1..plain.len() - CRC_BYTES];
+        for width in [0u8, 3, 5, 16] {
+            let detail = corrupt_detail(&with_payload(&plain, &[&[width], values].concat()));
+            assert_eq!(detail, format!("invalid plain width {width}"));
+        }
+        // Three values at width 2 are 6 bytes: read at width 1 or 4, or cut
+        // by one value, they are not rows x width.
+        for (width, values) in [(1u8, values), (4, values), (2, &values[..4])] {
+            let detail = corrupt_detail(&with_payload(&plain, &[&[width], values].concat()));
+            assert_eq!(detail, format!("plain payload is not 3 rows x {width} bytes"));
+        }
+
+        // Two runs of 50, each a value i64 and a length u32.
+        let src: Vec<i64> = [[7; 50], [9; 50]].concat();
+        let rle = encode_segment(&Column::Int(IntColumn::rle(&src)));
+        let runs = rle[SEGMENT_HEADER_BYTES..rle.len() - CRC_BYTES].to_vec();
+        let with_second_len = |len: u32| {
+            let mut runs = runs.clone();
+            runs[20..24].copy_from_slice(&len.to_le_bytes());
+            with_payload(&rle, &runs)
+        };
+        for len in [49, 51, u32::MAX] {
+            let detail = corrupt_detail(&with_second_len(len));
+            assert_eq!(detail, "run lengths do not sum to the row count", "length {len}");
+        }
+        assert_eq!(corrupt_detail(&with_second_len(0)), "zero-length run");
+        let detail = corrupt_detail(&with_payload(&rle, &runs[..12]));
+        assert_eq!(detail, "run lengths do not sum to the row count", "one run dropped");
+        let detail = corrupt_detail(&with_payload(&rle, &runs[..20]));
+        assert_eq!(detail, "RLE payload is not whole runs");
+    }
+
+    /// A format-1 image: the layout this build no longer reads, with every
+    /// plain value as 8 bytes behind a width byte and a count.
+    fn format_1_plain_segment(values: &[i64]) -> Vec<u8> {
+        let mut payload = vec![1u8];
+        put_u32(&mut payload, values.len() as u32);
+        values.iter().for_each(|&v| put_i64(&mut payload, v));
+        let mut out = SEGMENT_MAGIC.to_vec();
+        put_u32(&mut out, 1);
+        out.extend_from_slice(&[0, 0, 0, 0]);
+        put_u64(&mut out, values.len() as u64);
+        put_u64(&mut out, payload.len() as u64);
+        out.extend_from_slice(&payload);
+        let crc = crc64(&out);
+        put_u64(&mut out, crc);
+        out
+    }
+
+    #[test]
+    fn a_format_1_segment_or_manifest_is_refused_naming_its_format() {
+        let detail = corrupt_detail(&format_1_plain_segment(&[1, 2, 3]));
+        assert_eq!(detail, "unsupported segment format 1 (this build reads format 2)");
+        let manifest = Manifest { generation: 1, sf: 0.01, seed: 1, entries: Vec::new() };
+        let old = {
+            let image = encode_manifest(&manifest);
+            let mut bad = image[..image.len() - CRC_BYTES].to_vec();
+            bad[8..12].copy_from_slice(&1u32.to_le_bytes());
+            let crc = crc64(&bad);
+            put_u64(&mut bad, crc);
+            bad
+        };
+        assert_eq!(decode_manifest(&encode_manifest(&manifest)), Ok(manifest));
+        match decode_manifest(&old) {
+            Err(PersistError::Corrupt { detail }) => {
+                assert_eq!(detail, "unsupported manifest format 1 (this build reads format 2)")
             }
+            other => panic!("a format-1 manifest decoded: {other:?}"),
+        }
+    }
+
+    /// The inline writer (one thread) and the pipelined one write the same
+    /// bytes through the same [`Vfs`] calls; a write or fsync that fails at
+    /// any point returns its error after the same calls. A pipelined call
+    /// that returns has joined its helper: one left blocked on the channel
+    /// would hang the scope.
+    #[test]
+    fn the_pipelined_writer_makes_the_inline_writers_calls_and_files() {
+        let dir = Path::new("/snapshot");
+        let tables = SsbConfig { sf: 0.0002, seed: 5 }.generate();
+        let run = |threads: usize, fail_at: Option<usize>| {
+            let fs = MemFs { fail_at, ..MemFs::default() };
+            let result = write_snapshot_inner(&fs, dir, &tables, threads);
+            (result, fs.calls.take(), fs.files.take())
+        };
+        let (inline, calls, files) = run(1, None);
+        let report = inline.expect("an inline snapshot");
+        // Two durable calls a file, then the directory's fsync.
+        let durable = 2 * (report.segments + 1) + 1;
+        assert_eq!(calls.iter().filter(|(c, _)| c.starts_with("write")).count(), durable);
+        for threads in [2, 4] {
+            let (piped, piped_calls, piped_files) = run(threads, None);
+            assert_eq!(piped, Ok(report), "{threads} threads");
+            assert_eq!(piped_calls, calls, "{threads} threads");
+            assert_eq!(piped_files, files, "{threads} threads");
+        }
+        for k in 0..durable {
+            let (inline, inline_calls, _) = run(1, Some(k));
+            let (piped, piped_calls, _) = run(2, Some(k));
+            let want = PersistError::Io(format!("injected failure {k}"));
+            assert_eq!(inline, Err(want.clone()), "inline, failure {k}");
+            assert_eq!(piped, Err(want), "pipelined, failure {k}");
+            assert_eq!(piped_calls, inline_calls, "failure {k}");
+            let last = inline_calls.iter().filter(|(c, _)| c.starts_with("write")).count();
+            assert_eq!(last, k + 1, "the walk stops at the failing call");
         }
     }
 
     #[test]
     fn snapshot_load_round_trip_is_lossless() {
         let dir = temp_dir("roundtrip");
-        let tables = SsbConfig { sf: 0.0002, seed: 7 }.generate();
+        let tables = SsbConfig::with_scale(0.01).generate();
         let report = write_snapshot(&dir, &tables).unwrap();
         assert_eq!(report.generation, 1);
         assert_eq!(report.segments, 17 + 8 + 7 + 9 + 17);
+        // Each file is the bytes the store charges its column, framed.
+        let charged: u64 = snapshot_tables(&tables)
+            .iter()
+            .flat_map(|t| &t.columns)
+            .map(|data| {
+                let column = Column::encode(data, true);
+                let framing = (SEGMENT_HEADER_BYTES + CRC_BYTES) as u64;
+                framing + preamble_bytes(&column) + column.encoded_bytes()
+            })
+            .sum();
+        let manifest = fs::metadata(dir.join(manifest_name(1))).unwrap().len();
+        assert_eq!(report.bytes, charged + manifest);
         let (loaded, load) = load_latest(&dir).unwrap();
         assert_eq!(load.generation, 1);
         assert_eq!(load.fallbacks, 0);
