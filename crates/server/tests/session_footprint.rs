@@ -1,7 +1,9 @@
 //! A built session holds at most 115 bytes a fact row, and serving stays
 //! within what it holds once it is built: the serving planner ranks only the
 //! row designs that pay for their bytes (`Planner::for_serving`), so running
-//! the paper queries and a generated mix builds no design on the way.
+//! the paper queries and a generated mix builds no design on the way, and
+//! the mix's transient bytes (its peak less what the built session holds)
+//! stay at most 27 a fact row.
 //!
 //! Its own test binary: the counting allocator is process-global, and the
 //! one test here is the only one allocating while it counts (the session's
@@ -51,7 +53,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 #[test]
-fn serving_a_mix_peaks_within_a_quarter_above_the_built_session() {
+fn serving_a_mix_adds_at_most_27_bytes_a_fact_row_to_the_built_session() {
     let tables = Arc::new(SsbConfig::with_scale(0.01).generate());
     let rows = tables.lineorder.num_rows() as f64;
     let session = Session::with_cache_budget(tables, Parallelism::with_threads(2), 0);
@@ -64,16 +66,22 @@ fn serving_a_mix_peaks_within_a_quarter_above_the_built_session() {
     }
     let peak = PEAK.load(Ordering::Relaxed);
     let (built_row, peak_row) = (built as f64 / rows, peak as f64 / rows);
+    let transient_row = peak_row - built_row;
     eprintln!(
         "{built} bytes live after the build ({built_row:.1} a fact row), \
-         {peak} at the peak of the mix ({peak_row:.1} a fact row, {:.2}x)",
-        peak as f64 / built as f64
+         {peak} at the peak of the mix ({peak_row:.1} a fact row, \
+         {transient_row:.1} above the build)"
     );
     // A ratchet on what the built session holds: its logical tables' integers
     // at their byte widths, its encoded store and its catalog.
     assert!(built_row <= 115.0, "the built session holds {built_row:.1} bytes a fact row");
+    // The mix's own transient, bounded apart from what the session holds,
+    // so a cut to the session cannot fail it. 23.5 bytes a fact row at sf
+    // 0.01 when the bound was set; 27 is what a peak of 1.25x the built
+    // session then allowed.
     assert!(
-        peak as f64 <= 1.25 * built as f64,
-        "the mix peaked at {peak_row:.1} bytes a fact row against {built_row:.1} after the build"
+        transient_row <= 27.0,
+        "the mix peaked {transient_row:.1} bytes a fact row above the built session \
+         ({peak_row:.1} against {built_row:.1})"
     );
 }
