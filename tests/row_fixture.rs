@@ -15,10 +15,17 @@
 //! queries on CS (Row-MV) (Section 6.1's tuples stored as strings in one
 //! column) and the three pre-joined tables of Figure 8.
 //!
+//! `tests/fixtures/column_iostats.txt` does the same for the column engine's
+//! cells no other fixture pins: the ten [`EngineConfig`]s that
+//! `iostats_serial.txt` leaves out on the 13 paper queries, and the six plan
+//! shapes it pins on the 30 generated statements (what `adhoc_stream`
+//! serves), at 1 and 4 workers.
+//!
 //! Print the current text with
 //! `cargo test --test row_fixture print_row_iostats -- --ignored --nocapture`
-//! (and `print_row_mv_iostats`).
+//! (and `print_row_mv_iostats`, `print_column_iostats`).
 
+use cvr::core::morsel::Parallelism;
 use cvr::core::{ColumnEngine, DenormDb, DenormVariant, EngineConfig, ExecOptions, RowMvDb};
 use cvr::data::gen::SsbConfig;
 use cvr::data::queries::all_queries;
@@ -102,6 +109,30 @@ fn row_mv_iostats() -> String {
     out
 }
 
+/// The six plan shapes `iostats_serial.txt` pins on the paper queries.
+const PLAN_SHAPES: [&str; 6] = ["tICL", "tIcL", "tiCL", "ticL", "tICl", "tIcl"];
+
+/// The text of `column_iostats.txt` (without its `#` header) at `threads`
+/// workers: the other ten configurations on the paper queries, then the six
+/// plan shapes on the generated statements.
+fn column_iostats(threads: usize) -> String {
+    let tables = Arc::new(TABLES.generate());
+    let engine = ColumnEngine::new(tables.clone());
+    let par = Parallelism::with_threads(threads);
+    let others: Vec<EngineConfig> =
+        EngineConfig::all().into_iter().filter(|c| !PLAN_SHAPES.contains(&&*c.code())).collect();
+    let shapes: Vec<EngineConfig> = PLAN_SHAPES.map(EngineConfig::parse).to_vec();
+    let paper = all_queries().into_iter().map(|q| (q, &others));
+    let mut out = String::new();
+    for (q, configs) in paper.chain(WORKLOAD.generate().into_iter().map(|q| (q, &shapes))) {
+        let want = reference::evaluate(&tables, &q);
+        for &cfg in configs {
+            cells(&mut out, q.id, &cfg.code(), &want, |io| engine.execute_with(&q, cfg, par, io));
+        }
+    }
+    out
+}
+
 /// Assert `got` equals `fixture` line by line, that it has `cells` cells,
 /// and that `evicting` of its bounded cells read differently from their
 /// unmetered twins, so the fixture keeps exercising eviction.
@@ -132,6 +163,14 @@ fn row_mv_iostats_match_the_pinned_fixture() {
 }
 
 #[test]
+fn column_iostats_match_the_pinned_fixture() {
+    for threads in [1, 4] {
+        let got = column_iostats(threads);
+        assert_pinned(include_str!("fixtures/column_iostats.txt"), &got, 310, 45);
+    }
+}
+
+#[test]
 #[ignore = "prints the fixture text; run with --ignored --nocapture"]
 fn print_row_iostats() {
     print!("{}", row_iostats());
@@ -141,4 +180,10 @@ fn print_row_iostats() {
 #[ignore = "prints the fixture text; run with --ignored --nocapture"]
 fn print_row_mv_iostats() {
     print!("{}", row_mv_iostats());
+}
+
+#[test]
+#[ignore = "prints the fixture text; run with --ignored --nocapture"]
+fn print_column_iostats() {
+    print!("{}", column_iostats(1));
 }
