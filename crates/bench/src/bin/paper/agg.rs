@@ -219,7 +219,7 @@ fn measure_synthetic(n: u32, runs: usize, out: &mut Vec<Cell>) {
 /// Time every cell, write [`OUT`], and gate.
 pub fn run(db: &Db) -> Result<(), String> {
     let args = &db.args;
-    let store = db.engine().db(EngineConfig::FULL);
+    let store = db.stores().engine().db(EngineConfig::FULL);
     eprintln!(
         "# agg over sf {} ({} fact rows), best of {} runs",
         args.sf,

@@ -4,93 +4,49 @@
 use crate::Db;
 use cvr_bench::{paper, render_figure, Measurement};
 use cvr_core::morsel::Parallelism;
-use cvr_core::{CStoreDb, DenormDb, DenormVariant, EngineConfig, ExecOptions, RowMvDb};
+use cvr_core::{CStoreDb, EngineConfig, ExecOptions};
 use cvr_data::queries::all_queries;
 use cvr_data::reference::measured_selectivity;
-use cvr_row::designs::{RowDb, RowDesign, SuperVpDb, TraditionalDb, TraditionalOptions, VpDb};
+use cvr_plan::Design;
+use cvr_row::designs::{RowDesign, TraditionalDb, TraditionalOptions, VpDb};
 use std::sync::Arc;
 
-/// Figure 5: baseline comparison — RS, RS (MV), CS, CS (Row-MV).
-pub fn figure5(db: &Db) -> Result<(), String> {
-    let (h, cs) = (db.harness(), db.engine());
-    let rs = RowDb::build(h.tables.clone(), RowDesign::Traditional);
-    let rs_mv = RowDb::build(h.tables.clone(), RowDesign::MaterializedViews);
-    let cs_row_mv = RowMvDb::build(h.tables.clone());
+/// Measure each of `designs` on the 13 paper queries at `--threads`,
+/// releasing its store before the next design's is built. The column
+/// engine stays built.
+fn measure(db: &mut Db, designs: &[(&str, Design)]) -> Vec<(String, Vec<Measurement>)> {
     let opts = ExecOptions { par: db.args.parallelism(), ..ExecOptions::default() };
-    eprintln!("# figure 5 (CS: tICL; CS and CS (Row-MV) on {} thread(s)) ...", opts.par.threads);
-    let ours: Vec<(String, Vec<Measurement>)> = vec![
-        ("RS".into(), h.measure_series(|q, io| rs.execute(q, io))),
-        ("RS (MV)".into(), h.measure_series(|q, io| rs_mv.execute(q, io))),
-        (
-            "CS".into(),
-            h.measure_series(|q, io| {
-                cs.run(q, EngineConfig::FULL, &opts, io).expect("unbounded lifecycle")
-            }),
-        ),
-        (
-            "CS (Row-MV)".into(),
-            h.measure_series(|q, io| cs_row_mv.run(q, &opts, io).expect("unbounded lifecycle")),
-        ),
-    ];
-    let title = "Figure 5: Baseline performance of C-Store and System X";
-    println!("{}", render_figure(title, &ours, &paper::figure5(), db.args.sf));
-    Ok(())
+    let mut ours = Vec::new();
+    for &(label, design) in designs {
+        eprintln!("# {label}: building + running on {} thread(s) ...", opts.par.threads);
+        let (h, stores) = (db.harness(), db.stores());
+        let series = h
+            .measure_series(|q, io| stores.run(design, q, &opts, io).expect("unbounded lifecycle"));
+        ours.push((label.to_string(), series));
+        db.release();
+    }
+    ours
 }
 
-/// Figure 6: row-store physical designs — T, T(B), MV, VP, AI.
-pub fn figure6(db: &Db) -> Result<(), String> {
-    let h = db.harness();
-    let mut ours: Vec<(String, Vec<Measurement>)> = Vec::new();
-    for design in RowDesign::ALL {
-        eprintln!("# figure 6: building + running {} ...", design.label());
-        let rows = RowDb::build(h.tables.clone(), design);
-        ours.push((design.label().to_string(), h.measure_series(|q, io| rows.execute(q, io))));
-    }
-    let title = "Figure 6: Row-store physical design variants";
-    println!("{}", render_figure(title, &ours, &paper::figure6(), db.args.sf));
-    Ok(())
-}
+/// The titles of Figures 5–8.
+const TITLES: [&str; 4] = [
+    "Baseline performance of C-Store and System X",
+    "Row-store physical design variants",
+    "C-Store optimization removal study",
+    "Denormalization study (pre-joined fact table)",
+];
 
-/// Figure 7: C-Store with optimizations successively removed (tICL, TICL,
-/// tiCL, TiCL, ticL, TicL, Ticl).
-pub fn figure7(db: &Db) -> Result<(), String> {
-    let (h, cs) = (db.harness(), db.engine());
-    let par = db.args.parallelism();
-    let mut ours: Vec<(String, Vec<Measurement>)> = Vec::new();
-    for cfg in EngineConfig::figure7() {
-        eprintln!("# figure 7: {} ({} thread(s))", cfg.code(), par.threads);
-        ours.push((cfg.code(), h.measure_series(|q, io| cs.execute_with(q, cfg, par, io))));
-    }
-    let title = "Figure 7: C-Store optimization removal study";
-    println!("{}", render_figure(title, &ours, &paper::figure7(), db.args.sf));
-    Ok(())
-}
-
-/// Figure 8: invisible-join baseline vs denormalized (pre-joined) tables.
-pub fn figure8(db: &Db) -> Result<(), String> {
-    let (h, cs) = (db.harness(), db.engine());
-    let opts = ExecOptions { par: db.args.parallelism(), ..ExecOptions::default() };
-    eprintln!("# figure 8 (Base: invisible join; every series on {} thread(s))", opts.par.threads);
-    let mut ours: Vec<(String, Vec<Measurement>)> = vec![(
-        "Base".into(),
-        h.measure_series(|q, io| {
-            cs.run(q, EngineConfig::FULL, &opts, io).expect("unbounded lifecycle")
-        }),
-    )];
-    for variant in
-        [DenormVariant::NoCompression, DenormVariant::IntCompression, DenormVariant::MaxCompression]
-    {
-        eprintln!("# figure 8: {}", variant.label());
-        let denorm = DenormDb::build(h.tables.clone(), variant);
-        ours.push((
-            variant.label().to_string(),
-            h.measure_series(|q, io| {
-                denorm.run(q, EngineConfig::FULL, &opts, io).expect("unbounded lifecycle")
-            }),
-        ));
-    }
-    let title = "Figure 8: Denormalization study (pre-joined fact table)";
-    println!("{}", render_figure(title, &ours, &paper::figure8(), db.args.sf));
+/// Figure `n` (5–8): measure the systems of its `Design` list and print them
+/// beside the paper's series.
+pub fn figure(db: &mut Db, n: usize) -> Result<(), String> {
+    let (designs, series): (Vec<_>, _) = match n {
+        5 => (Design::figure5().into(), paper::figure5()),
+        6 => (Design::figure6().into(), paper::figure6()),
+        7 => (Design::figure7().into(), paper::figure7()),
+        _ => (Design::figure8().into(), paper::figure8()),
+    };
+    let title = format!("Figure {n}: {}", TITLES[n - 5]);
+    println!("{}", render_figure(&title, &measure(db, &designs), &series, db.args.sf));
     Ok(())
 }
 
@@ -98,7 +54,7 @@ pub fn figure8(db: &Db) -> Result<(), String> {
 /// the planner's histogram-driven estimate.
 pub fn selectivity(db: &Db) -> Result<(), String> {
     let tables = &db.harness().tables;
-    let planner = cvr_bench::build_planner(&db.args, db.engine());
+    let planner = cvr_bench::build_planner(&db.args, db.stores().engine());
     println!("\nSection 3: LINEORDER selectivities (sf {})", db.args.sf);
     println!("==========================================\n");
     println!("{:<8}{:>14}{:>14}{:>14}{:>10}", "query", "paper", "measured", "estimate", "ratio");
@@ -216,7 +172,7 @@ pub fn partitioning(db: &Db) -> Result<(), String> {
 /// disabled (phase 1 always builds a key hash set — a column-oriented
 /// semijoin), and the classic late-materialized join (`tiCL`).
 pub fn ablation(db: &Db) -> Result<(), String> {
-    let (h, cs) = (db.harness(), db.engine());
+    let (h, cs) = (db.harness(), db.stores().engine());
     // One worker throughout, like the paper's single-threaded C-Store.
     let series = |cfg: EngineConfig, between_rewriting: bool| -> Vec<Measurement> {
         let opts =
@@ -258,19 +214,11 @@ pub fn ablation(db: &Db) -> Result<(), String> {
 /// column as packed values (4 B/int, no per-tuple headers, positions
 /// virtual) but keeps the tuple-at-a-time row executor — so the comparison
 /// isolates storage overhead from executor architecture.
-pub fn super_tuples(db: &Db) -> Result<(), String> {
-    let (h, cs) = (db.harness(), db.engine());
-    eprintln!("# super tuples: building T, VP and super-VP ...");
-    let t = RowDb::build(h.tables.clone(), RowDesign::Traditional);
-    let vp = RowDb::build(h.tables.clone(), RowDesign::VerticalPartitioning);
-    let sup = SuperVpDb::build(h.tables.clone());
-
-    let mt = h.measure_series(|q, io| t.execute(q, io));
-    let mvp = h.measure_series(|q, io| vp.execute(q, io));
-    let msup = h.measure_series(|q, io| sup.execute(q, io));
-    let par = db.args.parallelism();
-    let mcs = h.measure_series(|q, io| cs.execute_with(q, EngineConfig::FULL, par, io));
-
+pub fn super_tuples(db: &mut Db) -> Result<(), String> {
+    let cs = Design::Column(EngineConfig::FULL);
+    let rows = [RowDesign::Traditional, RowDesign::VerticalPartitioning, RowDesign::SuperVp];
+    let [t, vp, sup] = rows.map(|d| (d.label(), Design::Row(d)));
+    let ours = measure(db, &[t, vp, sup, ("CS", cs)]);
     println!(
         "\nExtension: super-tuple VP vs plain VP vs traditional vs column store (sf {})",
         db.args.sf
@@ -279,7 +227,7 @@ pub fn super_tuples(db: &Db) -> Result<(), String> {
     println!("{:<8}{:>12}{:>12}{:>14}{:>12}", "query", "T", "VP", "super-VP", "CS (tICL)");
     let mut sums = [0.0f64; 4];
     for (i, label) in paper::QUERY_LABELS.iter().enumerate() {
-        let row = [mt[i].seconds(), mvp[i].seconds(), msup[i].seconds(), mcs[i].seconds()];
+        let row = [0, 1, 2, 3].map(|s| ours[s].1[i].seconds());
         for (s, v) in sums.iter_mut().zip(row) {
             *s += v;
         }

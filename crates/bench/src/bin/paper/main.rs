@@ -8,7 +8,8 @@
 //! ```
 //!
 //! Subcommands run in the order given, over one generated database and one
-//! column engine, each built by the first subcommand that needs it. A gate
+//! store set (`cvr_plan::Stores`), each store built by the first subcommand
+//! that needs it. A gate
 //! that fails (`kernels`, `agg`, `planner`) does not stop the ones after
 //! it; the binary exits 1 once all have run. `--help` lists everything.
 
@@ -18,15 +19,16 @@ mod kernels;
 mod planner;
 
 use cvr_bench::{Harness, HarnessArgs, REPRODUCTION, USAGE};
-use cvr_core::ColumnEngine;
+use cvr_core::morsel::Parallelism;
+use cvr_plan::Stores;
 use std::cell::OnceCell;
 
-/// What the subcommands share: the options, and the database and column
-/// engine, built on first use.
+/// What the subcommands share: the options, the database, and every
+/// design's store over it, each built on first use.
 pub struct Db {
     args: HarnessArgs,
     harness: OnceCell<Harness>,
-    engine: OnceCell<ColumnEngine>,
+    stores: OnceCell<Stores>,
 }
 
 impl Db {
@@ -37,12 +39,16 @@ impl Db {
         })
     }
 
-    fn engine(&self) -> &ColumnEngine {
-        self.engine.get_or_init(|| {
-            let tables = self.harness().tables.clone();
-            eprintln!("# building the column store ...");
-            ColumnEngine::new(tables)
-        })
+    fn stores(&self) -> &Stores {
+        let tables = || self.harness().tables.clone();
+        self.stores.get_or_init(|| Stores::new(tables(), Parallelism::from_env()))
+    }
+
+    /// Drop every built store but the column engine's.
+    fn release(&mut self) {
+        if let Some(stores) = self.stores.get_mut() {
+            stores.release();
+        }
     }
 }
 
@@ -52,27 +58,29 @@ fn main() {
         eprintln!("{USAGE}");
         std::process::exit(2);
     }
-    let db = Db { args, harness: OnceCell::new(), engine: OnceCell::new() };
+    let mut db = Db { args, harness: OnceCell::new(), stores: OnceCell::new() };
     if db.args.explain && db.args.commands.iter().any(|c| REPRODUCTION.contains(&c.as_str())) {
-        cvr_bench::print_explains(&db.args, db.engine());
+        cvr_bench::print_explains(&db.args, db.stores().engine());
     }
     let mut failed = false;
-    for command in &db.args.commands {
+    for command in db.args.commands.clone() {
         let outcome = match command.as_str() {
-            "figure5" => figures::figure5(&db),
-            "figure6" => figures::figure6(&db),
-            "figure7" => figures::figure7(&db),
-            "figure8" => figures::figure8(&db),
+            "figure5" => figures::figure(&mut db, 5),
+            "figure6" => figures::figure(&mut db, 6),
+            "figure7" => figures::figure(&mut db, 7),
+            "figure8" => figures::figure(&mut db, 8),
             "selectivity" => figures::selectivity(&db),
             "storage-sizes" => figures::storage_sizes(&db),
             "partitioning" => figures::partitioning(&db),
             "ablation" => figures::ablation(&db),
-            "super-tuples" => figures::super_tuples(&db),
+            "super-tuples" => figures::super_tuples(&mut db),
             "kernels" => kernels::run(&db.args),
             "agg" => agg::run(&db),
             "planner" => planner::run(&db),
             other => unreachable!("parse_from admits no subcommand {other}"),
         };
+        // The next subcommand shares the column engine, and no other store.
+        db.release();
         if let Err(failure) = outcome {
             eprintln!("FAIL ({command}): {failure}");
             failed = true;

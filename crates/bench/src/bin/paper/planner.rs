@@ -25,10 +25,7 @@ use cvr_core::ExecOptions;
 use cvr_data::queries::{all_queries, SsbQuery};
 use cvr_data::result::QueryOutput;
 use cvr_data::workload::WorkloadConfig;
-use cvr_plan::PhysicalChoice;
-use cvr_row::designs::{RowDb, RowDesign};
 use cvr_storage::io::{BufferPool, DiskModel, IoSession};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Measure `exec` with deterministic *first-touch* I/O: one warm-up (code
@@ -83,17 +80,14 @@ struct Record {
 
 /// Measure the grid for every query, print the regret table, and gate.
 pub fn run(db: &Db) -> Result<(), String> {
-    let (args, harness, engine) = (&db.args, db.harness(), db.engine());
+    let (args, harness, stores) = (&db.args, db.harness(), db.stores());
     let par = args.parallelism();
-    let planner = build_planner(args, engine);
+    let planner = build_planner(args, stores.engine());
 
     let mut queries: Vec<(SsbQuery, bool)> = all_queries().into_iter().map(|q| (q, true)).collect();
     let workload = WorkloadConfig { seed: args.seed ^ 0xAD_0C, count: args.queries.min(255) };
     queries.extend(workload.generate().into_iter().map(|q| (q, false)));
     eprintln!("# planner: 13 paper queries + {} generated", queries.len() - 13);
-
-    // Row designs built lazily, shared across queries.
-    let mut row_dbs: HashMap<RowDesign, RowDb> = HashMap::new();
 
     let mut records: Vec<Record> = Vec::new();
     for (q, paper) in &queries {
@@ -103,23 +97,19 @@ pub fn run(db: &Db) -> Result<(), String> {
         }
 
         // Measure every candidate in the search space (keeping each cell's
-        // cost-model estimate next to its measurement).
-        let mut grid: Vec<(String, f64, Measurement)> = Vec::new();
-        for cand in planner.candidates(q) {
-            let m = match cand.choice {
-                PhysicalChoice::Column(cfg) => {
-                    measure_cold(args, harness.disk(), |io| engine.execute_with(q, cfg, par, io))
-                }
-                PhysicalChoice::Row(design) => {
-                    let rows = row_dbs.entry(design).or_insert_with(|| {
-                        eprintln!("#   building row design {} ...", design.label());
-                        RowDb::build(harness.tables.clone(), design)
-                    });
-                    measure_cold(args, harness.disk(), |io| rows.execute(q, io))
-                }
-            };
-            grid.push((cand.choice.label(), cand.seconds, m));
-        }
+        // cost-model estimate next to its measurement), each design built by
+        // its first cell.
+        let run = |opts: &ExecOptions<'_>, design| {
+            measure_cold(args, harness.disk(), |io| {
+                stores.run(design, q, opts, io).expect("unbounded lifecycle")
+            })
+        };
+        let declared = ExecOptions { par, ..ExecOptions::default() };
+        let grid: Vec<(String, f64, Measurement)> = planner
+            .candidates(q)
+            .into_iter()
+            .map(|c| (c.choice.label(), c.seconds, run(&declared, c.choice.into())))
+            .collect();
         let (best, est_best_seconds, best_m) = grid
             .iter()
             .min_by(|a, b| a.2.seconds().partial_cmp(&b.2.seconds()).unwrap())
@@ -127,22 +117,8 @@ pub fn run(db: &Db) -> Result<(), String> {
             .clone();
 
         // The planner's own cell, measured with its predicate order applied.
-        let picked_m = match plan.choice {
-            PhysicalChoice::Column(cfg) => measure_cold(args, harness.disk(), |io| {
-                let opts = ExecOptions {
-                    par,
-                    fact_order: Some(&plan.fact_order),
-                    ..ExecOptions::default()
-                };
-                engine.run(q, cfg, &opts, io).expect("unbounded lifecycle")
-            }),
-            PhysicalChoice::Row(design) => {
-                let rows = &row_dbs[&design];
-                measure_cold(args, harness.disk(), |io| {
-                    rows.execute_planned(q, &plan.fact_order, io)
-                })
-            }
-        };
+        let planned = ExecOptions { fact_order: Some(&plan.fact_order), ..declared };
+        let picked_m = run(&planned, plan.choice.into());
 
         records.push(Record {
             id: q.id.to_string(),

@@ -45,20 +45,6 @@ impl EngineConfig {
         late_materialization: false,
     };
 
-    /// The seven configurations of Figure 7, in the paper's order:
-    /// tICL, TICL, tiCL, TiCL, ticL, TicL, Ticl.
-    pub fn figure7() -> [EngineConfig; 7] {
-        [
-            EngineConfig::parse("tICL"),
-            EngineConfig::parse("TICL"),
-            EngineConfig::parse("tiCL"),
-            EngineConfig::parse("TiCL"),
-            EngineConfig::parse("ticL"),
-            EngineConfig::parse("TicL"),
-            EngineConfig::parse("Ticl"),
-        ]
-    }
-
     /// All sixteen combinations (for exhaustive correctness testing).
     pub fn all() -> Vec<EngineConfig> {
         let mut out = Vec::with_capacity(16);
@@ -179,12 +165,6 @@ mod tests {
         assert!("tICLL".parse::<EngineConfig>().is_err());
         let err = "tXCL".parse::<EngineConfig>().unwrap_err().to_string();
         assert!(err.contains("'X'"), "{err}");
-    }
-
-    #[test]
-    fn figure7_order() {
-        let codes: Vec<String> = EngineConfig::figure7().iter().map(EngineConfig::code).collect();
-        assert_eq!(codes, ["tICL", "TICL", "tiCL", "TiCL", "ticL", "TicL", "Ticl"]);
     }
 
     #[test]

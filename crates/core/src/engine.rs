@@ -131,14 +131,8 @@ impl ColumnEngine {
         })?
     }
 
-    /// [`ColumnEngine::run`] at the process-default parallelism (see
-    /// [`Parallelism::from_env`]) with every other option at its default,
-    /// panicking with the [`QueryError`] on an (injected) failure.
-    pub fn execute(&self, q: &SsbQuery, config: EngineConfig, io: &IoSession) -> QueryOutput {
-        self.execute_with(q, config, Parallelism::from_env(), io)
-    }
-
-    /// [`ColumnEngine::execute`] with an explicit [`Parallelism`].
+    /// [`ColumnEngine::run`] at `par`, panicking on an (injected) failure.
+    /// Kept for `benchmark/src/layers.rs` until ROADMAP item 2b deletes it.
     pub fn execute_with(
         &self,
         q: &SsbQuery,
@@ -165,26 +159,6 @@ mod tests {
     use super::*;
     use cvr_data::gen::SsbConfig;
     use cvr_data::queries::all_queries;
-    use cvr_data::reference;
-
-    #[test]
-    fn all_sixteen_configs_match_reference() {
-        let tables = Arc::new(SsbConfig { sf: 0.0015, seed: 53 }.generate());
-        let engine = ColumnEngine::new(tables.clone());
-        let io = IoSession::unmetered();
-        for q in all_queries() {
-            let expected = reference::evaluate(&tables, &q);
-            for cfg in EngineConfig::all() {
-                assert_eq!(
-                    engine.execute(&q, cfg, &io),
-                    expected,
-                    "config {} disagrees on {}",
-                    cfg.code(),
-                    q.id
-                );
-            }
-        }
-    }
 
     #[test]
     fn thread_counts_are_byte_identical() {

@@ -43,16 +43,16 @@
 //!   the substrate for the server's `EXPLAIN ANALYZE`.
 //!
 //! ```
-//! use cvr_core::{ColumnEngine, EngineConfig};
+//! use cvr_core::{ColumnEngine, EngineConfig, ExecOptions};
 //! use cvr_data::{gen::SsbConfig, queries};
 //! use cvr_storage::io::IoSession;
 //! use std::sync::Arc;
 //!
 //! let tables = Arc::new(SsbConfig::with_scale(0.0005).generate());
 //! let engine = ColumnEngine::new(tables);
-//! let io = IoSession::unmetered();
-//! let full = engine.execute(&queries::query(3, 1), EngineConfig::FULL, &io);
-//! let stripped = engine.execute(&queries::query(3, 1), EngineConfig::STRIPPED, &io);
+//! let (q, opts, io) = (queries::query(3, 1), ExecOptions::default(), IoSession::unmetered());
+//! let full = engine.run(&q, EngineConfig::FULL, &opts, &io);
+//! let stripped = engine.run(&q, EngineConfig::STRIPPED, &opts, &io);
 //! assert_eq!(full, stripped); // same answer, very different cost
 //! ```
 

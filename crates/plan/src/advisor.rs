@@ -157,11 +157,15 @@ mod tests {
             for q in &mix {
                 let offered = planner.applicable_row_designs(q);
                 assert!(offered.iter().all(|d| served.contains(d)), "{}: {offered:?}", q.id);
-                let design = planner.plan(q).row_design();
+                let row = |choice| match choice {
+                    PhysicalChoice::Row(d) => Some(d),
+                    PhysicalChoice::Column(_) => None,
+                };
+                let design = row(planner.plan(q).choice);
                 assert!(design.is_none_or(|d| served.contains(&d)), "{}", q.id);
                 planned += usize::from(design.is_some());
                 refused +=
-                    usize::from(full.plan(q).row_design().is_some_and(|d| !served.contains(&d)));
+                    usize::from(row(full.plan(q).choice).is_some_and(|d| !served.contains(&d)));
             }
             // Served designs are planned, and the full grid would have
             // planned refused ones.

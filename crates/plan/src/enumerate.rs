@@ -25,6 +25,7 @@ use cvr_row::designs::RowDesign;
 
 use crate::advisor::{self, DesignVerdict};
 use crate::cost::{gather, seq_scan, CostBreakdown, CostParams, WorkingSet};
+use crate::design::Design;
 use crate::explain::Explain;
 use crate::stats::{Catalog, ColumnStats, EncodingKind};
 
@@ -63,7 +64,8 @@ pub(crate) fn column_file_value_bytes(design: RowDesign, stats: &ColumnStats) ->
     }
 }
 
-/// The physical half of a plan: which engine, in which configuration.
+/// The physical half of a plan, a [`Design`] the planner ranks. Kept for
+/// `benchmark/src/layers.rs` until ROADMAP item 2b deletes that file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhysicalChoice {
     /// Column engine under an ablation-letter configuration.
@@ -73,13 +75,9 @@ pub enum PhysicalChoice {
 }
 
 impl PhysicalChoice {
-    /// Short label: the ablation letters (`tICL`) or the Figure 6 design
-    /// code prefixed `row:` (`row:MV`).
+    /// Short label: [`Design::label`].
     pub fn label(&self) -> String {
-        match self {
-            PhysicalChoice::Column(cfg) => cfg.code(),
-            PhysicalChoice::Row(d) => format!("row:{}", d.label()),
-        }
+        Design::from(*self).label()
     }
 }
 
@@ -122,23 +120,6 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// The column-engine configuration when the winner is the column
-    /// engine.
-    pub fn engine_config(&self) -> Option<EngineConfig> {
-        match self.choice {
-            PhysicalChoice::Column(cfg) => Some(cfg),
-            PhysicalChoice::Row(_) => None,
-        }
-    }
-
-    /// The row design when the winner is the row engine.
-    pub fn row_design(&self) -> Option<RowDesign> {
-        match self.choice {
-            PhysicalChoice::Column(_) => None,
-            PhysicalChoice::Row(d) => Some(d),
-        }
-    }
-
     /// Multi-line explain rendering: chosen plan, cost breakdown, and the
     /// candidate ranking.
     pub fn render(&self) -> String {
@@ -277,7 +258,7 @@ impl Planner {
     fn candidates_with(&self, q: &SsbQuery, e: &Estimates) -> Vec<Candidate> {
         let order = e.fact_order();
         let mut out = Vec::new();
-        for shape in [PlanShape::Invisible, PlanShape::LateJoin, PlanShape::Early] {
+        for shape in PlanShape::ALL {
             for compressed in [true, false] {
                 let (est, mut explain, ws) = self.cost_column(q, e, shape, compressed, &order);
                 // Distinct bytes, not summed charges: a page is read from
@@ -1109,6 +1090,9 @@ pub enum PlanShape {
 }
 
 impl PlanShape {
+    /// The three shapes, in the order the planner costs them.
+    pub const ALL: [PlanShape; 3] = [PlanShape::Invisible, PlanShape::LateJoin, PlanShape::Early];
+
     /// The [`EngineConfig`] running this shape at one compression setting
     /// (block iteration always on — the planner never picks the
     /// deliberately-slow tuple-at-a-time mode).
@@ -1170,7 +1154,7 @@ mod tests {
         let p = planner();
         for q in all_queries() {
             let plan = p.plan(&q);
-            if let Some(cfg) = plan.engine_config() {
+            if let PhysicalChoice::Column(cfg) = plan.choice {
                 assert!(cfg.compression, "{}: picked {}", q.id, cfg.code());
                 assert!(cfg.late_materialization, "{}: picked {}", q.id, cfg.code());
             }

@@ -21,19 +21,19 @@
 //!   and returns a [`Plan`] with an explain tree and the full candidate
 //!   ranking;
 //! * [`advisor`] prices each row design against a reference mix by what it
-//!   holds, so [`Planner::for_serving`] ranks only the designs that pay.
+//!   holds, so [`Planner::for_serving`] ranks only the designs that pay;
+//! * [`design`] lists every system of Figures 5–8 as a [`Design`], and
+//!   [`Stores`] builds each on first use and runs any of them.
 //!
 //! ```
-//! use cvr_core::ColumnEngine;
 //! use cvr_data::gen::SsbConfig;
-//! use cvr_plan::{Catalog, Planner};
+//! use cvr_plan::{Catalog, Planner, Stores};
 //! use std::sync::Arc;
 //!
 //! let tables = Arc::new(SsbConfig::with_scale(0.001).generate());
-//! let engine = ColumnEngine::new(tables);
-//! let planner = Planner::new(Catalog::build(&engine));
+//! let stores = Stores::new(tables, cvr_core::morsel::Parallelism::serial());
+//! let planner = Planner::new(Catalog::build(stores.engine()));
 //! let plan = planner.plan(&cvr_data::queries::query(3, 1));
-//! assert!(plan.engine_config().is_some() || plan.row_design().is_some());
 //! println!("{}", plan.render());
 //! ```
 //!
@@ -46,6 +46,7 @@
 
 pub mod advisor;
 pub mod cost;
+pub mod design;
 pub mod enumerate;
 pub mod explain;
 pub mod key;
@@ -53,6 +54,7 @@ pub mod stats;
 
 pub use advisor::DesignVerdict;
 pub use cost::{CostBreakdown, CostParams, CpuRates};
+pub use design::{Design, Stores};
 pub use enumerate::{Candidate, PhysicalChoice, Plan, PlanShape, Planner};
 pub use explain::Explain;
 pub use stats::{Catalog, ColumnStats, EncodingKind, Histogram, TableStats};

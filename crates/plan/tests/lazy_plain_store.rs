@@ -5,7 +5,7 @@
 //! this binary builds its engines one after another.
 
 use cvr_core::projection::CStoreDb;
-use cvr_core::{ColumnEngine, EngineConfig};
+use cvr_core::{ColumnEngine, EngineConfig, ExecOptions};
 use cvr_data::gen::SsbConfig;
 use cvr_data::queries::all_queries;
 use cvr_data::reference;
@@ -47,12 +47,13 @@ fn the_lazy_plain_store_is_invisible() {
         // Planning and every compressed configuration leave it unbuilt.
         let planner = Planner::new(catalog);
         let io = IoSession::unmetered();
+        let run = |q, cfg| engine.run(q, cfg, &ExecOptions::default(), &io).unwrap();
         let queries = all_queries();
         let expected: Vec<_> = queries.iter().map(|q| reference::evaluate(&tables, q)).collect();
         for (q, want) in queries.iter().zip(&expected) {
             planner.plan(q);
             for cfg in EngineConfig::all().into_iter().filter(|cfg| cfg.compression) {
-                assert_eq!(&engine.execute(q, cfg, &io), want, "{} under {}", q.id, cfg.code());
+                assert_eq!(&run(q, cfg), want, "{} under {}", q.id, cfg.code());
             }
         }
         assert!(!engine.plain_built());
@@ -61,12 +62,12 @@ fn the_lazy_plain_store_is_invisible() {
         // The first uncompressed execution builds it; answers are the
         // reference's, and the store is the one a direct build makes.
         let tiny = EngineConfig::parse("tIcl");
-        assert_eq!(&engine.execute(&queries[0], tiny, &io), &expected[0]);
+        assert_eq!(&run(&queries[0], tiny), &expected[0]);
         assert!(engine.plain_built());
         assert_eq!(gauge(), Some(1));
         for (q, want) in queries.iter().zip(&expected) {
             for cfg in EngineConfig::all().into_iter().filter(|cfg| !cfg.compression) {
-                assert_eq!(&engine.execute(q, cfg, &io), want, "{} under {}", q.id, cfg.code());
+                assert_eq!(&run(q, cfg), want, "{} under {}", q.id, cfg.code());
             }
         }
         let lazy = engine.db(tiny);

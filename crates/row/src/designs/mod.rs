@@ -15,8 +15,8 @@
 //! [`vp::PositionJoinDb`], generic over how one column file is stored
 //! ([`vp::ColumnFile`]).
 //!
-//! [`RowDesign`] + [`RowDb`] give the benchmark harness a uniform way to
-//! build and run any of them.
+//! [`RowDesign`] + [`RowDb`] build and run any of them; `cvr_plan::Stores`
+//! builds each on first use beside the other systems of Figures 5–8.
 
 pub mod ai;
 pub mod common;
@@ -173,12 +173,9 @@ impl RowDb {
         }
     }
 
-    /// Execute a *planner-chosen* plan: this design plus an explicit fact-
-    /// predicate evaluation order (see `SsbQuery::with_fact_order`).
-    ///
-    /// Like the column engine's `execute_planned`, this is exactly
-    /// "permute, then [`RowDb::execute`]", so a planned execution is
-    /// byte-identical to running the hand-permuted query directly.
+    /// "Permute by `fact_order` (see `SsbQuery::with_fact_order`), then
+    /// [`RowDb::execute`]". Kept for `benchmark/src/layers.rs` until ROADMAP
+    /// item 2b deletes that file.
     pub fn execute_planned(
         &self,
         q: &SsbQuery,

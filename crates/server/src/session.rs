@@ -17,22 +17,20 @@
 
 use crate::cache::{CacheStats, QueryCache};
 use crate::parser::{self, ParseError, Statement};
-use cvr_core::ctx::catch_injected;
 use cvr_core::morsel::Parallelism;
 use cvr_core::sched::{self, Scheduler};
-use cvr_core::{ColumnEngine, ExecOptions, QueryCtx, QueryError, SpanRecord, Tracer};
+use cvr_core::{ExecOptions, QueryCtx, QueryError, SpanRecord, Tracer};
 use cvr_data::gen::SsbTables;
 use cvr_data::queries::{QueryId, SsbQuery};
 use cvr_data::result::QueryOutput;
 use cvr_data::value::DataType;
-use cvr_plan::{key, Catalog, DesignVerdict, PhysicalChoice, Plan, Planner};
-use cvr_row::designs::{RowDb, RowDesign};
+use cvr_plan::{key, Catalog, DesignVerdict, Plan, Planner, Stores};
 use cvr_storage::fault::{self, FaultState};
 use cvr_storage::io::{pages_for, BufferPool, IoSession, IoStats};
 use cvr_storage::persist::{self, PersistError};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 /// A failure answering a query.
@@ -125,51 +123,30 @@ pub enum QueryResponse {
     Snapshot(SnapshotInfo),
 }
 
-/// The versioned store a session serves: tables, the column engine built
-/// over them, the planner's statistics and the row designs built from them
-/// — pinned together behind one `Arc` so a reload swaps all of it
-/// atomically. Queries clone the `Arc` at entry and run against that
+/// The versioned store a session serves: the stores of every design over
+/// one set of tables and the planner's statistics — pinned together behind
+/// one `Arc` so a reload swaps all of it atomically. Queries clone the `Arc` at entry and run against that
 /// snapshot to completion, so a mid-query swap never mixes generations (the
 /// segment-swap seam a future write path plugs into).
 struct StoreState {
-    engine: ColumnEngine,
+    /// Every design's store over the served tables: the build forces only
+    /// the column engine (the catalog reads it), and a design the planner
+    /// refuses ([`Planner::for_serving`]) is never built. A statement reaches
+    /// only the stores of the tables it pinned; a reload drops them all.
+    stores: Stores,
     planner: Planner,
-    tables: Arc<SsbTables>,
     /// The version every cache and plan-memo key embeds: `0` for an
     /// in-memory generated store, the manifest generation once a snapshot
     /// is loaded. Any swap changes it, invalidating all cached entries.
     version: u64,
-    /// Row-engine physical designs over `tables`, one slot per
-    /// [`RowDesign::EXTENDED`] entry, each built by the first statement
-    /// whose plan picks it. The planner ranks only the designs its verdicts
-    /// serve ([`Planner::for_serving`]), so a refused design's slot stays
-    /// empty. They belong to the store: a statement can only ever reach
-    /// designs built from the tables it pinned, and a reload drops them
-    /// with everything else.
-    row_dbs: [OnceLock<Arc<RowDb>>; RowDesign::EXTENDED.len()],
 }
 
 impl StoreState {
     fn build(tables: Arc<SsbTables>, version: u64, par: Parallelism) -> StoreState {
-        let engine = ColumnEngine::with_parallelism(tables.clone(), par);
-        let planner = Planner::for_serving(Catalog::build(&engine));
+        let stores = Stores::new(tables, par);
+        let planner = Planner::for_serving(Catalog::build(stores.engine()));
         publish_verdicts(planner.verdicts());
-        StoreState { engine, planner, tables, version, row_dbs: Default::default() }
-    }
-
-    /// The built `design`, building it on first use.
-    fn row_db(&self, design: RowDesign) -> Arc<RowDb> {
-        self.row_db_with(design, || RowDb::build(self.tables.clone(), design))
-    }
-
-    /// [`StoreState::row_db`] with the build spelled out. Only statements
-    /// that need *this* design wait for its build — every other slot stays
-    /// open — and a build that panics leaves the slot empty, so the next
-    /// statement builds again rather than inheriting a poisoned lock.
-    fn row_db_with(&self, design: RowDesign, build: impl FnOnce() -> RowDb) -> Arc<RowDb> {
-        // Invariant: `RowDesign::EXTENDED` lists every design.
-        let slot = RowDesign::EXTENDED.iter().position(|&d| d == design).expect("known design");
-        self.row_dbs[slot].get_or_init(|| Arc::new(build())).clone()
+        StoreState { stores, planner, version }
     }
 }
 
@@ -301,7 +278,7 @@ impl Session {
 
     /// The tables the session currently serves.
     pub fn tables(&self) -> Arc<SsbTables> {
-        self.store().tables.clone()
+        self.store().stores.tables().clone()
     }
 
     /// Point the session at a durable store directory (the programmatic
@@ -324,7 +301,7 @@ impl Session {
             return Err(QueryError::Io { detail: "no data directory configured".to_string() });
         };
         let store = self.store();
-        let report = persist::write_snapshot(&dir, &store.tables).map_err(persist_error)?;
+        let report = persist::write_snapshot(&dir, store.stores.tables()).map_err(persist_error)?;
         Ok(SnapshotInfo {
             generation: report.generation,
             store_version: store.version,
@@ -425,8 +402,8 @@ impl Session {
                 // Page touches of the heaviest paper query ≈ one full
                 // compressed fact scan (tICL touches every fact column).
                 let store = self.store();
-                let pages =
-                    pages_for(store.engine.db(cvr_core::EngineConfig::FULL).fact_bytes()) as f64;
+                let fact = store.stores.engine().db(cvr_core::EngineConfig::FULL).fact_bytes();
+                let pages = pages_for(fact) as f64;
                 let expected = cfg.io * pages;
                 if expected > 0.5 {
                     cvr_obs::warn(&format!(
@@ -628,23 +605,13 @@ impl Session {
         // `row-plan`), so EXPLAIN ANALYZE zips the root by name. A no-op
         // when no tracer is attached.
         let mut root_span = ctx.span(plan.explain.op, &label, &io);
-        let output = match plan.choice {
-            PhysicalChoice::Column(cfg) => {
-                let opts = ExecOptions {
-                    par: self.par,
-                    fact_order: Some(&plan.fact_order),
-                    ctx: ctx.clone(),
-                    between_rewriting: true,
-                };
-                store.engine.run(q, cfg, &opts, &io)?
-            }
-            PhysicalChoice::Row(design) => {
-                ctx.check()?;
-                // The row engines have no morsel boundaries to poll, but
-                // injected storage faults still surface as typed errors.
-                catch_injected(|| store.row_db(design).execute_planned(q, &plan.fact_order, &io))?
-            }
+        let opts = ExecOptions {
+            par: self.par,
+            fact_order: Some(&plan.fact_order),
+            ctx: ctx.clone(),
+            between_rewriting: true,
         };
+        let output = store.stores.run(plan.choice.into(), q, &opts, &io)?;
         root_span.rows(output.rows.len() as u64);
         drop(root_span);
         // Deliberately no post-execution `ctx.check()`: completed work
@@ -739,77 +706,12 @@ fn response_columns(q: &SsbQuery) -> Vec<ColumnMeta> {
 mod tests {
     use super::*;
     use cvr_data::gen::SsbConfig;
-
-    /// Regression: a panic under the old `row_dbs` mutex poisoned it for
-    /// every later row-plan statement on every connection. A design's slot
-    /// has no lock to poison: a panicking build leaves it empty and the
-    /// next statement builds.
-    #[test]
-    fn a_panicking_row_design_build_leaves_the_slot_empty_and_the_next_statement_rebuilds() {
-        let session = Session::new(Arc::new(SsbConfig::with_scale(0.0005).generate()));
-        let store = session.store();
-        let design = RowDesign::Traditional;
-        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            store.row_db_with(design, || panic!("row design build failed"))
-        }));
-        assert!(failed.is_err(), "the build's panic reaches the statement that ran it");
-        assert!(store.row_dbs.iter().all(|slot| slot.get().is_none()), "nothing half-built");
-        // Both the build path (first use) and the built path work.
-        let a = store.row_db(design);
-        let b = store.row_db(design);
-        assert!(Arc::ptr_eq(&a, &b), "the design is built once and kept");
-        let q = cvr_data::queries::query(1, 1);
-        let expected = cvr_data::reference::evaluate(&store.tables, &q);
-        assert_eq!(a.execute(&q, &IoSession::unmetered()), expected);
-    }
-
-    /// The designs `store` has built, in [`RowDesign::EXTENDED`] order.
-    fn built_designs(store: &StoreState) -> Vec<RowDesign> {
-        let slots = RowDesign::EXTENDED.into_iter().zip(&store.row_dbs);
-        slots.filter_map(|(d, slot)| slot.get().map(|_| d)).collect()
-    }
+    use cvr_plan::Design;
+    use cvr_row::designs::RowDesign;
 
     /// At sf 0.00002 (120 fact rows) the serving planner serves `T` and
     /// `T(B)`: the fact heap is small beside the fixed-size DATE dimension.
     const ROW_SERVED_SF: f64 = 0.00002;
-
-    /// Regression: designs used to be built while holding the one `row_dbs`
-    /// mutex, so a slow build (`T(B)`: seconds) stalled row-plan statements
-    /// whose own design had been built long before.
-    #[test]
-    fn a_built_design_answers_while_another_designs_build_is_blocked() {
-        use std::sync::mpsc;
-        let tables = Arc::new(SsbConfig::with_scale(ROW_SERVED_SF).generate());
-        let session = Session::with_cache_budget(tables.clone(), Parallelism::serial(), 0);
-        let store = session.store();
-        // Q1.1 plans to `T`; block the build of `T(B)`, which serves too.
-        let (q, built_design, blocked_design) =
-            (cvr_data::queries::query(1, 1), RowDesign::Traditional, RowDesign::TraditionalBitmap);
-        assert_eq!(session.explain(&q).choice, PhysicalChoice::Row(built_design));
-        store.row_db(built_design);
-
-        let (entered_tx, entered_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let (store, tables, session, q) = (&store, &tables, &session, &q);
-        std::thread::scope(|s| {
-            let blocked = s.spawn(move || {
-                store.row_db_with(blocked_design, || {
-                    entered_tx.send(()).unwrap();
-                    release_rx.recv().unwrap();
-                    RowDb::build(tables.clone(), blocked_design)
-                })
-            });
-            entered_rx.recv().unwrap(); // the T(B) build now holds its slot
-            let (done_tx, done_rx) = mpsc::channel();
-            s.spawn(move || done_tx.send(session.run(q)).unwrap());
-            let answered = done_rx.recv_timeout(std::time::Duration::from_secs(60));
-            release_tx.send(()).unwrap();
-            let response = answered.expect("a built design must not wait for another's build");
-            assert_eq!(response.plan, "row:T");
-            assert_eq!(response.output, cvr_data::reference::evaluate(tables, q));
-            assert_eq!(blocked.join().unwrap().design(), blocked_design);
-        });
-    }
 
     /// A statement planned to a served design runs on the row engine
     /// through the statement path: the first one builds the design, and an
@@ -828,7 +730,7 @@ mod tests {
         let response = session.run(&q);
         assert_eq!(response.plan, "row:T(B)");
         assert_eq!(response.output, cvr_data::reference::evaluate(&tables, &q));
-        assert_eq!(built_designs(&session.store()), [RowDesign::TraditionalBitmap]);
+        assert_eq!(session.store().stores.built(), [Design::Row(RowDesign::TraditionalBitmap)]);
     }
 
     /// A reload's store starts with no design built, and a statement that
@@ -839,17 +741,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let session = Session::new(Arc::new(SsbConfig::with_scale(0.0005).generate()));
         session.set_data_dir(Some(dir.clone()));
+        let (q, io) = (cvr_data::queries::query(1, 1), IoSession::unmetered());
+        let run = |store: &StoreState, design| {
+            store.stores.run(Design::Row(design), &q, &ExecOptions::default(), &io).unwrap()
+        };
         let old = session.store();
-        let old_db = old.row_db(RowDesign::Traditional);
+        run(&old, RowDesign::Traditional);
         session.snapshot().unwrap();
         session.reload().unwrap();
         let new = session.store();
-        assert!(new.row_dbs.iter().all(|slot| slot.get().is_none()));
+        assert!(new.stores.built().is_empty());
         // The in-flight statement on the old store builds from the old
         // tables, into the old store only.
-        old.row_db(RowDesign::MaterializedViews);
-        assert!(new.row_dbs.iter().all(|slot| slot.get().is_none()));
-        assert!(!Arc::ptr_eq(&old_db, &new.row_db(RowDesign::Traditional)));
+        run(&old, RowDesign::MaterializedViews);
+        let built = [RowDesign::Traditional, RowDesign::MaterializedViews].map(Design::Row);
+        assert_eq!(old.stores.built(), built);
+        assert!(new.stores.built().is_empty());
+        run(&new, RowDesign::Traditional);
+        assert_eq!(new.stores.built(), built[..1], "built again, from the new tables");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -859,7 +768,9 @@ mod tests {
     /// reference's. At sf 0.01 that is none; at sf 0.00005 it is `T(B)`.
     #[test]
     fn a_served_mix_builds_no_refused_design_and_answers_like_the_reference() {
-        for (sf, expected) in [(0.01, vec![]), (0.00005, vec![RowDesign::TraditionalBitmap])] {
+        for (sf, expected) in
+            [(0.01, vec![]), (0.00005, vec![Design::Row(RowDesign::TraditionalBitmap)])]
+        {
             let tables = Arc::new(SsbConfig::with_scale(sf).generate());
             let session =
                 Session::with_cache_budget(tables.clone(), Parallelism::with_threads(2), 0);
@@ -873,7 +784,7 @@ mod tests {
                 let response = session.run(&q);
                 assert_eq!(response.output, cvr_data::reference::evaluate(&tables, &q), "{}", q.id);
             }
-            assert_eq!(built_designs(&store), expected, "sf {sf}: {verdicts:?}");
+            assert_eq!(store.stores.built(), expected, "sf {sf}: {verdicts:?}");
             // STATS carries each verdict as three gauges a design.
             let samples = cvr_obs::global().samples();
             for v in verdicts {

@@ -29,7 +29,7 @@ fn main() {
     let engine = ColumnEngine::new(tables.clone());
     let io = IoSession::unmetered();
     let start = Instant::now();
-    let base_out = engine.execute(&q, EngineConfig::FULL, &io);
+    let base_out = engine.run(&q, EngineConfig::FULL, &ExecOptions::default(), &io).unwrap();
     let cpu = start.elapsed();
     let stats = io.stats();
     let base_s = (cpu + disk.io_time(&stats)).as_secs_f64();
@@ -44,13 +44,11 @@ fn main() {
 
     let mut ratios = Vec::new();
 
-    for variant in
-        [DenormVariant::NoCompression, DenormVariant::IntCompression, DenormVariant::MaxCompression]
-    {
+    for variant in DenormVariant::ALL {
         let db = DenormDb::build(tables.clone(), variant);
         let io = IoSession::unmetered();
         let start = Instant::now();
-        let out = db.run(&q, EngineConfig::FULL, &ExecOptions::default(), &io).unwrap();
+        let out = db.run(&q, &ExecOptions::default(), &io).unwrap();
         let cpu = start.elapsed();
         assert_eq!(out, base_out, "denormalized variants must agree with the join");
         let stats = io.stats();

@@ -10,7 +10,7 @@
 //! ```
 
 use cvr::core::invisible::{phase1_key_pred, phase2_probe, FactKeyPred};
-use cvr::core::{ColumnEngine, EngineConfig};
+use cvr::core::{ColumnEngine, EngineConfig, ExecOptions};
 use cvr::data::gen::{SsbConfig, SsbTables};
 use cvr::data::queries::{AggExpr, GroupColumn, QueryId};
 use cvr::data::queries::{DimPredicate, Pred, SsbQuery};
@@ -221,7 +221,7 @@ fn main() {
     );
 
     println!("== Phase 3 (Figure 4): extract dimension values at those positions ==\n");
-    let out = engine.execute(&q, cfg, &io);
+    let out = engine.run(&q, cfg, &ExecOptions::default(), &io).expect("unbounded lifecycle");
     for (key, revenue) in &out.rows {
         let parts: Vec<String> = key.iter().map(|v| v.to_string()).collect();
         println!("  ({}) → revenue {}", parts.join(", "), revenue);

@@ -5,9 +5,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use cvr::core::{ColumnEngine, EngineConfig};
+use cvr::core::{morsel::Parallelism, EngineConfig, ExecOptions};
 use cvr::data::{gen::SsbConfig, queries};
-use cvr::row::designs::{RowDb, RowDesign};
+use cvr::plan::{Design, Stores};
+use cvr::row::designs::RowDesign;
 use cvr::storage::io::{DiskModel, IoSession};
 use std::sync::Arc;
 
@@ -23,19 +24,23 @@ fn main() {
         tables.date.num_rows()
     );
 
-    // 2. Build both engines over the same logical data.
-    let column_engine = ColumnEngine::new(tables.clone());
-    let row_engine = RowDb::build(tables.clone(), RowDesign::Traditional);
+    // 2. One store set over the same logical data: each system's store is
+    //    built by its first query.
+    let stores = Stores::new(tables.clone(), Parallelism::from_env());
 
     // 3. Run SSBM Q3.1 — the paper's running example:
     //    revenue of ASIA customers buying from ASIA suppliers, 1992-1997,
     //    grouped by (customer nation, supplier nation, year).
     let q = queries::query(3, 1);
 
-    let io_cs = IoSession::unmetered();
-    let cs = column_engine.execute(&q, EngineConfig::FULL, &io_cs);
-    let io_rs = IoSession::unmetered();
-    let rs = row_engine.execute(&q, &io_rs);
+    let run = |design| {
+        let io = IoSession::unmetered();
+        let out =
+            stores.run(design, &q, &ExecOptions::default(), &io).expect("unbounded lifecycle");
+        (out, io)
+    };
+    let (cs, io_cs) = run(Design::Column(EngineConfig::FULL));
+    let (rs, io_rs) = run(Design::Row(RowDesign::Traditional));
     assert_eq!(cs, rs, "engines must agree");
 
     println!("\nQ3.1 → {} groups (first 5):", cs.len());

@@ -14,7 +14,7 @@
 //! ```
 
 use cvr::core::invisible::{phase1_key_pred, FactKeyPred};
-use cvr::core::{ColumnEngine, EngineConfig};
+use cvr::core::{ColumnEngine, EngineConfig, ExecOptions};
 use cvr::data::gen::SsbConfig;
 use cvr::data::queries::{AggExpr, DimPredicate, GroupColumn, Pred, QueryId, SsbQuery};
 use cvr::data::schema::Dim;
@@ -61,7 +61,7 @@ fn main() {
             FactKeyPred::KeySet(s) => format!("hash set of {} keys", s.len()),
         };
         println!("{title}\n  predicate {pred_col} = {pred_val:?} rewrote to: {rewrite}");
-        let out = engine.execute(&q, cfg, &io);
+        let out = engine.run(&q, cfg, &ExecOptions::default(), &io).expect("unbounded lifecycle");
         for (key, profit) in out.rows.iter().take(4) {
             println!("    {:<14} profit = {profit}", key[0].to_string());
         }

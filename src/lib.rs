@@ -23,20 +23,25 @@
 //! * [`server`] (`cvr-server`) — the front door: SQL parser, unified
 //!   `Session` API, wire protocol, and a concurrent TCP server.
 //!
+//! Every system the paper compares is one [`plan::Design`], and one
+//! [`plan::Stores`] builds each design's store on first use and runs any of
+//! them:
+//!
 //! ```
-//! use cvr::core::{ColumnEngine, EngineConfig};
+//! use cvr::core::{morsel::Parallelism, EngineConfig, ExecOptions};
 //! use cvr::data::{gen::SsbConfig, queries};
-//! use cvr::row::designs::{RowDb, RowDesign};
+//! use cvr::plan::{Design, Stores};
+//! use cvr::row::designs::RowDesign;
 //! use cvr::storage::io::IoSession;
 //! use std::sync::Arc;
 //!
 //! let tables = Arc::new(SsbConfig::with_scale(0.0005).generate());
-//! let cs = ColumnEngine::new(tables.clone());
-//! let rs = RowDb::build(tables.clone(), RowDesign::Traditional);
-//! let io = IoSession::unmetered();
-//! let q = queries::query(2, 1);
+//! let stores = Stores::new(tables, Parallelism::from_env());
+//! let (q, opts) = (queries::query(2, 1), ExecOptions::default());
+//! let run = |design| stores.run(design, &q, &opts, &IoSession::unmetered());
 //! // Same answer from both worlds.
-//! assert_eq!(cs.execute(&q, EngineConfig::FULL, &io), rs.execute(&q, &io));
+//! assert_eq!(run(Design::Column(EngineConfig::FULL))?, run(Design::Row(RowDesign::Traditional))?);
+//! # Ok::<(), cvr::core::QueryError>(())
 //! ```
 
 #![warn(missing_docs)]

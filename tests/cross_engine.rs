@@ -1,99 +1,103 @@
-//! The study's correctness backbone: every engine, every physical design,
-//! every optimization configuration must return byte-identical results for
-//! all thirteen SSBM queries on the same generated data.
+//! The study's correctness backbone: every system of the paper's Figures
+//! 5–8 — each column-engine configuration, row design, pre-joined table and
+//! CS (Row-MV), one `Design` list — must return the reference evaluator's
+//! answer for every statement its store holds, on every dataset.
 //!
 //! This is what makes the performance comparisons meaningful — the paper's
 //! systems all answer the same queries; ours provably do.
 
-use cvr::core::{ColumnEngine, DenormDb, DenormVariant, EngineConfig, ExecOptions, RowMvDb};
-use cvr::data::gen::{SsbConfig, SsbTables};
+use cvr::core::morsel::Parallelism;
+use cvr::core::ExecOptions;
+use cvr::data::gen::SsbConfig;
 use cvr::data::queries::all_queries;
 use cvr::data::reference;
-use cvr::data::result::QueryOutput;
-use cvr::row::designs::{RowDb, RowDesign};
+use cvr::data::workload::WorkloadConfig;
+use cvr::plan::{Design, Stores};
+use cvr::row::designs::traditional::BITMAP_COLUMNS;
 use cvr::storage::io::IoSession;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-fn tables() -> Arc<SsbTables> {
-    Arc::new(SsbConfig { sf: 0.0015, seed: 2008 }.generate())
-}
+/// Sixteen datasets at scale factors 0.0008–0.002, so that sort orders,
+/// dictionary layouts and run structures all vary; the largest first, and
+/// first of all the one that also runs the generated statements.
+const DATASETS: [SsbConfig; 16] = [
+    GENERATED,
+    SsbConfig { sf: 0.002, seed: 17 },
+    SsbConfig { sf: 0.002, seed: 23 },
+    SsbConfig { sf: 0.002, seed: 37 },
+    SsbConfig { sf: 0.002, seed: 43 },
+    SsbConfig { sf: 0.002, seed: 47 },
+    SsbConfig { sf: 0.002, seed: 67 },
+    SsbConfig { sf: 0.0008, seed: 7 },
+    SsbConfig { sf: 0.0008, seed: 4242 },
+    SsbConfig { sf: 0.001, seed: 1 },
+    SsbConfig { sf: 0.001, seed: 99 },
+    SsbConfig { sf: 0.001, seed: 777 },
+    SsbConfig { sf: 0.0015, seed: 7 },
+    SsbConfig { sf: 0.0015, seed: 53 },
+    SsbConfig { sf: 0.0015, seed: 2008 },
+    SsbConfig { sf: 0.0015, seed: 4242 },
+];
 
-fn expected(tables: &SsbTables) -> Vec<QueryOutput> {
-    all_queries().iter().map(|q| reference::evaluate(tables, q)).collect()
-}
+/// The dataset that also runs 100 generated statements, among them empty
+/// and near-empty selections, with measure predicates on indexed and
+/// unindexed fact columns.
+const GENERATED: SsbConfig = SsbConfig { sf: 0.002, seed: 31 };
 
-#[test]
-fn row_designs_match_reference() {
-    let t = tables();
-    let exp = expected(&t);
-    let io = IoSession::unmetered();
-    for design in RowDesign::ALL {
-        let db = RowDb::build(t.clone(), design);
-        for (q, e) in all_queries().iter().zip(&exp) {
-            assert_eq!(&db.execute(q, &io), e, "{} on {}", design.label(), q.id);
+/// Every (design, dataset, statement) cell whose design answers the
+/// statement: the 26 designs on the 13 paper queries of every dataset, and
+/// the designs that hold what each generated statement reads.
+const CELLS: usize = 7_628;
+
+/// Check every design that answers each statement on `config`: the paper
+/// queries, and on [`GENERATED`] the generated statements too. Returns the
+/// cells checked, and how many generated statements select nothing and how
+/// many filter an indexed fact column.
+fn check(config: SsbConfig) -> [usize; 3] {
+    let stores = Stores::new(Arc::new(config.generate()), Parallelism::serial());
+    let generated = if (config.sf, config.seed) == (GENERATED.sf, GENERATED.seed) {
+        WorkloadConfig::with_count(100).generate()
+    } else {
+        Vec::new()
+    };
+    let mut counts = [0; 3];
+    for (i, q) in all_queries().iter().chain(&generated).enumerate() {
+        let want = reference::evaluate(stores.tables(), q);
+        for design in Design::all().into_iter().filter(|d| d.answers(q)) {
+            let got = stores.run(design, q, &ExecOptions::default(), &IoSession::unmetered());
+            assert_eq!(got.as_ref(), Ok(&want), "{} on {} ({config:?})", design.label(), q.id);
+            counts[0] += 1;
+        }
+        if i >= 13 {
+            counts[1] += usize::from(want.rows.is_empty());
+            counts[2] +=
+                usize::from(q.fact_predicates.iter().any(|p| BITMAP_COLUMNS.contains(&p.column)));
         }
     }
-}
-
-#[test]
-fn column_configs_match_reference() {
-    let t = tables();
-    let exp = expected(&t);
-    let engine = ColumnEngine::new(t.clone());
-    let io = IoSession::unmetered();
-    for cfg in EngineConfig::all() {
-        for (q, e) in all_queries().iter().zip(&exp) {
-            assert_eq!(&engine.execute(q, cfg, &io), e, "{} on {}", cfg.code(), q.id);
-        }
-    }
-}
-
-#[test]
-fn row_mv_matches_reference() {
-    let t = tables();
-    let exp = expected(&t);
-    let db = RowMvDb::build(t.clone());
-    let io = IoSession::unmetered();
-    for (q, e) in all_queries().iter().zip(&exp) {
-        assert_eq!(&db.run(q, &ExecOptions::default(), &io).unwrap(), e, "Row-MV on {}", q.id);
-    }
-}
-
-#[test]
-fn denormalized_variants_match_reference() {
-    let t = tables();
-    let exp = expected(&t);
-    let io = IoSession::unmetered();
-    for variant in
-        [DenormVariant::NoCompression, DenormVariant::IntCompression, DenormVariant::MaxCompression]
-    {
-        let db = DenormDb::build(t.clone(), variant);
-        for (q, e) in all_queries().iter().zip(&exp) {
-            assert_eq!(
-                &db.run(q, EngineConfig::FULL, &ExecOptions::default(), &io).unwrap(),
-                e,
-                "{} on {}",
-                variant.label(),
-                q.id
-            );
-        }
-    }
+    counts
 }
 
 #[test]
 fn engines_agree_across_seeds() {
-    // Different data, same invariant: row T == column tICL == column Ticl.
-    let io = IoSession::unmetered();
-    for seed in [1u64, 99, 777] {
-        let t = Arc::new(SsbConfig { sf: 0.001, seed }.generate());
-        let row = RowDb::build(t.clone(), RowDesign::Traditional);
-        let col = ColumnEngine::new(t.clone());
-        for q in all_queries() {
-            let a = row.execute(&q, &io);
-            let b = col.execute(&q, EngineConfig::FULL, &io);
-            let c = col.execute(&q, EngineConfig::STRIPPED, &io);
-            assert_eq!(a, b, "seed {seed} {}", q.id);
-            assert_eq!(b, c, "seed {seed} {}", q.id);
-        }
-    }
+    // The datasets are independent: check them on `CVR_THREADS` workers.
+    let next = AtomicUsize::new(0);
+    let workers = Parallelism::from_env().threads.min(DATASETS.len());
+    let [cells, empty, indexed] = std::thread::scope(|s| {
+        let worker = || {
+            let mut counts = [0; 3];
+            while let Some(&config) = DATASETS.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let more = check(config);
+                counts = [0, 1, 2].map(|i| counts[i] + more[i]);
+            }
+            counts
+        };
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(worker)).collect();
+        let counts = handles.into_iter().map(|h| h.join().unwrap_or_else(|e| resume_unwind(e)));
+        counts.fold([0; 3], |a, b| [0, 1, 2].map(|i| a[i] + b[i]))
+    });
+    println!("{cells} (design, dataset, statement) cells");
+    assert!(empty > 0 && indexed > 0, "{empty} empty results, {indexed} indexed predicates");
+    assert_eq!(cells, CELLS);
 }

@@ -1,31 +1,27 @@
 //! The differential harness locking down the column engine's one pipeline.
 //!
-//! Every cell of (query × plan shape × encoding × row design × seed × scale
-//! factor × thread count) must agree with `cvr_data::reference` — and the
-//! cells of one plan must agree with each other at every thread count *byte
-//! for byte*, including the merged I/O accounting. This is the contract
-//! that lets the `scaling` binary make speed claims: more threads are only
-//! faster, never different. There is no serial twin to compare against: the
-//! independent oracles are the reference evaluator, the five row designs
-//! (equivalent rewrites of the same queries) and the pinned absolute
-//! numbers of [`iostats_match_the_pinned_fixture`].
+//! Every cell of (query × plan shape × encoding × seed × scale factor ×
+//! thread count) must agree with `cvr_data::reference` — and the cells of
+//! one plan must agree with each other at every thread count *byte for
+//! byte*, including the merged I/O accounting. This is the contract that
+//! lets the figures make speed claims: more threads are only faster, never
+//! different. There is no serial twin to compare against: the independent
+//! oracles are the reference evaluator, which every system of the one
+//! design list answers like (`tests/cross_engine.rs`), and the pinned
+//! absolute numbers of [`iostats_match_the_pinned_fixture`]. Every system
+//! runs through one `cvr_plan::Stores`.
 //!
 //! Structure:
-//! * [`column_plan_shapes_match_reference`] — the three plan shapes
-//!   (invisible join, late-materialized join, early materialization) at both
-//!   compression settings, against the brute-force reference, at two seeds
-//!   and two scale factors;
-//! * [`row_designs_match_reference`] — the five row-store physical designs
-//!   over the same datasets;
 //! * [`thread_counts_are_byte_identical`] — thread counts {1, 2, 4, 8} on a
 //!   fine morsel grid produce the [`QueryOutput`]s and
 //!   [`cvr::storage::io::IoStats`] (bytes, pages, seeks) of one thread on
-//!   the default grid, for every plan shape, for the invisible join
-//!   without between-predicate rewriting (hash-only joins) and for the three
-//!   pre-joined tables of Figure 8;
+//!   the default grid, for every plan shape, the three pre-joined tables of
+//!   Figure 8 and CS (Row-MV), with and without between-predicate
+//!   rewriting (hash-only joins);
 //! * [`iostats_match_the_pinned_fixture`] — absolute bytes/pages/seeks per
-//!   (query × plan shape × pool), dumped from the pre-refactor serial
-//!   executor, at threads 1 and 4;
+//!   (plan shape × query × pool), dumped from the pre-refactor serial
+//!   executor, at threads 1 and 4, through the printer and checker every
+//!   I/O fixture shares (`fixtures/mod.rs`);
 //! * [`a_predicate_that_empties_most_morsels_changes_nothing_but_the_work`]
 //!   — a one-month date range leaves most morsels without candidates: the
 //!   kernels they skip must not show in the outputs or the I/O accounting,
@@ -33,18 +29,18 @@
 //! * [`parallel_engine_matches_reference_directly`] — four workers vs the
 //!   reference evaluator, not just vs one worker.
 
+mod fixtures;
+
 use cvr::core::morsel::Parallelism;
-use cvr::core::{
-    ColumnEngine, DenormDb, DenormVariant, EngineConfig, ExecOptions, QueryCtx, Tracer,
-};
+use cvr::core::{ColumnEngine, DenormVariant, EngineConfig, ExecOptions, QueryCtx, Tracer};
 use cvr::data::gen::{SsbConfig, SsbTables};
 use cvr::data::queries::{all_queries, SsbQuery};
 use cvr::data::reference;
 use cvr::data::result::QueryOutput;
 use cvr::data::workload::WorkloadConfig;
-use cvr::plan::{Catalog, PhysicalChoice, Planner};
-use cvr::row::designs::{RowDb, RowDesign};
+use cvr::plan::{Catalog, Design, PlanShape, Planner, Stores};
 use cvr::storage::io::{BufferPool, IoSession, IoStats};
+use fixtures::{assert_pinned, Printer};
 use std::sync::Arc;
 
 /// Two seeds × two scale factors: small enough to stay fast, different
@@ -63,53 +59,6 @@ fn expected(tables: &SsbTables) -> Vec<QueryOutput> {
     all_queries().iter().map(|q| reference::evaluate(tables, q)).collect()
 }
 
-/// The three column plan shapes at both compression settings:
-/// invisible join (`tICL`/`tIcL`), late-materialized join (`tiCL`/`ticL`),
-/// early materialization (`tICl`/`tIcl`).
-const PLAN_SHAPES: [&str; 6] = ["tICL", "tIcL", "tiCL", "ticL", "tICl", "tIcl"];
-
-#[test]
-fn column_plan_shapes_match_reference() {
-    for tables in datasets() {
-        let exp = expected(&tables);
-        let engine = ColumnEngine::new(tables.clone());
-        let io = IoSession::unmetered();
-        for code in PLAN_SHAPES {
-            let cfg = EngineConfig::parse(code);
-            for (q, e) in all_queries().iter().zip(&exp) {
-                assert_eq!(
-                    &engine.execute(q, cfg, &io),
-                    e,
-                    "{code} disagrees with reference on {} ({} fact rows)",
-                    q.id,
-                    tables.lineorder.num_rows()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn row_designs_match_reference() {
-    for tables in datasets() {
-        let exp = expected(&tables);
-        let io = IoSession::unmetered();
-        for design in RowDesign::ALL {
-            let db = RowDb::build(tables.clone(), design);
-            for (q, e) in all_queries().iter().zip(&exp) {
-                assert_eq!(
-                    &db.execute(q, &io),
-                    e,
-                    "{} disagrees with reference on {} ({} fact rows)",
-                    design.label(),
-                    q.id,
-                    tables.lineorder.num_rows()
-                );
-            }
-        }
-    }
-}
-
 /// The three counters the byte-identity contract covers (`pool_hits` is a
 /// diagnostic that legitimately varies with the morsel grid: boundary pages
 /// shared by two morsels are touched twice).
@@ -122,64 +71,41 @@ fn charged(io: &IoSession) -> (u64, u64, u64) {
 fn thread_counts_are_byte_identical() {
     // One mid-sized dataset; small morsels so even it fans out widely.
     let tables = Arc::new(SsbConfig { sf: 0.002, seed: 2026 }.generate());
-    let engine = ColumnEngine::new(tables);
+    let stores = Stores::new(tables, Parallelism::from_env());
     let par = |threads| Parallelism { threads, morsel_rows: 384 };
-    let run = |q: &SsbQuery, cfg, opts: &ExecOptions<'_>| {
-        let io = IoSession::unmetered();
-        let out = engine.run(q, cfg, opts, &io).expect("unbounded lifecycle");
-        (out, charged(&io))
-    };
-    // One plan on `q`: its answer and charges at one thread on the default
-    // grid are those at every count on the fine grid. Returns the answer.
-    let cell =
-        |label: &str, q: &SsbQuery, plan: &dyn Fn(Parallelism, &IoSession) -> QueryOutput| {
-            let one_io = IoSession::unmetered();
-            let one = plan(Parallelism::serial(), &one_io);
-            for threads in [1, 2, 4, 8] {
+    // Every design on the morsel driver: the plan shapes, the pre-joined
+    // tables of Figure 8 and CS (Row-MV).
+    let pre_joined = DenormVariant::ALL.map(Design::PreJoined);
+    let designs = Design::plan_shapes().into_iter().chain(pre_joined).chain([Design::RowMv]);
+    for design in designs {
+        let label = design.label();
+        for q in all_queries() {
+            let run = |opts: &ExecOptions<'_>| {
                 let io = IoSession::unmetered();
-                assert_eq!(plan(par(threads), &io), one, "{label} {} at {threads} threads", q.id);
+                let out = stores.run(design, &q, opts, &io).expect("unbounded lifecycle");
+                (out, charged(&io))
+            };
+            // Its answer and charges at one thread on the default grid are
+            // those at every count on the fine grid.
+            let one = run(&with_par(Parallelism::serial()));
+            for threads in [1, 2, 4, 8] {
                 assert_eq!(
-                    charged(&io),
-                    charged(&one_io),
-                    "{label} {} at {threads} threads: merged IoStats must equal one thread's",
+                    run(&with_par(par(threads))),
+                    one,
+                    "{label} {} at {threads} threads",
                     q.id
                 );
             }
-            one
-        };
-    for code in PLAN_SHAPES {
-        let cfg = EngineConfig::parse(code);
-        for q in all_queries() {
-            let one = cell(code, &q, &|par, io| engine.execute_with(&q, cfg, par, io));
-            if !(cfg.late_materialization && cfg.invisible_join) {
-                continue;
-            }
-            // The invisible join's one option: hash-only joins answer like
-            // rewritten ones and charge the same at 1 and 4 threads.
+            // The invisible join's one option (the other plans ignore it):
+            // hash-only joins answer like rewritten ones and charge the same
+            // at 1 and 4 threads.
             let hash_only =
-                |threads| ExecOptions { between_rewriting: false, ..with_par(par(threads)) };
-            let (out1, io1) = run(&q, cfg, &hash_only(1));
-            let (out4, io4) = run(&q, cfg, &hash_only(4));
-            assert_eq!(out1, one, "{code} {} without between-rewriting", q.id);
-            assert_eq!((out1, io1), (out4, io4), "{code} {} hash-only, threads 1 vs 4", q.id);
+                |threads| run(&ExecOptions { between_rewriting: false, ..with_par(par(threads)) });
+            let (one_hash, four_hash) = (hash_only(1), hash_only(4));
+            assert_eq!(one_hash.0, one.0, "{label} {} without between-rewriting", q.id);
+            assert_eq!(one_hash, four_hash, "{label} {} hash-only, threads 1 vs 4", q.id);
         }
     }
-    // The pre-joined tables of Figure 8 run on the same morsel driver.
-    for db in denormalized(&engine.db(EngineConfig::FULL).tables) {
-        for q in all_queries() {
-            cell(db.variant.label(), &q, &|par, io| {
-                db.run(&q, EngineConfig::FULL, &with_par(par), io).expect("unbounded lifecycle")
-            });
-        }
-    }
-}
-
-/// The three pre-joined tables of Figure 8 over `tables`.
-fn denormalized(tables: &Arc<SsbTables>) -> Vec<DenormDb> {
-    [DenormVariant::NoCompression, DenormVariant::IntCompression, DenormVariant::MaxCompression]
-        .into_iter()
-        .map(|variant| DenormDb::build(tables.clone(), variant))
-        .collect()
 }
 
 fn with_par(par: Parallelism) -> ExecOptions<'static> {
@@ -190,7 +116,7 @@ fn with_par(par: Parallelism) -> ExecOptions<'static> {
 fn iostats_match_the_pinned_fixture() {
     // `tests/fixtures/iostats_serial.txt` was dumped at the last commit that
     // still had a serial executor (7dbb9a0), from that executor
-    // (`Parallelism::serial()`), for the 13 paper queries × the 6 plan shapes
+    // (`Parallelism::serial()`), for the 6 plan shapes × the 13 paper queries
     // × {unmetered pool, 1 MiB bounded pool} at sf 0.02, seed 6 — a scale at
     // which the 1 MiB pool evicts (11 bounded cells re-read pages the
     // unmetered ones do not), so the bounded cells pin the *order* of the
@@ -199,38 +125,19 @@ fn iostats_match_the_pinned_fixture() {
     // serial twin gone, "threads 1 vs N" only proves the pipeline agrees with
     // itself; this proves the absolute numbers did not drift.
     let tables = Arc::new(SsbConfig { sf: 0.02, seed: 6 }.generate());
-    let engine = ColumnEngine::new(tables);
-    let fixture = include_str!("fixtures/iostats_serial.txt");
-    let (mut cells, mut evicting, mut unmetered) = (0, 0, (0, 0, 0));
-    for line in fixture.lines().filter(|l| !l.starts_with('#')) {
-        let f: Vec<&str> = line.split_whitespace().collect();
-        let [id, code, pool, bytes, pages, seeks] = f[..] else { panic!("bad line: {line}") };
-        let q = all_queries().into_iter().find(|q| q.id.to_string() == id).expect("paper query");
-        let want: (u64, u64, u64) =
-            (bytes.parse().unwrap(), pages.parse().unwrap(), seeks.parse().unwrap());
-        // Each unmetered line is followed by the same cell over the pool.
-        match pool {
-            "unmetered" => unmetered = want,
-            _ => evicting += (want != unmetered) as usize,
+    let expected: Vec<QueryOutput> =
+        all_queries().iter().map(|q| reference::evaluate(&tables, q)).collect();
+    let stores = Stores::new(tables, Parallelism::from_env());
+    for threads in [1, 4] {
+        let opts = with_par(Parallelism::with_threads(threads));
+        let mut out = Printer::new(&stores, 1 << 20);
+        for design in Design::plan_shapes() {
+            for (q, want) in all_queries().iter().zip(&expected) {
+                out.cell(q, want, design, &opts);
+            }
         }
-        for threads in [1, 4] {
-            let io = match pool {
-                "unmetered" => IoSession::unmetered(),
-                "1MiB" => IoSession::new(BufferPool::new(1 << 20)),
-                other => panic!("unknown pool {other}"),
-            };
-            engine.execute_with(
-                &q,
-                EngineConfig::parse(code),
-                Parallelism::with_threads(threads),
-                &io,
-            );
-            assert_eq!(charged(&io), want, "{id} {code} {pool} at {threads} threads");
-        }
-        cells += 1;
+        assert_pinned(include_str!("fixtures/iostats_serial.txt"), &out.text(), 13 * 6, 11);
     }
-    assert_eq!(cells, 13 * PLAN_SHAPES.len() * 2);
-    assert_eq!(evicting, 11, "the bounded cells must not merely repeat the unmetered ones");
 }
 
 #[test]
@@ -241,14 +148,14 @@ fn a_predicate_that_empties_most_morsels_changes_nothing_but_the_work() {
     // must still charge its scan (the modeled disk reads the column, the CPU
     // skips words), so outputs *and* IoStats must equal those of the same
     // statement with the date predicate moved last — where every morsel runs
-    // every earlier kernel in full — at every thread count, for both
-    // late-materialized shapes, compressed and not.
+    // every earlier kernel in full — at every thread count, for every plan
+    // shape, compressed and not.
     use cvr::data::queries::{AggExpr, DimPredicate, FactPredicate, GroupColumn, Pred, QueryId};
     use cvr::data::schema::Dim;
     use cvr::data::value::Value;
 
     let tables = Arc::new(SsbConfig { sf: 0.002, seed: 2026 }.generate());
-    let engine = ColumnEngine::new(tables.clone());
+    let stores = Stores::new(tables.clone(), Parallelism::from_env());
     let month = DimPredicate {
         dim: Dim::Date,
         column: "d_yearmonthnum",
@@ -282,19 +189,21 @@ fn a_predicate_that_empties_most_morsels_changes_nothing_but_the_work() {
     let expected = reference::evaluate(&tables, &date_first);
     assert!(!expected.rows.is_empty(), "the month must select something");
 
-    let par = |threads| Parallelism { threads, morsel_rows: 384 };
-    for code in ["tICL", "tIcL", "tiCL", "ticL"] {
-        let cfg = EngineConfig::parse(code);
-        let last_io = IoSession::unmetered();
-        let last = engine.execute_with(&date_last, cfg, par(1), &last_io);
+    let at = |threads| with_par(Parallelism { threads, morsel_rows: 384 });
+    for design in Design::plan_shapes() {
+        let code = design.label();
+        let run = |q: &SsbQuery, opts: &ExecOptions<'_>| {
+            let io = IoSession::unmetered();
+            let out = stores.run(design, q, opts, &io).expect("unbounded lifecycle");
+            (out, charged(&io))
+        };
+        let (last, last_io) = run(&date_last, &at(1));
         assert_eq!(last, expected, "{code}: date predicate last");
         for threads in [1, 2, 4] {
-            let io = IoSession::unmetered();
-            let first = engine.execute_with(&date_first, cfg, par(threads), &io);
+            let (first, io) = run(&date_first, &at(threads));
             assert_eq!(first, expected, "{code}: date predicate first at {threads} threads");
             assert_eq!(
-                charged(&io),
-                charged(&last_io),
+                io, last_io,
                 "{code} at {threads} threads: skipped kernels must still charge their scans"
             );
         }
@@ -304,10 +213,9 @@ fn a_predicate_that_empties_most_morsels_changes_nothing_but_the_work() {
     // grid.
     let ctx = QueryCtx::unbounded();
     ctx.attach_tracer(Tracer::new());
-    let traced = ExecOptions { ctx: ctx.clone(), ..with_par(par(1)) };
-    engine
-        .run(&date_first, EngineConfig::FULL, &traced, &IoSession::unmetered())
-        .expect("unbounded lifecycle");
+    let traced = ExecOptions { ctx: ctx.clone(), ..at(1) };
+    let full = Design::Column(EngineConfig::FULL);
+    stores.run(full, &date_first, &traced, &IoSession::unmetered()).expect("unbounded lifecycle");
     let root = ctx.tracer().expect("attached above").take_root().expect("traced");
     let spans = root.flatten();
     let last_filter = spans.iter().rfind(|s| s.op == "probe" || s.op == "scan");
@@ -324,46 +232,35 @@ fn bounded_pool_io_matches_serial() {
     // numbers become machine-dependent. Everything here is deterministic,
     // so exact equality is the right assertion.
     let tables = Arc::new(SsbConfig { sf: 0.004, seed: 6 }.generate());
-    let engine = ColumnEngine::new(tables);
+    let stores = Stores::new(tables, Parallelism::from_env());
     let pool_bytes = 4 * (32u64 << 10); // 4 pages: re-read pages have been evicted
-                                        // One plan on `q`: its answer and bounded-pool charges at 2 and 4
+                                        // One design on `q`: its answer and bounded-pool charges at 2 and 4
                                         // threads are one thread's. Returns whether the pool evicted.
-    let cell =
-        |label: &str, q: &SsbQuery, plan: &dyn Fn(Parallelism, &IoSession) -> QueryOutput| {
-            let one_io = IoSession::new(BufferPool::new(pool_bytes));
-            let one = plan(Parallelism::serial(), &one_io);
-            let unmetered = IoSession::unmetered();
-            plan(Parallelism::serial(), &unmetered);
-            for threads in [2, 4] {
-                let io = IoSession::new(BufferPool::new(pool_bytes));
-                let out = plan(Parallelism { threads, morsel_rows: 1024 }, &io);
-                assert_eq!(out, one, "{label} {} at {threads} threads", q.id);
-                assert_eq!(
-                    charged(&io),
-                    charged(&one_io),
-                    "{label} {} at {threads} threads: bounded-pool IoStats must equal one thread's",
-                    q.id
-                );
-            }
-            charged(&one_io) != charged(&unmetered)
+    let cell = |design: Design, q: &SsbQuery| {
+        let run = |par, io: &IoSession| {
+            stores.run(design, q, &with_par(par), io).expect("unbounded lifecycle")
         };
-    let mut spilled = 0;
-    for code in PLAN_SHAPES {
-        let cfg = EngineConfig::parse(code);
-        for q in all_queries() {
-            spilled += cell(code, &q, &|par, io| engine.execute_with(&q, cfg, par, io)) as usize;
+        let one_io = IoSession::new(BufferPool::new(pool_bytes));
+        let one = run(Parallelism::serial(), &one_io);
+        let unmetered = IoSession::unmetered();
+        run(Parallelism::serial(), &unmetered);
+        for threads in [2, 4] {
+            let io = IoSession::new(BufferPool::new(pool_bytes));
+            let out = run(Parallelism { threads, morsel_rows: 1024 }, &io);
+            let at = format!("{} {} at {threads} threads", design.label(), q.id);
+            assert_eq!(out, one, "{at}");
+            assert_eq!(charged(&io), charged(&one_io), "{at}: bounded-pool IoStats differ");
         }
-    }
-    assert!(spilled >= 30, "only {spilled} cells evicted: the pool no longer bounds anything");
-    let mut spilled = 0;
-    for db in denormalized(&engine.db(EngineConfig::FULL).tables) {
-        for q in all_queries() {
-            spilled += cell(db.variant.label(), &q, &|par, io| {
-                db.run(&q, EngineConfig::FULL, &with_par(par), io).expect("unbounded lifecycle")
-            }) as usize;
-        }
-    }
-    assert!(spilled >= 10, "only {spilled} pre-joined cells evicted: the pool bounds nothing");
+        charged(&one_io) != charged(&unmetered)
+    };
+    let spilled = |designs: &[Design]| {
+        let cells = designs.iter().flat_map(|&d| all_queries().into_iter().map(move |q| (d, q)));
+        cells.filter(|(design, q)| cell(*design, q)).count()
+    };
+    let spilled_shapes = spilled(&Design::plan_shapes());
+    assert!(spilled_shapes >= 30, "only {spilled_shapes} cells evicted: the pool bounds nothing");
+    let spilled_pre_joined = spilled(&DenormVariant::ALL.map(Design::PreJoined));
+    assert!(spilled_pre_joined >= 10, "only {spilled_pre_joined} pre-joined cells evicted");
 }
 
 #[test]
@@ -455,15 +352,15 @@ fn code_level_aggregation_is_engaged_and_byte_identical() {
         }
         for q in [cvr::data::queries::query(2, 1), cvr::data::queries::query(3, 1)] {
             let expected = reference::evaluate(&tables, &q);
-            for code in ["tICL", "tIcL"] {
-                let cfg = EngineConfig::parse(code);
+            // The invisible join over the compressed store and the plain one.
+            for cfg in [true, false].map(|compressed| PlanShape::Invisible.config(compressed)) {
                 for threads in [1, 2, 4, 8] {
                     let io = IoSession::unmetered();
                     let par = Parallelism { threads, morsel_rows: 512 };
                     assert_eq!(
                         engine.execute_with(&q, cfg, par, &io),
                         expected,
-                        "{code} {} at {threads} threads",
+                        "{cfg} {} at {threads} threads",
                         q.id
                     );
                 }
@@ -480,9 +377,8 @@ fn planner_picked_plans_are_byte_identical_to_hand_picked() {
     // same configuration with the same (hand-permuted) query directly —
     // over the 13 paper queries and a generated ad-hoc workload of ≥ 30.
     let tables = Arc::new(SsbConfig { sf: 0.0015, seed: 77 }.generate());
-    let engine = ColumnEngine::new(tables.clone());
-    let planner = Planner::new(Catalog::build(&engine));
-    let mut row_dbs: std::collections::HashMap<RowDesign, RowDb> = std::collections::HashMap::new();
+    let stores = Stores::new(tables.clone(), Parallelism::from_env());
+    let planner = Planner::new(Catalog::build(stores.engine()));
 
     let mut queries: Vec<SsbQuery> = all_queries();
     queries.extend(WorkloadConfig { seed: 2026, count: 30 }.generate());
@@ -492,32 +388,19 @@ fn planner_picked_plans_are_byte_identical_to_hand_picked() {
         let plan = planner.plan(q);
         let expected = reference::evaluate(&tables, q);
         let hand_q = q.with_fact_order(&plan.fact_order);
-        let (planned_io, hand_io) = (IoSession::unmetered(), IoSession::unmetered());
-        let (planned, hand) = match plan.choice {
-            PhysicalChoice::Column(cfg) => {
-                let opts =
-                    ExecOptions { fact_order: Some(&plan.fact_order), ..ExecOptions::default() };
-                (
-                    engine.run(q, cfg, &opts, &planned_io).expect("unbounded lifecycle"),
-                    engine.execute_with(&hand_q, cfg, Parallelism::from_env(), &hand_io),
-                )
-            }
-            PhysicalChoice::Row(design) => {
-                let db =
-                    row_dbs.entry(design).or_insert_with(|| RowDb::build(tables.clone(), design));
-                (
-                    db.execute_planned(q, &plan.fact_order, &planned_io),
-                    db.execute(&hand_q, &hand_io),
-                )
-            }
+        let run = |q: &SsbQuery, opts: &ExecOptions<'_>| {
+            let io = IoSession::unmetered();
+            let out = stores.run(plan.choice.into(), q, opts, &io).expect("unbounded lifecycle");
+            (out, charged(&io))
         };
-        assert_eq!(planned, expected, "{}: planned execution disagrees with reference", q.id);
-        assert_eq!(planned, hand, "{}: planned vs hand-picked outputs differ", q.id);
-        let (a, b) = (planned_io.stats(), hand_io.stats());
+        let planned =
+            run(q, &ExecOptions { fact_order: Some(&plan.fact_order), ..ExecOptions::default() });
+        let hand = run(&hand_q, &ExecOptions::default());
+        assert_eq!(planned.0, expected, "{}: planned execution disagrees with reference", q.id);
         assert_eq!(
-            (a.bytes_read, a.pages_read, a.seeks),
-            (b.bytes_read, b.pages_read, b.seeks),
-            "{}: planned vs hand-picked IoStats differ ({})",
+            planned,
+            hand,
+            "{}: planned vs hand-picked differ ({})",
             q.id,
             plan.choice.label()
         );
@@ -528,16 +411,16 @@ fn planner_picked_plans_are_byte_identical_to_hand_picked() {
 fn parallel_engine_matches_reference_directly() {
     for tables in datasets().into_iter().take(2) {
         let exp = expected(&tables);
-        let engine = ColumnEngine::new(tables);
-        let par = Parallelism { threads: 4, morsel_rows: 256 };
-        for code in PLAN_SHAPES {
-            let cfg = EngineConfig::parse(code);
+        let stores = Stores::new(tables, Parallelism::from_env());
+        let opts = with_par(Parallelism { threads: 4, morsel_rows: 256 });
+        for design in Design::plan_shapes() {
             for (q, e) in all_queries().iter().zip(&exp) {
-                let io = IoSession::unmetered();
+                let got = stores.run(design, q, &opts, &IoSession::unmetered());
                 assert_eq!(
-                    &engine.execute_with(q, cfg, par, &io),
-                    e,
-                    "parallel {code} disagrees with reference on {}",
+                    got.as_ref(),
+                    Ok(e),
+                    "parallel {} disagrees on {}",
+                    design.label(),
                     q.id
                 );
             }

@@ -32,7 +32,7 @@ fn column_store_reads_less_than_row_store() {
             row.execute(&q, io);
         });
         let cs = cold_bytes(|io| {
-            col.execute(&q, EngineConfig::FULL, io);
+            col.run(&q, EngineConfig::FULL, &ExecOptions::default(), io).unwrap();
         });
         assert!(cs < rs, "{}: CS read {cs} vs RS {rs}", q.id);
     }
@@ -44,10 +44,10 @@ fn compression_reduces_column_store_io() {
     let col = ColumnEngine::new(t.clone());
     for q in all_queries() {
         let compressed = cold_bytes(|io| {
-            col.execute(&q, EngineConfig::parse("tICL"), io);
+            col.run(&q, EngineConfig::parse("tICL"), &ExecOptions::default(), io).unwrap();
         });
         let plain = cold_bytes(|io| {
-            col.execute(&q, EngineConfig::parse("tIcL"), io);
+            col.run(&q, EngineConfig::parse("tIcL"), &ExecOptions::default(), io).unwrap();
         });
         assert!(compressed <= plain, "{}: {compressed} vs {plain}", q.id);
     }
@@ -59,10 +59,10 @@ fn late_materialization_reads_less_than_early() {
     let col = ColumnEngine::new(t.clone());
     for q in all_queries() {
         let late = cold_bytes(|io| {
-            col.execute(&q, EngineConfig::parse("tIcL"), io);
+            col.run(&q, EngineConfig::parse("tIcL"), &ExecOptions::default(), io).unwrap();
         });
         let early = cold_bytes(|io| {
-            col.execute(&q, EngineConfig::parse("Ticl"), io);
+            col.run(&q, EngineConfig::parse("Ticl"), &ExecOptions::default(), io).unwrap();
         });
         // EM decodes every needed column in full; LM only extracts
         // surviving positions. (Equal only if a query selects everything.)
@@ -161,7 +161,7 @@ fn invisible_join_reads_only_touched_columns() {
     // uncompressed fact table.
     let q = query(1, 1);
     let bytes = cold_bytes(|io| {
-        col.execute(&q, EngineConfig::parse("tIcL"), io);
+        col.run(&q, EngineConfig::parse("tIcL"), &ExecOptions::default(), io).unwrap();
     });
     let whole = col.db(EngineConfig::parse("tIcL")).fact_bytes();
     assert!(bytes < whole / 3, "Q1.1 should read ~4/17 of the fact table: {bytes} vs {whole}");

@@ -5,12 +5,13 @@
 //! builds several physical designs), but they exercise the full pipeline —
 //! generation → storage → plans → execution — under randomized data.
 
+use cvr::core::morsel::Parallelism;
 use cvr::core::{ColumnEngine, EngineConfig, ExecOptions};
 use cvr::data::gen::SsbConfig;
 use cvr::data::queries::all_queries;
 use cvr::data::reference;
 use cvr::data::workload::WorkloadConfig;
-use cvr::plan::{Catalog, PhysicalChoice, Planner};
+use cvr::plan::{Catalog, Design, Planner, Stores};
 use cvr::row::designs::{RowDb, RowDesign};
 use cvr::storage::io::IoSession;
 use proptest::prelude::*;
@@ -29,16 +30,10 @@ proptest! {
         let io = IoSession::unmetered();
         for q in all_queries() {
             let expected = reference::evaluate(&tables, &q);
-            prop_assert_eq!(
-                engine.execute(&q, EngineConfig::FULL, &io),
-                expected.clone(),
-                "tICL {} seed {}", q.id, seed
-            );
-            prop_assert_eq!(
-                engine.execute(&q, EngineConfig::parse("tiCL"), &io),
-                expected,
-                "tiCL {} seed {}", q.id, seed
-            );
+            for code in ["tICL", "tiCL"] {
+                let got = engine.run(&q, EngineConfig::parse(code), &ExecOptions::default(), &io);
+                prop_assert_eq!(got, Ok(expected.clone()), "{} {} seed {}", code, q.id, seed);
+            }
         }
     }
 
@@ -67,50 +62,24 @@ proptest! {
         sf in 0.0004f64..0.0012,
     ) {
         let tables = Arc::new(SsbConfig { sf, seed }.generate());
-        let engine = ColumnEngine::new(tables.clone());
-        let planner = Planner::new(Catalog::build(&engine));
+        // Row builds are the expensive part: each design is built once.
+        let stores = Stores::new(tables.clone(), Parallelism::from_env());
+        let planner = Planner::new(Catalog::build(stores.engine()));
         let io = IoSession::unmetered();
-        // Row builds are the expensive part: share one db per design used.
-        let mut row_dbs: std::collections::HashMap<RowDesign, RowDb> =
-            std::collections::HashMap::new();
         for q in (WorkloadConfig { seed, count: 12 }).generate() {
             let expected = reference::evaluate(&tables, &q);
             let plan = planner.plan(&q);
             let opts = ExecOptions { fact_order: Some(&plan.fact_order), ..ExecOptions::default() };
-            let planned = |cfg| engine.run(&q, cfg, &opts, &io).expect("unbounded lifecycle");
-            // The planner's overall pick.
-            let got = match plan.choice {
-                PhysicalChoice::Column(cfg) => planned(cfg),
-                PhysicalChoice::Row(design) => row_dbs
-                    .entry(design)
-                    .or_insert_with(|| RowDb::build(tables.clone(), design))
-                    .execute_planned(&q, &plan.fact_order, &io),
-            };
-            prop_assert_eq!(got, expected.clone(), "planned {} seed {}", q.id, seed);
-            // The column engine under the best *column* candidate...
-            let col_cfg = planner
-                .candidates(&q)
-                .into_iter()
-                .find_map(|c| match c.choice {
-                    PhysicalChoice::Column(cfg) => Some(cfg),
-                    PhysicalChoice::Row(_) => None,
-                })
-                .expect("column candidates always exist");
-            prop_assert_eq!(
-                planned(col_cfg),
-                expected.clone(),
-                "column {} seed {}", q.id, seed
-            );
-            // ... and the row engine under the best applicable row design.
-            if let Some(design) = planner.applicable_row_designs(&q).first().copied() {
-                let db = row_dbs
-                    .entry(design)
-                    .or_insert_with(|| RowDb::build(tables.clone(), design));
-                prop_assert_eq!(
-                    db.execute_planned(&q, &plan.fact_order, &io),
-                    expected,
-                    "row {} {} seed {}", design.label(), q.id, seed
-                );
+            // The planner's overall pick, the best *column* candidate and the
+            // best applicable row design.
+            let mut candidates = planner.candidates(&q).into_iter().map(|c| Design::from(c.choice));
+            let column = candidates.find(|d| matches!(d, Design::Column(_)));
+            let row = planner.applicable_row_designs(&q).first().copied().map(Design::Row);
+            let picked = [Some(plan.choice.into()), column, row];
+            prop_assert!(picked[1].is_some(), "column candidates always exist");
+            for design in picked.into_iter().flatten() {
+                let got = stores.run(design, &q, &opts, &io);
+                prop_assert_eq!(got, Ok(expected.clone()), "{} {} seed {}", design.label(), q.id, seed);
             }
         }
     }

@@ -8,7 +8,7 @@
 //! is the fast canary whose failure message should be the first thing a
 //! broken PR sees.
 
-use cvr::core::{ColumnEngine, EngineConfig};
+use cvr::core::{ColumnEngine, EngineConfig, ExecOptions};
 use cvr::data::gen::SsbConfig;
 use cvr::data::queries::all_queries;
 use cvr::data::reference;
@@ -27,8 +27,8 @@ fn all_thirteen_queries_agree_with_reference_at_tiny_scale() {
     for q in &queries {
         let expected = reference::evaluate(&tables, q);
         assert_eq!(
-            engine.execute(q, EngineConfig::FULL, &io),
-            expected,
+            engine.run(q, EngineConfig::FULL, &ExecOptions::default(), &io),
+            Ok(expected),
             "ColumnEngine disagrees with the reference evaluator on {}",
             q.id
         );

@@ -8,11 +8,11 @@
 //! candidate the planner costs for it, column and row, and compared with
 //! the reference evaluator.
 
-use cvr::core::ColumnEngine;
+use cvr::core::morsel::Parallelism;
+use cvr::core::ExecOptions;
 use cvr::data::gen::SsbConfig;
 use cvr::data::reference;
-use cvr::plan::{Catalog, PhysicalChoice, Planner};
-use cvr::row::designs::{RowDb, RowDesign};
+use cvr::plan::{Catalog, Planner, Stores};
 use cvr::server::parse;
 use cvr::server::Statement;
 use cvr::storage::io::IoSession;
@@ -28,10 +28,8 @@ const STATEMENTS: [&str; 2] = [
 #[test]
 fn every_admitted_design_answers_an_unrestricted_statement() {
     let tables = Arc::new(SsbConfig { sf: 0.002, seed: 30 }.generate());
-    let engine = ColumnEngine::new(tables.clone());
-    let planner = Planner::new(Catalog::build(&engine));
-    let rows: Vec<RowDb> =
-        RowDesign::EXTENDED.into_iter().map(|d| RowDb::build(tables.clone(), d)).collect();
+    let stores = Stores::new(tables.clone(), Parallelism::from_env());
+    let planner = Planner::new(Catalog::build(stores.engine()));
     let mut wrong = Vec::new();
     for (i, sql) in STATEMENTS.iter().enumerate() {
         let Ok(Statement::Select(q)) = parse(sql) else { panic!("not a SELECT: {sql}") };
@@ -42,14 +40,8 @@ fn every_admitted_design_answers_an_unrestricted_statement() {
         assert!(candidates.len() >= 10, "{sql}: only {} candidates", candidates.len());
         for c in candidates {
             let io = IoSession::unmetered();
-            let got = match c.choice {
-                PhysicalChoice::Column(cfg) => engine.execute(&q, cfg, &io),
-                PhysicalChoice::Row(d) => {
-                    let db = rows.iter().find(|db| db.design() == d).expect("built");
-                    db.execute(&q, &io)
-                }
-            };
-            if got != want {
+            let got = stores.run(c.choice.into(), &q, &ExecOptions::default(), &io);
+            if got.as_ref() != Ok(&want) {
                 wrong.push(format!("statement {i}: {}", c.choice.label()));
             }
         }
