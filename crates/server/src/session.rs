@@ -125,9 +125,10 @@ pub enum QueryResponse {
 
 /// The versioned store a session serves: the stores of every design over
 /// one set of tables and the planner's statistics — pinned together behind
-/// one `Arc` so a reload swaps all of it atomically. Queries clone the `Arc` at entry and run against that
-/// snapshot to completion, so a mid-query swap never mixes generations (the
-/// segment-swap seam a future write path plugs into).
+/// one `Arc` so a reload swaps all of it atomically. Queries clone the `Arc`
+/// at entry and run against that snapshot to completion, so a mid-query swap
+/// never mixes generations (the segment-swap seam a future write path plugs
+/// into).
 struct StoreState {
     /// Every design's store over the served tables: the build forces only
     /// the column engine (the catalog reads it), and a design the planner

@@ -233,9 +233,10 @@ fn bounded_pool_io_matches_serial() {
     // so exact equality is the right assertion.
     let tables = Arc::new(SsbConfig { sf: 0.004, seed: 6 }.generate());
     let stores = Stores::new(tables, Parallelism::from_env());
-    let pool_bytes = 4 * (32u64 << 10); // 4 pages: re-read pages have been evicted
-                                        // One design on `q`: its answer and bounded-pool charges at 2 and 4
-                                        // threads are one thread's. Returns whether the pool evicted.
+    // 4 pages: re-read pages have been evicted.
+    let pool_bytes = 4 * (32u64 << 10);
+    // One design on `q`: its answer and bounded-pool charges at 2 and 4
+    // threads are one thread's. Returns whether the pool evicted.
     let cell = |design: Design, q: &SsbQuery| {
         let run = |par, io: &IoSession| {
             stores.run(design, q, &with_par(par), io).expect("unbounded lifecycle")

@@ -79,7 +79,8 @@ proptest! {
             prop_assert!(picked[1].is_some(), "column candidates always exist");
             for design in picked.into_iter().flatten() {
                 let got = stores.run(design, &q, &opts, &io);
-                prop_assert_eq!(got, Ok(expected.clone()), "{} {} seed {}", design.label(), q.id, seed);
+                let at = format!("{} {} seed {seed}", design.label(), q.id);
+                prop_assert_eq!(got, Ok(expected.clone()), "{}", at);
             }
         }
     }
