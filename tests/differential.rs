@@ -12,6 +12,12 @@
 //! runs through one `cvr_plan::Stores`.
 //!
 //! Structure:
+//! * [`column_plan_shapes_match_reference`] — the three plan shapes
+//!   (invisible join, late-materialized join, early materialization) at both
+//!   compression settings, against the brute-force reference, at two seeds
+//!   and two scale factors;
+//! * [`row_designs_match_reference`] — the five row-store physical designs
+//!   over the same datasets;
 //! * [`thread_counts_are_byte_identical`] — thread counts {1, 2, 4, 8} on a
 //!   fine morsel grid produce the [`QueryOutput`]s and
 //!   [`cvr::storage::io::IoStats`] (bytes, pages, seeks) of one thread on
@@ -39,6 +45,7 @@ use cvr::data::reference;
 use cvr::data::result::QueryOutput;
 use cvr::data::workload::WorkloadConfig;
 use cvr::plan::{Catalog, Design, PlanShape, Planner, Stores};
+use cvr::row::designs::RowDesign;
 use cvr::storage::io::{BufferPool, IoSession, IoStats};
 use fixtures::{assert_pinned, Printer};
 use std::sync::Arc;
@@ -57,6 +64,33 @@ fn datasets() -> Vec<Arc<SsbTables>> {
 
 fn expected(tables: &SsbTables) -> Vec<QueryOutput> {
     all_queries().iter().map(|q| reference::evaluate(tables, q)).collect()
+}
+
+/// Every paper query through each of `designs` on every grid dataset,
+/// against the reference evaluator.
+fn designs_match_reference(designs: &[Design]) {
+    for tables in datasets() {
+        let exp = expected(&tables);
+        let rows = tables.lineorder.num_rows();
+        let stores = Stores::new(tables, Parallelism::serial());
+        for &design in designs {
+            for (q, e) in all_queries().iter().zip(&exp) {
+                let got = stores.run(design, q, &ExecOptions::default(), &IoSession::unmetered());
+                let label = design.label();
+                assert_eq!(got.as_ref(), Ok(e), "{label} disagrees on {} ({rows} fact rows)", q.id);
+            }
+        }
+    }
+}
+
+#[test]
+fn column_plan_shapes_match_reference() {
+    designs_match_reference(&Design::plan_shapes());
+}
+
+#[test]
+fn row_designs_match_reference() {
+    designs_match_reference(&RowDesign::ALL.map(Design::Row));
 }
 
 /// The three counters the byte-identity contract covers (`pool_hits` is a
