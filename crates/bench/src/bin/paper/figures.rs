@@ -9,7 +9,6 @@ use cvr_data::queries::all_queries;
 use cvr_data::reference::measured_selectivity;
 use cvr_plan::Design;
 use cvr_row::designs::{RowDesign, TraditionalDb, TraditionalOptions, VpDb};
-use std::sync::Arc;
 
 /// Measure each of `designs` on the 13 paper queries at `--threads`,
 /// releasing its store before the next design's is built. The column
@@ -108,7 +107,7 @@ pub fn storage_sizes(db: &Db) -> Result<(), String> {
     }
 
     let cs_plain = CStoreDb::build(tables.clone(), false);
-    let cs_comp = CStoreDb::build(Arc::clone(tables), true);
+    let cs_comp = db.stores().engine().db(EngineConfig::FULL);
     println!("C-Store fact uncompressed:  {:>7.2} GB", gb(cs_plain.fact_bytes()));
     println!(
         "C-Store fact compressed:    {:>7.2} GB   (paper: 2.3 GB whole table)",

@@ -296,7 +296,7 @@ mod tests {
     use crate::ctx::QueryCtx;
     use crate::morsel::Parallelism;
     use cvr_data::gen::SsbConfig;
-    use cvr_data::queries::query;
+    use cvr_data::queries::{all_queries, query};
     use cvr_data::reference;
 
     fn tables() -> Arc<SsbTables> {
@@ -306,6 +306,20 @@ mod tests {
     /// Small morsels so even this tiny scale factor fans out.
     fn at(threads: usize) -> ExecOptions<'static> {
         ExecOptions { par: Parallelism { threads, morsel_rows: 512 }, ..ExecOptions::default() }
+    }
+
+    #[test]
+    fn all_variants_match_reference() {
+        let t = tables();
+        let io = IoSession::unmetered();
+        for variant in DenormVariant::ALL {
+            let db = DenormDb::build(t.clone(), variant);
+            for q in all_queries() {
+                let expected = reference::evaluate(&t, &q);
+                let got = db.run(&q, &ExecOptions::default(), &io);
+                assert_eq!(got, Ok(expected), "{} disagrees on {}", variant.label(), q.id);
+            }
+        }
     }
 
     #[test]

@@ -358,10 +358,22 @@ mod tests {
     use super::*;
     use cvr_data::gen::SsbConfig;
     use cvr_data::queries::all_queries;
+    use cvr_data::reference;
     use std::sync::Arc;
 
     fn run(db: &CStoreDb, q: &SsbQuery, cfg: EngineConfig, io: &IoSession) -> QueryOutput {
         execute(db, q, cfg, &ExecOptions::default(), io).expect("unbounded lifecycle")
+    }
+
+    #[test]
+    fn matches_reference_on_all_queries() {
+        let db = CStoreDb::build(Arc::new(SsbConfig { sf: 0.002, seed: 37 }.generate()), false);
+        let io = IoSession::unmetered();
+        let cfg = EngineConfig::parse("Ticl");
+        for q in all_queries() {
+            let expected = reference::evaluate(&db.tables, &q);
+            assert_eq!(run(&db, &q, cfg, &io), expected, "EM disagrees on {}", q.id);
+        }
     }
 
     #[test]

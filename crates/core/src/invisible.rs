@@ -402,6 +402,16 @@ mod tests {
     }
 
     #[test]
+    fn matches_reference_on_all_queries() {
+        let db = db();
+        for q in all_queries() {
+            let expected = reference::evaluate(&db.tables, &q);
+            let (got, _) = run(&db, &q, EngineConfig::FULL, &ExecOptions::default());
+            assert_eq!(got, expected, "invisible join disagrees on {}", q.id);
+        }
+    }
+
+    #[test]
     fn region_predicate_rewrites_to_between() {
         let db = db();
         let io = IoSession::unmetered();

@@ -202,10 +202,22 @@ fn dim_columns(d: Dim) -> Vec<&'static str> {
 mod tests {
     use super::*;
     use cvr_data::gen::SsbConfig;
-    use cvr_data::queries::{query, QueryId};
+    use cvr_data::queries::{all_queries, query, QueryId};
+    use cvr_data::reference;
 
     fn db() -> RowMvDb {
         RowMvDb::build(Arc::new(SsbConfig { sf: 0.002, seed: 43 }.generate()))
+    }
+
+    #[test]
+    fn matches_reference_on_all_queries() {
+        let db = db();
+        let io = IoSession::unmetered();
+        for q in all_queries() {
+            let expected = reference::evaluate(&db.tables, &q);
+            let got = db.run(&q, &ExecOptions::default(), &io).expect("unbounded lifecycle");
+            assert_eq!(got, expected, "Row-MV disagrees on {}", q.id);
+        }
     }
 
     #[test]

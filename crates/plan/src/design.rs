@@ -160,11 +160,13 @@ impl Stores {
             Design::Column(cfg) => self.engine().run(q, cfg, opts, io),
             Design::Row(d) => {
                 opts.ctx.check()?;
-                let permuted = opts.fact_order.map(|order| q.with_fact_order(order));
-                let q = permuted.as_ref().unwrap_or(q);
                 let slot = &self.slots.rows[index(&RowDesign::EXTENDED, d)];
                 catch_injected(|| {
-                    slot.get_or_init(|| RowDb::build(self.tables.clone(), d)).execute(q, io)
+                    let db = slot.get_or_init(|| RowDb::build(self.tables.clone(), d));
+                    match opts.fact_order {
+                        Some(order) => db.execute_planned(q, order, io),
+                        None => db.execute(q, io),
+                    }
                 })
             }
             Design::PreJoined(v) => {

@@ -257,38 +257,25 @@ impl Planner {
     /// [`Planner::candidates`] over the statement's estimates.
     fn candidates_with(&self, q: &SsbQuery, e: &Estimates) -> Vec<Candidate> {
         let order = e.fact_order();
-        let mut out = Vec::new();
-        for shape in PlanShape::ALL {
-            for compressed in [true, false] {
-                let (est, mut explain, ws) = self.cost_column(q, e, shape, compressed, &order);
+        let columns =
+            PlanShape::ALL.into_iter().flat_map(|shape| [true, false].map(|c| (shape, c)));
+        let columns = columns.map(|(shape, c)| {
+            (PhysicalChoice::Column(shape.config(c)), self.cost_column(q, e, shape, c, &order))
+        });
+        let rows = self.applicable_row_designs(q).into_iter();
+        let rows = rows.map(|d| (PhysicalChoice::Row(d), self.cost_row(q, e, d, &order)));
+        let mut out: Vec<Candidate> = columns
+            .chain(rows)
+            .map(|(choice, (est, mut explain, ws))| {
                 // Distinct bytes, not summed charges: a page is read from
                 // the modeled disk once per run however many phases touch
                 // it.
                 let est = CostBreakdown { io_bytes: ws.total(), ..est };
                 let seconds = est.seconds(&self.params);
                 explain.est_cost_seconds = Some(seconds);
-                out.push(Candidate {
-                    choice: PhysicalChoice::Column(shape.config(compressed)),
-                    fact_order: order.clone(),
-                    seconds,
-                    est,
-                    explain,
-                });
-            }
-        }
-        for design in self.applicable_row_designs(q) {
-            let (est, mut explain, ws) = self.cost_row(q, e, design, &order);
-            let est = CostBreakdown { io_bytes: ws.total(), ..est };
-            let seconds = est.seconds(&self.params);
-            explain.est_cost_seconds = Some(seconds);
-            out.push(Candidate {
-                choice: PhysicalChoice::Row(design),
-                fact_order: order.clone(),
-                seconds,
-                est,
-                explain,
-            });
-        }
+                Candidate { choice, fact_order: order.clone(), seconds, est, explain }
+            })
+            .collect();
         out.sort_by(|a, b| ascending(a.seconds, b.seconds));
         out
     }

@@ -174,8 +174,8 @@ impl RowDb {
     }
 
     /// "Permute by `fact_order` (see `SsbQuery::with_fact_order`), then
-    /// [`RowDb::execute`]". Kept for `benchmark/src/layers.rs` until ROADMAP
-    /// item 2b deletes that file.
+    /// [`RowDb::execute`]": how `cvr_plan::Stores::run` and
+    /// `benchmark/src/layers.rs` run a planned row statement.
     pub fn execute_planned(
         &self,
         q: &SsbQuery,

@@ -100,10 +100,22 @@ mod tests {
     use crate::designs::vp::VpDb;
     use cvr_data::gen::{SsbConfig, SsbTables};
     use cvr_data::queries::all_queries;
+    use cvr_data::reference;
     use std::sync::Arc;
 
     fn tables() -> Arc<SsbTables> {
         Arc::new(SsbConfig { sf: 0.002, seed: 67 }.generate())
+    }
+
+    #[test]
+    fn matches_reference_on_all_queries() {
+        let t = tables();
+        let db = SuperVpDb::build(t.clone());
+        let io = IoSession::unmetered();
+        for q in all_queries() {
+            let expected = reference::evaluate(&t, &q);
+            assert_eq!(db.execute(&q, &io), expected, "SuperVP on {}", q.id);
+        }
     }
 
     #[test]
