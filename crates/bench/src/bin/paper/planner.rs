@@ -10,6 +10,12 @@
 //! divided by the best measured cell. It fails when regret on any paper
 //! query exceeds `--max-regret` (default 1.5).
 //!
+//! After the regret table it reports whether each row design pays for what
+//! it holds over the reference mix (`cvr_plan::advisor`): the share of the
+//! mix's best column-plan time it saves, the share of the column store's
+//! bytes it adds, and the verdict. A served session ranks no row design
+//! (`Planner::for_serving`); this is where the finding is shown.
+//!
 //! That a planned execution is byte-identical (output rows and `IoStats`)
 //! to hand-running the same configuration with the same predicate order is
 //! `tests/differential.rs::planner_picked_plans_are_byte_identical_to_hand_picked`.
@@ -25,6 +31,7 @@ use cvr_core::ExecOptions;
 use cvr_data::queries::{all_queries, SsbQuery};
 use cvr_data::result::QueryOutput;
 use cvr_data::workload::WorkloadConfig;
+use cvr_plan::advisor;
 use cvr_storage::io::{BufferPool, DiskModel, IoSession};
 use std::time::Instant;
 
@@ -164,6 +171,20 @@ pub fn run(db: &Db) -> Result<(), String> {
     if gen_n > 0 {
         println!(
             "generated queries: mean regret {gen_mean:.2}x, max {gen_max:.2}x ({gen_n} queries)"
+        );
+    }
+
+    println!(
+        "\nRow designs over the reference mix (13 paper + {} generated statements)",
+        advisor::REFERENCE_GENERATED
+    );
+    for v in advisor::verdicts(&planner) {
+        println!(
+            "  {:<6} saved {:>7.2}%  held {:>8.2}%  {}",
+            v.design.label(),
+            v.saved_share * 100.0,
+            v.held_share * 100.0,
+            if v.served { "served" } else { "refused" }
         );
     }
 

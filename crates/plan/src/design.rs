@@ -231,6 +231,26 @@ mod tests {
         assert!(stores.built().is_empty() && stores.engine.get().is_some());
     }
 
+    /// A row design's storage faults surface as a typed error, not a panic,
+    /// and the design then answers like the reference. The `paper` binary
+    /// and the differential tests run row designs through this arm.
+    #[test]
+    fn a_row_design_types_injected_faults_then_answers() {
+        let tables = Arc::new(SsbConfig::with_scale(0.00002).generate());
+        let stores = Stores::new(tables.clone(), Parallelism::serial());
+        let (design, q) = (Design::Row(RowDesign::TraditionalBitmap), query(2, 1));
+        let run = || stores.run(design, &q, &ExecOptions::default(), &IoSession::unmetered());
+        let faults =
+            cvr_storage::fault::adopt(cvr_storage::fault::FaultState::from_spec("io:1").unwrap());
+        match run() {
+            Err(QueryError::Io { detail }) => assert!(detail.contains("injected"), "{detail}"),
+            other => panic!("expected an injected I/O error, got {other:?}"),
+        }
+        drop(faults);
+        assert_eq!(run(), Ok(reference::evaluate(&tables, &q)));
+        assert_eq!(stores.built(), [design]);
+    }
+
     /// Regression: designs used to be built while holding that one mutex,
     /// so a slow build (`T(B)`: seconds) stalled statements whose own design
     /// had been built long before.

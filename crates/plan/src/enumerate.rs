@@ -23,7 +23,6 @@ use cvr_data::queries::{flight_fact_columns, QueryId, SsbQuery};
 use cvr_data::schema::Dim;
 use cvr_row::designs::RowDesign;
 
-use crate::advisor::{self, DesignVerdict};
 use crate::cost::{gather, seq_scan, CostBreakdown, CostParams, WorkingSet};
 use crate::design::Design;
 use crate::explain::Explain;
@@ -178,22 +177,18 @@ impl Plan {
     }
 }
 
-/// The planner: a catalog, cost parameters, and the row designs it may
-/// rank.
+/// The planner: a catalog, cost parameters, and the row designs it ranks.
 pub struct Planner {
     catalog: Catalog,
     params: CostParams,
-    /// [`Planner::for_serving`]'s verdicts, one per design, of which the
-    /// planner ranks the served ones; empty for a planner that ranks all of
-    /// [`RowDesign::EXTENDED`].
-    verdicts: Vec<DesignVerdict>,
+    row_designs: &'static [RowDesign],
 }
 
 impl Planner {
     /// A planner over `catalog` with explicit parameters, ranking every row
     /// design of [`RowDesign::EXTENDED`].
     pub fn with_params(catalog: Catalog, params: CostParams) -> Planner {
-        Planner { catalog, params, verdicts: Vec::new() }
+        Planner { catalog, params, row_designs: &RowDesign::EXTENDED }
     }
 
     /// A planner over `catalog` with default parameters (paper disk model,
@@ -203,20 +198,10 @@ impl Planner {
     }
 
     /// A serving planner over `catalog` with default parameters: it ranks
-    /// only the row designs that pay for what they hold over the reference
-    /// mix ([`advisor::verdicts`]), so a session that plans with it never
-    /// builds one that does not.
+    /// only the six column plan shapes ([`Design::plan_shapes`]), the
+    /// designs that run under a statement's cancel, deadline and budget.
     pub fn for_serving(catalog: Catalog) -> Planner {
-        let mut planner = Planner::new(catalog);
-        planner.verdicts = advisor::verdicts(&planner);
-        planner
-    }
-
-    /// [`Planner::for_serving`]'s verdict on each design of
-    /// [`RowDesign::EXTENDED`], in that order; empty for a planner that
-    /// ranks the full grid.
-    pub fn verdicts(&self) -> &[DesignVerdict] {
-        &self.verdicts
+        Planner { row_designs: &[], ..Planner::new(catalog) }
     }
 
     /// The catalog.
@@ -243,10 +228,7 @@ impl Planner {
     /// Row designs applicable to `q`: those this planner ranks whose build
     /// holds what `q` reads ([`RowDesign::answers`]).
     pub fn applicable_row_designs(&self, q: &SsbQuery) -> Vec<RowDesign> {
-        let ranked = |d: RowDesign| {
-            self.verdicts.is_empty() || self.verdicts.iter().any(|v| v.design == d && v.served)
-        };
-        RowDesign::EXTENDED.into_iter().filter(|&d| ranked(d) && d.answers(q)).collect()
+        self.row_designs.iter().copied().filter(|d| d.answers(q)).collect()
     }
 
     /// Every applicable candidate, costed, cheapest first.

@@ -21,7 +21,8 @@
 //!   and returns a [`Plan`] with an explain tree and the full candidate
 //!   ranking;
 //! * [`advisor`] prices each row design against a reference mix by what it
-//!   holds, so [`Planner::for_serving`] ranks only the designs that pay;
+//!   holds; none pays from sf 0.0001 up, and [`Planner::for_serving`] ranks
+//!   only the column plan shapes;
 //! * [`design`] lists every system of Figures 5–8 as a [`Design`], and
 //!   [`Stores`] builds each on first use and runs any of them.
 //!
@@ -52,7 +53,6 @@ pub mod explain;
 pub mod key;
 pub mod stats;
 
-pub use advisor::DesignVerdict;
 pub use cost::{CostBreakdown, CostParams, CpuRates};
 pub use design::{Design, Stores};
 pub use enumerate::{Candidate, PhysicalChoice, Plan, PlanShape, Planner};

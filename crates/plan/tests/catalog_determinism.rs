@@ -4,14 +4,14 @@
 //! `cvr_storage::par::Jobs` list at the engine's build parallelism. Every
 //! field of every column's statistics, the row-design sizes and the per-year
 //! DATE fractions must come out identical at 1, 2 and 4 workers, and so must
-//! the serving planner's row-design verdicts, which read only the catalog.
+//! the row-design verdicts (`advisor::verdicts`), which read only the catalog.
 
 use cvr_core::morsel::Parallelism;
 use cvr_core::ColumnEngine;
 use cvr_data::gen::SsbConfig;
 use cvr_data::schema::Dim;
 use cvr_data::table::TableData;
-use cvr_plan::advisor::held_bytes;
+use cvr_plan::advisor::{self, held_bytes};
 use cvr_plan::{Catalog, Planner, TableStats};
 use cvr_row::designs::{RowDb, RowDesign};
 use std::sync::Arc;
@@ -50,12 +50,12 @@ fn catalog_is_identical_at_1_2_and_4_workers() {
 }
 
 #[test]
-fn serving_verdicts_are_identical_at_1_2_and_4_workers() {
+fn verdicts_are_identical_at_1_2_and_4_workers() {
     let tables = Arc::new(SsbConfig { sf: 0.01, seed: 17 }.generate());
     let verdicts = |threads| {
         let par = Parallelism::with_threads(threads);
         let engine = ColumnEngine::with_parallelism(tables.clone(), par);
-        Planner::for_serving(Catalog::build(&engine)).verdicts().to_vec()
+        advisor::verdicts(&Planner::new(Catalog::build(&engine)))
     };
     let one = verdicts(1);
     assert_eq!(one.len(), RowDesign::EXTENDED.len());

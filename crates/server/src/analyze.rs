@@ -5,8 +5,7 @@
 //! [`SpanRecord`](cvr_core::SpanRecord) tree share an operator vocabulary
 //! (`"probe"`, `"scan"`, `"hash-join"`, `"extract-aggregate"`, ...), but
 //! not a shape: fused morsel pipelines report their operators as post-hoc
-//! leaf records, and row plans trace only the plan root. So the zip is an
-//! *assignment*, not a tree walk:
+//! leaf records. So the zip is an *assignment*, not a tree walk:
 //!
 //! 1. both trees flatten pre-order;
 //! 2. each explain node takes the first unclaimed span with the same `op`

@@ -24,7 +24,7 @@ use cvr_data::gen::SsbTables;
 use cvr_data::queries::{QueryId, SsbQuery};
 use cvr_data::result::QueryOutput;
 use cvr_data::value::DataType;
-use cvr_plan::{key, Catalog, DesignVerdict, Plan, Planner, Stores};
+use cvr_plan::{key, Catalog, Plan, Planner, Stores};
 use cvr_storage::fault::{self, FaultState};
 use cvr_storage::io::{pages_for, BufferPool, IoSession, IoStats};
 use cvr_storage::persist::{self, PersistError};
@@ -92,7 +92,8 @@ pub struct RowsResponse {
     /// The executed query's id (paper id when the SQL matched a paper
     /// query, `Q0.*` for ad-hoc, `Q9.*` for generated descriptors).
     pub query_id: QueryId,
-    /// Label of the plan the planner picked (`tICL`, `row:MV`, ...).
+    /// Label of the plan the planner picked: a column plan shape's code
+    /// (`tICL`, `TICL`, `tIcl`, ...).
     pub plan: String,
     /// Result-set column metadata: the group columns, then the aggregate.
     pub columns: Vec<ColumnMeta>,
@@ -123,17 +124,18 @@ pub enum QueryResponse {
     Snapshot(SnapshotInfo),
 }
 
-/// The versioned store a session serves: the stores of every design over
-/// one set of tables and the planner's statistics — pinned together behind
-/// one `Arc` so a reload swaps all of it atomically. Queries clone the `Arc`
-/// at entry and run against that snapshot to completion, so a mid-query swap
-/// never mixes generations (the segment-swap seam a future write path plugs
-/// into).
+/// The versioned store a session serves: the stores over one set of tables
+/// and the planner's statistics — pinned together behind one `Arc` so a
+/// reload swaps all of it atomically. Queries clone the `Arc` at entry and
+/// run against that snapshot to completion, so a mid-query swap never mixes
+/// generations (the segment-swap seam a future write path plugs into).
 struct StoreState {
-    /// Every design's store over the served tables: the build forces only
-    /// the column engine (the catalog reads it), and a design the planner
-    /// refuses ([`Planner::for_serving`]) is never built. A statement reaches
-    /// only the stores of the tables it pinned; a reload drops them all.
+    /// The stores over the served tables: the build forces only the column
+    /// engine (the catalog reads it). The planner ranks only the column plan
+    /// shapes ([`Planner::for_serving`]), so serving builds no other design;
+    /// the uncompressed projection is built by the first plan that needs it.
+    /// A statement reaches only the stores of the tables it pinned; a reload
+    /// drops them all.
     stores: Stores,
     planner: Planner,
     /// The version every cache and plan-memo key embeds: `0` for an
@@ -146,7 +148,6 @@ impl StoreState {
     fn build(tables: Arc<SsbTables>, version: u64, par: Parallelism) -> StoreState {
         let stores = Stores::new(tables, par);
         let planner = Planner::for_serving(Catalog::build(stores.engine()));
-        publish_verdicts(planner.verdicts());
         StoreState { stores, planner, version }
     }
 }
@@ -314,9 +315,9 @@ impl Session {
     /// Reload the newest valid snapshot generation from the data
     /// directory and swap it in as the served store. The store version
     /// becomes the loaded generation, so every result-cache entry and
-    /// memoized plan keyed against the old store is unreachable; row
-    /// designs live in the store, so the new one starts with none built,
-    /// and its planner decides again which designs it serves.
+    /// memoized plan keyed against the old store is unreachable; stores
+    /// built on first use live in the store, so the new one starts with
+    /// none built.
     pub fn reload(&self) -> Result<SnapshotInfo, QueryError> {
         let Some(dir) = self.data_dir() else {
             return Err(QueryError::Io { detail: "no data directory configured".to_string() });
@@ -602,9 +603,8 @@ impl Session {
         let _permit = if sheddable { self.sched.try_admit(ctx)? } else { self.sched.admit() };
         let io = IoSession::new(BufferPool::unbounded());
         let label = plan.choice.label();
-        // Root span: the plan root's explain op (`column-plan` /
-        // `row-plan`), so EXPLAIN ANALYZE zips the root by name. A no-op
-        // when no tracer is attached.
+        // Root span: the plan root's explain op (`column-plan`), so EXPLAIN
+        // ANALYZE zips the root by name. A no-op when no tracer is attached.
         let mut root_span = ctx.span(plan.explain.op, &label, &io);
         let opts = ExecOptions {
             par: self.par,
@@ -642,31 +642,6 @@ fn persist_error(e: PersistError) -> QueryError {
             QueryError::Io { detail: "no snapshot in data directory".to_string() }
         }
         PersistError::Io(detail) => QueryError::Io { detail },
-    }
-}
-
-/// Report the newest store's row-design verdicts as three gauges per design
-/// (STATS and the Prometheus endpoint both read the registry).
-fn publish_verdicts(verdicts: &[DesignVerdict]) {
-    let ppm = |share: f64| (share * 1e6).round() as u64;
-    for v in verdicts {
-        let gauges = [
-            ("served", "Whether the serving planner ranks the row design (0/1)", u64::from(v.served)),
-            (
-                "saved_ppm",
-                "Share of the reference mix's best column-plan seconds the row design saves (ppm)",
-                ppm(v.saved_share),
-            ),
-            (
-                "held_ppm",
-                "Lower bound on the row design's bytes over the column store's compressed bytes (ppm)",
-                ppm(v.held_share),
-            ),
-        ];
-        for (name, help, value) in gauges {
-            let series = format!("cvr_row_design_{name}{{design=\"{}\"}}", v.design.label());
-            cvr_obs::gauge(&series, help).set(value);
-        }
     }
 }
 
@@ -710,30 +685,6 @@ mod tests {
     use cvr_plan::Design;
     use cvr_row::designs::RowDesign;
 
-    /// At sf 0.00002 (120 fact rows) the serving planner serves `T` and
-    /// `T(B)`: the fact heap is small beside the fixed-size DATE dimension.
-    const ROW_SERVED_SF: f64 = 0.00002;
-
-    /// A statement planned to a served design runs on the row engine
-    /// through the statement path: the first one builds the design, and an
-    /// injected I/O fault surfaces as a typed error, not a panic.
-    #[test]
-    fn a_served_row_plan_builds_its_design_and_types_injected_faults() {
-        let tables = Arc::new(SsbConfig::with_scale(ROW_SERVED_SF).generate());
-        let session = Session::with_cache_budget(tables.clone(), Parallelism::serial(), 0);
-        let q = cvr_data::queries::query(2, 1);
-        session.set_faults(Some("io:1")).unwrap();
-        match session.run_ctx(&q, &QueryCtx::unbounded()) {
-            Err(QueryError::Io { detail }) => assert!(detail.contains("injected"), "{detail}"),
-            other => panic!("expected an injected I/O error, got {other:?}"),
-        }
-        session.set_faults(None).unwrap();
-        let response = session.run(&q);
-        assert_eq!(response.plan, "row:T(B)");
-        assert_eq!(response.output, cvr_data::reference::evaluate(&tables, &q));
-        assert_eq!(session.store().stores.built(), [Design::Row(RowDesign::TraditionalBitmap)]);
-    }
-
     /// A reload's store starts with no design built, and a statement that
     /// pinned the old store keeps — and can still build — the old store's.
     #[test]
@@ -763,37 +714,29 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The serving planner refuses every design that does not pay for what
-    /// it holds, so a mix of paper and generated statements builds exactly
-    /// the served designs it plans to, and every answer is still the
-    /// reference's. At sf 0.01 that is none; at sf 0.00005 it is `T(B)`.
+    /// The serving planner ranks only the six column plan shapes, so a mix
+    /// of paper and generated statements plans, and builds, no row design at
+    /// any scale, and every answer is still the reference's. At sf 0.00002
+    /// and 0.00005 `T(B)` pays for what it holds (`cvr_plan::advisor`), and
+    /// is still not ranked.
     #[test]
-    fn a_served_mix_builds_no_refused_design_and_answers_like_the_reference() {
-        for (sf, expected) in
-            [(0.01, vec![]), (0.00005, vec![Design::Row(RowDesign::TraditionalBitmap)])]
-        {
+    fn a_served_mix_plans_only_column_shapes_and_answers_like_the_reference() {
+        let shapes: Vec<String> = Design::plan_shapes().iter().map(Design::label).collect();
+        for sf in [0.00002, 0.00005, 0.01] {
             let tables = Arc::new(SsbConfig::with_scale(sf).generate());
             let session =
                 Session::with_cache_budget(tables.clone(), Parallelism::with_threads(2), 0);
-            let store = session.store();
-            let verdicts = store.planner.verdicts();
-            assert_eq!(verdicts.len(), RowDesign::EXTENDED.len());
             let mix = cvr_data::queries::all_queries()
                 .into_iter()
                 .chain(cvr_data::workload::WorkloadConfig::with_count(255).generate());
             for q in mix {
+                assert_eq!(session.explain(&q).ranking.len(), 6, "sf {sf}, {}", q.id);
                 let response = session.run(&q);
-                assert_eq!(response.output, cvr_data::reference::evaluate(&tables, &q), "{}", q.id);
+                assert!(shapes.contains(&response.plan), "sf {sf}, {}: {}", q.id, response.plan);
+                let reference = cvr_data::reference::evaluate(&tables, &q);
+                assert_eq!(response.output, reference, "sf {sf}, {}", q.id);
             }
-            assert_eq!(store.stores.built(), expected, "sf {sf}: {verdicts:?}");
-            // STATS carries each verdict as three gauges a design.
-            let samples = cvr_obs::global().samples();
-            for v in verdicts {
-                for gauge in ["served", "saved_ppm", "held_ppm"] {
-                    let name = format!("cvr_row_design_{gauge}{{design=\"{}\"}}", v.design.label());
-                    assert!(samples.iter().any(|(n, _)| *n == name), "{name} missing from STATS");
-                }
-            }
+            assert_eq!(session.store().stores.built(), [], "sf {sf}");
         }
     }
 

@@ -257,9 +257,8 @@ fn wire_trace_frames_ride_along_without_changing_results() {
 }
 
 /// The Prometheus endpoint over a raw socket: after one statement, `GET
-/// /metrics` answers `200` with the query counter, the latency histogram
-/// and the row-design verdict gauges in text exposition, and any other path
-/// answers `404`.
+/// /metrics` answers `200` with the query counter and the latency histogram
+/// in text exposition, and any other path answers `404`.
 #[test]
 fn metrics_endpoint_serves_prometheus_text_and_404s_elsewhere() {
     use std::io::{Read, Write};
@@ -282,12 +281,6 @@ fn metrics_endpoint_serves_prometheus_text_and_404s_elsewhere() {
     assert!(scrape.starts_with("HTTP/1.0 200"), "{scrape}");
     assert!(scrape.lines().any(|l| l.starts_with("cvr_queries_total ")), "{scrape}");
     assert!(scrape.lines().any(|l| l == "# TYPE cvr_query_latency_us histogram"), "{scrape}");
-    // The store's row-design verdicts, one series a design under each name.
-    for name in ["served", "saved_ppm", "held_ppm"] {
-        let series = format!("cvr_row_design_{name}{{design=");
-        let designs = scrape.lines().filter(|l| l.starts_with(&series)).count();
-        assert_eq!(designs, 6, "{scrape}");
-    }
     let other = get("/other");
     assert!(other.starts_with("HTTP/1.0 404"), "{other}");
     server.shutdown();

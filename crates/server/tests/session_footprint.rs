@@ -1,9 +1,9 @@
 //! A built session holds at most 115 bytes a fact row, and serving stays
 //! within what it holds once it is built: the serving planner ranks only the
-//! row designs that pay for their bytes (`Planner::for_serving`), so running
-//! the paper queries and a generated mix builds no design on the way, and
-//! the mix's transient bytes (its peak less what the built session holds)
-//! stay at most 27 a fact row.
+//! column plan shapes (`Planner::for_serving`), so running the paper queries
+//! and a generated mix builds no row design on the way, and the mix's
+//! transient bytes (its peak less what the built session holds) stay at most
+//! 27 a fact row.
 //!
 //! Its own test binary: the counting allocator is process-global, and the
 //! one test here is the only one allocating while it counts (the session's
