@@ -76,12 +76,14 @@ impl ColumnEngine {
     /// Build the engine over `tables`, its stores on up to `par.threads`
     /// workers.
     pub fn with_parallelism(tables: Arc<SsbTables>, par: Parallelism) -> ColumnEngine {
+        ColumnEngine::adopt(CStoreDb::build_with(tables, true, par), par)
+    }
+
+    /// The engine over an adopted compressed store ([`CStoreDb::adopt`]);
+    /// later stores are built on up to `par.threads` workers.
+    pub fn adopt(compressed: CStoreDb, par: Parallelism) -> ColumnEngine {
         plain_built_gauge().set(0);
-        ColumnEngine {
-            compressed: CStoreDb::build_with(tables, true, par),
-            plain: OnceLock::new(),
-            par,
-        }
+        ColumnEngine { compressed, plain: OnceLock::new(), par }
     }
 
     /// The storage serving `config`, building the uncompressed store on its
@@ -91,7 +93,7 @@ impl ColumnEngine {
             return &self.compressed;
         }
         self.plain.get_or_init(|| {
-            let db = CStoreDb::build_with(self.compressed.tables.clone(), false, self.par);
+            let db = CStoreDb::build_with(self.compressed.tables().clone(), false, self.par);
             plain_built_gauge().set(1);
             db
         })

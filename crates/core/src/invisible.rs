@@ -96,7 +96,7 @@ pub(crate) fn dim_positions(
     io: &IoSession,
 ) -> PosList {
     let store = &db.dim(dim).store;
-    let rows = 0..db.dim(dim).sorted.num_rows() as u32;
+    let rows = 0..db.dim(dim).store.num_rows() as u32;
     let mut dpos = PosList::all(rows.clone());
     for p in q.dim_predicates_on(dim) {
         let pred = ScanPred::Logical(&p.pred);
@@ -405,7 +405,7 @@ mod tests {
     fn matches_reference_on_all_queries() {
         let db = db();
         for q in all_queries() {
-            let expected = reference::evaluate(&db.tables, &q);
+            let expected = reference::evaluate(db.tables(), &q);
             let (got, _) = run(&db, &q, EngineConfig::FULL, &ExecOptions::default());
             assert_eq!(got, expected, "invisible join disagrees on {}", q.id);
         }
@@ -481,7 +481,7 @@ mod tests {
         // predicate — so they only fall, and the last leaf's are the filter's.
         let db = db();
         let q = query(3, 1);
-        let passing = reference::measured_selectivity(&db.tables, &q) * db.fact_rows() as f64;
+        let passing = reference::measured_selectivity(db.tables(), &q) * db.fact_rows() as f64;
         let mut seen = Vec::new();
         for threads in [1, 4] {
             let ctx = QueryCtx::unbounded();

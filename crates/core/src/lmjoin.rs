@@ -140,7 +140,7 @@ pub(crate) fn execute(
     let mut order: Vec<(Dim, f64)> = q
         .restricted_dims()
         .into_iter()
-        .map(|d| (d, tables[&d].len() as f64 / db.dim(d).sorted.num_rows().max(1) as f64))
+        .map(|d| (d, tables[&d].len() as f64 / db.dim(d).store.num_rows().max(1) as f64))
         .collect();
     order.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
     let order: Vec<Dim> = order.into_iter().map(|(d, _)| d).collect();
@@ -279,7 +279,7 @@ mod tests {
         let io = IoSession::unmetered();
         let cfg = EngineConfig::parse("tiCL");
         for q in all_queries() {
-            let expected = reference::evaluate(&db.tables, &q);
+            let expected = reference::evaluate(db.tables(), &q);
             assert_eq!(run(&db, &q, cfg, &io), expected, "LM join disagrees on {}", q.id);
         }
     }

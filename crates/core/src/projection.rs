@@ -19,17 +19,20 @@
 //! one of the seventeen columns in the fact table can be sorted (and two
 //! others secondarily sorted)".
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::morsel::Parallelism;
-use cvr_data::gen::SsbTables;
-use cvr_data::schema::Dim;
-use cvr_data::table::{ColumnData, PlainInts, TableData};
-use cvr_storage::column::{ColumnStore, EncodingChoice};
+use cvr_data::gen::{SsbConfig, SsbTables};
+use cvr_data::schema::{star_schema, Dim, TableSchema};
+use cvr_data::table::{ColumnData, PlainInts, Strs, TableData};
+use cvr_data::value::DataType;
+use cvr_storage::column::{ColumnStore, EncodingChoice, StoredColumn};
 use cvr_storage::encode::{Column, IntColumn, PlainValue, StrColumn};
 use cvr_storage::par::{Jobs, Slot};
+use cvr_storage::persist::{encode_ints_segment, encode_segment, Parts, PersistError};
 use cvr_storage::with_plain_values;
 
 /// Sort hierarchy per dimension (leading columns of the projection).
@@ -49,8 +52,6 @@ pub const FACT_SORT: [&str; 3] = ["lo_orderdate", "lo_quantity", "lo_discount"];
 pub struct DimStore {
     /// Encoded, hierarchy-sorted columns.
     pub store: ColumnStore,
-    /// Sorted logical data (used by tuple construction paths).
-    pub sorted: TableData,
     /// True when keys were reassigned to the dense sequence `0..n`.
     pub dense_keys: bool,
 }
@@ -58,17 +59,52 @@ pub struct DimStore {
 /// The C-Store database: fact + dimension projections at one compression
 /// setting.
 pub struct CStoreDb {
-    /// The logical tables this store was built from. Nothing here executes
-    /// against them: `cvr-plan`'s catalog reads them for value histograms,
-    /// and tests evaluate the reference answer over them. The `Arc` is the
-    /// one the serving tier's store also holds (row-design builds and
-    /// `SNAPSHOT` read it there), so a store pins no second copy.
-    pub tables: Arc<SsbTables>,
+    /// The logical tables, held from the build or decoded on first use; see
+    /// [`CStoreDb::tables`].
+    tables: OnceLock<Arc<SsbTables>>,
+    /// An adopted store's configuration and order, from which its tables
+    /// decode; `None` for a store built from tables.
+    adopted: Option<(SsbConfig, SortOrder)>,
     /// Whether RLE/dictionary encodings were applied.
     pub compression: bool,
     /// The fact projection, sorted by [`FACT_SORT`], FKs remapped.
     pub fact: ColumnStore,
     dims: HashMap<Dim, DimStore>,
+}
+
+/// Where each stored row came from: what recovers the logical tables from a
+/// store's encoded columns, exactly.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SortOrder {
+    /// The logical row at each fact position.
+    fact: Vec<u32>,
+    /// Per dimension, in [`Dim::ALL`] order: the logical row at each
+    /// position and, when its keys were reassigned, the original key at each
+    /// position.
+    dims: Vec<(Vec<u32>, Option<PlainInts>)>,
+}
+
+impl SortOrder {
+    /// The order [`CStoreDb::build`] stores `tables` in (the sorts are
+    /// deterministic), one sort a job on up to `threads` workers.
+    fn of(tables: &SsbTables, threads: usize) -> SortOrder {
+        let mut jobs = Jobs::new();
+        let fact = jobs.add(|| sort_permutation(&tables.lineorder, &FACT_SORT));
+        let dims: Vec<_> = Dim::ALL
+            .iter()
+            .map(|&d| {
+                let src = tables.dim(d);
+                jobs.add(move || {
+                    let perm = sort_permutation(src, dim_sort_columns(d));
+                    let keys =
+                        d.dense_keys().then(|| src.column(d.key_column()).ints().gather(&perm));
+                    (perm, keys)
+                })
+            })
+            .collect();
+        jobs.run(threads);
+        SortOrder { fact: fact.take(), dims: dims.into_iter().map(Slot::take).collect() }
+    }
 }
 
 /// Sort permutation of `table` by `columns` (lexicographic, ascending; ties
@@ -205,6 +241,88 @@ fn encode_gathered(
     }
 }
 
+/// `perm`'s inverse: the position each logical row is stored at.
+fn inverse(perm: &[u32]) -> Vec<u32> {
+    let mut inv = vec![0u32; perm.len()];
+    for (j, &p) in perm.iter().enumerate() {
+        inv[p as usize] = j as u32;
+    }
+    inv
+}
+
+fn corrupt(detail: String) -> PersistError {
+    PersistError::Corrupt { detail }
+}
+
+/// `store`'s columns in logical order, where the logical row `perm[j]` is
+/// stored at position `j`. An integer column `originals` names holds
+/// positions into those original values, which replace them.
+fn logical_columns<'a>(
+    store: &ColumnStore,
+    perm: &[u32],
+    originals: impl Fn(&str) -> Option<&'a PlainInts>,
+) -> Vec<ColumnData> {
+    fn strs(dict: &[Box<str>], codes: impl ExactSizeIterator<Item = u32> + Clone) -> ColumnData {
+        let strs = Strs::from_codes(dict, codes, Strs::MAX_TEXT);
+        ColumnData::Str(strs.expect("a stored column's text fits"))
+    }
+    let inv = inverse(perm);
+    let column = |c: &StoredColumn| match &c.column {
+        Column::Int(ints) => {
+            let values = ints.clone().into_plain_ints();
+            match originals(&c.name) {
+                Some(keys) => {
+                    let at: Vec<u32> = inv.iter().map(|&j| values.get(j as usize) as u32).collect();
+                    let keys = keys.gather(&at);
+                    let width = keys.narrowest_width();
+                    ColumnData::Int(keys.into_width(width))
+                }
+                None => ColumnData::Int(values.gather(&inv)),
+            }
+        }
+        Column::Str(StrColumn::Plain { values, .. }) => strs(values, inv.iter().copied()),
+        Column::Str(StrColumn::Dict { dict, codes }) => {
+            strs(dict, inv.iter().map(|&j| codes.get(j) as u32))
+        }
+    };
+    store.columns().iter().map(column).collect()
+}
+
+/// Adopt table `schema`'s encoded columns and uncompressed sizes.
+fn adopt_table(parts: &mut Parts, schema: &TableSchema) -> Result<ColumnStore, PersistError> {
+    let table = schema.name;
+    let plain = parts.ints(&format!("{table}.plain_bytes"))?;
+    if plain.len() != schema.arity() {
+        return Err(corrupt(format!("{table}.plain_bytes is not one size a column")));
+    }
+    let mut rows = None;
+    let mut columns = Vec::with_capacity(schema.arity());
+    for (i, def) in schema.columns.iter().enumerate() {
+        let name = format!("{table}.{}", def.name);
+        let column = parts.column(&name)?;
+        let dtype = match column {
+            Column::Int(_) => DataType::Int,
+            Column::Str(_) => DataType::Str,
+        };
+        if dtype != def.dtype {
+            return Err(corrupt(format!("segment {name} has wrong data type")));
+        }
+        if *rows.get_or_insert(column.len()) != column.len() {
+            return Err(corrupt(format!("segment {name} length disagrees with its table")));
+        }
+        columns.push((def.name, column, plain.get(i) as u64));
+    }
+    Ok(ColumnStore::from_encoded(table, rows.unwrap_or(0), columns))
+}
+
+/// Adopt table `table`'s order: one logical row a stored row.
+fn adopt_order(parts: &mut Parts, table: &str, rows: usize) -> Result<Vec<u32>, PersistError> {
+    match parts.ints(&format!("{table}.order"))? {
+        PlainInts::U32(perm) if perm.len() == rows => Ok(perm),
+        _ => Err(corrupt(format!("{table}.order is not one u32 row a stored row"))),
+    }
+}
+
 impl CStoreDb {
     /// Build projections over `tables` at the given compression setting, at
     /// the process-default parallelism ([`Parallelism::from_env`]).
@@ -271,7 +389,7 @@ impl CStoreDb {
             .map(|((d, (sorted, _)), columns)| {
                 let store =
                     ColumnStore::from_encoded(sorted.schema.name, sorted.num_rows(), columns);
-                (d, DimStore { store, sorted, dense_keys: d.dense_keys() })
+                (d, DimStore { store, dense_keys: d.dense_keys() })
             })
             .collect();
         let fact_columns = fact_columns.into_iter().map(|(name, encoded)| {
@@ -281,7 +399,135 @@ impl CStoreDb {
         let fact =
             ColumnStore::from_encoded(fact_src.schema.name, fact_src.num_rows(), fact_columns);
 
-        CStoreDb { tables, compression, fact, dims }
+        CStoreDb { tables: OnceLock::from(tables), adopted: None, compression, fact, dims }
+    }
+
+    /// Adopt a compressed store from a [`Shape::Store`] snapshot's
+    /// [`Parts`], as [`CStoreDb::segments`] wrote them: the encoded columns
+    /// and uncompressed sizes as they are, and the [`SortOrder`] to decode
+    /// the tables from should anything need them. Nothing is decoded, sorted
+    /// or encoded. Storage identities are handed out in a build's order: the
+    /// dimensions, then the fact columns.
+    pub fn adopt(parts: &mut Parts) -> Result<CStoreDb, PersistError> {
+        let schema = star_schema();
+        let mut dims = HashMap::with_capacity(Dim::ALL.len());
+        let mut orders = Vec::with_capacity(Dim::ALL.len());
+        for d in Dim::ALL {
+            let name = schema.dim(d).name;
+            let store = adopt_table(parts, schema.dim(d))?;
+            let perm = adopt_order(parts, name, store.num_rows())?;
+            let keys = d.dense_keys().then(|| parts.ints(&format!("{name}.keys"))).transpose()?;
+            if keys.as_ref().is_some_and(|k| k.len() != store.num_rows()) {
+                return Err(corrupt(format!("{name}.keys is not one key a row")));
+            }
+            dims.insert(d, DimStore { store, dense_keys: d.dense_keys() });
+            orders.push((perm, keys));
+        }
+        let fact = adopt_table(parts, &schema.lineorder)?;
+        let order =
+            SortOrder { fact: adopt_order(parts, "lineorder", fact.num_rows())?, dims: orders };
+        Ok(CStoreDb {
+            tables: OnceLock::new(),
+            adopted: Some((parts.config(), order)),
+            compression: true,
+            fact,
+            dims,
+        })
+    }
+
+    /// The named segment images of a [`Shape::Store`] snapshot of this
+    /// (compressed) store, each framed when the iterator reaches it, in
+    /// storage order: per dimension its columns, its uncompressed sizes
+    /// (`{table}.plain_bytes`), its order (`{table}.order`) and, when its
+    /// keys were reassigned, its original keys (`{table}.keys`); then the
+    /// same for the fact table, which has no keys.
+    pub fn segments<'a>(
+        &'a self,
+        order: &'a SortOrder,
+    ) -> impl Iterator<Item = (String, Vec<u8>)> + Send + 'a {
+        let dims = Dim::ALL
+            .iter()
+            .zip(&order.dims)
+            .map(|(d, (perm, keys))| (&self.dims[d].store, perm.as_slice(), keys.as_ref()));
+        let tables = dims.chain([(&self.fact, order.fact.as_slice(), None)]);
+        tables.flat_map(|(store, perm, keys)| {
+            let table = store.table.as_str();
+            let columns = store
+                .columns()
+                .iter()
+                .map(move |c| (format!("{table}.{}", c.name), encode_segment(&c.column)));
+            let plain: Vec<i64> =
+                store.columns().iter().map(|c| store.plain_bytes(&c.name) as i64).collect();
+            let layout = [
+                Some((format!("{table}.plain_bytes"), encode_ints_segment(&plain))),
+                Some((format!("{table}.order"), encode_ints_segment(perm))),
+                keys.map(|k| {
+                    (format!("{table}.keys"), with_plain_values!(k, |v| encode_ints_segment(v)))
+                }),
+            ];
+            columns.chain(layout.into_iter().flatten())
+        })
+    }
+
+    /// The logical tables: the ones a built store was built from, or, for an
+    /// adopted store, decoded from its encoded columns through its
+    /// [`SortOrder`] on first use (concurrent first users wait for the one
+    /// decode). Only cold paths read them: the uncompressed store, the row,
+    /// pre-joined and CS (Row-MV) builds, and reference checks.
+    pub fn tables(&self) -> &Arc<SsbTables> {
+        self.tables.get_or_init(|| {
+            let (config, order) = self.adopted.as_ref().expect("a built store holds its tables");
+            Arc::new(self.decode_tables(*config, order))
+        })
+    }
+
+    /// The configuration of the tables this store holds.
+    pub fn config(&self) -> SsbConfig {
+        match &self.adopted {
+            Some((config, _)) => *config,
+            None => self.tables().config,
+        }
+    }
+
+    /// Whether the logical tables are held: always for a built store, and
+    /// for an adopted one once [`CStoreDb::tables`] decoded them.
+    pub fn holds_tables(&self) -> bool {
+        self.tables.get().is_some()
+    }
+
+    /// The store's [`SortOrder`]: an adopted store's own, or a built store's
+    /// recomputed from its tables on up to `threads` workers (a built store
+    /// keeps none).
+    pub fn sort_order(&self, threads: usize) -> Cow<'_, SortOrder> {
+        match &self.adopted {
+            Some((_, order)) => Cow::Borrowed(order),
+            None => Cow::Owned(SortOrder::of(self.tables(), threads)),
+        }
+    }
+
+    /// The logical tables of this store's columns: each stored row moved back
+    /// to its logical row, and each reassigned key, in a dimension or in the
+    /// fact table's foreign keys, replaced by its original.
+    fn decode_tables(&self, config: SsbConfig, order: &SortOrder) -> SsbTables {
+        let schema = star_schema();
+        let mut dims = Dim::ALL.iter().zip(&order.dims).map(|(&d, (perm, keys))| {
+            // A dense dimension's key column holds positions; its original
+            // keys replace them.
+            let originals = |name: &str| keys.as_ref().filter(|_| name == d.key_column());
+            let columns = logical_columns(&self.dims[&d].store, perm, originals);
+            TableData::new(schema.dim(d).clone(), columns)
+        });
+        let mut next = || dims.next().expect("one table a dimension");
+        let (customer, supplier, part, date) = (next(), next(), next(), next());
+        // A foreign key holds its dimension's positions; the dimension's
+        // original keys replace them.
+        let fk_keys = |name: &str| {
+            let mut dims = Dim::ALL.iter().zip(&order.dims);
+            dims.find(|(d, _)| d.fact_fk_column() == name).and_then(|(_, (_, keys))| keys.as_ref())
+        };
+        let lineorder = logical_columns(&self.fact, &order.fact, fk_keys);
+        let lineorder = TableData::new(schema.lineorder.clone(), lineorder);
+        SsbTables { config, schema, lineorder, customer, supplier, part, date }
     }
 
     /// Dimension storage.
@@ -317,11 +563,11 @@ mod tests {
     #[test]
     fn dims_sorted_by_hierarchy() {
         let db = db(true);
-        let cust = &db.dim(Dim::Customer).sorted;
-        let regions = cust.column("c_region").strs();
+        let cust = &db.dim(Dim::Customer).store;
+        let regions = cust.column("c_region").column.as_str().decode();
         assert!(regions.iter().is_sorted(), "regions must be sorted");
         // Within a region, nations sorted.
-        let nations = cust.column("c_nation").strs();
+        let nations = cust.column("c_nation").column.as_str().decode();
         for i in 1..cust.num_rows() {
             if regions[i - 1] == regions[i] {
                 assert!(nations[i - 1] <= nations[i]);
@@ -333,22 +579,22 @@ mod tests {
     fn dense_keys_are_positions() {
         let db = db(true);
         for d in [Dim::Customer, Dim::Supplier, Dim::Part] {
-            let keys = db.dim(d).sorted.column(d.key_column()).ints().decode();
+            let keys = db.dim(d).store.column(d.key_column()).column.as_int().decode();
             for (p, &k) in keys.iter().enumerate() {
                 assert_eq!(k, p as i64, "{d:?} key must equal its position");
             }
             assert!(db.dim(d).dense_keys);
         }
         // DATE keys stay yyyymmdd.
-        let dk = db.dim(Dim::Date).sorted.column("d_datekey").ints();
-        assert_eq!(dk.get(0), 19920101);
+        let dk = db.dim(Dim::Date).store.column("d_datekey").column.as_int().decode();
+        assert_eq!(dk[0], 19920101);
         assert!(!db.dim(Dim::Date).dense_keys);
     }
 
     #[test]
     fn fact_fks_reference_remapped_dims() {
         let db = db(true);
-        let n_cust = db.dim(Dim::Customer).sorted.num_rows() as i64;
+        let n_cust = db.dim(Dim::Customer).store.num_rows() as i64;
         let fks = db.fact.column("lo_custkey");
         let decoded = fks.column.as_int().decode();
         assert!(decoded.iter().all(|&k| k >= 0 && k < n_cust));
@@ -368,7 +614,7 @@ mod tests {
             .collect();
         // Projection join: sorted fact fk == position into sorted customer.
         let new_fk = db.fact.column("lo_custkey").column.as_int().decode();
-        let new_city = db.dim(Dim::Customer).sorted.column("c_city").strs();
+        let new_city = db.dim(Dim::Customer).store.column("c_city").column.as_str().decode();
         let mut got: Vec<String> =
             new_fk.iter().map(|&k| new_city[k as usize].to_string()).collect();
         expected.sort();
@@ -429,10 +675,10 @@ mod tests {
     #[test]
     fn region_predicate_selects_contiguous_dim_positions() {
         let db = db(true);
-        let cust = &db.dim(Dim::Customer).sorted;
-        let regions = cust.column("c_region").strs();
+        let cust = &db.dim(Dim::Customer).store;
+        let regions = cust.column("c_region").column.as_str().decode();
         let matching: Vec<usize> =
-            (0..cust.num_rows()).filter(|&i| &regions[i] == "ASIA").collect();
+            (0..cust.num_rows()).filter(|&i| &*regions[i] == "ASIA").collect();
         if matching.len() > 1 {
             assert_eq!(matching[matching.len() - 1] - matching[0] + 1, matching.len());
         }

@@ -111,6 +111,31 @@ impl Strs {
         out
     }
 
+    /// The column whose value `j` is `dict[codes[j]]`: its offsets are one
+    /// prefix sum over the entries' lengths and its text one copy a value,
+    /// both sized up front. `None` when the text would exceed `max_text`
+    /// bytes (at most [`Strs::MAX_TEXT`]).
+    pub fn from_codes(
+        dict: &[Box<str>],
+        codes: impl ExactSizeIterator<Item = u32> + Clone,
+        max_text: usize,
+    ) -> Option<Strs> {
+        let lens: Vec<u64> = dict.iter().map(|s| s.len() as u64).collect();
+        let mut end = 0u64;
+        let mut ends = Vec::with_capacity(codes.len());
+        ends.extend(codes.clone().map(|c| {
+            end += lens[c as usize];
+            end as u32
+        }));
+        // Offsets past `u32` wrapped above; they are dropped here unread.
+        if end > max_text.min(Strs::MAX_TEXT) as u64 {
+            return None;
+        }
+        let mut text = String::with_capacity(end as usize);
+        codes.for_each(|c| text.push_str(&dict[c as usize]));
+        Some(Strs { text, ends })
+    }
+
     /// Release spare capacity of both buffers.
     pub fn shrink_to_fit(&mut self) {
         self.text.shrink_to_fit();

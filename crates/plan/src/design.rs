@@ -114,7 +114,9 @@ impl From<PhysicalChoice> for Design {
 /// slot by the first statement that needs it, so a build blocks only the
 /// statements of its design, and one that panics leaves its slot empty.
 pub struct Stores {
-    tables: Arc<SsbTables>,
+    /// The tables every store is built from; `None` over an adopted column
+    /// engine, whose store decodes them on first use.
+    tables: Option<Arc<SsbTables>>,
     par: Parallelism,
     engine: OnceLock<ColumnEngine>,
     slots: Slots,
@@ -132,17 +134,29 @@ struct Slots {
 impl Stores {
     /// The stores over `tables`, none built yet; the column engine's builds on `par`.
     pub fn new(tables: Arc<SsbTables>, par: Parallelism) -> Stores {
-        Stores { tables, par, engine: OnceLock::new(), slots: Slots::default() }
+        Stores { tables: Some(tables), par, engine: OnceLock::new(), slots: Slots::default() }
     }
 
-    /// The tables every store is built from.
+    /// The stores around an adopted column engine ([`ColumnEngine::adopt`]):
+    /// every other store is built, on first use, from the tables the
+    /// engine's store decodes.
+    pub fn adopted(engine: ColumnEngine) -> Stores {
+        let par = engine.parallelism();
+        Stores { tables: None, par, engine: OnceLock::from(engine), slots: Slots::default() }
+    }
+
+    /// The tables every store is built from; over an adopted engine, decoded
+    /// on first use ([`cvr_core::CStoreDb::tables`]).
     pub fn tables(&self) -> &Arc<SsbTables> {
-        &self.tables
+        match &self.tables {
+            Some(tables) => tables,
+            None => self.engine().db(EngineConfig::FULL).tables(),
+        }
     }
 
     /// The column engine, building it on first use.
     pub fn engine(&self) -> &ColumnEngine {
-        self.engine.get_or_init(|| ColumnEngine::with_parallelism(self.tables.clone(), self.par))
+        self.engine.get_or_init(|| ColumnEngine::with_parallelism(self.tables().clone(), self.par))
     }
 
     /// Run `q` on `design` as `opts` says, building its store on first use.
@@ -162,7 +176,7 @@ impl Stores {
                 opts.ctx.check()?;
                 let slot = &self.slots.rows[index(&RowDesign::EXTENDED, d)];
                 catch_injected(|| {
-                    let db = slot.get_or_init(|| RowDb::build(self.tables.clone(), d));
+                    let db = slot.get_or_init(|| RowDb::build(self.tables().clone(), d));
                     match opts.fact_order {
                         Some(order) => db.execute_planned(q, order, io),
                         None => db.execute(q, io),
@@ -171,11 +185,11 @@ impl Stores {
             }
             Design::PreJoined(v) => {
                 let slot = &self.slots.pre_joined[index(&DenormVariant::ALL, v)];
-                slot.get_or_init(|| DenormDb::build(self.tables.clone(), v)).run(q, opts, io)
+                slot.get_or_init(|| DenormDb::build(self.tables().clone(), v)).run(q, opts, io)
             }
             Design::RowMv => {
                 let slot = &self.slots.row_mv;
-                slot.get_or_init(|| RowMvDb::build(self.tables.clone())).run(q, opts, io)
+                slot.get_or_init(|| RowMvDb::build(self.tables().clone())).run(q, opts, io)
             }
         }
     }

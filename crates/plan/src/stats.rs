@@ -34,6 +34,7 @@ use cvr_data::value::Value;
 use cvr_storage::encode::{Column, IntColumn, PlainValue, StrColumn};
 use cvr_storage::hash::FxHashMap;
 use cvr_storage::par::{Jobs, Slot};
+use cvr_storage::persist::{put_i64, put_u32, put_u64, PersistError, Reader};
 use cvr_storage::rowcodec::columns_row_size;
 use cvr_storage::{with_plain_values, PackedInts, StoredColumn};
 
@@ -217,6 +218,75 @@ impl ColumnStats {
         }
     }
 
+    /// Append this column's statistics for [`Catalog::to_bytes`].
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(out, &self.name);
+        put_u64(out, self.rows);
+        put_u64(out, self.ndv);
+        put_opt(out, self.min, put_i64);
+        put_opt(out, self.max, put_i64);
+        put_opt(out, self.histogram.as_ref(), |out, h| {
+            put_u32(out, h.bounds.len() as u32);
+            h.bounds.iter().for_each(|&b| put_i64(out, b));
+        });
+        put_opt(out, self.str_freqs.as_ref(), |out, freqs| {
+            put_u32(out, freqs.len() as u32);
+            for (value, count) in freqs {
+                put_str(out, value);
+                put_u64(out, *count);
+            }
+        });
+        put_u64(out, self.plain_bytes);
+        put_u64(out, self.compressed_bytes);
+        out.push(self.encoding as u8);
+        put_opt(out, self.rle_runs, put_u64);
+        put_opt(out, self.packed_lanes, |out, v| out.push(v));
+    }
+
+    /// Read what [`ColumnStats::put`] appended.
+    fn take(r: &mut Reader<'_>) -> Result<ColumnStats, PersistError> {
+        let name = take_str(r)?;
+        let (rows, ndv) = (r.u64()?, r.u64()?);
+        let min = take_opt(r, Reader::i64)?;
+        let max = take_opt(r, Reader::i64)?;
+        let histogram = take_opt(r, |r| {
+            let n = r.u32()?;
+            let bounds = (0..n).map(|_| r.i64()).collect::<Result<Vec<_>, _>>()?;
+            match bounds.is_empty() {
+                true => Err(corrupt("an empty histogram")),
+                false => Ok(Histogram { bounds }),
+            }
+        })?;
+        let str_freqs = take_opt(r, |r| {
+            let n = r.u32()?;
+            (0..n).map(|_| Ok((take_str(r)?.into_boxed_str(), r.u64()?))).collect()
+        })?;
+        let (plain_bytes, compressed_bytes) = (r.u64()?, r.u64()?);
+        let encoding = match r.u8()? {
+            0 => EncodingKind::Plain,
+            1 => EncodingKind::Rle,
+            2 => EncodingKind::Packed,
+            3 => EncodingKind::Dict,
+            other => return Err(corrupt(&format!("unknown encoding {other}"))),
+        };
+        let rle_runs = take_opt(r, Reader::u64)?;
+        let packed_lanes = take_opt(r, Reader::u8)?;
+        Ok(ColumnStats {
+            name,
+            rows,
+            ndv,
+            min,
+            max,
+            histogram,
+            str_freqs,
+            plain_bytes,
+            compressed_bytes,
+            encoding,
+            rle_runs,
+            packed_lanes,
+        })
+    }
+
     /// Encoded bytes of the variant serving `compressed`.
     pub fn bytes(&self, compressed: bool) -> u64 {
         if compressed {
@@ -323,7 +393,7 @@ fn ndv_sorted(sample: impl Iterator<Item = i64>) -> u64 {
 }
 
 /// Statistics for one table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableStats {
     /// Table name.
     pub name: String,
@@ -372,6 +442,39 @@ impl TableStats {
     }
 }
 
+fn corrupt(detail: &str) -> PersistError {
+    PersistError::Corrupt { detail: format!("catalog: {detail}") }
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u32(out, s.len() as u32);
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn take_str(r: &mut Reader<'_>) -> Result<String, PersistError> {
+    let len = r.u32()? as usize;
+    Ok(r.utf8(len)?.to_string())
+}
+
+/// `value` behind a presence byte.
+fn put_opt<T>(out: &mut Vec<u8>, value: Option<T>, put: impl FnOnce(&mut Vec<u8>, T)) {
+    out.push(value.is_some() as u8);
+    if let Some(v) = value {
+        put(out, v);
+    }
+}
+
+fn take_opt<'a, T>(
+    r: &mut Reader<'a>,
+    take: impl FnOnce(&mut Reader<'a>) -> Result<T, PersistError>,
+) -> Result<Option<T>, PersistError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => take(r).map(Some),
+        other => Err(corrupt(&format!("presence byte {other}"))),
+    }
+}
+
 /// Approximate on-disk sizes of the row-engine physical designs, derived
 /// from sampled `rowcodec` record lengths (the same codec the heaps use).
 #[derive(Debug, Clone, PartialEq)]
@@ -405,6 +508,7 @@ fn mean_record_bytes(data: &TableData, columns: Option<&[&'static str]>) -> f64 
 }
 
 /// The planner's catalog: per-table statistics plus design-level sizes.
+#[derive(Debug, PartialEq)]
 pub struct Catalog {
     /// LINEORDER statistics (value stats from the logical table, encoded
     /// bytes from the sorted fact projection).
@@ -427,7 +531,7 @@ impl Catalog {
     /// catalog is the same at any worker count.
     pub fn build(engine: &ColumnEngine) -> Catalog {
         let comp: &CStoreDb = engine.db(EngineConfig::FULL);
-        let tables = &comp.tables;
+        let tables = comp.tables();
 
         // Longest first: the fact columns, then the dimensions by size.
         let mut jobs = Jobs::new();
@@ -481,6 +585,76 @@ impl Catalog {
             row_sizes: RowSizes { fact_heap_bytes, dim_heap_bytes, mv_view_bytes, fact_row_bytes },
             year_fractions,
         }
+    }
+
+    /// The catalog as bytes: every field exactly, `f64`s by their bits, each
+    /// table's columns by name. [`Catalog::from_bytes`] reads it back equal.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        let tables = std::iter::once(&self.fact).chain(Dim::ALL.iter().map(|&d| self.dim(d)));
+        for table in tables {
+            put_str(&mut out, &table.name);
+            put_u64(&mut out, table.rows);
+            let mut cols: Vec<&ColumnStats> = table.cols.values().collect();
+            cols.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+            put_u32(&mut out, cols.len() as u32);
+            cols.into_iter().for_each(|c| c.put(&mut out));
+        }
+        let sizes = &self.row_sizes;
+        put_u64(&mut out, sizes.fact_heap_bytes);
+        Dim::ALL.iter().for_each(|d| put_u64(&mut out, sizes.dim_heap_bytes[d]));
+        sizes.mv_view_bytes.iter().for_each(|&b| put_u64(&mut out, b));
+        put_u64(&mut out, sizes.fact_row_bytes.to_bits());
+        put_u32(&mut out, self.year_fractions.len() as u32);
+        for &(year, fraction) in &self.year_fractions {
+            put_i64(&mut out, year);
+            put_u64(&mut out, fraction.to_bits());
+        }
+        out
+    }
+
+    /// Read back what [`Catalog::to_bytes`] wrote; bytes it did not write
+    /// fail typed.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Catalog, PersistError> {
+        let mut r = Reader::new(bytes);
+        let table = |r: &mut Reader<'_>| -> Result<TableStats, PersistError> {
+            let name = take_str(r)?;
+            let rows = r.u64()?;
+            let n = r.u32()?;
+            let mut cols = FxHashMap::default();
+            for _ in 0..n {
+                let c = ColumnStats::take(r)?;
+                cols.insert(c.name.clone(), c);
+            }
+            Ok(TableStats { name, rows, cols })
+        };
+        let fact = table(&mut r)?;
+        let mut dims = FxHashMap::default();
+        for d in Dim::ALL {
+            dims.insert(d, table(&mut r)?);
+        }
+        let fact_heap_bytes = r.u64()?;
+        let mut dim_heap_bytes = HashMap::new();
+        for d in Dim::ALL {
+            dim_heap_bytes.insert(d, r.u64()?);
+        }
+        let mut mv_view_bytes = [0u64; 4];
+        for b in &mut mv_view_bytes {
+            *b = r.u64()?;
+        }
+        let fact_row_bytes = f64::from_bits(r.u64()?);
+        let years = r.u32()?;
+        let mut year_fractions = Vec::new();
+        for _ in 0..years {
+            year_fractions.push((r.i64()?, f64::from_bits(r.u64()?)));
+        }
+        r.done()?;
+        Ok(Catalog {
+            fact,
+            dims,
+            row_sizes: RowSizes { fact_heap_bytes, dim_heap_bytes, mv_view_bytes, fact_row_bytes },
+            year_fractions,
+        })
     }
 
     /// Statistics of dimension `d`.

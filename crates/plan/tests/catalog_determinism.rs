@@ -5,15 +5,17 @@
 //! field of every column's statistics, the row-design sizes and the per-year
 //! DATE fractions must come out identical at 1, 2 and 4 workers, and so must
 //! the row-design verdicts (`advisor::verdicts`), which read only the catalog.
+//! A snapshot's catalog, adopted on reload, is the built one.
 
 use cvr_core::morsel::Parallelism;
-use cvr_core::ColumnEngine;
+use cvr_core::{CStoreDb, ColumnEngine, EngineConfig};
 use cvr_data::gen::SsbConfig;
 use cvr_data::schema::Dim;
 use cvr_data::table::TableData;
 use cvr_plan::advisor::{self, held_bytes};
 use cvr_plan::{Catalog, Planner, TableStats};
 use cvr_row::designs::{RowDb, RowDesign};
+use cvr_storage::persist::{self, Shape};
 use std::sync::Arc;
 
 fn assert_same_columns(data: &TableData, one: &TableStats, other: &TableStats, at: &str) {
@@ -47,6 +49,36 @@ fn catalog_is_identical_at_1_2_and_4_workers() {
             assert_eq!(one.year_fractions().len(), 7, "{at}: 1992–1998");
         }
     }
+}
+
+/// A snapshot's catalog, adopted, is the catalog `Catalog::build` makes
+/// over the built engine at 1, 2 and 4 workers: every field, `f64`s to the
+/// bit.
+#[test]
+fn an_adopted_catalog_is_the_built_one_at_1_2_and_4_workers() {
+    let tables = Arc::new(SsbConfig { sf: 0.01, seed: 17 }.generate());
+    let dir = std::env::temp_dir().join(format!("cvr-catalog-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let serial =
+        Catalog::build(&ColumnEngine::with_parallelism(tables.clone(), Parallelism::serial()));
+    for threads in [1, 2, 4] {
+        let engine =
+            ColumnEngine::with_parallelism(tables.clone(), Parallelism::with_threads(threads));
+        let built = Catalog::build(&engine);
+        let db = engine.db(EngineConfig::FULL);
+        let order = db.sort_order(threads);
+        let catalog = ("catalog".to_string(), persist::encode_bytes_segment(&built.to_bytes()));
+        let segments = db.segments(&order).chain([catalog]);
+        persist::write_generation(&dir, db.config(), Shape::Store, segments).unwrap();
+        let (adopted, _) = persist::load_latest_store(&dir, |parts| {
+            CStoreDb::adopt(parts)?;
+            Catalog::from_bytes(&parts.bytes("catalog")?)
+        })
+        .unwrap();
+        assert_eq!(adopted, built, "{threads} workers");
+        assert_eq!(adopted, serial, "{threads} workers against 1");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -19,7 +19,8 @@ use crate::cache::{CacheStats, QueryCache};
 use crate::parser::{self, ParseError, Statement};
 use cvr_core::morsel::Parallelism;
 use cvr_core::sched::{self, Scheduler};
-use cvr_core::{ExecOptions, QueryCtx, QueryError, SpanRecord, Tracer};
+use cvr_core::{CStoreDb, ColumnEngine, EngineConfig, ExecOptions, QueryCtx, QueryError};
+use cvr_core::{SpanRecord, Tracer};
 use cvr_data::gen::SsbTables;
 use cvr_data::queries::{QueryId, SsbQuery};
 use cvr_data::result::QueryOutput;
@@ -27,9 +28,9 @@ use cvr_data::value::DataType;
 use cvr_plan::{key, Catalog, Plan, Planner, Stores};
 use cvr_storage::fault::{self, FaultState};
 use cvr_storage::io::{pages_for, BufferPool, IoSession, IoStats};
-use cvr_storage::persist::{self, PersistError};
+use cvr_storage::persist::{self, LoadReport, PersistError, Shape, SnapshotReport};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
@@ -130,12 +131,14 @@ pub enum QueryResponse {
 /// run against that snapshot to completion, so a mid-query swap never mixes
 /// generations (the segment-swap seam a future write path plugs into).
 struct StoreState {
-    /// The stores over the served tables: the build forces only the column
-    /// engine (the catalog reads it). The planner ranks only the column plan
-    /// shapes ([`Planner::for_serving`]), so serving builds no other design;
-    /// the uncompressed projection is built by the first plan that needs it.
-    /// A statement reaches only the stores of the tables it pinned; a reload
-    /// drops them all.
+    /// The stores over the served tables. A generated store's build forces
+    /// only the column engine (the catalog reads it); a reloaded one adopts
+    /// the snapshot's compressed store and catalog as they are, and holds no
+    /// logical tables until a cold path decodes them. The planner ranks only
+    /// the column plan shapes ([`Planner::for_serving`]), so serving builds
+    /// no other design; the uncompressed projection is built by the first
+    /// plan that needs it. A statement reaches only the stores of the
+    /// tables it pinned; a reload drops them all.
     stores: Stores,
     planner: Planner,
     /// The version every cache and plan-memo key embeds: `0` for an
@@ -150,7 +153,41 @@ impl StoreState {
         let planner = Planner::for_serving(Catalog::build(stores.engine()));
         StoreState { stores, planner, version }
     }
+
+    /// Adopt the newest [`Shape::Store`] generation in `dir` that loads: its
+    /// compressed store ([`CStoreDb::adopt`]) and its catalog, with no
+    /// decode, sort, encode or statistics pass.
+    fn load(dir: &Path, par: Parallelism) -> Result<(StoreState, LoadReport), PersistError> {
+        let ((db, catalog), report) = persist::load_latest_store(dir, |parts| {
+            let db = CStoreDb::adopt(parts)?;
+            Ok((db, Catalog::from_bytes(&parts.bytes(CATALOG_SEGMENT)?)?))
+        })?;
+        let stores = Stores::adopted(ColumnEngine::adopt(db, par));
+        let planner = Planner::for_serving(catalog);
+        Ok((StoreState { stores, planner, version: report.generation }, report))
+    }
+
+    /// Write the served store as the next [`Shape::Store`] generation of
+    /// `dir`: the compressed store's segments ([`CStoreDb::segments`]), then
+    /// the catalog's. A store built from tables recomputes its order first.
+    fn snapshot(&self, dir: &Path, par: Parallelism) -> Result<SnapshotReport, PersistError> {
+        let db = self.stores.engine().db(EngineConfig::FULL);
+        let order = db.sort_order(par.threads);
+        let catalog = self.planner.catalog();
+        let catalog = std::iter::once_with(|| {
+            (CATALOG_SEGMENT.to_string(), persist::encode_bytes_segment(&catalog.to_bytes()))
+        });
+        persist::write_generation(
+            dir,
+            db.config(),
+            Shape::Store,
+            db.segments(&order).chain(catalog),
+        )
+    }
 }
+
+/// The name of a store-shaped generation's catalog segment.
+const CATALOG_SEGMENT: &str = "catalog";
 
 /// What a `SNAPSHOT` or `RELOAD` statement reports (and what the wire's
 /// snapshot frame carries).
@@ -227,7 +264,7 @@ impl Session {
         let data_dir = std::env::var_os("CVR_DATA_DIR").map(PathBuf::from);
         let store = match &data_dir {
             None => StoreState::build(tables, 0, par),
-            Some(dir) => match persist::load_latest(dir) {
+            Some(dir) => match StoreState::load(dir, par) {
                 Ok((loaded, report)) => {
                     if report.fallbacks > 0 {
                         cvr_obs::warn(&format!(
@@ -237,7 +274,7 @@ impl Session {
                             report.generation
                         ));
                     }
-                    StoreState::build(Arc::new(loaded), report.generation, par)
+                    loaded
                 }
                 Err(PersistError::NoSnapshot) => StoreState::build(tables, 0, par),
                 Err(e) => {
@@ -278,9 +315,16 @@ impl Session {
         self.store().version
     }
 
-    /// The tables the session currently serves.
+    /// The tables the session currently serves; a reloaded store decodes
+    /// them on the first call.
     pub fn tables(&self) -> Arc<SsbTables> {
         self.store().stores.tables().clone()
+    }
+
+    /// Whether the served store holds its logical tables: a generated store
+    /// does; a reloaded one only once a cold path decoded them.
+    pub fn holds_tables(&self) -> bool {
+        self.store().stores.engine().db(EngineConfig::FULL).holds_tables()
     }
 
     /// Point the session at a durable store directory (the programmatic
@@ -294,16 +338,16 @@ impl Session {
         self.data_dir.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
-    /// Write a durable snapshot of the current tables as the next manifest
-    /// generation (see `cvr_storage::persist` for the commit protocol).
-    /// The served store is unchanged — same bytes, same version — so
-    /// caches stay valid.
+    /// Write a durable snapshot of the served store — its encoded columns,
+    /// order and catalog — as the next manifest generation (see
+    /// `cvr_storage::persist` for the commit protocol). The served store is
+    /// unchanged — same bytes, same version — so caches stay valid.
     pub fn snapshot(&self) -> Result<SnapshotInfo, QueryError> {
         let Some(dir) = self.data_dir() else {
             return Err(QueryError::Io { detail: "no data directory configured".to_string() });
         };
         let store = self.store();
-        let report = persist::write_snapshot(&dir, store.stores.tables()).map_err(persist_error)?;
+        let report = store.snapshot(&dir, self.par).map_err(persist_error)?;
         Ok(SnapshotInfo {
             generation: report.generation,
             store_version: store.version,
@@ -312,17 +356,18 @@ impl Session {
         })
     }
 
-    /// Reload the newest valid snapshot generation from the data
-    /// directory and swap it in as the served store. The store version
-    /// becomes the loaded generation, so every result-cache entry and
-    /// memoized plan keyed against the old store is unreachable; stores
-    /// built on first use live in the store, so the new one starts with
-    /// none built.
+    /// Reload the newest valid store-shaped snapshot generation from the
+    /// data directory and swap it in as the served store: its compressed
+    /// store and catalog are adopted as written, nothing is rebuilt. The
+    /// store version becomes the loaded generation, so every result-cache
+    /// entry and memoized plan keyed against the old store is unreachable;
+    /// stores built on first use live in the store, so the new one starts
+    /// with none built.
     pub fn reload(&self) -> Result<SnapshotInfo, QueryError> {
         let Some(dir) = self.data_dir() else {
             return Err(QueryError::Io { detail: "no data directory configured".to_string() });
         };
-        let (tables, report) = persist::load_latest(&dir).map_err(persist_error)?;
+        let (next, report) = StoreState::load(&dir, self.par).map_err(persist_error)?;
         if report.fallbacks > 0 {
             cvr_obs::warn(&format!(
                 "reload from {}: newest {} generation(s) corrupt, recovered from generation {}",
@@ -331,7 +376,7 @@ impl Session {
                 report.generation
             ));
         }
-        let next = Arc::new(StoreState::build(Arc::new(tables), report.generation, self.par));
+        let next = Arc::new(next);
         // Swap under the lock; free the old store only once it is released.
         let mut guard = self.store.write().unwrap_or_else(PoisonError::into_inner);
         let old = std::mem::replace(&mut *guard, next);
@@ -711,6 +756,91 @@ mod tests {
         assert!(new.stores.built().is_empty());
         run(&new, RowDesign::Traditional);
         assert_eq!(new.stores.built(), built[..1], "built again, from the new tables");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every column of `db` in storage order (dimensions, then the fact
+    /// table): its name, segment image, uncompressed size and storage id.
+    fn stored_columns(db: &CStoreDb) -> Vec<(String, Vec<u8>, u64, u64)> {
+        let dims = cvr_data::schema::Dim::ALL.map(|d| &db.dim(d).store);
+        let stores = dims.into_iter().chain([&db.fact]);
+        let columns = stores.flat_map(|s| s.columns().iter().map(move |c| (s, c)));
+        let image = |(s, c): (&cvr_storage::ColumnStore, &cvr_storage::StoredColumn)| {
+            let name = format!("{}.{}", s.table, c.name);
+            (name, persist::encode_segment(&c.column), s.plain_bytes(&c.name), c.file_id().0)
+        };
+        columns.map(image).collect()
+    }
+
+    /// A session over `tables` that has snapshotted its built store into a
+    /// fresh directory and reloaded it: the built store and the adopted one.
+    fn reloaded(tables: &Arc<SsbTables>, tag: &str) -> (Session, Arc<StoreState>, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("cvr-adopt-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let session = Session::with_cache_budget(tables.clone(), Parallelism::with_threads(2), 0);
+        session.set_data_dir(Some(dir.clone()));
+        let built = session.store();
+        // Per table its columns, sizes and order; three tables' keys; the
+        // catalog.
+        assert_eq!(session.snapshot().unwrap().segments, 58 + 5 + 5 + 3 + 1);
+        session.reload().unwrap();
+        (session, built, dir)
+    }
+
+    /// SNAPSHOT then RELOAD adopts the built store as it was: every column's
+    /// segment image and uncompressed size, storage ids handed out in the
+    /// build's order, and the catalog. A `c` plan, which builds the
+    /// uncompressed store from the tables the adopted store decodes, answers
+    /// as on the built store, outputs and `IoStats`.
+    #[test]
+    fn a_reloaded_store_is_the_built_store() {
+        let tables = Arc::new(SsbConfig { sf: 0.002, seed: 61 }.generate());
+        let (session, built, dir) = reloaded(&tables, "store");
+        let adopted = session.store();
+        let full = |s: &StoreState| stored_columns(s.stores.engine().db(EngineConfig::FULL));
+        let (want, got) = (full(&built), full(&adopted));
+        assert_eq!(want.len(), got.len());
+        for (w, g) in want.iter().zip(&got) {
+            assert_eq!((&w.0, &w.1, w.2), (&g.0, &g.1, g.2), "{}", w.0);
+        }
+        let ids: Vec<u64> = got.iter().map(|c| c.3).collect();
+        assert!(ids.windows(2).all(|w| w[1] > w[0]), "ids in the build's order: {ids:?}");
+        assert_eq!(adopted.planner.catalog(), built.planner.catalog());
+
+        let c = Design::Column(EngineConfig::parse("tIcL"));
+        for q in cvr_data::queries::all_queries() {
+            let run = |s: &StoreState| {
+                let io = IoSession::unmetered();
+                let out = s.stores.run(c, &q, &ExecOptions::default(), &io).unwrap();
+                (out, io.stats())
+            };
+            assert_eq!(run(&adopted), run(&built), "{}", q.id);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A reloaded store holds no tables until one is asked for; then they
+    /// are the generated ones, column by column.
+    #[test]
+    fn a_reloaded_store_decodes_the_generated_tables_on_demand() {
+        let tables = Arc::new(SsbConfig { sf: 0.002, seed: 67 }.generate());
+        let (session, _, dir) = reloaded(&tables, "tables");
+        assert!(!session.holds_tables(), "a reload decodes no tables");
+        let decoded = session.tables();
+        assert!(session.holds_tables());
+        let pairs =
+            [(&decoded.lineorder, &tables.lineorder), (&decoded.customer, &tables.customer)];
+        let pairs = pairs.into_iter().chain([
+            (&decoded.supplier, &tables.supplier),
+            (&decoded.part, &tables.part),
+            (&decoded.date, &tables.date),
+        ]);
+        for (got, want) in pairs {
+            for ((def, a), b) in want.schema.columns.iter().zip(&got.columns).zip(&want.columns) {
+                assert!(a == b, "{}.{} decodes to other values", want.schema.name, def.name);
+            }
+        }
+        assert_eq!((decoded.config.sf, decoded.config.seed), (0.002, 67));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

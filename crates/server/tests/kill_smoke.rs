@@ -1,4 +1,4 @@
-//! One real `kill -9`: a writer process loops `persist::write_snapshot` and
+//! One real `kill -9`: a writer process loops a session's `SNAPSHOT` and
 //! is killed mid-stream, then a fresh process started with `CVR_DATA_DIR`
 //! must answer all 13 paper queries byte-identically — outputs and
 //! `IoStats` — to the reference taken before the crash.
@@ -8,8 +8,8 @@
 //! real signal and the `CVR_DATA_DIR` start-up path. The binary re-executes
 //! itself with a role as its first argument:
 //!
-//! * `kill-smoke-writer DIR` — snapshot the tables into `DIR` in a loop,
-//!   printing each committed generation;
+//! * `kill-smoke-writer DIR` — snapshot a session's store into `DIR` in a
+//!   loop, printing each committed generation;
 //! * `kill-smoke-verify` — build a session over differently seeded tables,
 //!   so that only the durable store can produce the reference answers, and
 //!   print one checksum line per query.
@@ -23,7 +23,7 @@ use cvr_core::morsel::Parallelism;
 use cvr_data::gen::{SsbConfig, SsbTables};
 use cvr_data::queries::all_queries;
 use cvr_server::Session;
-use cvr_storage::persist::{self, crc64};
+use cvr_storage::persist::crc64;
 
 const SEED: u64 = 7;
 const WRITER: &str = "kill-smoke-writer";
@@ -53,10 +53,11 @@ fn session_over(tables: SsbTables) -> Session {
 }
 
 fn writer(dir: &Path) {
-    let tables = tables(SEED);
+    let session = session_over(tables(SEED));
+    session.set_data_dir(Some(dir.to_path_buf()));
     let mut out = std::io::stdout();
     loop {
-        let report = persist::write_snapshot(dir, &tables).expect("writer snapshot");
+        let report = session.snapshot().expect("writer snapshot");
         writeln!(out, "{}", report.generation).and_then(|()| out.flush()).expect("writer stdout");
     }
 }

@@ -241,56 +241,61 @@ impl IntColumn {
         }
     }
 
-    /// The values at the narrowest width that holds them, decoded with no
-    /// `i64` copy on the way: what a reloaded logical table holds.
+    /// The values at the narrowest width that holds them, decoded in one pass
+    /// with no `i64` copy on the way: what a reloaded logical table holds.
+    ///
+    /// The width comes from the encoding, not from a walk over the values: a
+    /// plain column's own values (no copy when already narrowest), an RLE
+    /// column's runs, a packed column's reference and bits. Bits bound the
+    /// range from above, so a packed column also tracks its largest code as
+    /// it decodes and narrows afterwards in the rare case the bound crossed a
+    /// width its values do not.
     pub fn into_plain_ints(self) -> PlainInts {
-        /// Every value, narrowed to `T`, which holds the column's range.
-        fn decoded<T: PlainValue>(column: &IntColumn) -> Vec<T> {
+        /// Every value at `T`, which holds the column's range, and the
+        /// largest.
+        fn decoded<T: PlainValue>(column: &IntColumn) -> (PlainInts, i64) {
             let narrow = |v: i64| T::narrow(v).expect("the width holds the column's range");
             let mut out = Vec::with_capacity(column.len());
             match column {
-                IntColumn::Plain(values) => {
-                    with_plain_values!(values, |v| out.extend(v.iter().map(|x| narrow(x.widen()))))
-                }
+                IntColumn::Plain(_) => unreachable!("a plain column is not decoded"),
                 IntColumn::Rle { runs, .. } => {
                     for r in runs {
                         out.resize(out.len() + r.len as usize, narrow(r.value));
                     }
+                    let max = runs.iter().map(|r| r.value).max().unwrap_or(0);
+                    (T::ints(out), max)
                 }
                 IntColumn::Packed { reference, packed } => {
-                    packed.for_each_in(0, packed.len(), |c| out.push(narrow(reference + c as i64)))
+                    let mut top = 0;
+                    packed.for_each_in(0, packed.len(), |c| {
+                        top = top.max(c);
+                        out.push(narrow(reference + c as i64));
+                    });
+                    (T::ints(out), reference + top as i64)
                 }
             }
-            out
         }
-        let width = self.min_max().map_or(1, |(min, max)| width_for(min, max));
-        match (self, width) {
-            (IntColumn::Plain(values), _) => values.into_width(width),
-            (column, 1) => PlainInts::U8(decoded(&column)),
-            (column, 2) => PlainInts::U16(decoded(&column)),
-            (column, 4) => PlainInts::U32(decoded(&column)),
-            (column, _) => PlainInts::I64(decoded(&column)),
-        }
-    }
-
-    /// Smallest and largest value; `None` when empty.
-    fn min_max(&self) -> Option<(i64, i64)> {
-        match self {
-            IntColumn::Plain(values) => values.min_max(),
-            IntColumn::Rle { runs, .. } => {
-                let (first, rest) = runs.split_first()?;
-                Some(rest.iter().fold((first.value, first.value), |(lo, hi), r| {
-                    (lo.min(r.value), hi.max(r.value))
-                }))
+        let (min, bound) = match self {
+            IntColumn::Plain(values) => {
+                let width = values.narrowest_width();
+                return values.into_width(width);
             }
-            IntColumn::Packed { reference, packed } => {
-                let mut range: Option<(u64, u64)> = None;
-                packed.for_each_in(0, packed.len(), |c| {
-                    range = Some(range.map_or((c, c), |(lo, hi)| (lo.min(c), hi.max(c))));
-                });
-                range.map(|(lo, hi)| (reference + lo as i64, reference + hi as i64))
+            IntColumn::Rle { ref runs, .. } => {
+                let values = runs.iter().map(|r| r.value);
+                (values.clone().min().unwrap_or(0), values.max().unwrap_or(0))
             }
-        }
+            IntColumn::Packed { reference, ref packed } => {
+                (reference, reference.saturating_add(max_code_for(packed.value_bits()) as i64))
+            }
+        };
+        let (values, max) = match width_for(min, bound) {
+            1 => decoded::<u8>(&self),
+            2 => decoded::<u16>(&self),
+            4 => decoded::<u32>(&self),
+            _ => decoded::<i64>(&self),
+        };
+        let width = if values.is_empty() { 1 } else { width_for(min, max) };
+        values.into_width(width)
     }
 
     /// True for the RLE variant.
@@ -310,7 +315,11 @@ impl IntColumn {
             IntColumn::Packed { reference, packed } => {
                 return Some((*reference, packed.max_code() + 1));
             }
-            IntColumn::Plain(_) | IntColumn::Rle { .. } => self.min_max()?,
+            IntColumn::Plain(values) => values.min_max()?,
+            IntColumn::Rle { runs, .. } => {
+                let values = runs.iter().map(|r| r.value);
+                (values.clone().min()?, values.max()?)
+            }
         };
         let domain = (max as i128 - min as i128) as u128 + 1;
         (domain <= u32::MAX as u128 + 1).then_some((min, domain as u64))

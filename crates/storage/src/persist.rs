@@ -4,13 +4,15 @@
 //! regenerates SSB from scratch. This module gives the store a crash-safe
 //! persistence substrate:
 //!
-//! * **Segment files** — one file per encoded column, laid out as `magic | format | kind | enc | rows | payload_len |
-//!   payload | crc64`. The CRC covers every byte before it, so torn writes
-//!   and bit flips are detected before a single value is decoded. The
-//!   payload is a fixed preamble a codec followed by exactly the column's
+//! * **Segment files** — one file per named [`Part`], laid out as
+//!   `magic | format | kind | enc | rows | payload_len | payload | crc64`.
+//!   The CRC covers every byte before it, so torn writes and bit flips are
+//!   detected before a single value is decoded. A column's payload is a
+//!   fixed preamble a codec followed by exactly the column's
 //!   [`Column::encoded_bytes`], the bytes the I/O model charges a scan, so
 //!   a file is its column's charged bytes plus 40 bytes of frame and at
-//!   most 9 of preamble. Every number is little-endian:
+//!   most 9 of preamble. A bytes part's payload is its bytes, its row count
+//!   their length. Every number is little-endian:
 //!
 //!   | codec          | preamble                   | then                                     |
 //!   |----------------|----------------------------|------------------------------------------|
@@ -20,29 +22,53 @@
 //!   | plain strings  | —                          | per row: length `u8`, its bytes          |
 //!   | dictionary     | entries `u32`, bits `u8`   | per entry: length `u8`, its bytes; then  |
 //!   |                |                            | the code words, `u64` each               |
+//!   | bytes          | —                          | `rows` bytes                             |
 //!
 //!   The row count lives in the header only: a plain column's value count,
 //!   an RLE run's start and a packed image's code count are rebuilt from it.
-//! * **Manifest** — `MANIFEST-<generation>` lists every segment with its
-//!   file name, geometry, and a *pinned copy* of its CRC; the manifest
-//!   carries its own trailing CRC. Each file is written as `{name}.tmp`,
-//!   fsynced and renamed over `name`; once the manifest is renamed, one
-//!   directory fsync makes every rename durable. A snapshot is visible iff
-//!   its manifest rename completed, so that rename is the commit point.
-//! * **Recovery** — [`load_latest`] walks generations newest-first and
-//!   returns the first one that validates end-to-end; a damaged newest
-//!   generation falls back to its predecessor (counted in
-//!   [`LoadReport::fallbacks`]) instead of ever decoding corrupt bytes.
-//!   Both files carry [`FORMAT_VERSION`]; a generation written in any
-//!   other format (format 1 held every plain integer as 8 bytes) fails
-//!   typed, naming its format, and the walk falls back past it.
+//!   The codec is [`SEGMENT_FORMAT`] 2, as in snapshot format 2, so a
+//!   column's image is the same bytes in both formats.
+//! * **Manifest** — `MANIFEST-<generation>` records the generation's
+//!   [`Shape`] and lists every segment with its name, file name, geometry
+//!   and a *pinned copy* of its CRC; the manifest carries its own trailing
+//!   CRC. Each file is written as `{name}.tmp`, fsynced and renamed over
+//!   `name`; once the manifest is renamed, one directory fsync makes every
+//!   rename durable. A snapshot is visible iff its manifest rename
+//!   completed, so that rename is the commit point.
+//! * **Shapes** — a [`Shape::Store`] generation is what a session serves,
+//!   written by [`write_generation`] and adopted through
+//!   [`load_latest_store`] with no decode. Its segments, named by
+//!   `cvr-core`'s `CStoreDb::segments` and the session:
 //!
-//! A snapshot encodes its columns on one helper thread, in manifest order,
-//! while the caller writes and fsyncs the images already encoded; a load
-//! reads images on the caller and decodes them on [`par::Jobs`] workers.
-//! Either way every filesystem call is made on the caller's thread, in
-//! manifest order, through one [`Vfs`]. The entry points without a `Vfs`
-//! argument run over [`StdFs`]; `crates/storage/tests/crash_states.rs`
+//!   | segment                  | holds                                                |
+//!   |--------------------------|------------------------------------------------------|
+//!   | `{table}.{column}`       | the compressed store's encoded column, as stored     |
+//!   | `{table}.plain_bytes`    | each column's uncompressed size, plain integers      |
+//!   | `{table}.order`          | the logical row at each stored position, `u32`s      |
+//!   | `{table}.keys`           | a dense-key dimension's original key a position      |
+//!   | `catalog`                | the planner's statistics, bytes                      |
+//!
+//!   A [`Shape::Tables`] generation holds the logical tables, one
+//!   `{table}.{column}` segment a column ([`write_snapshot`],
+//!   [`load_latest`]). Those two entry points keep their `SsbTables`
+//!   signatures because the benchmark's storage probe calls them; each is
+//!   the one writer or the one loader with the tables' columns as parts.
+//! * **Recovery** — [`load_latest`] and [`load_latest_store`] walk
+//!   generations newest-first and return the first one of their shape that
+//!   validates end-to-end; a damaged newest generation falls back to its
+//!   predecessor (counted in [`LoadReport::fallbacks`]) instead of ever
+//!   decoding corrupt bytes. The manifest carries [`FORMAT_VERSION`] 3; a
+//!   generation of the other shape, or written in another format (format 2
+//!   held only logical tables and no shape; format 1 held every plain
+//!   integer as 8 bytes), fails typed, naming what it holds, before any of
+//!   its segments is read, and the walk falls back past it.
+//!
+//! A snapshot produces its images on one helper thread, in manifest order,
+//! while the caller writes and fsyncs the images already produced; a load
+//! reads images on the caller and checks and parses them on [`par::Jobs`]
+//! workers. Either way every filesystem call is made on the caller's
+//! thread, in manifest order, through one [`Vfs`]. The entry points without
+//! a `Vfs` argument run over [`StdFs`]; `crates/storage/tests/crash_states.rs`
 //! runs the `_with` forms over an in-memory recorder and loads every state
 //! a crash, a lying disk or a failing fsync can leave.
 //!
@@ -61,7 +87,7 @@ use std::thread;
 use cvr_data::table::Strs;
 use cvr_data::{star_schema, ColumnData, SsbConfig, SsbTables, TableData, TableSchema};
 
-use crate::encode::{Column, IntColumn, PlainInts, Run, StrColumn, RLE_RUN_BYTES};
+use crate::encode::{Column, IntColumn, PlainInts, PlainValue, Run, StrColumn, RLE_RUN_BYTES};
 use crate::packed::PackedInts;
 use crate::par::{self, Jobs, Slot};
 use crate::with_plain_values;
@@ -74,10 +100,15 @@ pub use vfs::{StdFs, Vfs};
 pub const SEGMENT_MAGIC: &[u8; 8] = b"CVRSEG1\0";
 /// Manifest file magic.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"CVRMAN1\0";
-/// On-disk format version for both segments and manifests. Format 1 (every
-/// plain integer as 8 bytes, RLE runs with their starts, 4-byte string
-/// lengths) is refused typed.
-pub const FORMAT_VERSION: u32 = 2;
+/// On-disk format of a snapshot, carried by its manifest. Format 3 added the
+/// manifest's [`Shape`]; format 2 (logical tables only) and format 1 are
+/// refused typed.
+pub const FORMAT_VERSION: u32 = 3;
+/// Format of a segment file's codec. Unchanged since snapshot format 2 but
+/// for the bytes kind, which format 3 added; format 1 (every plain integer as
+/// 8 bytes, RLE runs with their starts, 4-byte string lengths) is refused
+/// typed.
+pub const SEGMENT_FORMAT: u32 = 2;
 
 /// Fixed segment header size: magic(8) + format(4) + kind(1) + enc(1) +
 /// pad(2) + rows(8) + payload_len(8).
@@ -192,25 +223,30 @@ pub fn crc64(bytes: &[u8]) -> u64 {
 fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+/// Append `v` little-endian.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+/// Append `v` little-endian.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
-fn put_i64(out: &mut Vec<u8>, v: i64) {
+/// Append `v` little-endian.
+pub fn put_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Bounds-checked cursor over untrusted bytes; every overrun is a typed
-/// [`PersistError::Corrupt`], never a panic.
-struct Reader<'a> {
+/// [`PersistError::Corrupt`], never a panic. Its readers take what the
+/// `put_*` functions append.
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+    /// A cursor at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
@@ -227,23 +263,28 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    fn u8(&mut self) -> Result<u8, PersistError> {
+    /// The next byte.
+    pub fn u8(&mut self) -> Result<u8, PersistError> {
         Ok(self.take(1)?[0])
     }
     fn u16(&mut self) -> Result<u16, PersistError> {
         Ok(u16::from_le_bytes(self.array()?))
     }
-    fn u32(&mut self) -> Result<u32, PersistError> {
+    /// The next `u32`.
+    pub fn u32(&mut self) -> Result<u32, PersistError> {
         Ok(u32::from_le_bytes(self.array()?))
     }
-    fn u64(&mut self) -> Result<u64, PersistError> {
+    /// The next `u64`.
+    pub fn u64(&mut self) -> Result<u64, PersistError> {
         Ok(u64::from_le_bytes(self.array()?))
     }
-    fn i64(&mut self) -> Result<i64, PersistError> {
+    /// The next `i64`.
+    pub fn i64(&mut self) -> Result<i64, PersistError> {
         Ok(i64::from_le_bytes(self.array()?))
     }
 
-    fn utf8(&mut self, n: usize) -> Result<&'a str, PersistError> {
+    /// The next `n` bytes, which must be UTF-8.
+    pub fn utf8(&mut self, n: usize) -> Result<&'a str, PersistError> {
         std::str::from_utf8(self.take(n)?).map_err(|_| corrupt("invalid utf-8 in record"))
     }
 
@@ -254,7 +295,8 @@ impl<'a> Reader<'a> {
         rest
     }
 
-    fn done(&self) -> Result<(), PersistError> {
+    /// `Ok` when every byte was taken.
+    pub fn done(&self) -> Result<(), PersistError> {
         if self.pos == self.buf.len() {
             Ok(())
         } else {
@@ -267,9 +309,22 @@ impl<'a> Reader<'a> {
 // Segment payloads.
 // ---------------------------------------------------------------------------
 
-// A segment file holds one encoded [`Column`]; its header records the
-// column's kind, encoding and row count, and its payload is laid out as the
-// module doc's table says.
+// A segment file holds one [`Part`]: an encoded [`Column`], or bytes; its
+// header records the part's kind, encoding and row count, and its payload is
+// laid out as the module doc's table says.
+
+/// What one segment holds.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Part {
+    /// An encoded column.
+    Column(Column),
+    /// Bytes this layer only checksums (the planner's catalog).
+    Bytes(Vec<u8>),
+}
+
+/// On-disk `kind` tag of a bytes segment; columns are 0 (integers) and 1
+/// (strings).
+const BYTES_KIND: u8 = 2;
 
 /// On-disk `kind` tag.
 fn kind(column: &Column) -> u8 {
@@ -278,7 +333,6 @@ fn kind(column: &Column) -> u8 {
         Column::Str(_) => 1,
     }
 }
-
 /// On-disk `enc` tag (encoding within the kind).
 fn enc(column: &Column) -> u8 {
     match column {
@@ -479,21 +533,24 @@ fn decode_str_payload(enc: u8, rows: usize, r: &mut Reader<'_>) -> Result<StrCol
     }
 }
 
-/// Serialize a segment to its full file image (header + payload + CRC64).
-/// The payload is the codec's preamble and then exactly the column's
-/// [`Column::encoded_bytes`]. Panics on a string longer than 255 bytes, as
-/// the row codec does: both store a string's length in one byte.
-pub fn encode_segment(column: &Column) -> Vec<u8> {
-    let payload_len = preamble_bytes(column) + column.encoded_bytes();
+/// A segment image: header, `payload_len` bytes that `payload` appends, and
+/// the CRC64 of every byte before it.
+fn frame(
+    kind: u8,
+    enc: u8,
+    rows: u64,
+    payload_len: u64,
+    payload: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
     let mut out = Vec::with_capacity(SEGMENT_HEADER_BYTES + payload_len as usize + CRC_BYTES);
     out.extend_from_slice(SEGMENT_MAGIC);
-    put_u32(&mut out, FORMAT_VERSION);
-    out.push(kind(column));
-    out.push(enc(column));
+    put_u32(&mut out, SEGMENT_FORMAT);
+    out.push(kind);
+    out.push(enc);
     put_u16(&mut out, 0); // pad
-    put_u64(&mut out, rows(column));
+    put_u64(&mut out, rows);
     put_u64(&mut out, payload_len);
-    encode_payload(&mut out, column);
+    payload(&mut out);
     assert_eq!(
         out.len() as u64,
         SEGMENT_HEADER_BYTES as u64 + payload_len,
@@ -504,9 +561,41 @@ pub fn encode_segment(column: &Column) -> Vec<u8> {
     out
 }
 
+/// Serialize a segment to its full file image (header + payload + CRC64).
+/// The payload is the codec's preamble and then exactly the column's
+/// [`Column::encoded_bytes`]. Panics on a string longer than 255 bytes, as
+/// the row codec does: both store a string's length in one byte.
+pub fn encode_segment(column: &Column) -> Vec<u8> {
+    let payload_len = preamble_bytes(column) + column.encoded_bytes();
+    frame(kind(column), enc(column), rows(column), payload_len, |out| encode_payload(out, column))
+}
+
+/// [`encode_segment`] of the plain integer column of `values` at their
+/// width, without building the column.
+pub fn encode_ints_segment<T: PlainValue>(values: &[T]) -> Vec<u8> {
+    let width = std::mem::size_of::<T>();
+    let payload_len = 1 + std::mem::size_of_val(values) as u64;
+    frame(0, 0, values.len() as u64, payload_len, |out| {
+        out.push(width as u8);
+        // Each width's values are non-negative or `i64`, so a value's low
+        // `width` little-endian bytes are the value.
+        let at = out.len();
+        out.resize(at + std::mem::size_of_val(values), 0);
+        for (slot, v) in out[at..].chunks_exact_mut(width).zip(values) {
+            slot.copy_from_slice(&v.widen().to_le_bytes()[..width]);
+        }
+    })
+}
+
+/// The segment image of `bytes`: a bytes part, its row count its length.
+pub fn encode_bytes_segment(bytes: &[u8]) -> Vec<u8> {
+    let len = bytes.len() as u64;
+    frame(BYTES_KIND, 0, len, len, |out| out.extend_from_slice(bytes))
+}
+
 /// Parse and fully validate a segment file image. The checksum is verified
 /// before any payload byte is interpreted; corrupt images always fail typed.
-pub fn decode_segment(image: &[u8]) -> Result<Column, PersistError> {
+pub fn decode_part(image: &[u8]) -> Result<Part, PersistError> {
     if image.len() < SEGMENT_HEADER_BYTES + CRC_BYTES {
         return Err(corrupt("segment shorter than header"));
     }
@@ -518,7 +607,7 @@ pub fn decode_segment(image: &[u8]) -> Result<Column, PersistError> {
     if r.take(8)? != SEGMENT_MAGIC {
         return Err(corrupt("bad segment magic"));
     }
-    check_format("segment", r.u32()?)?;
+    check_format("segment", r.u32()?, SEGMENT_FORMAT)?;
     let kind_tag = r.u8()?;
     let enc_tag = r.u8()?;
     if r.u16()? != 0 {
@@ -536,22 +625,32 @@ pub fn decode_segment(image: &[u8]) -> Result<Column, PersistError> {
     let payload_bytes = r.take(payload_len)?;
     r.done()?;
     let mut pr = Reader::new(payload_bytes);
-    let column = match kind_tag {
-        0 => Column::Int(decode_int_payload(enc_tag, rows, &mut pr)?),
-        1 => Column::Str(decode_str_payload(enc_tag, rows, &mut pr)?),
+    let part = match kind_tag {
+        0 => Part::Column(Column::Int(decode_int_payload(enc_tag, rows, &mut pr)?)),
+        1 => Part::Column(Column::Str(decode_str_payload(enc_tag, rows, &mut pr)?)),
+        BYTES_KIND if enc_tag == 0 && rows == payload_len => Part::Bytes(pr.rest().to_vec()),
+        BYTES_KIND => return Err(corrupt("bytes segment geometry is not its length")),
         other => return Err(corrupt(format!("unknown segment kind {other}"))),
     };
     pr.done()?;
-    Ok(column)
+    Ok(part)
 }
 
-/// Refuse any on-disk format but [`FORMAT_VERSION`], naming both.
-fn check_format(what: &str, format: u32) -> Result<(), PersistError> {
-    if format == FORMAT_VERSION {
+/// [`decode_part`] of an image that must hold a column.
+pub fn decode_segment(image: &[u8]) -> Result<Column, PersistError> {
+    match decode_part(image)? {
+        Part::Column(column) => Ok(column),
+        Part::Bytes(_) => Err(corrupt("segment holds bytes, not a column")),
+    }
+}
+
+/// Refuse any on-disk format but `current`, naming both.
+fn check_format(what: &str, format: u32, current: u32) -> Result<(), PersistError> {
+    if format == current {
         Ok(())
     } else {
         Err(corrupt(format!(
-            "unsupported {what} format {format} (this build reads format {FORMAT_VERSION})"
+            "unsupported {what} format {format} (this build reads format {current})"
         )))
     }
 }
@@ -589,11 +688,48 @@ pub struct ManifestEntry {
     pub crc: u64,
 }
 
+/// What a generation holds, which decides who can load it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// The logical tables, one column a segment ([`write_snapshot`],
+    /// [`load_latest`]).
+    Tables,
+    /// A served store's encoded parts ([`write_generation`],
+    /// [`load_latest_store`]).
+    Store,
+}
+
+impl Shape {
+    fn tag(self) -> u8 {
+        match self {
+            Shape::Tables => 0,
+            Shape::Store => 1,
+        }
+    }
+
+    fn from_tag(tag: u8) -> Result<Shape, PersistError> {
+        match tag {
+            0 => Ok(Shape::Tables),
+            1 => Ok(Shape::Store),
+            other => Err(corrupt(format!("unknown manifest shape {other}"))),
+        }
+    }
+
+    fn what(self) -> &'static str {
+        match self {
+            Shape::Tables => "logical tables",
+            Shape::Store => "encoded store",
+        }
+    }
+}
+
 /// A parsed, validated manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
     /// Snapshot generation (monotonically increasing, 1-based).
     pub generation: u64,
+    /// What the generation holds.
+    pub shape: Shape,
     /// Scale factor the snapshot was generated at.
     pub sf: f64,
     /// Generator seed.
@@ -615,6 +751,7 @@ fn encode_manifest(m: &Manifest) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MANIFEST_MAGIC);
     put_u32(&mut out, FORMAT_VERSION);
+    out.push(m.shape.tag());
     put_u64(&mut out, m.generation);
     put_u64(&mut out, m.sf.to_bits());
     put_u64(&mut out, m.seed);
@@ -647,7 +784,8 @@ fn decode_manifest(image: &[u8]) -> Result<Manifest, PersistError> {
     if r.take(8)? != MANIFEST_MAGIC {
         return Err(corrupt("bad manifest magic"));
     }
-    check_format("manifest", r.u32()?)?;
+    check_format("manifest", r.u32()?, FORMAT_VERSION)?;
+    let shape = Shape::from_tag(r.u8()?)?;
     let generation = r.u64()?;
     let sf = f64::from_bits(r.u64()?);
     if !sf.is_finite() || sf <= 0.0 {
@@ -675,7 +813,7 @@ fn decode_manifest(image: &[u8]) -> Result<Manifest, PersistError> {
         entries.push(ManifestEntry { name, file, kind, enc, rows, bytes, crc });
     }
     r.done()?;
-    Ok(Manifest { generation, sf, seed, entries })
+    Ok(Manifest { generation, shape, sf, seed, entries })
 }
 
 // ---------------------------------------------------------------------------
@@ -717,9 +855,9 @@ fn snapshot_tables(t: &SsbTables) -> [&TableData; 5] {
 }
 
 /// Serialize every column of every table to checksummed segment files and
-/// commit them with an atomic manifest rename. The new generation is
-/// `latest + 1`; concurrent readers of older generations are unaffected
-/// (generations are immutable once committed).
+/// commit them with an atomic manifest rename, as a [`Shape::Tables`]
+/// generation: [`write_generation`] over the tables' columns, each encoded
+/// with `Column::encode(_, true)` on the way.
 ///
 /// `Ok` means the generation is durable. A failure before the manifest
 /// rename leaves it invisible. A failure of the final directory fsync
@@ -739,59 +877,84 @@ pub fn write_snapshot_with(
     write_snapshot_inner(fs, dir, tables, par::default_threads())
 }
 
-/// One encoded column: its manifest entry and its file image.
-type Segment = (ManifestEntry, Vec<u8>);
-
-/// Write a snapshot, encoding its segments on a helper thread when
-/// `threads > 1` and inline otherwise.
-///
-/// The helper runs [`Column::encode`] and [`encode_segment`] in manifest
-/// order and hands each image over a `sync_channel(1)`: while the caller
-/// writes and fsyncs one image, one more waits in the channel and the
-/// helper encodes the next. Every [`Vfs`] call stays on the caller's thread,
-/// in the order the inline writer makes them, so both write the same files
-/// through the same calls. A failed write drops the receiver, the helper's
-/// next send fails, and the scope joins it before the error returns; a
-/// panicking encoder ends the stream, and the scope re-raises its panic
-/// before a manifest is written.
 fn write_snapshot_inner(
     fs: &dyn Vfs,
     dir: &Path,
     tables: &SsbTables,
     threads: usize,
 ) -> Result<SnapshotReport, PersistError> {
+    let segments = snapshot_tables(tables).into_iter().flat_map(|t| {
+        let names = t.schema.columns.iter().map(|def| format!("{}.{}", t.schema.name, def.name));
+        let images = t.columns.iter().map(|data| encode_segment(&Column::encode(data, true)));
+        names.zip(images)
+    });
+    write_generation_inner(fs, dir, tables.config, Shape::Tables, segments, threads)
+}
+
+/// Commit the segment images `segments`, each under its name, as the next
+/// generation of `dir`: every image is written and fsynced as its own file,
+/// then the manifest that lists them is renamed into place, and one
+/// directory fsync makes every rename durable. The new generation is
+/// `latest + 1`; concurrent readers of older generations are unaffected
+/// (generations are immutable once committed). [`write_snapshot`]'s
+/// guarantees hold.
+pub fn write_generation(
+    dir: &Path,
+    config: SsbConfig,
+    shape: Shape,
+    segments: impl Iterator<Item = (String, Vec<u8>)> + Send,
+) -> Result<SnapshotReport, PersistError> {
+    write_generation_inner(&StdFs, dir, config, shape, segments, par::default_threads())
+}
+
+/// One segment: its manifest entry and its file image.
+type Segment = (ManifestEntry, Vec<u8>);
+
+/// The kind, encoding and row count an image's header records.
+fn geometry(image: &[u8]) -> (u8, u8, u64) {
+    let mut rows = [0u8; 8];
+    rows.copy_from_slice(&image[16..24]);
+    (image[12], image[13], u64::from_le_bytes(rows))
+}
+
+/// The manifest entry of `name`'s `image`, as generation `generation` files
+/// it.
+fn entry_for(name: String, generation: u64, image: &[u8]) -> ManifestEntry {
+    let (kind, enc, rows) = geometry(image);
+    let (bytes, crc) = (image.len() as u64, trailing_crc(image));
+    ManifestEntry { file: segment_file_name(&name, generation), name, kind, enc, rows, bytes, crc }
+}
+
+/// Write a generation, producing its images on a helper thread when
+/// `threads > 1` and inline otherwise.
+///
+/// The helper drains `segments` (which encodes or frames each image as it
+/// is asked for one) in manifest order and hands each image over a
+/// `sync_channel(1)`: while the caller writes and fsyncs one image, one more
+/// waits in the channel and the helper produces the next. Every [`Vfs`]
+/// call stays on the caller's thread, in the order the inline writer makes
+/// them, so both write the same files through the same calls. A failed
+/// write drops the receiver, the helper's next send fails, and the scope
+/// joins it before the error returns; a panicking producer ends the stream,
+/// and the scope re-raises its panic before a manifest is written.
+fn write_generation_inner(
+    fs: &dyn Vfs,
+    dir: &Path,
+    config: SsbConfig,
+    shape: Shape,
+    segments: impl Iterator<Item = (String, Vec<u8>)> + Send,
+    threads: usize,
+) -> Result<SnapshotReport, PersistError> {
     fs.create_dir_all(dir)?;
     let generation = generations(fs, dir)?.last().copied().unwrap_or(0) + 1;
-    let columns: Vec<(String, &ColumnData)> = snapshot_tables(tables)
-        .into_iter()
-        .flat_map(|t| {
-            let names =
-                t.schema.columns.iter().map(|def| format!("{}.{}", t.schema.name, def.name));
-            names.zip(&t.columns)
-        })
-        .collect();
-    let nsegs = columns.len();
-    let encode = |(name, data): (String, &ColumnData)| -> Segment {
-        let column = Column::encode(data, true);
-        let image = encode_segment(&column);
-        let entry = ManifestEntry {
-            file: segment_file_name(&name, generation),
-            name,
-            kind: kind(&column),
-            enc: enc(&column),
-            rows: rows(&column),
-            bytes: image.len() as u64,
-            crc: trailing_crc(&image),
-        };
-        (entry, image)
-    };
+    let segments = segments.map(|(name, image)| (entry_for(name, generation, &image), image));
     let entries = if threads <= 1 {
-        write_segments(fs, dir, columns.into_iter().map(encode))
+        write_segments(fs, dir, segments)
     } else {
         thread::scope(|s| {
             let (tx, rx) = mpsc::sync_channel(1);
             s.spawn(move || {
-                for segment in columns.into_iter().map(encode) {
+                for segment in segments {
                     if tx.send(segment).is_err() {
                         break;
                     }
@@ -800,8 +963,9 @@ fn write_snapshot_inner(
             write_segments(fs, dir, rx)
         })
     }?;
+    let nsegs = entries.len();
     let mut total_bytes: u64 = entries.iter().map(|e| e.bytes).sum();
-    let manifest = Manifest { generation, sf: tables.config.sf, seed: tables.config.seed, entries };
+    let manifest = Manifest { generation, shape, sf: config.sf, seed: config.seed, entries };
     let image = encode_manifest(&manifest);
     total_bytes += image.len() as u64;
     write_file_atomic(fs, dir, &manifest_name(generation), &image)?;
@@ -913,26 +1077,31 @@ fn read_segment(fs: &dyn Vfs, dir: &Path, e: &ManifestEntry) -> Result<Vec<u8>, 
     }
 }
 
-/// Verify one segment image against its manifest entry and decode it to the
-/// logical column. The image is freed as soon as it is verified.
-fn decode_entry(e: &ManifestEntry, image: Vec<u8>) -> Result<ColumnData, PersistError> {
+/// Verify one segment image against its manifest entry and decode it. The
+/// image is freed as soon as it is decoded.
+fn decode_entry(e: &ManifestEntry, image: Vec<u8>) -> Result<Part, PersistError> {
     if image.len() as u64 != e.bytes {
         return Err(corrupt(format!("segment {} size does not match manifest", e.name)));
     }
-    let column = decode_segment(&image)?;
+    let part = decode_part(&image)?;
     if trailing_crc(&image) != e.crc {
         return Err(corrupt(format!("segment {} checksum differs from manifest pin", e.name)));
     }
-    drop(image);
-    if kind(&column) != e.kind || enc(&column) != e.enc || rows(&column) != e.rows {
+    if geometry(&image) != (e.kind, e.enc, e.rows) {
         return Err(corrupt(format!("segment {} geometry differs from manifest", e.name)));
     }
-    match column {
-        Column::Int(ic) => Ok(ColumnData::Int(ic.into_plain_ints())),
-        Column::Str(sc) => match decode_strs(&sc, Strs::MAX_TEXT) {
+    Ok(part)
+}
+
+/// A table segment's logical column.
+fn logical_column(e: &ManifestEntry, part: Part) -> Result<ColumnData, PersistError> {
+    match part {
+        Part::Column(Column::Int(ic)) => Ok(ColumnData::Int(ic.into_plain_ints())),
+        Part::Column(Column::Str(sc)) => match decode_strs(&sc, Strs::MAX_TEXT) {
             Some(strs) => Ok(ColumnData::Str(strs)),
             None => Err(corrupt(format!("segment {} decodes to more than 4 GiB of text", e.name))),
         },
+        Part::Bytes(_) => Err(corrupt(format!("segment {} holds bytes, not a column", e.name))),
     }
 }
 
@@ -941,43 +1110,44 @@ fn decode_entry(e: &ManifestEntry, image: Vec<u8>) -> Result<ColumnData, Persist
 /// bytes (a [`Strs`] holds at most [`Strs::MAX_TEXT`]).
 fn decode_strs(sc: &StrColumn, max_text: usize) -> Option<Strs> {
     match sc {
-        StrColumn::Plain { values, .. } => collect_strs(values.iter().map(|s| &**s), max_text),
+        StrColumn::Plain { values, .. } => {
+            Strs::from_codes(values, 0..values.len() as u32, max_text)
+        }
         StrColumn::Dict { dict, codes } => {
-            collect_strs(codes.iter().map(|c| &*dict[c as usize]), max_text)
+            let mut rows = Vec::with_capacity(codes.len() as usize);
+            codes.for_each_in(0, codes.len(), |c| rows.push(c as u32));
+            Strs::from_codes(dict, rows.iter().copied(), max_text)
         }
     }
 }
 
-/// `values` as one [`Strs`] whose text is sized in one allocation; `None`
-/// when the text exceeds `max_text` bytes.
-fn collect_strs<'a>(
-    values: impl ExactSizeIterator<Item = &'a str> + Clone,
-    max_text: usize,
-) -> Option<Strs> {
-    let text = values
-        .clone()
-        .try_fold(0usize, |t, s| t.checked_add(s.len()).filter(|&t| t <= max_text))?;
-    let mut out = Strs::with_capacity(values.len(), text);
-    values.for_each(|s| out.push(s));
-    Some(out)
-}
-
-/// Load generation `gen`, decoding its segments on `threads` workers.
+/// Load generation `gen`, which must hold `shape`, turning each segment into
+/// a `U` with `each` on `threads` workers.
 ///
-/// The manifest is worked through in batches of `threads` entries: the
-/// caller's thread reads a batch's images in manifest order (every [`Vfs`]
-/// call stays on it), then one [`Jobs`] job per image verifies and decodes
-/// it. At most one batch of images is held at a time. The error reported is
-/// the serial walk's: the first failing entry in manifest order, where a
+/// The manifest is read and its shape checked before any segment is. It is
+/// then worked through in batches of `threads` entries: the caller's thread
+/// reads a batch's images in manifest order (every [`Vfs`] call stays on
+/// it), then one [`Jobs`] job per image verifies and decodes it and runs
+/// `each`. At most one batch of images is held at a time. The error reported
+/// is the serial walk's: the first failing entry in manifest order, where a
 /// read failure comes after every earlier entry's decode.
-fn load_generation_inner(
+fn load_generation_inner<U: Send>(
     fs: &dyn Vfs,
     dir: &Path,
     gen: u64,
+    shape: Shape,
     threads: usize,
-) -> Result<(SsbTables, usize, u64), PersistError> {
+    each: &(dyn Fn(&ManifestEntry, Part) -> Result<U, PersistError> + Sync),
+) -> Result<(Manifest, HashMap<String, U>, u64), PersistError> {
     let m = read_manifest(fs, dir, gen)?;
-    let mut cols: HashMap<String, ColumnData> = HashMap::with_capacity(m.entries.len());
+    if m.shape != shape {
+        return Err(corrupt(format!(
+            "generation {gen} holds the {}, not the {}",
+            m.shape.what(),
+            shape.what()
+        )));
+    }
+    let mut parts: HashMap<String, U> = HashMap::with_capacity(m.entries.len());
     let mut bytes = 0u64;
     for batch in m.entries.chunks(threads.max(1)) {
         let mut images = Vec::with_capacity(batch.len());
@@ -995,11 +1165,14 @@ fn load_generation_inner(
         let decoded: Vec<(&ManifestEntry, u64, Slot<_>)> = batch
             .iter()
             .zip(images)
-            .map(|(e, image)| (e, image.len() as u64, jobs.add(move || decode_entry(e, image))))
+            .map(|(e, image)| {
+                let len = image.len() as u64;
+                (e, len, jobs.add(move || each(e, decode_entry(e, image)?)))
+            })
             .collect();
         jobs.run(threads);
-        for (e, len, data) in decoded {
-            if cols.insert(e.name.clone(), data.take()?).is_some() {
+        for (e, len, part) in decoded {
+            if parts.insert(e.name.clone(), part.take()?).is_some() {
                 return Err(corrupt(format!("duplicate segment {}", e.name)));
             }
             bytes += len;
@@ -1008,18 +1181,37 @@ fn load_generation_inner(
             return Err(err);
         }
     }
+    Ok((m, parts, bytes))
+}
+
+/// Every name left in `parts`: the segments a manifest lists that nothing
+/// read.
+fn no_unknown_segments<U>(parts: &HashMap<String, U>) -> Result<(), PersistError> {
+    if parts.is_empty() {
+        return Ok(());
+    }
+    let mut extra: Vec<&str> = parts.keys().map(String::as_str).collect();
+    extra.sort_unstable();
+    Err(corrupt(format!("manifest lists unknown segments: {}", extra.join(", "))))
+}
+
+/// Load the [`Shape::Tables`] generation `gen` on `threads` workers, each
+/// segment decoded straight to its logical column.
+fn load_tables(
+    fs: &dyn Vfs,
+    dir: &Path,
+    gen: u64,
+    threads: usize,
+) -> Result<(SsbTables, usize, u64), PersistError> {
+    let (m, mut cols, bytes) =
+        load_generation_inner(fs, dir, gen, Shape::Tables, threads, &logical_column)?;
     let schema = star_schema();
     let lineorder = build_table(&schema.lineorder, &mut cols)?;
     let customer = build_table(&schema.customer, &mut cols)?;
     let supplier = build_table(&schema.supplier, &mut cols)?;
     let part = build_table(&schema.part, &mut cols)?;
     let date = build_table(&schema.date, &mut cols)?;
-    if !cols.is_empty() {
-        let mut extra: Vec<&str> = cols.keys().map(String::as_str).collect();
-        extra.sort_unstable();
-        return Err(corrupt(format!("manifest lists unknown segments: {}", extra.join(", "))));
-    }
-    let segments = m.entries.len();
+    no_unknown_segments(&cols)?;
     let tables = SsbTables {
         config: SsbConfig { sf: m.sf, seed: m.seed },
         schema,
@@ -1029,31 +1221,30 @@ fn load_generation_inner(
         part,
         date,
     };
-    Ok((tables, segments, bytes))
+    Ok((tables, m.entries.len(), bytes))
 }
 
-/// Load exactly generation `gen`, validating every checksum and codec
-/// invariant. Fails typed on any damage — no fallback.
+/// Load exactly generation `gen` of logical tables, validating every
+/// checksum and codec invariant. Fails typed on any damage — no fallback.
 pub fn load_generation(fs: &dyn Vfs, dir: &Path, gen: u64) -> Result<SsbTables, PersistError> {
-    load_generation_inner(fs, dir, gen, par::default_threads()).map(|(t, _, _)| t)
+    load_tables(fs, dir, gen, par::default_threads()).map(|(t, _, _)| t)
 }
 
-/// Load the newest generation that validates end-to-end, falling back to
-/// older generations when newer ones are damaged. Returns
-/// [`PersistError::NoSnapshot`] when no manifest exists at all, or the last
-/// validation error when every generation is damaged.
-pub fn load_latest(dir: &Path) -> Result<(SsbTables, LoadReport), PersistError> {
-    load_latest_with(&StdFs, dir)
-}
-
-/// [`load_latest`] over `fs`.
-pub fn load_latest_with(fs: &dyn Vfs, dir: &Path) -> Result<(SsbTables, LoadReport), PersistError> {
+/// Walk `dir`'s generations newest-first and return the first that `load`
+/// loads; each one that fails is a fallback. [`PersistError::NoSnapshot`]
+/// when no manifest exists at all, or the last error when every generation
+/// fails.
+fn walk<T>(
+    fs: &dyn Vfs,
+    dir: &Path,
+    mut load: impl FnMut(u64) -> Result<(T, usize, u64), PersistError>,
+) -> Result<(T, LoadReport), PersistError> {
     let mut fallbacks = 0u32;
     let mut last_err = PersistError::NoSnapshot;
     for &g in generations(fs, dir)?.iter().rev() {
-        match load_generation_inner(fs, dir, g, par::default_threads()) {
-            Ok((tables, segments, bytes)) => {
-                return Ok((tables, LoadReport { generation: g, segments, bytes, fallbacks }));
+        match load(g) {
+            Ok((loaded, segments, bytes)) => {
+                return Ok((loaded, LoadReport { generation: g, segments, bytes, fallbacks }));
             }
             Err(e) => {
                 fallbacks += 1;
@@ -1062,6 +1253,93 @@ pub fn load_latest_with(fs: &dyn Vfs, dir: &Path) -> Result<(SsbTables, LoadRepo
         }
     }
     Err(last_err)
+}
+
+/// Load the newest [`Shape::Tables`] generation that validates end-to-end,
+/// falling back to older generations when newer ones are damaged, hold an
+/// encoded store or are written in another format. Returns
+/// [`PersistError::NoSnapshot`] when no manifest exists at all, or the last
+/// validation error when every generation fails.
+pub fn load_latest(dir: &Path) -> Result<(SsbTables, LoadReport), PersistError> {
+    load_latest_with(&StdFs, dir)
+}
+
+/// [`load_latest`] over `fs`.
+pub fn load_latest_with(fs: &dyn Vfs, dir: &Path) -> Result<(SsbTables, LoadReport), PersistError> {
+    walk(fs, dir, |g| load_tables(fs, dir, g, par::default_threads()))
+}
+
+/// A [`Shape::Store`] generation's segments, by name, for the store that
+/// adopts them. Each accessor removes what it returns; a segment nothing
+/// takes fails the load.
+pub struct Parts {
+    config: SsbConfig,
+    parts: HashMap<String, Part>,
+}
+
+impl Parts {
+    /// The configuration of the tables the store was built from.
+    pub fn config(&self) -> SsbConfig {
+        self.config
+    }
+
+    fn take(&mut self, name: &str) -> Result<Part, PersistError> {
+        self.parts.remove(name).ok_or_else(|| corrupt(format!("manifest missing segment {name}")))
+    }
+
+    /// The column segment `name`.
+    pub fn column(&mut self, name: &str) -> Result<Column, PersistError> {
+        match self.take(name)? {
+            Part::Column(column) => Ok(column),
+            Part::Bytes(_) => Err(corrupt(format!("segment {name} holds bytes, not a column"))),
+        }
+    }
+
+    /// The plain integer column segment `name`, as written by
+    /// [`encode_ints_segment`].
+    pub fn ints(&mut self, name: &str) -> Result<PlainInts, PersistError> {
+        match self.column(name)? {
+            Column::Int(IntColumn::Plain(values)) => Ok(values),
+            _ => Err(corrupt(format!("segment {name} is not plain integers"))),
+        }
+    }
+
+    /// The bytes segment `name`.
+    pub fn bytes(&mut self, name: &str) -> Result<Vec<u8>, PersistError> {
+        match self.take(name)? {
+            Part::Bytes(bytes) => Ok(bytes),
+            Part::Column(_) => Err(corrupt(format!("segment {name} holds a column, not bytes"))),
+        }
+    }
+}
+
+/// Load the newest [`Shape::Store`] generation that validates end-to-end and
+/// that `adopt` accepts, falling back past damaged generations, generations
+/// of logical tables and generations in another format, as [`load_latest`]
+/// does. The loader checks each segment's CRC and codec and nothing more;
+/// `adopt` takes the segments it needs from the [`Parts`].
+pub fn load_latest_store<T>(
+    dir: &Path,
+    adopt: impl FnMut(&mut Parts) -> Result<T, PersistError>,
+) -> Result<(T, LoadReport), PersistError> {
+    load_latest_store_with(&StdFs, dir, adopt)
+}
+
+/// [`load_latest_store`] over `fs`.
+pub fn load_latest_store_with<T>(
+    fs: &dyn Vfs,
+    dir: &Path,
+    mut adopt: impl FnMut(&mut Parts) -> Result<T, PersistError>,
+) -> Result<(T, LoadReport), PersistError> {
+    let threads = par::default_threads();
+    walk(fs, dir, |g| {
+        let (m, parts, bytes) =
+            load_generation_inner(fs, dir, g, Shape::Store, threads, &|_, part| Ok(part))?;
+        let mut parts = Parts { config: SsbConfig { sf: m.sf, seed: m.seed }, parts };
+        let store = adopt(&mut parts)?;
+        no_unknown_segments(&parts.parts)?;
+        Ok((store, m.entries.len(), bytes))
+    })
 }
 
 /// Delete all but the newest `keep` generations (manifest + segment files),
@@ -1237,7 +1515,7 @@ mod tests {
         // still reports 3, which it decoded first.
         for threads in [1, 4, 8] {
             fs.calls.borrow_mut().clear();
-            match load_generation_inner(&fs, dir, 1, threads) {
+            match load_tables(&fs, dir, 1, threads) {
                 Err(PersistError::Corrupt { detail }) => assert_eq!(detail, want, "{threads}"),
                 other => panic!("{threads} threads: {:?}", other.map(|(_, n, b)| (n, b))),
             }
@@ -1310,14 +1588,14 @@ mod tests {
         // A kind tag this code never writes, under a valid checksum.
         let mut bad = encode_segment(&sample_payloads()[0]);
         bad.truncate(bad.len() - CRC_BYTES);
-        bad[12] = 2;
+        bad[12] = 3;
         let crc = crc64(&bad);
         put_u64(&mut bad, crc);
         match decode_segment(&bad) {
             Err(PersistError::Corrupt { detail }) => {
-                assert!(detail.contains("unknown segment kind 2"))
+                assert!(detail.contains("unknown segment kind 3"))
             }
-            other => panic!("a kind-2 segment decoded: {other:?}"),
+            other => panic!("a kind-3 segment decoded: {other:?}"),
         }
     }
 
@@ -1436,7 +1714,13 @@ mod tests {
     fn a_format_1_segment_or_manifest_is_refused_naming_its_format() {
         let detail = corrupt_detail(&format_1_plain_segment(&[1, 2, 3]));
         assert_eq!(detail, "unsupported segment format 1 (this build reads format 2)");
-        let manifest = Manifest { generation: 1, sf: 0.01, seed: 1, entries: Vec::new() };
+        let manifest = Manifest {
+            generation: 1,
+            shape: Shape::Tables,
+            sf: 0.01,
+            seed: 1,
+            entries: Vec::new(),
+        };
         let old = {
             let image = encode_manifest(&manifest);
             let mut bad = image[..image.len() - CRC_BYTES].to_vec();
@@ -1448,7 +1732,7 @@ mod tests {
         assert_eq!(decode_manifest(&encode_manifest(&manifest)), Ok(manifest));
         match decode_manifest(&old) {
             Err(PersistError::Corrupt { detail }) => {
-                assert_eq!(detail, "unsupported manifest format 1 (this build reads format 2)")
+                assert_eq!(detail, "unsupported manifest format 1 (this build reads format 3)")
             }
             other => panic!("a format-1 manifest decoded: {other:?}"),
         }
@@ -1531,6 +1815,88 @@ mod tests {
         let l = Column::encode(loaded.lineorder.column("lo_extendedprice"), true);
         assert_eq!(c, l);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn ints_and_bytes_segments_round_trip() {
+        for values in [PlainInts::U8(vec![1, 2]), PlainInts::U32(vec![7, 1 << 20, 0])] {
+            let image = with_plain_values!(&values, |v| encode_ints_segment(v));
+            assert_eq!(image, encode_segment(&Column::Int(IntColumn::Plain(values.clone()))));
+            assert_eq!(
+                decode_part(&image),
+                Ok(Part::Column(Column::Int(IntColumn::Plain(values))))
+            );
+        }
+        for bytes in [&b""[..], b"catalog"] {
+            let image = encode_bytes_segment(bytes);
+            assert_eq!(image.len(), SEGMENT_HEADER_BYTES + bytes.len() + CRC_BYTES);
+            assert_eq!(decode_part(&image), Ok(Part::Bytes(bytes.to_vec())));
+            assert_eq!(corrupt_detail(&image), "segment holds bytes, not a column");
+        }
+        // A bytes segment whose row count is not its length.
+        let mut bad = encode_bytes_segment(b"abc");
+        bad.truncate(bad.len() - CRC_BYTES);
+        bad[16] = 2;
+        let crc = crc64(&bad);
+        put_u64(&mut bad, crc);
+        assert_eq!(
+            decode_part(&bad),
+            Err(corrupt("bytes segment geometry is not its length")),
+            "rows 2 over 3 bytes"
+        );
+    }
+
+    /// A store-shaped generation loads through [`load_latest_store`] segment
+    /// for segment, and each entry point falls back past the other shape,
+    /// naming it, without reading a segment of it.
+    #[test]
+    fn each_shape_loads_only_through_its_own_entry_point() {
+        let dir = Path::new("/snapshot");
+        let fs = MemFs::default();
+        let tables = SsbConfig { sf: 0.0002, seed: 9 }.generate();
+        let config = tables.config;
+        let column = Column::encode(tables.lineorder.column("lo_quantity"), true);
+        let keys = PlainInts::U16(vec![3, 1, 2]);
+        let store = || {
+            let segments = [
+                ("lineorder.lo_quantity".to_string(), encode_segment(&column)),
+                ("customer.keys".to_string(), encode_ints_segment(&[3u16, 1, 2])),
+                ("catalog".to_string(), encode_bytes_segment(b"stats")),
+            ];
+            write_generation_inner(&fs, dir, config, Shape::Store, segments.into_iter(), 2)
+        };
+        let adopt = |parts: &mut Parts| {
+            assert_eq!(parts.config().seed, 9);
+            Ok((
+                parts.column("lineorder.lo_quantity")?,
+                parts.ints("customer.keys")?,
+                parts.bytes("catalog")?,
+            ))
+        };
+        assert_eq!(store().unwrap().generation, 1);
+        write_snapshot_with(&fs, dir, &tables).unwrap();
+
+        let (loaded, report) = load_latest_store_with(&fs, dir, adopt).unwrap();
+        assert_eq!(loaded, (column.clone(), keys.clone(), b"stats".to_vec()));
+        assert_eq!((report.generation, report.fallbacks, report.segments), (1, 1, 3));
+
+        store().unwrap();
+        fs.calls.borrow_mut().clear();
+        let (_, report) = load_latest_with(&fs, dir).unwrap();
+        assert_eq!((report.generation, report.fallbacks), (2, 1));
+        assert_eq!(fs.reads()[0], dir.join(manifest_name(3)), "generation 3 read first");
+        assert!(!fs.reads()[1].to_string_lossy().contains(".g3."), "no segment of it");
+
+        let err = load_tables(&fs, dir, 3, 1).map(|_| ()).unwrap_err();
+        assert_eq!(err, corrupt("generation 3 holds the encoded store, not the logical tables"));
+        let err = load_latest_store_with(&fs, dir, |_| Ok(())).map(|_| ()).unwrap_err();
+        let unread =
+            "manifest lists unknown segments: catalog, customer.keys, lineorder.lo_quantity";
+        assert_eq!(err, corrupt(unread), "a segment nothing takes fails its generation");
+        let fs = MemFs::default();
+        write_snapshot_with(&fs, dir, &tables).unwrap();
+        let err = load_latest_store_with(&fs, dir, adopt).map(|_| ()).unwrap_err();
+        assert_eq!(err, corrupt("generation 1 holds the logical tables, not the encoded store"));
     }
 
     #[test]

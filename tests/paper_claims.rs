@@ -87,11 +87,11 @@ fn key_reassignment_matches_paper_description() {
     let db = CStoreDb::build(Arc::new(SsbConfig { sf: 0.005, seed: 3 }.generate()), true);
     for d in [Dim::Customer, Dim::Supplier, Dim::Part] {
         assert!(db.dim(d).dense_keys);
-        let keys = db.dim(d).sorted.column(d.key_column()).ints().decode();
+        let keys = db.dim(d).store.column(d.key_column()).column.as_int().decode();
         assert!(keys.iter().enumerate().all(|(i, &k)| k == i as i64));
     }
     assert!(!db.dim(Dim::Date).dense_keys);
-    let dk = db.dim(Dim::Date).sorted.column("d_datekey").ints().decode();
+    let dk = db.dim(Dim::Date).store.column("d_datekey").column.as_int().decode();
     assert!(dk.windows(2).all(|w| w[0] < w[1]), "datekeys sorted");
     assert_ne!(dk[1], 1, "datekeys must stay yyyymmdd, not dense");
 }
