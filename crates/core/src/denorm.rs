@@ -392,6 +392,31 @@ mod tests {
         assert!(intc.bytes() > maxc.bytes(), "full compression must be smallest");
     }
 
+    /// Per variant, CRC64 over the store's persisted column images in
+    /// storage order, and `bytes()`, recorded from the build that joined,
+    /// sorted and copied the whole pre-joined table (`TableData::permuted`,
+    /// `ColumnStore::from_table`): `(variant, sf, seed, crc, bytes)`.
+    const PARENT: [(DenormVariant, f64, u64, u64, u64); 6] = [
+        (DenormVariant::NoCompression, 0.01, 2008, 0x7e834e5230e58f00, 7340579),
+        (DenormVariant::IntCompression, 0.01, 2008, 0x1419bada9f6e76fe, 4560000),
+        (DenormVariant::MaxCompression, 0.01, 2008, 0xdc1437d4be0998bf, 1240104),
+        (DenormVariant::NoCompression, 0.002, 7, 0x0ba036feb27fbd34, 1469826),
+        (DenormVariant::IntCompression, 0.002, 7, 0xd899764a4d2e9ff6, 912000),
+        (DenormVariant::MaxCompression, 0.002, 7, 0x9fc5d5468ba3cecb, 252411),
+    ];
+
+    #[test]
+    fn pre_joined_tables_are_the_parents_byte_for_byte() {
+        use cvr_storage::persist::{crc64, encode_segment};
+        for (variant, sf, seed, crc, bytes) in PARENT {
+            let db = DenormDb::build(Arc::new(SsbConfig { sf, seed }.generate()), variant);
+            let columns = db.store.columns().iter();
+            let image: Vec<u8> = columns.flat_map(|c| encode_segment(&c.column)).collect();
+            let what = (variant.label(), sf, seed);
+            assert_eq!((crc64(&image), db.bytes()), (crc, bytes), "{what:?}");
+        }
+    }
+
     #[test]
     fn denorm_wider_than_normalized_fact() {
         let t = tables();
