@@ -62,17 +62,21 @@ static TURN: Mutex<()> = Mutex::new(());
 #[test]
 fn serving_a_mix_adds_at_most_27_bytes_a_fact_row_to_the_built_session() {
     let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
+    // What is live before this test (another test's leftovers) is not the
+    // session's.
+    let before = LIVE.load(Ordering::Relaxed);
     let tables = Arc::new(SsbConfig::with_scale(0.01).generate());
     let rows = tables.lineorder.num_rows() as f64;
     let session = Session::with_cache_budget(tables, Parallelism::with_threads(2), 0);
-    let built = LIVE.load(Ordering::Relaxed);
-    PEAK.store(built, Ordering::Relaxed);
+    let live = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
+    let built = live.saturating_sub(before);
 
     let mix = all_queries().into_iter().chain(WorkloadConfig::with_count(255).generate());
     for q in mix {
         session.run(&q);
     }
-    let peak = PEAK.load(Ordering::Relaxed);
+    let peak = PEAK.load(Ordering::Relaxed).saturating_sub(before);
     let (built_row, peak_row) = (built as f64 / rows, peak as f64 / rows);
     let transient_row = peak_row - built_row;
     eprintln!(
