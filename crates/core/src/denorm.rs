@@ -21,6 +21,14 @@
 //! shapes: per morsel the predicates refine the window, then phase 3's
 //! extract→aggregate kernel ([`crate::agg::AggWorker`]) runs at the
 //! survivors' fact positions.
+//!
+//! The pre-joined table takes the fact projection's layout, through the
+//! same path ([`crate::projection`]): its rows are in the fact order
+//! ([`FACT_SORT`], ties by fact row), so "PJ, Max C" finds the baseline's
+//! runs. No widened table is materialised or sorted: each fact column is
+//! gathered through the fact order into its encoder, and each inlined
+//! dimension column through the joined dimension row of the fact row at
+//! each position, into the same encoder.
 
 use crate::agg::{AggStrategy, CodeDecoder};
 use crate::ctx::{catch_injected, QueryError};
@@ -28,16 +36,16 @@ use crate::engine::ExecOptions;
 use crate::extract::CodeSpace;
 use crate::morsel::{load_survivors, run_fused, Morsel, Operator};
 use crate::poslist::PosList;
-use crate::projection::{sort_permutation, FACT_SORT};
+use crate::projection::{encode_gathered, sort_permutation, KeyRemap, FACT_SORT};
 use crate::scan::{refine, CodePred, ScanPred};
 use cvr_data::gen::SsbTables;
 use cvr_data::queries::{paper_columns, Pred, SsbQuery};
 use cvr_data::result::QueryOutput;
-use cvr_data::schema::{ColumnDef, Dim, TableSchema};
-use cvr_data::table::{ColumnData, PlainInts, TableData};
-use cvr_data::value::{DataType, Value};
-use cvr_storage::column::{ColumnStore, EncodingChoice};
-use cvr_storage::encode::{dict_codes, Column, PlainValue, StrColumn};
+use cvr_data::schema::Dim;
+use cvr_data::table::{ColumnData, PlainInts};
+use cvr_data::value::Value;
+use cvr_storage::column::ColumnStore;
+use cvr_storage::encode::{dict_codes_of_rows, Column, PlainValue, StrColumn};
 use cvr_storage::io::IoSession;
 use cvr_storage::with_plain_values;
 use std::collections::HashMap;
@@ -116,66 +124,48 @@ impl DenormDb {
             && dims.all(|d| paper_columns().dims.contains(&d))
     }
 
-    /// Build the denormalized table for `variant`.
+    /// Build the denormalized table for `variant`: the fact columns the
+    /// paper workload reads, then every dimension column it touches, inlined
+    /// per fact row, all in the fact order.
     pub fn build(tables: Arc<SsbTables>, variant: DenormVariant) -> DenormDb {
         let fact = &tables.lineorder;
-        let mut defs: Vec<ColumnDef> = Vec::new();
-        let mut cols: Vec<ColumnData> = Vec::new();
-        for c in fact_columns() {
-            defs.push(ColumnDef { name: c, dtype: DataType::Int });
-            cols.push(fact.column(c).clone());
-        }
-        // Inline, per fact row, every dimension attribute the paper
-        // workload touches.
-        for &(dim, col) in &paper_columns().dims {
-            let dim_table = tables.dim(dim);
-            let keys = dim_table.column(dim.key_column()).ints();
-            let key_to_row: HashMap<i64, u32> = with_plain_values!(keys, |k| k
-                .iter()
-                .enumerate()
-                .map(|(i, &k)| (k.widen(), i as u32))
-                .collect());
-            let fks = fact.column(dim.fact_fk_column()).ints();
-            let rows: Vec<u32> =
-                with_plain_values!(fks, |f| f.iter().map(|k| key_to_row[&k.widen()]).collect());
-            let src = dim_table.column(col);
-            let dtype = src.dtype();
-            let data = src.gather(&rows);
-            defs.push(ColumnDef { name: col, dtype });
-            cols.push(data);
-        }
-        let mut table = TableData::new(TableSchema { name: "denorm", columns: defs }, cols);
-
-        // Same sort order as the baseline projection so MaxC's RLE
-        // opportunities match.
-        let perm = sort_permutation(&table, &FACT_SORT[..]);
-        table = table.permuted(&perm);
-
-        let mut dicts = HashMap::new();
-        let store = match variant {
-            DenormVariant::NoCompression => ColumnStore::from_table(&table, EncodingChoice::Plain),
-            DenormVariant::MaxCompression => ColumnStore::from_table(&table, EncodingChoice::Auto),
-            DenormVariant::IntCompression => {
-                // Replace every string column with its sorted-dictionary
-                // codes stored as *plain* integers.
-                let columns = table.schema.columns.iter().zip(&table.columns);
-                let (defs, cols) = columns
-                    .map(|(def, col)| match col {
-                        ColumnData::Int(_) => (def.clone(), col.clone()),
-                        ColumnData::Str(v) => {
-                            let (dict, codes) = dict_codes(v.iter());
-                            dicts.insert(def.name, dict);
-                            (
-                                ColumnDef { name: def.name, dtype: DataType::Int },
-                                ColumnData::Int(PlainInts::U32(codes)),
-                            )
-                        }
-                    })
-                    .unzip();
-                let coded = TableData::new(TableSchema { name: "denorm", columns: defs }, cols);
-                ColumnStore::from_table(&coded, EncodingChoice::Plain)
-            }
+        let perm = sort_permutation(fact, &FACT_SORT);
+        let compress = variant == DenormVariant::MaxCompression;
+        let encode = |name, data: &ColumnData, rows: &[u32], compress| {
+            let (column, plain_bytes) = encode_gathered(data, rows, None, compress);
+            (name, column, plain_bytes)
         };
+        let mut columns: Vec<_> =
+            fact_columns().map(|c| encode(c, fact.column(c), &perm, compress)).collect();
+        // Per dimension, the row joined to the fact row at each position.
+        let joined: HashMap<Dim, Vec<u32>> = Dim::ALL
+            .iter()
+            .map(|&d| {
+                let row_of = KeyRemap::new(tables.dim(d).column(d.key_column()).ints());
+                let fks = fact.column(d.fact_fk_column()).ints();
+                let rows = with_plain_values!(fks, |f| perm
+                    .iter()
+                    .map(|&p| row_of.get(f[p as usize].widen()) as u32)
+                    .collect());
+                (d, rows)
+            })
+            .collect();
+        let mut dicts = HashMap::new();
+        for &(dim, col) in &paper_columns().dims {
+            let (src, rows) = (tables.dim(dim).column(col), &joined[&dim]);
+            columns.push(match src {
+                // "PJ, Int C": the column's sorted-dictionary codes, stored
+                // as *plain* integers.
+                ColumnData::Str(strs) if variant == DenormVariant::IntCompression => {
+                    let (dict, codes, _) =
+                        dict_codes_of_rows(strs, rows.iter().map(|&r| r as usize));
+                    dicts.insert(col, dict);
+                    encode(col, &ColumnData::Int(PlainInts::U32(codes)), rows, false)
+                }
+                _ => encode(col, src, rows, compress),
+            });
+        }
+        let store = ColumnStore::from_encoded("denorm", fact.num_rows(), columns);
         DenormDb { tables, variant, store, dicts }
     }
 

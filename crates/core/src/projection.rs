@@ -18,6 +18,13 @@
 //! The fact projection is sorted by (orderdate, quantity, discount): "only
 //! one of the seventeen columns in the fact table can be sorted (and two
 //! others secondarily sorted)".
+//!
+//! One layout path builds and reads every sorted store: the [`SortOrder`]
+//! is computed once, every column is gathered through its table's order
+//! straight into its encoder ([`CStoreDb::build_with`]; the pre-joined
+//! tables of [`crate::denorm`] gather through the fact order too), and the
+//! logical tables come back through the order's inverse
+//! ([`CStoreDb::tables`]). No table is copied to be sorted.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -29,7 +36,7 @@ use cvr_data::gen::{SsbConfig, SsbTables};
 use cvr_data::schema::{star_schema, Dim, TableSchema};
 use cvr_data::table::{ColumnData, PlainInts, Strs, TableData};
 use cvr_data::value::DataType;
-use cvr_storage::column::{ColumnStore, EncodingChoice, StoredColumn};
+use cvr_storage::column::{ColumnStore, StoredColumn};
 use cvr_storage::encode::{Column, IntColumn, PlainValue, StrColumn};
 use cvr_storage::par::{Jobs, Slot};
 use cvr_storage::persist::{encode_ints_segment, encode_segment, Parts, PersistError};
@@ -168,17 +175,18 @@ fn packed_sort_permutation(cols: &[&ColumnData], n: usize) -> Option<Vec<u32>> {
     Some(keys.into_iter().map(|k| (k & row_mask) as u32).collect())
 }
 
-/// A dense dimension's key reassignment, old key → new key (= sorted row
-/// position), as an array indexed by `old - base`: the fact table's foreign
-/// keys go through it once per row.
-struct KeyRemap {
+/// A dimension's keys → row positions, as an array indexed by `key - base`:
+/// a dense dimension's key reassignment (old key → sorted row position),
+/// which the fact table's foreign keys go through once per row, or, over a
+/// dimension as it lies, the join from a foreign key to its row.
+pub(crate) struct KeyRemap {
     base: i64,
     new_keys: Vec<i64>,
 }
 
 impl KeyRemap {
     /// `old_keys[p]` is the original key of the row now at position `p`.
-    fn new(old_keys: &PlainInts) -> KeyRemap {
+    pub(crate) fn new(old_keys: &PlainInts) -> KeyRemap {
         let (base, max) = old_keys.min_max().unwrap_or((0, -1));
         let mut new_keys = vec![-1; (max - base + 1) as usize];
         with_plain_values!(old_keys, |v| for (pos, &old) in v.iter().enumerate() {
@@ -187,7 +195,7 @@ impl KeyRemap {
         KeyRemap { base, new_keys }
     }
 
-    fn get(&self, old: i64) -> i64 {
+    pub(crate) fn get(&self, old: i64) -> i64 {
         let new = self.new_keys[(old - self.base) as usize];
         assert!(new >= 0, "foreign key {old} has no dimension row");
         new
@@ -200,43 +208,32 @@ impl KeyRemap {
     }
 }
 
-/// Hierarchy-sort one dimension and, when its keys are dense, rewrite them
-/// to `0..n`, returning the rewrite for the fact side.
-fn sort_dimension(src: &TableData, d: Dim) -> (TableData, Option<KeyRemap>) {
-    let mut sorted = src.permuted(&sort_permutation(src, dim_sort_columns(d)));
-    if !d.dense_keys() {
-        return (sorted, None);
-    }
-    let key_idx = sorted.schema.col(d.key_column());
-    let dense = ColumnData::Int((0..sorted.num_rows() as i64).collect());
-    let old_keys = std::mem::replace(&mut sorted.columns[key_idx], dense);
-    (sorted, Some(KeyRemap::new(old_keys.ints())))
-}
-
-/// Encode the column whose row `j` is `data[perm[j]]` (integers through
-/// `remap`, when given), with its uncompressed size. Integers are gathered
-/// at the source column's width into the one buffer the encoder reads (a
-/// reassigned key is a row position, which fits the width of the distinct
-/// keys it replaces); strings are dictionary-coded where they lie and
-/// permuted as codes.
-fn encode_gathered(
+/// Encode the column whose row `j` is `data[rows[j]]` (integers through
+/// `remap`, when given), with its uncompressed size. `rows` is a sort's
+/// permutation, or a pre-joined table's gather that skips and repeats rows.
+/// Integers are gathered at the source column's width into the one buffer
+/// the encoder reads (a reassigned key is a row position, which fits the
+/// width of the distinct keys it replaces); strings are dictionary-coded
+/// where they lie and gathered as codes ([`StrColumn::encode_rows`]).
+pub(crate) fn encode_gathered(
     data: &ColumnData,
-    perm: &[u32],
+    rows: &[u32],
     remap: Option<&KeyRemap>,
     compress: bool,
 ) -> (Column, u64) {
     match data {
         ColumnData::Int(src) => {
             let values = match remap {
-                Some(remap) => with_plain_values!(src, |v| remap.gather(v, perm)),
-                None => src.gather(perm),
+                Some(remap) => with_plain_values!(src, |v| remap.gather(v, rows)),
+                None => src.gather(rows),
             };
             let plain = IntColumn::plain_fixed_bytes(&values);
             (Column::Int(IntColumn::encode(&values, compress)), plain)
         }
         ColumnData::Str(src) => {
-            let rows = perm.iter().map(|&p| p as usize);
-            (Column::Str(StrColumn::encode_rows(src, rows, compress)), StrColumn::plain_bytes(src))
+            let (column, plain) =
+                StrColumn::encode_rows(src, rows.iter().map(|&r| r as usize), compress);
+            (Column::Str(column), plain)
         }
     }
 }
@@ -262,10 +259,6 @@ fn logical_columns<'a>(
     perm: &[u32],
     originals: impl Fn(&str) -> Option<&'a PlainInts>,
 ) -> Vec<ColumnData> {
-    fn strs(dict: &[Box<str>], codes: impl ExactSizeIterator<Item = u32> + Clone) -> ColumnData {
-        let strs = Strs::from_codes(dict, codes, Strs::MAX_TEXT);
-        ColumnData::Str(strs.expect("a stored column's text fits"))
-    }
     let inv = inverse(perm);
     let column = |c: &StoredColumn| match &c.column {
         Column::Int(ints) => {
@@ -280,9 +273,9 @@ fn logical_columns<'a>(
                 None => ColumnData::Int(values.gather(&inv)),
             }
         }
-        Column::Str(StrColumn::Plain { values, .. }) => strs(values, inv.iter().copied()),
-        Column::Str(StrColumn::Dict { dict, codes }) => {
-            strs(dict, inv.iter().map(|&j| codes.get(j) as u32))
+        Column::Str(strs) => {
+            let strs = strs.strs_at(inv.iter().copied(), Strs::MAX_TEXT);
+            ColumnData::Str(strs.expect("a stored column's text fits"))
         }
     };
     store.columns().iter().map(column).collect()
@@ -330,75 +323,68 @@ impl CStoreDb {
         CStoreDb::build_with(tables, compression, Parallelism::from_env())
     }
 
-    /// Build projections over `tables` on up to `par.threads` workers.
-    ///
-    /// No table is copied to be sorted: the orders are computed first, then
-    /// every column is gathered through its table's order straight into its
-    /// encoder, one column per job. Jobs only encode; storage identities
-    /// ([`cvr_storage::io::FileId`]s) are handed out afterwards, in schema
-    /// order, so the store is the same bytes and ids at every thread count.
+    /// Build projections over `tables` on up to `par.threads` workers: their
+    /// [`SortOrder`], the only sort, then [`CStoreDb::encode`].
     pub fn build_with(tables: Arc<SsbTables>, compression: bool, par: Parallelism) -> CStoreDb {
-        let choice = if compression { EncodingChoice::Auto } else { EncodingChoice::Plain };
-        let fact_src = &tables.lineorder;
+        let order = SortOrder::of(&tables, par.threads);
+        CStoreDb::encode(tables, &order, compression, par)
+    }
 
-        // Orders. The fact order reads the three sort columns of the source
-        // — none of them a reassigned key — so it runs beside the
-        // dimension sorts.
-        let mut jobs = Jobs::new();
-        let fact_perm = jobs.add(|| sort_permutation(fact_src, &FACT_SORT));
-        let sorted_dims: Vec<_> = Dim::ALL
-            .iter()
-            .map(|&d| {
-                let src = tables.dim(d);
-                jobs.add(move || sort_dimension(src, d))
-            })
-            .collect();
-        jobs.run(par.threads);
-        let fact_perm = fact_perm.take();
-        let sorted_dims: Vec<(TableData, Option<KeyRemap>)> =
-            sorted_dims.into_iter().map(Slot::take).collect();
-
-        // Encoding: one job per fact column (foreign keys through their
-        // dimension's reassignment), one per dimension table.
+    /// The store of `tables` laid out in `order`, on up to `par.threads`
+    /// workers.
+    ///
+    /// No table is copied to be sorted: every column, fact and dimension
+    /// alike, is gathered through its table's order straight into its
+    /// encoder, one column a job ([`encode_gathered`]). The reassigned keys,
+    /// a dense dimension's own key column and the fact table's foreign key
+    /// into it, go through the [`KeyRemap`] of the order's original keys.
+    /// Jobs only encode; storage identities ([`cvr_storage::io::FileId`]s)
+    /// are handed out afterwards, in a serial build's order (the dimensions,
+    /// then the fact table, each in schema order), so the store is the same
+    /// bytes and ids at every thread count.
+    pub(crate) fn encode(
+        tables: Arc<SsbTables>,
+        order: &SortOrder,
+        compression: bool,
+        par: Parallelism,
+    ) -> CStoreDb {
+        let remaps: Vec<Option<KeyRemap>> =
+            order.dims.iter().map(|(_, keys)| keys.as_ref().map(KeyRemap::new)).collect();
         let remap_of = |column: &str| {
-            let mut dims = Dim::ALL.iter().zip(&sorted_dims);
-            dims.find(|(d, _)| d.fact_fk_column() == column).and_then(|(_, (_, r))| r.as_ref())
+            let mut dims = Dim::ALL.iter().zip(&remaps);
+            let holds_keys = |d: &Dim| d.key_column() == column || d.fact_fk_column() == column;
+            dims.find(|(d, _)| holds_keys(d)).and_then(|(_, remap)| remap.as_ref())
         };
+        // One job a column, the long ones, the fact columns, first.
+        let dims = Dim::ALL.iter().zip(&order.dims).map(|(&d, (perm, _))| (tables.dim(d), perm));
         let mut jobs = Jobs::new();
-        let fact_columns: Vec<_> = fact_src
-            .schema
-            .columns
-            .iter()
-            .zip(&fact_src.columns)
-            .map(|(def, data)| {
-                let (perm, remap) = (&fact_perm, remap_of(def.name));
-                (def.name, jobs.add(move || encode_gathered(data, perm, remap, compression)))
-            })
-            .collect();
-        let dim_columns: Vec<_> = sorted_dims
-            .iter()
-            .map(|(sorted, _)| jobs.add(move || ColumnStore::encode_columns(sorted, choice)))
-            .collect();
+        let mut encoded =
+            std::iter::once((&tables.lineorder, &order.fact)).chain(dims).map(|(table, perm)| {
+                let columns = table.schema.columns.iter().zip(&table.columns);
+                let columns = columns.map(|(def, data)| {
+                    let remap = remap_of(def.name);
+                    (def.name, jobs.add(move || encode_gathered(data, perm, remap, compression)))
+                });
+                columns.collect::<Vec<_>>()
+            });
+        let fact = encoded.next().expect("the fact table");
+        let dims: Vec<_> = encoded.collect();
         jobs.run(par.threads);
 
-        // Storage identities, in the order a serial build hands them out:
-        // the dimensions, then the fact columns.
-        let dim_columns: Vec<_> = dim_columns.into_iter().map(Slot::take).collect();
-        let dims = Dim::ALL.into_iter().zip(sorted_dims).zip(dim_columns);
+        let store = |table: &TableData, columns: Vec<(&'static str, Slot<(Column, u64)>)>| {
+            let columns = columns.into_iter().map(|(name, encoded)| {
+                let (column, plain_bytes) = encoded.take();
+                (name, column, plain_bytes)
+            });
+            ColumnStore::from_encoded(table.schema.name, table.num_rows(), columns)
+        };
+        let dims = Dim::ALL.into_iter().zip(dims);
         let dims = dims
-            .map(|((d, (sorted, _)), columns)| {
-                let store =
-                    ColumnStore::from_encoded(sorted.schema.name, sorted.num_rows(), columns);
-                (d, DimStore { store, dense_keys: d.dense_keys() })
+            .map(|(d, columns)| {
+                (d, DimStore { store: store(tables.dim(d), columns), dense_keys: d.dense_keys() })
             })
             .collect();
-        let fact_columns = fact_columns.into_iter().map(|(name, encoded)| {
-            let (column, plain_bytes) = encoded.take();
-            (name, column, plain_bytes)
-        });
-        let fact =
-            ColumnStore::from_encoded(fact_src.schema.name, fact_src.num_rows(), fact_columns);
-
+        let fact = store(&tables.lineorder, fact);
         CStoreDb { tables: OnceLock::from(tables), adopted: None, compression, fact, dims }
     }
 

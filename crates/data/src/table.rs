@@ -346,18 +346,6 @@ impl TableData {
         self.column(name).value(row)
     }
 
-    /// Reorder all columns by `perm`, where `perm[new_pos] = old_pos`.
-    ///
-    /// Used by `cvr-core` to build sorted projections; returns the permuted
-    /// table, leaving `self` untouched.
-    pub fn permuted(&self, perm: &[u32]) -> TableData {
-        assert_eq!(perm.len(), self.num_rows());
-        TableData {
-            schema: self.schema.clone(),
-            columns: self.columns.iter().map(|c| c.gather(perm)).collect(),
-        }
-    }
-
     /// Keep only the named columns, in the given order (a logical projection).
     pub fn project(&self, names: &[&str]) -> TableData {
         let schema = TableSchema {
@@ -408,11 +396,6 @@ mod tests {
         let t = tiny();
         let g = t.column("a").gather(&[2, 0]);
         assert_eq!(g, ColumnData::Int(vec![30, 10].into()));
-        let p = t.permuted(&[2, 1, 0]);
-        assert_eq!(p.value(0, "b"), Value::str("z"));
-        assert_eq!(p.value(2, "a"), Value::Int(10));
-        // Original untouched.
-        assert_eq!(t.value(0, "a"), Value::Int(10));
     }
 
     #[test]
@@ -510,11 +493,6 @@ mod tests {
             assert_eq!(got.strs().text_len(), want.iter().map(String::len).sum::<usize>());
             let want: Vec<i64> = positions.iter().map(|&p| ints[p as usize]).collect();
             assert_eq!(t.column("a").gather(positions), ColumnData::Int(want.into()));
-        }
-        let p = t.permuted(&perm);
-        for (new, &old) in perm.iter().enumerate() {
-            assert_eq!(&p.column("b").strs()[new], values[old as usize].as_str());
-            assert_eq!(p.column("a").ints().get(new), ints[old as usize]);
         }
         assert_eq!(t.project(&["b"]).columns[0], *t.column("b"));
     }

@@ -15,7 +15,6 @@
 
 use crate::encode::{Column, IntColumn, RunCursor, StrColumn, RLE_RUN_BYTES};
 use crate::io::{pages_for, FileId, IoSession, PageId, PAGE_SIZE};
-use cvr_data::table::TableData;
 
 /// One encoded column plus its storage identity.
 #[derive(Debug)]
@@ -236,15 +235,6 @@ impl StoredColumn {
     }
 }
 
-/// Per-column encoding decision for a table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EncodingChoice {
-    /// Let the encoder pick (RLE/dict when they shrink the column).
-    Auto,
-    /// Force uncompressed (the Figure 7 compression-removed runs).
-    Plain,
-}
-
 /// A column-store resident table.
 #[derive(Debug)]
 pub struct ColumnStore {
@@ -258,26 +248,6 @@ pub struct ColumnStore {
 }
 
 impl ColumnStore {
-    /// Encode every column of `data` with `choice`.
-    pub fn from_table(data: &TableData, choice: EncodingChoice) -> ColumnStore {
-        let columns = ColumnStore::encode_columns(data, choice);
-        ColumnStore::from_encoded(data.schema.name, data.num_rows(), columns)
-    }
-
-    /// The encoding half of [`ColumnStore::from_table`]: every column of
-    /// `data` as `(name, encoded, uncompressed bytes)`, no storage identity
-    /// yet — safe to run on any thread.
-    pub fn encode_columns(
-        data: &TableData,
-        choice: EncodingChoice,
-    ) -> Vec<(&'static str, Column, u64)> {
-        let compress = choice == EncodingChoice::Auto;
-        let columns = data.schema.columns.iter().zip(&data.columns);
-        columns
-            .map(|(def, col)| (def.name, Column::encode(col, compress), Column::plain_bytes(col)))
-            .collect()
-    }
-
     /// Assemble a store of `rows` rows from columns encoded elsewhere, each
     /// with its uncompressed size. [`FileId`]s are allocated here, in
     /// iteration order, whatever order (or thread) the columns were encoded
@@ -317,8 +287,8 @@ impl ColumnStore {
         self.columns.iter().map(StoredColumn::bytes).sum()
     }
 
-    /// [`StoredColumn::bytes`] of column `name` in an
-    /// [`EncodingChoice::Plain`] store of the same rows, recorded when this
+    /// [`StoredColumn::bytes`] of column `name` in an uncompressed store of
+    /// the same rows, recorded when this
     /// store was encoded (by [`Column::plain_bytes`], the plain encoder's own
     /// sizing) — so a compressed store answers for the uncompressed one
     /// without it being built.
@@ -332,32 +302,30 @@ impl ColumnStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cvr_data::schema::{ColumnDef, TableSchema};
     use cvr_data::table::ColumnData;
-    use cvr_data::value::DataType;
 
-    fn table() -> TableData {
-        let n = 100_000usize;
-        TableData::new(
-            TableSchema {
-                name: "t",
-                columns: vec![
-                    ColumnDef { name: "sorted", dtype: DataType::Int },
-                    ColumnDef { name: "random", dtype: DataType::Int },
-                    ColumnDef { name: "lowcard", dtype: DataType::Str },
-                ],
-            },
-            vec![
-                ColumnData::Int((0..n as i64).map(|i| i / 1000).collect()),
-                ColumnData::Int((0..n as i64).map(|i| (i * 2_654_435_761) % 1_000_000).collect()),
-                ColumnData::Str((0..n).map(|i| format!("R{}", i % 5)).collect()),
-            ],
-        )
+    const ROWS: usize = 100_000;
+
+    fn table() -> Vec<(&'static str, ColumnData)> {
+        let n = ROWS as i64;
+        vec![
+            ("sorted", ColumnData::Int((0..n).map(|i| i / 1000).collect())),
+            ("random", ColumnData::Int((0..n).map(|i| (i * 2_654_435_761) % 1_000_000).collect())),
+            ("lowcard", ColumnData::Str((0..ROWS).map(|i| format!("R{}", i % 5)).collect())),
+        ]
+    }
+
+    /// Every column of `t` encoded with `compress`, with its uncompressed
+    /// size.
+    fn store(t: &[(&'static str, ColumnData)], compress: bool) -> ColumnStore {
+        let columns =
+            t.iter().map(|(name, c)| (*name, Column::encode(c, compress), Column::plain_bytes(c)));
+        ColumnStore::from_encoded("t", ROWS, columns)
     }
 
     #[test]
     fn auto_encodings_choose_sensibly() {
-        let cs = ColumnStore::from_table(&table(), EncodingChoice::Auto);
+        let cs = store(&table(), true);
         assert!(cs.column("sorted").column.as_int().is_rle());
         assert!(!cs.column("random").column.as_int().is_rle());
         assert!(cs.column("lowcard").column.as_str().is_dict());
@@ -365,7 +333,7 @@ mod tests {
 
     #[test]
     fn plain_choice_disables_compression() {
-        let cs = ColumnStore::from_table(&table(), EncodingChoice::Plain);
+        let cs = store(&table(), false);
         assert!(!cs.column("sorted").column.as_int().is_rle());
         assert!(!cs.column("lowcard").column.as_str().is_dict());
     }
@@ -373,9 +341,9 @@ mod tests {
     #[test]
     fn recorded_plain_bytes_are_the_plain_stores() {
         let t = table();
-        let plain = ColumnStore::from_table(&t, EncodingChoice::Plain);
-        for choice in [EncodingChoice::Auto, EncodingChoice::Plain] {
-            let cs = ColumnStore::from_table(&t, choice);
+        let plain = store(&t, false);
+        for compress in [true, false] {
+            let cs = store(&t, compress);
             for c in plain.columns() {
                 assert_eq!(cs.plain_bytes(&c.name), c.bytes(), "{}", c.name);
             }
@@ -385,14 +353,14 @@ mod tests {
     #[test]
     fn compressed_store_is_smaller() {
         let t = table();
-        let auto = ColumnStore::from_table(&t, EncodingChoice::Auto);
-        let plain = ColumnStore::from_table(&t, EncodingChoice::Plain);
+        let auto = store(&t, true);
+        let plain = store(&t, false);
         assert!(auto.bytes() < plain.bytes());
     }
 
     #[test]
     fn scan_charges_all_pages_of_one_column_only() {
-        let cs = ColumnStore::from_table(&table(), EncodingChoice::Plain);
+        let cs = store(&table(), false);
         let io = IoSession::unmetered();
         let col = cs.column("random");
         col.charge_scan(&io);
@@ -403,7 +371,7 @@ mod tests {
 
     #[test]
     fn gather_touches_few_pages_for_few_positions() {
-        let cs = ColumnStore::from_table(&table(), EncodingChoice::Plain);
+        let cs = store(&table(), false);
         let io = IoSession::unmetered();
         let col = cs.column("random");
         col.charge_gather([5u32, 6, 7, 50_000], &io);
@@ -414,7 +382,7 @@ mod tests {
 
     #[test]
     fn gather_on_rle_touches_run_pages() {
-        let cs = ColumnStore::from_table(&table(), EncodingChoice::Auto);
+        let cs = store(&table(), true);
         let io = IoSession::unmetered();
         // 100 runs ⇒ entire RLE column is one page.
         cs.column("sorted").charge_gather((0..100u32).chain([99_999]), &io);
@@ -423,7 +391,7 @@ mod tests {
 
     #[test]
     fn gather_on_dict_charges_dictionary_once() {
-        let cs = ColumnStore::from_table(&table(), EncodingChoice::Auto);
+        let cs = store(&table(), true);
         let io = IoSession::unmetered();
         cs.column("lowcard").charge_gather([0u32, 99_999], &io);
         // dict page (also containing the first codes) + maybe the final code page
@@ -434,7 +402,7 @@ mod tests {
     fn gather_charges_the_pages_of_the_per_position_reference() {
         // The cursor and the reciprocal must touch exactly the pages, in
         // exactly the order, of a binary search and a divide per position.
-        let cs = ColumnStore::from_table(&table(), EncodingChoice::Auto);
+        let cs = store(&table(), true);
         let ascending: Vec<u32> = (0..100_000).step_by(37).collect();
         let scattered: Vec<u32> =
             (0..5_000u64).map(|i| (i * 2_654_435_761 % 100_000) as u32).collect();
@@ -480,7 +448,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no column")]
     fn unknown_column_panics() {
-        let cs = ColumnStore::from_table(&table(), EncodingChoice::Auto);
+        let cs = store(&table(), true);
         cs.column("nope");
     }
 
@@ -490,11 +458,11 @@ mod tests {
         // the recorded charges in order must equal one full charge_scan,
         // for every encoding.
         let t = table();
-        for choice in [EncodingChoice::Auto, EncodingChoice::Plain] {
-            let cs = ColumnStore::from_table(&t, choice);
+        for compress in [true, false] {
+            let cs = store(&t, compress);
             for name in ["sorted", "random", "lowcard"] {
                 let col = cs.column(name);
-                let n = t.num_rows() as u32;
+                let n = ROWS as u32;
                 let serial = IoSession::unmetered();
                 col.charge_scan(&serial);
 

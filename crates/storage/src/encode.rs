@@ -462,35 +462,37 @@ impl StrColumn {
     /// Pick dictionary encoding when it shrinks the column, otherwise plain.
     pub fn auto(values: Vec<String>) -> StrColumn {
         let values = Strs::from(values);
-        StrColumn::encode_rows(&values, 0..values.len(), true)
+        StrColumn::encode_rows(&values, 0..values.len(), true).0
     }
 
     /// Encode the column whose row `j` is `values[rows[j]]`, where `rows`
-    /// visits every row of `values` once (a permutation): dictionary when
-    /// `compress` and it shrinks the column, plain otherwise.
+    /// may skip and repeat rows (a sort's permutation, or a join's gather),
+    /// with the bytes it takes stored plain: dictionary when `compress` and
+    /// it shrinks the column, plain otherwise.
     ///
-    /// The dictionary is built over `values` as they lie and only the
-    /// integer codes are permuted, so sorting a table never copies a string
-    /// into a dictionary column; both encodings' sizes are known before
-    /// either is built.
+    /// The dictionary is built over `values` as they lie
+    /// ([`dict_codes_of_rows`]) and only the integer codes are gathered, so
+    /// sorting or pre-joining a table never copies a string into a
+    /// dictionary column; both encodings' sizes are known before either is
+    /// built.
     pub fn encode_rows(
         values: &Strs,
-        rows: impl ExactSizeIterator<Item = usize>,
+        rows: impl ExactSizeIterator<Item = usize> + Clone,
         compress: bool,
-    ) -> StrColumn {
-        debug_assert_eq!(rows.len(), values.len());
-        let bytes = StrColumn::plain_bytes(values);
+    ) -> (StrColumn, u64) {
         if compress {
-            let (dict, codes) = dict_codes(values.iter());
+            let (dict, codes, bytes) = dict_codes_of_rows(values, rows.clone());
             let code_bits = bits_for(dict.len() as u64);
             if code_bits <= MAX_VALUE_BITS
-                && dict_bytes(&dict) + PackedInts::bytes_for(code_bits, values.len()) < bytes
+                && dict_bytes(&dict) + PackedInts::bytes_for(code_bits, rows.len()) < bytes
             {
                 let codes = PackedInts::pack(code_bits, rows.map(|r| codes[r] as u64));
-                return StrColumn::Dict { dict, codes };
+                return (StrColumn::Dict { dict, codes }, bytes);
             }
         }
-        StrColumn::Plain { values: rows.map(|r| values[r].into()).collect(), bytes }
+        let values: Vec<Box<str>> = rows.map(|r| values[r].into()).collect();
+        let bytes = values.iter().map(|s| 1 + s.len() as u64).sum();
+        (StrColumn::Plain { values, bytes }, bytes)
     }
 
     /// Number of logical values.
@@ -564,6 +566,23 @@ impl StrColumn {
             }
         }
     }
+
+    /// The values at `positions`, in that order, as one [`Strs`] (what
+    /// turns a stored column back into a logical one, in storage order or
+    /// through a sort's inverse); `None` when their text would exceed
+    /// `max_text` bytes (a [`Strs`] holds at most [`Strs::MAX_TEXT`]).
+    pub fn strs_at(
+        &self,
+        positions: impl ExactSizeIterator<Item = u32> + Clone,
+        max_text: usize,
+    ) -> Option<Strs> {
+        match self {
+            StrColumn::Plain { values, .. } => Strs::from_codes(values, positions, max_text),
+            StrColumn::Dict { dict, codes } => {
+                Strs::from_codes(dict, positions.map(|p| codes.get(p) as u32), max_text)
+            }
+        }
+    }
 }
 
 /// On-disk bytes of a dictionary: a 1-byte length prefix plus the payload per
@@ -598,6 +617,33 @@ pub fn dict_codes<'a>(values: impl ExactSizeIterator<Item = &'a str>) -> (Vec<Bo
     (sorted.iter().map(|&id| distinct[id as usize].into()).collect(), codes)
 }
 
+/// [`dict_codes`] of the column whose row `j` is `values[rows[j]]`, where
+/// `rows` may skip and repeat rows: the sorted distinct values `rows` reads,
+/// the code of each row of `values` among them (a row `rows` never reads
+/// holds a code no read row needs), and the bytes the column takes stored
+/// plain. The values are hashed as they lie; only their codes are read in
+/// `rows`' order.
+pub fn dict_codes_of_rows(
+    values: &Strs,
+    rows: impl Iterator<Item = usize>,
+) -> (Vec<Box<str>>, Vec<u32>, u64) {
+    let (mut dict, mut codes) = dict_codes(values.iter());
+    let mut reads = vec![0u64; dict.len()];
+    rows.for_each(|r| reads[codes[r] as usize] += 1);
+    let bytes = dict.iter().zip(&reads).map(|(s, &n)| n * (1 + s.len() as u64)).sum();
+    if reads.contains(&0) {
+        // Drop the entries no row reads; the others keep their order.
+        let rank: Vec<u32> = reads
+            .iter()
+            .scan(0, |kept, &n| Some(std::mem::replace(kept, *kept + u32::from(n > 0))))
+            .collect();
+        let mut read = reads.iter();
+        dict.retain(|_| read.next().is_some_and(|&n| n > 0));
+        codes.iter_mut().for_each(|c| *c = rank[*c as usize]);
+    }
+    (dict, codes, bytes)
+}
+
 /// Bits needed to distinguish `n` codes (at least 1).
 pub fn bits_for(n: u64) -> u8 {
     let mut bits = 1u8;
@@ -623,7 +669,7 @@ impl Column {
     pub fn encode(data: &ColumnData, compress: bool) -> Column {
         match data {
             ColumnData::Int(v) => Column::Int(IntColumn::encode(v, compress)),
-            ColumnData::Str(v) => Column::Str(StrColumn::encode_rows(v, 0..v.len(), compress)),
+            ColumnData::Str(v) => Column::Str(StrColumn::encode_rows(v, 0..v.len(), compress).0),
         }
     }
 

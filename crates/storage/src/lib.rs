@@ -49,7 +49,7 @@ pub mod par;
 pub mod persist;
 pub mod rowcodec;
 
-pub use column::{ColumnStore, EncodingChoice, StoredColumn};
+pub use column::{ColumnStore, StoredColumn};
 pub use cvr_data::with_plain_values;
 pub use encode::{Column, IntColumn, Run, StrColumn};
 pub use heap::{HeapFile, PartitionedHeap};

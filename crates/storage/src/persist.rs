@@ -1093,31 +1093,15 @@ fn decode_entry(e: &ManifestEntry, image: Vec<u8>) -> Result<Part, PersistError>
     Ok(part)
 }
 
-/// A table segment's logical column.
+/// A table segment's logical column, in storage order.
 fn logical_column(e: &ManifestEntry, part: Part) -> Result<ColumnData, PersistError> {
     match part {
         Part::Column(Column::Int(ic)) => Ok(ColumnData::Int(ic.into_plain_ints())),
-        Part::Column(Column::Str(sc)) => match decode_strs(&sc, Strs::MAX_TEXT) {
+        Part::Column(Column::Str(sc)) => match sc.strs_at(0..sc.len() as u32, Strs::MAX_TEXT) {
             Some(strs) => Ok(ColumnData::Str(strs)),
             None => Err(corrupt(format!("segment {} decodes to more than 4 GiB of text", e.name))),
         },
         Part::Bytes(_) => Err(corrupt(format!("segment {} holds bytes, not a column", e.name))),
-    }
-}
-
-/// The logical column of a string segment, built straight from its
-/// dictionary or plain values; `None` when its text would exceed `max_text`
-/// bytes (a [`Strs`] holds at most [`Strs::MAX_TEXT`]).
-fn decode_strs(sc: &StrColumn, max_text: usize) -> Option<Strs> {
-    match sc {
-        StrColumn::Plain { values, .. } => {
-            Strs::from_codes(values, 0..values.len() as u32, max_text)
-        }
-        StrColumn::Dict { dict, codes } => {
-            let mut rows = Vec::with_capacity(codes.len() as usize);
-            codes.for_each_in(0, codes.len(), |c| rows.push(c as u32));
-            Strs::from_codes(dict, rows.iter().copied(), max_text)
-        }
     }
 }
 
@@ -1603,12 +1587,15 @@ mod tests {
     fn a_string_segment_decodes_to_its_values_within_the_text_bound() {
         let values: Vec<String> = (0..120).map(|i| format!("value-{:03}", i % 40)).collect();
         let text: usize = values.iter().map(String::len).sum();
+        let all = || 0..values.len() as u32;
         for sc in [StrColumn::plain(values.clone()), StrColumn::dict(&values)] {
-            assert_eq!(decode_strs(&sc, Strs::MAX_TEXT), Some(Strs::from(values.clone())));
-            assert_eq!(decode_strs(&sc, text), Some(Strs::from(values.clone())));
-            assert_eq!(decode_strs(&sc, text - 1), None, "one byte past the bound");
+            assert_eq!(sc.strs_at(all(), Strs::MAX_TEXT), Some(Strs::from(values.clone())));
+            assert_eq!(sc.strs_at(all(), text), Some(Strs::from(values.clone())));
+            assert_eq!(sc.strs_at(all(), text - 1), None, "one byte past the bound");
+            let reversed: Vec<&String> = values.iter().rev().collect();
+            assert_eq!(sc.strs_at(all().rev(), text), Some(Strs::from(reversed)));
         }
-        assert_eq!(decode_strs(&StrColumn::plain(Vec::new()), 0), Some(Strs::new()));
+        assert_eq!(StrColumn::plain(Vec::new()).strs_at(0..0, 0), Some(Strs::new()));
     }
 
     fn corrupt_detail(image: &[u8]) -> String {

@@ -223,9 +223,9 @@ proptest! {
         prop_assert_eq!(codes.len() as usize, values.len());
     }
 
-    /// Encoding through a permutation equals gathering first and encoding
-    /// the copy, for both settings; the recorded plain size is the plain
-    /// encoder's.
+    /// Encoding through a permutation, or through a gather that skips and
+    /// repeats rows, equals gathering first and encoding the copy, for both
+    /// settings; the returned plain size is the plain encoder's.
     #[test]
     fn encode_rows_equals_gather_then_encode(
         high_ndv in small_strings(),
@@ -242,18 +242,23 @@ proptest! {
             state ^= state << 17;
             perm.swap(k, (state % (k as u64 + 1)) as usize);
         }
-        let gathered: Vec<String> = perm.iter().map(|&p| values[p].clone()).collect();
+        let picks: Vec<usize> = perm.iter().map(|&p| p / 3).collect();
         let strs = Strs::from(values.clone());
-        for compress in [true, false] {
-            let got = StrColumn::encode_rows(&strs, perm.iter().copied(), compress);
-            let want = if compress {
-                let (dict, plain) = (StrColumn::dict(&gathered), StrColumn::plain(gathered.clone()));
-                if dict.encoded_bytes() < plain.encoded_bytes() { dict } else { plain }
-            } else {
-                StrColumn::plain(gathered.clone())
-            };
-            prop_assert_eq!(got, want);
+        for rows in [&perm, &picks] {
+            let gathered: Vec<String> = rows.iter().map(|&p| values[p].clone()).collect();
+            for compress in [true, false] {
+                let got = StrColumn::encode_rows(&strs, rows.iter().copied(), compress);
+                let plain = StrColumn::plain(gathered.clone());
+                let want = if compress {
+                    let dict = StrColumn::dict(&gathered);
+                    if dict.encoded_bytes() < plain.encoded_bytes() { dict } else { plain.clone() }
+                } else {
+                    plain.clone()
+                };
+                prop_assert_eq!(got, (want, plain.encoded_bytes()));
+            }
         }
+        let gathered: Vec<String> = perm.iter().map(|&p| values[p].clone()).collect();
         prop_assert_eq!(
             Column::plain_bytes(&ColumnData::Str(strs)),
             StrColumn::plain(gathered).encoded_bytes()
