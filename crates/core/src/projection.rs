@@ -324,7 +324,8 @@ impl CStoreDb {
     }
 
     /// Build projections over `tables` on up to `par.threads` workers: their
-    /// [`SortOrder`], the only sort, then [`CStoreDb::encode`].
+    /// [`SortOrder`], the only sort, then one encode step (`CStoreDb::encode`)
+    /// that gathers every column through it into its encoder.
     pub fn build_with(tables: Arc<SsbTables>, compression: bool, par: Parallelism) -> CStoreDb {
         let order = SortOrder::of(&tables, par.threads);
         CStoreDb::encode(tables, &order, compression, par)

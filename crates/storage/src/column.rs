@@ -288,10 +288,10 @@ impl ColumnStore {
     }
 
     /// [`StoredColumn::bytes`] of column `name` in an uncompressed store of
-    /// the same rows, recorded when this
-    /// store was encoded (by [`Column::plain_bytes`], the plain encoder's own
-    /// sizing) — so a compressed store answers for the uncompressed one
-    /// without it being built.
+    /// the same rows, recorded when this store was encoded (by the plain
+    /// encoder's own sizing: [`IntColumn::plain_fixed_bytes`], the size
+    /// [`StrColumn::encode_rows`] returns) — so a compressed store answers
+    /// for the uncompressed one without it being built.
     pub fn plain_bytes(&self, name: &str) -> u64 {
         let idx = self.columns.iter().position(|c| c.name == name);
         self.plain_bytes
