@@ -8,8 +8,9 @@
 //! ```
 //!
 //! Subcommands run in the order given, over one generated database and one
-//! store set (`cvr_plan::Stores`), each store built by the first subcommand
-//! that needs it. A gate
+//! store set (`cvr_plan::Stores`), made with its column engine by the first
+//! subcommand that needs a store, and each other store built by the first
+//! subcommand that needs it. A gate
 //! that fails (`kernels`, `agg`, `planner`) does not stop the ones after
 //! it; the binary exits 1 once all have run. `--help` lists everything.
 

@@ -23,12 +23,12 @@
 //! survivors' fact positions.
 //!
 //! The pre-joined table takes the fact projection's layout, through the
-//! same path ([`crate::projection`]): its rows are in the fact order
-//! ([`FACT_SORT`], ties by fact row), so "PJ, Max C" finds the baseline's
-//! runs. No widened table is materialised or sorted: each fact column is
-//! gathered through the fact order into its encoder, and each inlined
-//! dimension column through the joined dimension row of the fact row at
-//! each position, into the same encoder.
+//! same path ([`crate::projection`]): its rows are in the compressed
+//! store's own fact order ([`FACT_SORT`], ties by fact row), so "PJ, Max C"
+//! finds the baseline's runs. No widened table is materialised or sorted:
+//! each fact column is gathered through the store's fact permutation into
+//! its encoder, and each inlined dimension column through the joined
+//! dimension row of the fact row at each position, into the same encoder.
 
 use crate::agg::{AggStrategy, CodeDecoder};
 use crate::ctx::{catch_injected, QueryError};
@@ -36,9 +36,8 @@ use crate::engine::ExecOptions;
 use crate::extract::CodeSpace;
 use crate::morsel::{load_survivors, run_fused, Morsel, Operator};
 use crate::poslist::PosList;
-use crate::projection::{encode_gathered, sort_permutation, KeyRemap, FACT_SORT};
+use crate::projection::{encode_gathered, CStoreDb, KeyRemap, FACT_SORT};
 use crate::scan::{refine, CodePred, ScanPred};
-use cvr_data::gen::SsbTables;
 use cvr_data::queries::{paper_columns, Pred, SsbQuery};
 use cvr_data::result::QueryOutput;
 use cvr_data::schema::Dim;
@@ -49,7 +48,6 @@ use cvr_storage::encode::{dict_codes_of_rows, Column, PlainValue, StrColumn};
 use cvr_storage::io::IoSession;
 use cvr_storage::with_plain_values;
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The three denormalized variants of Figure 8.
@@ -79,8 +77,6 @@ impl DenormVariant {
 
 /// A pre-joined fact table at one compression level.
 pub struct DenormDb {
-    /// Original logical tables.
-    pub tables: Arc<SsbTables>,
     /// Which variant this is.
     pub variant: DenormVariant,
     store: ColumnStore,
@@ -124,19 +120,19 @@ impl DenormDb {
             && dims.all(|d| paper_columns().dims.contains(&d))
     }
 
-    /// Build the denormalized table for `variant`: the fact columns the
-    /// paper workload reads, then every dimension column it touches, inlined
-    /// per fact row, all in the fact order.
-    pub fn build(tables: Arc<SsbTables>, variant: DenormVariant) -> DenormDb {
+    /// Build the denormalized table for `variant` from `db`'s tables: the
+    /// fact columns the paper workload reads, then every dimension column it
+    /// touches, inlined per fact row, all in `db`'s fact order.
+    pub fn build(db: &CStoreDb, variant: DenormVariant) -> DenormDb {
+        let (tables, perm) = (db.tables(), db.fact_order());
         let fact = &tables.lineorder;
-        let perm = sort_permutation(fact, &FACT_SORT);
         let compress = variant == DenormVariant::MaxCompression;
         let encode = |name, data: &ColumnData, rows: &[u32], compress| {
             let (column, plain_bytes) = encode_gathered(data, rows, None, compress);
             (name, column, plain_bytes)
         };
         let mut columns: Vec<_> =
-            fact_columns().map(|c| encode(c, fact.column(c), &perm, compress)).collect();
+            fact_columns().map(|c| encode(c, fact.column(c), perm, compress)).collect();
         // Per dimension, the row joined to the fact row at each position.
         let joined: HashMap<Dim, Vec<u32>> = Dim::ALL
             .iter()
@@ -166,7 +162,7 @@ impl DenormDb {
             });
         }
         let store = ColumnStore::from_encoded("denorm", fact.num_rows(), columns);
-        DenormDb { tables, variant, store, dicts }
+        DenormDb { variant, store, dicts }
     }
 
     /// Total stored bytes.
@@ -260,7 +256,7 @@ impl DenormDb {
             agg.aggregate(q, &self.store, positions, rio);
             Ok(())
         };
-        let rows = self.tables.lineorder.num_rows() as u32;
+        let rows = self.store.num_rows() as u32;
         let run = || run_fused(rows, opts.par, &opts.ctx, io, &strat, q, &operators, &[], task);
         let out = catch_injected(run)??;
         if strat.is_code_level() || self.dicts.is_empty() {
@@ -285,12 +281,18 @@ mod tests {
     use super::*;
     use crate::ctx::QueryCtx;
     use crate::morsel::Parallelism;
-    use cvr_data::gen::SsbConfig;
+    use cvr_data::gen::{SsbConfig, SsbTables};
     use cvr_data::queries::{all_queries, query};
     use cvr_data::reference;
+    use std::sync::Arc;
 
     fn tables() -> Arc<SsbTables> {
         Arc::new(SsbConfig { sf: 0.002, seed: 47 }.generate())
+    }
+
+    /// The compressed store the pre-joined tables are built from.
+    fn store(t: &Arc<SsbTables>) -> CStoreDb {
+        CStoreDb::build(t.clone(), true)
     }
 
     /// Small morsels so even this tiny scale factor fans out.
@@ -301,9 +303,9 @@ mod tests {
     #[test]
     fn all_variants_match_reference() {
         let t = tables();
-        let io = IoSession::unmetered();
+        let (io, store) = (IoSession::unmetered(), store(&t));
         for variant in DenormVariant::ALL {
-            let db = DenormDb::build(t.clone(), variant);
+            let db = DenormDb::build(&store, variant);
             for q in all_queries() {
                 let expected = reference::evaluate(&t, &q);
                 let got = db.run(&q, &ExecOptions::default(), &io);
@@ -319,7 +321,7 @@ mod tests {
         // grid. Q3.1's three dimension predicates run on "PJ, Int C"'s
         // integer codes.
         let t = tables();
-        let db = DenormDb::build(t.clone(), DenormVariant::IntCompression);
+        let db = DenormDb::build(&store(&t), DenormVariant::IntCompression);
         let q = query(3, 1);
         let passing = reference::measured_selectivity(&t, &q) * t.lineorder.num_rows() as f64;
         let mut seen = Vec::new();
@@ -346,9 +348,9 @@ mod tests {
 
     #[test]
     fn a_cancelled_context_aborts_every_variant() {
-        let t = tables();
+        let store = store(&tables());
         for variant in DenormVariant::ALL {
-            let db = DenormDb::build(t.clone(), variant);
+            let db = DenormDb::build(&store, variant);
             let opts = at(2);
             opts.ctx.cancel();
             let got = db.run(&query(2, 1), &opts, &IoSession::unmetered());
@@ -364,9 +366,9 @@ mod tests {
         let t = tables();
         let mut q = query(3, 1);
         q.group_by = vec![q.group_by[0]; 16];
-        let want = reference::evaluate(&t, &q);
+        let (want, store) = (reference::evaluate(&t, &q), store(&t));
         for variant in DenormVariant::ALL {
-            let db = DenormDb::build(t.clone(), variant);
+            let db = DenormDb::build(&store, variant);
             let got = db.run(&q, &at(2), &IoSession::unmetered());
             assert_eq!(got.as_ref(), Ok(&want), "{}", variant.label());
         }
@@ -374,10 +376,10 @@ mod tests {
 
     #[test]
     fn size_ordering_noc_largest() {
-        let t = tables();
-        let noc = DenormDb::build(t.clone(), DenormVariant::NoCompression);
-        let intc = DenormDb::build(t.clone(), DenormVariant::IntCompression);
-        let maxc = DenormDb::build(t.clone(), DenormVariant::MaxCompression);
+        let store = store(&tables());
+        let noc = DenormDb::build(&store, DenormVariant::NoCompression);
+        let intc = DenormDb::build(&store, DenormVariant::IntCompression);
+        let maxc = DenormDb::build(&store, DenormVariant::MaxCompression);
         assert!(noc.bytes() > intc.bytes(), "string inlining must be largest");
         assert!(intc.bytes() > maxc.bytes(), "full compression must be smallest");
     }
@@ -395,23 +397,36 @@ mod tests {
         (DenormVariant::MaxCompression, 0.002, 7, 0x9fc5d5468ba3cecb, 252411),
     ];
 
+    /// Built over a store built from the generated tables, and over that
+    /// store snapshotted and adopted, whose order was read back and whose
+    /// tables decode on demand.
     #[test]
     fn pre_joined_tables_are_the_parents_byte_for_byte() {
-        use cvr_storage::persist::{crc64, encode_segment};
+        use cvr_storage::persist::{self, crc64, encode_segment, Shape};
+        let dir = std::env::temp_dir().join(format!("cvr-pre-joined-{}", std::process::id()));
         for (variant, sf, seed, crc, bytes) in PARENT {
-            let db = DenormDb::build(Arc::new(SsbConfig { sf, seed }.generate()), variant);
-            let columns = db.store.columns().iter();
-            let image: Vec<u8> = columns.flat_map(|c| encode_segment(&c.column)).collect();
-            let what = (variant.label(), sf, seed);
-            assert_eq!((crc64(&image), db.bytes()), (crc, bytes), "{what:?}");
+            let built = store(&Arc::new(SsbConfig { sf, seed }.generate()));
+            let _ = std::fs::remove_dir_all(&dir);
+            persist::write_generation(&dir, built.config(), Shape::Store, built.segments())
+                .unwrap();
+            let (adopted, _) = persist::load_latest_store(&dir, CStoreDb::adopt).unwrap();
+            assert!(!adopted.holds_tables());
+            for (from, store) in [("built", &built), ("adopted", &adopted)] {
+                let db = DenormDb::build(store, variant);
+                let columns = db.store.columns().iter();
+                let image: Vec<u8> = columns.flat_map(|c| encode_segment(&c.column)).collect();
+                let what = (variant.label(), sf, seed, from);
+                assert_eq!((crc64(&image), db.bytes()), (crc, bytes), "{what:?}");
+            }
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn denorm_wider_than_normalized_fact() {
         let t = tables();
-        let noc = DenormDb::build(t.clone(), DenormVariant::NoCompression);
-        let base = crate::projection::CStoreDb::build(t, false);
+        let noc = DenormDb::build(&store(&t), DenormVariant::NoCompression);
+        let base = CStoreDb::build(t, false);
         assert!(noc.bytes() > base.fact_bytes());
     }
 }

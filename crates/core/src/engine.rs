@@ -88,15 +88,13 @@ impl ColumnEngine {
 
     /// The storage serving `config`, building the uncompressed store on its
     /// first use (concurrent first users wait for the one build) in the
-    /// compressed store's order: an adopted store's own, so nothing is
-    /// sorted after a reload.
+    /// order the compressed store holds, so nothing is sorted.
     pub fn db(&self, config: EngineConfig) -> &CStoreDb {
         if config.compression {
             return &self.compressed;
         }
         self.plain.get_or_init(|| {
-            let (tables, par) = (self.compressed.tables().clone(), self.par);
-            let db = CStoreDb::encode(tables, &self.compressed.sort_order(par.threads), false, par);
+            let db = self.compressed.uncompressed(self.par);
             plain_built_gauge().set(1);
             db
         })

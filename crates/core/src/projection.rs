@@ -21,12 +21,16 @@
 //!
 //! One layout path builds and reads every sorted store: the [`SortOrder`]
 //! is computed once, every column is gathered through its table's order
-//! straight into its encoder ([`CStoreDb::build_with`]; the pre-joined
-//! tables of [`crate::denorm`] gather through the fact order too), and the
-//! logical tables come back through the order's inverse
-//! ([`CStoreDb::tables`]). No table is copied to be sorted.
+//! straight into its encoder ([`CStoreDb::build_with`]), and the logical
+//! tables come back through the order's inverse ([`CStoreDb::tables`]). No
+//! table is copied to be sorted.
+//!
+//! Every store holds its order, built or adopted alike: the uncompressed
+//! store is encoded through the compressed store's, the pre-joined tables of
+//! [`crate::denorm`] gather through its fact permutation, and a snapshot
+//! writes it as it is ([`CStoreDb::segments`]). Nothing sorts a table after
+//! the build.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -64,14 +68,16 @@ pub struct DimStore {
 }
 
 /// The C-Store database: fact + dimension projections at one compression
-/// setting.
+/// setting, and the order they are laid out in.
 pub struct CStoreDb {
-    /// The logical tables, held from the build or decoded on first use; see
+    config: SsbConfig,
+    /// Where each stored row came from; shared with the stores encoded in
+    /// the same order.
+    order: Arc<SortOrder>,
+    /// The logical tables: seeded by a build with the tables it sorted,
+    /// decoded from the columns on first use otherwise; see
     /// [`CStoreDb::tables`].
     tables: OnceLock<Arc<SsbTables>>,
-    /// An adopted store's configuration and order, from which its tables
-    /// decode; `None` for a store built from tables.
-    adopted: Option<(SsbConfig, SortOrder)>,
     /// Whether RLE/dictionary encodings were applied.
     pub compression: bool,
     /// The fact projection, sorted by [`FACT_SORT`], FKs remapped.
@@ -81,7 +87,7 @@ pub struct CStoreDb {
 
 /// Where each stored row came from: what recovers the logical tables from a
 /// store's encoded columns, exactly.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct SortOrder {
     /// The logical row at each fact position.
     fact: Vec<u32>,
@@ -327,8 +333,14 @@ impl CStoreDb {
     /// [`SortOrder`], the only sort, then one encode step (`CStoreDb::encode`)
     /// that gathers every column through it into its encoder.
     pub fn build_with(tables: Arc<SsbTables>, compression: bool, par: Parallelism) -> CStoreDb {
-        let order = SortOrder::of(&tables, par.threads);
-        CStoreDb::encode(tables, &order, compression, par)
+        let order = Arc::new(SortOrder::of(&tables, par.threads));
+        CStoreDb::encode(tables, order, compression, par)
+    }
+
+    /// This store's tables without compression, laid out in its order, on
+    /// up to `par.threads` workers: nothing is sorted.
+    pub(crate) fn uncompressed(&self, par: Parallelism) -> CStoreDb {
+        CStoreDb::encode(self.tables().clone(), self.order.clone(), false, par)
     }
 
     /// The store of `tables` laid out in `order`, on up to `par.threads`
@@ -343,9 +355,9 @@ impl CStoreDb {
     /// are handed out afterwards, in a serial build's order (the dimensions,
     /// then the fact table, each in schema order), so the store is the same
     /// bytes and ids at every thread count.
-    pub(crate) fn encode(
+    fn encode(
         tables: Arc<SsbTables>,
-        order: &SortOrder,
+        order: Arc<SortOrder>,
         compression: bool,
         par: Parallelism,
     ) -> CStoreDb {
@@ -386,7 +398,8 @@ impl CStoreDb {
             })
             .collect();
         let fact = store(&tables.lineorder, fact);
-        CStoreDb { tables: OnceLock::from(tables), adopted: None, compression, fact, dims }
+        let config = tables.config;
+        CStoreDb { config, order, tables: OnceLock::from(tables), compression, fact, dims }
     }
 
     /// Adopt a compressed store from a [`Shape::Store`] snapshot's
@@ -414,8 +427,9 @@ impl CStoreDb {
         let order =
             SortOrder { fact: adopt_order(parts, "lineorder", fact.num_rows())?, dims: orders };
         Ok(CStoreDb {
+            config: parts.config(),
+            order: Arc::new(order),
             tables: OnceLock::new(),
-            adopted: Some((parts.config(), order)),
             compression: true,
             fact,
             dims,
@@ -428,10 +442,8 @@ impl CStoreDb {
     /// (`{table}.plain_bytes`), its order (`{table}.order`) and, when its
     /// keys were reassigned, its original keys (`{table}.keys`); then the
     /// same for the fact table, which has no keys.
-    pub fn segments<'a>(
-        &'a self,
-        order: &'a SortOrder,
-    ) -> impl Iterator<Item = (String, Vec<u8>)> + Send + 'a {
+    pub fn segments(&self) -> impl Iterator<Item = (String, Vec<u8>)> + Send + '_ {
+        let order = &self.order;
         let dims = Dim::ALL
             .iter()
             .zip(&order.dims)
@@ -462,18 +474,17 @@ impl CStoreDb {
     /// decode). Only cold paths read them: the uncompressed store, the row,
     /// pre-joined and CS (Row-MV) builds, and reference checks.
     pub fn tables(&self) -> &Arc<SsbTables> {
-        self.tables.get_or_init(|| {
-            let (config, order) = self.adopted.as_ref().expect("a built store holds its tables");
-            Arc::new(self.decode_tables(*config, order))
-        })
+        self.tables.get_or_init(|| Arc::new(self.decode_tables()))
     }
 
     /// The configuration of the tables this store holds.
     pub fn config(&self) -> SsbConfig {
-        match &self.adopted {
-            Some((config, _)) => *config,
-            None => self.tables().config,
-        }
+        self.config
+    }
+
+    /// The logical row at each fact position.
+    pub(crate) fn fact_order(&self) -> &[u32] {
+        &self.order.fact
     }
 
     /// Whether the logical tables are held: always for a built store, and
@@ -482,21 +493,11 @@ impl CStoreDb {
         self.tables.get().is_some()
     }
 
-    /// The store's [`SortOrder`]: an adopted store's own, or a built store's
-    /// recomputed from its tables on up to `threads` workers (a built store
-    /// keeps none).
-    pub fn sort_order(&self, threads: usize) -> Cow<'_, SortOrder> {
-        match &self.adopted {
-            Some((_, order)) => Cow::Borrowed(order),
-            None => Cow::Owned(SortOrder::of(self.tables(), threads)),
-        }
-    }
-
     /// The logical tables of this store's columns: each stored row moved back
     /// to its logical row, and each reassigned key, in a dimension or in the
     /// fact table's foreign keys, replaced by its original.
-    fn decode_tables(&self, config: SsbConfig, order: &SortOrder) -> SsbTables {
-        let schema = star_schema();
+    fn decode_tables(&self) -> SsbTables {
+        let (schema, order) = (star_schema(), &self.order);
         let mut dims = Dim::ALL.iter().zip(&order.dims).map(|(&d, (perm, keys))| {
             // A dense dimension's key column holds positions; its original
             // keys replace them.
@@ -514,7 +515,7 @@ impl CStoreDb {
         };
         let lineorder = logical_columns(&self.fact, &order.fact, fk_keys);
         let lineorder = TableData::new(schema.lineorder.clone(), lineorder);
-        SsbTables { config, schema, lineorder, customer, supplier, part, date }
+        SsbTables { config: self.config, schema, lineorder, customer, supplier, part, date }
     }
 
     /// Dimension storage.

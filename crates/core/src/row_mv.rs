@@ -29,7 +29,6 @@ use cvr_storage::column::StoredColumn;
 use cvr_storage::encode::{Column, StrColumn};
 use cvr_storage::io::IoSession;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Field separator in serialized tuples.
 const SEP: char = '|';
@@ -110,8 +109,6 @@ impl RowMvTable {
 
 /// The Row-MV database: per-flight fact views + row-serialized dimensions.
 pub struct RowMvDb {
-    /// Original logical tables.
-    pub tables: Arc<SsbTables>,
     views: Vec<RowMvTable>,
     dims: HashMap<Dim, RowMvTable>,
 }
@@ -120,7 +117,7 @@ impl RowMvDb {
     /// Build per-flight row-MV tables mirroring the row engine's MV design:
     /// each view holds its flight's [`flight_fact_columns`], each dimension
     /// its [`dim_columns`].
-    pub fn build(tables: Arc<SsbTables>) -> RowMvDb {
+    pub fn build(tables: &SsbTables) -> RowMvDb {
         let views = (1..=4)
             .map(|f| RowMvTable::build(&tables.lineorder, flight_fact_columns(f).unwrap()))
             .collect();
@@ -128,7 +125,7 @@ impl RowMvDb {
             .iter()
             .map(|&d| (d, RowMvTable::build(tables.dim(d), &dim_columns(d))))
             .collect();
-        RowMvDb { tables, views, dims }
+        RowMvDb { views, dims }
     }
 
     /// Whether the views and dimension tables hold every column `q` reads:
@@ -205,16 +202,20 @@ mod tests {
     use cvr_data::queries::{all_queries, query, QueryId};
     use cvr_data::reference;
 
+    fn tables() -> SsbTables {
+        SsbConfig { sf: 0.002, seed: 43 }.generate()
+    }
+
     fn db() -> RowMvDb {
-        RowMvDb::build(Arc::new(SsbConfig { sf: 0.002, seed: 43 }.generate()))
+        RowMvDb::build(&tables())
     }
 
     #[test]
     fn matches_reference_on_all_queries() {
-        let db = db();
-        let io = IoSession::unmetered();
+        let tables = tables();
+        let (db, io) = (RowMvDb::build(&tables), IoSession::unmetered());
         for q in all_queries() {
-            let expected = reference::evaluate(&db.tables, &q);
+            let expected = reference::evaluate(&tables, &q);
             let got = db.run(&q, &ExecOptions::default(), &io).expect("unbounded lifecycle");
             assert_eq!(got, expected, "Row-MV disagrees on {}", q.id);
         }

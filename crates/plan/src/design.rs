@@ -1,6 +1,9 @@
 //! One list of systems: every system the paper's Figures 5–8 compare is a
-//! [`Design`], and one [`Stores`] over a set of tables builds each design's
-//! store on first use and runs a statement on any of them.
+//! [`Design`], and one [`Stores`] over a set of tables runs a statement on
+//! any of them. The column engine is built (or adopted) with the set; every
+//! other design's store is built from the engine's compressed store on
+//! first use: from the tables it holds, or decodes, and the pre-joined
+//! tables through its fact order.
 
 use crate::enumerate::{PhysicalChoice, PlanShape};
 use cvr_core::ctx::catch_injected;
@@ -109,16 +112,12 @@ impl From<PhysicalChoice> for Design {
     }
 }
 
-/// The store of every [`Design`] over one set of tables. Creating it builds
-/// nothing: each store, the [`ColumnEngine`] included, is built in its own
-/// slot by the first statement that needs it, so a build blocks only the
+/// The store of every [`Design`] over one set of tables: the
+/// [`ColumnEngine`], and a slot for each other design's store, built in it
+/// by the first statement that needs it, so a build blocks only the
 /// statements of its design, and one that panics leaves its slot empty.
 pub struct Stores {
-    /// The tables every store is built from; `None` over an adopted column
-    /// engine, whose store decodes them on first use.
-    tables: Option<Arc<SsbTables>>,
-    par: Parallelism,
-    engine: OnceLock<ColumnEngine>,
+    engine: ColumnEngine,
     slots: Slots,
 }
 
@@ -132,31 +131,28 @@ struct Slots {
 }
 
 impl Stores {
-    /// The stores over `tables`, none built yet; the column engine's builds on `par`.
+    /// The stores over `tables`: the column engine, built on `par`, and no
+    /// other design's yet.
     pub fn new(tables: Arc<SsbTables>, par: Parallelism) -> Stores {
-        Stores { tables: Some(tables), par, engine: OnceLock::new(), slots: Slots::default() }
+        Stores::adopted(ColumnEngine::with_parallelism(tables, par))
     }
 
-    /// The stores around an adopted column engine ([`ColumnEngine::adopt`]):
-    /// every other store is built, on first use, from the tables the
-    /// engine's store decodes.
+    /// The stores around a column engine, built or adopted
+    /// ([`ColumnEngine::adopt`]), and no other design's yet.
     pub fn adopted(engine: ColumnEngine) -> Stores {
-        let par = engine.parallelism();
-        Stores { tables: None, par, engine: OnceLock::from(engine), slots: Slots::default() }
+        Stores { engine, slots: Slots::default() }
     }
 
-    /// The tables every store is built from; over an adopted engine, decoded
-    /// on first use ([`cvr_core::CStoreDb::tables`]).
+    /// The tables every store is built from: the engine's compressed
+    /// store's ([`cvr_core::CStoreDb::tables`]; an adopted one decodes them
+    /// on first use).
     pub fn tables(&self) -> &Arc<SsbTables> {
-        match &self.tables {
-            Some(tables) => tables,
-            None => self.engine().db(EngineConfig::FULL).tables(),
-        }
+        self.engine.db(EngineConfig::FULL).tables()
     }
 
-    /// The column engine, building it on first use.
+    /// The column engine.
     pub fn engine(&self) -> &ColumnEngine {
-        self.engine.get_or_init(|| ColumnEngine::with_parallelism(self.tables().clone(), self.par))
+        &self.engine
     }
 
     /// Run `q` on `design` as `opts` says, building its store on first use.
@@ -171,7 +167,7 @@ impl Stores {
         io: &IoSession,
     ) -> Result<QueryOutput, QueryError> {
         match design {
-            Design::Column(cfg) => self.engine().run(q, cfg, opts, io),
+            Design::Column(cfg) => self.engine.run(q, cfg, opts, io),
             Design::Row(d) => {
                 opts.ctx.check()?;
                 let slot = &self.slots.rows[index(&RowDesign::EXTENDED, d)];
@@ -185,11 +181,12 @@ impl Stores {
             }
             Design::PreJoined(v) => {
                 let slot = &self.slots.pre_joined[index(&DenormVariant::ALL, v)];
-                slot.get_or_init(|| DenormDb::build(self.tables().clone(), v)).run(q, opts, io)
+                let db = || DenormDb::build(self.engine.db(EngineConfig::FULL), v);
+                slot.get_or_init(db).run(q, opts, io)
             }
             Design::RowMv => {
                 let slot = &self.slots.row_mv;
-                slot.get_or_init(|| RowMvDb::build(self.tables().clone())).run(q, opts, io)
+                slot.get_or_init(|| RowMvDb::build(self.tables())).run(q, opts, io)
             }
         }
     }
@@ -233,7 +230,8 @@ mod tests {
             stores.slots.rows[0].get_or_init(|| panic!("build failed"))
         }));
         assert!(failed.is_err(), "the build's panic reaches the statement that ran it");
-        assert!(stores.built().is_empty() && stores.engine.get().is_none(), "nothing built");
+        assert!(stores.built().is_empty(), "nothing built");
+        assert!(Arc::ptr_eq(stores.tables(), &tables), "the engine's store holds the tables");
         let (q, io) = (query(2, 1), IoSession::unmetered());
         for (_, design) in Design::figure5().into_iter().chain(Design::figure5()) {
             let got = stores.run(design, &q, &ExecOptions::default(), &io);
@@ -242,7 +240,7 @@ mod tests {
         let built = [RowDesign::Traditional, RowDesign::MaterializedViews].map(Design::Row);
         assert_eq!(stores.built(), [built[0], built[1], Design::RowMv], "each built once");
         stores.release();
-        assert!(stores.built().is_empty() && stores.engine.get().is_some());
+        assert!(stores.built().is_empty() && Arc::ptr_eq(stores.tables(), &tables));
     }
 
     /// A row design's storage faults surface as a typed error, not a panic,

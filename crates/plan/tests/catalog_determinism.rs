@@ -66,9 +66,8 @@ fn an_adopted_catalog_is_the_built_one_at_1_2_and_4_workers() {
             ColumnEngine::with_parallelism(tables.clone(), Parallelism::with_threads(threads));
         let built = Catalog::build(&engine);
         let db = engine.db(EngineConfig::FULL);
-        let order = db.sort_order(threads);
         let catalog = ("catalog".to_string(), persist::encode_bytes_segment(&built.to_bytes()));
-        let segments = db.segments(&order).chain([catalog]);
+        let segments = db.segments().chain([catalog]);
         persist::write_generation(&dir, db.config(), Shape::Store, segments).unwrap();
         let (adopted, _) = persist::load_latest_store(&dir, |parts| {
             CStoreDb::adopt(parts)?;

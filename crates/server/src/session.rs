@@ -168,21 +168,16 @@ impl StoreState {
     }
 
     /// Write the served store as the next [`Shape::Store`] generation of
-    /// `dir`: the compressed store's segments ([`CStoreDb::segments`]), then
-    /// the catalog's. A store built from tables recomputes its order first.
-    fn snapshot(&self, dir: &Path, par: Parallelism) -> Result<SnapshotReport, PersistError> {
+    /// `dir`: the compressed store's segments ([`CStoreDb::segments`]: its
+    /// columns and the order it holds, built or adopted alike, so nothing is
+    /// sorted), then the catalog's.
+    fn snapshot(&self, dir: &Path) -> Result<SnapshotReport, PersistError> {
         let db = self.stores.engine().db(EngineConfig::FULL);
-        let order = db.sort_order(par.threads);
         let catalog = self.planner.catalog();
         let catalog = std::iter::once_with(|| {
             (CATALOG_SEGMENT.to_string(), persist::encode_bytes_segment(&catalog.to_bytes()))
         });
-        persist::write_generation(
-            dir,
-            db.config(),
-            Shape::Store,
-            db.segments(&order).chain(catalog),
-        )
+        persist::write_generation(dir, db.config(), Shape::Store, db.segments().chain(catalog))
     }
 }
 
@@ -347,7 +342,7 @@ impl Session {
             return Err(QueryError::Io { detail: "no data directory configured".to_string() });
         };
         let store = self.store();
-        let report = store.snapshot(&dir, self.par).map_err(persist_error)?;
+        let report = store.snapshot(&dir).map_err(persist_error)?;
         Ok(SnapshotInfo {
             generation: report.generation,
             store_version: store.version,

@@ -316,10 +316,19 @@ mod tests {
     }
 
     /// Every column of `t` encoded with `compress`, with its uncompressed
-    /// size.
+    /// size as a store's build records it.
     fn store(t: &[(&'static str, ColumnData)], compress: bool) -> ColumnStore {
-        let columns =
-            t.iter().map(|(name, c)| (*name, Column::encode(c, compress), Column::plain_bytes(c)));
+        let columns = t.iter().map(|(name, c)| match c {
+            ColumnData::Int(v) => (
+                *name,
+                Column::Int(IntColumn::encode(v, compress)),
+                IntColumn::plain_fixed_bytes(v),
+            ),
+            ColumnData::Str(v) => {
+                let (column, plain) = StrColumn::encode_rows(v, 0..v.len(), compress);
+                (*name, Column::Str(column), plain)
+            }
+        });
         ColumnStore::from_encoded("t", ROWS, columns)
     }
 

@@ -442,12 +442,6 @@ impl StrColumn {
         StrColumn::Plain { values: values.into_iter().map(Into::into).collect(), bytes }
     }
 
-    /// [`StrColumn::encoded_bytes`] of [`StrColumn::plain`] over `values`:
-    /// a 1-byte length prefix plus the payload per value.
-    pub fn plain_bytes(values: &Strs) -> u64 {
-        (values.len() + values.text_len()) as u64
-    }
-
     /// Dictionary-encode (always succeeds; callers choose when it pays off).
     pub fn dict(values: &[String]) -> StrColumn {
         let (dict, codes) = dict_codes(values.iter().map(String::as_str));
@@ -670,17 +664,6 @@ impl Column {
         match data {
             ColumnData::Int(v) => Column::Int(IntColumn::encode(v, compress)),
             ColumnData::Str(v) => Column::Str(StrColumn::encode_rows(v, 0..v.len(), compress).0),
-        }
-    }
-
-    /// [`Column::encoded_bytes`] of `Column::encode(data, false)`, computed
-    /// by the functions that encoder sizes itself with — what lets a
-    /// compressed store record each column's uncompressed footprint without
-    /// an uncompressed store existing.
-    pub fn plain_bytes(data: &ColumnData) -> u64 {
-        match data {
-            ColumnData::Int(v) => IntColumn::plain_fixed_bytes(v),
-            ColumnData::Str(v) => StrColumn::plain_bytes(v),
         }
     }
 

@@ -1,7 +1,7 @@
 //! Property tests for the column encodings and the row codec: round-trips,
 //! size accounting, and direct-operation equivalence for arbitrary data.
 
-use cvr_data::table::{ColumnData, Strs};
+use cvr_data::table::{ColumnData, PlainInts, Strs};
 use cvr_data::value::{DataType, Value};
 use cvr_storage::encode::{byte_width, Column, IntColumn, StrColumn, RLE_RUN_BYTES};
 use cvr_storage::packed::PackedInts;
@@ -260,15 +260,26 @@ proptest! {
         }
         let gathered: Vec<String> = perm.iter().map(|&p| values[p].clone()).collect();
         prop_assert_eq!(
-            Column::plain_bytes(&ColumnData::Str(strs)),
+            StrColumn::encode_rows(&strs, 0..n, false).1,
             StrColumn::plain(gathered).encoded_bytes()
         );
     }
 
+    /// The uncompressed sizes a store records as it encodes, compressed or
+    /// not, are the uncompressed encoder's.
     #[test]
-    fn plain_bytes_is_the_uncompressed_encoders_size(values in prop::collection::vec(-5i64..(1 << 33), 0..50)) {
-        let data = ColumnData::Int(values.into());
-        prop_assert_eq!(Column::plain_bytes(&data), Column::encode(&data, false).encoded_bytes());
+    fn plain_bytes_is_the_uncompressed_encoders_size(
+        values in prop::collection::vec(-5i64..(1 << 33), 0..50),
+        strings in small_strings(),
+    ) {
+        let ints = PlainInts::from(values);
+        let plain = Column::encode(&ColumnData::Int(ints.clone()), false).encoded_bytes();
+        prop_assert_eq!(IntColumn::plain_fixed_bytes(&ints), plain);
+        let strs = Strs::from(strings);
+        let plain = Column::encode(&ColumnData::Str(strs.clone()), false).encoded_bytes();
+        for compress in [true, false] {
+            prop_assert_eq!(StrColumn::encode_rows(&strs, 0..strs.len(), compress).1, plain);
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ fn main() {
     let mut ratios = Vec::new();
 
     for variant in DenormVariant::ALL {
-        let db = DenormDb::build(tables.clone(), variant);
+        let db = DenormDb::build(engine.db(EngineConfig::FULL), variant);
         let io = IoSession::unmetered();
         let start = Instant::now();
         let out = db.run(&q, &ExecOptions::default(), &io).unwrap();

@@ -141,7 +141,7 @@ fn row_mv_reads_at_least_row_store_mv_bytes() {
     // strings it is, if anything, bigger.
     let t = tables();
     let row_mv = RowDb::build(t.clone(), RowDesign::MaterializedViews);
-    let cs_row_mv = RowMvDb::build(t.clone());
+    let cs_row_mv = RowMvDb::build(&t);
     for q in all_queries() {
         let rs = cold_bytes(|io| {
             row_mv.execute(&q, io);
